@@ -234,7 +234,7 @@ pub fn smoke() {
         let report = inc.ingest(batch);
         assert!(report.delta, "batch {i}: delta path must engage");
         let got = inc.outcome();
-        let snap = inc.snapshot().expect("snapshot after ingest");
+        let snap = inc.snapshot();
         let want = Session::new(snap)
             .scheme(BENCH_SCHEME)
             .pruning(BENCH_PRUNING)

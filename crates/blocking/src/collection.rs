@@ -225,6 +225,61 @@ pub(crate) fn count_comparisons(
     }
 }
 
+/// What a node-centric meta-blocking sweep reads from a set of blocks.
+///
+/// Two layouts implement it: the finished flat-CSR [`BlockCollection`]
+/// and the live per-key slabs of
+/// [`IncrementalCollection`](crate::IncrementalCollection), which a
+/// delta-sweep reads in place instead of materialising a collection per
+/// ingest. Sweeps take the view as a generic parameter, so each layout
+/// gets its own monomorphised loop.
+///
+/// Both implementations visit an entity's blocks in **key-string order**
+/// — ascending block id in a [`BlockCollection`] — because the sweeps'
+/// f64 ARCS sums accumulate in visit order and must carry the same bits
+/// on either layout.
+pub trait BlockView {
+    /// Number of blocks |B|.
+    fn num_blocks(&self) -> usize;
+
+    /// Number of blocks containing `e` (|B_e|).
+    fn entity_block_count(&self, e: EntityId) -> u32;
+
+    /// Σ sizes of `e`'s blocks — what one sweep of `e` costs.
+    fn sweep_cost(&self, e: EntityId) -> u64;
+
+    /// Calls `f(1/‖b‖, other)` once per appearance of a comparable
+    /// co-member `other` in a block `b` containing `a`.
+    fn for_each_co_occurrence(&self, a: EntityId, f: impl FnMut(f64, EntityId));
+}
+
+impl BlockView for BlockCollection {
+    #[inline]
+    fn num_blocks(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn entity_block_count(&self, e: EntityId) -> u32 {
+        self.entity_blocks(e).len() as u32
+    }
+
+    #[inline]
+    fn sweep_cost(&self, e: EntityId) -> u64 {
+        self.entity_blocks(e)
+            .iter()
+            .map(|&b| self.block_len(b) as u64)
+            .sum()
+    }
+
+    #[inline]
+    fn for_each_co_occurrence(&self, a: EntityId, mut f: impl FnMut(f64, EntityId)) {
+        for (_bid, inv_card, y) in self.co_occurrences(a) {
+            f(inv_card, y);
+        }
+    }
+}
+
 /// A set of blocks plus the inverted per-entity view, both in flat CSR.
 ///
 /// Invariants established at construction:

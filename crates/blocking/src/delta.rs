@@ -6,51 +6,67 @@
 //! paper's pay-as-you-go arrival model that is the wrong shape: every
 //! batch of new descriptions would re-tokenise and re-sort everything
 //! already ingested. [`IncrementalCollection`] keeps the blocking state
-//! *updatable* instead:
+//! *updatable* and **sweepable in place** instead, so that an ingest
+//! costs `O(batch × neighbourhood)` and nothing in it is `O(corpus)`.
+//!
+//! # Maintained on touch
 //!
 //! * one persistent [`Interner`], so a token's [`Symbol`] is stable
 //!   across every batch (batches are tokenised through the same
 //!   string-free [`KeyAssignments`] path as the batch builders);
-//! * per-symbol sorted member lists, grown by a backward sorted merge
-//!   (`layout::merge_sorted_into`) — a delta-append, never a rebuild;
-//! * per-symbol comparison counts and the presence mask (≥ 2 members
-//!   inducing ≥ 1 comparison), recomputed **only for the symbols the
-//!   batch touched**;
-//! * the key-string block order, maintained by merging newly-present
-//!   symbols into place (the id-remap: established blocks keep their
-//!   relative order, so an untouched entity's ascending-block-id sweep
-//!   order is stable).
+//! * per key: the sorted member list, grown by a backward sorted merge
+//!   (`layout::merge_sorted_into`) — a delta-append, never a rebuild —
+//!   with the comparison count and the ARCS reciprocal `1/‖b‖`,
+//!   recomputed **only for the keys the batch touched**. A key *forms a
+//!   block* once it induces ≥ 1 comparison; members are only ever added,
+//!   so that is monotone;
+//! * per entity: its keys **in key-string order** (fixed at arrival) and
+//!   its live block count `|B_e|`, bumped only for *grown* entities;
+//! * the live block count `|B|` and assignment total.
 //!
-//! Each [`IncrementalCollection::ingest`] returns a [`DeltaOutcome`]: a
-//! fresh [`BlockCollection`] snapshot of the merged corpus (logically
-//! identical to `token_blocking` over the arrived entities — the
-//! equivalence is property-tested) plus the *dirty sets* the
-//! meta-blocking delta-sweep needs — which blocks changed, which
-//! entities' block lists grew, and which entities' co-occurrence
-//! neighbourhoods are stale. Arrivals only ever add members, so block
-//! presence is monotone and the dirty sets stay small once the corpus
-//! warms up.
+//! That is everything a node-centric sweep reads, which is what the
+//! [`BlockView`] implementation exposes: an entity's present blocks are
+//! visited in key-string order — ascending block id in a materialised
+//! collection — so f64 ARCS sums accumulate in the order a from-scratch
+//! [`BlockCollection`] sweep would use and carry the same bits.
+//!
+//! Each [`IncrementalCollection::ingest`] returns a [`DeltaOutcome`]:
+//! the *dirty sets* the meta-blocking delta-sweep needs — which blocks
+//! changed, which entities' block lists grew, and which entities'
+//! co-occurrence neighbourhoods are stale.
+//!
+//! # When a snapshot is built, and who pays
+//!
+//! Never by an ingest. [`IncrementalCollection::snapshot`] materialises
+//! the merged corpus as a [`BlockCollection`] (logically identical to
+//! `token_blocking` over the arrived entities — the equivalence is
+//! property-tested) for consumers that need block ids or the flat slabs:
+//! the meta-blocking fallback combinations, tests, exports. It is
+//! `O(corpus)` — every member slab copied, the interner cloned, the
+//! entity→block CSR transposed — and the caller that asks pays it. The
+//! block order it needs (present keys by key string) is kept lazily:
+//! keys that become present are queued and merged in at the next
+//! snapshot, so an ingest never touches an `O(keys)` table.
 
-use crate::collection::{count_comparisons, KbScratch, KeyAssignments};
+use crate::collection::{count_comparisons, BlockView, KbScratch, KeyAssignments};
 use crate::layout::{merge_sorted_by_into, merge_sorted_into};
-use crate::{BlockCollection, BlockId, ErMode};
+use crate::{BlockCollection, ErMode};
 use minoan_common::{Interner, Symbol};
 use minoan_rdf::tokenize::TokenBuffers;
 use minoan_rdf::{Dataset, EntityId};
 use std::sync::Arc;
 
-/// What one [`IncrementalCollection::ingest`] changed.
+/// What one [`IncrementalCollection::ingest`] changed. Blocks are named
+/// by their key [`Symbol`], which is stable across ingests (the block
+/// ids of a [`snapshot`](IncrementalCollection::snapshot) are not).
 #[derive(Debug)]
 pub struct DeltaOutcome {
-    /// The merged-corpus block collection after this ingest — block ids
-    /// are snapshot-local (key-string order over the present symbols).
-    pub snapshot: BlockCollection,
-    /// Blocks (snapshot ids, ascending) whose member list changed in
-    /// this ingest, including the newly present ones.
-    pub touched_blocks: Vec<BlockId>,
+    /// Blocks (ascending symbol) whose member list changed in this
+    /// ingest, including the newly present ones.
+    pub touched_blocks: Vec<Symbol>,
     /// Subset of [`Self::touched_blocks`]: blocks that crossed the
     /// presence threshold (≥ 2 members, ≥ 1 comparison) in this ingest.
-    pub newly_present: Vec<BlockId>,
+    pub newly_present: Vec<Symbol>,
     /// Entities whose own block list changed: batch members that joined
     /// at least one present block, plus every member of a newly-present
     /// block. Sorted, deduplicated.
@@ -61,30 +77,43 @@ pub struct DeltaOutcome {
     pub dirty: Vec<EntityId>,
 }
 
+/// One key's live slab.
+#[derive(Default)]
+struct KeyBlock {
+    /// Arrived member entities, sorted ascending.
+    members: Vec<EntityId>,
+    /// Comparisons under the collection's mode; recomputed only on
+    /// touch. The key forms a block iff this is non-zero.
+    comparisons: u64,
+    /// `1 / max(‖b‖, 1)`, refreshed with `comparisons`.
+    inv_cardinality: f64,
+}
+
 /// An updatable token-blocking index over a fixed entity universe.
 ///
 /// Entities of `dataset` arrive in batches via [`Self::ingest`]; the
 /// collection maintains exactly the blocks `builders::token_blocking`
 /// would build over the arrived subset, without ever re-tokenising or
-/// re-sorting what already arrived.
+/// re-sorting what already arrived, and is swept in place through
+/// [`BlockView`].
 pub struct IncrementalCollection<'d> {
     dataset: &'d Dataset,
     mode: ErMode,
     /// Persistent token interner — symbols are stable across batches.
     keys: Interner,
-    /// Per symbol: arrived member entities, sorted ascending.
-    members: Vec<Vec<EntityId>>,
-    /// Per symbol: comparisons under `mode`; recomputed only on touch.
-    comparisons: Vec<u64>,
-    /// Per symbol: whether the key currently forms a block. Monotone
-    /// under arrivals (members are only ever added).
-    present: Vec<bool>,
-    /// Present symbols in key-string order — the snapshot block order.
+    /// Per symbol: its live slab.
+    blocks: Vec<KeyBlock>,
+    /// Present symbols in key-string order, as of the last snapshot.
     order: Vec<Symbol>,
-    /// Per symbol: its slot in `order` (`u32::MAX` when not present).
-    slot_of: Vec<u32>,
-    /// Per entity: its sorted distinct key symbols (empty until arrival).
+    /// Symbols that became present since, not yet merged into `order`.
+    unordered: Vec<Symbol>,
+    /// Per entity: its distinct key symbols in key-string order (empty
+    /// until arrival).
     keys_of: Vec<Vec<Symbol>>,
+    /// Per entity: how many of its keys currently form a block (|B_e|).
+    block_counts: Vec<u32>,
+    /// Σ member counts over the present blocks.
+    total_assignments: u64,
     arrived: Vec<bool>,
     num_arrived: usize,
     kb_of: Vec<u16>,
@@ -103,12 +132,12 @@ impl<'d> IncrementalCollection<'d> {
             dataset,
             mode,
             keys: Interner::new(),
-            members: Vec::new(),
-            comparisons: Vec::new(),
-            present: Vec::new(),
+            blocks: Vec::new(),
             order: Vec::new(),
-            slot_of: Vec::new(),
+            unordered: Vec::new(),
             keys_of: vec![Vec::new(); dataset.len()],
+            block_counts: vec![0; dataset.len()],
+            total_assignments: 0,
             arrived: vec![false; dataset.len()],
             num_arrived: 0,
             kb_of,
@@ -118,38 +147,25 @@ impl<'d> IncrementalCollection<'d> {
 
     /// Ingests a batch of newly-arrived entities: tokenises them through
     /// the string-free [`KeyAssignments`] path, delta-appends their
-    /// assignments into the per-symbol slabs, recomputes comparisons and
-    /// presence for the touched symbols only, and returns the new
-    /// snapshot together with the dirty sets.
+    /// assignments into the per-key slabs, refreshes comparisons,
+    /// reciprocals and block counts for the touched keys and grown
+    /// entities only, and returns the dirty sets. Serial and
+    /// `O(batch × neighbourhood)`; `_threads` is accepted so callers can
+    /// pass one worker count to every stage of an ingest.
     ///
     /// # Panics
     /// Panics if an entity in `batch` already arrived.
-    pub fn ingest(&mut self, batch: &[EntityId], threads: usize) -> DeltaOutcome {
-        let (touched_syms, newly_present_syms, mut grown) = self.merge_batch(batch);
-        self.install_order(&newly_present_syms);
-
-        // Dirty sets in snapshot block ids / entity ids.
-        let mut touched_blocks: Vec<BlockId> = touched_syms
-            .iter()
-            .map(|&s| BlockId(self.slot_of[s.index()]))
-            .collect();
-        touched_blocks.sort_unstable();
-        let mut newly_present: Vec<BlockId> = newly_present_syms
-            .iter()
-            .map(|&s| BlockId(self.slot_of[s.index()]))
-            .collect();
-        newly_present.sort_unstable();
+    pub fn ingest(&mut self, batch: &[EntityId], _threads: usize) -> DeltaOutcome {
+        let (touched_blocks, newly_present, mut grown) = self.merge_batch(batch);
         let mut dirty: Vec<EntityId> = Vec::new();
-        for &s in &touched_syms {
-            dirty.extend_from_slice(&self.members[s.index()]);
+        for &s in &touched_blocks {
+            dirty.extend_from_slice(&self.blocks[s.index()].members);
         }
         dirty.sort_unstable();
         dirty.dedup();
         grown.sort_unstable();
         grown.dedup();
-
         DeltaOutcome {
-            snapshot: self.snapshot(threads),
             touched_blocks,
             newly_present,
             grown,
@@ -157,24 +173,20 @@ impl<'d> IncrementalCollection<'d> {
         }
     }
 
-    /// [`Self::ingest`] without the snapshot or the dirty-set mapping —
-    /// for consumers that read the live slabs through
-    /// [`Self::entity_keys`] / [`Self::key_members`] instead of sweeping
-    /// a [`BlockCollection`]. One `absorb` per description keeps an
-    /// arrival loop at delta cost: nothing is re-tokenised, re-sorted or
-    /// re-materialised.
+    /// [`Self::ingest`] without the dirty sets — for consumers that read
+    /// the live slabs through [`Self::entity_keys`] /
+    /// [`Self::key_members`]. One `absorb` per description keeps an
+    /// arrival loop at delta cost.
     ///
     /// # Panics
     /// Panics if an entity in `batch` already arrived.
     pub fn absorb(&mut self, batch: &[EntityId]) {
-        let (_, newly_present_syms, _) = self.merge_batch(batch);
-        self.install_order(&newly_present_syms);
+        self.merge_batch(batch);
     }
 
-    /// Tokenises `batch` and merges its assignments into the per-symbol
-    /// slabs; returns `(touched, newly_present, grown)` in symbol space
-    /// (`newly_present` sorted by key string, `grown` unsorted with
-    /// duplicates).
+    /// Tokenises `batch` and merges its assignments into the per-key
+    /// slabs; returns `(touched, newly_present, grown)` — `touched`
+    /// ascending by symbol, `grown` unsorted with duplicates.
     fn merge_batch(&mut self, batch: &[EntityId]) -> (Vec<Symbol>, Vec<Symbol>, Vec<EntityId>) {
         // 1. Tokenise the batch through the persistent interner.
         let mut asg = KeyAssignments::with_keys(std::mem::take(&mut self.keys));
@@ -192,28 +204,26 @@ impl<'d> IncrementalCollection<'d> {
         self.num_arrived += batch.len();
         let (keys, syms, ends) = asg.into_parts();
         self.keys = keys;
-        let k = self.keys.len();
-        self.members.resize_with(k, Vec::new);
-        self.comparisons.resize(k, 0);
-        self.present.resize(k, false);
+        self.blocks.resize_with(self.keys.len(), KeyBlock::default);
 
         // 2. Group the batch assignments by symbol (a sort, not a hash
         //    map — deterministic and slab-friendly) and merge each run
-        //    into its sorted member list.
+        //    into its sorted member list. Each entity keeps its own keys
+        //    in key-string order: the order its sweeps visit them in.
         let mut additions: Vec<(Symbol, EntityId)> = Vec::with_capacity(syms.len());
         let mut start = 0usize;
-        for (i, &end) in ends.iter().enumerate() {
+        for (&e, &end) in batch.iter().zip(&ends) {
             let run = &syms[start..end as usize];
-            self.keys_of[batch[i].index()] = run.to_vec();
-            for &s in run {
-                additions.push((s, batch[i]));
-            }
+            additions.extend(run.iter().map(|&s| (s, e)));
+            let mut own = run.to_vec();
+            own.sort_unstable_by(|&a, &b| self.keys.resolve(a).cmp(self.keys.resolve(b)));
+            self.keys_of[e.index()] = own;
             start = end as usize;
         }
         additions.sort_unstable();
 
-        let mut touched_syms: Vec<Symbol> = Vec::new();
-        let mut newly_present_syms: Vec<Symbol> = Vec::new();
+        let mut touched: Vec<Symbol> = Vec::new();
+        let mut newly_present: Vec<Symbol> = Vec::new();
         let mut grown: Vec<EntityId> = Vec::new();
         let mut scratch = KbScratch::new(self.num_kbs);
         let mut run: Vec<EntityId> = Vec::new();
@@ -225,79 +235,67 @@ impl<'d> IncrementalCollection<'d> {
                 run.push(additions[i].1);
                 i += 1;
             }
-            run.sort_unstable();
-            merge_sorted_into(&mut self.members[sym.index()], &run);
-            let members = &self.members[sym.index()];
-            let c = if members.len() >= 2 {
-                count_comparisons(members, &self.kb_of, self.mode, &mut scratch)
+            let block = &mut self.blocks[sym.index()];
+            let was_present = block.comparisons > 0;
+            merge_sorted_into(&mut block.members, &run);
+            if block.members.len() >= 2 {
+                block.comparisons =
+                    count_comparisons(&block.members, &self.kb_of, self.mode, &mut scratch);
+            }
+            if block.comparisons == 0 {
+                continue;
+            }
+            block.inv_cardinality = 1.0 / (block.comparisons as f64).max(1.0);
+            touched.push(sym);
+            // A present block grows the block list of the batch members
+            // just merged into it; a newly-present one grows *every*
+            // member's, pre-batch members included.
+            let joined: &[EntityId] = if was_present {
+                &run
             } else {
-                0
+                newly_present.push(sym);
+                &block.members
             };
-            self.comparisons[sym.index()] = c;
-            if c > 0 {
-                touched_syms.push(sym);
-                // The batch members just merged into this present block
-                // gained a block in their own block list.
-                grown.extend(run.iter().copied());
-                if !self.present[sym.index()] {
-                    self.present[sym.index()] = true;
-                    newly_present_syms.push(sym);
-                    // A newly-present block grows *every* member's block
-                    // list, including pre-batch members (deduplicated
-                    // below).
-                    grown.extend(members.iter().copied());
-                }
+            for &e in joined {
+                self.block_counts[e.index()] += 1;
             }
+            self.total_assignments += joined.len() as u64;
+            grown.extend_from_slice(joined);
         }
-
-        newly_present_syms
-            .sort_unstable_by(|&a, &b| self.keys.resolve(a).cmp(self.keys.resolve(b)));
-        (touched_syms, newly_present_syms, grown)
+        self.unordered.extend_from_slice(&newly_present);
+        (touched, newly_present, grown)
     }
 
-    /// Merges newly-present symbols (pre-sorted by key string) into the
-    /// block order (the id-remap) and refreshes the slot table.
-    fn install_order(&mut self, newly_present_syms: &[Symbol]) {
-        let k = self.keys.len();
-        if !newly_present_syms.is_empty() {
-            let keys = &self.keys;
-            merge_sorted_by_into(&mut self.order, newly_present_syms, |&a, &b| {
-                keys.resolve(a).cmp(keys.resolve(b))
-            });
-            self.slot_of.clear();
-            self.slot_of.resize(k, u32::MAX);
-            for (slot, &s) in self.order.iter().enumerate() {
-                self.slot_of[s.index()] = slot as u32;
-            }
-        } else {
-            self.slot_of.resize(k, u32::MAX);
-        }
-    }
-
-    /// Builds the merged-corpus [`BlockCollection`] from the per-symbol
-    /// slabs: the present symbols in key-string order, sharing the
-    /// persistent interner. Logically identical to running
+    /// Builds the merged-corpus [`BlockCollection`] from the per-key
+    /// slabs: the present symbols in key-string order, sharing a clone of
+    /// the persistent interner. Logically identical to running
     /// `builders::token_blocking` over the arrived entities (key
     /// strings, members, comparisons — symbols may differ because the
-    /// interners assign them in arrival order).
-    pub fn snapshot(&self, threads: usize) -> BlockCollection {
-        let mut block_keys = Vec::with_capacity(self.order.len());
+    /// interners assign them in arrival order). `O(corpus)`; see the
+    /// [module docs](self) for who should call it.
+    pub fn snapshot(&mut self, threads: usize) -> BlockCollection {
+        let keys = &self.keys;
+        let by_key = |a: &Symbol, b: &Symbol| keys.resolve(*a).cmp(keys.resolve(*b));
+        self.unordered.sort_unstable_by(by_key);
+        merge_sorted_by_into(&mut self.order, &self.unordered, by_key);
+        self.unordered.clear();
+
         let mut block_offsets = Vec::with_capacity(self.order.len() + 1);
         block_offsets.push(0u32);
-        let mut block_entities: Vec<EntityId> = Vec::new();
+        let mut block_entities: Vec<EntityId> = Vec::with_capacity(self.total_assignments as usize);
         let mut comparisons = Vec::with_capacity(self.order.len());
         for &s in &self.order {
-            block_keys.push(s);
-            block_entities.extend_from_slice(&self.members[s.index()]);
+            let block = &self.blocks[s.index()];
+            block_entities.extend_from_slice(&block.members);
             block_offsets.push(
                 u32::try_from(block_entities.len()).expect("block slab exceeds u32::MAX entries"),
             );
-            comparisons.push(self.comparisons[s.index()]);
+            comparisons.push(block.comparisons);
         }
         BlockCollection::finish(
             self.mode,
             Arc::new(self.keys.clone()),
-            block_keys,
+            self.order.clone(),
             block_offsets,
             block_entities,
             comparisons,
@@ -329,12 +327,23 @@ impl<'d> IncrementalCollection<'d> {
 
     /// Number of currently-present blocks.
     pub fn num_blocks(&self) -> usize {
-        self.order.len()
+        self.order.len() + self.unordered.len()
     }
 
-    /// The distinct blocking-key symbols of an arrived entity, sorted by
-    /// symbol id (empty until `e` arrives). Symbols are stable across
-    /// batches, so this slice never changes after arrival.
+    /// Σ member counts over the present blocks (the "block assignments"
+    /// BC a snapshot would report), maintained on touch.
+    pub fn total_assignments(&self) -> u64 {
+        self.total_assignments
+    }
+
+    /// The string of key `s`.
+    pub fn key_str(&self, s: Symbol) -> &str {
+        self.keys.resolve(s)
+    }
+
+    /// The distinct blocking-key symbols of an arrived entity, in
+    /// key-string order (empty until `e` arrives). Symbols are stable
+    /// across batches, so this slice never changes after arrival.
     pub fn entity_keys(&self, e: EntityId) -> &[Symbol] {
         &self.keys_of[e.index()]
     }
@@ -343,10 +352,50 @@ impl<'d> IncrementalCollection<'d> {
     /// unless the key currently forms a block (≥ 1 comparison under the
     /// ER mode), exactly the blocks a snapshot would contain.
     pub fn key_members(&self, s: Symbol) -> &[EntityId] {
-        if self.present.get(s.index()).copied().unwrap_or(false) {
-            &self.members[s.index()]
-        } else {
-            &[]
+        match self.blocks.get(s.index()) {
+            Some(block) if block.comparisons > 0 => &block.members,
+            _ => &[],
+        }
+    }
+
+    /// The present blocks containing `e`, in key-string order.
+    #[inline]
+    fn present_blocks(&self, e: EntityId) -> impl Iterator<Item = &KeyBlock> + '_ {
+        self.keys_of[e.index()]
+            .iter()
+            .map(move |s| &self.blocks[s.index()])
+            .filter(|block| block.comparisons > 0)
+    }
+}
+
+impl BlockView for IncrementalCollection<'_> {
+    #[inline]
+    fn num_blocks(&self) -> usize {
+        IncrementalCollection::num_blocks(self)
+    }
+
+    #[inline]
+    fn entity_block_count(&self, e: EntityId) -> u32 {
+        self.block_counts[e.index()]
+    }
+
+    #[inline]
+    fn sweep_cost(&self, e: EntityId) -> u64 {
+        self.present_blocks(e)
+            .map(|block| block.members.len() as u64)
+            .sum()
+    }
+
+    #[inline]
+    fn for_each_co_occurrence(&self, a: EntityId, mut f: impl FnMut(f64, EntityId)) {
+        let dirty = self.mode == ErMode::Dirty;
+        let kb = self.kb_of[a.index()];
+        for block in self.present_blocks(a) {
+            for &y in &block.members {
+                if y != a && (dirty || self.kb_of[y.index()] != kb) {
+                    f(block.inv_cardinality, y);
+                }
+            }
         }
     }
 }
@@ -403,12 +452,12 @@ mod tests {
             let mut arrived = vec![false; ds.len()];
             let all: Vec<EntityId> = ds.entities().collect();
             for (i, batch) in all.chunks(17).enumerate() {
-                let delta = inc.ingest(batch, 2);
+                inc.ingest(batch, 2);
                 for &e in batch {
                     arrived[e.index()] = true;
                 }
                 let expect = reference(ds, mode, &arrived);
-                assert_same(&delta.snapshot, &expect, &format!("{mode:?}/batch {i}"));
+                assert_same(&inc.snapshot(2), &expect, &format!("{mode:?}/batch {i}"));
             }
             assert_eq!(inc.num_arrived(), ds.len());
         }
@@ -423,7 +472,14 @@ mod tests {
         let mut prev_blocks = 0usize;
         for batch in all.chunks(11) {
             let delta = inc.ingest(batch, 1);
-            let snap = &delta.snapshot;
+            let snap = &inc.snapshot(1);
+            // Dirty sets name blocks by key symbol; the snapshot by id.
+            let block_of = |s: &Symbol| {
+                snap.blocks()
+                    .find(|b| snap.key_str(b.id) == inc.key_str(*s))
+                    .expect("a touched block is present")
+                    .id
+            };
             // Presence is monotone under arrivals.
             assert!(snap.len() >= prev_blocks);
             prev_blocks = snap.len();
@@ -440,15 +496,14 @@ mod tests {
             }
             // Every block containing a batch entity is touched.
             let touched: std::collections::BTreeSet<_> =
-                delta.touched_blocks.iter().copied().collect();
+                delta.touched_blocks.iter().map(block_of).collect();
             for &e in batch {
                 for &b in snap.entity_blocks(e) {
                     assert!(touched.contains(&b), "block of a batch entity not touched");
                 }
             }
             // dirty = exactly the members of the touched blocks.
-            let mut expect: Vec<EntityId> = delta
-                .touched_blocks
+            let mut expect: Vec<EntityId> = touched
                 .iter()
                 .flat_map(|&b| snap.block_entities(b).iter().copied())
                 .collect();
@@ -456,8 +511,8 @@ mod tests {
             expect.dedup();
             assert_eq!(delta.dirty, expect);
             // newly_present ⊆ touched.
-            for &b in &delta.newly_present {
-                assert!(touched.contains(&b));
+            for s in &delta.newly_present {
+                assert!(touched.contains(&block_of(s)));
             }
         }
     }
@@ -469,24 +524,22 @@ mod tests {
         let mut inc = IncrementalCollection::new(ds, ErMode::CleanClean);
         let all: Vec<EntityId> = ds.entities().collect();
         let (first, second) = all.split_at(all.len() / 2);
-        let d1 = inc.ingest(first, 1);
+        inc.ingest(first, 1);
+        let snap1 = inc.snapshot(1);
         let d2 = inc.ingest(second, 1);
-        let touched: std::collections::BTreeSet<&str> = d2
-            .touched_blocks
-            .iter()
-            .map(|&b| d2.snapshot.key_str(b))
-            .collect();
+        let snap2 = inc.snapshot(1);
+        let touched: std::collections::BTreeSet<&str> =
+            d2.touched_blocks.iter().map(|&s| inc.key_str(s)).collect();
         // A block untouched by the second ingest has identical members
         // before and after (looked up by key string — ids remap).
-        for b1 in d1.snapshot.blocks() {
-            let key = d1.snapshot.key_str(b1.id);
+        for b1 in snap1.blocks() {
+            let key = snap1.key_str(b1.id);
             if touched.contains(key) {
                 continue;
             }
-            let b2 = d2
-                .snapshot
+            let b2 = snap2
                 .blocks()
-                .find(|b| d2.snapshot.key_str(b.id) == key)
+                .find(|b| snap2.key_str(b.id) == key)
                 .expect("presence is monotone");
             assert_eq!(b1.entities, b2.entities, "key {key}");
             assert_eq!(b1.comparisons, b2.comparisons, "key {key}");
@@ -505,7 +558,7 @@ mod tests {
     #[test]
     fn empty_collection_snapshots_empty() {
         let g = generate(&profiles::center_dense(30, 2));
-        let inc = IncrementalCollection::new(&g.dataset, ErMode::CleanClean);
+        let mut inc = IncrementalCollection::new(&g.dataset, ErMode::CleanClean);
         let snap = inc.snapshot(1);
         assert!(snap.is_empty());
         assert_eq!(snap.num_entities(), g.dataset.len());
@@ -520,8 +573,8 @@ mod tests {
         let all: Vec<EntityId> = ds.entities().collect();
         for batch in all.chunks(13) {
             lazy.absorb(batch);
-            let delta = eager.ingest(batch, 1);
-            let snap = &delta.snapshot;
+            eager.ingest(batch, 1);
+            let snap = &eager.snapshot(1);
             assert_eq!(lazy.num_blocks(), snap.len());
             for e in ds.entities() {
                 // Per-entity keys resolve to exactly the entity's
@@ -551,13 +604,48 @@ mod tests {
     }
 
     #[test]
+    fn live_view_sweeps_exactly_what_a_snapshot_sweeps() {
+        fn co_occurrences(view: &impl BlockView, e: EntityId) -> Vec<(u64, EntityId)> {
+            let mut seen = Vec::new();
+            view.for_each_co_occurrence(e, |inv, y| seen.push((inv.to_bits(), y)));
+            seen
+        }
+        let g = generate(&profiles::center_dense(90, 23));
+        let ds = &g.dataset;
+        for mode in [ErMode::CleanClean, ErMode::Dirty] {
+            let mut inc = IncrementalCollection::new(ds, mode);
+            let all: Vec<EntityId> = ds.entities().collect();
+            for batch in all.chunks(19) {
+                inc.ingest(batch, 1);
+                let snap = inc.snapshot(1);
+                assert_eq!(inc.num_blocks(), snap.len());
+                assert_eq!(inc.total_assignments(), snap.total_assignments());
+                for e in ds.entities() {
+                    assert_eq!(
+                        inc.entity_block_count(e) as usize,
+                        snap.entity_blocks(e).len(),
+                        "{mode:?}: |B_e| of {e:?}"
+                    );
+                    assert_eq!(inc.sweep_cost(e), snap.sweep_cost(e));
+                    // Same co-members, same 1/‖b‖ bits, same visit order.
+                    assert_eq!(
+                        co_occurrences(&inc, e),
+                        co_occurrences(&snap, e),
+                        "{mode:?}: sweep of {e:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn full_single_batch_matches_token_blocking() {
         let g = generate(&profiles::center_dense(80, 7));
         let ds = &g.dataset;
         let mut inc = IncrementalCollection::new(ds, ErMode::CleanClean);
         let all: Vec<EntityId> = ds.entities().collect();
-        let delta = inc.ingest(&all, 4);
+        inc.ingest(&all, 4);
         let expect = token_blocking(ds, ErMode::CleanClean);
-        assert_same(&delta.snapshot, &expect, "single batch");
+        assert_same(&inc.snapshot(4), &expect, "single batch");
     }
 }

@@ -49,9 +49,11 @@
 //!   counting for dirty and clean–clean ER).
 //! * [`delta`] — the updatable arm: [`delta::IncrementalCollection`]
 //!   maintains the token-blocking state under batched arrivals by
-//!   delta-appending sorted member runs per interned key (comparisons
-//!   and presence recomputed only for touched keys) and reports the
-//!   dirty block/entity sets the meta-blocking delta-sweep consumes.
+//!   delta-appending sorted member runs per interned key (comparisons,
+//!   reciprocals and block counts refreshed only for touched keys),
+//!   reports the dirty block/entity sets the meta-blocking delta-sweep
+//!   consumes, and is swept in place through [`BlockView`] — no
+//!   collection is materialised per ingest.
 //! * `layout` *(crate-internal)* — the counting-sort CSR transpose every
 //!   construction path is built on, plus the backward sorted-merge
 //!   delta-append primitive.
@@ -97,7 +99,7 @@ pub mod schedule;
 pub mod sorted_neighborhood;
 
 pub use canopy::{canopy_blocking, CanopyConfig};
-pub use collection::{BlockCollection, BlockId, BlockRef, ErMode, KeyAssignments};
+pub use collection::{BlockCollection, BlockId, BlockRef, BlockView, ErMode, KeyAssignments};
 pub use composite::{pair_intersection, union, BlockingWorkflow, Method, WorkflowReport};
 pub use delta::{DeltaOutcome, IncrementalCollection};
 pub use lsh::{minhash_lsh_blocking, LshConfig};

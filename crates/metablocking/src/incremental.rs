@@ -1,28 +1,49 @@
 //! Delta-sweep incremental meta-blocking: an *updatable* session over
-//! the flat slabs.
+//! the live block slabs.
 //!
 //! [`Session`](crate::Session) answers "prune this finished collection";
 //! an [`IncrementalSession`] answers the pay-as-you-go question the paper
 //! poses for Web-scale ER: descriptions *arrive*, and the pruned
-//! comparison set must stay current without re-sweeping the whole corpus
-//! per batch. Each [`IncrementalSession::ingest`] call
+//! comparison set must stay current at a cost that follows the batch,
+//! not the corpus. Each [`IncrementalSession::ingest`] call
 //!
 //! 1. tokenises the batch through the same string-free
 //!    `KeyAssignments` path the batch builders use and delta-appends the
-//!    new member runs into the
-//!    [`IncrementalCollection`]
-//!    slabs,
+//!    new member runs into the [`IncrementalCollection`] slabs,
 //! 2. takes the resulting *dirty sets* — the touched blocks, their
 //!    members, and the entities whose block lists grew,
-//! 3. runs a **delta-sweep**: only the entities whose incident weights
-//!    can have changed are re-swept, and the cached weight rows (theirs
-//!    and their neighbours') are patched in place.
+//! 3. runs a **delta-sweep** directly on those live slabs (through
+//!    [`BlockView`]; no [`BlockCollection`] is materialised): only the
+//!    entities whose incident weights can have changed are re-swept, and
+//!    the cached weight rows — theirs, and their neighbours' through
+//!    appended *mirror tails* — are patched in place.
 //!
 //! [`IncrementalSession::outcome`] then assembles a [`PruneOutcome`]
 //! from the cached rows that is **bit-identical** to a from-scratch
 //! [`Session`](crate::Session) run on the merged corpus — same pair
 //! order, same f64 weight bits, for every arrival order, batch size and
 //! thread count (enforced by `tests/incremental_delta.rs`).
+//!
+//! # What is maintained on touch, and who pays for the rest
+//!
+//! An ingest is `O(batch × neighbourhood)`: the collection refreshes
+//! comparison counts, ARCS reciprocals and per-entity block counts for
+//! the touched keys and grown entities only, the sweep reads the block
+//! counts straight from it, and a mirror append is `O(1)` per changed
+//! edge. Everything `O(corpus)` is deferred to the reader that needs it:
+//!
+//! * a mirror tail is folded into its row's sorted prefix when the row
+//!   is next *read* — a single [`IncrementalSession::resolve_entity`]
+//!   folds the rows of the neighbourhood it loads, nothing else;
+//! * the global criteria (WEP's threshold, CEP's top-k, CNP's default
+//!   `k`) and [`IncrementalSession::outcome`] walk every row, so they
+//!   fold every tail, once per version, on first use;
+//! * a **snapshot** — the merged corpus as a [`BlockCollection`] — is
+//!   built only by [`IncrementalSession::snapshot`] or by a fallback
+//!   combination (below), at most once per version, and dropped by the
+//!   next ingest. The delta-supported combinations ingest, resolve and
+//!   assemble without one; [`IncrementalSession::snapshots_built`]
+//!   counts them per session, and the delta suite pins it at zero.
 //!
 //! # Which combinations delta-sweep
 //!
@@ -44,14 +65,17 @@
 //!   every touched block reweights *all* pairs inside it; both endpoints
 //!   of every changed edge are members of a touched block (the *dirty*
 //!   set), and re-sweeping the dirty entities covers both directions
-//!   with no mirror pass.
+//!   with no mirror pass. The live slabs list an entity's blocks in
+//!   key-string order — a snapshot's block-id order — so the sums
+//!   accumulate in the order a from-scratch sweep uses.
 //! * **ECBS / EJS** — every weight reads the global block (and edge)
 //!   totals, so any arrival invalidates every row; likewise BLAST (χ²
 //!   over global aggregates) and the supervised pruner (features are
 //!   normalised by global maxima). These combinations transparently fall
-//!   back to a full streaming re-sweep of the current snapshot — same
-//!   results, no stale answers, and the [`probe`] counters
-//!   record which path ran.
+//!   back to a full streaming re-sweep of the version's snapshot — same
+//!   results, no stale answers; their ingest is as cheap as any other,
+//!   the first resolve or outcome of the version builds the snapshot,
+//!   and the [`probe`] counters record which path ran.
 //!
 //! The pruning families `None`/`WEP`/`CEP`/`WNP`/`CNP` are all assembled
 //! from the rows (their criteria are row-local or deterministic global
@@ -61,7 +85,7 @@
 //! ```
 //! use minoan_blocking::ErMode;
 //! use minoan_datagen::{generate, profiles};
-//! use minoan_metablocking::{IncrementalSession, Pruning, WeightingScheme};
+//! use minoan_metablocking::{IncrementalSession, Pruning, Session, WeightingScheme};
 //! use minoan_rdf::EntityId;
 //!
 //! let g = generate(&profiles::center_dense(60, 3));
@@ -75,21 +99,32 @@
 //!     let report = session.ingest(batch);
 //!     assert!(report.delta, "CBS × WNP delta-sweeps");
 //!     assert!(report.swept_entities <= report.num_arrived);
+//!     session.resolve_entity(batch[0]);
 //! }
 //! let outcome = session.outcome();
 //! assert!(outcome.pairs().len() <= outcome.input_edges());
+//! // All of that ran on the live slabs.
+//! assert_eq!(session.snapshots_built(), 0);
+//!
+//! // Asking for the merged corpus builds it, once for this version.
+//! let from_scratch = Session::new(session.snapshot())
+//!     .scheme(WeightingScheme::Cbs)
+//!     .pruning(Pruning::Wnp { reciprocal: false })
+//!     .run();
+//! assert_eq!(from_scratch.pairs(), outcome.pairs());
+//! assert_eq!(session.snapshots_built(), 1);
 //! ```
 
 use crate::kernel::{combine_votes, neighbour_weights, normalised, WeightGlobals};
 use crate::parallel::JobReport;
 use crate::probe;
 use crate::prune::{self, PrunedComparisons, WeightedPair};
-use crate::query::{self, CachedRows, Criterion, ResolvedEntity, SweepRows};
+use crate::query::{self, Criterion, ResolvedEntity, RowSource, SweepRows};
 use crate::session::{PruneOutcome, Pruning};
 use crate::streaming;
 use crate::sweep::{default_threads, partition_by_cost, split_by_ends, ScratchPool, SweepState};
 use crate::weights::WeightingScheme;
-use minoan_blocking::{BlockCollection, ErMode, IncrementalCollection};
+use minoan_blocking::{BlockCollection, BlockView, ErMode, IncrementalCollection};
 use minoan_common::stats::mean;
 use minoan_common::{OrdF64, TopK};
 use minoan_rdf::{Dataset, EntityId};
@@ -126,19 +161,23 @@ pub struct IncrementalSession<'d> {
     scheme: WeightingScheme,
     pruning: Pruning,
     workers: Option<usize>,
-    /// Collection snapshot as of the last ingest (or explicit build).
+    /// The merged corpus materialised at the current version — built on
+    /// first use by [`Self::snapshot`] or a fallback combination, dropped
+    /// by the next ingest.
     snapshot: Option<BlockCollection>,
+    /// How many snapshots this session has materialised.
+    snapshots_built: u64,
     /// Per-entity incident-edge cache: `rows[a]` holds `(y, w)` for every
     /// comparable neighbour `y` of `a`, with `w` the scheme weight of the
     /// edge — exactly the statistics a streaming sweep of `a` would
-    /// produce on the current snapshot. The first `sorted_len[a]` entries
+    /// produce on the current corpus. The first `sorted_len[a]` entries
     /// are ascending by `y` and duplicate-free; anything beyond is an
     /// unsorted *mirror tail* of `(y, w)` appends in arrival order
     /// (later wins), folded in by [`normalize_row`] before any read.
     rows: Vec<Vec<(u32, f64)>>,
     /// Length of each row's sorted duplicate-free prefix.
     sorted_len: Vec<u32>,
-    /// Whether `rows` matches the current snapshot under the current
+    /// Whether `rows` matches the current corpus under the current
     /// scheme. Starts `true`: an empty corpus has all-empty rows.
     rows_valid: bool,
     /// Reusable target-membership mask for [`mirror_append`]; all-false
@@ -181,6 +220,7 @@ impl<'d> IncrementalSession<'d> {
             pruning: Pruning::Wnp { reciprocal: false },
             workers: None,
             snapshot: None,
+            snapshots_built: 0,
             rows: vec![Vec::new(); n],
             sorted_len: vec![0; n],
             rows_valid: true,
@@ -222,10 +262,24 @@ impl<'d> IncrementalSession<'d> {
         self
     }
 
-    /// The collection snapshot as of the last ingest; `None` before the
-    /// first one.
-    pub fn snapshot(&self) -> Option<&BlockCollection> {
-        self.snapshot.as_ref()
+    /// The merged corpus as a [`BlockCollection`], materialised on first
+    /// use per version (`O(corpus)`) and cached until the next ingest.
+    /// The delta-supported combinations never need it; it exists for the
+    /// fallback combinations, exports and the equivalence suites.
+    pub fn snapshot(&mut self) -> &BlockCollection {
+        if self.snapshot.is_none() {
+            self.snapshots_built += 1;
+        }
+        let threads = self.threads();
+        self.snapshot
+            .get_or_insert_with(|| self.collection.snapshot(threads))
+    }
+
+    /// How many snapshots this session has materialised so far — 0 for
+    /// as long as only delta-supported combinations ingest, resolve and
+    /// assemble; at most one per version otherwise.
+    pub fn snapshots_built(&self) -> u64 {
+        self.snapshots_built
     }
 
     /// Entities ingested so far.
@@ -278,8 +332,9 @@ impl<'d> IncrementalSession<'d> {
 
     /// Ingests a batch of not-yet-arrived descriptions: tokenise,
     /// delta-append the block slabs, and patch the row cache by
-    /// re-sweeping only the entities whose incident weights can have
-    /// changed (see the [module docs](self) for the per-scheme sets).
+    /// re-sweeping — on the live slabs, no snapshot — only the entities
+    /// whose incident weights can have changed (see the
+    /// [module docs](self) for the per-scheme sets).
     ///
     /// # Panics
     /// Panics if any batch entity was already ingested.
@@ -300,21 +355,37 @@ impl<'d> IncrementalSession<'d> {
             // switch back to a supported one must rebuild them.
             self.rows_valid = false;
         } else if self.rows_valid {
-            let targets = self.sweep_targets(batch, &delta);
+            // CBS/JS: no edge between two pre-batch, un-grown entities
+            // can change weight, so `batch ∪ grown` is re-swept and
+            // `mirror_append` carries each fresh weight into the
+            // untargeted neighbour's row. ARCS reweights every pair of a
+            // touched block, so it takes the full dirty set (both
+            // endpoints of every changed edge are in it — no mirror).
+            let arcs = self.scheme == WeightingScheme::Arcs;
+            let mut merged = Vec::new();
+            let targets: &[EntityId] = if arcs {
+                &delta.dirty
+            } else {
+                merged.extend_from_slice(batch);
+                merged.extend_from_slice(&delta.grown);
+                merged.sort_unstable();
+                merged.dedup();
+                &merged
+            };
             resweep_rows(
                 self.scheme,
                 &self.pool,
                 &mut self.rows,
                 &mut self.sorted_len,
-                &delta.snapshot,
-                &targets,
+                &self.collection,
+                targets,
                 threads,
             );
-            if self.scheme != WeightingScheme::Arcs {
+            if !arcs {
                 mirror_append(
                     &mut self.rows,
                     &mut self.sorted_len,
-                    &targets,
+                    targets,
                     &mut self.mask,
                 );
             }
@@ -324,90 +395,62 @@ impl<'d> IncrementalSession<'d> {
         } else {
             // Cold cache (scheme switch or an unsupported interlude):
             // one full sweep re-seeds it, then deltas resume.
-            let n = self.rows.len();
-            let all: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
-            resweep_rows(
-                self.scheme,
-                &self.pool,
-                &mut self.rows,
-                &mut self.sorted_len,
-                &delta.snapshot,
-                &all,
-                threads,
-            );
-            self.rows_valid = true;
-            probe::record_full_resweep();
-            report.swept_entities = n;
+            self.reseed_rows(threads);
+            report.swept_entities = self.rows.len();
         }
         self.version += 1;
         self.last_dirty = delta.dirty;
         self.resolve_cache = None;
-        self.snapshot = Some(delta.snapshot);
+        self.snapshot = None;
         report
     }
 
-    /// The entities this batch re-sweeps. For CBS/JS no edge between two
-    /// pre-batch, un-grown entities can change weight, so the set is
-    /// `batch ∪ grown` and [`mirror_patch`] carries each fresh weight
-    /// into the untargeted neighbour's row. ARCS reweights every pair of
-    /// a touched block, so it takes the full dirty set (both endpoints
-    /// of every changed edge are in it — no mirror pass needed).
-    fn sweep_targets(
-        &self,
-        batch: &[EntityId],
-        delta: &minoan_blocking::DeltaOutcome,
-    ) -> Vec<EntityId> {
-        if self.scheme == WeightingScheme::Arcs {
-            return delta.dirty.clone();
+    /// Re-seeds the whole row cache with one full sweep of the live
+    /// slabs under the current scheme.
+    fn reseed_rows(&mut self, threads: usize) {
+        let all: Vec<EntityId> = (0..self.rows.len() as u32).map(EntityId).collect();
+        resweep_rows(
+            self.scheme,
+            &self.pool,
+            &mut self.rows,
+            &mut self.sorted_len,
+            &self.collection,
+            &all,
+            threads,
+        );
+        self.rows_valid = true;
+        probe::record_full_resweep();
+    }
+
+    /// Folds every outstanding mirror tail, for the readers that walk
+    /// the whole row cache (assembly, the global criteria) and are
+    /// `O(corpus)` anyway. A single resolve folds just the rows it loads
+    /// ([`CachedRows`]).
+    fn fold_all_tails(&mut self) {
+        for (row, sorted) in self.rows.iter_mut().zip(&mut self.sorted_len) {
+            fold_tail(row, sorted);
         }
-        let mut targets = Vec::with_capacity(batch.len() + delta.grown.len());
-        targets.extend_from_slice(batch);
-        targets.extend_from_slice(&delta.grown);
-        targets.sort_unstable();
-        targets.dedup();
-        targets
     }
 
     /// Assembles the pruned comparisons of the current merged corpus —
     /// bit-identical to a from-scratch [`Session`](crate::Session) run on
     /// the same collection. Delta-supported combinations read the row
-    /// cache; the rest re-sweep the snapshot in full.
+    /// cache and nothing else; the rest materialise this version's
+    /// snapshot (once) and re-sweep it in full.
     pub fn outcome(&mut self) -> PruneOutcome {
         let threads = self.threads();
-        let snapshot = match self.snapshot.take() {
-            Some(s) => s,
-            None => self.collection.snapshot(threads),
-        };
         let pruned = if self.supports_delta() {
             if !self.rows_valid {
-                let n = self.rows.len();
-                let all: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
-                resweep_rows(
-                    self.scheme,
-                    &self.pool,
-                    &mut self.rows,
-                    &mut self.sorted_len,
-                    &snapshot,
-                    &all,
-                    threads,
-                );
-                self.rows_valid = true;
-                probe::record_full_resweep();
+                self.reseed_rows(threads);
             }
-            // Fold any outstanding mirror tails into the sorted prefixes;
-            // assembly reads the rows as sorted duplicate-free sweeps.
-            for (row, s) in self.rows.iter_mut().zip(self.sorted_len.iter_mut()) {
-                if (*s as usize) < row.len() {
-                    normalize_row(row, *s as usize);
-                    *s = row.len() as u32;
-                }
-            }
-            self.assemble(&snapshot)
+            self.fold_all_tails();
+            self.assemble()
         } else {
             probe::record_full_resweep();
-            self.full_outcome(&snapshot, threads)
+            self.snapshot();
+            let snapshot = self.snapshot.as_ref().expect("snapshot just built");
+            self.full_outcome(snapshot, threads)
         };
-        self.snapshot = Some(snapshot);
         PruneOutcome {
             pruned,
             report: JobReport::default(),
@@ -419,12 +462,14 @@ impl<'d> IncrementalSession<'d> {
     /// same order, same f64 weight bits — without assembling (or
     /// re-sweeping) the whole outcome.
     ///
-    /// Delta-supported combinations answer from the patched row cache.
-    /// The fallback combinations (ECBS/EJS, BLAST, supervised) sweep
-    /// the queried neighbourhood on the snapshot. Either way the pruning
-    /// family's *global* inputs (WEP's threshold, CEP's top-k, CNP's
-    /// default `k`, the supervised extractor) are built once per
-    /// ingested version and reused by every resolve against it.
+    /// Delta-supported combinations answer from the patched row cache
+    /// and never touch a snapshot. The fallback combinations (ECBS/EJS,
+    /// BLAST, supervised) sweep the queried neighbourhood on this
+    /// version's snapshot, which the first such resolve after an ingest
+    /// materialises. Either way the pruning family's *global* inputs
+    /// (WEP's threshold, CEP's top-k, CNP's default `k`, the supervised
+    /// extractor) are built once per ingested version and reused by
+    /// every resolve against it.
     ///
     /// ```
     /// use minoan_blocking::ErMode;
@@ -456,35 +501,32 @@ impl<'d> IncrementalSession<'d> {
             (entity.0 as usize) < self.rows.len(),
             "resolve_entity: entity id out of range"
         );
-        let threads = self.threads();
-        if self.snapshot.is_none() {
-            self.snapshot = Some(self.collection.snapshot(threads));
-        }
         let current = self.resolve_cache.as_ref().is_some_and(|c| {
             c.version == self.version && c.scheme == self.scheme && c.pruning == self.pruning
         });
         if !current {
-            self.rebuild_resolve_cache(threads);
+            self.rebuild_resolve_cache();
         }
         let cache = self.resolve_cache.as_ref().expect("cache just ensured");
-        let snapshot = self.snapshot.as_ref().expect("snapshot just ensured");
         let pruning = self.pruning;
+        if self.supports_delta() {
+            let mut rows = CachedRows {
+                rows: &mut self.rows,
+                sorted_len: &mut self.sorted_len,
+            };
+            return query::resolve_rows(&mut rows, entity, pruning, &cache.criterion);
+        }
+        let snapshot = self.snapshot.as_ref().expect("fallback rebuild snapshots");
+        let globals = cache.globals.as_ref().expect("fallback stores globals");
         match (&pruning, &cache.criterion) {
             (Pruning::Supervised(model), Criterion::Supervised(extractor)) => {
-                let globals = cache.globals.as_ref().expect("fallback stores globals");
                 query::resolve_supervised(snapshot, globals, &self.pool, extractor, model, entity)
             }
-            _ if self.supports_delta() => {
-                let mut rows = CachedRows::new(&self.rows);
-                query::resolve_rows(&mut rows, entity, pruning, &cache.criterion)
-            }
             (Pruning::Blast { .. }, _) => {
-                let globals = cache.globals.as_ref().expect("fallback stores globals");
                 let mut rows = SweepRows::chi2(snapshot, globals, &self.pool);
                 query::resolve_rows(&mut rows, entity, pruning, &cache.criterion)
             }
             _ => {
-                let globals = cache.globals.as_ref().expect("fallback stores globals");
                 let mut rows = SweepRows::scheme(snapshot, globals, &self.pool, self.scheme);
                 query::resolve_rows(&mut rows, entity, pruning, &cache.criterion)
             }
@@ -492,54 +534,31 @@ impl<'d> IncrementalSession<'d> {
     }
 
     /// Rebuilds the per-version query-time state. Delta-supported
-    /// combinations normalise the row cache (re-seeding it first if a
-    /// scheme switch left it cold) and derive the criterion from the
-    /// rows with the exact `assemble` pass-1 bodies; the rest run the
-    /// streaming criterion pass on a transient sweep state over the
-    /// snapshot and keep a clone of its globals for per-request sweeps.
-    fn rebuild_resolve_cache(&mut self, threads: usize) {
-        let snapshot = self.snapshot.as_ref().expect("snapshot ensured by caller");
-        let cache = if self.supports_delta() {
+    /// combinations re-seed the row cache if a scheme switch left it cold
+    /// and derive the criterion from the rows with the exact `assemble`
+    /// pass-1 bodies; the rest materialise this version's snapshot, run
+    /// the streaming criterion pass on a transient sweep state over it
+    /// and keep a clone of its globals for per-request sweeps.
+    fn rebuild_resolve_cache(&mut self) {
+        let threads = self.threads();
+        let (criterion, globals) = if self.supports_delta() {
             if !self.rows_valid {
-                let n = self.rows.len();
-                let all: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
-                resweep_rows(
-                    self.scheme,
-                    &self.pool,
-                    &mut self.rows,
-                    &mut self.sorted_len,
-                    snapshot,
-                    &all,
-                    threads,
-                );
-                self.rows_valid = true;
-                probe::record_full_resweep();
+                self.reseed_rows(threads);
             }
-            for (row, s) in self.rows.iter_mut().zip(self.sorted_len.iter_mut()) {
-                if (*s as usize) < row.len() {
-                    normalize_row(row, *s as usize);
-                    *s = row.len() as u32;
-                }
-            }
-            ResolveCache {
-                version: self.version,
-                scheme: self.scheme,
-                pruning: self.pruning,
-                globals: None,
-                criterion: self.rows_criterion(snapshot),
-            }
+            (self.rows_criterion(), None)
         } else {
-            let mut st = SweepState::new(snapshot);
-            let criterion = query::build_criterion(&mut st, self.scheme, &self.pruning, threads);
-            ResolveCache {
-                version: self.version,
-                scheme: self.scheme,
-                pruning: self.pruning,
-                globals: Some(st.globals().clone()),
-                criterion,
-            }
+            let (scheme, pruning) = (self.scheme, self.pruning);
+            let mut st = SweepState::new(self.snapshot());
+            let criterion = query::build_criterion(&mut st, scheme, &pruning, threads);
+            (criterion, Some(st.globals().clone()))
         };
-        self.resolve_cache = Some(cache);
+        self.resolve_cache = Some(ResolveCache {
+            version: self.version,
+            scheme: self.scheme,
+            pruning: self.pruning,
+            globals,
+            criterion,
+        });
     }
 
     /// The query-time criterion of a delta-supported combination, read
@@ -547,10 +566,15 @@ impl<'d> IncrementalSession<'d> {
     /// [`Self::assemble`] — same iteration order, same accumulation
     /// shapes, so the thresholds carry the same f64 bits as a full
     /// outcome's.
-    fn rows_criterion(&self, snapshot: &BlockCollection) -> Criterion {
+    fn rows_criterion(&mut self) -> Criterion {
+        if matches!(self.pruning, Pruning::None | Pruning::Wnp { .. }) {
+            return Criterion::Local;
+        }
+        // The global criteria read every row.
+        self.fold_all_tails();
+        let total_assignments = self.collection.total_assignments();
         let rows = &self.rows;
         match self.pruning {
-            Pruning::None | Pruning::Wnp { .. } => Criterion::Local,
             Pruning::Wep => {
                 let mut sums = vec![0.0f64; rows.len()];
                 let mut positive = 0u64;
@@ -568,8 +592,7 @@ impl<'d> IncrementalSession<'d> {
                 Criterion::Wep(prune::wep_threshold_from_sums(&sums, positive))
             }
             Pruning::Cep(k) => {
-                let k =
-                    k.unwrap_or_else(|| prune::default_cep_k_from(snapshot.total_assignments()));
+                let k = k.unwrap_or_else(|| prune::default_cep_k_from(total_assignments));
                 if k == 0 {
                     return Criterion::Cep(Vec::new());
                 }
@@ -597,12 +620,15 @@ impl<'d> IncrementalSession<'d> {
             }
             Pruning::Cnp { k, .. } => {
                 let active_nodes = rows.iter().filter(|r| !r.is_empty()).count();
-                Criterion::CnpK(k.unwrap_or_else(|| {
-                    prune::default_cnp_k_from(snapshot.total_assignments(), active_nodes)
-                }))
+                Criterion::CnpK(
+                    k.unwrap_or_else(|| prune::default_cnp_k_from(total_assignments, active_nodes)),
+                )
             }
-            Pruning::Blast { .. } | Pruning::Supervised(_) => {
-                unreachable!("rows criterion is only built for delta-supported families")
+            Pruning::None
+            | Pruning::Wnp { .. }
+            | Pruning::Blast { .. }
+            | Pruning::Supervised(_) => {
+                unreachable!("row-local families returned above; the rest never delta-sweep")
             }
         }
     }
@@ -611,7 +637,8 @@ impl<'d> IncrementalSession<'d> {
     /// body mirrors its `streaming` session counterpart statement for
     /// statement — same iteration order, same accumulation shapes — which
     /// is what keeps the f64 output bit-identical.
-    fn assemble(&self, snapshot: &BlockCollection) -> PrunedComparisons {
+    fn assemble(&self) -> PrunedComparisons {
+        let total_assignments = self.collection.total_assignments();
         let scheme = self.scheme;
         let rows = &self.rows;
         // Every distinct comparable pair appears in its smaller
@@ -674,8 +701,7 @@ impl<'d> IncrementalSession<'d> {
                 PrunedComparisons::from_weighted_pairs(kept, scheme, total_pairs)
             }
             Pruning::Cep(k) => {
-                let k =
-                    k.unwrap_or_else(|| prune::default_cep_k_from(snapshot.total_assignments()));
+                let k = k.unwrap_or_else(|| prune::default_cep_k_from(total_assignments));
                 if k == 0 {
                     return PrunedComparisons::empty(scheme, total_pairs);
                 }
@@ -724,9 +750,8 @@ impl<'d> IncrementalSession<'d> {
             }
             Pruning::Cnp { reciprocal, k } => {
                 let active_nodes = rows.iter().filter(|r| !r.is_empty()).count();
-                let k = k.unwrap_or_else(|| {
-                    prune::default_cnp_k_from(snapshot.total_assignments(), active_nodes)
-                });
+                let k =
+                    k.unwrap_or_else(|| prune::default_cnp_k_from(total_assignments, active_nodes));
                 if k == 0 {
                     return PrunedComparisons::empty(scheme, total_pairs);
                 }
@@ -791,65 +816,57 @@ impl<'d> IncrementalSession<'d> {
     }
 }
 
-/// Re-sweeps `targets` on `snapshot` and installs their fresh rows —
-/// cost-balanced over scoped worker threads, scratches from `pool`. Row
-/// contents never depend on the partitioning: each row is one entity's
-/// serial sweep.
-fn resweep_rows(
+/// Re-sweeps `targets` on `view` and installs their fresh rows —
+/// cost-balanced over scoped worker threads (inline when one range
+/// covers everything), scratches from `pool`. Row contents never depend
+/// on the partitioning: each row is one entity's serial sweep. The
+/// view's own block counts serve as the weight globals — the delta
+/// schemes read nothing beyond them.
+fn resweep_rows<V: BlockView + Sync>(
     scheme: WeightingScheme,
     pool: &ScratchPool,
     rows: &mut [Vec<(u32, f64)>],
     sorted_len: &mut [u32],
-    snapshot: &BlockCollection,
+    view: &V,
     targets: &[EntityId],
     threads: usize,
 ) {
     if targets.is_empty() {
         return;
     }
-    let costs: Vec<u64> = targets
-        .iter()
-        .map(|&e| {
-            snapshot
-                .entity_blocks(e)
-                .iter()
-                .map(|&b| snapshot.block_len(b) as u64)
-                .sum()
-        })
-        .collect();
+    let costs: Vec<u64> = targets.iter().map(|&e| view.sweep_cost(e)).collect();
     let ranges = partition_by_cost(&costs, threads.max(1));
     let mut fresh: Vec<Vec<(u32, f64)>> = vec![Vec::new(); targets.len()];
-    {
-        let globals = WeightGlobals::basic(snapshot);
-        let globals = &globals;
+    let sweep_range = |r: std::ops::Range<usize>, chunk: &mut [Vec<(u32, f64)>]| {
+        pool.with(|scratch| {
+            let mut weights: Vec<f64> = Vec::new();
+            for (row, &e) in chunk.iter_mut().zip(&targets[r]) {
+                scratch.sweep(view, e);
+                neighbour_weights(scheme, scratch, e.0, view, &mut weights);
+                row.extend(
+                    scratch
+                        .neighbours()
+                        .iter()
+                        .copied()
+                        .zip(weights.iter().copied()),
+                );
+            }
+        });
+    };
+    if let [r] = ranges.as_slice() {
+        sweep_range(r.clone(), &mut fresh);
+    } else {
         let chunks = split_by_ends(&mut fresh, ranges.iter().map(|r| r.end));
+        let sweep_range = &sweep_range;
         std::thread::scope(|s| {
             for (r, chunk) in ranges.iter().zip(chunks) {
-                let r = r.clone();
-                s.spawn(move || {
-                    pool.with(|scratch| {
-                        let mut weights: Vec<f64> = Vec::new();
-                        for i in r.clone() {
-                            let e = targets[i];
-                            scratch.sweep(snapshot, e);
-                            neighbour_weights(scheme, scratch, e.0, globals, &mut weights);
-                            let row = &mut chunk[i - r.start];
-                            row.extend(
-                                scratch
-                                    .neighbours()
-                                    .iter()
-                                    .copied()
-                                    .zip(weights.iter().copied()),
-                            );
-                        }
-                    });
-                });
+                s.spawn(move || sweep_range(r.clone(), chunk));
             }
         });
     }
-    for (i, &e) in targets.iter().enumerate() {
-        rows[e.index()] = std::mem::take(&mut fresh[i]);
-        sorted_len[e.index()] = rows[e.index()].len() as u32;
+    for (row, &e) in fresh.into_iter().zip(targets) {
+        sorted_len[e.index()] = row.len() as u32;
+        rows[e.index()] = row;
     }
 }
 
@@ -889,16 +906,44 @@ fn mirror_append(
             }
             let mirror = &mut rows[y as usize];
             mirror.push((t.0, w));
-            let sorted = sorted_len[y as usize] as usize;
-            if mirror.len() - sorted >= sorted.max(64) {
-                normalize_row(mirror, sorted);
-                sorted_len[y as usize] = mirror.len() as u32;
+            let sorted = &mut sorted_len[y as usize];
+            if mirror.len() - *sorted as usize >= (*sorted as usize).max(64) {
+                fold_tail(mirror, sorted);
             }
         }
         rows[t.index()] = row;
     }
     for &t in targets {
         mask[t.index()] = false;
+    }
+}
+
+/// A [`RowSource`] over the session's row cache that folds a row's
+/// mirror tail the first time the row is read — the first resolve after
+/// an ingest pays for the neighbourhood it loads, not for every row the
+/// ingest mirrored into. A folded row is sorted and duplicate-free, the
+/// shape a fresh sweep produces.
+struct CachedRows<'a> {
+    rows: &'a mut [Vec<(u32, f64)>],
+    sorted_len: &'a mut [u32],
+}
+
+impl RowSource for CachedRows<'_> {
+    fn load_row(&mut self, e: u32, out: &mut Vec<(u32, f64)>) {
+        out.clear();
+        if let Some(row) = self.rows.get_mut(e as usize) {
+            fold_tail(row, &mut self.sorted_len[e as usize]);
+            out.extend_from_slice(row);
+        }
+    }
+}
+
+/// Folds `row`'s mirror tail, if it has one, and records the row as
+/// fully sorted.
+fn fold_tail(row: &mut Vec<(u32, f64)>, sorted_len: &mut u32) {
+    if (*sorted_len as usize) < row.len() {
+        normalize_row(row, *sorted_len as usize);
+        *sorted_len = row.len() as u32;
     }
 }
 
@@ -980,7 +1025,7 @@ mod tests {
                         let report = inc.ingest(batch);
                         assert!(report.delta, "supported combo must delta-sweep");
                         let got = inc.outcome();
-                        let snap = inc.snapshot().expect("snapshot exists after ingest");
+                        let snap = inc.snapshot();
                         let want = Session::new(snap)
                             .scheme(scheme)
                             .pruning(pruning)
@@ -1012,7 +1057,7 @@ mod tests {
                 assert!(!report.delta, "unsupported combo must not claim a delta");
                 assert_eq!(report.swept_entities, 0);
                 let got = inc.outcome();
-                let snap = inc.snapshot().expect("snapshot exists after ingest");
+                let snap = inc.snapshot();
                 let want = Session::new(snap)
                     .scheme(scheme)
                     .pruning(pruning)
@@ -1059,7 +1104,7 @@ mod tests {
         let report = inc.ingest(&[]);
         assert!(report.delta, "deltas resume after the re-seed");
         let got = inc.outcome();
-        let snap = inc.snapshot().expect("snapshot exists after ingest");
+        let snap = inc.snapshot();
         let want = Session::new(snap)
             .scheme(WeightingScheme::Js)
             .backend(ExecutionBackend::Streaming)
@@ -1095,7 +1140,13 @@ mod tests {
         let out = inc.outcome();
         assert!(out.pairs().is_empty());
         assert_eq!(out.input_edges(), 0);
-        assert!(inc.snapshot().is_some(), "outcome materialises a snapshot");
+        assert_eq!(
+            inc.snapshots_built(),
+            0,
+            "a delta outcome needs no snapshot"
+        );
+        assert!(inc.snapshot().is_empty());
+        assert_eq!(inc.snapshots_built(), 1);
     }
 
     #[test]

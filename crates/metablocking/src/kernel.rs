@@ -28,7 +28,7 @@
 use crate::prune::WeightedPair;
 use crate::sweep::SweepScratch;
 use crate::weights::WeightingScheme;
-use minoan_blocking::BlockCollection;
+use minoan_blocking::{BlockCollection, BlockView};
 use minoan_common::stats::log_weight;
 use minoan_rdf::EntityId;
 
@@ -120,6 +120,70 @@ impl WeightGlobals {
     }
 }
 
+/// The per-endpoint and global aggregates [`edge_weight`] reads. The
+/// owned [`WeightGlobals`] tiers implement it, and so does every
+/// [`BlockView`] directly — its block counts are the basic tier, which
+/// is all CBS/JS/ARCS read — so a delta-sweep over the live incremental
+/// slabs borrows the maintained counts instead of collecting a
+/// [`WeightGlobals::basic`] per batch.
+pub(crate) trait EdgeGlobals {
+    /// |B_e|.
+    fn blocks_of(&self, e: u32) -> u32;
+    /// |B|.
+    fn num_blocks(&self) -> usize;
+    /// Degrees of `lo` and `hi`; `(0, 0)` unless a counting pass ran.
+    #[inline]
+    fn degrees_of(&self, _lo: u32, _hi: u32) -> (usize, usize) {
+        (0, 0)
+    }
+    /// |V| (0 unless counted).
+    #[inline]
+    fn num_edges(&self) -> usize {
+        0
+    }
+}
+
+impl EdgeGlobals for WeightGlobals {
+    #[inline]
+    fn blocks_of(&self, e: u32) -> u32 {
+        self.blocks_of[e as usize]
+    }
+
+    #[inline]
+    fn num_blocks(&self) -> usize {
+        self.num_blocks
+    }
+
+    #[inline]
+    fn degrees_of(&self, lo: u32, hi: u32) -> (usize, usize) {
+        if self.degrees.is_empty() {
+            (0, 0)
+        } else {
+            (
+                self.degrees[lo as usize] as usize,
+                self.degrees[hi as usize] as usize,
+            )
+        }
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        self.num_edges
+    }
+}
+
+impl<V: BlockView> EdgeGlobals for V {
+    #[inline]
+    fn blocks_of(&self, e: u32) -> u32 {
+        self.entity_block_count(EntityId(e))
+    }
+
+    #[inline]
+    fn num_blocks(&self) -> usize {
+        BlockView::num_blocks(self)
+    }
+}
+
 /// Per-entity |B_i| for the whole collection.
 pub(crate) fn blocks_of(collection: &BlockCollection) -> Vec<u32> {
     (0..collection.num_entities() as u32)
@@ -132,33 +196,26 @@ pub(crate) fn blocks_of(collection: &BlockCollection) -> Vec<u32> {
 /// kernel call site for every sweep-based backend: the materialised path
 /// always evaluates edges in that endpoint order, so bit-identity depends
 /// on this one body staying the only place the order is decided.
-pub(crate) fn edge_weight(
+pub(crate) fn edge_weight<G: EdgeGlobals>(
     scheme: WeightingScheme,
     scratch: &SweepScratch,
-    globals: &WeightGlobals,
+    globals: &G,
     y: u32,
     lo: u32,
     hi: u32,
 ) -> f64 {
     debug_assert!(lo < hi);
-    let (dlo, dhi) = if globals.degrees.is_empty() {
-        (0, 0)
-    } else {
-        (
-            globals.degrees[lo as usize] as usize,
-            globals.degrees[hi as usize] as usize,
-        )
-    };
+    let (dlo, dhi) = globals.degrees_of(lo, hi);
     weight_from_stats(
         scheme,
         scratch.cbs_of(y),
         scratch.arcs_of(y),
-        globals.blocks_of[lo as usize],
-        globals.blocks_of[hi as usize],
-        globals.num_blocks,
+        globals.blocks_of(lo),
+        globals.blocks_of(hi),
+        globals.num_blocks(),
         dlo,
         dhi,
-        globals.num_edges,
+        globals.num_edges(),
     )
 }
 
@@ -177,11 +234,11 @@ pub(crate) fn forward_weight(
 /// Computes the weights of the current sweep's neighbours into `out`
 /// (ascending neighbour order — the same order the materialised path
 /// iterates a node's incident edges in, so local f64 means agree bitwise).
-pub(crate) fn neighbour_weights(
+pub(crate) fn neighbour_weights<G: EdgeGlobals>(
     scheme: WeightingScheme,
     scratch: &SweepScratch,
     a: u32,
-    globals: &WeightGlobals,
+    globals: &G,
     out: &mut Vec<f64>,
 ) {
     out.clear();

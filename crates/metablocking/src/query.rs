@@ -13,7 +13,7 @@
 //!   not already decide the edge). Rows come from a `RowSource`:
 //!   either a fresh single-entity sweep (`SweepRows`, used by
 //!   [`Session::resolve_entity`](crate::Session::resolve_entity)) or the
-//!   incremental session's patched row cache (`CachedRows`).
+//!   incremental session's patched row cache.
 //! * The *global* inputs a family needs — WEP's mean threshold, CEP's
 //!   global top-k, CNP's default `k`, the supervised extractor's
 //!   normalisation maxima — are computed once per corpus version as a
@@ -142,29 +142,6 @@ impl RowSource for SweepRows<'_> {
                 out.push((y, w));
             }
         });
-    }
-}
-
-/// A [`RowSource`] over the incremental session's row cache. Valid only
-/// after every mirror tail has been folded ([`CachedRows::new`] takes
-/// the rows *after* normalisation), so each row is sorted and
-/// duplicate-free — the same shape a fresh sweep produces.
-pub(crate) struct CachedRows<'a> {
-    rows: &'a [Vec<(u32, f64)>],
-}
-
-impl<'a> CachedRows<'a> {
-    pub(crate) fn new(rows: &'a [Vec<(u32, f64)>]) -> Self {
-        Self { rows }
-    }
-}
-
-impl RowSource for CachedRows<'_> {
-    fn load_row(&mut self, e: u32, out: &mut Vec<(u32, f64)>) {
-        out.clear();
-        if let Some(row) = self.rows.get(e as usize) {
-            out.extend_from_slice(row);
-        }
     }
 }
 
@@ -480,6 +457,9 @@ struct CacheEntry {
     deps: Vec<u32>,
     /// Last-touched tick (larger = more recent).
     stamp: u64,
+    /// The (possibly older) stamp this entry is filed under in
+    /// `NeighbourhoodCache::by_stamp`.
+    filed: u64,
 }
 
 /// An LRU cache of hot [`ResolvedEntity`] answers.
@@ -500,6 +480,17 @@ pub struct NeighbourhoodCache {
     capacity: usize,
     tick: u64,
     entries: BTreeMap<u32, CacheEntry>,
+    /// `filed stamp → entity`, one record per entry. A hit only bumps
+    /// the entry's own stamp and leaves its record behind; eviction pops
+    /// the oldest record and re-files it while it is out of date. A
+    /// record that is up to date is older than every other record, each
+    /// of which is no newer than its entry — so it names the least
+    /// recently used entry, without scanning and without index work on
+    /// the hit path.
+    by_stamp: BTreeMap<u64, u32>,
+    /// Reusable dirty-entity mask for [`Self::invalidate`], grown on
+    /// demand and all-false between calls.
+    dirty_mask: Vec<bool>,
 }
 
 impl NeighbourhoodCache {
@@ -509,6 +500,8 @@ impl NeighbourhoodCache {
             capacity,
             tick: 0,
             entries: BTreeMap::new(),
+            by_stamp: BTreeMap::new(),
+            dirty_mask: Vec::new(),
         }
     }
 
@@ -555,9 +548,17 @@ impl NeighbourhoodCache {
             return;
         }
         let key = value.entity.0;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, en)| en.stamp) {
-                self.entries.remove(&victim);
+        if let Some(old) = self.entries.remove(&key) {
+            self.by_stamp.remove(&old.filed);
+        } else if self.entries.len() >= self.capacity {
+            while let Some((filed, oldest)) = self.by_stamp.pop_first() {
+                let entry = self.entries.get_mut(&oldest).expect("one record per entry");
+                if entry.stamp == filed {
+                    self.entries.remove(&oldest);
+                    break;
+                }
+                entry.filed = entry.stamp;
+                self.by_stamp.insert(entry.stamp, oldest);
             }
         }
         let mut deps = value.neighbours.clone();
@@ -566,7 +567,17 @@ impl NeighbourhoodCache {
         }
         self.tick += 1;
         let stamp = self.tick;
-        self.entries.insert(key, CacheEntry { value, deps, stamp });
+        self.by_stamp.insert(stamp, key);
+        let filed = stamp;
+        self.entries.insert(
+            key,
+            CacheEntry {
+                value,
+                deps,
+                stamp,
+                filed,
+            },
+        );
     }
 
     /// Drops every entry whose dependency set intersects `dirty`
@@ -577,11 +588,28 @@ impl NeighbourhoodCache {
         if self.entries.is_empty() || dirty.is_empty() {
             return 0;
         }
-        let mut ids: Vec<u32> = dirty.iter().map(|e| e.0).collect();
-        ids.sort_unstable();
+        // One mask probe per dependency: O(dirty + Σ deps), where a
+        // per-entry walk of the dirty list is O(entries × dirty).
+        let top = dirty.iter().map(|e| e.index()).max().unwrap_or(0);
+        if self.dirty_mask.len() <= top {
+            self.dirty_mask.resize(top + 1, false);
+        }
+        for e in dirty {
+            self.dirty_mask[e.index()] = true;
+        }
+        let (mask, by_stamp) = (&self.dirty_mask, &mut self.by_stamp);
+        let is_dirty = |&d: &u32| mask.get(d as usize).copied().unwrap_or(false);
         let before = self.entries.len();
-        self.entries
-            .retain(|_, entry| !intersects(&entry.deps, &ids));
+        self.entries.retain(|_, entry| {
+            let keep = !entry.deps.iter().any(is_dirty);
+            if !keep {
+                by_stamp.remove(&entry.filed);
+            }
+            keep
+        });
+        for e in dirty {
+            self.dirty_mask[e.index()] = false;
+        }
         before - self.entries.len()
     }
 
@@ -589,21 +617,8 @@ impl NeighbourhoodCache {
     /// criterion, or to a scheme/pruning switch).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.by_stamp.clear();
     }
-}
-
-/// Whether two ascending sorted id lists share an element (two-pointer
-/// walk; both inputs are typically short).
-fn intersects(a: &[u32], b: &[u32]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -643,6 +658,74 @@ mod tests {
         assert!(c.get(EntityId(1)).is_none());
         assert!(c.get(EntityId(2)).is_none());
         assert!(c.get(EntityId(3)).is_some());
+    }
+
+    /// The stamp index and the dirty mask against the definitions they
+    /// replaced — least stamp over all entries, sorted-list intersection
+    /// per entry — on a seeded operation stream.
+    #[test]
+    fn eviction_order_and_invalidated_set_match_the_scanning_definitions() {
+        const CAPACITY: usize = 8;
+        let mut cache = NeighbourhoodCache::new(CAPACITY);
+        // The model: entity → (deps, last-touched tick).
+        let mut model: BTreeMap<u32, (Vec<u32>, u64)> = BTreeMap::new();
+        let mut tick = 0u64;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32 % bound
+        };
+        for step in 0..600 {
+            match next(4) {
+                0 | 1 => {
+                    let e = next(24);
+                    let mut neighbours: Vec<u32> = (0..next(5)).map(|_| next(40)).collect();
+                    neighbours.sort_unstable();
+                    neighbours.dedup();
+                    neighbours.retain(|&y| y != e);
+                    cache.insert(resolved(e, &neighbours));
+                    if !model.contains_key(&e) && model.len() >= CAPACITY {
+                        let victim = *model
+                            .iter()
+                            .min_by_key(|(_, (_, stamp))| *stamp)
+                            .expect("at capacity")
+                            .0;
+                        model.remove(&victim);
+                    }
+                    tick += 1;
+                    let mut deps = neighbours;
+                    deps.push(e);
+                    model.insert(e, (deps, tick));
+                }
+                2 => {
+                    let e = next(24);
+                    let hit = cache.get(EntityId(e)).is_some();
+                    assert_eq!(hit, model.contains_key(&e), "step {step}: get({e})");
+                    if let Some(entry) = model.get_mut(&e) {
+                        tick += 1;
+                        entry.1 = tick;
+                    }
+                }
+                _ => {
+                    // Unsorted, possibly repeating dirty ids.
+                    let dirty: Vec<u32> = (0..next(6)).map(|_| next(40)).collect();
+                    let ids: Vec<EntityId> = dirty.iter().map(|&d| EntityId(d)).collect();
+                    let before = model.len();
+                    model.retain(|_, (deps, _)| !deps.iter().any(|d| dirty.contains(d)));
+                    assert_eq!(
+                        cache.invalidate(&ids),
+                        before - model.len(),
+                        "step {step}: invalidate({dirty:?})"
+                    );
+                }
+            }
+            let held: Vec<u32> = cache.entries.keys().copied().collect();
+            let want: Vec<u32> = model.keys().copied().collect();
+            assert_eq!(held, want, "step {step}: surviving entries");
+            assert_eq!(cache.by_stamp.len(), cache.entries.len());
+        }
     }
 
     #[test]

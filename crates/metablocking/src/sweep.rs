@@ -16,7 +16,7 @@
 
 use crate::kernel::WeightGlobals;
 use crate::weights::WeightingScheme;
-use minoan_blocking::BlockCollection;
+use minoan_blocking::{BlockCollection, BlockView};
 use minoan_rdf::EntityId;
 use std::sync::Mutex;
 
@@ -52,7 +52,9 @@ impl SweepScratch {
     /// Sweeps entity `a`, leaving the distinct comparable neighbours of
     /// `a` (sorted ascending) in the returned slice; per-neighbour stats
     /// are then available through [`Self::cbs_of`] / [`Self::arcs_of`].
-    pub(crate) fn sweep(&mut self, collection: &BlockCollection, a: EntityId) -> &[u32] {
+    /// Generic over the block layout, so a finished collection and the
+    /// live incremental slabs each get their own monomorphised loop.
+    pub(crate) fn sweep<V: BlockView>(&mut self, view: &V, a: EntityId) -> &[u32] {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Extremely long-lived scratch (now reachable: the session
@@ -63,19 +65,26 @@ impl SweepScratch {
             self.epoch = 1;
         }
         self.touched.clear();
-        for (_bid, inv_card, y) in collection.co_occurrences(a) {
+        let Self {
+            last_seen,
+            cbs,
+            arcs,
+            touched,
+            epoch,
+        } = self;
+        view.for_each_co_occurrence(a, |inv_card, y| {
             let yi = y.index();
-            if self.last_seen[yi] != self.epoch {
-                self.last_seen[yi] = self.epoch;
-                self.cbs[yi] = 1;
-                self.arcs[yi] = inv_card;
-                self.touched.push(y.0);
+            if last_seen[yi] != *epoch {
+                last_seen[yi] = *epoch;
+                cbs[yi] = 1;
+                arcs[yi] = inv_card;
+                touched.push(y.0);
             } else {
-                self.cbs[yi] += 1;
+                cbs[yi] += 1;
                 // lint:allow(float-accumulation): per-entity serial sweep in co-occurrence slab order
-                self.arcs[yi] += inv_card;
+                arcs[yi] += inv_card;
             }
-        }
+        });
         self.touched.sort_unstable();
         &self.touched
     }
@@ -281,13 +290,7 @@ impl<'c> SweepState<'c> {
 /// metric of the range partitioner.
 fn sweep_costs(collection: &BlockCollection) -> Vec<u64> {
     (0..collection.num_entities() as u32)
-        .map(|e| {
-            collection
-                .entity_blocks(EntityId(e))
-                .iter()
-                .map(|&b| collection.block_len(b) as u64)
-                .sum()
-        })
+        .map(|e| collection.sweep_cost(EntityId(e)))
         .collect()
 }
 

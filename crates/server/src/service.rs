@@ -13,7 +13,9 @@
 //! entities are resolved once per batch, not once per request.
 //!
 //! Ingests validate the whole batch *before* mutating anything, so a
-//! rejected batch leaves the corpus untouched. After a successful
+//! rejected batch leaves the corpus untouched; only the already-arrived
+//! check needs the session, so the rest runs before the session lock is
+//! taken. After a successful
 //! ingest the cache is invalidated through the session's dirty-entity
 //! report when [`locally_invalidatable`] holds for the configured
 //! scheme × pruning, and fully cleared otherwise (global criteria can
@@ -251,22 +253,25 @@ impl<'d> ResolveService<'d> {
     /// the corpus version bumps by one and cached answers that the
     /// batch could have changed are dropped.
     pub fn ingest(&self, ids: &[u32]) -> Result<IngestReply, IngestError> {
-        let mut guard = self.inner.lock().expect("service mutex poisoned");
-        let inner = &mut *guard;
+        // What needs no session state is checked before the lock that
+        // every resolve waits on.
         let mut sorted = ids.to_vec();
         sorted.sort_unstable();
         if sorted.windows(2).any(|w| w[0] == w[1]) {
             return Err(IngestError::Duplicate);
         }
-        for &e in ids {
-            if (e as usize) >= self.num_entities {
-                return Err(IngestError::OutOfRange);
-            }
-            if inner.session.has_arrived(EntityId(e)) {
-                return Err(IngestError::AlreadyArrived);
-            }
+        if sorted
+            .last()
+            .is_some_and(|&e| e as usize >= self.num_entities)
+        {
+            return Err(IngestError::OutOfRange);
         }
         let batch: Vec<EntityId> = ids.iter().map(|&e| EntityId(e)).collect();
+        let mut guard = self.inner.lock().expect("service mutex poisoned");
+        let inner = &mut *guard;
+        if batch.iter().any(|&e| inner.session.has_arrived(e)) {
+            return Err(IngestError::AlreadyArrived);
+        }
         let report = inner.session.ingest(&batch);
         let invalidated = if self.local_invalidation {
             inner.cache.invalidate(inner.session.last_dirty())

@@ -16,6 +16,7 @@ use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
     ExecutionBackend, IncrementalSession, Pruning, Session, WeightingScheme,
 };
+use minoan::rdf::{DatasetBuilder, EntityId};
 
 /// Scheme × pruning combinations with a true delta-sweep path.
 const DELTA_SCHEMES: [WeightingScheme; 3] = [
@@ -49,7 +50,7 @@ fn check_stream(
     mode: ErMode,
     scheme: WeightingScheme,
     pruning: Pruning,
-    batches: &[Vec<minoan::rdf::EntityId>],
+    batches: &[Vec<EntityId>],
     workers: usize,
     expect_delta: bool,
     label: &str,
@@ -65,7 +66,7 @@ fn check_stream(
             );
         }
         let got = inc.outcome();
-        let snap = inc.snapshot().expect("ingest leaves a snapshot behind");
+        let snap = inc.snapshot();
         let want = Session::new(snap)
             .scheme(scheme)
             .pruning(pruning)
@@ -203,4 +204,104 @@ fn final_state_matches_batch_token_blocking() {
             .run();
         assert_bit_identical(&got.pruned, &want.pruned, &format!("{mode:?} final"));
     }
+}
+
+/// The structural guard behind the O(batch) ingest: a delta-supported
+/// combination ingests, resolves and assembles without ever
+/// materialising a snapshot, and whoever does ask for one pays for
+/// exactly one per version.
+#[test]
+fn delta_combinations_never_build_a_snapshot() {
+    for mode in [ErMode::CleanClean, ErMode::Dirty] {
+        let g = world(mode);
+        let size = g.dataset.len() / 32;
+        let batches = ArrivalOrder::Shuffled { seed: 11 }.batches(&g.dataset, &g.truth, size);
+        assert!(batches.len() >= 30, "the guard wants ≥ 30 rounds");
+        for scheme in DELTA_SCHEMES {
+            for pruning in DELTA_FAMILIES {
+                let label = format!("{mode:?}/{scheme:?}/{pruning:?}");
+                let mut inc = IncrementalSession::new(&g.dataset, mode);
+                inc.scheme(scheme).pruning(pruning).workers(2);
+                for batch in &batches {
+                    assert!(inc.ingest(batch).delta, "{label}");
+                    inc.resolve_entity(batch[0]);
+                    inc.resolve_entity(EntityId(0));
+                }
+                inc.outcome();
+                assert_eq!(inc.snapshots_built(), 0, "{label}: delta path");
+                inc.snapshot();
+                inc.snapshot();
+                assert_eq!(inc.snapshots_built(), 1, "{label}: cached per version");
+                inc.ingest(&[]);
+                inc.resolve_entity(EntityId(0));
+                assert_eq!(inc.snapshots_built(), 1, "{label}: dropped, not rebuilt");
+                inc.snapshot();
+                assert_eq!(inc.snapshots_built(), 2, "{label}: one per version");
+            }
+        }
+    }
+    // A fallback combination builds its snapshot on first use per
+    // version — never in the ingest itself.
+    let g = world(ErMode::CleanClean);
+    let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
+    inc.scheme(WeightingScheme::Ecbs);
+    let batches = ArrivalOrder::Shuffled { seed: 11 }.batches(&g.dataset, &g.truth, 80);
+    for (i, batch) in batches.iter().enumerate() {
+        inc.ingest(batch);
+        assert_eq!(inc.snapshots_built(), i as u64, "ingest builds nothing");
+        inc.resolve_entity(batch[0]);
+        inc.resolve_entity(EntityId(0));
+        inc.outcome();
+        assert_eq!(inc.snapshots_built(), i as u64 + 1, "one per version");
+    }
+}
+
+/// Keys interned in non-lexicographic order: `zulu`, `mike`, `alpha` get
+/// symbols 0, 1, 2 but sort the other way round as key strings. Entities
+/// 0 and 1 share all three blocks, of cardinalities 10, 6 and 1, and
+/// `(1/1 + 1/6) + 1/10` differs from `(1/10 + 1/6) + 1/1` in the last
+/// bit — so the live view must visit an entity's blocks in key-string
+/// order, not symbol order, to stay bit-identical to a batch run.
+#[test]
+fn live_view_accumulates_arcs_in_key_string_order() {
+    let mut b = DatasetBuilder::new();
+    let kb = b.add_kb("kb", "http://kb/");
+    for (i, value) in [
+        "zulu mike alpha",
+        "zulu mike alpha",
+        "zulu mike",
+        "zulu mike",
+        "zulu",
+    ]
+    .iter()
+    .enumerate()
+    {
+        b.add_literal(kb, &format!("http://kb/{i}"), "http://p/label", value);
+    }
+    let ds = b.build();
+    let key_order = (1.0f64 / 1.0 + 1.0 / 6.0) + 1.0 / 10.0;
+    let symbol_order = (1.0f64 / 10.0 + 1.0 / 6.0) + 1.0 / 1.0;
+    assert_ne!(key_order.to_bits(), symbol_order.to_bits());
+
+    let (scheme, pruning) = (WeightingScheme::Arcs, Pruning::Wnp { reciprocal: false });
+    let mut inc = IncrementalSession::new(&ds, ErMode::Dirty);
+    inc.scheme(scheme).pruning(pruning);
+    // Entity 0 arrives alone, so its token order fixes the symbols.
+    for batch in [&[0u32][..], &[1, 2], &[3, 4]] {
+        let batch: Vec<EntityId> = batch.iter().map(|&e| EntityId(e)).collect();
+        assert!(inc.ingest(&batch).delta);
+    }
+    let got = inc.outcome();
+    let resolved = inc.resolve_entity(EntityId(0));
+    assert_eq!(inc.snapshots_built(), 0);
+    for pairs in [got.pairs(), &resolved.matches[..]] {
+        let top = pairs
+            .iter()
+            .find(|p| (p.a, p.b) == (EntityId(0), EntityId(1)))
+            .expect("the three-block pair survives WNP");
+        assert_eq!(top.weight.to_bits(), key_order.to_bits());
+    }
+    let blocks = builders::token_blocking(&ds, ErMode::Dirty);
+    let want = Session::new(&blocks).scheme(scheme).pruning(pruning).run();
+    assert_bit_identical(&got.pruned, &want.pruned, "hand-built key order");
 }

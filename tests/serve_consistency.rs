@@ -17,6 +17,7 @@ use minoan::metablocking::{
 use minoan::rdf::EntityId;
 use minoan_server::{Client, ResolveService, Server};
 use std::collections::BTreeMap;
+use std::sync::{Condvar, Mutex};
 
 fn world() -> GeneratedWorld {
     generate(&profiles::center_dense(120, 17))
@@ -75,7 +76,7 @@ impl<'d> Reference<'d> {
         if version == 0 {
             return Vec::new();
         }
-        let snap = inc.snapshot().expect("ingest leaves a snapshot behind");
+        let snap = inc.snapshot();
         Session::new(snap)
             .scheme(scheme)
             .pruning(pruning)
@@ -168,44 +169,116 @@ fn interleaved_resolves_match_from_scratch_at_the_admission_point() {
     }
 }
 
+/// Orders the ingester and the clients without serialising them. The
+/// ingester publishes each acknowledged batch and sends the next one
+/// only after every client has answered one resolve against it; a client
+/// spends the rest of its per-round quota racing the next ingest. Every
+/// version is therefore observed by construction, not by scheduler luck.
+struct Turnstile {
+    /// `(batches acknowledged, clients through the current round)`.
+    state: Mutex<(usize, usize)>,
+    moved: Condvar,
+}
+
+impl Turnstile {
+    fn new() -> Self {
+        Self {
+            state: Mutex::new((0, 0)),
+            moved: Condvar::new(),
+        }
+    }
+
+    /// Ingester: publish one more acknowledged batch, then wait for all
+    /// `clients` to pass the round it opened.
+    fn acknowledge(&self, clients: usize) {
+        let mut state = self.state.lock().expect("turnstile poisoned");
+        *state = (state.0 + 1, 0);
+        self.moved.notify_all();
+        while state.1 < clients {
+            state = self.moved.wait(state).expect("turnstile poisoned");
+        }
+    }
+
+    /// Client: wait until batch `round` has been acknowledged.
+    fn enter(&self, round: usize) {
+        let mut state = self.state.lock().expect("turnstile poisoned");
+        while state.0 <= round {
+            state = self.moved.wait(state).expect("turnstile poisoned");
+        }
+    }
+
+    /// Client: one resolve of the current round is answered.
+    fn pass(&self) {
+        self.state.lock().expect("turnstile poisoned").1 += 1;
+        self.moved.notify_all();
+    }
+}
+
 /// Concurrent clients against the in-process service while the main
 /// thread keeps ingesting: every recorded answer re-derived from scratch
 /// at its stamped version, for sweep worker counts 1/2/4.
 #[test]
 fn concurrent_resolves_under_ingest_stay_version_consistent() {
+    const CLIENTS: usize = 4;
+    const RESOLVES_PER_CLIENT: usize = 80;
     let g = world();
     let batches = id_batches(&g, 29);
+    let rounds = batches.len();
+    assert!(rounds <= RESOLVES_PER_CLIENT, "every round needs a resolve");
     let n = g.dataset.len();
     let (scheme, pruning) = (WeightingScheme::Js, Pruning::Wnp { reciprocal: false });
     for workers in [1usize, 2, 4] {
         let service = ResolveService::new(&g.dataset, ErMode::CleanClean, scheme, pruning, 64);
         service.sweep_workers(workers);
+        let turnstile = Turnstile::new();
         let recorded: Vec<RecordedAnswer> = std::thread::scope(|s| {
-            let clients: Vec<_> = (0..4)
+            let clients: Vec<_> = (0..CLIENTS)
                 .map(|c| {
-                    let service = &service;
+                    let (service, turnstile) = (&service, &turnstile);
                     s.spawn(move || {
                         let mut mix = minoan::common::QueryMix::new(n, 1.0, 900 + c as u64);
                         let mut seen = Vec::new();
-                        for _ in 0..80 {
-                            let e = mix.next_entity();
-                            let r = service.resolve(e).expect("in range");
-                            seen.push((e, r.version, r.pairs));
+                        // Each round's first answer: batch `round + 1`
+                        // is not sent before it is in.
+                        let mut gated = Vec::new();
+                        for round in 0..rounds {
+                            let quota = RESOLVES_PER_CLIENT / rounds
+                                + usize::from(round < RESOLVES_PER_CLIENT % rounds);
+                            turnstile.enter(round);
+                            for i in 0..quota {
+                                let e = mix.next_entity();
+                                let r = service.resolve(e).expect("in range");
+                                if i == 0 {
+                                    gated.push(r.version);
+                                    turnstile.pass();
+                                }
+                                seen.push((e, r.version, r.pairs));
+                            }
                         }
-                        seen
+                        (seen, gated)
                     })
                 })
                 .collect();
             for batch in &batches {
                 service.ingest(batch).expect("valid batch");
+                turnstile.acknowledge(CLIENTS);
             }
             clients
                 .into_iter()
-                .flat_map(|h| h.join().expect("client finishes"))
+                .flat_map(|h| {
+                    let (seen, gated) = h.join().expect("client finishes");
+                    let each_version: Vec<u64> = (1..=rounds as u64).collect();
+                    assert_eq!(gated, each_version, "w={workers}: gated answers");
+                    seen
+                })
                 .collect()
         });
         let stats = service.service_stats();
-        assert_eq!(stats.resolves, 320, "w={workers}: all resolves counted");
+        assert_eq!(
+            stats.resolves,
+            (CLIENTS * RESOLVES_PER_CLIENT) as u64,
+            "w={workers}: all resolves counted"
+        );
         let mut reference = Reference::new(&g, &batches, scheme, pruning);
         let mut versions = std::collections::BTreeSet::new();
         for (entity, version, pairs) in &recorded {
@@ -218,9 +291,10 @@ fn concurrent_resolves_under_ingest_stay_version_consistent() {
             );
             versions.insert(*version);
         }
-        assert!(
-            versions.len() > 1,
-            "w={workers}: interleaving must observe multiple versions, got {versions:?}"
+        assert_eq!(
+            versions.len(),
+            rounds,
+            "w={workers}: every version must be observed, got {versions:?}"
         );
     }
 }
