@@ -5,8 +5,7 @@ use minoan_blocking::parallel::parallel_token_blocking;
 use minoan_blocking::ErMode;
 use minoan_datagen::{generate, profiles};
 use minoan_mapreduce::Engine;
-use minoan_metablocking::parallel::parallel_wep;
-use minoan_metablocking::WeightingScheme;
+use minoan_metablocking::{ExecutionBackend, Pruning, Session};
 use std::hint::black_box;
 
 fn bench_mapreduce(c: &mut Criterion) {
@@ -60,8 +59,15 @@ fn bench_mapreduce(c: &mut Criterion) {
     let blocks = parallel_token_blocking(&world.dataset, ErMode::CleanClean, &Engine::new(4));
     for workers in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("wep", workers), &workers, |b, &w| {
-            let engine = Engine::new(w);
-            b.iter(|| black_box(parallel_wep(&blocks, WeightingScheme::Arcs, &engine)));
+            b.iter(|| {
+                black_box(
+                    Session::new(&blocks)
+                        .pruning(Pruning::Wep)
+                        .backend(ExecutionBackend::MapReduce)
+                        .workers(w)
+                        .run(),
+                )
+            });
         });
     }
     group.finish();

@@ -21,12 +21,47 @@ use minoan_blocking::{builders, filter, purge, BlockCollection, ErMode};
 use minoan_common::FxHashMap;
 use minoan_datagen::{generate, profiles};
 use minoan_mapreduce::Engine;
+use minoan_metablocking::parallel::parallel_edge_weights_with_stats;
 use minoan_metablocking::{
-    parallel, prune, streaming, BlockingGraph, Pruning, Session, StreamingOptions, WeightingScheme,
+    prune, BlockingGraph, ExecutionBackend, PruneOutcome, Pruning, Session, WeightingScheme,
 };
 use minoan_rdf::EntityId;
 use std::hint::black_box;
 use std::time::Instant;
+
+const WNP: Pruning = Pruning::Wnp { reciprocal: false };
+
+/// One fresh single-shot session run on a sweeping backend (`workers:
+/// None` = all available parallelism).
+fn run(
+    blocks: &BlockCollection,
+    scheme: WeightingScheme,
+    pruning: Pruning,
+    backend: ExecutionBackend,
+    workers: Option<usize>,
+) -> PruneOutcome {
+    let mut session = Session::new(blocks);
+    session.scheme(scheme).pruning(pruning).backend(backend);
+    if let Some(workers) = workers {
+        session.workers(workers);
+    }
+    session.run()
+}
+
+fn stream(
+    blocks: &BlockCollection,
+    scheme: WeightingScheme,
+    pruning: Pruning,
+    threads: Option<usize>,
+) -> PruneOutcome {
+    run(
+        blocks,
+        scheme,
+        pruning,
+        ExecutionBackend::Streaming,
+        threads,
+    )
+}
 
 fn bench_metablocking(c: &mut Criterion) {
     let world = generate(&profiles::center_dense(400, 11));
@@ -51,32 +86,45 @@ fn bench_metablocking(c: &mut Criterion) {
         b.iter(|| black_box(prune::wep(&graph, WeightingScheme::Arcs)));
     });
     group.bench_function("wep/arcs-streaming", |b| {
-        b.iter(|| black_box(streaming::wep(&cleaned, WeightingScheme::Arcs)));
+        b.iter(|| black_box(stream(&cleaned, WeightingScheme::Arcs, Pruning::Wep, None)));
     });
     group.bench_function("wnp/arcs", |b| {
         b.iter(|| black_box(prune::wnp(&graph, WeightingScheme::Arcs, false)));
     });
     group.bench_function("wnp/arcs-streaming", |b| {
-        b.iter(|| black_box(streaming::wnp(&cleaned, WeightingScheme::Arcs, false)));
+        b.iter(|| black_box(stream(&cleaned, WeightingScheme::Arcs, WNP, None)));
     });
     group.bench_function("cnp/js", |b| {
         b.iter(|| black_box(prune::cnp(&graph, WeightingScheme::Js, false, None)));
     });
     group.bench_function("cnp/js-streaming", |b| {
-        b.iter(|| black_box(streaming::cnp(&cleaned, WeightingScheme::Js, false, None)));
+        b.iter(|| {
+            let cnp = Pruning::Cnp {
+                reciprocal: false,
+                k: None,
+            };
+            black_box(stream(&cleaned, WeightingScheme::Js, cnp, None))
+        });
     });
     group.bench_function("cep/ecbs", |b| {
         b.iter(|| black_box(prune::cep(&graph, WeightingScheme::Ecbs, None)));
     });
     group.bench_function("cep/ecbs-streaming", |b| {
-        b.iter(|| black_box(streaming::cep(&cleaned, WeightingScheme::Ecbs, None)));
+        b.iter(|| {
+            black_box(stream(
+                &cleaned,
+                WeightingScheme::Ecbs,
+                Pruning::Cep(None),
+                None,
+            ))
+        });
     });
     // The session API's reason to exist: sweeping all five schemes reuses
     // the shared state instead of rebuilding it per scheme.
     group.bench_function("sweep5-wnp/session", |b| {
         b.iter(|| {
             let mut session = Session::new(&cleaned);
-            session.pruning(Pruning::Wnp { reciprocal: false });
+            session.pruning(WNP);
             for scheme in WeightingScheme::ALL {
                 black_box(session.scheme(scheme).run());
             }
@@ -225,28 +273,14 @@ fn bench_scaling(_c: &mut Criterion) {
         rec(
             "wnp/streaming-serial",
             time(
-                || {
-                    streaming::wnp_with(
-                        &cleaned,
-                        WeightingScheme::Arcs,
-                        false,
-                        &StreamingOptions::with_threads(1),
-                    )
-                },
+                || stream(&cleaned, WeightingScheme::Arcs, WNP, Some(1)),
                 reps,
             ),
         );
         rec(
             "wnp/streaming-parallel",
             time(
-                || {
-                    streaming::wnp_with(
-                        &cleaned,
-                        WeightingScheme::Arcs,
-                        false,
-                        &StreamingOptions::with_threads(threads),
-                    )
-                },
+                || stream(&cleaned, WeightingScheme::Arcs, WNP, Some(threads)),
                 reps,
             ),
         );
@@ -264,26 +298,14 @@ fn bench_scaling(_c: &mut Criterion) {
         rec(
             "wep/streaming-serial",
             time(
-                || {
-                    streaming::wep_with(
-                        &cleaned,
-                        WeightingScheme::Arcs,
-                        &StreamingOptions::with_threads(1),
-                    )
-                },
+                || stream(&cleaned, WeightingScheme::Arcs, Pruning::Wep, Some(1)),
                 reps,
             ),
         );
         rec(
             "wep/streaming-parallel",
             time(
-                || {
-                    streaming::wep_with(
-                        &cleaned,
-                        WeightingScheme::Arcs,
-                        &StreamingOptions::with_threads(threads),
-                    )
-                },
+                || stream(&cleaned, WeightingScheme::Arcs, Pruning::Wep, Some(threads)),
                 reps,
             ),
         );
@@ -301,14 +323,7 @@ fn bench_scaling(_c: &mut Criterion) {
         rec(
             "cep/streaming-serial",
             time(
-                || {
-                    streaming::cep_with(
-                        &cleaned,
-                        WeightingScheme::Ecbs,
-                        None,
-                        &StreamingOptions::with_threads(1),
-                    )
-                },
+                || stream(&cleaned, WeightingScheme::Ecbs, Pruning::Cep(None), Some(1)),
                 reps,
             ),
         );
@@ -316,12 +331,8 @@ fn bench_scaling(_c: &mut Criterion) {
             "cep/streaming-parallel",
             time(
                 || {
-                    streaming::cep_with(
-                        &cleaned,
-                        WeightingScheme::Ecbs,
-                        None,
-                        &StreamingOptions::with_threads(threads),
-                    )
+                    let cep = Pruning::Cep(None);
+                    stream(&cleaned, WeightingScheme::Ecbs, cep, Some(threads))
                 },
                 reps,
             ),
@@ -336,7 +347,7 @@ fn bench_scaling(_c: &mut Criterion) {
             time(
                 || {
                     let mut session = Session::new(&cleaned);
-                    session.pruning(Pruning::Wnp { reciprocal: false });
+                    session.pruning(WNP);
                     for scheme in WeightingScheme::ALL {
                         black_box(session.scheme(scheme).run());
                     }
@@ -362,9 +373,9 @@ fn bench_scaling(_c: &mut Criterion) {
                 || {
                     let mut session = Session::new(&cleaned);
                     session
-                        .backend(minoan_metablocking::ExecutionBackend::Streaming)
+                        .backend(ExecutionBackend::Streaming)
                         .workers(threads)
-                        .pruning(Pruning::Wnp { reciprocal: false });
+                        .pruning(WNP);
                     for scheme in WeightingScheme::ALL {
                         black_box(session.scheme(scheme).run());
                     }
@@ -376,9 +387,8 @@ fn bench_scaling(_c: &mut Criterion) {
             "sweep5-wnp/streaming-rebuild",
             time(
                 || {
-                    let opts = StreamingOptions::with_threads(threads);
                     for scheme in WeightingScheme::ALL {
-                        black_box(streaming::wnp_with(&cleaned, scheme, false, &opts));
+                        black_box(stream(&cleaned, scheme, WNP, Some(threads)));
                     }
                 },
                 reps,
@@ -388,7 +398,6 @@ fn bench_scaling(_c: &mut Criterion) {
         // MapReduce strategies: per-occurrence (edge-based) vs
         // per-entity-neighbourhood (entity-partitioned) shuffle volume,
         // and the makespan modeled from the measured task durations.
-        let engine = Engine::new(threads);
         let mut mr_rec = |strategy: &'static str, shuffled: usize, modeled: [u64; 3]| {
             println!(
                 "  mapreduce {strategy:<22} {shuffled:>9} shuffled records   modeled \
@@ -405,21 +414,34 @@ fn bench_scaling(_c: &mut Criterion) {
                 modeled_nanos: modeled,
             });
         };
-        let (_, edge_stats) =
-            parallel::parallel_edge_weights_with_stats(&cleaned, WeightingScheme::Arcs, &engine);
+        let (_, edge_stats) = parallel_edge_weights_with_stats(
+            &cleaned,
+            WeightingScheme::Arcs,
+            &Engine::new(threads),
+        );
+        let jobs = |pruning: Pruning| {
+            let mapreduce = ExecutionBackend::MapReduce;
+            run(
+                &cleaned,
+                WeightingScheme::Arcs,
+                pruning,
+                mapreduce,
+                Some(threads),
+            )
+            .report
+        };
         mr_rec(
             "edge-based/weights",
             edge_stats.intermediate_pairs,
             MR_WORKERS.map(|w| edge_stats.modeled_nanos(w)),
         );
-        let (_, report) =
-            parallel::wnp_with_report(&cleaned, WeightingScheme::Arcs, false, &engine);
+        let report = jobs(WNP);
         mr_rec(
             "entity-based/wnp",
             report.shuffled_records(),
             MR_WORKERS.map(|w| report.modeled_nanos(w)),
         );
-        let (_, report) = parallel::wep_with_report(&cleaned, WeightingScheme::Arcs, &engine);
+        let report = jobs(Pruning::Wep);
         mr_rec(
             "entity-based/wep",
             report.shuffled_records(),
@@ -427,7 +449,7 @@ fn bench_scaling(_c: &mut Criterion) {
         );
         // Same scheme as the other MapReduce rows so makespans compare
         // strategy cost, not weighting-scheme cost.
-        let (_, report) = parallel::cep_with_report(&cleaned, WeightingScheme::Arcs, None, &engine);
+        let report = jobs(Pruning::Cep(None));
         mr_rec(
             "entity-based/cep",
             report.shuffled_records(),

@@ -7,19 +7,15 @@ use minoan_er::{
     BenefitModel, Matcher, MatcherConfig, Pipeline, PipelineConfig, ProgressiveResolver,
     ResolverConfig, Strategy,
 };
-use minoan_metablocking::{prune, BlockingGraph, WeightingScheme};
+use minoan_metablocking::Session;
 use minoan_rdf::EntityId;
 use std::hint::black_box;
 
 fn candidates(world: &minoan_datagen::GeneratedWorld) -> Vec<(EntityId, EntityId, f64)> {
     let blocks = builders::token_and_uri_blocking(&world.dataset, ErMode::CleanClean);
     let cleaned = filter::filter(&purge::purge(&blocks).collection);
-    let graph = BlockingGraph::build(&cleaned);
-    prune::wnp(&graph, WeightingScheme::Arcs, false)
-        .pairs
-        .into_iter()
-        .map(|p| (p.a, p.b, p.weight))
-        .collect()
+    // The session defaults: ARCS-weighted WNP on the materialised graph.
+    Session::new(&cleaned).run().into_candidates()
 }
 
 fn bench_progressive(c: &mut Criterion) {

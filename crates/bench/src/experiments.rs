@@ -408,11 +408,12 @@ pub fn exp7_scalability(scale: usize, seed: u64) -> String {
         // Sanity: results identical regardless of workers.
         assert_eq!(
             pairs.len(),
-            minoan_metablocking::parallel::parallel_edge_weights(
+            minoan_metablocking::parallel::parallel_edge_weights_with_stats(
                 &cleaned,
                 WeightingScheme::Arcs,
                 &Engine::new(1)
             )
+            .0
             .len()
         );
     }

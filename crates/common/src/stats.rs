@@ -8,6 +8,19 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
+/// [`mean`] of values that are not laid out as an `f64` slice (a field
+/// of each record, say): the same sequential sum and the same division,
+/// so the same bits as collecting the values and calling [`mean`] —
+/// without the copy.
+#[inline]
+pub fn mean_of(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = xs.len();
+    if n == 0 {
+        return 0.0;
+    }
+    xs.sum::<f64>() / n as f64
+}
+
 /// Population standard deviation; `0.0` for fewer than two samples.
 pub fn std_dev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
@@ -103,6 +116,9 @@ mod tests {
     fn mean_and_std() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
+        let pairs = [(7u32, 0.1f64), (9, 0.2), (11, 0.3)];
+        let picked = mean_of(pairs.iter().map(|&(_, w)| w));
+        assert_eq!(picked.to_bits(), mean(&[0.1, 0.2, 0.3]).to_bits());
         assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
         assert_eq!(std_dev(&[5.0]), 0.0);
     }

@@ -92,6 +92,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/blocking/src/purge.rs",
     "crates/blocking/src/filter.rs",
     "crates/metablocking/src/kernel.rs",
+    "crates/metablocking/src/rule.rs",
     "crates/metablocking/src/sweep.rs",
     "crates/metablocking/src/streaming.rs",
     "crates/metablocking/src/parallel.rs",
@@ -107,6 +108,7 @@ const FLAT_CORE_FILES: &[&str] = &[
     "crates/blocking/src/purge.rs",
     "crates/blocking/src/filter.rs",
     "crates/metablocking/src/kernel.rs",
+    "crates/metablocking/src/rule.rs",
     "crates/metablocking/src/sweep.rs",
     "crates/metablocking/src/streaming.rs",
     "crates/metablocking/src/parallel.rs",
@@ -118,6 +120,7 @@ const PARALLEL_FILES: &[&str] = &[
     "crates/blocking/src/layout.rs",
     "crates/blocking/src/parallel.rs",
     "crates/metablocking/src/kernel.rs",
+    "crates/metablocking/src/rule.rs",
     "crates/metablocking/src/sweep.rs",
     "crates/metablocking/src/streaming.rs",
     "crates/metablocking/src/parallel.rs",

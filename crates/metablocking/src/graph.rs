@@ -20,7 +20,7 @@
 //! precomputed offset, and per-edge ARCS sums accumulate in ascending
 //! block order exactly as the serial build would.
 
-use crate::sweep::{default_threads, entity_sweep_ranges, split_by_ends, SweepScratch};
+use crate::sweep::{entity_sweep_ranges, split_by_ends, SweepScratch};
 use minoan_blocking::BlockCollection;
 use minoan_rdf::EntityId;
 
@@ -73,7 +73,7 @@ impl BlockingGraph {
     /// Builds the graph from a block collection, using all available
     /// cores for the counting and fill sweeps.
     pub fn build(collection: &BlockCollection) -> Self {
-        Self::build_with_threads(collection, default_threads())
+        Self::build_with_threads(collection, minoan_common::default_threads())
     }
 
     /// Builds the graph with an explicit worker count. Output is

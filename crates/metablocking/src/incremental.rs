@@ -18,8 +18,10 @@
 //!    the cached weight rows — theirs, and their neighbours' through
 //!    appended *mirror tails* — are patched in place.
 //!
-//! [`IncrementalSession::outcome`] then assembles a [`PruneOutcome`]
-//! from the cached rows that is **bit-identical** to a from-scratch
+//! [`IncrementalSession::outcome`] then runs the pruning family's rules
+//! (the crate-internal `rule` module — the same definitions every backend
+//! executes) over the cached rows, serially in entity order, and the
+//! [`PruneOutcome`] is **bit-identical** to a from-scratch
 //! [`Session`](crate::Session) run on the merged corpus — same pair
 //! order, same f64 weight bits, for every arrival order, batch size and
 //! thread count (enforced by `tests/incremental_delta.rs`).
@@ -77,10 +79,9 @@
 //!   the first resolve or outcome of the version builds the snapshot,
 //!   and the [`probe`] counters record which path ran.
 //!
-//! The pruning families `None`/`WEP`/`CEP`/`WNP`/`CNP` are all assembled
-//! from the rows (their criteria are row-local or deterministic global
-//! reductions over per-row sums); with a delta-sweepable scheme they
-//! never re-sweep untouched entities.
+//! The pruning families `None`/`WEP`/`CEP`/`WNP`/`CNP` all run off the
+//! rows; with a delta-sweepable scheme they never re-sweep untouched
+//! entities.
 //!
 //! ```
 //! use minoan_blocking::ErMode;
@@ -115,18 +116,20 @@
 //! assert_eq!(session.snapshots_built(), 1);
 //! ```
 
-use crate::kernel::{combine_votes, neighbour_weights, normalised, WeightGlobals};
+use crate::kernel::WeightGlobals;
 use crate::parallel::JobReport;
 use crate::probe;
-use crate::prune::{self, PrunedComparisons, WeightedPair};
-use crate::query::{self, Criterion, ResolvedEntity, RowSource, SweepRows};
+use crate::prune::WeightedPair;
+use crate::query::{self, ResolvedEntity};
+use crate::rule::{
+    self, forward_len, Criterion, CriterionFold, Partial, Row, RowBuf, RowDriver, Rule, Weigher,
+};
 use crate::session::{PruneOutcome, Pruning};
-use crate::streaming;
-use crate::sweep::{default_threads, partition_by_cost, split_by_ends, ScratchPool, SweepState};
+use crate::streaming::Streaming;
+use crate::sweep::{for_each_range, partition_by_cost, ScratchPool, SweepState};
 use crate::weights::WeightingScheme;
 use minoan_blocking::{BlockCollection, BlockView, ErMode, IncrementalCollection};
-use minoan_common::stats::mean;
-use minoan_common::{OrdF64, TopK};
+use minoan_common::default_threads;
 use minoan_rdf::{Dataset, EntityId};
 
 /// What one [`IncrementalSession::ingest`] call did — the per-batch
@@ -189,8 +192,9 @@ pub struct IncrementalSession<'d> {
     /// Dirty entities of the last ingest (the cache-invalidation set a
     /// layered [`NeighbourhoodCache`](crate::NeighbourhoodCache) reads).
     last_dirty: Vec<EntityId>,
-    /// Query-time criterion (and fallback globals), valid for exactly one
-    /// `(version, scheme, pruning)` triple.
+    /// Query-time criterion (and fallback globals) of the current
+    /// `(version, scheme, pruning)` triple: dropped by every ingest and by
+    /// every scheme or pruning switch, rebuilt by the next resolve.
     resolve_cache: Option<ResolveCache>,
 }
 
@@ -200,9 +204,6 @@ pub struct IncrementalSession<'d> {
 /// globals (cloned out so the transient sweep state that computed them
 /// can be dropped).
 struct ResolveCache {
-    version: u64,
-    scheme: WeightingScheme,
-    pruning: Pruning,
     /// `Some` on the fallback path (per-request sweeps need them);
     /// `None` when the row cache serves the rows directly.
     globals: Option<WeightGlobals>,
@@ -422,34 +423,33 @@ impl<'d> IncrementalSession<'d> {
         probe::record_full_resweep();
     }
 
-    /// Folds every outstanding mirror tail, for the readers that walk
-    /// the whole row cache (assembly, the global criteria) and are
-    /// `O(corpus)` anyway. A single resolve folds just the rows it loads
-    /// ([`CachedRows`]).
-    fn fold_all_tails(&mut self) {
-        for (row, sorted) in self.rows.iter_mut().zip(&mut self.sorted_len) {
-            fold_tail(row, sorted);
+    /// The row cache as a [`RowDriver`] (valid rows required).
+    fn row_cache(&mut self) -> RowCache<'_> {
+        RowCache {
+            rows: &mut self.rows,
+            sorted_len: &mut self.sorted_len,
+            total_assignments: self.collection.total_assignments(),
         }
     }
 
     /// Assembles the pruned comparisons of the current merged corpus —
     /// bit-identical to a from-scratch [`Session`](crate::Session) run on
-    /// the same collection. Delta-supported combinations read the row
-    /// cache and nothing else; the rest materialise this version's
-    /// snapshot (once) and re-sweep it in full.
+    /// the same collection. Delta-supported combinations run the family's
+    /// rule over the row cache and nothing else; the rest materialise
+    /// this version's snapshot (once) and re-sweep it in full on the
+    /// streaming driver.
     pub fn outcome(&mut self) -> PruneOutcome {
         let threads = self.threads();
+        let (scheme, pruning) = (self.scheme, self.pruning);
         let pruned = if self.supports_delta() {
             if !self.rows_valid {
                 self.reseed_rows(threads);
             }
-            self.fold_all_tails();
-            self.assemble()
+            rule::run(&mut self.row_cache(), scheme, &pruning)
         } else {
             probe::record_full_resweep();
-            self.snapshot();
-            let snapshot = self.snapshot.as_ref().expect("snapshot just built");
-            self.full_outcome(snapshot, threads)
+            let mut st = SweepState::new(self.snapshot());
+            rule::run(&mut Streaming::new(&mut st, threads), scheme, &pruning)
         };
         PruneOutcome {
             pruned,
@@ -501,325 +501,146 @@ impl<'d> IncrementalSession<'d> {
             (entity.0 as usize) < self.rows.len(),
             "resolve_entity: entity id out of range"
         );
-        let current = self.resolve_cache.as_ref().is_some_and(|c| {
-            c.version == self.version && c.scheme == self.scheme && c.pruning == self.pruning
-        });
-        if !current {
+        if self.resolve_cache.is_none() {
             self.rebuild_resolve_cache();
         }
         let cache = self.resolve_cache.as_ref().expect("cache just ensured");
-        let pruning = self.pruning;
+        let (pruning, criterion) = (&self.pruning, &cache.criterion);
+        let rule = Rule { pruning, criterion };
         if self.supports_delta() {
-            let mut rows = CachedRows {
+            // Field by field: `rule` borrows the criterion cache.
+            let mut rows = RowCache {
                 rows: &mut self.rows,
                 sorted_len: &mut self.sorted_len,
+                total_assignments: self.collection.total_assignments(),
             };
-            return query::resolve_rows(&mut rows, entity, pruning, &cache.criterion);
+            return query::resolve_rows(&mut |e, out| rows.load_row(e, out), entity, rule);
         }
         let snapshot = self.snapshot.as_ref().expect("fallback rebuild snapshots");
         let globals = cache.globals.as_ref().expect("fallback stores globals");
-        match (&pruning, &cache.criterion) {
-            (Pruning::Supervised(model), Criterion::Supervised(extractor)) => {
-                query::resolve_supervised(snapshot, globals, &self.pool, extractor, model, entity)
-            }
-            (Pruning::Blast { .. }, _) => {
-                let mut rows = SweepRows::chi2(snapshot, globals, &self.pool);
-                query::resolve_rows(&mut rows, entity, pruning, &cache.criterion)
-            }
-            _ => {
-                let mut rows = SweepRows::scheme(snapshot, globals, &self.pool, self.scheme);
-                query::resolve_rows(&mut rows, entity, pruning, &cache.criterion)
-            }
-        }
+        let weigher = Weigher::of(self.scheme, &self.pruning);
+        let mut load =
+            |e, out: &mut RowBuf| query::sweep_row(snapshot, globals, &self.pool, weigher, e, out);
+        query::resolve_rows(&mut load, entity, rule)
     }
 
     /// Rebuilds the per-version query-time state. Delta-supported
     /// combinations re-seed the row cache if a scheme switch left it cold
-    /// and derive the criterion from the rows with the exact `assemble`
-    /// pass-1 bodies; the rest materialise this version's snapshot, run
-    /// the streaming criterion pass on a transient sweep state over it
-    /// and keep a clone of its globals for per-request sweeps.
+    /// and reduce the criterion over the rows — the same fold a full
+    /// outcome runs, so the thresholds carry the same f64 bits; the rest
+    /// materialise this version's snapshot, reduce the criterion with the
+    /// streaming driver on a transient sweep state over it and keep a
+    /// clone of its globals for per-request sweeps.
     fn rebuild_resolve_cache(&mut self) {
         let threads = self.threads();
+        let (scheme, pruning) = (self.scheme, self.pruning);
         let (criterion, globals) = if self.supports_delta() {
             if !self.rows_valid {
                 self.reseed_rows(threads);
             }
-            (self.rows_criterion(), None)
+            let criterion = rule::resolve_criterion(&mut self.row_cache(), scheme, &pruning);
+            (criterion, None)
         } else {
-            let (scheme, pruning) = (self.scheme, self.pruning);
             let mut st = SweepState::new(self.snapshot());
-            let criterion = query::build_criterion(&mut st, scheme, &pruning, threads);
+            let mut driver = Streaming::new(&mut st, threads);
+            let criterion = rule::resolve_criterion(&mut driver, scheme, &pruning);
+            st.ensure(Weigher::of(scheme, &pruning).needs_counts(), threads);
             (criterion, Some(st.globals().clone()))
         };
-        self.resolve_cache = Some(ResolveCache {
-            version: self.version,
-            scheme: self.scheme,
-            pruning: self.pruning,
-            globals,
-            criterion,
-        });
+        self.resolve_cache = Some(ResolveCache { globals, criterion });
+    }
+}
+
+/// The session's row cache as the rules see it.
+///
+/// As a [`RowDriver`] it visits every cached row serially in entity
+/// order, exactly as a one-range sweep would — the rows already hold the
+/// statistics a sweep under the session's scheme would produce, so
+/// nothing is weighed. Both passes walk the whole cache and are
+/// `O(corpus)` anyway, so they fold every outstanding mirror tail first.
+///
+/// For a resolve ([`Self::load_row`]) it folds a row's mirror tail the
+/// first time the row is read — the first resolve after an ingest pays
+/// for the neighbourhood it loads, not for every row the ingest mirrored
+/// into. A folded row is sorted and duplicate-free, the shape a fresh
+/// sweep produces.
+struct RowCache<'a> {
+    rows: &'a mut [Vec<(u32, f64)>],
+    sorted_len: &'a mut [u32],
+    total_assignments: u64,
+}
+
+impl RowCache<'_> {
+    /// The non-empty rows, every mirror tail folded.
+    fn folded(&mut self) -> impl Iterator<Item = Row<'_>> {
+        for (row, sorted) in self.rows.iter_mut().zip(self.sorted_len.iter_mut()) {
+            fold_tail(row, sorted);
+        }
+        let rows = self.rows.iter().enumerate();
+        rows.filter(|(_, entries)| !entries.is_empty())
+            .map(|(a, entries)| Row {
+                a: a as u32,
+                entries,
+                features: &[],
+            })
     }
 
-    /// The query-time criterion of a delta-supported combination, read
-    /// off the normalised row cache with the exact pass-1 bodies of
-    /// [`Self::assemble`] — same iteration order, same accumulation
-    /// shapes, so the thresholds carry the same f64 bits as a full
-    /// outcome's.
-    fn rows_criterion(&mut self) -> Criterion {
-        if matches!(self.pruning, Pruning::None | Pruning::Wnp { .. }) {
-            return Criterion::Local;
-        }
-        // The global criteria read every row.
-        self.fold_all_tails();
-        let total_assignments = self.collection.total_assignments();
-        let rows = &self.rows;
-        match self.pruning {
-            Pruning::Wep => {
-                let mut sums = vec![0.0f64; rows.len()];
-                let mut positive = 0u64;
-                for (a, row) in rows.iter().enumerate() {
-                    let mut sum = 0.0f64;
-                    for &(y, w) in row {
-                        if y > a as u32 && w > 0.0 {
-                            // lint:allow(float-accumulation): per-entity serial sum over sorted neighbours
-                            sum += w;
-                            positive += 1;
-                        }
-                    }
-                    sums[a] = sum;
-                }
-                Criterion::Wep(prune::wep_threshold_from_sums(&sums, positive))
-            }
-            Pruning::Cep(k) => {
-                let k = k.unwrap_or_else(|| prune::default_cep_k_from(total_assignments));
-                if k == 0 {
-                    return Criterion::Cep(Vec::new());
-                }
-                let mut top: TopK<(OrdF64, std::cmp::Reverse<(EntityId, EntityId)>)> = TopK::new(k);
-                for (a, row) in rows.iter().enumerate() {
-                    let a = a as u32;
-                    for &(y, w) in row {
-                        if y > a && w > 0.0 {
-                            top.push((OrdF64(w), std::cmp::Reverse((EntityId(a), EntityId(y)))));
-                        }
-                    }
-                }
-                let pairs: Vec<WeightedPair> = top
-                    .into_sorted_vec()
-                    .into_iter()
-                    .map(|(w, r)| WeightedPair {
-                        a: r.0 .0,
-                        b: r.0 .1,
-                        weight: w.0,
-                    })
-                    .collect();
-                // Presentation order: the full outcome runs these pairs
-                // through `from_weighted_pairs`.
-                Criterion::Cep(PrunedComparisons::from_weighted_pairs(pairs, self.scheme, 0).pairs)
-            }
-            Pruning::Cnp { k, .. } => {
-                let active_nodes = rows.iter().filter(|r| !r.is_empty()).count();
-                Criterion::CnpK(
-                    k.unwrap_or_else(|| prune::default_cnp_k_from(total_assignments, active_nodes)),
-                )
-            }
-            Pruning::None
-            | Pruning::Wnp { .. }
-            | Pruning::Blast { .. }
-            | Pruning::Supervised(_) => {
-                unreachable!("row-local families returned above; the rest never delta-sweep")
-            }
-        }
-    }
-
-    /// Row-cache assembly of the delta-supported pruning families. Each
-    /// body mirrors its `streaming` session counterpart statement for
-    /// statement — same iteration order, same accumulation shapes — which
-    /// is what keeps the f64 output bit-identical.
-    fn assemble(&self) -> PrunedComparisons {
-        let total_assignments = self.collection.total_assignments();
-        let scheme = self.scheme;
-        let rows = &self.rows;
-        // Every distinct comparable pair appears in its smaller
-        // endpoint's row as a forward (y > a) entry, so this is |V| —
-        // the input_edges figure every streaming family reports.
-        let total_pairs: usize = rows
-            .iter()
-            .enumerate()
-            .map(|(a, row)| row.iter().filter(|&&(y, _)| y > a as u32).count())
-            .sum();
-        match self.pruning {
-            Pruning::None => {
-                let mut pairs = Vec::with_capacity(total_pairs);
-                for (a, row) in rows.iter().enumerate() {
-                    let a = a as u32;
-                    for &(y, w) in row {
-                        if y > a {
-                            pairs.push(WeightedPair {
-                                a: EntityId(a),
-                                b: EntityId(y),
-                                weight: w,
-                            });
-                        }
-                    }
-                }
-                PrunedComparisons {
-                    pairs,
-                    scheme,
-                    input_edges: total_pairs,
-                }
-            }
-            Pruning::Wep => {
-                let mut sums = vec![0.0f64; rows.len()];
-                let mut positive = 0u64;
-                for (a, row) in rows.iter().enumerate() {
-                    let mut sum = 0.0f64;
-                    for &(y, w) in row {
-                        if y > a as u32 && w > 0.0 {
-                            // lint:allow(float-accumulation): per-entity serial sum over sorted neighbours
-                            sum += w;
-                            positive += 1;
-                        }
-                    }
-                    sums[a] = sum;
-                }
-                let threshold = prune::wep_threshold_from_sums(&sums, positive);
-                let mut kept = Vec::new();
-                for (a, row) in rows.iter().enumerate() {
-                    let a = a as u32;
-                    for &(y, w) in row {
-                        if y > a && w >= threshold && w > 0.0 {
-                            kept.push(WeightedPair {
-                                a: EntityId(a),
-                                b: EntityId(y),
-                                weight: w,
-                            });
-                        }
-                    }
-                }
-                PrunedComparisons::from_weighted_pairs(kept, scheme, total_pairs)
-            }
-            Pruning::Cep(k) => {
-                let k = k.unwrap_or_else(|| prune::default_cep_k_from(total_assignments));
-                if k == 0 {
-                    return PrunedComparisons::empty(scheme, total_pairs);
-                }
-                let mut top: TopK<(OrdF64, std::cmp::Reverse<(EntityId, EntityId)>)> = TopK::new(k);
-                for (a, row) in rows.iter().enumerate() {
-                    let a = a as u32;
-                    for &(y, w) in row {
-                        if y > a && w > 0.0 {
-                            top.push((OrdF64(w), std::cmp::Reverse((EntityId(a), EntityId(y)))));
-                        }
-                    }
-                }
-                let pairs: Vec<WeightedPair> = top
-                    .into_sorted_vec()
-                    .into_iter()
-                    .map(|(w, r)| WeightedPair {
-                        a: r.0 .0,
-                        b: r.0 .1,
-                        weight: w.0,
-                    })
-                    .collect();
-                PrunedComparisons::from_weighted_pairs(pairs, scheme, total_pairs)
-            }
-            Pruning::Wnp { reciprocal } => {
-                let mut kept = Vec::new();
-                let mut weights: Vec<f64> = Vec::new();
-                for (a, row) in rows.iter().enumerate() {
-                    if row.is_empty() {
-                        continue;
-                    }
-                    weights.clear();
-                    weights.extend(row.iter().map(|&(_, w)| w));
-                    let threshold = mean(&weights);
-                    for &(y, w) in row {
-                        if w >= threshold && w > 0.0 {
-                            kept.push(normalised(a as u32, y, w));
-                        }
-                    }
-                }
-                kept.sort_unstable_by_key(|x| (x.a, x.b));
-                PrunedComparisons::from_weighted_pairs(
-                    combine_votes(kept, reciprocal),
-                    scheme,
-                    total_pairs,
-                )
-            }
-            Pruning::Cnp { reciprocal, k } => {
-                let active_nodes = rows.iter().filter(|r| !r.is_empty()).count();
-                let k =
-                    k.unwrap_or_else(|| prune::default_cnp_k_from(total_assignments, active_nodes));
-                if k == 0 {
-                    return PrunedComparisons::empty(scheme, total_pairs);
-                }
-                let mut kept = Vec::new();
-                for (a, row) in rows.iter().enumerate() {
-                    if row.is_empty() {
-                        continue;
-                    }
-                    let mut top: TopK<(OrdF64, std::cmp::Reverse<(EntityId, EntityId)>)> =
-                        TopK::new(k);
-                    for &(y, w) in row {
-                        if w > 0.0 {
-                            let p = normalised(a as u32, y, w);
-                            top.push((OrdF64(w), std::cmp::Reverse((p.a, p.b))));
-                        }
-                    }
-                    for (w, r) in top.into_sorted_vec() {
-                        kept.push(WeightedPair {
-                            a: r.0 .0,
-                            b: r.0 .1,
-                            weight: w.0,
-                        });
-                    }
-                }
-                kept.sort_unstable_by_key(|x| (x.a, x.b));
-                PrunedComparisons::from_weighted_pairs(
-                    combine_votes(kept, reciprocal),
-                    scheme,
-                    total_pairs,
-                )
-            }
-            Pruning::Blast { .. } | Pruning::Supervised(_) => {
-                unreachable!("assemble is only called for delta-supported pruning families")
-            }
-        }
-    }
-
-    /// Full re-sweep fallback: the streaming session bodies on a fresh
-    /// sweep state over the current snapshot.
-    fn full_outcome(&self, snapshot: &BlockCollection, threads: usize) -> PrunedComparisons {
-        let mut st = SweepState::new(snapshot);
-        match self.pruning {
-            Pruning::None => {
-                let (pairs, fwd) = streaming::weighted_edges_session(&mut st, self.scheme, threads);
-                PrunedComparisons {
-                    pairs,
-                    scheme: self.scheme,
-                    input_edges: fwd as usize,
-                }
-            }
-            Pruning::Wep => streaming::wep_session(&mut st, self.scheme, threads),
-            Pruning::Cep(k) => streaming::cep_session(&mut st, self.scheme, k, threads),
-            Pruning::Wnp { reciprocal } => {
-                streaming::wnp_session(&mut st, self.scheme, reciprocal, threads)
-            }
-            Pruning::Cnp { reciprocal, k } => {
-                streaming::cnp_session(&mut st, self.scheme, reciprocal, k, threads)
-            }
-            Pruning::Blast { ratio } => streaming::blast_session(&mut st, ratio, threads),
-            Pruning::Supervised(model) => streaming::supervised_session(&mut st, &model, threads),
+    /// Loads `e`'s row for a resolve, folding its mirror tail first.
+    fn load_row(&mut self, e: u32, out: &mut RowBuf) {
+        out.clear();
+        if let Some(row) = self.rows.get_mut(e as usize) {
+            fold_tail(row, &mut self.sorted_len[e as usize]);
+            out.entries.extend_from_slice(row);
         }
     }
 }
 
+impl RowDriver for RowCache<'_> {
+    fn num_entities(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn total_assignments(&self) -> u64 {
+        self.total_assignments
+    }
+
+    fn active_nodes(&mut self) -> usize {
+        // A mirror tail only ever holds real edges, so emptiness needs no
+        // folding.
+        self.rows.iter().filter(|r| !r.is_empty()).count()
+    }
+
+    fn num_edges(&mut self) -> usize {
+        self.folded()
+            .map(|row| forward_len(row.a, row.entries))
+            .sum::<u64>() as usize
+    }
+
+    fn reduce(&mut self, _weigher: Weigher, fold: &CriterionFold) -> (Partial, u64) {
+        let mut share = fold.init();
+        let mut forward = 0u64;
+        for row in self.folded() {
+            forward += forward_len(row.a, row.entries);
+            fold.fold(&mut share, row);
+        }
+        (share, forward)
+    }
+
+    fn keep(&mut self, _weigher: Weigher, rule: Rule<'_>) -> (Vec<WeightedPair>, u64) {
+        let mut kept = Vec::new();
+        let mut forward = 0u64;
+        for row in self.folded() {
+            forward += forward_len(row.a, row.entries);
+            rule.contribute(row, &mut kept);
+        }
+        (kept, forward)
+    }
+}
+
 /// Re-sweeps `targets` on `view` and installs their fresh rows —
-/// cost-balanced over scoped worker threads (inline when one range
-/// covers everything), scratches from `pool`. Row contents never depend
-/// on the partitioning: each row is one entity's serial sweep. The
+/// cost-balanced over the shared scoped-thread driver (inline when one
+/// range covers everything), scratches from `pool`. Row contents never
+/// depend on the partitioning: each row is one entity's serial sweep. The
 /// view's own block counts serve as the weight globals — the delta
 /// schemes read nothing beyond them.
 fn resweep_rows<V: BlockView + Sync>(
@@ -831,40 +652,19 @@ fn resweep_rows<V: BlockView + Sync>(
     targets: &[EntityId],
     threads: usize,
 ) {
-    if targets.is_empty() {
-        return;
-    }
     let costs: Vec<u64> = targets.iter().map(|&e| view.sweep_cost(e)).collect();
     let ranges = partition_by_cost(&costs, threads.max(1));
-    let mut fresh: Vec<Vec<(u32, f64)>> = vec![Vec::new(); targets.len()];
-    let sweep_range = |r: std::ops::Range<usize>, chunk: &mut [Vec<(u32, f64)>]| {
-        pool.with(|scratch| {
-            let mut weights: Vec<f64> = Vec::new();
-            for (row, &e) in chunk.iter_mut().zip(&targets[r]) {
-                scratch.sweep(view, e);
-                neighbour_weights(scheme, scratch, e.0, view, &mut weights);
-                row.extend(
-                    scratch
-                        .neighbours()
-                        .iter()
-                        .copied()
-                        .zip(weights.iter().copied()),
-                );
-            }
-        });
-    };
-    if let [r] = ranges.as_slice() {
-        sweep_range(r.clone(), &mut fresh);
-    } else {
-        let chunks = split_by_ends(&mut fresh, ranges.iter().map(|r| r.end));
-        let sweep_range = &sweep_range;
-        std::thread::scope(|s| {
-            for (r, chunk) in ranges.iter().zip(chunks) {
-                s.spawn(move || sweep_range(r.clone(), chunk));
-            }
-        });
-    }
-    for (row, &e) in fresh.into_iter().zip(targets) {
+    let weigher = Weigher::Scheme(scheme);
+    let fresh = for_each_range(&ranges, pool, |range, scratch| {
+        let mut buf = RowBuf::default();
+        let sweep_one = |&e: &EntityId| {
+            scratch.sweep(view, e);
+            weigher.fill(scratch, e.0, view, false, &mut buf);
+            buf.entries.clone()
+        };
+        targets[range].iter().map(sweep_one).collect::<Vec<_>>()
+    });
+    for (row, &e) in fresh.into_iter().flatten().zip(targets) {
         sorted_len[e.index()] = row.len() as u32;
         rows[e.index()] = row;
     }
@@ -915,26 +715,6 @@ fn mirror_append(
     }
     for &t in targets {
         mask[t.index()] = false;
-    }
-}
-
-/// A [`RowSource`] over the session's row cache that folds a row's
-/// mirror tail the first time the row is read — the first resolve after
-/// an ingest pays for the neighbourhood it loads, not for every row the
-/// ingest mirrored into. A folded row is sorted and duplicate-free, the
-/// shape a fresh sweep produces.
-struct CachedRows<'a> {
-    rows: &'a mut [Vec<(u32, f64)>],
-    sorted_len: &'a mut [u32],
-}
-
-impl RowSource for CachedRows<'_> {
-    fn load_row(&mut self, e: u32, out: &mut Vec<(u32, f64)>) {
-        out.clear();
-        if let Some(row) = self.rows.get_mut(e as usize) {
-            fold_tail(row, &mut self.sorted_len[e as usize]);
-            out.extend_from_slice(row);
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Every execution backend — the materialised pruners over the CSR graph
 //! ([`crate::prune`] via [`WeightingScheme::weight`]), the streaming sweeps
-//! ([`crate::streaming`]) and the MapReduce formulations
+//! (`crate::streaming`) and the MapReduce formulations
 //! ([`crate::parallel`]) — must produce *bit-identical* f64 weights. That
 //! only holds if the arithmetic lives in exactly one place: f64
 //! multiplication chains are association-order sensitive at the ulp level
@@ -19,13 +19,11 @@
 //!   `|B|`, and — for EJS — node degrees and `|V|`). Owned and cached
 //!   across runs by [`Session`](crate::Session)'s sweep state, so a
 //!   scheme sweep computes them once.
-//! * Crate-internal sweep-side helpers (`edge_weight`, `forward_weight`,
-//!   `neighbour_weights`, `combine_votes`) shared by the streaming and
-//!   MapReduce paths, which both reconstruct a node's incident statistics
-//!   with the epoch-reset `SweepScratch` and must iterate neighbours in
-//!   the same ascending order the edge slab is sorted in.
+//! * `edge_weight` (crate-internal) — the single kernel call site of the
+//!   sweep-based paths, which reconstruct a node's incident statistics
+//!   with the epoch-reset `SweepScratch`; `rule::Weigher` builds every
+//!   neighbourhood row through it.
 
-use crate::prune::WeightedPair;
 use crate::sweep::SweepScratch;
 use crate::weights::WeightingScheme;
 use minoan_blocking::{BlockCollection, BlockView};
@@ -219,65 +217,6 @@ pub(crate) fn edge_weight<G: EdgeGlobals>(
     )
 }
 
-/// Weight of the forward edge `(a, y)` (`a < y`) from the current
-/// sweep's stats — [`edge_weight`] with the endpoints already normalised.
-pub(crate) fn forward_weight(
-    scheme: WeightingScheme,
-    scratch: &SweepScratch,
-    a: u32,
-    y: u32,
-    globals: &WeightGlobals,
-) -> f64 {
-    edge_weight(scheme, scratch, globals, y, a, y)
-}
-
-/// Computes the weights of the current sweep's neighbours into `out`
-/// (ascending neighbour order — the same order the materialised path
-/// iterates a node's incident edges in, so local f64 means agree bitwise).
-pub(crate) fn neighbour_weights<G: EdgeGlobals>(
-    scheme: WeightingScheme,
-    scratch: &SweepScratch,
-    a: u32,
-    globals: &G,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.reserve(scratch.neighbours().len());
-    for &y in scratch.neighbours() {
-        let (lo, hi) = if a < y { (a, y) } else { (y, a) };
-        out.push(edge_weight(scheme, scratch, globals, y, lo, hi));
-    }
-}
-
-/// The pair `(a, y)` in normalised endpoint order with its weight.
-pub(crate) fn normalised(a: u32, y: u32, w: f64) -> WeightedPair {
-    let (lo, hi) = if a < y { (a, y) } else { (y, a) };
-    WeightedPair {
-        a: EntityId(lo),
-        b: EntityId(hi),
-        weight: w,
-    }
-}
-
-/// Combines per-node votes on the kept set: union keeps pairs emitted by
-/// ≥ 1 endpoint, reciprocal by both. Input must be sorted by pair.
-pub(crate) fn combine_votes(kept: Vec<WeightedPair>, reciprocal: bool) -> Vec<WeightedPair> {
-    let need = if reciprocal { 2 } else { 1 };
-    let mut out: Vec<WeightedPair> = Vec::with_capacity(kept.len());
-    let mut i = 0;
-    while i < kept.len() {
-        let mut j = i + 1;
-        while j < kept.len() && (kept[j].a, kept[j].b) == (kept[i].a, kept[i].b) {
-            j += 1;
-        }
-        if j - i >= need {
-            out.push(kept[i]);
-        }
-        i = j;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,20 +248,5 @@ mod tests {
             weight_from_stats(WeightingScheme::Js, 0, 0.0, 0, 0, 4, 0, 0, 0),
             0.0
         );
-    }
-
-    #[test]
-    fn combine_votes_union_vs_reciprocal() {
-        let p = |a: u32, b: u32| WeightedPair {
-            a: EntityId(a),
-            b: EntityId(b),
-            weight: 1.0,
-        };
-        let kept = vec![p(0, 1), p(0, 1), p(0, 2), p(1, 3)];
-        let union = combine_votes(kept.clone(), false);
-        assert_eq!(union.len(), 3);
-        let recip = combine_votes(kept, true);
-        assert_eq!(recip.len(), 1);
-        assert_eq!((recip[0].a, recip[0].b), (EntityId(0), EntityId(1)));
     }
 }

@@ -67,21 +67,25 @@
 //!   for anything that needs random access to the whole edge set or
 //!   reuses one graph across many pruning runs.
 //! * **Streaming** — *every* pruning family runs without the global edge
-//!   slab: [`streaming`] sweeps the collection entity by entity,
-//!   reconstructing each node's incident statistics in dense epoch-reset
-//!   accumulators, and emits only the kept pairs. The node-centric
-//!   algorithms (WNP, CNP, BLAST) prune per neighbourhood; the global
-//!   criteria reduce deterministically — WEP via a fixed-shape pairwise
-//!   mean, CEP via per-thread bounded top-k heaps merged under a strict
-//!   total order, the supervised feature maxima via exact f64 `max`.
+//!   slab: the `streaming` driver sweeps the collection entity by entity
+//!   on scoped threads, reconstructing each node's neighbourhood row in
+//!   dense epoch-reset accumulators, and emits only the kept pairs.
 //! * **MapReduce** — the paper's distributed formulation (reference
 //!   \[4\]) on [`minoan_mapreduce`]: [`parallel`] runs every pruning
-//!   family as *entity-partitioned* jobs that map over entity ranges,
-//!   rebuild each node's weighted neighbourhood with the same sweep
-//!   kernel, and apply the pruning criterion reducer-side — shuffling at
-//!   most one record per entity neighbourhood instead of one per pair
-//!   occurrence (the edge-based strategy, kept as a baseline). These runs
-//!   also fill [`PruneOutcome::report`] with per-job [`JobReport`] stats.
+//!   family as *entity-partitioned* jobs that shuffle at most one record
+//!   per entity neighbourhood instead of one per pair occurrence (the
+//!   edge-based strategy, kept as a baseline). These runs also fill
+//!   [`PruneOutcome::report`] with per-job [`JobReport`] stats.
+//!
+//! The two sweeping backends — and the incremental and query-time arms
+//! below — are *drivers* over one definition of each pruning family: a
+//! global criterion reduced once per corpus (WEP's fixed-shape pairwise
+//! mean, CEP's bounded top-k heaps merged under a strict total order,
+//! exact f64 `max` for BLAST's and the supervised pruner's maxima), a
+//! rule over one neighbourhood row, and a vote combiner. A driver only
+//! decides which rows are visited and where the reduction merges. The
+//! materialised pruning bodies stay independent of that definition: they
+//! are the reference it is tested against.
 //!
 //! Output is bit-identical across all three backends for every method,
 //! scheme, variant, thread count and worker count (enforced by property
@@ -92,11 +96,22 @@
 //! # Modules
 //!
 //! * [`session`] — the [`Session`] entry point described above.
+//! * `rule` (crate-internal) — each pruning family stated once over a
+//!   neighbourhood row, and the run/resolve plans every driver executes.
+//! * `streaming` (crate-internal) — the scoped-thread row driver.
+//! * [`parallel`] — the MapReduce row driver (entity-based strategy of
+//!   reference \[4\]) and the edge-based baseline, on
+//!   [`minoan_mapreduce`].
 //! * [`incremental`] — the *updatable* arm: [`IncrementalSession`]
 //!   ingests description batches through the delta-appendable block
 //!   slabs and patches a per-entity weight-row cache by re-sweeping only
-//!   the dirty entities, keeping its [`PruneOutcome`] bit-identical to a
-//!   from-scratch run on the merged corpus.
+//!   the dirty entities; its outcome is the same rules driven over the
+//!   cached rows, bit-identical to a from-scratch run.
+//! * [`query`] — query-time resolution: the single-neighbourhood driver
+//!   behind [`Session::resolve_entity`] and
+//!   [`IncrementalSession::resolve_entity`], bit-identical to the
+//!   incident slice of a full run, plus the [`NeighbourhoodCache`]
+//!   backing the resolution server.
 //! * [`graph`] — the CSR blocking graph: one node per description, one
 //!   edge per *distinct* comparable pair, annotated with co-occurrence
 //!   statistics.
@@ -104,29 +119,15 @@
 //!   backends compute through.
 //! * [`weights`] — the five standard edge-weighting schemes (CBS, ECBS,
 //!   JS, EJS, ARCS).
-//! * [`prune`] — the materialised pruning bodies over a built graph,
-//!   plus the output type [`PrunedComparisons`] and the default-k
-//!   helpers.
-//! * [`streaming`] — the on-the-fly backend described above.
-//! * [`blast`](mod@blast) — BLAST's χ² weighting with loose per-node
-//!   pruning.
-//! * [`parallel`] — the MapReduce formulations of reference \[4\]
-//!   (entity-based and edge-based strategies) on [`minoan_mapreduce`].
+//! * [`prune`] — the materialised pruning bodies over a built graph (the
+//!   reference the drivers are compared against), plus the output type
+//!   [`PrunedComparisons`] and the default-k helpers.
+//! * [`blast`](mod@blast) — BLAST's χ² weighting and its materialised
+//!   loose per-node pruning.
 //! * [`supervised`] — perceptron-based supervised meta-blocking
-//!   (training, features, batched extraction).
-//! * [`query`] — query-time resolution: single-entity neighbourhood
-//!   sweeps ([`Session::resolve_entity`],
-//!   [`IncrementalSession::resolve_entity`]) bit-identical to the
-//!   incident slice of a full run, plus the [`NeighbourhoodCache`]
-//!   backing the resolution server.
+//!   (training, features, batched extraction, materialised pruning).
 //! * [`probe`] — build/allocation counters backing the state-reuse
 //!   assertions.
-//!
-//! The per-backend free functions that predate the session
-//! (`prune::wnp`, `streaming::cep`, `parallel::wep_with_report`, …) still
-//! exist as `#[doc(hidden)]` shims over the session bodies: the
-//! cross-backend equivalence suites pin bit-identity against them, but
-//! new code should go through [`Session`].
 
 #![forbid(unsafe_code)]
 
@@ -138,8 +139,9 @@ pub mod parallel;
 pub mod probe;
 pub mod prune;
 pub mod query;
+mod rule;
 pub mod session;
-pub mod streaming;
+mod streaming;
 pub mod supervised;
 mod sweep;
 pub mod weights;
@@ -153,7 +155,6 @@ pub use parallel::JobReport;
 pub use prune::{PrunedComparisons, WeightedPair};
 pub use query::{locally_invalidatable, NeighbourhoodCache, ResolvedEntity};
 pub use session::{PruneOutcome, Pruning, Session};
-pub use streaming::StreamingOptions;
 #[doc(hidden)]
 pub use supervised::supervised_prune;
 pub use supervised::{EdgeFeatures, FeatureExtractor, Perceptron, TrainingSet};
@@ -165,9 +166,9 @@ pub enum ExecutionBackend {
     /// Build the CSR blocking graph, then prune it ([`prune`]).
     #[default]
     Materialized,
-    /// Streaming sweeps; the global edge set is never materialised for
-    /// *any* pruning method (node-centric WNP/CNP/BLAST and edge-centric
-    /// WEP/CEP alike) — see [`streaming`].
+    /// Scoped-thread sweeps; the global edge set is never materialised
+    /// for *any* pruning method (node-centric WNP/CNP/BLAST and
+    /// edge-centric WEP/CEP alike).
     Streaming,
     /// Entity-partitioned MapReduce jobs on [`minoan_mapreduce`] — see
     /// [`parallel`]. The worker count is configured on the engine (or the
@@ -203,10 +204,6 @@ impl ExecutionBackend {
         }
     }
 }
-
-/// The pre-PR-3 name of [`ExecutionBackend`], kept so existing two-way
-/// call sites keep compiling; the MapReduce variant makes it three-way.
-pub type GraphBackend = ExecutionBackend;
 
 /// The one definition of "bit-identical pruning output" the in-crate
 /// equivalence tests assert: same input-edge count, same pair order,

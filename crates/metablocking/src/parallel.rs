@@ -1,65 +1,68 @@
-//! Parallel meta-blocking on the MapReduce substrate (reference \[4\]) —
-//! the MapReduce arm of [`Session`](crate::Session).
+//! The MapReduce backend (reference \[4\]): an [`Engine`] row driver,
+//! plus the paper's edge-based strategy kept as the measured baseline.
 //!
 //! Both of the paper's strategies are reproduced, and they differ in what
 //! gets shuffled:
 //!
-//! * **edge-based** ([`parallel_edge_weights`], plus `parallel_wep` /
-//!   `parallel_cnp`): map over *blocks* emitting one record per
-//!   comparison occurrence keyed by the pair; the reducer aggregates each
-//!   pair's co-occurrence statistics (CBS count, ARCS sum) so every edge
-//!   weight is computed exactly once — the repeated-comparison
-//!   elimination happens in the shuffle. Shuffle volume:
-//!   `Σ_b ‖b‖` records — one per pair *occurrence*, which on token
-//!   blocking is typically an order of magnitude above the distinct-edge
-//!   count `|V|`. Kept as the measured baseline.
+//! * **edge-based** ([`parallel_edge_weights_with_stats`]): map over
+//!   *blocks* emitting one record per comparison occurrence keyed by the
+//!   pair; the reducer aggregates each pair's co-occurrence statistics
+//!   (CBS count, ARCS sum) so every edge weight is computed exactly once
+//!   — the repeated-comparison elimination happens in the shuffle.
+//!   Shuffle volume: `Σ_b ‖b‖` records — one per pair *occurrence*,
+//!   which on token blocking is typically an order of magnitude above
+//!   the distinct-edge count `|V|`. Kept as the measured baseline.
 //! * **entity-based** (everything the session dispatches here): map over
 //!   contiguous *entity ranges*, run the node-centric sweep kernel
 //!   locally (the same epoch-reset scratch the streaming backend uses,
-//!   drawn from the session's shared pool) to rebuild each node's
-//!   weighted neighbourhood, and emit **at most one record per entity
-//!   neighbourhood** keyed by the entity; the reducer applies the pruning
-//!   criterion to the neighbourhood it owns. Where the criterion permits,
-//!   the fold happens map-side and the shuffled record shrinks further:
-//!   WEP's sum job ships one scalar per entity, CEP one bounded top-k and
-//!   the supervised maxima one 7-float vector per map split. Shuffle
-//!   volume: at most `|E|` records (entities with ≥ 1 neighbour) for the
-//!   weighting job plus at most `2·|kept|` tiny records for the
-//!   node-centric vote job — per-occurrence shuffling never happens,
-//!   which is exactly why the paper prefers this strategy at scale.
+//!   drawn from the session's shared pool) to rebuild each node's row,
+//!   and shuffle **at most one record per entity neighbourhood**.
 //!
-//! Every weight is computed through the shared
-//! [`kernel::weight_from_stats`] body and every global criterion through
-//! the same deterministic reductions as the other backends (WEP's
-//! fixed-shape pairwise mean over positive weights, the strict
-//! `(weight, Reverse(pair))` top-k total order, exact f64 `max` merges),
-//! so results are **bit-identical** to both the materialised and
-//! streaming backends at *any* worker count —
-//! `tests/parallel_consistency.rs` asserts the full scheme × family ×
-//! worker matrix, and each run returns its per-job [`JobStats`] (via
-//! [`JobReport`], surfaced on
+//! What a row *means* lives in the crate-internal `rule` module; this
+//! driver decides which rows are visited — every entity with a comparable
+//! neighbour, over a few cost-balanced entity-range splits per worker (so
+//! the engine's greedy scheduler can smooth skew) — and where the
+//! reduction merges, one job per pass:
+//!
+//! * **Criterion job** (`wep/partial-sums`, `cep/local-topk`,
+//!   `blast/local-maxima`, `supervised/feature-maxima`): each map split
+//!   folds its rows map-side into one share and ships it — one scalar
+//!   record per entity for the per-entity slabs (WEP's sums, BLAST's
+//!   maxima), one record per split for CEP's bounded heap and the
+//!   supervised feature maxima; reducers merge the records under a key,
+//!   the driver merges the reducer outputs.
+//! * **Keep job** (`weighted-edges`, `wep/filter`, `wnp/neighbourhoods`,
+//!   `cnp/neighbourhoods`, `blast/filter`, `supervised/score`): the map
+//!   side emits each entity's row as one record keyed by the entity; the
+//!   reducer that owns the neighbourhood applies the rule to it.
+//! * **Vote job** (`wnp/votes`, `cnp/votes`): re-keys each endpoint vote
+//!   by the pair and counts — at most `2·|kept|` tiny records.
+//! * **Counting job** (`count`): one `(entity, degree)` record per active
+//!   entity, at most once per session, when a pass reads the counted
+//!   globals (EJS, the supervised features, CNP's default `k`, a bare |V|).
+//!
+//! Results are **bit-identical** to the materialised and streaming
+//! backends at *any* worker count — `tests/parallel_consistency.rs`
+//! asserts the full scheme × family × worker matrix — and each run
+//! returns its per-job [`JobStats`] (via [`JobReport`], surfaced on
 //! [`PruneOutcome::report`](crate::PruneOutcome)) so the shuffle-volume
 //! gap between the two strategies is measurable
 //! (`BENCH_metablocking.json` records it).
-//!
-//! The per-family free functions are `#[doc(hidden)]` shims over the
-//! session bodies, kept so the equivalence suites pin bit-identity
-//! against the pre-session surface.
 
-use crate::kernel::{self, WeightGlobals};
-use crate::prune::{self, PrunedComparisons, WeightedPair};
-use crate::supervised::{self, Perceptron, NUM_FEATURES};
-use crate::sweep::{ScratchPool, SweepScratch, SweepState};
+use crate::kernel;
+use crate::prune::WeightedPair;
+use crate::rule::{
+    forward_len, votes_needed, CriterionFold, Partial, RowBuf, RowDriver, Rule, Weigher,
+};
+use crate::session::Pruning;
+use crate::sweep::SweepState;
 use crate::weights::WeightingScheme;
 use minoan_blocking::BlockCollection;
-use minoan_common::stats::mean;
-use minoan_common::{OrdF64, TopK};
 use minoan_mapreduce::{Engine, JobStats};
 use minoan_rdf::EntityId;
-use std::cmp::Reverse;
 
-/// Counter name: forward (`a < b`) edges seen by the weighting job — the
-/// distinct-edge count `|V|` when no counting job ran.
+/// Counter name: forward (`a < b`) edges seen by a job — the
+/// distinct-edge count `|V|`.
 const FWD_EDGES: &str = "forward_edges";
 
 /// Per-job execution statistics of one meta-blocking MapReduce run
@@ -113,827 +116,203 @@ fn pair_partitioner(n: usize) -> impl Fn(&(EntityId, EntityId), usize) -> usize 
     move |k: &(EntityId, EntityId), parts: usize| (k.0.index() * parts) / n
 }
 
-/// The read-only context every entity-partitioned job maps with: the
-/// collection, the session-cached globals and scratch pool, and the
-/// cost-balanced map-input splits (a few per worker so the engine's
-/// greedy scheduler can smooth skew).
-struct JobCtx<'a> {
-    collection: &'a BlockCollection,
-    globals: &'a WeightGlobals,
-    pool: &'a ScratchPool,
-    splits: Vec<std::ops::Range<usize>>,
+/// The `[criterion, keep, votes]` job labels of a family ("" where the
+/// family runs no such job).
+fn job_labels(pruning: &Pruning) -> [&'static str; 3] {
+    match pruning {
+        Pruning::None => ["", "weighted-edges", ""],
+        Pruning::Wep => ["wep/partial-sums", "wep/filter", ""],
+        Pruning::Cep(_) => ["cep/local-topk", "", ""],
+        Pruning::Wnp { .. } => ["", "wnp/neighbourhoods", "wnp/votes"],
+        Pruning::Cnp { .. } => ["", "cnp/neighbourhoods", "cnp/votes"],
+        Pruning::Blast { .. } => ["blast/local-maxima", "blast/filter", ""],
+        Pruning::Supervised(_) => ["supervised/feature-maxima", "supervised/score", ""],
+    }
 }
 
-impl<'a> JobCtx<'a> {
-    /// Borrows the session state for job execution; call after the
-    /// globals tier has been ensured.
-    fn new(st: &'a mut SweepState<'_>, engine: &Engine) -> Self {
-        let splits = st.ranges(engine.workers() * 4);
+/// The [`Engine`] [`RowDriver`] over a session's sweep state: every pass
+/// is one entity-partitioned job, recorded in [`Self::report`].
+pub(crate) struct MapReduce<'s, 'c> {
+    st: &'s mut SweepState<'c>,
+    engine: &'s Engine,
+    labels: [&'static str; 3],
+    /// The jobs run so far, in execution order.
+    pub(crate) report: JobReport,
+}
+
+impl<'s, 'c> MapReduce<'s, 'c> {
+    /// A driver for one run of `pruning` (which names the jobs).
+    pub(crate) fn new(st: &'s mut SweepState<'c>, engine: &'s Engine, pruning: &Pruning) -> Self {
         Self {
-            collection: st.collection,
-            globals: st.globals(),
-            pool: &st.pool,
+            st,
+            engine,
+            labels: job_labels(pruning),
+            report: JobReport::default(),
+        }
+    }
+
+    /// Ensures the globals tier a job maps with. The basic tier is free;
+    /// the counted tier (degrees, |V|, active nodes) runs as one
+    /// entity-partitioned counting job — shuffling one `(entity, degree)`
+    /// record per active entity — unless the session already counted (in
+    /// which case no job runs and no stats are reported).
+    fn ensure(&mut self, counted: bool) {
+        self.st.ensure(false, 1);
+        if !counted || self.st.is_counted() {
+            return;
+        }
+        let n = self.st.collection.num_entities();
+        let splits = self.splits();
+        let (collection, pool) = (self.st.collection, &self.st.pool);
+        let result = self.engine.run_partitioned(
             splits,
-        }
-    }
-}
-
-/// Ensures the globals tier the run needs. The basic tier is free; the
-/// counted tier (degrees, |V|, active nodes) runs as one
-/// entity-partitioned counting job — shuffling one `(entity, degree)`
-/// record per active entity — unless the session already counted (in
-/// which case no job runs and no stats are reported).
-fn ensure_globals_job(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    need_counts: bool,
-    engine: &Engine,
-    report: &mut JobReport,
-) {
-    if scheme != WeightingScheme::Ejs && !need_counts {
-        st.ensure_basic();
-        return;
-    }
-    if st.is_counted() {
-        return;
-    }
-    st.ensure_basic();
-    let n = st.collection.num_entities();
-    let splits = st.ranges(engine.workers() * 4);
-    let collection = st.collection;
-    let pool = &st.pool;
-    let result = engine.run_partitioned(
-        splits,
-        entity_partitioner(n),
-        |range, emit, _c| {
-            pool.with(|scratch| {
-                for a in range.clone() {
-                    scratch.sweep(collection, EntityId(a as u32));
-                    let d = scratch.neighbours().len() as u32;
-                    if d > 0 {
-                        emit(a as u32, d);
+            entity_partitioner(n),
+            |range, emit, _c| {
+                pool.with(|scratch| {
+                    for a in range.clone() {
+                        let d = scratch.sweep(collection, EntityId(a as u32)).len() as u32;
+                        if d > 0 {
+                            emit(a as u32, d);
+                        }
                     }
-                }
-            })
-        },
-        |&a, degs, out, _c| out.push((a, degs[0])),
-    );
-    report.push("count", result.stats);
-    let mut degrees = vec![0u32; n];
-    for &(a, d) in &result.output {
-        degrees[a as usize] = d;
-    }
-    st.apply_count(degrees);
-}
-
-/// The entity-partitioned weighting job shared by every entity-based
-/// pruner: map over entity ranges, sweep each entity with the shared
-/// kernel, and emit its weighted neighbourhood — `(neighbour, weight)`
-/// in ascending neighbour order, forward (`y > a`) edges only when
-/// `forward_only` — as **one record keyed by the entity**; `reduce`
-/// applies the pruning criterion to the neighbourhood it owns. Returns
-/// the reduce output (ordered by entity key), the forward-edge count and
-/// the job stats.
-fn neighbourhood_job<O, R>(
-    cx: &JobCtx<'_>,
-    scheme: WeightingScheme,
-    forward_only: bool,
-    engine: &Engine,
-    reduce: R,
-) -> (Vec<O>, u64, JobStats)
-where
-    O: Send,
-    R: Fn(u32, &[(u32, f64)], &mut Vec<O>) + Sync,
-{
-    let (collection, globals, pool) = (cx.collection, cx.globals, cx.pool);
-    let n = collection.num_entities();
-    let result = engine.run_partitioned(
-        cx.splits.clone(),
-        entity_partitioner(n),
-        |range, emit, c| {
-            pool.with(|scratch| {
-                let mut weights: Vec<f64> = Vec::new();
-                for a in range.clone() {
-                    let a = a as u32;
-                    scratch.sweep(collection, EntityId(a));
-                    if scratch.neighbours().is_empty() {
-                        continue;
-                    }
-                    let record: Vec<(u32, f64)> = if forward_only {
-                        scratch
-                            .neighbours()
-                            .iter()
-                            .filter(|&&y| y > a)
-                            .map(|&y| (y, kernel::forward_weight(scheme, scratch, a, y, globals)))
-                            .collect()
-                    } else {
-                        kernel::neighbour_weights(scheme, scratch, a, globals, &mut weights);
-                        scratch
-                            .neighbours()
-                            .iter()
-                            .copied()
-                            .zip(weights.iter().copied())
-                            .collect()
-                    };
-                    let fwd = if forward_only {
-                        record.len() as u64
-                    } else {
-                        record.iter().filter(|&&(y, _)| y > a).count() as u64
-                    };
-                    c.add(FWD_EDGES, fwd);
-                    if !record.is_empty() {
-                        emit(a, record);
-                    }
-                }
-            })
-        },
-        |&a, neighbourhoods, out, _c| {
-            // Exactly one neighbourhood record arrives per entity key.
-            for neigh in neighbourhoods.iter() {
-                reduce(a, neigh, out);
-            }
-        },
-    );
-    let fwd = result.counters.get(FWD_EDGES);
-    (result.output, fwd, result.stats)
-}
-
-/// The vote-combination job of the node-centric pruners: re-key each
-/// locally-kept pair by the pair itself and keep it when enough endpoints
-/// voted for it (1 under union, 2 under reciprocal semantics). Output is
-/// ordered by pair, so the result is deterministic at any worker count.
-fn vote_job(
-    kept: Vec<WeightedPair>,
-    reciprocal: bool,
-    n: usize,
-    engine: &Engine,
-) -> (Vec<WeightedPair>, JobStats) {
-    let need = if reciprocal { 2 } else { 1 };
-    let result = engine.run_partitioned(
-        kept,
-        pair_partitioner(n),
-        |p, emit, _c| emit((p.a, p.b), p.weight),
-        move |&(a, b), ws, out, _c| {
-            if ws.len() >= need {
-                // Both endpoints computed the weight through the kernel in
-                // normalised endpoint order, so the votes carry identical
-                // bits; the first is as good as any.
-                out.push(WeightedPair {
-                    a,
-                    b,
-                    weight: ws[0],
-                });
-            }
-        },
-    );
-    (result.output, result.stats)
-}
-
-fn input_edges_of(globals: &WeightGlobals, fwd: u64) -> usize {
-    if globals.num_edges > 0 {
-        globals.num_edges
-    } else {
-        fwd as usize
-    }
-}
-
-/// Entity-based Weighted Node Pruning — bit-identical to the other
-/// backends at any worker count.
-#[doc(hidden)]
-pub fn wnp(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    engine: &Engine,
-) -> PrunedComparisons {
-    wnp_with_report(collection, scheme, reciprocal, engine).0
-}
-
-/// [`wnp`], also returning the per-job execution statistics.
-#[doc(hidden)]
-pub fn wnp_with_report(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    wnp_session(&mut SweepState::new(collection), scheme, reciprocal, engine)
-}
-
-/// The session body of entity-based WNP.
-pub(crate) fn wnp_session(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    let mut report = JobReport::default();
-    ensure_globals_job(st, scheme, false, engine, &mut report);
-    let cx = JobCtx::new(st, engine);
-    let (kept, fwd, stats) = neighbourhood_job(&cx, scheme, false, engine, |a, neigh, out| {
-        let ws: Vec<f64> = neigh.iter().map(|&(_, w)| w).collect();
-        let threshold = mean(&ws);
-        for &(y, w) in neigh {
-            if w >= threshold && w > 0.0 {
-                out.push(kernel::normalised(a, y, w));
-            }
-        }
-    });
-    report.push("wnp/neighbourhoods", stats);
-    let (pairs, vstats) = vote_job(kept, reciprocal, cx.collection.num_entities(), engine);
-    report.push("wnp/votes", vstats);
-    let out =
-        PrunedComparisons::from_weighted_pairs(pairs, scheme, input_edges_of(cx.globals, fwd));
-    (out, report)
-}
-
-/// Entity-based Cardinality Node Pruning — bit-identical to the other
-/// backends at any worker count.
-#[doc(hidden)]
-pub fn cnp(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    k: Option<usize>,
-    engine: &Engine,
-) -> PrunedComparisons {
-    cnp_with_report(collection, scheme, reciprocal, k, engine).0
-}
-
-/// [`cnp`], also returning the per-job execution statistics.
-#[doc(hidden)]
-pub fn cnp_with_report(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    k: Option<usize>,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    cnp_session(
-        &mut SweepState::new(collection),
-        scheme,
-        reciprocal,
-        k,
-        engine,
-    )
-}
-
-/// The session body of entity-based CNP.
-pub(crate) fn cnp_session(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    k: Option<usize>,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    let mut report = JobReport::default();
-    // The default k needs the active-node count, which needs the counting
-    // job anyway; EJS needs one for degrees.
-    ensure_globals_job(st, scheme, k.is_none(), engine, &mut report);
-    let k = k.unwrap_or_else(|| {
-        prune::default_cnp_k_from(st.collection.total_assignments(), st.globals().active_nodes)
-    });
-    if k == 0 {
-        // Explicit zero cardinality: mirror `prune::cnp`'s guard, still
-        // reporting the input-edge count.
-        ensure_globals_job(st, scheme, true, engine, &mut report);
-        return (
-            PrunedComparisons::empty(scheme, st.globals().num_edges),
-            report,
+                })
+            },
+            |&a, degs, out, _c| out.push((a, degs[0])),
         );
+        self.report.push("count", result.stats);
+        let mut degrees = vec![0u32; n];
+        for &(a, d) in &result.output {
+            degrees[a as usize] = d;
+        }
+        self.st.apply_count(degrees);
     }
-    let cx = JobCtx::new(st, engine);
-    let (kept, fwd, stats) = neighbourhood_job(&cx, scheme, false, engine, |a, neigh, out| {
-        // Same selector the other backends use; tie-breaking by
-        // normalised pair is order-isomorphic to the edge index.
-        let mut top: TopK<(OrdF64, Reverse<(EntityId, EntityId)>)> = TopK::new(k);
-        for &(y, w) in neigh {
-            if w > 0.0 {
-                let p = kernel::normalised(a, y, w);
-                top.push((OrdF64(w), Reverse((p.a, p.b))));
-            }
-        }
-        for (w, r) in top.into_sorted_vec() {
-            out.push(WeightedPair {
-                a: r.0 .0,
-                b: r.0 .1,
-                weight: w.0,
-            });
-        }
-    });
-    report.push("cnp/neighbourhoods", stats);
-    let (pairs, vstats) = vote_job(kept, reciprocal, cx.collection.num_entities(), engine);
-    report.push("cnp/votes", vstats);
-    let out =
-        PrunedComparisons::from_weighted_pairs(pairs, scheme, input_edges_of(cx.globals, fwd));
-    (out, report)
+
+    /// The cost-balanced map-input splits: a few per worker.
+    fn splits(&mut self) -> Vec<std::ops::Range<usize>> {
+        self.st.ranges(self.engine.workers() * 4)
+    }
 }
 
-/// Entity-based Weighted Edge Pruning — bit-identical to the other
-/// backends at any worker count.
-#[doc(hidden)]
-pub fn wep(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    engine: &Engine,
-) -> PrunedComparisons {
-    wep_with_report(collection, scheme, engine).0
-}
+impl RowDriver for MapReduce<'_, '_> {
+    fn num_entities(&self) -> usize {
+        self.st.collection.num_entities()
+    }
 
-/// [`wep`], also returning the per-job execution statistics.
-#[doc(hidden)]
-pub fn wep_with_report(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    wep_session(&mut SweepState::new(collection), scheme, engine)
-}
+    fn total_assignments(&self) -> u64 {
+        self.st.collection.total_assignments()
+    }
 
-/// The session body of entity-based WEP.
-///
-/// Two chained jobs: job 1 folds each entity's neighbourhood map-side
-/// into its positive forward-weight sum (one *scalar* record per entity
-/// in the shuffle); the global threshold comes from the same
-/// fixed-length-slab pairwise mean as the other backends
-/// (`prune::wep_threshold_from_sums`), so it is independent of the
-/// partitioning. Job 2 re-sweeps and keeps the edges at or above the
-/// threshold.
-pub(crate) fn wep_session(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    let mut report = JobReport::default();
-    ensure_globals_job(st, scheme, false, engine, &mut report);
-    let cx = JobCtx::new(st, engine);
-    let (collection, globals, pool) = (cx.collection, cx.globals, cx.pool);
-    let n = collection.num_entities();
+    fn active_nodes(&mut self) -> usize {
+        self.ensure(true);
+        self.st.globals().active_nodes
+    }
 
-    // Job 1 — per-entity partial sums of positive forward-edge weights,
-    // accumulated map-side in ascending neighbour order (the slab order),
-    // so the shuffle carries one scalar per entity, never an edge list.
-    let result = engine.run_partitioned(
-        cx.splits.clone(),
-        entity_partitioner(n),
-        |range, emit, c| {
-            pool.with(|scratch| {
-                for a in range.clone() {
-                    let a = a as u32;
-                    scratch.sweep(collection, EntityId(a));
-                    let (mut sum, mut pos, mut fwd) = (0.0f64, 0u64, 0u64);
-                    for &y in scratch.neighbours() {
-                        if y <= a {
+    fn num_edges(&mut self) -> usize {
+        self.ensure(true);
+        self.st.globals().num_edges
+    }
+
+    fn reduce(&mut self, weigher: Weigher, fold: &CriterionFold) -> (Partial, u64) {
+        self.ensure(weigher.needs_counts());
+        let n = self.st.collection.num_entities();
+        let splits = self.splits();
+        let (collection, globals, pool) = (self.st.collection, self.st.globals(), &self.st.pool);
+        let result = self.engine.run_partitioned(
+            splits,
+            entity_partitioner(n),
+            |range, emit, c| {
+                pool.with(|scratch| {
+                    let mut share = fold.init();
+                    let mut buf = RowBuf::default();
+                    let mut forward = 0u64;
+                    for a in range.clone() {
+                        let a = a as u32;
+                        if scratch.sweep(collection, EntityId(a)).is_empty() {
                             continue;
                         }
-                        fwd += 1;
-                        let w = kernel::forward_weight(scheme, scratch, a, y, globals);
-                        if w > 0.0 {
-                            sum += w;
-                            pos += 1;
-                        }
+                        weigher.fill(scratch, a, globals, fold.forward_only(), &mut buf);
+                        forward += forward_len(a, &buf.entries);
+                        fold.fold(&mut share, buf.row(a));
                     }
-                    c.add(FWD_EDGES, fwd);
-                    if pos > 0 {
-                        emit(a, (sum, pos));
+                    c.add(FWD_EDGES, forward);
+                    for (key, record) in share.into_records() {
+                        emit(key, record);
                     }
-                }
-            })
-        },
-        |&a, partials, out, _c| out.push((a, partials[0])),
-    );
-    let fwd = result.counters.get(FWD_EDGES);
-    report.push("wep/partial-sums", result.stats);
-    let mut sums = vec![0.0f64; n];
-    let mut positive = 0u64;
-    for &(a, (sum, pos)) in &result.output {
-        sums[a as usize] = sum;
-        positive += pos;
-    }
-    let threshold = prune::wep_threshold_from_sums(&sums, positive);
-
-    // Job 2 — re-sweep and keep each edge once, at its smaller endpoint.
-    let (kept, _, s2) = neighbourhood_job(&cx, scheme, true, engine, move |a, neigh, out| {
-        for &(y, w) in neigh {
-            if w >= threshold && w > 0.0 {
-                out.push(WeightedPair {
-                    a: EntityId(a),
-                    b: EntityId(y),
-                    weight: w,
-                });
-            }
-        }
-    });
-    report.push("wep/filter", s2);
-    let out = PrunedComparisons::from_weighted_pairs(kept, scheme, input_edges_of(globals, fwd));
-    (out, report)
-}
-
-/// Key of the CEP selection order: weight descending, ties to the
-/// *earlier* pair — identical to the other backends' total order.
-type CepKey = (OrdF64, Reverse<(EntityId, EntityId)>);
-
-/// Entity-based Cardinality Edge Pruning — bit-identical to the other
-/// backends at any worker count.
-#[doc(hidden)]
-pub fn cep(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    k: Option<usize>,
-    engine: &Engine,
-) -> PrunedComparisons {
-    cep_with_report(collection, scheme, k, engine).0
-}
-
-/// [`cep`], also returning the per-job execution statistics.
-#[doc(hidden)]
-pub fn cep_with_report(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    k: Option<usize>,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    cep_session(&mut SweepState::new(collection), scheme, k, engine)
-}
-
-/// The session body of entity-based CEP.
-///
-/// Each map split folds the forward edges of its whole entity range into
-/// one bounded top-k heap (mirroring the streaming backend's per-thread
-/// heaps) and ships a single record; the single reducer merges the local
-/// winners under the strict `(weight, Reverse(pair))` total order, which
-/// makes the merged set the exact global top-k for any partitioning.
-pub(crate) fn cep_session(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    k: Option<usize>,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    let mut report = JobReport::default();
-    let k = k.unwrap_or_else(|| prune::default_cep_k_from(st.collection.total_assignments()));
-    if k == 0 {
-        // Degenerate cardinality (empty or single-assignment collection):
-        // count the edges for the stats, keep nothing.
-        ensure_globals_job(st, scheme, true, engine, &mut report);
-        return (
-            PrunedComparisons::empty(scheme, st.globals().num_edges),
-            report,
+                })
+            },
+            |_key, records: &mut Vec<Partial>, out, _c| {
+                out.extend(Partial::merged(records.drain(..)))
+            },
         );
-    }
-    ensure_globals_job(st, scheme, false, engine, &mut report);
-    let cx = JobCtx::new(st, engine);
-    let (collection, globals, pool) = (cx.collection, cx.globals, cx.pool);
-    let result = engine.run_partitioned(
-        cx.splits.clone(),
-        |_k: &u8, _parts| 0,
-        |range, emit, c| {
-            pool.with(|scratch| {
-                let mut top: TopK<CepKey> = TopK::new(k);
-                let mut fwd = 0u64;
-                for a in range.clone() {
-                    let a = a as u32;
-                    scratch.sweep(collection, EntityId(a));
-                    for &y in scratch.neighbours() {
-                        if y <= a {
-                            continue;
-                        }
-                        fwd += 1;
-                        let w = kernel::forward_weight(scheme, scratch, a, y, globals);
-                        if w > 0.0 {
-                            top.push((OrdF64(w), Reverse((EntityId(a), EntityId(y)))));
-                        }
-                    }
-                }
-                c.add(FWD_EDGES, fwd);
-                let local = top.into_sorted_vec();
-                if !local.is_empty() {
-                    emit(0u8, local);
-                }
-            })
-        },
-        |_key, locals, out, _c| {
-            let mut merged: TopK<CepKey> = TopK::new(k);
-            for local in locals.iter() {
-                for &item in local {
-                    merged.push(item);
-                }
-            }
-            for (w, r) in merged.into_sorted_vec() {
-                out.push(WeightedPair {
-                    a: r.0 .0,
-                    b: r.0 .1,
-                    weight: w.0,
-                });
-            }
-        },
-    );
-    let fwd = result.counters.get(FWD_EDGES);
-    report.push("cep/local-topk", result.stats);
-    let out =
-        PrunedComparisons::from_weighted_pairs(result.output, scheme, input_edges_of(globals, fwd));
-    (out, report)
-}
-
-/// Entity-based BLAST — bit-identical to the other backends at any
-/// worker count.
-///
-/// # Panics
-/// Panics unless `0 < ratio ≤ 1`.
-#[doc(hidden)]
-pub fn blast(collection: &BlockCollection, ratio: f64, engine: &Engine) -> PrunedComparisons {
-    blast_with_report(collection, ratio, engine).0
-}
-
-/// [`blast`], also returning the per-job execution statistics.
-#[doc(hidden)]
-pub fn blast_with_report(
-    collection: &BlockCollection,
-    ratio: f64,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    blast_session(&mut SweepState::new(collection), ratio, engine)
-}
-
-/// The session body of entity-based BLAST. Job 1 reduces each
-/// neighbourhood to its local χ² maximum; job 2 keeps the edges that
-/// reach `ratio` of either endpoint's maximum.
-pub(crate) fn blast_session(
-    st: &mut SweepState<'_>,
-    ratio: f64,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
-    let mut report = JobReport::default();
-    st.ensure_basic();
-    let cx = JobCtx::new(st, engine);
-    let (collection, globals, pool) = (cx.collection, cx.globals, cx.pool);
-    let n = collection.num_entities();
-    let blocks = &globals.blocks_of;
-    let num_blocks = globals.num_blocks;
-    let chi = |scratch: &SweepScratch, a: u32, y: u32| {
-        let (lo, hi) = if a < y { (a, y) } else { (y, a) };
-        crate::blast::chi_square_from_stats(
-            scratch.cbs_of(y),
-            blocks[lo as usize],
-            blocks[hi as usize],
-            num_blocks,
-        )
-    };
-
-    // Job 1: per-node local χ² maxima.
-    let result = engine.run_partitioned(
-        cx.splits.clone(),
-        entity_partitioner(n),
-        |range, emit, _c| {
-            pool.with(|scratch| {
-                for a in range.clone() {
-                    let a = a as u32;
-                    scratch.sweep(collection, EntityId(a));
-                    if scratch.neighbours().is_empty() {
-                        continue;
-                    }
-                    let mut max = 0.0f64;
-                    for &y in scratch.neighbours() {
-                        let w = chi(scratch, a, y);
-                        if w > max {
-                            max = w;
-                        }
-                    }
-                    emit(a, max);
-                }
-            })
-        },
-        |&a, maxima, out, _c| out.push((a, maxima[0])),
-    );
-    report.push("blast/local-maxima", result.stats);
-    let mut local_max = vec![0.0f64; n];
-    for &(a, m) in &result.output {
-        local_max[a as usize] = m;
+        self.report.push(self.labels[0], result.stats);
+        let forward = result.counters.get(FWD_EDGES);
+        let share = Partial::merged(result.output).unwrap_or_else(|| fold.init());
+        (share, forward)
     }
 
-    // Job 2: keep each forward edge if either endpoint would keep it.
-    let local_max = &local_max;
-    let result = engine.run_partitioned(
-        cx.splits.clone(),
-        entity_partitioner(n),
-        |range, emit, c| {
-            pool.with(|scratch| {
-                for a in range.clone() {
-                    let a = a as u32;
-                    scratch.sweep(collection, EntityId(a));
-                    let record: Vec<(u32, f64)> = scratch
-                        .neighbours()
-                        .iter()
-                        .filter(|&&y| y > a)
-                        .map(|&y| (y, chi(scratch, a, y)))
-                        .collect();
-                    c.add(FWD_EDGES, record.len() as u64);
-                    if !record.is_empty() {
-                        emit(a, record);
-                    }
-                }
-            })
-        },
-        move |&a, neighbourhoods, out, _c| {
-            for neigh in neighbourhoods.iter() {
-                for &(y, w) in neigh {
-                    if w > 0.0
-                        && (w >= ratio * local_max[a as usize]
-                            || w >= ratio * local_max[y as usize])
-                    {
-                        out.push(WeightedPair {
-                            a: EntityId(a),
-                            b: EntityId(y),
-                            weight: w,
-                        });
-                    }
-                }
-            }
-        },
-    );
-    let fwd = result.counters.get(FWD_EDGES);
-    report.push("blast/filter", result.stats);
-    // BLAST reports the χ² values under the CBS label, matching the
-    // other implementations.
-    let out =
-        PrunedComparisons::from_weighted_pairs(result.output, WeightingScheme::Cbs, fwd as usize);
-    (out, report)
-}
-
-/// Entity-based supervised pruning — bit-identical to the other backends
-/// at any worker count. Job 1 folds each map split's forward edges into
-/// one per-feature-maxima record (f64 `max` merges exactly, so the
-/// normalisation constants are partition-independent); job 2 scores each
-/// forward edge with the perceptron, one record per entity neighbourhood.
-#[doc(hidden)]
-pub fn supervised_prune(
-    collection: &BlockCollection,
-    model: &Perceptron,
-    engine: &Engine,
-) -> PrunedComparisons {
-    supervised_prune_with_report(collection, model, engine).0
-}
-
-/// [`supervised_prune`], also returning the per-job execution statistics.
-#[doc(hidden)]
-pub fn supervised_prune_with_report(
-    collection: &BlockCollection,
-    model: &Perceptron,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    supervised_session(&mut SweepState::new(collection), model, engine)
-}
-
-/// The session body of entity-based supervised pruning.
-pub(crate) fn supervised_session(
-    st: &mut SweepState<'_>,
-    model: &Perceptron,
-    engine: &Engine,
-) -> (PrunedComparisons, JobReport) {
-    let mut report = JobReport::default();
-    // Features include the endpoint degrees and the EJS weight, which
-    // need the counted tier (degrees + |V|).
-    ensure_globals_job(st, WeightingScheme::Ejs, true, engine, &mut report);
-    let cx = JobCtx::new(st, engine);
-    let (collection, globals, pool) = (cx.collection, cx.globals, cx.pool);
-    let n = collection.num_entities();
-
-    // Job 1: per-feature maxima, one 7-float record per map split.
-    let result = engine.run_partitioned(
-        cx.splits.clone(),
-        |_k: &u8, _parts| 0,
-        |range, emit, _c| {
-            pool.with(|scratch| {
-                let mut local = [0.0f64; NUM_FEATURES];
-                let mut any = false;
-                for a in range.clone() {
-                    let a = a as u32;
-                    scratch.sweep(collection, EntityId(a));
-                    for &y in scratch.neighbours() {
-                        if y <= a {
+    fn keep(&mut self, weigher: Weigher, rule: Rule<'_>) -> (Vec<WeightedPair>, u64) {
+        self.ensure(weigher.needs_counts());
+        let n = self.st.collection.num_entities();
+        let splits = self.splits();
+        let (collection, globals, pool) = (self.st.collection, self.st.globals(), &self.st.pool);
+        let result = self.engine.run_partitioned(
+            splits,
+            entity_partitioner(n),
+            |range, emit, c| {
+                pool.with(|scratch| {
+                    let mut forward = 0u64;
+                    for a in range.clone() {
+                        let a = a as u32;
+                        if scratch.sweep(collection, EntityId(a)).is_empty() {
                             continue;
                         }
-                        any = true;
-                        let raw = supervised::raw_forward_features(scratch, a, y, globals);
-                        supervised::merge_feature_max(&mut local, &raw);
+                        let mut record = RowBuf::default();
+                        weigher.fill(scratch, a, globals, rule.forward_only(), &mut record);
+                        forward += forward_len(a, &record.entries);
+                        if !record.entries.is_empty() {
+                            emit(a, record);
+                        }
                     }
+                    c.add(FWD_EDGES, forward);
+                })
+            },
+            |&a, records: &mut Vec<RowBuf>, out, _c| {
+                // Exactly one neighbourhood record arrives per entity key.
+                for record in records.iter() {
+                    rule.contribute(record.row(a), out);
                 }
-                if any {
-                    emit(0u8, local);
-                }
-            })
-        },
-        |_key, locals, out, _c| {
-            let mut max = [0.0f64; NUM_FEATURES];
-            for local in locals.iter() {
-                supervised::merge_feature_max(&mut max, local);
-            }
-            out.push(max);
-        },
-    );
-    let max = result
-        .output
-        .first()
-        .copied()
-        .unwrap_or([0.0; NUM_FEATURES]);
-    report.push("supervised/feature-maxima", result.stats);
-    let extractor = supervised::FeatureExtractor::from_max(max);
+            },
+        );
+        self.report.push(self.labels[1], result.stats);
+        (result.output, result.counters.get(FWD_EDGES))
+    }
 
-    // Job 2: score each forward edge, one record per entity
-    // neighbourhood carrying only the kept pairs.
-    let extractor = &extractor;
-    let result = engine.run_partitioned(
-        cx.splits.clone(),
-        entity_partitioner(n),
-        |range, emit, c| {
-            pool.with(|scratch| {
-                for a in range.clone() {
-                    let a = a as u32;
-                    scratch.sweep(collection, EntityId(a));
-                    let mut kept: Vec<(u32, f64)> = Vec::new();
-                    let mut fwd = 0u64;
-                    for &y in scratch.neighbours() {
-                        if y <= a {
-                            continue;
-                        }
-                        fwd += 1;
-                        let raw = supervised::raw_forward_features(scratch, a, y, globals);
-                        let score = model.score(&extractor.normalise(raw));
-                        if score > 0.0 {
-                            kept.push((y, supervised::sigmoid(score)));
-                        }
-                    }
-                    c.add(FWD_EDGES, fwd);
-                    if !kept.is_empty() {
-                        emit(a, kept);
-                    }
-                }
-            })
-        },
-        |&a, neighbourhoods, out, _c| {
-            for neigh in neighbourhoods.iter() {
-                for &(y, w) in neigh {
+    /// The vote-combination job: re-key each endpoint vote by the pair
+    /// itself and keep the pair when enough endpoints voted for it.
+    /// Output is ordered by pair, so the result is deterministic at any
+    /// worker count.
+    fn combine(&mut self, kept: Vec<WeightedPair>, reciprocal: bool) -> Vec<WeightedPair> {
+        let need = votes_needed(reciprocal);
+        let result = self.engine.run_partitioned(
+            kept,
+            pair_partitioner(self.st.collection.num_entities()),
+            |p, emit, _c| emit((p.a, p.b), p.weight),
+            move |&(a, b), ws, out, _c| {
+                if ws.len() >= need {
+                    // Both endpoints computed the weight through the kernel in
+                    // normalised endpoint order, so the votes carry identical
+                    // bits; the first is as good as any.
                     out.push(WeightedPair {
-                        a: EntityId(a),
-                        b: EntityId(y),
-                        weight: w,
+                        a,
+                        b,
+                        weight: ws[0],
                     });
                 }
-            }
-        },
-    );
-    report.push("supervised/score", result.stats);
-    // Sigmoid weights under the CBS label, matching `supervised_prune`.
-    let out = PrunedComparisons::from_weighted_pairs(
-        result.output,
-        WeightingScheme::Cbs,
-        globals.num_edges,
-    );
-    (out, report)
-}
-
-/// Every distinct comparable pair with its weight, sorted by pair — the
-/// entity-based equivalent of enumerating the blocking graph's edges
-/// (the unpruned path), one shuffled record per entity neighbourhood.
-#[doc(hidden)]
-pub fn weighted_edges(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    engine: &Engine,
-) -> Vec<WeightedPair> {
-    weighted_edges_with_report(collection, scheme, engine).0
-}
-
-/// [`weighted_edges`], also returning the per-job execution statistics.
-#[doc(hidden)]
-pub fn weighted_edges_with_report(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    engine: &Engine,
-) -> (Vec<WeightedPair>, JobReport) {
-    weighted_edges_session(&mut SweepState::new(collection), scheme, engine)
-}
-
-/// The session body of the unpruned entity-based path.
-pub(crate) fn weighted_edges_session(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    engine: &Engine,
-) -> (Vec<WeightedPair>, JobReport) {
-    let mut report = JobReport::default();
-    ensure_globals_job(st, scheme, false, engine, &mut report);
-    let cx = JobCtx::new(st, engine);
-    let (pairs, _, stats) = neighbourhood_job(&cx, scheme, true, engine, |a, neigh, out| {
-        for &(y, w) in neigh {
-            out.push(WeightedPair {
-                a: EntityId(a),
-                b: EntityId(y),
-                weight: w,
-            });
-        }
-    });
-    report.push("weighted-edges", stats);
-    (pairs, report)
+            },
+        );
+        self.report.push(self.labels[2], result.stats);
+        result.output
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -948,20 +327,11 @@ struct EdgeStats {
 }
 
 /// Runs the edge-based weighting job: one weighted record per distinct
-/// comparable pair, sorted by pair. Exactly the blocking-graph edges.
-/// Kept (visible) as the measured per-occurrence-shuffle baseline the
-/// entity-based strategy is compared against.
-pub fn parallel_edge_weights(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    engine: &Engine,
-) -> Vec<WeightedPair> {
-    parallel_edge_weights_with_stats(collection, scheme, engine).0
-}
-
-/// As [`parallel_edge_weights`], also returning the job's execution
-/// statistics — its `intermediate_pairs` is the per-occurrence shuffle
-/// volume the entity-based strategy avoids.
+/// comparable pair, sorted by pair — exactly the blocking-graph edges —
+/// plus the job's execution statistics. Kept (visible) as the measured
+/// baseline the entity-based strategy is compared against: its
+/// `intermediate_pairs` is the per-occurrence shuffle volume the
+/// entity-based jobs avoid.
 pub fn parallel_edge_weights_with_stats(
     collection: &BlockCollection,
     scheme: WeightingScheme,
@@ -1026,121 +396,22 @@ pub fn parallel_edge_weights_with_stats(
     (pairs, result.stats)
 }
 
-/// Parallel WEP (edge-based strategy): weight job + global mean filter.
-/// The threshold is the shared positive-weight-only mean
-/// (`prune::wep_threshold_from_sums`), so the result is bit-identical
-/// to `prune::wep` even on ECBS/EJS inputs with zero-weight edges.
-#[doc(hidden)]
-pub fn parallel_wep(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    engine: &Engine,
-) -> PrunedComparisons {
-    let weighted = parallel_edge_weights(collection, scheme, engine);
-    let input_edges = weighted.len();
-    // The job output is sorted by pair, so accumulating per smaller
-    // endpoint walks the exact slab order the other backends sum in.
-    let mut sums = vec![0.0f64; collection.num_entities()];
-    let mut positive = 0u64;
-    for p in &weighted {
-        if p.weight > 0.0 {
-            // lint:allow(float-accumulation): serial walk of pair-sorted job output, slab order
-            sums[p.a.index()] += p.weight;
-            positive += 1;
-        }
-    }
-    let threshold = prune::wep_threshold_from_sums(&sums, positive);
-    let kept: Vec<WeightedPair> = weighted
-        .into_iter()
-        .filter(|p| p.weight >= threshold && p.weight > 0.0)
-        .collect();
-    PrunedComparisons::from_weighted_pairs(kept, scheme, input_edges)
-}
-
-/// Parallel CNP (edge-based strategy): weight job, then a per-node top-k
-/// job keyed by endpoint; `reciprocal` intersects the two endpoint votes.
-/// Vote combination runs over the pair-sorted kept list (no hash-map
-/// iteration order anywhere), so the output ordering is deterministic.
-#[doc(hidden)]
-pub fn parallel_cnp(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    k: Option<usize>,
-    engine: &Engine,
-) -> PrunedComparisons {
-    let weighted = parallel_edge_weights(collection, scheme, engine);
-    let input_edges = weighted.len();
-    let active = {
-        let mut seen = vec![false; collection.num_entities()];
-        for p in &weighted {
-            seen[p.a.index()] = true;
-            seen[p.b.index()] = true;
-        }
-        seen.iter().filter(|&&s| s).count().max(1)
-    };
-    let k = k.unwrap_or_else(|| prune::default_cnp_k_from(collection.total_assignments(), active));
-
-    // Entity-based second job: each reducer owns one node neighbourhood.
-    let result = engine.run(
-        weighted,
-        |p, emit| {
-            emit(p.a, (p.b, p.weight));
-            emit(p.b, (p.a, p.weight));
-        },
-        |&node, neigh, out| {
-            let mut top: TopK<(OrdF64, Reverse<(EntityId, EntityId)>)> = TopK::new(k);
-            for &(other, w) in neigh.iter() {
-                if w > 0.0 {
-                    let (lo, hi) = (node.min(other), node.max(other));
-                    top.push((OrdF64(w), Reverse((lo, hi))));
-                }
-            }
-            for (w, r) in top.into_sorted_vec() {
-                out.push(WeightedPair {
-                    a: r.0 .0,
-                    b: r.0 .1,
-                    weight: w.0,
-                });
-            }
-        },
-    );
-
-    // Vote counting (union vs reciprocal) over the pair-sorted kept list.
-    let mut kept = result.output;
-    kept.sort_unstable_by_key(|p| (p.a, p.b));
-    let kept = kernel::combine_votes(kept, reciprocal);
-    PrunedComparisons::from_weighted_pairs(kept, scheme, input_edges)
-}
-
-/// Convenience check used by tests and the harness: the serial graph built
-/// from the same collection.
-pub fn serial_graph(collection: &BlockCollection) -> crate::graph::BlockingGraph {
-    crate::graph::BlockingGraph::build(collection)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::BlockingGraph;
-    use crate::{blast as blast_mod, streaming};
+    use crate::{ExecutionBackend, Session};
     use minoan_blocking::builders::token_blocking;
     use minoan_blocking::ErMode;
     use minoan_datagen::{generate, profiles};
 
-    use crate::assert_bit_identical;
-
-    fn pair_set(p: &PrunedComparisons) -> std::collections::BTreeSet<(u32, u32)> {
-        p.pairs.iter().map(|p| (p.a.0, p.b.0)).collect()
-    }
-
     #[test]
-    fn parallel_weights_match_serial_graph() {
+    fn edge_based_weights_match_the_csr_graph() {
         let g = generate(&profiles::center_dense(120, 4));
         let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
         let graph = BlockingGraph::build(&blocks);
         for scheme in WeightingScheme::ALL {
-            let par = parallel_edge_weights(&blocks, scheme, &Engine::new(4));
+            let (par, _) = parallel_edge_weights_with_stats(&blocks, scheme, &Engine::new(4));
             assert_eq!(par.len(), graph.num_edges(), "{scheme:?}");
             // Align by construction: job output is sorted by pair key.
             for (wp, edge) in par.iter().zip(graph.edges()) {
@@ -1156,135 +427,59 @@ mod tests {
         }
     }
 
+    /// The job chain of every family: labels, order, and the counting
+    /// job exactly where a counted global is read.
     #[test]
-    fn entity_based_weighted_edges_match_the_slab() {
-        let g = generate(&profiles::center_dense(110, 6));
+    fn job_chain_per_family_is_stable() {
+        use WeightingScheme::{Ejs, Js};
+        let g = generate(&profiles::center_dense(80, 11));
         let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        for scheme in [WeightingScheme::Arcs, WeightingScheme::Ejs] {
-            let par = weighted_edges(&blocks, scheme, &Engine::new(3));
-            assert_eq!(par.len(), graph.num_edges(), "{scheme:?}");
-            for (wp, edge) in par.iter().zip(graph.edges()) {
-                assert_eq!((wp.a, wp.b), (edge.a, edge.b));
-                assert_eq!(wp.weight.to_bits(), scheme.weight(&graph, edge).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_wep_bit_identical_to_serial_wep() {
-        let g = generate(&profiles::center_dense(100, 9));
-        let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        for scheme in [WeightingScheme::Ecbs, WeightingScheme::Ejs] {
-            let ser = prune::wep(&graph, scheme);
-            for workers in [1, 4] {
-                let par = parallel_wep(&blocks, scheme, &Engine::new(workers));
-                assert_bit_identical(&par, &ser, &format!("edge-based/{scheme:?}/w={workers}"));
-                let ent = wep(&blocks, scheme, &Engine::new(workers));
-                assert_bit_identical(&ent, &ser, &format!("entity-based/{scheme:?}/w={workers}"));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_cnp_equals_serial_cnp() {
-        let g = generate(&profiles::center_dense(100, 2));
-        let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        for reciprocal in [false, true] {
-            let ser = prune::cnp(&graph, WeightingScheme::Js, reciprocal, Some(3));
-            let par = parallel_cnp(
-                &blocks,
-                WeightingScheme::Js,
-                reciprocal,
-                Some(3),
-                &Engine::new(3),
-            );
-            assert_bit_identical(&par, &ser, &format!("edge-based/r={reciprocal}"));
-            let ent = cnp(
-                &blocks,
-                WeightingScheme::Js,
-                reciprocal,
-                Some(3),
-                &Engine::new(3),
-            );
-            assert_bit_identical(&ent, &ser, &format!("entity-based/r={reciprocal}"));
-        }
-    }
-
-    #[test]
-    fn entity_based_matches_streaming_on_all_families() {
-        let g = generate(&profiles::center_dense(90, 23));
-        let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
-        let engine = Engine::new(3);
-        for scheme in [WeightingScheme::Arcs, WeightingScheme::Ejs] {
-            assert_bit_identical(
-                &wnp(&blocks, scheme, false, &engine),
-                &streaming::wnp(&blocks, scheme, false),
-                &format!("wnp/{scheme:?}"),
-            );
-            assert_bit_identical(
-                &cnp(&blocks, scheme, true, None, &engine),
-                &streaming::cnp(&blocks, scheme, true, None),
-                &format!("cnp/{scheme:?}"),
-            );
-            assert_bit_identical(
-                &wep(&blocks, scheme, &engine),
-                &streaming::wep(&blocks, scheme),
-                &format!("wep/{scheme:?}"),
-            );
-            assert_bit_identical(
-                &cep(&blocks, scheme, Some(7), &engine),
-                &streaming::cep(&blocks, scheme, Some(7)),
-                &format!("cep/{scheme:?}"),
-            );
-        }
-        let graph = BlockingGraph::build(&blocks);
-        assert_bit_identical(
-            &blast(&blocks, 0.35, &engine),
-            &blast_mod::blast(&graph, 0.35),
-            "blast",
+        let chain = |scheme, pruning| -> Vec<&'static str> {
+            let mut session = Session::new(&blocks);
+            session.scheme(scheme).pruning(pruning).workers(3);
+            let out = session.backend(ExecutionBackend::MapReduce).run();
+            out.report.jobs.iter().map(|(label, _)| *label).collect()
+        };
+        assert_eq!(chain(Js, Pruning::None), ["weighted-edges"]);
+        assert_eq!(chain(Js, Pruning::Wep), ["wep/partial-sums", "wep/filter"]);
+        assert_eq!(
+            chain(Ejs, Pruning::Wep),
+            ["count", "wep/partial-sums", "wep/filter"]
         );
-    }
-
-    #[test]
-    fn mapreduce_supervised_matches_materialised() {
-        use crate::supervised::{FeatureExtractor, Perceptron, TrainingSet};
-        let g = generate(&profiles::center_dense(140, 5));
-        let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        let extractor = FeatureExtractor::fit(&graph);
-        let set = TrainingSet::sample(&graph, &extractor, |a, b| g.truth.is_match(a, b), 40, 17);
-        let model = Perceptron::train(&set, 12);
-        let ser = crate::supervised::supervised_prune(&graph, &model);
-        assert!(!ser.pairs.is_empty(), "fixture model must keep something");
-        for workers in [1, 4] {
-            let (par, report) =
-                supervised_prune_with_report(&blocks, &model, &Engine::new(workers));
-            assert_bit_identical(&par, &ser, &format!("supervised/w={workers}"));
-            assert!(report.jobs.iter().any(|(l, _)| *l == "supervised/score"));
-        }
-    }
-
-    #[test]
-    fn worker_count_invariance() {
-        let g = generate(&profiles::periphery_sparse(80, 5));
-        let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
-        let one = wep(&blocks, WeightingScheme::Arcs, &Engine::new(1));
-        let many = wep(&blocks, WeightingScheme::Arcs, &Engine::new(8));
-        assert_eq!(pair_set(&one), pair_set(&many));
-        assert_bit_identical(&many, &one, "wep w=8 vs w=1");
+        assert_eq!(chain(Js, Pruning::Cep(None)), ["cep/local-topk"]);
+        assert_eq!(chain(Js, Pruning::Cep(Some(0))), ["count"]);
+        let wnp = Pruning::Wnp { reciprocal: true };
+        assert_eq!(chain(Js, wnp), ["wnp/neighbourhoods", "wnp/votes"]);
+        let (reciprocal, k) = (false, None);
+        assert_eq!(
+            chain(Js, Pruning::Cnp { reciprocal, k }),
+            ["count", "cnp/neighbourhoods", "cnp/votes"]
+        );
+        assert_eq!(
+            chain(Js, Pruning::blast()),
+            ["blast/local-maxima", "blast/filter"]
+        );
+        let model = crate::Perceptron {
+            weights: [1.0; crate::supervised::NUM_FEATURES],
+            bias: -1.0,
+        };
+        assert_eq!(
+            chain(Js, Pruning::Supervised(model)),
+            ["count", "supervised/feature-maxima", "supervised/score"]
+        );
     }
 
     #[test]
     fn entity_based_shuffles_less_than_edge_based() {
         let g = generate(&profiles::center_dense(150, 31));
         let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
-        let engine = Engine::new(4);
         let (_, edge_stats) =
-            parallel_edge_weights_with_stats(&blocks, WeightingScheme::Arcs, &engine);
-        let (_, report) = wnp_with_report(&blocks, WeightingScheme::Arcs, false, &engine);
+            parallel_edge_weights_with_stats(&blocks, WeightingScheme::Arcs, &Engine::new(4));
+        let report = Session::new(&blocks)
+            .backend(ExecutionBackend::MapReduce)
+            .workers(4)
+            .run()
+            .report;
         // Edge-based: one record per pair occurrence. Entity-based: at
         // most one weighting record per entity plus the kept votes.
         assert!(
@@ -1298,51 +493,10 @@ mod tests {
             .iter()
             .find(|(l, _)| *l == "wnp/neighbourhoods")
             .map(|(_, s)| s.intermediate_pairs)
-            .unwrap();
+            .expect("default session runs WNP");
         assert!(
             weighting_records <= blocks.num_entities(),
             "at most one record per entity neighbourhood"
         );
-    }
-
-    #[test]
-    fn degenerate_collections_are_fine() {
-        let ds = minoan_rdf::DatasetBuilder::new().build();
-        let c = BlockCollection::from_groups(
-            &ds,
-            ErMode::CleanClean,
-            Vec::<(String, Vec<EntityId>)>::new(),
-        );
-        let engine = Engine::new(2);
-        assert!(wnp(&c, WeightingScheme::Arcs, false, &engine)
-            .pairs
-            .is_empty());
-        assert!(cnp(&c, WeightingScheme::Ejs, true, None, &engine)
-            .pairs
-            .is_empty());
-        assert!(wep(&c, WeightingScheme::Js, &engine).pairs.is_empty());
-        let e = cep(&c, WeightingScheme::Cbs, None, &engine);
-        assert!(e.pairs.is_empty());
-        assert_eq!(e.input_edges, 0);
-        assert!(weighted_edges(&c, WeightingScheme::Arcs, &engine).is_empty());
-        assert!(blast(&c, 0.5, &engine).pairs.is_empty());
-    }
-
-    #[test]
-    fn explicit_zero_k_reports_stats() {
-        let g = generate(&profiles::center_dense(60, 8));
-        let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        let engine = Engine::new(3);
-        for (out, label) in [
-            (cep(&blocks, WeightingScheme::Js, Some(0), &engine), "cep"),
-            (
-                cnp(&blocks, WeightingScheme::Js, false, Some(0), &engine),
-                "cnp",
-            ),
-        ] {
-            assert!(out.pairs.is_empty(), "{label}");
-            assert_eq!(out.input_edges, graph.num_edges(), "{label}: stats");
-        }
     }
 }

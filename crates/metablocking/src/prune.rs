@@ -49,20 +49,13 @@ impl PrunedComparisons {
     }
 
     /// Builds the result from already-selected pairs, applying the
-    /// presentation order every pruning path shares: weight descending,
-    /// ties by pair. The streaming and MapReduce paths rely on this being
-    /// the single definition of that order.
+    /// shared presentation order ([`present`]).
     pub(crate) fn from_weighted_pairs(
         mut pairs: Vec<WeightedPair>,
         scheme: WeightingScheme,
         input_edges: usize,
     ) -> Self {
-        pairs.sort_by(|x, y| {
-            y.weight
-                .partial_cmp(&x.weight)
-                .expect("weights are finite")
-                .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-        });
+        present(&mut pairs);
         Self {
             pairs,
             scheme,
@@ -102,6 +95,19 @@ impl PrunedComparisons {
             .collect();
         Self::from_weighted_pairs(pairs, scheme, graph.num_edges())
     }
+}
+
+/// Sorts retained pairs into the presentation order every pruning path
+/// shares: weight descending, ties by pair. A strict total order over
+/// distinct pairs, so sorting any subset reproduces its slice of the full
+/// outcome.
+pub(crate) fn present(pairs: &mut [WeightedPair]) {
+    pairs.sort_by(|x, y| {
+        y.weight
+            .partial_cmp(&x.weight)
+            .expect("weights are finite")
+            .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
+    });
 }
 
 /// The WEP threshold from per-source-entity partial sums: the mean over

@@ -7,17 +7,18 @@
 //! the same corpus. Re-running a full sweep per request would make every
 //! query `O(corpus)`; this module makes it `O(neighbourhood)`:
 //!
-//! * `resolve_rows` applies a pruning family to one entity's weight
-//!   row (plus, for the node-centric families, the rows of its
-//!   neighbours — loaded lazily, only when the entity's own vote does
-//!   not already decide the edge). Rows come from a `RowSource`:
-//!   either a fresh single-entity sweep (`SweepRows`, used by
-//!   [`Session::resolve_entity`](crate::Session::resolve_entity)) or the
-//!   incremental session's patched row cache.
+//! * `resolve_rows` is the single-neighbourhood row driver: it loads the
+//!   queried entity's row, asks the family's rule (the crate-internal
+//!   `rule` module) what that row decides, and — for the node-centric
+//!   families — loads a neighbour's row only when the entity's own vote
+//!   does not already decide the edge. Rows come from a fresh
+//!   single-entity sweep (`sweep_row`, used by
+//!   [`Session::resolve_entity`](crate::Session::resolve_entity)) or from
+//!   the incremental session's patched row cache.
 //! * The *global* inputs a family needs — WEP's mean threshold, CEP's
 //!   global top-k, CNP's default `k`, the supervised extractor's
-//!   normalisation maxima — are computed once per corpus version as a
-//!   `Criterion` and reused by every resolve, which is what keeps a
+//!   normalisation maxima — are reduced once per corpus version into the
+//!   rule's criterion and reused by every resolve, which is what keeps a
 //!   query sub-linear: the criterion amortises across requests exactly
 //!   like the session's CSR/scratch state does across runs.
 //! * [`NeighbourhoodCache`] memoises whole [`ResolvedEntity`] answers
@@ -31,19 +32,16 @@
 //! pairs incident to `e` in the full-corpus outcome, same order, same
 //! f64 bits (`tests/resolve_entity.rs`).
 
-use crate::blast::chi_square_from_stats;
-use crate::kernel::{edge_weight, normalised, WeightGlobals};
+use crate::kernel::WeightGlobals;
 use crate::probe;
-use crate::prune::WeightedPair;
+use crate::prune::{self, WeightedPair};
+use crate::rule::{normalised, Criterion, RowBuf, Rule, Weigher};
 use crate::session::Pruning;
-use crate::supervised::{self, FeatureExtractor, Perceptron};
-use crate::sweep::{ScratchPool, SweepState};
+use crate::supervised;
+use crate::sweep::ScratchPool;
 use crate::weights::WeightingScheme;
 use minoan_blocking::BlockCollection;
-use minoan_common::stats::mean;
-use minoan_common::{OrdF64, TopK};
 use minoan_rdf::EntityId;
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// One entity's query-time resolution result.
@@ -61,290 +59,31 @@ pub struct ResolvedEntity {
     pub neighbours: Vec<u32>,
 }
 
-/// Where an entity's weight row comes from: a fresh single-entity sweep
-/// or the incremental session's patched row cache. A row is the sorted
-/// `(neighbour, weight)` list of the entity's incident edges — the same
-/// statistics a full sweep of that entity would produce.
-pub(crate) trait RowSource {
-    /// Loads `e`'s row into `out` (cleared first), ascending by
-    /// neighbour id.
-    fn load_row(&mut self, e: u32, out: &mut Vec<(u32, f64)>);
-}
-
-/// How [`SweepRows`] turns sweep statistics into row weights.
-pub(crate) enum RowMode {
-    /// The scheme's edge weight (normalised endpoint order).
-    Scheme(WeightingScheme),
-    /// BLAST's χ² weight.
-    Chi2,
-}
-
-/// A [`RowSource`] that sweeps the entity's blocks on demand — one
-/// pooled epoch-reset scratch per load, `O(neighbourhood)` per row.
-pub(crate) struct SweepRows<'a> {
-    collection: &'a BlockCollection,
-    globals: &'a WeightGlobals,
-    pool: &'a ScratchPool,
-    mode: RowMode,
-}
-
-impl<'a> SweepRows<'a> {
-    /// Rows weighted by `scheme`.
-    pub(crate) fn scheme(
-        collection: &'a BlockCollection,
-        globals: &'a WeightGlobals,
-        pool: &'a ScratchPool,
-        scheme: WeightingScheme,
-    ) -> Self {
-        Self {
-            collection,
-            globals,
-            pool,
-            mode: RowMode::Scheme(scheme),
-        }
-    }
-
-    /// Rows weighted by BLAST's χ².
-    pub(crate) fn chi2(
-        collection: &'a BlockCollection,
-        globals: &'a WeightGlobals,
-        pool: &'a ScratchPool,
-    ) -> Self {
-        Self {
-            collection,
-            globals,
-            pool,
-            mode: RowMode::Chi2,
-        }
-    }
-}
-
-impl RowSource for SweepRows<'_> {
-    fn load_row(&mut self, e: u32, out: &mut Vec<(u32, f64)>) {
-        out.clear();
-        probe::record_resolve_sweep();
-        self.pool.with(|scratch| {
-            scratch.sweep(self.collection, EntityId(e));
-            out.reserve(scratch.neighbours().len());
-            for &y in scratch.neighbours() {
-                let (lo, hi) = if e < y { (e, y) } else { (y, e) };
-                let w = match self.mode {
-                    RowMode::Scheme(scheme) => {
-                        edge_weight(scheme, scratch, self.globals, y, lo, hi)
-                    }
-                    RowMode::Chi2 => chi_square_from_stats(
-                        scratch.cbs_of(y),
-                        self.globals.blocks_of[lo as usize],
-                        self.globals.blocks_of[hi as usize],
-                        self.globals.num_blocks,
-                    ),
-                };
-                out.push((y, w));
-            }
-        });
-    }
-}
-
-/// The global inputs one scheme × pruning combination needs before a
-/// single entity can be resolved — computed once per corpus version,
-/// reused by every resolve against it.
-pub(crate) enum Criterion {
-    /// The decision reads only the entity's (and its neighbours') rows:
-    /// `None`, WNP, BLAST.
-    Local,
-    /// WEP's global mean-positive-weight threshold.
-    Wep(f64),
-    /// CEP's global top-k, already in presentation order; resolving is
-    /// filtering to the incident pairs.
-    Cep(Vec<WeightedPair>),
-    /// CNP's resolved per-node cardinality (defaults already applied).
-    CnpK(usize),
-    /// The supervised extractor (global per-feature maxima baked in).
-    Supervised(FeatureExtractor),
-}
-
-/// Builds the [`Criterion`] for `scheme` × `pruning` on a sweep state,
-/// ensuring the globals tier the per-request sweeps will need. The
-/// global reductions are the exact streaming pass-1 bodies
-/// ([`streaming::wep_criterion`](crate::streaming), CEP's bounded-heap
-/// merge, [`streaming::supervised_extractor`](crate::streaming)), so the
-/// thresholds carry the same f64 bits as a full run's.
-pub(crate) fn build_criterion(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    pruning: &Pruning,
-    threads: usize,
-) -> Criterion {
-    match *pruning {
-        Pruning::None | Pruning::Wnp { .. } => {
-            st.ensure(scheme, false, threads);
-            Criterion::Local
-        }
-        Pruning::Blast { ratio } => {
-            assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
-            st.ensure_basic();
-            Criterion::Local
-        }
-        Pruning::Wep => Criterion::Wep(crate::streaming::wep_criterion(st, scheme, threads).0),
-        Pruning::Cep(k) => {
-            Criterion::Cep(crate::streaming::cep_session(st, scheme, k, threads).pairs)
-        }
-        Pruning::Cnp { k, .. } => {
-            st.ensure(scheme, k.is_none(), threads);
-            let k = k.unwrap_or_else(|| {
-                crate::prune::default_cnp_k_from(
-                    st.collection.total_assignments(),
-                    st.globals().active_nodes,
-                )
-            });
-            Criterion::CnpK(k)
-        }
-        Pruning::Supervised(_) => {
-            Criterion::Supervised(crate::streaming::supervised_extractor(st, threads))
-        }
-    }
-}
-
-/// Resolves one entity against a row source under a prebuilt criterion.
-/// Each family's body mirrors its full-sweep counterpart restricted to
-/// the edges incident to `entity`: the entity's own row decides what a
-/// full run's sweep of `entity` would decide, and the node-centric
-/// families load a neighbour's row only when the other endpoint's vote
-/// is still needed (union: the entity voted no; reciprocal: it voted
-/// yes). Edge weights are bitwise endpoint-symmetric — both endpoints'
-/// sweeps produce the identical f64 — so one row's weight serves both
-/// votes.
-pub(crate) fn resolve_rows(
-    source: &mut dyn RowSource,
-    entity: EntityId,
-    pruning: Pruning,
-    criterion: &Criterion,
-) -> ResolvedEntity {
-    let e = entity.0;
-    let mut row: Vec<(u32, f64)> = Vec::new();
-    source.load_row(e, &mut row);
-    let neighbours: Vec<u32> = row.iter().map(|&(y, _)| y).collect();
-    let mut other: Vec<(u32, f64)> = Vec::new();
-    let mut buf: Vec<f64> = Vec::new();
-    let matches = match (pruning, criterion) {
-        (Pruning::None, Criterion::Local) => {
-            // The unpruned outcome stays in ascending pair order, and
-            // the ascending row yields exactly its incident slice: every
-            // `(y, e)` with `y < e` sorts before every `(e, y)`.
-            row.iter().map(|&(y, w)| normalised(e, y, w)).collect()
-        }
-        (Pruning::Wep, Criterion::Wep(threshold)) => present(
-            row.iter()
-                .filter(|&&(_, w)| w >= *threshold && w > 0.0)
-                .map(|&(y, w)| normalised(e, y, w))
-                .collect(),
-        ),
-        (Pruning::Cep(_), Criterion::Cep(pairs)) => pairs
-            .iter()
-            .filter(|p| p.a == entity || p.b == entity)
-            .copied()
-            .collect(),
-        (Pruning::Wnp { reciprocal }, Criterion::Local) => {
-            let thr_e = row_mean(&row, &mut buf);
-            let mut kept = Vec::new();
-            for &(y, w) in &row {
-                if w <= 0.0 {
-                    continue;
-                }
-                let vote_e = w >= thr_e;
-                let mut vote_y = || {
-                    source.load_row(y, &mut other);
-                    w >= row_mean(&other, &mut buf)
-                };
-                let keep = if reciprocal {
-                    vote_e && vote_y()
-                } else {
-                    vote_e || vote_y()
-                };
-                if keep {
-                    kept.push(normalised(e, y, w));
-                }
-            }
-            present(kept)
-        }
-        (Pruning::Cnp { reciprocal, .. }, Criterion::CnpK(k)) => {
-            let k = *k;
-            if k == 0 {
-                Vec::new()
-            } else {
-                let top_e = row_top_k(&row, e, k);
-                let mut kept = Vec::new();
-                for &(y, w) in &row {
-                    if w <= 0.0 {
-                        continue;
-                    }
-                    let p = normalised(e, y, w);
-                    let key = (OrdF64(w), Reverse((p.a, p.b)));
-                    let vote_e = top_e.contains(&key);
-                    let mut vote_y = || {
-                        source.load_row(y, &mut other);
-                        row_top_k(&other, y, k).contains(&key)
-                    };
-                    let keep = if reciprocal {
-                        vote_e && vote_y()
-                    } else {
-                        vote_e || vote_y()
-                    };
-                    if keep {
-                        kept.push(p);
-                    }
-                }
-                present(kept)
-            }
-        }
-        (Pruning::Blast { ratio }, Criterion::Local) => {
-            let max_e = row_max(&row);
-            let mut kept = Vec::new();
-            for &(y, w) in &row {
-                if w <= 0.0 {
-                    continue;
-                }
-                let keep = w >= ratio * max_e || {
-                    source.load_row(y, &mut other);
-                    w >= ratio * row_max(&other)
-                };
-                if keep {
-                    kept.push(normalised(e, y, w));
-                }
-            }
-            present(kept)
-        }
-        (p, _) => unreachable!("criterion was built for a different pruning family than {p:?}"),
-    };
-    ResolvedEntity {
-        entity,
-        matches,
-        neighbours,
-    }
-}
-
-/// Resolves one entity under the supervised pruner. Features are
-/// orientation-dependent (the raw vector reads the endpoints in forward
-/// `(a, y)` order with `a < y`), so backward edges are computed at the
-/// *smaller* endpoint's sweep — exactly where the full pass computes
-/// them — instead of through a row.
-pub(crate) fn resolve_supervised(
+/// Loads `e`'s *full* `weigher` row by sweeping its blocks on demand —
+/// one pooled epoch-reset scratch per load, `O(neighbourhood)` per row.
+/// `globals` must hold the tier `weigher` reads.
+pub(crate) fn sweep_row(
     collection: &BlockCollection,
     globals: &WeightGlobals,
     pool: &ScratchPool,
-    extractor: &FeatureExtractor,
-    model: &Perceptron,
-    entity: EntityId,
-) -> ResolvedEntity {
-    let e = entity.0;
-    let mut matches = Vec::new();
-    let mut neighbours: Vec<u32> = Vec::new();
+    weigher: Weigher,
+    e: u32,
+    out: &mut RowBuf,
+) {
+    probe::record_resolve_sweep();
     pool.with(|se| {
-        probe::record_resolve_sweep();
-        se.sweep(collection, entity);
-        neighbours.extend_from_slice(se.neighbours());
+        se.sweep(collection, EntityId(e));
+        if weigher != Weigher::Features {
+            weigher.fill(se, e, globals, false, out);
+            return;
+        }
+        // Supervised features are orientation-dependent (the raw vector
+        // reads the endpoints in forward `(a, y)`, `a < y` order), so a
+        // backward entry is computed at the *smaller* endpoint's sweep —
+        // exactly where the full pass computes it.
+        out.clear();
         pool.with(|sy| {
-            for &y in &neighbours {
+            for &y in se.neighbours() {
                 let raw = if y > e {
                     supervised::raw_forward_features(se, e, y, globals)
                 } else {
@@ -352,70 +91,74 @@ pub(crate) fn resolve_supervised(
                     sy.sweep(collection, EntityId(y));
                     supervised::raw_forward_features(sy, y, e, globals)
                 };
-                let score = model.score(&extractor.normalise(raw));
-                if score > 0.0 {
-                    matches.push(normalised(e, y, supervised::sigmoid(score)));
-                }
+                out.entries.push((y, 0.0));
+                out.features.push(raw);
             }
         });
     });
+}
+
+/// Resolves one entity under a prebuilt criterion: the edges incident to
+/// `entity` that a full run would keep. `load` produces an entity's full
+/// row (cleared first, ascending by neighbour id) — a fresh sweep
+/// ([`sweep_row`]) or the incremental session's patched row cache. The
+/// entity's own row decides what a full run's sweep of `entity` would
+/// decide; for the node-centric families the rule is then asked whether
+/// the *other* endpoint votes for the edge, and that neighbour's row is
+/// loaded only when its vote can still change the outcome (union: the
+/// entity voted no; reciprocal: it voted yes). Edge weights are bitwise
+/// endpoint-symmetric — both endpoints' sweeps produce the identical f64
+/// — so the entity's copy of the weight is the one reported.
+pub(crate) fn resolve_rows(
+    load: &mut dyn FnMut(u32, &mut RowBuf),
+    entity: EntityId,
+    rule: Rule<'_>,
+) -> ResolvedEntity {
+    let e = entity.0;
+    let mut own = RowBuf::default();
+    load(e, &mut own);
+    let row = own.row(e);
+    let neighbours: Vec<u32> = row.entries.iter().map(|&(y, _)| y).collect();
+    let mut matches = Vec::new();
+    if let Criterion::Cep(pairs) = rule.criterion {
+        // The criterion is the outcome, already in presentation order.
+        matches.extend(pairs.iter().filter(|p| p.a == entity || p.b == entity));
+    } else if let Some(reciprocal) = rule.votes() {
+        let mut other = RowBuf::default();
+        let ballot = rule.ballot(row);
+        for &(y, w) in row.entries {
+            if w <= 0.0 {
+                continue;
+            }
+            let mut keep = ballot.admits(e, y, w);
+            if keep == reciprocal {
+                load(y, &mut other);
+                keep = rule.votes_for(other.row(y), e, w);
+            }
+            if keep {
+                matches.push(normalised(e, y, w));
+            }
+        }
+    } else {
+        for (i, &(y, _)) in row.entries.iter().enumerate() {
+            if let Some(w) = rule.edge_keep(row, i) {
+                matches.push(normalised(e, y, w));
+            }
+        }
+    }
+    // The unpruned outcome stays in ascending pair order, and the
+    // ascending row yields exactly its incident slice: every `(y, e)`
+    // with `y < e` sorts before every `(e, y)`. Everything else is
+    // presented; sorting the incident subset with the same strict
+    // comparator reproduces the full outcome's slice.
+    if !matches!(rule.pruning, Pruning::None | Pruning::Cep(_)) {
+        prune::present(&mut matches);
+    }
     ResolvedEntity {
         entity,
-        matches: present(matches),
+        matches,
         neighbours,
     }
-}
-
-/// Sorts kept pairs into presentation order — the exact
-/// `from_weighted_pairs` comparator (weight descending, ties by pair
-/// ascending). Filtering a fully sorted list to the incident pairs
-/// preserves their relative order, so sorting the incident subset with
-/// the same strict comparator reproduces the full outcome's slice.
-fn present(mut pairs: Vec<WeightedPair>) -> Vec<WeightedPair> {
-    pairs.sort_by(|x, y| {
-        y.weight
-            .partial_cmp(&x.weight)
-            .expect("weights are finite")
-            .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-    });
-    pairs
-}
-
-/// WNP's per-node threshold from a row: the mean over *all* incident
-/// weights, computed through the same `stats::mean` on the same
-/// ascending-order vector the full sweep builds.
-fn row_mean(row: &[(u32, f64)], buf: &mut Vec<f64>) -> f64 {
-    buf.clear();
-    buf.extend(row.iter().map(|&(_, w)| w));
-    mean(buf)
-}
-
-type CnpKey = (OrdF64, Reverse<(EntityId, EntityId)>);
-
-/// CNP's per-node kept set: the same bounded heap over the same strict
-/// total order the full sweep pushes, in the same ascending neighbour
-/// order.
-fn row_top_k(row: &[(u32, f64)], a: u32, k: usize) -> Vec<CnpKey> {
-    let mut top: TopK<CnpKey> = TopK::new(k);
-    for &(y, w) in row {
-        if w > 0.0 {
-            let p = normalised(a, y, w);
-            top.push((OrdF64(w), Reverse((p.a, p.b))));
-        }
-    }
-    top.into_sorted_vec()
-}
-
-/// BLAST's per-node local maximum (0 for an all-non-positive row, like
-/// the full pass's accumulator).
-fn row_max(row: &[(u32, f64)]) -> f64 {
-    let mut max = 0.0f64;
-    for &(_, w) in row {
-        if w > max {
-            max = w;
-        }
-    }
-    max
 }
 
 /// Whether a cached [`ResolvedEntity`] under `scheme` × `pruning` can be

@@ -1,0 +1,853 @@
+//! One row rule per pruning family — the sweep-side semantics of WEP,
+//! CEP, WNP, CNP, BLAST and the supervised pruner, each stated once.
+//!
+//! Everything here works on a neighbourhood [`Row`]: entity `a`'s
+//! comparable neighbours with their edge weights, ascending by
+//! neighbour id — the shape a sweep of `a` produces, a MapReduce record
+//! carries and the incremental row cache stores. A family is three
+//! things over rows:
+//!
+//! 1. a **global criterion** ([`Criterion`]), reduced once per corpus
+//!    version by a [`CriterionFold`]: fold each row into a [`Partial`],
+//!    merge the partials (any grouping, any order — every reduction is
+//!    exact or fixed-shape), finish. WEP folds per-entity positive
+//!    forward sums into the fixed-length slab of
+//!    `prune::wep_threshold_from_sums`; CEP a bounded heap under the
+//!    strict [`EdgeKey`] order; BLAST the per-entity local χ² maxima;
+//!    the supervised pruner the per-feature maxima. CNP's default `k` is
+//!    a formula over two corpus counts.
+//! 2. a **row rule** ([`Rule`]): what `a`'s row contributes to the kept
+//!    list under that criterion ([`Rule::contribute`]) — forward
+//!    (`y > a`) entries only for the families that decide an edge from
+//!    its weight and the criterion alone, so a sweeping driver never
+//!    weighs a backward edge for them; the full row for the node-centric
+//!    votes — and the same decision asked of one endpoint at query time
+//!    ([`Rule::ballot`], [`Rule::votes_for`], [`Rule::edge_keep`]).
+//! 3. a **vote combiner** ([`combine_votes`]): union or reciprocal.
+//!
+//! [`run`] and [`criterion`] chain those steps over a [`RowDriver`]. The
+//! drivers — scoped threads (`streaming`), MapReduce jobs (`parallel`),
+//! the incremental session's row cache, one neighbourhood at query time
+//! (`query`) — differ only in which rows they visit and where the
+//! partials merge; none restates a threshold test, a heap or a tie-break.
+//!
+//! The materialised bodies over the CSR edge index (`prune::{wep, cep,
+//! wnp, cnp}`, `blast::blast`, `supervised::prune_with_features`) are
+//! deliberately *not* built on this module: they are the independent
+//! reference every bit-identity suite compares these rules against.
+
+use crate::blast::chi_square_from_stats;
+use crate::kernel::{edge_weight, EdgeGlobals};
+use crate::prune::{self, PrunedComparisons, WeightedPair};
+use crate::session::Pruning;
+use crate::supervised::{self, FeatureExtractor, NUM_FEATURES};
+use crate::sweep::SweepScratch;
+use crate::weights::WeightingScheme;
+use minoan_common::stats::mean_of;
+use minoan_common::{OrdF64, TopK};
+use minoan_rdf::EntityId;
+use std::cmp::Reverse;
+
+/// One entity's neighbourhood, borrowed from whoever produced it.
+#[derive(Clone, Copy)]
+pub(crate) struct Row<'r> {
+    /// The entity the row belongs to.
+    pub(crate) a: u32,
+    /// `(neighbour, weight)`, ascending by neighbour id, duplicate-free.
+    /// Either every comparable neighbour of `a` or only the forward
+    /// (`y > a`) ones; the rules never need to be told which.
+    pub(crate) entries: &'r [(u32, f64)],
+    /// Raw supervised feature vectors, parallel to `entries`; empty
+    /// unless the row was filled by [`Weigher::Features`].
+    pub(crate) features: &'r [[f64; NUM_FEATURES]],
+}
+
+/// Owned, reusable storage for one [`Row`] — a driver's per-worker
+/// buffer, and the record an entity's neighbourhood is shuffled as.
+#[derive(Default)]
+pub(crate) struct RowBuf {
+    pub(crate) entries: Vec<(u32, f64)>,
+    pub(crate) features: Vec<[f64; NUM_FEATURES]>,
+}
+
+impl RowBuf {
+    /// The buffered row, as entity `a`'s.
+    #[inline]
+    pub(crate) fn row(&self, a: u32) -> Row<'_> {
+        Row {
+            a,
+            entries: &self.entries,
+            features: &self.features,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.features.clear();
+    }
+}
+
+/// Which per-neighbour statistic a family's rows carry.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Weigher {
+    /// The weighting scheme's edge weight.
+    Scheme(WeightingScheme),
+    /// BLAST's Pearson χ².
+    Chi2,
+    /// The supervised pruner's raw 7-feature vectors (the weight slot is
+    /// unused). Features read the endpoints in forward `(a, y)`, `a < y`
+    /// order, so these rows hold forward entries only.
+    Features,
+}
+
+impl Weigher {
+    /// The statistic `pruning` decides on (`scheme` unless the family
+    /// brings its own).
+    pub(crate) fn of(scheme: WeightingScheme, pruning: &Pruning) -> Self {
+        match pruning {
+            Pruning::Blast { .. } => Self::Chi2,
+            Pruning::Supervised(_) => Self::Features,
+            _ => Self::Scheme(scheme),
+        }
+    }
+
+    /// Whether the statistic reads the counted globals tier (node
+    /// degrees and |V|): EJS, and the supervised features (EJS and the
+    /// endpoint degrees are among them).
+    pub(crate) fn needs_counts(self) -> bool {
+        matches!(self, Self::Scheme(WeightingScheme::Ejs) | Self::Features)
+    }
+
+    /// Fills `out` with `a`'s row from the sweep `scratch` just ran for
+    /// it — forward entries only when `forward_only` — every pair
+    /// evaluated in normalised `(smaller, larger)` endpoint order, the
+    /// order the materialised path weighs the edge slab in.
+    pub(crate) fn fill<G: EdgeGlobals>(
+        self,
+        scratch: &SweepScratch,
+        a: u32,
+        globals: &G,
+        forward_only: bool,
+        out: &mut RowBuf,
+    ) {
+        out.clear();
+        let neighbours = scratch.neighbours();
+        let skip = if forward_only || self == Self::Features {
+            neighbours.partition_point(|&y| y < a)
+        } else {
+            0
+        };
+        out.entries.reserve(neighbours.len() - skip);
+        for &y in &neighbours[skip..] {
+            let (lo, hi) = if a < y { (a, y) } else { (y, a) };
+            let w = match self {
+                Self::Scheme(scheme) => edge_weight(scheme, scratch, globals, y, lo, hi),
+                Self::Chi2 => chi_square_from_stats(
+                    scratch.cbs_of(y),
+                    globals.blocks_of(lo),
+                    globals.blocks_of(hi),
+                    globals.num_blocks(),
+                ),
+                Self::Features => {
+                    out.features
+                        .push(supervised::raw_forward_features(scratch, a, y, globals));
+                    0.0
+                }
+            };
+            out.entries.push((y, w));
+        }
+    }
+}
+
+/// Number of forward (`y > a`) entries of `a`'s row — each distinct
+/// comparable pair is counted exactly once, at its smaller endpoint, so
+/// summed over all rows this is |V|, the `input_edges` every family
+/// reports.
+#[inline]
+pub(crate) fn forward_len(a: u32, entries: &[(u32, f64)]) -> u64 {
+    (entries.len() - entries.partition_point(|&(y, _)| y <= a)) as u64
+}
+
+/// The pair `(a, y)` in normalised endpoint order with its weight.
+#[inline]
+pub(crate) fn normalised(a: u32, y: u32, w: f64) -> WeightedPair {
+    let (lo, hi) = if a < y { (a, y) } else { (y, a) };
+    WeightedPair {
+        a: EntityId(lo),
+        b: EntityId(hi),
+        weight: w,
+    }
+}
+
+/// Key of the cardinality selections (CEP's global top-k, CNP's per-node
+/// top-k): weight descending, ties to the *earlier* pair. Identical to
+/// the materialised `(weight, Reverse(edge rank))` order because the edge
+/// slab is sorted by pair, and a strict total order — which is what makes
+/// a merged selection exact however the edges were partitioned.
+pub(crate) type EdgeKey = (OrdF64, Reverse<(EntityId, EntityId)>);
+
+#[inline]
+fn edge_key(a: u32, y: u32, w: f64) -> EdgeKey {
+    let p = normalised(a, y, w);
+    (OrdF64(w), Reverse((p.a, p.b)))
+}
+
+fn keyed_pair((w, Reverse((a, b))): EdgeKey) -> WeightedPair {
+    WeightedPair { a, b, weight: w.0 }
+}
+
+/// The top-`k` positive entries of `a`'s row, descending.
+fn top_k(row: Row<'_>, k: usize) -> Vec<EdgeKey> {
+    let mut top: TopK<EdgeKey> = TopK::new(k);
+    for &(y, w) in row.entries {
+        if w > 0.0 {
+            top.push(edge_key(row.a, y, w));
+        }
+    }
+    top.into_sorted_vec()
+}
+
+/// A row's largest weight; 0 for an all-non-positive row, like the
+/// materialised pass's accumulator.
+#[inline]
+fn local_max(entries: &[(u32, f64)]) -> f64 {
+    let mut max = 0.0f64;
+    for &(_, w) in entries {
+        if w > max {
+            max = w;
+        }
+    }
+    max
+}
+
+/// How many endpoint votes keep a pair: one under union (redundancy)
+/// semantics, both under reciprocal.
+pub(crate) fn votes_needed(reciprocal: bool) -> usize {
+    1 + usize::from(reciprocal)
+}
+
+/// Combines per-node votes on the kept set: union keeps pairs emitted by
+/// ≥ 1 endpoint, reciprocal by both. Input must be sorted by pair. Both
+/// endpoints weigh an edge through the kernel in normalised endpoint
+/// order, so duplicate votes carry identical bits and the first stands
+/// for both.
+pub(crate) fn combine_votes(kept: Vec<WeightedPair>, reciprocal: bool) -> Vec<WeightedPair> {
+    let need = votes_needed(reciprocal);
+    let mut out: Vec<WeightedPair> = Vec::with_capacity(kept.len());
+    let mut i = 0;
+    while i < kept.len() {
+        let mut j = i + 1;
+        while j < kept.len() && (kept[j].a, kept[j].b) == (kept[i].a, kept[i].b) {
+            j += 1;
+        }
+        if j - i >= need {
+            out.push(kept[i]);
+        }
+        i = j;
+    }
+    out
+}
+
+/// The global inputs one scheme × pruning combination needs before any
+/// row can be decided — reduced once per corpus version, reused by the
+/// keep pass of a full run and by every query-time resolve.
+pub(crate) enum Criterion {
+    /// The decision reads only the rows themselves: `None`, WNP, and
+    /// BLAST resolved one entity at a time (each endpoint's bar comes
+    /// from its own row).
+    Local,
+    /// WEP's global mean-positive-weight threshold.
+    Wep(f64),
+    /// CEP's global top-k, in presentation order: the criterion *is* the
+    /// outcome, and resolving is filtering to the incident pairs.
+    Cep(Vec<WeightedPair>),
+    /// CNP's per-node cardinality, defaults applied.
+    CnpK(usize),
+    /// BLAST's per-entity local χ² maxima: a full run's forward pass
+    /// decides both endpoints' votes from this slab without the
+    /// neighbour's row.
+    BlastMax(Vec<f64>),
+    /// The supervised extractor (global per-feature maxima baked in).
+    Supervised(FeatureExtractor),
+}
+
+/// Which global reduction a family's criterion needs.
+pub(crate) enum CriterionFold {
+    /// WEP: per-entity sums of positive forward weights.
+    WepSums,
+    /// CEP: the `k` best forward edges under [`EdgeKey`].
+    CepTop(usize),
+    /// BLAST: each row's largest χ².
+    LocalMax,
+    /// Supervised: per-feature maxima over the forward edges.
+    FeatureMax,
+}
+
+/// One worker's share of a [`CriterionFold`]. Merging is the same for
+/// every fold — concatenate the per-entity slots, push the heaps
+/// together, take feature maxima — and every piece of it is exact, so
+/// the merged state never depends on how rows were split.
+#[derive(Default)]
+pub(crate) struct Partial {
+    /// `(entity, value, positive forward edges)` — WEP's sums, BLAST's
+    /// maxima; one slot per entity with something to report.
+    slots: Vec<(u32, f64, u64)>,
+    top: Option<TopK<EdgeKey>>,
+    maxima: [f64; NUM_FEATURES],
+}
+
+impl Partial {
+    /// Absorbs another worker's share.
+    pub(crate) fn merge(&mut self, from: Partial) {
+        self.slots.extend(from.slots);
+        if let (Some(top), Some(other)) = (&mut self.top, from.top) {
+            for key in other.into_sorted_vec() {
+                top.push(key);
+            }
+        }
+        supervised::merge_feature_max(&mut self.maxima, &from.maxima);
+    }
+
+    /// Merges shares into the first of them (`None` if there are none).
+    pub(crate) fn merged(shares: impl IntoIterator<Item = Partial>) -> Option<Partial> {
+        let mut shares = shares.into_iter();
+        let mut first = shares.next()?;
+        for share in shares {
+            first.merge(share);
+        }
+        Some(first)
+    }
+
+    /// Splits the share into keyed shuffle records: one per entity slot,
+    /// keyed by the entity, or — for the heap and the feature maxima,
+    /// which belong to no entity — a single record under key 0. A share
+    /// that saw no edge yields nothing.
+    pub(crate) fn into_records(self) -> Vec<(u32, Partial)> {
+        if self.slots.is_empty() {
+            let saw_edges = self.top.as_ref().is_some_and(|t| !t.is_empty())
+                || self.maxima.iter().any(|&m| m > 0.0);
+            return Vec::from_iter(saw_edges.then_some((0, self)));
+        }
+        let record = |slot: (u32, f64, u64)| {
+            let mut piece = Partial::default();
+            piece.slots.push(slot);
+            (slot.0, piece)
+        };
+        self.slots.into_iter().map(record).collect()
+    }
+}
+
+impl CriterionFold {
+    /// Whether the fold reads forward entries only, so a sweeping driver
+    /// need not weigh the backward ones.
+    pub(crate) fn forward_only(&self) -> bool {
+        !matches!(self, Self::LocalMax)
+    }
+
+    /// An empty share.
+    pub(crate) fn init(&self) -> Partial {
+        let mut share = Partial::default();
+        if let Self::CepTop(k) = self {
+            share.top = Some(TopK::new(*k));
+        }
+        share
+    }
+
+    /// Folds one row into a share. Entries are visited in ascending
+    /// neighbour order — the order the edge slab lists `a`'s forward
+    /// edges in — so WEP's per-entity sum carries the bits the
+    /// materialised pass accumulates.
+    pub(crate) fn fold(&self, acc: &mut Partial, row: Row<'_>) {
+        let a = row.a;
+        match self {
+            Self::WepSums => {
+                let (mut sum, mut positive) = (0.0f64, 0u64);
+                for &(y, w) in row.entries {
+                    if y > a && w > 0.0 {
+                        // lint:allow(float-accumulation): per-entity serial sum over sorted neighbours
+                        sum += w;
+                        positive += 1;
+                    }
+                }
+                if positive > 0 {
+                    acc.slots.push((a, sum, positive));
+                }
+            }
+            Self::CepTop(_) => {
+                let top = acc.top.as_mut().expect("CEP shares carry a heap");
+                for &(y, w) in row.entries {
+                    if y > a && w > 0.0 {
+                        top.push(edge_key(a, y, w));
+                    }
+                }
+            }
+            Self::LocalMax => {
+                if !row.entries.is_empty() {
+                    acc.slots.push((a, local_max(row.entries), 0));
+                }
+            }
+            Self::FeatureMax => {
+                for raw in row.features {
+                    supervised::merge_feature_max(&mut acc.maxima, raw);
+                }
+            }
+        }
+    }
+
+    /// Turns the fully merged share into the criterion. `n` is the
+    /// entity count (the slab length).
+    fn finish(&self, acc: Partial, n: usize) -> Criterion {
+        let slab = |slots: &[(u32, f64, u64)]| {
+            let mut slab = vec![0.0f64; n];
+            for &(a, v, _) in slots {
+                slab[a as usize] = v;
+            }
+            slab
+        };
+        match self {
+            Self::WepSums => {
+                let positive = acc.slots.iter().map(|s| s.2).sum();
+                Criterion::Wep(prune::wep_threshold_from_sums(&slab(&acc.slots), positive))
+            }
+            Self::CepTop(_) => {
+                let top = acc.top.expect("CEP shares carry a heap");
+                let mut pairs: Vec<WeightedPair> =
+                    top.into_sorted_vec().into_iter().map(keyed_pair).collect();
+                prune::present(&mut pairs);
+                Criterion::Cep(pairs)
+            }
+            Self::LocalMax => Criterion::BlastMax(slab(&acc.slots)),
+            Self::FeatureMax => Criterion::Supervised(FeatureExtractor::from_max(acc.maxima)),
+        }
+    }
+}
+
+/// One endpoint's local decision over its own row, for the node-centric
+/// families.
+pub(crate) enum Ballot {
+    /// Keep positive entries at or above the bar: WNP's neighbourhood
+    /// mean, BLAST's `ratio ·` local maximum.
+    AtLeast(f64),
+    /// CNP's top-k entries, descending.
+    Top(Vec<EdgeKey>),
+}
+
+impl Ballot {
+    /// Whether the endpoint `a` this ballot was drawn for votes for its
+    /// edge to `y` of weight `w`.
+    #[inline]
+    pub(crate) fn admits(&self, a: u32, y: u32, w: f64) -> bool {
+        w > 0.0
+            && match self {
+                Self::AtLeast(bar) => w >= *bar,
+                Self::Top(keys) => keys.contains(&edge_key(a, y, w)),
+            }
+    }
+}
+
+/// A pruning family under its built criterion: the one place a row is
+/// turned into keep decisions.
+#[derive(Clone, Copy)]
+pub(crate) struct Rule<'c> {
+    pub(crate) pruning: &'c Pruning,
+    /// Must have been built for `pruning` (by [`criterion`] or
+    /// [`resolve_criterion`]).
+    pub(crate) criterion: &'c Criterion,
+}
+
+impl Rule<'_> {
+    /// `Some(reciprocal)` when an edge is decided by its endpoints' votes
+    /// over their own rows; `None` when its weight and the criterion
+    /// decide it alone ([`Self::edge_keep`]).
+    #[inline]
+    pub(crate) fn votes(&self) -> Option<bool> {
+        match (self.pruning, self.criterion) {
+            (Pruning::Wnp { reciprocal }, _) | (Pruning::Cnp { reciprocal, .. }, _) => {
+                Some(*reciprocal)
+            }
+            // BLAST is loose: either endpoint's bar admits the edge.
+            (Pruning::Blast { .. }, Criterion::Local) => Some(false),
+            _ => None,
+        }
+    }
+
+    /// Whether [`Self::contribute`] reads forward entries only.
+    pub(crate) fn forward_only(&self) -> bool {
+        self.votes().is_none()
+    }
+
+    /// The kept weight of entry `i` of `row` for the families that
+    /// decide an edge without a vote — `None` if the edge is pruned.
+    /// Symmetric in the endpoints, so it decides a backward entry of a
+    /// full row the way the smaller endpoint's row would.
+    #[inline]
+    pub(crate) fn edge_keep(&self, row: Row<'_>, i: usize) -> Option<f64> {
+        let (y, w) = row.entries[i];
+        match (self.pruning, self.criterion) {
+            (Pruning::None, _) => Some(w),
+            (Pruning::Wep, Criterion::Wep(bar)) => (w >= *bar && w > 0.0).then_some(w),
+            (Pruning::Blast { ratio }, Criterion::BlastMax(max)) => (w > 0.0
+                && (w >= ratio * max[row.a as usize] || w >= ratio * max[y as usize]))
+                .then_some(w),
+            (Pruning::Supervised(model), Criterion::Supervised(extractor)) => {
+                let score = model.score(&extractor.normalise(row.features[i]));
+                (score > 0.0).then(|| supervised::sigmoid(score))
+            }
+            (p, _) => unreachable!("criterion was built for a different family than {p:?}"),
+        }
+    }
+
+    /// The vote `row`'s entity casts over its *full* row. WNP's bar is
+    /// `stats::mean_of` — `stats::mean` without the copy — over the row's
+    /// weights in ascending neighbour order, the vector the materialised
+    /// pass averages.
+    // `always`: this is the per-neighbour step of every query-time
+    // resolve, and the cardinality arm's heap code makes LLVM leave it
+    // out of line there — a measured fifth of a WNP resolve.
+    #[inline(always)]
+    pub(crate) fn ballot(&self, row: Row<'_>) -> Ballot {
+        match (self.pruning, self.criterion) {
+            (Pruning::Wnp { .. }, _) => {
+                Ballot::AtLeast(mean_of(row.entries.iter().map(|&(_, w)| w)))
+            }
+            (Pruning::Cnp { .. }, Criterion::CnpK(k)) => Ballot::Top(top_k(row, *k)),
+            (Pruning::Blast { ratio }, Criterion::Local) => {
+                Ballot::AtLeast(ratio * local_max(row.entries))
+            }
+            (p, _) => unreachable!("{p:?} is not decided by endpoint votes here"),
+        }
+    }
+
+    /// Whether `y` — whose full row is `row_y` — votes for its edge to
+    /// `e`: exactly membership of the pair in what [`Self::contribute`]
+    /// emits for `row_y`. `w` is the edge's weight; it is bitwise
+    /// endpoint-symmetric (both endpoints weigh the pair in normalised
+    /// order), so the caller's copy saves the lookup in `row_y`.
+    #[inline(always)]
+    pub(crate) fn votes_for(&self, row_y: Row<'_>, e: u32, w: f64) -> bool {
+        self.ballot(row_y).admits(row_y.a, e, w)
+    }
+
+    /// Appends what `row` contributes to the kept list: its admitted
+    /// forward edges, or — for the node-centric families — the votes its
+    /// entity casts (normalised pairs; [`combine_votes`] counts them).
+    pub(crate) fn contribute(&self, row: Row<'_>, out: &mut Vec<WeightedPair>) {
+        let a = row.a;
+        if self.votes().is_none() {
+            for (i, &(y, _)) in row.entries.iter().enumerate() {
+                if y > a {
+                    if let Some(weight) = self.edge_keep(row, i) {
+                        out.push(WeightedPair {
+                            a: EntityId(a),
+                            b: EntityId(y),
+                            weight,
+                        });
+                    }
+                }
+            }
+            return;
+        }
+        match self.ballot(row) {
+            Ballot::Top(keys) => out.extend(keys.into_iter().map(keyed_pair)),
+            ballot => {
+                for &(y, w) in row.entries {
+                    if ballot.admits(a, y, w) {
+                        out.push(normalised(a, y, w));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An execution strategy: something that can put every entity's row
+/// through a fold. The two passes differ in what they accumulate, never
+/// in how rows are produced.
+pub(crate) trait RowDriver {
+    /// Entity count of the corpus (the length of the per-entity slabs).
+    fn num_entities(&self) -> usize;
+
+    /// Total block assignments (the cardinality defaults' budget).
+    fn total_assignments(&self) -> u64;
+
+    /// Entities with at least one comparable neighbour.
+    fn active_nodes(&mut self) -> usize;
+
+    /// |V|, for the degenerate runs in which no pass counted it.
+    fn num_edges(&mut self) -> usize;
+
+    /// Folds every entity's `weigher` row into `fold` shares and merges
+    /// them; also returns the forward-edge count of the pass.
+    fn reduce(&mut self, weigher: Weigher, fold: &CriterionFold) -> (Partial, u64);
+
+    /// Collects every row's [`Rule::contribute`] — ordered by entity,
+    /// which for the forward-only rules is pair order — plus the
+    /// forward-edge count of the pass.
+    fn keep(&mut self, weigher: Weigher, rule: Rule<'_>) -> (Vec<WeightedPair>, u64);
+
+    /// Combines endpoint votes; returns the surviving pairs in pair
+    /// order.
+    fn combine(&mut self, mut kept: Vec<WeightedPair>, reciprocal: bool) -> Vec<WeightedPair> {
+        kept.sort_unstable_by_key(|p| (p.a, p.b));
+        combine_votes(kept, reciprocal)
+    }
+}
+
+/// Builds the criterion of `scheme` × `pruning` over `driver`'s corpus.
+/// Also returns the forward-edge count when a pass ran.
+pub(crate) fn criterion<D: RowDriver>(
+    driver: &mut D,
+    scheme: WeightingScheme,
+    pruning: &Pruning,
+) -> (Criterion, Option<u64>) {
+    let fold = match *pruning {
+        Pruning::None | Pruning::Wnp { .. } => return (Criterion::Local, None),
+        Pruning::Cnp { k, .. } => {
+            // The default needs the active-node count — a counting pass
+            // for the sweeping drivers — so it is only asked for then.
+            let k = k.unwrap_or_else(|| {
+                prune::default_cnp_k_from(driver.total_assignments(), driver.active_nodes())
+            });
+            return (Criterion::CnpK(k), None);
+        }
+        Pruning::Wep => CriterionFold::WepSums,
+        Pruning::Cep(k) => {
+            let k = k.unwrap_or_else(|| prune::default_cep_k_from(driver.total_assignments()));
+            if k == 0 {
+                // Degenerate cardinality (empty or single-assignment
+                // collection): nothing to select, no heap to drive.
+                return (Criterion::Cep(Vec::new()), None);
+            }
+            CriterionFold::CepTop(k)
+        }
+        Pruning::Blast { ratio } => {
+            assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
+            CriterionFold::LocalMax
+        }
+        Pruning::Supervised(_) => CriterionFold::FeatureMax,
+    };
+    let (partial, forward) = driver.reduce(Weigher::of(scheme, pruning), &fold);
+    (fold.finish(partial, driver.num_entities()), Some(forward))
+}
+
+/// The criterion a query-time resolve decides under. Same as
+/// [`criterion`], except that BLAST stays [`Criterion::Local`]: one
+/// resolve reads at most the queried neighbourhood's rows, and each
+/// endpoint's bar comes from its own row — a corpus-wide maxima slab
+/// would cost a full pass per corpus version to save nothing.
+pub(crate) fn resolve_criterion<D: RowDriver>(
+    driver: &mut D,
+    scheme: WeightingScheme,
+    pruning: &Pruning,
+) -> Criterion {
+    if let Pruning::Blast { ratio } = *pruning {
+        assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
+        return Criterion::Local;
+    }
+    criterion(driver, scheme, pruning).0
+}
+
+/// A full run of `scheme` × `pruning` over `driver`'s corpus: criterion
+/// pass, keep pass, vote combination, presentation order.
+pub(crate) fn run<D: RowDriver>(
+    driver: &mut D,
+    scheme: WeightingScheme,
+    pruning: &Pruning,
+) -> PrunedComparisons {
+    // BLAST and the supervised pruner report their own weights (χ²,
+    // sigmoid margins) under the CBS label, like the materialised bodies.
+    let label = match pruning {
+        Pruning::Blast { .. } | Pruning::Supervised(_) => WeightingScheme::Cbs,
+        _ => scheme,
+    };
+    let (criterion, counted) = criterion(driver, scheme, pruning);
+    let (pairs, forward) = match criterion {
+        Criterion::Cep(pairs) => (pairs, counted),
+        // Explicit zero cardinality: mirror `prune::cnp`'s guard.
+        Criterion::CnpK(0) => (Vec::new(), None),
+        criterion => {
+            let criterion = &criterion;
+            let rule = Rule { pruning, criterion };
+            let (mut pairs, forward) = driver.keep(Weigher::of(scheme, pruning), rule);
+            if let Some(reciprocal) = rule.votes() {
+                pairs = driver.combine(pairs, reciprocal);
+            }
+            // The unpruned outcome stays in pair order — the order the
+            // edge slab is sorted in.
+            if !matches!(pruning, Pruning::None) {
+                prune::present(&mut pairs);
+            }
+            (pairs, Some(forward))
+        }
+    };
+    let input_edges = forward.map_or_else(|| driver.num_edges(), |f| f as usize);
+    PrunedComparisons {
+        pairs,
+        scheme: label,
+        input_edges,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WNP: Pruning = Pruning::Wnp { reciprocal: false };
+
+    fn cnp(k: usize) -> (Pruning, Criterion) {
+        let pruning = Pruning::Cnp {
+            reciprocal: false,
+            k: Some(k),
+        };
+        (pruning, Criterion::CnpK(k))
+    }
+
+    fn row(a: u32, entries: &[(u32, f64)]) -> Row<'_> {
+        Row {
+            a,
+            entries,
+            features: &[],
+        }
+    }
+
+    /// `(a, b, weight)` of what `row` contributes under a rule.
+    fn kept(pruning: &Pruning, criterion: &Criterion, row: Row<'_>) -> Vec<(u32, u32, f64)> {
+        let mut out = Vec::new();
+        Rule { pruning, criterion }.contribute(row, &mut out);
+        out.iter().map(|p| (p.a.0, p.b.0, p.weight)).collect()
+    }
+
+    /// The criterion a fold builds from the given rows of a 10-entity
+    /// corpus, each row folded into its own share.
+    fn reduced(fold: CriterionFold, rows: &[Row<'_>]) -> Criterion {
+        let mut merged = fold.init();
+        for &r in rows {
+            let mut share = fold.init();
+            fold.fold(&mut share, r);
+            merged.merge(share);
+        }
+        fold.finish(merged, 10)
+    }
+
+    #[test]
+    fn an_all_non_positive_row_keeps_nothing() {
+        let dead = [(1, 0.0), (4, -1.0), (7, 0.0)];
+        let r = row(2, &dead);
+        let wep = reduced(CriterionFold::WepSums, &[r]);
+        assert!(matches!(wep, Criterion::Wep(bar) if bar == 0.0));
+        assert!(kept(&Pruning::Wep, &wep, r).is_empty());
+        let cep = reduced(CriterionFold::CepTop(5), &[r]);
+        assert!(matches!(cep, Criterion::Cep(pairs) if pairs.is_empty()));
+        assert!(kept(&WNP, &Criterion::Local, r).is_empty());
+        let (cnp, k) = cnp(3);
+        assert!(kept(&cnp, &k, r).is_empty());
+        let blast = Pruning::Blast { ratio: 0.5 };
+        assert!(kept(&blast, &Criterion::Local, r).is_empty());
+        let maxima = reduced(CriterionFold::LocalMax, &[r]);
+        assert!(kept(&blast, &maxima, r).is_empty());
+    }
+
+    #[test]
+    fn a_weight_equal_to_the_threshold_is_kept() {
+        // Forward weights 1, 2, 3: WEP's mean is exactly 2.
+        let entries = [(3, 1.0), (5, 2.0), (8, 3.0)];
+        let r = row(0, &entries);
+        let wep = reduced(CriterionFold::WepSums, &[r]);
+        assert!(matches!(wep, Criterion::Wep(bar) if bar == 2.0));
+        assert_eq!(kept(&Pruning::Wep, &wep, r), [(0, 5, 2.0), (0, 8, 3.0)]);
+        // WNP's mean runs over the full row, backward entries included.
+        let r = row(4, &entries);
+        assert_eq!(kept(&WNP, &Criterion::Local, r), [(4, 5, 2.0), (4, 8, 3.0)]);
+    }
+
+    #[test]
+    fn cnp_cardinality_edges() {
+        let entries = [(1, 0.5), (3, 0.0), (6, 2.0), (9, 1.0)];
+        let r = row(4, &entries);
+        // k ≥ row length: every *positive* entry, best first.
+        let (pruning, k) = cnp(10);
+        assert_eq!(
+            kept(&pruning, &k, r),
+            [(4, 6, 2.0), (4, 9, 1.0), (1, 4, 0.5)]
+        );
+        let (pruning, k) = cnp(0);
+        assert!(kept(&pruning, &k, r).is_empty());
+    }
+
+    #[test]
+    fn cardinality_ties_break_to_the_earlier_pair() {
+        // Three edges of equal weight around entity 5; room for two.
+        let entries = [(2, 1.0), (7, 1.0), (9, 1.0)];
+        let (pruning, k) = cnp(2);
+        assert_eq!(
+            kept(&pruning, &k, row(5, &entries)),
+            [(2, 5, 1.0), (5, 7, 1.0)]
+        );
+        // CEP over two rows' forward edges, whichever share saw them.
+        let (r0, r1) = ([(4, 1.0), (6, 1.0)], [(4, 1.0)]);
+        let rows = [row(0, &r0), row(1, &r1)];
+        let Criterion::Cep(pairs) = reduced(CriterionFold::CepTop(2), &rows) else {
+            panic!("CEP folds to its top-k");
+        };
+        let pairs: Vec<_> = pairs.iter().map(|p| (p.a.0, p.b.0)).collect();
+        assert_eq!(pairs, [(0, 4), (0, 6)]);
+    }
+
+    #[test]
+    fn blast_keeps_an_edge_either_endpoint_admits() {
+        let blast = Pruning::Blast { ratio: 0.5 };
+        // 0's best edge is 10, so its bar (5) rejects the edge to 1; 1's
+        // best is that very edge, so 1 admits it.
+        let (r0, r1, r2) = ([(1, 2.0), (2, 10.0)], [(0, 2.0)], [(0, 10.0)]);
+        let rows = [row(0, &r0), row(1, &r1), row(2, &r2)];
+        let maxima = reduced(CriterionFold::LocalMax, &rows);
+        assert_eq!(
+            kept(&blast, &maxima, rows[0]),
+            [(0, 1, 2.0), (0, 2, 10.0)],
+            "forward pass decides both endpoints' votes from the slab"
+        );
+        let (pruning, criterion) = (&blast, &Criterion::Local);
+        let local = Rule { pruning, criterion };
+        assert!(!local.votes_for(rows[0], 1, 2.0), "0 alone rejects (0, 1)");
+        assert!(local.votes_for(rows[1], 0, 2.0), "1 admits it");
+        // With 0's bar raised past every weight of 1's, nobody admits it.
+        let strict = Pruning::Blast { ratio: 1.0 };
+        let (r0, r1) = ([(1, 2.0), (2, 10.0)], [(0, 2.0), (3, 4.0)]);
+        let rows = [row(0, &r0), row(1, &r1), row(2, &r2), row(3, &[(1, 4.0)])];
+        let maxima = reduced(CriterionFold::LocalMax, &rows);
+        assert_eq!(kept(&strict, &maxima, rows[0]), [(0, 2, 10.0)]);
+    }
+
+    #[test]
+    fn votes_for_is_membership_in_the_voters_contribution() {
+        let entries = [(0, 3.0), (2, 0.0), (5, 1.0), (6, 2.0), (8, 2.0)];
+        let y = row(4, &entries);
+        let (cnp, k) = cnp(2);
+        let blast = Pruning::Blast { ratio: 0.6 };
+        let cases = [(WNP, Criterion::Local), (cnp, k), (blast, Criterion::Local)];
+        for (pruning, criterion) in &cases {
+            let emitted = kept(pruning, criterion, y);
+            assert!(!emitted.is_empty() && emitted.len() < entries.len());
+            let rule = Rule { pruning, criterion };
+            for &(e, w) in &entries {
+                let pair = (e.min(4), e.max(4));
+                assert_eq!(
+                    rule.votes_for(y, e, w),
+                    emitted.iter().any(|&(a, b, _)| (a, b) == pair),
+                    "{pruning:?}: vote of 4 on {e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn combine_votes_union_vs_reciprocal() {
+        let p = |a: u32, b: u32| normalised(a, b, 1.0);
+        let kept = vec![p(0, 1), p(0, 1), p(0, 2), p(1, 3)];
+        assert_eq!(combine_votes(kept.clone(), false).len(), 3);
+        let recip = combine_votes(kept, true);
+        assert_eq!(recip.len(), 1);
+        assert_eq!((recip[0].a, recip[0].b), (EntityId(0), EntityId(1)));
+    }
+}

@@ -23,15 +23,17 @@
 
 use crate::blast;
 use crate::graph::BlockingGraph;
-use crate::parallel::{self, JobReport};
+use crate::parallel::{JobReport, MapReduce};
 use crate::prune::{self, PrunedComparisons, WeightedPair};
-use crate::query::{self, Criterion, ResolvedEntity, SweepRows};
-use crate::streaming;
+use crate::query::{self, ResolvedEntity};
+use crate::rule::{self, Criterion, RowBuf, Rule, Weigher};
+use crate::streaming::Streaming;
 use crate::supervised::{self, EdgeFeatures, FeatureExtractor, Perceptron};
-use crate::sweep::{default_threads, SweepState};
+use crate::sweep::SweepState;
 use crate::weights::WeightingScheme;
 use crate::ExecutionBackend;
 use minoan_blocking::BlockCollection;
+use minoan_common::default_threads;
 use minoan_mapreduce::Engine;
 use minoan_rdf::EntityId;
 
@@ -323,36 +325,22 @@ impl<'c> Session<'c> {
             (entity.0 as usize) < self.collection.num_entities(),
             "resolve_entity: entity id out of range"
         );
-        let scheme = self.scheme;
-        let pruning = self.pruning;
         let threads = self.threads();
-        let cached = matches!(&self.criterion, Some((key, _)) if *key == (scheme, pruning));
+        let (scheme, pruning) = (self.scheme, &self.pruning);
+        let cached = matches!(&self.criterion, Some((key, _)) if *key == (scheme, *pruning));
         if !cached {
-            let crit = query::build_criterion(&mut self.sweep, scheme, &pruning, threads);
-            self.criterion = Some(((scheme, pruning), crit));
+            let mut driver = Streaming::new(&mut self.sweep, threads);
+            let crit = rule::resolve_criterion(&mut driver, scheme, pruning);
+            self.criterion = Some(((scheme, *pruning), crit));
         }
         let (_, criterion) = self.criterion.as_ref().expect("criterion just ensured");
+        let weigher = Weigher::of(scheme, pruning);
+        self.sweep.ensure(weigher.needs_counts(), threads);
         let st = &self.sweep;
-        match (&pruning, criterion) {
-            (Pruning::Supervised(model), Criterion::Supervised(extractor)) => {
-                query::resolve_supervised(
-                    st.collection,
-                    st.globals(),
-                    &st.pool,
-                    extractor,
-                    model,
-                    entity,
-                )
-            }
-            (Pruning::Blast { .. }, _) => {
-                let mut rows = SweepRows::chi2(st.collection, st.globals(), &st.pool);
-                query::resolve_rows(&mut rows, entity, pruning, criterion)
-            }
-            _ => {
-                let mut rows = SweepRows::scheme(st.collection, st.globals(), &st.pool, scheme);
-                query::resolve_rows(&mut rows, entity, pruning, criterion)
-            }
-        }
+        let mut load = |e, out: &mut RowBuf| {
+            query::sweep_row(st.collection, st.globals(), &st.pool, weigher, e, out)
+        };
+        query::resolve_rows(&mut load, entity, Rule { pruning, criterion })
     }
 
     fn run_materialized(&mut self) -> PruneOutcome {
@@ -395,61 +383,22 @@ impl<'c> Session<'c> {
     }
 
     fn run_streaming(&mut self) -> PruneOutcome {
-        let scheme = self.scheme;
         let threads = self.threads();
-        let st = &mut self.sweep;
-        let pruned = match self.pruning {
-            Pruning::None => {
-                let (pairs, fwd) = streaming::weighted_edges_session(st, scheme, threads);
-                let input_edges = fwd as usize;
-                PrunedComparisons {
-                    pairs,
-                    scheme,
-                    input_edges,
-                }
-            }
-            Pruning::Wep => streaming::wep_session(st, scheme, threads),
-            Pruning::Cep(k) => streaming::cep_session(st, scheme, k, threads),
-            Pruning::Wnp { reciprocal } => streaming::wnp_session(st, scheme, reciprocal, threads),
-            Pruning::Cnp { reciprocal, k } => {
-                streaming::cnp_session(st, scheme, reciprocal, k, threads)
-            }
-            Pruning::Blast { ratio } => streaming::blast_session(st, ratio, threads),
-            Pruning::Supervised(model) => streaming::supervised_session(st, &model, threads),
-        };
-        PruneOutcome::local(pruned)
+        let mut driver = Streaming::new(&mut self.sweep, threads);
+        PruneOutcome::local(rule::run(&mut driver, self.scheme, &self.pruning))
     }
 
     fn run_mapreduce(&mut self) -> PruneOutcome {
-        let scheme = self.scheme;
         let engine = match self.workers {
             Some(w) => Engine::new(w),
             None => Engine::default(),
         };
-        let st = &mut self.sweep;
-        let (pruned, report) = match self.pruning {
-            Pruning::None => {
-                let (pairs, report) = parallel::weighted_edges_session(st, scheme, &engine);
-                let input_edges = pairs.len();
-                (
-                    PrunedComparisons {
-                        pairs,
-                        scheme,
-                        input_edges,
-                    },
-                    report,
-                )
-            }
-            Pruning::Wep => parallel::wep_session(st, scheme, &engine),
-            Pruning::Cep(k) => parallel::cep_session(st, scheme, k, &engine),
-            Pruning::Wnp { reciprocal } => parallel::wnp_session(st, scheme, reciprocal, &engine),
-            Pruning::Cnp { reciprocal, k } => {
-                parallel::cnp_session(st, scheme, reciprocal, k, &engine)
-            }
-            Pruning::Blast { ratio } => parallel::blast_session(st, ratio, &engine),
-            Pruning::Supervised(model) => parallel::supervised_session(st, &model, &engine),
-        };
-        PruneOutcome { pruned, report }
+        let mut driver = MapReduce::new(&mut self.sweep, &engine, &self.pruning);
+        let pruned = rule::run(&mut driver, self.scheme, &self.pruning);
+        PruneOutcome {
+            pruned,
+            report: driver.report,
+        }
     }
 }
 
@@ -513,6 +462,106 @@ mod tests {
                 "{backend:?}: unpruned output must stay in pair order"
             );
             assert_eq!(out.retention(), 1.0, "{backend:?}");
+        }
+    }
+
+    /// The two sweeping backends, each against the materialised
+    /// reference bodies (`prune`/`blast`/`supervised` over the CSR graph)
+    /// on one session.
+    const SWEEPING: [ExecutionBackend; 2] =
+        [ExecutionBackend::Streaming, ExecutionBackend::MapReduce];
+
+    fn assert_sweeps_match_reference(session: &mut Session<'_>, workers: usize, label: &str) {
+        session.workers(workers);
+        let reference = session.backend(ExecutionBackend::Materialized).run();
+        for backend in SWEEPING {
+            let out = session.backend(backend).run();
+            let label = format!("{label}/{backend:?}/w={workers}");
+            crate::assert_bit_identical(&out.pruned, &reference.pruned, &label);
+        }
+    }
+
+    #[test]
+    fn sweeping_backends_match_materialised_on_generated_world() {
+        let world = generate(&profiles::center_dense(150, 7));
+        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
+        let mut session = Session::new(&blocks);
+        let mut families = vec![
+            Pruning::None,
+            Pruning::Wep,
+            Pruning::Cep(None),
+            Pruning::Cep(Some(5)),
+            Pruning::Blast { ratio: 0.35 },
+        ];
+        for reciprocal in [false, true] {
+            families.push(Pruning::Wnp { reciprocal });
+            for k in [None, Some(3)] {
+                families.push(Pruning::Cnp { reciprocal, k });
+            }
+        }
+        for workers in [1, 4] {
+            for scheme in WeightingScheme::ALL {
+                for &pruning in &families {
+                    session.scheme(scheme).pruning(pruning);
+                    let label = format!("{pruning:?}/{scheme:?}");
+                    assert_sweeps_match_reference(&mut session, workers, &label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweeping_backends_match_materialised_supervised() {
+        let world = generate(&profiles::center_dense(150, 5));
+        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
+        let graph = BlockingGraph::build(&blocks);
+        let extractor = FeatureExtractor::fit(&graph);
+        let truth = |a, b| world.truth.is_match(a, b);
+        let set = supervised::TrainingSet::sample(&graph, &extractor, truth, 40, 17);
+        let model = Perceptron::train(&set, 12);
+        let mut session = Session::new(&blocks);
+        session.pruning(Pruning::Supervised(model));
+        assert!(
+            !session.run().pairs().is_empty(),
+            "model must keep something"
+        );
+        for workers in [1, 4] {
+            assert_sweeps_match_reference(&mut session, workers, "supervised");
+        }
+    }
+
+    #[test]
+    fn empty_collection_is_fine_on_every_backend() {
+        let ds = minoan_rdf::DatasetBuilder::new().build();
+        let groups = Vec::<(String, Vec<EntityId>)>::new();
+        let c = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
+        let mut session = Session::new(&c);
+        for backend in ExecutionBackend::ALL {
+            for pruning in Pruning::FAMILIES {
+                session.scheme(WeightingScheme::Ejs).pruning(pruning);
+                let out = session.backend(backend).workers(2).run();
+                assert!(out.pairs().is_empty(), "{backend:?}/{pruning:?}");
+                assert_eq!(out.input_edges(), 0, "{backend:?}/{pruning:?}: stats");
+            }
+        }
+    }
+
+    #[test]
+    fn explicit_zero_k_reports_stats() {
+        let world = generate(&profiles::center_dense(60, 8));
+        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
+        let mut session = Session::new(&blocks);
+        session.scheme(WeightingScheme::Js);
+        let zero_cnp = Pruning::Cnp {
+            reciprocal: false,
+            k: Some(0),
+        };
+        for pruning in [Pruning::Cep(Some(0)), zero_cnp] {
+            session.pruning(pruning);
+            assert_sweeps_match_reference(&mut session, 3, &format!("{pruning:?}"));
+            let out = session.run();
+            assert!(out.pairs().is_empty(), "{pruning:?}");
+            assert!(out.input_edges() > 0, "{pruning:?}: stats survive");
         }
     }
 

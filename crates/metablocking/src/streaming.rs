@@ -1,912 +1,125 @@
-//! On-the-fly meta-blocking: every pruning family — WEP, CEP, WNP, CNP,
-//! BLAST and the supervised pruner — without materialising the blocking
-//! graph.
+//! The streaming backend: a scoped-thread row driver that never
+//! materialises the blocking graph.
 //!
 //! The materialised path builds the full edge slab (one record per
-//! distinct comparable pair) before pruning discards most of it. That is
-//! wasted work and — on large LOD worlds — wasted memory: pruning
-//! decisions need per-node neighbourhoods (node-centric) or a few global
-//! scalars (edge-centric), never random access to the whole slab. The
-//! streaming path therefore sweeps the block collection entity by entity
-//! (the crate-internal `sweep` module): per node it reconstructs the
-//! incident edge statistics in dense epoch-reset accumulators, applies
-//! the pruning criterion, and emits only the *kept* pairs.
+//! distinct comparable pair) before pruning discards most of it. Pruning
+//! decisions need per-node neighbourhoods or a few global scalars, never
+//! random access to the whole slab — so this driver sweeps the block
+//! collection entity by entity (the crate-internal `sweep` module),
+//! rebuilds each node's row in dense epoch-reset accumulators, and hands
+//! it to the family's rule. What a row *means* — thresholds, heaps,
+//! votes, tie-breaks — lives in the crate-internal `rule` module; this
+//! file only decides which rows are visited and where partial results
+//! merge:
 //!
-//! This module is the streaming arm of [`Session`](crate::Session), which
-//! is the public entry point: the session owns the shared sweep state
-//! (entity ranges, weight globals, scratch pool) and reuses it across
-//! runs. The one-shot free functions below are `#[doc(hidden)]` shims
-//! that build a throwaway state per call — they exist so the equivalence
-//! test suites keep pinning bit-identity against the pre-session surface.
+//! * **Rows visited**: every entity with at least one comparable
+//!   neighbour, over cost-balanced contiguous entity ranges — one scoped
+//!   worker thread and one pooled scratch per range, inline when a single
+//!   range covers the corpus. A pass weighs forward (`y > a`) entries
+//!   only unless the rule reads full rows (the node-centric votes, BLAST's
+//!   local maxima).
+//! * **Where the reduction merges**: each range folds its rows into its
+//!   own share; the shares merge on the calling thread in range order.
+//!   Every criterion reduction is exact or fixed-shape, so the merged
+//!   result is independent of the partitioning; kept pairs concatenate in
+//!   range order, which for the forward-only rules *is* pair order.
 //!
-//! Every cell of the streaming column is **bit-identical** to its
-//! materialised counterpart for every weighting scheme and thread count;
-//! property tests in `tests/streaming_equivalence.rs` and
-//! `tests/session_reuse.rs` enforce this.
+//! The sweep state (entity ranges, weight globals, scratch pool) belongs
+//! to the [`Session`](crate::Session) and is reused across runs. EJS, the
+//! supervised features and CNP's default `k` read node degrees / |V| /
+//! the active-node count: one extra counting sweep, still without
+//! materialising edges, run at most once per session.
 //!
-//! The sweeps are embarrassingly parallel over entity ranges (scoped
-//! threads, one pooled scratch per worker) and every per-edge quantity is
-//! computed through the same kernels as the materialised path
-//! ([`crate::kernel::weight_from_stats`],
-//! [`crate::blast::chi_square_from_stats`]) with f64 accumulation in the
-//! same order. Three constructions keep the *global* criteria
-//! deterministic without a global edge slab:
-//!
-//! * **WEP** needs one global mean. Pass 1 accumulates, per entity `a`,
-//!   the sum of its positive forward-edge weights (ascending neighbour
-//!   order — the slab order) into a fixed-length per-entity slab; the
-//!   final reduction is a fixed-shape pairwise sum
-//!   ([`minoan_common::stats::pairwise_sum`]) whose tree depends only on
-//!   the entity count, so the threshold is independent of the worker
-//!   partitioning. Pass 2 re-sweeps and emits edges ≥ threshold.
-//! * **CEP** needs one global top-k. Each worker keeps a bounded
-//!   [`TopK`] over its forward edges keyed by
-//!   `(OrdF64(weight), Reverse((a, b)))` — the same total order as the
-//!   materialised `(weight, Reverse(edge rank))` key, because the slab is
-//!   sorted by pair — and the per-thread survivors merge through one more
-//!   bounded heap. A strict total order makes the merged set the exact
-//!   global top-k regardless of how edges were partitioned.
-//! * **Supervised** needs global per-feature maxima (the extractor's
-//!   normalisation constants). Per-worker local maxima merge under f64
-//!   `max`, which is exact and order-free; pass 2 re-sweeps, normalises
-//!   and scores each forward edge with the perceptron.
-//!
-//! EJS needs two global aggregates (node degrees and the distinct-edge
-//! count |V|); those come from one extra counting sweep, still without
-//! materialising edges — run at most once per session.
+//! `tests/streaming_equivalence.rs` and `tests/session_reuse.rs` pin every
+//! cell of the streaming column bit-identical to its materialised twin.
 
-use crate::blast::chi_square_from_stats;
-use crate::kernel::{combine_votes, forward_weight, neighbour_weights, normalised};
-use crate::prune::{PrunedComparisons, WeightedPair};
-use crate::supervised::{self, Perceptron, NUM_FEATURES};
-use crate::sweep::{default_threads, ScratchPool, SweepScratch, SweepState};
-use crate::weights::WeightingScheme;
-use minoan_blocking::BlockCollection;
-use minoan_common::stats::mean;
-use minoan_common::{OrdF64, TopK};
+use crate::prune::WeightedPair;
+use crate::rule::{forward_len, CriterionFold, Partial, Row, RowBuf, RowDriver, Rule, Weigher};
+use crate::sweep::{for_each_range, SweepState};
 use minoan_rdf::EntityId;
 
-/// Tuning for the streaming sweeps.
-#[derive(Clone, Copy, Debug)]
-pub struct StreamingOptions {
-    /// Worker threads for the parallel entity sweeps (≥ 1).
-    pub threads: usize,
+/// The scoped-thread [`RowDriver`] over a session's sweep state.
+pub(crate) struct Streaming<'s, 'c> {
+    st: &'s mut SweepState<'c>,
+    threads: usize,
 }
 
-impl Default for StreamingOptions {
-    fn default() -> Self {
+impl<'s, 'c> Streaming<'s, 'c> {
+    pub(crate) fn new(st: &'s mut SweepState<'c>, threads: usize) -> Self {
         Self {
-            threads: default_threads(),
-        }
-    }
-}
-
-impl StreamingOptions {
-    /// Options with an explicit thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
+            st,
             threads: threads.max(1),
         }
     }
-}
 
-/// Runs `keep` once per entity with ≥ 1 neighbour, handing it the node,
-/// the sweep scratch (stats for the node's sorted neighbours), a reusable
-/// f64 buffer and the emit sink. Returns all emitted pairs sorted by pair,
-/// plus the number of distinct pairs (counted at their smaller endpoint).
-fn per_node_pass<K>(
-    collection: &BlockCollection,
-    ranges: &[std::ops::Range<usize>],
-    pool: &ScratchPool,
-    keep: K,
-) -> (Vec<WeightedPair>, u64)
-where
-    K: Fn(u32, &SweepScratch, &mut Vec<f64>, &mut Vec<WeightedPair>) + Sync,
-{
-    let keep = &keep;
-    let mut outs: Vec<(Vec<WeightedPair>, u64)> = Vec::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for r in ranges {
-            let r = r.clone();
-            handles.push(s.spawn(move || {
-                pool.with(|scratch| {
-                    let mut kept = Vec::new();
-                    let mut weights_buf: Vec<f64> = Vec::new();
-                    let mut fwd_edges = 0u64;
-                    for a in r {
-                        let a = a as u32;
-                        scratch.sweep(collection, EntityId(a));
-                        if scratch.neighbours().is_empty() {
-                            continue;
-                        }
-                        fwd_edges += scratch.neighbours().iter().filter(|&&y| y > a).count() as u64;
-                        keep(a, scratch, &mut weights_buf, &mut kept);
-                    }
-                    (kept, fwd_edges)
-                })
-            }));
-        }
-        for h in handles {
-            outs.push(h.join().expect("sweep worker panicked"));
-        }
-    });
-    let fwd: u64 = outs.iter().map(|o| o.1).sum();
-    let mut kept: Vec<WeightedPair> = outs.into_iter().flat_map(|o| o.0).collect();
-    kept.sort_unstable_by_key(|x| (x.a, x.b));
-    (kept, fwd)
-}
-
-/// Streaming Weighted Edge Pruning — bit-identical to the materialised
-/// `prune::wep` on the built graph.
-#[doc(hidden)]
-pub fn wep(collection: &BlockCollection, scheme: WeightingScheme) -> PrunedComparisons {
-    wep_with(collection, scheme, &StreamingOptions::default())
-}
-
-/// [`wep`] with explicit options.
-#[doc(hidden)]
-pub fn wep_with(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    opts: &StreamingOptions,
-) -> PrunedComparisons {
-    wep_session(&mut SweepState::new(collection), scheme, opts.threads)
-}
-
-/// The session body of streaming WEP: two passes, neither materialising
-/// an edge — pass 1 accumulates each entity's positive forward-edge
-/// weight sum into a fixed-length slab and reduces it with a fixed-shape
-/// pairwise sum (the threshold is therefore independent of the thread
-/// count); pass 2 re-sweeps and emits the edges at or above the
-/// threshold.
-pub(crate) fn wep_session(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    threads: usize,
-) -> PrunedComparisons {
-    let threads = threads.max(1);
-    let (threshold, fwd_edges) = wep_criterion(st, scheme, threads);
-    let ranges = st.ranges(threads);
-    let collection = st.collection;
-    let globals = st.globals();
-    let pool = &st.pool;
-
-    // Pass 2 — re-sweep and emit each edge once, at its smaller endpoint.
-    let (kept, _) = per_node_pass(
-        collection,
-        &ranges,
-        pool,
-        move |a, scratch, _weights, out| {
-            for &y in scratch.neighbours() {
-                if y <= a {
+    /// One pass over the corpus: sweeps every entity, fills its
+    /// `weigher` row and feeds it to `step` against the range's own
+    /// `init()` accumulator. Returns the accumulators in range order and
+    /// the pass's forward-edge count.
+    fn pass<A: Send>(
+        &mut self,
+        weigher: Weigher,
+        forward_only: bool,
+        init: impl Fn() -> A + Sync,
+        step: impl Fn(&mut A, Row<'_>) + Sync,
+    ) -> (Vec<A>, u64) {
+        self.st.ensure(weigher.needs_counts(), self.threads);
+        let ranges = self.st.ranges(self.threads);
+        let (collection, globals) = (self.st.collection, self.st.globals());
+        let shares = for_each_range(&ranges, &self.st.pool, |range, scratch| {
+            let mut acc = init();
+            let mut buf = RowBuf::default();
+            let mut forward = 0u64;
+            for a in range {
+                let a = a as u32;
+                if scratch.sweep(collection, EntityId(a)).is_empty() {
                     continue;
                 }
-                let w = forward_weight(scheme, scratch, a, y, globals);
-                if w >= threshold && w > 0.0 {
-                    out.push(WeightedPair {
-                        a: EntityId(a),
-                        b: EntityId(y),
-                        weight: w,
-                    });
-                }
+                weigher.fill(scratch, a, globals, forward_only, &mut buf);
+                forward += forward_len(a, &buf.entries);
+                step(&mut acc, buf.row(a));
             }
-        },
-    );
-    let input_edges = if globals.num_edges > 0 {
-        globals.num_edges
-    } else {
-        fwd_edges as usize
-    };
-    PrunedComparisons::from_weighted_pairs(kept, scheme, input_edges)
-}
-
-/// Pass 1 of streaming WEP, shared with the query-time resolve path:
-/// computes the global threshold (the mean positive forward-edge weight,
-/// reduced through a fixed-shape pairwise sum so it is independent of the
-/// worker partitioning) and the forward-edge count. Runs `st.ensure` for
-/// the scheme, so callers can read `st.globals()` afterwards.
-pub(crate) fn wep_criterion(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    threads: usize,
-) -> (f64, u64) {
-    let threads = threads.max(1);
-    st.ensure(scheme, false, threads);
-    let ranges = st.ranges(threads);
-    let collection = st.collection;
-    let globals = st.globals();
-    let pool = &st.pool;
-    let n = collection.num_entities();
-
-    // Per-entity partial sums of positive forward-edge weights,
-    // accumulated in ascending neighbour order (the slab order the
-    // materialised path sums in), plus the positive / forward counts.
-    let mut sums = vec![0.0f64; n];
-    let mut positive = 0u64;
-    let mut fwd_edges = 0u64;
-    {
-        let chunks = crate::sweep::split_by_ends(&mut sums, ranges.iter().map(|r| r.end));
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(ranges.len());
-            for (r, chunk) in ranges.iter().zip(chunks) {
-                let r = r.clone();
-                handles.push(s.spawn(move || {
-                    pool.with(|scratch| {
-                        let (mut pos, mut fwd) = (0u64, 0u64);
-                        for a in r.clone() {
-                            scratch.sweep(collection, EntityId(a as u32));
-                            let mut sum = 0.0f64;
-                            for &y in scratch.neighbours() {
-                                if y <= a as u32 {
-                                    continue;
-                                }
-                                fwd += 1;
-                                let w = forward_weight(scheme, scratch, a as u32, y, globals);
-                                if w > 0.0 {
-                                    // lint:allow(float-accumulation): per-entity serial sum over sorted neighbours
-                                    sum += w;
-                                    pos += 1;
-                                }
-                            }
-                            chunk[a - r.start] = sum;
-                        }
-                        (pos, fwd)
-                    })
-                }));
-            }
-            for h in handles {
-                let (p, f) = h.join().expect("sweep worker panicked");
-                positive += p;
-                fwd_edges += f;
-            }
+            (acc, forward)
         });
+        let forward = shares.iter().map(|s| s.1).sum();
+        (shares.into_iter().map(|s| s.0).collect(), forward)
     }
-    (
-        crate::prune::wep_threshold_from_sums(&sums, positive),
-        fwd_edges,
-    )
 }
 
-/// Key of the CEP selection order: weight descending, ties to the
-/// *earlier* pair. Identical to the materialised `(weight, Reverse(edge
-/// rank))` order because the edge slab is sorted by pair.
-type CepKey = (OrdF64, std::cmp::Reverse<(EntityId, EntityId)>);
-
-/// Streaming Cardinality Edge Pruning — bit-identical to the materialised
-/// `prune::cep` on the built graph.
-#[doc(hidden)]
-pub fn cep(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    k: Option<usize>,
-) -> PrunedComparisons {
-    cep_with(collection, scheme, k, &StreamingOptions::default())
-}
-
-/// [`cep`] with explicit options.
-#[doc(hidden)]
-pub fn cep_with(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    k: Option<usize>,
-    opts: &StreamingOptions,
-) -> PrunedComparisons {
-    cep_session(&mut SweepState::new(collection), scheme, k, opts.threads)
-}
-
-/// The session body of streaming CEP: each worker keeps a bounded top-k
-/// heap over the forward edges of its entity range (the `a < b`
-/// orientation visits every edge exactly once); the per-thread survivors
-/// merge through one more bounded heap. The key is a strict total order,
-/// so the merged set is the exact global top-k for any partitioning.
-pub(crate) fn cep_session(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    k: Option<usize>,
-    threads: usize,
-) -> PrunedComparisons {
-    let threads = threads.max(1);
-    let k =
-        k.unwrap_or_else(|| crate::prune::default_cep_k_from(st.collection.total_assignments()));
-    if k == 0 {
-        // Degenerate cardinality (empty or single-assignment collection):
-        // report the edge count without driving a zero-capacity heap.
-        st.ensure_counted(threads);
-        return PrunedComparisons::empty(scheme, st.globals().num_edges);
-    }
-    st.ensure(scheme, false, threads);
-    let ranges = st.ranges(threads);
-    let collection = st.collection;
-    let globals = st.globals();
-    let pool = &st.pool;
-    let mut merged: TopK<CepKey> = TopK::new(k);
-    let mut fwd_edges = 0u64;
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for r in &ranges {
-            let r = r.clone();
-            handles.push(s.spawn(move || {
-                pool.with(|scratch| {
-                    let mut top: TopK<CepKey> = TopK::new(k);
-                    let mut fwd = 0u64;
-                    for a in r {
-                        let a = a as u32;
-                        scratch.sweep(collection, EntityId(a));
-                        for &y in scratch.neighbours() {
-                            if y <= a {
-                                continue;
-                            }
-                            fwd += 1;
-                            let w = forward_weight(scheme, scratch, a, y, globals);
-                            if w > 0.0 {
-                                top.push((
-                                    OrdF64(w),
-                                    std::cmp::Reverse((EntityId(a), EntityId(y))),
-                                ));
-                            }
-                        }
-                    }
-                    (top, fwd)
-                })
-            }));
-        }
-        for h in handles {
-            let (top, fwd) = h.join().expect("sweep worker panicked");
-            fwd_edges += fwd;
-            for item in top.into_sorted_vec() {
-                merged.push(item);
-            }
-        }
-    });
-    let input_edges = if globals.num_edges > 0 {
-        globals.num_edges
-    } else {
-        fwd_edges as usize
-    };
-    let pairs: Vec<WeightedPair> = merged
-        .into_sorted_vec()
-        .into_iter()
-        .map(|(w, r)| WeightedPair {
-            a: r.0 .0,
-            b: r.0 .1,
-            weight: w.0,
-        })
-        .collect();
-    PrunedComparisons::from_weighted_pairs(pairs, scheme, input_edges)
-}
-
-/// Every distinct comparable pair with its weight, sorted by pair — the
-/// streaming equivalent of weighting the blocking graph's edges one by
-/// one (the unpruned path), without building the graph.
-#[doc(hidden)]
-pub fn weighted_edges(collection: &BlockCollection, scheme: WeightingScheme) -> Vec<WeightedPair> {
-    weighted_edges_with(collection, scheme, &StreamingOptions::default())
-}
-
-/// [`weighted_edges`] with explicit options.
-#[doc(hidden)]
-pub fn weighted_edges_with(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    opts: &StreamingOptions,
-) -> Vec<WeightedPair> {
-    weighted_edges_session(&mut SweepState::new(collection), scheme, opts.threads).0
-}
-
-/// The session body of the unpruned path; also returns the forward-edge
-/// count (= the pair count, every edge emitted once).
-pub(crate) fn weighted_edges_session(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    threads: usize,
-) -> (Vec<WeightedPair>, u64) {
-    let threads = threads.max(1);
-    st.ensure(scheme, false, threads);
-    let ranges = st.ranges(threads);
-    let (collection, globals, pool) = (st.collection, st.globals(), &st.pool);
-    per_node_pass(
-        collection,
-        &ranges,
-        pool,
-        move |a, scratch, _weights, out| {
-            for &y in scratch.neighbours() {
-                if y <= a {
-                    continue;
-                }
-                out.push(WeightedPair {
-                    a: EntityId(a),
-                    b: EntityId(y),
-                    weight: forward_weight(scheme, scratch, a, y, globals),
-                });
-            }
-        },
-    )
-}
-
-/// Streaming Weighted Node Pruning — bit-identical to the materialised
-/// `prune::wnp` on the built graph.
-#[doc(hidden)]
-pub fn wnp(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-) -> PrunedComparisons {
-    wnp_with(collection, scheme, reciprocal, &StreamingOptions::default())
-}
-
-/// [`wnp`] with explicit options.
-#[doc(hidden)]
-pub fn wnp_with(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    opts: &StreamingOptions,
-) -> PrunedComparisons {
-    wnp_session(
-        &mut SweepState::new(collection),
-        scheme,
-        reciprocal,
-        opts.threads,
-    )
-}
-
-/// The session body of streaming WNP.
-pub(crate) fn wnp_session(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    threads: usize,
-) -> PrunedComparisons {
-    let threads = threads.max(1);
-    st.ensure(scheme, false, threads);
-    let ranges = st.ranges(threads);
-    let (collection, globals, pool) = (st.collection, st.globals(), &st.pool);
-    let (kept, fwd) = per_node_pass(
-        collection,
-        &ranges,
-        pool,
-        move |a, scratch, weights, out| {
-            neighbour_weights(scheme, scratch, a, globals, weights);
-            let threshold = mean(weights);
-            for (i, &y) in scratch.neighbours().iter().enumerate() {
-                let w = weights[i];
-                if w >= threshold && w > 0.0 {
-                    out.push(normalised(a, y, w));
-                }
-            }
-        },
-    );
-    let input_edges = if globals.num_edges > 0 {
-        globals.num_edges
-    } else {
-        fwd as usize
-    };
-    PrunedComparisons::from_weighted_pairs(combine_votes(kept, reciprocal), scheme, input_edges)
-}
-
-/// Streaming Cardinality Node Pruning — bit-identical to the materialised
-/// `prune::cnp` on the built graph.
-#[doc(hidden)]
-pub fn cnp(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    k: Option<usize>,
-) -> PrunedComparisons {
-    cnp_with(
-        collection,
-        scheme,
-        reciprocal,
-        k,
-        &StreamingOptions::default(),
-    )
-}
-
-/// [`cnp`] with explicit options.
-#[doc(hidden)]
-pub fn cnp_with(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    k: Option<usize>,
-    opts: &StreamingOptions,
-) -> PrunedComparisons {
-    cnp_session(
-        &mut SweepState::new(collection),
-        scheme,
-        reciprocal,
-        k,
-        opts.threads,
-    )
-}
-
-/// The session body of streaming CNP.
-pub(crate) fn cnp_session(
-    st: &mut SweepState<'_>,
-    scheme: WeightingScheme,
-    reciprocal: bool,
-    k: Option<usize>,
-    threads: usize,
-) -> PrunedComparisons {
-    let threads = threads.max(1);
-    // The default k needs the active-node count, which needs a counting
-    // pass anyway; EJS needs one for degrees. Otherwise one pass suffices.
-    st.ensure(scheme, k.is_none(), threads);
-    let k = k.unwrap_or_else(|| {
-        crate::prune::default_cnp_k_from(
-            st.collection.total_assignments(),
-            st.globals().active_nodes,
-        )
-    });
-    if k == 0 {
-        // Explicit zero cardinality: mirror `prune::cnp`'s guard.
-        st.ensure_counted(threads);
-        return PrunedComparisons::empty(scheme, st.globals().num_edges);
-    }
-    let ranges = st.ranges(threads);
-    let (collection, globals, pool) = (st.collection, st.globals(), &st.pool);
-    let (kept, fwd) = per_node_pass(
-        collection,
-        &ranges,
-        pool,
-        move |a, scratch, weights, out| {
-            neighbour_weights(scheme, scratch, a, globals, weights);
-            // Same selector the materialised path uses; tie-breaking by
-            // normalised pair is order-isomorphic to the global edge index.
-            let mut top: TopK<(OrdF64, std::cmp::Reverse<(EntityId, EntityId)>)> = TopK::new(k);
-            for (i, &y) in scratch.neighbours().iter().enumerate() {
-                let w = weights[i];
-                if w > 0.0 {
-                    let p = normalised(a, y, w);
-                    top.push((OrdF64(w), std::cmp::Reverse((p.a, p.b))));
-                }
-            }
-            for (w, r) in top.into_sorted_vec() {
-                out.push(WeightedPair {
-                    a: r.0 .0,
-                    b: r.0 .1,
-                    weight: w.0,
-                });
-            }
-        },
-    );
-    let input_edges = if globals.num_edges > 0 {
-        globals.num_edges
-    } else {
-        fwd as usize
-    };
-    PrunedComparisons::from_weighted_pairs(combine_votes(kept, reciprocal), scheme, input_edges)
-}
-
-/// Streaming BLAST (χ² weighting, loose ratio-of-local-max pruning) —
-/// bit-identical to the materialised `blast::blast` on the built graph.
-///
-/// # Panics
-/// Panics unless `0 < ratio ≤ 1`.
-#[doc(hidden)]
-pub fn blast(collection: &BlockCollection, ratio: f64) -> PrunedComparisons {
-    blast_with(collection, ratio, &StreamingOptions::default())
-}
-
-/// [`blast`] with explicit options.
-#[doc(hidden)]
-pub fn blast_with(
-    collection: &BlockCollection,
-    ratio: f64,
-    opts: &StreamingOptions,
-) -> PrunedComparisons {
-    blast_session(&mut SweepState::new(collection), ratio, opts.threads)
-}
-
-/// The session body of streaming BLAST.
-pub(crate) fn blast_session(
-    st: &mut SweepState<'_>,
-    ratio: f64,
-    threads: usize,
-) -> PrunedComparisons {
-    assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
-    let threads = threads.max(1);
-    st.ensure_basic();
-    let ranges = st.ranges(threads);
-    let (collection, globals, pool) = (st.collection, st.globals(), &st.pool);
-    let blocks = &globals.blocks_of;
-    let num_blocks = globals.num_blocks;
-
-    // Pass 1: per-node local χ² maxima.
-    let n = collection.num_entities();
-    let mut local_max = vec![0.0f64; n];
-    crate::sweep::fill_per_entity(collection, &ranges, pool, &mut local_max, |a, scratch| {
-        let mut max = 0.0f64;
-        for &y in scratch.neighbours() {
-            // Normalised endpoint order — see `neighbour_weights`.
-            let (lo, hi) = if a < y as usize {
-                (a, y as usize)
-            } else {
-                (y as usize, a)
-            };
-            let w = chi_square_from_stats(scratch.cbs_of(y), blocks[lo], blocks[hi], num_blocks);
-            if w > max {
-                max = w;
-            }
-        }
-        max
-    });
-
-    // Pass 2: emit each edge once (at its smaller endpoint) if either
-    // endpoint would keep it.
-    let local_max_ref = &local_max;
-    let (kept, fwd) = per_node_pass(
-        collection,
-        &ranges,
-        pool,
-        move |a, scratch, _weights, out| {
-            for &y in scratch.neighbours() {
-                if y <= a {
-                    continue;
-                }
-                let w = chi_square_from_stats(
-                    scratch.cbs_of(y),
-                    blocks[a as usize],
-                    blocks[y as usize],
-                    num_blocks,
-                );
-                if w > 0.0
-                    && (w >= ratio * local_max_ref[a as usize]
-                        || w >= ratio * local_max_ref[y as usize])
-                {
-                    out.push(WeightedPair {
-                        a: EntityId(a),
-                        b: EntityId(y),
-                        weight: w,
-                    });
-                }
-            }
-        },
-    );
-    // BLAST reports the χ² values under the CBS label, matching the
-    // materialised implementation.
-    PrunedComparisons::from_weighted_pairs(kept, WeightingScheme::Cbs, fwd as usize)
-}
-
-/// Streaming supervised pruning — bit-identical to the materialised
-/// `supervised::supervised_prune` on the built graph.
-#[doc(hidden)]
-pub fn supervised_prune(collection: &BlockCollection, model: &Perceptron) -> PrunedComparisons {
-    supervised_prune_with(collection, model, &StreamingOptions::default())
-}
-
-/// [`supervised_prune`] with explicit options.
-#[doc(hidden)]
-pub fn supervised_prune_with(
-    collection: &BlockCollection,
-    model: &Perceptron,
-    opts: &StreamingOptions,
-) -> PrunedComparisons {
-    supervised_session(&mut SweepState::new(collection), model, opts.threads)
-}
-
-/// The session body of streaming supervised pruning: pass 1 finds the
-/// global per-feature maxima (f64 `max` merges exactly, so the result is
-/// partition-independent); pass 2 normalises and scores each forward
-/// edge, keeping positive-margin pairs weighted by `sigmoid(margin)`.
-pub(crate) fn supervised_session(
-    st: &mut SweepState<'_>,
-    model: &Perceptron,
-    threads: usize,
-) -> PrunedComparisons {
-    let threads = threads.max(1);
-    let extractor = supervised_extractor(st, threads);
-    let ranges = st.ranges(threads);
-    let (collection, globals, pool) = (st.collection, st.globals(), &st.pool);
-
-    // Pass 2: score and keep positive-margin edges.
-    let extractor_ref = &extractor;
-    let (kept, _) = per_node_pass(
-        collection,
-        &ranges,
-        pool,
-        move |a, scratch, _weights, out| {
-            for &y in scratch.neighbours() {
-                if y <= a {
-                    continue;
-                }
-                let raw = supervised::raw_forward_features(scratch, a, y, globals);
-                let score = model.score(&extractor_ref.normalise(raw));
-                if score > 0.0 {
-                    out.push(WeightedPair {
-                        a: EntityId(a),
-                        b: EntityId(y),
-                        weight: supervised::sigmoid(score),
-                    });
-                }
-            }
-        },
-    );
-    // The supervised pruner reports its sigmoid weights under the CBS
-    // label, matching the materialised implementation.
-    PrunedComparisons::from_weighted_pairs(kept, WeightingScheme::Cbs, globals.num_edges)
-}
-
-/// Pass 1 of streaming supervised pruning, shared with the query-time
-/// resolve path: the global per-feature maxima that become the
-/// extractor's normalisation constants (f64 `max` merges exactly, so the
-/// result is partition-independent). Runs `st.ensure_counted` — the
-/// features include endpoint degrees and the EJS weight — so callers can
-/// read `st.globals()` afterwards.
-pub(crate) fn supervised_extractor(
-    st: &mut SweepState<'_>,
-    threads: usize,
-) -> supervised::FeatureExtractor {
-    let threads = threads.max(1);
-    st.ensure_counted(threads);
-    let ranges = st.ranges(threads);
-    let (collection, globals, pool) = (st.collection, st.globals(), &st.pool);
-
-    let mut max = [0.0f64; NUM_FEATURES];
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for r in &ranges {
-            let r = r.clone();
-            handles.push(s.spawn(move || {
-                pool.with(|scratch| {
-                    let mut local = [0.0f64; NUM_FEATURES];
-                    for a in r {
-                        let a = a as u32;
-                        scratch.sweep(collection, EntityId(a));
-                        for &y in scratch.neighbours() {
-                            if y <= a {
-                                continue;
-                            }
-                            let raw = supervised::raw_forward_features(scratch, a, y, globals);
-                            supervised::merge_feature_max(&mut local, &raw);
-                        }
-                    }
-                    local
-                })
-            }));
-        }
-        for h in handles {
-            let local = h.join().expect("sweep worker panicked");
-            supervised::merge_feature_max(&mut max, &local);
-        }
-    });
-    supervised::FeatureExtractor::from_max(max)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::graph::BlockingGraph;
-    use crate::{blast as blast_mod, prune};
-    use minoan_blocking::builders::token_blocking;
-    use minoan_blocking::ErMode;
-    use minoan_datagen::{generate, profiles};
-
-    use crate::assert_bit_identical;
-
-    #[test]
-    fn streaming_matches_materialised_on_generated_world() {
-        let world = generate(&profiles::center_dense(150, 7));
-        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        for threads in [1, 4] {
-            let opts = StreamingOptions::with_threads(threads);
-            for scheme in WeightingScheme::ALL {
-                for reciprocal in [false, true] {
-                    let s = wnp_with(&blocks, scheme, reciprocal, &opts);
-                    let m = prune::wnp(&graph, scheme, reciprocal);
-                    assert_bit_identical(
-                        &s,
-                        &m,
-                        &format!("wnp/{scheme:?}/r={reciprocal}/t={threads}"),
-                    );
-
-                    let s = cnp_with(&blocks, scheme, reciprocal, Some(3), &opts);
-                    let m = prune::cnp(&graph, scheme, reciprocal, Some(3));
-                    assert_bit_identical(
-                        &s,
-                        &m,
-                        &format!("cnp3/{scheme:?}/r={reciprocal}/t={threads}"),
-                    );
-                }
-                let s = wep_with(&blocks, scheme, &opts);
-                let m = prune::wep(&graph, scheme);
-                assert_bit_identical(&s, &m, &format!("wep/{scheme:?}/t={threads}"));
-
-                for k in [None, Some(5)] {
-                    let s = cep_with(&blocks, scheme, k, &opts);
-                    let m = prune::cep(&graph, scheme, k);
-                    assert_bit_identical(&s, &m, &format!("cep{k:?}/{scheme:?}/t={threads}"));
-                }
-            }
-            let s = blast_with(&blocks, 0.35, &opts);
-            let m = blast_mod::blast(&graph, 0.35);
-            assert_bit_identical(&s, &m, &format!("blast/t={threads}"));
-        }
+impl RowDriver for Streaming<'_, '_> {
+    fn num_entities(&self) -> usize {
+        self.st.collection.num_entities()
     }
 
-    #[test]
-    fn weighted_edges_match_the_slab() {
-        let world = generate(&profiles::center_dense(120, 5));
-        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        for threads in [1, 4] {
-            for scheme in WeightingScheme::ALL {
-                let stream =
-                    weighted_edges_with(&blocks, scheme, &StreamingOptions::with_threads(threads));
-                assert_eq!(stream.len(), graph.num_edges(), "{scheme:?}/t={threads}");
-                for (s, e) in stream.iter().zip(graph.edges()) {
-                    assert_eq!((s.a, s.b), (e.a, e.b));
-                    assert_eq!(s.weight.to_bits(), scheme.weight(&graph, e).to_bits());
-                }
-            }
-        }
+    fn total_assignments(&self) -> u64 {
+        self.st.collection.total_assignments()
     }
 
-    #[test]
-    fn default_k_matches_materialised_default() {
-        let world = generate(&profiles::center_dense(100, 3));
-        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        let s = cnp(&blocks, WeightingScheme::Js, false, None);
-        let m = prune::cnp(&graph, WeightingScheme::Js, false, None);
-        assert_bit_identical(&s, &m, "cnp/default-k");
+    fn active_nodes(&mut self) -> usize {
+        self.st.ensure(true, self.threads);
+        self.st.globals().active_nodes
     }
 
-    #[test]
-    fn streaming_supervised_matches_materialised() {
-        use crate::supervised::{FeatureExtractor, Perceptron, TrainingSet};
-        let world = generate(&profiles::center_dense(150, 5));
-        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        let extractor = FeatureExtractor::fit(&graph);
-        let set = TrainingSet::sample(
-            &graph,
-            &extractor,
-            |a, b| world.truth.is_match(a, b),
-            40,
-            17,
+    fn num_edges(&mut self) -> usize {
+        self.st.ensure(true, self.threads);
+        self.st.globals().num_edges
+    }
+
+    fn reduce(&mut self, weigher: Weigher, fold: &CriterionFold) -> (Partial, u64) {
+        let (shares, forward) = self.pass(
+            weigher,
+            fold.forward_only(),
+            || fold.init(),
+            |acc, row| fold.fold(acc, row),
         );
-        let model = Perceptron::train(&set, 12);
-        let m = crate::supervised::supervised_prune(&graph, &model);
-        assert!(!m.pairs.is_empty(), "fixture model must keep something");
-        for threads in [1, 4] {
-            let s =
-                supervised_prune_with(&blocks, &model, &StreamingOptions::with_threads(threads));
-            assert_bit_identical(&s, &m, &format!("supervised/t={threads}"));
-        }
+        let merged = Partial::merged(shares).unwrap_or_else(|| fold.init());
+        (merged, forward)
     }
 
-    #[test]
-    fn empty_collection_is_fine() {
-        let ds = minoan_rdf::DatasetBuilder::new().build();
-        let c = BlockCollection::from_groups(
-            &ds,
-            ErMode::CleanClean,
-            Vec::<(String, Vec<EntityId>)>::new(),
-        );
-        assert!(wnp(&c, WeightingScheme::Arcs, false).pairs.is_empty());
-        assert!(cnp(&c, WeightingScheme::Ejs, true, None).pairs.is_empty());
-        assert!(wep(&c, WeightingScheme::Js).pairs.is_empty());
-        let e = cep(&c, WeightingScheme::Cbs, None);
-        assert!(e.pairs.is_empty());
-        assert_eq!(e.input_edges, 0, "empty default-k CEP still reports stats");
-        assert!(weighted_edges(&c, WeightingScheme::Arcs).is_empty());
-        assert!(blast(&c, 0.5).pairs.is_empty());
-    }
-
-    #[test]
-    fn explicit_zero_k_reports_stats() {
-        let world = generate(&profiles::center_dense(60, 8));
-        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        for (out, label) in [
-            (cep(&blocks, WeightingScheme::Js, Some(0)), "cep"),
-            (cnp(&blocks, WeightingScheme::Js, false, Some(0)), "cnp"),
-        ] {
-            assert!(out.pairs.is_empty(), "{label}");
-            assert_eq!(out.input_edges, graph.num_edges(), "{label}: stats");
-        }
+    fn keep(&mut self, weigher: Weigher, rule: Rule<'_>) -> (Vec<WeightedPair>, u64) {
+        let (shares, forward) = self.pass(weigher, rule.forward_only(), Vec::new, |kept, row| {
+            rule.contribute(row, kept)
+        });
+        (shares.into_iter().flatten().collect(), forward)
     }
 }

@@ -27,7 +27,7 @@
 //!    stay bit-identical.
 
 use crate::graph::{BlockingGraph, Edge};
-use crate::kernel::{self, WeightGlobals};
+use crate::kernel::{self, EdgeGlobals};
 use crate::prune::{PrunedComparisons, WeightedPair};
 use crate::sweep::SweepScratch;
 use crate::weights::WeightingScheme;
@@ -143,20 +143,22 @@ fn raw_features(graph: &BlockingGraph, e: &Edge) -> [f64; NUM_FEATURES] {
 /// ([`kernel::weight_from_stats`] per scheme, counted degrees for the
 /// last two slots), so the f64 bits agree across backends. `globals`
 /// must carry the counted tier (degrees + |V|).
-pub(crate) fn raw_forward_features(
+pub(crate) fn raw_forward_features<G: EdgeGlobals>(
     scratch: &SweepScratch,
     a: u32,
     y: u32,
-    globals: &WeightGlobals,
+    globals: &G,
 ) -> [f64; NUM_FEATURES] {
+    let weight = |scheme| kernel::edge_weight(scheme, scratch, globals, y, a, y);
+    let (deg_a, deg_y) = globals.degrees_of(a, y);
     [
-        kernel::forward_weight(WeightingScheme::Cbs, scratch, a, y, globals),
-        kernel::forward_weight(WeightingScheme::Ecbs, scratch, a, y, globals),
-        kernel::forward_weight(WeightingScheme::Js, scratch, a, y, globals),
-        kernel::forward_weight(WeightingScheme::Ejs, scratch, a, y, globals),
-        kernel::forward_weight(WeightingScheme::Arcs, scratch, a, y, globals),
-        globals.degrees[a as usize] as f64,
-        globals.degrees[y as usize] as f64,
+        weight(WeightingScheme::Cbs),
+        weight(WeightingScheme::Ecbs),
+        weight(WeightingScheme::Js),
+        weight(WeightingScheme::Ejs),
+        weight(WeightingScheme::Arcs),
+        deg_a as f64,
+        deg_y as f64,
     ]
 }
 

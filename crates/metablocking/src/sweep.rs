@@ -15,7 +15,6 @@
 //! materialised ones.
 
 use crate::kernel::WeightGlobals;
-use crate::weights::WeightingScheme;
 use minoan_blocking::{BlockCollection, BlockView};
 use minoan_rdf::EntityId;
 use std::sync::Mutex;
@@ -151,33 +150,33 @@ impl ScratchPool {
     }
 }
 
-/// One parallel pass filling a per-entity slot from its sweep — used for
-/// degree counting and BLAST local maxima. Shared by the streaming and
-/// session paths; scratches come from `pool`.
-pub(crate) fn fill_per_entity<T: Send, F>(
-    collection: &BlockCollection,
+/// The one scoped-thread driver of the sweep-based paths: runs `f` once
+/// per range with a pooled scratch and returns the results in range
+/// order. A single range runs inline — a `--workers 1` run, or a
+/// criterion rebuild under a service lock, pays no thread spawn.
+pub(crate) fn for_each_range<T, F>(
     ranges: &[std::ops::Range<usize>],
     pool: &ScratchPool,
-    out: &mut [T],
     f: F,
-) where
-    F: Fn(usize, &SweepScratch) -> T + Sync,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(std::ops::Range<usize>, &mut SweepScratch) -> T + Sync,
 {
-    let chunks = split_by_ends(out, ranges.iter().map(|r| r.end));
+    if let [r] = ranges {
+        return vec![pool.with(|scratch| f(r.clone(), scratch))];
+    }
     let f = &f;
     std::thread::scope(|s| {
-        for (r, chunk) in ranges.iter().zip(chunks) {
-            let r = r.clone();
-            s.spawn(move || {
-                pool.with(|scratch| {
-                    for a in r.clone() {
-                        scratch.sweep(collection, EntityId(a as u32));
-                        chunk[a - r.start] = f(a, scratch);
-                    }
-                });
-            });
-        }
-    });
+        let handles: Vec<_> = ranges
+            .iter()
+            .map(|r| s.spawn(move || pool.with(|scratch| f(r.clone(), scratch))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
+    })
 }
 
 /// The expensive state a sweep-based backend (streaming or MapReduce)
@@ -185,9 +184,6 @@ pub(crate) fn fill_per_entity<T: Send, F>(
 /// [`Session`](crate::Session): the per-entity sweep-cost slab and its
 /// range partitionings, the [`WeightGlobals`] tiers (basic, and the
 /// counted degrees/|V|/active-node upgrade), and the scratch pool.
-///
-/// The one-shot free functions construct a throwaway `SweepState` per
-/// call, which reproduces the pre-session behaviour exactly.
 pub(crate) struct SweepState<'c> {
     pub(crate) collection: &'c BlockCollection,
     pub(crate) pool: ScratchPool,
@@ -222,49 +218,34 @@ impl<'c> SweepState<'c> {
         r
     }
 
-    /// Ensures the globals tier `scheme` (and `need_active`) requires:
-    /// the basic per-entity block counts always, plus — for EJS or
-    /// active-node consumers — the counting pass, run at most once per
-    /// state regardless of how many runs need it.
-    pub(crate) fn ensure(&mut self, scheme: WeightingScheme, need_active: bool, threads: usize) {
-        self.ensure_basic();
-        if (scheme == WeightingScheme::Ejs || need_active) && !self.counted {
-            self.count(threads);
-        }
-    }
-
-    /// Ensures the counted tier (degrees, |V|, active nodes).
-    pub(crate) fn ensure_counted(&mut self, threads: usize) {
-        self.ensure_basic();
-        if !self.counted {
-            self.count(threads);
-        }
-    }
-
-    /// Ensures the basic tier (per-entity block counts, |B|).
-    pub(crate) fn ensure_basic(&mut self) {
+    /// Ensures the globals tier a pass reads: the basic per-entity block
+    /// counts always, plus — when `counted` (EJS, the supervised
+    /// features, CNP's default `k`, a bare |V|) — the counting pass, run
+    /// at most once per state regardless of how many runs need it.
+    pub(crate) fn ensure(&mut self, counted: bool, threads: usize) {
         if self.globals.is_none() {
             self.globals = Some(WeightGlobals::basic(self.collection));
+        }
+        if counted && !self.counted {
+            self.count(threads);
         }
     }
 
     fn count(&mut self, threads: usize) {
         let ranges = self.ranges(threads.max(1));
-        let mut degrees = vec![0u32; self.collection.num_entities()];
-        fill_per_entity(
-            self.collection,
-            &ranges,
-            &self.pool,
-            &mut degrees,
-            |_a, s| s.neighbours().len() as u32,
-        );
+        let collection = self.collection;
+        let degrees = for_each_range(&ranges, &self.pool, |r, scratch| {
+            r.map(|a| scratch.sweep(collection, EntityId(a as u32)).len() as u32)
+                .collect::<Vec<u32>>()
+        })
+        .concat();
         self.apply_count(degrees);
     }
 
     /// Installs externally-computed per-entity degrees (the MapReduce
     /// counting job) as the counted tier.
     pub(crate) fn apply_count(&mut self, degrees: Vec<u32>) {
-        self.ensure_basic();
+        self.ensure(false, 1);
         let g = self.globals.as_mut().expect("just ensured");
         // |V| = Σ degrees / 2 (every edge counted at both endpoints).
         g.num_edges = degrees.iter().map(|&d| d as u64).sum::<u64>() as usize / 2;
@@ -320,12 +301,6 @@ pub(crate) fn partition_by_cost(costs: &[u64], parts: usize) -> Vec<std::ops::Ra
         out.push(start..n);
     }
     out
-}
-
-/// Default worker count for the parallel sweeps (the shared
-/// `minoan_common` definition).
-pub(crate) fn default_threads() -> usize {
-    minoan_common::default_threads()
 }
 
 /// Contiguous entity ranges for `threads` workers, balanced by sweep cost

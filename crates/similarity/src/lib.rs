@@ -10,30 +10,18 @@
 //! * [`string`] — Levenshtein, Jaro, Jaro–Winkler and q-gram similarity.
 //! * [`tfidf`] — corpus-level document-frequency statistics producing the
 //!   IDF weights used by the weighted token measures.
-//! * [`hybrid`] — token × character hybrids (Monge–Elkan, soft token
-//!   Jaccard) for noisy name-like values.
 //! * [`minhash`] — MinHash signatures for O(k) approximate Jaccard.
 //!
 //! All similarities are in `[0, 1]`, higher = more similar.
 
 #![forbid(unsafe_code)]
 
-pub mod alignment;
-pub mod hybrid;
 pub mod minhash;
-pub mod numeric;
-pub mod simhash;
-pub mod softtfidf;
 pub mod string;
 pub mod tfidf;
 pub mod token;
 
-pub use alignment::{needleman_wunsch, smith_waterman};
-pub use hybrid::{monge_elkan, monge_elkan_symmetric, soft_token_jaccard};
 pub use minhash::{MinHasher, Signature};
-pub use numeric::{date_literal_similarity, numeric_literal_similarity};
-pub use simhash::{simhash_similarity, SimHash};
-pub use softtfidf::{soft_cosine, soft_tfidf};
 pub use string::{jaro, jaro_winkler, levenshtein, levenshtein_similarity, qgram_similarity};
 pub use tfidf::TfIdfWeights;
 pub use token::{cosine, dice, jaccard, overlap_coefficient, weighted_jaccard};

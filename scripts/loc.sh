@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Line counts the ROADMAP tracks (aim 2): one table, one row per crate —
+# `src/` lines, in-crate `tests/` + `benches/` lines — plus the root
+# facade and the workspace-level integration tests. Plain `wc -l` over
+# tracked-or-not *.rs files; no arguments.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+# Total lines of the *.rs files under the given directories (0 if none).
+lines() {
+    local total=0 dir n
+    for dir in "$@"; do
+        [ -d "$dir" ] || continue
+        n="$(find "$dir" -name '*.rs' -type f -exec cat {} + | wc -l)"
+        total=$((total + n))
+    done
+    echo "$total"
+}
+
+printf '%-16s %8s %8s\n' crate src tests
+src_total=0
+tests_total=0
+row() {
+    printf '%-16s %8d %8d\n' "$1" "$2" "$3"
+    src_total=$((src_total + $2))
+    tests_total=$((tests_total + $3))
+}
+for crate in crates/*/; do
+    crate="${crate%/}"
+    row "$(basename "$crate")" "$(lines "$crate/src")" "$(lines "$crate/tests" "$crate/benches")"
+done
+row "minoan (root)" "$(lines src)" "$(lines tests examples)"
+printf '%-16s %8d %8d\n' total "$src_total" "$tests_total"

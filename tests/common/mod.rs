@@ -1,6 +1,60 @@
 //! Helpers shared by the backend-equivalence integration suites.
 
-use minoan::metablocking::{PruneOutcome, PrunedComparisons, WeightedPair};
+use minoan::blocking::BlockCollection;
+use minoan::metablocking::{
+    blast, prune, supervised_prune, BlockingGraph, ExecutionBackend, PruneOutcome,
+    PrunedComparisons, Pruning, Session, WeightedPair, WeightingScheme,
+};
+
+/// One fresh single-shot session run of `scheme` × `pruning` on `backend`
+/// at `workers` — the way every equivalence suite reaches a backend.
+#[allow(dead_code)]
+pub fn session_run(
+    blocks: &BlockCollection,
+    scheme: WeightingScheme,
+    pruning: Pruning,
+    backend: ExecutionBackend,
+    workers: usize,
+) -> PruneOutcome {
+    Session::new(blocks)
+        .scheme(scheme)
+        .pruning(pruning)
+        .backend(backend)
+        .workers(workers)
+        .run()
+}
+
+/// The materialised reference every backend must match bit for bit: the
+/// `prune` / `blast` / `supervised_prune` bodies over the built CSR
+/// graph, called directly (no session in between).
+#[allow(dead_code)]
+pub fn reference(
+    graph: &BlockingGraph,
+    scheme: WeightingScheme,
+    pruning: Pruning,
+) -> PrunedComparisons {
+    match pruning {
+        Pruning::None => PrunedComparisons {
+            pairs: graph
+                .edges()
+                .iter()
+                .map(|e| WeightedPair {
+                    a: e.a,
+                    b: e.b,
+                    weight: scheme.weight(graph, e),
+                })
+                .collect(),
+            scheme,
+            input_edges: graph.num_edges(),
+        },
+        Pruning::Wep => prune::wep(graph, scheme),
+        Pruning::Cep(k) => prune::cep(graph, scheme, k),
+        Pruning::Wnp { reciprocal } => prune::wnp(graph, scheme, reciprocal),
+        Pruning::Cnp { reciprocal, k } => prune::cnp(graph, scheme, reciprocal, k),
+        Pruning::Blast { ratio } => blast(graph, ratio),
+        Pruning::Supervised(model) => supervised_prune(graph, &model),
+    }
+}
 
 /// Bit-identity over bare pair lists: same pairs in the same order with
 /// the same f64 weight bits.
@@ -24,13 +78,14 @@ pub fn assert_pairs_bit_identical(a: &[WeightedPair], b: &[WeightedPair], label:
 /// The one definition of "bit-identical pruning output" the equivalence
 /// suites assert: same input-edge count, same pair order, same f64
 /// weight bits.
+#[allow(dead_code)]
 pub fn assert_bit_identical(a: &PrunedComparisons, b: &PrunedComparisons, label: &str) {
     assert_eq!(a.input_edges, b.input_edges, "{label}: input_edges");
     assert_pairs_bit_identical(&a.pairs, &b.pairs, label);
 }
 
 /// As [`assert_bit_identical`], comparing a session [`PruneOutcome`]
-/// against a pre-session single-shot result.
+/// against a materialised single-shot [`reference`].
 #[allow(dead_code)]
 pub fn assert_outcome_bit_identical(a: &PruneOutcome, b: &PrunedComparisons, label: &str) {
     assert_bit_identical(&a.pruned, b, label);

@@ -11,12 +11,12 @@
 
 use minoan::blocking::parallel::parallel_token_blocking;
 use minoan::blocking::{builders, ErMode};
-use minoan::metablocking::parallel::{self, parallel_cnp, parallel_wep};
-use minoan::metablocking::{blast, prune, BlockingGraph, WeightingScheme};
+use minoan::metablocking::parallel::parallel_edge_weights_with_stats;
+use minoan::metablocking::{BlockingGraph, ExecutionBackend, Pruning, WeightingScheme};
 use minoan::prelude::*;
 
 mod common;
-use common::assert_bit_identical;
+use common::{assert_outcome_bit_identical, reference, session_run};
 
 #[test]
 fn parallel_blocking_identical_for_all_worker_counts() {
@@ -39,53 +39,30 @@ fn entity_partitioned_matrix_is_bit_identical_to_materialised() {
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
     let cleaned = filter::clean(&blocks);
     let graph = BlockingGraph::build(&cleaned);
-    for workers in [1usize, 3, 8] {
-        let engine = Engine::new(workers);
-        for scheme in WeightingScheme::ALL {
-            let label = |family: &str| format!("{family}/{scheme:?}/w={workers}");
-
-            let ser = prune::wep(&graph, scheme);
-            assert_bit_identical(
-                &parallel::wep(&cleaned, scheme, &engine),
-                &ser,
-                &label("wep"),
-            );
-
-            for k in [None, Some(25)] {
-                let ser = prune::cep(&graph, scheme, k);
-                assert_bit_identical(
-                    &parallel::cep(&cleaned, scheme, k, &engine),
-                    &ser,
-                    &label(&format!("cep{k:?}")),
-                );
-            }
-
-            for reciprocal in [false, true] {
-                let ser = prune::wnp(&graph, scheme, reciprocal);
-                assert_bit_identical(
-                    &parallel::wnp(&cleaned, scheme, reciprocal, &engine),
-                    &ser,
-                    &label(&format!("wnp/r={reciprocal}")),
-                );
-
-                for k in [None, Some(3)] {
-                    let ser = prune::cnp(&graph, scheme, reciprocal, k);
-                    assert_bit_identical(
-                        &parallel::cnp(&cleaned, scheme, reciprocal, k, &engine),
-                        &ser,
-                        &label(&format!("cnp{k:?}/r={reciprocal}")),
-                    );
-                }
-            }
+    let mut families = vec![Pruning::Wep, Pruning::Cep(None), Pruning::Cep(Some(25))];
+    for reciprocal in [false, true] {
+        families.push(Pruning::Wnp { reciprocal });
+        for k in [None, Some(3)] {
+            families.push(Pruning::Cnp { reciprocal, k });
         }
-
-        // BLAST is scheme-free (χ² weights).
-        for ratio in [0.35, 0.8] {
-            assert_bit_identical(
-                &parallel::blast(&cleaned, ratio, &engine),
-                &blast(&graph, ratio),
-                &format!("blast/{ratio}/w={workers}"),
-            );
+    }
+    // BLAST is scheme-free (χ² weights), but rides the matrix anyway.
+    families.extend([0.35, 0.8].map(|ratio| Pruning::Blast { ratio }));
+    for workers in [1usize, 3, 8] {
+        for scheme in WeightingScheme::ALL {
+            for &pruning in &families {
+                assert_outcome_bit_identical(
+                    &session_run(
+                        &cleaned,
+                        scheme,
+                        pruning,
+                        ExecutionBackend::MapReduce,
+                        workers,
+                    ),
+                    &reference(&graph, scheme, pruning),
+                    &format!("{pruning:?}/{scheme:?}/w={workers}"),
+                );
+            }
         }
     }
 }
@@ -99,51 +76,18 @@ fn entity_partitioned_weighted_edges_match_the_slab() {
     let graph = BlockingGraph::build(&blocks);
     for workers in [1, 3, 8] {
         for scheme in WeightingScheme::ALL {
-            let par = parallel::weighted_edges(&blocks, scheme, &Engine::new(workers));
-            assert_eq!(
-                par.len(),
-                graph.num_edges(),
-                "{scheme:?}/w={workers}: edge count"
+            assert_outcome_bit_identical(
+                &session_run(
+                    &blocks,
+                    scheme,
+                    Pruning::None,
+                    ExecutionBackend::MapReduce,
+                    workers,
+                ),
+                &reference(&graph, scheme, Pruning::None),
+                &format!("{scheme:?}/w={workers}"),
             );
-            for (wp, edge) in par.iter().zip(graph.edges()) {
-                assert_eq!((wp.a, wp.b), (edge.a, edge.b));
-                assert_eq!(wp.weight.to_bits(), scheme.weight(&graph, edge).to_bits());
-            }
         }
-    }
-}
-
-/// The edge-based (per-occurrence shuffle) baseline stays bit-identical
-/// too — including WEP's positive-weight-only mean on schemes that emit
-/// zero-weight edges, which the old all-edge mean diverged on.
-#[test]
-fn edge_based_baseline_matches_serial_on_every_scheme() {
-    let world = generate(&profiles::center_dense(180, 13));
-    let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-    let cleaned = filter::clean(&blocks);
-    let graph = BlockingGraph::build(&cleaned);
-    let engine = Engine::new(4);
-    for scheme in WeightingScheme::ALL {
-        assert_bit_identical(
-            &parallel_wep(&cleaned, scheme, &engine),
-            &prune::wep(&graph, scheme),
-            &format!("edge-based wep/{scheme:?}"),
-        );
-    }
-}
-
-#[test]
-fn parallel_cnp_reciprocal_variants_match_serial() {
-    let world = generate(&profiles::periphery_sparse(150, 17));
-    let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-    let graph = BlockingGraph::build(&blocks);
-    let engine = Engine::new(3);
-    for reciprocal in [false, true] {
-        assert_bit_identical(
-            &parallel_cnp(&blocks, WeightingScheme::Ecbs, reciprocal, Some(4), &engine),
-            &prune::cnp(&graph, WeightingScheme::Ecbs, reciprocal, Some(4)),
-            &format!("edge-based cnp/r={reciprocal}"),
-        );
     }
 }
 
@@ -153,23 +97,25 @@ fn parallel_cnp_reciprocal_variants_match_serial() {
 fn entity_based_shuffle_volume_is_per_entity_not_per_occurrence() {
     let world = generate(&profiles::center_dense(200, 41));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-    let engine = Engine::new(4);
     let (_, edge_stats) =
-        parallel::parallel_edge_weights_with_stats(&blocks, WeightingScheme::Arcs, &engine);
-    for (label, report) in [
-        (
-            "wnp",
-            parallel::wnp_with_report(&blocks, WeightingScheme::Arcs, false, &engine).1,
-        ),
-        (
-            "wep",
-            parallel::wep_with_report(&blocks, WeightingScheme::Arcs, &engine).1,
-        ),
-        (
-            "cep",
-            parallel::cep_with_report(&blocks, WeightingScheme::Arcs, Some(50), &engine).1,
-        ),
+        parallel_edge_weights_with_stats(&blocks, WeightingScheme::Arcs, &Engine::new(4));
+    for (label, pruning) in [
+        ("wnp", Pruning::Wnp { reciprocal: false }),
+        ("wep", Pruning::Wep),
+        ("cep", Pruning::Cep(Some(50))),
     ] {
+        let report = session_run(
+            &blocks,
+            WeightingScheme::Arcs,
+            pruning,
+            ExecutionBackend::MapReduce,
+            4,
+        )
+        .report;
+        assert!(
+            !report.jobs.is_empty(),
+            "{label}: MapReduce runs report jobs"
+        );
         for (job, stats) in &report.jobs {
             // The vote-combination job shuffles the (small) kept set; every
             // other job is bounded by one record per entity neighbourhood.

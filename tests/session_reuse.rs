@@ -1,6 +1,6 @@
 //! Session-reuse equivalence: one [`Session`] swept over all five
 //! weighting schemes and all pruning families must be bitwise-equal to
-//! fresh single-shot runs of the pre-session free functions, for every
+//! fresh single-shot runs of the materialised reference bodies, for every
 //! [`ExecutionBackend`] and workers 1/4 — and the sweep must *reuse* the
 //! expensive shared state instead of rebuilding it per run, asserted via
 //! the [`probe`] build/allocation counters.
@@ -10,14 +10,14 @@
 
 use minoan::blocking::{builders, ErMode};
 use minoan::metablocking::{
-    blast, probe, prune, supervised_prune, BlockingGraph, ExecutionBackend, FeatureExtractor,
-    Perceptron, Pruning, Session, TrainingSet, WeightedPair,
+    probe, supervised_prune, BlockingGraph, ExecutionBackend, FeatureExtractor, Perceptron,
+    Pruning, Session, TrainingSet,
 };
 use minoan::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 mod common;
-use common::{assert_outcome_bit_identical, assert_pairs_bit_identical};
+use common::{assert_outcome_bit_identical, assert_pairs_bit_identical, reference, session_run};
 
 fn probe_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -61,32 +61,6 @@ fn family_variants() -> Vec<(&'static str, Pruning)> {
     ]
 }
 
-/// The pre-session single-shot result for one scheme × family on the
-/// materialised graph (the reference every backend must match).
-fn single_shot(
-    graph: &BlockingGraph,
-    scheme: WeightingScheme,
-    pruning: Pruning,
-) -> Vec<WeightedPair> {
-    match pruning {
-        Pruning::None => graph
-            .edges()
-            .iter()
-            .map(|e| WeightedPair {
-                a: e.a,
-                b: e.b,
-                weight: scheme.weight(graph, e),
-            })
-            .collect(),
-        Pruning::Wep => prune::wep(graph, scheme).pairs,
-        Pruning::Cep(k) => prune::cep(graph, scheme, k).pairs,
-        Pruning::Wnp { reciprocal } => prune::wnp(graph, scheme, reciprocal).pairs,
-        Pruning::Cnp { reciprocal, k } => prune::cnp(graph, scheme, reciprocal, k).pairs,
-        Pruning::Blast { ratio } => blast(graph, ratio).pairs,
-        Pruning::Supervised(model) => supervised_prune(graph, &model).pairs,
-    }
-}
-
 /// One session swept over all five schemes and all pruning families is
 /// bitwise-equal to fresh single-shot runs, per backend and worker count.
 #[test]
@@ -101,7 +75,7 @@ fn one_session_sweep_equals_fresh_single_shots() {
                 session.scheme(scheme);
                 for (fname, family) in family_variants() {
                     let out = session.pruning(family).run();
-                    let expect = single_shot(&graph, scheme, family);
+                    let expect = reference(&graph, scheme, family).pairs;
                     assert_pairs_bit_identical(
                         out.pairs(),
                         &expect,
@@ -130,7 +104,7 @@ fn backend_interleaving_on_one_session_is_bit_identical() {
         session.scheme(scheme);
         for (fname, family) in family_variants() {
             session.pruning(family);
-            let expect = single_shot(&graph, scheme, family);
+            let expect = reference(&graph, scheme, family).pairs;
             for backend in [
                 ExecutionBackend::Streaming,
                 ExecutionBackend::MapReduce,
@@ -165,11 +139,13 @@ fn supervised_family_reachable_from_every_backend() {
     );
     for backend in ExecutionBackend::ALL {
         for workers in [1usize, 4] {
-            let out = Session::new(&blocks)
-                .pruning(Pruning::Supervised(model))
-                .backend(backend)
-                .workers(workers)
-                .run();
+            let out = session_run(
+                &blocks,
+                WeightingScheme::Arcs,
+                Pruning::Supervised(model),
+                backend,
+                workers,
+            );
             assert_outcome_bit_identical(
                 &out,
                 &expect,

@@ -5,13 +5,34 @@
 //! worlds, for both the union and reciprocal variants, at thread counts
 //! 1/2/4/8.
 
-use minoan::blocking::{builders, ErMode};
-use minoan::metablocking::{blast, prune, streaming, BlockingGraph, StreamingOptions};
+use minoan::blocking::{builders, BlockCollection, ErMode};
+use minoan::metablocking::{BlockingGraph, ExecutionBackend, Pruning};
 use minoan::prelude::*;
 use proptest::prelude::*;
 
 mod common;
-use common::assert_bit_identical;
+use common::{assert_outcome_bit_identical, reference, session_run};
+
+/// Asserts one streaming session run against the materialised reference.
+fn assert_streams_like_reference(
+    blocks: &BlockCollection,
+    graph: &BlockingGraph,
+    scheme: WeightingScheme,
+    pruning: Pruning,
+    threads: usize,
+) {
+    assert_outcome_bit_identical(
+        &session_run(
+            blocks,
+            scheme,
+            pruning,
+            ExecutionBackend::Streaming,
+            threads,
+        ),
+        &reference(graph, scheme, pruning),
+        &format!("{pruning:?}/{}/t={threads}", scheme.name()),
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -23,25 +44,15 @@ proptest! {
         let world = generate(&profiles::center_periphery(n, seed));
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
         let graph = BlockingGraph::build(&blocks);
-        let opts = StreamingOptions::with_threads(threads);
         for scheme in WeightingScheme::ALL {
             for reciprocal in [false, true] {
-                let label = format!("{}/r={reciprocal}/t={threads}", scheme.name());
-                assert_bit_identical(
-                    &streaming::wnp_with(&blocks, scheme, reciprocal, &opts),
-                    &prune::wnp(&graph, scheme, reciprocal),
-                    &format!("wnp/{label}"),
-                );
-                assert_bit_identical(
-                    &streaming::cnp_with(&blocks, scheme, reciprocal, None, &opts),
-                    &prune::cnp(&graph, scheme, reciprocal, None),
-                    &format!("cnp/{label}"),
-                );
-                assert_bit_identical(
-                    &streaming::cnp_with(&blocks, scheme, reciprocal, Some(2), &opts),
-                    &prune::cnp(&graph, scheme, reciprocal, Some(2)),
-                    &format!("cnp2/{label}"),
-                );
+                for pruning in [
+                    Pruning::Wnp { reciprocal },
+                    Pruning::Cnp { reciprocal, k: None },
+                    Pruning::Cnp { reciprocal, k: Some(2) },
+                ] {
+                    assert_streams_like_reference(&blocks, &graph, scheme, pruning, threads);
+                }
             }
         }
     }
@@ -56,20 +67,9 @@ proptest! {
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
         let graph = BlockingGraph::build(&blocks);
         for threads in [1usize, 2, 4, 8] {
-            let opts = StreamingOptions::with_threads(threads);
             for scheme in WeightingScheme::ALL {
-                let label = format!("{}/t={threads}", scheme.name());
-                assert_bit_identical(
-                    &streaming::wep_with(&blocks, scheme, &opts),
-                    &prune::wep(&graph, scheme),
-                    &format!("wep/{label}"),
-                );
-                for k in [None, Some(7)] {
-                    assert_bit_identical(
-                        &streaming::cep_with(&blocks, scheme, k, &opts),
-                        &prune::cep(&graph, scheme, k),
-                        &format!("cep{k:?}/{label}"),
-                    );
+                for pruning in [Pruning::Wep, Pruning::Cep(None), Pruning::Cep(Some(7))] {
+                    assert_streams_like_reference(&blocks, &graph, scheme, pruning, threads);
                 }
             }
         }
@@ -84,16 +84,7 @@ proptest! {
         let graph = BlockingGraph::build(&blocks);
         for threads in [1usize, 4] {
             for scheme in WeightingScheme::ALL {
-                let stream = streaming::weighted_edges_with(
-                    &blocks,
-                    scheme,
-                    &StreamingOptions::with_threads(threads),
-                );
-                prop_assert_eq!(stream.len(), graph.num_edges());
-                for (s, e) in stream.iter().zip(graph.edges()) {
-                    prop_assert_eq!((s.a, s.b), (e.a, e.b));
-                    prop_assert_eq!(s.weight.to_bits(), scheme.weight(&graph, e).to_bits());
-                }
+                assert_streams_like_reference(&blocks, &graph, scheme, Pruning::None, threads);
             }
         }
     }
@@ -105,11 +96,8 @@ proptest! {
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
         let graph = BlockingGraph::build(&blocks);
         for threads in [1usize, 4] {
-            assert_bit_identical(
-                &streaming::blast_with(&blocks, ratio, &StreamingOptions::with_threads(threads)),
-                &blast::blast(&graph, ratio),
-                &format!("blast/ratio={ratio:.2}/t={threads}"),
-            );
+            let blast = Pruning::Blast { ratio };
+            assert_streams_like_reference(&blocks, &graph, WeightingScheme::Arcs, blast, threads);
         }
     }
 
