@@ -1,6 +1,6 @@
 //! Criterion benches for the progressive engine (supports E4/E5).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use minoan_blocking::{builders, filter, purge, ErMode};
 use minoan_datagen::{generate, profiles};
 use minoan_er::{
@@ -9,6 +9,7 @@ use minoan_er::{
 };
 use minoan_metablocking::Session;
 use minoan_rdf::EntityId;
+use minoan_similarity::JaroScratch;
 use std::hint::black_box;
 
 fn candidates(world: &minoan_datagen::GeneratedWorld) -> Vec<(EntityId, EntityId, f64)> {
@@ -21,6 +22,22 @@ fn candidates(world: &minoan_datagen::GeneratedWorld) -> Vec<(EntityId, EntityId
 fn bench_progressive(c: &mut Criterion) {
     let world = generate(&profiles::center_dense(300, 3));
     let pairs = candidates(&world);
+    // The comparison kernel alone, over the pairs the engine would compare
+    // first: one iteration = the whole candidate list, the rate = pairs/s.
+    let mut kernel = c.benchmark_group("matcher");
+    kernel.throughput(Throughput::Elements(pairs.len() as u64));
+    kernel.bench_function("value_similarity", |b| {
+        let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
+        let mut scratch = JaroScratch::default();
+        b.iter(|| {
+            pairs
+                .iter()
+                .map(|&(x, y, _)| matcher.value_similarity(x, y, &mut scratch))
+                .sum::<f64>()
+        });
+    });
+    kernel.finish();
+
     let mut group = c.benchmark_group("progressive");
     group.sample_size(10);
 

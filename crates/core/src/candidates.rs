@@ -7,6 +7,7 @@
 
 use minoan_common::FxHashMap;
 use minoan_rdf::EntityId;
+use std::collections::hash_map::Entry;
 
 /// Dense candidate handle within a [`CandidatePool`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -94,28 +95,47 @@ impl CandidatePool {
     /// Inserts a candidate with the given prior (normalising `a`,`b`
     /// order). If the pair exists, keeps the max prior. Returns its id.
     pub fn insert(&mut self, a: EntityId, b: EntityId, prior: f64) -> CandidateId {
+        let (id, existed) = self
+            .entry(a, b, prior, true)
+            .expect("an absent pair is created");
+        let c = &mut self.candidates[id.index()];
+        if existed && prior > c.prior {
+            c.prior = prior;
+            c.epoch += 1;
+        }
+        id
+    }
+
+    /// One probe of the pair map: the id of `(a, b)` and whether it was
+    /// already there. An absent pair is created with `prior` and no
+    /// evidence when `create` is set, and is `None` otherwise.
+    fn entry(
+        &mut self,
+        a: EntityId,
+        b: EntityId,
+        prior: f64,
+        create: bool,
+    ) -> Option<(CandidateId, bool)> {
         assert_ne!(a, b, "self-pair candidate");
         let key = (a.min(b), a.max(b));
-        if let Some(&id) = self.by_pair.get(&key) {
-            let c = &mut self.candidates[id.index()];
-            if prior > c.prior {
-                c.prior = prior;
-                c.epoch += 1;
+        match self.by_pair.entry(key) {
+            Entry::Occupied(slot) => Some((*slot.get(), true)),
+            Entry::Vacant(_) if !create => None,
+            Entry::Vacant(slot) => {
+                let id = CandidateId(self.candidates.len() as u32);
+                self.candidates.push(Candidate {
+                    a: key.0,
+                    b: key.1,
+                    prior,
+                    evidence: 0.0,
+                    compared_at: None,
+                    last_value: None,
+                    epoch: 0,
+                });
+                slot.insert(id);
+                Some((id, false))
             }
-            return id;
         }
-        let id = CandidateId(self.candidates.len() as u32);
-        self.candidates.push(Candidate {
-            a: key.0,
-            b: key.1,
-            prior,
-            evidence: 0.0,
-            compared_at: None,
-            last_value: None,
-            epoch: 0,
-        });
-        self.by_pair.insert(key, id);
-        id
     }
 
     /// Looks a candidate up by pair.
@@ -128,17 +148,23 @@ impl CandidatePool {
         &self.candidates[id.index()]
     }
 
-    /// Adds neighbour evidence to a pair, creating the candidate if absent
-    /// (a *discovered* pair). Bumps the epoch. Returns the id.
-    pub fn add_evidence(&mut self, a: EntityId, b: EntityId, delta: f64) -> CandidateId {
-        let id = match self.get_by_pair(a, b) {
-            Some(id) => id,
-            None => self.insert(a, b, 0.0),
-        };
+    /// Adds neighbour evidence to a pair and bumps its epoch, returning the
+    /// id and whether the pair was already a candidate. An absent pair
+    /// becomes a *discovered* candidate (prior 0) — unless `delta` is
+    /// below `min_discovery_delta`, too little to be worth a candidate:
+    /// then nothing changes and the result is `None`.
+    pub fn add_evidence(
+        &mut self,
+        a: EntityId,
+        b: EntityId,
+        delta: f64,
+        min_discovery_delta: f64,
+    ) -> Option<(CandidateId, bool)> {
+        let (id, existed) = self.entry(a, b, 0.0, delta >= min_discovery_delta)?;
         let c = &mut self.candidates[id.index()];
         c.evidence += delta;
         c.epoch += 1;
-        id
+        Some((id, existed))
     }
 
     /// Records that the candidate was just compared at its current
@@ -199,19 +225,36 @@ mod tests {
     fn evidence_accumulates_and_discovers() {
         let mut p = CandidatePool::new();
         assert!(p.get_by_pair(e(1), e(9)).is_none());
-        let id = p.add_evidence(e(9), e(1), 0.2);
+        let (id, existed) = p.add_evidence(e(9), e(1), 0.2, 0.0).unwrap();
+        assert!(!existed);
         assert_eq!(p.get(id).prior, 0.0, "discovered pair has no prior");
-        p.add_evidence(e(1), e(9), 0.3);
+        assert_eq!(p.add_evidence(e(1), e(9), 0.3, 0.0), Some((id, true)));
         let c = p.get(id);
         assert!((c.evidence - 0.5).abs() < 1e-12);
         assert_eq!(c.epoch, 2);
     }
 
     #[test]
+    fn small_deltas_do_not_discover_but_still_reach_existing_candidates() {
+        let mut p = CandidatePool::new();
+        let id = p.insert(e(0), e(1), 0.5);
+        assert_eq!(p.add_evidence(e(2), e(3), 0.04, 0.05), None);
+        assert!(p.get_by_pair(e(2), e(3)).is_none());
+        assert_eq!(p.len(), 1);
+        assert_eq!(p.add_evidence(e(1), e(0), 0.04, 0.05), Some((id, true)));
+        assert_eq!(p.get(id).evidence, 0.04);
+        assert_eq!(p.get(id).epoch, 1);
+        // At the minimum exactly, the pair is discovered.
+        let (new, existed) = p.add_evidence(e(2), e(3), 0.05, 0.05).unwrap();
+        assert!(!existed);
+        assert_eq!((p.get(new).prior, p.get(new).evidence), (0.0, 0.05));
+    }
+
+    #[test]
     fn likelihood_is_clamped() {
         let mut p = CandidatePool::new();
         let id = p.insert(e(0), e(1), 0.9);
-        p.add_evidence(e(0), e(1), 5.0);
+        p.add_evidence(e(0), e(1), 5.0, 0.0);
         assert_eq!(p.get(id).likelihood(), 1.0);
     }
 
@@ -223,9 +266,9 @@ mod tests {
         p.mark_compared(id, 0.33);
         assert!(!p.comparable(id, 0.1), "just compared");
         assert_eq!(p.get(id).last_value, Some(0.33));
-        p.add_evidence(e(0), e(1), 0.05);
+        p.add_evidence(e(0), e(1), 0.05, 0.0);
         assert!(!p.comparable(id, 0.1), "below margin");
-        p.add_evidence(e(0), e(1), 0.1);
+        p.add_evidence(e(0), e(1), 0.1, 0.0);
         assert!(p.comparable(id, 0.1), "evidence grew past margin");
     }
 

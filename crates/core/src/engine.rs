@@ -8,6 +8,7 @@ use crate::scheduler::Scheduler;
 use crate::trace::{Trace, TraceStep};
 use minoan_common::FxHashSet;
 use minoan_rdf::{Dataset, EntityId};
+use minoan_similarity::JaroScratch;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -37,6 +38,7 @@ impl Strategy {
             Strategy::Batch => "batch".into(),
             Strategy::Random { .. } => "random".into(),
             Strategy::StaticBestFirst => "static-best-first".into(),
+            // lint:allow(hot-path-alloc): a table label, built once per run — nowhere near the loop
             Strategy::Progressive(m) => format!("progressive/{}", m.name()),
         }
     }
@@ -148,6 +150,7 @@ impl<'d> ProgressiveResolver<'d> {
         let mut trace = Trace::new();
         let mut matches = Vec::new();
         let mut consumed: FxHashSet<(u32, u16)> = FxHashSet::default();
+        let mut jaro = JaroScratch::default();
         let mut comparisons = 0u64;
         for (a, b, w) in pairs {
             if comparisons >= self.config.budget {
@@ -157,7 +160,7 @@ impl<'d> ProgressiveResolver<'d> {
                 continue;
             }
             comparisons += 1;
-            let value_sim = self.matcher.value_similarity(a, b);
+            let value_sim = self.matcher.value_similarity(a, b, &mut jaro);
             let matched = self.matcher.is_match(value_sim, value_sim);
             trace.push(TraceStep {
                 comparison: comparisons,
@@ -192,14 +195,9 @@ impl<'d> ProgressiveResolver<'d> {
     ) -> Resolution {
         let mut pool = CandidatePool::from_weighted_pairs(pairs);
         let mut state = ResolutionState::new(self.dataset);
-        let mut scheduler = Scheduler::new();
+        let mut scheduler = Scheduler::seeded(&pool, |id| model.score(&state, pool.get(id)));
         let mut consumed: FxHashSet<(u32, u16)> = FxHashSet::default();
-
-        // Initial schedule.
-        for id in pool.ids() {
-            let benefit = model.score(&state, pool.get(id));
-            scheduler.push(&pool, id, benefit);
-        }
+        let mut jaro = JaroScratch::default();
 
         let mut trace = Trace::new();
         let mut matches = Vec::new();
@@ -239,7 +237,7 @@ impl<'d> ProgressiveResolver<'d> {
 
             // --- Match phase ----------------------------------------------
             comparisons += 1;
-            let value_sim = self.matcher.value_similarity(a, b);
+            let value_sim = self.matcher.value_similarity(a, b, &mut jaro);
             pool.mark_compared(id, value_sim);
             let score = self.matcher.composite(value_sim, evidence);
             let matched = self.matcher.is_match(value_sim, score);
@@ -313,14 +311,11 @@ impl<'d> ProgressiveResolver<'d> {
                 {
                     continue;
                 }
-                let existed = pool.get_by_pair(x, y).is_some();
-                if !existed && delta < MIN_DISCOVERY_DELTA {
+                let Some((id, existed)) = pool.add_evidence(x, y, delta, MIN_DISCOVERY_DELTA)
+                else {
                     continue;
-                }
-                let id = pool.add_evidence(x, y, delta);
-                if !existed {
-                    discovered += 1;
-                }
+                };
+                discovered += usize::from(!existed);
                 let benefit = model.score(state, pool.get(id));
                 scheduler.push(pool, id, benefit);
             }

@@ -51,6 +51,7 @@ use minoan_blocking::{ErMode, IncrementalCollection};
 use minoan_common::stats::pairwise_sum;
 use minoan_common::{FxHashMap, FxHashSet};
 use minoan_rdf::{Dataset, EntityId};
+use minoan_similarity::JaroScratch;
 
 /// Configuration of the incremental resolver.
 ///
@@ -121,6 +122,8 @@ pub struct IncrementalResolver<'d> {
     evidence: FxHashMap<(EntityId, EntityId), Vec<f64>>,
     /// Reusable co-occurrence scratch for candidate generation.
     occs: Vec<EntityId>,
+    /// Working memory of the matcher's name component.
+    jaro: JaroScratch,
 }
 
 impl<'d> IncrementalResolver<'d> {
@@ -142,6 +145,7 @@ impl<'d> IncrementalResolver<'d> {
             total_comparisons: 0,
             evidence: FxHashMap::default(),
             occs: Vec::new(),
+            jaro: JaroScratch::default(),
         }
     }
 
@@ -268,7 +272,7 @@ impl<'d> IncrementalResolver<'d> {
             }
             report.comparisons += 1;
             self.total_comparisons += 1;
-            let value = self.matcher.value_similarity(e, other);
+            let value = self.matcher.value_similarity(e, other, &mut self.jaro);
             let boost = self.boost_of(pair_key(e, other));
             let score = self.matcher.composite(value, boost);
             if self.matcher.is_match(value, score) {
@@ -331,7 +335,7 @@ impl<'d> IncrementalResolver<'d> {
                 continue;
             }
             self.total_comparisons += 1;
-            let value = self.matcher.value_similarity(x, y);
+            let value = self.matcher.value_similarity(x, y, &mut self.jaro);
             let boost = self.boost_of((x, y));
             let score = self.matcher.composite(value, boost);
             if self.matcher.is_match(value, score) {

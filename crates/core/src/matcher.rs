@@ -6,10 +6,43 @@
 //! blended in. The engine further combines this *value* similarity with
 //! accumulated *neighbour* evidence (see [`Matcher::composite`]) — the
 //! paper's "similarity evidence of entity neighbors".
+//!
+//! # What is computed once per entity
+//!
+//! A comparison recomputes nothing that depends on one description only.
+//! [`Matcher::new`] lays out, in flat slabs indexed by entity (the CSR
+//! idiom of the block collection):
+//!
+//! * the sorted, deduplicated blocking-token ids;
+//! * under [`ValueMeasure::TfIdfCosine`], the squared IDF of each of those
+//!   tokens, aligned with the ids, and the description's TF-IDF norm
+//!   (under [`ValueMeasure::WeightedJaccard`], the IDF table by token id);
+//! * the first name-like literal, lower-cased with `str::to_lowercase`
+//!   and *then* split into `char`s (so `Σ` lowers to a final `ς` and `İ`
+//!   to two chars exactly as a per-pair `to_lowercase` would).
+//!
+//! [`Matcher::value_similarity`] is then one merge over two contiguous
+//! token runs plus a Jaro–Winkler over two borrowed `&[char]`, with the
+//! caller's [`JaroScratch`] as the only working memory. Beyond the token
+//! ids this costs `8 B × token occurrences + 4 B × name chars`.
+//!
+//! # Bit-identity
+//!
+//! Every float is produced by the expression a from-scratch computation
+//! would evaluate, in the same order: a weight is `idf(t).powi(2)`, a norm
+//! the `sqrt` of the in-order sum of a description's weights, a dot
+//! product accumulates in merge order. A similarity therefore has the same
+//! bits as `TfIdfWeights::cosine` / `token::weighted_jaccard` over
+//! [`Matcher::tokens_of`] blended with `jaro_winkler` of the lower-cased
+//! names — `tests::value_similarity_matches_the_written_out_formula` pins
+//! that.
 
 use minoan_common::Interner;
+use minoan_rdf::tokenize::TokenBuffers;
 use minoan_rdf::{Dataset, EntityId};
-use minoan_similarity::{jaro_winkler, token, TfIdfWeights};
+use minoan_similarity::tfidf::cosine_prepared;
+use minoan_similarity::{jaro_winkler_chars, token, JaroScratch, TfIdfWeights};
+use std::ops::Range;
 
 /// Token-level similarity measure used on value tokens.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,18 +86,48 @@ impl Default for MatcherConfig {
     }
 }
 
-/// Precomputed matcher over a dataset.
-///
-/// Construction tokenises every description once, interns tokens and
-/// builds corpus IDF statistics; [`Matcher::value_similarity`] is then a
-/// linear merge over two small sorted vectors.
+/// Precomputed matcher over a dataset (see the module docs for what is
+/// precomputed). It has no interior mutability: share `&Matcher` freely.
 pub struct Matcher {
     config: MatcherConfig,
-    /// Sorted, deduplicated token-id vector per entity.
-    tokens: Vec<Box<[u32]>>,
-    /// First name-like literal per entity (for the string component).
-    names: Vec<Option<Box<str>>>,
-    idf: TfIdfWeights,
+    /// `token_ids[token_offsets[e]..token_offsets[e + 1]]`: the sorted,
+    /// deduplicated token ids of entity `e`.
+    token_offsets: Vec<u32>,
+    token_ids: Vec<u32>,
+    weights: TokenWeights,
+    /// `name_chars[name_offsets[e]..name_offsets[e + 1]]`: the lower-cased
+    /// first name-like literal of `e`; meaningful only where `has_name`
+    /// (an empty literal is a name, no literal is not).
+    name_offsets: Vec<u32>,
+    name_chars: Vec<char>,
+    has_name: Vec<bool>,
+}
+
+/// What the configured [`ValueMeasure`] needs beyond the token ids.
+enum TokenWeights {
+    /// Plain Jaccard: nothing.
+    Unweighted,
+    /// Weighted Jaccard: the tabulated IDF per token id.
+    Idf(TfIdfWeights),
+    /// TF-IDF cosine: the squared IDF per entry of `token_ids`, and the
+    /// norm per entity.
+    Cosine { idf_sq: Vec<f64>, norms: Vec<f64> },
+}
+
+/// Appends `name` lower-cased to `out`: lowered as a whole string first,
+/// split into chars second, because `str::to_lowercase` is context
+/// sensitive (final sigma) and may change the char count.
+fn push_lowered(name: &str, out: &mut Vec<char>) {
+    if name.is_ascii() {
+        out.extend(name.bytes().map(|b| b.to_ascii_lowercase() as char));
+    } else {
+        // lint:allow(hot-path-alloc): once per entity in `Matcher::new`, and only for non-ASCII names — this is the lowering comparisons no longer repeat
+        out.extend(name.to_lowercase().chars());
+    }
+}
+
+fn slab_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("matcher slab exceeds u32 offsets")
 }
 
 impl Matcher {
@@ -77,24 +140,57 @@ impl Matcher {
                 && (0.0..=1.0).contains(&config.value_floor),
             "matcher weights must be in [0,1]"
         );
-        let mut interner = Interner::with_capacity(dataset.len() * 4);
-        let mut tokens: Vec<Box<[u32]>> = Vec::with_capacity(dataset.len());
-        let mut names: Vec<Option<Box<str>>> = Vec::with_capacity(dataset.len());
+        let n = dataset.len();
+        let mut interner = Interner::with_capacity(n * 4);
+        let mut buffers = TokenBuffers::default();
+        let mut row: Vec<u32> = Vec::new();
+        let mut token_offsets = Vec::with_capacity(n + 1);
+        let mut token_ids: Vec<u32> = Vec::new();
+        let mut name_offsets = Vec::with_capacity(n + 1);
+        let mut name_chars: Vec<char> = Vec::new();
+        let mut has_name = Vec::with_capacity(n);
+        token_offsets.push(0);
+        name_offsets.push(0);
         for e in dataset.entities() {
-            let toks: Vec<u32> = dataset
-                .blocking_tokens(e)
-                .into_iter()
-                .map(|t| interner.intern(&t).0)
-                .collect();
-            tokens.push(token::prepare(toks).into_boxed_slice());
-            names.push(dataset.name_values(e).first().map(|s| (*s).into()));
+            row.clear();
+            dataset.for_each_blocking_token(e, &mut buffers, |t| row.push(interner.intern(t).0));
+            row.sort_unstable();
+            row.dedup();
+            token_ids.extend_from_slice(&row);
+            token_offsets.push(slab_offset(token_ids.len()));
+            let name = dataset.first_name_value(e);
+            if let Some(name) = name {
+                push_lowered(name, &mut name_chars);
+            }
+            has_name.push(name.is_some());
+            name_offsets.push(slab_offset(name_chars.len()));
         }
-        let idf = TfIdfWeights::build(interner.len(), tokens.iter());
+        let rows = || {
+            token_offsets
+                .windows(2)
+                .map(|w| w[0] as usize..w[1] as usize)
+        };
+        let vocabulary = interner.len();
+        // The strings are dead weight from here on; free them before the
+        // weight slab goes up.
+        drop(interner);
+        let idf = TfIdfWeights::build(vocabulary, rows().map(|r| &token_ids[r]));
+        let weights = match config.measure {
+            ValueMeasure::Jaccard => TokenWeights::Unweighted,
+            ValueMeasure::WeightedJaccard => TokenWeights::Idf(idf),
+            ValueMeasure::TfIdfCosine => TokenWeights::Cosine {
+                idf_sq: token_ids.iter().map(|&t| idf.idf_squared(t)).collect(),
+                norms: rows().map(|r| idf.norm(&token_ids[r])).collect(),
+            },
+        };
         Self {
             config,
-            tokens,
-            names,
-            idf,
+            token_offsets,
+            token_ids,
+            weights,
+            name_offsets,
+            name_chars,
+            has_name,
         }
     }
 
@@ -103,24 +199,52 @@ impl Matcher {
         &self.config
     }
 
-    /// Value similarity of two descriptions in `[0, 1]`.
-    pub fn value_similarity(&self, a: EntityId, b: EntityId) -> f64 {
-        let (ta, tb) = (&self.tokens[a.index()], &self.tokens[b.index()]);
-        let tok_sim = match self.config.measure {
-            ValueMeasure::Jaccard => token::jaccard(ta, tb),
-            ValueMeasure::WeightedJaccard => token::weighted_jaccard(ta, tb, |t| self.idf.idf(t)),
-            ValueMeasure::TfIdfCosine => self.idf.cosine(ta, tb),
-        };
-        let name_sim = match (&self.names[a.index()], &self.names[b.index()]) {
-            (Some(na), Some(nb)) if self.config.name_weight > 0.0 => {
-                Some(jaro_winkler(&na.to_lowercase(), &nb.to_lowercase()))
+    fn token_range(&self, e: EntityId) -> Range<usize> {
+        self.token_offsets[e.index()] as usize..self.token_offsets[e.index() + 1] as usize
+    }
+
+    /// The lower-cased name of `e` as chars, if it has a name-like literal.
+    fn name_of(&self, e: EntityId) -> Option<&[char]> {
+        let i = e.index();
+        self.has_name[i].then(|| {
+            &self.name_chars[self.name_offsets[i] as usize..self.name_offsets[i + 1] as usize]
+        })
+    }
+
+    /// Jaro–Winkler of the two descriptions' lower-cased first name-like
+    /// literals; `None` unless both sides have one.
+    pub fn name_similarity(
+        &self,
+        a: EntityId,
+        b: EntityId,
+        scratch: &mut JaroScratch,
+    ) -> Option<f64> {
+        Some(jaro_winkler_chars(
+            self.name_of(a)?,
+            self.name_of(b)?,
+            scratch,
+        ))
+    }
+
+    /// Value similarity of two descriptions in `[0, 1]`. `scratch` is the
+    /// caller's working memory for the name component — one per comparison
+    /// loop, any state.
+    pub fn value_similarity(&self, a: EntityId, b: EntityId, scratch: &mut JaroScratch) -> f64 {
+        let (ra, rb) = (self.token_range(a), self.token_range(b));
+        let (ta, tb) = (&self.token_ids[ra.clone()], &self.token_ids[rb]);
+        let tok_sim = match &self.weights {
+            TokenWeights::Unweighted => token::jaccard(ta, tb),
+            TokenWeights::Idf(idf) => token::weighted_jaccard(ta, tb, |t| idf.idf(t)),
+            TokenWeights::Cosine { idf_sq, norms } => {
+                cosine_prepared(ta, &idf_sq[ra], norms[a.index()], tb, norms[b.index()])
             }
-            _ => None,
         };
-        match name_sim {
-            Some(ns) => (1.0 - self.config.name_weight) * tok_sim + self.config.name_weight * ns,
-            None => tok_sim,
+        if self.config.name_weight > 0.0 {
+            if let Some(ns) = self.name_similarity(a, b, scratch) {
+                return (1.0 - self.config.name_weight) * tok_sim + self.config.name_weight * ns;
+            }
         }
+        tok_sim
     }
 
     /// Composite score folding neighbour `evidence` into the value
@@ -152,7 +276,7 @@ impl Matcher {
     /// The token ids of an entity (sorted, deduplicated) — exposed for
     /// diagnostics and tests.
     pub fn tokens_of(&self, e: EntityId) -> &[u32] {
-        &self.tokens[e.index()]
+        &self.token_ids[self.token_range(e)]
     }
 }
 
@@ -161,6 +285,10 @@ mod tests {
     use super::*;
     use minoan_datagen::{generate, profiles};
     use minoan_rdf::DatasetBuilder;
+
+    fn sim(m: &Matcher, a: EntityId, b: EntityId) -> f64 {
+        m.value_similarity(a, b, &mut JaroScratch::default())
+    }
 
     fn toy() -> Dataset {
         let mut b = DatasetBuilder::new();
@@ -200,8 +328,8 @@ mod tests {
         let ka = ds.entity_by_uri("http://a/knossos").unwrap();
         let kb = ds.entity_by_uri("http://b/knossos").unwrap();
         let sp = ds.entity_by_uri("http://b/sparta").unwrap();
-        assert!(m.value_similarity(ka, kb) > m.value_similarity(ka, sp));
-        assert!(m.value_similarity(ka, kb) > 0.4);
+        assert!(sim(&m, ka, kb) > sim(&m, ka, sp));
+        assert!(sim(&m, ka, kb) > 0.4);
     }
 
     #[test]
@@ -221,9 +349,9 @@ mod tests {
             );
             for a in ds.entities() {
                 for b in ds.entities() {
-                    let s = m.value_similarity(a, b);
+                    let s = sim(&m, a, b);
                     assert!((0.0..=1.0 + 1e-9).contains(&s), "{measure:?} gave {s}");
-                    assert!((s - m.value_similarity(b, a)).abs() < 1e-12);
+                    assert!((s - sim(&m, b, a)).abs() < 1e-12);
                 }
             }
         }
@@ -234,7 +362,7 @@ mod tests {
         let ds = toy();
         let m = Matcher::new(&ds, MatcherConfig::default());
         for e in ds.entities() {
-            assert!(m.value_similarity(e, e) > 0.99);
+            assert!(sim(&m, e, e) > 0.99);
         }
     }
 
@@ -257,14 +385,14 @@ mod tests {
         // Average similarity of true pairs must clearly exceed random pairs.
         let mut truth_sims = Vec::new();
         for (a, b) in g.truth.matching_pair_iter().take(150) {
-            truth_sims.push(m.value_similarity(a, b));
+            truth_sims.push(sim(&m, a, b));
         }
         let mut rand_sims = Vec::new();
         let n = g.dataset.len() as u32;
         for i in 0..150u32 {
             let (a, b) = (EntityId(i % n), EntityId((i * 7 + 3) % n));
             if a != b && !g.truth.is_match(a, b) {
-                rand_sims.push(m.value_similarity(a, b));
+                rand_sims.push(sim(&m, a, b));
             }
         }
         let tm = minoan_common::stats::mean(&truth_sims);
@@ -288,7 +416,137 @@ mod tests {
         let a = ds.entity_by_uri("http://a/x").unwrap();
         let bb = ds.entity_by_uri("http://b/x").unwrap();
         // Falls back to pure token similarity = 1.0 (same tokens).
-        assert!(m.value_similarity(a, bb) > 0.99);
+        assert!(sim(&m, a, bb) > 0.99);
+    }
+
+    const MEASURES: [ValueMeasure; 3] = [
+        ValueMeasure::Jaccard,
+        ValueMeasure::WeightedJaccard,
+        ValueMeasure::TfIdfCosine,
+    ];
+
+    /// `value_similarity` from first principles: the public similarity
+    /// functions over `tokens_of`, the names lowered per call.
+    fn written_out(ds: &Dataset, m: &Matcher, idf: &TfIdfWeights, a: EntityId, b: EntityId) -> f64 {
+        let (ta, tb) = (m.tokens_of(a), m.tokens_of(b));
+        let tok_sim = match m.config().measure {
+            ValueMeasure::Jaccard => token::jaccard(ta, tb),
+            ValueMeasure::WeightedJaccard => token::weighted_jaccard(ta, tb, |t| idf.idf(t)),
+            ValueMeasure::TfIdfCosine => idf.cosine(ta, tb),
+        };
+        let w = m.config().name_weight;
+        match (ds.name_values(a).first(), ds.name_values(b).first()) {
+            (Some(x), Some(y)) if w > 0.0 => {
+                let ns = minoan_similarity::jaro_winkler(&x.to_lowercase(), &y.to_lowercase());
+                (1.0 - w) * tok_sim + w * ns
+            }
+            _ => tok_sim,
+        }
+    }
+
+    /// Asserts bit-equality with [`written_out`] on `pairs`, for every
+    /// measure, with one scratch reused across all of them.
+    fn assert_written_out(ds: &Dataset, pairs: &[(EntityId, EntityId)]) {
+        let mut scratch = JaroScratch::default();
+        for measure in MEASURES {
+            let m = Matcher::new(
+                ds,
+                MatcherConfig {
+                    measure,
+                    ..Default::default()
+                },
+            );
+            let vocab = ds
+                .entities()
+                .flat_map(|e| m.tokens_of(e).iter().copied())
+                .max()
+                .map_or(0, |t| t as usize + 1);
+            let idf = TfIdfWeights::build(vocab, ds.entities().map(|e| m.tokens_of(e)));
+            for &(a, b) in pairs {
+                let got = m.value_similarity(a, b, &mut scratch);
+                let want = written_out(ds, &m, &idf, a, b);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{measure:?} ({a:?}, {b:?}): {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn value_similarity_matches_the_written_out_formula() {
+        for config in [
+            profiles::center_dense(120, 5),
+            profiles::periphery_sparse(120, 6),
+            profiles::lod_cloud(120, 7),
+        ] {
+            let g = generate(&config);
+            let n = g.dataset.len() as u32;
+            let mut pairs: Vec<(EntityId, EntityId)> = g.truth.matching_pair_iter().collect();
+            // Non-matches too, self-pairs included.
+            pairs.extend((0..3 * n).map(|i| (EntityId(i % n), EntityId((i * 31 + i / n) % n))));
+            let named = |e| g.dataset.first_name_value(e).is_some();
+            assert!(pairs.iter().any(|&(a, b)| named(a) && named(b)));
+            assert_written_out(&g.dataset, &pairs);
+        }
+    }
+
+    #[test]
+    fn value_similarity_lowers_names_as_whole_strings() {
+        let long_a = "Saint ".repeat(12) + "Nikolaos of the Harbour";
+        let long_b = "saint ".repeat(11) + "NIKOLAOS of the Harbor";
+        assert!(long_a.chars().count() > 64 && long_b.chars().count() > 64);
+        let names: [Option<&str>; 9] = [
+            Some("ΟΔΥΣΣΕΥΣ"), // final sigma: lowers to …υς, not …υσ
+            Some("Οδυσσεύς"),
+            Some("İstanbul"), // İ lowers to two chars
+            Some("istanbul"),
+            Some(""), // an empty literal is still a name
+            Some(""),
+            None, // a name on one side only
+            Some(&long_a),
+            Some(&long_b),
+        ];
+        let mut b = DatasetBuilder::new();
+        let kb = b.add_kb("kb", "http://k/");
+        for (i, name) in names.iter().enumerate() {
+            let uri = format!("http://k/e{i}");
+            b.add_literal(
+                kb,
+                &uri,
+                "http://o/comment",
+                "odysseus istanbul harbour saint",
+            );
+            if let Some(name) = name {
+                b.add_literal(kb, &uri, "http://o/label", name);
+            }
+        }
+        let ds = b.build();
+        assert_eq!("ΟΔΥΣΣΕΥΣ".to_lowercase(), "οδυσσευς");
+        assert_eq!("İstanbul".to_lowercase().chars().count(), 9);
+        let all: Vec<(EntityId, EntityId)> = ds
+            .entities()
+            .flat_map(|a| ds.entities().map(move |b| (a, b)))
+            .collect();
+        assert_written_out(&ds, &all);
+        // One side without a name: tokens alone decide.
+        let m = Matcher::new(&ds, MatcherConfig::default());
+        let (named, unnamed) = (EntityId(3), EntityId(6));
+        assert_eq!(
+            m.name_similarity(named, unnamed, &mut JaroScratch::default()),
+            None
+        );
+        assert_eq!(
+            m.name_similarity(EntityId(4), EntityId(5), &mut JaroScratch::default()),
+            Some(1.0)
+        );
+    }
+
+    #[test]
+    fn matcher_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Matcher>();
     }
 
     #[test]

@@ -178,13 +178,38 @@ impl Pipeline {
     }
 
     /// Runs the full pipeline on `dataset`.
+    ///
+    /// The matcher build and the block → purge → filter → meta-block chain
+    /// are both pure functions of `dataset`, so the matcher is built on a
+    /// scoped thread while the chain runs on the calling one. With one
+    /// worker (`workers: Some(1)`, or a single-core host under `None`)
+    /// nothing is spawned and the matcher is built after the chain. The
+    /// output does not depend on which of the two happened.
     pub fn run(&self, dataset: &Dataset) -> PipelineOutput {
-        let raw = self.block(dataset);
-        let blocks_raw = (raw.len(), raw.total_comparisons());
-        let clean = self.clean_blocks(raw);
-        let blocks_clean = (clean.len(), clean.total_comparisons());
-        let candidates = self.meta_block(&clean);
-        let matcher = Matcher::new(dataset, self.config.matcher.clone());
+        let build_matcher = || Matcher::new(dataset, self.config.matcher.clone());
+        let candidates = || {
+            let raw = self.block(dataset);
+            let blocks_raw = (raw.len(), raw.total_comparisons());
+            let clean = self.clean_blocks(raw);
+            let blocks_clean = (clean.len(), clean.total_comparisons());
+            (blocks_raw, blocks_clean, self.meta_block(&clean))
+        };
+        let threads = self
+            .config
+            .workers
+            .unwrap_or_else(minoan_common::default_threads);
+        let ((blocks_raw, blocks_clean, candidates), matcher) = if threads > 1 {
+            std::thread::scope(|s| {
+                let matcher = s.spawn(build_matcher);
+                let candidates = candidates();
+                let matcher = matcher
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (candidates, matcher)
+            })
+        } else {
+            (candidates(), build_matcher())
+        };
         let resolver = ProgressiveResolver::new(dataset, matcher, self.config.resolver.clone());
         let resolution = resolver.run(&candidates);
         PipelineOutput {
@@ -392,6 +417,59 @@ mod tests {
                 assert_eq!((x.0, x.1), (y.0, y.1), "{backend:?}");
                 assert_eq!(x.2.to_bits(), y.2.to_bits(), "{backend:?}: weight bits");
             }
+        }
+    }
+
+    #[test]
+    fn overlapped_matcher_build_changes_no_bit_of_the_resolution() {
+        // `workers: Some(1)` builds the matcher inline after the blocking
+        // chain, `Some(2)` on a scoped thread beside it.
+        let g = generate(&profiles::lod_cloud(150, 23));
+        let mut strategies = vec![
+            Strategy::Batch,
+            Strategy::Random { seed: 7 },
+            Strategy::StaticBestFirst,
+        ];
+        strategies.extend(BenefitModel::ALL.map(Strategy::Progressive));
+        for strategy in strategies {
+            let run = |workers| {
+                Pipeline::new(PipelineConfig {
+                    workers: Some(workers),
+                    resolver: ResolverConfig {
+                        strategy,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                })
+                .run(&g.dataset)
+            };
+            let (inline, overlapped) = (run(1), run(2));
+            assert!(!inline.resolution.matches.is_empty(), "{strategy:?}");
+            assert_eq!(inline.blocks_raw, overlapped.blocks_raw);
+            assert_eq!(inline.blocks_clean, overlapped.blocks_clean);
+            assert_eq!(inline.candidates, overlapped.candidates);
+            let (a, b) = (&inline.resolution, &overlapped.resolution);
+            let match_bits = |r: &Resolution| -> Vec<(EntityId, EntityId, u64)> {
+                r.matches
+                    .iter()
+                    .map(|m| (m.0, m.1, m.2.to_bits()))
+                    .collect()
+            };
+            assert_eq!(match_bits(a), match_bits(b), "{strategy:?}");
+            let step_bits = |r: &Resolution| -> Vec<(u64, u32, u32, [u64; 3], bool, bool)> {
+                r.trace
+                    .steps()
+                    .iter()
+                    .map(|s| {
+                        let floats = [s.value_similarity, s.score, s.benefit].map(f64::to_bits);
+                        (s.comparison, s.a, s.b, floats, s.matched, s.discovered)
+                    })
+                    .collect()
+            };
+            assert_eq!(step_bits(a), step_bits(b), "{strategy:?}");
+            assert_eq!(a.clusters, b.clusters, "{strategy:?}");
+            assert_eq!(a.comparisons, b.comparisons, "{strategy:?}");
+            assert_eq!(a.discovered_candidates, b.discovered_candidates);
         }
     }
 

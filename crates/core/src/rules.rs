@@ -20,7 +20,7 @@
 use crate::matcher::Matcher;
 use minoan_common::{FxHashMap, FxHashSet};
 use minoan_rdf::{Dataset, EntityId};
-use minoan_similarity::jaro_winkler;
+use minoan_similarity::JaroScratch;
 
 /// Which rule accepted a match (provenance for evaluation).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -138,16 +138,6 @@ impl<'d> CompositeResolver<'d> {
             list.sort_unstable();
         }
 
-        // Cache value similarities (each counted once as a comparison).
-        let mut value_cache: FxHashMap<(EntityId, EntityId), f64> = FxHashMap::default();
-        let mut value_of = |a: EntityId, b: EntityId, comparisons: &mut u64| -> f64 {
-            let key = (a.min(b), a.max(b));
-            *value_cache.entry(key).or_insert_with(|| {
-                *comparisons += 1;
-                self.matcher.value_similarity(key.0, key.1)
-            })
-        };
-
         let mut consumed: FxHashSet<EntityId> = FxHashSet::default();
         let accept = |a: EntityId,
                       b: EntityId,
@@ -165,8 +155,15 @@ impl<'d> CompositeResolver<'d> {
             consumed.insert(b);
         };
 
+        let mut jaro = JaroScratch::default();
+
         // --- R1: reciprocal name match ---------------------------------
-        let name_best = self.best_by(&partners, |a, b| self.name_similarity(a, b));
+        // −1 when either side has no name-like literal (rule not applicable).
+        let name_best = self.best_by(&partners, |a, b| {
+            self.matcher
+                .name_similarity(a, b, &mut jaro)
+                .unwrap_or(-1.0)
+        });
         for (&e, &(best, sim)) in name_best.iter() {
             if consumed.contains(&e) || consumed.contains(&best) || e >= best {
                 continue;
@@ -176,6 +173,16 @@ impl<'d> CompositeResolver<'d> {
                 accept(e, best, sim, Rule::NameReciprocity, &mut out, &mut consumed);
             }
         }
+
+        // Cache value similarities (each counted once as a comparison).
+        let mut value_cache: FxHashMap<(EntityId, EntityId), f64> = FxHashMap::default();
+        let mut value_of = |a: EntityId, b: EntityId, comparisons: &mut u64| -> f64 {
+            let key = (a.min(b), a.max(b));
+            *value_cache.entry(key).or_insert_with(|| {
+                *comparisons += 1;
+                self.matcher.value_similarity(key.0, key.1, &mut jaro)
+            })
+        };
 
         // --- R2: reciprocal value match --------------------------------
         let mut value_best: FxHashMap<EntityId, (EntityId, f64)> = FxHashMap::default();
@@ -276,17 +283,6 @@ impl<'d> CompositeResolver<'d> {
             }
         }
         out
-    }
-
-    /// Jaro–Winkler of the two descriptions' first name-like literals;
-    /// −1 when either side has none (rule not applicable).
-    fn name_similarity(&self, a: EntityId, b: EntityId) -> f64 {
-        let na = self.dataset.name_values(a);
-        let nb = self.dataset.name_values(b);
-        match (na.first(), nb.first()) {
-            (Some(x), Some(y)) => jaro_winkler(&x.to_lowercase(), &y.to_lowercase()),
-            _ => -1.0,
-        }
     }
 
     /// Structural neighbour agreement: of `a`'s neighbours, the fraction

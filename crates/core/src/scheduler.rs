@@ -10,6 +10,12 @@
 //! * on pop, the current benefit is recomputed; if it still beats the next
 //!   entry it is returned, otherwise the entry is re-queued at its true
 //!   priority. Priorities only need to be correct at pop time.
+//!
+//! The initial schedule — one entry per blocking candidate, by far the
+//! bulk of all entries — is not pushed through the heap: [`Scheduler::seeded`]
+//! sorts it once into a run that is consumed from its end, merged on pop
+//! with the heap of later pushes. The entry order is total, so the merge
+//! pops exactly what one heap holding every entry would.
 
 use crate::candidates::{CandidateId, CandidatePool};
 use minoan_common::OrdF64;
@@ -20,7 +26,20 @@ struct Entry {
     priority: OrdF64,
     /// Tie-break: lower candidate id first (deterministic schedules).
     id: std::cmp::Reverse<u32>,
-    epoch: u32,
+    /// Last tie-break, between entries of one candidate at one priority:
+    /// the older (stale) one first, so it is discarded before the live
+    /// entry is weighed against what really comes next.
+    epoch: std::cmp::Reverse<u32>,
+}
+
+impl Entry {
+    fn new(pool: &CandidatePool, id: CandidateId, priority: f64) -> Self {
+        Self {
+            priority: OrdF64(priority),
+            id: std::cmp::Reverse(id.0),
+            epoch: std::cmp::Reverse(pool.get(id).epoch),
+        }
+    }
 }
 
 impl Ord for Entry {
@@ -28,6 +47,7 @@ impl Ord for Entry {
         self.priority
             .cmp(&other.priority)
             .then_with(|| self.id.cmp(&other.id))
+            .then_with(|| self.epoch.cmp(&other.epoch))
     }
 }
 
@@ -37,9 +57,12 @@ impl PartialOrd for Entry {
     }
 }
 
-/// Lazy max-heap scheduler.
+/// Lazy max-priority scheduler.
 #[derive(Default)]
 pub struct Scheduler {
+    /// The initial schedule, ascending: the best entry is the last.
+    run: Vec<Entry>,
+    /// Everything queued since.
     heap: BinaryHeap<Entry>,
 }
 
@@ -52,23 +75,47 @@ impl Scheduler {
         Self::default()
     }
 
+    /// A scheduler holding every candidate of `pool` at `priority(id)`,
+    /// each with its current epoch — the state `pool.len()` pushes would
+    /// leave, built with one sort.
+    pub fn seeded(pool: &CandidatePool, mut priority: impl FnMut(CandidateId) -> f64) -> Self {
+        let mut run: Vec<Entry> = pool
+            .ids()
+            .map(|id| Entry::new(pool, id, priority(id)))
+            .collect();
+        run.sort_unstable();
+        Self {
+            run,
+            heap: BinaryHeap::new(),
+        }
+    }
+
     /// Current number of queued entries (including stale ones).
     pub fn queued(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Whether no entries are queued.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queued() == 0
     }
 
     /// Queues `id` at `priority` with the candidate's current epoch.
     pub fn push(&mut self, pool: &CandidatePool, id: CandidateId, priority: f64) {
-        self.heap.push(Entry {
-            priority: OrdF64(priority),
-            id: std::cmp::Reverse(id.0),
-            epoch: pool.get(id).epoch,
-        });
+        self.heap.push(Entry::new(pool, id, priority));
+    }
+
+    /// The greatest queued entry.
+    fn peek(&self) -> Option<&Entry> {
+        self.run.last().max(self.heap.peek())
+    }
+
+    fn pop(&mut self) -> Option<Entry> {
+        if self.run.last() > self.heap.peek() {
+            self.run.pop()
+        } else {
+            self.heap.pop()
+        }
     }
 
     /// Pops the candidate with the highest *current* priority.
@@ -81,22 +128,21 @@ impl Scheduler {
         pool: &CandidatePool,
         mut rescore: impl FnMut(CandidateId) -> f64,
     ) -> Option<(CandidateId, f64)> {
-        while let Some(entry) = self.heap.pop() {
+        while let Some(entry) = self.pop() {
             let id = CandidateId(entry.id.0);
             // Stale: a newer entry for this candidate exists (epoch bumped).
-            if entry.epoch != pool.get(id).epoch {
+            if entry.epoch.0 != pool.get(id).epoch {
                 continue;
             }
             let current = rescore(id);
-            let next_best = self.heap.peek().map(|e| e.priority.0).unwrap_or(f64::MIN);
+            let next_best = self.peek().map(|e| e.priority.0).unwrap_or(f64::MIN);
             if current + EPS >= next_best {
                 return Some((id, current));
             }
             // True priority dropped below the next entry: re-queue.
             self.heap.push(Entry {
                 priority: OrdF64(current),
-                id: entry.id,
-                epoch: entry.epoch,
+                ..entry
             });
         }
         None
@@ -141,7 +187,7 @@ mod tests {
         let mut s = Scheduler::new();
         s.push(&pool, CandidateId(0), 0.9);
         // Bump candidate 0's epoch (as the update phase would) and re-push.
-        pool.add_evidence(EntityId(0), EntityId(100), 0.2);
+        pool.add_evidence(EntityId(0), EntityId(100), 0.2, 0.0);
         s.push(&pool, CandidateId(0), 0.95);
         s.push(&pool, CandidateId(1), 0.5);
         let (id, p) = s
@@ -182,6 +228,84 @@ mod tests {
         let order: Vec<u32> =
             std::iter::from_fn(|| s.pop_best(&pool, |_| 0.5).map(|(i, _)| i.0)).collect();
         assert_eq!(order, vec![0, 1, 2]);
+    }
+
+    /// The sorted run is an optimisation, not a behaviour: seeded and
+    /// push-only schedulers must pop the same `(id, priority)` sequence
+    /// whatever mix of duplicate priorities, epoch bumps (stale twins at
+    /// the very same priority included) and drifting rescores they see.
+    #[test]
+    fn seeded_scheduler_pops_what_a_push_only_one_pops() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const LEVELS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
+        fn priority(rng: &mut StdRng) -> f64 {
+            if rng.gen_bool(0.6) {
+                LEVELS[rng.gen_range(0..LEVELS.len())]
+            } else {
+                rng.gen_range(0.0..1.0)
+            }
+        }
+
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..60u32);
+            let mut pool = pool_with(n);
+            // What `rescore` answers; drifts away from the stored entries.
+            let mut current: Vec<f64> = (0..n).map(|_| priority(&mut rng)).collect();
+
+            let mut seeded = Scheduler::seeded(&pool, |id| current[id.index()]);
+            let mut pushed = Scheduler::new();
+            for id in pool.ids() {
+                pushed.push(&pool, id, current[id.index()]);
+            }
+            assert_eq!(seeded.queued(), pushed.queued());
+
+            let mut popped = 0usize;
+            loop {
+                match rng.gen_range(0..10u32) {
+                    // Update phase: bump an epoch and queue a fresh entry —
+                    // half the time at the stale entry's own priority.
+                    0..=2 => {
+                        let i = rng.gen_range(0..n);
+                        pool.add_evidence(EntityId(i), EntityId(i + 100), 0.1, 0.0);
+                        if rng.gen_bool(0.5) {
+                            current[i as usize] = priority(&mut rng);
+                        }
+                        for s in [&mut seeded, &mut pushed] {
+                            s.push(&pool, CandidateId(i), current[i as usize]);
+                        }
+                    }
+                    // Drift: a stored priority goes out of date (down, up,
+                    // or ineligible).
+                    3..=4 => {
+                        let i = rng.gen_range(0..n) as usize;
+                        current[i] = if rng.gen_bool(0.2) {
+                            -1.0
+                        } else {
+                            priority(&mut rng)
+                        };
+                    }
+                    _ => {
+                        let a = seeded.pop_best(&pool, |id| current[id.index()]);
+                        let b = pushed.pop_best(&pool, |id| current[id.index()]);
+                        assert_eq!(
+                            a.map(|(id, p)| (id, p.to_bits())),
+                            b.map(|(id, p)| (id, p.to_bits())),
+                            "seed {seed}, pop {popped}"
+                        );
+                        assert_eq!(seeded.queued(), pushed.queued());
+                        if a.is_none() {
+                            break;
+                        }
+                        popped += 1;
+                    }
+                }
+            }
+            assert!(popped >= n as usize, "every candidate pops at least once");
+            assert!(seeded.is_empty() && pushed.is_empty());
+        }
     }
 
     #[test]

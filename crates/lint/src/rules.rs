@@ -43,7 +43,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         code: "ML001",
         name: "hot-path-alloc",
-        summary: "per-token String allocation (format!/to_string/String::new/to_owned) in a hot-path module",
+        summary: "per-token String allocation (format!/to_string/String::new/to_owned/to_lowercase/to_uppercase) in a hot-path module",
     },
     RuleInfo {
         code: "ML002",
@@ -85,7 +85,9 @@ pub fn rule_by_name(name: &str) -> Option<&'static RuleInfo> {
 /// Hot-path modules: no per-token string allocation (ML001). These are the
 /// flat-pipeline stages PR 5 made string-free plus the sweep kernels, and
 /// the per-request paths of the resolution service (a query must not
-/// allocate strings any more than a sweep row may).
+/// allocate strings any more than a sweep row may), and the comparison
+/// kernel with the progressive loop around it (a comparison recomputes
+/// nothing that is a fact of one description).
 const HOT_PATH_FILES: &[&str] = &[
     "crates/blocking/src/builders.rs",
     "crates/blocking/src/layout.rs",
@@ -99,6 +101,10 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/metablocking/src/query.rs",
     "crates/server/src/service.rs",
     "crates/server/src/server.rs",
+    "crates/core/src/matcher.rs",
+    "crates/core/src/engine.rs",
+    "crates/core/src/scheduler.rs",
+    "crates/core/src/candidates.rs",
 ];
 
 /// Flat-core modules: hash-map *types* are banned outright (ML002 tier A) —
@@ -314,6 +320,14 @@ fn hot_path_alloc(rel: &str, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
         (
             "String::from(",
             "`String::from` allocates in a hot-path module",
+        ),
+        (
+            ".to_lowercase()",
+            "`.to_lowercase()` allocates a String per call",
+        ),
+        (
+            ".to_uppercase()",
+            "`.to_uppercase()` allocates a String per call",
         ),
     ];
     for (pat, why) in PATTERNS {

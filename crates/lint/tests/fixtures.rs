@@ -55,6 +55,21 @@ fn ml001_clean() {
 }
 
 #[test]
+fn ml001_case_conversion_fires_in_the_comparison_kernel() {
+    let src = include_str!("lint_fixtures/ml001_case_fire.rs");
+    // Two patterns on one line are one diagnostic.
+    assert_eq!(fired("crates/core/src/matcher.rs", src), vec![("ML001", 2)]);
+    // Outside the hot-path list the same source is nobody's business.
+    assert_eq!(fired("crates/core/src/rules.rs", src), vec![]);
+}
+
+#[test]
+fn ml001_case_conversion_clean() {
+    let src = include_str!("lint_fixtures/ml001_case_clean.rs");
+    assert_eq!(fired("crates/core/src/matcher.rs", src), vec![]);
+}
+
+#[test]
 fn ml002_tier_a_hash_type_fires_in_flat_core() {
     let src = include_str!("lint_fixtures/ml002a_fire.rs");
     assert_eq!(

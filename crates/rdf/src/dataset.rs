@@ -113,6 +113,9 @@ pub struct KbInfo {
 /// immutable, which lets every downstream algorithm borrow it freely.
 pub struct Dataset {
     predicates: Interner,
+    /// Per predicate symbol: whether its lower-cased IRI contains `label`,
+    /// `name` or `title` (decided once at build).
+    name_like: Vec<bool>,
     descriptions: Vec<Description>,
     kbs: Vec<KbInfo>,
     uri_index: FxHashMap<Box<str>, EntityId>,
@@ -240,15 +243,20 @@ impl Dataset {
     /// Literal values of "name-like" attributes (`label`, `name`, `title`),
     /// used by string-similarity matchers.
     pub fn name_values(&self, e: EntityId) -> Vec<&str> {
-        let d = self.description(e);
-        d.attributes
+        self.name_literals(e).collect()
+    }
+
+    /// The first of [`Self::name_values`], without collecting the rest.
+    pub fn first_name_value(&self, e: EntityId) -> Option<&str> {
+        self.name_literals(e).next()
+    }
+
+    fn name_literals(&self, e: EntityId) -> impl Iterator<Item = &str> {
+        self.description(e)
+            .attributes
             .iter()
-            .filter(|(p, _)| {
-                let name = self.predicates.resolve(*p).to_lowercase();
-                name.contains("label") || name.contains("name") || name.contains("title")
-            })
+            .filter(|(p, _)| self.name_like[p.index()])
             .filter_map(|(_, v)| v.as_literal())
-            .collect()
     }
 
     /// Number of distinct attribute names used across the dataset.
@@ -428,7 +436,16 @@ impl DatasetBuilder {
         for (i, d) in self.descriptions.iter().enumerate() {
             per_kb[d.kb.index()].push(EntityId(i as u32));
         }
+        let name_like = self
+            .predicates
+            .iter()
+            .map(|(_, iri)| {
+                let iri = iri.to_lowercase();
+                iri.contains("label") || iri.contains("name") || iri.contains("title")
+            })
+            .collect();
         Dataset {
+            name_like,
             predicates: self.predicates,
             descriptions: self.descriptions,
             kbs: self.kbs,
@@ -535,6 +552,17 @@ mod tests {
         let ds = small();
         let i = ds.entity_by_uri("http://yago.org/r/Iraklio").unwrap();
         assert_eq!(ds.name_values(i), vec!["Iraklio city"]);
+        assert_eq!(ds.first_name_value(i), Some("Iraklio city"));
+        let mut b = DatasetBuilder::new();
+        let kb = b.add_kb("kb", "http://k/");
+        b.add_literal(kb, "http://k/a", "http://k/o/population", "12");
+        b.add_resource(kb, "http://k/a", "http://k/o/TITLE", "http://k/b");
+        b.add_literal(kb, "http://k/a", "http://k/o/prefLabel", "first");
+        b.add_literal(kb, "http://k/a", "http://k/o/FullName", "second");
+        let ds = b.build();
+        let a = ds.entity_by_uri("http://k/a").unwrap();
+        assert_eq!(ds.name_values(a), vec!["first", "second"]);
+        assert_eq!(ds.first_name_value(a), Some("first"));
     }
 
     #[test]

@@ -22,6 +22,9 @@ pub mod tfidf;
 pub mod token;
 
 pub use minhash::{MinHasher, Signature};
-pub use string::{jaro, jaro_winkler, levenshtein, levenshtein_similarity, qgram_similarity};
+pub use string::{
+    jaro, jaro_winkler, jaro_winkler_chars, levenshtein, levenshtein_similarity, qgram_similarity,
+    JaroScratch,
+};
 pub use tfidf::TfIdfWeights;
 pub use token::{cosine, dice, jaccard, overlap_coefficient, weighted_jaccard};

@@ -36,19 +36,35 @@ pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
     1.0 - levenshtein(a, b) as f64 / max as f64
 }
 
+/// Reusable buffers for [`jaro_winkler_chars`]: one instance per
+/// comparison loop; they grow to the longest string seen.
+#[derive(Default)]
+pub struct JaroScratch {
+    /// Which positions of `b` are already matched.
+    b_used: Vec<bool>,
+    /// The matched characters of `a`, in `a`'s order.
+    matches_a: Vec<char>,
+}
+
 /// Jaro similarity.
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
+    jaro_chars(&a, &b, &mut JaroScratch::default())
+}
+
+fn jaro_chars(a: &[char], b: &[char], scratch: &mut JaroScratch) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
+    let JaroScratch { b_used, matches_a } = scratch;
+    b_used.clear();
+    b_used.resize(b.len(), false);
+    matches_a.clear();
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    let mut matches_a: Vec<char> = Vec::new();
     for (i, &ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
@@ -64,16 +80,11 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     if m == 0 {
         return 0.0;
     }
-    let matches_b: Vec<char> = b
-        .iter()
-        .zip(b_used.iter())
-        .filter(|(_, &u)| u)
-        .map(|(&c, _)| c)
-        .collect();
+    let matches_b = b.iter().zip(b_used.iter()).filter(|(_, &u)| u);
     let transpositions = matches_a
         .iter()
-        .zip(matches_b.iter())
-        .filter(|(x, y)| x != y)
+        .zip(matches_b)
+        .filter(|(x, (y, _))| x != y)
         .count()
         / 2;
     let m = m as f64;
@@ -83,13 +94,17 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 /// Jaro–Winkler similarity with the standard prefix scale 0.1 and prefix
 /// length cap 4.
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    jaro_winkler_chars(&a, &b, &mut JaroScratch::default())
+}
+
+/// [`jaro_winkler`] over strings already split into `char`s, allocating
+/// nothing once `scratch` has grown — the form a comparison loop over
+/// precomputed names calls.
+pub fn jaro_winkler_chars(a: &[char], b: &[char], scratch: &mut JaroScratch) -> f64 {
+    let j = jaro_chars(a, b, scratch);
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
     (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
 }
 
@@ -184,6 +199,69 @@ mod tests {
         assert_eq!(qgram_similarity("a", "a", 2), 1.0);
         assert_eq!(qgram_similarity("a", "b", 2), 0.0);
         assert_eq!(qgram_similarity("", "", 2), 0.0);
+    }
+
+    /// Jaro–Winkler as it was before the char-slice kernel: five vectors
+    /// per call.
+    fn collecting_jaro_winkler(a: &str, b: &str) -> f64 {
+        let jaro = || {
+            let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+            if a.is_empty() && b.is_empty() {
+                return 1.0;
+            }
+            if a.is_empty() || b.is_empty() {
+                return 0.0;
+            }
+            let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+            let mut b_used = vec![false; b.len()];
+            let mut matches_a: Vec<char> = Vec::new();
+            for (i, &ca) in a.iter().enumerate() {
+                let lo = i.saturating_sub(window);
+                let hi = (i + window + 1).min(b.len());
+                if let Some(j) = (lo..hi).find(|&j| !b_used[j] && b[j] == ca) {
+                    b_used[j] = true;
+                    matches_a.push(ca);
+                }
+            }
+            if matches_a.is_empty() {
+                return 0.0;
+            }
+            let matches_b: Vec<char> = (0..b.len()).filter(|&j| b_used[j]).map(|j| b[j]).collect();
+            let transpositions = (0..matches_a.len())
+                .filter(|&k| matches_a[k] != matches_b[k])
+                .count()
+                / 2;
+            let m = matches_a.len() as f64;
+            (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+        };
+        let j = jaro();
+        let prefix = a
+            .chars()
+            .zip(b.chars())
+            .take(4)
+            .take_while(|(x, y)| x == y)
+            .count();
+        (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn char_slice_kernel_keeps_every_bit(
+            strings in proptest::collection::vec("[a-dς ]{0,90}", 2..6),
+        ) {
+            // One scratch across strings of very different lengths, in
+            // both argument orders: whatever state it is left in must not
+            // leak into the next call.
+            let mut scratch = JaroScratch::default();
+            let chars: Vec<Vec<char>> = strings.iter().map(|s| s.chars().collect()).collect();
+            for (x, cx) in strings.iter().zip(&chars) {
+                for (y, cy) in strings.iter().zip(&chars) {
+                    let want = collecting_jaro_winkler(x, y).to_bits();
+                    proptest::prop_assert_eq!(jaro_winkler(x, y).to_bits(), want);
+                    proptest::prop_assert_eq!(jaro_winkler_chars(cx, cy, &mut scratch).to_bits(), want);
+                }
+            }
+        }
     }
 
     proptest::proptest! {
