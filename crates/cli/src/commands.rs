@@ -14,7 +14,7 @@ use minoan_er::{
     Strategy,
 };
 use minoan_eval::{metrics, progressive_curves, recall_auc};
-use minoan_rdf::KbId;
+use minoan_rdf::{Dataset, DatasetBuilder, KbId};
 use minoan_server::{Client, ResolveService, Server};
 use minoan_store::{FrozenStore, TripleStore};
 use std::fmt::Write as _;
@@ -191,10 +191,15 @@ fn cmd_generate(args: &Args) -> Result<String, CliError> {
     Ok(report)
 }
 
-fn load_store(inputs: &[String]) -> Result<FrozenStore, CliError> {
-    if inputs.is_empty() {
-        return Err(CliError("at least one --input is required".into()));
+/// The `--input` files of a command that reads KBs; at least one.
+fn inputs(args: &Args) -> Result<&[String], CliError> {
+    match args.get_all("input") {
+        [] => Err(CliError("at least one --input is required".into())),
+        files => Ok(files),
     }
+}
+
+fn load_store(inputs: &[String]) -> Result<FrozenStore, CliError> {
     let mut store = TripleStore::new();
     for path in inputs {
         let name = Path::new(path)
@@ -218,12 +223,12 @@ fn load_store(inputs: &[String]) -> Result<FrozenStore, CliError> {
 }
 
 fn cmd_stats(args: &Args) -> Result<String, CliError> {
-    let store = load_store(args.get_all("input"))?;
+    let store = load_store(inputs(args)?)?;
     Ok(store.stats().render(&store))
 }
 
 fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
-    let store = load_store(args.get_all("input"))?;
+    let store = load_store(inputs(args)?)?;
     let out = args.require("out")?;
     store
         .save(out)
@@ -358,9 +363,20 @@ fn pipeline_config(args: &Args) -> Result<PipelineConfig, CliError> {
     Ok(config)
 }
 
+/// Files → [`Dataset`] in one pass, one KB per `--input` in the order
+/// given: each file is pulled statement by statement into the builder.
+fn load_dataset(inputs: &[String]) -> Result<Dataset, CliError> {
+    let mut builder = DatasetBuilder::new();
+    for path in inputs {
+        builder
+            .load_file(Path::new(path))
+            .map_err(|e| CliError(format!("{path}: {e}")))?;
+    }
+    Ok(builder.build())
+}
+
 fn cmd_resolve(args: &Args) -> Result<String, CliError> {
-    let store = load_store(args.get_all("input"))?;
-    let dataset = store.to_dataset();
+    let dataset = load_dataset(inputs(args)?)?;
     let config = pipeline_config(args)?;
     let show = args.get_parsed("show", 10usize)?;
     let out = Pipeline::new(config).run(&dataset);

@@ -43,7 +43,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         code: "ML001",
         name: "hot-path-alloc",
-        summary: "per-token String allocation (format!/to_string/String::new/to_owned/to_lowercase/to_uppercase) in a hot-path module",
+        summary: "per-token String allocation (format!/to_string/String::new/String::with_capacity/to_owned/to_lowercase/to_uppercase) in a hot-path module",
     },
     RuleInfo {
         code: "ML002",
@@ -87,7 +87,9 @@ pub fn rule_by_name(name: &str) -> Option<&'static RuleInfo> {
 /// the per-request paths of the resolution service (a query must not
 /// allocate strings any more than a sweep row may), and the comparison
 /// kernel with the progressive loop around it (a comparison recomputes
-/// nothing that is a fact of one description).
+/// nothing that is a fact of one description), and the text front end (a
+/// parsed term is a slice of its line; the loader copies an attribute
+/// value once, into the description that keeps it).
 const HOT_PATH_FILES: &[&str] = &[
     "crates/blocking/src/builders.rs",
     "crates/blocking/src/layout.rs",
@@ -105,6 +107,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/engine.rs",
     "crates/core/src/scheduler.rs",
     "crates/core/src/candidates.rs",
+    "crates/rdf/src/ntriples.rs",
+    "crates/rdf/src/dataset/load.rs",
 ];
 
 /// Flat-core modules: hash-map *types* are banned outright (ML002 tier A) —
@@ -312,6 +316,10 @@ fn hot_path_alloc(rel: &str, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
         (
             "String::new(",
             "`String::new()` allocates in a hot-path module",
+        ),
+        (
+            "String::with_capacity(",
+            "`String::with_capacity` allocates in a hot-path module",
         ),
         (
             ".to_owned()",

@@ -70,6 +70,32 @@ fn ml001_case_conversion_clean() {
 }
 
 #[test]
+fn ml001_per_statement_terms_fire_in_the_text_front_end() {
+    let src = include_str!("lint_fixtures/ml001_statement_fire.rs");
+    // An owned term per statement, a `format!` per blank label, a sized
+    // buffer per literal.
+    for hot in [
+        "crates/rdf/src/ntriples.rs",
+        "crates/rdf/src/dataset/load.rs",
+    ] {
+        assert_eq!(
+            fired(hot, src),
+            vec![("ML001", 2), ("ML001", 6), ("ML001", 10)],
+            "{hot}"
+        );
+    }
+    // The owned `Triple` API lives in `term.rs`, where copying is the point.
+    assert_eq!(fired("crates/rdf/src/term.rs", src), vec![]);
+}
+
+#[test]
+fn ml001_per_statement_terms_clean() {
+    let src = include_str!("lint_fixtures/ml001_statement_clean.rs");
+    assert_eq!(fired("crates/rdf/src/ntriples.rs", src), vec![]);
+    assert_eq!(fired("crates/rdf/src/dataset/load.rs", src), vec![]);
+}
+
+#[test]
 fn ml002_tier_a_hash_type_fires_in_flat_core() {
     let src = include_str!("lint_fixtures/ml002a_fire.rs");
     assert_eq!(

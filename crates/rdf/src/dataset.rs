@@ -13,6 +13,10 @@ use crate::tokenize;
 use minoan_common::{FxHashMap, FxHashSet, Interner, Symbol};
 use std::fmt;
 
+mod load;
+
+pub use load::LoadError;
+
 /// Dense id of a description within a [`Dataset`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EntityId(pub u32);
@@ -312,13 +316,18 @@ impl fmt::Debug for Dataset {
     }
 }
 
-/// Incremental [`Dataset`] construction.
+/// Incremental [`Dataset`] construction: attribute by attribute
+/// ([`Self::add_literal`], [`Self::add_resource`]), statement by statement
+/// ([`Self::add_statement`]) or a whole RDF document at a time
+/// ([`Self::load_file`] and its siblings).
 #[derive(Default)]
 pub struct DatasetBuilder {
     predicates: Interner,
     descriptions: Vec<Description>,
     kbs: Vec<KbInfo>,
     uri_index: FxHashMap<Box<str>, EntityId>,
+    /// Reused composition buffer for scoped blank-node URIs.
+    blank_uri: String,
 }
 
 impl DatasetBuilder {
@@ -373,39 +382,6 @@ impl DatasetBuilder {
         self.descriptions[e.index()]
             .attributes
             .push((p, Value::Resource(object_uri.into())));
-    }
-
-    /// Adds a parsed triple. Blank-node subjects are namespaced per KB so
-    /// labels never collide across KBs; literal objects become literal
-    /// attributes, IRI/blank objects become resource attributes.
-    pub fn add_triple(&mut self, kb: KbId, triple: &Triple) {
-        let subject = match &triple.subject {
-            Term::Iri(s) => s.clone(),
-            Term::Blank(b) => format!("bnode://{}/{}", self.kbs[kb.index()].name, b),
-            Term::Literal(_) => return, // invalid; parser already rejects it
-        };
-        match &triple.object {
-            Term::Literal(l) => self.add_literal(kb, &subject, &triple.predicate, &l.value),
-            Term::Iri(o) => self.add_resource(kb, &subject, &triple.predicate, o),
-            Term::Blank(b) => {
-                let o = format!("bnode://{}/{}", self.kbs[kb.index()].name, b);
-                self.add_resource(kb, &subject, &triple.predicate, &o);
-            }
-        }
-    }
-
-    /// Parses an N-Triples document into a fresh KB.
-    pub fn add_ntriples_kb(
-        &mut self,
-        name: &str,
-        namespace: &str,
-        document: &str,
-    ) -> Result<KbId, ntriples::ParseError> {
-        let kb = self.add_kb(name, namespace);
-        for triple in ntriples::parse_document(document)? {
-            self.add_triple(kb, &triple);
-        }
-        Ok(kb)
     }
 
     /// Finalises the dataset: resolves resource links into the undirected
@@ -594,12 +570,17 @@ mod tests {
         let t = crate::ntriples::parse_line("_:x <http://p> \"v\" .", 1).unwrap();
         b.add_triple(kb0, &t);
         b.add_triple(kb1, &t);
+        // Scope is the KB id, not its name: two KBs may share a name.
+        let kb2 = b.add_kb("a", "http://a/");
+        b.add_triple(kb2, &t);
+        b.add_triple(kb2, &t);
         let ds = b.build();
         assert_eq!(
             ds.len(),
-            2,
+            3,
             "same blank label in different KBs stays distinct"
         );
+        assert_eq!(ds.kb(kb2).entity_count, 1);
     }
 
     #[test]

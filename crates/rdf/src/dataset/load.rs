@@ -1,0 +1,405 @@
+//! Statements → [`DatasetBuilder`]: the text front end of the ER pipeline.
+//!
+//! [`DatasetBuilder::add_statement`] is the one entry that takes a parsed
+//! [`Statement`]; both parsers emit through it and nothing on this path
+//! builds an owned `Triple` or a triple store. The document-level loaders
+//! ([`DatasetBuilder::load_ntriples`], [`DatasetBuilder::load_turtle`],
+//! [`DatasetBuilder::load_file`], [`DatasetBuilder::add_ntriples_kb`]) pull
+//! a whole document into a fresh KB and add the two things a *document*
+//! means beyond its statements:
+//!
+//! * an exact duplicate of an earlier statement of the same document is
+//!   dropped (the first occurrence stays where it was);
+//! * the KB's namespace is the longest common prefix of its subject IRIs.
+//!
+//! Entities are numbered by first mention as a subject and attributes keep
+//! statement order. Per statement this allocates the attribute value, plus
+//! the description on a subject's first mention — nothing else.
+//!
+//! A loader that fails leaves the statements before the error in the
+//! builder; the caller is expected to drop it.
+
+use super::{DatasetBuilder, EntityId, KbId, Value};
+use crate::ntriples::{self, ParseError, StatementReader};
+use crate::term::{Object, Statement, Subject, Triple};
+use crate::turtle::{self, TurtleError};
+use minoan_common::FxHashSet;
+use std::fmt::{self, Write as _};
+use std::hash::{BuildHasher, RandomState};
+use std::io::{BufRead, BufReader};
+use std::path::Path;
+
+/// Why [`DatasetBuilder::load_file`] failed.
+#[derive(Debug)]
+pub enum LoadError {
+    /// The file could not be opened or read.
+    Io(std::io::Error),
+    /// The N-Triples document is malformed.
+    NTriples(ParseError),
+    /// The Turtle document is malformed.
+    Turtle(TurtleError),
+}
+
+impl LoadError {
+    /// 1-based line of a malformed document; `None` for I/O failures
+    /// before the first byte.
+    pub fn line(&self) -> Option<usize> {
+        match self {
+            LoadError::Io(_) => None,
+            LoadError::NTriples(e) => Some(e.line),
+            LoadError::Turtle(e) => Some(e.line),
+        }
+    }
+}
+
+impl fmt::Display for LoadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoadError::Io(e) => write!(f, "cannot read: {e}"),
+            LoadError::NTriples(e) => e.fmt(f),
+            LoadError::Turtle(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for LoadError {}
+
+impl From<std::io::Error> for LoadError {
+    fn from(e: std::io::Error) -> Self {
+        LoadError::Io(e)
+    }
+}
+
+/// What [`DatasetBuilder::place`] remembers of the document it is in.
+struct Seen {
+    /// The statements the document has contributed so far, as keyed 64-bit
+    /// fingerprints. A fingerprint seen before is only a hint: the
+    /// description is then searched for the attribute itself, so a
+    /// collision cannot drop a statement. SipHash under a per-load random
+    /// key, because the hashed text comes from outside the program; the
+    /// fingerprints themselves are then uniform and go into a cheap set.
+    keys: RandomState,
+    prints: FxHashSet<u64>,
+    /// Subject of the document's previous statement. Dumps group their
+    /// statements by subject, so most subjects are this one again and need
+    /// no index probe.
+    previous: Option<EntityId>,
+}
+
+impl DatasetBuilder {
+    /// Adds one parsed statement to `kb`: the description is created on
+    /// the subject's first mention, literal objects become literal
+    /// attributes, IRI and blank objects resource attributes. Blank labels
+    /// are scoped by KB *id* (`bnode://<name>:<id>/<label>`), so they never
+    /// collide across KBs — not even across two KBs of one name.
+    pub fn add_statement(&mut self, kb: KbId, statement: &Statement<'_>) {
+        self.place(kb, statement, None);
+    }
+
+    /// Adds a parsed triple ([`Self::add_statement`] over its borrowed
+    /// view). The invalid literal-subject triple is ignored; the parsers
+    /// never produce one.
+    pub fn add_triple(&mut self, kb: KbId, triple: &Triple) {
+        if let Some(statement) = Statement::from_triple(triple) {
+            self.add_statement(kb, &statement);
+        }
+    }
+
+    /// Files `statement` under its subject and returns the subject;
+    /// inside a document (`seen`) an exact duplicate is dropped instead.
+    fn place(&mut self, kb: KbId, statement: &Statement<'_>, seen: Option<&mut Seen>) -> EntityId {
+        let predicate = self.predicates.intern(statement.predicate);
+        let mut scoped = std::mem::take(&mut self.blank_uri);
+        let previous = seen.as_ref().and_then(|seen| seen.previous);
+        let entity = match statement.subject {
+            Subject::Iri(iri) => match previous {
+                Some(e) if *self.descriptions[e.index()].uri == *iri => e,
+                _ => self.entity_for(kb, iri),
+            },
+            Subject::Blank(label) => {
+                self.scope_blank(kb, label, &mut scoped);
+                self.entity_for(kb, &scoped)
+            }
+        };
+        let (text, resource): (&str, bool) = match &statement.object {
+            Object::Literal { value, .. } => (value, false),
+            Object::Iri(iri) => (iri, true),
+            Object::Blank(label) => {
+                self.scope_blank(kb, label, &mut scoped);
+                (&scoped, true)
+            }
+        };
+        let attributes = &mut self.descriptions[entity.index()].attributes;
+        let same = |(p, v): &(_, Value)| {
+            *p == predicate
+                && match v {
+                    Value::Literal(s) => !resource && **s == *text,
+                    Value::Resource(s) => resource && **s == *text,
+                }
+        };
+        let duplicate = seen.is_some_and(|seen| {
+            seen.previous = Some(entity);
+            let print = seen.keys.hash_one((entity.0, predicate.0, resource, text));
+            !seen.prints.insert(print) && attributes.iter().any(same)
+        });
+        if !duplicate {
+            let value = if resource {
+                Value::Resource(text.into())
+            } else {
+                Value::Literal(text.into())
+            };
+            attributes.push((predicate, value));
+        }
+        self.blank_uri = scoped;
+        entity
+    }
+
+    /// Composes the dataset-wide URI of blank node `label` of `kb`.
+    fn scope_blank(&self, kb: KbId, label: &str, out: &mut String) {
+        out.clear();
+        let name = &self.kbs[kb.index()].name;
+        let _ = write!(out, "bnode://{name}:{}/{label}", kb.0);
+    }
+
+    /// Parses an in-memory N-Triples document into a fresh KB with the
+    /// given namespace.
+    pub fn add_ntriples_kb(
+        &mut self,
+        name: &str,
+        namespace: &str,
+        document: &str,
+    ) -> Result<KbId, ParseError> {
+        let mut load = KbLoad::new(self, name);
+        for statement in ntriples::statements(document) {
+            load.push(&statement?);
+        }
+        Ok(load.finish(Some(namespace)))
+    }
+
+    /// Pulls an N-Triples stream into a fresh KB, statement by statement
+    /// through one line buffer; the namespace is inferred.
+    pub fn load_ntriples(&mut self, name: &str, reader: impl BufRead) -> Result<KbId, ParseError> {
+        let mut statements = StatementReader::new(reader);
+        let mut load = KbLoad::new(self, name);
+        while let Some(statement) = statements.next_statement() {
+            load.push(&statement?);
+        }
+        Ok(load.finish(None))
+    }
+
+    /// Parses a Turtle document (raw bytes: invalid UTF-8 is reported with
+    /// its line, like any other fault) into a fresh KB; the namespace is
+    /// inferred.
+    pub fn load_turtle(&mut self, name: &str, document: &[u8]) -> Result<KbId, TurtleError> {
+        let text = std::str::from_utf8(document).map_err(|e| TurtleError {
+            line: 1 + document[..e.valid_up_to()]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count(),
+            message: "invalid UTF-8".into(),
+        })?;
+        let mut load = KbLoad::new(self, name);
+        turtle::for_each_statement(text, |statement| load.push(&statement))?;
+        Ok(load.finish(None))
+    }
+
+    /// Loads one RDF file into a fresh KB named after the file stem:
+    /// Turtle for `.ttl` / `.turtle`, N-Triples for anything else.
+    pub fn load_file(&mut self, path: &Path) -> Result<KbId, LoadError> {
+        let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("kb");
+        let turtle = path
+            .extension()
+            .is_some_and(|ext| ext == "ttl" || ext == "turtle");
+        if turtle {
+            let document = std::fs::read(path)?;
+            self.load_turtle(name, &document).map_err(LoadError::Turtle)
+        } else {
+            let file = std::fs::File::open(path)?;
+            self.load_ntriples(name, BufReader::with_capacity(1 << 16, file))
+                .map_err(LoadError::NTriples)
+        }
+    }
+}
+
+/// One document being pulled into one fresh KB.
+struct KbLoad<'b> {
+    builder: &'b mut DatasetBuilder,
+    kb: KbId,
+    seen: Seen,
+    /// Longest common prefix of the subject IRIs so far.
+    namespace: Option<String>,
+}
+
+impl<'b> KbLoad<'b> {
+    fn new(builder: &'b mut DatasetBuilder, name: &str) -> Self {
+        let kb = builder.add_kb(name, "");
+        Self {
+            builder,
+            kb,
+            seen: Seen {
+                keys: RandomState::new(),
+                prints: FxHashSet::default(),
+                previous: None,
+            },
+            namespace: None,
+        }
+    }
+
+    fn push(&mut self, statement: &Statement<'_>) {
+        let previous = self.seen.previous;
+        let entity = self.builder.place(self.kb, statement, Some(&mut self.seen));
+        // A repeated subject cannot narrow the prefix.
+        if previous != Some(entity) {
+            if let Subject::Iri(iri) = statement.subject {
+                match &mut self.namespace {
+                    None => self.namespace = Some(iri.into()),
+                    Some(prefix) => {
+                        let common = prefix.bytes().zip(iri.bytes());
+                        let mut len = common.take_while(|(a, b)| a == b).count();
+                        while !prefix.is_char_boundary(len) {
+                            len -= 1;
+                        }
+                        prefix.truncate(len);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Names the KB's namespace — `explicit`, else the inferred prefix —
+    /// and returns its id.
+    fn finish(self, explicit: Option<&str>) -> KbId {
+        let namespace = explicit.or(self.namespace.as_deref()).unwrap_or_default();
+        self.builder.kbs[self.kb.index()].namespace = namespace.into();
+        self.kb
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Dataset;
+
+    fn attributes(ds: &Dataset, uri: &str) -> Vec<(String, String)> {
+        let e = ds.entity_by_uri(uri).expect(uri);
+        ds.description(e)
+            .attributes
+            .iter()
+            .map(|(p, v)| {
+                let text = v.as_literal().or(v.as_resource()).unwrap();
+                (ds.predicate_name(*p).to_string(), text.to_string())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn duplicates_collapse_onto_the_first_occurrence() {
+        let doc = "<http://k/a> <http://k/p> \"x\" .\n\
+                   <http://k/a> <http://k/q> \"y\" .\n\
+                   <http://k/a> <http://k/p> \"x\"@en .\n\
+                   <http://k/a> <http://k/p> <x> .\n\
+                   <http://k/b> <http://k/p> \"x\" .\n\
+                   <http://k/a> <http://k/q> \"y\" .\n\
+                   <http://k/a> <http://k/p> <x> .\n";
+        let mut b = DatasetBuilder::new();
+        b.load_ntriples("one", doc.as_bytes()).unwrap();
+        // Across documents nothing collapses: the second KB's statements
+        // about an entity the first one owns are further evidence.
+        b.load_ntriples("two", doc.as_bytes()).unwrap();
+        let ds = b.build();
+        let once = [
+            ("http://k/p", "x"),
+            ("http://k/q", "y"),
+            ("http://k/p", "x"),
+        ];
+        let a = attributes(&ds, "http://k/a");
+        assert_eq!(a.len(), 6);
+        for (half, got) in a.chunks(3).enumerate() {
+            for ((p, v), (want_p, want_v)) in got.iter().zip(once) {
+                assert_eq!((p.as_str(), v.as_str()), (want_p, want_v), "half {half}");
+            }
+        }
+        let a = ds.entity_by_uri("http://k/a").unwrap();
+        let kinds: Vec<bool> = ds.description(a).attributes[..3]
+            .iter()
+            .map(|(_, v)| v.as_resource().is_some())
+            .collect();
+        assert_eq!(kinds, [false, false, true], "a literal is not the IRI");
+        assert_eq!(attributes(&ds, "http://k/b").len(), 2);
+    }
+
+    #[test]
+    fn single_statement_entry_keeps_duplicates() {
+        let t = ntriples::parse_line("<http://k/a> <http://k/p> \"x\" .", 1).unwrap();
+        let mut b = DatasetBuilder::new();
+        let kb = b.add_kb("kb", "http://k/");
+        b.add_triple(kb, &t);
+        b.add_triple(kb, &t);
+        assert_eq!(attributes(&b.build(), "http://k/a").len(), 2);
+    }
+
+    #[test]
+    fn namespace_is_the_common_prefix_of_subject_iris() {
+        let doc = "<http://db.org/r/Heraklion> <http://p> <http://elsewhere/x> .\n\
+                   _:b <http://p> \"blank subjects do not count\" .\n\
+                   <http://db.org/r/Crete> <http://p> \"y\" .\n";
+        let mut b = DatasetBuilder::new();
+        let kb = b.load_ntriples("db", doc.as_bytes()).unwrap();
+        let utf8 = "<http://k/\u{e9}> <http://p> \"1\" .\n<http://k/\u{e8}> <http://p> \"2\" .\n";
+        let cut = b.load_ntriples("utf8", utf8.as_bytes()).unwrap();
+        let explicit = b.add_ntriples_kb("given", "http://given/", doc).unwrap();
+        let empty = b.load_ntriples("empty", "# nothing\n".as_bytes()).unwrap();
+        let ds = b.build();
+        assert_eq!(&*ds.kb(kb).namespace, "http://db.org/r/");
+        assert_eq!(
+            &*ds.kb(cut).namespace,
+            "http://k/",
+            "cut on a char boundary"
+        );
+        assert_eq!(&*ds.kb(explicit).namespace, "http://given/");
+        assert_eq!(&*ds.kb(empty).namespace, "");
+    }
+
+    #[test]
+    fn turtle_and_ntriples_build_the_same_descriptions() {
+        let nt = "<http://k/a> <http://k/name> \"A\" .\n\
+                  <http://k/a> <http://k/knows> _:b1 .\n\
+                  _:b1 <http://k/name> \"B\\tb\" .\n\
+                  <http://k/a> <http://k/name> \"A\" .\n";
+        let ttl = "@prefix k: <http://k/> .\n\
+                   k:a k:name \"A\" ; k:knows _:b1 .\n\
+                   _:b1 k:name \"B\\tb\" .\n\
+                   k:a k:name \"A\" .\n";
+        let mut from_nt = DatasetBuilder::new();
+        from_nt.load_ntriples("kb", nt.as_bytes()).unwrap();
+        let mut from_ttl = DatasetBuilder::new();
+        from_ttl.load_turtle("kb", ttl.as_bytes()).unwrap();
+        let (from_nt, from_ttl) = (from_nt.build(), from_ttl.build());
+        assert_eq!(from_nt.len(), 2);
+        for e in from_nt.entities() {
+            assert_eq!(from_nt.uri(e), from_ttl.uri(e));
+            assert_eq!(
+                attributes(&from_nt, from_nt.uri(e)),
+                attributes(&from_ttl, from_ttl.uri(e))
+            );
+            assert_eq!(from_nt.neighbors(e), from_ttl.neighbors(e));
+        }
+        assert_eq!(from_nt.uri(EntityId(1)), "bnode://kb:0/b1");
+    }
+
+    #[test]
+    fn faults_carry_their_line_through_every_loader() {
+        let mut b = DatasetBuilder::new();
+        let nt = b"<http://a> <http://p> \"ok\" .\n\n<http://a> <http://p> \"\xff\" .\n";
+        assert_eq!(b.load_ntriples("nt", &nt[..]).unwrap_err().line, 3);
+        let ttl = b"@prefix k: <http://k/> .\nk:a k:p \"ok\" .\nk:a k:p \"\xff\" .\n";
+        let err = b.load_turtle("ttl", ttl).unwrap_err();
+        assert_eq!((err.line, err.message.as_str()), (3, "invalid UTF-8"));
+        let err = b
+            .load_turtle("ttl", b"\n\n<http://a> <http://p> .")
+            .unwrap_err();
+        assert_eq!(err.line, 3);
+        let missing = b.load_file(Path::new("/nonexistent/kb.nt")).unwrap_err();
+        assert!(matches!(missing, LoadError::Io(_)) && missing.line().is_none());
+    }
+}

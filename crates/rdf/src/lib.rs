@@ -4,14 +4,39 @@
 //! in RDF)". Mature RDF stacks are not available in this environment, so
 //! this crate implements exactly the subset the ER algorithms exercise:
 //!
-//! * [`term`] — RDF terms (IRIs, literals, blank nodes) and triples.
-//! * [`ntriples`] — a line-based N-Triples parser and serialiser, enough to
-//!   round-trip the synthetic KBs to disk.
+//! * [`term`] — RDF terms (IRIs, literals, blank nodes), owned triples and
+//!   the borrowed [`Statement`] the parsers yield.
+//! * [`ntriples`] — a line-based N-Triples pull parser and serialiser.
+//! * [`turtle`] — the Turtle subset LOD dumps use, and a writer.
 //! * [`tokenize`] — schema-agnostic tokenisation of literal values and the
 //!   Prefix-Infix(-Suffix) decomposition of entity URIs used by blocking.
 //! * [`dataset`] — the entity-centric view: descriptions (one per subject),
 //!   knowledge bases, and the cross-description neighbour graph that the
 //!   progressive update phase walks.
+//!
+//! # From text to a `Dataset`
+//!
+//! Text becomes a [`Dataset`] in one pass: a parser yields [`Statement`]s
+//! and [`DatasetBuilder::add_statement`] files each under its subject. No
+//! intermediate triple list or store exists on this path
+//! ([`DatasetBuilder::load_file`] is what `minoan resolve` calls).
+//!
+//! * **Statement lifetime.** A [`Statement`]'s terms are `&str` slices of
+//!   what the parser is reading — the document for
+//!   [`ntriples::statements`] and [`turtle::for_each_statement`], the one
+//!   reusable line buffer for [`ntriples::StatementReader`] — so a
+//!   statement is valid until the parser moves on. [`Statement::to_triple`]
+//!   makes the owned copy; [`ntriples::parse_document`] and
+//!   [`parse_turtle`] are collectors that do exactly that.
+//! * **What allocates.** The N-Triples parser allocates only for a literal
+//!   that spells an escape (the `Cow` turns owned). Turtle additionally
+//!   composes prefixed names, base-relative IRIs and anonymous-node labels.
+//!   The builder allocates the attribute value per statement and the
+//!   description on a subject's first mention.
+//! * **Errors.** Malformed input — bad syntax, a bad escape, invalid
+//!   UTF-8, a read that fails — is an error carrying the 1-based line,
+//!   never a panic; parsing stops there. Nothing is allocated by a size the
+//!   input merely *claims*: buffers grow with the bytes actually read.
 //!
 //! # Example
 //!
@@ -38,6 +63,6 @@ pub mod term;
 pub mod tokenize;
 pub mod turtle;
 
-pub use dataset::{Dataset, DatasetBuilder, Description, EntityId, KbId, KbInfo, Value};
-pub use term::{Literal, Term, Triple};
+pub use dataset::{Dataset, DatasetBuilder, Description, EntityId, KbId, KbInfo, LoadError, Value};
+pub use term::{Literal, Object, Statement, Subject, Term, Triple};
 pub use turtle::{parse_turtle, TurtleError};

@@ -1,5 +1,7 @@
-//! RDF terms and triples.
+//! RDF terms, owned triples and the borrowed [`Statement`] the parsers
+//! yield.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A literal value with optional language tag or datatype IRI.
@@ -93,7 +95,7 @@ impl fmt::Display for Term {
             Term::Iri(s) => write!(f, "<{s}>"),
             Term::Blank(s) => write!(f, "_:{s}"),
             Term::Literal(l) => {
-                write!(f, "\"{}\"", crate::ntriples::escape_literal(&l.value))?;
+                write!(f, "\"{}\"", escape_literal(&l.value))?;
                 if let Some(lang) = &l.lang {
                     write!(f, "@{lang}")
                 } else if let Some(dt) = &l.datatype {
@@ -131,6 +133,129 @@ impl Triple {
 impl fmt::Display for Triple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} <{}> {} .", self.subject, self.predicate, self.object)
+    }
+}
+
+/// Serialises triples as an N-Triples document (one statement per line,
+/// trailing newline).
+pub fn write_document(triples: &[Triple]) -> String {
+    use fmt::Write as _;
+    let mut s = String::with_capacity(triples.len() * 80);
+    for t in triples {
+        let _ = writeln!(s, "{t}");
+    }
+    s
+}
+
+/// Escapes a literal lexical form for N-Triples output.
+pub fn escape_literal(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// Subject of a borrowed [`Statement`]: an IRI without its angle brackets
+/// or a blank-node label without its `_:`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Subject<'a> {
+    /// An IRI reference.
+    Iri(&'a str),
+    /// A blank-node label, scoped to the document it came from.
+    Blank(&'a str),
+}
+
+/// Object of a borrowed [`Statement`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Object<'a> {
+    /// An IRI reference.
+    Iri(&'a str),
+    /// A blank-node label, scoped to the document it came from.
+    Blank(&'a str),
+    /// A literal. `value` is the unescaped lexical form: borrowed from the
+    /// input unless the source spelling contained an escape.
+    Literal {
+        /// The lexical form.
+        value: Cow<'a, str>,
+        /// `@lang` tag, if any.
+        lang: Option<&'a str>,
+        /// `^^<datatype>` IRI, if any.
+        datatype: Option<&'a str>,
+    },
+}
+
+/// One RDF statement whose terms borrow from the parser's input (or from
+/// its line buffer): valid until the parser is asked for the next one.
+/// This is what both parsers emit and what
+/// [`DatasetBuilder::add_statement`](crate::DatasetBuilder::add_statement)
+/// consumes; [`Statement::to_triple`] is the owned copy.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Statement<'a> {
+    /// Subject: IRI or blank node.
+    pub subject: Subject<'a>,
+    /// Predicate IRI.
+    pub predicate: &'a str,
+    /// Object: any term.
+    pub object: Object<'a>,
+}
+
+impl<'a> Statement<'a> {
+    /// The borrowed view of an owned triple; `None` for the invalid
+    /// literal-subject triple the parsers never produce.
+    pub fn from_triple(triple: &'a Triple) -> Option<Self> {
+        let subject = match &triple.subject {
+            Term::Iri(s) => Subject::Iri(s),
+            Term::Blank(b) => Subject::Blank(b),
+            Term::Literal(_) => return None,
+        };
+        let object = match &triple.object {
+            Term::Iri(s) => Object::Iri(s),
+            Term::Blank(b) => Object::Blank(b),
+            Term::Literal(l) => Object::Literal {
+                value: Cow::Borrowed(&l.value),
+                lang: l.lang.as_deref(),
+                datatype: l.datatype.as_deref(),
+            },
+        };
+        Some(Self {
+            subject,
+            predicate: &triple.predicate,
+            object,
+        })
+    }
+
+    /// Copies every term into an owned [`Triple`].
+    pub fn to_triple(&self) -> Triple {
+        let subject = match self.subject {
+            Subject::Iri(s) => Term::Iri(s.to_string()),
+            Subject::Blank(b) => Term::Blank(b.to_string()),
+        };
+        let object = match &self.object {
+            Object::Iri(s) => Term::Iri(s.to_string()),
+            Object::Blank(b) => Term::Blank(b.to_string()),
+            Object::Literal {
+                value,
+                lang,
+                datatype,
+            } => Term::Literal(Literal {
+                value: value.to_string(),
+                lang: lang.map(str::to_string),
+                datatype: datatype.map(str::to_string),
+            }),
+        };
+        Triple {
+            subject,
+            predicate: self.predicate.to_string(),
+            object,
+        }
     }
 }
 
@@ -179,6 +304,20 @@ mod tests {
             Term::iri("http://e.org/o"),
         );
         assert_eq!(t2.to_string(), "_:b1 <http://e.org/p> <http://e.org/o> .");
+    }
+
+    #[test]
+    fn statements_round_trip_through_triples() {
+        let owned = Triple::new(
+            Term::Blank("b1".into()),
+            "http://e.org/p",
+            Term::Literal(Literal::lang_tagged("x", "en")),
+        );
+        let st = Statement::from_triple(&owned).expect("blank subjects are valid");
+        assert_eq!(st.subject, Subject::Blank("b1"));
+        assert_eq!(st.to_triple(), owned);
+        let invalid = Triple::new(Term::literal("s"), "http://e.org/p", Term::literal("o"));
+        assert!(Statement::from_triple(&invalid).is_none());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! Out of scope (not used by the ER workloads): collections `( … )`,
 //! triple-quoted long strings, and numeric exponent forms.
 
-use crate::term::{Literal, Term, Triple};
+use crate::ntriples::{scan_lang, scan_quoted, Fault};
+use crate::term::{Object, Statement, Subject, Term, Triple};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Turtle parse failure with position information.
@@ -47,36 +49,81 @@ const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
 const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
 const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 
-/// Parses a Turtle document into triples.
+/// How deep `[ … [ … ] … ]` may nest. The parser recurses once per level,
+/// so hostile input must not get to pick the stack depth.
+const MAX_NESTING: usize = 64;
+
+/// Parses a Turtle document into owned triples.
 pub fn parse_turtle(input: &str) -> Result<Vec<Triple>, TurtleError> {
-    Parser::new(input).parse()
+    let mut triples = Vec::new();
+    for_each_statement(input, |statement| triples.push(statement.to_triple()))?;
+    Ok(triples)
 }
 
-struct Parser<'a> {
-    chars: Vec<char>,
+/// Parses a Turtle document, handing each statement to `sink` in document
+/// order (the statements of a nested `[ … ]` before the one that mentions
+/// it). Terms borrow from `input` where Turtle spells them out in full and
+/// from the parser's own buffers where a prefix, the base or an anonymous
+/// node is involved, so a statement is only valid inside the call.
+///
+/// Errors carry the 1-based line; on error the statements before it have
+/// already been delivered.
+pub fn for_each_statement(
+    input: &str,
+    mut sink: impl FnMut(Statement<'_>),
+) -> Result<(), TurtleError> {
+    Parser {
+        input,
+        pos: 0,
+        line: 1,
+        prefixes: HashMap::new(),
+        base: String::new(),
+        next_bnode: 0,
+        depth: 0,
+        sink: &mut sink,
+    }
+    .parse()
+}
+
+/// A resource term: a slice of the input where the spelling is the IRI or
+/// label itself, composed otherwise.
+enum Node<'a> {
+    Iri(Cow<'a, str>),
+    Blank(Cow<'a, str>),
+}
+
+enum Value<'a> {
+    Node(Node<'a>),
+    Literal {
+        value: Cow<'a, str>,
+        lang: Option<&'a str>,
+        datatype: Option<Cow<'a, str>>,
+    },
+}
+
+impl<'a> Value<'a> {
+    fn typed(value: &'a str, datatype: &'static str) -> Self {
+        Value::Literal {
+            value: Cow::Borrowed(value),
+            lang: None,
+            datatype: Some(Cow::Borrowed(datatype)),
+        }
+    }
+}
+
+struct Parser<'a, 's> {
+    input: &'a str,
+    /// Byte offset of the next unread character.
     pos: usize,
     line: usize,
     prefixes: HashMap<String, String>,
     base: String,
-    triples: Vec<Triple>,
     next_bnode: usize,
-    _input: &'a str,
+    depth: usize,
+    sink: &'s mut dyn FnMut(Statement<'_>),
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Self {
-            chars: input.chars().collect(),
-            pos: 0,
-            line: 1,
-            prefixes: HashMap::new(),
-            base: String::new(),
-            triples: Vec::new(),
-            next_bnode: 0,
-            _input: input,
-        }
-    }
-
+impl<'a> Parser<'a, '_> {
     fn err<T>(&self, message: impl Into<String>) -> Result<T, TurtleError> {
         Err(TurtleError {
             line: self.line,
@@ -84,19 +131,42 @@ impl<'a> Parser<'a> {
         })
     }
 
+    fn fault<T>(&self, fault: Fault<'_>) -> Result<T, TurtleError> {
+        self.err(fault.to_string())
+    }
+
+    fn rest(&self) -> &'a str {
+        &self.input[self.pos..]
+    }
+
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        self.rest().chars().next()
+    }
+
+    fn peek_second(&self) -> Option<char> {
+        self.rest().chars().nth(1)
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if let Some(ch) = c {
-            self.pos += 1;
-            if ch == '\n' {
-                self.line += 1;
-            }
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
+        if c == '\n' {
+            self.line += 1;
         }
-        c
+        Some(c)
+    }
+
+    /// Advances over `len` bytes known to hold no newline.
+    fn take(&mut self, len: usize) -> &'a str {
+        let text = &self.rest()[..len];
+        self.pos += len;
+        text
+    }
+
+    /// Takes the longest prefix whose characters all satisfy `keep`.
+    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> &'a str {
+        let rest = self.rest();
+        self.take(rest.find(|c| !keep(c)).unwrap_or(rest.len()))
     }
 
     fn skip_ws(&mut self) {
@@ -127,19 +197,42 @@ impl<'a> Parser<'a> {
     }
 
     fn starts_with_keyword(&self, kw: &str) -> bool {
-        let rest: String = self.chars[self.pos..]
-            .iter()
-            .take(kw.len())
-            .collect::<String>()
-            .to_ascii_lowercase();
-        rest == kw
+        self.rest()
+            .as_bytes()
+            .get(..kw.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(kw.as_bytes()))
     }
 
-    fn parse(mut self) -> Result<Vec<Triple>, TurtleError> {
+    fn emit(&mut self, subject: &Node<'_>, predicate: &str, object: &Value<'_>) {
+        let subject = match subject {
+            Node::Iri(iri) => Subject::Iri(iri),
+            Node::Blank(label) => Subject::Blank(label),
+        };
+        let object = match object {
+            Value::Node(Node::Iri(iri)) => Object::Iri(iri),
+            Value::Node(Node::Blank(label)) => Object::Blank(label),
+            Value::Literal {
+                value,
+                lang,
+                datatype,
+            } => Object::Literal {
+                value: Cow::Borrowed(value),
+                lang: *lang,
+                datatype: datatype.as_deref(),
+            },
+        };
+        (self.sink)(Statement {
+            subject,
+            predicate,
+            object,
+        });
+    }
+
+    fn parse(mut self) -> Result<(), TurtleError> {
         loop {
             self.skip_ws();
             if self.peek().is_none() {
-                return Ok(self.triples);
+                return Ok(());
             }
             if self.starts_with_keyword("@prefix") || self.starts_with_keyword("prefix") {
                 self.parse_prefix()?;
@@ -151,45 +244,33 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_prefix(&mut self) -> Result<(), TurtleError> {
+    /// Consumes `@keyword` or `keyword`; whether it was the `@` form, which
+    /// ends with a dot (the SPARQL form does not).
+    fn eat_keyword(&mut self, keyword: &str) -> bool {
         let at_form = self.peek() == Some('@');
-        // Consume keyword.
-        for _ in 0.."prefix".len() + usize::from(at_form) {
-            self.bump();
-        }
+        self.take(keyword.len() + usize::from(at_form));
         self.skip_ws();
-        // Prefix label up to ':'.
-        let mut label = String::new();
-        while let Some(c) = self.peek() {
-            if c == ':' {
-                break;
-            }
-            if c.is_whitespace() {
-                return self.err("prefix label must end with ':'");
-            }
-            label.push(c);
-            self.bump();
+        at_form
+    }
+
+    fn parse_prefix(&mut self) -> Result<(), TurtleError> {
+        let at_form = self.eat_keyword("prefix");
+        let label = self.take_while(|c| c != ':' && !c.is_whitespace());
+        if self.peek() != Some(':') {
+            return self.err("prefix label must end with ':'");
         }
-        self.eat(':')?;
-        self.skip_ws();
+        self.bump();
         let iri = self.parse_iri_ref()?;
-        self.prefixes.insert(label, iri);
+        self.prefixes.insert(label.to_string(), iri.into_owned());
         if at_form {
             self.eat('.')?;
-        } else {
-            // SPARQL form: optional terminating dot is NOT allowed; but
-            // tolerate trailing whitespace only.
         }
         Ok(())
     }
 
     fn parse_base(&mut self) -> Result<(), TurtleError> {
-        let at_form = self.peek() == Some('@');
-        for _ in 0.."base".len() + usize::from(at_form) {
-            self.bump();
-        }
-        self.skip_ws();
-        self.base = self.parse_iri_ref()?;
+        let at_form = self.eat_keyword("base");
+        self.base = self.parse_iri_ref()?.into_owned();
         if at_form {
             self.eat('.')?;
         }
@@ -202,28 +283,24 @@ impl<'a> Parser<'a> {
         self.eat('.')
     }
 
-    fn parse_subject(&mut self) -> Result<Term, TurtleError> {
+    fn parse_subject(&mut self) -> Result<Node<'a>, TurtleError> {
         self.skip_ws();
         match self.peek() {
-            Some('<') => Ok(Term::Iri(self.parse_iri_ref()?)),
+            Some('<') => Ok(Node::Iri(self.parse_iri_ref()?)),
             Some('_') => self.parse_bnode_label(),
             Some('[') => self.parse_anon_bnode(),
-            Some(_) => {
-                let iri = self.parse_prefixed_name()?;
-                Ok(Term::Iri(iri))
-            }
+            Some(_) => Ok(Node::Iri(self.parse_prefixed_name()?.into())),
             None => self.err("expected subject, found end of input"),
         }
     }
 
-    fn parse_predicate_object_list(&mut self, subject: &Term) -> Result<(), TurtleError> {
+    fn parse_predicate_object_list(&mut self, subject: &Node<'_>) -> Result<(), TurtleError> {
         loop {
             self.skip_ws();
             let predicate = self.parse_predicate()?;
             loop {
                 let object = self.parse_object()?;
-                self.triples
-                    .push(Triple::new(subject.clone(), predicate.clone(), object));
+                self.emit(subject, &predicate, &object);
                 self.skip_ws();
                 if self.peek() == Some(',') {
                     self.bump();
@@ -245,240 +322,175 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_predicate(&mut self) -> Result<String, TurtleError> {
+    fn parse_predicate(&mut self) -> Result<Cow<'a, str>, TurtleError> {
         self.skip_ws();
         match self.peek() {
             Some('<') => self.parse_iri_ref(),
-            Some('a') => {
-                // 'a' keyword iff followed by whitespace or '<' or '['.
-                let next = self.chars.get(self.pos + 1).copied();
-                if next.is_none_or(|c| c.is_whitespace() || c == '<' || c == '[') {
-                    self.bump();
-                    Ok(RDF_TYPE.to_string())
-                } else {
-                    self.parse_prefixed_name()
-                }
+            // 'a' keyword iff followed by whitespace or '<' or '['.
+            Some('a')
+                if self
+                    .peek_second()
+                    .is_none_or(|c| c.is_whitespace() || c == '<' || c == '[') =>
+            {
+                self.bump();
+                Ok(Cow::Borrowed(RDF_TYPE))
             }
-            Some(_) => self.parse_prefixed_name(),
+            Some(_) => Ok(self.parse_prefixed_name()?.into()),
             None => self.err("expected predicate, found end of input"),
         }
     }
 
-    fn parse_object(&mut self) -> Result<Term, TurtleError> {
+    fn parse_object(&mut self) -> Result<Value<'a>, TurtleError> {
         self.skip_ws();
         match self.peek() {
-            Some('<') => Ok(Term::Iri(self.parse_iri_ref()?)),
+            Some('<') => Ok(Value::Node(Node::Iri(self.parse_iri_ref()?))),
             Some('"') | Some('\'') => self.parse_literal(),
-            Some('_') => self.parse_bnode_label(),
-            Some('[') => self.parse_anon_bnode(),
+            Some('_') => Ok(Value::Node(self.parse_bnode_label()?)),
+            Some('[') => Ok(Value::Node(self.parse_anon_bnode()?)),
             Some(c) if c.is_ascii_digit() || c == '+' || c == '-' => self.parse_numeric(),
-            Some('t') | Some('f')
-                if self.starts_with_keyword("true") || self.starts_with_keyword("false") =>
-            {
-                let word = if self.starts_with_keyword("true") {
-                    "true"
-                } else {
-                    "false"
-                };
-                for _ in 0..word.len() {
-                    self.bump();
-                }
-                Ok(Term::Literal(Literal::typed(word, XSD_BOOLEAN)))
+            Some('t') if self.starts_with_keyword("true") => {
+                self.take("true".len());
+                Ok(Value::typed("true", XSD_BOOLEAN))
             }
-            Some(_) => Ok(Term::Iri(self.parse_prefixed_name()?)),
+            Some('f') if self.starts_with_keyword("false") => {
+                self.take("false".len());
+                Ok(Value::typed("false", XSD_BOOLEAN))
+            }
+            Some(_) => Ok(Value::Node(Node::Iri(self.parse_prefixed_name()?.into()))),
             None => self.err("expected object, found end of input"),
         }
     }
 
-    fn parse_iri_ref(&mut self) -> Result<String, TurtleError> {
+    fn parse_iri_ref(&mut self) -> Result<Cow<'a, str>, TurtleError> {
         self.skip_ws();
         if self.bump() != Some('<') {
             return self.err("expected '<'");
         }
-        let mut iri = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => break,
-                Some('\n') => return self.err("newline inside IRI"),
-                Some(c) => iri.push(c),
-                None => return self.err("unterminated IRI"),
-            }
-        }
-        // Resolve relative IRIs against the base (string concatenation —
-        // sufficient for the dump-style bases the workloads use).
+        let rest = self.rest();
+        let iri = match rest.find(['>', '\n']) {
+            Some(end) if rest.as_bytes()[end] == b'>' => self.take(end),
+            Some(_) => return self.err("newline inside IRI"),
+            None => return self.err("unterminated IRI"),
+        };
+        self.bump(); // '>'
+                     // Resolve relative IRIs against the base (string concatenation —
+                     // sufficient for the dump-style bases the workloads use).
         if !iri.contains(':') && !self.base.is_empty() {
-            Ok(format!("{}{}", self.base, iri))
+            Ok(Cow::Owned(format!("{}{}", self.base, iri)))
         } else {
-            Ok(iri)
+            Ok(Cow::Borrowed(iri))
         }
     }
 
     fn parse_prefixed_name(&mut self) -> Result<String, TurtleError> {
         self.skip_ws();
-        let mut prefix = String::new();
-        while let Some(c) = self.peek() {
-            if c == ':' {
-                break;
-            }
-            if !(c.is_alphanumeric() || c == '_' || c == '-' || c == '.') {
-                return self.err(format!("unexpected character {c:?} in prefixed name"));
-            }
-            prefix.push(c);
-            self.bump();
-        }
-        if self.peek() != Some(':') {
-            return self.err("expected ':' in prefixed name");
-        }
-        self.bump();
-        let mut local = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' || c == '%' {
-                local.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
+        let name = |c: char| c.is_alphanumeric() || c == '_' || c == '-' || c == '.';
+        let prefix = self.take_while(name);
+        match self.peek() {
+            Some(':') => self.bump(),
+            Some(c) => return self.err(format!("unexpected character {c:?} in prefixed name")),
+            None => return self.err("expected ':' in prefixed name"),
+        };
+        let local = self.take_while(|c| name(c) || c == '%');
         // A trailing '.' terminates the statement, not the name.
-        while local.ends_with('.') {
-            local.pop();
-            self.pos -= 1;
-        }
-        match self.prefixes.get(&prefix) {
-            Some(ns) => Ok(format!("{ns}{local}")),
+        let trimmed = local.trim_end_matches('.');
+        self.pos -= local.len() - trimmed.len();
+        match self.prefixes.get(prefix) {
+            Some(ns) => Ok(format!("{ns}{trimmed}")),
             None => self.err(format!("undeclared prefix {prefix:?}")),
         }
     }
 
-    fn parse_bnode_label(&mut self) -> Result<Term, TurtleError> {
-        // "_:" label
+    fn parse_bnode_label(&mut self) -> Result<Node<'a>, TurtleError> {
         self.bump(); // '_'
         if self.bump() != Some(':') {
             return self.err("expected ':' after '_'");
         }
-        let mut label = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || c == '_' || c == '-' {
-                label.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
+        let label = self.take_while(|c| c.is_alphanumeric() || c == '_' || c == '-');
         if label.is_empty() {
-            return self.err("empty blank node label");
+            return self.fault(Fault::EmptyBlankLabel);
         }
-        Ok(Term::Blank(label))
+        Ok(Node::Blank(Cow::Borrowed(label)))
     }
 
-    fn parse_anon_bnode(&mut self) -> Result<Term, TurtleError> {
+    fn parse_anon_bnode(&mut self) -> Result<Node<'a>, TurtleError> {
         self.eat('[')?;
-        let label = format!("anon{}", self.next_bnode);
+        if self.depth == MAX_NESTING {
+            return self.err(format!(
+                "blank node property lists nested deeper than {MAX_NESTING}"
+            ));
+        }
+        let node = Node::Blank(Cow::Owned(format!("anon{}", self.next_bnode)));
         self.next_bnode += 1;
-        let node = Term::Blank(label);
         self.skip_ws();
         if self.peek() != Some(']') {
+            self.depth += 1;
             self.parse_predicate_object_list(&node)?;
+            self.depth -= 1;
         }
         self.eat(']')?;
         Ok(node)
     }
 
-    fn parse_literal(&mut self) -> Result<Term, TurtleError> {
+    fn parse_literal(&mut self) -> Result<Value<'a>, TurtleError> {
         let quote = self.bump().expect("caller checked");
-        let mut value = String::new();
-        loop {
-            match self.bump() {
-                Some(c) if c == quote => break,
-                Some('\\') => match self.bump() {
-                    Some('n') => value.push('\n'),
-                    Some('t') => value.push('\t'),
-                    Some('r') => value.push('\r'),
-                    Some('\\') => value.push('\\'),
-                    Some('"') => value.push('"'),
-                    Some('\'') => value.push('\''),
-                    Some('u') => {
-                        let hex: String = (0..4).filter_map(|_| self.bump()).collect();
-                        let cp = u32::from_str_radix(&hex, 16)
-                            .ok()
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| TurtleError {
-                                line: self.line,
-                                message: format!("bad \\u escape {hex:?}"),
-                            })?;
-                        value.push(cp);
-                    }
-                    Some(other) => return self.err(format!("unknown escape \\{other}")),
-                    None => return self.err("unterminated escape"),
-                },
-                Some('\n') => return self.err("newline in single-quoted literal"),
-                Some(c) => value.push(c),
-                None => return self.err("unterminated literal"),
-            }
-        }
+        let (value, used) = match scan_quoted(self.rest(), quote as u8, true) {
+            Ok(scanned) => scanned,
+            Err(fault) => return self.fault(fault),
+        };
+        self.take(used);
         // Optional language tag or datatype.
+        let (mut lang, mut datatype) = (None, None);
         match self.peek() {
             Some('@') => {
                 self.bump();
-                let mut lang = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '-' {
-                        lang.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
+                let tag = scan_lang(self.rest());
+                if tag.is_empty() {
+                    return self.fault(Fault::EmptyLanguageTag);
                 }
-                Ok(Term::Literal(Literal::lang_tagged(value, lang)))
+                lang = Some(self.take(tag.len()));
             }
             Some('^') => {
                 self.bump();
                 if self.bump() != Some('^') {
                     return self.err("expected '^^'");
                 }
-                let datatype = match self.peek() {
+                datatype = Some(match self.peek() {
                     Some('<') => self.parse_iri_ref()?,
-                    _ => self.parse_prefixed_name()?,
-                };
-                Ok(Term::Literal(Literal::typed(value, datatype)))
+                    _ => self.parse_prefixed_name()?.into(),
+                });
             }
-            _ => Ok(Term::Literal(Literal::plain(value))),
+            _ => {}
         }
+        Ok(Value::Literal {
+            value,
+            lang,
+            datatype,
+        })
     }
 
-    fn parse_numeric(&mut self) -> Result<Term, TurtleError> {
-        let mut text = String::new();
-        if matches!(self.peek(), Some('+') | Some('-')) {
-            text.push(self.bump().expect("sign"));
-        }
+    fn parse_numeric(&mut self) -> Result<Value<'a>, TurtleError> {
+        let rest = self.rest();
+        let bytes = rest.as_bytes();
+        let mut end = usize::from(matches!(bytes[0], b'+' | b'-'));
+        let sign = end;
         let mut saw_dot = false;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                text.push(c);
-                self.bump();
-            } else if c == '.' && !saw_dot {
-                // A dot is part of the number only if a digit follows;
-                // otherwise it terminates the statement.
-                if self
-                    .chars
-                    .get(self.pos + 1)
-                    .is_some_and(|d| d.is_ascii_digit())
-                {
-                    saw_dot = true;
-                    text.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
-            } else {
+        while let Some(&b) = bytes.get(end) {
+            // A dot is part of the number only if a digit follows;
+            // otherwise it terminates the statement.
+            let fraction =
+                b == b'.' && !saw_dot && bytes.get(end + 1).is_some_and(u8::is_ascii_digit);
+            if !(b.is_ascii_digit() || fraction) {
                 break;
             }
+            saw_dot |= fraction;
+            end += 1;
         }
-        if text.is_empty() || text == "+" || text == "-" {
+        if end == sign {
             return self.err("malformed numeric literal");
         }
         let datatype = if saw_dot { XSD_DECIMAL } else { XSD_INTEGER };
-        Ok(Term::Literal(Literal::typed(text, datatype)))
+        Ok(Value::typed(self.take(end), datatype))
     }
 }
 
@@ -703,6 +715,70 @@ mod tests {
         let doc = "@prefix x: <http://x/> .\nx:a x:p \"line\\nbreak \\\"quoted\\\" \\u0041\" .";
         let t = triples(doc);
         assert_eq!(t[0].object.as_literal(), Some("line\nbreak \"quoted\" A"));
+    }
+
+    #[test]
+    fn hex_escapes_take_exactly_their_digits() {
+        let object = |body: &str| {
+            parse_turtle(&format!("<http://a> <http://p>\n  \"{body}\" ."))
+                .map(|t| t[0].object.as_literal().map(str::to_string))
+        };
+        assert_eq!(
+            object(r"\u0041\U0001F600").unwrap().as_deref(),
+            Some("A\u{1F600}")
+        );
+        assert_eq!(object(r"it\'s").unwrap().as_deref(), Some("it's"));
+        // The escape table is the N-Triples one: a sign is not a hex digit.
+        for bad in [
+            r"\u+041",
+            r"\u-041",
+            r"\u041",
+            r"\u00g1",
+            r"\U0000004",
+            r"\uD800",
+        ] {
+            let err = object(bad).unwrap_err();
+            assert_eq!(err.line, 2, "{bad}");
+        }
+        assert!(object(r"\u+041").unwrap_err().message.contains("bad hex"));
+        let cut = parse_turtle("<http://a> <http://p> \"\\u00").unwrap_err();
+        assert!(cut.message.contains("truncated"), "{cut}");
+    }
+
+    #[test]
+    fn literals_stop_at_the_end_of_their_line() {
+        let err = parse_turtle("<http://a> <http://p> \"open\n<http://b> <http://p> \"x\" .");
+        assert!(err.unwrap_err().message.contains("newline"));
+        assert!(parse_turtle("<http://a> <http://p> \"x\"@ .").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| {
+            let open = "[ <http://p> ".repeat(depth);
+            let close = " ]".repeat(depth);
+            parse_turtle(&format!("<http://a> <http://p> {open}\"x\"{close} ."))
+        };
+        assert_eq!(nested(MAX_NESTING).unwrap().len(), MAX_NESTING + 1);
+        let err = nested(MAX_NESTING + 1).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        // Far past any stack: an error, not an overflow.
+        assert!(parse_turtle(&"[".repeat(1 << 20)).is_err());
+    }
+
+    #[test]
+    fn statements_reach_the_sink_in_document_order() {
+        let doc = "@prefix x: <http://x/> .\nx:a x:q [ x:r \"nested\" ] , <http://abs> .";
+        let mut seen = Vec::new();
+        for_each_statement(doc, |st| seen.push(st.to_triple().to_string())).unwrap();
+        assert_eq!(
+            seen,
+            [
+                "_:anon0 <http://x/r> \"nested\" .",
+                "<http://x/a> <http://x/q> _:anon0 .",
+                "<http://x/a> <http://x/q> <http://abs> .",
+            ]
+        );
     }
 
     #[test]

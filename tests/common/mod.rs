@@ -1,4 +1,4 @@
-//! Helpers shared by the backend-equivalence integration suites.
+//! Helpers shared by the integration suites.
 
 use minoan::blocking::BlockCollection;
 use minoan::metablocking::{
@@ -89,4 +89,28 @@ pub fn assert_bit_identical(a: &PrunedComparisons, b: &PrunedComparisons, label:
 #[allow(dead_code)]
 pub fn assert_outcome_bit_identical(a: &PruneOutcome, b: &PrunedComparisons, label: &str) {
     assert_bit_identical(&a.pruned, b, label);
+}
+
+/// SplitMix64: test inputs that depend on a seed alone.
+#[allow(dead_code)]
+pub struct SplitMix(pub u64);
+
+#[allow(dead_code)]
+impl SplitMix {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform-enough index below `n`.
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    pub fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len())]
+    }
 }

@@ -1,0 +1,533 @@
+//! The text → `Dataset` front end, from outside the crates:
+//!
+//! * the borrowed statement parsers against documents whose triples are
+//!   known by construction, with the owned `parse_line` as a second oracle;
+//! * `minoan resolve --input …` against `Pipeline::run` over
+//!   `DatasetBuilder::add_ntriples_kb` — the CLI resolves the dataset the
+//!   library resolves, to the printed character and the score bit;
+//! * the two things a document means beyond its statements: duplicates
+//!   collapse onto their first occurrence, blank labels stay inside their
+//!   file.
+
+use minoan::prelude::*;
+use minoan::rdf::ntriples::{self, ParseError, StatementReader};
+use minoan::rdf::{turtle, Dataset, Literal, Term, Triple};
+use proptest::prelude::*;
+use std::path::PathBuf;
+
+mod common;
+use common::SplitMix as Rng;
+
+// ---- documents with a known reading ---------------------------------------
+
+/// One source line and what a correct parser makes of it.
+struct Line {
+    text: String,
+    /// `None`: blank or comment. `Some(Err(()))`: malformed.
+    reading: Option<Result<Triple, ()>>,
+}
+
+const MALFORMED: &[&str] = &[
+    "<http://a b> <http://p> <http://o> .",
+    "<http://a> <http://p\t> <http://o> .",
+    "<http://a> <http://p> <http://o\u{a0}x> .",
+    r#"<http://a> <http://p> "\u+041" ."#,
+    r#"<http://a> <http://p> "\u-041" ."#,
+    r#"<http://a> <http://p> "\U+0000041" ."#,
+    r#"<http://a> <http://p> "\u04" ."#,
+    r#"<http://a> <http://p> "\u00zz" ."#,
+    r#"<http://a> <http://p> "\uD800" ."#,
+    r#"<http://a> <http://p> "\x41" ."#,
+    r#"<http://a> <http://p> "\'" ."#,
+    r#"<http://a> <http://p> "dangling\"#,
+    r#"<http://a> <http://p> "x"@ ."#,
+    r#"<http://a> <http://p> "x"^^int ."#,
+    r#"<http://a> <http://p> "x"^^<http://d t> ."#,
+    r#"<http://a> <http://p> "unterminated ."#,
+    "<http://a> <http://p> <http://o> . junk",
+    "<http://a> <http://p> <http://o>",
+    "<http://a> <http://p> .",
+    "<http://a> <http://p <http://o> .",
+    r#""literal" <http://p> <http://o> ."#,
+    "_: <http://p> <http://o> .",
+    "_:b1 _:b2 <http://o> .",
+    "not a triple",
+];
+
+/// Spells `value` as an N-Triples string body, escaping what must be
+/// escaped and, at random, what may be.
+fn spell(value: &str, rng: &mut Rng) -> String {
+    let mut out = String::new();
+    for c in value.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if rng.below(6) == 0 => {
+                if (c as u32) <= 0xffff && rng.below(2) == 0 {
+                    out.push_str(&format!("\\u{:04X}", c as u32));
+                } else {
+                    out.push_str(&format!("\\U{:08x}", c as u32));
+                }
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// A pseudo-random document: every term kind, every escape, comments,
+/// blank lines, indentation, trailing comments — and, if `faulty`, one
+/// malformed line somewhere.
+fn document(seed: u64, faulty: bool) -> Vec<Line> {
+    let mut rng = Rng(seed);
+    let iris = [
+        "http://db.org/r/Heraklion",
+        "http://db.org/r/Κρήτη",
+        "urn:x",
+        "",
+        "http://db.org/o/name#frag?q=1",
+    ];
+    let labels = ["b1", "node-2", "n_3", "a.b"];
+    let values = [
+        "Heraklion",
+        "",
+        "say \"hi\"\\ and\ttab\nnewline\rcr",
+        "πόλη — \u{1F600}",
+        "  padded  ",
+        "# not a comment",
+        "<not> an IRI .",
+    ];
+    let resource = |rng: &mut Rng| {
+        if rng.below(4) == 0 {
+            let label = rng.pick(&labels);
+            (format!("_:{label}"), Term::Blank(label.into()))
+        } else {
+            let iri = rng.pick(&iris);
+            (format!("<{iri}>"), Term::iri(iri))
+        }
+    };
+    let mut lines = Vec::new();
+    let fault_at = faulty.then(|| rng.below(40));
+    for i in 0..40 {
+        if fault_at == Some(i) {
+            lines.push(Line {
+                text: rng.pick(MALFORMED).to_string(),
+                reading: Some(Err(())),
+            });
+        }
+        match rng.below(8) {
+            0 => lines.push(Line {
+                text: rng
+                    .pick(&["", "   ", "\t", "# comment", "  # <a> <b> <c> ."])
+                    .into(),
+                reading: None,
+            }),
+            _ => {
+                let (subject_text, subject) = resource(&mut rng);
+                let predicate = rng.pick(&iris);
+                let (object_text, object) = match rng.below(4) {
+                    0 => resource(&mut rng),
+                    kind => {
+                        let value = rng.pick(&values);
+                        let body = spell(value, &mut rng);
+                        match kind {
+                            1 => (format!("\"{body}\""), Term::literal(value)),
+                            2 => {
+                                let lang = rng.pick(&["en", "el-GR", "x-1"]);
+                                (
+                                    format!("\"{body}\"@{lang}"),
+                                    Term::Literal(Literal::lang_tagged(value, lang)),
+                                )
+                            }
+                            _ => {
+                                let datatype = rng.pick(&iris);
+                                (
+                                    format!("\"{body}\"^^<{datatype}>"),
+                                    Term::Literal(Literal::typed(value, datatype)),
+                                )
+                            }
+                        }
+                    }
+                };
+                let gap = rng.pick(&[" ", "\t", "  \t "]);
+                let lead = rng.pick(&["", "", "  ", "\t"]);
+                let tail = rng.pick(&["", "", " ", " # note", "#x"]);
+                lines.push(Line {
+                    text: format!(
+                        "{lead}{subject_text}{gap}<{predicate}>{gap}{object_text}{gap}.{tail}"
+                    ),
+                    reading: Some(Ok(Triple::new(subject, predicate, object))),
+                });
+            }
+        }
+    }
+    lines
+}
+
+/// What a document should read as: its triples with their 1-based lines,
+/// up to and including the first malformed line.
+type Reading = (Vec<(usize, Triple)>, Option<usize>);
+
+fn expected(lines: &[Line]) -> Reading {
+    let mut triples = Vec::new();
+    for (idx, line) in lines.iter().enumerate() {
+        match &line.reading {
+            None => {}
+            Some(Ok(t)) => triples.push((idx + 1, t.clone())),
+            Some(Err(())) => return (triples, Some(idx + 1)),
+        }
+    }
+    (triples, None)
+}
+
+/// Drains a statement source into a [`Reading`].
+fn reading<E>(
+    mut next: impl FnMut() -> Option<Result<(usize, Triple), E>>,
+    line_of: impl Fn(&E) -> usize,
+) -> Reading {
+    let mut triples = Vec::new();
+    loop {
+        match next() {
+            None => return (triples, None),
+            Some(Ok(t)) => triples.push(t),
+            Some(Err(e)) => return (triples, Some(line_of(&e))),
+        }
+    }
+}
+
+/// The seed's document loop, spelled out over the owned `parse_line`: the
+/// oracle for where lines start, what is skipped and how lines are counted.
+fn by_parse_line(text: &str) -> Reading {
+    let mut lines = text.lines().enumerate().filter_map(|(idx, raw)| {
+        let line = raw.trim();
+        (!line.is_empty() && !line.starts_with('#'))
+            .then(|| ntriples::parse_line(line, idx + 1).map(|t| (idx + 1, t)))
+    });
+    reading(|| lines.next(), |e: &ParseError| e.line)
+}
+
+fn by_reader(text: &str) -> Reading {
+    let mut reader = StatementReader::new(text.as_bytes());
+    reading(
+        || {
+            let triple = reader.next_statement()?.map(|s| s.to_triple());
+            Some(triple.map(|t| (reader.line(), t)))
+        },
+        |e: &ParseError| e.line,
+    )
+}
+
+fn by_iterator(text: &str) -> Reading {
+    // The iterator does not expose line numbers of good statements; take
+    // them from the oracle and compare the rest.
+    let lines: Vec<usize> = by_parse_line(text).0.iter().map(|(l, _)| *l).collect();
+    let mut statements = ntriples::statements(text).enumerate();
+    reading(
+        || {
+            let (i, statement) = statements.next()?;
+            Some(statement.map(|s| (lines[i], s.to_triple())))
+        },
+        |e: &ParseError| e.line,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// (a) Reader, iterator and `parse_line` read a document the way it was
+    /// written: same terms, same `Ok`/`Err`, same line numbers — under LF,
+    /// CRLF and a missing final newline.
+    #[test]
+    fn parsers_read_documents_as_written(seed in 0u64..1_000_000, faulty in 0usize..3) {
+        let lines = document(seed, faulty == 0);
+        let want = expected(&lines);
+        let texts: Vec<&str> = lines.iter().map(|l| l.text.as_str()).collect();
+        for (newline, terminated) in [("\n", true), ("\r\n", true), ("\n", false)] {
+            let mut text = texts.join(newline);
+            if terminated {
+                text.push_str(newline);
+            }
+            prop_assert_eq!(&by_parse_line(&text), &want, "parse_line, seed {}", seed);
+            prop_assert_eq!(&by_reader(&text), &want, "reader, seed {}", seed);
+            prop_assert_eq!(&by_iterator(&text), &want, "iterator, seed {}", seed);
+        }
+    }
+}
+
+#[test]
+fn every_malformed_line_is_an_error_at_its_line() {
+    for bad in MALFORMED {
+        let text =
+            format!("<http://a> <http://p> \"ok\" .\n\n{bad}\n<http://a> <http://p> \"after\" .\n");
+        for (how, got) in [
+            ("parse_line", by_parse_line(&text)),
+            ("reader", by_reader(&text)),
+            ("iterator", by_iterator(&text)),
+        ] {
+            assert_eq!(got.0.len(), 1, "{how}: {bad}");
+            assert_eq!(got.1, Some(3), "{how}: {bad}");
+        }
+        let reasons: Vec<String> = [
+            ntriples::parse_line(bad, 3).unwrap_err(),
+            ntriples::parse_statement(bad, 3).map(|_| ()).unwrap_err(),
+            ntriples::parse_document(&text).unwrap_err(),
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        assert!(reasons.iter().all(|r| r == &reasons[0]), "{reasons:?}");
+    }
+}
+
+#[test]
+fn generated_worlds_read_the_same_through_every_front_end() {
+    for seed in [3u64, 11] {
+        let world = generate(&profiles::lod_cloud(80, seed));
+        for kb in 0..world.dataset.kb_count() {
+            let text = world.dataset.to_ntriples(KbId(kb as u16));
+            let want = by_parse_line(&text);
+            assert!(want.1.is_none() && !want.0.is_empty());
+            assert_eq!(by_reader(&text), want);
+            assert_eq!(by_iterator(&text), want);
+            // Turtle is a superset of the N-Triples the generator writes.
+            let mut through_turtle = Vec::new();
+            turtle::for_each_statement(&text, |s| through_turtle.push(s.to_triple())).unwrap();
+            let triples: Vec<Triple> = want.0.into_iter().map(|(_, t)| t).collect();
+            assert_eq!(through_turtle, triples);
+        }
+    }
+}
+
+// ---- the CLI resolves what the library resolves ---------------------------
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("minoan_rdf_loader_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn resolve(files: &[PathBuf], flags: &[&str]) -> String {
+    let mut argv = vec!["resolve".to_string()];
+    for f in files {
+        argv.extend(["--input".to_string(), f.display().to_string()]);
+    }
+    argv.extend(["--show".to_string(), "1000000".to_string()]);
+    argv.extend(flags.iter().map(|f| f.to_string()));
+    minoan_cli::run(&argv).expect("resolve")
+}
+
+/// The report `minoan resolve --show all` prints for `dataset`, written out
+/// from the library's own answer.
+fn library_report(dataset: &Dataset, config: PipelineConfig) -> String {
+    let out = Pipeline::new(config).run(dataset);
+    let mut report = format!(
+        "{} KBs, {} descriptions | blocks {} → {} | candidates {} | comparisons {} | matches {} | discovered {}\n",
+        dataset.kb_count(),
+        dataset.len(),
+        out.blocks_raw.0,
+        out.blocks_clean.0,
+        out.candidates,
+        out.resolution.comparisons,
+        out.resolution.matches.len(),
+        out.resolution.discovered_candidates,
+    );
+    for (a, b, score) in &out.resolution.matches {
+        report.push_str(&format!(
+            "  {:.3}  {}  ≡  {}\n",
+            score,
+            dataset.uri(*a),
+            dataset.uri(*b)
+        ));
+    }
+    report
+}
+
+fn match_bits(dataset: &Dataset, config: PipelineConfig) -> Vec<(String, String, u64)> {
+    let out = Pipeline::new(config).run(dataset);
+    let uri = |e| dataset.uri(e).to_string();
+    out.resolution
+        .matches
+        .iter()
+        .map(|&(a, b, score)| (uri(a), uri(b), score.to_bits()))
+        .collect()
+}
+
+/// (c) For N-Triples, Turtle and a mixed pair of inputs: the CLI prints
+/// exactly the library's pairs, in its order, and the dataset its loader
+/// builds gives the same score bits.
+#[test]
+fn cli_resolve_prints_what_the_library_resolves() {
+    let dir = scratch_dir("cli");
+    let worlds = [
+        (profiles::lod_cloud(260, 101), vec![]),
+        (profiles::center_dense(150, 7), vec![]),
+        (
+            profiles::dirty_single(200, 5),
+            vec!["--dirty", "--weighting", "js", "--pruning", "cep"],
+        ),
+    ];
+    for (w, (config, flags)) in worlds.into_iter().enumerate() {
+        let world = generate(&config);
+        let kbs = world.dataset.kb_count();
+        for turtle_mask in [0usize, usize::MAX, 0b0101] {
+            let mut files = Vec::new();
+            let mut reference = DatasetBuilder::new();
+            for kb in 0..kbs {
+                let info = world.dataset.kb(KbId(kb as u16));
+                let nt = world.dataset.to_ntriples(KbId(kb as u16));
+                let as_turtle = turtle_mask >> kb & 1 == 1;
+                let path = dir.join(format!(
+                    "w{w}-{}.{}",
+                    info.name,
+                    if as_turtle { "ttl" } else { "nt" }
+                ));
+                // The reference reads the statements in the order the file
+                // spells them: the Turtle writer groups by predicate.
+                let statements = if as_turtle {
+                    let ttl = turtle::write_turtle(
+                        &ntriples::parse_document(&nt).unwrap(),
+                        &[("r", &*info.namespace)],
+                    );
+                    std::fs::write(&path, &ttl).unwrap();
+                    ntriples::write_document(&turtle::parse_turtle(&ttl).unwrap())
+                } else {
+                    std::fs::write(&path, &nt).unwrap();
+                    nt
+                };
+                reference
+                    .add_ntriples_kb(&info.name, &info.namespace, &statements)
+                    .unwrap();
+                files.push(path);
+            }
+            let reference = reference.build();
+            assert_eq!(reference.len(), world.dataset.len());
+
+            let mut pipeline = PipelineConfig::default();
+            if flags.contains(&"--dirty") {
+                pipeline.mode = ErMode::Dirty;
+                pipeline.weighting = WeightingScheme::Js;
+                pipeline.pruning = Pruning::Cep(None);
+            }
+            let label = format!("world {w}, turtle mask {turtle_mask:b}");
+            assert_eq!(
+                resolve(&files, &flags),
+                library_report(&reference, pipeline.clone()),
+                "{label}"
+            );
+
+            let mut loaded = DatasetBuilder::new();
+            for f in &files {
+                loaded.load_file(f).unwrap();
+            }
+            let loaded = loaded.build();
+            let bits = match_bits(&loaded, pipeline.clone());
+            assert!(!bits.is_empty(), "{label}");
+            assert_eq!(bits, match_bits(&reference, pipeline), "{label}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---- what a document means beyond its statements --------------------------
+
+/// `(predicate, is a resource, text)`.
+type Attribute = (String, bool, String);
+
+/// Every description as `(uri, kb, attributes)`, in entity order.
+fn descriptions(dataset: &Dataset) -> Vec<(String, u16, Vec<Attribute>)> {
+    dataset
+        .entities()
+        .map(|e| {
+            let d = dataset.description(e);
+            let attributes = d
+                .attributes
+                .iter()
+                .map(|(p, v)| {
+                    let text = v.as_literal().or(v.as_resource()).unwrap();
+                    (
+                        dataset.predicate_name(*p).to_string(),
+                        v.as_resource().is_some(),
+                        text.to_string(),
+                    )
+                })
+                .collect();
+            (d.uri.to_string(), d.kb.0, attributes)
+        })
+        .collect()
+}
+
+fn load(files: &[PathBuf]) -> Dataset {
+    let mut builder = DatasetBuilder::new();
+    for f in files {
+        builder.load_file(f).unwrap();
+    }
+    builder.build()
+}
+
+/// (d) Exact duplicates of a file collapse onto their first occurrence:
+/// a dump with every fifth statement repeated somewhere later — respelled,
+/// so only the *statement* is equal — loads as the dump without them.
+#[test]
+fn duplicate_statements_collapse_onto_the_first_occurrence() {
+    let dir = scratch_dir("dups");
+    let world = generate(&profiles::center_dense(120, 9));
+    let mut rng = Rng(9);
+    let (mut clean_files, mut noisy_files) = (Vec::new(), Vec::new());
+    for kb in 0..world.dataset.kb_count() {
+        let nt = world.dataset.to_ntriples(KbId(kb as u16));
+        let mut noisy: Vec<String> = nt.lines().map(str::to_string).collect();
+        let statements = noisy.len();
+        for i in (0..statements).step_by(5) {
+            let respelled = format!("  {}  # again", noisy[i].replace("> <", ">\t<"));
+            let at = i + 1 + rng.below(noisy.len() - i);
+            noisy.insert(at, respelled);
+        }
+        let clean = dir.join(format!("clean-{kb}.nt"));
+        let dirty = dir.join(format!("noisy-{kb}.nt"));
+        std::fs::write(&clean, &nt).unwrap();
+        std::fs::write(&dirty, noisy.join("\n")).unwrap();
+        clean_files.push(clean);
+        noisy_files.push(dirty);
+    }
+    let (clean, noisy) = (load(&clean_files), load(&noisy_files));
+    assert_eq!(descriptions(&noisy), descriptions(&clean));
+    let (a, b) = (resolve(&noisy_files, &[]), resolve(&clean_files, &[]));
+    assert_eq!(a, b);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two files of one stem are two KBs: `_:b1` of the second must not land
+/// in the description `_:b1` of the first.
+#[test]
+fn blank_labels_stay_inside_their_file() {
+    let dir = scratch_dir("blank");
+    let mut files = Vec::new();
+    for (sub, name) in [("a", "Heraklion"), ("b", "Iraklio")] {
+        std::fs::create_dir_all(dir.join(sub)).unwrap();
+        let path = dir.join(sub).join("kb.nt");
+        let text =
+            format!("_:b1 <http://o/name> \"{name}\" .\n<http://{sub}/x> <http://o/near> _:b1 .\n");
+        std::fs::write(&path, text).unwrap();
+        files.push(path);
+    }
+    let report = resolve(&files, &[]);
+    assert!(report.starts_with("2 KBs, 4 descriptions"), "{report}");
+    let dataset = load(&files);
+    let blanks: Vec<_> = descriptions(&dataset)
+        .into_iter()
+        .filter(|(uri, _, _)| uri.starts_with("bnode://"))
+        .collect();
+    assert_eq!(blanks.len(), 2);
+    for (kb, (_, owner, attributes)) in blanks.iter().enumerate() {
+        assert_eq!((*owner as usize, attributes.len()), (kb, 1));
+    }
+    // The link to `_:b1` resolves inside the file too.
+    for e in dataset.entities() {
+        assert_eq!(dataset.neighbors(e).len(), 1);
+        assert_eq!(dataset.kb_of(dataset.neighbors(e)[0]), dataset.kb_of(e));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
