@@ -209,7 +209,7 @@ fn load_store(inputs: &[String]) -> Result<FrozenStore, CliError> {
             .to_string();
         let doc = std::fs::read_to_string(path)
             .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-        if path.ends_with(".ttl") || path.ends_with(".turtle") {
+        if minoan_rdf::turtle::is_turtle_path(Path::new(path)) {
             store
                 .load_turtle(&name, &doc)
                 .map_err(|e| CliError(format!("{path}: {e}")))?;

@@ -10,8 +10,9 @@
 //! the *current* resolution state.
 
 use crate::candidates::Candidate;
-use minoan_common::{FxHashMap, FxHashSet, UnionFind};
+use minoan_common::UnionFind;
 use minoan_rdf::{Dataset, EntityId};
+use minoan_similarity::token;
 
 /// The benefit a scheduled comparison is expected to contribute.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -103,8 +104,13 @@ pub struct ResolutionState<'d> {
     dataset: &'d Dataset,
     clusters: UnionFind,
     resolved: Vec<bool>,
-    /// Attribute-name sets per cluster root (predicate symbol ids).
-    cluster_attrs: FxHashMap<u32, FxHashSet<u32>>,
+    /// Attribute-name sets (predicate symbol ids), each sorted and
+    /// deduplicated, back to back: one per description, then one appended
+    /// per merge. A merged-away set stays where it is, unreferenced.
+    attr_sets: Vec<u32>,
+    /// Per description, the span of `attr_sets` holding the set of the
+    /// cluster it is the root of: its own until a match merges it.
+    cluster_attrs: Vec<(usize, usize)>,
     matches: usize,
 }
 
@@ -115,11 +121,23 @@ const NEIGHBOR_CAP: usize = 8;
 impl<'d> ResolutionState<'d> {
     /// Fresh state: every description is its own singleton cluster.
     pub fn new(dataset: &'d Dataset) -> Self {
+        let mut attr_sets = Vec::new();
+        let mut cluster_attrs = Vec::with_capacity(dataset.len());
+        let mut names: Vec<u32> = Vec::new();
+        for e in dataset.entities() {
+            names.clear();
+            names.extend(dataset.description(e).attributes.iter().map(|(p, _)| p.0));
+            names.sort_unstable();
+            names.dedup();
+            cluster_attrs.push((attr_sets.len(), attr_sets.len() + names.len()));
+            attr_sets.extend_from_slice(&names);
+        }
         Self {
             dataset,
             clusters: UnionFind::new(dataset.len()),
             resolved: vec![false; dataset.len()],
-            cluster_attrs: FxHashMap::default(),
+            attr_sets,
+            cluster_attrs,
             matches: 0,
         }
     }
@@ -144,31 +162,15 @@ impl<'d> ResolutionState<'d> {
         self.clusters.find_immutable(a.0) == self.clusters.find_immutable(b.0)
     }
 
-    /// The cluster structure (read-only view via clone of roots).
-    pub fn clusters_mut(&mut self) -> &mut UnionFind {
-        &mut self.clusters
-    }
-
     /// Final clusters with at least `min` members.
     pub fn final_clusters(&mut self, min: usize) -> Vec<Vec<u32>> {
         self.clusters.clusters(min)
     }
 
-    fn attrs_of_cluster(&self, e: EntityId) -> FxHashSet<u32> {
-        let root = self.clusters.find_immutable(e.0);
-        if let Some(set) = self.cluster_attrs.get(&root) {
-            return set.clone();
-        }
-        self.entity_attrs(e)
-    }
-
-    fn entity_attrs(&self, e: EntityId) -> FxHashSet<u32> {
-        self.dataset
-            .description(e)
-            .attributes
-            .iter()
-            .map(|(p, _)| p.0)
-            .collect()
+    /// Attribute names of the cluster holding `e`, ascending.
+    fn attrs_of_cluster(&self, e: EntityId) -> &[u32] {
+        let (start, end) = self.cluster_attrs[self.clusters.find_immutable(e.0) as usize];
+        &self.attr_sets[start..end]
     }
 
     /// Fraction of *new* attribute names a merge of the two clusters would
@@ -176,7 +178,7 @@ impl<'d> ResolutionState<'d> {
     pub fn attribute_gain(&self, a: EntityId, b: EntityId) -> f64 {
         let sa = self.attrs_of_cluster(a);
         let sb = self.attrs_of_cluster(b);
-        let inter = sa.intersection(&sb).count();
+        let inter = token::intersection_size(sa, sb);
         let union = sa.len() + sb.len() - inter;
         if union == 0 {
             return 0.0;
@@ -208,19 +210,24 @@ impl<'d> ResolutionState<'d> {
     /// Records an accepted match: unions the clusters, merges attribute
     /// sets, marks both endpoints resolved.
     pub fn record_match(&mut self, a: EntityId, b: EntityId) {
-        let attrs_a = self
-            .cluster_attrs
-            .remove(&self.clusters.find(a.0))
-            .unwrap_or_else(|| self.entity_attrs(a));
-        let attrs_b = self
-            .cluster_attrs
-            .remove(&self.clusters.find(b.0))
-            .unwrap_or_else(|| self.entity_attrs(b));
-        self.clusters.union(a.0, b.0);
-        let root = self.clusters.find(a.0);
-        let mut merged = attrs_a;
-        merged.extend(attrs_b);
-        self.cluster_attrs.insert(root, merged);
+        let (root_a, root_b) = (self.clusters.find(a.0), self.clusters.find(b.0));
+        if root_a != root_b {
+            // Linear union of the two sets, appended to the slab they sit in.
+            let (mut i, end_a) = self.cluster_attrs[root_a as usize];
+            let (mut j, end_b) = self.cluster_attrs[root_b as usize];
+            let start = self.attr_sets.len();
+            while i < end_a && j < end_b {
+                let (x, y) = (self.attr_sets[i], self.attr_sets[j]);
+                self.attr_sets.push(x.min(y));
+                i += usize::from(x <= y);
+                j += usize::from(y <= x);
+            }
+            self.attr_sets.extend_from_within(i..end_a);
+            self.attr_sets.extend_from_within(j..end_b);
+            self.clusters.union(a.0, b.0);
+            let root = self.clusters.find(a.0);
+            self.cluster_attrs[root as usize] = (start, self.attr_sets.len());
+        }
         self.resolved[a.index()] = true;
         self.resolved[b.index()] = true;
         self.matches += 1;
@@ -296,6 +303,62 @@ mod tests {
         state.record_match(EntityId(0), EntityId(3));
         let gain_after = state.attribute_gain(EntityId(0), EntityId(4));
         assert!(gain_after <= gain_before + 1e-12);
+    }
+
+    /// `attribute_gain` against sets built the slow way — a `HashSet` of
+    /// predicate ids per cluster, re-derived from membership after every
+    /// match — over random match sequences, repeats and pairs already
+    /// clustered included.
+    #[test]
+    fn attribute_gain_equals_a_hash_set_oracle_over_random_match_sequences() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::HashSet;
+
+        const N: u32 = 40;
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut b = DatasetBuilder::new();
+        let kb = b.add_kb("k", "http://k/");
+        for e in 0..N {
+            // 1–6 attributes out of 9 names, in any order, some repeated.
+            for _ in 0..rng.gen_range(1..=6u32) {
+                let p = rng.gen_range(0..9u32);
+                b.add_literal(kb, &format!("http://k/{e}"), &format!("http://k/p{p}"), "v");
+            }
+        }
+        let ds = b.build();
+        let own: Vec<HashSet<u32>> = ds
+            .entities()
+            .map(|e| {
+                ds.description(e)
+                    .attributes
+                    .iter()
+                    .map(|(p, _)| p.0)
+                    .collect()
+            })
+            .collect();
+        for round in 0..20 {
+            let mut state = ResolutionState::new(&ds);
+            for step in 0..60 {
+                let (x, y) = (EntityId(rng.gen_range(0..N)), EntityId(rng.gen_range(0..N)));
+                state.record_match(x, y);
+                let set_of = |e: EntityId| -> HashSet<u32> {
+                    ds.entities()
+                        .filter(|&o| state.same_cluster(e, o))
+                        .flat_map(|o| own[o.index()].iter().copied())
+                        .collect()
+                };
+                for _ in 0..8 {
+                    let (p, q) = (EntityId(rng.gen_range(0..N)), EntityId(rng.gen_range(0..N)));
+                    let (sp, sq) = (set_of(p), set_of(q));
+                    let inter = sp.intersection(&sq).count();
+                    let union = sp.len() + sq.len() - inter;
+                    let want = (union - inter) as f64 / union as f64;
+                    let got = state.attribute_gain(p, q);
+                    assert_eq!(got.to_bits(), want.to_bits(), "round {round} step {step}");
+                }
+            }
+            assert_eq!(state.matches(), 60);
+        }
     }
 
     #[test]

@@ -89,8 +89,11 @@ pub fn rule_by_name(name: &str) -> Option<&'static RuleInfo> {
 /// kernel with the progressive loop around it (a comparison recomputes
 /// nothing that is a fact of one description), and the text front end (a
 /// parsed term is a slice of its line; the loader copies an attribute
-/// value once, into the description that keeps it).
+/// value once, into the description that keeps it), and the interner every
+/// token of the block build and of `Matcher::new` goes through (a string is
+/// an append to one arena, never a heap object of its own).
 const HOT_PATH_FILES: &[&str] = &[
+    "crates/common/src/interner.rs",
     "crates/blocking/src/builders.rs",
     "crates/blocking/src/layout.rs",
     "crates/blocking/src/purge.rs",

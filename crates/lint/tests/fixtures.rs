@@ -96,6 +96,24 @@ fn ml001_per_statement_terms_clean() {
 }
 
 #[test]
+fn ml001_per_string_heap_objects_fire_in_the_interner() {
+    let src = include_str!("lint_fixtures/ml001_interner_fire.rs");
+    // A boxed copy per interned string, a `format!` per prefixed key.
+    assert_eq!(
+        fired("crates/common/src/interner.rs", src),
+        vec![("ML001", 2), ("ML001", 7)]
+    );
+    // The rest of `common` is not on the token path.
+    assert_eq!(fired("crates/common/src/zipf.rs", src), vec![]);
+}
+
+#[test]
+fn ml001_arena_interner_clean() {
+    let src = include_str!("lint_fixtures/ml001_interner_clean.rs");
+    assert_eq!(fired("crates/common/src/interner.rs", src), vec![]);
+}
+
+#[test]
 fn ml002_tier_a_hash_type_fires_in_flat_core() {
     let src = include_str!("lint_fixtures/ml002a_fire.rs");
     assert_eq!(

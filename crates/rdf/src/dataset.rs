@@ -10,7 +10,7 @@
 use crate::ntriples;
 use crate::term::{Term, Triple};
 use crate::tokenize;
-use minoan_common::{FxHashMap, FxHashSet, Interner, Symbol};
+use minoan_common::{FxHashMap, Interner, Symbol};
 use std::fmt;
 
 mod load;
@@ -123,9 +123,11 @@ pub struct Dataset {
     descriptions: Vec<Description>,
     kbs: Vec<KbInfo>,
     uri_index: FxHashMap<Box<str>, EntityId>,
-    /// Undirected, deduplicated adjacency: `neighbors[e]` are the entities
-    /// that `e` links to or is linked from via resource-valued attributes.
-    neighbors: Vec<Box<[EntityId]>>,
+    /// Undirected, deduplicated adjacency in CSR form: the entities that
+    /// `e` links to or is linked from via resource-valued attributes are
+    /// `neighbors[neighbor_offsets[e]..neighbor_offsets[e + 1]]`, ascending.
+    neighbor_offsets: Vec<usize>,
+    neighbors: Vec<EntityId>,
     per_kb: Vec<Vec<EntityId>>,
 }
 
@@ -187,7 +189,8 @@ impl Dataset {
 
     /// Neighbouring (linked) descriptions of `e`, sorted ascending.
     pub fn neighbors(&self, e: EntityId) -> &[EntityId] {
-        &self.neighbors[e.index()]
+        let i = e.index();
+        &self.neighbors[self.neighbor_offsets[i]..self.neighbor_offsets[i + 1]]
     }
 
     /// The predicate interner (attribute-name symbols ↔ strings).
@@ -282,7 +285,7 @@ impl Dataset {
 
     /// Total number of neighbour links (each undirected link counted once).
     pub fn link_count(&self) -> usize {
-        self.neighbors.iter().map(|n| n.len()).sum::<usize>() / 2
+        self.neighbors.len() / 2
     }
 
     /// Serialises KB `kb` as an N-Triples document.
@@ -387,27 +390,30 @@ impl DatasetBuilder {
     /// Finalises the dataset: resolves resource links into the undirected
     /// neighbour graph and freezes all indexes.
     pub fn build(self) -> Dataset {
-        let n = self.descriptions.len();
-        let mut adj: Vec<FxHashSet<EntityId>> = vec![FxHashSet::default(); n];
+        // Both directions of every resolved link, sorted: each entity's
+        // neighbours are then one ascending, duplicate-free run.
+        let mut edges: Vec<(EntityId, EntityId)> = Vec::new();
         for (i, d) in self.descriptions.iter().enumerate() {
             let src = EntityId(i as u32);
             for target in d.resources() {
                 if let Some(&dst) = self.uri_index.get(target) {
                     if dst != src {
-                        adj[src.index()].insert(dst);
-                        adj[dst.index()].insert(src);
+                        edges.push((src, dst));
+                        edges.push((dst, src));
                     }
                 }
             }
         }
-        let neighbors: Vec<Box<[EntityId]>> = adj
-            .into_iter()
-            .map(|s| {
-                let mut v: Vec<EntityId> = s.into_iter().collect();
-                v.sort_unstable();
-                v.into_boxed_slice()
-            })
-            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let mut neighbor_offsets = vec![0usize; self.descriptions.len() + 1];
+        for &(src, _) in &edges {
+            neighbor_offsets[src.index() + 1] += 1;
+        }
+        for i in 0..self.descriptions.len() {
+            neighbor_offsets[i + 1] += neighbor_offsets[i];
+        }
+        let neighbors: Vec<EntityId> = edges.iter().map(|&(_, dst)| dst).collect();
         let mut per_kb: Vec<Vec<EntityId>> = vec![Vec::new(); self.kbs.len()];
         for (i, d) in self.descriptions.iter().enumerate() {
             per_kb[d.kb.index()].push(EntityId(i as u32));
@@ -426,6 +432,7 @@ impl DatasetBuilder {
             descriptions: self.descriptions,
             kbs: self.kbs,
             uri_index: self.uri_index,
+            neighbor_offsets,
             neighbors,
             per_kb,
         }

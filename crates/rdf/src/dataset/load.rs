@@ -204,13 +204,11 @@ impl DatasetBuilder {
     }
 
     /// Loads one RDF file into a fresh KB named after the file stem:
-    /// Turtle for `.ttl` / `.turtle`, N-Triples for anything else.
+    /// Turtle for `.ttl` / `.turtle` in any letter case, N-Triples for
+    /// anything else.
     pub fn load_file(&mut self, path: &Path) -> Result<KbId, LoadError> {
         let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("kb");
-        let turtle = path
-            .extension()
-            .is_some_and(|ext| ext == "ttl" || ext == "turtle");
-        if turtle {
+        if turtle::is_turtle_path(path) {
             let document = std::fs::read(path)?;
             self.load_turtle(name, &document).map_err(LoadError::Turtle)
         } else {
@@ -385,6 +383,30 @@ mod tests {
             assert_eq!(from_nt.neighbors(e), from_ttl.neighbors(e));
         }
         assert_eq!(from_nt.uri(EntityId(1)), "bnode://kb:0/b1");
+    }
+
+    #[test]
+    fn load_file_reads_turtle_extensions_in_any_letter_case() {
+        let dir = std::env::temp_dir().join(format!("minoan_load_ext_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ttl = "@prefix k: <http://k/> .\nk:a k:name \"A\" .\n";
+        let nt = "<http://k/a> <http://k/name> \"A\" .\n";
+        let mut b = DatasetBuilder::new();
+        for (file, document) in [
+            ("kb.ttl", ttl),
+            ("KB.TTL", ttl),
+            ("kb.Turtle", ttl),
+            ("KB.NT", nt),
+            ("kb", nt),
+        ] {
+            let path = dir.join(file);
+            std::fs::write(&path, document).unwrap();
+            if let Err(e) = b.load_file(&path) {
+                panic!("{file}: {e}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(attributes(&b.build(), "http://k/a").len(), 5);
     }
 
     #[test]

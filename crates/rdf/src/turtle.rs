@@ -53,6 +53,13 @@ const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 /// so hostile input must not get to pick the stack depth.
 const MAX_NESTING: usize = 64;
 
+/// Whether `path` names a Turtle document: extension `.ttl` or `.turtle`
+/// in any letter case. Every loader reads anything else as N-Triples.
+pub fn is_turtle_path(path: &std::path::Path) -> bool {
+    path.extension()
+        .is_some_and(|ext| ext.eq_ignore_ascii_case("ttl") || ext.eq_ignore_ascii_case("turtle"))
+}
+
 /// Parses a Turtle document into owned triples.
 pub fn parse_turtle(input: &str) -> Result<Vec<Triple>, TurtleError> {
     let mut triples = Vec::new();

@@ -1,0 +1,119 @@
+#!/usr/bin/env bash
+# A/B timing of one benchmark workload: the working tree (the change)
+# against a revision of this repository (the parent), by the protocol
+# ROADMAP's standing constraints ask of every performance claim.
+#
+#   bash scripts/ab.sh --parent <rev> --workload W [--pairs 10] [--seconds S] [--seed N]
+#
+# The first line of output is a two-thread scaling probe — a fixed spin run
+# once, then twice side by side — so every recorded claim says whether the
+# host's second CPU was real while it was measured:
+#
+#   scaling probe: one 80 ms, two in parallel 160 ms → 1.0 cores
+#
+# Then: <rev> is exported into target/ab/parent-src, each side's frozen
+# benchmark/ is built once into a target directory of its own, and the two
+# `bench` binaries run `--pairs` times on seeds N, N+1, …, the side that
+# goes first alternating. Every pair is printed as it finishes; the summary
+# gives, per end-to-end metric of BENCHMARK.json, each side's q1/median/q3,
+# the pairs the change won, and the gap between the medians against the
+# parent's own quartile distance.
+#
+# Reads and writes nothing outside target/ab. `--parent HEAD` on a clean
+# tree is an A/A run (CI does one pair of it so the script cannot rot).
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+parent="" workload="" pairs=10 seconds=5 seed=501
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --parent) parent="$2"; shift 2 ;;
+        --workload) workload="$2"; shift 2 ;;
+        --pairs) pairs="$2"; shift 2 ;;
+        --seconds) seconds="$2"; shift 2 ;;
+        --seed) seed="$2"; shift 2 ;;
+        *) echo "ab.sh: unknown argument $1" >&2; exit 2 ;;
+    esac
+done
+if [ -z "$parent" ] || [ -z "$workload" ]; then
+    sed -n '2,8p' "${BASH_SOURCE[0]}" >&2
+    exit 2
+fi
+
+# ---- the scaling probe ----------------------------------------------------
+spin() {
+    local i
+    for ((i = 0; i < 50000; i++)); do :; done
+}
+since_ms() { echo $((($(date +%s%N) - $1) / 1000000)); }
+t="$(date +%s%N)"; spin; one="$(since_ms "$t")"
+t="$(date +%s%N)"; spin & spin & wait; two="$(since_ms "$t")"
+echo "scaling probe: one $one ms, two in parallel $two ms → $(awk "BEGIN { printf \"%.1f\", 2 * $one / $two }") cores"
+
+# ---- both sides, built once -------------------------------------------------
+out="$root/target/ab"
+rev="$(git -C "$root" rev-parse --short=12 "$parent^{commit}")"
+rm -rf "$out/parent-src" "$out/runs"
+mkdir -p "$out/parent-src" "$out/runs" "$out/tmp-parent" "$out/tmp-change"
+git -C "$root" archive "$rev" | tar -x -C "$out/parent-src"
+echo "parent $rev ($parent) vs change (working tree of $(git -C "$root" rev-parse --short=12 HEAD)), workload $workload, $pairs pairs of $seconds s, seeds $seed…$((seed + pairs - 1))"
+
+src_of() { [ "$1" = parent ] && echo "$out/parent-src" || echo "$root"; }
+for side in parent change; do
+    CARGO_TARGET_DIR="$out/$side-target" cargo build --release --offline --quiet \
+        --manifest-path "$(src_of "$side")/benchmark/Cargo.toml" --bins
+done
+
+# ---- the pairs ----------------------------------------------------------------
+run() { # side pair-index
+    (cd "$(src_of "$1")" && "$out/$1-target/release/bench" --workload "$workload" \
+        --seed $((seed + $2)) --seconds "$seconds" --trace 0 --tmp-dir "$out/tmp-$1" \
+        --result-out "$out/runs/$1-$2.json" >/dev/null)
+}
+op_ms() { sed -n 's/.*"op_p50_ms": {"value": \([0-9.eE+-]*\).*/\1/p' "$out/runs/$1-$2.json"; }
+for ((i = 0; i < pairs; i++)); do
+    if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+    for side in $order; do run "$side" "$i"; done
+    printf 'pair %2d  seed %d  %-13s  op_p50_ms  parent %10.4g  change %10.4g\n' \
+        $((i + 1)) $((seed + i)) "${order/ / → }" "$(op_ms parent "$i")" "$(op_ms change "$i")"
+done
+
+# ---- the summary ----------------------------------------------------------------
+python3 - "$root/BENCHMARK.json" "$out/runs" "$pairs" <<'EOF'
+import json, statistics, sys
+
+contract, runs, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+with open(contract) as f:
+    metrics = json.load(f)["end_to_end"]
+
+def load(side, i):
+    with open(f"{runs}/{side}-{i}.json") as f:
+        return json.load(f)
+
+sides = {side: [load(side, i) for i in range(pairs)] for side in ("parent", "change")}
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+for m in metrics:
+    name, lower = m["name"], m["better"] == "lower"
+    p = [r["metrics"][name]["value"] for r in sides["parent"]]
+    c = [r["metrics"][name]["value"] for r in sides["change"]]
+    wins = sum((y < x) if lower else (y > x) for x, y in zip(p, c))
+    losses = sum((y > x) if lower else (y < x) for x, y in zip(p, c))
+    (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
+    ratio = statistics.median(y / x for x, y in zip(p, c) if x)
+    print(f"{name} ({m['unit']}, {m['better']} is better)")
+    print(f"  parent q1/median/q3  {p1:.6g} / {pm:.6g} / {p3:.6g}")
+    print(f"  change q1/median/q3  {c1:.6g} / {cm:.6g} / {c3:.6g}")
+    print(f"  change better in {wins}/{pairs} pairs, worse in {losses}; "
+          f"median pair ratio {ratio:.3f}")
+    print(f"  median gap {abs(cm - pm):.6g} vs parent IQR {p3 - p1:.6g}")
+for side, records in sides.items():
+    failed = sum(r["failed"] for r in records)
+    attempted = sum(r["attempted"] for r in records)
+    wrong = sum(not r["correct"] for r in records)
+    print(f"{side}: {failed} of {attempted} operations failed, {wrong} runs incorrect")
+EOF

@@ -107,6 +107,31 @@ fn turtle_inputs_resolve_like_ntriples() {
 }
 
 #[test]
+fn turtle_extensions_are_read_in_any_letter_case() {
+    let dir = std::env::temp_dir().join("minoan_cli_ttl_case");
+    std::fs::create_dir_all(&dir).unwrap();
+    let inputs: Vec<String> = [("KB.TTL", "one"), ("kb.Turtle", "two")]
+        .iter()
+        .map(|(file, ns)| {
+            let path = dir.join(file);
+            let ttl = format!(
+                "@prefix k: <http://{ns}/> .\nk:a k:name \"Knossos palace\" .\n\
+                 k:b k:name \"Phaistos disc\" .\n"
+            );
+            std::fs::write(&path, ttl).unwrap();
+            path.display().to_string()
+        })
+        .collect();
+    for command in ["resolve --show 2", "stats"] {
+        let line = format!("{command} --input {} --input {}", inputs[0], inputs[1]);
+        if let Err(e) = cli(&line) {
+            panic!("`{line}`: {e}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_errors_are_user_facing() {
     assert!(cli("resolve --input /nonexistent/file.nt").is_err());
     assert!(cli("inspect --snapshot /nonexistent.mnstore").is_err());
