@@ -1,8 +1,12 @@
 //! Criterion benches for the blocking layer (supports E2).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use minoan_blocking::{builders, filter, purge, CanopyConfig, ErMode, LshConfig, Method};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use minoan_blocking::builders::{token_pass, TokenKeys};
+use minoan_blocking::{
+    builders, filter, purge, BlockCollection, CanopyConfig, ErMode, LshConfig, Method,
+};
 use minoan_datagen::{generate, profiles};
+use minoan_er::{Matcher, MatcherConfig};
 use std::hint::black_box;
 
 fn bench_blocking(c: &mut Criterion) {
@@ -59,5 +63,60 @@ fn bench_blocker_families(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_blocking, bench_blocker_families);
+/// The one token pass and what each of its two readers adds to it, on the
+/// `batch_lod` world (`lod_cloud(5000, 101)`: 16 439 descriptions, 290 525
+/// value tokens). `Pipeline::run` pays `token-pass` once, then
+/// `from-assignments` beside `matcher-build/from-pass`; the staged
+/// composition pays `token-pass` inside the block build and again inside
+/// `matcher-build/standalone`.
+fn bench_token_pass(c: &mut Criterion) {
+    let world = generate(&profiles::lod_cloud(5000, 101));
+    let ds = &world.dataset;
+    let mut group = c.benchmark_group("token-pass");
+    group.sample_size(10);
+    for threads in [1usize, 2] {
+        group.bench_function(format!("lod-5k/threads-{threads}"), |b| {
+            b.iter(|| black_box(token_pass(ds, TokenKeys::Both, threads)));
+        });
+    }
+    group.bench_function("lod-5k/from-assignments", |b| {
+        b.iter_batched(
+            || token_pass(ds, TokenKeys::Both, 1),
+            |pass| {
+                black_box(BlockCollection::from_assignments_with_threads(
+                    ds,
+                    ErMode::CleanClean,
+                    pass,
+                    1,
+                ))
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("matcher-build");
+    group.sample_size(10);
+    group.bench_function("lod-5k/standalone", |b| {
+        b.iter(|| black_box(Matcher::new(ds, MatcherConfig::default())));
+    });
+    let pass = token_pass(ds, TokenKeys::Both, 1);
+    group.bench_function("lod-5k/from-pass", |b| {
+        b.iter(|| {
+            black_box(Matcher::from_token_pass(
+                ds,
+                &pass,
+                MatcherConfig::default(),
+            ))
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_blocking,
+    bench_blocker_families,
+    bench_token_pass
+);
 criterion_main!(benches);

@@ -10,55 +10,133 @@
 //! assembled by the counting-sort CSR build
 //! ([`BlockCollection::from_assignments`]). URI keys live in a disjoint
 //! `uri:` symbol namespace composed without a `format!` per token.
+//!
+//! # One token pass
+//!
+//! [`token_pass`] is the only place a description is reduced to tokens:
+//! the three token builders are that pass under a [`TokenKeys`] selection
+//! fed to `from_assignments`, and the matcher of `minoan_er` reads the
+//! value-token runs of the same [`KeyAssignments`] — so a pipeline that
+//! blocks by tokens tokenises and interns every description once.
 
 use crate::collection::{BlockCollection, ErMode, KeyAssignments};
-use minoan_common::{FxHashMap, FxHashSet, UnionFind};
+use crate::layout::split_rows;
+use minoan_common::{default_threads, FxHashMap, FxHashSet, UnionFind};
 use minoan_rdf::tokenize::{self, TokenBuffers};
-use minoan_rdf::{Dataset, Value};
+use minoan_rdf::{Dataset, EntityId, Value};
+use std::ops::Range;
 
 /// Namespace prefix keeping URI-infix keys disjoint from value-token keys.
 const URI_PREFIX: &str = "uri:";
 
+/// Which tokens of a description [`token_pass`] turns into keys.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TokenKeys {
+    /// Tokens of every attribute value: literal tokens and resource-URI
+    /// infix tokens, as plain keys.
+    Values,
+    /// Tokens of the subject URI's infix, as `uri:` keys.
+    Uris,
+    /// Both; the `uri:` prefix keeps the two key spaces disjoint.
+    Both,
+}
+
+/// The token pass over entities `range`, through an interner of its own.
+fn tokenize_range(dataset: &Dataset, keys: TokenKeys, range: Range<usize>) -> KeyAssignments {
+    let mut asg = KeyAssignments::with_capacity(range.len());
+    let mut buffers = TokenBuffers::default();
+    for e in range {
+        let e = EntityId(e as u32);
+        if keys != TokenKeys::Uris {
+            dataset.for_each_blocking_token(e, &mut buffers, |tok| asg.push_key(tok));
+        }
+        if keys != TokenKeys::Values {
+            tokenize::uri_infix_tokens_with(dataset.uri(e), &mut buffers, |tok| {
+                asg.push_key_prefixed(URI_PREFIX, tok)
+            });
+        }
+        asg.seal_entity();
+    }
+    asg
+}
+
+/// Tokenises the contiguous entity `ranges` (together `0..dataset.len()`,
+/// in order) side by side and folds them left into one accumulator.
+fn token_pass_over(dataset: &Dataset, keys: TokenKeys, ranges: &[Range<usize>]) -> KeyAssignments {
+    let Some((first, rest)) = ranges.split_first() else {
+        return KeyAssignments::new();
+    };
+    std::thread::scope(|s| {
+        let tails: Vec<_> = rest
+            .iter()
+            .map(|range| s.spawn(|| tokenize_range(dataset, keys, range.clone())))
+            .collect();
+        let mut pass = tokenize_range(dataset, keys, first.clone());
+        for tail in tails {
+            pass.append(
+                tail.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        pass
+    })
+}
+
+/// The token pass: tokenises every description of `dataset` once and
+/// returns, per entity, the sealed run of its `keys` over one interner,
+/// value tokens plain and `uri:` keys marked namespaced.
+///
+/// The result is the same for every `threads` value (including 1).
+/// Contiguous entity ranges of roughly equal attribute count are
+/// tokenised into range-local interners on scoped threads, then folded
+/// left ([`KeyAssignments::append`]): range `k`'s strings enter the global
+/// interner in their local symbol order, which is the order a serial pass
+/// would have met them first, so symbols, runs and marking are exactly the
+/// serial ones. The fold costs one intern per *distinct* string of every
+/// range but the first.
+pub fn token_pass(dataset: &Dataset, keys: TokenKeys, threads: usize) -> KeyAssignments {
+    let cost_ends: Vec<u32> = dataset
+        .entities()
+        .scan(0u32, |cost, e| {
+            let work = dataset.description(e).attributes.len() + 1;
+            *cost = cost.saturating_add(u32::try_from(work).unwrap_or(u32::MAX));
+            Some(*cost)
+        })
+        .collect();
+    token_pass_over(dataset, keys, &split_rows(&cost_ends, threads))
+}
+
+/// The blocks of the token pass under `keys`, pass and CSR build both on
+/// `threads` workers; the result does not depend on `threads`.
+/// [`token_blocking`], [`uri_infix_blocking`] and
+/// [`token_and_uri_blocking`] are this on [`default_threads`].
+pub fn token_blocking_with_threads(
+    dataset: &Dataset,
+    mode: ErMode,
+    keys: TokenKeys,
+    threads: usize,
+) -> BlockCollection {
+    let pass = token_pass(dataset, keys, threads);
+    BlockCollection::from_assignments_with_threads(dataset, mode, pass, threads)
+}
+
 /// Token blocking: one block per distinct token appearing in any attribute
 /// value (literal tokens + resource-URI infix tokens) of a description.
 pub fn token_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollection {
-    let mut asg = KeyAssignments::with_capacity(dataset.len());
-    let mut buffers = TokenBuffers::default();
-    for e in dataset.entities() {
-        dataset.for_each_blocking_token(e, &mut buffers, |tok| asg.push_key(tok));
-        asg.seal_entity();
-    }
-    BlockCollection::from_assignments(dataset, mode, asg)
+    token_blocking_with_threads(dataset, mode, TokenKeys::Values, default_threads())
 }
 
 /// Prefix-Infix(-Suffix) URI blocking: one block per token of the subject
 /// URI's *infix* — naming evidence independent of attribute values.
 pub fn uri_infix_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollection {
-    let mut asg = KeyAssignments::with_capacity(dataset.len());
-    let mut buffers = TokenBuffers::default();
-    for e in dataset.entities() {
-        tokenize::uri_infix_tokens_with(dataset.uri(e), &mut buffers, |tok| {
-            asg.push_key_prefixed(URI_PREFIX, tok)
-        });
-        asg.seal_entity();
-    }
-    BlockCollection::from_assignments(dataset, mode, asg)
+    token_blocking_with_threads(dataset, mode, TokenKeys::Uris, default_threads())
 }
 
 /// Token blocking ∪ URI-infix blocking — the paper's "common token in their
 /// descriptions *or URIs*" criterion in one collection. Key spaces are kept
 /// disjoint by the `uri:` prefix.
 pub fn token_and_uri_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollection {
-    let mut asg = KeyAssignments::with_capacity(dataset.len());
-    let mut buffers = TokenBuffers::default();
-    for e in dataset.entities() {
-        dataset.for_each_blocking_token(e, &mut buffers, |tok| asg.push_key(tok));
-        tokenize::uri_infix_tokens_with(dataset.uri(e), &mut buffers, |tok| {
-            asg.push_key_prefixed(URI_PREFIX, tok)
-        });
-        asg.seal_entity();
-    }
-    BlockCollection::from_assignments(dataset, mode, asg)
+    token_blocking_with_threads(dataset, mode, TokenKeys::Both, default_threads())
 }
 
 /// Attribute-clustering blocking (Papadakis et al. style): attribute names
@@ -165,8 +243,9 @@ fn set_jaccard(a: &FxHashSet<String>, b: &FxHashSet<String>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minoan_common::Symbol;
     use minoan_datagen::{generate, profiles};
-    use minoan_rdf::{DatasetBuilder, EntityId};
+    use minoan_rdf::DatasetBuilder;
 
     fn toy() -> Dataset {
         let mut b = DatasetBuilder::new();
@@ -256,6 +335,43 @@ mod tests {
         }
         for e in ds.entities() {
             assert_eq!(c.entity_blocks(e), reference.entity_blocks(e));
+        }
+    }
+
+    /// The fold reproduces the serial numbering whatever the cut: one
+    /// range per entity (runs of one, empty runs, ranges that bring no new
+    /// string) and a few uneven cuts.
+    #[test]
+    fn folded_ranges_equal_one_serial_range() {
+        let g = generate(&profiles::periphery_sparse(40, 3));
+        let ds = &g.dataset;
+        let n = ds.len();
+        let observe = |pass: &KeyAssignments| {
+            let keys: Vec<(String, bool)> = pass
+                .keys()
+                .iter()
+                .map(|(sym, s)| (s.to_string(), pass.is_namespaced(sym)))
+                .collect();
+            let runs: Vec<Vec<Symbol>> = pass.runs().map(<[Symbol]>::to_vec).collect();
+            (keys, runs)
+        };
+        let cuts: [Vec<usize>; 4] = [
+            (1..n).collect(),
+            vec![1],
+            vec![n - 1],
+            vec![n / 3, n / 3 + 1, n / 2],
+        ];
+        for keys in [TokenKeys::Values, TokenKeys::Uris, TokenKeys::Both] {
+            let serial = observe(&tokenize_range(ds, keys, 0..n));
+            assert_eq!(serial.1.len(), n);
+            for cut in &cuts {
+                let bounds: Vec<usize> = [0].iter().chain(cut).chain(&[n]).copied().collect();
+                let ranges: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+                assert!(
+                    observe(&token_pass_over(ds, keys, &ranges)) == serial,
+                    "{keys:?} cut at {cut:?}"
+                );
+            }
         }
     }
 

@@ -86,19 +86,28 @@ impl BlockRef<'_> {
 }
 
 /// Per-entity interned blocking keys — the string-free input of
-/// [`BlockCollection::from_assignments`].
+/// [`BlockCollection::from_assignments`], and what the token pass
+/// ([`crate::builders::token_pass`]) returns.
 ///
 /// Builders visit entities in ascending id order, push one interned
 /// [`Symbol`] per raw token (interning happens *during* tokenisation, so
 /// no `String` per token occurrence is ever accumulated), and call
 /// [`Self::seal_entity`] once per entity; sealing sorts and dedups the
 /// entity's run in place.
+///
+/// A key pushed through [`Self::push_key_prefixed`] is recorded as
+/// *namespaced* (`uri:…`, `c3:…`); one pushed through [`Self::push_key`]
+/// is a plain value token. A reader that wants the value tokens only —
+/// the matcher — skips the namespaced symbols of a run.
 #[derive(Default)]
 pub struct KeyAssignments {
     keys: Interner,
     syms: Vec<Symbol>,
     /// `ends[e]` = end of entity `e`'s (sealed) run in `syms`.
     ends: Vec<u32>,
+    /// `namespaced[s]`: symbol `s` was pushed with a prefix. Grown on
+    /// demand, so a symbol past its end is plain.
+    namespaced: Vec<bool>,
 }
 
 impl KeyAssignments {
@@ -110,9 +119,8 @@ impl KeyAssignments {
     /// Pre-sizes the per-entity run table for `entities` entities.
     pub fn with_capacity(entities: usize) -> Self {
         Self {
-            keys: Interner::new(),
-            syms: Vec::new(),
             ends: Vec::with_capacity(entities),
+            ..Self::default()
         }
     }
 
@@ -123,8 +131,7 @@ impl KeyAssignments {
     pub(crate) fn with_keys(keys: Interner) -> Self {
         Self {
             keys,
-            syms: Vec::new(),
-            ends: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -147,7 +154,15 @@ impl KeyAssignments {
     #[inline]
     pub fn push_key_prefixed(&mut self, prefix: &str, key: &str) {
         let sym = self.keys.intern_prefixed(prefix, key);
+        self.mark_namespaced(sym);
         self.syms.push(sym);
+    }
+
+    fn mark_namespaced(&mut self, sym: Symbol) {
+        if self.namespaced.len() <= sym.index() {
+            self.namespaced.resize(sym.index() + 1, false);
+        }
+        self.namespaced[sym.index()] = true;
     }
 
     /// Seals the current entity: sorts and dedups its run. Must be called
@@ -163,8 +178,37 @@ impl KeyAssignments {
             }
         }
         self.syms.truncate(w);
+        self.push_end();
+    }
+
+    fn push_end(&mut self) {
         self.ends
             .push(u32::try_from(self.syms.len()).expect("more than u32::MAX assignments"));
+    }
+
+    /// Appends `tail` — the sealed runs of the entities that follow this
+    /// accumulator's, built over an interner of its own — as if they had
+    /// been pushed and sealed here: `tail`'s strings are interned in its
+    /// symbol order, i.e. in the order a continued serial pass would have
+    /// met them first, so every symbol gets the number that pass would
+    /// have given it; the runs are renumbered and sorted again.
+    pub(crate) fn append(&mut self, tail: KeyAssignments) {
+        let mut renumbered = Vec::with_capacity(tail.keys.len());
+        for (local, key) in tail.keys.iter() {
+            let sym = self.keys.intern(key);
+            if tail.is_namespaced(local) {
+                self.mark_namespaced(sym);
+            }
+            renumbered.push(sym);
+        }
+        self.syms.reserve(tail.syms.len());
+        self.ends.reserve(tail.ends.len());
+        for run in tail.runs() {
+            let start = self.syms.len();
+            self.syms.extend(run.iter().map(|s| renumbered[s.index()]));
+            self.syms[start..].sort_unstable();
+            self.push_end();
+        }
     }
 
     /// Number of sealed entities so far.
@@ -175,6 +219,26 @@ impl KeyAssignments {
     /// Number of (deduplicated) key assignments so far.
     pub fn num_assignments(&self) -> usize {
         self.syms.len()
+    }
+
+    /// The key strings, by symbol.
+    pub fn keys(&self) -> &Interner {
+        &self.keys
+    }
+
+    /// The sealed runs, one per sealed entity in entity order: each
+    /// ascending by symbol, without duplicates.
+    pub fn runs(&self) -> impl Iterator<Item = &[Symbol]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.syms[start as usize..end as usize])
+    }
+
+    /// Whether `sym` was pushed with a prefix (a `uri:` key, say) rather
+    /// than as a plain value token.
+    pub fn is_namespaced(&self, sym: Symbol) -> bool {
+        self.namespaced.get(sym.index()).copied().unwrap_or(false)
     }
 }
 
@@ -388,7 +452,9 @@ impl BlockCollection {
         assignments: KeyAssignments,
         threads: usize,
     ) -> Self {
-        let KeyAssignments { keys, syms, ends } = assignments;
+        let KeyAssignments {
+            keys, syms, ends, ..
+        } = assignments;
         let n = dataset.len();
         assert_eq!(
             ends.len(),
@@ -407,8 +473,25 @@ impl BlockCollection {
 
         // Blocks need ≥ 2 members to induce any comparison; survivors are
         // ordered by key string, exactly like the `from_groups` path.
-        let mut order: Vec<u32> = (0..k as u32).filter(|&s| counts[s as usize] >= 2).collect();
-        order.sort_unstable_by(|&a, &b| keys.resolve(Symbol(a)).cmp(keys.resolve(Symbol(b))));
+        // A key's first eight bytes ride along as a big-endian integer:
+        // they order most pairs without a look at the arena, and a tie
+        // falls back to the strings themselves, so the order is theirs.
+        let mut order: Vec<(u64, u32)> = (0..k as u32)
+            .filter(|&s| counts[s as usize] >= 2)
+            .map(|s| {
+                let key = keys.resolve(Symbol(s)).as_bytes();
+                let mut head = [0u8; 8];
+                let len = key.len().min(8);
+                head[..len].copy_from_slice(&key[..len]);
+                (u64::from_be_bytes(head), s)
+            })
+            .collect();
+        order.sort_unstable_by(|&(head_a, a), &(head_b, b)| {
+            head_a
+                .cmp(&head_b)
+                .then_with(|| keys.resolve(Symbol(a)).cmp(keys.resolve(Symbol(b))))
+        });
+        let order: Vec<u32> = order.into_iter().map(|(_, s)| s).collect();
         let mut slot_of = vec![u32::MAX; k];
         for (slot, &sym) in order.iter().enumerate() {
             slot_of[sym as usize] = slot as u32;

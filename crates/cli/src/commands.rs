@@ -121,7 +121,9 @@ BLOCKING  token | uri-infix | token+uri | attr-clustering | qgrams |
 PRUNING   none | wep | cep | wnp | wnp-reciprocal | cnp | cnp-reciprocal
           | blast
           (every method runs under every --backend, bit-identically;
-          --workers pins the streaming/mapreduce parallelism)
+          the default is streaming: one resolve never reuses the graph
+          that materialized builds; --workers pins the parallelism of
+          every stage, token pass and block build included)
 WEIGHTING cbs | ecbs | js | ejs | arcs
 "
     .to_string()

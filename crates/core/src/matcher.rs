@@ -10,8 +10,8 @@
 //! # What is computed once per entity
 //!
 //! A comparison recomputes nothing that depends on one description only.
-//! [`Matcher::new`] lays out, in flat slabs indexed by entity (the CSR
-//! idiom of the block collection):
+//! The matcher lays out, in flat slabs indexed by entity (the CSR idiom of
+//! the block collection):
 //!
 //! * the sorted, deduplicated blocking-token ids;
 //! * under [`ValueMeasure::TfIdfCosine`], the squared IDF of each of those
@@ -20,6 +20,17 @@
 //! * the first name-like literal, lower-cased with `str::to_lowercase`
 //!   and *then* split into `char`s (so `Σ` lowers to a final `ς` and `İ`
 //!   to two chars exactly as a per-pair `to_lowercase` would).
+//!
+//! The matcher tokenises nothing itself. The token ids are the value-token
+//! symbols of a token pass (`minoan_blocking::builders::token_pass`), the
+//! one that block building reads too: [`Matcher::from_token_pass`] copies
+//! the plain symbols of each sealed run and skips the `uri:` keys;
+//! [`Matcher::new`] is that after a value-token pass of its own. Ids
+//! therefore depend on which pass they came from — a `uri:` key interned
+//! between two value tokens leaves a gap — but no result does: value tokens
+//! keep their relative first-interning order whatever is interned between
+//! them, so every run lists the same tokens in the same order, and IDF
+//! reads only document frequencies and the entity count.
 //!
 //! [`Matcher::value_similarity`] is then one merge over two contiguous
 //! token runs plus a Jaro–Winkler over two borrowed `&[char]`, with the
@@ -37,8 +48,8 @@
 //! names — `tests::value_similarity_matches_the_written_out_formula` pins
 //! that.
 
-use minoan_common::Interner;
-use minoan_rdf::tokenize::TokenBuffers;
+use minoan_blocking::builders::{token_pass, TokenKeys};
+use minoan_blocking::KeyAssignments;
 use minoan_rdf::{Dataset, EntityId};
 use minoan_similarity::tfidf::cosine_prepared;
 use minoan_similarity::{jaro_winkler_chars, token, JaroScratch, TfIdfWeights};
@@ -130,9 +141,70 @@ fn slab_offset(len: usize) -> u32 {
     u32::try_from(len).expect("matcher slab exceeds u32 offsets")
 }
 
+/// The value-token ids of every entity, copied out of a token pass: all a
+/// matcher build reads of one, so the pass itself can go on to become the
+/// block collection meanwhile.
+pub(crate) struct TokenRows {
+    /// `ids[offsets[e]..offsets[e + 1]]`: ascending, without duplicates.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+    /// One past the largest id a row may hold.
+    vocabulary: usize,
+}
+
+impl TokenRows {
+    /// The plain (value-token) symbols of each sealed run of `pass`.
+    pub(crate) fn value_tokens(pass: &KeyAssignments) -> Self {
+        let mut offsets = Vec::with_capacity(pass.num_entities() + 1);
+        let mut ids = Vec::with_capacity(pass.num_assignments());
+        offsets.push(0);
+        for run in pass.runs() {
+            ids.extend(
+                run.iter()
+                    .filter(|&&sym| !pass.is_namespaced(sym))
+                    .map(|sym| sym.0),
+            );
+            offsets.push(slab_offset(ids.len()));
+        }
+        Self {
+            offsets,
+            ids,
+            vocabulary: pass.keys().len(),
+        }
+    }
+}
+
 impl Matcher {
-    /// Builds the matcher for `dataset` under `config`.
+    /// Builds the matcher for `dataset` under `config`, after a token pass
+    /// of its own over the attribute values.
     pub fn new(dataset: &Dataset, config: MatcherConfig) -> Self {
+        Self::with_threads(dataset, config, minoan_common::default_threads())
+    }
+
+    /// [`Self::new`] with the token pass on `threads` workers; the matcher
+    /// does not depend on `threads`.
+    pub(crate) fn with_threads(dataset: &Dataset, config: MatcherConfig, threads: usize) -> Self {
+        // The pass is a temporary: its strings are freed before the weight
+        // slabs go up.
+        let tokens = TokenRows::value_tokens(&token_pass(dataset, TokenKeys::Values, threads));
+        Self::from_rows(dataset, tokens, config)
+    }
+
+    /// Builds the matcher from the value-token runs of `pass`, a token pass
+    /// over `dataset` that kept the value tokens ([`TokenKeys::Values`] or
+    /// [`TokenKeys::Both`]) — typically the one the blocks are built from.
+    /// Every similarity has the bits [`Self::new`] gives it.
+    pub fn from_token_pass(
+        dataset: &Dataset,
+        pass: &KeyAssignments,
+        config: MatcherConfig,
+    ) -> Self {
+        Self::from_rows(dataset, TokenRows::value_tokens(pass), config)
+    }
+
+    /// What is left of the build once the token ids exist: IDF, aligned
+    /// weights, norms and lowered names.
+    pub(crate) fn from_rows(dataset: &Dataset, tokens: TokenRows, config: MatcherConfig) -> Self {
         assert!(
             (0.0..=1.0).contains(&config.name_weight)
                 && (0.0..=1.0).contains(&config.evidence_weight)
@@ -140,24 +212,22 @@ impl Matcher {
                 && (0.0..=1.0).contains(&config.value_floor),
             "matcher weights must be in [0,1]"
         );
+        let TokenRows {
+            offsets: token_offsets,
+            ids: token_ids,
+            vocabulary,
+        } = tokens;
         let n = dataset.len();
-        let mut interner = Interner::with_capacity(n * 4);
-        let mut buffers = TokenBuffers::default();
-        let mut row: Vec<u32> = Vec::new();
-        let mut token_offsets = Vec::with_capacity(n + 1);
-        let mut token_ids: Vec<u32> = Vec::new();
+        assert_eq!(
+            token_offsets.len(),
+            n + 1,
+            "the token pass must cover every entity of the dataset"
+        );
         let mut name_offsets = Vec::with_capacity(n + 1);
         let mut name_chars: Vec<char> = Vec::new();
         let mut has_name = Vec::with_capacity(n);
-        token_offsets.push(0);
         name_offsets.push(0);
         for e in dataset.entities() {
-            row.clear();
-            dataset.for_each_blocking_token(e, &mut buffers, |t| row.push(interner.intern(t).0));
-            row.sort_unstable();
-            row.dedup();
-            token_ids.extend_from_slice(&row);
-            token_offsets.push(slab_offset(token_ids.len()));
             let name = dataset.first_name_value(e);
             if let Some(name) = name {
                 push_lowered(name, &mut name_chars);
@@ -170,10 +240,6 @@ impl Matcher {
                 .windows(2)
                 .map(|w| w[0] as usize..w[1] as usize)
         };
-        let vocabulary = interner.len();
-        // The strings are dead weight from here on; free them before the
-        // weight slab goes up.
-        drop(interner);
         let idf = TfIdfWeights::build(vocabulary, rows().map(|r| &token_ids[r]));
         let weights = match config.measure {
             ValueMeasure::Jaccard => TokenWeights::Unweighted,
@@ -489,6 +555,46 @@ mod tests {
             let named = |e| g.dataset.first_name_value(e).is_some();
             assert!(pairs.iter().any(|&(a, b)| named(a) && named(b)));
             assert_written_out(&g.dataset, &pairs);
+        }
+    }
+
+    /// A matcher read off the pass the blocks are built from numbers its
+    /// tokens differently (the `uri:` keys sit between them) and scores
+    /// every candidate the same — `WeightedJaccard`, which looks IDF up by
+    /// id, included.
+    #[test]
+    fn a_shared_pass_gives_the_standalone_matchers_bits() {
+        use crate::pipeline::{Pipeline, PipelineConfig};
+        let g = generate(&profiles::lod_cloud(200, 19));
+        let ds = &g.dataset;
+        let pipeline = Pipeline::new(PipelineConfig::default());
+        let candidates = pipeline.meta_block(&pipeline.clean_blocks(pipeline.block(ds)));
+        assert!(candidates.len() > 1000);
+        for threads in [1, 3] {
+            let pass = token_pass(ds, TokenKeys::Both, threads);
+            let mut scratch = JaroScratch::default();
+            for measure in MEASURES {
+                let config = MatcherConfig {
+                    measure,
+                    ..Default::default()
+                };
+                let shared = Matcher::from_token_pass(ds, &pass, config.clone());
+                let standalone = Matcher::new(ds, config);
+                let renumbered = ds
+                    .entities()
+                    .any(|e| shared.tokens_of(e) != standalone.tokens_of(e));
+                assert!(renumbered, "the shared pass should interleave uri: keys");
+                for e in ds.entities() {
+                    assert_eq!(shared.tokens_of(e).len(), standalone.tokens_of(e).len());
+                }
+                for &(a, b, _) in &candidates {
+                    assert_eq!(
+                        shared.value_similarity(a, b, &mut scratch).to_bits(),
+                        standalone.value_similarity(a, b, &mut scratch).to_bits(),
+                        "{measure:?} ({a:?}, {b:?})"
+                    );
+                }
+            }
         }
     }
 

@@ -6,8 +6,9 @@
 //! with sensible defaults.
 
 use crate::engine::{ProgressiveResolver, Resolution, ResolverConfig};
-use crate::matcher::{Matcher, MatcherConfig};
-use minoan_blocking::{builders, filter, purge, BlockCollection, ErMode};
+use crate::matcher::{Matcher, MatcherConfig, TokenRows};
+use minoan_blocking::builders::{self, token_pass, TokenKeys};
+use minoan_blocking::{filter, purge, BlockCollection, ErMode};
 use minoan_metablocking::{ExecutionBackend, Session, WeightingScheme};
 use minoan_rdf::{Dataset, EntityId};
 
@@ -52,15 +53,19 @@ pub struct PipelineConfig {
     /// Meta-blocking pruning algorithm.
     pub pruning: PruningMethod,
     /// Meta-blocking execution backend. [`ExecutionBackend::Streaming`]
-    /// runs *every* pruning method (edge-centric WEP/CEP included)
-    /// without materialising the blocking graph;
-    /// [`ExecutionBackend::Materialized`] builds the CSR graph first;
+    /// (the default: a one-shot pipeline never reuses a graph) runs
+    /// *every* pruning method (edge-centric WEP/CEP included) without
+    /// materialising the blocking graph;
+    /// [`ExecutionBackend::Materialized`] builds the CSR graph first —
+    /// ask for it by name when one session sweeps several schemes;
     /// [`ExecutionBackend::MapReduce`] runs the entity-partitioned
     /// MapReduce jobs on [`minoan_mapreduce`]. Output is bit-identical
     /// across all three.
     pub backend: ExecutionBackend,
-    /// Worker threads for the streaming sweeps / MapReduce engine
-    /// (`None` = all available parallelism). Results never depend on it.
+    /// Worker threads for every parallel stage: the token pass, the block
+    /// build, purge/filter, the streaming sweeps / MapReduce engine
+    /// (`None` = all available parallelism; under the token blocking
+    /// methods `Some(1)` spawns nothing). Results never depend on it.
     pub workers: Option<usize>,
     /// Matcher configuration.
     pub matcher: MatcherConfig,
@@ -70,7 +75,8 @@ pub struct PipelineConfig {
 
 impl Default for PipelineConfig {
     /// The defaults used throughout EXPERIMENTS.md: token+URI blocking,
-    /// purge + filter(0.8), ARCS-weighted WNP, progressive pair-quantity.
+    /// purge + filter(0.8), ARCS-weighted WNP on the streaming backend,
+    /// progressive pair-quantity.
     fn default() -> Self {
         Self {
             mode: ErMode::CleanClean,
@@ -79,7 +85,7 @@ impl Default for PipelineConfig {
             filter_ratio: Some(filter::DEFAULT_RATIO),
             weighting: WeightingScheme::Arcs,
             pruning: PruningMethod::Wnp { reciprocal: false },
-            backend: ExecutionBackend::Materialized,
+            backend: ExecutionBackend::Streaming,
             workers: None,
             matcher: MatcherConfig::default(),
             resolver: ResolverConfig::default(),
@@ -116,17 +122,25 @@ impl Pipeline {
         &self.config
     }
 
-    /// Runs blocking only (exposed for experiments).
+    fn threads(&self) -> usize {
+        self.config
+            .workers
+            .unwrap_or_else(minoan_common::default_threads)
+    }
+
+    /// Runs blocking only (exposed for experiments). The token methods
+    /// obey the `workers` knob like [`Self::clean_blocks`] does.
     pub fn block(&self, dataset: &Dataset) -> BlockCollection {
+        let mode = self.config.mode;
+        let tokens =
+            |keys| builders::token_blocking_with_threads(dataset, mode, keys, self.threads());
         match self.config.blocking {
-            BlockingMethod::Token => builders::token_blocking(dataset, self.config.mode),
-            BlockingMethod::UriInfix => builders::uri_infix_blocking(dataset, self.config.mode),
-            BlockingMethod::TokenAndUri => {
-                builders::token_and_uri_blocking(dataset, self.config.mode)
-            }
-            BlockingMethod::Custom(method) => method.run(dataset, self.config.mode),
+            BlockingMethod::Token => tokens(TokenKeys::Values),
+            BlockingMethod::UriInfix => tokens(TokenKeys::Uris),
+            BlockingMethod::TokenAndUri => tokens(TokenKeys::Both),
+            BlockingMethod::Custom(method) => method.run(dataset, mode),
             BlockingMethod::AttributeClustering { link_threshold } => {
-                builders::attribute_clustering_blocking(dataset, self.config.mode, link_threshold)
+                builders::attribute_clustering_blocking(dataset, mode, link_threshold)
             }
         }
     }
@@ -135,10 +149,7 @@ impl Pipeline {
     /// `workers` knob bounds the successor slab builds like it bounds the
     /// meta-blocking sweeps; results never depend on it.
     pub fn clean_blocks(&self, blocks: BlockCollection) -> BlockCollection {
-        let threads = self
-            .config
-            .workers
-            .unwrap_or_else(minoan_common::default_threads);
+        let threads = self.threads();
         let blocks = if self.config.purge {
             purge::purge_with_threads(&blocks, purge::DEFAULT_SMOOTHING, threads).collection
         } else {
@@ -179,36 +190,56 @@ impl Pipeline {
 
     /// Runs the full pipeline on `dataset`.
     ///
-    /// The matcher build and the block → purge → filter → meta-block chain
-    /// are both pure functions of `dataset`, so the matcher is built on a
-    /// scoped thread while the chain runs on the calling one. With one
-    /// worker (`workers: Some(1)`, or a single-core host under `None`)
-    /// nothing is spawned and the matcher is built after the chain. The
-    /// output does not depend on which of the two happened.
+    /// **Shared.** Under [`BlockingMethod::Token`] and
+    /// [`BlockingMethod::TokenAndUri`] the blocking keys and the matcher's
+    /// tokens are the same interned runs, so one token pass (split over
+    /// `workers` entity ranges) serves both: the matcher copies its
+    /// value-token ids out of it, then the pass becomes the block
+    /// collection. The other methods share nothing with the matcher
+    /// ([`BlockingMethod::UriInfix`] keys are subject-URI tokens only), and
+    /// it runs a value-token pass of its own.
+    ///
+    /// **Overlapped.** What is left of the matcher build — the whole of it
+    /// for those other methods — and the block → purge → filter →
+    /// meta-block chain are both pure functions of `dataset` and the pass,
+    /// so the matcher is finished on a scoped thread while the chain runs
+    /// on the calling one. With one worker (`workers: Some(1)`, or a
+    /// single-core host under `None`) nothing is spawned here and the
+    /// matcher is built after the chain. The output depends on neither.
     pub fn run(&self, dataset: &Dataset) -> PipelineOutput {
-        let build_matcher = || Matcher::new(dataset, self.config.matcher.clone());
-        let candidates = || {
-            let raw = self.block(dataset);
+        let threads = self.threads();
+        let mode = self.config.mode;
+        let matcher_config = self.config.matcher.clone();
+        let chain = |raw: BlockCollection| {
             let blocks_raw = (raw.len(), raw.total_comparisons());
             let clean = self.clean_blocks(raw);
             let blocks_clean = (clean.len(), clean.total_comparisons());
             (blocks_raw, blocks_clean, self.meta_block(&clean))
         };
-        let threads = self
-            .config
-            .workers
-            .unwrap_or_else(minoan_common::default_threads);
-        let ((blocks_raw, blocks_clean, candidates), matcher) = if threads > 1 {
-            std::thread::scope(|s| {
-                let matcher = s.spawn(build_matcher);
-                let candidates = candidates();
-                let matcher = matcher
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                (candidates, matcher)
-            })
-        } else {
-            (candidates(), build_matcher())
+        let shared = match self.config.blocking {
+            BlockingMethod::Token => Some(TokenKeys::Values),
+            BlockingMethod::TokenAndUri => Some(TokenKeys::Both),
+            _ => None,
+        };
+        let ((blocks_raw, blocks_clean, candidates), matcher) = match shared {
+            Some(keys) => {
+                let pass = token_pass(dataset, keys, threads);
+                let tokens = TokenRows::value_tokens(&pass);
+                overlapped(
+                    threads,
+                    || {
+                        chain(BlockCollection::from_assignments_with_threads(
+                            dataset, mode, pass, threads,
+                        ))
+                    },
+                    || Matcher::from_rows(dataset, tokens, matcher_config),
+                )
+            }
+            None => overlapped(
+                threads,
+                || chain(self.block(dataset)),
+                || Matcher::with_threads(dataset, matcher_config, threads),
+            ),
         };
         let resolver = ProgressiveResolver::new(dataset, matcher, self.config.resolver.clone());
         let resolution = resolver.run(&candidates);
@@ -219,6 +250,26 @@ impl Pipeline {
             resolution,
         }
     }
+}
+
+/// Runs `chain` on the calling thread and, with more than one worker,
+/// `matcher` on a scoped thread beside it — after it otherwise.
+fn overlapped<C, M: Send>(
+    threads: usize,
+    chain: impl FnOnce() -> C,
+    matcher: impl FnOnce() -> M + Send,
+) -> (C, M) {
+    if threads <= 1 {
+        return (chain(), matcher());
+    }
+    std::thread::scope(|s| {
+        let matcher = s.spawn(matcher);
+        let chain = chain();
+        let matcher = matcher
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (chain, matcher)
+    })
 }
 
 #[cfg(test)]

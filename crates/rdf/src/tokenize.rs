@@ -24,6 +24,10 @@ fn is_stop_word(tok: &str) -> bool {
     STOP_WORDS.contains(&tok)
 }
 
+/// Bytes of the longest stop word: a longer token is kept without a look at
+/// the list.
+const LONGEST_STOP_WORD: usize = 4;
+
 /// Iterates the blocking tokens of a literal value: maximal alphanumeric
 /// runs, lower-cased, length ≥ 2, stop words removed. Pure digits are kept
 /// (years and numeric codes are strong evidence in LOD data).
@@ -77,7 +81,7 @@ pub fn value_tokens_with(value: &str, buffers: &mut TokenBuffers, mut f: impl Fn
         .filter(|t| t.len() >= 2)
     {
         let lowered = lower_into(tok, &mut buffers.lower);
-        if !is_stop_word(lowered) {
+        if lowered.len() > LONGEST_STOP_WORD || !is_stop_word(lowered) {
             f(lowered);
         }
     }
@@ -154,32 +158,31 @@ pub fn decompose_uri(uri: &str) -> UriDecomposition<'_> {
             };
         }
     };
-    let mut segs: Vec<(usize, &str)> = Vec::new();
-    let mut offset = path_start;
-    for seg in uri[path_start..].split('/') {
-        segs.push((offset, seg));
-        offset += seg.len() + 1;
-    }
     // Walk back over empty and generic segments: they belong to the suffix.
-    let mut end = segs.len();
-    while end > 0 {
-        let seg = segs[end - 1].1;
-        let is_generic =
-            seg.is_empty() || GENERIC_SUFFIX_SEGMENTS.contains(&seg.to_lowercase().as_str());
-        if is_generic {
-            end -= 1;
-        } else {
-            break;
+    // ASCII case folding is the whole comparison: no generic word holds a
+    // letter that some non-ASCII character lowers to.
+    let mut end = uri.len();
+    let (seg_off, seg) = loop {
+        let seg_off = uri[path_start..end]
+            .rfind('/')
+            .map_or(path_start, |slash| path_start + slash + 1);
+        let seg = &uri[seg_off..end];
+        let is_generic = seg.is_empty()
+            || GENERIC_SUFFIX_SEGMENTS
+                .iter()
+                .any(|generic| seg.eq_ignore_ascii_case(generic));
+        if !is_generic {
+            break (seg_off, seg);
         }
-    }
-    if end == 0 {
-        return UriDecomposition {
-            prefix: &uri[..path_start],
-            infix: "",
-            suffix: &uri[path_start..],
-        };
-    }
-    let (seg_off, seg) = segs[end - 1];
+        if seg_off == path_start {
+            return UriDecomposition {
+                prefix: &uri[..path_start],
+                infix: "",
+                suffix: &uri[path_start..],
+            };
+        }
+        end = seg_off - 1;
+    };
     // Split a file extension off the naming segment.
     let (infix_len, _ext) = match seg.rfind('.') {
         Some(dot) if dot > 0 && seg.len() - dot <= 6 => (dot, &seg[dot + 1..]),
@@ -262,6 +265,48 @@ mod tests {
             uri_infix_tokens_with(uri, &mut buffers, |t| visited.push(t.to_string()));
             assert_eq!(visited, uri_infix_tokens(uri), "uri: {uri}");
         }
+    }
+
+    /// Why `decompose_uri` may compare segments with `eq_ignore_ascii_case`
+    /// where it used to lower-case them: a segment lowers to a generic word
+    /// only if it is ASCII.
+    #[test]
+    fn no_non_ascii_char_lowers_to_a_letter_of_a_generic_word() {
+        for c in (0x80..=u32::from(char::MAX)).filter_map(char::from_u32) {
+            for lowered in c.to_lowercase().filter(char::is_ascii) {
+                assert!(
+                    GENERIC_SUFFIX_SEGMENTS.iter().all(|w| !w.contains(lowered)),
+                    "{c:?} lowers to {lowered:?}"
+                );
+            }
+        }
+        assert!(GENERIC_SUFFIX_SEGMENTS
+            .iter()
+            .all(|w| w.bytes().all(|b| b.is_ascii_lowercase())));
+    }
+
+    #[test]
+    fn the_stop_word_length_bound_is_the_longest_stop_word() {
+        let longest = STOP_WORDS.iter().map(|w| w.len()).max();
+        assert_eq!(longest, Some(LONGEST_STOP_WORD));
+    }
+
+    #[test]
+    fn decompose_generic_segments_in_any_ascii_case() {
+        let d = decompose_uri("http://example.org/people/Ada/ABOUT/Page//");
+        assert_eq!(
+            (d.prefix, d.infix, d.suffix),
+            ("http://example.org/people/", "Ada", "/ABOUT/Page//")
+        );
+        // Nothing but generic segments: all suffix.
+        let d = decompose_uri("http://example.org/Data/rdf/");
+        assert_eq!(
+            (d.prefix, d.infix, d.suffix),
+            ("http://example.org/", "", "Data/rdf/")
+        );
+        // The Kelvin sign lowers to `k`, which no generic word contains.
+        let d = decompose_uri("http://example.org/x/\u{212a}");
+        assert_eq!(d.infix, "\u{212a}");
     }
 
     #[test]

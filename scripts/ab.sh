@@ -5,19 +5,21 @@
 #
 #   bash scripts/ab.sh --parent <rev> --workload W [--pairs 10] [--seconds S] [--seed N]
 #
-# The first line of output is a two-thread scaling probe — a fixed spin run
-# once, then twice side by side — so every recorded claim says whether the
-# host's second CPU was real while it was measured:
+# A two-thread scaling probe — a fixed spin run once, then twice side by
+# side — runs before every pair and is printed on the pair's line, so every
+# recorded claim says whether the host's second CPU was real *while that
+# pair was measured* (it comes and goes between consecutive pairs):
 #
-#   scaling probe: one 80 ms, two in parallel 160 ms → 1.0 cores
+#   pair  3  seed 503  1.9 cores (one 80 ms, two 84 ms)  parent → change  …
 #
-# Then: <rev> is exported into target/ab/parent-src, each side's frozen
+# <rev> is exported into target/ab/parent-src, each side's frozen
 # benchmark/ is built once into a target directory of its own, and the two
 # `bench` binaries run `--pairs` times on seeds N, N+1, …, the side that
 # goes first alternating. Every pair is printed as it finishes; the summary
 # gives, per end-to-end metric of BENCHMARK.json, each side's q1/median/q3,
 # the pairs the change won, and the gap between the medians against the
-# parent's own quartile distance.
+# parent's own quartile distance — over all pairs, and again for the pairs
+# whose probe read under and over 1.5 cores when the host offered both.
 #
 # Reads and writes nothing outside target/ab. `--parent HEAD` on a clean
 # tree is an A/A run (CI does one pair of it so the script cannot rot).
@@ -46,9 +48,12 @@ spin() {
     for ((i = 0; i < 50000; i++)); do :; done
 }
 since_ms() { echo $((($(date +%s%N) - $1) / 1000000)); }
-t="$(date +%s%N)"; spin; one="$(since_ms "$t")"
-t="$(date +%s%N)"; spin & spin & wait; two="$(since_ms "$t")"
-echo "scaling probe: one $one ms, two in parallel $two ms → $(awk "BEGIN { printf \"%.1f\", 2 * $one / $two }") cores"
+probe() { # sets $one, $two (ms) and $cores
+    local t
+    t="$(date +%s%N)"; spin; one="$(since_ms "$t")"
+    t="$(date +%s%N)"; spin & spin & wait; two="$(since_ms "$t")"
+    cores="$(awk "BEGIN { printf \"%.1f\", 2 * $one / ($two > 0 ? $two : 1) }")"
+}
 
 # ---- both sides, built once -------------------------------------------------
 out="$root/target/ab"
@@ -73,9 +78,12 @@ run() { # side pair-index
 op_ms() { sed -n 's/.*"op_p50_ms": {"value": \([0-9.eE+-]*\).*/\1/p' "$out/runs/$1-$2.json"; }
 for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+    probe
+    echo "$cores" >"$out/runs/probe-$i"
     for side in $order; do run "$side" "$i"; done
-    printf 'pair %2d  seed %d  %-13s  op_p50_ms  parent %10.4g  change %10.4g\n' \
-        $((i + 1)) $((seed + i)) "${order/ / → }" "$(op_ms parent "$i")" "$(op_ms change "$i")"
+    printf 'pair %2d  seed %d  %s cores (one %d ms, two %d ms)  %-13s  op_p50_ms  parent %10.4g  change %10.4g\n' \
+        $((i + 1)) $((seed + i)) "$cores" "$one" "$two" "${order/ / → }" \
+        "$(op_ms parent "$i")" "$(op_ms change "$i")"
 done
 
 # ---- the summary ----------------------------------------------------------------
@@ -91,26 +99,41 @@ def load(side, i):
         return json.load(f)
 
 sides = {side: [load(side, i) for i in range(pairs)] for side in ("parent", "change")}
+cores = []
+for i in range(pairs):
+    with open(f"{runs}/probe-{i}") as f:
+        cores.append(float(f.read()))
 
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
     return tuple(statistics.quantiles(values, n=4))
 
-for m in metrics:
-    name, lower = m["name"], m["better"] == "lower"
-    p = [r["metrics"][name]["value"] for r in sides["parent"]]
-    c = [r["metrics"][name]["value"] for r in sides["change"]]
+def report(name, lower, which, label):
+    p = [sides["parent"][i]["metrics"][name]["value"] for i in which]
+    c = [sides["change"][i]["metrics"][name]["value"] for i in which]
     wins = sum((y < x) if lower else (y > x) for x, y in zip(p, c))
     losses = sum((y > x) if lower else (y < x) for x, y in zip(p, c))
     (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
     ratio = statistics.median(y / x for x, y in zip(p, c) if x)
-    print(f"{name} ({m['unit']}, {m['better']} is better)")
-    print(f"  parent q1/median/q3  {p1:.6g} / {pm:.6g} / {p3:.6g}")
-    print(f"  change q1/median/q3  {c1:.6g} / {cm:.6g} / {c3:.6g}")
-    print(f"  change better in {wins}/{pairs} pairs, worse in {losses}; "
+    print(f"  {label}")
+    print(f"    parent q1/median/q3  {p1:.6g} / {pm:.6g} / {p3:.6g}")
+    print(f"    change q1/median/q3  {c1:.6g} / {cm:.6g} / {c3:.6g}")
+    print(f"    change better in {wins}/{len(which)} pairs, worse in {losses}; "
           f"median pair ratio {ratio:.3f}")
-    print(f"  median gap {abs(cm - pm):.6g} vs parent IQR {p3 - p1:.6g}")
+    print(f"    median gap {abs(cm - pm):.6g} vs parent IQR {p3 - p1:.6g}")
+
+# The regimes the host offered: was the second CPU there for the pair?
+everything = list(range(pairs))
+under = [i for i in everything if cores[i] < 1.5]
+over = [i for i in everything if cores[i] >= 1.5]
+for m in metrics:
+    name, lower = m["name"], m["better"] == "lower"
+    print(f"{name} ({m['unit']}, {m['better']} is better)")
+    report(name, lower, everything, f"all {pairs} pairs")
+    if under and over:
+        report(name, lower, under, f"{len(under)} pairs under 1.5 cores")
+        report(name, lower, over, f"{len(over)} pairs at or over 1.5 cores")
 for side, records in sides.items():
     failed = sum(r["failed"] for r in records)
     attempted = sum(r["attempted"] for r in records)

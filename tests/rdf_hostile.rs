@@ -9,6 +9,7 @@
 //! beyond the input" is observed rather than argued.
 
 use minoan::rdf::ntriples::{self, StatementReader};
+use minoan::rdf::tokenize::{self, TokenBuffers, UriDecomposition};
 use minoan::rdf::{turtle, DatasetBuilder, LoadError, Object};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -228,6 +229,149 @@ proptest! {
             }
         }
         run_all(&bytes);
+    }
+}
+
+/// `tokenize::decompose_uri` as it was written before it stopped
+/// allocating: every path segment collected, each trailing one lower-cased
+/// into a `String` to compare it. The oracle of the property below.
+fn decompose_uri_collecting(uri: &str) -> UriDecomposition<'_> {
+    const GENERIC: &[&str] = &["about", "html", "rdf", "xml", "json", "page", "data"];
+    if let Some(hash) = uri.rfind('#') {
+        let frag = &uri[hash + 1..];
+        if !frag.is_empty() && !GENERIC.contains(&frag) {
+            return UriDecomposition {
+                prefix: &uri[..hash + 1],
+                infix: frag,
+                suffix: "",
+            };
+        }
+    }
+    let body_start = uri.find("://").map_or(0, |i| i + 3);
+    let Some(slash) = uri[body_start..].find('/') else {
+        return UriDecomposition {
+            prefix: uri,
+            infix: "",
+            suffix: "",
+        };
+    };
+    let path_start = body_start + slash + 1;
+    let mut segs: Vec<(usize, &str)> = Vec::new();
+    let mut offset = path_start;
+    for seg in uri[path_start..].split('/') {
+        segs.push((offset, seg));
+        offset += seg.len() + 1;
+    }
+    let generic = |seg: &str| seg.is_empty() || GENERIC.contains(&seg.to_lowercase().as_str());
+    while segs.last().is_some_and(|&(_, seg)| generic(seg)) {
+        segs.pop();
+    }
+    let Some(&(seg_off, seg)) = segs.last() else {
+        return UriDecomposition {
+            prefix: &uri[..path_start],
+            infix: "",
+            suffix: &uri[path_start..],
+        };
+    };
+    let infix_len = match seg.rfind('.') {
+        Some(dot) if dot > 0 && seg.len() - dot <= 6 => dot,
+        _ => seg.len(),
+    };
+    UriDecomposition {
+        prefix: &uri[..seg_off],
+        infix: &uri[seg_off..seg_off + infix_len],
+        suffix: &uri[seg_off + infix_len..],
+    }
+}
+
+/// What IRIs are made of here: the separators the decomposition looks for,
+/// generic segments in several cases, extensions, camelCase, stop words,
+/// characters whose case folding is not ASCII's (`İ` lowers to two chars,
+/// the Kelvin sign to `k`, `ſ` upper-cases to `S`).
+const IRI_PARTS: &[&str] = &[
+    "/",
+    "/",
+    "//",
+    "#",
+    "://",
+    ".",
+    ":",
+    "http",
+    "k",
+    "example.org",
+    "about",
+    "ABOUT",
+    "Page",
+    "dAtA",
+    "rdf",
+    "RDF",
+    "xml",
+    "Json",
+    "html",
+    "HTML",
+    ".html",
+    ".jsonld",
+    "Knossos_Palace",
+    "mikisTheodorakis",
+    "the",
+    "of",
+    "From",
+    "with",
+    "withal",
+    "a",
+    "42",
+    "x1900",
+    "\u{130}",
+    "\u{212a}",
+    "\u{17f}",
+    "d\u{e4}ta",
+    "\u{3a3}\u{399}\u{393}\u{39c}\u{391}\u{3a3}",
+    "%20",
+    " ",
+    "_",
+    "-",
+];
+
+fn assert_tokenises_like_the_oracles(text: &str, buffers: &mut TokenBuffers) {
+    assert_eq!(
+        tokenize::decompose_uri(text),
+        decompose_uri_collecting(text),
+        "{text:?}"
+    );
+    let mut visited: Vec<String> = Vec::new();
+    tokenize::uri_infix_tokens_with(text, buffers, |t| visited.push(t.to_string()));
+    assert_eq!(visited, tokenize::uri_infix_tokens(text), "{text:?}");
+    visited.clear();
+    tokenize::value_tokens_with(text, buffers, |t| visited.push(t.to_string()));
+    assert_eq!(visited, tokenize::value_token_vec(text), "{text:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The allocation-free tokeniser — segments walked from the back,
+    /// ASCII case folding, the stop-word list consulted for short tokens
+    /// only — decomposes and tokenises exactly like the collecting,
+    /// lower-casing one: over IRIs assembled from the parts above, over
+    /// the grammar's own alphabet, and over every IRI-shaped piece of the
+    /// mutated seed document.
+    #[test]
+    fn the_tokeniser_equals_its_allocating_oracles(seed in 0u64..u64::MAX, parts in 0usize..12) {
+        let mut rng = SplitMix(seed);
+        let mut buffers = TokenBuffers::default();
+        let iri: String = (0..parts).map(|_| rng.pick(IRI_PARTS)).collect();
+        assert_tokenises_like_the_oracles(&iri, &mut buffers);
+        assert_tokenises_like_the_oracles(&format!("http://k/{iri}"), &mut buffers);
+        let spiced: Vec<u8> = (0..parts * 4).map(|_| rng.pick(SPICE)).collect();
+        assert_tokenises_like_the_oracles(&String::from_utf8_lossy(&spiced), &mut buffers);
+        let mut document = SEED_DOCUMENT.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(4) {
+            let at = rng.below(document.len());
+            document[at] = rng.pick(SPICE);
+        }
+        for piece in String::from_utf8_lossy(&document).split(['<', '>', '"', ' ', '\n']) {
+            assert_tokenises_like_the_oracles(piece, &mut buffers);
+        }
     }
 }
 
