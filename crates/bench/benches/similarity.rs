@@ -104,8 +104,8 @@ fn bench_interner(c: &mut Criterion) {
     // One predicate per attribute in statement order, all hits.
     let statements: Vec<&str> = dataset
         .entities()
-        .flat_map(|e| &dataset.description(e).attributes)
-        .map(|(p, _)| dataset.predicate_name(*p))
+        .flat_map(|e| dataset.description(e).attributes())
+        .map(|(p, _)| dataset.predicate_name(p))
         .collect();
     let mut predicates = dataset.predicates().clone();
     group.throughput(Throughput::Elements(statements.len() as u64));

@@ -89,7 +89,7 @@ fn token_pass_over(dataset: &Dataset, keys: TokenKeys, ranges: &[Range<usize>]) 
 /// The result is the same for every `threads` value (including 1).
 /// Contiguous entity ranges of roughly equal attribute count are
 /// tokenised into range-local interners on scoped threads, then folded
-/// left ([`KeyAssignments::append`]): range `k`'s strings enter the global
+/// left (`KeyAssignments::append`): range `k`'s strings enter the global
 /// interner in their local symbol order, which is the order a serial pass
 /// would have met them first, so symbols, runs and marking are exactly the
 /// serial ones. The fold costs one intern per *distinct* string of every
@@ -98,7 +98,7 @@ pub fn token_pass(dataset: &Dataset, keys: TokenKeys, threads: usize) -> KeyAssi
     let cost_ends: Vec<u32> = dataset
         .entities()
         .scan(0u32, |cost, e| {
-            let work = dataset.description(e).attributes.len() + 1;
+            let work = dataset.description(e).attributes().len() + 1;
             *cost = cost.saturating_add(u32::try_from(work).unwrap_or(u32::MAX));
             Some(*cost)
         })
@@ -161,8 +161,7 @@ pub fn attribute_clustering_blocking(
     let mut vocab: FxHashMap<(u16, u32), FxHashSet<String>> = FxHashMap::default();
     for e in dataset.entities() {
         let kb = dataset.kb_of(e).0;
-        let d = dataset.description(e);
-        for (p, v) in &d.attributes {
+        for (p, v) in dataset.description(e).attributes() {
             let toks = match v {
                 Value::Literal(s) => tokenize::value_tokens(s).collect::<Vec<_>>(),
                 Value::Resource(u) => tokenize::uri_infix_tokens(u),
@@ -209,8 +208,7 @@ pub fn attribute_clustering_blocking(
     let mut prefix = String::new();
     for e in dataset.entities() {
         let kb = dataset.kb_of(e).0;
-        let d = dataset.description(e);
-        for (p, v) in &d.attributes {
+        for (p, v) in dataset.description(e).attributes() {
             let Some(&cluster) = cluster_of.get(&(kb, p.0)) else {
                 continue;
             };

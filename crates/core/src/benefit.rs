@@ -126,7 +126,7 @@ impl<'d> ResolutionState<'d> {
         let mut names: Vec<u32> = Vec::new();
         for e in dataset.entities() {
             names.clear();
-            names.extend(dataset.description(e).attributes.iter().map(|(p, _)| p.0));
+            names.extend(dataset.description(e).attributes().map(|(p, _)| p.0));
             names.sort_unstable();
             names.dedup();
             cluster_attrs.push((attr_sets.len(), attr_sets.len() + names.len()));
@@ -328,13 +328,7 @@ mod tests {
         let ds = b.build();
         let own: Vec<HashSet<u32>> = ds
             .entities()
-            .map(|e| {
-                ds.description(e)
-                    .attributes
-                    .iter()
-                    .map(|(p, _)| p.0)
-                    .collect()
-            })
+            .map(|e| ds.description(e).attributes().map(|(p, _)| p.0).collect())
             .collect();
         for round in 0..20 {
             let mut state = ResolutionState::new(&ds);

@@ -70,7 +70,12 @@ impl CandidatePool {
     /// weight (so the best blocking evidence maps to prior 1.0).
     pub fn from_weighted_pairs(pairs: &[(EntityId, EntityId, f64)]) -> Self {
         let max_w = pairs.iter().map(|p| p.2).fold(0.0f64, f64::max);
-        let mut pool = Self::new();
+        // Sized once: growing to a blocking-sized pool by doubling walks
+        // the pair map through a rehash per step.
+        let mut pool = Self {
+            candidates: Vec::with_capacity(pairs.len()),
+            by_pair: FxHashMap::with_capacity_and_hasher(pairs.len(), Default::default()),
+        };
         for &(a, b, w) in pairs {
             let prior = if max_w > 0.0 {
                 (w / max_w).clamp(0.0, 1.0)

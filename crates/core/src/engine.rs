@@ -147,7 +147,7 @@ impl<'d> ProgressiveResolver<'d> {
     /// Fixed-order strategies: no scheduling, no update phase.
     fn run_fixed_order(&self, pairs: Vec<(EntityId, EntityId, f64)>) -> Resolution {
         let mut state = ResolutionState::new(self.dataset);
-        let mut trace = Trace::new();
+        let mut trace = self.trace_for(pairs.len());
         let mut matches = Vec::new();
         let mut consumed: FxHashSet<(u32, u16)> = FxHashSet::default();
         let mut jaro = JaroScratch::default();
@@ -199,7 +199,7 @@ impl<'d> ProgressiveResolver<'d> {
         let mut consumed: FxHashSet<(u32, u16)> = FxHashSet::default();
         let mut jaro = JaroScratch::default();
 
-        let mut trace = Trace::new();
+        let mut trace = self.trace_for(pairs.len());
         let mut matches = Vec::new();
         let mut comparisons = 0u64;
         let mut discovered = 0usize;
@@ -321,6 +321,13 @@ impl<'d> ProgressiveResolver<'d> {
             }
         }
         discovered
+    }
+
+    /// An empty trace with room for one step per candidate pair, or for
+    /// the whole budget when that is less.
+    fn trace_for(&self, pairs: usize) -> Trace {
+        let budget = usize::try_from(self.config.budget).unwrap_or(usize::MAX);
+        Trace::with_capacity(pairs.min(budget))
     }
 
     fn consumed(&self, consumed: &FxHashSet<(u32, u16)>, a: EntityId, b: EntityId) -> bool {

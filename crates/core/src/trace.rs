@@ -48,6 +48,13 @@ impl Trace {
         Self::default()
     }
 
+    /// Empty trace with room for `steps` comparisons.
+    pub fn with_capacity(steps: usize) -> Self {
+        Self {
+            steps: Vec::with_capacity(steps),
+        }
+    }
+
     /// Appends a step (engine-internal).
     pub fn push(&mut self, step: TraceStep) {
         debug_assert_eq!(

@@ -236,8 +236,8 @@ mod tests {
         for e in g1.dataset.entities() {
             assert_eq!(g1.dataset.uri(e), g2.dataset.uri(e));
             assert_eq!(
-                g1.dataset.description(e).attributes.len(),
-                g2.dataset.description(e).attributes.len()
+                g1.dataset.description(e).attributes().len(),
+                g2.dataset.description(e).attributes().len()
             );
         }
         assert_eq!(g1.truth.matching_pairs(), g2.truth.matching_pairs());
@@ -368,6 +368,61 @@ mod tests {
             "periphery KBs should use mostly proprietary vocabulary ({proprietary}/{})",
             preds.len()
         );
+    }
+
+    /// `Dataset::to_ntriples` writes from the slabs what
+    /// `ntriples::write_document` writes from collected triples — over
+    /// generated worlds re-added with every escape the writer knows spliced
+    /// into their literal values.
+    #[test]
+    fn to_ntriples_equals_the_triple_writer_byte_for_byte() {
+        use minoan_rdf::{ntriples, DatasetBuilder, KbId, Term, Triple, Value};
+        const SPICE: [&str; 6] = ["\"", "\\", "\n", "\r", "\t", "\\n \u{3c0}\"\""];
+        for config in [
+            crate::profiles::lod_cloud(150, 3),
+            crate::profiles::dirty_single(150, 4),
+        ] {
+            let plain = generate(&config).dataset;
+            let mut builder = DatasetBuilder::new();
+            let mut collected: Vec<Vec<Triple>> = Vec::new();
+            let mut spiced = 0usize;
+            for info in plain.kbs() {
+                let kb = builder.add_kb(&info.name, &info.namespace);
+                let mut triples = Vec::new();
+                for &e in plain.entities_of_kb(kb) {
+                    let uri = plain.uri(e);
+                    for (p, v) in plain.description(e).attributes() {
+                        let predicate = plain.predicate_name(p);
+                        let object = match v {
+                            Value::Resource(target) => {
+                                builder.add_resource(kb, uri, predicate, target);
+                                Term::iri(target)
+                            }
+                            Value::Literal(value) => {
+                                let spice = SPICE[spiced % SPICE.len()];
+                                let value = match spiced % 3 {
+                                    0 => format!("{spice}{value}"),
+                                    1 => format!("{value}{spice}"),
+                                    _ => value.replacen(' ', spice, 1),
+                                };
+                                spiced += 1;
+                                builder.add_literal(kb, uri, predicate, &value);
+                                Term::literal(value)
+                            }
+                        };
+                        triples.push(Triple::new(Term::iri(uri), predicate, object));
+                    }
+                }
+                collected.push(triples);
+            }
+            assert!(spiced > SPICE.len());
+            let dataset = builder.build();
+            for (kb, triples) in collected.iter().enumerate() {
+                let written = dataset.to_ntriples(KbId(kb as u16));
+                assert!(written == ntriples::write_document(triples), "KB {kb}");
+                assert_eq!(ntriples::parse_document(&written).as_ref(), Ok(triples));
+            }
+        }
     }
 
     #[test]

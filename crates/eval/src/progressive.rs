@@ -57,8 +57,7 @@ pub fn progressive_curves(
         .map(|e| {
             dataset
                 .description(EntityId(e))
-                .attributes
-                .iter()
+                .attributes()
                 .map(|(p, _)| p.0)
                 .collect()
         })

@@ -89,9 +89,11 @@ pub fn rule_by_name(name: &str) -> Option<&'static RuleInfo> {
 /// kernel with the progressive loop around it (a comparison recomputes
 /// nothing that is a fact of one description), and the text front end (a
 /// parsed term is a slice of its line; the loader copies an attribute
-/// value once, into the description that keeps it), and the interner every
-/// token of the block build and of `Matcher::new` goes through (a string is
-/// an append to one arena, never a heap object of its own).
+/// value once, into the arena of the dataset that keeps it — `dataset.rs`
+/// holds the builder's per-attribute entries and that arena), and the
+/// interner every token of the block build and of `Matcher::new` goes
+/// through (a string is an append to one arena, never a heap object of its
+/// own).
 const HOT_PATH_FILES: &[&str] = &[
     "crates/common/src/interner.rs",
     "crates/blocking/src/builders.rs",
@@ -111,6 +113,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/scheduler.rs",
     "crates/core/src/candidates.rs",
     "crates/rdf/src/ntriples.rs",
+    "crates/rdf/src/dataset.rs",
     "crates/rdf/src/dataset/load.rs",
 ];
 

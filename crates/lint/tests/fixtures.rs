@@ -96,6 +96,24 @@ fn ml001_per_statement_terms_clean() {
 }
 
 #[test]
+fn ml001_per_attribute_heap_objects_fire_in_the_dataset_builder() {
+    let src = include_str!("lint_fixtures/ml001_dataset_fire.rs");
+    // A boxed copy per attribute value, a lower-cased copy per predicate.
+    assert_eq!(
+        fired("crates/rdf/src/dataset.rs", src),
+        vec![("ML001", 2), ("ML001", 6)]
+    );
+    // The tokeniser next door is watched through its callers, not here.
+    assert_eq!(fired("crates/rdf/src/tokenize.rs", src), vec![]);
+}
+
+#[test]
+fn ml001_slab_dataset_builder_clean() {
+    let src = include_str!("lint_fixtures/ml001_dataset_clean.rs");
+    assert_eq!(fired("crates/rdf/src/dataset.rs", src), vec![]);
+}
+
+#[test]
 fn ml001_per_string_heap_objects_fire_in_the_interner() {
     let src = include_str!("lint_fixtures/ml001_interner_fire.rs");
     // A boxed copy per interned string, a `format!` per prefixed key.

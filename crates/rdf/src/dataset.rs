@@ -6,11 +6,46 @@
 //! *neighbour graph* — which descriptions link to which via resource-valued
 //! attributes — that the progressive update phase exploits as similarity
 //! evidence.
+//!
+//! # Layout
+//!
+//! A dataset is a handful of flat slabs; no description, attribute or URI
+//! is a heap object of its own:
+//!
+//! * `uris` — an [`Interner`] over the subject URIs. Only subjects are
+//!   interned, so its contract (the `k`-th distinct string is symbol `k`)
+//!   *is* the entity numbering: symbol `k` is [`EntityId`]`(k)`, entities
+//!   are numbered by first mention as a subject, and
+//!   [`Dataset::entity_by_uri`] is one interner probe.
+//! * `kb_of` — the owning KB of every entity, dense.
+//! * `text` — one arena holding every attribute value back to back.
+//! * `attrs` / `attr_offsets` — the attribute rows in CSR form: entity
+//!   `e`'s attributes are `attrs[attr_offsets[e]..attr_offsets[e + 1]]`, in
+//!   statement order; an attribute is a predicate symbol, a span of `text`
+//!   and whether the value is a resource.
+//! * `neighbors` / `neighbor_offsets` — the neighbour graph, CSR as well.
+//!
+//! [`Description`] and [`Value`] are `Copy` views borrowing from those
+//! slabs. [`DatasetBuilder`] is the same arena and interners plus an
+//! append-only attribute **log** in statement order; `build` turns the log
+//! into rows with one stable counting sort, skipped when the log's entity
+//! ids never decrease (every subject-grouped dump).
+//!
+//! What allocates: the slabs when they grow (amortised doubling), per
+//! statement nothing. Dropping a dataset frees a dozen buffers.
+//!
+//! # Caps
+//!
+//! At most `u32::MAX` entities, `u32::MAX` attributes and 4 GiB of
+//! attribute text (and the interner's 4 GiB of subject URIs); crossing one
+//! is an `expect` panic ("dataset overflow" / "interner overflow"), never a
+//! wrapped offset. At most 65 536 KBs. Both interners hash with unkeyed
+//! Fx, as the URI index they replace did: a dump crafted to collide slows
+//! their probes, never changes their answers.
 
-use crate::ntriples;
-use crate::term::{Term, Triple};
+use crate::term::push_escaped_literal;
 use crate::tokenize;
-use minoan_common::{FxHashMap, Interner, Symbol};
+use minoan_common::{Interner, Symbol};
 use std::fmt;
 
 mod load;
@@ -47,20 +82,20 @@ impl KbId {
     }
 }
 
-/// An attribute value: either a literal string or a reference to another
-/// resource by URI.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Value {
+/// An attribute value, borrowed from its [`Dataset`]: either a literal
+/// string or a reference to another resource by URI.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Value<'d> {
     /// Literal lexical form (language tags / datatypes are dropped — the
     /// schema-agnostic algorithms only use the lexical form).
-    Literal(Box<str>),
+    Literal(&'d str),
     /// URI of the referenced resource.
-    Resource(Box<str>),
+    Resource(&'d str),
 }
 
-impl Value {
+impl<'d> Value<'d> {
     /// The literal form, if any.
-    pub fn as_literal(&self) -> Option<&str> {
+    pub fn as_literal(self) -> Option<&'d str> {
         match self {
             Value::Literal(s) => Some(s),
             Value::Resource(_) => None,
@@ -68,35 +103,95 @@ impl Value {
     }
 
     /// The resource URI, if any.
-    pub fn as_resource(&self) -> Option<&str> {
+    pub fn as_resource(self) -> Option<&'d str> {
         match self {
             Value::Resource(s) => Some(s),
             Value::Literal(_) => None,
         }
     }
+
+    /// The stored text, whichever kind it is.
+    pub fn text(self) -> &'d str {
+        match self {
+            Value::Literal(s) | Value::Resource(s) => s,
+        }
+    }
 }
 
-/// One entity description: all attribute–value pairs of a subject URI.
-#[derive(Clone, Debug)]
-pub struct Description {
+/// One stored attribute: its predicate and where its value sits in the
+/// text arena.
+#[derive(Clone, Copy)]
+struct Attr {
+    predicate: Symbol,
+    start: u32,
+    len: u32,
+    resource: bool,
+}
+
+impl Attr {
+    /// The value's text in `arena`.
+    #[inline]
+    fn text(self, arena: &str) -> &str {
+        &arena[self.start as usize..][..self.len as usize]
+    }
+
+    #[inline]
+    fn value(self, arena: &str) -> Value<'_> {
+        if self.resource {
+            Value::Resource(self.text(arena))
+        } else {
+            Value::Literal(self.text(arena))
+        }
+    }
+}
+
+/// One entity description — all attribute–value pairs of a subject URI —
+/// as a `Copy` view into its [`Dataset`].
+#[derive(Clone, Copy)]
+pub struct Description<'d> {
+    dataset: &'d Dataset,
+    entity: EntityId,
+}
+
+impl<'d> Description<'d> {
     /// Subject URI.
-    pub uri: Box<str>,
-    /// Owning knowledge base.
-    pub kb: KbId,
-    /// Attribute–value pairs; attribute names are interned in the dataset's
-    /// predicate interner.
-    pub attributes: Vec<(Symbol, Value)>,
-}
+    pub fn uri(self) -> &'d str {
+        self.dataset.uri(self.entity)
+    }
 
-impl Description {
+    /// Owning knowledge base.
+    pub fn kb(self) -> KbId {
+        self.dataset.kb_of(self.entity)
+    }
+
+    /// Attribute–value pairs in statement order; attribute names are
+    /// symbols of the dataset's predicate interner.
+    pub fn attributes(self) -> impl ExactSizeIterator<Item = (Symbol, Value<'d>)> + 'd {
+        let text = self.dataset.text.as_str();
+        self.dataset
+            .row(self.entity)
+            .iter()
+            .map(move |a| (a.predicate, a.value(text)))
+    }
+
     /// Iterates literal values only.
-    pub fn literals(&self) -> impl Iterator<Item = &str> {
-        self.attributes.iter().filter_map(|(_, v)| v.as_literal())
+    pub fn literals(self) -> impl Iterator<Item = &'d str> + 'd {
+        self.attributes().filter_map(|(_, v)| v.as_literal())
     }
 
     /// Iterates resource-valued attributes only.
-    pub fn resources(&self) -> impl Iterator<Item = &str> {
-        self.attributes.iter().filter_map(|(_, v)| v.as_resource())
+    pub fn resources(self) -> impl Iterator<Item = &'d str> + 'd {
+        self.attributes().filter_map(|(_, v)| v.as_resource())
+    }
+}
+
+impl fmt::Debug for Description<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Description")
+            .field("uri", &self.uri())
+            .field("kb", &self.kb())
+            .field("attributes", &self.attributes().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -114,15 +209,22 @@ pub struct KbInfo {
 /// A set of knowledge bases viewed as entity descriptions + neighbour graph.
 ///
 /// Construction goes through [`DatasetBuilder`]; a built dataset is
-/// immutable, which lets every downstream algorithm borrow it freely.
+/// immutable, which lets every downstream algorithm borrow it freely. See
+/// the module docs for the storage layout.
 pub struct Dataset {
     predicates: Interner,
-    /// Per predicate symbol: whether its lower-cased IRI contains `label`,
-    /// `name` or `title` (decided once at build).
+    /// Per predicate symbol: whether its IRI contains `label`, `name` or
+    /// `title` in any ASCII letter case (decided once at build).
     name_like: Vec<bool>,
-    descriptions: Vec<Description>,
+    /// Subject URIs; symbol `k` is `EntityId(k)`.
+    uris: Interner,
+    kb_of: Vec<KbId>,
+    /// Every attribute value, back to back.
+    text: String,
+    /// Entity `e`'s attributes are `attrs[attr_offsets[e]..attr_offsets[e + 1]]`.
+    attr_offsets: Vec<u32>,
+    attrs: Vec<Attr>,
     kbs: Vec<KbInfo>,
-    uri_index: FxHashMap<Box<str>, EntityId>,
     /// Undirected, deduplicated adjacency in CSR form: the entities that
     /// `e` links to or is linked from via resource-valued attributes are
     /// `neighbors[neighbor_offsets[e]..neighbor_offsets[e + 1]]`, ascending.
@@ -134,12 +236,12 @@ pub struct Dataset {
 impl Dataset {
     /// Number of descriptions across all KBs.
     pub fn len(&self) -> usize {
-        self.descriptions.len()
+        self.kb_of.len()
     }
 
     /// Whether the dataset holds no description.
     pub fn is_empty(&self) -> bool {
-        self.descriptions.is_empty()
+        self.kb_of.is_empty()
     }
 
     /// Number of knowledge bases.
@@ -159,7 +261,7 @@ impl Dataset {
 
     /// Iterates all entity ids in increasing order.
     pub fn entities(&self) -> impl Iterator<Item = EntityId> + '_ {
-        (0..self.descriptions.len() as u32).map(EntityId)
+        (0..self.kb_of.len() as u32).map(EntityId)
     }
 
     /// Entity ids belonging to `kb`, in increasing order.
@@ -168,23 +270,27 @@ impl Dataset {
     }
 
     /// The description of `e`.
-    pub fn description(&self, e: EntityId) -> &Description {
-        &self.descriptions[e.index()]
+    pub fn description(&self, e: EntityId) -> Description<'_> {
+        Description {
+            dataset: self,
+            entity: e,
+        }
     }
 
     /// Owning KB of `e`.
+    #[inline]
     pub fn kb_of(&self, e: EntityId) -> KbId {
-        self.descriptions[e.index()].kb
+        self.kb_of[e.index()]
     }
 
     /// Subject URI of `e`.
     pub fn uri(&self, e: EntityId) -> &str {
-        &self.descriptions[e.index()].uri
+        self.uris.resolve(Symbol(e.0))
     }
 
     /// Looks an entity up by its subject URI.
     pub fn entity_by_uri(&self, uri: &str) -> Option<EntityId> {
-        self.uri_index.get(uri).copied()
+        self.uris.get(uri).map(|symbol| EntityId(symbol.0))
     }
 
     /// Neighbouring (linked) descriptions of `e`, sorted ascending.
@@ -203,12 +309,18 @@ impl Dataset {
         self.predicates.resolve(p)
     }
 
+    /// The attribute row of `e`.
+    #[inline]
+    fn row(&self, e: EntityId) -> &[Attr] {
+        let i = e.index();
+        &self.attrs[self.attr_offsets[i] as usize..self.attr_offsets[i + 1] as usize]
+    }
+
     /// All blocking tokens of `e`: tokens of every literal value plus the
     /// URI-infix tokens of every resource value and of the subject URI.
     pub fn blocking_tokens(&self, e: EntityId) -> Vec<String> {
-        let d = self.description(e);
-        let mut out = Vec::with_capacity(d.attributes.len() * 3);
-        for (_, v) in &d.attributes {
+        let mut out = Vec::with_capacity(self.row(e).len() * 3);
+        for (_, v) in self.description(e).attributes() {
             match v {
                 Value::Literal(s) => out.extend(tokenize::value_tokens(s)),
                 Value::Resource(u) => out.extend(tokenize::uri_infix_tokens(u)),
@@ -221,27 +333,28 @@ impl Dataset {
     /// order, as [`Self::blocking_tokens`] — without allocating a
     /// `String` per token. This is the hot path of the string-free block
     /// builders: each token is composed in `buffers` and borrowed by `f`
-    /// for the duration of the call (typically to intern it).
+    /// for the duration of the call (typically to intern it). Consecutive
+    /// entities read consecutive rows and consecutive arena bytes.
     pub fn for_each_blocking_token(
         &self,
         e: EntityId,
         buffers: &mut tokenize::TokenBuffers,
         mut f: impl FnMut(&str),
     ) {
-        let d = self.description(e);
-        for (_, v) in &d.attributes {
-            match v {
-                Value::Literal(s) => tokenize::value_tokens_with(s, buffers, &mut f),
-                Value::Resource(u) => tokenize::uri_infix_tokens_with(u, buffers, &mut f),
+        for a in self.row(e) {
+            let text = a.text(&self.text);
+            if a.resource {
+                tokenize::uri_infix_tokens_with(text, buffers, &mut f);
+            } else {
+                tokenize::value_tokens_with(text, buffers, &mut f);
             }
         }
     }
 
     /// Tokens of literal values only (no URI evidence).
     pub fn literal_tokens(&self, e: EntityId) -> Vec<String> {
-        let d = self.description(e);
         let mut out = Vec::new();
-        for s in d.literals() {
+        for s in self.description(e).literals() {
             out.extend(tokenize::value_tokens(s));
         }
         out
@@ -259,11 +372,10 @@ impl Dataset {
     }
 
     fn name_literals(&self, e: EntityId) -> impl Iterator<Item = &str> {
-        self.description(e)
-            .attributes
+        self.row(e)
             .iter()
-            .filter(|(p, _)| self.name_like[p.index()])
-            .filter_map(|(_, v)| v.as_literal())
+            .filter(|a| !a.resource && self.name_like[a.predicate.index()])
+            .map(|a| a.text(&self.text))
     }
 
     /// Number of distinct attribute names used across the dataset.
@@ -273,14 +385,10 @@ impl Dataset {
 
     /// Mean number of attribute–value pairs per description.
     pub fn avg_attributes(&self) -> f64 {
-        if self.descriptions.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.descriptions
-            .iter()
-            .map(|d| d.attributes.len())
-            .sum::<usize>() as f64
-            / self.descriptions.len() as f64
+        self.attrs.len() as f64 / self.len() as f64
     }
 
     /// Total number of neighbour links (each undirected link counted once).
@@ -288,24 +396,36 @@ impl Dataset {
         self.neighbors.len() / 2
     }
 
-    /// Serialises KB `kb` as an N-Triples document.
+    /// Serialises KB `kb` as an N-Triples document, written straight from
+    /// the slabs: byte for byte what [`crate::ntriples::write_document`]
+    /// makes of the KB's attributes as triples.
     pub fn to_ntriples(&self, kb: KbId) -> String {
-        let mut triples = Vec::new();
-        for &e in self.entities_of_kb(kb) {
-            let d = self.description(e);
-            for (p, v) in &d.attributes {
-                let object = match v {
-                    Value::Literal(s) => Term::literal(s.to_string()),
-                    Value::Resource(u) => Term::iri(u.to_string()),
-                };
-                triples.push(Triple::new(
-                    Term::iri(d.uri.to_string()),
-                    self.predicates.resolve(*p),
-                    object,
-                ));
+        let entities = self.entities_of_kb(kb);
+        let statements: usize = entities.iter().map(|&e| self.row(e).len()).sum();
+        // lint:allow(hot-path-alloc): the document itself, once per KB
+        let mut out = String::with_capacity(statements * 80);
+        for &e in entities {
+            let uri = self.uri(e);
+            for a in self.row(e) {
+                out.push('<');
+                out.push_str(uri);
+                out.push_str("> <");
+                out.push_str(self.predicates.resolve(a.predicate));
+                out.push_str("> ");
+                let text = a.text(&self.text);
+                if a.resource {
+                    out.push('<');
+                    out.push_str(text);
+                    out.push('>');
+                } else {
+                    out.push('"');
+                    push_escaped_literal(&mut out, text);
+                    out.push('"');
+                }
+                out.push_str(" .\n");
             }
         }
-        ntriples::write_document(&triples)
+        out
     }
 }
 
@@ -313,7 +433,7 @@ impl fmt::Debug for Dataset {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Dataset")
             .field("kbs", &self.kbs.len())
-            .field("entities", &self.descriptions.len())
+            .field("entities", &self.len())
             .field("vocabulary", &self.predicates.len())
             .finish()
     }
@@ -323,14 +443,30 @@ impl fmt::Debug for Dataset {
 /// ([`Self::add_literal`], [`Self::add_resource`]), statement by statement
 /// ([`Self::add_statement`]) or a whole RDF document at a time
 /// ([`Self::load_file`] and its siblings).
+///
+/// The builder is the dataset's interners and text arena plus the
+/// attribute log: `subjects[i]` owns `attrs[i]`, in the order the
+/// attributes were added. An added attribute is an append to the arena and
+/// to the log; a subject's first mention an append to the URI interner.
 #[derive(Default)]
 pub struct DatasetBuilder {
     predicates: Interner,
-    descriptions: Vec<Description>,
+    uris: Interner,
+    kb_of: Vec<KbId>,
     kbs: Vec<KbInfo>,
-    uri_index: FxHashMap<Box<str>, EntityId>,
-    /// Reused composition buffer for scoped blank-node URIs.
+    text: String,
+    subjects: Vec<EntityId>,
+    attrs: Vec<Attr>,
+    /// Reused composition buffer for scoped blank-node subject URIs.
     blank_uri: String,
+}
+
+/// Whether `haystack` contains `needle` in any ASCII letter case.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    haystack
+        .as_bytes()
+        .windows(needle.len())
+        .any(|window| window.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 impl DatasetBuilder {
@@ -353,85 +489,141 @@ impl DatasetBuilder {
         id
     }
 
+    /// The entity of `subject`, created in `kb` on its first mention.
     fn entity_for(&mut self, kb: KbId, subject: &str) -> EntityId {
-        if let Some(&e) = self.uri_index.get(subject) {
-            return e;
+        let e = EntityId(self.uris.intern(subject).0);
+        if e.index() == self.kb_of.len() {
+            self.kb_of.push(kb);
+            self.kbs[kb.index()].entity_count += 1;
         }
-        let e = EntityId(u32::try_from(self.descriptions.len()).expect("too many entities"));
-        self.descriptions.push(Description {
-            uri: subject.into(),
-            kb,
-            attributes: Vec::new(),
-        });
-        self.kbs[kb.index()].entity_count += 1;
-        self.uri_index.insert(subject.into(), e);
         e
+    }
+
+    /// Logs an attribute of `entity` whose value is the arena's tail from
+    /// byte `start` on (the caller has just appended it).
+    fn log(&mut self, entity: EntityId, predicate: Symbol, start: usize, resource: bool) {
+        let end = u32::try_from(self.text.len())
+            .expect("dataset overflow: more than 4 GiB of attribute text");
+        self.subjects.push(entity);
+        self.attrs.push(Attr {
+            predicate,
+            // `start <= end`, so both fit.
+            start: start as u32,
+            len: end - start as u32,
+            resource,
+        });
+    }
+
+    /// The log's length, which attribute offsets and log indices hold as
+    /// `u32`.
+    fn logged(&self) -> u32 {
+        u32::try_from(self.attrs.len()).expect("dataset overflow: more than u32::MAX attributes")
+    }
+
+    fn add_attribute(
+        &mut self,
+        kb: KbId,
+        subject: &str,
+        predicate: &str,
+        text: &str,
+        resource: bool,
+    ) {
+        let predicate = self.predicates.intern(predicate);
+        let entity = self.entity_for(kb, subject);
+        let start = self.text.len();
+        self.text.push_str(text);
+        self.log(entity, predicate, start, resource);
     }
 
     /// Adds a literal-valued attribute to `subject` (creating its
     /// description on first mention).
     pub fn add_literal(&mut self, kb: KbId, subject: &str, predicate: &str, value: &str) {
-        let p = self.predicates.intern(predicate);
-        let e = self.entity_for(kb, subject);
-        self.descriptions[e.index()]
-            .attributes
-            .push((p, Value::Literal(value.into())));
+        self.add_attribute(kb, subject, predicate, value, false);
     }
 
     /// Adds a resource-valued attribute (a link) to `subject`.
     pub fn add_resource(&mut self, kb: KbId, subject: &str, predicate: &str, object_uri: &str) {
-        let p = self.predicates.intern(predicate);
-        let e = self.entity_for(kb, subject);
-        self.descriptions[e.index()]
-            .attributes
-            .push((p, Value::Resource(object_uri.into())));
+        self.add_attribute(kb, subject, predicate, object_uri, true);
     }
 
     /// Finalises the dataset: resolves resource links into the undirected
-    /// neighbour graph and freezes all indexes.
+    /// neighbour graph, groups the attribute log into per-entity rows and
+    /// freezes all indexes.
     pub fn build(self) -> Dataset {
+        let n = self.kb_of.len();
+
         // Both directions of every resolved link, sorted: each entity's
         // neighbours are then one ascending, duplicate-free run.
         let mut edges: Vec<(EntityId, EntityId)> = Vec::new();
-        for (i, d) in self.descriptions.iter().enumerate() {
-            let src = EntityId(i as u32);
-            for target in d.resources() {
-                if let Some(&dst) = self.uri_index.get(target) {
-                    if dst != src {
-                        edges.push((src, dst));
-                        edges.push((dst, src));
-                    }
+        for (&src, attr) in self.subjects.iter().zip(&self.attrs) {
+            if !attr.resource {
+                continue;
+            }
+            if let Some(target) = self.uris.get(attr.text(&self.text)) {
+                let dst = EntityId(target.0);
+                if dst != src {
+                    edges.push((src, dst));
+                    edges.push((dst, src));
                 }
             }
         }
         edges.sort_unstable();
         edges.dedup();
-        let mut neighbor_offsets = vec![0usize; self.descriptions.len() + 1];
+        let mut neighbor_offsets = vec![0usize; n + 1];
         for &(src, _) in &edges {
             neighbor_offsets[src.index() + 1] += 1;
         }
-        for i in 0..self.descriptions.len() {
+        for i in 0..n {
             neighbor_offsets[i + 1] += neighbor_offsets[i];
         }
         let neighbors: Vec<EntityId> = edges.iter().map(|&(_, dst)| dst).collect();
+
+        // Rows: a stable counting sort of the log by entity — which a log
+        // whose entity ids never decrease has already been through. The
+        // log's length fits the `u32` offsets, or `logged` panics.
+        self.logged();
+        let mut attr_offsets = vec![0u32; n + 1];
+        for subject in &self.subjects {
+            attr_offsets[subject.index() + 1] += 1;
+        }
+        for i in 0..n {
+            attr_offsets[i + 1] += attr_offsets[i];
+        }
+        let attrs = if self.subjects.is_sorted() {
+            self.attrs
+        } else {
+            let mut next = attr_offsets.clone();
+            let mut rows = self.attrs.clone();
+            for (subject, attr) in self.subjects.iter().zip(&self.attrs) {
+                let at = &mut next[subject.index()];
+                rows[*at as usize] = *attr;
+                *at += 1;
+            }
+            rows
+        };
+
         let mut per_kb: Vec<Vec<EntityId>> = vec![Vec::new(); self.kbs.len()];
-        for (i, d) in self.descriptions.iter().enumerate() {
-            per_kb[d.kb.index()].push(EntityId(i as u32));
+        for (e, kb) in self.kb_of.iter().enumerate() {
+            per_kb[kb.index()].push(EntityId(e as u32));
         }
         let name_like = self
             .predicates
             .iter()
             .map(|(_, iri)| {
-                let iri = iri.to_lowercase();
-                iri.contains("label") || iri.contains("name") || iri.contains("title")
+                ["label", "name", "title"]
+                    .iter()
+                    .any(|part| contains_ignore_ascii_case(iri, part))
             })
             .collect();
         Dataset {
             name_like,
             predicates: self.predicates,
-            descriptions: self.descriptions,
+            uris: self.uris,
+            kb_of: self.kb_of,
+            text: self.text,
+            attr_offsets,
+            attrs,
             kbs: self.kbs,
-            uri_index: self.uri_index,
             neighbor_offsets,
             neighbors,
             per_kb,
@@ -480,7 +672,7 @@ mod tests {
         assert_eq!(ds.len(), 3);
         assert_eq!(ds.kb_count(), 2);
         let h = ds.entity_by_uri("http://db.org/r/Heraklion").unwrap();
-        assert_eq!(ds.description(h).attributes.len(), 2);
+        assert_eq!(ds.description(h).attributes().len(), 2);
         assert_eq!(ds.kb_of(h), KbId(0));
         assert_eq!(ds.kb(KbId(0)).entity_count, 2);
         assert_eq!(ds.kb(KbId(1)).entity_count, 1);
@@ -566,7 +758,7 @@ mod tests {
         let copy = b.build();
         assert_eq!(copy.len(), 2);
         let h = copy.entity_by_uri("http://db.org/r/Heraklion").unwrap();
-        assert_eq!(copy.description(h).attributes.len(), 2);
+        assert_eq!(copy.description(h).attributes().len(), 2);
     }
 
     #[test]

@@ -13,19 +13,45 @@
 //! * the KB's namespace is the longest common prefix of its subject IRIs.
 //!
 //! Entities are numbered by first mention as a subject and attributes keep
-//! statement order. Per statement this allocates the attribute value, plus
-//! the description on a subject's first mention — nothing else.
+//! statement order.
+//!
+//! # What a statement costs
+//!
+//! Two interner probes (predicate and subject — the subject's is skipped
+//! when it repeats the previous statement's, as in every subject-grouped
+//! dump), the value appended to the builder's text arena, one entry
+//! appended to its attribute log. Nothing is allocated, hashed into a set
+//! or freed per statement; a blank-node object's scoped URI is composed in
+//! the arena itself, a blank subject's in one reused buffer.
+//!
+//! # Why the duplicate collapse is exact
+//!
+//! It runs once per document, at its end, over the document's own segment
+//! of the log — attributes that earlier documents or `add_statement` calls
+//! gave the same entity are never looked at. Per description, the indices
+//! of its entries are sorted on `(predicate, kind, length, text, index)` —
+//! the text is read only between entries equal up to there — and every
+//! entry equal to its predecessor is dropped: equal entries are adjacent
+//! after the sort and the earliest comes first, so exactly the later
+//! occurrences go and the first stays in place. There is no hash, so no
+//! collision to reason about, and no quadratic path: a description of `k`
+//! entries costs O(k log k) comparisons whatever its values are. The
+//! stored attribute is the comparison key — a `Dataset` keeps neither
+//! language tag nor datatype, so `"x"` and `"x"@en` are one attribute and
+//! collapse, while `<x>` is a different kind and stays. A document whose
+//! subjects are scattered is grouped by one stable sort of its segment's
+//! indices first; the survivors (and their text) are then closed up in one
+//! forward pass, only if something was dropped.
 //!
 //! A loader that fails leaves the statements before the error in the
 //! builder; the caller is expected to drop it.
 
-use super::{DatasetBuilder, EntityId, KbId, Value};
+use super::{DatasetBuilder, EntityId, KbId, KbInfo};
 use crate::ntriples::{self, ParseError, StatementReader};
 use crate::term::{Object, Statement, Subject, Triple};
 use crate::turtle::{self, TurtleError};
-use minoan_common::FxHashSet;
+use minoan_common::Symbol;
 use std::fmt::{self, Write as _};
-use std::hash::{BuildHasher, RandomState};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
@@ -70,20 +96,9 @@ impl From<std::io::Error> for LoadError {
     }
 }
 
-/// What [`DatasetBuilder::place`] remembers of the document it is in.
-struct Seen {
-    /// The statements the document has contributed so far, as keyed 64-bit
-    /// fingerprints. A fingerprint seen before is only a hint: the
-    /// description is then searched for the attribute itself, so a
-    /// collision cannot drop a statement. SipHash under a per-load random
-    /// key, because the hashed text comes from outside the program; the
-    /// fingerprints themselves are then uniform and go into a cheap set.
-    keys: RandomState,
-    prints: FxHashSet<u64>,
-    /// Subject of the document's previous statement. Dumps group their
-    /// statements by subject, so most subjects are this one again and need
-    /// no index probe.
-    previous: Option<EntityId>,
+/// Appends the dataset-wide URI of blank node `label` of `kb` to `out`.
+fn scope_blank(info: &KbInfo, kb: KbId, label: &str, out: &mut String) {
+    let _ = write!(out, "bnode://{}:{}/{label}", info.name, kb.0);
 }
 
 impl DatasetBuilder {
@@ -91,7 +106,8 @@ impl DatasetBuilder {
     /// the subject's first mention, literal objects become literal
     /// attributes, IRI and blank objects resource attributes. Blank labels
     /// are scoped by KB *id* (`bnode://<name>:<id>/<label>`), so they never
-    /// collide across KBs — not even across two KBs of one name.
+    /// collide across KBs — not even across two KBs of one name. Unlike a
+    /// document loader, this keeps duplicates.
     pub fn add_statement(&mut self, kb: KbId, statement: &Statement<'_>) {
         self.place(kb, statement, None);
     }
@@ -105,60 +121,109 @@ impl DatasetBuilder {
         }
     }
 
-    /// Files `statement` under its subject and returns the subject;
-    /// inside a document (`seen`) an exact duplicate is dropped instead.
-    fn place(&mut self, kb: KbId, statement: &Statement<'_>, seen: Option<&mut Seen>) -> EntityId {
+    /// Logs `statement` under its subject and returns the subject.
+    /// `previous` is the subject of the caller's previous statement: dumps
+    /// group their statements by subject, so most subjects are that one
+    /// again and need no interner probe.
+    fn place(
+        &mut self,
+        kb: KbId,
+        statement: &Statement<'_>,
+        previous: Option<EntityId>,
+    ) -> EntityId {
         let predicate = self.predicates.intern(statement.predicate);
-        let mut scoped = std::mem::take(&mut self.blank_uri);
-        let previous = seen.as_ref().and_then(|seen| seen.previous);
         let entity = match statement.subject {
             Subject::Iri(iri) => match previous {
-                Some(e) if *self.descriptions[e.index()].uri == *iri => e,
+                Some(e) if self.uris.resolve(Symbol(e.0)) == iri => e,
                 _ => self.entity_for(kb, iri),
             },
             Subject::Blank(label) => {
-                self.scope_blank(kb, label, &mut scoped);
-                self.entity_for(kb, &scoped)
+                let mut scoped = std::mem::take(&mut self.blank_uri);
+                scoped.clear();
+                scope_blank(&self.kbs[kb.index()], kb, label, &mut scoped);
+                let entity = self.entity_for(kb, &scoped);
+                self.blank_uri = scoped;
+                entity
             }
         };
-        let (text, resource): (&str, bool) = match &statement.object {
-            Object::Literal { value, .. } => (value, false),
-            Object::Iri(iri) => (iri, true),
+        let start = self.text.len();
+        let resource = match &statement.object {
+            Object::Literal { value, .. } => {
+                self.text.push_str(value);
+                false
+            }
+            Object::Iri(iri) => {
+                self.text.push_str(iri);
+                true
+            }
             Object::Blank(label) => {
-                self.scope_blank(kb, label, &mut scoped);
-                (&scoped, true)
+                scope_blank(&self.kbs[kb.index()], kb, label, &mut self.text);
+                true
             }
         };
-        let attributes = &mut self.descriptions[entity.index()].attributes;
-        let same = |(p, v): &(_, Value)| {
-            *p == predicate
-                && match v {
-                    Value::Literal(s) => !resource && **s == *text,
-                    Value::Resource(s) => resource && **s == *text,
-                }
-        };
-        let duplicate = seen.is_some_and(|seen| {
-            seen.previous = Some(entity);
-            let print = seen.keys.hash_one((entity.0, predicate.0, resource, text));
-            !seen.prints.insert(print) && attributes.iter().any(same)
-        });
-        if !duplicate {
-            let value = if resource {
-                Value::Resource(text.into())
-            } else {
-                Value::Literal(text.into())
-            };
-            attributes.push((predicate, value));
-        }
-        self.blank_uri = scoped;
+        self.log(entity, predicate, start, resource);
         entity
     }
 
-    /// Composes the dataset-wide URI of blank node `label` of `kb`.
-    fn scope_blank(&self, kb: KbId, label: &str, out: &mut String) {
-        out.clear();
-        let name = &self.kbs[kb.index()].name;
-        let _ = write!(out, "bnode://{name}:{}/{label}", kb.0);
+    /// Drops, from the log entries `first..` (one document's), every entry
+    /// equal to an earlier one of the same entity in that range — see the
+    /// module docs.
+    fn collapse_duplicates(&mut self, first: usize) {
+        let end = self.logged();
+        let first = first as u32; // `first <= end`
+        let (subjects, attrs, text) = (&self.subjects, &self.attrs, self.text.as_str());
+        let subject = |i: u32| subjects[i as usize];
+        let mut order: Vec<u32> = (first..end).collect();
+        if !subjects[first as usize..].is_sorted() {
+            order.sort_by_key(|&i| subject(i));
+        }
+        let mut dropped: Vec<u32> = Vec::new();
+        for entries in order.chunk_by_mut(|&a, &b| subject(a) == subject(b)) {
+            if entries.len() < 2 {
+                continue;
+            }
+            let shape = |i: u32| {
+                let a = attrs[i as usize];
+                (a.predicate, a.resource, a.len)
+            };
+            let value = |i: u32| attrs[i as usize].text(text);
+            entries.sort_unstable_by(|&a, &b| {
+                let by_shape = shape(a).cmp(&shape(b));
+                by_shape
+                    .then_with(|| value(a).cmp(value(b)))
+                    .then(a.cmp(&b))
+            });
+            for pair in entries.windows(2) {
+                if shape(pair[0]) == shape(pair[1]) && value(pair[0]) == value(pair[1]) {
+                    dropped.push(pair[1]);
+                }
+            }
+        }
+        if dropped.is_empty() {
+            return;
+        }
+
+        // Entries and their text are both in statement order from `first`
+        // on, so one forward pass closes the gaps in the log and the arena.
+        dropped.sort_unstable();
+        let mut dropped = dropped.into_iter().peekable();
+        let base = self.attrs[first as usize].start as usize;
+        let tail = self.text.split_off(base);
+        let mut kept = first as usize;
+        for i in first as usize..end as usize {
+            if dropped.next_if_eq(&(i as u32)).is_some() {
+                continue;
+            }
+            let mut attr = self.attrs[i];
+            let value = &tail[attr.start as usize - base..][..attr.len as usize];
+            attr.start = self.text.len() as u32; // only ever moves down
+            self.text.push_str(value);
+            self.attrs[kept] = attr;
+            self.subjects[kept] = self.subjects[i];
+            kept += 1;
+        }
+        self.attrs.truncate(kept);
+        self.subjects.truncate(kept);
     }
 
     /// Parses an in-memory N-Triples document into a fresh KB with the
@@ -223,7 +288,10 @@ impl DatasetBuilder {
 struct KbLoad<'b> {
     builder: &'b mut DatasetBuilder,
     kb: KbId,
-    seen: Seen,
+    /// Where the document's entries start in the builder's log.
+    first: usize,
+    /// Subject of the document's previous statement.
+    previous: Option<EntityId>,
     /// Longest common prefix of the subject IRIs so far.
     namespace: Option<String>,
 }
@@ -231,23 +299,21 @@ struct KbLoad<'b> {
 impl<'b> KbLoad<'b> {
     fn new(builder: &'b mut DatasetBuilder, name: &str) -> Self {
         let kb = builder.add_kb(name, "");
+        let first = builder.attrs.len();
         Self {
             builder,
             kb,
-            seen: Seen {
-                keys: RandomState::new(),
-                prints: FxHashSet::default(),
-                previous: None,
-            },
+            first,
+            previous: None,
             namespace: None,
         }
     }
 
     fn push(&mut self, statement: &Statement<'_>) {
-        let previous = self.seen.previous;
-        let entity = self.builder.place(self.kb, statement, Some(&mut self.seen));
+        let entity = self.builder.place(self.kb, statement, self.previous);
         // A repeated subject cannot narrow the prefix.
-        if previous != Some(entity) {
+        if self.previous != Some(entity) {
+            self.previous = Some(entity);
             if let Subject::Iri(iri) = statement.subject {
                 match &mut self.namespace {
                     None => self.namespace = Some(iri.into()),
@@ -264,9 +330,10 @@ impl<'b> KbLoad<'b> {
         }
     }
 
-    /// Names the KB's namespace — `explicit`, else the inferred prefix —
-    /// and returns its id.
+    /// Collapses the document's duplicates, names the KB's namespace —
+    /// `explicit`, else the inferred prefix — and returns its id.
     fn finish(self, explicit: Option<&str>) -> KbId {
+        self.builder.collapse_duplicates(self.first);
         let namespace = explicit.or(self.namespace.as_deref()).unwrap_or_default();
         self.builder.kbs[self.kb.index()].namespace = namespace.into();
         self.kb
@@ -281,12 +348,8 @@ mod tests {
     fn attributes(ds: &Dataset, uri: &str) -> Vec<(String, String)> {
         let e = ds.entity_by_uri(uri).expect(uri);
         ds.description(e)
-            .attributes
-            .iter()
-            .map(|(p, v)| {
-                let text = v.as_literal().or(v.as_resource()).unwrap();
-                (ds.predicate_name(*p).to_string(), text.to_string())
-            })
+            .attributes()
+            .map(|(p, v)| (ds.predicate_name(p).to_string(), v.text().to_string()))
             .collect()
     }
 
@@ -318,8 +381,10 @@ mod tests {
             }
         }
         let a = ds.entity_by_uri("http://k/a").unwrap();
-        let kinds: Vec<bool> = ds.description(a).attributes[..3]
-            .iter()
+        let kinds: Vec<bool> = ds
+            .description(a)
+            .attributes()
+            .take(3)
             .map(|(_, v)| v.as_resource().is_some())
             .collect();
         assert_eq!(kinds, [false, false, true], "a literal is not the IRI");

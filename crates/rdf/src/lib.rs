@@ -10,9 +10,10 @@
 //! * [`turtle`] — the Turtle subset LOD dumps use, and a writer.
 //! * [`tokenize`] — schema-agnostic tokenisation of literal values and the
 //!   Prefix-Infix(-Suffix) decomposition of entity URIs used by blocking.
-//! * [`dataset`] — the entity-centric view: descriptions (one per subject),
-//!   knowledge bases, and the cross-description neighbour graph that the
-//!   progressive update phase walks.
+//! * [`dataset`] — the entity-centric view: descriptions (one per subject,
+//!   stored as rows over flat slabs), knowledge bases, and the
+//!   cross-description neighbour graph that the progressive update phase
+//!   walks.
 //!
 //! # From text to a `Dataset`
 //!
@@ -31,8 +32,9 @@
 //! * **What allocates.** The N-Triples parser allocates only for a literal
 //!   that spells an escape (the `Cow` turns owned). Turtle additionally
 //!   composes prefixed names, base-relative IRIs and anonymous-node labels.
-//!   The builder allocates the attribute value per statement and the
-//!   description on a subject's first mention.
+//!   The builder allocates nothing per statement: a value is an append to
+//!   one text arena, an attribute an append to one log, a new subject an
+//!   append to the URI interner (see [`dataset`]'s module docs).
 //! * **Errors.** Malformed input — bad syntax, a bad escape, invalid
 //!   UTF-8, a read that fails — is an error carrying the 1-based line,
 //!   never a panic; parsing stops there. Nothing is allocated by a size the

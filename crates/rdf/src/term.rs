@@ -150,17 +150,26 @@ pub fn write_document(triples: &[Triple]) -> String {
 /// Escapes a literal lexical form for N-Triples output.
 pub fn escape_literal(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
+    push_escaped_literal(&mut out, value);
     out
+}
+
+/// Appends the escaped form [`escape_literal`] returns to `out`: the runs
+/// between characters that need an escape are copied whole.
+pub(crate) fn push_escaped_literal(out: &mut String, value: &str) {
+    let mut rest = value;
+    while let Some(at) = rest.find(['"', '\\', '\n', '\r', '\t']) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => "\\t",
+        });
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
 }
 
 /// Subject of a borrowed [`Statement`]: an IRI without its angle brackets

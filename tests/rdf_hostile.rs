@@ -486,3 +486,48 @@ fn a_megabyte_line_is_read_or_refused_within_its_own_size() {
         }
     }
 }
+
+/// One subject, 100 000 statements of one predicate whose values share a
+/// 200-byte prefix, half of them exact repeats: the end-of-document
+/// collapse has no quadratic path to walk into, keeps exactly the distinct
+/// half in first-occurrence order, and allocates nothing beyond tables
+/// linear in the input.
+#[test]
+fn a_hundred_thousand_near_equal_values_of_one_subject_collapse_exactly() {
+    const DISTINCT: usize = 50_000;
+    let prefix = "p".repeat(200);
+    let mut rng = SplitMix(7);
+    // Every value once, in order, each followed by a repeat of a value
+    // already out: the one just written or one far back.
+    let mut values: Vec<usize> = Vec::with_capacity(2 * DISTINCT);
+    for v in 0..DISTINCT {
+        values.extend([v, rng.below(v + 1)]);
+    }
+    let mut document = String::new();
+    for v in &values {
+        document += &format!("<http://k/s> <http://k/p> \"{prefix}{v}\" .\n");
+    }
+
+    let started = std::time::Instant::now();
+    let (dataset, largest) = largest_allocation(|| {
+        let mut builder = DatasetBuilder::new();
+        builder.load_ntriples("kb", document.as_bytes()).unwrap();
+        builder.build()
+    });
+    assert!(largest <= loader_bound(document.len()), "{largest}");
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(20),
+        "{:?}: the collapse went quadratic",
+        started.elapsed()
+    );
+    let s = dataset.entity_by_uri("http://k/s").unwrap();
+    assert_eq!(dataset.len(), 1);
+    let kept: Vec<&str> = dataset.description(s).literals().collect();
+    assert_eq!(kept.len(), DISTINCT);
+    for (v, kept) in kept.iter().enumerate() {
+        assert_eq!(
+            kept.strip_prefix(prefix.as_str()),
+            Some(v.to_string().as_str())
+        );
+    }
+}

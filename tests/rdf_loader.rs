@@ -443,18 +443,16 @@ fn descriptions(dataset: &Dataset) -> Vec<(String, u16, Vec<Attribute>)> {
         .map(|e| {
             let d = dataset.description(e);
             let attributes = d
-                .attributes
-                .iter()
+                .attributes()
                 .map(|(p, v)| {
-                    let text = v.as_literal().or(v.as_resource()).unwrap();
                     (
-                        dataset.predicate_name(*p).to_string(),
+                        dataset.predicate_name(p).to_string(),
                         v.as_resource().is_some(),
-                        text.to_string(),
+                        v.text().to_string(),
                     )
                 })
                 .collect();
-            (d.uri.to_string(), d.kb.0, attributes)
+            (d.uri().to_string(), d.kb().0, attributes)
         })
         .collect()
 }
@@ -530,4 +528,226 @@ fn blank_labels_stay_inside_their_file() {
         assert_eq!(dataset.kb_of(dataset.neighbors(e)[0]), dataset.kb_of(e));
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---- the loader against a naive model --------------------------------------
+
+/// Subjects of every file: `http://shared/…` ones appear in several files,
+/// and every IRI is also a possible object, so links resolve.
+const SUBJECTS: &[&str] = &[
+    "http://shared/one",
+    "http://shared/two",
+    "http://k/\u{e9}1",
+    "http://k/\u{e8}2",
+    "http://k/a",
+    "http://k/b",
+    "http://k/c",
+    "x",
+];
+const LABELS: &[&str] = &["b1", "b2", "n-3"];
+const PREDICATES: &[&str] = &["name", "label", "knows", "q"];
+/// `x` is a value, a tagged value and (above) an IRI; the rest need escapes.
+const VALUES: &[&str] = &[
+    "x",
+    "y",
+    "",
+    "say \"hi\"\\ and\ttab\nnewline\rcr",
+    "\u{3c0}\u{3cc}\u{3bb}\u{3b7}",
+];
+
+/// One random file: `grouped` keeps each subject's statements together in
+/// first-mention order, otherwise they are interleaved as drawn.
+fn random_file(rng: &mut Rng, grouped: bool) -> Vec<Triple> {
+    let node = |rng: &mut Rng| {
+        if rng.below(4) == 0 {
+            Term::Blank(rng.pick(LABELS).into())
+        } else {
+            Term::iri(rng.pick(SUBJECTS))
+        }
+    };
+    let mut statements: Vec<Triple> = (0..rng.below(40))
+        .map(|_| {
+            let object = match rng.below(5) {
+                0 | 1 => node(rng),
+                2 => Term::Literal(Literal::lang_tagged(
+                    rng.pick(VALUES),
+                    rng.pick(&["en", "el-GR"]),
+                )),
+                _ => Term::literal(rng.pick(VALUES)),
+            };
+            let predicate = format!("http://p/{}", rng.pick(PREDICATES));
+            Triple::new(node(rng), predicate, object)
+        })
+        .collect();
+    // Exact repeats, near the original and far from it.
+    for _ in 0..rng.below(8) {
+        if !statements.is_empty() {
+            let again = statements[rng.below(statements.len())].clone();
+            statements.insert(rng.below(statements.len() + 1), again);
+        }
+    }
+    if grouped {
+        let mut order: Vec<Term> = Vec::new();
+        for s in &statements {
+            if !order.contains(&s.subject) {
+                order.push(s.subject.clone());
+            }
+        }
+        statements.sort_by_key(|s| order.iter().position(|o| *o == s.subject));
+    }
+    statements
+}
+
+/// Turtle with a prefix and one `;` list per run of one subject.
+fn as_turtle(statements: &[Triple]) -> String {
+    let mut text = String::from("@prefix p: <http://p/> .\n");
+    for run in statements.chunk_by(|a, b| a.subject == b.subject) {
+        let pairs: Vec<String> = run
+            .iter()
+            .map(|s| format!("p:{} {}", &s.predicate["http://p/".len()..], s.object))
+            .collect();
+        text += &format!("{} {} .\n", run[0].subject, pairs.join(" ;\n    "));
+    }
+    text
+}
+
+/// What the files mean, worked out the slow way.
+#[derive(Debug, Default, PartialEq)]
+struct Model {
+    /// `(uri, kb, attributes)` in entity order.
+    descriptions: Vec<(String, u16, Vec<Attribute>)>,
+    neighbors: Vec<Vec<u32>>,
+    namespaces: Vec<String>,
+    entity_counts: Vec<u32>,
+    entities_of_kb: Vec<Vec<u32>>,
+}
+
+fn model_of(files: &[(String, Vec<Triple>)]) -> Model {
+    let mut model = Model::default();
+    for (kb, (name, statements)) in files.iter().enumerate() {
+        let uri_of = |node: &Term| match node {
+            Term::Iri(iri) => iri.clone(),
+            Term::Blank(label) => format!("bnode://{name}:{kb}/{label}"),
+            Term::Literal(_) => unreachable!("not a node"),
+        };
+        let mut in_this_file: Vec<(usize, Attribute)> = Vec::new();
+        let mut namespace: Option<String> = None;
+        for s in statements {
+            let uri = uri_of(&s.subject);
+            let e = match model.descriptions.iter().position(|d| d.0 == uri) {
+                Some(e) => e,
+                None => {
+                    model.descriptions.push((uri, kb as u16, Vec::new()));
+                    model.descriptions.len() - 1
+                }
+            };
+            let attribute = match &s.object {
+                Term::Literal(literal) => (s.predicate.clone(), false, literal.value.clone()),
+                node => (s.predicate.clone(), true, uri_of(node)),
+            };
+            if !in_this_file.contains(&(e, attribute.clone())) {
+                in_this_file.push((e, attribute.clone()));
+                model.descriptions[e].2.push(attribute);
+            }
+            if let Term::Iri(iri) = &s.subject {
+                namespace = Some(match namespace {
+                    None => iri.clone(),
+                    Some(prefix) => {
+                        let common = prefix.chars().zip(iri.chars());
+                        common.take_while(|(a, b)| a == b).map(|(a, _)| a).collect()
+                    }
+                });
+            }
+        }
+        model.namespaces.push(namespace.unwrap_or_default());
+    }
+    let n = model.descriptions.len();
+    model.neighbors = vec![Vec::new(); n];
+    for e in 0..n {
+        for (_, resource, text) in &model.descriptions[e].2 {
+            let target = model.descriptions.iter().position(|d| d.0 == *text);
+            if let (true, Some(t)) = (*resource, target) {
+                if t != e {
+                    model.neighbors[e].push(t as u32);
+                    model.neighbors[t].push(e as u32);
+                }
+            }
+        }
+    }
+    for row in &mut model.neighbors {
+        row.sort_unstable();
+        row.dedup();
+    }
+    model.entities_of_kb = vec![Vec::new(); files.len()];
+    for (e, d) in model.descriptions.iter().enumerate() {
+        model.entities_of_kb[d.1 as usize].push(e as u32);
+    }
+    model.entity_counts = model
+        .entities_of_kb
+        .iter()
+        .map(|k| k.len() as u32)
+        .collect();
+    model
+}
+
+/// The same facts read back from a built dataset.
+fn observed(dataset: &Dataset) -> Model {
+    let ids = |es: &[EntityId]| es.iter().map(|e| e.0).collect::<Vec<u32>>();
+    let kbs = || (0..dataset.kb_count()).map(|kb| KbId(kb as u16));
+    for e in dataset.entities() {
+        assert_eq!(dataset.entity_by_uri(dataset.uri(e)), Some(e));
+        assert_eq!(dataset.description(e).kb(), dataset.kb_of(e));
+    }
+    Model {
+        descriptions: descriptions(dataset),
+        neighbors: dataset
+            .entities()
+            .map(|e| ids(dataset.neighbors(e)))
+            .collect(),
+        namespaces: kbs()
+            .map(|kb| dataset.kb(kb).namespace.to_string())
+            .collect(),
+        entity_counts: kbs().map(|kb| dataset.kb(kb).entity_count).collect(),
+        entities_of_kb: kbs().map(|kb| ids(dataset.entities_of_kb(kb))).collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// (e) Random documents — subject-grouped and scattered, N-Triples and
+    /// Turtle, subjects shared between files, duplicates spelled `"x"` /
+    /// `"x"@en` / `<x>`, blank subjects and objects, two files of one stem,
+    /// escaped literals — load into exactly what the naive model says:
+    /// entity order, attribute order and kinds, neighbours, namespaces and
+    /// the per-KB tables.
+    #[test]
+    fn loaded_files_equal_the_naive_model(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let dir = scratch_dir(&format!("model-{seed:x}"));
+        let mut files = Vec::new();
+        let mut paths = Vec::new();
+        for i in 0..2 + rng.below(3) {
+            let grouped = rng.below(2) == 0;
+            let statements = random_file(&mut rng, grouped);
+            // Files 0 and 1 share the stem `kb`, in directories of their own.
+            let stem = if i < 2 { "kb".to_string() } else { format!("kb{i}") };
+            let turtle = rng.below(2) == 0;
+            let text = if turtle {
+                as_turtle(&statements)
+            } else {
+                format!("# a dump\n{}", ntriples::write_document(&statements))
+            };
+            std::fs::create_dir_all(dir.join(i.to_string())).unwrap();
+            let path = dir
+                .join(i.to_string())
+                .join(format!("{stem}.{}", if turtle { "ttl" } else { "nt" }));
+            std::fs::write(&path, text).unwrap();
+            files.push((stem, statements));
+            paths.push(path);
+        }
+        let loaded = observed(&load(&paths));
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(loaded, model_of(&files), "seed {}", seed);
+    }
 }

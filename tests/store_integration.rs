@@ -32,8 +32,8 @@ fn store_bridge_preserves_the_dataset() {
             .entity_by_uri(uri)
             .unwrap_or_else(|| panic!("{uri} lost in bridge"));
         assert_eq!(
-            bridged.description(be).attributes.len(),
-            world.dataset.description(e).attributes.len(),
+            bridged.description(be).attributes().len(),
+            world.dataset.description(e).attributes().len(),
             "{uri} attribute count changed"
         );
     }
