@@ -2,10 +2,10 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p minoan-bench --bin reproduce [exp2|...|exp13|all] [--scale N] [--seed S]
+//! cargo run --release -p minoan-bench --bin reproduce [exp2|...|exp17|all] [--scale N] [--seed S]
 //! ```
 
-use minoan_bench::experiments;
+use minoan_bench::experiments::{self, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,31 +35,20 @@ fn main() {
         i += 1;
     }
 
-    let report = match which.as_str() {
-        "exp2" => experiments::exp2_blocking(scale, seed),
-        "exp3" => experiments::exp3_metablocking(scale, seed),
-        "exp4" => experiments::exp4_progressive_recall(scale, seed),
-        "exp5" => experiments::exp5_quality_dimensions(scale, seed),
-        "exp6" => experiments::exp6_periphery(scale, seed),
-        "exp7" => experiments::exp7_scalability(scale, seed),
-        "exp8" => experiments::exp8_ablations(scale, seed),
-        "exp9" => minoan_bench::experiments2::exp9_blocking_methods(scale, seed),
-        "exp10" => minoan_bench::experiments2::exp10_metablocking_extensions(scale, seed),
-        "exp11" => minoan_bench::experiments2::exp11_incremental(scale, seed),
-        "exp12" => minoan_bench::experiments2::exp12_oracle_bounds(scale, seed),
-        "exp13" => minoan_bench::experiments2::exp13_composite_rules(scale, seed),
-        "exp14" => minoan_bench::experiments2::exp14_clustering(scale, seed),
-        "exp15" => minoan_bench::experiments2::exp15_fault_tolerance(scale, seed),
-        "exp16" => minoan_bench::experiments2::exp16_variance(scale, seed),
-        "exp17" => minoan_bench::experiments2::exp17_corruption(scale, seed),
-        "all" => experiments::run_all(scale, seed),
-        other => die(&format!("unknown experiment: {other}")),
+    let report = match EXPERIMENTS.iter().find(|(name, _)| *name == which) {
+        Some((_, run)) => run(scale, seed),
+        None if which == "all" => experiments::run_all(scale, seed),
+        None => die(&format!("unknown experiment: {which}")),
     };
     println!("{report}");
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("reproduce: {msg}");
-    eprintln!("usage: reproduce [exp2..exp8|all] [--scale N] [--seed S]");
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    eprintln!(
+        "usage: reproduce [{}|all] [--scale N] [--seed S]",
+        names.join("|")
+    );
     std::process::exit(2);
 }

@@ -510,41 +510,43 @@ pub fn exp8_ablations(scale: usize, seed: u64) -> String {
     out
 }
 
+/// One experiment: `(scale, seed)` → its report as plain text.
+pub type Experiment = fn(usize, u64) -> String;
+
+/// Every experiment by the name `reproduce` takes on its command line,
+/// in report order.
+pub const EXPERIMENTS: &[(&str, Experiment)] = {
+    use crate::experiments2 as e2;
+    &[
+        ("exp2", exp2_blocking),
+        ("exp3", exp3_metablocking),
+        ("exp4", exp4_progressive_recall),
+        ("exp5", exp5_quality_dimensions),
+        ("exp6", exp6_periphery),
+        ("exp7", exp7_scalability),
+        ("exp8", exp8_ablations),
+        ("exp9", e2::exp9_blocking_methods),
+        ("exp10", e2::exp10_metablocking_extensions),
+        ("exp11", e2::exp11_incremental),
+        ("exp12", e2::exp12_oracle_bounds),
+        ("exp13", e2::exp13_composite_rules),
+        ("exp14", e2::exp14_clustering),
+        ("exp15", e2::exp15_fault_tolerance),
+        ("exp16", e2::exp16_variance),
+        ("exp17", e2::exp17_corruption),
+    ]
+};
+
 /// Runs every experiment at the given scale, concatenating reports.
 pub fn run_all(scale: usize, seed: u64) -> String {
     let mut out = String::new();
-    for (name, report) in [
-        ("E2", exp2_blocking(scale, seed)),
-        ("E3", exp3_metablocking(scale, seed)),
-        ("E4", exp4_progressive_recall(scale, seed)),
-        ("E5", exp5_quality_dimensions(scale, seed)),
-        ("E6", exp6_periphery(scale, seed)),
-        ("E7", exp7_scalability(scale, seed)),
-        ("E8", exp8_ablations(scale, seed)),
-        (
-            "E9",
-            crate::experiments2::exp9_blocking_methods(scale, seed),
-        ),
-        (
-            "E10",
-            crate::experiments2::exp10_metablocking_extensions(scale, seed),
-        ),
-        ("E11", crate::experiments2::exp11_incremental(scale, seed)),
-        ("E12", crate::experiments2::exp12_oracle_bounds(scale, seed)),
-        (
-            "E13",
-            crate::experiments2::exp13_composite_rules(scale, seed),
-        ),
-        ("E14", crate::experiments2::exp14_clustering(scale, seed)),
-        (
-            "E15",
-            crate::experiments2::exp15_fault_tolerance(scale, seed),
-        ),
-        ("E16", crate::experiments2::exp16_variance(scale, seed)),
-        ("E17", crate::experiments2::exp17_corruption(scale, seed)),
-    ] {
-        let _ = writeln!(out, "================ {name} ================\n");
-        out.push_str(&report);
+    for (name, run) in EXPERIMENTS {
+        let _ = writeln!(
+            out,
+            "================ E{} ================\n",
+            name.trim_start_matches("exp")
+        );
+        out.push_str(&run(scale, seed));
         out.push('\n');
     }
     out

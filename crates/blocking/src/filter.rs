@@ -72,9 +72,8 @@ pub fn filter_with_threads(
 
 /// The pre-flat filter: per-entity `to_vec` + full sort, hash-map
 /// regrouping of the retained assignments, and the legacy owned-`Vec`
-/// rebuild. Kept **only** as the measured baseline and equivalence oracle
-/// for [`filter_with`] — see the `blocking_layout` suite and the
-/// `blockbuild` bench family.
+/// rebuild. Kept **only** as the equivalence reference for
+/// [`filter_with`] — see the `blocking_layout` suite.
 #[doc(hidden)]
 pub fn legacy_filter_with(collection: &BlockCollection, ratio: f64) -> BlockCollection {
     assert!(

@@ -119,9 +119,8 @@ fn purge_limit(collection: &BlockCollection, smoothing: f64) -> u64 {
 
 /// The pre-flat purge: identical cardinality scan, but the successor is
 /// produced by the legacy owned-`Vec` rebuild (per-block `to_vec`,
-/// re-sort, re-count, re-intern). Kept **only** as the measured baseline
-/// and equivalence oracle for [`purge_with`] — see the `blocking_layout`
-/// suite and the `blockbuild` bench family.
+/// re-sort, re-count, re-intern). Kept **only** as the equivalence
+/// reference for [`purge_with`] — see the `blocking_layout` suite.
 #[doc(hidden)]
 pub fn legacy_purge_with(collection: &BlockCollection, smoothing: f64) -> PurgeOutcome {
     let limit = purge_limit(collection, smoothing);

@@ -69,9 +69,14 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The multiply leaves the entropy in the state's high bits — its low
+    /// bits depend only on the low bits of the last word mixed in — and
+    /// hashbrown picks the bucket from a hash's *low* bits. Rotating the
+    /// high bits down (as rustc-hash 2.x does) keeps string-keyed maps from
+    /// piling into a few buckets.
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 }
 
@@ -85,12 +90,15 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// One-shot Fx hash of a byte string (used for stable bucket ids, e.g. the
-/// LSH band buckets, where a `Hasher` round trip would be noise).
+/// LSH band buckets, where a `Hasher` round trip would be noise). Returns
+/// the raw multiply state, not [`Hasher::finish`]'s rotation of it: the
+/// ids derived from it are pinned, and the `Interner` folds the high bits
+/// down itself.
 #[inline]
 pub fn fx_hash_bytes(bytes: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(bytes);
-    h.finish()
+    h.state
 }
 
 #[cfg(test)]
@@ -139,5 +147,31 @@ mod tests {
         let mut h = FxHasher::default();
         h.write(&[]);
         assert_eq!(h.finish(), 0);
+    }
+
+    /// hashbrown indexes buckets by the low bits: short tokens that differ
+    /// only in their tail must not share them. (The raw multiply state
+    /// gives these 4 096 tokens 32 distinct low-12-bit values; a random
+    /// function would give about 2 590.)
+    #[test]
+    fn low_bits_spread_short_string_keys() {
+        let low: std::collections::HashSet<u64> = (0..4096)
+            .map(|i| hash_of(format!("tk{i:06}").as_str()) & 0xfff)
+            .collect();
+        assert!(
+            low.len() >= 1000,
+            "{} distinct low-12-bit values",
+            low.len()
+        );
+    }
+
+    /// Bucket, MinHash and interner-slot ids are derived from these.
+    #[test]
+    fn fx_hash_bytes_values_are_pinned() {
+        assert_eq!(fx_hash_bytes(b""), 0);
+        assert_eq!(fx_hash_bytes(b"a"), 0x7545_6665_d3e6_0275);
+        assert_eq!(fx_hash_bytes(b"token"), 0xf824_8662_b34a_6684);
+        assert_eq!(fx_hash_bytes(b"abcdefgh"), 0xe223_7c76_2792_0c75);
+        assert_eq!(fx_hash_bytes(b"abcdefghi"), 0xea49_a2d1_fb06_73f9);
     }
 }

@@ -55,12 +55,12 @@ use minoan_similarity::JaroScratch;
 
 /// Configuration of the incremental resolver.
 ///
-/// The budget defaults come from a 50k-entity calibration sweep of the
-/// `minoan-bench incremental --calibrate` harness (center-profile world,
-/// default matcher): per-arrival comparison budgets above ~8 and
-/// candidate pools above ~24 stopped improving recall (< 0.5 % per
-/// doubling) while comparisons grew linearly, so the defaults sit at the
-/// knee with one notch of headroom.
+/// The budget defaults come from a 50k-entity calibration sweep recorded
+/// when the resolver was added (center-profile world, default matcher) —
+/// numbers on record, not the output of a harness one can run:
+/// per-arrival comparison budgets above ~8 and candidate pools above ~24
+/// stopped improving recall (< 0.5 % per doubling) while comparisons grew
+/// linearly, so the defaults sit at the knee with one notch of headroom.
 #[derive(Clone, Copy, Debug)]
 pub struct IncrementalConfig {
     /// Maximum candidates compared per arrival.

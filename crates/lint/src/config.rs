@@ -209,7 +209,7 @@ mod tests {
         ));
         assert!(glob_match(
             "crates/bench/src/**",
-            "crates/bench/src/blockbuild.rs"
+            "crates/bench/src/experiments.rs"
         ));
         assert!(glob_match("tests/*.rs", "tests/blocking_layout.rs"));
         assert!(!glob_match("tests/*.rs", "crates/x/tests/y.rs"));

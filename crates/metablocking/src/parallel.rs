@@ -46,8 +46,8 @@
 //! asserts the full scheme × family × worker matrix — and each run
 //! returns its per-job [`JobStats`] (via [`JobReport`], surfaced on
 //! [`PruneOutcome::report`](crate::PruneOutcome)) so the shuffle-volume
-//! gap between the two strategies is measurable
-//! (`BENCH_metablocking.json` records it).
+//! gap between the two strategies is measurable (the historical
+//! `mapreduce_results` rows of `BENCH_metablocking.json` recorded it).
 
 use crate::kernel;
 use crate::prune::WeightedPair;

@@ -16,6 +16,9 @@
 //! CI reruns this suite under `RUST_TEST_THREADS=1` and `4` like the
 //! other equivalence suites.
 
+mod common;
+
+use common::{assert_collections_identical, reference_token_blocking};
 use minoan::blocking::collection::KeyAssignments;
 use minoan::blocking::{builders, filter, purge, BlockCollection, ErMode};
 use minoan::metablocking::ExecutionBackend;
@@ -23,27 +26,25 @@ use minoan::prelude::*;
 use minoan::rdf::tokenize;
 use proptest::prelude::*;
 
-// The one observable-identity oracle (blocks, key strings, member
-// slices, comparison counts, reciprocal bits, inverted index) — shared
-// with the `blockbuild` smoke/bench harness so both always check the
-// same invariants.
-use minoan_bench::blockbuild::assert_collections_identical;
-
-// The reference (legacy string-grouped) build — shared with the
-// blockbuild harness so every suite pins against the same oracle.
-use minoan_bench::blockbuild::reference_token_and_uri_blocking as reference_token_and_uri;
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Contract 1 — the CSR counting-sort build equals the reference
-    /// string-grouped build, for both ER modes, at thread counts 1/2/4/8.
+    /// string-grouped build, for both key spaces (values only, values ∪
+    /// URI infixes) and both ER modes, at thread counts 1/2/4/8.
     #[test]
     fn csr_build_equals_reference_build(seed in 0u64..500, n in 40usize..120) {
         let world = generate(&profiles::center_periphery(n, seed));
         let ds = &world.dataset;
         for mode in [ErMode::CleanClean, ErMode::Dirty] {
-            let reference = reference_token_and_uri(ds, mode);
+            // The values-only key space (no `uri:` keys)...
+            assert_collections_identical(
+                &builders::token_blocking(ds, mode),
+                &reference_token_blocking(ds, mode, false),
+                "values-only builder",
+            );
+            // ...and the paper's token ∪ URI-infix criterion.
+            let reference = reference_token_blocking(ds, mode, true);
             // The production builder (auto thread count)...
             let built = builders::token_and_uri_blocking(ds, mode);
             assert_collections_identical(&built, &reference, "builder");
@@ -93,7 +94,7 @@ proptest! {
         let world = generate(&profiles::center_periphery(n, seed));
         let reference = {
             let pipeline = Pipeline::new(PipelineConfig::default());
-            let raw = reference_token_and_uri(&world.dataset, ErMode::CleanClean);
+            let raw = reference_token_blocking(&world.dataset, ErMode::CleanClean, true);
             pipeline.meta_block(&pipeline.clean_blocks(raw))
         };
         for backend in [

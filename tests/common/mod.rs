@@ -1,10 +1,12 @@
 //! Helpers shared by the integration suites.
 
-use minoan::blocking::BlockCollection;
+use minoan::blocking::{BlockCollection, ErMode};
+use minoan::common::FxHashMap;
 use minoan::metablocking::{
     blast, prune, supervised_prune, BlockingGraph, ExecutionBackend, PruneOutcome,
     PrunedComparisons, Pruning, Session, WeightedPair, WeightingScheme,
 };
+use minoan::rdf::{tokenize, Dataset, EntityId};
 
 /// One fresh single-shot session run of `scheme` × `pruning` on `backend`
 /// at `workers` — the way every equivalence suite reaches a backend.
@@ -89,6 +91,83 @@ pub fn assert_bit_identical(a: &PrunedComparisons, b: &PrunedComparisons, label:
 #[allow(dead_code)]
 pub fn assert_outcome_bit_identical(a: &PruneOutcome, b: &PrunedComparisons, label: &str) {
     assert_bit_identical(&a.pruned, b, label);
+}
+
+/// The reference (legacy) build the string-free path is pinned against:
+/// one owned `String` per token occurrence, grouped through a hash map,
+/// then the string-keyed `from_groups` — with `with_uri`, the paper's
+/// token ∪ URI-infix criterion (`uri:`-prefixed key space, like
+/// `token_and_uri_blocking`), otherwise value tokens only.
+#[allow(dead_code)]
+pub fn reference_token_blocking(
+    dataset: &Dataset,
+    mode: ErMode,
+    with_uri: bool,
+) -> BlockCollection {
+    let mut groups: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
+    for e in dataset.entities() {
+        let mut tokens: Vec<String> = dataset.blocking_tokens(e);
+        tokens.sort_unstable();
+        tokens.dedup();
+        for t in tokens {
+            groups.entry(t).or_default().push(e);
+        }
+        if with_uri {
+            let mut utoks = tokenize::uri_infix_tokens(dataset.uri(e));
+            utoks.sort_unstable();
+            utoks.dedup();
+            for t in utoks {
+                groups.entry(format!("uri:{t}")).or_default().push(e);
+            }
+        }
+    }
+    BlockCollection::from_groups(dataset, mode, groups)
+}
+
+/// The one observable-identity oracle for block collections (blocks, key
+/// strings, member slices, comparison counts, reciprocal bits, inverted
+/// index): panics unless `a` and `b` are observably identical.
+#[allow(dead_code)]
+pub fn assert_collections_identical(a: &BlockCollection, b: &BlockCollection, what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: block count");
+    assert_eq!(
+        a.total_comparisons(),
+        b.total_comparisons(),
+        "{what}: comparisons"
+    );
+    assert_eq!(
+        a.total_assignments(),
+        b.total_assignments(),
+        "{what}: assignments"
+    );
+    for (x, y) in a.blocks().zip(b.blocks()) {
+        assert_eq!(
+            a.key_str(x.id),
+            b.key_str(y.id),
+            "{what}: key of {:?}",
+            x.id
+        );
+        assert_eq!(x.entities, y.entities, "{what}: members of {:?}", x.id);
+        assert_eq!(
+            x.comparisons, y.comparisons,
+            "{what}: comparisons of {:?}",
+            x.id
+        );
+        assert_eq!(
+            a.inv_cardinality(x.id).to_bits(),
+            b.inv_cardinality(y.id).to_bits(),
+            "{what}: 1/‖{:?}‖ bits",
+            x.id
+        );
+    }
+    assert_eq!(a.num_entities(), b.num_entities(), "{what}: entities");
+    for e in 0..a.num_entities() as u32 {
+        assert_eq!(
+            a.entity_blocks(EntityId(e)),
+            b.entity_blocks(EntityId(e)),
+            "{what}: entity_blocks({e})"
+        );
+    }
 }
 
 /// SplitMix64: test inputs that depend on a seed alone.
