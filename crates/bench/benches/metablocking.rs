@@ -1,6 +1,9 @@
 //! Criterion benches for meta-blocking (supports E3): graph build, the five
 //! weighting schemes, and each pruning family materialised vs streaming, on
-//! one small world. Nothing here writes a results file — build-vs-stream at
+//! one small world — plus the ledger's `batch_dirty` meta-blocking stage
+//! (dirty mode, JS × CEP, streaming, two workers) at 400 entities, so the
+//! path that workload's claims rest on has a micro-level twin that keeps
+//! compiling. Nothing here writes a results file — build-vs-stream at
 //! scale is the ledger's `metablocking.run_s` (`BENCHMARK.json`), and the
 //! rows in `BENCH_metablocking.json` are history.
 
@@ -72,6 +75,18 @@ fn bench_metablocking(c: &mut Criterion) {
     });
     group.bench_function("cep/ecbs-streaming", |b| {
         b.iter(|| black_box(stream(&cleaned, WeightingScheme::Ecbs, Pruning::Cep(None))));
+    });
+    let duplicates = generate(&profiles::dirty_single(400, 11));
+    let dirty = builders::token_blocking(&duplicates.dataset, ErMode::Dirty);
+    let dirty = filter::filter(&purge::purge(&dirty).collection);
+    group.bench_function("cep/js-streaming-dirty", |b| {
+        b.iter(|| {
+            let mut session = Session::new(&dirty);
+            let js_cep = session
+                .scheme(WeightingScheme::Js)
+                .pruning(Pruning::Cep(None));
+            black_box(js_cep.backend(ExecutionBackend::Streaming).workers(2).run())
+        });
     });
     // The session API's reason to exist: sweeping all five schemes reuses
     // the shared state instead of rebuilding it per scheme.

@@ -301,7 +301,11 @@ pub(crate) fn count_comparisons(
 /// Both implementations visit an entity's blocks in **key-string order**
 /// — ascending block id in a [`BlockCollection`] — because the sweeps'
 /// f64 ARCS sums accumulate in visit order and must carry the same bits
-/// on either layout.
+/// on either layout. The [`Direction`] of a visit only decides where
+/// each block's member walk stops, never which blocks are visited or in
+/// what order, and a neighbour appears at most once per block — so a
+/// forward visit accumulates, for every neighbour it reports, the same
+/// sum in the same order as a full one.
 pub trait BlockView {
     /// Number of blocks |B|.
     fn num_blocks(&self) -> usize;
@@ -309,12 +313,52 @@ pub trait BlockView {
     /// Number of blocks containing `e` (|B_e|).
     fn entity_block_count(&self, e: EntityId) -> u32;
 
-    /// Σ sizes of `e`'s blocks — what one sweep of `e` costs.
+    /// Σ sizes of `e`'s blocks — what one full sweep of `e` costs.
     fn sweep_cost(&self, e: EntityId) -> u64;
 
     /// Calls `f(1/‖b‖, other)` once per appearance of a comparable
-    /// co-member `other` in a block `b` containing `a`.
-    fn for_each_co_occurrence(&self, a: EntityId, f: impl FnMut(f64, EntityId));
+    /// co-member `other` in a block `b` containing `a` — blocks in
+    /// key-string order, each block's members from its largest id down,
+    /// stopping at `a` under [`Direction::Forward`]. Summing the calls
+    /// per `other` yields exactly the CBS/ARCS statistics of the
+    /// blocking-graph edges incident to `a`.
+    fn for_each_co_occurrence(
+        &self,
+        a: EntityId,
+        direction: Direction,
+        f: impl FnMut(f64, EntityId),
+    );
+}
+
+/// Which co-members a visit of entity `a` reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Direction {
+    /// Every comparable co-member.
+    Both,
+    /// Only those with a larger id (`y > a`): over all entities, each
+    /// comparable pair exactly once, at its smaller endpoint.
+    Forward,
+}
+
+/// The member walk both layouts share: one block's `members` (sorted
+/// ascending) from the back, down to `a` under [`Direction::Forward`],
+/// reporting the ones `comparable` with `a`.
+#[inline]
+pub(crate) fn for_each_co_member(
+    members: &[EntityId],
+    a: EntityId,
+    direction: Direction,
+    comparable: impl Fn(EntityId) -> bool,
+    mut f: impl FnMut(EntityId),
+) {
+    for &y in members.iter().rev() {
+        if y <= a && direction == Direction::Forward {
+            break;
+        }
+        if comparable(y) {
+            f(y);
+        }
+    }
 }
 
 impl BlockView for BlockCollection {
@@ -337,9 +381,22 @@ impl BlockView for BlockCollection {
     }
 
     #[inline]
-    fn for_each_co_occurrence(&self, a: EntityId, mut f: impl FnMut(f64, EntityId)) {
-        for (_bid, inv_card, y) in self.co_occurrences(a) {
-            f(inv_card, y);
+    fn for_each_co_occurrence(
+        &self,
+        a: EntityId,
+        direction: Direction,
+        mut f: impl FnMut(f64, EntityId),
+    ) {
+        for &bid in self.entity_blocks(a) {
+            let inv_card = self.inv_cardinality(bid);
+            let members = self.block_entities(bid);
+            for_each_co_member(
+                members,
+                a,
+                direction,
+                |y| self.comparable(a, y),
+                |y| f(inv_card, y),
+            );
         }
     }
 }
@@ -873,29 +930,6 @@ impl BlockCollection {
                     .filter(move |&&y| self.comparable(x, y))
                     .map(move |&y| (id, x.min(y), x.max(y)))
             })
-        })
-    }
-
-    /// Iterates the comparable co-occurrences of a single entity: one
-    /// `(block, 1/‖block‖, other)` item per appearance of a comparable
-    /// co-member in a block containing `a`, in ascending block-id order.
-    ///
-    /// This is the node-centric dual of [`Self::pair_occurrences`]: summing
-    /// the items per `other` yields exactly the CBS/ARCS statistics of the
-    /// blocking-graph edges incident to `a`. Meta-blocking's streaming
-    /// path sweeps this per entity instead of materialising the edge set;
-    /// the reciprocal comes from the precomputed per-block slab.
-    pub fn co_occurrences(
-        &self,
-        a: EntityId,
-    ) -> impl Iterator<Item = (BlockId, f64, EntityId)> + '_ {
-        self.entity_blocks(a).iter().flat_map(move |&bid| {
-            let inv_card = self.inv_cardinality(bid);
-            self.block_entities(bid)
-                .iter()
-                .copied()
-                .filter(move |&y| self.comparable(a, y))
-                .map(move |y| (bid, inv_card, y))
         })
     }
 

@@ -48,7 +48,9 @@
 //! keys that become present are queued and merged in at the next
 //! snapshot, so an ingest never touches an `O(keys)` table.
 
-use crate::collection::{count_comparisons, BlockView, KbScratch, KeyAssignments};
+use crate::collection::{
+    count_comparisons, for_each_co_member, BlockView, Direction, KbScratch, KeyAssignments,
+};
 use crate::layout::{merge_sorted_by_into, merge_sorted_into};
 use crate::{BlockCollection, ErMode};
 use minoan_common::{Interner, Symbol};
@@ -387,15 +389,22 @@ impl BlockView for IncrementalCollection<'_> {
     }
 
     #[inline]
-    fn for_each_co_occurrence(&self, a: EntityId, mut f: impl FnMut(f64, EntityId)) {
+    fn for_each_co_occurrence(
+        &self,
+        a: EntityId,
+        direction: Direction,
+        mut f: impl FnMut(f64, EntityId),
+    ) {
         let dirty = self.mode == ErMode::Dirty;
         let kb = self.kb_of[a.index()];
         for block in self.present_blocks(a) {
-            for &y in &block.members {
-                if y != a && (dirty || self.kb_of[y.index()] != kb) {
-                    f(block.inv_cardinality, y);
-                }
-            }
+            for_each_co_member(
+                &block.members,
+                a,
+                direction,
+                |y| y != a && (dirty || self.kb_of[y.index()] != kb),
+                |y| f(block.inv_cardinality, y),
+            );
         }
     }
 }
@@ -605,9 +614,13 @@ mod tests {
 
     #[test]
     fn live_view_sweeps_exactly_what_a_snapshot_sweeps() {
-        fn co_occurrences(view: &impl BlockView, e: EntityId) -> Vec<(u64, EntityId)> {
+        fn co_occurrences(
+            view: &impl BlockView,
+            e: EntityId,
+            direction: Direction,
+        ) -> Vec<(u64, EntityId)> {
             let mut seen = Vec::new();
-            view.for_each_co_occurrence(e, |inv, y| seen.push((inv.to_bits(), y)));
+            view.for_each_co_occurrence(e, direction, |inv, y| seen.push((inv.to_bits(), y)));
             seen
         }
         let g = generate(&profiles::center_dense(90, 23));
@@ -628,11 +641,21 @@ mod tests {
                     );
                     assert_eq!(inc.sweep_cost(e), snap.sweep_cost(e));
                     // Same co-members, same 1/‖b‖ bits, same visit order.
+                    let full = co_occurrences(&inc, e, Direction::Both);
                     assert_eq!(
-                        co_occurrences(&inc, e),
-                        co_occurrences(&snap, e),
+                        full,
+                        co_occurrences(&snap, e, Direction::Both),
                         "{mode:?}: sweep of {e:?}"
                     );
+                    // The forward visit is the full one minus `y < e`,
+                    // order kept — on either layout.
+                    let forward: Vec<_> = full.into_iter().filter(|&(_, y)| y > e).collect();
+                    for (layout, seen) in [
+                        ("live", co_occurrences(&inc, e, Direction::Forward)),
+                        ("snapshot", co_occurrences(&snap, e, Direction::Forward)),
+                    ] {
+                        assert_eq!(seen, forward, "{mode:?}/{layout}: forward sweep of {e:?}");
+                    }
                 }
             }
         }

@@ -99,7 +99,9 @@ pub mod schedule;
 pub mod sorted_neighborhood;
 
 pub use canopy::{canopy_blocking, CanopyConfig};
-pub use collection::{BlockCollection, BlockId, BlockRef, BlockView, ErMode, KeyAssignments};
+pub use collection::{
+    BlockCollection, BlockId, BlockRef, BlockView, Direction, ErMode, KeyAssignments,
+};
 pub use composite::{pair_intersection, union, BlockingWorkflow, Method, WorkflowReport};
 pub use delta::{DeltaOutcome, IncrementalCollection};
 pub use lsh::{minhash_lsh_blocking, LshConfig};

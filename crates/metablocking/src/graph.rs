@@ -20,8 +20,9 @@
 //! precomputed offset, and per-edge ARCS sums accumulate in ascending
 //! block order exactly as the serial build would.
 
+use crate::rule::forward_len;
 use crate::sweep::{entity_sweep_ranges, split_by_ends, SweepScratch};
-use minoan_blocking::BlockCollection;
+use minoan_blocking::{BlockCollection, Direction};
 use minoan_rdf::EntityId;
 
 /// One edge of the blocking graph: a distinct comparable pair plus the
@@ -96,10 +97,11 @@ impl BlockingGraph {
                     s.spawn(move || {
                         let mut scratch = SweepScratch::new(n);
                         for a in r.clone() {
-                            let neighbours = scratch.sweep(collection, EntityId(a as u32));
-                            d[a - r.start] = neighbours.len() as u32;
-                            f[a - r.start] =
-                                neighbours.iter().filter(|&&y| y > a as u32).count() as u32;
+                            let a = a as u32;
+                            let neighbours =
+                                scratch.sweep(collection, EntityId(a), Direction::Both);
+                            d[a as usize - r.start] = neighbours.len() as u32;
+                            f[a as usize - r.start] = forward_len(a, neighbours, |&y| y) as u32;
                         }
                     });
                 }
@@ -127,7 +129,7 @@ impl BlockingGraph {
                         let mut scratch = SweepScratch::new(n);
                         for a in r {
                             let mut out = edge_offsets[a] as usize - base;
-                            scratch.sweep(collection, EntityId(a as u32));
+                            scratch.sweep(collection, EntityId(a as u32), Direction::Both);
                             for &y in scratch.neighbours() {
                                 if y > a as u32 {
                                     chunk[out] = Edge {

@@ -128,7 +128,7 @@ use crate::session::{PruneOutcome, Pruning};
 use crate::streaming::Streaming;
 use crate::sweep::{for_each_range, partition_by_cost, ScratchPool, SweepState};
 use crate::weights::WeightingScheme;
-use minoan_blocking::{BlockCollection, BlockView, ErMode, IncrementalCollection};
+use minoan_blocking::{BlockCollection, BlockView, Direction, ErMode, IncrementalCollection};
 use minoan_common::default_threads;
 use minoan_rdf::{Dataset, EntityId};
 
@@ -612,7 +612,7 @@ impl RowDriver for RowCache<'_> {
 
     fn num_edges(&mut self) -> usize {
         self.folded()
-            .map(|row| forward_len(row.a, row.entries))
+            .map(|row| forward_len(row.a, row.entries, |e| e.0))
             .sum::<u64>() as usize
     }
 
@@ -620,7 +620,7 @@ impl RowDriver for RowCache<'_> {
         let mut share = fold.init();
         let mut forward = 0u64;
         for row in self.folded() {
-            forward += forward_len(row.a, row.entries);
+            forward += forward_len(row.a, row.entries, |e| e.0);
             fold.fold(&mut share, row);
         }
         (share, forward)
@@ -630,7 +630,7 @@ impl RowDriver for RowCache<'_> {
         let mut kept = Vec::new();
         let mut forward = 0u64;
         for row in self.folded() {
-            forward += forward_len(row.a, row.entries);
+            forward += forward_len(row.a, row.entries, |e| e.0);
             rule.contribute(row, &mut kept);
         }
         (kept, forward)
@@ -658,8 +658,8 @@ fn resweep_rows<V: BlockView + Sync>(
     let fresh = for_each_range(&ranges, pool, |range, scratch| {
         let mut buf = RowBuf::default();
         let sweep_one = |&e: &EntityId| {
-            scratch.sweep(view, e);
-            weigher.fill(scratch, e.0, view, false, &mut buf);
+            scratch.sweep(view, e, Direction::Both);
+            weigher.fill(scratch, e.0, view, &mut buf);
             buf.entries.clone()
         };
         targets[range].iter().map(sweep_one).collect::<Vec<_>>()

@@ -19,18 +19,20 @@
 //!   and shuffle **at most one record per entity neighbourhood**.
 //!
 //! What a row *means* lives in the crate-internal `rule` module; this
-//! driver decides which rows are visited — every entity with a comparable
-//! neighbour, over a few cost-balanced entity-range splits per worker (so
-//! the engine's greedy scheduler can smooth skew) — and where the
-//! reduction merges, one job per pass:
+//! driver decides which rows are visited — every entity with a neighbour
+//! in the pass's sweep direction, over a few entity-range splits per
+//! worker balanced by that direction's sweep cost (so the engine's greedy
+//! scheduler can smooth skew) — and where the reduction merges, one job
+//! per pass:
 //!
 //! * **Criterion job** (`wep/partial-sums`, `cep/local-topk`,
 //!   `blast/local-maxima`, `supervised/feature-maxima`): each map split
 //!   folds its rows map-side into one share and ships it — one scalar
 //!   record per entity for the per-entity slabs (WEP's sums, BLAST's
-//!   maxima), one record per split for CEP's bounded heap and the
-//!   supervised feature maxima; reducers merge the records under a key,
-//!   the driver merges the reducer outputs.
+//!   maxima), one record per split for CEP's selection (sealed map-side
+//!   into a descending run of at most `k` keys) and the supervised
+//!   feature maxima; reducers merge the records under a key, the driver
+//!   merges the reducer outputs.
 //! * **Keep job** (`weighted-edges`, `wep/filter`, `wnp/neighbourhoods`,
 //!   `cnp/neighbourhoods`, `blast/filter`, `supervised/score`): the map
 //!   side emits each entity's row as one record keyed by the entity; the
@@ -57,7 +59,7 @@ use crate::rule::{
 use crate::session::Pruning;
 use crate::sweep::SweepState;
 use crate::weights::WeightingScheme;
-use minoan_blocking::BlockCollection;
+use minoan_blocking::{BlockCollection, Direction};
 use minoan_mapreduce::{Engine, JobStats};
 use minoan_rdf::EntityId;
 
@@ -162,7 +164,7 @@ impl<'s, 'c> MapReduce<'s, 'c> {
             return;
         }
         let n = self.st.collection.num_entities();
-        let splits = self.splits();
+        let splits = self.splits(Direction::Both);
         let (collection, pool) = (self.st.collection, &self.st.pool);
         let result = self.engine.run_partitioned(
             splits,
@@ -170,9 +172,10 @@ impl<'s, 'c> MapReduce<'s, 'c> {
             |range, emit, _c| {
                 pool.with(|scratch| {
                     for a in range.clone() {
-                        let d = scratch.sweep(collection, EntityId(a as u32)).len() as u32;
+                        let a = EntityId(a as u32);
+                        let d = scratch.sweep(collection, a, Direction::Both).len() as u32;
                         if d > 0 {
-                            emit(a as u32, d);
+                            emit(a.0, d);
                         }
                     }
                 })
@@ -187,9 +190,10 @@ impl<'s, 'c> MapReduce<'s, 'c> {
         self.st.apply_count(degrees);
     }
 
-    /// The cost-balanced map-input splits: a few per worker.
-    fn splits(&mut self) -> Vec<std::ops::Range<usize>> {
-        self.st.ranges(self.engine.workers() * 4)
+    /// The map-input splits of a job sweeping in `direction`: a few per
+    /// worker, balanced by that direction's sweep cost.
+    fn splits(&mut self, direction: Direction) -> Vec<std::ops::Range<usize>> {
+        self.st.ranges(self.engine.workers() * 4, direction)
     }
 }
 
@@ -215,7 +219,8 @@ impl RowDriver for MapReduce<'_, '_> {
     fn reduce(&mut self, weigher: Weigher, fold: &CriterionFold) -> (Partial, u64) {
         self.ensure(weigher.needs_counts());
         let n = self.st.collection.num_entities();
-        let splits = self.splits();
+        let direction = fold.sweep_direction();
+        let splits = self.splits(direction);
         let (collection, globals, pool) = (self.st.collection, self.st.globals(), &self.st.pool);
         let result = self.engine.run_partitioned(
             splits,
@@ -227,11 +232,11 @@ impl RowDriver for MapReduce<'_, '_> {
                     let mut forward = 0u64;
                     for a in range.clone() {
                         let a = a as u32;
-                        if scratch.sweep(collection, EntityId(a)).is_empty() {
+                        if scratch.sweep(collection, EntityId(a), direction).is_empty() {
                             continue;
                         }
-                        weigher.fill(scratch, a, globals, fold.forward_only(), &mut buf);
-                        forward += forward_len(a, &buf.entries);
+                        weigher.fill(scratch, a, globals, &mut buf);
+                        forward += forward_len(a, &buf.entries, |e| e.0);
                         fold.fold(&mut share, buf.row(a));
                     }
                     c.add(FWD_EDGES, forward);
@@ -253,7 +258,8 @@ impl RowDriver for MapReduce<'_, '_> {
     fn keep(&mut self, weigher: Weigher, rule: Rule<'_>) -> (Vec<WeightedPair>, u64) {
         self.ensure(weigher.needs_counts());
         let n = self.st.collection.num_entities();
-        let splits = self.splits();
+        let direction = rule.sweep_direction();
+        let splits = self.splits(direction);
         let (collection, globals, pool) = (self.st.collection, self.st.globals(), &self.st.pool);
         let result = self.engine.run_partitioned(
             splits,
@@ -263,15 +269,13 @@ impl RowDriver for MapReduce<'_, '_> {
                     let mut forward = 0u64;
                     for a in range.clone() {
                         let a = a as u32;
-                        if scratch.sweep(collection, EntityId(a)).is_empty() {
+                        if scratch.sweep(collection, EntityId(a), direction).is_empty() {
                             continue;
                         }
                         let mut record = RowBuf::default();
-                        weigher.fill(scratch, a, globals, rule.forward_only(), &mut record);
-                        forward += forward_len(a, &record.entries);
-                        if !record.entries.is_empty() {
-                            emit(a, record);
-                        }
+                        weigher.fill(scratch, a, globals, &mut record);
+                        forward += forward_len(a, &record.entries, |e| e.0);
+                        emit(a, record);
                     }
                     c.add(FWD_EDGES, forward);
                 })

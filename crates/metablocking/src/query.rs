@@ -40,7 +40,7 @@ use crate::session::Pruning;
 use crate::supervised;
 use crate::sweep::ScratchPool;
 use crate::weights::WeightingScheme;
-use minoan_blocking::BlockCollection;
+use minoan_blocking::{BlockCollection, Direction};
 use minoan_rdf::EntityId;
 use std::collections::BTreeMap;
 
@@ -72,9 +72,9 @@ pub(crate) fn sweep_row(
 ) {
     probe::record_resolve_sweep();
     pool.with(|se| {
-        se.sweep(collection, EntityId(e));
+        se.sweep(collection, EntityId(e), Direction::Both);
         if weigher != Weigher::Features {
-            weigher.fill(se, e, globals, false, out);
+            weigher.fill(se, e, globals, out);
             return;
         }
         // Supervised features are orientation-dependent (the raw vector
@@ -88,7 +88,7 @@ pub(crate) fn sweep_row(
                     supervised::raw_forward_features(se, e, y, globals)
                 } else {
                     probe::record_resolve_sweep();
-                    sy.sweep(collection, EntityId(y));
+                    sy.sweep(collection, EntityId(y), Direction::Forward);
                     supervised::raw_forward_features(sy, y, e, globals)
                 };
                 out.entries.push((y, 0.0));

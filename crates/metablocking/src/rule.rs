@@ -12,15 +12,19 @@
 //!    merge the partials (any grouping, any order — every reduction is
 //!    exact or fixed-shape), finish. WEP folds per-entity positive
 //!    forward sums into the fixed-length slab of
-//!    `prune::wep_threshold_from_sums`; CEP a bounded heap under the
-//!    strict [`EdgeKey`] order; BLAST the per-entity local χ² maxima;
-//!    the supervised pruner the per-feature maxima. CNP's default `k` is
-//!    a formula over two corpus counts.
+//!    `prune::wep_threshold_from_sums`; CEP a bounded linear-time
+//!    selection ([`TopK`]) under the strict [`EdgeKey`] order, which the
+//!    worker that filled it *seals* into a descending run so that merging
+//!    shares is a `k`-bounded two-way merge and finishing is a relabelling;
+//!    BLAST the per-entity local χ² maxima; the supervised pruner the
+//!    per-feature maxima. CNP's default `k` is a formula over two corpus
+//!    counts.
 //! 2. a **row rule** ([`Rule`]): what `a`'s row contributes to the kept
 //!    list under that criterion ([`Rule::contribute`]) — forward
 //!    (`y > a`) entries only for the families that decide an edge from
 //!    its weight and the criterion alone, so a sweeping driver never
-//!    weighs a backward edge for them; the full row for the node-centric
+//!    visits a backward co-occurrence for them
+//!    ([`Rule::sweep_direction`]); the full row for the node-centric
 //!    votes — and the same decision asked of one endpoint at query time
 //!    ([`Rule::ballot`], [`Rule::votes_for`], [`Rule::edge_keep`]).
 //! 3. a **vote combiner** ([`combine_votes`]): union or reciprocal.
@@ -29,7 +33,8 @@
 //! drivers — scoped threads (`streaming`), MapReduce jobs (`parallel`),
 //! the incremental session's row cache, one neighbourhood at query time
 //! (`query`) — differ only in which rows they visit and where the
-//! partials merge; none restates a threshold test, a heap or a tie-break.
+//! partials merge; none restates a threshold test, a selection or a
+//! tie-break.
 //!
 //! The materialised bodies over the CSR edge index (`prune::{wep, cep,
 //! wnp, cnp}`, `blast::blast`, `supervised::prune_with_features`) are
@@ -43,6 +48,7 @@ use crate::session::Pruning;
 use crate::supervised::{self, FeatureExtractor, NUM_FEATURES};
 use crate::sweep::SweepScratch;
 use crate::weights::WeightingScheme;
+use minoan_blocking::Direction;
 use minoan_common::stats::mean_of;
 use minoan_common::{OrdF64, TopK};
 use minoan_rdf::EntityId;
@@ -120,26 +126,20 @@ impl Weigher {
     }
 
     /// Fills `out` with `a`'s row from the sweep `scratch` just ran for
-    /// it — forward entries only when `forward_only` — every pair
-    /// evaluated in normalised `(smaller, larger)` endpoint order, the
-    /// order the materialised path weighs the edge slab in.
+    /// it — the neighbours that sweep's direction reported, all of them
+    /// — every pair evaluated in normalised `(smaller, larger)` endpoint
+    /// order, the order the materialised path weighs the edge slab in.
     pub(crate) fn fill<G: EdgeGlobals>(
         self,
         scratch: &SweepScratch,
         a: u32,
         globals: &G,
-        forward_only: bool,
         out: &mut RowBuf,
     ) {
         out.clear();
         let neighbours = scratch.neighbours();
-        let skip = if forward_only || self == Self::Features {
-            neighbours.partition_point(|&y| y < a)
-        } else {
-            0
-        };
-        out.entries.reserve(neighbours.len() - skip);
-        for &y in &neighbours[skip..] {
+        out.entries.reserve(neighbours.len());
+        for &y in neighbours {
             let (lo, hi) = if a < y { (a, y) } else { (y, a) };
             let w = match self {
                 Self::Scheme(scheme) => edge_weight(scheme, scratch, globals, y, lo, hi),
@@ -150,6 +150,7 @@ impl Weigher {
                     globals.num_blocks(),
                 ),
                 Self::Features => {
+                    debug_assert!(a < y, "feature rows come from forward sweeps");
                     out.features
                         .push(supervised::raw_forward_features(scratch, a, y, globals));
                     0.0
@@ -160,13 +161,15 @@ impl Weigher {
     }
 }
 
-/// Number of forward (`y > a`) entries of `a`'s row — each distinct
-/// comparable pair is counted exactly once, at its smaller endpoint, so
-/// summed over all rows this is |V|, the `input_edges` every family
-/// reports.
+/// Number of forward (`y > a`) items of a slice ascending by the
+/// neighbour id `id` reads off an item — `a`'s row, or the neighbour
+/// list of a sweep of `a`. Each distinct comparable pair is counted
+/// exactly once, at its smaller endpoint, so summed over all entities
+/// this is |V|, the `input_edges` every family reports. On the row of a
+/// forward sweep it is the row length.
 #[inline]
-pub(crate) fn forward_len(a: u32, entries: &[(u32, f64)]) -> u64 {
-    (entries.len() - entries.partition_point(|&(y, _)| y <= a)) as u64
+pub(crate) fn forward_len<T>(a: u32, sorted: &[T], id: impl Fn(&T) -> u32) -> u64 {
+    (sorted.len() - sorted.partition_point(|item| id(item) <= a)) as u64
 }
 
 /// The pair `(a, y)` in normalised endpoint order with its weight.
@@ -284,28 +287,87 @@ pub(crate) enum CriterionFold {
     FeatureMax,
 }
 
+/// CEP's part of a share: the best `k` of the forward edges the share has
+/// seen, under [`EdgeKey`].
+#[derive(Default)]
+enum Selection {
+    /// Not a CEP share.
+    #[default]
+    None,
+    /// Still taking edges.
+    Open { k: usize, top: TopK<EdgeKey> },
+    /// Done taking edges: at most `k` keys, descending.
+    Sealed { k: usize, run: Vec<EdgeKey> },
+}
+
 /// One worker's share of a [`CriterionFold`]. Merging is the same for
-/// every fold — concatenate the per-entity slots, push the heaps
-/// together, take feature maxima — and every piece of it is exact, so
+/// every fold — concatenate the per-entity slots, merge the sealed
+/// selections, take feature maxima — and every piece of it is exact, so
 /// the merged state never depends on how rows were split.
+///
+/// A CEP share is [sealed](Self::seal) by the worker that folded it, so
+/// the one sort a selection needs runs once per share, in parallel; what
+/// is left for whoever merges is a two-way merge of descending runs that
+/// stops at `k`. [`EdgeKey`] is a strict total order over distinct
+/// pairs, so the `k` best of the union are the `k` best of the shares'
+/// `k` bests under any grouping.
 #[derive(Default)]
 pub(crate) struct Partial {
     /// `(entity, value, positive forward edges)` — WEP's sums, BLAST's
     /// maxima; one slot per entity with something to report.
     slots: Vec<(u32, f64, u64)>,
-    top: Option<TopK<EdgeKey>>,
+    top: Selection,
     maxima: [f64; NUM_FEATURES],
 }
 
+/// The first `k` of two descending runs merged.
+fn merge_runs(a: Vec<EdgeKey>, b: Vec<EdgeKey>, k: usize) -> Vec<EdgeKey> {
+    if b.is_empty() {
+        return a;
+    }
+    let len = k.min(a.len() + b.len());
+    let mut out = Vec::with_capacity(len);
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while out.len() < len {
+        let from_a = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => x > y,
+            (x, _) => x.is_some(),
+        };
+        out.extend(if from_a { a.next() } else { b.next() });
+    }
+    out
+}
+
 impl Partial {
-    /// Absorbs another worker's share.
+    /// Closes a CEP share to further rows: its selection becomes a
+    /// descending run, shrunk to its length — a run outlives the pass, as
+    /// a merge input or as the criterion itself, and the selector's
+    /// buffer is twice as long. A no-op on any other share, and on a
+    /// sealed one.
+    pub(crate) fn seal(&mut self) {
+        self.top = match std::mem::take(&mut self.top) {
+            Selection::Open { k, top } => {
+                let mut run = top.into_sorted_vec();
+                run.shrink_to_fit();
+                Selection::Sealed { k, run }
+            }
+            other => other,
+        };
+    }
+
+    /// Absorbs another worker's share. CEP shares must be sealed.
     pub(crate) fn merge(&mut self, from: Partial) {
         self.slots.extend(from.slots);
-        if let (Some(top), Some(other)) = (&mut self.top, from.top) {
-            for key in other.into_sorted_vec() {
-                top.push(key);
+        self.top = match (std::mem::take(&mut self.top), from.top) {
+            (Selection::Sealed { k, run: a }, Selection::Sealed { run: b, .. }) => {
+                Selection::Sealed {
+                    k,
+                    run: merge_runs(a, b, k),
+                }
             }
-        }
+            (Selection::None, other) | (other, Selection::None) => other,
+            _ => unreachable!("a CEP share is sealed where it was folded, before any merge"),
+        };
         supervised::merge_feature_max(&mut self.maxima, &from.maxima);
     }
 
@@ -319,13 +381,14 @@ impl Partial {
         Some(first)
     }
 
-    /// Splits the share into keyed shuffle records: one per entity slot,
-    /// keyed by the entity, or — for the heap and the feature maxima,
-    /// which belong to no entity — a single record under key 0. A share
-    /// that saw no edge yields nothing.
-    pub(crate) fn into_records(self) -> Vec<(u32, Partial)> {
+    /// Seals the share and splits it into keyed shuffle records: one per
+    /// entity slot, keyed by the entity, or — for the selection and the
+    /// feature maxima, which belong to no entity — a single record under
+    /// key 0. A share that saw no edge yields nothing.
+    pub(crate) fn into_records(mut self) -> Vec<(u32, Partial)> {
+        self.seal();
         if self.slots.is_empty() {
-            let saw_edges = self.top.as_ref().is_some_and(|t| !t.is_empty())
+            let saw_edges = matches!(&self.top, Selection::Sealed { run, .. } if !run.is_empty())
                 || self.maxima.iter().any(|&m| m > 0.0);
             return Vec::from_iter(saw_edges.then_some((0, self)));
         }
@@ -339,17 +402,21 @@ impl Partial {
 }
 
 impl CriterionFold {
-    /// Whether the fold reads forward entries only, so a sweeping driver
-    /// need not weigh the backward ones.
-    pub(crate) fn forward_only(&self) -> bool {
-        !matches!(self, Self::LocalMax)
+    /// The sweeps the fold's rows come from: forward unless it reads
+    /// full rows (BLAST's local maxima).
+    pub(crate) fn sweep_direction(&self) -> Direction {
+        match self {
+            Self::LocalMax => Direction::Both,
+            _ => Direction::Forward,
+        }
     }
 
     /// An empty share.
     pub(crate) fn init(&self) -> Partial {
         let mut share = Partial::default();
-        if let Self::CepTop(k) = self {
-            share.top = Some(TopK::new(*k));
+        if let Self::CepTop(k) = *self {
+            let top = TopK::new(k);
+            share.top = Selection::Open { k, top };
         }
         share
     }
@@ -375,7 +442,9 @@ impl CriterionFold {
                 }
             }
             Self::CepTop(_) => {
-                let top = acc.top.as_mut().expect("CEP shares carry a heap");
+                let Selection::Open { top, .. } = &mut acc.top else {
+                    unreachable!("CEP folds rows into the open share `init` made");
+                };
                 for &(y, w) in row.entries {
                     if y > a && w > 0.0 {
                         top.push(edge_key(a, y, w));
@@ -397,7 +466,7 @@ impl CriterionFold {
 
     /// Turns the fully merged share into the criterion. `n` is the
     /// entity count (the slab length).
-    fn finish(&self, acc: Partial, n: usize) -> Criterion {
+    fn finish(&self, mut acc: Partial, n: usize) -> Criterion {
         let slab = |slots: &[(u32, f64, u64)]| {
             let mut slab = vec![0.0f64; n];
             for &(a, v, _) in slots {
@@ -411,11 +480,14 @@ impl CriterionFold {
                 Criterion::Wep(prune::wep_threshold_from_sums(&slab(&acc.slots), positive))
             }
             Self::CepTop(_) => {
-                let top = acc.top.expect("CEP shares carry a heap");
-                let mut pairs: Vec<WeightedPair> =
-                    top.into_sorted_vec().into_iter().map(keyed_pair).collect();
-                prune::present(&mut pairs);
-                Criterion::Cep(pairs)
+                // A single-share driver hands its share over unsealed.
+                acc.seal();
+                let Selection::Sealed { run, .. } = acc.top else {
+                    unreachable!("CEP shares carry a selection");
+                };
+                // Descending `EdgeKey` order is presentation order (weight
+                // descending, ties to the earlier pair): relabel in place.
+                Criterion::Cep(run.into_iter().map(keyed_pair).collect())
             }
             Self::LocalMax => Criterion::BlastMax(slab(&acc.slots)),
             Self::FeatureMax => Criterion::Supervised(FeatureExtractor::from_max(acc.maxima)),
@@ -472,9 +544,13 @@ impl Rule<'_> {
         }
     }
 
-    /// Whether [`Self::contribute`] reads forward entries only.
-    pub(crate) fn forward_only(&self) -> bool {
-        self.votes().is_none()
+    /// The sweeps [`Self::contribute`]'s rows come from: forward when an
+    /// edge is decided without a vote, full rows for the votes.
+    pub(crate) fn sweep_direction(&self) -> Direction {
+        match self.votes() {
+            None => Direction::Forward,
+            Some(_) => Direction::Both,
+        }
     }
 
     /// The kept weight of entry `i` of `row` for the families that
@@ -503,7 +579,7 @@ impl Rule<'_> {
     /// weights in ascending neighbour order, the vector the materialised
     /// pass averages.
     // `always`: this is the per-neighbour step of every query-time
-    // resolve, and the cardinality arm's heap code makes LLVM leave it
+    // resolve, and the cardinality arm's selection code makes LLVM leave it
     // out of line there — a measured fifth of a WNP resolve.
     #[inline(always)]
     pub(crate) fn ballot(&self, row: Row<'_>) -> Ballot {
@@ -616,7 +692,7 @@ pub(crate) fn criterion<D: RowDriver>(
             let k = k.unwrap_or_else(|| prune::default_cep_k_from(driver.total_assignments()));
             if k == 0 {
                 // Degenerate cardinality (empty or single-assignment
-                // collection): nothing to select, no heap to drive.
+                // collection): nothing to select.
                 return (Criterion::Cep(Vec::new()), None);
             }
             CriterionFold::CepTop(k)
@@ -719,14 +795,15 @@ mod tests {
     }
 
     /// The criterion a fold builds from the given rows of a 10-entity
-    /// corpus, each row folded into its own share.
+    /// corpus, each row folded into its own sealed share.
     fn reduced(fold: CriterionFold, rows: &[Row<'_>]) -> Criterion {
-        let mut merged = fold.init();
-        for &r in rows {
+        let shares = rows.iter().map(|&r| {
             let mut share = fold.init();
             fold.fold(&mut share, r);
-            merged.merge(share);
-        }
+            share.seal();
+            share
+        });
+        let merged = Partial::merged(shares).unwrap_or_else(|| fold.init());
         fold.finish(merged, 10)
     }
 
@@ -792,6 +869,60 @@ mod tests {
         };
         let pairs: Vec<_> = pairs.iter().map(|p| (p.a.0, p.b.0)).collect();
         assert_eq!(pairs, [(0, 4), (0, 6)]);
+    }
+
+    /// CEP over nine tie-heavy forward edges dealt into three shares in
+    /// every possible way, the sealed shares merged under both groupings:
+    /// always the unsplit selection, at cardinalities below, at and above
+    /// the edge count.
+    #[test]
+    fn sealed_shares_merge_to_the_unsplit_selection_however_split() {
+        let edges: Vec<(u32, u32, f64)> = (0..5u32)
+            .flat_map(|a| (a + 1..5).map(move |y| (a, y)))
+            .take(9)
+            .enumerate()
+            .map(|(i, (a, y))| (a, y, [2.0, 1.0, 2.0, 3.0][i % 4]))
+            .collect();
+        let pairs_of = |criterion: Criterion| {
+            let Criterion::Cep(pairs) = criterion else {
+                panic!("CEP folds to its top-k");
+            };
+            let flat = |p: &WeightedPair| (p.a.0, p.b.0, p.weight.to_bits());
+            pairs.iter().map(flat).collect::<Vec<_>>()
+        };
+        for k in [1, 4, 8, 9, 10] {
+            let fold = CriterionFold::CepTop(k);
+            let share_of = |which: &dyn Fn(usize) -> bool| {
+                let mut share = fold.init();
+                for (i, &(a, y, w)) in edges.iter().enumerate() {
+                    if which(i) {
+                        fold.fold(&mut share, row(a, &[(y, w)]));
+                    }
+                }
+                share
+            };
+            // Weight descending, ties to the earlier pair, cut at k.
+            let mut expect: Vec<_> = edges.iter().map(|&(a, y, w)| (a, y, w.to_bits())).collect();
+            expect.sort_by_key(|&(a, y, w)| (Reverse(w), a, y));
+            expect.truncate(k);
+            // Unsplit, unsealed: `finish` seals what nobody sealed.
+            assert_eq!(pairs_of(fold.finish(share_of(&|_| true), 10)), expect);
+            for split in 0..3usize.pow(edges.len() as u32) {
+                let sealed = |part: usize| {
+                    let mut share = share_of(&|i| split / 3usize.pow(i as u32) % 3 == part);
+                    share.seal();
+                    share
+                };
+                let left = Partial::merged([sealed(0), sealed(1), sealed(2)]);
+                let mut right = sealed(1);
+                right.merge(sealed(2));
+                let right = Partial::merged([sealed(0), right]);
+                for merged in [left, right] {
+                    let got = pairs_of(fold.finish(merged.expect("three shares"), 10));
+                    assert_eq!(got, expect, "k {k}, split {split}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,22 +7,26 @@
 //! random access to the whole slab — so this driver sweeps the block
 //! collection entity by entity (the crate-internal `sweep` module),
 //! rebuilds each node's row in dense epoch-reset accumulators, and hands
-//! it to the family's rule. What a row *means* — thresholds, heaps,
+//! it to the family's rule. What a row *means* — thresholds, selections,
 //! votes, tie-breaks — lives in the crate-internal `rule` module; this
 //! file only decides which rows are visited and where partial results
 //! merge:
 //!
-//! * **Rows visited**: every entity with at least one comparable
-//!   neighbour, over cost-balanced contiguous entity ranges — one scoped
-//!   worker thread and one pooled scratch per range, inline when a single
-//!   range covers the corpus. A pass weighs forward (`y > a`) entries
-//!   only unless the rule reads full rows (the node-centric votes, BLAST's
-//!   local maxima).
+//! * **Rows visited**: every entity with at least one neighbour in the
+//!   pass's direction, over contiguous entity ranges balanced by what
+//!   sweeping them in that direction costs — one scoped worker thread and
+//!   one pooled scratch per range, inline when a single range covers the
+//!   corpus. A pass *sweeps* forward (`y > a`) only — half the
+//!   co-occurrences, none of the backward weights — unless the rule reads
+//!   full rows (the node-centric votes, BLAST's local maxima).
 //! * **Where the reduction merges**: each range folds its rows into its
-//!   own share; the shares merge on the calling thread in range order.
-//!   Every criterion reduction is exact or fixed-shape, so the merged
-//!   result is independent of the partitioning; kept pairs concatenate in
-//!   range order, which for the forward-only rules *is* pair order.
+//!   own share and seals it in its own worker (CEP's one sort happens
+//!   there, in parallel); the sealed shares merge on the calling thread
+//!   in range order, which for CEP is a `k`-bounded merge of descending
+//!   runs. Every criterion reduction is exact or fixed-shape, so the
+//!   merged result is independent of the partitioning; kept pairs
+//!   concatenate in range order, which for the forward-only rules *is*
+//!   pair order.
 //!
 //! The sweep state (entity ranges, weight globals, scratch pool) belongs
 //! to the [`Session`](crate::Session) and is reused across runs. EJS, the
@@ -36,6 +40,7 @@
 use crate::prune::WeightedPair;
 use crate::rule::{forward_len, CriterionFold, Partial, Row, RowBuf, RowDriver, Rule, Weigher};
 use crate::sweep::{for_each_range, SweepState};
+use minoan_blocking::Direction;
 use minoan_rdf::EntityId;
 
 /// The scoped-thread [`RowDriver`] over a session's sweep state.
@@ -52,19 +57,21 @@ impl<'s, 'c> Streaming<'s, 'c> {
         }
     }
 
-    /// One pass over the corpus: sweeps every entity, fills its
-    /// `weigher` row and feeds it to `step` against the range's own
-    /// `init()` accumulator. Returns the accumulators in range order and
-    /// the pass's forward-edge count.
+    /// One pass over the corpus: sweeps every entity in `direction`,
+    /// fills its `weigher` row and feeds it to `step` against the range's
+    /// own `init()` accumulator, which `seal` closes in the range's
+    /// worker. Returns the accumulators in range order and the pass's
+    /// forward-edge count.
     fn pass<A: Send>(
         &mut self,
         weigher: Weigher,
-        forward_only: bool,
+        direction: Direction,
         init: impl Fn() -> A + Sync,
         step: impl Fn(&mut A, Row<'_>) + Sync,
+        seal: impl Fn(&mut A) + Sync,
     ) -> (Vec<A>, u64) {
         self.st.ensure(weigher.needs_counts(), self.threads);
-        let ranges = self.st.ranges(self.threads);
+        let ranges = self.st.ranges(self.threads, direction);
         let (collection, globals) = (self.st.collection, self.st.globals());
         let shares = for_each_range(&ranges, &self.st.pool, |range, scratch| {
             let mut acc = init();
@@ -72,13 +79,14 @@ impl<'s, 'c> Streaming<'s, 'c> {
             let mut forward = 0u64;
             for a in range {
                 let a = a as u32;
-                if scratch.sweep(collection, EntityId(a)).is_empty() {
+                if scratch.sweep(collection, EntityId(a), direction).is_empty() {
                     continue;
                 }
-                weigher.fill(scratch, a, globals, forward_only, &mut buf);
-                forward += forward_len(a, &buf.entries);
+                weigher.fill(scratch, a, globals, &mut buf);
+                forward += forward_len(a, &buf.entries, |e| e.0);
                 step(&mut acc, buf.row(a));
             }
+            seal(&mut acc);
             (acc, forward)
         });
         let forward = shares.iter().map(|s| s.1).sum();
@@ -108,18 +116,23 @@ impl RowDriver for Streaming<'_, '_> {
     fn reduce(&mut self, weigher: Weigher, fold: &CriterionFold) -> (Partial, u64) {
         let (shares, forward) = self.pass(
             weigher,
-            fold.forward_only(),
+            fold.sweep_direction(),
             || fold.init(),
             |acc, row| fold.fold(acc, row),
+            Partial::seal,
         );
         let merged = Partial::merged(shares).unwrap_or_else(|| fold.init());
         (merged, forward)
     }
 
     fn keep(&mut self, weigher: Weigher, rule: Rule<'_>) -> (Vec<WeightedPair>, u64) {
-        let (shares, forward) = self.pass(weigher, rule.forward_only(), Vec::new, |kept, row| {
-            rule.contribute(row, kept)
-        });
+        let (shares, forward) = self.pass(
+            weigher,
+            rule.sweep_direction(),
+            Vec::new,
+            |kept, row| rule.contribute(row, kept),
+            |_| {},
+        );
         (shares.into_iter().flatten().collect(), forward)
     }
 }

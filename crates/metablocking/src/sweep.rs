@@ -9,13 +9,27 @@
 //! sweep and a slot is (re)initialised lazily the first time it is touched,
 //! so a sweep costs `O(co-occurrences of a)`, never `O(n)`.
 //!
-//! Because blocks are visited in ascending id order, the f64 ARCS sums are
-//! accumulated in exactly the order the materialised graph build uses —
-//! which is what makes the streaming pruning paths *bit-identical* to the
-//! materialised ones.
+//! A sweep has a [`Direction`]: `Both` reports every neighbour of `a`,
+//! `Forward` only those above it — each block's member walk stops at `a`,
+//! so a forward pass over the whole corpus touches every co-occurrence
+//! once instead of twice. The families that decide an edge from its
+//! weight and a global criterion (CEP, WEP, `None`, supervised) sweep
+//! forward; the node-centric votes, the counting pass and the CSR build
+//! read full neighbourhoods.
+//!
+//! Because blocks are visited in ascending id order in either direction,
+//! the f64 ARCS sums are accumulated in exactly the order the materialised
+//! graph build uses — which is what makes the streaming pruning paths
+//! *bit-identical* to the materialised ones.
+//!
+//! What a sweep of `a` costs depends on the direction too — Σ sizes of
+//! `a`'s blocks in full, Σ members *after* `a` in them forward, which
+//! leans towards the low ids — so [`SweepState`] keeps one per-entity
+//! cost slab per direction and balances each pass's entity ranges by the
+//! cost that pass will pay.
 
 use crate::kernel::WeightGlobals;
-use minoan_blocking::{BlockCollection, BlockView};
+use minoan_blocking::{BlockCollection, BlockView, Direction};
 use minoan_rdf::EntityId;
 use std::sync::Mutex;
 
@@ -49,11 +63,17 @@ impl SweepScratch {
     }
 
     /// Sweeps entity `a`, leaving the distinct comparable neighbours of
-    /// `a` (sorted ascending) in the returned slice; per-neighbour stats
-    /// are then available through [`Self::cbs_of`] / [`Self::arcs_of`].
-    /// Generic over the block layout, so a finished collection and the
-    /// live incremental slabs each get their own monomorphised loop.
-    pub(crate) fn sweep<V: BlockView>(&mut self, view: &V, a: EntityId) -> &[u32] {
+    /// `a` in `direction` (sorted ascending) in the returned slice;
+    /// per-neighbour stats are then available through [`Self::cbs_of`] /
+    /// [`Self::arcs_of`]. Generic over the block layout, so a finished
+    /// collection and the live incremental slabs each get their own
+    /// monomorphised loop.
+    pub(crate) fn sweep<V: BlockView>(
+        &mut self,
+        view: &V,
+        a: EntityId,
+        direction: Direction,
+    ) -> &[u32] {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Extremely long-lived scratch (now reachable: the session
@@ -71,7 +91,7 @@ impl SweepScratch {
             touched,
             epoch,
         } = self;
-        view.for_each_co_occurrence(a, |inv_card, y| {
+        view.for_each_co_occurrence(a, direction, |inv_card, y| {
             let yi = y.index();
             if last_seen[yi] != *epoch {
                 last_seen[yi] = *epoch;
@@ -153,7 +173,8 @@ impl ScratchPool {
 /// The one scoped-thread driver of the sweep-based paths: runs `f` once
 /// per range with a pooled scratch and returns the results in range
 /// order. A single range runs inline — a `--workers 1` run, or a
-/// criterion rebuild under a service lock, pays no thread spawn.
+/// criterion rebuild under a service lock, pays no thread spawn. A panic
+/// in a worker resumes on the caller with its original payload.
 pub(crate) fn for_each_range<T, F>(
     ranges: &[std::ops::Range<usize>],
     pool: &ScratchPool,
@@ -174,21 +195,33 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
             .collect()
     })
 }
 
+/// What sweeping each entity in one direction costs, and the range
+/// partitionings already cut from it (by part count).
+#[derive(Default)]
+struct Balance {
+    costs: Option<Vec<u64>>,
+    ranges: Vec<(usize, Vec<std::ops::Range<usize>>)>,
+}
+
 /// The expensive state a sweep-based backend (streaming or MapReduce)
 /// needs before it can weight an edge, owned and cached across runs by
-/// [`Session`](crate::Session): the per-entity sweep-cost slab and its
-/// range partitionings, the [`WeightGlobals`] tiers (basic, and the
-/// counted degrees/|V|/active-node upgrade), and the scratch pool.
+/// [`Session`](crate::Session): the per-entity sweep-cost slabs (one per
+/// [`Direction`]) and their range partitionings, the [`WeightGlobals`]
+/// tiers (basic, and the counted degrees/|V|/active-node upgrade), and
+/// the scratch pool.
 pub(crate) struct SweepState<'c> {
     pub(crate) collection: &'c BlockCollection,
     pub(crate) pool: ScratchPool,
-    costs: Option<Vec<u64>>,
-    ranges: Vec<(usize, Vec<std::ops::Range<usize>>)>,
+    /// Indexed by `Direction as usize`.
+    balance: [Balance; 2],
     globals: Option<WeightGlobals>,
     counted: bool,
 }
@@ -198,23 +231,28 @@ impl<'c> SweepState<'c> {
         Self {
             collection,
             pool: ScratchPool::new(collection.num_entities()),
-            costs: None,
-            ranges: Vec::new(),
+            balance: Default::default(),
             globals: None,
             counted: false,
         }
     }
 
-    /// Cost-balanced contiguous entity ranges for `parts` workers, cached
-    /// per part count (the per-entity cost slab is computed once).
-    pub(crate) fn ranges(&mut self, parts: usize) -> Vec<std::ops::Range<usize>> {
-        if let Some((_, r)) = self.ranges.iter().find(|(p, _)| *p == parts) {
+    /// Contiguous entity ranges for `parts` workers sweeping in
+    /// `direction`, balanced by what those sweeps cost; cached per
+    /// `(parts, direction)` (each direction's per-entity cost slab is
+    /// computed once).
+    pub(crate) fn ranges(
+        &mut self,
+        parts: usize,
+        direction: Direction,
+    ) -> Vec<std::ops::Range<usize>> {
+        let Balance { costs, ranges } = &mut self.balance[direction as usize];
+        if let Some((_, r)) = ranges.iter().find(|(p, _)| *p == parts) {
             return r.clone();
         }
-        let collection = self.collection;
-        let costs = self.costs.get_or_insert_with(|| sweep_costs(collection));
+        let costs = costs.get_or_insert_with(|| sweep_costs(self.collection, direction));
         let r = partition_by_cost(costs, parts);
-        self.ranges.push((parts, r.clone()));
+        ranges.push((parts, r.clone()));
         r
     }
 
@@ -232,11 +270,14 @@ impl<'c> SweepState<'c> {
     }
 
     fn count(&mut self, threads: usize) {
-        let ranges = self.ranges(threads.max(1));
+        let ranges = self.ranges(threads.max(1), Direction::Both);
         let collection = self.collection;
         let degrees = for_each_range(&ranges, &self.pool, |r, scratch| {
-            r.map(|a| scratch.sweep(collection, EntityId(a as u32)).len() as u32)
-                .collect::<Vec<u32>>()
+            r.map(|a| {
+                let a = EntityId(a as u32);
+                scratch.sweep(collection, a, Direction::Both).len() as u32
+            })
+            .collect::<Vec<u32>>()
         })
         .concat();
         self.apply_count(degrees);
@@ -267,12 +308,27 @@ impl<'c> SweepState<'c> {
     }
 }
 
-/// Per-entity sweep cost (Σ sizes of the entity's blocks) — the balance
-/// metric of the range partitioner.
-fn sweep_costs(collection: &BlockCollection) -> Vec<u64> {
-    (0..collection.num_entities() as u32)
-        .map(|e| collection.sweep_cost(EntityId(e)))
-        .collect()
+/// Per-entity cost of a sweep in `direction` — the balance metric of the
+/// range partitioner: Σ sizes of the entity's blocks in full, Σ members
+/// after the entity in each of its blocks forward (one block-major pass
+/// over the assignments; members are sorted, so a member's position is
+/// its count of predecessors).
+fn sweep_costs(collection: &BlockCollection, direction: Direction) -> Vec<u64> {
+    let n = collection.num_entities();
+    match direction {
+        Direction::Both => (0..n as u32)
+            .map(|e| collection.sweep_cost(EntityId(e)))
+            .collect(),
+        Direction::Forward => {
+            let mut costs = vec![0u64; n];
+            for block in collection.blocks() {
+                for (after, e) in block.entities.iter().rev().enumerate() {
+                    costs[e.index()] += after as u64;
+                }
+            }
+            costs
+        }
+    }
 }
 
 /// Splits `0..costs.len()` into at most `parts` contiguous ranges of
@@ -303,14 +359,14 @@ pub(crate) fn partition_by_cost(costs: &[u64], parts: usize) -> Vec<std::ops::Ra
     out
 }
 
-/// Contiguous entity ranges for `threads` workers, balanced by sweep cost
-/// (Σ sizes of each entity's blocks) — shared by the CSR build and the
-/// streaming passes so their parallel partitioning stays in lockstep.
+/// Contiguous entity ranges for `threads` workers, balanced by full sweep
+/// cost — the CSR build's partitioning (it needs degrees, so both its
+/// passes sweep in full).
 pub(crate) fn entity_sweep_ranges(
     collection: &BlockCollection,
     threads: usize,
 ) -> Vec<std::ops::Range<usize>> {
-    partition_by_cost(&sweep_costs(collection), threads)
+    partition_by_cost(&sweep_costs(collection, Direction::Both), threads)
 }
 
 /// Splits `slice` at the given cumulative `ends` (ascending, last ==
@@ -355,5 +411,90 @@ mod tests {
     #[test]
     fn partition_handles_empty() {
         assert!(partition_by_cost(&[], 4).is_empty());
+    }
+
+    /// One corpus-wide block plus a few small ones, dirty mode: every
+    /// entity's full sweep costs about the same, while a forward sweep
+    /// costs entity `e` the members after it — the cost sits in the low
+    /// ids.
+    fn low_id_heavy() -> BlockCollection {
+        use minoan_blocking::ErMode;
+        let n = 240u32;
+        let mut b = minoan_rdf::DatasetBuilder::new();
+        let kb = b.add_kb("a", "http://a/");
+        for i in 0..n {
+            b.add_literal(kb, &format!("http://a/{i}"), "http://p", "x");
+        }
+        let members = |ids: std::ops::Range<u32>| ids.map(EntityId).collect::<Vec<_>>();
+        let groups = vec![
+            ("all".to_string(), members(0..n)),
+            ("head".to_string(), members(0..12)),
+            ("mid".to_string(), members(100..130)),
+            ("tail".to_string(), members(220..n)),
+        ];
+        BlockCollection::from_groups(&b.build(), ErMode::Dirty, groups)
+    }
+
+    #[test]
+    fn forward_costs_count_the_forward_visits() {
+        let c = low_id_heavy();
+        let costs = sweep_costs(&c, Direction::Forward);
+        let mut total = 0;
+        for e in 0..c.num_entities() as u32 {
+            let mut visits = 0u64;
+            c.for_each_co_occurrence(EntityId(e), Direction::Forward, |_, _| visits += 1);
+            assert_eq!(costs[e as usize], visits, "entity {e}");
+            total += visits;
+        }
+        // Every co-occurrence once forward, twice in full.
+        let full: u64 = sweep_costs(&c, Direction::Both).iter().sum();
+        assert_eq!(2 * total, full - c.total_assignments());
+    }
+
+    #[test]
+    fn forward_ranges_balance_the_forward_cost() {
+        let c = low_id_heavy();
+        let forward = sweep_costs(&c, Direction::Forward);
+        let cost_of = |r: &std::ops::Range<usize>| forward[r.clone()].iter().sum::<u64>() as f64;
+        let mut st = SweepState::new(&c);
+        for parts in 1..6 {
+            let ranges = st.ranges(parts, Direction::Forward);
+            assert!(ranges.len() <= parts);
+            let mut next = 0;
+            for r in &ranges {
+                assert_eq!(r.start, next);
+                assert!(r.end > r.start);
+                next = r.end;
+            }
+            assert_eq!(next, c.num_entities());
+        }
+        // Two workers: the forward split is even where the split by full
+        // sweep cost would leave one of them over twice the work.
+        let [lo, hi] = &st.ranges(2, Direction::Forward)[..] else {
+            panic!("two ranges");
+        };
+        let skew = (cost_of(lo) - cost_of(hi)).abs() / cost_of(lo).max(cost_of(hi));
+        assert!(
+            skew <= 0.10,
+            "forward split {lo:?} | {hi:?} is off by {skew}"
+        );
+        let [lo, hi] = &st.ranges(2, Direction::Both)[..] else {
+            panic!("two ranges");
+        };
+        assert!(
+            cost_of(lo) > 2.0 * cost_of(hi),
+            "full-cost split {lo:?} | {hi:?}: forward cost {} vs {}",
+            cost_of(lo),
+            cost_of(hi)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the rule refused range 3..6")]
+    fn a_worker_panic_reaches_the_caller_with_its_message() {
+        let pool = ScratchPool::new(6);
+        for_each_range(&[0..3, 3..6], &pool, |r, _| {
+            assert!(r.start == 0, "the rule refused range {r:?}");
+        });
     }
 }

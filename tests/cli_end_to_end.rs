@@ -131,6 +131,42 @@ fn turtle_extensions_are_read_in_any_letter_case() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `batch_dirty`'s command line — dirty mode, JS × CEP under a comparison
+/// budget — prints the same report, byte for byte, from every backend at
+/// every worker count (the benchmark pins `--workers 2`, so it cannot
+/// show this).
+#[test]
+fn dirty_cep_reports_do_not_depend_on_backend_or_workers() {
+    let dir = std::env::temp_dir().join("minoan_cli_dirty");
+    std::fs::create_dir_all(&dir).unwrap();
+    cli(&format!(
+        "generate --profile dirty --entities 400 --seed 9 --out {}",
+        dir.display()
+    ))
+    .expect("generate");
+    let resolve = |backend: &str, workers: usize| {
+        let line = format!(
+            "resolve --input {}/dirty.nt --dirty --weighting js --pruning cep --budget 1000 \
+             --show 1000 --backend {backend} --workers {workers}",
+            dir.display()
+        );
+        cli(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"))
+    };
+    let expect = resolve("materialized", 1);
+    assert!(expect.contains("800 descriptions") && expect.contains("comparisons 1000"));
+    assert!(expect.lines().count() > 300, "every match is printed");
+    for backend in ["streaming", "mapreduce", "materialized"] {
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(
+                resolve(backend, workers),
+                expect,
+                "{backend}, {workers} workers"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_errors_are_user_facing() {
     assert!(cli("resolve --input /nonexistent/file.nt").is_err());

@@ -58,6 +58,17 @@ pub fn reference(
     }
 }
 
+/// CEP at the cardinalities where a selection can go wrong: one and two
+/// edges, one short of every edge, exactly every edge, one more than
+/// there are, and the default budget. Under an integer-valued scheme
+/// (CBS) the small ones cut inside a class of equal weights, where only
+/// the pair tie-break decides what is kept.
+#[allow(dead_code)]
+pub fn cep_cardinalities(num_edges: usize) -> [Pruning; 6] {
+    let v = num_edges;
+    [Some(1), Some(2), Some(v - 1), Some(v), Some(v + 1), None].map(Pruning::Cep)
+}
+
 /// Bit-identity over bare pair lists: same pairs in the same order with
 /// the same f64 weight bits.
 #[allow(dead_code)]

@@ -7,7 +7,8 @@
 //! variants included) × workers {1, 3, 8}, asserting the
 //! entity-partitioned MapReduce backend is **bit-identical** to the
 //! materialised one — pair-for-pair order, f64 weight bits and the
-//! reported input-edge counts.
+//! reported input-edge counts. The edge-centric cells (WEP, CEP) run a
+//! second time in dirty mode over one KB of duplicates.
 
 use minoan::blocking::parallel::parallel_token_blocking;
 use minoan::blocking::{builders, ErMode};
@@ -16,7 +17,7 @@ use minoan::metablocking::{BlockingGraph, ExecutionBackend, Pruning, WeightingSc
 use minoan::prelude::*;
 
 mod common;
-use common::{assert_outcome_bit_identical, reference, session_run};
+use common::{assert_outcome_bit_identical, cep_cardinalities, reference, session_run};
 
 #[test]
 fn parallel_blocking_identical_for_all_worker_counts() {
@@ -32,13 +33,15 @@ fn parallel_blocking_identical_for_all_worker_counts() {
 }
 
 /// The full matrix: scheme × pruning family × worker count, entity-based
-/// MapReduce vs the materialised graph, bit-for-bit.
+/// MapReduce vs the materialised graph, bit-for-bit — every family on a
+/// clean–clean world, then the forward-sweeping edge-centric ones on a
+/// dirty world (`batch_dirty`'s shape) with CEP cut at the cardinalities
+/// around |V|.
 #[test]
 fn entity_partitioned_matrix_is_bit_identical_to_materialised() {
     let world = generate(&profiles::center_dense(140, 13));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
     let cleaned = filter::clean(&blocks);
-    let graph = BlockingGraph::build(&cleaned);
     let mut families = vec![Pruning::Wep, Pruning::Cep(None), Pruning::Cep(Some(25))];
     for reciprocal in [false, true] {
         families.push(Pruning::Wnp { reciprocal });
@@ -48,20 +51,35 @@ fn entity_partitioned_matrix_is_bit_identical_to_materialised() {
     }
     // BLAST is scheme-free (χ² weights), but rides the matrix anyway.
     families.extend([0.35, 0.8].map(|ratio| Pruning::Blast { ratio }));
-    for workers in [1usize, 3, 8] {
-        for scheme in WeightingScheme::ALL {
-            for &pruning in &families {
-                assert_outcome_bit_identical(
-                    &session_run(
-                        &cleaned,
-                        scheme,
-                        pruning,
-                        ExecutionBackend::MapReduce,
-                        workers,
-                    ),
-                    &reference(&graph, scheme, pruning),
-                    &format!("{pruning:?}/{scheme:?}/w={workers}"),
-                );
+
+    let duplicates = generate(&profiles::dirty_single(70, 13));
+    let dirty = filter::clean(&builders::token_blocking(
+        &duplicates.dataset,
+        ErMode::Dirty,
+    ));
+    let mut edge_centric = vec![Pruning::Wep];
+    edge_centric.extend(cep_cardinalities(BlockingGraph::build(&dirty).num_edges()));
+
+    for (mode, collection, families) in [
+        (ErMode::CleanClean, &cleaned, &families),
+        (ErMode::Dirty, &dirty, &edge_centric),
+    ] {
+        let graph = BlockingGraph::build(collection);
+        for workers in [1usize, 3, 8] {
+            for scheme in WeightingScheme::ALL {
+                for &pruning in families {
+                    assert_outcome_bit_identical(
+                        &session_run(
+                            collection,
+                            scheme,
+                            pruning,
+                            ExecutionBackend::MapReduce,
+                            workers,
+                        ),
+                        &reference(&graph, scheme, pruning),
+                        &format!("{mode:?}/{pruning:?}/{scheme:?}/w={workers}"),
+                    );
+                }
             }
         }
     }

@@ -2,8 +2,9 @@
 //! CSR-graph path produce **bit-identical** pruned pair sets for every
 //! pruning family — edge-centric WEP/CEP as well as node-centric WNP/CNP
 //! (and BLAST) — under all five weighting schemes, on random generated
-//! worlds, for both the union and reciprocal variants, at thread counts
-//! 1/2/4/8.
+//! worlds (clean–clean, and for the edge-centric families a dirty
+//! single-KB world of duplicates too), for both the union and reciprocal
+//! variants, at thread counts 1/2/4/8.
 
 use minoan::blocking::{builders, BlockCollection, ErMode};
 use minoan::metablocking::{BlockingGraph, ExecutionBackend, Pruning};
@@ -11,7 +12,7 @@ use minoan::prelude::*;
 use proptest::prelude::*;
 
 mod common;
-use common::{assert_outcome_bit_identical, reference, session_run};
+use common::{assert_outcome_bit_identical, cep_cardinalities, reference, session_run};
 
 /// Asserts one streaming session run against the materialised reference.
 fn assert_streams_like_reference(
@@ -59,17 +60,33 @@ proptest! {
 
     /// Edge-centric WEP and CEP agree bitwise between backends for every
     /// scheme at thread counts 1/2/4/8 — WEP's global mean comes from a
-    /// fixed-shape pairwise reduction, CEP's global top-k from merged
-    /// per-thread heaps, so neither may drift with the partitioning.
+    /// fixed-shape pairwise reduction, CEP's global top-k from per-thread
+    /// selections sealed into runs and merged, so neither may drift with
+    /// the partitioning — in clean–clean mode and in dirty mode over one
+    /// KB of duplicates (`batch_dirty`'s shape), where the forward sweeps
+    /// see every co-member as comparable.
     #[test]
     fn streaming_wep_cep_equal_materialised(seed in 0u64..500, n in 40usize..120) {
-        let world = generate(&profiles::center_periphery(n, seed));
-        let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        for threads in [1usize, 2, 4, 8] {
+        for (config, mode) in [
+            (profiles::center_periphery(n, seed), ErMode::CleanClean),
+            (profiles::dirty_single(n.min(40), seed), ErMode::Dirty),
+        ] {
+            let world = generate(&config);
+            let blocks = builders::token_blocking(&world.dataset, mode);
+            let graph = BlockingGraph::build(&blocks);
+            let mut families = vec![Pruning::Wep, Pruning::Cep(Some(7))];
+            families.extend(cep_cardinalities(graph.num_edges()));
             for scheme in WeightingScheme::ALL {
-                for pruning in [Pruning::Wep, Pruning::Cep(None), Pruning::Cep(Some(7))] {
-                    assert_streams_like_reference(&blocks, &graph, scheme, pruning, threads);
+                for &pruning in &families {
+                    let expect = reference(&graph, scheme, pruning);
+                    for threads in [1usize, 2, 4, 8] {
+                        let backend = ExecutionBackend::Streaming;
+                        assert_outcome_bit_identical(
+                            &session_run(&blocks, scheme, pruning, backend, threads),
+                            &expect,
+                            &format!("{mode:?}/{pruning:?}/{}/t={threads}", scheme.name()),
+                        );
+                    }
                 }
             }
         }
