@@ -1,8 +1,9 @@
 //! A minimal, dependency-free option parser.
 //!
 //! Grammar: `minoan <command> [--flag] [--key value]...`. Repeated `--key`
-//! accumulates (used for `--input`). Unknown options are an error — typos
-//! must not silently change an experiment.
+//! accumulates (used for `--input`). What a command accepts is declared
+//! once, by the synopsis `help` prints for it; an option it does not
+//! declare is an error — typos must not silently change an experiment.
 
 use std::collections::BTreeMap;
 
@@ -29,10 +30,25 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+/// The options a command synopsis declares, as `(name, is_flag)`: every
+/// `--name` followed by a placeholder takes a value, every `[--name]` is a
+/// bare flag. `"--out DIR [--input F ...] [--dirty]"` declares `out` and
+/// `input` with values and the flag `dirty`.
+fn declared(synopsis: &str) -> impl Iterator<Item = (&str, bool)> {
+    synopsis.split_whitespace().filter_map(|token| {
+        let name = token.trim_start_matches('[').strip_prefix("--")?;
+        Some(match name.strip_suffix(']') {
+            Some(flag) => (flag, true),
+            None => (name, false),
+        })
+    })
+}
+
 impl Args {
-    /// Parses `argv` (without the program name). `known_flags` lists the
-    /// options that take no value.
-    pub fn parse(argv: &[String], known_flags: &[&str]) -> Result<Self, ArgError> {
+    /// Parses `argv` (without the program name) against the synopsis of
+    /// its command — `--name X` takes a value, `[--name]` is a bare flag —
+    /// so an option the synopsis does not declare is an error.
+    pub fn parse(argv: &[String], synopsis: &str) -> Result<Self, ArgError> {
         let mut out = Args::default();
         let mut it = argv.iter().peekable();
         out.command = it
@@ -54,7 +70,13 @@ impl Args {
             if name.is_empty() {
                 return Err(ArgError("bare `--` is not supported".into()));
             }
-            if known_flags.contains(&name) {
+            let Some((_, is_flag)) = declared(synopsis).find(|&(known, _)| known == name) else {
+                return Err(ArgError(format!(
+                    "unknown option --{name} for {}; try `minoan help`",
+                    out.command
+                )));
+            };
+            if is_flag {
                 out.flags.push(name.to_string());
                 continue;
             }
@@ -121,7 +143,7 @@ mod tests {
     fn parses_command_options_and_flags() {
         let a = Args::parse(
             &argv("resolve --input a.nt --input b.nt --budget 100 --verbose"),
-            &["verbose"],
+            "--input F [--input F ...] [--budget N] [--verbose]",
         )
         .unwrap();
         assert_eq!(a.command, "resolve");
@@ -136,40 +158,41 @@ mod tests {
 
     #[test]
     fn missing_command_is_an_error() {
-        assert!(Args::parse(&[], &[]).is_err());
-        assert!(Args::parse(&argv("--input x"), &[]).is_err());
+        assert!(Args::parse(&[], "").is_err());
+        assert!(Args::parse(&argv("--input x"), "--input F").is_err());
     }
 
     #[test]
     fn option_without_value_is_an_error() {
-        assert!(Args::parse(&argv("stats --input"), &[]).is_err());
-        assert!(Args::parse(&argv("stats --input --other x"), &[]).is_err());
+        let synopsis = "--input F [--other X]";
+        assert!(Args::parse(&argv("stats --input"), synopsis).is_err());
+        assert!(Args::parse(&argv("stats --input --other x"), synopsis).is_err());
     }
 
     #[test]
     fn positional_after_command_rejected() {
-        assert!(Args::parse(&argv("stats file.nt"), &[]).is_err());
+        assert!(Args::parse(&argv("stats file.nt"), "--input F").is_err());
     }
 
     #[test]
     fn last_value_wins_for_get() {
-        let a = Args::parse(&argv("x --seed 1 --seed 2"), &[]).unwrap();
+        let a = Args::parse(&argv("x --seed 1 --seed 2"), "[--seed S]").unwrap();
         assert_eq!(a.get("seed"), Some("2"));
         assert_eq!(a.get_all("seed").len(), 2);
     }
 
     #[test]
     fn get_parsed_defaults_and_errors() {
-        let a = Args::parse(&argv("x --n 42"), &[]).unwrap();
+        let a = Args::parse(&argv("x --n 42"), "[--n N]").unwrap();
         assert_eq!(a.get_parsed("n", 0u64).unwrap(), 42);
         assert_eq!(a.get_parsed("missing", 7u64).unwrap(), 7);
-        let bad = Args::parse(&argv("x --n forty"), &[]).unwrap();
+        let bad = Args::parse(&argv("x --n forty"), "[--n N]").unwrap();
         assert!(bad.get_parsed("n", 0u64).is_err());
     }
 
     #[test]
     fn require_reports_the_key() {
-        let a = Args::parse(&argv("x"), &[]).unwrap();
+        let a = Args::parse(&argv("x"), "--out DIR").unwrap();
         let err = a.require("out").unwrap_err();
         assert!(err.0.contains("--out"));
     }

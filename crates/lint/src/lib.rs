@@ -20,6 +20,7 @@
 //! | ML005 | `unwrap-in-lib`       | library code propagates errors or explains its expects |
 //! | ML006 | `dep-drift`           | dependencies stay inside the workspace / `vendor/` |
 //! | ML007 | `forbid-unsafe`       | every crate root carries `#![forbid(unsafe_code)]` |
+//! | ML008 | `global-mutable-state` | library code keeps no process-global mutable state |
 
 #![forbid(unsafe_code)]
 

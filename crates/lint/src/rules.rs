@@ -75,6 +75,11 @@ pub const RULES: &[RuleInfo] = &[
         name: "forbid-unsafe",
         summary: "crate root missing #![forbid(unsafe_code)]",
     },
+    RuleInfo {
+        code: "ML008",
+        name: "global-mutable-state",
+        summary: "a static of atomic/lock/cell type, a mutable static or a thread-local in library code",
+    },
 ];
 
 /// Looks a rule up by name.
@@ -172,6 +177,11 @@ const HASH_TYPES: &[&str] = &[
     "hash_set",
 ];
 
+/// Interior-mutable types a library `static` may not hold (ML008), beside
+/// every `Atomic*`.
+const SHARED_MUTABLE_TYPES: &[&str] =
+    &["Mutex", "RwLock", "OnceLock", "OnceCell", "Cell", "RefCell"];
+
 /// Minimum `.expect("…")` message length ML005 accepts.
 const MIN_EXPECT_MSG: usize = 8;
 
@@ -267,6 +277,9 @@ pub fn check_rust(rel: &str, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
             unwrap_in_lib(rel, scanned, out);
         }
         legacy_oracle_reach(rel, scanned, out);
+        if in_crate_src(rel) {
+            global_mutable_state(rel, scanned, out);
+        }
     }
 
     out.sort_by(|a, b| (a.line, a.col, a.code).cmp(&(b.line, b.col, b.code)));
@@ -732,6 +745,55 @@ fn legacy_oracle_reach(rel: &str, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
+    }
+}
+
+/// ML008 — process-global mutable state in library code: a `static` of
+/// an atomic / lock / cell type, a mutable `static`, a thread-local. Every
+/// test in a process shares such state, so assertions on it pass or fail
+/// by scheduling; a fact belongs on the object that did the work.
+fn global_mutable_state(rel: &str, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
+    let bytes = s.masked.as_bytes();
+    let mut found: Vec<(usize, String)> = Vec::new();
+    for off in find_ident(&s.masked, "thread_local") {
+        if bytes.get(off + "thread_local".len()) == Some(&b'!') {
+            found.push((off, "a `thread_local` block".to_string()));
+        }
+    }
+    for off in find_ident(&s.masked, "static") {
+        if off > 0 && bytes[off - 1] == b'\'' {
+            continue; // a `'static` lifetime
+        }
+        let rest = s.masked[off + "static".len()..].trim_start();
+        if rest.starts_with("mut ") {
+            found.push((off, "a mutable `static`".to_string()));
+            continue;
+        }
+        // `static NAME: Type = …;` — the type runs from the colon to the `=`.
+        let decl = &rest[..rest.find(['=', ';']).unwrap_or(rest.len())];
+        let ty = decl.split_once(':').map_or("", |(_, ty)| ty);
+        let mutable = idents_in(ty)
+            .into_iter()
+            .find(|t| t.starts_with("Atomic") || SHARED_MUTABLE_TYPES.contains(&t.as_str()));
+        if let Some(t) = mutable {
+            found.push((off, format!("a `static` holding `{t}`")));
+        }
+    }
+    for (off, what) in found {
+        if s.in_test(off) {
+            continue;
+        }
+        let (line, col) = s.line_col(off);
+        out.push(diag(
+            rel,
+            line,
+            col,
+            "global-mutable-state",
+            format!(
+                "{what} is process-global mutable state — every test in the process shares \
+                 it; keep the state (and what it counts) on the instance that does the work"
+            ),
+        ));
     }
 }
 

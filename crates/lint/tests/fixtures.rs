@@ -229,3 +229,29 @@ fn ml007_present_forbid_is_clean() {
     let src = include_str!("lint_fixtures/ml007_clean.rs");
     assert_eq!(fired("crates/fixture/src/lib.rs", src), vec![]);
 }
+
+#[test]
+fn ml008_global_mutable_state_fires_in_library_code() {
+    let src = include_str!("lint_fixtures/ml008_fire.rs");
+    // An atomic, a lock, a `static mut`, a `thread_local!` and the `Cell`
+    // it declares, a `OnceLock` inside a function.
+    assert_eq!(
+        fired("crates/fixture/src/state.rs", src),
+        [2, 3, 4, 5, 6, 10].map(|line| ("ML008", line))
+    );
+    // Tests, benches and examples may keep process-global state.
+    for exempt in [
+        "tests/state.rs",
+        "crates/fixture/tests/state.rs",
+        "crates/fixture/benches/state.rs",
+        "examples/state.rs",
+    ] {
+        assert_eq!(fired(exempt, src), vec![], "{exempt}");
+    }
+}
+
+#[test]
+fn ml008_immutable_statics_and_test_state_are_clean() {
+    let src = include_str!("lint_fixtures/ml008_clean.rs");
+    assert_eq!(fired("crates/fixture/src/state.rs", src), vec![]);
+}

@@ -1,4 +1,4 @@
-//! The execution engine: parallel map, combiner, shuffle, parallel reduce.
+//! The execution engine: parallel map, shuffle, parallel reduce.
 
 use crate::counters::Counters;
 use minoan_common::FxHashMap;
@@ -19,7 +19,7 @@ pub struct JobStats {
     pub map_tasks: usize,
     /// Number of distinct intermediate keys (= reduce groups).
     pub reduce_groups: usize,
-    /// Number of intermediate key–value pairs after combining.
+    /// Number of intermediate key–value pairs shuffled.
     pub intermediate_pairs: usize,
     /// Measured duration of each map task, nanoseconds (task order).
     pub map_task_nanos: Vec<u64>,
@@ -98,7 +98,7 @@ impl Engine {
         self.workers
     }
 
-    /// Runs a job without combiner. See [`Engine::run_full`].
+    /// Runs a job. See [`Engine::run_full`].
     pub fn run<I, K, V, O, M, R>(&self, inputs: Vec<I>, map_fn: M, reduce_fn: R) -> JobResult<O>
     where
         I: Send + Sync,
@@ -111,49 +111,22 @@ impl Engine {
         self.run_full(
             inputs,
             |input, emit, _c| map_fn(input, emit),
-            None::<fn(&K, Vec<V>) -> Vec<V>>,
-            |key, vals, out, _c| reduce_fn(key, vals, out),
-        )
-    }
-
-    /// Runs a job with a combiner applied to each map task's local output.
-    pub fn run_combined<I, K, V, O, M, C, R>(
-        &self,
-        inputs: Vec<I>,
-        map_fn: M,
-        combine_fn: C,
-        reduce_fn: R,
-    ) -> JobResult<O>
-    where
-        I: Send + Sync,
-        K: Ord + std::hash::Hash + Clone + Send,
-        V: Send,
-        O: Send,
-        M: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
-        C: Fn(&K, Vec<V>) -> Vec<V> + Sync,
-        R: Fn(&K, &mut Vec<V>, &mut Vec<O>) + Sync,
-    {
-        self.run_full(
-            inputs,
-            |input, emit, _c| map_fn(input, emit),
-            Some(combine_fn),
             |key, vals, out, _c| reduce_fn(key, vals, out),
         )
     }
 
     /// Full-control entry point: map and reduce closures also receive the
-    /// job [`Counters`]; `combine_fn` (if given) is applied per map task.
-    /// Uses hash partitioning (Hadoop's default partitioner).
+    /// job [`Counters`]. Uses hash partitioning (Hadoop's default
+    /// partitioner).
     ///
     /// Determinism contract: map tasks are contiguous input chunks taken in
     /// order; each key group's value list preserves (chunk index, emission
     /// index) order; output is ordered by key, then by reduce emission
     /// order. The worker count never changes the result.
-    pub fn run_full<I, K, V, O, M, C, R>(
+    pub fn run_full<I, K, V, O, M, R>(
         &self,
         inputs: Vec<I>,
         map_fn: M,
-        combine_fn: Option<C>,
         reduce_fn: R,
     ) -> JobResult<O>
     where
@@ -162,24 +135,22 @@ impl Engine {
         V: Send,
         O: Send,
         M: Fn(&I, &mut dyn FnMut(K, V), &Counters) + Sync,
-        C: Fn(&K, Vec<V>) -> Vec<V> + Sync,
         R: Fn(&K, &mut Vec<V>, &mut Vec<O>, &Counters) + Sync,
     {
         let hasher = minoan_common::FxBuildHasher::default();
-        self.run_inner(
+        self.run_partitioned(
             inputs,
             move |k: &K, parts: usize| {
                 use std::hash::BuildHasher;
                 (hasher.hash_one(k) as usize) % parts
             },
             map_fn,
-            combine_fn,
             reduce_fn,
         )
     }
 
-    /// As [`Engine::run_full`] (no combiner) with an explicit partitioner
-    /// hook: `partitioner(key, partitions)` assigns each intermediate key
+    /// As [`Engine::run_full`], with an explicit partitioner hook:
+    /// `partitioner(key, partitions)` assigns each intermediate key
     /// to a reduce partition (any out-of-range result is clamped).
     /// Hadoop exposes the same hook for jobs whose keys carry locality —
     /// e.g. the entity-partitioned meta-blocking jobs range-partition
@@ -200,33 +171,6 @@ impl Engine {
         O: Send,
         P: Fn(&K, usize) -> usize + Sync,
         M: Fn(&I, &mut dyn FnMut(K, V), &Counters) + Sync,
-        R: Fn(&K, &mut Vec<V>, &mut Vec<O>, &Counters) + Sync,
-    {
-        self.run_inner(
-            inputs,
-            partitioner,
-            map_fn,
-            None::<fn(&K, Vec<V>) -> Vec<V>>,
-            reduce_fn,
-        )
-    }
-
-    fn run_inner<I, K, V, O, P, M, C, R>(
-        &self,
-        inputs: Vec<I>,
-        partitioner: P,
-        map_fn: M,
-        combine_fn: Option<C>,
-        reduce_fn: R,
-    ) -> JobResult<O>
-    where
-        I: Send + Sync,
-        K: Ord + std::hash::Hash + Clone + Send,
-        V: Send,
-        O: Send,
-        P: Fn(&K, usize) -> usize + Sync,
-        M: Fn(&I, &mut dyn FnMut(K, V), &Counters) + Sync,
-        C: Fn(&K, Vec<V>) -> Vec<V> + Sync,
         R: Fn(&K, &mut Vec<V>, &mut Vec<O>, &Counters) + Sync,
     {
         let counters = Counters::new();
@@ -260,7 +204,6 @@ impl Engine {
             let next = AtomicUsize::new(0);
             let inputs = &inputs;
             let map_fn = &map_fn;
-            let combine_fn = &combine_fn;
             let counters_ref = &counters;
             let chunk_outputs = &chunk_outputs;
             let next = &next;
@@ -281,9 +224,6 @@ impl Engine {
                         let mut local: Vec<(K, V)> = Vec::new();
                         for input in &inputs[lo..hi] {
                             map_fn(input, &mut |k, v| local.push((k, v)), counters_ref);
-                        }
-                        if let Some(combine) = combine_fn {
-                            local = combine_local(local, combine);
                         }
                         // Spill into per-partition buffers.
                         let mut parts: Vec<Vec<(K, V)>> =
@@ -390,28 +330,6 @@ impl Engine {
     }
 }
 
-/// Groups a map task's local emissions by key (preserving first-seen key
-/// order is unnecessary — the shuffle re-sorts) and applies the combiner.
-fn combine_local<K, V, C>(local: Vec<(K, V)>, combine: &C) -> Vec<(K, V)>
-where
-    K: Ord + std::hash::Hash + Clone,
-    C: Fn(&K, Vec<V>) -> Vec<V>,
-{
-    let mut by_key: FxHashMap<K, Vec<V>> = FxHashMap::default();
-    for (k, v) in local {
-        by_key.entry(k).or_default().push(v);
-    }
-    let mut grouped: Vec<(K, Vec<V>)> = by_key.into_iter().collect();
-    grouped.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::new();
-    for (k, vals) in grouped {
-        for v in combine(&k, vals) {
-            out.push((k.clone(), v));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,37 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn combiner_reduces_intermediate_pairs_without_changing_result() {
-        let docs: Vec<&str> = vec!["a a a a a a a a", "a a a a"];
-        let e = Engine::new(2);
-        let plain = e.run(
-            docs.clone(),
-            |d, emit| {
-                for w in d.split_whitespace() {
-                    emit(w.to_string(), 1u64);
-                }
-            },
-            |k, vs, out| out.push((k.clone(), vs.iter().sum::<u64>())),
-        );
-        let combined = e.run_combined(
-            docs,
-            |d, emit| {
-                for w in d.split_whitespace() {
-                    emit(w.to_string(), 1u64);
-                }
-            },
-            |_k, vs: Vec<u64>| vec![vs.iter().sum::<u64>()],
-            |k, vs, out| out.push((k.clone(), vs.iter().sum::<u64>())),
-        );
-        assert_eq!(plain.output, combined.output);
-        assert!(combined.stats.intermediate_pairs < plain.stats.intermediate_pairs);
-        assert_eq!(
-            combined.stats.intermediate_pairs, 2,
-            "one pair per map task"
-        );
-    }
-
-    #[test]
     fn counters_aggregate_across_phases() {
         let e = Engine::new(3);
         let r = e.run_full(
@@ -499,7 +386,6 @@ mod tests {
                 c.incr("mapped");
                 emit(x % 2, *x);
             },
-            None::<fn(&u32, Vec<u32>) -> Vec<u32>>,
             |_k, vs, out: &mut Vec<u32>, c| {
                 c.incr("reduced");
                 out.push(vs.iter().sum());

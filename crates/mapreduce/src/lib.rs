@@ -6,7 +6,6 @@
 //! programming model those algorithms are expressed in:
 //!
 //! * **map** over input splits (parallel across worker threads),
-//! * optional **combiner** applied to each map task's local output,
 //! * a **shuffle** grouping values by key — hash-partitioned by default,
 //!   with a pluggable partitioner hook ([`Engine::run_partitioned`]) for
 //!   jobs whose keys carry locality (e.g. range-partitioned entity ids),

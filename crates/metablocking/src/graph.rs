@@ -80,7 +80,6 @@ impl BlockingGraph {
     /// Builds the graph with an explicit worker count. Output is
     /// identical for every `threads` value (including 1).
     pub fn build_with_threads(collection: &BlockCollection, threads: usize) -> Self {
-        crate::probe::record_csr_build();
         let n = collection.num_entities();
         let ranges = entity_sweep_ranges(collection, threads);
 

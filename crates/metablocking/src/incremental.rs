@@ -50,34 +50,31 @@
 //! # Which combinations delta-sweep
 //!
 //! The cached row of entity `a` holds the weights of `a`'s incident
-//! edges. A scheme is delta-sweepable when a batch can only change the
-//! weights of a *locally identifiable* edge set:
+//! edges. A scheme is delta-sweepable when it is *delta-local* — a batch
+//! changes weights only on edges with a dirty endpoint; the crate-internal
+//! `WeightingScheme::is_delta_local` (`weights.rs`) decides which schemes
+//! are, and says why. What each one re-sweeps:
 //!
-//! * **CBS / JS** — the weight of a pair reads only its shared-block
-//!   count (JS adds the endpoints' block-list lengths `|B_i|`). A block
-//!   becomes shared for an existing pair only by crossing into presence,
-//!   and every member of such a block is *grown*; `|B_i|` changes only
-//!   for grown entities. So the weight of an edge between two pre-batch,
-//!   un-grown entities **never changes**: re-sweeping `batch ∪ grown`
-//!   and mirror-patching each fresh `(target, neighbour)` weight into
-//!   the neighbour's row covers every changed edge — typically a small
-//!   fraction of the corpus, independent of how hot the batch's tokens
-//!   are.
-//! * **ARCS** — a pair's weight sums `1/‖b‖` over shared blocks, so
-//!   every touched block reweights *all* pairs inside it; both endpoints
-//!   of every changed edge are members of a touched block (the *dirty*
-//!   set), and re-sweeping the dirty entities covers both directions
-//!   with no mirror pass. The live slabs list an entity's blocks in
+//! * **CBS / JS** — a pair's inputs (`|B_ij|`, `|B_i|`, `|B_j|`) move
+//!   only when an endpoint's block list grows, so the weight of an edge
+//!   between two pre-batch, un-grown entities **never changes**, and
+//!   re-sweeping `batch ∪ grown` and mirror-patching each fresh
+//!   `(target, neighbour)` weight into the neighbour's row covers every
+//!   changed edge — typically a small fraction of the corpus,
+//!   independent of how hot the batch's tokens are.
+//! * **ARCS** — every touched block reweights *all* pairs inside it, so
+//!   the whole dirty set is re-swept, which covers both directions with
+//!   no mirror pass. The live slabs list an entity's blocks in
 //!   key-string order — a snapshot's block-id order — so the sums
 //!   accumulate in the order a from-scratch sweep uses.
-//! * **ECBS / EJS** — every weight reads the global block (and edge)
-//!   totals, so any arrival invalidates every row; likewise BLAST (χ²
-//!   over global aggregates) and the supervised pruner (features are
-//!   normalised by global maxima). These combinations transparently fall
-//!   back to a full streaming re-sweep of the version's snapshot — same
-//!   results, no stale answers; their ingest is as cheap as any other,
-//!   the first resolve or outcome of the version builds the snapshot,
-//!   and the [`probe`] counters record which path ran.
+//! * **ECBS / EJS** are not delta-local, and BLAST (χ² over global
+//!   aggregates) and the supervised pruner (features normalised by global
+//!   maxima) read global state under any scheme. These combinations
+//!   transparently fall back to a full streaming re-sweep of the
+//!   version's snapshot — same results, no stale answers; their ingest is
+//!   as cheap as any other, the first resolve or outcome of the version
+//!   builds the snapshot, and [`IngestReport::delta`] and
+//!   [`IncrementalSession::snapshots_built`] say which path ran.
 //!
 //! The pruning families `None`/`WEP`/`CEP`/`WNP`/`CNP` all run off the
 //! rows; with a delta-sweepable scheme they never re-sweep untouched
@@ -118,7 +115,6 @@
 
 use crate::kernel::WeightGlobals;
 use crate::parallel::JobReport;
-use crate::probe;
 use crate::prune::WeightedPair;
 use crate::query::{self, ResolvedEntity};
 use crate::rule::{
@@ -315,20 +311,18 @@ impl<'d> IncrementalSession<'d> {
     }
 
     /// Whether the current scheme × pruning combination is maintained by
-    /// delta-sweeps (see the [module docs](self) for why the others
-    /// cannot be).
+    /// delta-sweeps: a delta-local scheme (see the [module docs](self))
+    /// under a family that runs off the rows.
     pub fn supports_delta(&self) -> bool {
-        matches!(
-            self.scheme,
-            WeightingScheme::Cbs | WeightingScheme::Js | WeightingScheme::Arcs
-        ) && matches!(
-            self.pruning,
-            Pruning::None
-                | Pruning::Wep
-                | Pruning::Cep(_)
-                | Pruning::Wnp { .. }
-                | Pruning::Cnp { .. }
-        )
+        self.scheme.is_delta_local()
+            && matches!(
+                self.pruning,
+                Pruning::None
+                    | Pruning::Wep
+                    | Pruning::Cep(_)
+                    | Pruning::Wnp { .. }
+                    | Pruning::Cnp { .. }
+            )
     }
 
     /// Ingests a batch of not-yet-arrived descriptions: tokenise,
@@ -390,7 +384,6 @@ impl<'d> IncrementalSession<'d> {
                     &mut self.mask,
                 );
             }
-            probe::record_delta_sweep(targets.len(), delta.touched_blocks.len());
             report.swept_entities = targets.len();
             report.delta = true;
         } else {
@@ -420,7 +413,6 @@ impl<'d> IncrementalSession<'d> {
             threads,
         );
         self.rows_valid = true;
-        probe::record_full_resweep();
     }
 
     /// The row cache as a [`RowDriver`] (valid rows required).
@@ -447,7 +439,6 @@ impl<'d> IncrementalSession<'d> {
             }
             rule::run(&mut self.row_cache(), scheme, &pruning)
         } else {
-            probe::record_full_resweep();
             let mut st = SweepState::new(self.snapshot());
             rule::run(&mut Streaming::new(&mut st, threads), scheme, &pruning)
         };

@@ -80,8 +80,9 @@
 //! The two sweeping backends — and the incremental and query-time arms
 //! below — are *drivers* over one definition of each pruning family: a
 //! global criterion reduced once per corpus (WEP's fixed-shape pairwise
-//! mean, CEP's bounded top-k heaps merged under a strict total order,
-//! exact f64 `max` for BLAST's and the supervised pruner's maxima), a
+//! mean, CEP's top-k sealed into descending runs and merged under a
+//! strict total order, exact f64 `max` for BLAST's and the supervised
+//! pruner's maxima), a
 //! rule over one neighbourhood row, and a vote combiner. A driver only
 //! decides which rows are visited and where the reduction merges. The
 //! materialised pruning bodies stay independent of that definition: they
@@ -126,8 +127,6 @@
 //!   loose per-node pruning.
 //! * [`supervised`] — perceptron-based supervised meta-blocking
 //!   (training, features, batched extraction, materialised pruning).
-//! * [`probe`] — build/allocation counters backing the state-reuse
-//!   assertions.
 
 #![forbid(unsafe_code)]
 
@@ -136,7 +135,6 @@ pub mod graph;
 pub mod incremental;
 pub mod kernel;
 pub mod parallel;
-pub mod probe;
 pub mod prune;
 pub mod query;
 mod rule;

@@ -33,7 +33,6 @@
 //! f64 bits (`tests/resolve_entity.rs`).
 
 use crate::kernel::WeightGlobals;
-use crate::probe;
 use crate::prune::{self, WeightedPair};
 use crate::rule::{normalised, Criterion, RowBuf, Rule, Weigher};
 use crate::session::Pruning;
@@ -70,7 +69,6 @@ pub(crate) fn sweep_row(
     e: u32,
     out: &mut RowBuf,
 ) {
-    probe::record_resolve_sweep();
     pool.with(|se| {
         se.sweep(collection, EntityId(e), Direction::Both);
         if weigher != Weigher::Features {
@@ -87,7 +85,6 @@ pub(crate) fn sweep_row(
                 let raw = if y > e {
                     supervised::raw_forward_features(se, e, y, globals)
                 } else {
-                    probe::record_resolve_sweep();
                     sy.sweep(collection, EntityId(y), Direction::Forward);
                     supervised::raw_forward_features(sy, y, e, globals)
                 };
@@ -169,11 +166,11 @@ pub(crate) fn resolve_rows(
 /// The per-entry invalidation is sound exactly when a batch can only
 /// change answers through the rows of dirty entities:
 ///
-/// * the **scheme** must be delta-local (CBS, JS, ARCS): every changed
-///   edge has a dirty endpoint, and a dirty entity's row change
-///   invalidates every entry depending on it. ECBS/EJS read the global
-///   block/edge totals, which every arrival shifts — all answers change
-///   with no dirty-set trace.
+/// * the **scheme** must be delta-local — CBS, JS or ARCS, decided once
+///   by the crate-internal `WeightingScheme::is_delta_local`
+///   (`weights.rs`, which says why): every changed edge has a dirty
+///   endpoint, and a dirty entity's row change invalidates every entry
+///   depending on it;
 /// * the **pruning criterion** must be row-local: `None`, WNP, and CNP
 ///   with an *explicit* `k`. WEP's threshold, CEP's top-k, default-`k`
 ///   CNP (its `k` reads the global assignment/active-node counts), BLAST
@@ -181,16 +178,17 @@ pub(crate) fn resolve_rows(
 ///   arrival may move them and silently re-decide edges between clean
 ///   entities.
 ///
-/// For every other combination, clear the cache on ingest — still
-/// correct, just colder.
+/// Every such combination also delta-sweeps
+/// ([`IncrementalSession::supports_delta`](crate::IncrementalSession::supports_delta)):
+/// entries are never invalidated one by one over a session that re-sweeps
+/// in full. For every other combination, clear the cache on ingest —
+/// still correct, just colder.
 pub fn locally_invalidatable(scheme: WeightingScheme, pruning: Pruning) -> bool {
-    matches!(
-        scheme,
-        WeightingScheme::Cbs | WeightingScheme::Js | WeightingScheme::Arcs
-    ) && matches!(
-        pruning,
-        Pruning::None | Pruning::Wnp { .. } | Pruning::Cnp { k: Some(_), .. }
-    )
+    scheme.is_delta_local()
+        && matches!(
+            pruning,
+            Pruning::None | Pruning::Wnp { .. } | Pruning::Cnp { k: Some(_), .. }
+        )
 }
 
 struct CacheEntry {
@@ -264,24 +262,13 @@ impl NeighbourhoodCache {
     }
 
     /// Looks up a still-valid cached answer, refreshing its recency.
-    /// Ticks the [`probe`] hit/miss counters unless the cache is
-    /// disabled.
+    /// The caller counts hits and misses (the resolution service reports
+    /// its own in `STATS`).
     pub fn get(&mut self, entity: EntityId) -> Option<&ResolvedEntity> {
-        if self.capacity == 0 {
-            return None;
-        }
-        match self.entries.get_mut(&entity.0) {
-            Some(entry) => {
-                self.tick += 1;
-                entry.stamp = self.tick;
-                probe::record_cache_hit();
-                Some(&entry.value)
-            }
-            None => {
-                probe::record_cache_miss();
-                None
-            }
-        }
+        let entry = self.entries.get_mut(&entity.0)?;
+        self.tick += 1;
+        entry.stamp = self.tick;
+        Some(&entry.value)
     }
 
     /// Admits a freshly resolved answer, evicting the least recently
@@ -474,13 +461,15 @@ mod tests {
     #[test]
     fn zero_capacity_disables_everything() {
         let mut c = NeighbourhoodCache::new(0);
-        let hits = probe::cache_hits();
-        let misses = probe::cache_misses();
-        c.insert(resolved(1, &[]));
-        assert!(c.is_empty());
-        assert!(c.get(EntityId(1)).is_none());
-        assert_eq!(probe::cache_hits(), hits, "disabled cache must not tick");
-        assert_eq!(probe::cache_misses(), misses);
+        for e in 0..4 {
+            c.insert(resolved(e, &[e + 1]));
+            assert!(c.is_empty(), "a disabled cache admits nothing");
+        }
+        for e in 0..5 {
+            assert!(c.get(EntityId(e)).is_none(), "get({e}) on a disabled cache");
+        }
+        assert_eq!(c.invalidate(&[EntityId(1)]), 0);
+        assert_eq!(c.len(), 0);
     }
 
     #[test]

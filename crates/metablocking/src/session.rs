@@ -15,8 +15,10 @@
 //! pool — for the streaming and MapReduce backends. All of it is built
 //! lazily on first use and reused by every subsequent run, so sweeping
 //! all five schemes (or all pruning families) performs exactly one CSR
-//! build / one scratch allocation instead of one per call. The
-//! [`probe`](crate::probe) counters exist so tests can assert that claim.
+//! build / one scratch allocation instead of one per call. The tests read
+//! that claim off the session itself: the address of its graph's edge
+//! slab (`tests/session_reuse.rs`) and the length of its scratch pool
+//! (the unit tests below).
 //!
 //! Reuse never changes results: every combination stays bit-identical to
 //! a fresh single-shot run (enforced in `tests/session_reuse.rs`).
@@ -563,6 +565,47 @@ mod tests {
             assert!(out.pairs().is_empty(), "{pruning:?}");
             assert!(out.input_edges() > 0, "{pruning:?}: stats survive");
         }
+    }
+
+    /// A full scheme × family sweep at one worker allocates one pooled
+    /// scratch and never builds the CSR graph.
+    #[test]
+    fn streaming_sweep_allocates_exactly_one_scratch_at_one_worker() {
+        let world = generate(&profiles::center_dense(100, 5));
+        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
+        let mut session = Session::new(&blocks);
+        session.backend(ExecutionBackend::Streaming).workers(1);
+        for scheme in WeightingScheme::ALL {
+            session.scheme(scheme);
+            for family in Pruning::FAMILIES {
+                session.pruning(family).run();
+            }
+        }
+        assert_eq!(session.sweep.pool.free_len(), 1, "one pooled scratch");
+        assert!(session.graph.is_none(), "streaming never builds the graph");
+    }
+
+    /// MapReduce runs draw scratches from the same session pool: across a
+    /// five-scheme sweep the pool never outgrows the engine's concurrency.
+    #[test]
+    fn mapreduce_sweep_bounds_scratch_allocations_by_worker_count() {
+        let world = generate(&profiles::center_dense(100, 7));
+        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
+        let workers = 2;
+        let mut session = Session::new(&blocks);
+        session
+            .backend(ExecutionBackend::MapReduce)
+            .workers(workers)
+            .pruning(Pruning::Wnp { reciprocal: false });
+        for scheme in WeightingScheme::ALL {
+            session.scheme(scheme).run();
+        }
+        let scratches = session.sweep.pool.free_len();
+        assert!(
+            (1..=workers).contains(&scratches),
+            "a {workers}-worker sweep may hold 1..={workers} scratches, got {scratches}"
+        );
+        assert!(session.graph.is_none(), "MapReduce never builds the graph");
     }
 
     #[test]

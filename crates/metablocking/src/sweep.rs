@@ -52,7 +52,6 @@ pub(crate) struct SweepScratch {
 impl SweepScratch {
     /// Scratch sized for `n` entities.
     pub(crate) fn new(n: usize) -> Self {
-        crate::probe::record_scratch_alloc();
         Self {
             last_seen: vec![0; n],
             cbs: vec![0; n],
@@ -131,8 +130,9 @@ impl SweepScratch {
 /// pass. Sweeps are epoch-reset, so a returned scratch is immediately
 /// reusable; the pool only ever allocates on a miss, which is what lets a
 /// [`Session`](crate::Session) sweep many scheme × pruning combinations
-/// with the scratch allocations of a single run (the `probe` counters
-/// assert this).
+/// with the scratch allocations of a single run. Every scratch is back on
+/// the free list between runs, so its length is the number ever allocated
+/// (the session tests read it).
 pub(crate) struct ScratchPool {
     n: usize,
     free: Mutex<Vec<SweepScratch>>,
@@ -167,6 +167,12 @@ impl ScratchPool {
         let out = f(&mut scratch);
         self.put(scratch);
         out
+    }
+
+    /// Scratches on the free list.
+    #[cfg(test)]
+    pub(crate) fn free_len(&self) -> usize {
+        self.free.lock().expect("scratch pool poisoned").len()
     }
 }
 

@@ -44,6 +44,29 @@ impl WeightingScheme {
         }
     }
 
+    /// Whether an arriving batch can change this scheme's weights only on
+    /// edges with a *dirty* endpoint — a member of a block the batch
+    /// touched. The one place delta-locality is decided: the incremental
+    /// session delta-sweeps exactly these schemes, and a neighbourhood
+    /// cache may invalidate entry by entry only under them.
+    ///
+    /// * **CBS / JS** read `|B_ij|` (JS adds `|B_i|`, `|B_j|`). A pair's
+    ///   shared-block count grows only through a touched block both sit
+    ///   in, and `|B_i|` only for an entity whose block list grew — a
+    ///   member of a touched block.
+    /// * **ARCS** sums `1/‖b‖` over shared blocks: a touched block
+    ///   reweights every pair inside it, and both endpoints of each such
+    ///   pair are its members.
+    /// * **ECBS / EJS** scale by `|B|` (EJS also by `|V|` and the node
+    ///   degrees), which nearly every arrival shifts: every weight moves,
+    ///   with no dirty-set trace.
+    pub(crate) fn is_delta_local(self) -> bool {
+        matches!(
+            self,
+            WeightingScheme::Cbs | WeightingScheme::Js | WeightingScheme::Arcs
+        )
+    }
+
     /// Weight of `edge` in `graph` under this scheme. Always finite and
     /// ≥ 0; higher = stronger co-occurrence evidence.
     ///

@@ -12,9 +12,6 @@
 //! 3. end-to-end pipeline candidate pairs are **bit-identical** across
 //!    all three execution backends on the new layout, and bit-identical
 //!    to candidates computed over a reference-built collection.
-//!
-//! CI reruns this suite under `RUST_TEST_THREADS=1` and `4` like the
-//! other equivalence suites.
 
 mod common;
 

@@ -3,6 +3,7 @@
 //! `minoan` binary wraps.
 
 use minoan_cli::run;
+use std::collections::BTreeSet;
 
 fn cli(cmd: &str) -> Result<String, minoan_cli::CliError> {
     let argv: Vec<String> = cmd.split_whitespace().map(|s| s.to_string()).collect();
@@ -173,4 +174,91 @@ fn cli_errors_are_user_facing() {
     assert!(cli("inspect --snapshot /nonexistent.mnstore").is_err());
     assert!(cli("eval --profile nope").is_err());
     assert!(cli("nonsense").is_err());
+}
+
+/// A misspelled option and another command's flag are both errors, raised
+/// before the command does any work.
+#[test]
+fn unknown_options_and_foreign_flags_are_errors() {
+    let err = cli("eval --profile center --entities 300 --seed 7 --prunning cep").unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "unknown option --prunning for eval; try `minoan help`"
+    );
+    let dir = std::env::temp_dir().join("minoan_cli_foreign_flag");
+    std::fs::remove_dir_all(&dir).ok();
+    let line = format!(
+        "generate --profile center --entities 40 --seed 1 --out {} --stats",
+        dir.display()
+    );
+    let err = cli(&line).unwrap_err();
+    assert!(err.to_string().contains("--stats for generate"), "{err}");
+    assert!(!dir.exists(), "a rejected command line must not generate");
+    for line in [
+        "query --addr 127.0.0.1:1 --dirty",
+        "stats --input x.nt --show 3",
+    ] {
+        let err = cli(line).unwrap_err().to_string();
+        assert!(err.starts_with("unknown option"), "`{line}`: {err}");
+    }
+}
+
+/// The `--name`s `help` lists under `command`.
+fn help_options(command: &str) -> BTreeSet<String> {
+    let help = cli("help").expect("help");
+    let mut lines = help
+        .lines()
+        .skip_while(|l| !l.starts_with(&format!("  {command} ")));
+    let head = lines
+        .next()
+        .unwrap_or_else(|| panic!("help lists {command}"));
+    let block = lines.take_while(|l| l.starts_with("            "));
+    let tokens = std::iter::once(head)
+        .chain(block)
+        .flat_map(str::split_whitespace);
+    let names = tokens.filter_map(|t| t.trim_start_matches('[').strip_prefix("--"));
+    names
+        .map(|name| name.trim_end_matches(']').to_string())
+        .collect()
+}
+
+/// Every option `help` lists for `resolve` and `eval` is accepted, all on
+/// one command line, and so is the set the frozen benchmark harness hands
+/// `resolve` for `batch_dirty` (`benchmark/src/{batch,worlds}.rs`).
+#[test]
+fn every_option_help_lists_for_resolve_and_eval_is_accepted() {
+    let dir = std::env::temp_dir().join("minoan_cli_help_options");
+    let line = format!(
+        "generate --profile center --entities 80 --seed 5 --out {}",
+        dir.display()
+    );
+    cli(&line).expect("generate");
+    let kb = |name: &str| dir.join(format!("{name}.nt")).display().to_string();
+    let (a, b) = (kb("dbp"), kb("ygo"));
+    let shared = "--strategy progressive:coverage --budget 2000 --blocking token \
+                  --backend mapreduce --workers 2 --pruning cnp --weighting js \
+                  --threshold 0.5 --no-purge --dirty";
+    let every = [
+        format!("resolve --input {a} --input {b} --show 3 {shared}"),
+        format!("eval --profile center --entities 80 --seed 5 --clustering center {shared}"),
+    ];
+    let harness = format!(
+        "resolve --input {a} --show 5 --dirty --backend streaming --workers 2 --weighting js \
+         --pruning cep --budget 1000"
+    );
+    for line in every.iter().chain([&harness]) {
+        let command = line.split_whitespace().next().expect("a command");
+        let given: BTreeSet<String> = line
+            .split_whitespace()
+            .filter_map(|t| Some(t.strip_prefix("--")?.to_string()))
+            .collect();
+        let listed = help_options(command);
+        assert!(given.is_subset(&listed), "`{line}` vs help {listed:?}");
+        if every.contains(line) {
+            assert_eq!(given, listed, "help lists exactly what {command} accepts");
+        }
+        let out = cli(line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+        assert!(out.contains("comparisons"), "`{line}`: {out}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

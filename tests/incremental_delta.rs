@@ -2,11 +2,9 @@
 //! ingest, a delta-swept [`IncrementalSession`] must be *bit-identical* to
 //! a from-scratch [`Session`] over the merged corpus — same input-edge
 //! count, same pair order, same f64 weight bits — across arrival orders,
-//! batch sizes, ER modes and thread counts. Run it under
-//! `RUST_TEST_THREADS=1` and `4` in CI; per-worker bit-identity is also
-//! asserted in-process. (Exact-delta assertions on the process-global
-//! probe counters live in `tests/incremental_probe.rs`, a separate test
-//! binary — ingests here would tick those counters concurrently.)
+//! batch sizes, ER modes and thread counts. Which path ran, and how much
+//! it swept, is read off each ingest's [`IngestReport`] and the session's
+//! snapshot count.
 
 mod common;
 
@@ -14,7 +12,8 @@ use common::assert_bit_identical;
 use minoan::blocking::{builders, ErMode};
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
-    ExecutionBackend, IncrementalSession, Pruning, Session, WeightingScheme,
+    locally_invalidatable, ExecutionBackend, IncrementalSession, IngestReport, Perceptron, Pruning,
+    Session, WeightingScheme,
 };
 use minoan::rdf::{DatasetBuilder, EntityId};
 
@@ -304,4 +303,71 @@ fn live_view_accumulates_arcs_in_key_string_order() {
     let blocks = builders::token_blocking(&ds, ErMode::Dirty);
     let want = Session::new(&blocks).scheme(scheme).pruning(pruning).run();
     assert_bit_identical(&got.pruned, &want.pruned, "hand-built key order");
+}
+
+/// A periphery world has proprietary vocabularies, so a small tail batch
+/// dirties only its own neighbourhood (a center-style world with universal
+/// tokens can legitimately dirty everyone): ARCS × WNP re-sweeps exactly
+/// the dirty set, a strict subset of the arrived entities.
+#[test]
+fn a_small_arcs_tail_batch_re_sweeps_a_strict_subset() {
+    let g = generate(&profiles::periphery_sparse(220, 17));
+    let ids: Vec<EntityId> = g.dataset.entities().collect();
+    let (bulk, tail) = ids.split_at(ids.len() - 5);
+    let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
+    inc.scheme(WeightingScheme::Arcs)
+        .pruning(Pruning::Wnp { reciprocal: false });
+    inc.ingest(bulk);
+    let report: IngestReport = inc.ingest(tail);
+    assert!(report.delta, "{report:?}");
+    assert_eq!(report.swept_entities, report.dirty_entities, "{report:?}");
+    assert!(
+        report.swept_entities < report.num_arrived,
+        "a 5-entity tail must re-sweep a strict subset: {report:?}"
+    );
+}
+
+/// Every scheme × every family (the delta families plus reciprocal WNP,
+/// CNP with `k = 3`, BLAST and a fixed supervised model): the second
+/// ingest delta-sweeps exactly when the session says it supports deltas,
+/// the outcome stays bit-identical either way, and a combination the
+/// server invalidates entry by entry (`locally_invalidatable`) is always
+/// one that delta-sweeps.
+#[test]
+fn delta_locality_is_decided_once_for_sessions_and_caches() {
+    let g = generate(&profiles::center_dense(80, 29));
+    let ids: Vec<EntityId> = g.dataset.entities().collect();
+    let (first, second) = ids.split_at(ids.len() / 2);
+    let extra = [
+        Pruning::Wnp { reciprocal: true },
+        Pruning::Cnp {
+            reciprocal: false,
+            k: Some(3),
+        },
+        Pruning::blast(),
+        Pruning::Supervised(Perceptron {
+            weights: [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5],
+            bias: -0.5,
+        }),
+    ];
+    for scheme in WeightingScheme::ALL {
+        for pruning in DELTA_FAMILIES.into_iter().chain(extra) {
+            let label = format!("{scheme:?}/{pruning:?}");
+            let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
+            inc.scheme(scheme).pruning(pruning).workers(2);
+            inc.ingest(first);
+            let report = inc.ingest(second);
+            assert_eq!(report.delta, inc.supports_delta(), "{label}: {report:?}");
+            assert!(
+                !locally_invalidatable(scheme, pruning) || inc.supports_delta(),
+                "{label}: invalidated entry by entry but not delta-swept"
+            );
+            let got = inc.outcome();
+            let want = Session::new(inc.snapshot())
+                .scheme(scheme)
+                .pruning(pruning)
+                .run();
+            assert_bit_identical(&got.pruned, &want.pruned, &label);
+        }
+    }
 }

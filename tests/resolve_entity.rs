@@ -3,8 +3,7 @@
 //! mention `e` in the full pruned outcome, in the same order, with the
 //! same f64 weight bits — for every scheme × pruning family, on both the
 //! batch [`Session`] and the updatable [`IncrementalSession`] (delta and
-//! fallback paths alike). Run under `RUST_TEST_THREADS=1` and `4` in CI;
-//! per-worker identity is also asserted in-process.
+//! fallback paths alike); per-worker identity is asserted in-process.
 
 mod common;
 

@@ -2,8 +2,7 @@
 //! `RESOLVE` and `INGEST` — sequential or concurrent, cache on or off,
 //! over the wire or in-process — must answer every resolve bit-identical
 //! to a from-scratch batch [`Session`] over the corpus at the answer's
-//! stamped version (the admission point). Run under
-//! `RUST_TEST_THREADS=1` and `4` in CI; per-worker identity is also
+//! stamped version (the admission point); per-worker identity is
 //! asserted in-process.
 
 mod common;

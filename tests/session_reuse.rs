@@ -2,29 +2,19 @@
 //! weighting schemes and all pruning families must be bitwise-equal to
 //! fresh single-shot runs of the materialised reference bodies, for every
 //! [`ExecutionBackend`] and workers 1/4 — and the sweep must *reuse* the
-//! expensive shared state instead of rebuilding it per run, asserted via
-//! the [`probe`] build/allocation counters.
-//!
-//! Every test takes the file-local probe lock: the counters are
-//! process-global, so the measured regions must not interleave.
+//! expensive shared state instead of rebuilding it per run, read off the
+//! session's own graph (its scratch pool is checked by `session.rs`'s
+//! unit tests).
 
 use minoan::blocking::{builders, ErMode};
 use minoan::metablocking::{
-    probe, supervised_prune, BlockingGraph, ExecutionBackend, FeatureExtractor, Perceptron,
-    Pruning, Session, TrainingSet,
+    supervised_prune, BlockingGraph, ExecutionBackend, FeatureExtractor, Perceptron, Pruning,
+    Session, TrainingSet,
 };
 use minoan::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 mod common;
 use common::{assert_outcome_bit_identical, assert_pairs_bit_identical, reference, session_run};
-
-fn probe_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn fixture() -> (BlockCollection, BlockingGraph) {
     let world = generate(&profiles::center_dense(120, 13));
@@ -65,7 +55,6 @@ fn family_variants() -> Vec<(&'static str, Pruning)> {
 /// bitwise-equal to fresh single-shot runs, per backend and worker count.
 #[test]
 fn one_session_sweep_equals_fresh_single_shots() {
-    let _guard = probe_lock();
     let (blocks, graph) = fixture();
     for backend in ExecutionBackend::ALL {
         for workers in [1usize, 4] {
@@ -96,7 +85,6 @@ fn one_session_sweep_equals_fresh_single_shots() {
 /// sweep state crosses backend boundaries) never changes a bit.
 #[test]
 fn backend_interleaving_on_one_session_is_bit_identical() {
-    let _guard = probe_lock();
     let (blocks, graph) = fixture();
     let mut session = Session::new(&blocks);
     session.workers(3);
@@ -125,7 +113,6 @@ fn backend_interleaving_on_one_session_is_bit_identical() {
 /// entry point, bit-identical to the materialised `supervised_prune`.
 #[test]
 fn supervised_family_reachable_from_every_backend() {
-    let _guard = probe_lock();
     let world = generate(&profiles::center_dense(140, 23));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
     let graph = BlockingGraph::build(&blocks);
@@ -155,104 +142,32 @@ fn supervised_family_reachable_from_every_backend() {
     }
 }
 
-/// The acceptance probe: a five-scheme sweep through one materialised
-/// session performs exactly one CSR build (fresh sessions would build
-/// five times), and further family runs still add none.
+/// A five-scheme sweep through one materialised session builds the CSR
+/// graph once, and a family sweep after it reuses the same graph. Read
+/// off the session: a rebuild allocates the new edge slab while the old
+/// one is still alive, so it cannot land on the same address.
 #[test]
 fn five_scheme_materialised_sweep_builds_csr_exactly_once() {
-    let _guard = probe_lock();
     let world = generate(&profiles::center_dense(100, 3));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-
-    let before = probe::csr_builds();
     let mut session = Session::new(&blocks);
-    session.pruning(Pruning::Wnp { reciprocal: false });
+    session.pruning(Pruning::Wnp { reciprocal: false }).run();
+    let slab = session.graph().edges().as_ptr_range();
+    assert!(!slab.is_empty(), "the fixture has edges");
     for scheme in WeightingScheme::ALL {
         session.scheme(scheme).run();
     }
     assert_eq!(
-        probe::csr_builds() - before,
-        1,
+        session.graph().edges().as_ptr_range(),
+        slab,
         "five schemes through one session = one CSR build"
     );
     for family in Pruning::FAMILIES {
         session.pruning(family).run();
     }
     assert_eq!(
-        probe::csr_builds() - before,
-        1,
+        session.graph().edges().as_ptr_range(),
+        slab,
         "family sweep reuses the same graph"
-    );
-
-    // Contrast: fresh single-shot sessions rebuild per call.
-    let fresh_before = probe::csr_builds();
-    for scheme in WeightingScheme::ALL {
-        Session::new(&blocks)
-            .scheme(scheme)
-            .pruning(Pruning::Wnp { reciprocal: false })
-            .run();
-    }
-    assert_eq!(
-        probe::csr_builds() - fresh_before,
-        5,
-        "fresh sessions build once each"
-    );
-}
-
-/// The acceptance probe, streaming arm: a full scheme × family sweep at
-/// one worker performs exactly one scratch allocation and zero CSR
-/// builds.
-#[test]
-fn streaming_sweep_allocates_exactly_one_scratch_at_one_worker() {
-    let _guard = probe_lock();
-    let world = generate(&profiles::center_dense(100, 5));
-    let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-
-    let builds_before = probe::csr_builds();
-    let allocs_before = probe::scratch_allocs();
-    let mut session = Session::new(&blocks);
-    session.backend(ExecutionBackend::Streaming).workers(1);
-    for scheme in WeightingScheme::ALL {
-        session.scheme(scheme);
-        for family in Pruning::FAMILIES {
-            session.pruning(family).run();
-        }
-    }
-    assert_eq!(
-        probe::scratch_allocs() - allocs_before,
-        1,
-        "the whole streaming sweep reuses one pooled scratch"
-    );
-    assert_eq!(
-        probe::csr_builds() - builds_before,
-        0,
-        "the streaming backend never builds the CSR graph"
-    );
-}
-
-/// MapReduce runs draw scratches from the same session pool: across a
-/// five-scheme sweep the pool never exceeds the engine's concurrency,
-/// instead of allocating per job.
-#[test]
-fn mapreduce_sweep_bounds_scratch_allocations_by_worker_count() {
-    let _guard = probe_lock();
-    let world = generate(&profiles::center_dense(100, 7));
-    let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-
-    let workers = 2usize;
-    let allocs_before = probe::scratch_allocs();
-    let mut session = Session::new(&blocks);
-    session
-        .backend(ExecutionBackend::MapReduce)
-        .workers(workers)
-        .pruning(Pruning::Wnp { reciprocal: false });
-    for scheme in WeightingScheme::ALL {
-        session.scheme(scheme).run();
-    }
-    let delta = probe::scratch_allocs() - allocs_before;
-    assert!(delta >= 1, "at least one scratch must exist");
-    assert!(
-        delta <= workers,
-        "a {workers}-worker sweep may allocate at most {workers} scratches, got {delta}"
     );
 }
