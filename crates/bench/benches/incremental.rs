@@ -1,9 +1,17 @@
 //! Criterion micro-benchmarks of the incremental resolver: per-arrival
-//! cost across arrival orders (E11's latency companion).
+//! cost across arrival orders (E11's latency companion), and the
+//! `serve_churn` writer's ingest with and without reads between ingests.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use minoan_blocking::ErMode;
 use minoan_datagen::{generate, profiles, ArrivalOrder};
 use minoan_er::{IncrementalConfig, IncrementalResolver, Matcher, MatcherConfig};
+use minoan_metablocking::{IncrementalSession, Pruning, WeightingScheme};
+use minoan_rdf::{Dataset, EntityId};
+use rand::seq::SliceRandom;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::cell::RefCell;
+use std::hint::black_box;
 
 fn bench_arrivals(c: &mut Criterion) {
     let world = generate(&profiles::center_dense(300, 42));
@@ -42,5 +50,69 @@ fn bench_composite_rules(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_arrivals, bench_composite_rules);
+/// A JS × WNP session fed `order` in 64-description batches after
+/// preloading its first two thirds.
+struct Feed<'d> {
+    session: IncrementalSession<'d>,
+    /// `order[..arrived]` has been ingested.
+    arrived: usize,
+}
+
+impl<'d> Feed<'d> {
+    fn new(dataset: &'d Dataset, order: &[EntityId]) -> Self {
+        let arrived = order.len() * 667 / 1000;
+        let mut session = IncrementalSession::new(dataset, ErMode::CleanClean);
+        session
+            .scheme(WeightingScheme::Js)
+            .pruning(Pruning::Wnp { reciprocal: false })
+            .workers(1);
+        session.ingest(&order[..arrived]);
+        Self { session, arrived }
+    }
+}
+
+/// `ingest-64/{back-to-back,after-250-resolves}`: the ledger's
+/// `serve_churn` writer in miniature — its 20k-entity world (two
+/// periphery KBs, the harness's flattened vocabulary), two thirds
+/// preloaded, JS × WNP on one worker (the serve workloads pin one CPU),
+/// 64-description batches. The second row first resolves 250 uniformly
+/// drawn arrived entities, untimed: the reads one 250 ms writer interval
+/// at 1000 req/s puts between two ingests, which leave rows folded.
+fn bench_ingest(c: &mut Criterion) {
+    let mut config = profiles::periphery_sparse(20_000, 11);
+    config.num_types = 400;
+    config.vocab_tokens = 160_000;
+    config.zipf_exponent = 0.5;
+    let world = generate(&config);
+    let mut order: Vec<EntityId> = world.dataset.entities().collect();
+    order.shuffle(&mut StdRng::seed_from_u64(11));
+
+    let mut group = c.benchmark_group("ingest-64");
+    group.sample_size(10);
+    for (id, reads) in [("back-to-back", 0), ("after-250-resolves", 250)] {
+        let feed = RefCell::new(Feed::new(&world.dataset, &order));
+        let mut rng = StdRng::seed_from_u64(701);
+        group.bench_function(id, |b| {
+            b.iter_batched(
+                || {
+                    let mut feed = feed.borrow_mut();
+                    if feed.arrived + 64 > order.len() {
+                        *feed = Feed::new(&world.dataset, &order);
+                    }
+                    for _ in 0..reads {
+                        let e = order[rng.gen_range(0..feed.arrived)];
+                        black_box(feed.session.resolve_entity(e));
+                    }
+                    feed.arrived += 64;
+                    &order[feed.arrived - 64..feed.arrived]
+                },
+                |batch| feed.borrow_mut().session.ingest(batch),
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_arrivals, bench_composite_rules, bench_ingest);
 criterion_main!(benches);

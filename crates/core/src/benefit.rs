@@ -187,7 +187,8 @@ impl<'d> ResolutionState<'d> {
     }
 
     /// Fraction of neighbour pairs `(na, nb)` already resolved into the
-    /// same cluster, examined over a capped neighbour window (16² pairs).
+    /// same cluster, examined over a capped neighbour window
+    /// (`NEIGHBOR_CAP`² = 64 pairs).
     pub fn resolved_neighbor_fraction(&self, a: EntityId, b: EntityId) -> f64 {
         let na = self.dataset.neighbors(a);
         let nb = self.dataset.neighbors(b);

@@ -60,9 +60,9 @@ use std::ops::Range;
 pub enum ValueMeasure {
     /// Plain Jaccard over distinct tokens.
     Jaccard,
-    /// IDF-weighted Jaccard (default — rare shared tokens dominate).
+    /// IDF-weighted Jaccard (rare shared tokens dominate).
     WeightedJaccard,
-    /// TF-IDF cosine.
+    /// TF-IDF cosine (default — `MatcherConfig::default()` uses it).
     TfIdfCosine,
 }
 

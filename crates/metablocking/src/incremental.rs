@@ -31,8 +31,12 @@
 //! An ingest is `O(batch × neighbourhood)`: the collection refreshes
 //! comparison counts, ARCS reciprocals and per-entity block counts for
 //! the touched keys and grown entities only, the sweep reads the block
-//! counts straight from it, and a mirror append is `O(1)` per changed
-//! edge. Everything `O(corpus)` is deferred to the reader that needs it:
+//! counts straight from it, and a mirror append is one push per changed
+//! edge. A row's buffer never shrinks: re-swept rows are copied into the
+//! buffer they had, and every fold merges through one session-owned
+//! scratch and copies the result back, so reads between ingests leave
+//! the next ingest's appends nothing to reallocate. Everything
+//! `O(corpus)` is deferred to the reader that needs it:
 //!
 //! * a mirror tail is folded into its row's sorted prefix when the row
 //!   is next *read* — a single [`IncrementalSession::resolve_entity`]
@@ -172,10 +176,15 @@ pub struct IncrementalSession<'d> {
     /// produce on the current corpus. The first `sorted_len[a]` entries
     /// are ascending by `y` and duplicate-free; anything beyond is an
     /// unsorted *mirror tail* of `(y, w)` appends in arrival order
-    /// (later wins), folded in by [`normalize_row`] before any read.
+    /// (later wins), folded in by [`fold_tail`] before any read. A row
+    /// keeps its buffer for the session's life: folds and re-sweeps
+    /// write into it and never shrink it.
     rows: Vec<Vec<(u32, f64)>>,
     /// Length of each row's sorted duplicate-free prefix.
     sorted_len: Vec<u32>,
+    /// Every fold merges through this buffer and copies the result back
+    /// into the row's own.
+    fold_scratch: Vec<(u32, f64)>,
     /// Whether `rows` matches the current corpus under the current
     /// scheme. Starts `true`: an empty corpus has all-empty rows.
     rows_valid: bool,
@@ -220,6 +229,7 @@ impl<'d> IncrementalSession<'d> {
             snapshots_built: 0,
             rows: vec![Vec::new(); n],
             sorted_len: vec![0; n],
+            fold_scratch: Vec::new(),
             rows_valid: true,
             mask: vec![false; n],
             pool: ScratchPool::new(n),
@@ -382,6 +392,7 @@ impl<'d> IncrementalSession<'d> {
                     &mut self.sorted_len,
                     targets,
                     &mut self.mask,
+                    &mut self.fold_scratch,
                 );
             }
             report.swept_entities = targets.len();
@@ -420,6 +431,7 @@ impl<'d> IncrementalSession<'d> {
         RowCache {
             rows: &mut self.rows,
             sorted_len: &mut self.sorted_len,
+            scratch: &mut self.fold_scratch,
             total_assignments: self.collection.total_assignments(),
         }
     }
@@ -503,6 +515,7 @@ impl<'d> IncrementalSession<'d> {
             let mut rows = RowCache {
                 rows: &mut self.rows,
                 sorted_len: &mut self.sorted_len,
+                scratch: &mut self.fold_scratch,
                 total_assignments: self.collection.total_assignments(),
             };
             return query::resolve_rows(&mut |e, out| rows.load_row(e, out), entity, rule);
@@ -554,10 +567,11 @@ impl<'d> IncrementalSession<'d> {
 /// first time the row is read — the first resolve after an ingest pays
 /// for the neighbourhood it loads, not for every row the ingest mirrored
 /// into. A folded row is sorted and duplicate-free, the shape a fresh
-/// sweep produces.
+/// sweep produces, and still sits in its own buffer.
 struct RowCache<'a> {
     rows: &'a mut [Vec<(u32, f64)>],
     sorted_len: &'a mut [u32],
+    scratch: &'a mut Vec<(u32, f64)>,
     total_assignments: u64,
 }
 
@@ -565,7 +579,7 @@ impl RowCache<'_> {
     /// The non-empty rows, every mirror tail folded.
     fn folded(&mut self) -> impl Iterator<Item = Row<'_>> {
         for (row, sorted) in self.rows.iter_mut().zip(self.sorted_len.iter_mut()) {
-            fold_tail(row, sorted);
+            fold_tail(row, sorted, self.scratch);
         }
         let rows = self.rows.iter().enumerate();
         rows.filter(|(_, entries)| !entries.is_empty())
@@ -580,7 +594,7 @@ impl RowCache<'_> {
     fn load_row(&mut self, e: u32, out: &mut RowBuf) {
         out.clear();
         if let Some(row) = self.rows.get_mut(e as usize) {
-            fold_tail(row, &mut self.sorted_len[e as usize]);
+            fold_tail(row, &mut self.sorted_len[e as usize], self.scratch);
             out.entries.extend_from_slice(row);
         }
     }
@@ -629,11 +643,13 @@ impl RowDriver for RowCache<'_> {
 }
 
 /// Re-sweeps `targets` on `view` and installs their fresh rows —
-/// cost-balanced over the shared scoped-thread driver (inline when one
-/// range covers everything), scratches from `pool`. Row contents never
-/// depend on the partitioning: each row is one entity's serial sweep. The
-/// view's own block counts serve as the weight globals — the delta
-/// schemes read nothing beyond them.
+/// cost-balanced over the shared scoped-thread driver when `threads > 1`
+/// (one inline range otherwise, with no cost pass), scratches from
+/// `pool`. Each range fills one flat slab, and every row is copied from
+/// it into its existing buffer, which it reuses whenever the new row fits.
+/// Row contents never depend on the partitioning: each row is one
+/// entity's serial sweep. The view's own block counts serve as the weight
+/// globals — the delta schemes read nothing beyond them.
 fn resweep_rows<V: BlockView + Sync>(
     scheme: WeightingScheme,
     pool: &ScratchPool,
@@ -643,36 +659,52 @@ fn resweep_rows<V: BlockView + Sync>(
     targets: &[EntityId],
     threads: usize,
 ) {
-    let costs: Vec<u64> = targets.iter().map(|&e| view.sweep_cost(e)).collect();
-    let ranges = partition_by_cost(&costs, threads.max(1));
+    let ranges = if threads > 1 {
+        let costs: Vec<u64> = targets.iter().map(|&e| view.sweep_cost(e)).collect();
+        partition_by_cost(&costs, threads)
+    } else {
+        std::iter::once(0..targets.len()).collect()
+    };
     let weigher = Weigher::Scheme(scheme);
-    let fresh = for_each_range(&ranges, pool, |range, scratch| {
+    // Per range: the rows back to back, and where each one ends.
+    let slabs = for_each_range(&ranges, pool, |range, scratch| {
         let mut buf = RowBuf::default();
-        let sweep_one = |&e: &EntityId| {
+        let mut entries = Vec::new();
+        let mut ends = Vec::with_capacity(range.len());
+        for &e in &targets[range] {
             scratch.sweep(view, e, Direction::Both);
             weigher.fill(scratch, e.0, view, &mut buf);
-            buf.entries.clone()
-        };
-        targets[range].iter().map(sweep_one).collect::<Vec<_>>()
+            entries.extend_from_slice(&buf.entries);
+            ends.push(entries.len());
+        }
+        (entries, ends)
     });
-    for (row, &e) in fresh.into_iter().flatten().zip(targets) {
-        sorted_len[e.index()] = row.len() as u32;
-        rows[e.index()] = row;
+    let mut targets = targets.iter();
+    for (entries, ends) in &slabs {
+        let mut start = 0;
+        for (&end, &e) in ends.iter().zip(&mut targets) {
+            let row = &mut rows[e.index()];
+            row.clear();
+            row.extend_from_slice(&entries[start..end]);
+            sorted_len[e.index()] = row.len() as u32;
+            start = end;
+        }
     }
 }
 
 /// Carries the freshly swept `(target, neighbour)` weights into the rows
 /// of neighbours that were *not* re-swept themselves: every entry
 /// `(y, w)` of a target's fresh row with `y` outside the target set is
-/// **appended** to `rows[y]`'s unsorted mirror tail as `(t, w)` — O(1)
-/// per changed edge, the information-theoretic floor. Nothing sorted is
-/// rebuilt here: tails fold into the sorted prefix lazily at the next
-/// read ([`normalize_row`]), or eagerly once a tail outgrows its prefix,
-/// which amortises every fold to O(1) per append and bounds a row's
-/// memory to ~2× its folded size. (Both eager alternatives are
-/// quadratic per stream on dense neighbourhoods: per-edge `Vec::insert`
-/// memmoves the tail once per new edge, and a per-batch sorted merge
-/// rebuilds every mirror-receiving row once per batch.)
+/// **appended** to `rows[y]`'s unsorted mirror tail as `(t, w)` — one
+/// push per changed edge, into a buffer that never shrinks, so a row that
+/// was read and folded still has room for the next ingest's tail. Nothing
+/// sorted is rebuilt here: tails fold into the sorted prefix lazily at the
+/// next read ([`fold_tail`]), or eagerly once a tail outgrows its prefix
+/// (and 64 entries), which amortises the folds to O(1) per append. Every
+/// fold goes through the session's `scratch`. (Both eager alternatives
+/// are quadratic per stream on dense neighbourhoods: per-edge
+/// `Vec::insert` memmoves the tail once per new edge, and a per-batch
+/// sorted merge rebuilds every mirror-receiving row once per batch.)
 ///
 /// Edges never disappear under CBS/JS (blocks only gain members), so
 /// append with later-wins replay is exhaustive, and the weight bits are
@@ -685,6 +717,7 @@ fn mirror_append(
     sorted_len: &mut [u32],
     targets: &[EntityId],
     mask: &mut [bool],
+    scratch: &mut Vec<(u32, f64)>,
 ) {
     for &t in targets {
         mask[t.index()] = true;
@@ -699,7 +732,7 @@ fn mirror_append(
             mirror.push((t.0, w));
             let sorted = &mut sorted_len[y as usize];
             if mirror.len() - *sorted as usize >= (*sorted as usize).max(64) {
-                fold_tail(mirror, sorted);
+                fold_tail(mirror, sorted, scratch);
             }
         }
         rows[t.index()] = row;
@@ -709,29 +742,24 @@ fn mirror_append(
     }
 }
 
-/// Folds `row`'s mirror tail, if it has one, and records the row as
-/// fully sorted.
-fn fold_tail(row: &mut Vec<(u32, f64)>, sorted_len: &mut u32) {
-    if (*sorted_len as usize) < row.len() {
-        normalize_row(row, *sorted_len as usize);
-        *sorted_len = row.len() as u32;
+/// Folds `row`'s mirror tail (`row[sorted..]`, append order), if it has
+/// one, into its sorted duplicate-free prefix and records the row as
+/// fully sorted. The tail is stable-sorted by neighbour id and
+/// deduplicated keeping the *latest* append of each edge (mirrors replay
+/// weight updates in arrival order); fresh weights overwrite stale ones.
+/// The prefix below the tail's smallest id stays where it is; the rest is
+/// merged into `scratch` and copied back, so the row keeps its buffer.
+fn fold_tail(row: &mut Vec<(u32, f64)>, sorted: &mut u32, scratch: &mut Vec<(u32, f64)>) {
+    let (prefix, tail) = row.split_at_mut(*sorted as usize);
+    if tail.is_empty() {
+        return;
     }
-}
-
-/// Folds a row's mirror tail (`row[sorted..]`, append order) into its
-/// sorted duplicate-free prefix: the tail is stable-sorted by neighbour
-/// id, deduplicated keeping the *latest* append of each edge (mirrors
-/// replay weight updates in arrival order), and merged with the prefix,
-/// fresh weights overwriting stale ones.
-fn normalize_row(row: &mut Vec<(u32, f64)>, sorted: usize) {
-    let mut tail = row.split_off(sorted);
     // Stable by id: equal ids keep append order, so the last one is the
     // most recent weight.
     tail.sort_by_key(|e| e.0);
-    let prefix = std::mem::take(row);
-    row.reserve(prefix.len() + tail.len());
-    let mut pi = 0;
-    let mut ti = 0;
+    let start = prefix.partition_point(|e| e.0 < tail[0].0);
+    let (mut pi, mut ti) = (start, 0);
+    scratch.clear();
     while ti < tail.len() {
         let (y, mut w) = tail[ti];
         ti += 1;
@@ -740,15 +768,18 @@ fn normalize_row(row: &mut Vec<(u32, f64)>, sorted: usize) {
             ti += 1;
         }
         while pi < prefix.len() && prefix[pi].0 < y {
-            row.push(prefix[pi]);
+            scratch.push(prefix[pi]);
             pi += 1;
         }
         if pi < prefix.len() && prefix[pi].0 == y {
             pi += 1;
         }
-        row.push((y, w));
+        scratch.push((y, w));
     }
-    row.extend_from_slice(&prefix[pi..]);
+    scratch.extend_from_slice(&prefix[pi..]);
+    row.truncate(start);
+    row.extend_from_slice(scratch);
+    *sorted = row.len() as u32;
 }
 
 #[cfg(test)]
@@ -756,7 +787,7 @@ mod tests {
     use super::*;
     use crate::{ExecutionBackend, Session};
     use minoan_blocking::builders::token_blocking;
-    use minoan_datagen::{generate, profiles};
+    use minoan_datagen::{generate, profiles, ArrivalOrder};
 
     fn assert_same(got: &PruneOutcome, want: &PruneOutcome, label: &str) {
         crate::assert_bit_identical(&got.pruned, &want.pruned, label);
@@ -936,6 +967,226 @@ mod tests {
                 None => base = Some(got),
                 Some(b) => assert_same(&got, b, &format!("workers={workers}")),
             }
+        }
+    }
+
+    /// The fold's definition, as it stood before folds kept the row's
+    /// buffer: split the tail off, stable-sort it by id, keep the latest
+    /// append of each id, and merge it with the prefix into a fresh
+    /// buffer — later weights overwriting earlier ones.
+    fn normalize_row(row: &mut Vec<(u32, f64)>, sorted: usize) {
+        let mut tail = row.split_off(sorted);
+        tail.sort_by_key(|e| e.0);
+        let prefix = std::mem::take(row);
+        row.reserve(prefix.len() + tail.len());
+        let mut pi = 0;
+        let mut ti = 0;
+        while ti < tail.len() {
+            let (y, mut w) = tail[ti];
+            ti += 1;
+            while ti < tail.len() && tail[ti].0 == y {
+                w = tail[ti].1;
+                ti += 1;
+            }
+            while pi < prefix.len() && prefix[pi].0 < y {
+                row.push(prefix[pi]);
+                pi += 1;
+            }
+            if pi < prefix.len() && prefix[pi].0 == y {
+                pi += 1;
+            }
+            row.push((y, w));
+        }
+        row.extend_from_slice(&prefix[pi..]);
+    }
+
+    fn bits(row: &[(u32, f64)]) -> Vec<(u32, u64)> {
+        row.iter().map(|&(y, w)| (y, w.to_bits())).collect()
+    }
+
+    /// A deterministic stream of small numbers for the fold properties.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n.max(1)
+        }
+    }
+
+    /// Between ingests a resolve folds the rows it loads and nothing else,
+    /// so reads leave a mix of folded rows and rows with tails — the state
+    /// `tests/incremental_delta.rs`'s reads-between-ingests case feeds to
+    /// the next ingest.
+    #[test]
+    fn a_resolve_folds_only_the_rows_it_loads() {
+        let world = generate(&profiles::periphery_sparse(240, 41));
+        let batches = ArrivalOrder::Shuffled { seed: 23 }.batches(&world.dataset, &world.truth, 47);
+        let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
+        inc.scheme(WeightingScheme::Js).pruning(Pruning::None);
+        inc.ingest(&batches[0]);
+        inc.ingest(&batches[1]);
+        let tailed = |inc: &IncrementalSession| -> Vec<usize> {
+            let rows = inc.rows.iter().zip(&inc.sorted_len).enumerate();
+            rows.filter(|(_, (row, &sorted))| (sorted as usize) < row.len())
+                .map(|(e, _)| e)
+                .collect()
+        };
+        let before = tailed(&inc);
+        assert!(before.len() > 1, "an ingest leaves tails: {before:?}");
+        inc.resolve_entity(EntityId(before[0] as u32));
+        assert_eq!(
+            tailed(&inc),
+            before[1..],
+            "an unpruned resolve loads one row"
+        );
+    }
+
+    #[test]
+    fn a_fold_keeps_the_rows_buffer() {
+        let mut row = Vec::with_capacity(32);
+        row.extend([(2, 0.2), (5, 0.5), (9, 0.9)]);
+        row.extend([(7, 1.7), (5, 1.5), (1, 1.1), (7, 2.7)]);
+        let (ptr, capacity) = (row.as_ptr(), row.capacity());
+        let mut sorted = 3;
+        fold_tail(&mut row, &mut sorted, &mut Vec::new());
+        assert_eq!(
+            row,
+            [(1, 1.1), (2, 0.2), (5, 1.5), (7, 2.7), (9, 0.9)],
+            "later appends win"
+        );
+        assert_eq!(sorted as usize, row.len());
+        assert_eq!(row.as_ptr(), ptr, "the fold moved the row");
+        assert_eq!(row.capacity(), capacity, "the fold shrank the row");
+    }
+
+    /// Re-sweeping every entity into rows that already have room for any
+    /// row installs each one in the buffer it had, with the same contents
+    /// at one range as at three.
+    #[test]
+    fn an_install_that_fits_keeps_the_rows_buffer() {
+        let world = generate(&profiles::center_dense(40, 3));
+        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
+        let n = world.dataset.len();
+        let pool = ScratchPool::new(n);
+        let mut base: Option<Vec<Vec<(u32, u64)>>> = None;
+        for threads in [1, 3] {
+            let mut rows: Vec<Vec<(u32, f64)>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+            let mut sorted_len = vec![0; n];
+            let before: Vec<_> = rows.iter().map(|r| (r.as_ptr(), r.capacity())).collect();
+            resweep_rows(
+                WeightingScheme::Js,
+                &pool,
+                &mut rows,
+                &mut sorted_len,
+                &blocks,
+                &ids(n),
+                threads,
+            );
+            for (e, row) in rows.iter().enumerate() {
+                assert_eq!((row.as_ptr(), row.capacity()), before[e], "row {e}");
+                assert_eq!(sorted_len[e] as usize, row.len());
+            }
+            let rows: Vec<_> = rows.iter().map(|r| bits(r)).collect();
+            assert!(rows.iter().any(|r| !r.is_empty()));
+            match &base {
+                None => base = Some(rows),
+                Some(b) => assert_eq!(b, &rows, "threads={threads}"),
+            }
+        }
+    }
+
+    /// The fold against its old definition: tails full of duplicate ids
+    /// (the later one wins), tails whose ids all sit in the prefix, empty
+    /// prefixes and empty tails, through one scratch reused across cases.
+    #[test]
+    fn the_fold_equals_the_old_definition() {
+        let mut draws = Draws(26);
+        let mut scratch = Vec::new();
+        let mut weight = 0.0;
+        let mut next_weight = || {
+            weight += 0.001;
+            weight
+        };
+        for case in 0..600 {
+            let span = 1 + draws.below(80) as u32;
+            let mut prefix: Vec<u32> = (0..span).filter(|_| draws.below(2) == 0).collect();
+            if case % 5 == 0 {
+                prefix.clear();
+            }
+            let tail_len = if case % 5 == 1 { 0 } else { draws.below(90) };
+            let mut row: Vec<(u32, f64)> = prefix.iter().map(|&y| (y, next_weight())).collect();
+            for _ in 0..tail_len {
+                let y = if case % 5 == 2 && !prefix.is_empty() {
+                    prefix[draws.below(prefix.len() as u64) as usize]
+                } else {
+                    draws.below(u64::from(span)) as u32
+                };
+                row.push((y, next_weight()));
+            }
+            let mut want = row.clone();
+            normalize_row(&mut want, prefix.len());
+            let (ptr, capacity) = (row.as_ptr(), row.capacity());
+            let mut sorted = prefix.len() as u32;
+            fold_tail(&mut row, &mut sorted, &mut scratch);
+            assert_eq!(bits(&row), bits(&want), "case {case}");
+            assert_eq!(sorted as usize, row.len(), "case {case}");
+            assert_eq!(
+                (row.as_ptr(), row.capacity()),
+                (ptr, capacity),
+                "case {case}"
+            );
+        }
+    }
+
+    /// `mirror_append` folds a row exactly when its tail reaches
+    /// `max(sorted, 64)` entries, and whatever it folded on the way, the
+    /// row ends equal to the old definition applied once to the whole
+    /// append log.
+    #[test]
+    fn mirror_appends_fold_eagerly_at_the_threshold() {
+        let n = 200;
+        let mut draws = Draws(64);
+        let mut scratch = Vec::new();
+        let mut mask = vec![false; n];
+        for prefix_len in [0u32, 20, 100] {
+            let mut rows = vec![Vec::new(); n];
+            let mut sorted_len = vec![0u32; n];
+            rows[0] = (1..=prefix_len).map(|y| (y, f64::from(y))).collect();
+            sorted_len[0] = prefix_len;
+            let mut log = rows[0].clone();
+            let mut folds = 0;
+            for i in 0..600 {
+                // Targets 1..=130 overlap the prefix (ids 1..=prefix_len)
+                // and repeat often enough to leave duplicates in every tail.
+                let t = 1 + draws.below(130) as u32;
+                let w = 1000.0 + f64::from(i);
+                rows[t as usize] = vec![(0, w)];
+                log.push((t, w));
+                let (sorted, tail) = (sorted_len[0], rows[0].len() as u32 - sorted_len[0]);
+                mirror_append(
+                    &mut rows,
+                    &mut sorted_len,
+                    &[EntityId(t)],
+                    &mut mask,
+                    &mut scratch,
+                );
+                if tail + 1 >= sorted.max(64) {
+                    assert_eq!(sorted_len[0] as usize, rows[0].len(), "append {i}");
+                    folds += 1;
+                } else {
+                    assert_eq!(sorted_len[0], sorted, "append {i} folded early");
+                }
+            }
+            assert!(folds >= 3, "prefix {prefix_len}: {folds} eager folds");
+            let mut sorted = sorted_len[0];
+            fold_tail(&mut rows[0], &mut sorted, &mut scratch);
+            normalize_row(&mut log, prefix_len as usize);
+            assert_eq!(bits(&rows[0]), bits(&log), "prefix {prefix_len}");
+            assert!(mask.iter().all(|&m| !m), "mask restored");
         }
     }
 }

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::assert_bit_identical;
+use common::{assert_bit_identical, assert_pairs_bit_identical, SplitMix};
 use minoan::blocking::{builders, ErMode};
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
@@ -252,6 +252,62 @@ fn delta_combinations_never_build_a_snapshot() {
         inc.resolve_entity(EntityId(0));
         inc.outcome();
         assert_eq!(inc.snapshots_built(), i as u64 + 1, "one per version");
+    }
+}
+
+/// Reads between ingests, the state a served load run leaves: after every
+/// batch about an eighth of the arrived entities is resolved. On a sparse
+/// periphery world that folds the rows of their neighbourhoods and leaves
+/// the others carrying mirror tails into the next ingest (`check_stream`'s
+/// per-batch `outcome()` folds every row instead, and so does the first
+/// resolve of a version under a global criterion: WEP, CEP, default-`k`
+/// CNP). Every answer equals a from-scratch session's at that version,
+/// and the final outcome is bit-identical.
+#[test]
+fn reads_between_ingests_are_bit_identical() {
+    let g = generate(&profiles::periphery_sparse(240, 41));
+    let batches = ArrivalOrder::Shuffled { seed: 23 }.batches(&g.dataset, &g.truth, 47);
+    for mode in [ErMode::CleanClean, ErMode::Dirty] {
+        for scheme in DELTA_SCHEMES {
+            for pruning in DELTA_FAMILIES {
+                let label = format!("{mode:?}/{scheme:?}/{pruning:?}");
+                let mut inc = IncrementalSession::new(&g.dataset, mode);
+                inc.scheme(scheme).pruning(pruning).workers(2);
+                let mut draws = SplitMix(26);
+                let mut arrived = Vec::new();
+                for (i, batch) in batches.iter().enumerate() {
+                    assert!(inc.ingest(batch).delta, "{label}");
+                    arrived.extend_from_slice(batch);
+                    let reads: Vec<EntityId> = (0..arrived.len().div_ceil(8))
+                        .map(|_| draws.pick(&arrived))
+                        .collect();
+                    let got: Vec<_> = reads.iter().map(|&e| inc.resolve_entity(e)).collect();
+                    // A resolve keeps exactly the full run's pairs incident
+                    // to the entity, in the run's order.
+                    let fresh = Session::new(inc.snapshot())
+                        .scheme(scheme)
+                        .pruning(pruning)
+                        .workers(2)
+                        .run();
+                    for (answer, &e) in got.iter().zip(&reads) {
+                        let want: Vec<_> = fresh
+                            .pairs()
+                            .iter()
+                            .filter(|p| p.a == e || p.b == e)
+                            .copied()
+                            .collect();
+                        let at = format!("{label}: batch {i}, entity {}", e.0);
+                        assert_pairs_bit_identical(&answer.matches, &want, &at);
+                    }
+                }
+                let got = inc.outcome();
+                let want = Session::new(inc.snapshot())
+                    .scheme(scheme)
+                    .pruning(pruning)
+                    .run();
+                assert_bit_identical(&got.pruned, &want.pruned, &format!("{label}: final"));
+            }
+        }
     }
 }
 
