@@ -16,7 +16,6 @@ use minoan_er::{
 use minoan_eval::{metrics, progressive_curves, recall_auc};
 use minoan_rdf::{Dataset, DatasetBuilder, KbId};
 use minoan_server::{Client, ResolveService, Server};
-use minoan_store::{FrozenStore, TripleStore};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -57,11 +56,9 @@ COMMANDS
             Generate a synthetic LOD world: one N-Triples file per KB plus
             truth.tsv with the ground-truth matching URI pairs.
   stats     --input FILE.nt [--input FILE.nt ...]
-            Load KBs into the triple store and print VoID-style statistics.
-  snapshot  --input FILE.nt [--input ...] --out FILE.mnstore
-            Build a dictionary-encoded store snapshot.
-  inspect   --snapshot FILE.mnstore
-            Print statistics of a snapshot.
+            Per KB: descriptions, statements, predicates, resource vs
+            literal values; overall: predicates, the share only one KB
+            uses, the top 5. Repeated statements count once per KB file.
   resolve   --input FILE.nt --input FILE.nt [--strategy S] [--budget N]
             [--blocking B] [--backend materialized|streaming|mapreduce]
             [--workers N] [--pruning P] [--weighting W] [--threshold T]
@@ -93,6 +90,8 @@ COMMANDS
             [--stats] [--shutdown]
             Drive a running resolution server: ingest a batch, resolve an
             entity, print server stats, or shut it down.
+  help
+            Print this text.
 
 PROFILES  center | periphery | center-periphery | lod | dirty | restaurants
           | rexa-dblp | bbc-dbpedia | yago-imdb
@@ -126,27 +125,34 @@ fn synopsis(command: &str) -> String {
         .join(" ")
 }
 
+type Command = fn(&Args) -> Result<String, CliError>;
+
+/// Every command [`run`] dispatches, in [`HELP`]'s order.
+const COMMANDS: &[(&str, Command)] = &[
+    ("generate", cmd_generate),
+    ("stats", cmd_stats),
+    ("resolve", cmd_resolve),
+    ("eval", cmd_eval),
+    ("stream", cmd_stream),
+    ("incremental", cmd_incremental),
+    ("serve", cmd_serve),
+    ("query", cmd_query),
+    ("help", |_| Ok(HELP.to_string())),
+];
+
 /// Entry point: parses `argv` (without program name) and runs the command.
+/// An unknown command's error lists every command there is.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
     let name = argv.first().map_or("", String::as_str);
-    let command: fn(&Args) -> Result<String, CliError> = match name {
-        "help" => |_| Ok(HELP.to_string()),
-        "generate" => cmd_generate,
-        "stats" => cmd_stats,
-        "snapshot" => cmd_snapshot,
-        "inspect" => cmd_inspect,
-        "resolve" => cmd_resolve,
-        "eval" => cmd_eval,
-        "stream" => cmd_stream,
-        "incremental" => cmd_incremental,
-        "serve" => cmd_serve,
-        "query" => cmd_query,
-        "" => return Err(CliError("missing command; try `minoan help`".into())),
-        other => {
-            return Err(CliError(format!(
-                "unknown command {other:?}; try `minoan help`"
-            )))
-        }
+    if name.is_empty() {
+        return Err(CliError("missing command; try `minoan help`".into()));
+    }
+    let Some(&(_, command)) = COMMANDS.iter().find(|(n, _)| *n == name) else {
+        let valid: Vec<&str> = COMMANDS.iter().map(|&(n, _)| n).collect();
+        return Err(CliError(format!(
+            "unknown command {name:?}; valid: {}; try `minoan help`",
+            valid.join(" | ")
+        )));
     };
     command(&Args::parse(argv, &synopsis(name))?)
 }
@@ -221,56 +227,6 @@ fn inputs(args: &Args) -> Result<&[String], CliError> {
         [] => Err(CliError("at least one --input is required".into())),
         files => Ok(files),
     }
-}
-
-fn load_store(inputs: &[String]) -> Result<FrozenStore, CliError> {
-    let mut store = TripleStore::new();
-    for path in inputs {
-        let name = Path::new(path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("kb")
-            .to_string();
-        let doc = std::fs::read_to_string(path)
-            .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-        if minoan_rdf::turtle::is_turtle_path(Path::new(path)) {
-            store
-                .load_turtle(&name, &doc)
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
-        } else {
-            store
-                .load_ntriples(&name, &doc)
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
-        }
-    }
-    Ok(store.freeze())
-}
-
-fn cmd_stats(args: &Args) -> Result<String, CliError> {
-    let store = load_store(inputs(args)?)?;
-    Ok(store.stats().render(&store))
-}
-
-fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
-    let store = load_store(inputs(args)?)?;
-    let out = args.require("out")?;
-    store
-        .save(out)
-        .map_err(|e| CliError(format!("cannot write snapshot: {e}")))?;
-    Ok(format!(
-        "snapshot {} written: {} triples, {} terms, {} graphs\n",
-        out,
-        store.len(),
-        store.dict().len(),
-        store.graphs().len()
-    ))
-}
-
-fn cmd_inspect(args: &Args) -> Result<String, CliError> {
-    let path = args.require("snapshot")?;
-    let store =
-        FrozenStore::load(path).map_err(|e| CliError(format!("cannot load snapshot: {e}")))?;
-    Ok(store.stats().render(&store))
 }
 
 fn blocking_by_name(name: &str) -> Result<BlockingMethod, CliError> {
@@ -383,7 +339,15 @@ fn pipeline_config(args: &Args) -> Result<PipelineConfig, CliError> {
         config.workers = Some(workers);
     }
     config.resolver.budget = args.get_parsed("budget", u64::MAX)?;
-    config.matcher.threshold = args.get_parsed("threshold", config.matcher.threshold)?;
+    let (floor, threshold) = (config.matcher.value_floor, config.matcher.threshold);
+    config.matcher.threshold = args.get_parsed("threshold", threshold)?;
+    if !(floor..=1.0).contains(&config.matcher.threshold) {
+        return Err(CliError(format!(
+            "option --threshold: expected a score in [value_floor, 1] = [{floor}, 1], got {}; \
+             no pair under the value floor is ever accepted",
+            config.matcher.threshold
+        )));
+    }
     Ok(config)
 }
 
@@ -399,9 +363,62 @@ fn load_dataset(inputs: &[String]) -> Result<Dataset, CliError> {
     Ok(builder.build())
 }
 
-fn cmd_resolve(args: &Args) -> Result<String, CliError> {
+/// Per KB: descriptions, attribute statements, distinct predicates and
+/// resource vs literal values. Overall: distinct predicates, the share
+/// only one KB uses (proprietary vocabulary) and the five most used.
+fn cmd_stats(args: &Args) -> Result<String, CliError> {
     let dataset = load_dataset(inputs(args)?)?;
+    let n = dataset.predicates().len();
+    let (mut uses, mut kbs_using) = (vec![0usize; n], vec![0usize; n]);
+    let mut per_kb = String::new();
+    for (kb, info) in dataset.kbs().iter().enumerate() {
+        let before = uses.clone();
+        let (mut statements, mut resources) = (0, 0);
+        for &e in dataset.entities_of_kb(KbId(kb as u16)) {
+            for (p, value) in dataset.description(e).attributes() {
+                uses[p.index()] += 1;
+                statements += 1;
+                resources += usize::from(value.as_resource().is_some());
+            }
+        }
+        let mut predicates = 0;
+        for (k, (u, b)) in kbs_using.iter_mut().zip(uses.iter().zip(&before)) {
+            if u > b {
+                *k += 1;
+                predicates += 1;
+            }
+        }
+        let _ = writeln!(
+            per_kb,
+            "  {}: {} descriptions, {statements} statements, {predicates} predicates, \
+             {resources} resource / {} literal values",
+            info.name,
+            info.entity_count,
+            statements - resources
+        );
+    }
+    let distinct = kbs_using.iter().filter(|&&k| k > 0).count();
+    let proprietary = kbs_using.iter().filter(|&&k| k == 1).count() as f64;
+    let mut report = format!(
+        "{} KBs, {} descriptions, {distinct} predicates ({:.1}% proprietary)\n{per_kb}  top predicates:\n",
+        dataset.kb_count(),
+        dataset.len(),
+        100.0 * proprietary / distinct.max(1) as f64
+    );
+    let mut top: Vec<(usize, &str)> = (dataset.predicates().iter())
+        .map(|(p, name)| (uses[p.index()], name))
+        .filter(|&(n, _)| n > 0)
+        .collect();
+    top.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
+    for (n, name) in top.into_iter().take(5) {
+        let _ = writeln!(report, "    {name} × {n}");
+    }
+    Ok(report)
+}
+
+fn cmd_resolve(args: &Args) -> Result<String, CliError> {
     let config = pipeline_config(args)?;
+    let dataset = load_dataset(inputs(args)?)?;
     let show = args.get_parsed("show", 10usize)?;
     let out = Pipeline::new(config).run(&dataset);
     let mut report = String::new();
@@ -776,7 +793,7 @@ mod tests {
         nts.sort();
         assert_eq!(nts.len(), 2, "center profile emits two KBs");
         let stats = run_str(&format!("stats --input {} --input {}", nts[0], nts[1])).unwrap();
-        assert!(stats.contains("store:"));
+        assert!(stats.contains("proprietary"), "{stats}");
         let resolve = run_str(&format!(
             "resolve --input {} --input {} --show 3",
             nts[0], nts[1]
@@ -784,35 +801,6 @@ mod tests {
         .unwrap();
         assert!(resolve.contains("matches"), "resolve output: {resolve}");
         assert!(resolve.contains('≡'), "should print matched URI pairs");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshot_and_inspect_round_trip() {
-        let dir = tmp_dir("snap");
-        run_str(&format!(
-            "generate --profile center --entities 80 --seed 5 --out {}",
-            dir.display()
-        ))
-        .unwrap();
-        let nts: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| {
-                let p = e.unwrap().path();
-                (p.extension().is_some_and(|x| x == "nt")).then(|| p.display().to_string())
-            })
-            .collect();
-        let snap = dir.join("world.mnstore");
-        let out = run_str(&format!(
-            "snapshot --input {} --input {} --out {}",
-            nts[0],
-            nts[1],
-            snap.display()
-        ))
-        .unwrap();
-        assert!(out.contains("snapshot"));
-        let inspect = run_str(&format!("inspect --snapshot {}", snap.display())).unwrap();
-        assert!(inspect.contains("store:"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

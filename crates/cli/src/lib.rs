@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! minoan generate --profile center --entities 500 --seed 42 --out /tmp/world
-//! minoan stats    --input /tmp/world/center_a.nt --input /tmp/world/center_b.nt
-//! minoan resolve  --input /tmp/world/center_a.nt --input /tmp/world/center_b.nt
+//! minoan stats    --input /tmp/world/dbp.nt --input /tmp/world/ygo.nt
+//! minoan resolve  --input /tmp/world/dbp.nt --input /tmp/world/ygo.nt
 //! minoan eval     --profile lod --entities 400 --seed 7 --strategy progressive:coverage
 //! ```
 

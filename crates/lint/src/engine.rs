@@ -223,7 +223,7 @@ fn f(o: Option<u32>) -> u32 {
     o.unwrap()
 }
 ";
-        let out = lint_rust_source("crates/store/src/x.rs", src, &cfg);
+        let out = lint_rust_source("crates/common/src/x.rs", src, &cfg);
         assert!(out.fired.is_empty(), "{:?}", out.fired);
         assert_eq!(out.allowed.len(), 1);
         assert_eq!(out.allowed[0].via, "inline");
@@ -233,7 +233,7 @@ fn f(o: Option<u32>) -> u32 {
     fn allow_without_reason_fires_ml000_and_original() {
         let cfg = Config::default();
         let src = "fn f(o: Option<u32>) -> u32 {\n    o.unwrap() // lint:allow(unwrap-in-lib)\n}\n";
-        let out = lint_rust_source("crates/store/src/x.rs", src, &cfg);
+        let out = lint_rust_source("crates/common/src/x.rs", src, &cfg);
         let codes: Vec<&str> = out.fired.iter().map(|d| d.code).collect();
         assert!(codes.contains(&"ML000"), "{codes:?}");
         assert!(codes.contains(&"ML005"), "{codes:?}");
@@ -242,12 +242,12 @@ fn f(o: Option<u32>) -> u32 {
     #[test]
     fn config_allow_suppresses() {
         let cfg = Config::parse(
-            "[[allow]]\nrule = \"unwrap-in-lib\"\npath = \"crates/store/src/*.rs\"\n\
+            "[[allow]]\nrule = \"unwrap-in-lib\"\npath = \"crates/common/src/*.rs\"\n\
              reason = \"engine test fixture entry\"\n",
         )
         .unwrap();
         let src = "fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        let out = lint_rust_source("crates/store/src/x.rs", src, &cfg);
+        let out = lint_rust_source("crates/common/src/x.rs", src, &cfg);
         assert!(out.fired.is_empty());
         assert_eq!(out.allowed.len(), 1);
         assert_eq!(out.allowed[0].via, "lint.toml");

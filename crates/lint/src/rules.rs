@@ -154,7 +154,6 @@ const UNWRAP_CRATES: &[&str] = &[
     "blocking",
     "metablocking",
     "server",
-    "store",
     "core",
     "eval",
     "similarity",
@@ -959,13 +958,13 @@ mod tests {
     #[test]
     fn expect_message_length_checked() {
         let fire = run(
-            "crates/store/src/x.rs",
+            "crates/common/src/x.rs",
             "fn f(o: Option<u32>) -> u32 { o.expect(\"no\") }\n",
         );
         assert_eq!(fire.len(), 1);
         assert_eq!(fire[0].code, "ML005");
         let clean = run(
-            "crates/store/src/x.rs",
+            "crates/common/src/x.rs",
             "fn f(o: Option<u32>) -> u32 { o.expect(\"stats slab sized at build\") }\n",
         );
         assert!(clean.is_empty(), "{clean:?}");

@@ -25,7 +25,7 @@ fn ml000_allow_missing_reason_fires() {
     let src = include_str!("lint_fixtures/ml000_fire.rs");
     // The reason-less escape is itself a diagnostic AND fails to suppress.
     assert_eq!(
-        fired("crates/store/src/fixture.rs", src),
+        fired("crates/common/src/fixture.rs", src),
         vec![("ML000", 2), ("ML005", 2)]
     );
 }
@@ -33,7 +33,7 @@ fn ml000_allow_missing_reason_fires() {
 #[test]
 fn ml000_clean_allow_suppresses() {
     let src = include_str!("lint_fixtures/ml000_clean.rs");
-    let out = lint_rust_source("crates/store/src/fixture.rs", src, &Config::default());
+    let out = lint_rust_source("crates/common/src/fixture.rs", src, &Config::default());
     assert!(out.fired.is_empty(), "{:?}", out.fired);
     assert_eq!(out.allowed.len(), 1);
     assert_eq!(out.allowed[0].via, "inline");
@@ -189,7 +189,7 @@ fn ml004_test_span_reference_is_clean() {
 fn ml005_unwrap_and_weak_expect_fire() {
     let src = include_str!("lint_fixtures/ml005_fire.rs");
     assert_eq!(
-        fired("crates/store/src/fixture.rs", src),
+        fired("crates/common/src/fixture.rs", src),
         vec![("ML005", 2), ("ML005", 6)]
     );
 }
@@ -197,7 +197,7 @@ fn ml005_unwrap_and_weak_expect_fire() {
 #[test]
 fn ml005_descriptive_expect_is_clean() {
     let src = include_str!("lint_fixtures/ml005_clean.rs");
-    assert_eq!(fired("crates/store/src/fixture.rs", src), vec![]);
+    assert_eq!(fired("crates/common/src/fixture.rs", src), vec![]);
 }
 
 #[test]

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Line counts the ROADMAP tracks (aim 2): one table, one row per crate —
 # `src/` lines, in-crate `tests/` + `benches/` lines — plus the root
-# facade and the workspace-level integration tests. Plain `wc -l` over
-# tracked-or-not *.rs files; no arguments.
+# facade and the workspace-level integration tests, then the offline
+# shims under `vendor/` on a row of their own, outside `total` so totals
+# stay comparable across changes. Plain `wc -l` over tracked-or-not *.rs
+# files; no arguments.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,3 +34,4 @@ for crate in crates/*/; do
 done
 row "minoan (root)" "$(lines src)" "$(lines tests examples)"
 printf '%-16s %8d %8d\n' total "$src_total" "$tests_total"
+printf '%-16s %8d %8d\n' "vendor (shims)" "$(lines vendor/*/src)" "$(lines vendor/*/tests vendor/*/benches)"

@@ -13,7 +13,6 @@
 //! | [`similarity`] | `minoan-similarity` | token and string similarity measures |
 //! | [`er`] | `minoan-er` | **the progressive ER engine and pipeline** |
 //! | [`eval`] | `minoan-eval` | PC/PQ/RR, precision/recall, progressive curves, bootstrap CIs, ASCII plots |
-//! | [`store`] | `minoan-store` | dictionary-encoded triple store (SPO/POS/OSP indexes, snapshots) |
 //!
 //! See `examples/quickstart.rs` for the end-to-end workflow of the paper's
 //! Figure 1.
@@ -29,7 +28,6 @@ pub use minoan_mapreduce as mapreduce;
 pub use minoan_metablocking as metablocking;
 pub use minoan_rdf as rdf;
 pub use minoan_similarity as similarity;
-pub use minoan_store as store;
 
 /// Convenience prelude with the names almost every user needs.
 pub mod prelude {

@@ -1,6 +1,5 @@
-//! End-to-end CLI integration: generate → stats → snapshot → inspect →
-//! resolve → eval → stream, all through the library entry point the
-//! `minoan` binary wraps.
+//! End-to-end CLI integration: generate → stats → resolve → eval →
+//! stream, all through the library entry point the `minoan` binary wraps.
 
 use minoan_cli::run;
 use std::collections::BTreeSet;
@@ -44,15 +43,20 @@ fn full_cli_workflow() {
         .map(|p| format!("--input {p} "))
         .collect::<String>();
 
-    // 3. Stats over the N-Triples files.
+    // 3. Stats over the N-Triples files: one line per KB.
     let stats = cli(&format!("stats {input_args}")).expect("stats");
     assert!(stats.contains("proprietary"));
+    for input in &inputs {
+        let kb = std::path::Path::new(input).file_stem().unwrap();
+        let line = format!("  {}: ", kb.to_str().unwrap());
+        assert!(stats.contains(&line), "no line for {input}: {stats}");
+    }
 
-    // 4. Snapshot + inspect.
-    let snap = dir.join("world.mnstore");
-    cli(&format!("snapshot {input_args} --out {}", snap.display())).expect("snapshot");
-    let inspect = cli(&format!("inspect --snapshot {}", snap.display())).expect("inspect");
-    assert!(inspect.contains("store:"));
+    // 4. `snapshot` and `inspect` are not commands.
+    for gone in ["snapshot", "inspect"] {
+        let err = cli(&format!("{gone} {input_args}")).unwrap_err();
+        assert!(err.to_string().starts_with("unknown command"), "{err}");
+    }
 
     // 5. Resolve with a budget.
     let resolve = cli(&format!("resolve {input_args} --budget 5000 --show 5")).expect("resolve");
@@ -65,6 +69,47 @@ fn full_cli_workflow() {
         cli("stream --profile lod --entities 150 --seed 21 --order round-robin").expect("stream");
     assert!(stream.contains("round-robin"));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `stats` on two hand-written KBs, to the character: one shared and two
+/// proprietary predicates, and a repeated statement that counts once.
+#[test]
+fn stats_count_statements_predicates_and_proprietary_vocabulary() {
+    let dir = std::env::temp_dir().join("minoan_cli_stats");
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = dir.join("a.nt");
+    let b = dir.join("b.nt");
+    std::fs::write(
+        &a,
+        "<http://a/1> <http://x/name> \"Knossos\" .\n\
+         <http://a/1> <http://a/near> <http://a/2> .\n\
+         <http://a/1> <http://x/name> \"Knossos\" .\n\
+         <http://a/2> <http://x/name> \"Phaistos\" .\n",
+    )
+    .unwrap();
+    std::fs::write(
+        &b,
+        "<http://b/1> <http://x/name> \"Knossos\" .\n\
+         <http://b/1> <http://b/era> \"Minoan\" .\n",
+    )
+    .unwrap();
+    let stats = cli(&format!(
+        "stats --input {} --input {}",
+        a.display(),
+        b.display()
+    ))
+    .unwrap();
+    assert_eq!(
+        stats,
+        "2 KBs, 3 descriptions, 3 predicates (66.7% proprietary)\n\
+         \x20 a: 2 descriptions, 3 statements, 2 predicates, 1 resource / 2 literal values\n\
+         \x20 b: 1 descriptions, 2 statements, 2 predicates, 0 resource / 2 literal values\n\
+         \x20 top predicates:\n\
+         \x20   http://x/name × 3\n\
+         \x20   http://a/near × 1\n\
+         \x20   http://b/era × 1\n"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -98,12 +143,12 @@ fn turtle_inputs_resolve_like_ntriples() {
     ))
     .expect("mixed-format resolve");
     assert!(out.contains("matches"), "{out}");
-    let stats = cli(&format!(
-        "stats --input {} --input {}",
-        inputs[0], inputs[1]
-    ))
-    .unwrap();
-    assert!(stats.contains("store:"));
+    let stats = |b: &str| cli(&format!("stats --input {} --input {b}", inputs[0])).unwrap();
+    let b_nt = dir.join("b.nt");
+    std::fs::write(&b_nt, world.dataset.to_ntriples(KbId(1))).unwrap();
+    let mixed = stats(&inputs[1]);
+    assert!(mixed.contains("proprietary"), "{mixed}");
+    assert_eq!(mixed, stats(&b_nt.display().to_string()));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -171,9 +216,26 @@ fn dirty_cep_reports_do_not_depend_on_backend_or_workers() {
 #[test]
 fn cli_errors_are_user_facing() {
     assert!(cli("resolve --input /nonexistent/file.nt").is_err());
-    assert!(cli("inspect --snapshot /nonexistent.mnstore").is_err());
+    let err = cli("snapshot --input x.nt --out x.mnstore").unwrap_err();
+    assert!(err.to_string().starts_with("unknown command \"snapshot\""));
     assert!(cli("eval --profile nope").is_err());
     assert!(cli("nonsense").is_err());
+    // A threshold outside [value_floor, 1] is refused before any work:
+    // above 1 the matcher would panic, below the floor it changes nothing.
+    for threshold in ["1.5", "-0.5", "0.2", "0.0", "NaN"] {
+        for command in ["eval --profile lod --entities 60", "resolve --input x.nt"] {
+            let line = format!("{command} --threshold {threshold}");
+            let err = cli(&line).unwrap_err().to_string();
+            assert!(
+                err.contains("[value_floor, 1] = [0.3, 1]"),
+                "`{line}`: {err}"
+            );
+        }
+    }
+    for threshold in ["0.3", "1"] {
+        let line = format!("eval --profile lod --entities 60 --threshold {threshold}");
+        cli(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+    }
 }
 
 /// A misspelled option and another command's flag are both errors, raised
@@ -220,6 +282,45 @@ fn help_options(command: &str) -> BTreeSet<String> {
     names
         .map(|name| name.trim_end_matches(']').to_string())
         .collect()
+}
+
+/// The commands `help` lists: the first word of every line of its
+/// COMMANDS block that is indented by exactly two spaces.
+fn help_commands() -> BTreeSet<String> {
+    let help = cli("help").expect("help");
+    let block = help.lines().skip_while(|l| *l != "COMMANDS").skip(1);
+    let heads = block
+        .take_while(|l| !l.is_empty())
+        .filter_map(|l| l.strip_prefix("  ").filter(|l| !l.starts_with(' ')));
+    heads
+        .filter_map(|l| l.split_whitespace().next())
+        .map(String::from)
+        .collect()
+}
+
+/// `help` lists exactly the commands `run` dispatches — the set an
+/// unknown command's error spells out — so no help line outlives its
+/// command and no command goes undocumented.
+#[test]
+fn help_lists_exactly_the_commands_run_accepts() {
+    let err = cli("frobnicate").unwrap_err().to_string();
+    let valid = err
+        .split("valid: ")
+        .nth(1)
+        .and_then(|rest| rest.split(';').next())
+        .unwrap_or_else(|| panic!("no list of valid commands in {err:?}"));
+    let accepted: BTreeSet<String> = valid.split(" | ").map(String::from).collect();
+    assert_eq!(help_commands(), accepted);
+    for command in &accepted {
+        // Bare command lines: each is dispatched, and fails (if at all)
+        // on a missing option, not as an unknown command.
+        if let Err(e) = cli(command) {
+            assert!(
+                !e.to_string().starts_with("unknown command"),
+                "{command}: {e}"
+            );
+        }
+    }
 }
 
 /// Every option `help` lists for `resolve` and `eval` is accepted, all on

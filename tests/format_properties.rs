@@ -1,10 +1,9 @@
 //! Cross-crate property tests on serialisation formats and partition
-//! metrics: generated worlds round-trip through Turtle and store
-//! snapshots; cluster metrics obey their mathematical invariants.
+//! metrics: generated worlds round-trip through Turtle; cluster metrics
+//! obey their mathematical invariants.
 
 use minoan::prelude::*;
 use minoan::rdf::{ntriples, parse_turtle, turtle};
-use minoan::store::{FrozenStore, TripleStore};
 use proptest::prelude::*;
 
 #[test]
@@ -27,47 +26,8 @@ fn generated_worlds_round_trip_through_turtle() {
     }
 }
 
-#[test]
-fn turtle_loaded_store_equals_ntriples_loaded_store() {
-    let world = generate(&profiles::center_dense(50, 5));
-    let mut nt_store = TripleStore::new();
-    let mut ttl_store = TripleStore::new();
-    for kb in 0..world.dataset.kb_count() {
-        let id = KbId(kb as u16);
-        let nt = world.dataset.to_ntriples(id);
-        let triples = ntriples::parse_document(&nt).unwrap();
-        let ttl = turtle::write_turtle(&triples, &[]);
-        let name = world.dataset.kb(id).name.to_string();
-        nt_store.load_ntriples(&name, &nt).unwrap();
-        ttl_store.load_turtle(&name, &ttl).unwrap();
-    }
-    let (a, b) = (nt_store.freeze(), ttl_store.freeze());
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.to_dataset().len(), b.to_dataset().len());
-    assert_eq!(a.to_dataset().link_count(), b.to_dataset().link_count());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Snapshots are byte-stable and survive arbitrary world shapes.
-    #[test]
-    fn snapshots_round_trip_for_any_world(seed in 0u64..500, n in 10usize..80) {
-        let world = generate(&profiles::center_periphery(n, seed));
-        let mut store = TripleStore::new();
-        for kb in 0..world.dataset.kb_count() {
-            let id = KbId(kb as u16);
-            store
-                .load_ntriples(&world.dataset.kb(id).name, &world.dataset.to_ntriples(id))
-                .unwrap();
-        }
-        let frozen = store.freeze();
-        let bytes = frozen.to_snapshot();
-        let reloaded = FrozenStore::from_snapshot(&bytes).unwrap();
-        prop_assert_eq!(reloaded.len(), frozen.len());
-        // Determinism: re-encoding yields identical bytes.
-        prop_assert_eq!(reloaded.to_snapshot(), bytes);
-    }
 
     /// Cluster metrics: identity is perfect; B-cubed and pairwise F1 stay
     /// in [0,1]; VI is symmetric and non-negative.
