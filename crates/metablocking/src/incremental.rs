@@ -14,9 +14,10 @@
 //!    members, and the entities whose block lists grew,
 //! 3. runs a **delta-sweep** directly on those live slabs (through
 //!    [`BlockView`]; no [`BlockCollection`] is materialised): only the
-//!    entities whose incident weights can have changed are re-swept, and
+//!    entities whose co-occurrences can have changed are re-swept, and
 //!    the cached weight rows — theirs, and their neighbours' through
-//!    appended *mirror tails* — are patched in place.
+//!    appended *mirror tails* — are patched in place; rows whose weights
+//!    only a block-count change moved are marked *stale* instead.
 //!
 //! [`IncrementalSession::outcome`] then runs the pruning family's rules
 //! (the crate-internal `rule` module — the same definitions every backend
@@ -31,19 +32,23 @@
 //! An ingest is `O(batch × neighbourhood)`: the collection refreshes
 //! comparison counts, ARCS reciprocals and per-entity block counts for
 //! the touched keys and grown entities only, the sweep reads the block
-//! counts straight from it, and a mirror append is one push per changed
-//! edge. A row's buffer never shrinks: re-swept rows are copied into the
-//! buffer they had, and every fold merges through one session-owned
+//! counts straight from it, and a mirror append is one push per new
+//! edge. A cached entry keeps the pair's shared-block count beside its
+//! weight, so a weight only a block count moved is re-weighed, not
+//! re-swept. A row's buffer never shrinks: re-swept rows are copied into
+//! the buffer they had, and every fold merges through one session-owned
 //! scratch and copies the result back, so reads between ingests leave
 //! the next ingest's appends nothing to reallocate. Everything
 //! `O(corpus)` is deferred to the reader that needs it:
 //!
-//! * a mirror tail is folded into its row's sorted prefix when the row
+//! * a mirror tail is folded into its row's sorted prefix, and a stale
+//!   row re-weighed in place through [`weight_from_stats`], when the row
 //!   is next *read* — a single [`IncrementalSession::resolve_entity`]
-//!   folds the rows of the neighbourhood it loads, nothing else;
+//!   does that for the neighbourhood it loads, nothing else;
 //! * the global criteria (WEP's threshold, CEP's top-k, CNP's default
 //!   `k`) and [`IncrementalSession::outcome`] walk every row, so they
-//!   fold every tail, once per version, on first use;
+//!   fold every tail and re-weigh every stale row, once per version, on
+//!   first use;
 //! * a **snapshot** — the merged corpus as a [`BlockCollection`] — is
 //!   built only by [`IncrementalSession::snapshot`] or by a fallback
 //!   combination (below), at most once per version, and dropped by the
@@ -59,13 +64,14 @@
 //! `WeightingScheme::is_delta_local` (`weights.rs`) decides which schemes
 //! are, and says why. What each one re-sweeps:
 //!
-//! * **CBS / JS** — a pair's inputs (`|B_ij|`, `|B_i|`, `|B_j|`) move
-//!   only when an endpoint's block list grows, so the weight of an edge
-//!   between two pre-batch, un-grown entities **never changes**, and
-//!   re-sweeping `batch ∪ grown` and mirror-patching each fresh
-//!   `(target, neighbour)` weight into the neighbour's row covers every
-//!   changed edge — typically a small fraction of the corpus,
-//!   independent of how hot the batch's tokens are.
+//! * **CBS / JS** — no pre-batch pair's shared-block count moves in an
+//!   ingest (a block that was not present held no comparable pre-batch
+//!   pair; a present block keeps its old pairs' counts), so the **batch
+//!   alone** is re-swept and each new edge mirrored into the neighbour's
+//!   row. A grown pre-batch `z` changes only through `|B_z|`, which only
+//!   JS reads: the ingest walks `z`'s row once, marks it and every
+//!   neighbour's row stale, and adds those neighbours to
+//!   [`IncrementalSession::last_dirty`].
 //! * **ARCS** — every touched block reweights *all* pairs inside it, so
 //!   the whole dirty set is re-swept, which covers both directions with
 //!   no mirror pass. The live slabs list an entity's blocks in
@@ -100,7 +106,7 @@
 //! for batch in ids.chunks(16) {
 //!     let report = session.ingest(batch);
 //!     assert!(report.delta, "CBS × WNP delta-sweeps");
-//!     assert!(report.swept_entities <= report.num_arrived);
+//!     assert_eq!(report.swept_entities, batch.len(), "the batch alone");
 //!     session.resolve_entity(batch[0]);
 //! }
 //! let outcome = session.outcome();
@@ -117,7 +123,7 @@
 //! assert_eq!(session.snapshots_built(), 1);
 //! ```
 
-use crate::kernel::WeightGlobals;
+use crate::kernel::{weight_from_stats, EdgeGlobals, WeightGlobals};
 use crate::parallel::JobReport;
 use crate::prune::WeightedPair;
 use crate::query::{self, ResolvedEntity};
@@ -144,8 +150,9 @@ pub struct IngestReport {
     pub newly_present_blocks: usize,
     /// Members of touched blocks — the core dirty set.
     pub dirty_entities: usize,
-    /// Entities actually re-swept (`batch ∪ grown` for CBS/JS, the dirty
-    /// set for ARCS; 0 when the combination fell back).
+    /// Entities actually re-swept (the batch for CBS/JS, the dirty set
+    /// for ARCS; 0 when the combination fell back). JS rows that only a
+    /// block-count change moved are marked stale, not re-swept.
     pub swept_entities: usize,
     /// Total entities arrived so far, this batch included.
     pub num_arrived: usize,
@@ -153,6 +160,18 @@ pub struct IngestReport {
     /// a row-cache rebuild was pending).
     pub delta: bool,
 }
+
+/// One cached edge of entity `a`'s row: the neighbour `y`, the pair's
+/// shared-block count `|B_ay|` and the scheme weight of the edge. The
+/// count sits where `(u32, f64)` has padding.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Entry {
+    y: u32,
+    cbs: u32,
+    w: f64,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 
 /// An updatable meta-blocking session: ingest description batches,
 /// delta-sweep only the affected entities, and read a [`PruneOutcome`]
@@ -170,32 +189,35 @@ pub struct IncrementalSession<'d> {
     snapshot: Option<BlockCollection>,
     /// How many snapshots this session has materialised.
     snapshots_built: u64,
-    /// Per-entity incident-edge cache: `rows[a]` holds `(y, w)` for every
-    /// comparable neighbour `y` of `a`, with `w` the scheme weight of the
-    /// edge — exactly the statistics a streaming sweep of `a` would
-    /// produce on the current corpus. The first `sorted_len[a]` entries
-    /// are ascending by `y` and duplicate-free; anything beyond is an
-    /// unsorted *mirror tail* of `(y, w)` appends in arrival order
-    /// (later wins), folded in by [`fold_tail`] before any read. A row
+    /// Per-entity incident-edge cache: `rows[a]` holds an [`Entry`] for
+    /// every comparable neighbour `y` of `a` — the statistics a streaming
+    /// sweep of `a` would produce on the current corpus, with weights
+    /// that are current unless `stale[a]` is set. The first
+    /// `sorted_len[a]` entries are ascending by `y` and duplicate-free;
+    /// anything beyond is an unsorted *mirror tail* of new edges in
+    /// arrival order, folded in by [`fold_tail`] before any read. A row
     /// keeps its buffer for the session's life: folds and re-sweeps
     /// write into it and never shrink it.
-    rows: Vec<Vec<(u32, f64)>>,
+    rows: Vec<Vec<Entry>>,
     /// Length of each row's sorted duplicate-free prefix.
     sorted_len: Vec<u32>,
+    /// Rows whose weights predate an endpoint's block-count change (JS
+    /// only): re-weighed from their counts by the next read.
+    stale: Vec<bool>,
     /// Every fold merges through this buffer and copies the result back
     /// into the row's own.
-    fold_scratch: Vec<(u32, f64)>,
+    fold_scratch: Vec<Entry>,
     /// Whether `rows` matches the current corpus under the current
     /// scheme. Starts `true`: an empty corpus has all-empty rows.
     rows_valid: bool,
-    /// Reusable target-membership mask for [`mirror_append`]; all-false
-    /// between ingests.
+    /// Reusable entity mask for [`mirror_append`] and [`Self::mark_stale`];
+    /// all-false between ingests.
     mask: Vec<bool>,
     pool: ScratchPool,
     /// Monotone corpus version: bumped by every ingest.
     version: u64,
-    /// Dirty entities of the last ingest (the cache-invalidation set a
-    /// layered [`NeighbourhoodCache`](crate::NeighbourhoodCache) reads).
+    /// Entities whose rows the last ingest changed (the invalidation set
+    /// a layered [`NeighbourhoodCache`](crate::NeighbourhoodCache) reads).
     last_dirty: Vec<EntityId>,
     /// Query-time criterion (and fallback globals) of the current
     /// `(version, scheme, pruning)` triple: dropped by every ingest and by
@@ -229,6 +251,7 @@ impl<'d> IncrementalSession<'d> {
             snapshots_built: 0,
             rows: vec![Vec::new(); n],
             sorted_len: vec![0; n],
+            stale: vec![false; n],
             fold_scratch: Vec::new(),
             rows_valid: true,
             mask: vec![false; n],
@@ -306,10 +329,11 @@ impl<'d> IncrementalSession<'d> {
         self.version
     }
 
-    /// The dirty entities of the last ingest (members of its touched
-    /// blocks) — the invalidation set for a
-    /// [`NeighbourhoodCache`](crate::NeighbourhoodCache) layered over
-    /// this session (sound only when
+    /// The entities whose rows the last ingest changed, ascending: its
+    /// dirty entities (members of its touched blocks) and, under JS, the
+    /// neighbours of each grown pre-batch entity. The invalidation set
+    /// for a [`NeighbourhoodCache`](crate::NeighbourhoodCache) layered
+    /// over this session (sound only when
     /// [`locally_invalidatable`](crate::locally_invalidatable) holds for
     /// the configured combination). Empty before the first ingest.
     pub fn last_dirty(&self) -> &[EntityId] {
@@ -345,7 +369,7 @@ impl<'d> IncrementalSession<'d> {
     /// Panics if any batch entity was already ingested.
     pub fn ingest(&mut self, batch: &[EntityId]) -> IngestReport {
         let threads = self.threads();
-        let delta = self.collection.ingest(batch, threads);
+        let mut delta = self.collection.ingest(batch, threads);
         let mut report = IngestReport {
             arrived: batch.len(),
             touched_blocks: delta.touched_blocks.len(),
@@ -360,23 +384,14 @@ impl<'d> IncrementalSession<'d> {
             // switch back to a supported one must rebuild them.
             self.rows_valid = false;
         } else if self.rows_valid {
-            // CBS/JS: no edge between two pre-batch, un-grown entities
-            // can change weight, so `batch ∪ grown` is re-swept and
-            // `mirror_append` carries each fresh weight into the
-            // untargeted neighbour's row. ARCS reweights every pair of a
-            // touched block, so it takes the full dirty set (both
-            // endpoints of every changed edge are in it — no mirror).
+            // CBS/JS: no pre-batch pair's shared-block count moves, so
+            // the batch alone is re-swept and `mirror_append` carries each
+            // new edge into the neighbour's row; under JS the rows a
+            // block-count change re-weighed go stale. ARCS reweights every
+            // pair of a touched block, so it takes the full dirty set
+            // (both endpoints of every changed edge are in it — no mirror).
             let arcs = self.scheme == WeightingScheme::Arcs;
-            let mut merged = Vec::new();
-            let targets: &[EntityId] = if arcs {
-                &delta.dirty
-            } else {
-                merged.extend_from_slice(batch);
-                merged.extend_from_slice(&delta.grown);
-                merged.sort_unstable();
-                merged.dedup();
-                &merged
-            };
+            let targets = if arcs { &delta.dirty[..] } else { batch };
             resweep_rows(
                 self.scheme,
                 &self.pool,
@@ -397,6 +412,9 @@ impl<'d> IncrementalSession<'d> {
             }
             report.swept_entities = targets.len();
             report.delta = true;
+            if self.scheme == WeightingScheme::Js {
+                self.mark_stale(batch, &delta.grown, &mut delta.dirty);
+            }
         } else {
             // Cold cache (scheme switch or an unsupported interlude):
             // one full sweep re-seeds it, then deltas resume.
@@ -408,6 +426,42 @@ impl<'d> IncrementalSession<'d> {
         self.resolve_cache = None;
         self.snapshot = None;
         report
+    }
+
+    /// Under JS, marks stale the rows whose weights a block-count change
+    /// moved: each grown pre-batch entity `z`'s (every weight in it reads
+    /// `|B_z|`) and each of its neighbours' (their edge to `z`). The
+    /// batch's rows were just swept on the final counts and stay fresh,
+    /// so a preload marks nothing. `dirty` gains the marked entities
+    /// outside it and stays ascending: it names every row the ingest
+    /// changed.
+    fn mark_stale(&mut self, batch: &[EntityId], grown: &[EntityId], dirty: &mut Vec<EntityId>) {
+        let (stale, mask) = (&mut self.stale, &mut self.mask);
+        let mut swept = batch.to_vec();
+        swept.sort_unstable();
+        for &d in dirty.iter() {
+            mask[d.index()] = true;
+        }
+        let listed = dirty.len();
+        for &z in grown.iter().filter(|z| swept.binary_search(z).is_err()) {
+            stale[z.index()] = true;
+            for entry in &self.rows[z.index()] {
+                let y = entry.y as usize;
+                stale[y] = true;
+                if !std::mem::replace(&mut mask[y], true) {
+                    dirty.push(EntityId(entry.y));
+                }
+            }
+        }
+        for &t in batch {
+            stale[t.index()] = false;
+        }
+        for &d in dirty.iter() {
+            mask[d.index()] = false;
+        }
+        // Two ascending runs: the stable sort merges them in one pass.
+        dirty[listed..].sort_unstable();
+        dirty.sort();
     }
 
     /// Re-seeds the whole row cache with one full sweep of the live
@@ -423,6 +477,7 @@ impl<'d> IncrementalSession<'d> {
             &all,
             threads,
         );
+        self.stale.fill(false);
         self.rows_valid = true;
     }
 
@@ -431,8 +486,10 @@ impl<'d> IncrementalSession<'d> {
         RowCache {
             rows: &mut self.rows,
             sorted_len: &mut self.sorted_len,
+            stale: &mut self.stale,
             scratch: &mut self.fold_scratch,
-            total_assignments: self.collection.total_assignments(),
+            scheme: self.scheme,
+            view: &self.collection,
         }
     }
 
@@ -515,8 +572,10 @@ impl<'d> IncrementalSession<'d> {
             let mut rows = RowCache {
                 rows: &mut self.rows,
                 sorted_len: &mut self.sorted_len,
+                stale: &mut self.stale,
                 scratch: &mut self.fold_scratch,
-                total_assignments: self.collection.total_assignments(),
+                scheme: self.scheme,
+                view: &self.collection,
             };
             return query::resolve_rows(&mut |e, out| rows.load_row(e, out), entity, rule);
         }
@@ -559,43 +618,48 @@ impl<'d> IncrementalSession<'d> {
 ///
 /// As a [`RowDriver`] it visits every cached row serially in entity
 /// order, exactly as a one-range sweep would — the rows already hold the
-/// statistics a sweep under the session's scheme would produce, so
-/// nothing is weighed. Both passes walk the whole cache and are
-/// `O(corpus)` anyway, so they fold every outstanding mirror tail first.
+/// statistics a sweep under the session's scheme would produce, so only
+/// stale rows are weighed. Both passes walk the whole cache and are
+/// `O(corpus)` anyway, so they bring every row up to date on the way.
 ///
-/// For a resolve ([`Self::load_row`]) it folds a row's mirror tail the
-/// first time the row is read — the first resolve after an ingest pays
-/// for the neighbourhood it loads, not for every row the ingest mirrored
-/// into. A folded row is sorted and duplicate-free, the shape a fresh
-/// sweep produces, and still sits in its own buffer.
+/// For a resolve ([`Self::load_row`]) it folds a row's mirror tail, and
+/// re-weighs it if stale, the first time the row is read — the first
+/// resolve after an ingest pays for the neighbourhood it loads, not for
+/// every row the ingest touched. A loaded row is sorted, duplicate-free
+/// and current, the shape and bits a fresh sweep produces, and still sits
+/// in its own buffer.
 struct RowCache<'a> {
-    rows: &'a mut [Vec<(u32, f64)>],
+    rows: &'a mut [Vec<Entry>],
     sorted_len: &'a mut [u32],
-    scratch: &'a mut Vec<(u32, f64)>,
-    total_assignments: u64,
+    stale: &'a mut [bool],
+    scratch: &'a mut Vec<Entry>,
+    scheme: WeightingScheme,
+    view: &'a IncrementalCollection<'a>,
 }
 
 impl RowCache<'_> {
-    /// The non-empty rows, every mirror tail folded.
-    fn folded(&mut self) -> impl Iterator<Item = Row<'_>> {
-        for (row, sorted) in self.rows.iter_mut().zip(self.sorted_len.iter_mut()) {
-            fold_tail(row, sorted, self.scratch);
-        }
-        let rows = self.rows.iter().enumerate();
-        rows.filter(|(_, entries)| !entries.is_empty())
-            .map(|(a, entries)| Row {
-                a: a as u32,
-                entries,
-                features: &[],
-            })
-    }
-
-    /// Loads `e`'s row for a resolve, folding its mirror tail first.
+    /// Loads `e`'s row, folding its mirror tail and re-weighing it if
+    /// stale first.
     fn load_row(&mut self, e: u32, out: &mut RowBuf) {
         out.clear();
-        if let Some(row) = self.rows.get_mut(e as usize) {
-            fold_tail(row, &mut self.sorted_len[e as usize], self.scratch);
-            out.entries.extend_from_slice(row);
+        let row = &mut self.rows[e as usize];
+        fold_tail(row, &mut self.sorted_len[e as usize], self.scratch);
+        if std::mem::take(&mut self.stale[e as usize]) {
+            reweigh(self.scheme, e, row, self.view);
+        }
+        out.entries
+            .extend(row.iter().map(|entry| (entry.y, entry.w)));
+    }
+
+    /// Puts every non-empty row through `f`, in entity order, loaded as
+    /// for a resolve.
+    fn for_each_row(&mut self, mut f: impl FnMut(Row<'_>)) {
+        let mut buf = RowBuf::default();
+        for a in 0..self.rows.len() as u32 {
+            self.load_row(a, &mut buf);
+            if !buf.entries.is_empty() {
+                f(buf.row(a));
+            }
         }
     }
 }
@@ -606,7 +670,7 @@ impl RowDriver for RowCache<'_> {
     }
 
     fn total_assignments(&self) -> u64 {
-        self.total_assignments
+        self.view.total_assignments()
     }
 
     fn active_nodes(&mut self) -> usize {
@@ -616,29 +680,45 @@ impl RowDriver for RowCache<'_> {
     }
 
     fn num_edges(&mut self) -> usize {
-        self.folded()
-            .map(|row| forward_len(row.a, row.entries, |e| e.0))
-            .sum::<u64>() as usize
+        let mut edges = 0u64;
+        self.for_each_row(|row| edges += forward_len(row.a, row.entries, |e| e.0));
+        edges as usize
     }
 
     fn reduce(&mut self, _weigher: Weigher, fold: &CriterionFold) -> (Partial, u64) {
         let mut share = fold.init();
         let mut forward = 0u64;
-        for row in self.folded() {
+        self.for_each_row(|row| {
             forward += forward_len(row.a, row.entries, |e| e.0);
             fold.fold(&mut share, row);
-        }
+        });
         (share, forward)
     }
 
     fn keep(&mut self, _weigher: Weigher, rule: Rule<'_>) -> (Vec<WeightedPair>, u64) {
         let mut kept = Vec::new();
         let mut forward = 0u64;
-        for row in self.folded() {
+        self.for_each_row(|row| {
             forward += forward_len(row.a, row.entries, |e| e.0);
             rule.contribute(row, &mut kept);
-        }
+        });
         (kept, forward)
+    }
+}
+
+/// Re-weighs `a`'s row from the shared-block counts its entries carry
+/// and `globals`' block counts: the kernel call a sweep of `a` makes,
+/// endpoints in normalised order, so every weight carries a fresh
+/// sweep's bits — under any scheme that reads no more than those counts
+/// (CBS, JS, ECBS; the session re-weighs JS rows only).
+fn reweigh<G: EdgeGlobals>(scheme: WeightingScheme, a: u32, row: &mut [Entry], globals: &G) {
+    let num_blocks = globals.num_blocks();
+    for entry in row {
+        let (lo, hi) = (a.min(entry.y), a.max(entry.y));
+        let (blocks_lo, blocks_hi) = (globals.blocks_of(lo), globals.blocks_of(hi));
+        entry.w = weight_from_stats(
+            scheme, entry.cbs, 0.0, blocks_lo, blocks_hi, num_blocks, 0, 0, 0,
+        );
     }
 }
 
@@ -648,12 +728,13 @@ impl RowDriver for RowCache<'_> {
 /// `pool`. Each range fills one flat slab, and every row is copied from
 /// it into its existing buffer, which it reuses whenever the new row fits.
 /// Row contents never depend on the partitioning: each row is one
-/// entity's serial sweep. The view's own block counts serve as the weight
-/// globals — the delta schemes read nothing beyond them.
+/// entity's serial sweep, each entry its weight and shared-block count.
+/// The view's own block counts serve as the weight globals — the delta
+/// schemes read nothing beyond them.
 fn resweep_rows<V: BlockView + Sync>(
     scheme: WeightingScheme,
     pool: &ScratchPool,
-    rows: &mut [Vec<(u32, f64)>],
+    rows: &mut [Vec<Entry>],
     sorted_len: &mut [u32],
     view: &V,
     targets: &[EntityId],
@@ -674,7 +755,12 @@ fn resweep_rows<V: BlockView + Sync>(
         for &e in &targets[range] {
             scratch.sweep(view, e, Direction::Both);
             weigher.fill(scratch, e.0, view, &mut buf);
-            entries.extend_from_slice(&buf.entries);
+            let entry = |&(y, w): &(u32, f64)| Entry {
+                y,
+                cbs: scratch.cbs_of(y),
+                w,
+            };
+            entries.extend(buf.entries.iter().map(entry));
             ends.push(entries.len());
         }
         (entries, ends)
@@ -692,11 +778,11 @@ fn resweep_rows<V: BlockView + Sync>(
     }
 }
 
-/// Carries the freshly swept `(target, neighbour)` weights into the rows
+/// Carries the freshly swept `(target, neighbour)` edges into the rows
 /// of neighbours that were *not* re-swept themselves: every entry
-/// `(y, w)` of a target's fresh row with `y` outside the target set is
-/// **appended** to `rows[y]`'s unsorted mirror tail as `(t, w)` — one
-/// push per changed edge, into a buffer that never shrinks, so a row that
+/// `(y, |B_ty|, w)` of a target's fresh row with `y` outside the target
+/// set is **appended** to `rows[y]`'s mirror tail as `(t, |B_ty|, w)` —
+/// one push per new edge, into a buffer that never shrinks, so a row that
 /// was read and folded still has room for the next ingest's tail. Nothing
 /// sorted is rebuilt here: tails fold into the sorted prefix lazily at the
 /// next read ([`fold_tail`]), or eagerly once a tail outgrows its prefix
@@ -706,31 +792,32 @@ fn resweep_rows<V: BlockView + Sync>(
 /// `Vec::insert` memmoves the tail once per new edge, and a per-batch
 /// sorted merge rebuilds every mirror-receiving row once per batch.)
 ///
-/// Edges never disappear under CBS/JS (blocks only gain members), so
-/// append with later-wins replay is exhaustive, and the weight bits are
-/// endpoint-symmetric by construction: CBS is the shared-block count and
-/// JS normalises the endpoint block counts lo/hi before the one
-/// division, so `y`'s own sweep would produce the identical f64.
+/// The targets are the batch, which had no edge before this ingest, so
+/// a tail never repeats an edge of its own or of the prefix. The count
+/// and the weight bits are endpoint-symmetric by construction: JS
+/// normalises the endpoint block counts lo/hi before the one division,
+/// so `y`'s own sweep would produce the identical f64.
 /// `mask` is a reusable all-false scratch; it is restored before return.
 fn mirror_append(
-    rows: &mut [Vec<(u32, f64)>],
+    rows: &mut [Vec<Entry>],
     sorted_len: &mut [u32],
     targets: &[EntityId],
     mask: &mut [bool],
-    scratch: &mut Vec<(u32, f64)>,
+    scratch: &mut Vec<Entry>,
 ) {
     for &t in targets {
         mask[t.index()] = true;
     }
     for &t in targets {
         let row = std::mem::take(&mut rows[t.index()]);
-        for &(y, w) in &row {
-            if mask[y as usize] {
+        for entry in &row {
+            let y = entry.y as usize;
+            if mask[y] {
                 continue;
             }
-            let mirror = &mut rows[y as usize];
-            mirror.push((t.0, w));
-            let sorted = &mut sorted_len[y as usize];
+            let mirror = &mut rows[y];
+            mirror.push(Entry { y: t.0, ..*entry });
+            let sorted = &mut sorted_len[y];
             if mirror.len() - *sorted as usize >= (*sorted as usize).max(64) {
                 fold_tail(mirror, sorted, scratch);
             }
@@ -744,39 +831,30 @@ fn mirror_append(
 
 /// Folds `row`'s mirror tail (`row[sorted..]`, append order), if it has
 /// one, into its sorted duplicate-free prefix and records the row as
-/// fully sorted. The tail is stable-sorted by neighbour id and
-/// deduplicated keeping the *latest* append of each edge (mirrors replay
-/// weight updates in arrival order); fresh weights overwrite stale ones.
-/// The prefix below the tail's smallest id stays where it is; the rest is
-/// merged into `scratch` and copied back, so the row keeps its buffer.
-fn fold_tail(row: &mut Vec<(u32, f64)>, sorted: &mut u32, scratch: &mut Vec<(u32, f64)>) {
+/// fully sorted. A tail holds only new edges ([`mirror_append`]), so it
+/// is sorted by neighbour id and merged with the prefix, nothing
+/// replaced. The prefix below the tail's smallest id stays where it is;
+/// the rest is merged into `scratch` and copied back, so the row keeps
+/// its buffer.
+fn fold_tail(row: &mut Vec<Entry>, sorted: &mut u32, scratch: &mut Vec<Entry>) {
     let (prefix, tail) = row.split_at_mut(*sorted as usize);
     if tail.is_empty() {
         return;
     }
-    // Stable by id: equal ids keep append order, so the last one is the
-    // most recent weight.
-    tail.sort_by_key(|e| e.0);
-    let start = prefix.partition_point(|e| e.0 < tail[0].0);
-    let (mut pi, mut ti) = (start, 0);
+    tail.sort_unstable_by_key(|e| e.y);
+    let start = prefix.partition_point(|e| e.y < tail[0].y);
+    let mut pi = start;
     scratch.clear();
-    while ti < tail.len() {
-        let (y, mut w) = tail[ti];
-        ti += 1;
-        while ti < tail.len() && tail[ti].0 == y {
-            w = tail[ti].1;
-            ti += 1;
-        }
-        while pi < prefix.len() && prefix[pi].0 < y {
+    for &entry in tail.iter() {
+        while pi < prefix.len() && prefix[pi].y < entry.y {
             scratch.push(prefix[pi]);
             pi += 1;
         }
-        if pi < prefix.len() && prefix[pi].0 == y {
-            pi += 1;
-        }
-        scratch.push((y, w));
+        scratch.push(entry);
     }
     scratch.extend_from_slice(&prefix[pi..]);
+    let ascending = scratch.windows(2).all(|w| w[0].y < w[1].y);
+    debug_assert!(ascending, "a mirror tail holds only new edges");
     row.truncate(start);
     row.extend_from_slice(scratch);
     *sorted = row.len() as u32;
@@ -826,6 +904,9 @@ mod tests {
                     for batch in all.chunks(23) {
                         let report = inc.ingest(batch);
                         assert!(report.delta, "supported combo must delta-sweep");
+                        if scheme != WeightingScheme::Arcs {
+                            assert_eq!(report.swept_entities, batch.len(), "the batch alone");
+                        }
                         let got = inc.outcome();
                         let snap = inc.snapshot();
                         let want = Session::new(snap)
@@ -922,17 +1003,115 @@ mod tests {
         let world = generate(&profiles::periphery_sparse(200, 17));
         let all = ids(world.dataset.len());
         let (bulk, tail) = all.split_at(all.len() - 6);
-        let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
-        inc.scheme(WeightingScheme::Cbs);
-        inc.ingest(bulk);
-        let report = inc.ingest(tail);
-        assert!(report.delta);
-        assert!(
-            report.swept_entities < report.num_arrived,
-            "a small batch must re-sweep strictly fewer entities ({} of {}) than have arrived",
-            report.swept_entities,
-            report.num_arrived
+        for scheme in [WeightingScheme::Cbs, WeightingScheme::Js] {
+            let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
+            inc.scheme(scheme);
+            inc.ingest(bulk);
+            let report = inc.ingest(tail);
+            assert!(report.delta);
+            assert_eq!(report.swept_entities, tail.len(), "{scheme:?}");
+            assert!(
+                report.swept_entities < report.num_arrived,
+                "{scheme:?}: a small batch must re-sweep strictly fewer entities ({} of {}) \
+                 than have arrived",
+                report.swept_entities,
+                report.num_arrived
+            );
+        }
+    }
+
+    /// `a`'s row as a sweep of the live slabs builds it now, under
+    /// `scheme`.
+    fn fresh_row(inc: &IncrementalSession, scheme: WeightingScheme, a: usize) -> Vec<Entry> {
+        let n = inc.rows.len();
+        let (mut rows, mut sorted_len) = (vec![Vec::new(); n], vec![0; n]);
+        let target = [EntityId(a as u32)];
+        resweep_rows(
+            scheme,
+            &inc.pool,
+            &mut rows,
+            &mut sorted_len,
+            &inc.collection,
+            &target,
+            1,
         );
+        std::mem::take(&mut rows[a])
+    }
+
+    /// A JS stream in small batches with no read between ingests, so
+    /// stale rows and mirror tails pile up over several ingests: every
+    /// stale row, folded and re-weighed from its counts, equals a fresh
+    /// sweep's row bit for bit. The counts it carries re-weigh to a fresh
+    /// ECBS row as well — a scheme whose product rounds differently when
+    /// the endpoints are taken out of order.
+    #[test]
+    fn a_reweighed_stale_row_equals_a_fresh_sweep() {
+        let world = generate(&profiles::periphery_sparse(240, 29));
+        let batches = ArrivalOrder::Shuffled { seed: 5 }.batches(&world.dataset, &world.truth, 9);
+        let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
+        inc.scheme(WeightingScheme::Js).pruning(Pruning::None);
+        let (preload, stream) = batches.split_at(batches.len() / 2);
+        inc.ingest(&preload.concat());
+        let mut checked = 0;
+        for batch in stream {
+            inc.ingest(batch);
+            for a in 0..inc.rows.len() {
+                if !inc.stale[a] {
+                    continue;
+                }
+                let mut row = inc.rows[a].clone();
+                let mut sorted = inc.sorted_len[a];
+                fold_tail(&mut row, &mut sorted, &mut Vec::new());
+                for scheme in [WeightingScheme::Js, WeightingScheme::Ecbs] {
+                    reweigh(scheme, a as u32, &mut row, &inc.collection);
+                    let want = fresh_row(&inc, scheme, a);
+                    assert_eq!(bits(&row), bits(&want), "{scheme:?} row {a}");
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 100, "only {checked} stale rows seen");
+    }
+
+    /// Around every ingest of a stream (all rows read in between), a row
+    /// is stale exactly when it was not re-swept and an endpoint of one
+    /// of its pre-batch edges — the row's own entity or a neighbour —
+    /// gained a block. Under CBS and ARCS no row ever goes stale.
+    #[test]
+    fn a_row_goes_stale_exactly_when_an_endpoint_count_moved() {
+        let world = generate(&profiles::periphery_sparse(240, 31));
+        let batches = ArrivalOrder::Shuffled { seed: 9 }.batches(&world.dataset, &world.truth, 7);
+        for scheme in DELTA_SCHEMES {
+            let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
+            inc.scheme(scheme).pruning(Pruning::None);
+            let mut marked = 0;
+            for batch in &batches {
+                inc.outcome();
+                let counts: Vec<u32> = (0..inc.rows.len() as u32)
+                    .map(|e| inc.collection.entity_block_count(EntityId(e)))
+                    .collect();
+                let before: Vec<bool> = (0..inc.rows.len())
+                    .map(|e| inc.has_arrived(EntityId(e as u32)))
+                    .collect();
+                inc.ingest(batch);
+                let moved =
+                    |e: u32| inc.collection.entity_block_count(EntityId(e)) != counts[e as usize];
+                for a in 0..inc.rows.len() {
+                    let reswept = batch.contains(&EntityId(a as u32));
+                    let want = scheme == WeightingScheme::Js
+                        && !reswept
+                        && (moved(a as u32)
+                            || inc.rows[a]
+                                .iter()
+                                .any(|e| before[e.y as usize] && moved(e.y)));
+                    assert_eq!(inc.stale[a], want, "{scheme:?}: row {a}");
+                    marked += usize::from(want);
+                }
+            }
+            if scheme == WeightingScheme::Js {
+                assert!(marked > 100, "only {marked} rows went stale");
+            }
+        }
     }
 
     #[test]
@@ -973,35 +1152,45 @@ mod tests {
     /// The fold's definition, as it stood before folds kept the row's
     /// buffer: split the tail off, stable-sort it by id, keep the latest
     /// append of each id, and merge it with the prefix into a fresh
-    /// buffer — later weights overwriting earlier ones.
-    fn normalize_row(row: &mut Vec<(u32, f64)>, sorted: usize) {
+    /// buffer — later entries overwriting earlier ones.
+    fn normalize_row(row: &mut Vec<Entry>, sorted: usize) {
         let mut tail = row.split_off(sorted);
-        tail.sort_by_key(|e| e.0);
+        tail.sort_by_key(|e| e.y);
         let prefix = std::mem::take(row);
         row.reserve(prefix.len() + tail.len());
         let mut pi = 0;
         let mut ti = 0;
         while ti < tail.len() {
-            let (y, mut w) = tail[ti];
+            let mut entry = tail[ti];
             ti += 1;
-            while ti < tail.len() && tail[ti].0 == y {
-                w = tail[ti].1;
+            while ti < tail.len() && tail[ti].y == entry.y {
+                entry = tail[ti];
                 ti += 1;
             }
-            while pi < prefix.len() && prefix[pi].0 < y {
+            while pi < prefix.len() && prefix[pi].y < entry.y {
                 row.push(prefix[pi]);
                 pi += 1;
             }
-            if pi < prefix.len() && prefix[pi].0 == y {
+            if pi < prefix.len() && prefix[pi].y == entry.y {
                 pi += 1;
             }
-            row.push((y, w));
+            row.push(entry);
         }
         row.extend_from_slice(&prefix[pi..]);
     }
 
-    fn bits(row: &[(u32, f64)]) -> Vec<(u32, u64)> {
-        row.iter().map(|&(y, w)| (y, w.to_bits())).collect()
+    fn bits(row: &[Entry]) -> Vec<(u32, u32, u64)> {
+        row.iter().map(|e| (e.y, e.cbs, e.w.to_bits())).collect()
+    }
+
+    /// An entry whose count and weight are both drawn from one counter, so
+    /// a misplaced or mixed-up entry cannot compare equal.
+    fn entry(y: u32, serial: u32) -> Entry {
+        Entry {
+            y,
+            cbs: serial,
+            w: f64::from(serial) / 1024.0,
+        }
     }
 
     /// A deterministic stream of small numbers for the fold properties.
@@ -1014,6 +1203,12 @@ mod tests {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             (self.0 >> 33) % n.max(1)
+        }
+
+        fn shuffle(&mut self, items: &mut [u32]) {
+            for i in (1..items.len()).rev() {
+                items.swap(i, self.below(i as u64 + 1) as usize);
+            }
         }
     }
 
@@ -1048,19 +1243,27 @@ mod tests {
     #[test]
     fn a_fold_keeps_the_rows_buffer() {
         let mut row = Vec::with_capacity(32);
-        row.extend([(2, 0.2), (5, 0.5), (9, 0.9)]);
-        row.extend([(7, 1.7), (5, 1.5), (1, 1.1), (7, 2.7)]);
+        row.extend([entry(2, 1), entry(5, 2), entry(9, 3)]);
+        row.extend([entry(7, 4), entry(12, 5), entry(1, 6), entry(6, 7)]);
         let (ptr, capacity) = (row.as_ptr(), row.capacity());
         let mut sorted = 3;
         fold_tail(&mut row, &mut sorted, &mut Vec::new());
-        assert_eq!(
-            row,
-            [(1, 1.1), (2, 0.2), (5, 1.5), (7, 2.7), (9, 0.9)],
-            "later appends win"
-        );
+        let want = [(1, 6), (2, 1), (5, 2), (6, 7), (7, 4), (9, 3), (12, 5)];
+        assert_eq!(row, want.map(|(y, serial)| entry(y, serial)), "one merge");
         assert_eq!(sorted as usize, row.len());
         assert_eq!(row.as_ptr(), ptr, "the fold moved the row");
         assert_eq!(row.capacity(), capacity, "the fold shrank the row");
+    }
+
+    /// Only new edges are ever appended, so a tail that repeats one — of
+    /// its own, or of the prefix — is a broken invariant, not a weight
+    /// update to replay.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a mirror tail holds only new edges")]
+    fn a_fold_rejects_a_repeated_edge() {
+        let mut row = vec![entry(2, 1), entry(5, 2), entry(9, 3), entry(5, 4)];
+        fold_tail(&mut row, &mut 3, &mut Vec::new());
     }
 
     /// Re-sweeping every entity into rows that already have room for any
@@ -1072,9 +1275,9 @@ mod tests {
         let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
         let n = world.dataset.len();
         let pool = ScratchPool::new(n);
-        let mut base: Option<Vec<Vec<(u32, u64)>>> = None;
+        let mut base: Option<Vec<Vec<(u32, u32, u64)>>> = None;
         for threads in [1, 3] {
-            let mut rows: Vec<Vec<(u32, f64)>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+            let mut rows: Vec<Vec<Entry>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
             let mut sorted_len = vec![0; n];
             let before: Vec<_> = rows.iter().map(|r| (r.as_ptr(), r.capacity())).collect();
             resweep_rows(
@@ -1099,17 +1302,18 @@ mod tests {
         }
     }
 
-    /// The fold against its old definition: tails full of duplicate ids
-    /// (the later one wins), tails whose ids all sit in the prefix, empty
-    /// prefixes and empty tails, through one scratch reused across cases.
+    /// The fold against its old definition on every shape a tail of new
+    /// edges takes: ids anywhere around the prefix, ids all inside the
+    /// prefix's range (interleaved with it), empty prefixes and empty
+    /// tails, through one scratch reused across cases.
     #[test]
     fn the_fold_equals_the_old_definition() {
         let mut draws = Draws(26);
         let mut scratch = Vec::new();
-        let mut weight = 0.0;
-        let mut next_weight = || {
-            weight += 0.001;
-            weight
+        let mut serial = 0;
+        let mut next = |y| {
+            serial += 1;
+            entry(y, serial)
         };
         for case in 0..600 {
             let span = 1 + draws.below(80) as u32;
@@ -1117,16 +1321,21 @@ mod tests {
             if case % 5 == 0 {
                 prefix.clear();
             }
-            let tail_len = if case % 5 == 1 { 0 } else { draws.below(90) };
-            let mut row: Vec<(u32, f64)> = prefix.iter().map(|&y| (y, next_weight())).collect();
-            for _ in 0..tail_len {
-                let y = if case % 5 == 2 && !prefix.is_empty() {
-                    prefix[draws.below(prefix.len() as u64) as usize]
-                } else {
-                    draws.below(u64::from(span)) as u32
-                };
-                row.push((y, next_weight()));
-            }
+            let limit = match prefix.last() {
+                Some(&last) if case % 5 == 2 => last,
+                _ => span + 20,
+            };
+            let mut free: Vec<u32> = (0..limit)
+                .filter(|y| prefix.binary_search(y).is_err())
+                .collect();
+            draws.shuffle(&mut free);
+            let tail_len = if case % 5 == 1 {
+                0
+            } else {
+                draws.below(free.len() as u64 + 1) as usize
+            };
+            let mut row: Vec<Entry> = prefix.iter().map(|&y| next(y)).collect();
+            row.extend(free[..tail_len].iter().map(|&y| next(y)));
             let mut want = row.clone();
             normalize_row(&mut want, prefix.len());
             let (ptr, capacity) = (row.as_ptr(), row.capacity());
@@ -1145,27 +1354,32 @@ mod tests {
     /// `mirror_append` folds a row exactly when its tail reaches
     /// `max(sorted, 64)` entries, and whatever it folded on the way, the
     /// row ends equal to the old definition applied once to the whole
-    /// append log.
+    /// append log — counts carried beside the weights.
     #[test]
     fn mirror_appends_fold_eagerly_at_the_threshold() {
-        let n = 200;
+        let n = 1_400;
         let mut draws = Draws(64);
         let mut scratch = Vec::new();
         let mut mask = vec![false; n];
         for prefix_len in [0u32, 20, 100] {
             let mut rows = vec![Vec::new(); n];
             let mut sorted_len = vec![0u32; n];
-            rows[0] = (1..=prefix_len).map(|y| (y, f64::from(y))).collect();
+            rows[0] = (1..=prefix_len).map(|i| entry(2 * i, i)).collect();
             sorted_len[0] = prefix_len;
             let mut log = rows[0].clone();
+            // Every target is a new edge of row 0; the odd ones fall
+            // between the prefix's (even) ids. Without repeats a tail
+            // only ever grows, so the folds come at geometric intervals:
+            // a thousand appends fold at least three times.
+            let mut targets: Vec<u32> = (1..n as u32)
+                .filter(|&t| t % 2 == 1 || t > 2 * prefix_len)
+                .collect();
+            draws.shuffle(&mut targets);
             let mut folds = 0;
-            for i in 0..600 {
-                // Targets 1..=130 overlap the prefix (ids 1..=prefix_len)
-                // and repeat often enough to leave duplicates in every tail.
-                let t = 1 + draws.below(130) as u32;
-                let w = 1000.0 + f64::from(i);
-                rows[t as usize] = vec![(0, w)];
-                log.push((t, w));
+            for (i, &t) in targets[..1_000].iter().enumerate() {
+                let appended = entry(t, 10_000 + i as u32);
+                rows[t as usize] = vec![Entry { y: 0, ..appended }];
+                log.push(appended);
                 let (sorted, tail) = (sorted_len[0], rows[0].len() as u32 - sorted_len[0]);
                 mirror_append(
                     &mut rows,

@@ -164,13 +164,18 @@ pub(crate) fn resolve_rows(
 /// every cached answer must be dropped.
 ///
 /// The per-entry invalidation is sound exactly when a batch can only
-/// change answers through the rows of dirty entities:
+/// change answers through the rows of the entities the session reports
+/// in [`IncrementalSession::last_dirty`](crate::IncrementalSession::last_dirty):
 ///
 /// * the **scheme** must be delta-local — CBS, JS or ARCS, decided once
 ///   by the crate-internal `WeightingScheme::is_delta_local`
 ///   (`weights.rs`, which says why): every changed edge has a dirty
-///   endpoint, and a dirty entity's row change invalidates every entry
-///   depending on it;
+///   endpoint. Its other endpoint's row changes too, and that entity need
+///   not be dirty: under JS a grown `z`'s new block count re-weighs the
+///   edge `(y, z)` in a neighbour `y`'s row — moving `y`'s WNP bar —
+///   though no block `y` sits in changed. The session's JS report adds
+///   every grown entity's neighbours for that reason, so the report names
+///   every changed row and invalidates every entry depending on one;
 /// * the **pruning criterion** must be row-local: `None`, WNP, and CNP
 ///   with an *explicit* `k`. WEP's threshold, CEP's top-k, default-`k`
 ///   CNP (its `k` reads the global assignment/active-node counts), BLAST
@@ -208,10 +213,13 @@ struct CacheEntry {
 /// **Invalidation invariant**: an entry for entity `e` was computed from
 /// the rows of `deps = {e} ∪ neighbours(e)`. An ingest can change `e`'s
 /// answer only by changing one of those rows, and every changed row
-/// belongs to a dirty entity (a new edge `(e, z)` requires a shared
-/// touched block, which makes `e` itself dirty). So when
-/// [`locally_invalidatable`] holds, `deps ∩ dirty = ∅` proves the cached
-/// answer is still bit-identical to a fresh resolve — that is what
+/// belongs to an entity of the session's
+/// [`last_dirty`](crate::IncrementalSession::last_dirty) report: a new
+/// edge `(e, z)` requires a shared touched block, which makes `e` itself
+/// dirty, and under JS a weight `(y, z)` that `z`'s grown block count
+/// moved puts `y` in the report, dirty or not. So when
+/// [`locally_invalidatable`] holds, `deps ∩ last_dirty = ∅` proves the
+/// cached answer is still bit-identical to a fresh resolve — that is what
 /// [`Self::invalidate`] checks, and what the serve-consistency property
 /// suite pins.
 ///

@@ -53,7 +53,10 @@ impl WeightingScheme {
     /// * **CBS / JS** read `|B_ij|` (JS adds `|B_i|`, `|B_j|`). A pair's
     ///   shared-block count grows only through a touched block both sit
     ///   in, and `|B_i|` only for an entity whose block list grew — a
-    ///   member of a touched block.
+    ///   member of a touched block. Under JS that one dirty endpoint
+    ///   re-weighs its edges to clean neighbours as well, so the rows a
+    ///   batch changes are the dirty entities' *and* those neighbours':
+    ///   the incremental session reports both for cache invalidation.
     /// * **ARCS** sums `1/‖b‖` over shared blocks: a touched block
     ///   reweights every pair inside it, and both endpoints of each such
     ///   pair are its members.

@@ -298,6 +298,60 @@ fn concurrent_resolves_under_ingest_stay_version_consistent() {
     }
 }
 
+/// A corpus-sized cache answers every resolve exactly as a service with
+/// no cache does, around every ingest of a stream of small batches. JS
+/// reads both endpoints' block counts, so a batch that grows a pre-batch
+/// `z`'s block list moves the weight `(y, z)` in every neighbour `y`'s
+/// row — and with it `y`'s WNP bar — whether or not `y` sits in a block
+/// the batch touched. The world is the serve workloads' two-KB periphery
+/// world at 150 entities, arriving in id order, two thirds preloaded;
+/// seed 5 is one where a cached answer used to outlive such an ingest.
+#[test]
+fn a_corpus_sized_cache_answers_what_no_cache_answers() {
+    let mut config = profiles::periphery_sparse(150, 5);
+    config.vocab_tokens = 2_000;
+    config.zipf_exponent = 0.5;
+    let g = generate(&config);
+    let n = g.dataset.len() as u32;
+    let ids: Vec<u32> = (0..n).collect();
+    let (preload, stream) = ids.split_at(ids.len() * 2 / 3);
+    for reciprocal in [false, true] {
+        let pruning = Pruning::Wnp { reciprocal };
+        let [cached, uncached] = [usize::MAX, 0].map(|capacity| {
+            let service = ResolveService::new(
+                &g.dataset,
+                ErMode::CleanClean,
+                WeightingScheme::Js,
+                pruning,
+                capacity,
+            );
+            service.ingest(preload).expect("valid batch");
+            service
+        });
+        let resolve_all = |round: usize| {
+            for e in 0..n {
+                let got = cached.resolve(e).expect("in range");
+                let want = uncached.resolve(e).expect("in range");
+                assert_eq!(got.version, want.version);
+                assert_eq!(
+                    got.pairs, want.pairs,
+                    "reciprocal {reciprocal}, after ingest {round}, entity {e}"
+                );
+            }
+        };
+        resolve_all(0);
+        for (i, batch) in stream.chunks(3).enumerate() {
+            cached.ingest(batch).expect("valid batch");
+            uncached.ingest(batch).expect("valid batch");
+            resolve_all(i + 1);
+        }
+        assert!(
+            cached.service_stats().cache_hits > 0,
+            "the cache must serve"
+        );
+    }
+}
+
 /// The same contract over the wire: a TCP round trip must not change a
 /// bit relative to the from-scratch reference.
 #[test]
