@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the incremental resolver: per-arrival
-//! cost across arrival orders (E11's latency companion), and the
-//! `serve_churn` writer's ingest with and without reads between ingests.
+//! cost across arrival orders (E11's latency companion), the
+//! `serve_churn` writer's ingest with and without reads between ingests,
+//! and the reads that follow an ingest.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use minoan_blocking::ErMode;
@@ -71,14 +72,20 @@ impl<'d> Feed<'d> {
     }
 }
 
-/// `ingest-64/{back-to-back,after-250-resolves}`: the ledger's
-/// `serve_churn` writer in miniature — its 20k-entity world (two
-/// periphery KBs, the harness's flattened vocabulary), two thirds
+/// The ledger's `serve_churn` session in miniature — its 20k-entity world
+/// (two periphery KBs, the harness's flattened vocabulary), two thirds
 /// preloaded, JS × WNP on one worker (the serve workloads pin one CPU),
-/// 64-description batches. The second row first resolves 250 uniformly
-/// drawn arrived entities, untimed: the reads one 250 ms writer interval
-/// at 1000 req/s puts between two ingests, which leave rows folded.
-fn bench_ingest(c: &mut Criterion) {
+/// 64-description batches.
+///
+/// * `ingest-64/{back-to-back,after-250-resolves}` time the writer's
+///   ingest. The second row first resolves 250 uniformly drawn arrived
+///   entities, untimed: the reads one 250 ms writer interval at
+///   1000 req/s puts between two ingests, which leave rows folded.
+/// * `resolve-64/after-ingest` times the readers: each iteration ingests
+///   the next batch, untimed, then resolves 64 uniformly drawn arrived
+///   entities — the first reads of a version, which fold the mirror tails
+///   and re-weigh the stale rows they load.
+fn bench_serve_churn(c: &mut Criterion) {
     let mut config = profiles::periphery_sparse(20_000, 11);
     config.num_types = 400;
     config.vocab_tokens = 160_000;
@@ -90,9 +97,9 @@ fn bench_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest-64");
     group.sample_size(10);
     for (id, reads) in [("back-to-back", 0), ("after-250-resolves", 250)] {
-        let feed = RefCell::new(Feed::new(&world.dataset, &order));
-        let mut rng = StdRng::seed_from_u64(701);
         group.bench_function(id, |b| {
+            let feed = RefCell::new(Feed::new(&world.dataset, &order));
+            let mut rng = StdRng::seed_from_u64(701);
             b.iter_batched(
                 || {
                     let mut feed = feed.borrow_mut();
@@ -112,7 +119,41 @@ fn bench_ingest(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    let mut group = c.benchmark_group("resolve-64");
+    group.sample_size(10);
+    group.bench_function("after-ingest", |b| {
+        let feed = RefCell::new(Feed::new(&world.dataset, &order));
+        let mut rng = StdRng::seed_from_u64(702);
+        b.iter_batched(
+            || {
+                let mut feed = feed.borrow_mut();
+                if feed.arrived + 64 > order.len() {
+                    *feed = Feed::new(&world.dataset, &order);
+                }
+                feed.arrived += 64;
+                let arrived = feed.arrived;
+                feed.session.ingest(&order[arrived - 64..arrived]);
+                (0..64)
+                    .map(|_| order[rng.gen_range(0..arrived)])
+                    .collect::<Vec<_>>()
+            },
+            |draws| {
+                let mut feed = feed.borrow_mut();
+                for e in draws {
+                    black_box(feed.session.resolve_entity(e));
+                }
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
 }
 
-criterion_group!(benches, bench_arrivals, bench_composite_rules, bench_ingest);
+criterion_group!(
+    benches,
+    bench_arrivals,
+    bench_composite_rules,
+    bench_serve_churn
+);
 criterion_main!(benches);

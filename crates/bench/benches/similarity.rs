@@ -5,10 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use minoan_common::Interner;
 use minoan_datagen::{generate, profiles};
 use minoan_rdf::tokenize::TokenBuffers;
-use minoan_similarity::{
-    jaro_winkler, jaro_winkler_chars, levenshtein, qgram_similarity, token, JaroScratch,
-    TfIdfWeights,
-};
+use minoan_similarity::{jaro_winkler, jaro_winkler_chars, token, JaroScratch, TfIdfWeights};
 use std::hint::black_box;
 
 fn bench_similarity(c: &mut Criterion) {
@@ -21,9 +18,6 @@ fn bench_similarity(c: &mut Criterion) {
     group.bench_function("jaccard/25", |bch| {
         bch.iter(|| black_box(token::jaccard(&a, &b)));
     });
-    group.bench_function("weighted-jaccard/25", |bch| {
-        bch.iter(|| black_box(token::weighted_jaccard(&a, &b, |t| 1.0 / (t + 1) as f64)));
-    });
     let idf = TfIdfWeights::build(200, (0..100).map(|i| vec![i, i % 50, i % 25]));
     group.bench_function("tfidf-cosine/25", |bch| {
         bch.iter(|| black_box(idf.cosine(&a, &b)));
@@ -31,14 +25,8 @@ fn bench_similarity(c: &mut Criterion) {
 
     let s1 = "mikis theodorakis composer";
     let s2 = "m theodorakis greek composer";
-    group.bench_function("levenshtein/26", |bch| {
-        bch.iter(|| black_box(levenshtein(s1, s2)));
-    });
     group.bench_function("jaro-winkler/26", |bch| {
         bch.iter(|| black_box(jaro_winkler(s1, s2)));
-    });
-    group.bench_function("bigram/26", |bch| {
-        bch.iter(|| black_box(qgram_similarity(s1, s2, 2)));
     });
 
     // The comparison loop's form: chars split once, one scratch. 12 is the

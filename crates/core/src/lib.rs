@@ -59,7 +59,7 @@ pub use candidates::{CandidateId, CandidatePool};
 pub use clustering::ClusteringAlgorithm;
 pub use engine::{ProgressiveResolver, Resolution, ResolverConfig, Strategy};
 pub use incremental::{ArrivalReport, IncrementalConfig, IncrementalResolver};
-pub use matcher::{Matcher, MatcherConfig, ValueMeasure};
+pub use matcher::{Matcher, MatcherConfig};
 pub use oracle::{oracle_trace, perfect_trace, schedule_efficiency};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 pub use rules::{CompositeConfig, CompositeResolution, CompositeResolver, Rule, RuleMatch};

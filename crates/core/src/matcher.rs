@@ -14,9 +14,8 @@
 //! the block collection):
 //!
 //! * the sorted, deduplicated blocking-token ids;
-//! * under [`ValueMeasure::TfIdfCosine`], the squared IDF of each of those
-//!   tokens, aligned with the ids, and the description's TF-IDF norm
-//!   (under [`ValueMeasure::WeightedJaccard`], the IDF table by token id);
+//! * the squared IDF of each of those tokens, aligned with the ids, and
+//!   the description's TF-IDF norm;
 //! * the first name-like literal, lower-cased with `str::to_lowercase`
 //!   and *then* split into `char`s (so `Σ` lowers to a final `ς` and `İ`
 //!   to two chars exactly as a per-pair `to_lowercase` would).
@@ -43,34 +42,21 @@
 //! would evaluate, in the same order: a weight is `idf(t).powi(2)`, a norm
 //! the `sqrt` of the in-order sum of a description's weights, a dot
 //! product accumulates in merge order. A similarity therefore has the same
-//! bits as `TfIdfWeights::cosine` / `token::weighted_jaccard` over
-//! [`Matcher::tokens_of`] blended with `jaro_winkler` of the lower-cased
-//! names — `tests::value_similarity_matches_the_written_out_formula` pins
-//! that.
+//! bits as `TfIdfWeights::cosine` over [`Matcher::tokens_of`] blended
+//! with `jaro_winkler` of the lower-cased names —
+//! `tests::value_similarity_matches_the_written_out_formula` pins that.
 
 use minoan_blocking::builders::{token_pass, TokenKeys};
 use minoan_blocking::KeyAssignments;
 use minoan_rdf::{Dataset, EntityId};
 use minoan_similarity::tfidf::cosine_prepared;
-use minoan_similarity::{jaro_winkler_chars, token, JaroScratch, TfIdfWeights};
+use minoan_similarity::{jaro_winkler_chars, JaroScratch, TfIdfWeights};
 use std::ops::Range;
 
-/// Token-level similarity measure used on value tokens.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ValueMeasure {
-    /// Plain Jaccard over distinct tokens.
-    Jaccard,
-    /// IDF-weighted Jaccard (rare shared tokens dominate).
-    WeightedJaccard,
-    /// TF-IDF cosine (default — `MatcherConfig::default()` uses it).
-    TfIdfCosine,
-}
-
-/// Matcher configuration.
+/// Matcher configuration. The token component is always the TF-IDF
+/// cosine of the two descriptions' value tokens.
 #[derive(Clone, Debug)]
 pub struct MatcherConfig {
-    /// Token measure.
-    pub measure: ValueMeasure,
     /// Weight of the name-string component (0 disables it). The token
     /// component gets `1 − name_weight` when names are present.
     pub name_weight: f64,
@@ -88,7 +74,6 @@ pub struct MatcherConfig {
 impl Default for MatcherConfig {
     fn default() -> Self {
         Self {
-            measure: ValueMeasure::TfIdfCosine,
             name_weight: 0.25,
             threshold: 0.4,
             evidence_weight: 0.3,
@@ -105,24 +90,16 @@ pub struct Matcher {
     /// deduplicated token ids of entity `e`.
     token_offsets: Vec<u32>,
     token_ids: Vec<u32>,
-    weights: TokenWeights,
+    /// The squared IDF of each entry of `token_ids`.
+    idf_sq: Vec<f64>,
+    /// The TF-IDF norm of each entity.
+    norms: Vec<f64>,
     /// `name_chars[name_offsets[e]..name_offsets[e + 1]]`: the lower-cased
     /// first name-like literal of `e`; meaningful only where `has_name`
     /// (an empty literal is a name, no literal is not).
     name_offsets: Vec<u32>,
     name_chars: Vec<char>,
     has_name: Vec<bool>,
-}
-
-/// What the configured [`ValueMeasure`] needs beyond the token ids.
-enum TokenWeights {
-    /// Plain Jaccard: nothing.
-    Unweighted,
-    /// Weighted Jaccard: the tabulated IDF per token id.
-    Idf(TfIdfWeights),
-    /// TF-IDF cosine: the squared IDF per entry of `token_ids`, and the
-    /// norm per entity.
-    Cosine { idf_sq: Vec<f64>, norms: Vec<f64> },
 }
 
 /// Appends `name` lower-cased to `out`: lowered as a whole string first,
@@ -241,19 +218,14 @@ impl Matcher {
                 .map(|w| w[0] as usize..w[1] as usize)
         };
         let idf = TfIdfWeights::build(vocabulary, rows().map(|r| &token_ids[r]));
-        let weights = match config.measure {
-            ValueMeasure::Jaccard => TokenWeights::Unweighted,
-            ValueMeasure::WeightedJaccard => TokenWeights::Idf(idf),
-            ValueMeasure::TfIdfCosine => TokenWeights::Cosine {
-                idf_sq: token_ids.iter().map(|&t| idf.idf_squared(t)).collect(),
-                norms: rows().map(|r| idf.norm(&token_ids[r])).collect(),
-            },
-        };
+        let idf_sq = token_ids.iter().map(|&t| idf.idf_squared(t)).collect();
+        let norms = rows().map(|r| idf.norm(&token_ids[r])).collect();
         Self {
             config,
             token_offsets,
             token_ids,
-            weights,
+            idf_sq,
+            norms,
             name_offsets,
             name_chars,
             has_name,
@@ -298,13 +270,8 @@ impl Matcher {
     pub fn value_similarity(&self, a: EntityId, b: EntityId, scratch: &mut JaroScratch) -> f64 {
         let (ra, rb) = (self.token_range(a), self.token_range(b));
         let (ta, tb) = (&self.token_ids[ra.clone()], &self.token_ids[rb]);
-        let tok_sim = match &self.weights {
-            TokenWeights::Unweighted => token::jaccard(ta, tb),
-            TokenWeights::Idf(idf) => token::weighted_jaccard(ta, tb, |t| idf.idf(t)),
-            TokenWeights::Cosine { idf_sq, norms } => {
-                cosine_prepared(ta, &idf_sq[ra], norms[a.index()], tb, norms[b.index()])
-            }
-        };
+        let (na, nb) = (self.norms[a.index()], self.norms[b.index()]);
+        let tok_sim = cosine_prepared(ta, &self.idf_sq[ra], na, tb, nb);
         if self.config.name_weight > 0.0 {
             if let Some(ns) = self.name_similarity(a, b, scratch) {
                 return (1.0 - self.config.name_weight) * tok_sim + self.config.name_weight * ns;
@@ -401,24 +368,12 @@ mod tests {
     #[test]
     fn similarity_is_symmetric_and_bounded() {
         let ds = toy();
-        for measure in [
-            ValueMeasure::Jaccard,
-            ValueMeasure::WeightedJaccard,
-            ValueMeasure::TfIdfCosine,
-        ] {
-            let m = Matcher::new(
-                &ds,
-                MatcherConfig {
-                    measure,
-                    ..Default::default()
-                },
-            );
-            for a in ds.entities() {
-                for b in ds.entities() {
-                    let s = sim(&m, a, b);
-                    assert!((0.0..=1.0 + 1e-9).contains(&s), "{measure:?} gave {s}");
-                    assert!((s - sim(&m, b, a)).abs() < 1e-12);
-                }
+        let m = Matcher::new(&ds, MatcherConfig::default());
+        for a in ds.entities() {
+            for b in ds.entities() {
+                let s = sim(&m, a, b);
+                assert!((0.0..=1.0 + 1e-9).contains(&s), "({a:?}, {b:?}) gave {s}");
+                assert!((s - sim(&m, b, a)).abs() < 1e-12);
             }
         }
     }
@@ -485,21 +440,10 @@ mod tests {
         assert!(sim(&m, a, bb) > 0.99);
     }
 
-    const MEASURES: [ValueMeasure; 3] = [
-        ValueMeasure::Jaccard,
-        ValueMeasure::WeightedJaccard,
-        ValueMeasure::TfIdfCosine,
-    ];
-
     /// `value_similarity` from first principles: the public similarity
     /// functions over `tokens_of`, the names lowered per call.
     fn written_out(ds: &Dataset, m: &Matcher, idf: &TfIdfWeights, a: EntityId, b: EntityId) -> f64 {
-        let (ta, tb) = (m.tokens_of(a), m.tokens_of(b));
-        let tok_sim = match m.config().measure {
-            ValueMeasure::Jaccard => token::jaccard(ta, tb),
-            ValueMeasure::WeightedJaccard => token::weighted_jaccard(ta, tb, |t| idf.idf(t)),
-            ValueMeasure::TfIdfCosine => idf.cosine(ta, tb),
-        };
+        let tok_sim = idf.cosine(m.tokens_of(a), m.tokens_of(b));
         let w = m.config().name_weight;
         match (ds.name_values(a).first(), ds.name_values(b).first()) {
             (Some(x), Some(y)) if w > 0.0 => {
@@ -510,33 +454,25 @@ mod tests {
         }
     }
 
-    /// Asserts bit-equality with [`written_out`] on `pairs`, for every
-    /// measure, with one scratch reused across all of them.
+    /// Asserts bit-equality with [`written_out`] on `pairs`, with one
+    /// scratch reused across all of them.
     fn assert_written_out(ds: &Dataset, pairs: &[(EntityId, EntityId)]) {
         let mut scratch = JaroScratch::default();
-        for measure in MEASURES {
-            let m = Matcher::new(
-                ds,
-                MatcherConfig {
-                    measure,
-                    ..Default::default()
-                },
+        let m = Matcher::new(ds, MatcherConfig::default());
+        let vocab = ds
+            .entities()
+            .flat_map(|e| m.tokens_of(e).iter().copied())
+            .max()
+            .map_or(0, |t| t as usize + 1);
+        let idf = TfIdfWeights::build(vocab, ds.entities().map(|e| m.tokens_of(e)));
+        for &(a, b) in pairs {
+            let got = m.value_similarity(a, b, &mut scratch);
+            let want = written_out(ds, &m, &idf, a, b);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "({a:?}, {b:?}): {got} vs {want}"
             );
-            let vocab = ds
-                .entities()
-                .flat_map(|e| m.tokens_of(e).iter().copied())
-                .max()
-                .map_or(0, |t| t as usize + 1);
-            let idf = TfIdfWeights::build(vocab, ds.entities().map(|e| m.tokens_of(e)));
-            for &(a, b) in pairs {
-                let got = m.value_similarity(a, b, &mut scratch);
-                let want = written_out(ds, &m, &idf, a, b);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{measure:?} ({a:?}, {b:?}): {got} vs {want}"
-                );
-            }
         }
     }
 
@@ -560,8 +496,7 @@ mod tests {
 
     /// A matcher read off the pass the blocks are built from numbers its
     /// tokens differently (the `uri:` keys sit between them) and scores
-    /// every candidate the same — `WeightedJaccard`, which looks IDF up by
-    /// id, included.
+    /// every candidate the same.
     #[test]
     fn a_shared_pass_gives_the_standalone_matchers_bits() {
         use crate::pipeline::{Pipeline, PipelineConfig};
@@ -573,27 +508,21 @@ mod tests {
         for threads in [1, 3] {
             let pass = token_pass(ds, TokenKeys::Both, threads);
             let mut scratch = JaroScratch::default();
-            for measure in MEASURES {
-                let config = MatcherConfig {
-                    measure,
-                    ..Default::default()
-                };
-                let shared = Matcher::from_token_pass(ds, &pass, config.clone());
-                let standalone = Matcher::new(ds, config);
-                let renumbered = ds
-                    .entities()
-                    .any(|e| shared.tokens_of(e) != standalone.tokens_of(e));
-                assert!(renumbered, "the shared pass should interleave uri: keys");
-                for e in ds.entities() {
-                    assert_eq!(shared.tokens_of(e).len(), standalone.tokens_of(e).len());
-                }
-                for &(a, b, _) in &candidates {
-                    assert_eq!(
-                        shared.value_similarity(a, b, &mut scratch).to_bits(),
-                        standalone.value_similarity(a, b, &mut scratch).to_bits(),
-                        "{measure:?} ({a:?}, {b:?})"
-                    );
-                }
+            let shared = Matcher::from_token_pass(ds, &pass, MatcherConfig::default());
+            let standalone = Matcher::new(ds, MatcherConfig::default());
+            let renumbered = ds
+                .entities()
+                .any(|e| shared.tokens_of(e) != standalone.tokens_of(e));
+            assert!(renumbered, "the shared pass should interleave uri: keys");
+            for e in ds.entities() {
+                assert_eq!(shared.tokens_of(e).len(), standalone.tokens_of(e).len());
+            }
+            for &(a, b, _) in &candidates {
+                assert_eq!(
+                    shared.value_similarity(a, b, &mut scratch).to_bits(),
+                    standalone.value_similarity(a, b, &mut scratch).to_bits(),
+                    "({a:?}, {b:?})"
+                );
             }
         }
     }

@@ -15,7 +15,6 @@
 
 pub mod bootstrap;
 pub mod cluster_metrics;
-pub mod export;
 pub mod metrics;
 pub mod plot;
 pub mod progressive;
@@ -23,7 +22,6 @@ pub mod report;
 
 pub use bootstrap::{bootstrap_interval, mean_interval, proportion_interval, Interval};
 pub use cluster_metrics::{cluster_quality, ClusterQuality, Prf};
-pub use export::{curves_to_csv, to_csv, write_csv};
 pub use metrics::{BlockingQuality, MatchQuality};
 pub use plot::{plot_recall_curves, render_plot, Series};
 pub use progressive::{progressive_curves, recall_auc, CurvePoint};

@@ -128,7 +128,8 @@ use crate::parallel::JobReport;
 use crate::prune::WeightedPair;
 use crate::query::{self, ResolvedEntity};
 use crate::rule::{
-    self, forward_len, Criterion, CriterionFold, Partial, Row, RowBuf, RowDriver, Rule, Weigher,
+    self, forward_len, Criterion, CriterionFold, Entry, Partial, Row, RowBuf, RowDriver, Rule,
+    Weigher,
 };
 use crate::session::{PruneOutcome, Pruning};
 use crate::streaming::Streaming;
@@ -161,18 +162,6 @@ pub struct IngestReport {
     pub delta: bool,
 }
 
-/// One cached edge of entity `a`'s row: the neighbour `y`, the pair's
-/// shared-block count `|B_ay|` and the scheme weight of the edge. The
-/// count sits where `(u32, f64)` has padding.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Entry {
-    y: u32,
-    cbs: u32,
-    w: f64,
-}
-
-const _: () = assert!(std::mem::size_of::<Entry>() == 16);
-
 /// An updatable meta-blocking session: ingest description batches,
 /// delta-sweep only the affected entities, and read a [`PruneOutcome`]
 /// bit-identical to a from-scratch run at any point. See the
@@ -189,14 +178,14 @@ pub struct IncrementalSession<'d> {
     snapshot: Option<BlockCollection>,
     /// How many snapshots this session has materialised.
     snapshots_built: u64,
-    /// Per-entity incident-edge cache: `rows[a]` holds an [`Entry`] for
-    /// every comparable neighbour `y` of `a` — the statistics a streaming
-    /// sweep of `a` would produce on the current corpus, with weights
-    /// that are current unless `stale[a]` is set. The first
-    /// `sorted_len[a]` entries are ascending by `y` and duplicate-free;
-    /// anything beyond is an unsorted *mirror tail* of new edges in
-    /// arrival order, folded in by [`fold_tail`] before any read. A row
-    /// keeps its buffer for the session's life: folds and re-sweeps
+    /// Per-entity incident-edge cache: `rows[a]` holds the [`Entry`] a
+    /// streaming sweep of `a` would produce on the current corpus for
+    /// every comparable neighbour `y` of `a` — the entry type every rule
+    /// reads — with weights that are current unless `stale[a]` is set.
+    /// The first `sorted_len[a]` entries are ascending by `y` and
+    /// duplicate-free; anything beyond is an unsorted *mirror tail* of new
+    /// edges in arrival order, folded in by [`fold_tail`] before any read.
+    /// A row keeps its buffer for the session's life: folds and re-sweeps
     /// write into it and never shrink it.
     rows: Vec<Vec<Entry>>,
     /// Length of each row's sorted duplicate-free prefix.
@@ -616,18 +605,19 @@ impl<'d> IncrementalSession<'d> {
 
 /// The session's row cache as the rules see it.
 ///
-/// As a [`RowDriver`] it visits every cached row serially in entity
-/// order, exactly as a one-range sweep would — the rows already hold the
-/// statistics a sweep under the session's scheme would produce, so only
-/// stale rows are weighed. Both passes walk the whole cache and are
-/// `O(corpus)` anyway, so they bring every row up to date on the way.
-///
-/// For a resolve ([`Self::load_row`]) it folds a row's mirror tail, and
-/// re-weighs it if stale, the first time the row is read — the first
-/// resolve after an ingest pays for the neighbourhood it loads, not for
-/// every row the ingest touched. A loaded row is sorted, duplicate-free
-/// and current, the shape and bits a fresh sweep produces, and still sits
+/// Whoever reads a row first brings it up to date in place: its mirror
+/// tail is folded, and a stale row re-weighed. The first resolve after an
+/// ingest pays for the neighbourhood it loads, not for every row the
+/// ingest touched. An up-to-date row is sorted, duplicate-free and
+/// current — the entries and bits a fresh sweep produces — and still sits
 /// in its own buffer.
+///
+/// As a [`RowDriver`] it visits every cached row serially in entity
+/// order, exactly as a one-range sweep would, and lends each one to the
+/// rule where it lies: the rows already hold what a sweep under the
+/// session's scheme would produce. Both passes walk the whole cache and
+/// are `O(corpus)` anyway, so they bring every row up to date on the way.
+/// A resolve ([`Self::load_row`]) copies the rows it reads.
 struct RowCache<'a> {
     rows: &'a mut [Vec<Entry>],
     sorted_len: &'a mut [u32],
@@ -638,27 +628,34 @@ struct RowCache<'a> {
 }
 
 impl RowCache<'_> {
-    /// Loads `e`'s row, folding its mirror tail and re-weighing it if
-    /// stale first.
-    fn load_row(&mut self, e: u32, out: &mut RowBuf) {
-        out.clear();
+    /// `e`'s row, brought up to date in place: its mirror tail folded and,
+    /// if stale, its weights re-weighed.
+    fn current(&mut self, e: u32) -> &[Entry] {
         let row = &mut self.rows[e as usize];
         fold_tail(row, &mut self.sorted_len[e as usize], self.scratch);
         if std::mem::take(&mut self.stale[e as usize]) {
             reweigh(self.scheme, e, row, self.view);
         }
-        out.entries
-            .extend(row.iter().map(|entry| (entry.y, entry.w)));
+        row
     }
 
-    /// Puts every non-empty row through `f`, in entity order, loaded as
-    /// for a resolve.
+    /// Copies `e`'s up-to-date row into `out`.
+    fn load_row(&mut self, e: u32, out: &mut RowBuf) {
+        out.clear();
+        out.entries.extend_from_slice(self.current(e));
+    }
+
+    /// Puts every non-empty row through `f`, in entity order, brought up
+    /// to date and lent where it lies.
     fn for_each_row(&mut self, mut f: impl FnMut(Row<'_>)) {
-        let mut buf = RowBuf::default();
         for a in 0..self.rows.len() as u32 {
-            self.load_row(a, &mut buf);
-            if !buf.entries.is_empty() {
-                f(buf.row(a));
+            let entries = self.current(a);
+            if !entries.is_empty() {
+                f(Row {
+                    a,
+                    entries,
+                    features: &[],
+                });
             }
         }
     }
@@ -681,7 +678,7 @@ impl RowDriver for RowCache<'_> {
 
     fn num_edges(&mut self) -> usize {
         let mut edges = 0u64;
-        self.for_each_row(|row| edges += forward_len(row.a, row.entries, |e| e.0));
+        self.for_each_row(|row| edges += forward_len(row.a, row.entries, |e| e.y));
         edges as usize
     }
 
@@ -689,7 +686,7 @@ impl RowDriver for RowCache<'_> {
         let mut share = fold.init();
         let mut forward = 0u64;
         self.for_each_row(|row| {
-            forward += forward_len(row.a, row.entries, |e| e.0);
+            forward += forward_len(row.a, row.entries, |e| e.y);
             fold.fold(&mut share, row);
         });
         (share, forward)
@@ -699,7 +696,7 @@ impl RowDriver for RowCache<'_> {
         let mut kept = Vec::new();
         let mut forward = 0u64;
         self.for_each_row(|row| {
-            forward += forward_len(row.a, row.entries, |e| e.0);
+            forward += forward_len(row.a, row.entries, |e| e.y);
             rule.contribute(row, &mut kept);
         });
         (kept, forward)
@@ -725,10 +722,10 @@ fn reweigh<G: EdgeGlobals>(scheme: WeightingScheme, a: u32, row: &mut [Entry], g
 /// Re-sweeps `targets` on `view` and installs their fresh rows —
 /// cost-balanced over the shared scoped-thread driver when `threads > 1`
 /// (one inline range otherwise, with no cost pass), scratches from
-/// `pool`. Each range fills one flat slab, and every row is copied from
-/// it into its existing buffer, which it reuses whenever the new row fits.
-/// Row contents never depend on the partitioning: each row is one
-/// entity's serial sweep, each entry its weight and shared-block count.
+/// `pool`. Each range copies its rows, as the weigher filled them, into
+/// one flat slab, and every row is copied from it into its existing
+/// buffer, which it reuses whenever the new row fits. Row contents never
+/// depend on the partitioning: each row is one entity's serial sweep.
 /// The view's own block counts serve as the weight globals — the delta
 /// schemes read nothing beyond them.
 fn resweep_rows<V: BlockView + Sync>(
@@ -755,12 +752,7 @@ fn resweep_rows<V: BlockView + Sync>(
         for &e in &targets[range] {
             scratch.sweep(view, e, Direction::Both);
             weigher.fill(scratch, e.0, view, &mut buf);
-            let entry = |&(y, w): &(u32, f64)| Entry {
-                y,
-                cbs: scratch.cbs_of(y),
-                w,
-            };
-            entries.extend(buf.entries.iter().map(entry));
+            entries.extend_from_slice(&buf.entries);
             ends.push(entries.len());
         }
         (entries, ends)
@@ -863,7 +855,7 @@ fn fold_tail(row: &mut Vec<Entry>, sorted: &mut u32, scratch: &mut Vec<Entry>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecutionBackend, Session};
+    use crate::{BlockingGraph, ExecutionBackend, Session};
     use minoan_blocking::builders::token_blocking;
     use minoan_datagen::{generate, profiles, ArrivalOrder};
 
@@ -1110,6 +1102,75 @@ mod tests {
             }
             if scheme == WeightingScheme::Js {
                 assert!(marked > 100, "only {marked} rows went stale");
+            }
+        }
+    }
+
+    /// `(neighbour, |B_ay|)` of every edge of `a` in `graph` in
+    /// `direction`, ascending.
+    fn true_counts(graph: &BlockingGraph, a: u32, direction: Direction) -> Vec<(u32, u32)> {
+        let edges = graph.incident(EntityId(a)).iter().map(|&i| graph.edge(i));
+        let mut counts: Vec<_> = edges
+            .map(|edge| (edge.a.0 ^ edge.b.0 ^ a, edge.common_blocks))
+            .filter(|&(y, _)| matches!(direction, Direction::Both) || y > a)
+            .collect();
+        counts.sort_unstable();
+        counts
+    }
+
+    /// `(neighbour, count)` of `entries`, ascending whatever their order.
+    fn counts(entries: &[Entry]) -> Vec<(u32, u32)> {
+        let mut counts: Vec<_> = entries.iter().map(|e| (e.y, e.cbs)).collect();
+        counts.sort_unstable();
+        counts
+    }
+
+    /// Every entry any driver produces carries its edge's shared-block
+    /// count, as the blocking graph counts it: a sweep's row filled by
+    /// every weigher in both directions, a query-time load, and every
+    /// cached row of a session — mirror tails and stale rows included —
+    /// after each batched CBS, JS and ARCS ingest.
+    #[test]
+    fn every_drivers_entry_carries_the_edges_true_count() {
+        let world = generate(&profiles::periphery_sparse(240, 37));
+        let batches = ArrivalOrder::Shuffled { seed: 13 }.batches(&world.dataset, &world.truth, 19);
+        for scheme in DELTA_SCHEMES {
+            let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
+            inc.scheme(scheme).pruning(Pruning::None);
+            for (i, batch) in batches.iter().enumerate() {
+                inc.ingest(batch);
+                let graph = BlockingGraph::build(inc.snapshot());
+                for (a, row) in inc.rows.iter().enumerate() {
+                    let want = true_counts(&graph, a as u32, Direction::Both);
+                    assert_eq!(counts(row), want, "{scheme:?}, ingest {i}: row {a}");
+                }
+            }
+        }
+        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
+        let graph = BlockingGraph::build(&blocks);
+        let mut st = SweepState::new(&blocks);
+        st.ensure(true, 1);
+        let (globals, pool) = (st.globals(), &st.pool);
+        let weighers = [Weigher::Scheme(WeightingScheme::Js), Weigher::Chi2];
+        let mut buf = RowBuf::default();
+        for a in 0..blocks.num_entities() as u32 {
+            let want = |direction| true_counts(&graph, a, direction);
+            pool.with(|scratch| {
+                for direction in [Direction::Forward, Direction::Both] {
+                    scratch.sweep(&blocks, EntityId(a), direction);
+                    for weigher in weighers {
+                        weigher.fill(scratch, a, globals, &mut buf);
+                        assert_eq!(counts(&buf.entries), want(direction), "fill, row {a}");
+                    }
+                }
+                // Feature rows come from forward sweeps only.
+                scratch.sweep(&blocks, EntityId(a), Direction::Forward);
+                Weigher::Features.fill(scratch, a, globals, &mut buf);
+                assert_eq!(counts(&buf.entries), want(Direction::Forward), "row {a}");
+            });
+            for weigher in weighers.into_iter().chain([Weigher::Features]) {
+                query::sweep_row(&blocks, globals, pool, weigher, a, &mut buf);
+                assert_eq!(counts(&buf.entries), want(Direction::Both), "load, row {a}");
             }
         }
     }

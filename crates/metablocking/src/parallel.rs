@@ -236,7 +236,7 @@ impl RowDriver for MapReduce<'_, '_> {
                             continue;
                         }
                         weigher.fill(scratch, a, globals, &mut buf);
-                        forward += forward_len(a, &buf.entries, |e| e.0);
+                        forward += forward_len(a, &buf.entries, |e| e.y);
                         fold.fold(&mut share, buf.row(a));
                     }
                     c.add(FWD_EDGES, forward);
@@ -274,7 +274,7 @@ impl RowDriver for MapReduce<'_, '_> {
                         }
                         let mut record = RowBuf::default();
                         weigher.fill(scratch, a, globals, &mut record);
-                        forward += forward_len(a, &record.entries, |e| e.0);
+                        forward += forward_len(a, &record.entries, |e| e.y);
                         emit(a, record);
                     }
                     c.add(FWD_EDGES, forward);

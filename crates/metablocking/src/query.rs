@@ -34,7 +34,7 @@
 
 use crate::kernel::WeightGlobals;
 use crate::prune::{self, WeightedPair};
-use crate::rule::{normalised, Criterion, RowBuf, Rule, Weigher};
+use crate::rule::{normalised, Criterion, Entry, RowBuf, Rule, Weigher};
 use crate::session::Pruning;
 use crate::supervised;
 use crate::sweep::ScratchPool;
@@ -59,8 +59,9 @@ pub struct ResolvedEntity {
 }
 
 /// Loads `e`'s *full* `weigher` row by sweeping its blocks on demand —
-/// one pooled epoch-reset scratch per load, `O(neighbourhood)` per row.
-/// `globals` must hold the tier `weigher` reads.
+/// one pooled epoch-reset scratch per load, `O(neighbourhood)` per row,
+/// every entry's shared-block count read off that sweep. `globals` must
+/// hold the tier `weigher` reads.
 pub(crate) fn sweep_row(
     collection: &BlockCollection,
     globals: &WeightGlobals,
@@ -88,7 +89,11 @@ pub(crate) fn sweep_row(
                     sy.sweep(collection, EntityId(y), Direction::Forward);
                     supervised::raw_forward_features(sy, y, e, globals)
                 };
-                out.entries.push((y, 0.0));
+                out.entries.push(Entry {
+                    y,
+                    cbs: se.cbs_of(y),
+                    w: 0.0,
+                });
                 out.features.push(raw);
             }
         });
@@ -115,7 +120,7 @@ pub(crate) fn resolve_rows(
     let mut own = RowBuf::default();
     load(e, &mut own);
     let row = own.row(e);
-    let neighbours: Vec<u32> = row.entries.iter().map(|&(y, _)| y).collect();
+    let neighbours: Vec<u32> = row.entries.iter().map(|entry| entry.y).collect();
     let mut matches = Vec::new();
     if let Criterion::Cep(pairs) = rule.criterion {
         // The criterion is the outcome, already in presentation order.
@@ -123,7 +128,7 @@ pub(crate) fn resolve_rows(
     } else if let Some(reciprocal) = rule.votes() {
         let mut other = RowBuf::default();
         let ballot = rule.ballot(row);
-        for &(y, w) in row.entries {
+        for &Entry { y, w, .. } in row.entries {
             if w <= 0.0 {
                 continue;
             }
@@ -137,7 +142,7 @@ pub(crate) fn resolve_rows(
             }
         }
     } else {
-        for (i, &(y, _)) in row.entries.iter().enumerate() {
+        for (i, &Entry { y, .. }) in row.entries.iter().enumerate() {
             if let Some(w) = rule.edge_keep(row, i) {
                 matches.push(normalised(e, y, w));
             }

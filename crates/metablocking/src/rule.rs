@@ -2,10 +2,11 @@
 //! CEP, WNP, CNP, BLAST and the supervised pruner, each stated once.
 //!
 //! Everything here works on a neighbourhood [`Row`]: entity `a`'s
-//! comparable neighbours with their edge weights, ascending by
-//! neighbour id — the shape a sweep of `a` produces, a MapReduce record
-//! carries and the incremental row cache stores. A family is three
-//! things over rows:
+//! comparable neighbours as [`Entry`]s — neighbour, shared-block count,
+//! edge weight — ascending by neighbour id. That one shape is what a
+//! sweep of `a` produces, a MapReduce record carries and the incremental
+//! row cache stores and lends out as is. A family is three things over
+//! rows:
 //!
 //! 1. a **global criterion** ([`Criterion`]), reduced once per corpus
 //!    version by a [`CriterionFold`]: fold each row into a [`Partial`],
@@ -54,15 +55,30 @@ use minoan_common::{OrdF64, TopK};
 use minoan_rdf::EntityId;
 use std::cmp::Reverse;
 
+/// One edge of entity `a`'s row: the neighbour `y`, the pair's
+/// shared-block count `|B_ay|` and the edge's statistic `w` (the scheme
+/// weight, BLAST's χ², or unused under the supervised features). The
+/// count fills what would otherwise be padding after `y`, so it costs no
+/// space; it lets the incremental cache re-weigh a row whose endpoint
+/// block counts moved without re-sweeping it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Entry {
+    pub(crate) y: u32,
+    pub(crate) cbs: u32,
+    pub(crate) w: f64,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
 /// One entity's neighbourhood, borrowed from whoever produced it.
 #[derive(Clone, Copy)]
 pub(crate) struct Row<'r> {
     /// The entity the row belongs to.
     pub(crate) a: u32,
-    /// `(neighbour, weight)`, ascending by neighbour id, duplicate-free.
-    /// Either every comparable neighbour of `a` or only the forward
-    /// (`y > a`) ones; the rules never need to be told which.
-    pub(crate) entries: &'r [(u32, f64)],
+    /// Ascending by neighbour id, duplicate-free. Either every comparable
+    /// neighbour of `a` or only the forward (`y > a`) ones; the rules
+    /// never need to be told which.
+    pub(crate) entries: &'r [Entry],
     /// Raw supervised feature vectors, parallel to `entries`; empty
     /// unless the row was filled by [`Weigher::Features`].
     pub(crate) features: &'r [[f64; NUM_FEATURES]],
@@ -72,7 +88,7 @@ pub(crate) struct Row<'r> {
 /// buffer, and the record an entity's neighbourhood is shuffled as.
 #[derive(Default)]
 pub(crate) struct RowBuf {
-    pub(crate) entries: Vec<(u32, f64)>,
+    pub(crate) entries: Vec<Entry>,
     pub(crate) features: Vec<[f64; NUM_FEATURES]>,
 }
 
@@ -126,9 +142,10 @@ impl Weigher {
     }
 
     /// Fills `out` with `a`'s row from the sweep `scratch` just ran for
-    /// it — the neighbours that sweep's direction reported, all of them
-    /// — every pair evaluated in normalised `(smaller, larger)` endpoint
-    /// order, the order the materialised path weighs the edge slab in.
+    /// it — the neighbours that sweep's direction reported, all of them,
+    /// each with the shared-block count the sweep accumulated — every
+    /// pair evaluated in normalised `(smaller, larger)` endpoint order,
+    /// the order the materialised path weighs the edge slab in.
     pub(crate) fn fill<G: EdgeGlobals>(
         self,
         scratch: &SweepScratch,
@@ -141,10 +158,11 @@ impl Weigher {
         out.entries.reserve(neighbours.len());
         for &y in neighbours {
             let (lo, hi) = if a < y { (a, y) } else { (y, a) };
+            let cbs = scratch.cbs_of(y);
             let w = match self {
                 Self::Scheme(scheme) => edge_weight(scheme, scratch, globals, y, lo, hi),
                 Self::Chi2 => chi_square_from_stats(
-                    scratch.cbs_of(y),
+                    cbs,
                     globals.blocks_of(lo),
                     globals.blocks_of(hi),
                     globals.num_blocks(),
@@ -156,7 +174,7 @@ impl Weigher {
                     0.0
                 }
             };
-            out.entries.push((y, w));
+            out.entries.push(Entry { y, cbs, w });
         }
     }
 }
@@ -203,7 +221,7 @@ fn keyed_pair((w, Reverse((a, b))): EdgeKey) -> WeightedPair {
 /// The top-`k` positive entries of `a`'s row, descending.
 fn top_k(row: Row<'_>, k: usize) -> Vec<EdgeKey> {
     let mut top: TopK<EdgeKey> = TopK::new(k);
-    for &(y, w) in row.entries {
+    for &Entry { y, w, .. } in row.entries {
         if w > 0.0 {
             top.push(edge_key(row.a, y, w));
         }
@@ -214,9 +232,9 @@ fn top_k(row: Row<'_>, k: usize) -> Vec<EdgeKey> {
 /// A row's largest weight; 0 for an all-non-positive row, like the
 /// materialised pass's accumulator.
 #[inline]
-fn local_max(entries: &[(u32, f64)]) -> f64 {
+fn local_max(entries: &[Entry]) -> f64 {
     let mut max = 0.0f64;
-    for &(_, w) in entries {
+    for &Entry { w, .. } in entries {
         if w > max {
             max = w;
         }
@@ -430,7 +448,7 @@ impl CriterionFold {
         match self {
             Self::WepSums => {
                 let (mut sum, mut positive) = (0.0f64, 0u64);
-                for &(y, w) in row.entries {
+                for &Entry { y, w, .. } in row.entries {
                     if y > a && w > 0.0 {
                         // lint:allow(float-accumulation): per-entity serial sum over sorted neighbours
                         sum += w;
@@ -445,7 +463,7 @@ impl CriterionFold {
                 let Selection::Open { top, .. } = &mut acc.top else {
                     unreachable!("CEP folds rows into the open share `init` made");
                 };
-                for &(y, w) in row.entries {
+                for &Entry { y, w, .. } in row.entries {
                     if y > a && w > 0.0 {
                         top.push(edge_key(a, y, w));
                     }
@@ -559,7 +577,7 @@ impl Rule<'_> {
     /// full row the way the smaller endpoint's row would.
     #[inline]
     pub(crate) fn edge_keep(&self, row: Row<'_>, i: usize) -> Option<f64> {
-        let (y, w) = row.entries[i];
+        let Entry { y, w, .. } = row.entries[i];
         match (self.pruning, self.criterion) {
             (Pruning::None, _) => Some(w),
             (Pruning::Wep, Criterion::Wep(bar)) => (w >= *bar && w > 0.0).then_some(w),
@@ -584,9 +602,7 @@ impl Rule<'_> {
     #[inline(always)]
     pub(crate) fn ballot(&self, row: Row<'_>) -> Ballot {
         match (self.pruning, self.criterion) {
-            (Pruning::Wnp { .. }, _) => {
-                Ballot::AtLeast(mean_of(row.entries.iter().map(|&(_, w)| w)))
-            }
+            (Pruning::Wnp { .. }, _) => Ballot::AtLeast(mean_of(row.entries.iter().map(|e| e.w))),
             (Pruning::Cnp { .. }, Criterion::CnpK(k)) => Ballot::Top(top_k(row, *k)),
             (Pruning::Blast { ratio }, Criterion::Local) => {
                 Ballot::AtLeast(ratio * local_max(row.entries))
@@ -611,7 +627,7 @@ impl Rule<'_> {
     pub(crate) fn contribute(&self, row: Row<'_>, out: &mut Vec<WeightedPair>) {
         let a = row.a;
         if self.votes().is_none() {
-            for (i, &(y, _)) in row.entries.iter().enumerate() {
+            for (i, &Entry { y, .. }) in row.entries.iter().enumerate() {
                 if y > a {
                     if let Some(weight) = self.edge_keep(row, i) {
                         out.push(WeightedPair {
@@ -627,7 +643,7 @@ impl Rule<'_> {
         match self.ballot(row) {
             Ballot::Top(keys) => out.extend(keys.into_iter().map(keyed_pair)),
             ballot => {
-                for &(y, w) in row.entries {
+                for &Entry { y, w, .. } in row.entries {
                     if ballot.admits(a, y, w) {
                         out.push(normalised(a, y, w));
                     }
@@ -779,7 +795,13 @@ mod tests {
         (pruning, Criterion::CnpK(k))
     }
 
-    fn row(a: u32, entries: &[(u32, f64)]) -> Row<'_> {
+    /// Row entries from `(neighbour, weight)` pairs; the rules never read
+    /// the count.
+    fn entries<const N: usize>(pairs: [(u32, f64); N]) -> [Entry; N] {
+        pairs.map(|(y, w)| Entry { y, cbs: 1, w })
+    }
+
+    fn row(a: u32, entries: &[Entry]) -> Row<'_> {
         Row {
             a,
             entries,
@@ -809,7 +831,7 @@ mod tests {
 
     #[test]
     fn an_all_non_positive_row_keeps_nothing() {
-        let dead = [(1, 0.0), (4, -1.0), (7, 0.0)];
+        let dead = entries([(1, 0.0), (4, -1.0), (7, 0.0)]);
         let r = row(2, &dead);
         let wep = reduced(CriterionFold::WepSums, &[r]);
         assert!(matches!(wep, Criterion::Wep(bar) if bar == 0.0));
@@ -828,7 +850,7 @@ mod tests {
     #[test]
     fn a_weight_equal_to_the_threshold_is_kept() {
         // Forward weights 1, 2, 3: WEP's mean is exactly 2.
-        let entries = [(3, 1.0), (5, 2.0), (8, 3.0)];
+        let entries = entries([(3, 1.0), (5, 2.0), (8, 3.0)]);
         let r = row(0, &entries);
         let wep = reduced(CriterionFold::WepSums, &[r]);
         assert!(matches!(wep, Criterion::Wep(bar) if bar == 2.0));
@@ -840,7 +862,7 @@ mod tests {
 
     #[test]
     fn cnp_cardinality_edges() {
-        let entries = [(1, 0.5), (3, 0.0), (6, 2.0), (9, 1.0)];
+        let entries = entries([(1, 0.5), (3, 0.0), (6, 2.0), (9, 1.0)]);
         let r = row(4, &entries);
         // k ≥ row length: every *positive* entry, best first.
         let (pruning, k) = cnp(10);
@@ -855,14 +877,14 @@ mod tests {
     #[test]
     fn cardinality_ties_break_to_the_earlier_pair() {
         // Three edges of equal weight around entity 5; room for two.
-        let entries = [(2, 1.0), (7, 1.0), (9, 1.0)];
+        let tied = entries([(2, 1.0), (7, 1.0), (9, 1.0)]);
         let (pruning, k) = cnp(2);
         assert_eq!(
-            kept(&pruning, &k, row(5, &entries)),
+            kept(&pruning, &k, row(5, &tied)),
             [(2, 5, 1.0), (5, 7, 1.0)]
         );
         // CEP over two rows' forward edges, whichever share saw them.
-        let (r0, r1) = ([(4, 1.0), (6, 1.0)], [(4, 1.0)]);
+        let (r0, r1) = (entries([(4, 1.0), (6, 1.0)]), entries([(4, 1.0)]));
         let rows = [row(0, &r0), row(1, &r1)];
         let Criterion::Cep(pairs) = reduced(CriterionFold::CepTop(2), &rows) else {
             panic!("CEP folds to its top-k");
@@ -896,7 +918,7 @@ mod tests {
                 let mut share = fold.init();
                 for (i, &(a, y, w)) in edges.iter().enumerate() {
                     if which(i) {
-                        fold.fold(&mut share, row(a, &[(y, w)]));
+                        fold.fold(&mut share, row(a, &entries([(y, w)])));
                     }
                 }
                 share
@@ -930,7 +952,8 @@ mod tests {
         let blast = Pruning::Blast { ratio: 0.5 };
         // 0's best edge is 10, so its bar (5) rejects the edge to 1; 1's
         // best is that very edge, so 1 admits it.
-        let (r0, r1, r2) = ([(1, 2.0), (2, 10.0)], [(0, 2.0)], [(0, 10.0)]);
+        let r0 = entries([(1, 2.0), (2, 10.0)]);
+        let (r1, r2) = (entries([(0, 2.0)]), entries([(0, 10.0)]));
         let rows = [row(0, &r0), row(1, &r1), row(2, &r2)];
         let maxima = reduced(CriterionFold::LocalMax, &rows);
         assert_eq!(
@@ -944,15 +967,15 @@ mod tests {
         assert!(local.votes_for(rows[1], 0, 2.0), "1 admits it");
         // With 0's bar raised past every weight of 1's, nobody admits it.
         let strict = Pruning::Blast { ratio: 1.0 };
-        let (r0, r1) = ([(1, 2.0), (2, 10.0)], [(0, 2.0), (3, 4.0)]);
-        let rows = [row(0, &r0), row(1, &r1), row(2, &r2), row(3, &[(1, 4.0)])];
+        let (r1, r3) = (entries([(0, 2.0), (3, 4.0)]), entries([(1, 4.0)]));
+        let rows = [row(0, &r0), row(1, &r1), row(2, &r2), row(3, &r3)];
         let maxima = reduced(CriterionFold::LocalMax, &rows);
         assert_eq!(kept(&strict, &maxima, rows[0]), [(0, 2, 10.0)]);
     }
 
     #[test]
     fn votes_for_is_membership_in_the_voters_contribution() {
-        let entries = [(0, 3.0), (2, 0.0), (5, 1.0), (6, 2.0), (8, 2.0)];
+        let entries = entries([(0, 3.0), (2, 0.0), (5, 1.0), (6, 2.0), (8, 2.0)]);
         let y = row(4, &entries);
         let (cnp, k) = cnp(2);
         let blast = Pruning::Blast { ratio: 0.6 };
@@ -961,7 +984,7 @@ mod tests {
             let emitted = kept(pruning, criterion, y);
             assert!(!emitted.is_empty() && emitted.len() < entries.len());
             let rule = Rule { pruning, criterion };
-            for &(e, w) in &entries {
+            for &Entry { y: e, w, .. } in &entries {
                 let pair = (e.min(4), e.max(4));
                 assert_eq!(
                     rule.votes_for(y, e, w),

@@ -83,7 +83,7 @@ impl<'s, 'c> Streaming<'s, 'c> {
                     continue;
                 }
                 weigher.fill(scratch, a, globals, &mut buf);
-                forward += forward_len(a, &buf.entries, |e| e.0);
+                forward += forward_len(a, &buf.entries, |e| e.y);
                 step(&mut acc, buf.row(a));
             }
             seal(&mut acc);

@@ -2,8 +2,7 @@
 //!
 //! Used on name-like attribute values ("Mikis Theodorakis" vs
 //! "M. Theodorakis") where token overlap is too coarse. All functions are
-//! Unicode-aware (operate on `char`s) and return values in `[0, 1]` except
-//! [`levenshtein`], which returns the raw edit distance.
+//! Unicode-aware (operate on `char`s) and return values in `[0, 1]`.
 //!
 //! # The Jaro kernel
 //!
@@ -22,37 +21,6 @@
 //! hand those integers to one shared floating-point expression. Which
 //! kernel runs depends on the input lengths alone, and the unit tests hold
 //! the pair to `f64::to_bits` equality across the 64-character switch.
-
-/// Levenshtein edit distance (insert/delete/substitute, unit costs),
-/// two-row dynamic program: `O(|a|·|b|)` time, `O(min)` memory.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut curr = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            curr[j + 1] = sub.min(prev[j + 1] + 1).min(curr[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[b.len()]
-}
-
-/// Levenshtein similarity `1 − dist / max(|a|,|b|)`; 1.0 for two empty
-/// strings.
-pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    let max = a.chars().count().max(b.chars().count());
-    if max == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max as f64
-}
 
 /// Longest input, in `char`s, the bit-parallel Jaro kernel takes: one
 /// `u64` holds a position set of either string.
@@ -238,65 +206,9 @@ pub fn jaro_winkler_chars(a: &[char], b: &[char], scratch: &mut JaroScratch) -> 
     (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
 }
 
-/// Dice similarity over the multisets of character q-grams (default use:
-/// `q = 2`, bigrams). Strings shorter than `q` fall back to exact match.
-pub fn qgram_similarity(a: &str, b: &str, q: usize) -> f64 {
-    assert!(q >= 1, "q must be positive");
-    let grams = |s: &str| -> Vec<String> {
-        let cs: Vec<char> = s.chars().collect();
-        if cs.len() < q {
-            return Vec::new();
-        }
-        (0..=cs.len() - q)
-            .map(|i| cs[i..i + q].iter().collect())
-            .collect()
-    };
-    let (mut ga, mut gb) = (grams(a), grams(b));
-    if ga.is_empty() || gb.is_empty() {
-        return if a == b && !a.is_empty() { 1.0 } else { 0.0 };
-    }
-    ga.sort_unstable();
-    gb.sort_unstable();
-    // Multiset intersection by merge.
-    let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
-    while i < ga.len() && j < gb.len() {
-        match ga[i].cmp(&gb[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    2.0 * inter as f64 / (ga.len() + gb.len()) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn levenshtein_known_values() {
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
-        assert_eq!(levenshtein("", "abc"), 3);
-        assert_eq!(levenshtein("abc", ""), 3);
-        assert_eq!(levenshtein("same", "same"), 0);
-        assert_eq!(levenshtein("flaw", "lawn"), 2);
-    }
-
-    #[test]
-    fn levenshtein_unicode() {
-        assert_eq!(levenshtein("καφές", "καφέ"), 1);
-    }
-
-    #[test]
-    fn levenshtein_similarity_bounds() {
-        assert_eq!(levenshtein_similarity("", ""), 1.0);
-        assert_eq!(levenshtein_similarity("ab", "ab"), 1.0);
-        assert_eq!(levenshtein_similarity("ab", "cd"), 0.0);
-    }
 
     #[test]
     fn jaro_known_values() {
@@ -317,18 +229,6 @@ mod tests {
     #[test]
     fn jaro_winkler_rewards_shared_prefix() {
         assert!(jaro_winkler("theodorakis", "theodorakos") > jaro("theodorakis", "theodorakos"));
-    }
-
-    #[test]
-    fn qgram_basics() {
-        assert_eq!(qgram_similarity("night", "night", 2), 1.0);
-        assert_eq!(qgram_similarity("abc", "xyz", 2), 0.0);
-        let s = qgram_similarity("nacht", "night", 2);
-        assert!(s > 0.2 && s < 0.5, "got {s}");
-        // Shorter than q: exact-match fallback.
-        assert_eq!(qgram_similarity("a", "a", 2), 1.0);
-        assert_eq!(qgram_similarity("a", "b", 2), 0.0);
-        assert_eq!(qgram_similarity("", "", 2), 0.0);
     }
 
     /// Jaro–Winkler as it was before the char-slice kernel: five vectors
@@ -464,20 +364,14 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn string_measures_bounded_and_reflexive(a in "[a-zα-ω]{0,12}", b in "[a-zα-ω]{0,12}") {
-            for f in [jaro, jaro_winkler, levenshtein_similarity] {
+            for f in [jaro, jaro_winkler] {
                 let s = f(&a, &b);
                 proptest::prop_assert!((0.0..=1.0 + 1e-12).contains(&s), "{s}");
                 proptest::prop_assert!((f(&a, &b) - f(&b, &a)).abs() < 1e-12);
             }
             if !a.is_empty() {
                 proptest::prop_assert_eq!(jaro(&a, &a), 1.0);
-                proptest::prop_assert_eq!(levenshtein(&a, &a), 0);
             }
-        }
-
-        #[test]
-        fn levenshtein_triangle_inequality(a in "[a-c]{0,8}", b in "[a-c]{0,8}", c in "[a-c]{0,8}") {
-            proptest::prop_assert!(levenshtein(&a, &c) <= levenshtein(&a, &b) + levenshtein(&b, &c));
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Corpus-level token statistics (document frequency → IDF weights).
 //!
-//! The weighted token measures need to know how *informative* each token
+//! The TF-IDF cosine needs to know how *informative* each token
 //! is. [`TfIdfWeights`] is built once over all entity descriptions (each
 //! description = one document) and then shared by the matcher. The IDF of
 //! every token and its square are tabulated at build time, so a

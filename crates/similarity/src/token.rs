@@ -51,74 +51,6 @@ pub fn jaccard(a: &[u32], b: &[u32]) -> f64 {
     }
 }
 
-/// Dice coefficient `2|A∩B| / (|A|+|B|)`.
-pub fn dice(a: &[u32], b: &[u32]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    2.0 * intersection_size(a, b) as f64 / (a.len() + b.len()) as f64
-}
-
-/// Overlap coefficient `|A∩B| / min(|A|,|B|)`.
-pub fn overlap_coefficient(a: &[u32], b: &[u32]) -> f64 {
-    let m = a.len().min(b.len());
-    if m == 0 {
-        0.0
-    } else {
-        intersection_size(a, b) as f64 / m as f64
-    }
-}
-
-/// Set cosine `|A∩B| / sqrt(|A||B|)`.
-pub fn cosine(a: &[u32], b: &[u32]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    intersection_size(a, b) as f64 / ((a.len() * b.len()) as f64).sqrt()
-}
-
-/// Weighted Jaccard: `Σ_{t∈A∩B} w(t) / Σ_{t∈A∪B} w(t)`.
-///
-/// With IDF weights this is the measure MinoanER's matcher defaults to:
-/// rare shared tokens ("knossos") count far more than ubiquitous ones
-/// ("city"). `weight` must return non-negative values.
-pub fn weighted_jaccard(a: &[u32], b: &[u32], mut weight: impl FnMut(u32) -> f64) -> f64 {
-    assert_canonical(a);
-    assert_canonical(b);
-    let (mut i, mut j) = (0usize, 0usize);
-    let (mut inter_w, mut union_w) = (0.0f64, 0.0f64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                union_w += weight(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                union_w += weight(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let w = weight(a[i]);
-                inter_w += w;
-                union_w += w;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    for &t in &a[i..] {
-        union_w += weight(t);
-    }
-    for &t in &b[j..] {
-        union_w += weight(t);
-    }
-    if union_w <= 0.0 {
-        0.0
-    } else {
-        inter_w / union_w
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,43 +71,9 @@ mod tests {
     }
 
     #[test]
-    fn dice_and_overlap_and_cosine() {
-        let (a, b) = (&[1u32, 2, 3][..], &[2u32, 3, 4, 5][..]);
-        assert!((dice(a, b) - 4.0 / 7.0).abs() < 1e-12);
-        assert!((overlap_coefficient(a, b) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((cosine(a, b) - 2.0 / 12f64.sqrt()).abs() < 1e-12);
-        assert_eq!(dice(&[], &[]), 0.0);
-        assert_eq!(overlap_coefficient(&[], &[1]), 0.0);
-        assert_eq!(cosine(&[], &[1]), 0.0);
-    }
-
-    #[test]
-    fn coefficients_are_symmetric() {
+    fn jaccard_is_symmetric() {
         let (a, b) = (&[1u32, 4, 9, 11][..], &[2u32, 4, 11, 30, 31][..]);
         assert_eq!(jaccard(a, b), jaccard(b, a));
-        assert_eq!(dice(a, b), dice(b, a));
-        assert_eq!(overlap_coefficient(a, b), overlap_coefficient(b, a));
-        assert_eq!(cosine(a, b), cosine(b, a));
-    }
-
-    #[test]
-    fn weighted_jaccard_equals_jaccard_for_unit_weights() {
-        let (a, b) = (&[1u32, 2, 3][..], &[2u32, 3, 4][..]);
-        assert!((weighted_jaccard(a, b, |_| 1.0) - jaccard(a, b)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_jaccard_boosts_rare_tokens() {
-        // Shared token 7 is rare (weight 10), shared token 1 common (0.1).
-        let rare_shared = weighted_jaccard(&[1, 7], &[2, 7], |t| if t == 7 { 10.0 } else { 0.1 });
-        let common_shared = weighted_jaccard(&[1, 7], &[1, 9], |t| if t == 7 { 10.0 } else { 0.1 });
-        assert!(rare_shared > 0.9);
-        assert!(common_shared < 0.1);
-    }
-
-    #[test]
-    fn weighted_jaccard_zero_weights() {
-        assert_eq!(weighted_jaccard(&[1, 2], &[1, 2], |_| 0.0), 0.0);
     }
 
     proptest::proptest! {
@@ -188,12 +86,6 @@ mod tests {
             proptest::prop_assert!((0.0..=1.0).contains(&j));
             if !a.is_empty() {
                 proptest::prop_assert_eq!(jaccard(&a, &a), 1.0);
-            }
-            // Jaccard ≤ Dice ≤ overlap for non-empty inputs.
-            let d = dice(&a, &b);
-            proptest::prop_assert!(j <= d + 1e-12);
-            if !a.is_empty() && !b.is_empty() {
-                proptest::prop_assert!(d <= overlap_coefficient(&a, &b) + 1e-12);
             }
         }
     }
