@@ -1,6 +1,6 @@
 //! Criterion benches for the progressive engine (supports E4/E5).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use minoan_blocking::{builders, filter, purge, ErMode};
 use minoan_datagen::{generate, profiles};
 use minoan_er::{
@@ -77,6 +77,29 @@ fn bench_progressive(c: &mut Criterion) {
     group.bench_function("full-pipeline", |b| {
         b.iter(|| black_box(Pipeline::new(PipelineConfig::default()).run(&world.dataset)));
     });
+
+    // The resolver alone on a linked cloud, whose update phase discovers
+    // candidates: its loop on one thread, and with one comparison worker
+    // beside it. The matcher it consumes is built untimed.
+    let lod = generate(&profiles::lod_cloud(1500, 11));
+    let lod_pairs = candidates(&lod);
+    for workers in [1, 2] {
+        let pipeline = Pipeline::new(PipelineConfig {
+            workers: Some(workers),
+            ..Default::default()
+        });
+        group.bench_with_input(
+            BenchmarkId::new("resolve-workers", workers),
+            &pipeline,
+            |b, pipeline| {
+                b.iter_batched(
+                    || Matcher::new(&lod.dataset, MatcherConfig::default()),
+                    |matcher| pipeline.resolve(&lod.dataset, matcher, &lod_pairs),
+                    BatchSize::LargeInput,
+                );
+            },
+        );
+    }
     group.finish();
 }
 

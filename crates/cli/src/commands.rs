@@ -105,7 +105,8 @@ PRUNING   none | wep | cep | wnp | wnp-reciprocal | cnp | cnp-reciprocal
           (every method runs under every --backend, bit-identically;
           the default is streaming: one resolve never reuses the graph
           that materialized builds; --workers pins the parallelism of
-          every stage, token pass and block build included)
+          every stage: file load, token pass, block build and the
+          comparison workers of the progressive loop included)
 WEIGHTING cbs | ecbs | js | ejs | arcs
 ";
 
@@ -351,15 +352,19 @@ fn pipeline_config(args: &Args) -> Result<PipelineConfig, CliError> {
     Ok(config)
 }
 
+/// The available parallelism: what `--workers` defaults to.
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Files → [`Dataset`] in one pass, one KB per `--input` in the order
-/// given: each file is pulled statement by statement into the builder.
-fn load_dataset(inputs: &[String]) -> Result<Dataset, CliError> {
+/// given: each file is pulled statement by statement into a builder, up to
+/// `threads` files side by side.
+fn load_dataset(inputs: &[String], threads: usize) -> Result<Dataset, CliError> {
     let mut builder = DatasetBuilder::new();
-    for path in inputs {
-        builder
-            .load_file(Path::new(path))
-            .map_err(|e| CliError(format!("{path}: {e}")))?;
-    }
+    builder
+        .load_files(inputs, threads)
+        .map_err(|(i, e)| CliError(format!("{}: {e}", inputs[i])))?;
     Ok(builder.build())
 }
 
@@ -367,7 +372,7 @@ fn load_dataset(inputs: &[String]) -> Result<Dataset, CliError> {
 /// resource vs literal values. Overall: distinct predicates, the share
 /// only one KB uses (proprietary vocabulary) and the five most used.
 fn cmd_stats(args: &Args) -> Result<String, CliError> {
-    let dataset = load_dataset(inputs(args)?)?;
+    let dataset = load_dataset(inputs(args)?, all_cores())?;
     let n = dataset.predicates().len();
     let (mut uses, mut kbs_using) = (vec![0usize; n], vec![0usize; n]);
     let mut per_kb = String::new();
@@ -418,7 +423,8 @@ fn cmd_stats(args: &Args) -> Result<String, CliError> {
 
 fn cmd_resolve(args: &Args) -> Result<String, CliError> {
     let config = pipeline_config(args)?;
-    let dataset = load_dataset(inputs(args)?)?;
+    let threads = config.workers.unwrap_or_else(all_cores);
+    let dataset = load_dataset(inputs(args)?, threads)?;
     let show = args.get_parsed("show", 10usize)?;
     let out = Pipeline::new(config).run(&dataset);
     let mut report = String::new();

@@ -70,11 +70,13 @@ impl CandidatePool {
     /// weight (so the best blocking evidence maps to prior 1.0).
     pub fn from_weighted_pairs(pairs: &[(EntityId, EntityId, f64)]) -> Self {
         let max_w = pairs.iter().map(|p| p.2).fold(0.0f64, f64::max);
-        // Sized once: growing to a blocking-sized pool by doubling walks
-        // the pair map through a rehash per step.
+        // Sized once, for the blocking pairs and as many discoveries (a
+        // linked cloud discovers two for every three): growing the pool
+        // mid-loop rehashes its pair map.
+        let room = pairs.len().saturating_mul(2);
         let mut pool = Self {
-            candidates: Vec::with_capacity(pairs.len()),
-            by_pair: FxHashMap::with_capacity_and_hasher(pairs.len(), Default::default()),
+            candidates: Vec::with_capacity(room),
+            by_pair: FxHashMap::with_capacity_and_hasher(room, Default::default()),
         };
         for &(a, b, w) in pairs {
             let prior = if max_w > 0.0 {
@@ -95,6 +97,11 @@ impl CandidatePool {
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
         self.candidates.is_empty()
+    }
+
+    /// Candidates the pool holds before it has to grow.
+    pub(crate) fn capacity(&self) -> usize {
+        self.candidates.capacity()
     }
 
     /// Inserts a candidate with the given prior (normalising `a`,`b`

@@ -1,8 +1,24 @@
 //! The progressive resolution engine: schedule → match → update, under a
 //! cost budget.
+//!
+//! # Comparison workers
+//!
+//! A value similarity is a pure function of the pair that the schedule
+//! never reads before the pair is compared. So with `threads > 1`,
+//! `threads − 1` workers beside the progressive loop fill one slot per
+//! candidate: first for the candidates the update phase just discovered,
+//! then for the best `min(budget, len)` seeded ones, best first. The loop
+//! never waits: it takes a candidate's slot before comparing it and
+//! computes the value itself if none is there (a taken slot is skipped).
+//! The workers stop when the loop does.
+//!
+//! **Why no bit can move.** A value has the same bits whoever computes it,
+//! and nothing reads when or where it was computed, so trace, matches and
+//! clusters are the same at every thread count. One thread spawns nothing
+//! and computes every value inline, as the fixed-order strategies do.
 
 use crate::benefit::{BenefitModel, ResolutionState};
-use crate::candidates::CandidatePool;
+use crate::candidates::{CandidateId, CandidatePool};
 use crate::matcher::Matcher;
 use crate::scheduler::Scheduler;
 use crate::trace::{Trace, TraceStep};
@@ -12,6 +28,9 @@ use minoan_similarity::JaroScratch;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
 
 /// Comparison-ordering strategy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -98,12 +117,25 @@ pub struct ProgressiveResolver<'d> {
     dataset: &'d Dataset,
     matcher: Matcher,
     config: ResolverConfig,
+    /// The progressive loop's thread and its comparison workers.
+    threads: usize,
 }
 
 impl<'d> ProgressiveResolver<'d> {
-    /// Creates a resolver. The matcher must have been built on the same
-    /// dataset.
+    /// Creates a resolver whose progressive loop uses all available
+    /// parallelism (see the module docs). The matcher must have been built
+    /// on the same dataset.
     pub fn new(dataset: &'d Dataset, matcher: Matcher, config: ResolverConfig) -> Self {
+        Self::with_threads(dataset, matcher, config, minoan_common::default_threads())
+    }
+
+    /// [`Self::new`] on `threads` threads, which change no bit.
+    pub(crate) fn with_threads(
+        dataset: &'d Dataset,
+        matcher: Matcher,
+        config: ResolverConfig,
+        threads: usize,
+    ) -> Self {
         assert!(config.alpha >= 0.0, "alpha must be non-negative");
         assert!(
             config.recompare_margin >= 0.0,
@@ -113,6 +145,7 @@ impl<'d> ProgressiveResolver<'d> {
             dataset,
             matcher,
             config,
+            threads,
         }
     }
 
@@ -187,7 +220,8 @@ impl<'d> ProgressiveResolver<'d> {
         }
     }
 
-    /// The full progressive loop.
+    /// The full progressive loop, with `threads − 1` comparison workers
+    /// beside it: a value they delivered is taken, any other computed.
     fn run_progressive(
         &self,
         pairs: &[(EntityId, EntityId, f64)],
@@ -196,81 +230,106 @@ impl<'d> ProgressiveResolver<'d> {
         let mut pool = CandidatePool::from_weighted_pairs(pairs);
         let mut state = ResolutionState::new(self.dataset);
         let mut scheduler = Scheduler::seeded(&pool, |id| model.score(&state, pool.get(id)));
-        let mut consumed: FxHashSet<(u32, u16)> = FxHashSet::default();
-        let mut jaro = JaroScratch::default();
-
-        let mut trace = self.trace_for(pairs.len());
-        let mut matches = Vec::new();
-        let mut comparisons = 0u64;
-        let mut discovered = 0usize;
-
-        while comparisons < self.config.budget {
-            // --- Schedule phase -------------------------------------------
-            let popped = scheduler.pop_best(&pool, |id| {
-                let c = pool.get(id);
-                // A re-comparison is scheduled only when evidence grew AND
-                // the cached value similarity says the decision could flip.
-                let worth_recomparing = match c.last_value {
-                    None => true,
-                    Some(v) => {
-                        pool.comparable(id, self.config.recompare_margin)
-                            && self.matcher.could_rematch(v, c.evidence)
-                    }
-                };
-                let eligible = worth_recomparing
-                    && !state.same_cluster(c.a, c.b)
-                    && !self.consumed(&consumed, c.a, c.b);
-                if eligible {
-                    model.score(&state, c)
-                } else {
-                    -1.0
-                }
-            });
-            let Some((id, benefit)) = popped else { break };
-            if benefit < 0.0 {
-                continue; // ineligible entry drained without budget cost
+        let lookahead = if self.threads > 1 {
+            let budget = usize::try_from(self.config.budget).unwrap_or(usize::MAX);
+            let best = scheduler.seeded_best_first().take(budget);
+            Lookahead {
+                slots: (0..pool.capacity())
+                    .map(|_| AtomicU64::new(EMPTY))
+                    .collect(),
+                seeded: best.map(|id| pending(&pool, id)).collect(),
+                ..Lookahead::default()
             }
-            let (a, b, evidence, was_discovered) = {
-                let c = pool.get(id);
-                (c.a, c.b, c.evidence, c.prior == 0.0)
+        } else {
+            Lookahead::default()
+        };
+        std::thread::scope(|s| {
+            let spawn = |_| s.spawn(|| lookahead.work(&self.matcher)).thread().clone();
+            let workers = (1..self.threads).map(spawn).collect();
+            let feed = Feed {
+                lookahead: &lookahead,
+                workers,
             };
+            let mut consumed: FxHashSet<(u32, u16)> = FxHashSet::default();
+            let mut jaro = JaroScratch::default();
 
-            // --- Match phase ----------------------------------------------
-            comparisons += 1;
-            let value_sim = self.matcher.value_similarity(a, b, &mut jaro);
-            pool.mark_compared(id, value_sim);
-            let score = self.matcher.composite(value_sim, evidence);
-            let matched = self.matcher.is_match(value_sim, score);
-            trace.push(TraceStep {
-                comparison: comparisons,
-                a: a.0,
-                b: b.0,
-                value_similarity: value_sim,
-                score,
-                benefit,
-                matched,
-                discovered: was_discovered,
-            });
+            let mut trace = self.trace_for(pairs.len());
+            let mut matches = Vec::new();
+            let mut comparisons = 0u64;
+            let mut discovered = 0usize;
 
-            // --- Update phase ---------------------------------------------
-            if matched {
-                state.record_match(a, b);
-                matches.push((a, b, score));
-                self.consume(&mut consumed, a, b);
-                if self.config.alpha > 0.0 {
-                    discovered +=
-                        self.propagate(a, b, score, &mut pool, &mut scheduler, &state, model);
+            while comparisons < self.config.budget {
+                // --- Schedule phase -------------------------------------------
+                let popped = scheduler.pop_best(&pool, |id| {
+                    let c = pool.get(id);
+                    // A re-comparison is scheduled only when evidence grew AND
+                    // the cached value similarity says the decision could flip.
+                    let worth_recomparing = match c.last_value {
+                        None => true,
+                        Some(v) => {
+                            pool.comparable(id, self.config.recompare_margin)
+                                && self.matcher.could_rematch(v, c.evidence)
+                        }
+                    };
+                    let eligible = worth_recomparing
+                        && !state.same_cluster(c.a, c.b)
+                        && !self.consumed(&consumed, c.a, c.b);
+                    if eligible {
+                        model.score(&state, c)
+                    } else {
+                        -1.0
+                    }
+                });
+                let Some((id, benefit)) = popped else { break };
+                if benefit < 0.0 {
+                    continue; // ineligible entry drained without budget cost
+                }
+                let (a, b, evidence, was_discovered, last_value) = {
+                    let c = pool.get(id);
+                    (c.a, c.b, c.evidence, c.prior == 0.0, c.last_value)
+                };
+
+                // --- Match phase ----------------------------------------------
+                comparisons += 1;
+                let value_sim = last_value
+                    .or_else(|| feed.lookahead.take(id))
+                    .unwrap_or_else(|| self.matcher.value_similarity(a, b, &mut jaro));
+                pool.mark_compared(id, value_sim);
+                let score = self.matcher.composite(value_sim, evidence);
+                let matched = self.matcher.is_match(value_sim, score);
+                trace.push(TraceStep {
+                    comparison: comparisons,
+                    a: a.0,
+                    b: b.0,
+                    value_similarity: value_sim,
+                    score,
+                    benefit,
+                    matched,
+                    discovered: was_discovered,
+                });
+
+                // --- Update phase ---------------------------------------------
+                if matched {
+                    state.record_match(a, b);
+                    matches.push((a, b, score));
+                    self.consume(&mut consumed, a, b);
+                    if self.config.alpha > 0.0 {
+                        let known = pool.len();
+                        discovered +=
+                            self.propagate(a, b, score, &mut pool, &mut scheduler, &state, model);
+                        feed.send(&pool, known);
+                    }
                 }
             }
-        }
 
-        Resolution {
-            clusters: state.final_clusters(2),
-            trace,
-            matches,
-            comparisons,
-            discovered_candidates: discovered,
-        }
+            Resolution {
+                clusters: state.final_clusters(2),
+                trace,
+                matches,
+                comparisons,
+                discovered_candidates: discovered,
+            }
+        })
     }
 
     /// Propagates a match `(a, b, score)` to the cross product of their
@@ -343,6 +402,104 @@ impl<'d> ProgressiveResolver<'d> {
             consumed.insert((a.0, self.dataset.kb_of(b).0));
             consumed.insert((b.0, self.dataset.kb_of(a).0));
         }
+    }
+}
+
+/// A slot no value has reached yet, and one the loop has taken: the two
+/// greatest bit patterns, both NaNs, so above those of every similarity.
+const EMPTY: u64 = u64::MAX;
+const TAKEN: u64 = u64::MAX - 1;
+
+/// A candidate a worker may compare: its id and its endpoints.
+type Pending = (CandidateId, EntityId, EntityId);
+
+fn pending(pool: &CandidatePool, id: CandidateId) -> Pending {
+    let c = pool.get(id);
+    (id, c.a, c.b)
+}
+
+/// What the comparison workers share with the loop (see the module docs).
+#[derive(Default)]
+struct Lookahead {
+    /// Per candidate id the pool has room for: [`EMPTY`], [`TAKEN`] or the
+    /// bits of its value similarity. A slot publishes nothing but its own
+    /// bits, so every access is `Relaxed`.
+    slots: Vec<AtomicU64>,
+    /// Seeded candidates, best first; `cursor` is the first unclaimed one.
+    seeded: Vec<Pending>,
+    cursor: AtomicUsize,
+    /// Candidates the update phase discovered that no worker took yet.
+    discovered: Mutex<Vec<Pending>>,
+    stop: AtomicBool,
+}
+
+impl Lookahead {
+    /// The value a worker delivered for `id`, if any; no worker computes
+    /// it after this.
+    fn take(&self, id: CandidateId) -> Option<f64> {
+        let bits = self.slots.get(id.index())?.swap(TAKEN, Ordering::Relaxed);
+        (bits < TAKEN).then(|| f64::from_bits(bits))
+    }
+
+    /// One worker: all discoveries first, else the next seeded candidate,
+    /// else park; returns once the loop has stopped.
+    fn work(&self, matcher: &Matcher) {
+        let mut jaro = JaroScratch::default();
+        let mut batch = Vec::new();
+        while !self.stop.load(Ordering::Acquire) {
+            std::mem::swap(&mut batch, &mut *self.queue());
+            if batch.is_empty() {
+                match self.seeded.get(self.cursor.fetch_add(1, Ordering::Relaxed)) {
+                    Some(&next) => batch.push(next),
+                    None => std::thread::park(),
+                }
+            }
+            for &(id, a, b) in &batch {
+                let slot = &self.slots[id.index()];
+                if self.stop.load(Ordering::Relaxed) {
+                    break;
+                } else if slot.load(Ordering::Relaxed) == EMPTY {
+                    let bits = matcher.value_similarity(a, b, &mut jaro).to_bits();
+                    // Lost if the loop took the slot meanwhile.
+                    let _ =
+                        slot.compare_exchange(EMPTY, bits, Ordering::Relaxed, Ordering::Relaxed);
+                }
+            }
+            batch.clear();
+        }
+    }
+
+    fn queue(&self) -> MutexGuard<'_, Vec<Pending>> {
+        self.discovered
+            .lock()
+            .expect("nothing panics under the queue lock")
+    }
+}
+
+/// The loop's end of the comparison workers. Dropping it stops them — on
+/// unwinding too, so the scope that joins them never waits on a parked one.
+struct Feed<'l> {
+    lookahead: &'l Lookahead,
+    workers: Vec<Thread>,
+}
+
+impl Feed<'_> {
+    /// Hands the workers the candidates discovered since the pool held
+    /// `known` of them, as far as there are slots for them.
+    fn send(&self, pool: &CandidatePool, known: usize) {
+        let fresh = known..pool.len().min(self.lookahead.slots.len());
+        if !self.workers.is_empty() && !fresh.is_empty() {
+            let fresh = fresh.map(|i| pending(pool, CandidateId(i as u32)));
+            self.lookahead.queue().extend(fresh);
+            self.workers.iter().for_each(Thread::unpark);
+        }
+    }
+}
+
+impl Drop for Feed<'_> {
+    fn drop(&mut self) {
+        self.lookahead.stop.store(true, Ordering::Release);
+        self.workers.iter().for_each(Thread::unpark);
     }
 }
 

@@ -63,9 +63,11 @@ pub struct PipelineConfig {
     /// across all three.
     pub backend: ExecutionBackend,
     /// Worker threads for every parallel stage: the token pass, the block
-    /// build, purge/filter, the streaming sweeps / MapReduce engine
-    /// (`None` = all available parallelism; under the token blocking
-    /// methods `Some(1)` spawns nothing). Results never depend on it.
+    /// build, purge/filter, the streaming sweeps / MapReduce engine and the
+    /// comparison workers beside the progressive loop; `minoan resolve`
+    /// loads its files with as many (`None` = all available parallelism;
+    /// under the token blocking methods `Some(1)` spawns nothing). Results
+    /// never depend on it.
     pub workers: Option<usize>,
     /// Matcher configuration.
     pub matcher: MatcherConfig,
@@ -188,6 +190,19 @@ impl Pipeline {
         self.meta_block_session(blocks).run().into_candidates()
     }
 
+    /// Runs the progressive resolver over `candidates` (exposed for
+    /// experiments), with comparison workers beside its loop as the
+    /// `workers` knob allows; the resolution never depends on it.
+    pub fn resolve(
+        &self,
+        dataset: &Dataset,
+        matcher: Matcher,
+        candidates: &[(EntityId, EntityId, f64)],
+    ) -> Resolution {
+        let config = self.config.resolver.clone();
+        ProgressiveResolver::with_threads(dataset, matcher, config, self.threads()).run(candidates)
+    }
+
     /// Runs the full pipeline on `dataset`.
     ///
     /// **Shared.** Under [`BlockingMethod::Token`] and
@@ -241,8 +256,7 @@ impl Pipeline {
                 || Matcher::with_threads(dataset, matcher_config, threads),
             ),
         };
-        let resolver = ProgressiveResolver::new(dataset, matcher, self.config.resolver.clone());
-        let resolution = resolver.run(&candidates);
+        let resolution = self.resolve(dataset, matcher, &candidates);
         PipelineOutput {
             blocks_raw,
             blocks_clean,

@@ -90,6 +90,12 @@ impl Scheduler {
         }
     }
 
+    /// The seeded candidates, best first: the order in which a schedule
+    /// nothing has changed would pop them. Meaningful before the first pop.
+    pub(crate) fn seeded_best_first(&self) -> impl Iterator<Item = CandidateId> + '_ {
+        self.run.iter().rev().map(|entry| CandidateId(entry.id.0))
+    }
+
     /// Current number of queued entries (including stale ones).
     pub fn queued(&self) -> usize {
         self.run.len() + self.heap.len()

@@ -196,7 +196,7 @@ impl fmt::Debug for Description<'_> {
 }
 
 /// Metadata of one knowledge base.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct KbInfo {
     /// Human-readable name (e.g. "dbpedia").
     pub name: Box<str>,

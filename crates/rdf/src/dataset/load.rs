@@ -45,6 +45,19 @@
 //!
 //! A loader that fails leaves the statements before the error in the
 //! builder; the caller is expected to drop it.
+//!
+//! # Loading files side by side
+//!
+//! [`DatasetBuilder::load_files`] loads each file into a builder of its own
+//! and appends those in argument order. A file's builder holds placeholder
+//! KBs below the id its KB gets after the append, so blank nodes are scoped
+//! as a [`DatasetBuilder::load_file`] loop scopes them; the duplicate
+//! collapse and the namespace are per document anyway. The append
+//! re-interns the file's predicates and subjects in first-mention order, so
+//! a new one gets the number the loop gives it and a subject an earlier
+//! file created maps to that entity (and is not counted by the later KB);
+//! text and log entries go to the ends of the arena and the log, shifted
+//! and renumbered. The result is the loop's builder, entry for entry.
 
 use super::{DatasetBuilder, EntityId, KbId, KbInfo};
 use crate::ntriples::{self, ParseError, StatementReader};
@@ -54,6 +67,7 @@ use minoan_common::Symbol;
 use std::fmt::{self, Write as _};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why [`DatasetBuilder::load_file`] failed.
 #[derive(Debug)]
@@ -281,6 +295,84 @@ impl DatasetBuilder {
             self.load_ntriples(name, BufReader::with_capacity(1 << 16, file))
                 .map_err(LoadError::NTriples)
         }
+    }
+
+    /// Loads `paths` into one fresh KB each, in order, on up to `threads`
+    /// threads, leaving the builder as a [`Self::load_file`] loop would (see
+    /// the module docs); one file or one thread loads straight into `self`.
+    /// On failure, returns the index and error of the first file in
+    /// argument order that did not load; the builder is then to be dropped.
+    pub fn load_files<P: AsRef<Path> + Sync>(
+        &mut self,
+        paths: &[P],
+        threads: usize,
+    ) -> Result<Vec<KbId>, (usize, LoadError)> {
+        let failed = |i| move |e| (i, e);
+        if threads <= 1 || paths.len() <= 1 {
+            let mut load = |(i, p): (usize, &P)| self.load_file(p.as_ref()).map_err(failed(i));
+            return paths.iter().enumerate().map(&mut load).collect();
+        }
+        let (base, next) = (self.kbs.len(), AtomicUsize::new(0));
+        let worker = || {
+            let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < paths.len());
+            let load = |i: usize| {
+                let kbs = vec![KbInfo::default(); base + i];
+                let mut file = Self {
+                    kbs,
+                    ..Self::default()
+                };
+                (i, file.load_file(paths[i].as_ref()).map(|_| file))
+            };
+            std::iter::from_fn(claim).map(load).collect::<Vec<_>>()
+        };
+        let mut loaded = std::thread::scope(|s| {
+            let spawned: Vec<_> = (1..threads.min(paths.len()))
+                .map(|_| s.spawn(worker))
+                .collect();
+            let mut loaded = worker();
+            for handle in spawned {
+                let theirs = handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                loaded.extend(theirs);
+            }
+            loaded
+        });
+        loaded.sort_unstable_by_key(|&(i, _)| i);
+        let mut append = |(i, file): (usize, Result<Self, LoadError>)| {
+            file.map(|file| self.append(file)).map_err(failed(i))
+        };
+        loaded.into_iter().map(&mut append).collect()
+    }
+
+    /// Appends `file`, a builder whose last KB holds one loaded document
+    /// and has the id that KB gets here (see the module docs).
+    fn append(&mut self, file: DatasetBuilder) -> KbId {
+        if self.kbs.is_empty() {
+            *self = file;
+            return KbId(0);
+        }
+        let info = file.kbs.last().expect("a loaded file has a KB");
+        let kb = self.add_kb(&info.name, &info.namespace);
+        let predicates: Vec<Symbol> = (file.predicates.iter())
+            .map(|(_, predicate)| self.predicates.intern(predicate))
+            .collect();
+        let entities: Vec<EntityId> = (file.uris.iter())
+            .map(|(_, subject)| self.entity_for(kb, subject))
+            .collect();
+        let end = u32::try_from(self.text.len() + file.text.len())
+            .expect("dataset overflow: more than 4 GiB of attribute text");
+        let shift = end - file.text.len() as u32;
+        self.text.push_str(&file.text);
+        let subjects = file.subjects.iter().map(|e| entities[e.index()]);
+        self.subjects.extend(subjects);
+        self.attrs
+            .extend(file.attrs.iter().map(|&attr| super::Attr {
+                predicate: predicates[attr.predicate.index()],
+                start: attr.start + shift,
+                ..attr
+            }));
+        kb
     }
 }
 

@@ -213,6 +213,42 @@ fn dirty_cep_reports_do_not_depend_on_backend_or_workers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `minoan resolve` prints the same report, byte for byte, whether its
+/// four KB files load one after another or side by side, and whether the
+/// progressive loop compares alone or with comparison workers beside it.
+#[test]
+fn resolve_reports_do_not_depend_on_workers() {
+    let dir = std::env::temp_dir().join(format!("minoan_cli_workers_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    cli(&format!(
+        "generate --profile lod --entities 300 --seed 13 --out {}",
+        dir.display()
+    ))
+    .expect("generate");
+    let mut inputs: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "nt"))
+        .map(|p| format!("--input {}", p.display()))
+        .collect();
+    inputs.sort();
+    assert_eq!(inputs.len(), 4, "the lod profile emits four KBs");
+    let resolve = |workers: usize| {
+        let line = format!(
+            "resolve {} --show 1000000 --workers {workers}",
+            inputs.join(" ")
+        );
+        cli(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"))
+    };
+    let expect = resolve(1);
+    assert!(expect.starts_with("4 KBs"), "{expect}");
+    assert!(expect.lines().count() > 100, "every match is printed");
+    for workers in [2, 4] {
+        assert_eq!(resolve(workers), expect, "{workers} workers");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_errors_are_user_facing() {
     assert!(cli("resolve --input /nonexistent/file.nt").is_err());

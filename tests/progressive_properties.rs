@@ -98,3 +98,75 @@ proptest! {
         }
     }
 }
+
+/// Every bit of a resolution: trace steps, matches, clusters, counts.
+type ResolutionBits = (
+    Vec<(u64, u32, u32, [u64; 3], bool, bool)>,
+    Vec<(EntityId, EntityId, u64)>,
+    Vec<Vec<u32>>,
+    u64,
+    usize,
+);
+
+fn resolution_bits(r: &Resolution) -> ResolutionBits {
+    let steps = r.trace.steps().iter().map(|s| {
+        let floats = [s.value_similarity, s.score, s.benefit].map(f64::to_bits);
+        (s.comparison, s.a, s.b, floats, s.matched, s.discovered)
+    });
+    let matches = r.matches.iter().map(|&(a, b, s)| (a, b, s.to_bits()));
+    (
+        steps.collect(),
+        matches.collect(),
+        r.clusters.clone(),
+        r.comparisons,
+        r.discovered_candidates,
+    )
+}
+
+/// The comparison workers beside the progressive loop change no bit of
+/// the resolution: every benefit model, budget, propagation strength and
+/// mapping mode resolves the same at 1 (nothing spawned), 2 and 4 threads.
+#[test]
+fn one_resolution_at_every_worker_count() {
+    for world in [
+        generate(&profiles::center_dense(250, 5)),
+        generate(&profiles::lod_cloud(250, 8)),
+    ] {
+        let base = Pipeline::new(PipelineConfig::default());
+        let candidates = base.meta_block(&base.clean_blocks(base.block(&world.dataset)));
+        let run = |resolver: ResolverConfig, workers| {
+            let config = PipelineConfig {
+                workers: Some(workers),
+                resolver,
+                ..Default::default()
+            };
+            let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
+            Pipeline::new(config).resolve(&world.dataset, matcher, &candidates)
+        };
+        let pairs = candidates.len() as u64;
+        for model in BenefitModel::ALL {
+            for budget in [0, 7, pairs / 5, u64::MAX] {
+                for alpha in [0.0, 0.5] {
+                    for unique_mapping in [false, true] {
+                        let resolver = ResolverConfig {
+                            strategy: minoan::prelude::Strategy::Progressive(model),
+                            budget,
+                            alpha,
+                            unique_mapping,
+                            ..Default::default()
+                        };
+                        let label = format!(
+                            "{model:?}, budget {budget}, α {alpha}, unique {unique_mapping}"
+                        );
+                        let inline = resolution_bits(&run(resolver.clone(), 1));
+                        assert!(inline.3 <= budget, "{label}");
+                        for workers in [2, 4] {
+                            let ahead = resolution_bits(&run(resolver.clone(), workers));
+                            assert!(ahead == inline, "{label}: {workers} threads moved a bit");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -751,3 +751,153 @@ proptest! {
         prop_assert_eq!(loaded, model_of(&files), "seed {}", seed);
     }
 }
+
+// ---- files loaded side by side ---------------------------------------------
+
+/// Everything a built dataset says about its KBs, predicates and entities.
+fn snapshot(dataset: &Dataset) -> (Vec<(String, String, u32)>, Vec<String>, Model) {
+    let kbs = dataset.kbs().iter();
+    let kbs = kbs.map(|kb| {
+        (
+            kb.name.to_string(),
+            kb.namespace.to_string(),
+            kb.entity_count,
+        )
+    });
+    let predicates = dataset.predicates().iter().map(|(_, p)| p.to_string());
+    (kbs.collect(), predicates.collect(), observed(dataset))
+}
+
+/// `load_files` at `threads`, and the `load_file` loop it stands for:
+/// either both datasets, or both failures as `(file index, line)`.
+fn both_loads(paths: &[PathBuf], threads: usize) -> [Result<Dataset, (usize, Option<usize>)>; 2] {
+    let mut serial = DatasetBuilder::new();
+    let serial = (paths.iter().enumerate())
+        .try_for_each(|(i, p)| serial.load_file(p).map(drop).map_err(|e| (i, e.line())))
+        .map(|()| serial.build());
+    let mut side_by_side = DatasetBuilder::new();
+    let side_by_side = match side_by_side.load_files(paths, threads) {
+        Ok(kbs) => {
+            assert_eq!(
+                kbs,
+                (0..paths.len()).map(|k| KbId(k as u16)).collect::<Vec<_>>()
+            );
+            Ok(side_by_side.build())
+        }
+        Err((i, e)) => Err((i, e.line())),
+    };
+    [serial, side_by_side]
+}
+
+fn assert_loads_agree(paths: &[PathBuf], label: &str) {
+    for threads in [1, 2, 3, 8] {
+        match both_loads(paths, threads) {
+            [Ok(serial), Ok(side_by_side)] => {
+                assert_eq!(
+                    snapshot(&side_by_side),
+                    snapshot(&serial),
+                    "{label}, {threads} threads"
+                );
+            }
+            [serial, side_by_side] => assert_eq!(
+                side_by_side.err(),
+                serial.err(),
+                "{label}, {threads} threads"
+            ),
+        }
+    }
+}
+
+/// `load_files` builds what the `load_file` loop builds, at any thread
+/// count: a later file naming an earlier file's subject (which that KB
+/// then does not count), blank nodes in two files, in-file duplicates, and
+/// N-Triples beside Turtle; and a malformed middle file fails at the index
+/// and line the loop stops at.
+#[test]
+fn files_loaded_side_by_side_build_what_the_serial_loop_builds() {
+    let dir = scratch_dir("side_by_side");
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path
+    };
+    let a = write(
+        "a.nt",
+        "<http://k/a> <http://p/name> \"A\" .\n\
+         _:b1 <http://p/name> \"blank of a\" .\n\
+         <http://k/a> <http://p/knows> _:b1 .\n\
+         <http://k/a> <http://p/name> \"A\" .\n",
+    );
+    let b = write(
+        "b.ttl",
+        "@prefix p: <http://p/> .\n\
+         <http://k/b> p:label \"B\" ; p:knows <http://k/a> .\n\
+         _:b1 p:name \"blank of b\" .\n\
+         <http://k/a> p:label \"A again\" .\n\
+         <http://k/b> p:label \"B\" .\n",
+    );
+    let c = write(
+        "c.nt",
+        "<http://k/c> <http://p/q> \"C\" .\n<http://k/c> <http://p/knows> <http://k/b> .\n",
+    );
+    let bad = write(
+        "bad.nt",
+        "<http://k/d> <http://p/q> \"D\" .\n\n<http://k/d> <http://p/q> .\n",
+    );
+    let bad_ttl = write("bad.ttl", "@prefix p: <http://p/> .\np:x p:y .\n");
+
+    let [serial, _] = both_loads(&[a.clone(), b.clone(), c.clone()], 1);
+    let serial = serial.expect("the good files load");
+    let a_uri = serial.entity_by_uri("http://k/a").unwrap();
+    assert_eq!(serial.kb_of(a_uri), KbId(0));
+    assert_eq!(
+        serial.kb(KbId(1)).entity_count,
+        2,
+        "b's re-mention of a is a's"
+    );
+    assert!(serial.entity_by_uri("bnode://b:1/b1").is_some());
+
+    assert_loads_agree(&[a.clone(), b.clone(), c.clone()], "good files");
+    assert_loads_agree(
+        &[c.clone(), b.clone(), a.clone(), b.clone()],
+        "reordered, repeated",
+    );
+    assert_loads_agree(std::slice::from_ref(&b), "one file");
+    assert_loads_agree(&[], "no file");
+    let failing = [a.clone(), bad.clone(), c.clone(), bad_ttl.clone()];
+    assert_eq!(
+        both_loads(&failing, 1)[0].as_ref().err(),
+        Some(&(1, Some(3)))
+    );
+    assert_loads_agree(&failing, "malformed middle file");
+    assert_loads_agree(&[a, b, c, bad_ttl], "malformed last file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same over random documents (see `random_file`).
+    #[test]
+    fn random_files_loaded_side_by_side_build_what_the_serial_loop_builds(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let dir = scratch_dir(&format!("side_by_side-{seed:x}"));
+        let mut paths = Vec::new();
+        for i in 0..2 + rng.below(4) {
+            let grouped = rng.below(2) == 0;
+            let statements = random_file(&mut rng, grouped);
+            let (text, ext) = if rng.below(2) == 0 {
+                (as_turtle(&statements), "ttl")
+            } else {
+                (ntriples::write_document(&statements), "nt")
+            };
+            // Stems repeat: KB names are not what keeps blank nodes apart.
+            std::fs::create_dir_all(dir.join(i.to_string())).unwrap();
+            let path = dir.join(i.to_string()).join(format!("kb{}.{ext}", i % 2));
+            std::fs::write(&path, text).unwrap();
+            paths.push(path);
+        }
+        assert_loads_agree(&paths, &format!("seed {seed}"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
