@@ -105,8 +105,10 @@ PRUNING   none | wep | cep | wnp | wnp-reciprocal | cnp | cnp-reciprocal
           (every method runs under every --backend, bit-identically;
           the default is streaming: one resolve never reuses the graph
           that materialized builds; --workers pins the parallelism of
-          every stage: file load, token pass, block build and the
-          comparison workers of the progressive loop included)
+          every stage: file load (N-Triples files are cut into
+          line-aligned pieces of at least 1 MiB, parsed side by side),
+          token pass, block build and the comparison workers of the
+          progressive loop included)
 WEIGHTING cbs | ecbs | js | ejs | arcs
 ";
 
@@ -358,8 +360,9 @@ fn all_cores() -> usize {
 }
 
 /// Files → [`Dataset`] in one pass, one KB per `--input` in the order
-/// given: each file is pulled statement by statement into a builder, up to
-/// `threads` files side by side.
+/// given: each file is read whole and parsed in place, its pieces (whole
+/// files, or line-aligned pieces of a large N-Triples file) up to `threads`
+/// side by side.
 fn load_dataset(inputs: &[String], threads: usize) -> Result<Dataset, CliError> {
     let mut builder = DatasetBuilder::new();
     builder

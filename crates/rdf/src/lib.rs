@@ -20,15 +20,20 @@
 //! Text becomes a [`Dataset`] in one pass: a parser yields [`Statement`]s
 //! and [`DatasetBuilder::add_statement`] files each under its subject. No
 //! intermediate triple list or store exists on this path
-//! ([`DatasetBuilder::load_file`] is what `minoan resolve` calls).
+//! ([`DatasetBuilder::load_files`] is what `minoan resolve` calls).
 //!
 //! * **Statement lifetime.** A [`Statement`]'s terms are `&str` slices of
 //!   what the parser is reading — the document for
 //!   [`ntriples::statements`] and [`turtle::for_each_statement`], the one
 //!   reusable line buffer for [`ntriples::StatementReader`] — so a
-//!   statement is valid until the parser moves on. [`Statement::to_triple`]
-//!   makes the owned copy; [`ntriples::parse_document`] and
-//!   [`parse_turtle`] are collectors that do exactly that.
+//!   statement is valid until the parser moves on. The file loaders read a
+//!   file whole and parse it in place, so their statements borrow the
+//!   file's bytes (or a line-aligned piece of them, when
+//!   [`DatasetBuilder::load_files`] parses one document on several
+//!   threads); only [`DatasetBuilder::load_ntriples`] streams through the
+//!   line buffer. [`Statement::to_triple`] makes the owned copy;
+//!   [`ntriples::parse_document`] and [`parse_turtle`] are collectors that
+//!   do exactly that.
 //! * **What allocates.** The N-Triples parser allocates only for a literal
 //!   that spells an escape (the `Cow` turns owned). Turtle additionally
 //!   composes prefixed names, base-relative IRIs and anonymous-node labels.

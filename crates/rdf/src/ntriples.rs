@@ -14,10 +14,23 @@
 //! feed it lines:
 //!
 //! * [`statements`] — an iterator over an in-memory document; statements
-//!   borrow from the document and may be kept as long as it lives;
+//!   borrow from the document and may be kept as long as it lives. The
+//!   file loaders read a file whole and go through this one, over the
+//!   whole file or over line-aligned pieces of it
+//!   ([`crate::DatasetBuilder::load_files`]);
 //! * [`StatementReader`] — a pull parser over any [`BufRead`] with one
 //!   reusable line buffer; a statement borrows from that buffer and is
 //!   valid until the next call.
+//!
+//! # One scan per term
+//!
+//! An IRI's end and a literal's next stop (its closing quote or an escape)
+//! are found eight bytes at a time: each 8-byte word of the line is tested
+//! for every stop byte at once with `u64` lane masks, and the first flagged
+//! lane is the answer. An IRI scan stops at `>` or at any byte that could
+//! be whitespace (a control byte, a space, or part of a multi-byte
+//! character); only then does the character-by-character whitespace test
+//! run. What is accepted and every error are exactly those of a byte loop.
 //!
 //! The owned API ([`parse_line`], [`parse_document`]) copies what those
 //! yield into [`Triple`]s; the writers ([`write_document`],
@@ -161,9 +174,7 @@ pub(crate) fn scan_quoted(
 ) -> Result<(Cow<'_, str>, usize), Fault<'_>> {
     let bytes = rest.as_bytes();
     let stop = |from: usize| {
-        bytes[from..]
-            .iter()
-            .position(|&b| b == quote || b == b'\\' || (turtle && b == b'\n'))
+        find_lane(&bytes[from..], |word| literal_stops(word, quote, turtle))
             .map(|i| from + i)
             .ok_or(Fault::UnterminatedLiteral)
     };
@@ -188,6 +199,67 @@ pub(crate) fn scan_quoted(
         value.push_str(&rest[at..next]);
         at = next;
     }
+}
+
+/// `0x01` in every byte lane of a word.
+const LANES: u64 = u64::from_le_bytes([1; 8]);
+/// The high bit of every byte lane.
+const HIGH: u64 = LANES << 7;
+
+/// The high bit of every lane of `word` that is zero. Only the lowest
+/// flagged lane is sure to be zero — a borrow moves upwards from a zero
+/// lane and may flag lanes above it — and only it is ever read.
+#[inline]
+fn zero_lanes(word: u64) -> u64 {
+    word.wrapping_sub(LANES) & !word & HIGH
+}
+
+/// The lanes of `word` equal to `byte` (exact up to the lowest flag).
+#[inline]
+fn lanes_equal(word: u64, byte: u8) -> u64 {
+    zero_lanes(word ^ (LANES * u64::from(byte)))
+}
+
+/// The lanes an IRI scan stops at: `>`, or a byte that could be (part of)
+/// whitespace — at most `0x20`, or at least `0x80`.
+#[inline]
+fn iri_stops(word: u64) -> u64 {
+    lanes_equal(word, b'>') | ((word.wrapping_sub(LANES * 0x21) | word) & HIGH)
+}
+
+/// The lanes a quoted-string scan stops at: the closing `quote`, a
+/// backslash and, in Turtle, a raw newline.
+#[inline]
+fn literal_stops(word: u64, quote: u8, turtle: bool) -> u64 {
+    let newline = if turtle { lanes_equal(word, b'\n') } else { 0 };
+    lanes_equal(word, quote) | lanes_equal(word, b'\\') | newline
+}
+
+/// Index of the first byte of `bytes` in a lane `stops` flags — a search
+/// eight bytes at a time. `stops` flags a lane by its high bit and must be
+/// exact in the lowest lane it flags. The last, partial word is read
+/// zero-padded, and whatever its padding lanes say is ignored.
+#[inline]
+fn find_lane(bytes: &[u8], stops: impl Fn(u64) -> u64) -> Option<usize> {
+    let first = |flags: u64| (flags.trailing_zeros() / 8) as usize;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let flags = stops(u64::from_le_bytes(word.try_into().ok()?));
+        if flags != 0 {
+            return Some(at + first(flags));
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    if tail.is_empty() {
+        return None;
+    }
+    let mut word = [0; 8];
+    word[..tail.len()].copy_from_slice(tail);
+    let real = HIGH >> (8 * (8 - tail.len()));
+    let flags = stops(u64::from_le_bytes(word)) & real;
+    (flags != 0).then(|| at + first(flags))
 }
 
 /// Scans a language tag (`rest` starts right after the `@`).
@@ -219,14 +291,24 @@ impl<'a> Cursor<'a> {
 
     fn iri(&mut self) -> Result<&'a str, Fault<'a>> {
         self.expect('<')?;
-        let end = self.rest.find('>').ok_or(Fault::UnterminatedIri)?;
+        let bytes = self.rest.as_bytes();
+        let end = match find_lane(bytes, iri_stops) {
+            Some(at) if bytes[at] == b'>' => at,
+            // A byte that could be whitespace comes first (a control byte,
+            // a space, or the lead byte of a multi-byte character — so a
+            // char boundary), or nothing does: the IRI ends at the next
+            // `>`, and only a real whitespace character before it refuses
+            // it.
+            suspect => {
+                let from = suspect.ok_or(Fault::UnterminatedIri)?;
+                let end = from + self.rest[from..].find('>').ok_or(Fault::UnterminatedIri)?;
+                if self.rest[from..end].contains(char::is_whitespace) {
+                    return Err(Fault::IriWhitespace);
+                }
+                end
+            }
+        };
         let iri = &self.rest[..end];
-        // Whitespace is a control byte, a space, or hides in a multi-byte
-        // character: only then is the char-by-char test worth running.
-        let suspect = iri.bytes().any(|b| b <= b' ' || b >= 0x80);
-        if suspect && iri.contains(char::is_whitespace) {
-            return Err(Fault::IriWhitespace);
-        }
         self.rest = &self.rest[end + 1..];
         Ok(iri)
     }
@@ -388,13 +470,20 @@ impl<R: BufRead> StatementReader<R> {
 /// A failed `read_line` as a [`ParseError`]: `read_line` reports invalid
 /// UTF-8 as `InvalidData` and leaves the buffer untouched.
 fn read_fault(e: &std::io::Error, line: usize) -> ParseError {
-    let reason = if e.kind() == std::io::ErrorKind::InvalidData {
-        "invalid UTF-8".into()
-    } else {
-        // lint:allow(hot-path-alloc): the error path — once per failed document
-        format!("read failed: {e}")
-    };
+    if e.kind() == std::io::ErrorKind::InvalidData {
+        return invalid_utf8(line);
+    }
+    // lint:allow(hot-path-alloc): the error path — once per failed document
+    let reason = format!("read failed: {e}");
     ParseError { line, reason }
+}
+
+/// Invalid UTF-8 on line `line`, as every N-Triples front end reports it.
+pub(crate) fn invalid_utf8(line: usize) -> ParseError {
+    ParseError {
+        line,
+        reason: "invalid UTF-8".into(),
+    }
 }
 
 /// Parses a single (already trimmed, non-comment) N-Triples statement into
@@ -556,6 +645,74 @@ mod tests {
         assert!(parse_line("<http://a> <http://p> \"x\"@ .", 1).is_err());
         assert!(parse_line("<http://a> <http://p> \"x\"^^int .", 1).is_err());
         assert!(parse_line("_: <http://p> <http://o> .", 1).is_err());
+    }
+
+    /// The byte loops the lane searches replace.
+    fn iri_stop_by_bytes(bytes: &[u8]) -> Option<usize> {
+        bytes
+            .iter()
+            .position(|&b| b == b'>' || b <= b' ' || b >= 0x80)
+    }
+
+    fn literal_stop_by_bytes(bytes: &[u8], quote: u8, turtle: bool) -> Option<usize> {
+        bytes
+            .iter()
+            .position(|&b| b == quote || b == b'\\' || (turtle && b == b'\n'))
+    }
+
+    fn assert_searches_agree(bytes: &[u8]) {
+        assert_eq!(
+            find_lane(bytes, iri_stops),
+            iri_stop_by_bytes(bytes),
+            "IRI, {bytes:?}"
+        );
+        for (quote, turtle) in [(b'"', false), (b'"', true), (b'\'', true)] {
+            assert_eq!(
+                find_lane(bytes, |word| literal_stops(word, quote, turtle)),
+                literal_stop_by_bytes(bytes, quote, turtle),
+                "literal {quote} {turtle}, {bytes:?}"
+            );
+        }
+    }
+
+    /// Every byte value in every lane of every length 0–40 (so across the
+    /// 8-byte boundary and in the zero-padded tail), nothing to find at
+    /// all, and two or three candidate bytes together — the lowest must win
+    /// whatever borrow the ones above it cause.
+    #[test]
+    fn lane_searches_find_what_the_byte_loops_find() {
+        for len in 0..=40 {
+            let mut bytes = vec![b'a'; len];
+            assert_searches_agree(&bytes);
+            for at in 0..len {
+                for b in 0..=255u8 {
+                    bytes[at] = b;
+                    assert_searches_agree(&bytes);
+                }
+                bytes[at] = b'a';
+            }
+        }
+        let alphabet = [
+            0x00, 0x01, b'\t', b'\n', 0x1f, b' ', b'!', b'"', b'\'', b'=', b'>', b'?', b'[', b'\\',
+            b']', b'a', 0x7f, 0x80, 0xbf, 0xc3, 0xfe, 0xff,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |below: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize % below
+        };
+        for _ in 0..20_000 {
+            let len = draw(41);
+            let mut bytes = vec![b'a'; len];
+            for _ in 0..draw(4) {
+                if len > 0 {
+                    bytes[draw(len)] = alphabet[draw(alphabet.len())];
+                }
+            }
+            assert_searches_agree(&bytes);
+        }
     }
 
     #[test]

@@ -249,6 +249,38 @@ fn resolve_reports_do_not_depend_on_workers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One dirty KB in one file over 2 MiB, so `load_files` cuts it into two
+/// pieces at two workers and three at three: the report is the same to the
+/// byte at every worker count.
+#[test]
+fn one_file_resolves_the_same_however_it_is_cut() {
+    let dir = std::env::temp_dir().join(format!("minoan_cli_one_file_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    cli(&format!(
+        "generate --profile dirty --entities 1500 --seed 21 --out {}",
+        dir.display()
+    ))
+    .expect("generate");
+    let one = dir.join("dirty.nt");
+    let bytes = std::fs::metadata(&one).unwrap().len();
+    assert!(bytes > 2 << 20, "{bytes} B is not cut in three");
+    let resolve = |workers: usize| {
+        let line = format!(
+            "resolve --input {} --dirty --weighting js --pruning cep --budget 4000 \
+             --show 1000000 --workers {workers}",
+            one.display()
+        );
+        cli(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"))
+    };
+    let expect = resolve(1);
+    assert!(expect.starts_with("1 KBs"), "{expect}");
+    assert!(expect.lines().count() > 100, "every match is printed");
+    for workers in [2, 3] {
+        assert_eq!(resolve(workers), expect, "{workers} workers");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_errors_are_user_facing() {
     assert!(cli("resolve --input /nonexistent/file.nt").is_err());

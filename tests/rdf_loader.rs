@@ -901,3 +901,81 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+// ---- the statement parser against its earlier self --------------------------
+
+/// The seed document and alphabet of `rdf_hostile.rs`.
+const HOSTILE_SEED: &str = "@prefix k: <http://k/> .\n\
+<http://k/a> <http://k/name> \"Heraklion \\u0041\\t\\\"x\\\"\"@el .\n\
+# comment\n\
+_:b1 <http://k/p> \"42\"^^<http://www.w3.org/2001/XMLSchema#int> .\n\
+k:a k:knows [ k:name 'it\\'s' ; k:age 7 ] , _:b1 ;\n\
+    a k:City .\n\
+<http://k/\u{3ba}> <http://k/name> \"\\U0001F600 \u{3c0}\u{3cc}\u{3bb}\u{3b7}\" .\n";
+const HOSTILE_SPICE: &[u8] = b"<>\"'\\_:@^.;,[]#\n\r\t uU+-0aZ\xff\xc3\x80";
+
+/// Lines in the manner of `rdf_hostile.rs`'s corpus — its seed document
+/// mutated, random bytes and bytes from the grammar's alphabet — plus the
+/// malformed lines and generated documents above, and statements whose
+/// terms end at every offset of an 8-byte word.
+fn parser_corpus() -> Vec<String> {
+    let mut documents: Vec<Vec<u8>> = vec![HOSTILE_SEED.as_bytes().to_vec()];
+    for seed in 0..1500u64 {
+        let mut rng = Rng(seed);
+        let mut bytes = HOSTILE_SEED.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(4) {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = rng.below(bytes.len());
+            let byte = rng.pick(HOSTILE_SPICE);
+            match rng.below(4) {
+                0 => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                2 => {
+                    bytes.remove(at);
+                }
+                _ => bytes.truncate(at.max(1)),
+            }
+        }
+        documents.push(bytes);
+        let len = rng.below(300);
+        documents.push((0..len).map(|_| rng.next() as u8).collect());
+        documents.push((0..len).map(|_| rng.pick(HOSTILE_SPICE)).collect());
+    }
+    for seed in 0..100 {
+        let lines = document(seed, true).into_iter().map(|l| l.text);
+        documents.push(lines.collect::<Vec<_>>().join("\n").into_bytes());
+    }
+    documents.push(MALFORMED.join("\n").into_bytes());
+    for len in 0..24 {
+        let word = "w".repeat(len);
+        let term = format!("<http://{word}> <http://p/{word}> \"{word}\\\"{word}\"@en .\n");
+        let spaced = format!("<http://{word} x> <http://p/{word}\u{a0}> \"{word}");
+        documents.push((term + &spaced).into_bytes());
+    }
+    documents
+        .iter()
+        .flat_map(|bytes| {
+            let text = String::from_utf8_lossy(bytes).into_owned();
+            text.split('\n').map(str::to_string).collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// `parse_statement` gives every line of the corpus the `Statement` or the
+/// `ParseError` the parser gave it before its IRI and literal scans read
+/// eight bytes at a time: `(lines, FNV-1a of every result's Debug form)`
+/// as the byte-at-a-time parser computed it.
+#[test]
+fn parse_statement_reads_every_corpus_line_as_the_byte_scans_did() {
+    let (mut lines, mut digest) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+    for line in parser_corpus() {
+        let read = format!("{:?}\n", ntriples::parse_statement(&line, 1));
+        for b in read.bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        lines += 1;
+    }
+    assert_eq!((lines, digest), (24_597, 0x0312_9577_c69c_9e04));
+}
