@@ -1,17 +1,18 @@
-//! Criterion benches for meta-blocking (supports E3): graph build, the five
-//! weighting schemes, and each pruning family materialised vs streaming, on
-//! one small world — plus the ledger's `batch_dirty` meta-blocking stage
+//! Criterion benches for meta-blocking (supports E3): the blocking-graph
+//! build the supervised trainer samples from, and each pruning family on
+//! the streaming backend, on one small world — plus the ledger's
+//! `batch_dirty` meta-blocking stage
 //! (dirty mode, JS × CEP, streaming, two workers) at 400 entities, so the
 //! path that workload's claims rest on has a micro-level twin that keeps
 //! compiling. Nothing here writes a results file — build-vs-stream at
 //! scale is the ledger's `metablocking.run_s` (`BENCHMARK.json`), and the
 //! rows in `BENCH_metablocking.json` are history.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use minoan_blocking::{builders, filter, purge, BlockCollection, ErMode};
 use minoan_datagen::{generate, profiles};
 use minoan_metablocking::{
-    prune, BlockingGraph, ExecutionBackend, PruneOutcome, Pruning, Session, WeightingScheme,
+    BlockingGraph, ExecutionBackend, PruneOutcome, Pruning, Session, WeightingScheme,
 };
 use std::hint::black_box;
 
@@ -38,28 +39,11 @@ fn bench_metablocking(c: &mut Criterion) {
         b.iter(|| black_box(BlockingGraph::build(&cleaned)));
     });
 
-    let graph = BlockingGraph::build(&cleaned);
-    for scheme in WeightingScheme::ALL {
-        group.bench_with_input(
-            BenchmarkId::new("weights", scheme.name()),
-            &scheme,
-            |b, &s| b.iter(|| black_box(s.all_weights(&graph))),
-        );
-    }
-    group.bench_function("wep/arcs", |b| {
-        b.iter(|| black_box(prune::wep(&graph, WeightingScheme::Arcs)));
-    });
     group.bench_function("wep/arcs-streaming", |b| {
         b.iter(|| black_box(stream(&cleaned, WeightingScheme::Arcs, Pruning::Wep)));
     });
-    group.bench_function("wnp/arcs", |b| {
-        b.iter(|| black_box(prune::wnp(&graph, WeightingScheme::Arcs, false)));
-    });
     group.bench_function("wnp/arcs-streaming", |b| {
         b.iter(|| black_box(stream(&cleaned, WeightingScheme::Arcs, WNP)));
-    });
-    group.bench_function("cnp/js", |b| {
-        b.iter(|| black_box(prune::cnp(&graph, WeightingScheme::Js, false, None)));
     });
     group.bench_function("cnp/js-streaming", |b| {
         b.iter(|| {
@@ -69,9 +53,6 @@ fn bench_metablocking(c: &mut Criterion) {
             };
             black_box(stream(&cleaned, WeightingScheme::Js, cnp))
         });
-    });
-    group.bench_function("cep/ecbs", |b| {
-        b.iter(|| black_box(prune::cep(&graph, WeightingScheme::Ecbs, None)));
     });
     group.bench_function("cep/ecbs-streaming", |b| {
         b.iter(|| black_box(stream(&cleaned, WeightingScheme::Ecbs, Pruning::Cep(None))));
@@ -89,21 +70,13 @@ fn bench_metablocking(c: &mut Criterion) {
         });
     });
     // The session API's reason to exist: sweeping all five schemes reuses
-    // the shared state instead of rebuilding it per scheme.
+    // the shared sweep state.
     group.bench_function("sweep5-wnp/session", |b| {
         b.iter(|| {
             let mut session = Session::new(&cleaned);
             session.pruning(WNP);
             for scheme in WeightingScheme::ALL {
                 black_box(session.scheme(scheme).run());
-            }
-        });
-    });
-    group.bench_function("sweep5-wnp/rebuild", |b| {
-        b.iter(|| {
-            for scheme in WeightingScheme::ALL {
-                let g = BlockingGraph::build(&cleaned);
-                black_box(prune::wnp(&g, scheme, false));
             }
         });
     });

@@ -15,7 +15,7 @@ use std::hint::black_box;
 fn candidates(world: &minoan_datagen::GeneratedWorld) -> Vec<(EntityId, EntityId, f64)> {
     let blocks = builders::token_and_uri_blocking(&world.dataset, ErMode::CleanClean);
     let cleaned = filter::filter(&purge::purge(&blocks).collection);
-    // The session defaults: ARCS-weighted WNP on the materialised graph.
+    // The session defaults: ARCS-weighted WNP on the streaming backend.
     Session::new(&cleaned).run().into_candidates()
 }
 

@@ -121,12 +121,11 @@ pub fn exp3_metablocking(scale: usize, seed: u64) -> String {
     let world = generate(&profiles::center_dense(scale, seed));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
     let cleaned = filter::filter(&purge::purge(&blocks).collection);
-    // One session for the whole grid: the CSR graph is built once and
-    // every scheme × pruning cell reuses it.
+    // One session for the whole grid: every scheme × pruning cell reuses
+    // its sweep state.
     let mut session = Session::new(&cleaned);
-    let graph = session.graph();
-    let num_edges = graph.num_edges();
-    let base_pairs: Vec<(EntityId, EntityId)> = graph.edges().iter().map(|e| (e.a, e.b)).collect();
+    let base_pairs: Vec<(EntityId, EntityId)> = cleaned.distinct_pairs();
+    let num_edges = base_pairs.len();
     let base_q = metrics::blocking_quality(&world.dataset, &world.truth, &base_pairs);
 
     let mut out = String::new();

@@ -15,7 +15,8 @@ use minoan_er::{
 use minoan_eval::report::fmt3;
 use minoan_eval::{metrics, plot, Table};
 use minoan_metablocking::{
-    blast, FeatureExtractor, Perceptron, Pruning, Session, TrainingSet, WeightingScheme,
+    blast, BlockingGraph, FeatureExtractor, Perceptron, Pruning, Session, TrainingSet,
+    WeightingScheme,
 };
 use minoan_rdf::EntityId;
 use std::fmt::Write as _;
@@ -94,17 +95,17 @@ pub fn exp10_metablocking_extensions(scale: usize, seed: u64) -> String {
         minoan_blocking::builders::token_and_uri_blocking(&world.dataset, ErMode::CleanClean);
     let cleaned =
         minoan_blocking::filter::filter(&minoan_blocking::purge::purge(&blocks).collection);
-    // One session drives the whole pruner column — the graph (and, for
-    // the supervised row, the feature slab) is built once.
+    // One session drives the whole pruner column, reusing its sweep
+    // state.
     let mut session = Session::new(&cleaned);
-    let num_edges = session.graph().num_edges();
 
-    // The supervised model still trains on the session's graph.
+    // The supervised model trains on a sample of the blocking graph.
+    let graph = BlockingGraph::build(&cleaned);
+    let num_edges = graph.num_edges();
     let model = {
-        let graph = session.graph();
-        let extractor = FeatureExtractor::fit(graph);
+        let extractor = FeatureExtractor::fit(&graph);
         let train = TrainingSet::sample(
-            graph,
+            &graph,
             &extractor,
             |a, b| world.truth.is_match(a, b),
             50,

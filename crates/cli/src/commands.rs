@@ -60,13 +60,13 @@ COMMANDS
             literal values; overall: predicates, the share only one KB
             uses, the top 5. Repeated statements count once per KB file.
   resolve   --input FILE.nt --input FILE.nt [--strategy S] [--budget N]
-            [--blocking B] [--backend materialized|streaming|mapreduce]
+            [--blocking B] [--backend streaming|mapreduce]
             [--workers N] [--pruning P] [--weighting W] [--threshold T]
             [--show K] [--no-purge] [--dirty]
             Run the full pipeline over N-Triples/Turtle KBs and print
             matches.
   eval      --profile P --entities N --seed S [--strategy S] [--budget N]
-            [--blocking B] [--backend materialized|streaming|mapreduce]
+            [--blocking B] [--backend streaming|mapreduce]
             [--workers N] [--pruning P] [--weighting W] [--threshold T]
             [--clustering A] [--no-purge] [--dirty]
             Generate a world, resolve it, and score against ground truth;
@@ -103,8 +103,7 @@ BLOCKING  token | uri-infix | token+uri | attr-clustering | qgrams |
 PRUNING   none | wep | cep | wnp | wnp-reciprocal | cnp | cnp-reciprocal
           | blast
           (every method runs under every --backend, bit-identically;
-          the default is streaming: one resolve never reuses the graph
-          that materialized builds; --workers pins the parallelism of
+          the default is streaming; --workers pins the parallelism of
           every stage: file load (N-Triples files are cut into
           line-aligned pieces of at least 1 MiB, parsed side by side),
           token pass, block build and the comparison workers of the
@@ -334,7 +333,7 @@ fn pipeline_config(args: &Args) -> Result<PipelineConfig, CliError> {
     if let Some(b) = args.get("backend") {
         config.backend = minoan_metablocking::ExecutionBackend::parse(b).ok_or_else(|| {
             CliError(format!(
-                "unknown backend {b:?}; valid spellings: materialized | streaming | mapreduce"
+                "unknown backend {b:?}; valid spellings: streaming | mapreduce"
             ))
         })?;
     }
@@ -911,12 +910,11 @@ mod tests {
         for cmd in [
             "eval --profile center --entities 40 --seed 1 --backend bogus",
             "eval --profile center --entities 40 --seed 1 --backend stream",
+            "eval --profile center --entities 40 --seed 1 --backend materialized",
         ] {
             let err = run_str(cmd).unwrap_err();
             assert!(
-                err.0.contains("materialized")
-                    && err.0.contains("streaming")
-                    && err.0.contains("mapreduce"),
+                err.0.ends_with("valid spellings: streaming | mapreduce"),
                 "error must list the valid spellings, got: {}",
                 err.0
             );
@@ -925,7 +923,7 @@ mod tests {
 
     #[test]
     fn every_pruning_method_runs_under_every_backend() {
-        for backend in ["materialized", "streaming", "mapreduce"] {
+        for backend in ["streaming", "mapreduce"] {
             for pruning in [
                 "none",
                 "wep",
@@ -975,7 +973,7 @@ mod tests {
     }
 
     #[test]
-    fn mapreduce_backend_matches_materialised_from_the_cli() {
+    fn mapreduce_backend_matches_streaming_from_the_cli() {
         // The user-facing acceptance check: identical eval report (same
         // precision/recall/comparisons) whichever backend and worker
         // count the command line picks.

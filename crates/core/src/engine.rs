@@ -509,17 +509,13 @@ mod tests {
     use crate::matcher::MatcherConfig;
     use minoan_blocking::{builders, ErMode};
     use minoan_datagen::{generate, profiles, GeneratedWorld};
-    use minoan_metablocking::{prune, BlockingGraph, WeightingScheme};
+    use minoan_metablocking::Session;
 
+    /// ARCS × WNP candidates, the session defaults.
     fn candidates(g: &GeneratedWorld, mode: ErMode) -> Vec<(EntityId, EntityId, f64)> {
         let blocks = builders::token_blocking(&g.dataset, mode);
         let cleaned = minoan_blocking::filter::clean(&blocks);
-        let graph = BlockingGraph::build(&cleaned);
-        prune::wnp(&graph, WeightingScheme::Arcs, false)
-            .pairs
-            .into_iter()
-            .map(|p| (p.a, p.b, p.weight))
-            .collect()
+        Session::new(&cleaned).run().into_candidates()
     }
 
     fn resolver<'a>(g: &'a GeneratedWorld, config: ResolverConfig) -> ProgressiveResolver<'a> {

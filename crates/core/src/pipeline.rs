@@ -53,14 +53,11 @@ pub struct PipelineConfig {
     /// Meta-blocking pruning algorithm.
     pub pruning: PruningMethod,
     /// Meta-blocking execution backend. [`ExecutionBackend::Streaming`]
-    /// (the default: a one-shot pipeline never reuses a graph) runs
-    /// *every* pruning method (edge-centric WEP/CEP included) without
-    /// materialising the blocking graph;
-    /// [`ExecutionBackend::Materialized`] builds the CSR graph first —
-    /// ask for it by name when one session sweeps several schemes;
-    /// [`ExecutionBackend::MapReduce`] runs the entity-partitioned
+    /// (the default) runs *every* pruning method (edge-centric WEP/CEP
+    /// included) as scoped-thread sweeps that never build the blocking
+    /// graph; [`ExecutionBackend::MapReduce`] runs the entity-partitioned
     /// MapReduce jobs on [`minoan_mapreduce`]. Output is bit-identical
-    /// across all three.
+    /// across the two.
     pub backend: ExecutionBackend,
     /// Worker threads for every parallel stage: the token pass, the block
     /// build, purge/filter, the streaming sweeps / MapReduce engine and the
@@ -182,10 +179,8 @@ impl Pipeline {
 
     /// Runs meta-blocking, returning weighted candidates.
     ///
-    /// Every backend drives every [`PruningMethod`] natively through the
-    /// [`Session`] — there is deliberately no fall-through to the
-    /// materialised graph from the streaming or MapReduce arms, and the
-    /// three backends produce bit-identical candidates.
+    /// Both backends drive every [`PruningMethod`] natively through the
+    /// [`Session`] and produce bit-identical candidates.
     pub fn meta_block(&self, blocks: &BlockCollection) -> Vec<(EntityId, EntityId, f64)> {
         self.meta_block_session(blocks).run().into_candidates()
     }
@@ -374,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn alternative_backends_match_materialised_backend() {
+    fn backends_and_worker_counts_resolve_alike() {
         let g = generate(&profiles::center_dense(120, 9));
         for pruning in [
             PruningMethod::None,
@@ -433,9 +428,9 @@ mod tests {
                     weighting: scheme,
                     ..Default::default()
                 };
-                let mat = Pipeline::new(base.clone());
-                let blocks = mat.clean_blocks(mat.block(&g.dataset));
-                let m = mat.meta_block(&blocks);
+                let first = Pipeline::new(base.clone());
+                let blocks = first.clean_blocks(first.block(&g.dataset));
+                let m = first.meta_block(&blocks);
                 for backend in [ExecutionBackend::Streaming, ExecutionBackend::MapReduce] {
                     let s = Pipeline::new(PipelineConfig {
                         backend,
@@ -473,15 +468,13 @@ mod tests {
             workers: Some(3),
             ..Default::default()
         };
-        let m = Pipeline::new(cfg(ExecutionBackend::Materialized)).meta_block(&blocks);
+        let m = Pipeline::new(cfg(ExecutionBackend::Streaming)).meta_block(&blocks);
         assert!(!m.is_empty(), "supervised pruning kept nothing");
-        for backend in [ExecutionBackend::Streaming, ExecutionBackend::MapReduce] {
-            let s = Pipeline::new(cfg(backend)).meta_block(&blocks);
-            assert_eq!(m.len(), s.len(), "{backend:?}");
-            for (x, y) in m.iter().zip(&s) {
-                assert_eq!((x.0, x.1), (y.0, y.1), "{backend:?}");
-                assert_eq!(x.2.to_bits(), y.2.to_bits(), "{backend:?}: weight bits");
-            }
+        let s = Pipeline::new(cfg(ExecutionBackend::MapReduce)).meta_block(&blocks);
+        assert_eq!(m.len(), s.len());
+        for (x, y) in m.iter().zip(&s) {
+            assert_eq!((x.0, x.1), (y.0, y.1));
+            assert_eq!(x.2.to_bits(), y.2.to_bits(), "weight bits");
         }
     }
 

@@ -320,16 +320,12 @@ mod tests {
     use crate::matcher::MatcherConfig;
     use minoan_blocking::{builders, ErMode};
     use minoan_datagen::{generate, profiles, GeneratedWorld};
-    use minoan_metablocking::{prune, BlockingGraph, WeightingScheme};
+    use minoan_metablocking::Session;
 
+    /// ARCS × WNP candidates, the session defaults.
     fn candidates(g: &GeneratedWorld) -> Vec<(EntityId, EntityId, f64)> {
         let blocks = builders::token_blocking(&g.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        prune::wnp(&graph, WeightingScheme::Arcs, false)
-            .pairs
-            .into_iter()
-            .map(|p| (p.a, p.b, p.weight))
-            .collect()
+        Session::new(&blocks).run().into_candidates()
     }
 
     fn run(g: &GeneratedWorld, config: CompositeConfig) -> CompositeResolution {

@@ -229,17 +229,13 @@ mod tests {
     use minoan_blocking::{builders, ErMode};
     use minoan_datagen::{generate, profiles};
     use minoan_er::{Matcher, MatcherConfig, ProgressiveResolver, ResolverConfig, Strategy};
-    use minoan_metablocking::{prune, BlockingGraph, WeightingScheme};
+    use minoan_metablocking::Session;
 
     fn run(g: &minoan_datagen::GeneratedWorld, strategy: Strategy) -> minoan_er::Resolution {
         let blocks = builders::token_blocking(&g.dataset, ErMode::CleanClean);
         let cleaned = minoan_blocking::filter::clean(&blocks);
-        let graph = BlockingGraph::build(&cleaned);
-        let pairs: Vec<_> = prune::wnp(&graph, WeightingScheme::Arcs, false)
-            .pairs
-            .into_iter()
-            .map(|p| (p.a, p.b, p.weight))
-            .collect();
+        // ARCS × WNP candidates, the session defaults.
+        let pairs = Session::new(&cleaned).run().into_candidates();
         let matcher = Matcher::new(&g.dataset, MatcherConfig::default());
         ProgressiveResolver::new(
             &g.dataset,

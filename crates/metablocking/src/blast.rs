@@ -20,28 +20,13 @@
 //! χ² = |B| · (n11·n22 − n12·n21)² / (r1·r2·c1·c2), zero when any marginal
 //! is empty.
 
-use crate::graph::{BlockingGraph, Edge};
-use crate::prune::{PrunedComparisons, WeightedPair};
-use crate::weights::WeightingScheme;
-use minoan_rdf::EntityId;
-
 /// Default keep ratio of the loose pruning (BLAST's recommended 0.35…0.5
 /// range; JedAI defaults to 0.5 of the *sum of the two node maxima* — here
 /// we keep the simpler per-node-max formulation and default to 0.35).
 pub const DEFAULT_RATIO: f64 = 0.35;
 
-/// Pearson χ² weight of `edge` in `graph`.
-pub fn chi_square_weight(graph: &BlockingGraph, edge: &Edge) -> f64 {
-    chi_square_from_stats(
-        edge.common_blocks,
-        graph.blocks_of(edge.a),
-        graph.blocks_of(edge.b),
-        graph.num_blocks(),
-    )
-}
-
-/// Pearson χ² from raw statistics — the shared kernel of the materialised
-/// and streaming BLAST paths (bit-identical results for equal inputs).
+/// Pearson χ² of one edge from its statistics: `common_blocks` = |B_ab|,
+/// `blocks_a`/`blocks_b` = |B_a|/|B_b|, `num_blocks` = |B|.
 pub fn chi_square_from_stats(
     common_blocks: u32,
     blocks_a: u32,
@@ -70,88 +55,16 @@ pub fn chi_square_from_stats(
     (total * d * d / denom).max(0.0)
 }
 
-/// χ² weights of every edge, aligned with `graph.edges()`.
-pub fn chi_square_weights(graph: &BlockingGraph) -> Vec<f64> {
-    graph
-        .edges()
-        .iter()
-        .map(|e| chi_square_weight(graph, e))
-        .collect()
-}
-
-/// BLAST pruning: per node, keep edges with weight ≥ `ratio · local_max`;
-/// an edge survives if either endpoint keeps it (redundancy semantics).
-///
-/// The returned [`PrunedComparisons`] reports scheme
-/// [`WeightingScheme::Cbs`] as a placeholder label; the weights themselves
-/// are the χ² values.
-///
-/// # Panics
-/// Panics unless `0 < ratio ≤ 1`.
-#[doc(hidden)]
-pub fn blast(graph: &BlockingGraph, ratio: f64) -> PrunedComparisons {
-    assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
-    let weights = chi_square_weights(graph);
-    // Local maxima per node.
-    let n = graph.num_nodes();
-    let mut local_max = vec![0.0f64; n];
-    for (i, e) in graph.edges().iter().enumerate() {
-        let w = weights[i];
-        if w > local_max[e.a.index()] {
-            local_max[e.a.index()] = w;
-        }
-        if w > local_max[e.b.index()] {
-            local_max[e.b.index()] = w;
-        }
-    }
-    let mut pairs: Vec<WeightedPair> = graph
-        .edges()
-        .iter()
-        .enumerate()
-        .filter(|(i, e)| {
-            let w = weights[*i];
-            w > 0.0 && (w >= ratio * local_max[e.a.index()] || w >= ratio * local_max[e.b.index()])
-        })
-        .map(|(i, e)| WeightedPair {
-            a: e.a,
-            b: e.b,
-            weight: weights[i],
-        })
-        .collect();
-    pairs.sort_by(|x, y| {
-        y.weight
-            .partial_cmp(&x.weight)
-            .expect("chi-square weights are finite")
-            .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-    });
-    PrunedComparisons {
-        pairs,
-        scheme: WeightingScheme::Cbs,
-        input_edges: graph.num_edges(),
-    }
-}
-
-/// Convenience accessor: the χ² weight of a specific pair, if the edge
-/// exists.
-pub fn pair_weight(graph: &BlockingGraph, a: EntityId, b: EntityId) -> Option<f64> {
-    let (lo, hi) = (a.min(b), a.max(b));
-    graph
-        .incident(lo)
-        .iter()
-        .map(|&i| (i, graph.edge(i)))
-        .find(|(_, e)| e.a == lo && e.b == hi)
-        .map(|(i, _)| chi_square_weight(graph, graph.edge(i)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PrunedComparisons, Pruning, Session};
     use minoan_blocking::{BlockCollection, ErMode};
-    use minoan_rdf::DatasetBuilder;
+    use minoan_rdf::{DatasetBuilder, EntityId};
 
     /// Entities 0,1 in KB a; 2,3 in KB b. (0,2) co-occur in most blocks,
     /// (1,3) only in the big catch-all block.
-    fn graph() -> BlockingGraph {
+    fn collection() -> BlockCollection {
         let mut b = DatasetBuilder::new();
         let k0 = b.add_kb("a", "http://a/");
         let k1 = b.add_kb("b", "http://b/");
@@ -171,15 +84,22 @@ mod tests {
             ("k4".to_string(), vec![e(0), e(1), e(2), e(3)]),
             ("k5".to_string(), vec![e(1), e(2)]),
         ];
-        let c = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
-        BlockingGraph::build(&c)
+        BlockCollection::from_groups(&ds, ErMode::CleanClean, groups)
+    }
+
+    fn blast(c: &BlockCollection, ratio: f64) -> PrunedComparisons {
+        Session::new(c)
+            .pruning(Pruning::Blast { ratio })
+            .run()
+            .pruned
     }
 
     #[test]
     fn chi_square_rewards_systematic_cooccurrence() {
-        let g = graph();
-        let strong = pair_weight(&g, EntityId(0), EntityId(2)).unwrap();
-        let weak = pair_weight(&g, EntityId(1), EntityId(3)).unwrap();
+        // Six blocks: (0,2) share 4 of their 4 and 5; (1,3) share 2 of
+        // their 3 and 3.
+        let strong = chi_square_from_stats(4, 4, 5, 6);
+        let weak = chi_square_from_stats(2, 3, 3, 6);
         assert!(
             strong > weak,
             "systematic co-occurrence should outweigh catch-all: {strong} vs {weak}"
@@ -188,62 +108,59 @@ mod tests {
 
     #[test]
     fn chi_square_is_finite_and_nonnegative() {
-        let g = graph();
-        for w in chi_square_weights(&g) {
-            assert!(w.is_finite() && w >= 0.0);
+        for (cbs, a, b, n) in [(1, 1, 1, 1), (1, 3, 2, 6), (2, 2, 5, 6), (0, 0, 0, 0)] {
+            let w = chi_square_from_stats(cbs, a, b, n);
+            assert!(w.is_finite() && w >= 0.0, "{cbs}/{a}/{b}/{n}: {w}");
         }
     }
 
     #[test]
     fn blast_keeps_local_maxima() {
-        let g = graph();
-        let pruned = blast(&g, 0.99);
-        // Every node's strongest edge must survive at ratio ≈ 1.
-        for e in g.edges() {
-            let w = chi_square_weight(&g, e);
-            let is_max_somewhere = [e.a, e.b].iter().any(|&n| {
-                g.incident(n)
+        let c = collection();
+        // At ratio 1 an edge survives iff it is an endpoint's strongest
+        // (χ² ≥ 0 everywhere, so each endpoint's maximum is its
+        // strongest edge).
+        let all = blast(&c, f64::MIN_POSITIVE);
+        let pruned = blast(&c, 1.0);
+        for p in &all.pairs {
+            let is_max_somewhere = [p.a, p.b].iter().any(|&n| {
+                all.pairs
                     .iter()
-                    .all(|&i| chi_square_weight(&g, g.edge(i)) <= w + 1e-12)
+                    .filter(|q| q.a == n || q.b == n)
+                    .all(|q| q.weight <= p.weight)
             });
-            if is_max_somewhere && w > 0.0 {
-                assert!(
-                    pruned.pairs.iter().any(|p| p.a == e.a && p.b == e.b),
-                    "local max edge ({:?},{:?}) dropped",
-                    e.a,
-                    e.b
-                );
-            }
+            let kept = pruned.pairs.iter().any(|q| (q.a, q.b) == (p.a, p.b));
+            assert_eq!(kept, is_max_somewhere, "({:?},{:?})", p.a, p.b);
         }
     }
 
     #[test]
     fn lower_ratio_keeps_more() {
-        let g = graph();
-        let strict = blast(&g, 1.0).pairs.len();
-        let loose = blast(&g, 0.1).pairs.len();
-        assert!(loose >= strict);
-        assert!(loose <= g.num_edges());
+        let c = collection();
+        let strict = blast(&c, 1.0);
+        let loose = blast(&c, 0.1);
+        assert!(loose.pairs.len() >= strict.pairs.len());
+        assert!(loose.pairs.len() <= loose.input_edges);
     }
 
     #[test]
     fn output_is_sorted_descending() {
-        let g = graph();
-        let pruned = blast(&g, DEFAULT_RATIO);
+        let pruned = blast(&collection(), DEFAULT_RATIO);
         assert!(pruned.pairs.windows(2).all(|w| w[0].weight >= w[1].weight));
-        assert_eq!(pruned.input_edges, g.num_edges());
+        assert_eq!(pruned.input_edges, 4);
     }
 
     #[test]
     #[should_panic(expected = "ratio")]
     fn bad_ratio_rejected() {
-        blast(&graph(), 0.0);
+        blast(&collection(), 0.0);
     }
 
     #[test]
     fn zero_weight_edges_are_dropped() {
-        // A block structure where an edge's χ² is exactly zero (perfect
-        // independence) — single block containing everything.
+        // One block holding everything: |B| = B_i = B_j = CBS = 1, so the
+        // n22 row and column are empty and the χ² is exactly zero.
+        assert_eq!(chi_square_from_stats(1, 1, 1, 1), 0.0);
         let mut b = DatasetBuilder::new();
         let k0 = b.add_kb("a", "http://a/");
         let k1 = b.add_kb("b", "http://b/");
@@ -252,9 +169,6 @@ mod tests {
         let ds = b.build();
         let groups = vec![("k".to_string(), vec![EntityId(0), EntityId(1)])];
         let c = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
-        let g = BlockingGraph::build(&c);
-        // |B| = 1, B_i = B_j = CBS = 1 → n22 row/col zero → weight 0.
-        let pruned = blast(&g, 0.5);
-        assert!(pruned.pairs.is_empty());
+        assert!(blast(&c, 0.5).pairs.is_empty());
     }
 }

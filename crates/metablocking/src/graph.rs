@@ -6,9 +6,8 @@
 //! pair occurrence, which dominated end-to-end runtime on large worlds.
 //! The current layout is three flat slabs:
 //!
-//! * `edges` — the edge records, sorted by `(a, b)`; the slab *is* the
-//!   per-source-CSR: edges of source `a` occupy
-//!   `edge_offsets[a] .. edge_offsets[a + 1]`, sorted by target;
+//! * `edges` — the edge records, sorted by `(a, b)`, so the edges of
+//!   source `a` form one run, sorted by target;
 //! * `adj_offsets` / `adj_edges` — CSR adjacency over *both* endpoints:
 //!   edge indices incident to node `v` occupy
 //!   `adj_offsets[v] .. adj_offsets[v + 1]`, ascending.
@@ -56,8 +55,6 @@ const EDGE_PLACEHOLDER: Edge = Edge {
 pub struct BlockingGraph {
     /// Edge slab, sorted by `(a, b)`.
     edges: Vec<Edge>,
-    /// Per entity: start of its source-edge run in `edges` (len n+1).
-    edge_offsets: Vec<u32>,
     /// Per entity: start of its incident-edge run in `adj_edges` (len n+1).
     adj_offsets: Vec<u32>,
     /// Incident edge indices per entity, ascending (each edge twice).
@@ -66,8 +63,6 @@ pub struct BlockingGraph {
     blocks_of: Vec<u32>,
     /// Total number of blocks, |B|.
     num_blocks: usize,
-    /// Total block assignments BC = Σ |b| (drives CEP/CNP cardinalities).
-    total_assignments: u64,
 }
 
 impl BlockingGraph {
@@ -163,12 +158,10 @@ impl BlockingGraph {
             .collect();
         Self {
             edges,
-            edge_offsets,
             adj_offsets,
             adj_edges,
             blocks_of,
             num_blocks: collection.len(),
-            total_assignments: collection.total_assignments(),
         }
     }
 
@@ -188,11 +181,6 @@ impl BlockingGraph {
         self.num_blocks
     }
 
-    /// Total block assignments BC of the source collection.
-    pub fn total_assignments(&self) -> u64 {
-        self.total_assignments
-    }
-
     /// All edges, sorted by `(a, b)`.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
@@ -201,13 +189,6 @@ impl BlockingGraph {
     /// Edge by index.
     pub fn edge(&self, idx: u32) -> &Edge {
         &self.edges[idx as usize]
-    }
-
-    /// Edges whose *smaller* endpoint is `a`, sorted by target (the CSR
-    /// row of `a` in the edge slab).
-    pub fn edges_from(&self, a: EntityId) -> &[Edge] {
-        let i = a.index();
-        &self.edges[self.edge_offsets[i] as usize..self.edge_offsets[i + 1] as usize]
     }
 
     /// Indices of the edges incident to `e`, ascending.
@@ -225,18 +206,6 @@ impl BlockingGraph {
     /// |B_i| — number of blocks entity `e` belongs to.
     pub fn blocks_of(&self, e: EntityId) -> u32 {
         self.blocks_of[e.index()]
-    }
-
-    /// Nodes with at least one incident edge.
-    pub fn active_nodes(&self) -> usize {
-        self.adj_offsets.windows(2).filter(|w| w[1] > w[0]).count()
-    }
-
-    /// Approximate resident size of the graph in bytes (slabs only).
-    pub fn heap_bytes(&self) -> usize {
-        self.edges.len() * std::mem::size_of::<Edge>()
-            + (self.edge_offsets.len() + self.adj_offsets.len() + self.adj_edges.len()) * 4
-            + self.blocks_of.len() * 4
     }
 }
 
@@ -321,8 +290,6 @@ mod tests {
         assert_eq!(g.blocks_of(e(0)), 2);
         assert_eq!(g.blocks_of(e(3)), 2);
         assert_eq!(g.num_blocks(), 3);
-        assert_eq!(g.active_nodes(), 4);
-        assert_eq!(g.total_assignments(), 7);
     }
 
     #[test]
@@ -335,7 +302,7 @@ mod tests {
         );
         let g = BlockingGraph::build(&c);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.active_nodes(), 0);
+        assert!((0..2).all(|v| g.degree(e(v)) == 0));
     }
 
     #[test]
@@ -357,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_rows_agree_with_flat_edges() {
+    fn adjacency_agrees_with_flat_edges() {
         let ds = dataset(3, 3);
         let groups = vec![
             ("k1".to_string(), vec![e(0), e(3), e(4)]),
@@ -366,12 +333,6 @@ mod tests {
         ];
         let c = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
         let g = BlockingGraph::build(&c);
-        // edges_from(a) is exactly the sorted run of edges with source a.
-        let mut reassembled: Vec<Edge> = Vec::new();
-        for a in 0..g.num_nodes() as u32 {
-            reassembled.extend_from_slice(g.edges_from(EntityId(a)));
-        }
-        assert_eq!(reassembled, g.edges());
         // incident() lists each node's edges ascending and consistently.
         for v in 0..g.num_nodes() as u32 {
             let inc = g.incident(EntityId(v));

@@ -954,9 +954,7 @@ mod tests {
             }
             let got = inc.outcome();
             let blocks = token_blocking(&world.dataset, mode);
-            let want = Session::new(&blocks)
-                .backend(ExecutionBackend::Materialized)
-                .run();
+            let want = Session::new(&blocks).run();
             assert_same(&got, &want, &format!("{mode:?}: merged vs batch"));
         }
     }

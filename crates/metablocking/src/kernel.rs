@@ -1,14 +1,14 @@
 //! The shared neighbourhood-stats → edge-weight kernel.
 //!
-//! Every execution backend — the materialised pruners over the CSR graph
-//! ([`crate::prune`] via [`WeightingScheme::weight`]), the streaming sweeps
-//! (`crate::streaming`) and the MapReduce formulations
-//! ([`crate::parallel`]) — must produce *bit-identical* f64 weights. That
-//! only holds if the arithmetic lives in exactly one place: f64
-//! multiplication chains are association-order sensitive at the ulp level
-//! (ECBS/EJS multiply per-endpoint log factors), so three copies of the
-//! same formula drift the moment one is edited. This module is that single
-//! place:
+//! Every path that weighs an edge — the streaming sweeps
+//! (`crate::streaming`), the MapReduce formulations ([`crate::parallel`]),
+//! the incremental row cache and the CSR graph the supervised trainer
+//! samples ([`WeightingScheme::weight`]) — must produce *bit-identical*
+//! f64 weights. That only holds if the arithmetic lives in exactly one
+//! place: f64 multiplication chains are association-order sensitive at
+//! the ulp level (ECBS/EJS multiply per-endpoint log factors), so copies
+//! of the same formula drift the moment one is edited. This module is
+//! that single place:
 //!
 //! * [`weight_from_stats`] — the scalar kernel: per-pair co-occurrence
 //!   statistics (`|B_ij|`, ARCS sum) plus per-endpoint/global aggregates
@@ -191,9 +191,9 @@ pub(crate) fn blocks_of(collection: &BlockCollection) -> Vec<u32> {
 
 /// Weight of the current sweep's edge to neighbour `y`, with `(lo, hi)`
 /// the pair's endpoints in normalised (smaller, larger) order. The single
-/// kernel call site for every sweep-based backend: the materialised path
-/// always evaluates edges in that endpoint order, so bit-identity depends
-/// on this one body staying the only place the order is decided.
+/// kernel call site for every sweep-based backend: both endpoints of an
+/// edge weigh it in that order, so bit-identity depends on this one body
+/// staying the only place the order is decided.
 pub(crate) fn edge_weight<G: EdgeGlobals>(
     scheme: WeightingScheme,
     scratch: &SweepScratch,

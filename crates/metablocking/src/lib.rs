@@ -11,7 +11,7 @@
 //! The paper's contribution is a *family* of strategies meant to be swept
 //! and compared — five weighting schemes ([`WeightingScheme`]) × six
 //! pruning families ([`Pruning`]: none, WEP, CEP, WNP, CNP, BLAST, plus
-//! the supervised perceptron pruner) × three execution backends
+//! the supervised perceptron pruner) × two execution backends
 //! ([`ExecutionBackend`]). A [`Session`] exposes the whole matrix behind
 //! one builder-style call chain and returns one unified [`PruneOutcome`]
 //! for every combination:
@@ -33,12 +33,10 @@
 //! assert!(outcome.retention() < 1.0, "WNP must prune something");
 //! ```
 //!
-//! Crucially the session *owns the expensive shared state* — the CSR
-//! [`BlockingGraph`] and supervised feature slab for the materialised
-//! backend, the sweep ranges / weight globals / scratch pool for the
-//! streaming and MapReduce backends — and reuses it across runs, so a
-//! sweep over all five schemes costs one CSR build (or one scratch
-//! allocation), not five:
+//! Crucially the session *owns the expensive shared state* — the sweep
+//! ranges, the weight globals and the scratch pool — and reuses it across
+//! runs, so a sweep over all five schemes allocates its scratch once, not
+//! five times:
 //!
 //! ```
 //! # use minoan_datagen::{generate, profiles};
@@ -49,7 +47,7 @@
 //! let mut session = Session::new(&blocks);
 //! session.pruning(Pruning::Cnp { reciprocal: false, k: None });
 //! for scheme in WeightingScheme::ALL {
-//!     let outcome = session.scheme(scheme).run();   // graph built once
+//!     let outcome = session.scheme(scheme).run();   // state reused
 //!     assert!(!outcome.pairs().is_empty());
 //! }
 //! ```
@@ -57,19 +55,13 @@
 //! # Execution backends
 //!
 //! Meta-blocking is the pipeline's hot path, and every session runs on
-//! one of three backends, selected by [`ExecutionBackend`]:
+//! one of two backends, selected by [`ExecutionBackend`]. Neither ever
+//! builds the global edge set:
 //!
-//! * **Materialised** — build the [`BlockingGraph`] first, then prune it.
-//!   The graph lives in flat CSR slabs (edge records sorted by pair, plus
-//!   `offsets`/`edge-index` adjacency arrays); construction is a two-pass
-//!   counting sort over node-centric sweeps, parallelised over entity
-//!   ranges with scoped threads, with no hash map anywhere. The choice
-//!   for anything that needs random access to the whole edge set or
-//!   reuses one graph across many pruning runs.
-//! * **Streaming** — *every* pruning family runs without the global edge
-//!   slab: the `streaming` driver sweeps the collection entity by entity
-//!   on scoped threads, reconstructing each node's neighbourhood row in
-//!   dense epoch-reset accumulators, and emits only the kept pairs.
+//! * **Streaming** — the `streaming` driver sweeps the collection entity
+//!   by entity on scoped threads, reconstructing each node's
+//!   neighbourhood row in dense epoch-reset accumulators, and emits only
+//!   the kept pairs.
 //! * **MapReduce** — the paper's distributed formulation (reference
 //!   \[4\]) on [`minoan_mapreduce`]: [`parallel`] runs every pruning
 //!   family as *entity-partitioned* jobs that shuffle at most one record
@@ -77,22 +69,22 @@
 //!   edge-based strategy, kept as a baseline). These runs also fill
 //!   [`PruneOutcome::report`] with per-job [`JobReport`] stats.
 //!
-//! The two sweeping backends — and the incremental and query-time arms
-//! below — are *drivers* over one definition of each pruning family: a
-//! global criterion reduced once per corpus (WEP's fixed-shape pairwise
-//! mean, CEP's top-k sealed into descending runs and merged under a
-//! strict total order, exact f64 `max` for BLAST's and the supervised
-//! pruner's maxima), a
-//! rule over one neighbourhood row, and a vote combiner. A driver only
-//! decides which rows are visited and where the reduction merges. The
-//! materialised pruning bodies stay independent of that definition: they
-//! are the reference it is tested against.
+//! Both backends — and the incremental and query-time arms below — are
+//! *drivers* over one definition of each pruning family: a global
+//! criterion reduced once per corpus (WEP's fixed-shape pairwise mean,
+//! CEP's top-k sealed into descending runs and merged under a strict
+//! total order, exact f64 `max` for BLAST's and the supervised pruner's
+//! maxima), a rule over one neighbourhood row, and a vote combiner. A
+//! driver only decides which rows are visited and where the reduction
+//! merges.
 //!
-//! Output is bit-identical across all three backends for every method,
-//! scheme, variant, thread count and worker count (enforced by property
-//! tests), and session-state reuse never changes a bit either
-//! (`tests/session_reuse.rs`); every f64 weight is computed through the
-//! single [`kernel::weight_from_stats`] body.
+//! Output is bit-identical across backends for every method, scheme,
+//! variant, thread count and worker count, and session-state reuse never
+//! changes a bit either. The workspace's integration suites check every
+//! driver against one test-only specification of meta-blocking
+//! (`tests/common/spec.rs`), and golden digests pin its output by value;
+//! every f64 weight is computed through the single
+//! [`kernel::weight_from_stats`] body.
 //!
 //! # Modules
 //!
@@ -115,18 +107,18 @@
 //!   backing the resolution server.
 //! * [`graph`] — the CSR blocking graph: one node per description, one
 //!   edge per *distinct* comparable pair, annotated with co-occurrence
-//!   statistics.
+//!   statistics; the supervised pruner's training sample is drawn from
+//!   it.
 //! * [`kernel`] — the shared neighbourhood-stats → weight kernel all
 //!   backends compute through.
 //! * [`weights`] — the five standard edge-weighting schemes (CBS, ECBS,
 //!   JS, EJS, ARCS).
-//! * [`prune`] — the materialised pruning bodies over a built graph (the
-//!   reference the drivers are compared against), plus the output type
-//!   [`PrunedComparisons`] and the default-k helpers.
-//! * [`blast`](mod@blast) — BLAST's χ² weighting and its materialised
-//!   loose per-node pruning.
+//! * [`prune`] — the output types [`WeightedPair`] and
+//!   [`PrunedComparisons`], their presentation order, and the WEP
+//!   threshold and default-k formulas.
+//! * [`blast`](mod@blast) — BLAST's χ² weight and default keep ratio.
 //! * [`supervised`] — perceptron-based supervised meta-blocking
-//!   (training, features, batched extraction, materialised pruning).
+//!   (features, training sample, averaged perceptron).
 
 #![forbid(unsafe_code)]
 
@@ -144,29 +136,22 @@ pub mod supervised;
 mod sweep;
 pub mod weights;
 
-#[doc(hidden)]
-pub use blast::blast;
-pub use blast::{chi_square_weight, chi_square_weights};
 pub use graph::{BlockingGraph, Edge};
 pub use incremental::{IncrementalSession, IngestReport};
 pub use parallel::JobReport;
 pub use prune::{PrunedComparisons, WeightedPair};
 pub use query::{locally_invalidatable, NeighbourhoodCache, ResolvedEntity};
 pub use session::{PruneOutcome, Pruning, Session};
-#[doc(hidden)]
-pub use supervised::supervised_prune;
 pub use supervised::{EdgeFeatures, FeatureExtractor, Perceptron, TrainingSet};
 pub use weights::WeightingScheme;
 
 /// Which execution path meta-blocking runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecutionBackend {
-    /// Build the CSR blocking graph, then prune it ([`prune`]).
+    /// Scoped-thread sweeps; the global edge set is never built for
+    /// *any* pruning method (node-centric WNP/CNP/BLAST and edge-centric
+    /// WEP/CEP alike).
     #[default]
-    Materialized,
-    /// Scoped-thread sweeps; the global edge set is never materialised
-    /// for *any* pruning method (node-centric WNP/CNP/BLAST and
-    /// edge-centric WEP/CEP alike).
     Streaming,
     /// Entity-partitioned MapReduce jobs on [`minoan_mapreduce`] — see
     /// [`parallel`]. The worker count is configured on the engine (or the
@@ -176,17 +161,12 @@ pub enum ExecutionBackend {
 
 impl ExecutionBackend {
     /// All backends, for equivalence sweeps.
-    pub const ALL: [ExecutionBackend; 3] = [
-        ExecutionBackend::Materialized,
-        ExecutionBackend::Streaming,
-        ExecutionBackend::MapReduce,
-    ];
+    pub const ALL: [ExecutionBackend; 2] =
+        [ExecutionBackend::Streaming, ExecutionBackend::MapReduce];
 
-    /// Parses the CLI/config spelling
-    /// (`materialized` | `streaming` | `mapreduce`).
+    /// Parses the CLI/config spelling (`streaming` | `mapreduce`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "materialized" | "materialised" => Some(Self::Materialized),
             "streaming" => Some(Self::Streaming),
             "mapreduce" | "map-reduce" => Some(Self::MapReduce),
             _ => None,
@@ -196,7 +176,6 @@ impl ExecutionBackend {
     /// The config spelling of this backend.
     pub fn name(self) -> &'static str {
         match self {
-            Self::Materialized => "materialized",
             Self::Streaming => "streaming",
             Self::MapReduce => "mapreduce",
         }

@@ -43,8 +43,8 @@
 //!   entity, at most once per session, when a pass reads the counted
 //!   globals (EJS, the supervised features, CNP's default `k`, a bare |V|).
 //!
-//! Results are **bit-identical** to the materialised and streaming
-//! backends at *any* worker count — `tests/parallel_consistency.rs`
+//! Results are **bit-identical** to the streaming backend at *any*
+//! worker count — `tests/parallel_consistency.rs`
 //! asserts the full scheme × family × worker matrix — and each run
 //! returns its per-job [`JobStats`] (via [`JobReport`], surfaced on
 //! [`PruneOutcome::report`](crate::PruneOutcome)) so the shuffle-volume

@@ -37,10 +37,10 @@
 //! partials merge; none restates a threshold test, a selection or a
 //! tie-break.
 //!
-//! The materialised bodies over the CSR edge index (`prune::{wep, cep,
-//! wnp, cnp}`, `blast::blast`, `supervised::prune_with_features`) are
-//! deliberately *not* built on this module: they are the independent
-//! reference every bit-identity suite compares these rules against.
+//! Nothing in the crate restates these rules. The workspace's integration
+//! suites check every driver against an independent, test-only
+//! specification (`tests/common/spec.rs`) written from the definitions
+//! alone.
 
 use crate::blast::chi_square_from_stats;
 use crate::kernel::{edge_weight, EdgeGlobals};
@@ -145,7 +145,7 @@ impl Weigher {
     /// it — the neighbours that sweep's direction reported, all of them,
     /// each with the shared-block count the sweep accumulated — every
     /// pair evaluated in normalised `(smaller, larger)` endpoint order,
-    /// the order the materialised path weighs the edge slab in.
+    /// so both endpoints' rows carry the same bits.
     pub(crate) fn fill<G: EdgeGlobals>(
         self,
         scratch: &SweepScratch,
@@ -202,10 +202,9 @@ pub(crate) fn normalised(a: u32, y: u32, w: f64) -> WeightedPair {
 }
 
 /// Key of the cardinality selections (CEP's global top-k, CNP's per-node
-/// top-k): weight descending, ties to the *earlier* pair. Identical to
-/// the materialised `(weight, Reverse(edge rank))` order because the edge
-/// slab is sorted by pair, and a strict total order — which is what makes
-/// a merged selection exact however the edges were partitioned.
+/// top-k): weight descending, ties to the *earlier* pair. A strict total
+/// order — which is what makes a merged selection exact however the
+/// edges were partitioned.
 pub(crate) type EdgeKey = (OrdF64, Reverse<(EntityId, EntityId)>);
 
 #[inline]
@@ -229,8 +228,7 @@ fn top_k(row: Row<'_>, k: usize) -> Vec<EdgeKey> {
     top.into_sorted_vec()
 }
 
-/// A row's largest weight; 0 for an all-non-positive row, like the
-/// materialised pass's accumulator.
+/// A row's largest weight; 0 for an all-non-positive row.
 #[inline]
 fn local_max(entries: &[Entry]) -> f64 {
     let mut max = 0.0f64;
@@ -440,9 +438,8 @@ impl CriterionFold {
     }
 
     /// Folds one row into a share. Entries are visited in ascending
-    /// neighbour order — the order the edge slab lists `a`'s forward
-    /// edges in — so WEP's per-entity sum carries the bits the
-    /// materialised pass accumulates.
+    /// neighbour order, so WEP's per-entity sum is accumulated in the
+    /// same order by every driver.
     pub(crate) fn fold(&self, acc: &mut Partial, row: Row<'_>) {
         let a = row.a;
         match self {
@@ -594,8 +591,7 @@ impl Rule<'_> {
 
     /// The vote `row`'s entity casts over its *full* row. WNP's bar is
     /// `stats::mean_of` — `stats::mean` without the copy — over the row's
-    /// weights in ascending neighbour order, the vector the materialised
-    /// pass averages.
+    /// weights in ascending neighbour order.
     // `always`: this is the per-neighbour step of every query-time
     // resolve, and the cardinality arm's selection code makes LLVM leave it
     // out of line there — a measured fifth of a WNP resolve.
@@ -747,16 +743,11 @@ pub(crate) fn run<D: RowDriver>(
     scheme: WeightingScheme,
     pruning: &Pruning,
 ) -> PrunedComparisons {
-    // BLAST and the supervised pruner report their own weights (χ²,
-    // sigmoid margins) under the CBS label, like the materialised bodies.
-    let label = match pruning {
-        Pruning::Blast { .. } | Pruning::Supervised(_) => WeightingScheme::Cbs,
-        _ => scheme,
-    };
     let (criterion, counted) = criterion(driver, scheme, pruning);
     let (pairs, forward) = match criterion {
         Criterion::Cep(pairs) => (pairs, counted),
-        // Explicit zero cardinality: mirror `prune::cnp`'s guard.
+        // Explicit zero cardinality keeps nothing, but still reports
+        // the input edges.
         Criterion::CnpK(0) => (Vec::new(), None),
         criterion => {
             let criterion = &criterion;
@@ -765,8 +756,7 @@ pub(crate) fn run<D: RowDriver>(
             if let Some(reciprocal) = rule.votes() {
                 pairs = driver.combine(pairs, reciprocal);
             }
-            // The unpruned outcome stays in pair order — the order the
-            // edge slab is sorted in.
+            // The unpruned outcome stays in pair order.
             if !matches!(pruning, Pruning::None) {
                 prune::present(&mut pairs);
             }
@@ -774,11 +764,7 @@ pub(crate) fn run<D: RowDriver>(
         }
     };
     let input_edges = forward.map_or_else(|| driver.num_edges(), |f| f as usize);
-    PrunedComparisons {
-        pairs,
-        scheme: label,
-        input_edges,
-    }
+    PrunedComparisons { pairs, input_edges }
 }
 
 #[cfg(test)]

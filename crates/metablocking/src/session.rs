@@ -2,35 +2,31 @@
 //!
 //! The paper's contribution is a *family* of meta-blocking strategies
 //! meant to be swept and compared — five weighting schemes × six pruning
-//! families × three execution backends. A session makes that sweep cheap
+//! families × two execution backends. A session makes that sweep cheap
 //! and uniform: it borrows a block collection, is configured builder-style
 //! ([`Session::scheme`], [`Session::pruning`], [`Session::backend`],
 //! [`Session::workers`]), and every [`Session::run`] returns the same
 //! unified [`PruneOutcome`] whichever combination is selected.
 //!
 //! What makes it a session rather than a dispatcher is the **owned shared
-//! state**: the CSR [`BlockingGraph`] (and the supervised feature slab)
-//! for the materialised backend, and the sweep state — cost-balanced
-//! entity ranges, [`kernel`](crate::kernel) weight globals, the scratch
-//! pool — for the streaming and MapReduce backends. All of it is built
-//! lazily on first use and reused by every subsequent run, so sweeping
-//! all five schemes (or all pruning families) performs exactly one CSR
-//! build / one scratch allocation instead of one per call. The tests read
-//! that claim off the session itself: the address of its graph's edge
-//! slab (`tests/session_reuse.rs`) and the length of its scratch pool
-//! (the unit tests below).
+//! state**: the sweep state — cost-balanced entity ranges,
+//! [`kernel`](crate::kernel) weight globals, the scratch pool — that both
+//! backends run on. All of it is built lazily on first use and reused by
+//! every subsequent run, so sweeping all five schemes (or all pruning
+//! families) allocates one scratch instead of one per call. The unit
+//! tests below read that claim off the length of the session's scratch
+//! pool.
 //!
 //! Reuse never changes results: every combination stays bit-identical to
 //! a fresh single-shot run (enforced in `tests/session_reuse.rs`).
 
 use crate::blast;
-use crate::graph::BlockingGraph;
 use crate::parallel::{JobReport, MapReduce};
-use crate::prune::{self, PrunedComparisons, WeightedPair};
+use crate::prune::{PrunedComparisons, WeightedPair};
 use crate::query::{self, ResolvedEntity};
 use crate::rule::{self, Criterion, RowBuf, Rule, Weigher};
 use crate::streaming::Streaming;
-use crate::supervised::{self, EdgeFeatures, FeatureExtractor, Perceptron};
+use crate::supervised::Perceptron;
 use crate::sweep::SweepState;
 use crate::weights::WeightingScheme;
 use crate::ExecutionBackend;
@@ -45,7 +41,7 @@ use minoan_rdf::EntityId;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Pruning {
     /// No pruning: every blocking-graph edge survives, weighted, in pair
-    /// order (the order the edge slab is sorted in).
+    /// order.
     None,
     /// Weighted edge pruning: keep edges at or above the global mean
     /// weight (over positive-weight edges).
@@ -109,12 +105,12 @@ impl Pruning {
 /// statistics (shuffle volume, modeled makespan).
 #[derive(Clone, Debug)]
 pub struct PruneOutcome {
-    /// The retained comparisons with their weights, the scheme label and
-    /// the input-edge count.
+    /// The retained comparisons with their weights and the input-edge
+    /// count.
     pub pruned: PrunedComparisons,
     /// Per-job [`minoan_mapreduce::JobStats`] of the MapReduce run that
-    /// produced this outcome; empty for the materialised and streaming
-    /// backends (they run in-process, not as jobs).
+    /// produced this outcome; empty for the streaming backend (it runs
+    /// in-process, not as jobs).
     pub report: JobReport,
 }
 
@@ -169,8 +165,8 @@ impl PruneOutcome {
 /// let g = generate(&profiles::center_dense(120, 3));
 /// let blocks = builders::token_blocking(&g.dataset, ErMode::CleanClean);
 ///
-/// // Sweep all five schemes through one session: the CSR graph is built
-/// // once and reused.
+/// // Sweep all five schemes through one session: the sweep state is
+/// // built once and reused.
 /// let mut session = Session::new(&blocks);
 /// session.pruning(Pruning::Wnp { reciprocal: false });
 /// for scheme in WeightingScheme::ALL {
@@ -178,15 +174,10 @@ impl PruneOutcome {
 ///     assert!(outcome.pairs().len() <= outcome.input_edges());
 /// }
 ///
-/// // Every backend produces the same pairs, bit for bit.
-/// let m = session
-///     .scheme(WeightingScheme::Arcs)
-///     .backend(ExecutionBackend::Materialized)
-///     .run();
-/// let s = session.backend(ExecutionBackend::Streaming).run();
+/// // Both backends produce the same pairs, bit for bit.
+/// let s = session.scheme(WeightingScheme::Arcs).run();
 /// let p = session.backend(ExecutionBackend::MapReduce).workers(3).run();
-/// assert_eq!(m.pairs(), s.pairs());
-/// assert_eq!(m.pairs(), p.pairs());
+/// assert_eq!(s.pairs(), p.pairs());
 /// ```
 pub struct Session<'c> {
     collection: &'c BlockCollection,
@@ -195,8 +186,6 @@ pub struct Session<'c> {
     backend: ExecutionBackend,
     workers: Option<usize>,
     // Cached shared state, built lazily and reused across runs.
-    graph: Option<BlockingGraph>,
-    features: Option<(FeatureExtractor, Vec<EdgeFeatures>)>,
     sweep: SweepState<'c>,
     // Query-time pruning criterion, keyed by the scheme × pruning it was
     // built for (resolve_entity rebuilds it on a config switch).
@@ -205,16 +194,14 @@ pub struct Session<'c> {
 
 impl<'c> Session<'c> {
     /// A session over `collection` with the pipeline defaults:
-    /// ARCS-weighted WNP on the materialised backend.
+    /// ARCS-weighted WNP on the streaming backend.
     pub fn new(collection: &'c BlockCollection) -> Self {
         Self {
             collection,
             scheme: WeightingScheme::Arcs,
             pruning: Pruning::Wnp { reciprocal: false },
-            backend: ExecutionBackend::Materialized,
+            backend: ExecutionBackend::Streaming,
             workers: None,
-            graph: None,
-            features: None,
             sweep: SweepState::new(collection),
             criterion: None,
         }
@@ -239,9 +226,9 @@ impl<'c> Session<'c> {
         self
     }
 
-    /// Pins the worker count (streaming threads / MapReduce workers /
-    /// CSR build threads). Results never depend on it; the default is all
-    /// available parallelism.
+    /// Pins the worker count (streaming threads / MapReduce workers).
+    /// Results never depend on it; the default is all available
+    /// parallelism.
     pub fn workers(&mut self, workers: usize) -> &mut Self {
         self.workers = Some(workers.max(1));
         self
@@ -256,24 +243,10 @@ impl<'c> Session<'c> {
         self.workers.unwrap_or_else(default_threads).max(1)
     }
 
-    /// The session's CSR blocking graph, built on first use and cached.
-    /// Only the materialised backend needs it; the sweep backends never
-    /// build it.
-    pub fn graph(&mut self) -> &BlockingGraph {
-        if self.graph.is_none() {
-            self.graph = Some(BlockingGraph::build_with_threads(
-                self.collection,
-                self.threads(),
-            ));
-        }
-        self.graph.as_ref().expect("just built")
-    }
-
     /// Runs the configured scheme × pruning × backend combination,
     /// reusing every piece of shared state previous runs already built.
     pub fn run(&mut self) -> PruneOutcome {
         match self.backend {
-            ExecutionBackend::Materialized => self.run_materialized(),
             ExecutionBackend::Streaming => self.run_streaming(),
             ExecutionBackend::MapReduce => self.run_mapreduce(),
         }
@@ -298,7 +271,7 @@ impl<'c> Session<'c> {
     /// ```
     /// use minoan_datagen::{generate, profiles};
     /// use minoan_blocking::{builders, ErMode};
-    /// use minoan_metablocking::{ExecutionBackend, Pruning, Session, WeightingScheme};
+    /// use minoan_metablocking::{Pruning, Session, WeightingScheme};
     /// use minoan_rdf::EntityId;
     ///
     /// let g = generate(&profiles::center_dense(80, 3));
@@ -313,7 +286,7 @@ impl<'c> Session<'c> {
     /// let resolved = session.resolve_entity(e);
     ///
     /// // … are exactly the incident slice of the full-corpus outcome.
-    /// let full = session.backend(ExecutionBackend::Streaming).run();
+    /// let full = session.run();
     /// let incident: Vec<_> = full
     ///     .pairs()
     ///     .iter()
@@ -343,45 +316,6 @@ impl<'c> Session<'c> {
             query::sweep_row(st.collection, st.globals(), &st.pool, weigher, e, out)
         };
         query::resolve_rows(&mut load, entity, Rule { pruning, criterion })
-    }
-
-    fn run_materialized(&mut self) -> PruneOutcome {
-        let scheme = self.scheme;
-        let pruning = self.pruning;
-        self.graph();
-        if matches!(pruning, Pruning::Supervised(_)) && self.features.is_none() {
-            let graph = self.graph.as_ref().expect("graph just ensured");
-            self.features = Some(FeatureExtractor::fit_extract_all(graph));
-        }
-        let graph = self.graph.as_ref().expect("graph just ensured");
-        let pruned = match pruning {
-            Pruning::None => {
-                let pairs = graph
-                    .edges()
-                    .iter()
-                    .map(|e| WeightedPair {
-                        a: e.a,
-                        b: e.b,
-                        weight: scheme.weight(graph, e),
-                    })
-                    .collect();
-                PrunedComparisons {
-                    pairs,
-                    scheme,
-                    input_edges: graph.num_edges(),
-                }
-            }
-            Pruning::Wep => prune::wep(graph, scheme),
-            Pruning::Cep(k) => prune::cep(graph, scheme, k),
-            Pruning::Wnp { reciprocal } => prune::wnp(graph, scheme, reciprocal),
-            Pruning::Cnp { reciprocal, k } => prune::cnp(graph, scheme, reciprocal, k),
-            Pruning::Blast { ratio } => blast::blast(graph, ratio),
-            Pruning::Supervised(model) => {
-                let (_, features) = self.features.as_ref().expect("features just ensured");
-                supervised::prune_with_features(graph, features, &model)
-            }
-        };
-        PruneOutcome::local(pruned)
     }
 
     fn run_streaming(&mut self) -> PruneOutcome {
@@ -443,132 +377,10 @@ mod tests {
         assert!(!out.report.jobs.is_empty(), "MapReduce runs report jobs");
         assert!(out.shuffled_records() > 0);
         let local = Session::new(&blocks).run();
-        assert!(local.report.jobs.is_empty(), "local backends report none");
+        assert!(local.report.jobs.is_empty(), "streaming reports none");
         assert_eq!(local.shuffled_records(), 0);
     }
 
-    #[test]
-    fn pruning_none_keeps_every_edge_in_pair_order() {
-        let world = generate(&profiles::center_dense(60, 9));
-        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
-        for backend in ExecutionBackend::ALL {
-            let out = Session::new(&blocks)
-                .pruning(Pruning::None)
-                .backend(backend)
-                .run();
-            assert_eq!(out.pairs().len(), out.input_edges(), "{backend:?}");
-            assert!(
-                out.pairs()
-                    .windows(2)
-                    .all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b)),
-                "{backend:?}: unpruned output must stay in pair order"
-            );
-            assert_eq!(out.retention(), 1.0, "{backend:?}");
-        }
-    }
-
-    /// The two sweeping backends, each against the materialised
-    /// reference bodies (`prune`/`blast`/`supervised` over the CSR graph)
-    /// on one session.
-    const SWEEPING: [ExecutionBackend; 2] =
-        [ExecutionBackend::Streaming, ExecutionBackend::MapReduce];
-
-    fn assert_sweeps_match_reference(session: &mut Session<'_>, workers: usize, label: &str) {
-        session.workers(workers);
-        let reference = session.backend(ExecutionBackend::Materialized).run();
-        for backend in SWEEPING {
-            let out = session.backend(backend).run();
-            let label = format!("{label}/{backend:?}/w={workers}");
-            crate::assert_bit_identical(&out.pruned, &reference.pruned, &label);
-        }
-    }
-
-    #[test]
-    fn sweeping_backends_match_materialised_on_generated_world() {
-        let world = generate(&profiles::center_dense(150, 7));
-        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
-        let mut session = Session::new(&blocks);
-        let mut families = vec![
-            Pruning::None,
-            Pruning::Wep,
-            Pruning::Cep(None),
-            Pruning::Cep(Some(5)),
-            Pruning::Blast { ratio: 0.35 },
-        ];
-        for reciprocal in [false, true] {
-            families.push(Pruning::Wnp { reciprocal });
-            for k in [None, Some(3)] {
-                families.push(Pruning::Cnp { reciprocal, k });
-            }
-        }
-        for workers in [1, 4] {
-            for scheme in WeightingScheme::ALL {
-                for &pruning in &families {
-                    session.scheme(scheme).pruning(pruning);
-                    let label = format!("{pruning:?}/{scheme:?}");
-                    assert_sweeps_match_reference(&mut session, workers, &label);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sweeping_backends_match_materialised_supervised() {
-        let world = generate(&profiles::center_dense(150, 5));
-        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        let extractor = FeatureExtractor::fit(&graph);
-        let truth = |a, b| world.truth.is_match(a, b);
-        let set = supervised::TrainingSet::sample(&graph, &extractor, truth, 40, 17);
-        let model = Perceptron::train(&set, 12);
-        let mut session = Session::new(&blocks);
-        session.pruning(Pruning::Supervised(model));
-        assert!(
-            !session.run().pairs().is_empty(),
-            "model must keep something"
-        );
-        for workers in [1, 4] {
-            assert_sweeps_match_reference(&mut session, workers, "supervised");
-        }
-    }
-
-    #[test]
-    fn empty_collection_is_fine_on_every_backend() {
-        let ds = minoan_rdf::DatasetBuilder::new().build();
-        let groups = Vec::<(String, Vec<EntityId>)>::new();
-        let c = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
-        let mut session = Session::new(&c);
-        for backend in ExecutionBackend::ALL {
-            for pruning in Pruning::FAMILIES {
-                session.scheme(WeightingScheme::Ejs).pruning(pruning);
-                let out = session.backend(backend).workers(2).run();
-                assert!(out.pairs().is_empty(), "{backend:?}/{pruning:?}");
-                assert_eq!(out.input_edges(), 0, "{backend:?}/{pruning:?}: stats");
-            }
-        }
-    }
-
-    #[test]
-    fn explicit_zero_k_reports_stats() {
-        let world = generate(&profiles::center_dense(60, 8));
-        let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
-        let mut session = Session::new(&blocks);
-        session.scheme(WeightingScheme::Js);
-        let zero_cnp = Pruning::Cnp {
-            reciprocal: false,
-            k: Some(0),
-        };
-        for pruning in [Pruning::Cep(Some(0)), zero_cnp] {
-            session.pruning(pruning);
-            assert_sweeps_match_reference(&mut session, 3, &format!("{pruning:?}"));
-            let out = session.run();
-            assert!(out.pairs().is_empty(), "{pruning:?}");
-            assert!(out.input_edges() > 0, "{pruning:?}: stats survive");
-        }
-    }
-
-    /// A full scheme × family sweep at one worker allocates one pooled
-    /// scratch and never builds the CSR graph.
     #[test]
     fn streaming_sweep_allocates_exactly_one_scratch_at_one_worker() {
         let world = generate(&profiles::center_dense(100, 5));
@@ -582,7 +394,6 @@ mod tests {
             }
         }
         assert_eq!(session.sweep.pool.free_len(), 1, "one pooled scratch");
-        assert!(session.graph.is_none(), "streaming never builds the graph");
     }
 
     /// MapReduce runs draw scratches from the same session pool: across a
@@ -605,7 +416,6 @@ mod tests {
             (1..=workers).contains(&scratches),
             "a {workers}-worker sweep may hold 1..={workers} scratches, got {scratches}"
         );
-        assert!(session.graph.is_none(), "MapReduce never builds the graph");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The streaming backend: a scoped-thread row driver that never
 //! materialises the blocking graph.
 //!
-//! The materialised path builds the full edge slab (one record per
-//! distinct comparable pair) before pruning discards most of it. Pruning
-//! decisions need per-node neighbourhoods or a few global scalars, never
+//! Building the full edge slab (one record per distinct comparable pair)
+//! before pruning would keep what pruning discards. Pruning decisions
+//! need per-node neighbourhoods or a few global scalars, never
 //! random access to the whole slab — so this driver sweeps the block
 //! collection entity by entity (the crate-internal `sweep` module),
 //! rebuilds each node's row in dense epoch-reset accumulators, and hands
@@ -35,7 +35,8 @@
 //! materialising edges, run at most once per session.
 //!
 //! `tests/streaming_equivalence.rs` and `tests/session_reuse.rs` pin every
-//! cell of the streaming column bit-identical to its materialised twin.
+//! cell of the streaming column bit-identical to the test-only
+//! specification (`tests/common/spec.rs`).
 
 use crate::prune::WeightedPair;
 use crate::rule::{forward_len, CriterionFold, Partial, Row, RowBuf, RowDriver, Rule, Weigher};

@@ -10,25 +10,18 @@
 //! 1. [`FeatureExtractor`] — the feature vector of an edge: the five
 //!    standard scheme weights plus the two endpoint degrees, each
 //!    max-normalised over the graph so the perceptron sees `[0, 1]` inputs.
-//!    [`FeatureExtractor::extract_all`] batches extraction by walking the
-//!    CSR rows of the edge slab instead of doing per-edge lookups, and
-//!    [`FeatureExtractor::fit_extract_all`] computes the raw features
-//!    exactly once for both fitting and extraction.
 //! 2. [`TrainingSet::sample`] — a balanced labelled sample drawn
 //!    deterministically from a ground-truth oracle.
 //! 3. [`Perceptron`] — averaged-perceptron training and scoring.
-//! 4. `supervised_prune` — keeps the edges the model classifies as likely
-//!    matches; surviving edges are weighted by the decision margin, so
-//!    downstream progressive scheduling still gets a ranking. Reachable
-//!    from every backend through
-//!    [`Pruning::Supervised`](crate::Pruning::Supervised) on a
-//!    [`Session`](crate::Session); the sweep backends recompute the same
-//!    features through the shared weight kernel, so all three backends
-//!    stay bit-identical.
+//! 4. Pruning — [`Pruning::Supervised`](crate::Pruning::Supervised) on a
+//!    [`Session`](crate::Session) keeps the edges the model classifies as
+//!    likely matches; surviving edges are weighted by the sigmoid of the
+//!    decision margin, so downstream progressive scheduling still gets a
+//!    ranking. The sweeps compute the features through the shared weight
+//!    kernel, so every backend stays bit-identical.
 
 use crate::graph::{BlockingGraph, Edge};
 use crate::kernel::{self, EdgeGlobals};
-use crate::prune::{PrunedComparisons, WeightedPair};
 use crate::sweep::SweepScratch;
 use crate::weights::WeightingScheme;
 use minoan_rdf::EntityId;
@@ -50,47 +43,9 @@ impl FeatureExtractor {
     pub fn fit(graph: &BlockingGraph) -> Self {
         let mut max = [0.0f64; NUM_FEATURES];
         for e in graph.edges() {
-            for (i, v) in raw_features(graph, e).iter().enumerate() {
-                if *v > max[i] {
-                    max[i] = *v;
-                }
-            }
+            merge_feature_max(&mut max, &raw_features(graph, e));
         }
         Self { max }
-    }
-
-    /// Fits the extractor *and* extracts every edge's feature vector in
-    /// one batched pass: the raw features are computed exactly once (the
-    /// fit-then-extract path computes them twice), walking the edge slab
-    /// CSR row by CSR row. The returned vectors align with
-    /// `graph.edges()` and are bit-identical to per-edge
-    /// [`Self::extract`] calls.
-    pub fn fit_extract_all(graph: &BlockingGraph) -> (Self, Vec<EdgeFeatures>) {
-        let mut raw: Vec<[f64; NUM_FEATURES]> = Vec::with_capacity(graph.num_edges());
-        let mut max = [0.0f64; NUM_FEATURES];
-        for a in 0..graph.num_nodes() as u32 {
-            for e in graph.edges_from(EntityId(a)) {
-                let r = raw_features(graph, e);
-                merge_feature_max(&mut max, &r);
-                raw.push(r);
-            }
-        }
-        let extractor = Self { max };
-        let features = raw.into_iter().map(|r| extractor.normalise(r)).collect();
-        (extractor, features)
-    }
-
-    /// Batch-extracts every edge's feature vector with this (already
-    /// fitted) extractor, walking the CSR rows; aligned with
-    /// `graph.edges()`.
-    pub fn extract_all(&self, graph: &BlockingGraph) -> Vec<EdgeFeatures> {
-        let mut out = Vec::with_capacity(graph.num_edges());
-        for a in 0..graph.num_nodes() as u32 {
-            for e in graph.edges_from(EntityId(a)) {
-                out.push(self.normalise(raw_features(graph, e)));
-            }
-        }
-        out
     }
 
     /// Extracts the normalised feature vector of `edge`.
@@ -118,13 +73,6 @@ impl FeatureExtractor {
     }
 }
 
-impl EdgeFeatures {
-    /// Extracts with a throwaway extractor (tests / single edges).
-    pub fn extract(graph: &BlockingGraph, edge: &Edge) -> Self {
-        FeatureExtractor::fit(graph).extract(graph, edge)
-    }
-}
-
 fn raw_features(graph: &BlockingGraph, e: &Edge) -> [f64; NUM_FEATURES] {
     [
         WeightingScheme::Cbs.weight(graph, e),
@@ -138,11 +86,11 @@ fn raw_features(graph: &BlockingGraph, e: &Edge) -> [f64; NUM_FEATURES] {
 }
 
 /// Raw features of the forward edge `(a, y)` (`a < y`) from the current
-/// sweep's statistics — the sweep-backend twin of `raw_features`. Every
-/// entry goes through the same shared kernel as the materialised path
-/// ([`kernel::weight_from_stats`] per scheme, counted degrees for the
-/// last two slots), so the f64 bits agree across backends. `globals`
-/// must carry the counted tier (degrees + |V|).
+/// sweep's statistics — the sweep twin of `raw_features`. Every entry
+/// goes through the shared kernel ([`kernel::weight_from_stats`] per
+/// scheme, counted degrees for the last two slots), so the f64 bits
+/// agree across drivers. `globals` must carry the counted tier (degrees
+/// + |V|).
 pub(crate) fn raw_forward_features<G: EdgeGlobals>(
     scratch: &SweepScratch,
     a: u32,
@@ -338,53 +286,24 @@ impl Perceptron {
     }
 }
 
-/// Keeps the edges the model scores positive; weight = sigmoid(margin), so
-/// the output ranks like the unsupervised pruners. Features come from the
-/// batched [`FeatureExtractor::fit_extract_all`] (one raw-feature pass
-/// over the CSR rows instead of fit-then-extract's two).
-#[doc(hidden)]
-pub fn supervised_prune(graph: &BlockingGraph, model: &Perceptron) -> PrunedComparisons {
-    let (_, features) = FeatureExtractor::fit_extract_all(graph);
-    prune_with_features(graph, &features, model)
-}
-
-/// Scores pre-extracted features (aligned with `graph.edges()`) — the
-/// session path, which caches the feature vectors across models.
-pub(crate) fn prune_with_features(
-    graph: &BlockingGraph,
-    features: &[EdgeFeatures],
-    model: &Perceptron,
-) -> PrunedComparisons {
-    let pairs: Vec<WeightedPair> = graph
-        .edges()
-        .iter()
-        .zip(features)
-        .filter_map(|(e, f)| {
-            let score = model.score(f);
-            if score > 0.0 {
-                Some(WeightedPair {
-                    a: e.a,
-                    b: e.b,
-                    weight: sigmoid(score),
-                })
-            } else {
-                None
-            }
-        })
-        .collect();
-    PrunedComparisons::from_weighted_pairs(pairs, WeightingScheme::Cbs, graph.num_edges())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minoan_blocking::{builders, ErMode};
-    use minoan_datagen::{generate, profiles};
+    use crate::{Pruning, Session};
+    use minoan_blocking::{builders, BlockCollection, ErMode};
+    use minoan_datagen::{generate, profiles, GroundTruth};
 
-    fn graph_and_truth() -> (BlockingGraph, minoan_datagen::GroundTruth) {
+    fn world() -> (BlockCollection, GroundTruth) {
         let g = generate(&profiles::center_dense(150, 5));
-        let blocks = builders::token_blocking(&g.dataset, ErMode::CleanClean);
-        (BlockingGraph::build(&blocks), g.truth)
+        (
+            builders::token_blocking(&g.dataset, ErMode::CleanClean),
+            g.truth,
+        )
+    }
+
+    fn graph_and_truth() -> (BlockingGraph, GroundTruth) {
+        let (blocks, truth) = world();
+        (BlockingGraph::build(&blocks), truth)
     }
 
     #[test]
@@ -402,42 +321,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn extract_all_is_bit_identical_to_edge_by_edge() {
-        let (graph, _) = graph_and_truth();
-        let (fitted, batched) = FeatureExtractor::fit_extract_all(&graph);
-        assert_eq!(batched.len(), graph.num_edges());
-        // fit_extract_all's maxima equal fit's (same comparisons).
-        let separate = FeatureExtractor::fit(&graph);
-        assert_eq!(fitted.max, separate.max);
-        // The batched CSR-row walk must equal per-edge extraction, bitwise.
-        for (i, e) in graph.edges().iter().enumerate() {
-            let single = separate.extract(&graph, e);
-            for (a, b) in batched[i].0.iter().zip(&single.0) {
-                assert_eq!(a.to_bits(), b.to_bits(), "edge {i}");
-            }
-        }
-        // And extract_all on a pre-fitted extractor agrees too.
-        let again = separate.extract_all(&graph);
-        assert_eq!(again, batched);
-    }
-
     /// Regression: the CBS and ARCS feature columns must stay in parity
-    /// with the schemes' own weights — i.e. the batched extractor is the
+    /// with the schemes' own weights — i.e. the extracted feature is the
     /// scheme weight divided by its global maximum, bit for bit, for both
     /// the count-based (CBS) and the reciprocal-comparison (ARCS) scheme.
     #[test]
     fn cbs_vs_arcs_feature_parity_with_scheme_weights() {
         let (graph, _) = graph_and_truth();
-        let (_, features) = FeatureExtractor::fit_extract_all(&graph);
+        let extractor = FeatureExtractor::fit(&graph);
         for (column, scheme) in [(0usize, WeightingScheme::Cbs), (4, WeightingScheme::Arcs)] {
-            let weights = scheme.all_weights(&graph);
-            let max = weights.iter().cloned().fold(0.0f64, f64::max);
+            let weight = |e| scheme.weight(&graph, e);
+            let max = graph.edges().iter().map(weight).fold(0.0f64, f64::max);
             assert!(max > 0.0, "{scheme:?}: degenerate fixture");
-            for (i, f) in features.iter().enumerate() {
+            for (i, e) in graph.edges().iter().enumerate() {
                 assert_eq!(
-                    f.0[column].to_bits(),
-                    (weights[i] / max).to_bits(),
+                    extractor.extract(&graph, e).0[column].to_bits(),
+                    (weight(e) / max).to_bits(),
                     "{scheme:?} feature column diverged at edge {i}"
                 );
             }
@@ -486,12 +385,16 @@ mod tests {
     }
 
     #[test]
-    fn supervised_prune_beats_random_on_recall_density() {
-        let (graph, truth) = graph_and_truth();
+    fn supervised_pruning_beats_random_on_recall_density() {
+        let (blocks, truth) = world();
+        let graph = BlockingGraph::build(&blocks);
         let extractor = FeatureExtractor::fit(&graph);
         let set = TrainingSet::sample(&graph, &extractor, |a, b| truth.is_match(a, b), 50, 11);
         let model = Perceptron::train(&set, 15);
-        let pruned = supervised_prune(&graph, &model);
+        let pruned = Session::new(&blocks)
+            .pruning(Pruning::Supervised(model))
+            .run()
+            .pruned;
         assert!(!pruned.pairs.is_empty(), "model kept nothing");
         // Precision of retained pairs should exceed the graph's base rate.
         let base_rate = graph
@@ -519,13 +422,18 @@ mod tests {
         let empty = minoan_blocking::BlockCollection::from_groups(
             &g.dataset,
             ErMode::CleanClean,
-            Vec::<(String, Vec<minoan_rdf::EntityId>)>::new(),
+            Vec::<(String, Vec<EntityId>)>::new(),
         );
         let graph = BlockingGraph::build(&empty);
         let extractor = FeatureExtractor::fit(&graph);
         let set = TrainingSet::sample(&graph, &extractor, |_, _| false, 10, 3);
         assert!(set.is_empty());
         let model = Perceptron::train(&set, 5);
-        assert!(supervised_prune(&graph, &model).pairs.is_empty());
+        let mut session = Session::new(&empty);
+        assert!(session
+            .pruning(Pruning::Supervised(model))
+            .run()
+            .pairs()
+            .is_empty());
     }
 }

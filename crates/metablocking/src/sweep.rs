@@ -18,9 +18,10 @@
 //! read full neighbourhoods.
 //!
 //! Because blocks are visited in ascending id order in either direction,
-//! the f64 ARCS sums are accumulated in exactly the order the materialised
-//! graph build uses — which is what makes the streaming pruning paths
-//! *bit-identical* to the materialised ones.
+//! the f64 ARCS sums are accumulated in one order — ascending block id,
+//! which is key-string order — by the CSR graph build and every sweeping
+//! driver alike, which is what makes their pruning paths *bit-identical*
+//! to each other.
 //!
 //! What a sweep of `a` costs depends on the direction too — Σ sizes of
 //! `a`'s blocks in full, Σ members *after* `a` in them forward, which

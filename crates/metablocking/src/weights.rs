@@ -74,10 +74,10 @@ impl WeightingScheme {
     /// ≥ 0; higher = stronger co-occurrence evidence.
     ///
     /// Computed through [`kernel::weight_from_stats`] — the single
-    /// stats → weight body shared with the streaming and MapReduce
-    /// backends, so all three produce bit-identical f64 results for the
-    /// same inputs. Edge endpoints are already normalised (`edge.a <
-    /// edge.b` in the slab), matching the kernel's `(lo, hi)` contract.
+    /// stats → weight body every sweep computes through, so a graph edge
+    /// and a swept edge carry the same f64 bits. Edge endpoints are
+    /// already normalised (`edge.a < edge.b` in the slab), matching the
+    /// kernel's `(lo, hi)` contract.
     pub fn weight(self, graph: &BlockingGraph, edge: &Edge) -> f64 {
         kernel::weight_from_stats(
             self,
@@ -90,15 +90,6 @@ impl WeightingScheme {
             graph.degree(edge.b),
             graph.num_edges(),
         )
-    }
-
-    /// Weights of every edge, aligned with `graph.edges()`.
-    pub fn all_weights(self, graph: &BlockingGraph) -> Vec<f64> {
-        graph
-            .edges()
-            .iter()
-            .map(|e| self.weight(graph, e))
-            .collect()
     }
 }
 
@@ -190,15 +181,15 @@ mod tests {
     }
 
     #[test]
-    fn all_weights_align_with_edges() {
+    fn every_weight_is_finite_and_non_negative() {
         let g = graph();
         for scheme in WeightingScheme::ALL {
-            let ws = scheme.all_weights(&g);
-            assert_eq!(ws.len(), g.num_edges());
             assert!(
-                ws.iter().all(|w| w.is_finite() && *w >= 0.0),
-                "{:?}",
-                scheme
+                g.edges()
+                    .iter()
+                    .map(|e| scheme.weight(&g, e))
+                    .all(|w| w.is_finite() && w >= 0.0),
+                "{scheme:?}"
             );
         }
     }

@@ -3,7 +3,7 @@
 //! families recover matches that exact token blocking misses.
 
 use minoan::blocking::{pair_intersection, union, BlockingWorkflow, LshConfig, Method};
-use minoan::metablocking::{blast, supervised, FeatureExtractor, Perceptron, TrainingSet};
+use minoan::metablocking::{blast, FeatureExtractor, Perceptron, TrainingSet};
 use minoan::prelude::*;
 
 #[test]
@@ -17,13 +17,8 @@ fn every_method_composes_with_metablocking_and_matching() {
     ];
     for method in methods {
         let blocks = method.run(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        let pruned = prune::wnp(&graph, WeightingScheme::Arcs, false);
-        let pairs: Vec<_> = pruned
-            .pairs
-            .into_iter()
-            .map(|p| (p.a, p.b, p.weight))
-            .collect();
+        // ARCS × WNP candidates, the session defaults.
+        let pairs = Session::new(&blocks).run().into_candidates();
         let res = ProgressiveResolver::new(
             &world.dataset,
             Matcher::new(&world.dataset, MatcherConfig::default()),
@@ -99,15 +94,22 @@ fn workflow_feeds_supervised_metablocking_end_to_end() {
     let truth = &world.truth;
     let set = TrainingSet::sample(&graph, &extractor, |a, b| truth.is_match(a, b), 40, 59);
     let model = Perceptron::train(&set, 10);
-    let sup = supervised::supervised_prune(&graph, &model);
 
-    // BLAST pruning, unsupervised.
-    let bl = blast::blast(&graph, blast::DEFAULT_RATIO);
-
-    for (name, pruned) in [("supervised", &sup), ("blast", &bl)] {
-        assert!(!pruned.pairs.is_empty(), "{name} kept nothing");
-        assert!(pruned.pairs.len() <= graph.num_edges());
-        let pairs: Vec<_> = pruned.pairs.iter().map(|p| (p.a, p.b, p.weight)).collect();
+    // Supervised pruning, and BLAST pruning, unsupervised.
+    let mut session = Session::new(&blocks);
+    for (name, pruning) in [
+        ("supervised", Pruning::Supervised(model)),
+        (
+            "blast",
+            Pruning::Blast {
+                ratio: blast::DEFAULT_RATIO,
+            },
+        ),
+    ] {
+        let pruned = session.pruning(pruning).run();
+        assert!(!pruned.pairs().is_empty(), "{name} kept nothing");
+        assert!(pruned.pairs().len() <= graph.num_edges());
+        let pairs = pruned.into_candidates();
         let res = ProgressiveResolver::new(
             &world.dataset,
             Matcher::new(&world.dataset, MatcherConfig::default()),

@@ -83,9 +83,9 @@ proptest! {
         }
     }
 
-    /// Contract 3 — pipeline candidates are bit-identical across all
-    /// three backends on the new layout, and bit-identical to candidates
-    /// over the reference-built collection.
+    /// Contract 3 — pipeline candidates are bit-identical across both
+    /// backends on the new layout, and bit-identical to candidates over
+    /// the reference-built collection.
     #[test]
     fn pipeline_candidates_bit_identical_across_backends(seed in 0u64..500, n in 40usize..100) {
         let world = generate(&profiles::center_periphery(n, seed));
@@ -94,11 +94,7 @@ proptest! {
             let raw = reference_token_blocking(&world.dataset, ErMode::CleanClean, true);
             pipeline.meta_block(&pipeline.clean_blocks(raw))
         };
-        for backend in [
-            ExecutionBackend::Materialized,
-            ExecutionBackend::Streaming,
-            ExecutionBackend::MapReduce,
-        ] {
+        for backend in ExecutionBackend::ALL {
             let cfg = PipelineConfig {
                 backend,
                 workers: Some(3),

@@ -198,10 +198,10 @@ fn dirty_cep_reports_do_not_depend_on_backend_or_workers() {
         );
         cli(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"))
     };
-    let expect = resolve("materialized", 1);
+    let expect = resolve("streaming", 1);
     assert!(expect.contains("800 descriptions") && expect.contains("comparisons 1000"));
     assert!(expect.lines().count() > 300, "every match is printed");
-    for backend in ["streaming", "mapreduce", "materialized"] {
+    for backend in ["streaming", "mapreduce"] {
         for workers in [1, 2, 3, 8] {
             assert_eq!(
                 resolve(backend, workers),

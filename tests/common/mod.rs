@@ -1,10 +1,15 @@
 //! Helpers shared by the integration suites.
 
+#[allow(dead_code)]
+pub mod coverage;
+#[allow(dead_code)]
+pub mod spec;
+
 use minoan::blocking::{BlockCollection, ErMode};
 use minoan::common::FxHashMap;
 use minoan::metablocking::{
-    blast, prune, supervised_prune, BlockingGraph, ExecutionBackend, PruneOutcome,
-    PrunedComparisons, Pruning, Session, WeightedPair, WeightingScheme,
+    ExecutionBackend, PruneOutcome, PrunedComparisons, Pruning, Session, WeightedPair,
+    WeightingScheme,
 };
 use minoan::rdf::{tokenize, Dataset, EntityId};
 
@@ -24,38 +29,6 @@ pub fn session_run(
         .backend(backend)
         .workers(workers)
         .run()
-}
-
-/// The materialised reference every backend must match bit for bit: the
-/// `prune` / `blast` / `supervised_prune` bodies over the built CSR
-/// graph, called directly (no session in between).
-#[allow(dead_code)]
-pub fn reference(
-    graph: &BlockingGraph,
-    scheme: WeightingScheme,
-    pruning: Pruning,
-) -> PrunedComparisons {
-    match pruning {
-        Pruning::None => PrunedComparisons {
-            pairs: graph
-                .edges()
-                .iter()
-                .map(|e| WeightedPair {
-                    a: e.a,
-                    b: e.b,
-                    weight: scheme.weight(graph, e),
-                })
-                .collect(),
-            scheme,
-            input_edges: graph.num_edges(),
-        },
-        Pruning::Wep => prune::wep(graph, scheme),
-        Pruning::Cep(k) => prune::cep(graph, scheme, k),
-        Pruning::Wnp { reciprocal } => prune::wnp(graph, scheme, reciprocal),
-        Pruning::Cnp { reciprocal, k } => prune::cnp(graph, scheme, reciprocal, k),
-        Pruning::Blast { ratio } => blast(graph, ratio),
-        Pruning::Supervised(model) => supervised_prune(graph, &model),
-    }
 }
 
 /// CEP at the cardinalities where a selection can go wrong: one and two
@@ -98,7 +71,7 @@ pub fn assert_bit_identical(a: &PrunedComparisons, b: &PrunedComparisons, label:
 }
 
 /// As [`assert_bit_identical`], comparing a session [`PruneOutcome`]
-/// against a materialised single-shot [`reference`].
+/// against what the specification ([`spec::Spec::run`]) keeps.
 #[allow(dead_code)]
 pub fn assert_outcome_bit_identical(a: &PruneOutcome, b: &PrunedComparisons, label: &str) {
     assert_bit_identical(&a.pruned, b, label);

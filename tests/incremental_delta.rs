@@ -8,6 +8,7 @@
 
 mod common;
 
+use common::spec::Spec;
 use common::{assert_bit_identical, assert_pairs_bit_identical, SplitMix};
 use minoan::blocking::{builders, ErMode};
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
@@ -196,12 +197,9 @@ fn final_state_matches_batch_token_blocking() {
         }
         let got = inc.outcome();
         let blocks = builders::token_blocking(&g.dataset, mode);
-        let want = Session::new(&blocks)
-            .scheme(WeightingScheme::Js)
-            .pruning(Pruning::Wnp { reciprocal: true })
-            .backend(ExecutionBackend::Materialized)
-            .run();
-        assert_bit_identical(&got.pruned, &want.pruned, &format!("{mode:?} final"));
+        let wnp = Pruning::Wnp { reciprocal: true };
+        let want = Spec::of(&blocks).run(WeightingScheme::Js, wnp);
+        assert_bit_identical(&got.pruned, &want, &format!("{mode:?} final"));
     }
 }
 

@@ -53,12 +53,8 @@ fn composite_rules_and_threshold_matcher_agree_on_centers() {
     let world = generate(&profiles::center_dense(250, 41));
     let blocks = builders::token_and_uri_blocking(&world.dataset, ErMode::CleanClean);
     let cleaned = filter::filter(&purge::purge(&blocks).collection);
-    let graph = BlockingGraph::build(&cleaned);
-    let pairs: Vec<_> = prune::wnp(&graph, WeightingScheme::Arcs, false)
-        .pairs
-        .into_iter()
-        .map(|p| (p.a, p.b, p.weight))
-        .collect();
+    // ARCS × WNP candidates, the session defaults.
+    let pairs = Session::new(&cleaned).run().into_candidates();
 
     let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
     let rules =
@@ -100,12 +96,8 @@ fn oracle_headroom_brackets_the_real_engine() {
     let world = generate(&profiles::center_dense(200, 43));
     let blocks = builders::token_and_uri_blocking(&world.dataset, ErMode::CleanClean);
     let cleaned = filter::filter(&purge::purge(&blocks).collection);
-    let graph = BlockingGraph::build(&cleaned);
-    let pairs: Vec<_> = prune::wnp(&graph, WeightingScheme::Arcs, false)
-        .pairs
-        .into_iter()
-        .map(|p| (p.a, p.b, p.weight))
-        .collect();
+    // ARCS × WNP candidates, the session defaults.
+    let pairs = Session::new(&cleaned).run().into_candidates();
     let truth = &world.truth;
 
     let perfect = oracle::perfect_trace(&pairs, |a, b| truth.is_match(a, b), u64::MAX);

@@ -1,15 +1,17 @@
 //! Cross-crate property tests on meta-blocking invariants, over generated
 //! worlds of varying shape.
 
-use minoan::metablocking::{blast, prune};
 use minoan::prelude::*;
 use proptest::prelude::*;
 
-fn graph_for(seed: u64, n: usize) -> (minoan::datagen::GeneratedWorld, BlockingGraph) {
+fn blocks_for(seed: u64, n: usize) -> BlockCollection {
     let world = generate(&profiles::center_periphery(n, seed));
-    let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-    let graph = BlockingGraph::build(&blocks);
-    (world, graph)
+    builders::token_blocking(&world.dataset, ErMode::CleanClean)
+}
+
+/// One session run of `scheme` × `pruning` over `blocks`.
+fn run(blocks: &BlockCollection, scheme: WeightingScheme, pruning: Pruning) -> PruneOutcome {
+    Session::new(blocks).scheme(scheme).pruning(pruning).run()
 }
 
 proptest! {
@@ -19,9 +21,10 @@ proptest! {
     /// Jaccard scheme stays within [0, 1].
     #[test]
     fn weights_are_sane(seed in 0u64..300) {
-        let (_, graph) = graph_for(seed, 50);
+        let graph = BlockingGraph::build(&blocks_for(seed, 50));
         for scheme in WeightingScheme::ALL {
-            for (e, w) in graph.edges().iter().zip(scheme.all_weights(&graph)) {
+            for e in graph.edges() {
+                let w = scheme.weight(&graph, e);
                 prop_assert!(w.is_finite() && w >= 0.0, "{scheme:?} on {e:?} gave {w}");
                 if scheme == WeightingScheme::Js {
                     prop_assert!(w <= 1.0 + 1e-12);
@@ -34,18 +37,18 @@ proptest! {
     /// node-centric variant is a subset of the redundancy variant.
     #[test]
     fn pruning_subset_invariants(seed in 0u64..300) {
-        let (_, graph) = graph_for(seed, 50);
+        let blocks = blocks_for(seed, 50);
         let all: std::collections::HashSet<(EntityId, EntityId)> =
-            graph.edges().iter().map(|e| (e.a, e.b)).collect();
+            blocks.distinct_pairs().into_iter().collect();
         for scheme in [WeightingScheme::Cbs, WeightingScheme::Arcs] {
-            let redundancy = prune::wnp(&graph, scheme, false);
-            let reciprocal = prune::wnp(&graph, scheme, true);
+            let redundancy = run(&blocks, scheme, Pruning::Wnp { reciprocal: false });
+            let reciprocal = run(&blocks, scheme, Pruning::Wnp { reciprocal: true });
             let red: std::collections::HashSet<_> =
-                redundancy.pairs.iter().map(|p| (p.a, p.b)).collect();
-            for p in &reciprocal.pairs {
+                redundancy.pairs().iter().map(|p| (p.a, p.b)).collect();
+            for p in reciprocal.pairs() {
                 prop_assert!(red.contains(&(p.a, p.b)), "reciprocal ⊄ redundancy");
             }
-            for p in &redundancy.pairs {
+            for p in redundancy.pairs() {
                 prop_assert!(all.contains(&(p.a, p.b)), "pruned edge not in graph");
             }
         }
@@ -55,11 +58,10 @@ proptest! {
     /// retained weight strictly positive.
     #[test]
     fn blast_output_invariants(seed in 0u64..300, ratio in 0.1f64..1.0) {
-        let (_, graph) = graph_for(seed, 40);
-        let pruned = blast::blast(&graph, ratio);
-        prop_assert!(pruned.pairs.len() <= graph.num_edges());
-        prop_assert!(pruned.pairs.windows(2).all(|w| w[0].weight >= w[1].weight));
-        prop_assert!(pruned.pairs.iter().all(|p| p.weight > 0.0));
+        let pruned = run(&blocks_for(seed, 40), WeightingScheme::Arcs, Pruning::Blast { ratio });
+        prop_assert!(pruned.pairs().len() <= pruned.input_edges());
+        prop_assert!(pruned.pairs().windows(2).all(|w| w[0].weight >= w[1].weight));
+        prop_assert!(pruned.pairs().iter().all(|p| p.weight > 0.0));
     }
 
     /// Engine budget safety: for any budget, comparisons ≤ budget and the
@@ -68,12 +70,8 @@ proptest! {
     fn engine_budget_safety(seed in 0u64..200, budget in 0u64..400) {
         let world = generate(&profiles::center_dense(60, seed));
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        let pairs: Vec<_> = prune::wnp(&graph, WeightingScheme::Arcs, false)
-            .pairs
-            .into_iter()
-            .map(|p| (p.a, p.b, p.weight))
-            .collect();
+        // ARCS × WNP candidates, the session defaults.
+        let pairs = Session::new(&blocks).run().into_candidates();
         let res = ProgressiveResolver::new(
             &world.dataset,
             Matcher::new(&world.dataset, MatcherConfig::default()),

@@ -4,20 +4,22 @@
 //!
 //! The heart of the suite is the full equivalence matrix: every weighting
 //! scheme × every pruning family (WNP, CNP, WEP, CEP, BLAST; reciprocal
-//! variants included) × workers {1, 3, 8}, asserting the
-//! entity-partitioned MapReduce backend is **bit-identical** to the
-//! materialised one — pair-for-pair order, f64 weight bits and the
-//! reported input-edge counts. The edge-centric cells (WEP, CEP) run a
-//! second time in dirty mode over one KB of duplicates.
+//! variants included) × workers {1, 3, 8} on every named world of the
+//! coverage list (`common::coverage`), asserting the entity-partitioned
+//! MapReduce backend keeps exactly what the specification (`common::spec`,
+//! which materialises the whole edge set before it prunes) keeps —
+//! pair-for-pair order, f64 weight bits and the reported input-edge
+//! counts.
 
 use minoan::blocking::parallel::parallel_token_blocking;
 use minoan::blocking::{builders, ErMode};
 use minoan::metablocking::parallel::parallel_edge_weights_with_stats;
-use minoan::metablocking::{BlockingGraph, ExecutionBackend, Pruning, WeightingScheme};
+use minoan::metablocking::{ExecutionBackend, Pruning, Session, WeightingScheme};
 use minoan::prelude::*;
 
 mod common;
-use common::{assert_outcome_bit_identical, cep_cardinalities, reference, session_run};
+use common::spec::Spec;
+use common::{assert_outcome_bit_identical, coverage, session_run};
 
 #[test]
 fn parallel_blocking_identical_for_all_worker_counts() {
@@ -32,52 +34,24 @@ fn parallel_blocking_identical_for_all_worker_counts() {
     }
 }
 
-/// The full matrix: scheme × pruning family × worker count, entity-based
-/// MapReduce vs the materialised graph, bit-for-bit — every family on a
-/// clean–clean world, then the forward-sweeping edge-centric ones on a
-/// dirty world (`batch_dirty`'s shape) with CEP cut at the cardinalities
-/// around |V|.
+/// The full matrix: scheme × pruning family × worker count ×
+/// named world, entity-based MapReduce vs the specification,
+/// bit-for-bit.
 #[test]
 fn entity_partitioned_matrix_is_bit_identical_to_materialised() {
-    let world = generate(&profiles::center_dense(140, 13));
-    let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-    let cleaned = filter::clean(&blocks);
-    let mut families = vec![Pruning::Wep, Pruning::Cep(None), Pruning::Cep(Some(25))];
-    for reciprocal in [false, true] {
-        families.push(Pruning::Wnp { reciprocal });
-        for k in [None, Some(3)] {
-            families.push(Pruning::Cnp { reciprocal, k });
-        }
-    }
-    // BLAST is scheme-free (χ² weights), but rides the matrix anyway.
-    families.extend([0.35, 0.8].map(|ratio| Pruning::Blast { ratio }));
-
-    let duplicates = generate(&profiles::dirty_single(70, 13));
-    let dirty = filter::clean(&builders::token_blocking(
-        &duplicates.dataset,
-        ErMode::Dirty,
-    ));
-    let mut edge_centric = vec![Pruning::Wep];
-    edge_centric.extend(cep_cardinalities(BlockingGraph::build(&dirty).num_edges()));
-
-    for (mode, collection, families) in [
-        (ErMode::CleanClean, &cleaned, &families),
-        (ErMode::Dirty, &dirty, &edge_centric),
-    ] {
-        let graph = BlockingGraph::build(collection);
+    for (name, blocks) in coverage::named() {
+        let spec = Spec::of(&blocks);
         for workers in [1usize, 3, 8] {
+            let mut session = Session::new(&blocks);
+            session
+                .backend(ExecutionBackend::MapReduce)
+                .workers(workers);
             for scheme in WeightingScheme::ALL {
-                for &pruning in families {
+                for (label, pruning) in coverage::families(spec.num_edges()) {
                     assert_outcome_bit_identical(
-                        &session_run(
-                            collection,
-                            scheme,
-                            pruning,
-                            ExecutionBackend::MapReduce,
-                            workers,
-                        ),
-                        &reference(&graph, scheme, pruning),
-                        &format!("{mode:?}/{pruning:?}/{scheme:?}/w={workers}"),
+                        &session.scheme(scheme).pruning(pruning).run(),
+                        &spec.run(scheme, pruning),
+                        &format!("{name}/{label}/{scheme:?}/w={workers}"),
                     );
                 }
             }
@@ -85,13 +59,13 @@ fn entity_partitioned_matrix_is_bit_identical_to_materialised() {
     }
 }
 
-/// The unpruned path: the entity-based weighting job reproduces the edge
-/// slab exactly.
+/// The unpruned path: the entity-based weighting job reproduces every
+/// edge of the specification exactly.
 #[test]
 fn entity_partitioned_weighted_edges_match_the_slab() {
     let world = generate(&profiles::center_dense(120, 29));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-    let graph = BlockingGraph::build(&blocks);
+    let spec = Spec::of(&blocks);
     for workers in [1, 3, 8] {
         for scheme in WeightingScheme::ALL {
             assert_outcome_bit_identical(
@@ -102,7 +76,7 @@ fn entity_partitioned_weighted_edges_match_the_slab() {
                     ExecutionBackend::MapReduce,
                     workers,
                 ),
-                &reference(&graph, scheme, Pruning::None),
+                &spec.run(scheme, Pruning::None),
                 &format!("{scheme:?}/w={workers}"),
             );
         }

@@ -85,13 +85,13 @@ proptest! {
     fn meta_blocking_retains_subset_of_graph(cfg in arb_world()) {
         let world = generate(&cfg);
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
         let edge_set: std::collections::HashSet<(u32, u32)> =
-            graph.edges().iter().map(|e| (e.a.0, e.b.0)).collect();
+            blocks.distinct_pairs().iter().map(|&(a, b)| (a.0, b.0)).collect();
+        let mut session = Session::new(&blocks);
         for scheme in [WeightingScheme::Cbs, WeightingScheme::Arcs] {
-            let pruned = prune::wnp(&graph, scheme, false);
-            prop_assert!(pruned.pairs.len() <= graph.num_edges());
-            for p in &pruned.pairs {
+            let pruned = session.scheme(scheme).run();
+            prop_assert!(pruned.pairs().len() <= edge_set.len());
+            for p in pruned.pairs() {
                 prop_assert!(edge_set.contains(&(p.a.0, p.b.0)), "pruning invented an edge");
                 prop_assert!(p.weight > 0.0);
             }

@@ -1,10 +1,12 @@
-//! Property test: the streaming meta-blocking path and the materialised
-//! CSR-graph path produce **bit-identical** pruned pair sets for every
-//! pruning family — edge-centric WEP/CEP as well as node-centric WNP/CNP
-//! (and BLAST) — under all five weighting schemes, on random generated
-//! worlds (clean–clean, and for the edge-centric families a dirty
-//! single-KB world of duplicates too), for both the union and reciprocal
-//! variants, at thread counts 1/2/4/8.
+//! Property test: the streaming meta-blocking backend keeps exactly what
+//! the specification (`common::spec`) keeps — pair order, f64 weight
+//! bits and input-edge count — for every pruning family (edge-centric
+//! WEP/CEP, node-centric WNP/CNP, BLAST) under all five weighting
+//! schemes, on random generated worlds (clean–clean, and for the
+//! edge-centric families a dirty single-KB world of duplicates too), for
+//! both the union and reciprocal variants, at thread counts 1/2/4/8. The
+//! specification materialises the whole edge set before it prunes; the
+//! streaming sweeps never build it.
 
 use minoan::blocking::{builders, BlockCollection, ErMode};
 use minoan::metablocking::{BlockingGraph, ExecutionBackend, Pruning};
@@ -12,39 +14,52 @@ use minoan::prelude::*;
 use proptest::prelude::*;
 
 mod common;
-use common::{assert_outcome_bit_identical, cep_cardinalities, reference, session_run};
+use common::spec::Spec;
+use common::{assert_outcome_bit_identical, cep_cardinalities, coverage, session_run};
 
-/// Asserts one streaming session run against the materialised reference.
-fn assert_streams_like_reference(
-    blocks: &BlockCollection,
-    graph: &BlockingGraph,
+/// Asserts streaming session runs on `what`, one per thread count,
+/// against the specification.
+fn assert_streams_like_the_spec(
+    what: &str,
+    (blocks, spec): (&BlockCollection, &Spec),
     scheme: WeightingScheme,
     pruning: Pruning,
-    threads: usize,
+    threads: &[usize],
 ) {
-    assert_outcome_bit_identical(
-        &session_run(
-            blocks,
-            scheme,
-            pruning,
-            ExecutionBackend::Streaming,
-            threads,
-        ),
-        &reference(graph, scheme, pruning),
-        &format!("{pruning:?}/{}/t={threads}", scheme.name()),
-    );
+    let expect = spec.run(scheme, pruning);
+    for &t in threads {
+        assert_outcome_bit_identical(
+            &session_run(blocks, scheme, pruning, ExecutionBackend::Streaming, t),
+            &expect,
+            &format!("{what}/{pruning:?}/{}/t={t}", scheme.name()),
+        );
+    }
+}
+
+/// Every named world of the coverage list, every family and scheme, one
+/// thread and a sweep split four ways.
+#[test]
+fn every_named_world_streams_like_the_spec() {
+    for (name, blocks) in coverage::named() {
+        let spec = Spec::of(&blocks);
+        for scheme in WeightingScheme::ALL {
+            for (_, pruning) in coverage::families(spec.num_edges()) {
+                assert_streams_like_the_spec(name, (&blocks, &spec), scheme, pruning, &[1, 4]);
+            }
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// WNP and CNP agree bitwise between backends for every scheme,
+    /// WNP and CNP agree bitwise with the specification for every scheme,
     /// variant and thread count.
     #[test]
     fn streaming_equals_materialised(seed in 0u64..500, n in 40usize..120, threads in 1usize..5) {
         let world = generate(&profiles::center_periphery(n, seed));
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
+        let spec = Spec::of(&blocks);
         for scheme in WeightingScheme::ALL {
             for reciprocal in [false, true] {
                 for pruning in [
@@ -52,19 +67,20 @@ proptest! {
                     Pruning::Cnp { reciprocal, k: None },
                     Pruning::Cnp { reciprocal, k: Some(2) },
                 ] {
-                    assert_streams_like_reference(&blocks, &graph, scheme, pruning, threads);
+                    let world = (&blocks, &spec);
+                    assert_streams_like_the_spec("clean", world, scheme, pruning, &[threads]);
                 }
             }
         }
     }
 
-    /// Edge-centric WEP and CEP agree bitwise between backends for every
-    /// scheme at thread counts 1/2/4/8 — WEP's global mean comes from a
-    /// fixed-shape pairwise reduction, CEP's global top-k from per-thread
-    /// selections sealed into runs and merged, so neither may drift with
-    /// the partitioning — in clean–clean mode and in dirty mode over one
-    /// KB of duplicates (`batch_dirty`'s shape), where the forward sweeps
-    /// see every co-member as comparable.
+    /// Edge-centric WEP and CEP agree bitwise with the specification for
+    /// every scheme at thread counts 1/2/4/8 — WEP's global mean comes
+    /// from a fixed-shape pairwise reduction, CEP's global top-k from
+    /// per-thread selections sealed into runs and merged, so neither may
+    /// drift with the partitioning — in clean–clean mode and in dirty mode
+    /// over one KB of duplicates (`batch_dirty`'s shape), where the
+    /// forward sweeps see every co-member as comparable.
     #[test]
     fn streaming_wep_cep_equal_materialised(seed in 0u64..500, n in 40usize..120) {
         for (config, mode) in [
@@ -73,49 +89,40 @@ proptest! {
         ] {
             let world = generate(&config);
             let blocks = builders::token_blocking(&world.dataset, mode);
-            let graph = BlockingGraph::build(&blocks);
+            let spec = Spec::of(&blocks);
             let mut families = vec![Pruning::Wep, Pruning::Cep(Some(7))];
-            families.extend(cep_cardinalities(graph.num_edges()));
+            families.extend(cep_cardinalities(spec.num_edges()));
             for scheme in WeightingScheme::ALL {
                 for &pruning in &families {
-                    let expect = reference(&graph, scheme, pruning);
-                    for threads in [1usize, 2, 4, 8] {
-                        let backend = ExecutionBackend::Streaming;
-                        assert_outcome_bit_identical(
-                            &session_run(&blocks, scheme, pruning, backend, threads),
-                            &expect,
-                            &format!("{mode:?}/{pruning:?}/{}/t={threads}", scheme.name()),
-                        );
-                    }
+                    let (what, world) = (format!("{mode:?}"), (&blocks, &spec));
+                    assert_streams_like_the_spec(&what, world, scheme, pruning, &[1, 2, 4, 8]);
                 }
             }
         }
     }
 
-    /// The unpruned streaming edge enumeration reproduces the edge slab
-    /// (pairs, order and weight bits) without building it.
+    /// The unpruned streaming edge enumeration reproduces every edge of
+    /// the specification (pairs, order and weight bits) without building
+    /// the edge set.
     #[test]
     fn streaming_weighted_edges_equal_the_slab(seed in 0u64..500, n in 40usize..100) {
         let world = generate(&profiles::lod_cloud(n, seed));
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        for threads in [1usize, 4] {
-            for scheme in WeightingScheme::ALL {
-                assert_streams_like_reference(&blocks, &graph, scheme, Pruning::None, threads);
-            }
+        let spec = Spec::of(&blocks);
+        for scheme in WeightingScheme::ALL {
+            assert_streams_like_the_spec("lod", (&blocks, &spec), scheme, Pruning::None, &[1, 4]);
         }
     }
 
-    /// BLAST agrees bitwise between backends across keep ratios.
+    /// BLAST agrees bitwise with the specification across keep ratios.
     #[test]
     fn streaming_blast_equals_materialised(seed in 0u64..500, ratio in 0.1f64..1.0) {
         let world = generate(&profiles::center_dense(80, seed));
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        for threads in [1usize, 4] {
-            let blast = Pruning::Blast { ratio };
-            assert_streams_like_reference(&blocks, &graph, WeightingScheme::Arcs, blast, threads);
-        }
+        let spec = Spec::of(&blocks);
+        let blast = Pruning::Blast { ratio };
+        let arcs = WeightingScheme::Arcs;
+        assert_streams_like_the_spec("dense", (&blocks, &spec), arcs, blast, &[1, 4]);
     }
 
     /// The CSR graph build itself is thread-count invariant on random
