@@ -1,6 +1,5 @@
-//! Criterion benches for meta-blocking (supports E3): the blocking-graph
-//! build the supervised trainer samples from, and each pruning family on
-//! the streaming backend, on one small world — plus the ledger's
+//! Criterion benches for meta-blocking (supports E3): each pruning family
+//! on the streaming backend, on one small world — plus the ledger's
 //! `batch_dirty` meta-blocking stage
 //! (dirty mode, JS × CEP, streaming, two workers) at 400 entities, so the
 //! path that workload's claims rest on has a micro-level twin that keeps
@@ -11,9 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use minoan_blocking::{builders, filter, purge, BlockCollection, ErMode};
 use minoan_datagen::{generate, profiles};
-use minoan_metablocking::{
-    BlockingGraph, ExecutionBackend, PruneOutcome, Pruning, Session, WeightingScheme,
-};
+use minoan_metablocking::{ExecutionBackend, PruneOutcome, Pruning, Session, WeightingScheme};
 use std::hint::black_box;
 
 const WNP: Pruning = Pruning::Wnp { reciprocal: false };
@@ -35,10 +32,6 @@ fn bench_metablocking(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("metablocking");
     group.sample_size(10);
-    group.bench_function("graph-build", |b| {
-        b.iter(|| black_box(BlockingGraph::build(&cleaned)));
-    });
-
     group.bench_function("wep/arcs-streaming", |b| {
         b.iter(|| black_box(stream(&cleaned, WeightingScheme::Arcs, Pruning::Wep)));
     });

@@ -14,10 +14,7 @@ use minoan_er::{
 };
 use minoan_eval::report::fmt3;
 use minoan_eval::{metrics, plot, Table};
-use minoan_metablocking::{
-    blast, BlockingGraph, FeatureExtractor, Perceptron, Pruning, Session, TrainingSet,
-    WeightingScheme,
-};
+use minoan_metablocking::{blast, Perceptron, Pruning, Session, TrainingSet, WeightingScheme};
 use minoan_rdf::EntityId;
 use std::fmt::Write as _;
 
@@ -100,17 +97,9 @@ pub fn exp10_metablocking_extensions(scale: usize, seed: u64) -> String {
     let mut session = Session::new(&cleaned);
 
     // The supervised model trains on a sample of the blocking graph.
-    let graph = BlockingGraph::build(&cleaned);
-    let num_edges = graph.num_edges();
     let model = {
-        let extractor = FeatureExtractor::fit(&graph);
-        let train = TrainingSet::sample(
-            &graph,
-            &extractor,
-            |a, b| world.truth.is_match(a, b),
-            50,
-            seed,
-        );
+        let is_match = |a, b| world.truth.is_match(a, b);
+        let train = TrainingSet::sample(&mut session, is_match, 50, seed);
         Perceptron::train(&train, 15)
     };
 
@@ -148,7 +137,7 @@ pub fn exp10_metablocking_extensions(scale: usize, seed: u64) -> String {
         table.row(vec![
             name,
             pairs.len().to_string(),
-            fmt3(pairs.len() as f64 / num_edges.max(1) as f64),
+            fmt3(pairs.len() as f64 / out.input_edges().max(1) as f64),
             fmt3(pc),
             fmt3(pq),
         ]);

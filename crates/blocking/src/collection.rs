@@ -1,10 +1,7 @@
 //! The block collection data structure, stored in flat CSR slabs.
 //!
-//! Earlier revisions kept one heap allocation per block
-//! (`Box<[EntityId]>` member lists behind a `Vec<Block>`) plus a
-//! `Vec<Vec<BlockId>>` inverted index, and every purge/filter pass
-//! rebuilt all of it through string re-interning and fresh `Vec`s. The
-//! current layout mirrors the CSR blocking graph (`metablocking::graph`):
+//! Two offset/slab pairs and two per-block slabs, with no heap allocation
+//! per block or per entity:
 //!
 //! * `block_offsets` / `block_entities` — block `b`'s members occupy
 //!   `block_offsets[b] .. block_offsets[b + 1]`, sorted ascending;
@@ -678,70 +675,6 @@ impl BlockCollection {
         )
     }
 
-    /// The pre-flat successor path: re-sorts, re-counts and re-interns
-    /// every retained block through fresh owned storage, then rebuilds
-    /// the inverted index via per-entity `Vec`s. Kept **only** as the
-    /// measured baseline and equivalence oracle for the slab-based
-    /// `retain_*` passes (see `purge::legacy_purge_with` /
-    /// `filter::legacy_filter_with` and the `blocking_layout` suite).
-    #[doc(hidden)]
-    pub fn rebuild_from_blocks(&self, blocks: Vec<(Symbol, Vec<EntityId>)>) -> Self {
-        let mut keys = Interner::new();
-        let mut scratch = KbScratch::new(self.num_kbs);
-        let mut block_keys = Vec::with_capacity(blocks.len());
-        let mut owned: Vec<Vec<EntityId>> = Vec::with_capacity(blocks.len());
-        let mut comparisons = Vec::with_capacity(blocks.len());
-        for (old_key, mut entities) in blocks {
-            entities.sort_unstable();
-            entities.dedup();
-            let c = count_comparisons(&entities, &self.kb_of, self.mode, &mut scratch);
-            if c == 0 {
-                continue;
-            }
-            block_keys.push(keys.intern(self.keys.resolve(old_key)));
-            owned.push(entities);
-            comparisons.push(c);
-        }
-        // Legacy inverted index: one Vec per entity, then flatten.
-        let mut entity_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); self.num_entities()];
-        for (i, members) in owned.iter().enumerate() {
-            for &e in members {
-                entity_blocks[e.index()].push(BlockId(i as u32));
-            }
-        }
-        let mut block_offsets = vec![0u32];
-        let mut block_entities = Vec::new();
-        for members in owned {
-            block_entities.extend_from_slice(&members);
-            block_offsets.push(slab_len(&block_entities));
-        }
-        let mut entity_offsets = vec![0u32];
-        let mut entity_block_ids = Vec::new();
-        for bs in entity_blocks {
-            entity_block_ids.extend_from_slice(&bs);
-            entity_offsets.push(entity_block_ids.len() as u32);
-        }
-        let inv_cardinality = comparisons
-            .iter()
-            .map(|&c| 1.0 / (c as f64).max(1.0))
-            .collect();
-        let total_comparisons = comparisons.iter().sum();
-        Self {
-            mode: self.mode,
-            keys: Arc::new(keys),
-            block_keys,
-            block_offsets,
-            block_entities,
-            comparisons,
-            inv_cardinality,
-            entity_offsets,
-            entity_block_ids,
-            kb_of: self.kb_of.clone(),
-            num_kbs: self.num_kbs,
-            total_comparisons,
-        }
-    }
-
     /// Finalises a collection whose block-side slabs are already built:
     /// derives the reciprocal slab and transposes the block slab into the
     /// entity-side CSR.
@@ -1237,34 +1170,6 @@ mod tests {
                 assert_eq!(c.entity_blocks(e(i)), reference.entity_blocks(e(i)));
             }
             assert_eq!(c.total_comparisons(), reference.total_comparisons());
-        }
-    }
-
-    #[test]
-    fn retain_blocks_matches_legacy_rebuild() {
-        let ds = dataset();
-        let groups = vec![
-            ("k1".to_string(), vec![e(0), e(3)]),
-            ("k2".to_string(), vec![e(0), e(1), e(3), e(4)]),
-            ("k3".to_string(), vec![e(1), e(4)]),
-        ];
-        let c = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
-        let keep = [true, false, true];
-        let fast = c.retain_blocks(&keep, 2);
-        let legacy = c.rebuild_from_blocks(
-            c.blocks()
-                .filter(|b| keep[b.id.index()])
-                .map(|b| (b.key, b.entities.to_vec()))
-                .collect(),
-        );
-        assert_eq!(fast.len(), legacy.len());
-        for (a, b) in fast.blocks().zip(legacy.blocks()) {
-            assert_eq!(fast.key_str(a.id), legacy.key_str(b.id));
-            assert_eq!(a.entities, b.entities);
-            assert_eq!(a.comparisons, b.comparisons);
-        }
-        for i in 0..ds.len() as u32 {
-            assert_eq!(fast.entity_blocks(e(i)), legacy.entity_blocks(e(i)));
         }
     }
 }

@@ -6,9 +6,8 @@
 //! discriminative evidence — and rebuilds the collection from the retained
 //! (entity, block) assignments.
 
-use crate::collection::{BlockCollection, ErMode};
-// lint:allow(hash-order-leak): import feeds only the legacy oracle below
-use minoan_common::{default_threads, FxHashMap};
+use crate::collection::BlockCollection;
+use minoan_common::default_threads;
 use minoan_rdf::EntityId;
 
 /// Default retain ratio from the literature.
@@ -70,42 +69,6 @@ pub fn filter_with_threads(
     collection.retain_assignments(&keep_mask, threads)
 }
 
-/// The pre-flat filter: per-entity `to_vec` + full sort, hash-map
-/// regrouping of the retained assignments, and the legacy owned-`Vec`
-/// rebuild. Kept **only** as the equivalence reference for
-/// [`filter_with`] — see the `blocking_layout` suite.
-#[doc(hidden)]
-pub fn legacy_filter_with(collection: &BlockCollection, ratio: f64) -> BlockCollection {
-    assert!(
-        ratio > 0.0 && ratio <= 1.0,
-        "ratio must be in (0,1], got {ratio}"
-    );
-    // lint:allow(hash-order-leak): legacy oracle; entries sorted by block id before rebuild
-    let mut retained: FxHashMap<u32, Vec<EntityId>> = FxHashMap::default();
-    for e in 0..collection.num_entities() as u32 {
-        let e = EntityId(e);
-        let bs = collection.entity_blocks(e);
-        if bs.is_empty() {
-            continue;
-        }
-        let keep = ((ratio * bs.len() as f64).ceil() as usize).clamp(1, bs.len());
-        let mut sorted: Vec<_> = bs.to_vec();
-        // Fewest comparisons first; ties by id for determinism.
-        sorted.sort_by_key(|&b| (collection.block_comparisons(b), b));
-        for &b in sorted.iter().take(keep) {
-            retained.entry(b.0).or_default().push(e);
-        }
-    }
-    let mut blocks: Vec<_> = retained.into_iter().collect();
-    blocks.sort_unstable_by_key(|(b, _)| *b);
-    let rebuilt: Vec<_> = blocks
-        .into_iter()
-        .map(|(b, members)| (collection.block_key(crate::BlockId(b)), members))
-        .collect();
-    // lint:allow(legacy-oracle-reach): this IS the legacy oracle's own body
-    collection.rebuild_from_blocks(rebuilt)
-}
-
 /// Block filtering with the standard ratio 0.8.
 pub fn filter(collection: &BlockCollection) -> BlockCollection {
     filter_with(collection, DEFAULT_RATIO)
@@ -115,11 +78,6 @@ pub fn filter(collection: &BlockCollection) -> BlockCollection {
 pub fn clean(collection: &BlockCollection) -> BlockCollection {
     let purged = crate::purge::purge(collection);
     filter(&purged.collection)
-}
-
-/// Re-exported for symmetry with the other cleaning steps.
-pub fn mode_of(collection: &BlockCollection) -> ErMode {
-    collection.mode()
 }
 
 #[cfg(test)]
@@ -179,28 +137,7 @@ mod tests {
         let c = token_blocking(&g.dataset, ErMode::CleanClean);
         let cleaned = clean(&c);
         assert!(cleaned.total_comparisons() < c.total_comparisons());
-        assert_eq!(mode_of(&cleaned), ErMode::CleanClean);
-    }
-
-    #[test]
-    fn mask_filter_matches_legacy_filter() {
-        for (n, seed) in [(120usize, 3u64), (200, 7)] {
-            let g = generate(&profiles::center_dense(n, seed));
-            let c = token_blocking(&g.dataset, ErMode::CleanClean);
-            for ratio in [0.3, 0.5, 0.8, 1.0] {
-                let fast = filter_with(&c, ratio);
-                let legacy = legacy_filter_with(&c, ratio);
-                assert_eq!(fast.len(), legacy.len(), "ratio {ratio}");
-                for (a, b) in fast.blocks().zip(legacy.blocks()) {
-                    assert_eq!(fast.key_str(a.id), legacy.key_str(b.id));
-                    assert_eq!(a.entities, b.entities);
-                    assert_eq!(a.comparisons, b.comparisons);
-                }
-                for e in g.dataset.entities() {
-                    assert_eq!(fast.entity_blocks(e), legacy.entity_blocks(e));
-                }
-            }
-        }
+        assert_eq!(cleaned.mode(), ErMode::CleanClean);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! preserving row order inside each column. That is a counting sort
 //! (count → prefix-sum → fill), implemented here once.
 //!
-//! The parallel variant follows the PR-1 graph-build discipline: work is
-//! partitioned over contiguous *row* ranges with `std::thread::scope`,
-//! every output position is precomputed from per-thread counts, and the
-//! final gather writes disjoint column-range chunks — so the result is
-//! **bit-identical for every thread count**, including 1.
+//! The parallel variant partitions the work over contiguous *row* ranges
+//! with `std::thread::scope`, precomputes every output position from
+//! per-thread counts, and gathers into disjoint column-range chunks — so
+//! the result is **bit-identical for every thread count**, including 1.
 
 /// Exclusive prefix sum with a trailing total — the CSR offsets of
 /// per-group `counts`.

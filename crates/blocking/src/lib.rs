@@ -11,8 +11,8 @@
 //! The paper's pipeline is *block building → block purging → block
 //! filtering → meta-blocking*, and on power-law token-blocking output the
 //! first three stages dominate end-to-end wall clock once meta-blocking
-//! runs on the CSR graph. The whole layer is therefore flat and
-//! string-free, mirroring `metablocking::graph`:
+//! runs as node-centric sweeps over the collection. The whole layer is
+//! therefore flat and string-free:
 //!
 //! * **Build** — the token/URI builders intern each token into a
 //!   [`Symbol`](minoan_common::Symbol) *during* tokenisation

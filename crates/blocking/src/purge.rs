@@ -117,29 +117,6 @@ fn purge_limit(collection: &BlockCollection, smoothing: f64) -> u64 {
     limit
 }
 
-/// The pre-flat purge: identical cardinality scan, but the successor is
-/// produced by the legacy owned-`Vec` rebuild (per-block `to_vec`,
-/// re-sort, re-count, re-intern). Kept **only** as the equivalence
-/// reference for [`purge_with`] — see the `blocking_layout` suite.
-#[doc(hidden)]
-pub fn legacy_purge_with(collection: &BlockCollection, smoothing: f64) -> PurgeOutcome {
-    let limit = purge_limit(collection, smoothing);
-    let keep: Vec<_> = collection
-        .blocks()
-        .filter(|b| b.comparisons <= limit)
-        .map(|b| (b.key, b.entities.to_vec()))
-        .collect();
-    let purged_blocks = collection.len() - keep.len();
-    // lint:allow(legacy-oracle-reach): purge outcome reporting rebuilds via the compat path
-    let new = collection.rebuild_from_blocks(keep);
-    PurgeOutcome {
-        purged_comparisons: collection.total_comparisons() - new.total_comparisons(),
-        collection: new,
-        purged_blocks,
-        max_comparisons_per_block: limit,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,37 +218,6 @@ mod tests {
         let gentle = purge_with(&c, 2.0);
         let aggressive = purge_with(&c, 1.01);
         assert!(aggressive.collection.total_comparisons() <= gentle.collection.total_comparisons());
-    }
-
-    #[test]
-    fn mask_purge_matches_legacy_purge() {
-        let g = generate(&profiles::center_dense(220, 6));
-        let c = token_blocking(&g.dataset, ErMode::CleanClean);
-        for smoothing in [1.01, 1.025, 2.0] {
-            let fast = purge_with(&c, smoothing);
-            let legacy = legacy_purge_with(&c, smoothing);
-            assert_eq!(fast.purged_blocks, legacy.purged_blocks);
-            assert_eq!(fast.purged_comparisons, legacy.purged_comparisons);
-            assert_eq!(
-                fast.max_comparisons_per_block,
-                legacy.max_comparisons_per_block
-            );
-            assert_eq!(fast.collection.len(), legacy.collection.len());
-            for (a, b) in fast.collection.blocks().zip(legacy.collection.blocks()) {
-                assert_eq!(
-                    fast.collection.key_str(a.id),
-                    legacy.collection.key_str(b.id)
-                );
-                assert_eq!(a.entities, b.entities);
-                assert_eq!(a.comparisons, b.comparisons);
-            }
-            for e in g.dataset.entities() {
-                assert_eq!(
-                    fast.collection.entity_blocks(e),
-                    legacy.collection.entity_blocks(e)
-                );
-            }
-        }
     }
 
     #[test]

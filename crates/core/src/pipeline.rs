@@ -164,7 +164,7 @@ impl Pipeline {
     /// entry point everything in the pipeline (and the experiment
     /// harnesses) goes through. Callers that sweep several schemes or
     /// pruning families should hold on to the session so its shared
-    /// state (CSR graph, sweep scratch) is built once.
+    /// state (sweep ranges, weight globals, scratch) is built once.
     pub fn meta_block_session<'b>(&self, blocks: &'b BlockCollection) -> Session<'b> {
         let mut session = Session::new(blocks);
         session
@@ -454,13 +454,12 @@ mod tests {
 
     #[test]
     fn supervised_pruning_runs_through_the_pipeline_on_every_backend() {
-        use minoan_metablocking::{BlockingGraph, FeatureExtractor, Perceptron, TrainingSet};
+        use minoan_metablocking::{Perceptron, Session, TrainingSet};
         let g = generate(&profiles::center_dense(100, 21));
         let base = Pipeline::new(PipelineConfig::default());
         let blocks = base.clean_blocks(base.block(&g.dataset));
-        let graph = BlockingGraph::build(&blocks);
-        let extractor = FeatureExtractor::fit(&graph);
-        let set = TrainingSet::sample(&graph, &extractor, |a, b| g.truth.is_match(a, b), 40, 11);
+        let mut session = Session::new(&blocks);
+        let set = TrainingSet::sample(&mut session, |a, b| g.truth.is_match(a, b), 40, 11);
         let model = Perceptron::train(&set, 12);
         let cfg = |backend| PipelineConfig {
             pruning: PruningMethod::Supervised(model),

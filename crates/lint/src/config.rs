@@ -4,15 +4,17 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "legacy-oracle-reach"
-//! path = "crates/bench/src/*.rs"
-//! reason = "the bench harness exists to measure flat vs legacy paths"
+//! rule = "unwrap-in-lib"
+//! path = "crates/common/src/*.rs"
+//! reason = "the panic message is checked by the caller above"
 //! ```
 //!
 //! `path` is a glob over workspace-relative paths (`*` within one path
 //! segment, `**` across segments). `line` optionally pins the entry to one
-//! line. Every entry **must** carry a `reason` of at least ten characters —
-//! an allowlist entry without a written justification is a config error.
+//! line. Every entry **must** carry a `reason` of at least ten characters
+//! and name a rule the engine knows — an allowlist entry without a
+//! written justification, or one left behind by a retired rule, is a
+//! config error.
 
 /// One `[[allow]]` entry from `lint.toml`.
 #[derive(Clone, Debug)]
@@ -98,6 +100,12 @@ impl Config {
 fn validate(at: usize, entry: &ConfigAllow) -> Result<(), String> {
     if entry.rule.is_empty() {
         return Err(format!("lint.toml:{at}: [[allow]] entry is missing `rule`"));
+    }
+    if crate::rules::rule_by_name(&entry.rule).is_none() {
+        return Err(format!(
+            "lint.toml:{at}: [[allow]] entry names no rule: `{}`",
+            entry.rule
+        ));
     }
     if entry.path.is_empty() {
         return Err(format!("lint.toml:{at}: [[allow]] entry is missing `path`"));
@@ -189,7 +197,7 @@ mod tests {
 
     #[test]
     fn missing_reason_is_an_error() {
-        let err = Config::parse("[[allow]]\nrule = \"x\"\npath = \"y\"\n").unwrap_err();
+        let err = Config::parse("[[allow]]\nrule = \"dep-drift\"\npath = \"y\"\n").unwrap_err();
         assert!(err.contains("justification"), "{err}");
     }
 

@@ -16,7 +16,6 @@
 //! | ML001 | `hot-path-alloc`      | no per-token `String`/`format!` in hot-path modules |
 //! | ML002 | `hash-order-leak`     | hash iteration order never decides output order |
 //! | ML003 | `float-accumulation`  | float reductions go through `stats::pairwise_sum` |
-//! | ML004 | `legacy-oracle-reach` | legacy oracles reachable only from tests/benches |
 //! | ML005 | `unwrap-in-lib`       | library code propagates errors or explains its expects |
 //! | ML006 | `dep-drift`           | dependencies stay inside the workspace / `vendor/` |
 //! | ML007 | `forbid-unsafe`       | every crate root carries `#![forbid(unsafe_code)]` |

@@ -56,11 +56,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "raw f64 accumulation in thread-parallel modules (use stats::pairwise_sum)",
     },
     RuleInfo {
-        code: "ML004",
-        name: "legacy-oracle-reach",
-        summary: "legacy oracles (legacy_*_with/rebuild_from_blocks/from_groups) referenced outside tests",
-    },
-    RuleInfo {
         code: "ML005",
         name: "unwrap-in-lib",
         summary: "unwrap()/uninformative expect() in library code",
@@ -157,14 +152,6 @@ const UNWRAP_CRATES: &[&str] = &[
     "core",
     "eval",
     "similarity",
-];
-
-/// Names only tests/benches may reference (ML004).
-const LEGACY_ORACLES: &[&str] = &[
-    "legacy_purge_with",
-    "legacy_filter_with",
-    "rebuild_from_blocks",
-    "from_groups",
 ];
 
 const HASH_TYPES: &[&str] = &[
@@ -275,7 +262,6 @@ pub fn check_rust(rel: &str, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
         if in_unwrap_scope {
             unwrap_in_lib(rel, scanned, out);
         }
-        legacy_oracle_reach(rel, scanned, out);
         if in_crate_src(rel) {
             global_mutable_state(rel, scanned, out);
         }
@@ -717,34 +703,6 @@ fn idents_in(text: &str) -> Vec<String> {
         }
     }
     out
-}
-
-/// ML004 — legacy oracles referenced outside tests/benches.
-fn legacy_oracle_reach(rel: &str, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    for name in LEGACY_ORACLES {
-        for off in find_ident(&s.masked, name) {
-            if s.in_test(off) {
-                continue;
-            }
-            // Definition sites (`fn from_groups(`) are fine.
-            let before = s.masked[..off].trim_end();
-            if before.ends_with("fn") {
-                continue;
-            }
-            let (line, col) = s.line_col(off);
-            out.push(diag(
-                rel,
-                line,
-                col,
-                "legacy-oracle-reach",
-                format!(
-                    "`{name}` is a legacy oracle/compat shim — reachable only from \
-                     tests, benches, or #[cfg(test)] code (allowlist deliberate \
-                     production uses with a justification)"
-                ),
-            ));
-        }
-    }
 }
 
 /// ML008 — process-global mutable state in library code: a `static` of

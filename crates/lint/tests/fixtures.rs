@@ -173,16 +173,13 @@ fn ml003_pairwise_sum_is_clean() {
     assert_eq!(fired("crates/metablocking/src/streaming.rs", src), vec![]);
 }
 
+/// A `lint.toml` allow naming a rule the engine does not know — say, one
+/// a retired rule left behind — is a config error, not a silent no-op.
 #[test]
-fn ml004_legacy_oracle_fires_outside_tests() {
-    let src = include_str!("lint_fixtures/ml004_fire.rs");
-    assert_eq!(fired("crates/cli/src/fixture.rs", src), vec![("ML004", 2)]);
-}
-
-#[test]
-fn ml004_test_span_reference_is_clean() {
-    let src = include_str!("lint_fixtures/ml004_clean.rs");
-    assert_eq!(fired("crates/cli/src/fixture.rs", src), vec![]);
+fn config_allow_naming_no_rule_is_an_error() {
+    let toml = include_str!("lint_fixtures/config_unknown_rule.toml");
+    let err = Config::parse(toml).expect_err("an unknown rule must not parse");
+    assert!(err.contains("names no rule: `retired-rule`"), "{err}");
 }
 
 #[test]

@@ -855,7 +855,7 @@ fn fold_tail(row: &mut Vec<Entry>, sorted: &mut u32, scratch: &mut Vec<Entry>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockingGraph, ExecutionBackend, Session};
+    use crate::{ExecutionBackend, Session};
     use minoan_blocking::builders::token_blocking;
     use minoan_datagen::{generate, profiles, ArrivalOrder};
 
@@ -1104,16 +1104,21 @@ mod tests {
         }
     }
 
-    /// `(neighbour, |B_ay|)` of every edge of `a` in `graph` in
-    /// `direction`, ascending.
-    fn true_counts(graph: &BlockingGraph, a: u32, direction: Direction) -> Vec<(u32, u32)> {
-        let edges = graph.incident(EntityId(a)).iter().map(|&i| graph.edge(i));
-        let mut counts: Vec<_> = edges
-            .map(|edge| (edge.a.0 ^ edge.b.0 ^ a, edge.common_blocks))
-            .filter(|&(y, _)| matches!(direction, Direction::Both) || y > a)
-            .collect();
-        counts.sort_unstable();
-        counts
+    /// `(neighbour, |B_ay|)` of every edge of `a` in `blocks` in
+    /// `direction`, ascending: `a`'s blocks, counted per comparable
+    /// co-member.
+    fn true_counts(blocks: &BlockCollection, a: u32, direction: Direction) -> Vec<(u32, u32)> {
+        let a = EntityId(a);
+        let mut counts = std::collections::BTreeMap::new();
+        for &b in blocks.entity_blocks(a) {
+            for &y in blocks.block_entities(b) {
+                let ahead = matches!(direction, Direction::Both) || y > a;
+                if y != a && ahead && blocks.comparable(a, y) {
+                    *counts.entry(y.0).or_insert(0) += 1;
+                }
+            }
+        }
+        counts.into_iter().collect()
     }
 
     /// `(neighbour, count)` of `entries`, ascending whatever their order.
@@ -1124,7 +1129,7 @@ mod tests {
     }
 
     /// Every entry any driver produces carries its edge's shared-block
-    /// count, as the blocking graph counts it: a sweep's row filled by
+    /// count, as the snapshot's blocks count it: a sweep's row filled by
     /// every weigher in both directions, a query-time load, and every
     /// cached row of a session — mirror tails and stale rows included —
     /// after each batched CBS, JS and ARCS ingest.
@@ -1137,22 +1142,22 @@ mod tests {
             inc.scheme(scheme).pruning(Pruning::None);
             for (i, batch) in batches.iter().enumerate() {
                 inc.ingest(batch);
-                let graph = BlockingGraph::build(inc.snapshot());
+                let snapshot = inc.snapshot();
+                let want = |a: usize| true_counts(snapshot, a as u32, Direction::Both);
+                let wants: Vec<_> = (0..snapshot.num_entities()).map(want).collect();
                 for (a, row) in inc.rows.iter().enumerate() {
-                    let want = true_counts(&graph, a as u32, Direction::Both);
-                    assert_eq!(counts(row), want, "{scheme:?}, ingest {i}: row {a}");
+                    assert_eq!(counts(row), wants[a], "{scheme:?}, ingest {i}: row {a}");
                 }
             }
         }
         let blocks = token_blocking(&world.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
         let mut st = SweepState::new(&blocks);
         st.ensure(true, 1);
         let (globals, pool) = (st.globals(), &st.pool);
         let weighers = [Weigher::Scheme(WeightingScheme::Js), Weigher::Chi2];
         let mut buf = RowBuf::default();
         for a in 0..blocks.num_entities() as u32 {
-            let want = |direction| true_counts(&graph, a, direction);
+            let want = |direction| true_counts(&blocks, a, direction);
             pool.with(|scratch| {
                 for direction in [Direction::Forward, Direction::Both] {
                     scratch.sweep(&blocks, EntityId(a), direction);

@@ -2,9 +2,8 @@
 //!
 //! Every path that weighs an edge — the streaming sweeps
 //! (`crate::streaming`), the MapReduce formulations ([`crate::parallel`]),
-//! the incremental row cache and the CSR graph the supervised trainer
-//! samples ([`WeightingScheme::weight`]) — must produce *bit-identical*
-//! f64 weights. That only holds if the arithmetic lives in exactly one
+//! the incremental row cache and the query-time loads — must produce
+//! *bit-identical* f64 weights. That only holds if the arithmetic lives in exactly one
 //! place: f64 multiplication chains are association-order sensitive at
 //! the ulp level (ECBS/EJS multiply per-endpoint log factors), so copies
 //! of the same formula drift the moment one is edited. This module is

@@ -66,7 +66,7 @@
 //!   \[4\]) on [`minoan_mapreduce`]: [`parallel`] runs every pruning
 //!   family as *entity-partitioned* jobs that shuffle at most one record
 //!   per entity neighbourhood instead of one per pair occurrence (the
-//!   edge-based strategy, kept as a baseline). These runs also fill
+//!   paper's edge-based strategy). These runs also fill
 //!   [`PruneOutcome::report`] with per-job [`JobReport`] stats.
 //!
 //! Both backends — and the incremental and query-time arms below — are
@@ -93,8 +93,7 @@
 //!   neighbourhood row, and the run/resolve plans every driver executes.
 //! * `streaming` (crate-internal) — the scoped-thread row driver.
 //! * [`parallel`] — the MapReduce row driver (entity-based strategy of
-//!   reference \[4\]) and the edge-based baseline, on
-//!   [`minoan_mapreduce`].
+//!   reference \[4\]) on [`minoan_mapreduce`].
 //! * [`incremental`] — the *updatable* arm: [`IncrementalSession`]
 //!   ingests description batches through the delta-appendable block
 //!   slabs and patches a per-entity weight-row cache by re-sweeping only
@@ -105,10 +104,6 @@
 //!   [`IncrementalSession::resolve_entity`], bit-identical to the
 //!   incident slice of a full run, plus the [`NeighbourhoodCache`]
 //!   backing the resolution server.
-//! * [`graph`] — the CSR blocking graph: one node per description, one
-//!   edge per *distinct* comparable pair, annotated with co-occurrence
-//!   statistics; the supervised pruner's training sample is drawn from
-//!   it.
 //! * [`kernel`] — the shared neighbourhood-stats → weight kernel all
 //!   backends compute through.
 //! * [`weights`] — the five standard edge-weighting schemes (CBS, ECBS,
@@ -123,7 +118,6 @@
 #![forbid(unsafe_code)]
 
 pub mod blast;
-pub mod graph;
 pub mod incremental;
 pub mod kernel;
 pub mod parallel;
@@ -136,13 +130,12 @@ pub mod supervised;
 mod sweep;
 pub mod weights;
 
-pub use graph::{BlockingGraph, Edge};
 pub use incremental::{IncrementalSession, IngestReport};
 pub use parallel::JobReport;
 pub use prune::{PrunedComparisons, WeightedPair};
 pub use query::{locally_invalidatable, NeighbourhoodCache, ResolvedEntity};
 pub use session::{PruneOutcome, Pruning, Session};
-pub use supervised::{EdgeFeatures, FeatureExtractor, Perceptron, TrainingSet};
+pub use supervised::{EdgeFeatures, Perceptron, TrainingSet};
 pub use weights::WeightingScheme;
 
 /// Which execution path meta-blocking runs on.

@@ -1,22 +1,20 @@
-//! The MapReduce backend (reference \[4\]): an [`Engine`] row driver,
-//! plus the paper's edge-based strategy kept as the measured baseline.
+//! The MapReduce backend (reference \[4\]): an [`Engine`] row driver.
 //!
-//! Both of the paper's strategies are reproduced, and they differ in what
-//! gets shuffled:
+//! The paper gives two strategies, and they differ in what gets
+//! shuffled:
 //!
-//! * **edge-based** ([`parallel_edge_weights_with_stats`]): map over
-//!   *blocks* emitting one record per comparison occurrence keyed by the
-//!   pair; the reducer aggregates each pair's co-occurrence statistics
-//!   (CBS count, ARCS sum) so every edge weight is computed exactly once
-//!   — the repeated-comparison elimination happens in the shuffle.
-//!   Shuffle volume: `Σ_b ‖b‖` records — one per pair *occurrence*,
-//!   which on token blocking is typically an order of magnitude above
-//!   the distinct-edge count `|V|`. Kept as the measured baseline.
-//! * **entity-based** (everything the session dispatches here): map over
-//!   contiguous *entity ranges*, run the node-centric sweep kernel
-//!   locally (the same epoch-reset scratch the streaming backend uses,
-//!   drawn from the session's shared pool) to rebuild each node's row,
-//!   and shuffle **at most one record per entity neighbourhood**.
+//! * **edge-based**: map over *blocks* emitting one record per
+//!   comparison occurrence keyed by the pair, and let the reducer
+//!   aggregate each pair's co-occurrence statistics. Shuffle volume:
+//!   `Σ_b ‖b‖` records — the collection's
+//!   [`total_comparisons`](minoan_blocking::BlockCollection::total_comparisons), one per
+//!   pair *occurrence*, which on token blocking is typically an order of
+//!   magnitude above the distinct-edge count `|V|`.
+//! * **entity-based** (what this driver runs): map over contiguous
+//!   *entity ranges*, run the node-centric sweep kernel locally (the same
+//!   epoch-reset scratch the streaming backend uses, drawn from the
+//!   session's shared pool) to rebuild each node's row, and shuffle **at
+//!   most one record per entity neighbourhood**.
 //!
 //! What a row *means* lives in the crate-internal `rule` module; this
 //! driver decides which rows are visited — every entity with a neighbour
@@ -47,19 +45,18 @@
 //! worker count — `tests/parallel_consistency.rs`
 //! asserts the full scheme × family × worker matrix — and each run
 //! returns its per-job [`JobStats`] (via [`JobReport`], surfaced on
-//! [`PruneOutcome::report`](crate::PruneOutcome)) so the shuffle-volume
-//! gap between the two strategies is measurable (the historical
-//! `mapreduce_results` rows of `BENCH_metablocking.json` recorded it).
+//! [`PruneOutcome::report`](crate::PruneOutcome)), so the shuffle volume
+//! can be read against the edge-based strategy's `Σ_b ‖b‖` (the
+//! historical `mapreduce_results` rows of `BENCH_metablocking.json`
+//! recorded the gap).
 
-use crate::kernel;
 use crate::prune::WeightedPair;
 use crate::rule::{
     forward_len, votes_needed, CriterionFold, Partial, RowBuf, RowDriver, Rule, Weigher,
 };
 use crate::session::Pruning;
 use crate::sweep::SweepState;
-use crate::weights::WeightingScheme;
-use minoan_blocking::{BlockCollection, Direction};
+use minoan_blocking::Direction;
 use minoan_mapreduce::{Engine, JobStats};
 use minoan_rdf::EntityId;
 
@@ -81,10 +78,10 @@ impl JobReport {
         self.jobs.push((label, stats));
     }
 
-    /// Total shuffled records across all jobs — the strategy's
-    /// intermediate-pair volume (one record per pair occurrence for the
-    /// edge-based jobs, at most one per entity neighbourhood for the
-    /// entity-based ones).
+    /// Total shuffled records across all jobs — the intermediate-pair
+    /// volume: at most one record per entity neighbourhood per job, plus
+    /// the kept votes (the edge-based strategy would shuffle one per pair
+    /// occurrence).
     pub fn shuffled_records(&self) -> usize {
         self.jobs.iter().map(|(_, s)| s.intermediate_pairs).sum()
     }
@@ -319,117 +316,13 @@ impl RowDriver for MapReduce<'_, '_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Edge-based strategy (the shuffle-heavy baseline).
-// ---------------------------------------------------------------------------
-
-/// Edge statistics computed by the edge-based MapReduce job.
-#[derive(Clone, Copy, Debug)]
-struct EdgeStats {
-    cbs: u32,
-    arcs: f64,
-}
-
-/// Runs the edge-based weighting job: one weighted record per distinct
-/// comparable pair, sorted by pair — exactly the blocking-graph edges —
-/// plus the job's execution statistics. Kept (visible) as the measured
-/// baseline the entity-based strategy is compared against: its
-/// `intermediate_pairs` is the per-occurrence shuffle volume the
-/// entity-based jobs avoid.
-pub fn parallel_edge_weights_with_stats(
-    collection: &BlockCollection,
-    scheme: WeightingScheme,
-    engine: &Engine,
-) -> (Vec<WeightedPair>, JobStats) {
-    // Per-entity stats are cheap and shared read-only with all tasks
-    // (the paper's preprocessing job materialises the same information).
-    let n = collection.num_entities();
-    let blocks_of = kernel::blocks_of(collection);
-    let num_blocks = collection.len();
-
-    let block_ids: Vec<u32> = (0..collection.len() as u32).collect();
-    let result = engine.run(
-        block_ids,
-        |&bid, emit| {
-            let b = collection.block(minoan_blocking::BlockId(bid));
-            let card = (b.comparisons as f64).max(1.0);
-            for (i, &x) in b.entities.iter().enumerate() {
-                for &y in &b.entities[i + 1..] {
-                    if collection.comparable(x, y) {
-                        emit((x.min(y), x.max(y)), 1.0 / card);
-                    }
-                }
-            }
-        },
-        |&(a, b), arcs_parts, out| {
-            let stats = EdgeStats {
-                cbs: arcs_parts.len() as u32,
-                arcs: arcs_parts.iter().sum(),
-            };
-            out.push(((a, b), stats));
-        },
-    );
-
-    let edges = result.output;
-    // Degrees (|V_i|) need the distinct-edge view; derive from the job
-    // output (this is [4]'s second preprocessing aggregate).
-    let mut degree = vec![0u32; n];
-    for &((a, b), _) in &edges {
-        degree[a.index()] += 1;
-        degree[b.index()] += 1;
-    }
-    let num_edges = edges.len();
-
-    let pairs = edges
-        .into_iter()
-        .map(|((a, b), st)| {
-            let weight = kernel::weight_from_stats(
-                scheme,
-                st.cbs,
-                st.arcs,
-                blocks_of[a.index()],
-                blocks_of[b.index()],
-                num_blocks,
-                degree[a.index()] as usize,
-                degree[b.index()] as usize,
-                num_edges,
-            );
-            WeightedPair { a, b, weight }
-        })
-        .collect();
-    (pairs, result.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::BlockingGraph;
-    use crate::{ExecutionBackend, Session};
+    use crate::{ExecutionBackend, Session, WeightingScheme};
     use minoan_blocking::builders::token_blocking;
     use minoan_blocking::ErMode;
     use minoan_datagen::{generate, profiles};
-
-    #[test]
-    fn edge_based_weights_match_the_csr_graph() {
-        let g = generate(&profiles::center_dense(120, 4));
-        let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
-        let graph = BlockingGraph::build(&blocks);
-        for scheme in WeightingScheme::ALL {
-            let (par, _) = parallel_edge_weights_with_stats(&blocks, scheme, &Engine::new(4));
-            assert_eq!(par.len(), graph.num_edges(), "{scheme:?}");
-            // Align by construction: job output is sorted by pair key.
-            for (wp, edge) in par.iter().zip(graph.edges()) {
-                assert_eq!((wp.a, wp.b), (edge.a, edge.b));
-                let serial_w = scheme.weight(&graph, edge);
-                assert_eq!(
-                    wp.weight.to_bits(),
-                    serial_w.to_bits(),
-                    "{scheme:?}: {} vs {serial_w}",
-                    wp.weight
-                );
-            }
-        }
-    }
 
     /// The job chain of every family: labels, order, and the counting
     /// job exactly where a counted global is read.
@@ -473,24 +366,24 @@ mod tests {
         );
     }
 
+    /// The edge-based strategy shuffles one record per pair occurrence:
+    /// `Σ_b ‖b‖`, the collection's total comparisons. The entity-based
+    /// jobs shuffle at most one weighting record per entity plus the kept
+    /// votes.
     #[test]
     fn entity_based_shuffles_less_than_edge_based() {
         let g = generate(&profiles::center_dense(150, 31));
         let blocks = token_blocking(&g.dataset, ErMode::CleanClean);
-        let (_, edge_stats) =
-            parallel_edge_weights_with_stats(&blocks, WeightingScheme::Arcs, &Engine::new(4));
         let report = Session::new(&blocks)
             .backend(ExecutionBackend::MapReduce)
             .workers(4)
             .run()
             .report;
-        // Edge-based: one record per pair occurrence. Entity-based: at
-        // most one weighting record per entity plus the kept votes.
+        let occurrences = blocks.total_comparisons() as usize;
         assert!(
-            report.shuffled_records() < edge_stats.intermediate_pairs,
-            "entity-based must shuffle less: {} vs {}",
+            report.shuffled_records() < occurrences,
+            "entity-based must shuffle less: {} vs {occurrences}",
             report.shuffled_records(),
-            edge_stats.intermediate_pairs
         );
         let weighting_records = report
             .jobs

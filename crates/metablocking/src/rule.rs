@@ -736,6 +736,14 @@ pub(crate) fn resolve_criterion<D: RowDriver>(
     criterion(driver, scheme, pruning).0
 }
 
+/// The supervised pruner's extractor over `driver`'s corpus, without a
+/// model: the per-feature maxima over every forward edge.
+pub(crate) fn feature_extractor<D: RowDriver>(driver: &mut D) -> FeatureExtractor {
+    let fold = CriterionFold::FeatureMax;
+    let (partial, _) = driver.reduce(Weigher::Features, &fold);
+    FeatureExtractor::from_max(partial.maxima)
+}
+
 /// A full run of `scheme` × `pruning` over `driver`'s corpus: criterion
 /// pass, keep pass, vote combination, presentation order.
 pub(crate) fn run<D: RowDriver>(

@@ -26,11 +26,11 @@ use crate::prune::{PrunedComparisons, WeightedPair};
 use crate::query::{self, ResolvedEntity};
 use crate::rule::{self, Criterion, RowBuf, Rule, Weigher};
 use crate::streaming::Streaming;
-use crate::supervised::Perceptron;
+use crate::supervised::{self, FeatureExtractor, Perceptron, NUM_FEATURES};
 use crate::sweep::SweepState;
 use crate::weights::WeightingScheme;
 use crate::ExecutionBackend;
-use minoan_blocking::BlockCollection;
+use minoan_blocking::{BlockCollection, Direction};
 use minoan_common::default_threads;
 use minoan_mapreduce::Engine;
 use minoan_rdf::EntityId;
@@ -316,6 +316,32 @@ impl<'c> Session<'c> {
             query::sweep_row(st.collection, st.globals(), &st.pool, weigher, e, out)
         };
         query::resolve_rows(&mut load, entity, Rule { pruning, criterion })
+    }
+
+    /// What [`TrainingSet::sample`](crate::TrainingSet::sample) walks, on
+    /// streaming sweeps at the session's worker count (its scheme and
+    /// pruning untouched): every edge in `(a, b)` order — the unpruned
+    /// outcome, which stays in pair order — and the extractor normalising
+    /// by the per-feature maxima the supervised pruner reduces.
+    pub(crate) fn training_edges(&mut self) -> (Vec<WeightedPair>, FeatureExtractor) {
+        let threads = self.threads();
+        let mut driver = Streaming::new(&mut self.sweep, threads);
+        // The walk reads only the pairs; CBS weighs them without a
+        // counting pass.
+        let edges = rule::run(&mut driver, WeightingScheme::Cbs, &Pruning::None).pairs;
+        (edges, rule::feature_extractor(&mut driver))
+    }
+
+    /// The raw features of the edge `(a, b)`, `a < b`: the entry a
+    /// [`Weigher::Features`] row of `a` holds for `b`, from a forward sweep
+    /// of `a`.
+    pub(crate) fn raw_features(&mut self, a: EntityId, b: EntityId) -> [f64; NUM_FEATURES] {
+        self.sweep.ensure(true, self.threads());
+        let st = &self.sweep;
+        st.pool.with(|scratch| {
+            scratch.sweep(st.collection, a, Direction::Forward);
+            supervised::raw_forward_features(scratch, a.0, b.0, st.globals())
+        })
     }
 
     fn run_streaming(&mut self) -> PruneOutcome {

@@ -7,21 +7,25 @@
 //! reproduces that design with a deterministic averaged perceptron (no
 //! external ML dependency):
 //!
-//! 1. [`FeatureExtractor`] — the feature vector of an edge: the five
-//!    standard scheme weights plus the two endpoint degrees, each
-//!    max-normalised over the graph so the perceptron sees `[0, 1]` inputs.
+//! 1. Features — the feature vector of an edge: the five standard scheme
+//!    weights plus the two endpoint degrees, each max-normalised over the
+//!    blocking graph so the perceptron sees `[0, 1]` inputs.
 //! 2. [`TrainingSet::sample`] — a balanced labelled sample drawn
-//!    deterministically from a ground-truth oracle.
+//!    deterministically from a ground-truth oracle through a
+//!    [`Session`]: a seeded stride walk over the unpruned outcome's
+//!    edges, each sampled edge's features read off a sweep of its smaller
+//!    endpoint and normalised by the same per-feature maxima the pruner
+//!    reduces.
 //! 3. [`Perceptron`] — averaged-perceptron training and scoring.
 //! 4. Pruning — [`Pruning::Supervised`](crate::Pruning::Supervised) on a
-//!    [`Session`](crate::Session) keeps the edges the model classifies as
-//!    likely matches; surviving edges are weighted by the sigmoid of the
-//!    decision margin, so downstream progressive scheduling still gets a
-//!    ranking. The sweeps compute the features through the shared weight
-//!    kernel, so every backend stays bit-identical.
+//!    [`Session`] keeps the edges the model classifies as likely matches;
+//!    surviving edges are weighted by the sigmoid of the decision margin,
+//!    so downstream progressive scheduling still gets a ranking. The
+//!    sweeps compute the features through the shared weight kernel, so
+//!    every backend stays bit-identical.
 
-use crate::graph::{BlockingGraph, Edge};
 use crate::kernel::{self, EdgeGlobals};
+use crate::session::Session;
 use crate::sweep::SweepScratch;
 use crate::weights::WeightingScheme;
 use minoan_rdf::EntityId;
@@ -33,28 +37,14 @@ pub const NUM_FEATURES: usize = 7;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EdgeFeatures(pub [f64; NUM_FEATURES]);
 
-/// Pre-computed normalisation context for feature extraction.
-pub struct FeatureExtractor {
+/// The per-feature maxima raw features are normalised by.
+pub(crate) struct FeatureExtractor {
     max: [f64; NUM_FEATURES],
 }
 
 impl FeatureExtractor {
-    /// Scans the graph once to find per-feature maxima.
-    pub fn fit(graph: &BlockingGraph) -> Self {
-        let mut max = [0.0f64; NUM_FEATURES];
-        for e in graph.edges() {
-            merge_feature_max(&mut max, &raw_features(graph, e));
-        }
-        Self { max }
-    }
-
-    /// Extracts the normalised feature vector of `edge`.
-    pub fn extract(&self, graph: &BlockingGraph, edge: &Edge) -> EdgeFeatures {
-        self.normalise(raw_features(graph, edge))
-    }
-
-    /// An extractor from externally-computed per-feature maxima (the
-    /// sweep backends' pass-1 reduction).
+    /// An extractor from the per-feature maxima a
+    /// `CriterionFold::FeatureMax` pass reduced.
     pub(crate) fn from_max(max: [f64; NUM_FEATURES]) -> Self {
         Self { max }
     }
@@ -73,24 +63,11 @@ impl FeatureExtractor {
     }
 }
 
-fn raw_features(graph: &BlockingGraph, e: &Edge) -> [f64; NUM_FEATURES] {
-    [
-        WeightingScheme::Cbs.weight(graph, e),
-        WeightingScheme::Ecbs.weight(graph, e),
-        WeightingScheme::Js.weight(graph, e),
-        WeightingScheme::Ejs.weight(graph, e),
-        WeightingScheme::Arcs.weight(graph, e),
-        graph.degree(e.a) as f64,
-        graph.degree(e.b) as f64,
-    ]
-}
-
 /// Raw features of the forward edge `(a, y)` (`a < y`) from the current
-/// sweep's statistics — the sweep twin of `raw_features`. Every entry
-/// goes through the shared kernel ([`kernel::weight_from_stats`] per
-/// scheme, counted degrees for the last two slots), so the f64 bits
-/// agree across drivers. `globals` must carry the counted tier (degrees
-/// + |V|).
+/// sweep's statistics. Every entry goes through the shared kernel
+/// ([`kernel::weight_from_stats`] per scheme, counted degrees for the
+/// last two slots), so the f64 bits agree across drivers. `globals`
+/// must carry the counted tier (degrees + |V|).
 pub(crate) fn raw_forward_features<G: EdgeGlobals>(
     scratch: &SweepScratch,
     a: u32,
@@ -139,18 +116,25 @@ pub struct TrainingSet {
 
 impl TrainingSet {
     /// Draws a balanced sample of up to `per_class` positive and negative
-    /// edges, walking edges in a deterministic seeded stride so the sample
-    /// is not biased toward the lexicographically first entities.
+    /// edges of `session`'s collection, walking the edges in `(a, b)`
+    /// order with a deterministic seeded co-prime stride so the sample is
+    /// not biased toward the lexicographically first entities. Runs on
+    /// streaming sweeps at the session's worker count, whatever its
+    /// backend, and leaves its scheme and pruning as they were; the
+    /// sample never depends on the worker count.
     pub fn sample(
-        graph: &BlockingGraph,
-        extractor: &FeatureExtractor,
+        session: &mut Session<'_>,
         is_match: impl Fn(EntityId, EntityId) -> bool,
         per_class: usize,
         seed: u64,
     ) -> Self {
-        let n = graph.num_edges();
         let mut set = TrainingSet::default();
-        if n == 0 || per_class == 0 {
+        if per_class == 0 {
+            return set;
+        }
+        let (edges, extractor) = session.training_edges();
+        let n = edges.len();
+        if n == 0 {
             return set;
         }
         // Deterministic co-prime stride walk over edge indices.
@@ -160,10 +144,11 @@ impl TrainingSet {
         let (mut pos, mut neg) = (0usize, 0usize);
         let mut idx = (seed as usize) % n;
         for _ in 0..n {
-            let e = graph.edge(idx as u32);
+            let e = edges[idx];
             let label = is_match(e.a, e.b);
             if (label && pos < per_class) || (!label && neg < per_class) {
-                set.features.push(extractor.extract(graph, e));
+                let raw = session.raw_features(e.a, e.b);
+                set.features.push(extractor.normalise(raw));
                 set.labels.push(label);
                 if label {
                     pos += 1;
@@ -301,18 +286,14 @@ mod tests {
         )
     }
 
-    fn graph_and_truth() -> (BlockingGraph, GroundTruth) {
-        let (blocks, truth) = world();
-        (BlockingGraph::build(&blocks), truth)
-    }
-
     #[test]
     fn features_are_normalised() {
-        let (graph, _) = graph_and_truth();
-        let extractor = FeatureExtractor::fit(&graph);
-        for e in graph.edges().iter().take(200) {
-            let f = extractor.extract(&graph, e);
-            for v in f.0 {
+        let (blocks, truth) = world();
+        let mut session = Session::new(&blocks);
+        let set = TrainingSet::sample(&mut session, |a, b| truth.is_match(a, b), 100, 3);
+        assert!(set.len() > 100, "fixture samples both classes");
+        for f in &set.features {
+            for &v in &f.0 {
                 assert!(
                     (0.0..=1.0 + 1e-12).contains(&v),
                     "feature out of range: {v}"
@@ -327,16 +308,20 @@ mod tests {
     /// the count-based (CBS) and the reciprocal-comparison (ARCS) scheme.
     #[test]
     fn cbs_vs_arcs_feature_parity_with_scheme_weights() {
-        let (graph, _) = graph_and_truth();
-        let extractor = FeatureExtractor::fit(&graph);
+        let (blocks, _) = world();
+        let mut session = Session::new(&blocks);
+        let (edges, extractor) = session.training_edges();
         for (column, scheme) in [(0usize, WeightingScheme::Cbs), (4, WeightingScheme::Arcs)] {
-            let weight = |e| scheme.weight(&graph, e);
-            let max = graph.edges().iter().map(weight).fold(0.0f64, f64::max);
+            let weighted = session.scheme(scheme).pruning(Pruning::None).run();
+            let weights = weighted.pairs();
+            let max = weights.iter().map(|p| p.weight).fold(0.0f64, f64::max);
             assert!(max > 0.0, "{scheme:?}: degenerate fixture");
-            for (i, e) in graph.edges().iter().enumerate() {
+            for (i, p) in weights.iter().enumerate() {
+                assert_eq!((p.a, p.b), (edges[i].a, edges[i].b), "pair order");
+                let features = extractor.normalise(session.raw_features(p.a, p.b));
                 assert_eq!(
-                    extractor.extract(&graph, e).0[column].to_bits(),
-                    (weight(e) / max).to_bits(),
+                    features.0[column].to_bits(),
+                    (p.weight / max).to_bits(),
                     "{scheme:?} feature column diverged at edge {i}"
                 );
             }
@@ -345,9 +330,9 @@ mod tests {
 
     #[test]
     fn sample_is_balanced_when_possible() {
-        let (graph, truth) = graph_and_truth();
-        let extractor = FeatureExtractor::fit(&graph);
-        let set = TrainingSet::sample(&graph, &extractor, |a, b| truth.is_match(a, b), 30, 42);
+        let (blocks, truth) = world();
+        let mut session = Session::new(&blocks);
+        let set = TrainingSet::sample(&mut session, |a, b| truth.is_match(a, b), 30, 42);
         assert!(!set.is_empty());
         let ratio = set.positive_ratio();
         assert!(ratio > 0.2 && ratio < 0.8, "imbalanced sample: {ratio}");
@@ -374,10 +359,11 @@ mod tests {
 
     #[test]
     fn training_is_deterministic() {
-        let (graph, truth) = graph_and_truth();
-        let extractor = FeatureExtractor::fit(&graph);
-        let s1 = TrainingSet::sample(&graph, &extractor, |a, b| truth.is_match(a, b), 25, 7);
-        let s2 = TrainingSet::sample(&graph, &extractor, |a, b| truth.is_match(a, b), 25, 7);
+        let (blocks, truth) = world();
+        let mut session = Session::new(&blocks);
+        let s1 = TrainingSet::sample(&mut session, |a, b| truth.is_match(a, b), 25, 7);
+        let s2 = TrainingSet::sample(&mut session, |a, b| truth.is_match(a, b), 25, 7);
+        assert_eq!((&s1.features, &s1.labels), (&s2.features, &s2.labels));
         let m1 = Perceptron::train(&s1, 10);
         let m2 = Perceptron::train(&s2, 10);
         assert_eq!(m1.weights, m2.weights);
@@ -387,28 +373,18 @@ mod tests {
     #[test]
     fn supervised_pruning_beats_random_on_recall_density() {
         let (blocks, truth) = world();
-        let graph = BlockingGraph::build(&blocks);
-        let extractor = FeatureExtractor::fit(&graph);
-        let set = TrainingSet::sample(&graph, &extractor, |a, b| truth.is_match(a, b), 50, 11);
+        let mut session = Session::new(&blocks);
+        let set = TrainingSet::sample(&mut session, |a, b| truth.is_match(a, b), 50, 11);
         let model = Perceptron::train(&set, 15);
-        let pruned = Session::new(&blocks)
-            .pruning(Pruning::Supervised(model))
-            .run()
-            .pruned;
+        let pruned = session.pruning(Pruning::Supervised(model)).run().pruned;
         assert!(!pruned.pairs.is_empty(), "model kept nothing");
         // Precision of retained pairs should exceed the graph's base rate.
-        let base_rate = graph
-            .edges()
-            .iter()
-            .filter(|e| truth.is_match(e.a, e.b))
-            .count() as f64
-            / graph.num_edges() as f64;
-        let kept_rate = pruned
-            .pairs
-            .iter()
-            .filter(|p| truth.is_match(p.a, p.b))
-            .count() as f64
-            / pruned.pairs.len() as f64;
+        let edges = session.pruning(Pruning::None).run().pruned.pairs;
+        let rate = |pairs: &[crate::WeightedPair]| {
+            let matches = pairs.iter().filter(|p| truth.is_match(p.a, p.b)).count();
+            matches as f64 / pairs.len() as f64
+        };
+        let (kept_rate, base_rate) = (rate(&pruned.pairs), rate(&edges));
         assert!(
             kept_rate >= base_rate,
             "supervised pruning should concentrate matches: kept {kept_rate:.3} vs base {base_rate:.3}"
@@ -418,18 +394,16 @@ mod tests {
     #[test]
     fn empty_graph_yields_empty_everything() {
         let g = generate(&profiles::center_dense(10, 1));
-        // Build a graph from an empty block set.
+        // A session over an empty block set.
         let empty = minoan_blocking::BlockCollection::from_groups(
             &g.dataset,
             ErMode::CleanClean,
             Vec::<(String, Vec<EntityId>)>::new(),
         );
-        let graph = BlockingGraph::build(&empty);
-        let extractor = FeatureExtractor::fit(&graph);
-        let set = TrainingSet::sample(&graph, &extractor, |_, _| false, 10, 3);
+        let mut session = Session::new(&empty);
+        let set = TrainingSet::sample(&mut session, |_, _| false, 10, 3);
         assert!(set.is_empty());
         let model = Perceptron::train(&set, 5);
-        let mut session = Session::new(&empty);
         assert!(session
             .pruning(Pruning::Supervised(model))
             .run()

@@ -1,5 +1,4 @@
-//! The node-centric co-occurrence sweep shared by the CSR graph build and
-//! the streaming pruners.
+//! The node-centric co-occurrence sweep every sweeping driver shares.
 //!
 //! For one entity `a`, a sweep visits every block containing `a` (in
 //! ascending block-id order) and every comparable co-member, accumulating
@@ -14,14 +13,13 @@
 //! so a forward pass over the whole corpus touches every co-occurrence
 //! once instead of twice. The families that decide an edge from its
 //! weight and a global criterion (CEP, WEP, `None`, supervised) sweep
-//! forward; the node-centric votes, the counting pass and the CSR build
-//! read full neighbourhoods.
+//! forward; the node-centric votes and the counting pass read full
+//! neighbourhoods.
 //!
 //! Because blocks are visited in ascending id order in either direction,
 //! the f64 ARCS sums are accumulated in one order — ascending block id,
-//! which is key-string order — by the CSR graph build and every sweeping
-//! driver alike, which is what makes their pruning paths *bit-identical*
-//! to each other.
+//! which is key-string order — by every sweeping driver alike, which is
+//! what makes their pruning paths *bit-identical* to each other.
 //!
 //! What a sweep of `a` costs depends on the direction too — Σ sizes of
 //! `a`'s blocks in full, Σ members *after* `a` in them forward, which
@@ -364,35 +362,6 @@ pub(crate) fn partition_by_cost(costs: &[u64], parts: usize) -> Vec<std::ops::Ra
         out.push(start..n);
     }
     out
-}
-
-/// Contiguous entity ranges for `threads` workers, balanced by full sweep
-/// cost — the CSR build's partitioning (it needs degrees, so both its
-/// passes sweep in full).
-pub(crate) fn entity_sweep_ranges(
-    collection: &BlockCollection,
-    threads: usize,
-) -> Vec<std::ops::Range<usize>> {
-    partition_by_cost(&sweep_costs(collection, Direction::Both), threads)
-}
-
-/// Splits `slice` at the given cumulative `ends` (ascending, last ==
-/// `slice.len()`), yielding one mutable chunk per segment for the scoped
-/// worker threads.
-pub(crate) fn split_by_ends<T>(
-    mut slice: &mut [T],
-    ends: impl IntoIterator<Item = usize>,
-) -> Vec<&mut [T]> {
-    let mut chunks = Vec::new();
-    let mut prev = 0usize;
-    for end in ends {
-        let (chunk, rest) = slice.split_at_mut(end - prev);
-        slice = rest;
-        chunks.push(chunk);
-        prev = end;
-    }
-    debug_assert!(slice.is_empty(), "ends must cover the whole slice");
-    chunks
 }
 
 #[cfg(test)]

@@ -5,9 +5,6 @@
 //! `V_i` = distinct co-occurring entities of `i`; `|V|` = distinct
 //! comparable pairs (edges); `‖b‖` = comparisons in block `b`.
 
-use crate::graph::{BlockingGraph, Edge};
-use crate::kernel;
-
 /// The five standard meta-blocking weighting schemes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum WeightingScheme {
@@ -69,39 +66,18 @@ impl WeightingScheme {
             WeightingScheme::Cbs | WeightingScheme::Js | WeightingScheme::Arcs
         )
     }
-
-    /// Weight of `edge` in `graph` under this scheme. Always finite and
-    /// ≥ 0; higher = stronger co-occurrence evidence.
-    ///
-    /// Computed through [`kernel::weight_from_stats`] — the single
-    /// stats → weight body every sweep computes through, so a graph edge
-    /// and a swept edge carry the same f64 bits. Edge endpoints are
-    /// already normalised (`edge.a < edge.b` in the slab), matching the
-    /// kernel's `(lo, hi)` contract.
-    pub fn weight(self, graph: &BlockingGraph, edge: &Edge) -> f64 {
-        kernel::weight_from_stats(
-            self,
-            edge.common_blocks,
-            edge.arcs,
-            graph.blocks_of(edge.a),
-            graph.blocks_of(edge.b),
-            graph.num_blocks(),
-            graph.degree(edge.a),
-            graph.degree(edge.b),
-            graph.num_edges(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Pruning, Session, WeightedPair};
     use minoan_blocking::{BlockCollection, ErMode};
     use minoan_rdf::{DatasetBuilder, EntityId};
 
     /// Fixture: entities 0,1 in KB a; 2,3 in KB b.
     /// Blocks: k1 = {0,2}, k2 = {0,2,3}, k3 = {1,3}, k4 = {0,1,2,3}.
-    fn graph() -> BlockingGraph {
+    fn blocks() -> BlockCollection {
         let mut b = DatasetBuilder::new();
         let k0 = b.add_kb("a", "http://a/");
         let k1 = b.add_kb("b", "http://b/");
@@ -119,76 +95,81 @@ mod tests {
             ("k3".to_string(), vec![e(1), e(3)]),
             ("k4".to_string(), vec![e(0), e(1), e(2), e(3)]),
         ];
-        let c = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
-        BlockingGraph::build(&c)
+        BlockCollection::from_groups(&ds, ErMode::CleanClean, groups)
     }
 
-    fn edge(g: &BlockingGraph, a: u32, b: u32) -> &crate::Edge {
-        g.edges()
-            .iter()
-            .find(|e| e.a == EntityId(a) && e.b == EntityId(b))
-            .expect("edge exists")
+    /// Every edge's weight under `scheme`, in pair order: the unpruned
+    /// session run.
+    fn weights(scheme: WeightingScheme) -> Vec<WeightedPair> {
+        let blocks = blocks();
+        let mut session = Session::new(&blocks);
+        session
+            .scheme(scheme)
+            .pruning(Pruning::None)
+            .run()
+            .pruned
+            .pairs
+    }
+
+    /// The weight of edge `(a, b)` under `scheme`.
+    fn weight(scheme: WeightingScheme, a: u32, b: u32) -> f64 {
+        let edges = weights(scheme);
+        let edge = edges.iter().find(|p| (p.a.0, p.b.0) == (a, b));
+        edge.expect("edge exists").weight
     }
 
     #[test]
     fn cbs_counts_common_blocks() {
-        let g = graph();
-        assert_eq!(WeightingScheme::Cbs.weight(&g, edge(&g, 0, 2)), 3.0);
-        assert_eq!(WeightingScheme::Cbs.weight(&g, edge(&g, 0, 3)), 2.0);
-        assert_eq!(WeightingScheme::Cbs.weight(&g, edge(&g, 1, 3)), 2.0);
-        assert_eq!(WeightingScheme::Cbs.weight(&g, edge(&g, 1, 2)), 1.0);
+        assert_eq!(weight(WeightingScheme::Cbs, 0, 2), 3.0);
+        assert_eq!(weight(WeightingScheme::Cbs, 0, 3), 2.0);
+        assert_eq!(weight(WeightingScheme::Cbs, 1, 3), 2.0);
+        assert_eq!(weight(WeightingScheme::Cbs, 1, 2), 1.0);
     }
 
     #[test]
     fn js_is_normalised_overlap() {
-        let g = graph();
         // |B_0| = 3, |B_2| = 3, |B_02| = 3 → JS = 3/(3+3−3) = 1.
-        assert!((WeightingScheme::Js.weight(&g, edge(&g, 0, 2)) - 1.0).abs() < 1e-12);
+        assert!((weight(WeightingScheme::Js, 0, 2) - 1.0).abs() < 1e-12);
         // |B_1| = 2, |B_2| = 3, common = 1 → 1/(2+3−1) = 0.25.
-        assert!((WeightingScheme::Js.weight(&g, edge(&g, 1, 2)) - 0.25).abs() < 1e-12);
+        assert!((weight(WeightingScheme::Js, 1, 2) - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn ecbs_discounts_prolific_entities() {
-        let g = graph();
         // ECBS = CBS · ln(4/|B_i|) · ln(4/|B_j|); |B_0|=|B_2|=3, |B_1|=2, |B_3|=3.
-        let w02 = WeightingScheme::Ecbs.weight(&g, edge(&g, 0, 2));
+        let w02 = weight(WeightingScheme::Ecbs, 0, 2);
         let expected = 3.0 * (4.0f64 / 3.0).ln() * (4.0f64 / 3.0).ln();
         assert!((w02 - expected).abs() < 1e-12);
         // The same CBS with rarer entities scores higher.
-        let w12 = WeightingScheme::Ecbs.weight(&g, edge(&g, 1, 2));
+        let w12 = weight(WeightingScheme::Ecbs, 1, 2);
         let expected12 = 1.0 * (4.0f64 / 2.0).ln() * (4.0f64 / 3.0).ln();
         assert!((w12 - expected12).abs() < 1e-12);
     }
 
     #[test]
     fn arcs_rewards_small_blocks() {
-        let g = graph();
         // Blocks comparisons: k1=1, k2=2, k3=1, k4=4.
         // edge (0,2): in k1,k2,k4 → 1/1 + 1/2 + 1/4 = 1.75.
-        assert!((WeightingScheme::Arcs.weight(&g, edge(&g, 0, 2)) - 1.75).abs() < 1e-12);
+        assert!((weight(WeightingScheme::Arcs, 0, 2) - 1.75).abs() < 1e-12);
         // edge (1,3): k3,k4 → 1 + 0.25 = 1.25.
-        assert!((WeightingScheme::Arcs.weight(&g, edge(&g, 1, 3)) - 1.25).abs() < 1e-12);
+        assert!((weight(WeightingScheme::Arcs, 1, 3) - 1.25).abs() < 1e-12);
     }
 
     #[test]
     fn ejs_combines_js_with_degree_information() {
-        let g = graph();
         // |V| = 4 edges; degrees: deg(0)=2 (2,3), deg(2)=2 (0,1).
-        let js = WeightingScheme::Js.weight(&g, edge(&g, 0, 2));
+        let js = weight(WeightingScheme::Js, 0, 2);
         let expected = js * (4.0f64 / 2.0).ln() * (4.0f64 / 2.0).ln();
-        assert!((WeightingScheme::Ejs.weight(&g, edge(&g, 0, 2)) - expected).abs() < 1e-12);
+        assert!((weight(WeightingScheme::Ejs, 0, 2) - expected).abs() < 1e-12);
     }
 
     #[test]
     fn every_weight_is_finite_and_non_negative() {
-        let g = graph();
         for scheme in WeightingScheme::ALL {
             assert!(
-                g.edges()
+                weights(scheme)
                     .iter()
-                    .map(|e| scheme.weight(&g, e))
-                    .all(|w| w.is_finite() && w >= 0.0),
+                    .all(|p| p.weight.is_finite() && p.weight >= 0.0),
                 "{scheme:?}"
             );
         }

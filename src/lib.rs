@@ -40,7 +40,7 @@ pub mod prelude {
     pub use minoan_eval::{metrics, progressive, Table};
     pub use minoan_mapreduce::Engine;
     pub use minoan_metablocking::{
-        prune, BlockingGraph, ExecutionBackend, PruneOutcome, Pruning, Session, WeightingScheme,
+        prune, ExecutionBackend, PruneOutcome, Pruning, Session, WeightingScheme,
     };
     pub use minoan_rdf::{Dataset, DatasetBuilder, EntityId, KbId};
 }

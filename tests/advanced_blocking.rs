@@ -3,7 +3,7 @@
 //! families recover matches that exact token blocking misses.
 
 use minoan::blocking::{pair_intersection, union, BlockingWorkflow, LshConfig, Method};
-use minoan::metablocking::{blast, FeatureExtractor, Perceptron, TrainingSet};
+use minoan::metablocking::{blast, Perceptron, TrainingSet};
 use minoan::prelude::*;
 
 #[test]
@@ -87,16 +87,14 @@ fn workflow_feeds_supervised_metablocking_end_to_end() {
         .with_filtering(0.8)
         .run(&world.dataset, ErMode::CleanClean);
     assert!(report.final_comparisons() > 0);
-    let graph = BlockingGraph::build(&blocks);
 
     // Supervised pruning trained on a 40/class sample.
-    let extractor = FeatureExtractor::fit(&graph);
+    let mut session = Session::new(&blocks);
     let truth = &world.truth;
-    let set = TrainingSet::sample(&graph, &extractor, |a, b| truth.is_match(a, b), 40, 59);
+    let set = TrainingSet::sample(&mut session, |a, b| truth.is_match(a, b), 40, 59);
     let model = Perceptron::train(&set, 10);
 
     // Supervised pruning, and BLAST pruning, unsupervised.
-    let mut session = Session::new(&blocks);
     for (name, pruning) in [
         ("supervised", Pruning::Supervised(model)),
         (
@@ -108,7 +106,7 @@ fn workflow_feeds_supervised_metablocking_end_to_end() {
     ] {
         let pruned = session.pruning(pruning).run();
         assert!(!pruned.pairs().is_empty(), "{name} kept nothing");
-        assert!(pruned.pairs().len() <= graph.num_edges());
+        assert!(pruned.pairs().len() <= pruned.input_edges());
         let pairs = pruned.into_candidates();
         let res = ProgressiveResolver::new(
             &world.dataset,

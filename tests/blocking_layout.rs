@@ -7,15 +7,16 @@
 //!    produces collections **identical** to the straightforward reference
 //!    build (owned token strings grouped through a hash map, then the
 //!    string-keyed `from_groups`), at every thread count;
-//! 2. the mask + id-remap purge/filter index passes are **identical** to
-//!    the legacy owned-`Vec` rebuild passes, stage by stage and composed;
+//! 2. the mask + id-remap purge/filter index passes keep **exactly** what
+//!    their specification (`common::cleaning`, rebuilt through
+//!    `from_groups`) keeps, in both ER modes, stage by stage and composed;
 //! 3. end-to-end pipeline candidate pairs are **bit-identical** across
-//!    all three execution backends on the new layout, and bit-identical
+//!    both execution backends on the new layout, and bit-identical
 //!    to candidates computed over a reference-built collection.
 
 mod common;
 
-use common::{assert_collections_identical, reference_token_blocking};
+use common::{assert_collections_identical, cleaning, reference_token_blocking};
 use minoan::blocking::collection::KeyAssignments;
 use minoan::blocking::{builders, filter, purge, BlockCollection, ErMode};
 use minoan::metablocking::ExecutionBackend;
@@ -62,24 +63,38 @@ proptest! {
         }
     }
 
-    /// Contract 2 — mask-based purge and filter equal the legacy rebuild
-    /// passes, individually and composed (purge → filter).
+    /// Contract 2 — mask-based purge and filter keep what the
+    /// specification keeps, in both ER modes, individually and composed
+    /// (purge → filter).
     #[test]
-    fn purge_filter_equal_legacy_rebuild(seed in 0u64..500, n in 40usize..120) {
-        let world = generate(&profiles::center_periphery(n, seed));
-        let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-
-        let fast = purge::purge(&blocks);
-        let legacy = purge::legacy_purge_with(&blocks, purge::DEFAULT_SMOOTHING);
-        prop_assert_eq!(fast.purged_blocks, legacy.purged_blocks);
-        prop_assert_eq!(fast.purged_comparisons, legacy.purged_comparisons);
-        prop_assert_eq!(fast.max_comparisons_per_block, legacy.max_comparisons_per_block);
-        assert_collections_identical(&fast.collection, &legacy.collection, "purge");
-
-        for ratio in [0.3, 0.8, 1.0] {
-            let f_fast = filter::filter_with(&fast.collection, ratio);
-            let f_legacy = filter::legacy_filter_with(&legacy.collection, ratio);
-            assert_collections_identical(&f_fast, &f_legacy, &format!("filter r={ratio}"));
+    fn purge_filter_equal_the_spec(seed in 0u64..500, n in 40usize..120) {
+        let worlds = [
+            (profiles::center_periphery(n, seed), ErMode::CleanClean),
+            (profiles::dirty_single(n / 2, seed), ErMode::Dirty),
+        ];
+        for (profile, mode) in worlds {
+            let world = generate(&profile);
+            let build = |groups: cleaning::Groups| {
+                BlockCollection::from_groups(&world.dataset, mode, groups)
+            };
+            let blocks = builders::token_blocking(&world.dataset, mode);
+            for smoothing in [1.01, purge::DEFAULT_SMOOTHING, 2.0] {
+                let fast = purge::purge_with(&blocks, smoothing);
+                let (limit, groups) = cleaning::purge(&blocks, smoothing);
+                let spec = build(groups);
+                prop_assert_eq!(fast.max_comparisons_per_block, limit);
+                prop_assert_eq!(fast.purged_blocks, blocks.len() - spec.len());
+                let purged = blocks.total_comparisons() - spec.total_comparisons();
+                prop_assert_eq!(fast.purged_comparisons, purged);
+                let what = format!("{mode:?} purge s={smoothing}");
+                assert_collections_identical(&fast.collection, &spec, &what);
+            }
+            let purged = purge::purge(&blocks).collection;
+            for ratio in [0.3, 0.8, 1.0] {
+                let spec = build(cleaning::filter(&purged, ratio));
+                let what = format!("{mode:?} filter r={ratio}");
+                assert_collections_identical(&filter::filter_with(&purged, ratio), &spec, &what);
+            }
         }
     }
 
@@ -117,6 +132,30 @@ proptest! {
             }
         }
     }
+}
+
+/// A level whose `CC/BC` is exactly the level below's times the
+/// smoothing factor is not cut: the scan cuts on a strict improvement.
+#[test]
+fn purge_cuts_only_on_a_strict_improvement() {
+    let mut b = DatasetBuilder::new();
+    let (kb_a, kb_b) = (b.add_kb("a", "http://a/"), b.add_kb("b", "http://b/"));
+    for i in 0..5 {
+        let (kb, name) = if i < 2 { (kb_a, "a") } else { (kb_b, "b") };
+        b.add_literal(kb, &format!("http://{name}/{i}"), "http://p", "x");
+    }
+    let ds = b.build();
+    let e = EntityId;
+    // ‖b‖ = 1 over 2 members, then 2 × 3 = 6 over 5: CC/BC 1/2, then 7/7.
+    let groups = vec![
+        ("pair".to_string(), vec![e(0), e(2)]),
+        ("all".to_string(), (0..5).map(e).collect()),
+    ];
+    let blocks = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
+    let (limit, kept) = cleaning::purge(&blocks, 2.0);
+    assert_eq!(limit, u64::MAX, "0.5 · 2 is not under 1");
+    let spec = BlockCollection::from_groups(&ds, ErMode::CleanClean, kept);
+    assert_collections_identical(&purge::purge_with(&blocks, 2.0).collection, &spec, "tie");
 }
 
 /// Purging must keep member lists byte-for-byte (it only drops whole

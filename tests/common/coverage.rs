@@ -20,25 +20,37 @@
 
 use super::cep_cardinalities;
 use minoan::blocking::{builders, filter, BlockCollection, ErMode};
-use minoan::datagen::{generate, profiles, GroundTruth};
-use minoan::metablocking::{BlockingGraph, FeatureExtractor, Perceptron, Pruning, TrainingSet};
+use minoan::datagen::{generate, profiles, GeneratedWorld, GroundTruth};
+use minoan::metablocking::{Perceptron, Pruning, Session, TrainingSet};
 use minoan::rdf::{DatasetBuilder, EntityId};
 
-/// A generated clean–clean world, two KBs of the same entities, token
-/// blocked, purged and filtered as the pipeline does.
-pub fn clean(seed: u64) -> (BlockCollection, GroundTruth) {
+/// The `clean` world before cleaning: a generated clean–clean world, two
+/// KBs of the same entities, token blocked.
+pub fn raw_clean(seed: u64) -> (GeneratedWorld, BlockCollection) {
     let world = generate(&profiles::center_dense(80, seed));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
+    (world, blocks)
+}
+
+/// The `dirty` world before cleaning: a generated world, one KB with
+/// duplicates where every co-member is comparable, token blocked.
+pub fn raw_dirty(seed: u64) -> (GeneratedWorld, BlockCollection) {
+    let world = generate(&profiles::dirty_single(50, seed));
+    let blocks = builders::token_blocking(&world.dataset, ErMode::Dirty);
+    (world, blocks)
+}
+
+/// [`raw_clean`], purged and filtered as the pipeline does.
+pub fn clean(seed: u64) -> (BlockCollection, GroundTruth) {
+    let (world, blocks) = raw_clean(seed);
     (filter::clean(&blocks), world.truth)
 }
 
-/// A generated dirty world, one KB with duplicates where every co-member
-/// is comparable, token blocked and filtered. It is not purged: on a
-/// world this small purging keeps only blocks of two members, whose
-/// ARCS weights all equal their CBS weights.
+/// [`raw_dirty`], filtered. It is not purged: on a world this small
+/// purging keeps only blocks of two members, whose ARCS weights all equal
+/// their CBS weights.
 pub fn dirty(seed: u64) -> (BlockCollection, GroundTruth) {
-    let world = generate(&profiles::dirty_single(50, seed));
-    let blocks = builders::token_blocking(&world.dataset, ErMode::Dirty);
+    let (world, blocks) = raw_dirty(seed);
     (filter::filter(&blocks), world.truth)
 }
 
@@ -118,9 +130,7 @@ pub fn families(num_edges: usize) -> Vec<(String, Pruning)> {
 
 /// A perceptron trained on a fixed-seed sample of `blocks`' edges.
 pub fn model(blocks: &BlockCollection, truth: &GroundTruth, seed: u64) -> Perceptron {
-    let graph = BlockingGraph::build(blocks);
-    let extractor = FeatureExtractor::fit(&graph);
     let is_match = |a, b| truth.is_match(a, b);
-    let set = TrainingSet::sample(&graph, &extractor, is_match, 40, seed);
+    let set = TrainingSet::sample(&mut Session::new(blocks), is_match, 40, seed);
     Perceptron::train(&set, 12)
 }

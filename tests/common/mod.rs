@@ -1,6 +1,8 @@
 //! Helpers shared by the integration suites.
 
 #[allow(dead_code)]
+pub mod cleaning;
+#[allow(dead_code)]
 pub mod coverage;
 #[allow(dead_code)]
 pub mod spec;

@@ -21,10 +21,10 @@ proptest! {
     /// Jaccard scheme stays within [0, 1].
     #[test]
     fn weights_are_sane(seed in 0u64..300) {
-        let graph = BlockingGraph::build(&blocks_for(seed, 50));
+        let blocks = blocks_for(seed, 50);
         for scheme in WeightingScheme::ALL {
-            for e in graph.edges() {
-                let w = scheme.weight(&graph, e);
+            for e in run(&blocks, scheme, Pruning::None).pairs() {
+                let w = e.weight;
                 prop_assert!(w.is_finite() && w >= 0.0, "{scheme:?} on {e:?} gave {w}");
                 if scheme == WeightingScheme::Js {
                     prop_assert!(w <= 1.0 + 1e-12);

@@ -11,8 +11,7 @@ use common::assert_pairs_bit_identical;
 use minoan::blocking::{builders, ErMode};
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
-    BlockingGraph, ExecutionBackend, FeatureExtractor, IncrementalSession, Perceptron, Pruning,
-    Session, TrainingSet, WeightedPair,
+    ExecutionBackend, IncrementalSession, Perceptron, Pruning, Session, TrainingSet, WeightedPair,
 };
 use minoan::rdf::EntityId;
 
@@ -91,11 +90,9 @@ fn batch_session_resolves_every_family_bit_identically() {
 fn batch_session_resolves_supervised_bit_identically() {
     let world = generate(&profiles::center_dense(140, 23));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-    let graph = BlockingGraph::build(&blocks);
-    let extractor = FeatureExtractor::fit(&graph);
-    let set = TrainingSet::sample(&graph, &extractor, |a, b| world.truth.is_match(a, b), 40, 7);
-    let model = Perceptron::train(&set, 12);
     let mut session = Session::new(&blocks);
+    let set = TrainingSet::sample(&mut session, |a, b| world.truth.is_match(a, b), 40, 7);
+    let model = Perceptron::train(&set, 12);
     session.pruning(Pruning::Supervised(model));
     let full = session.run();
     assert!(

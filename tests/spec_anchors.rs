@@ -6,14 +6,19 @@
 //!   for the specification and for a streaming session alike. An edit to
 //!   the specification or to the product's rules that moves a bit shows
 //!   up in review as a changed constant below.
+//! * **Golden digests of block cleaning.** `fx_hash_bytes` of every
+//!   block's key, members and comparison count, for purge and filter on
+//!   both worlds before cleaning — for the cleaning specification, which
+//!   the product's passes must equal.
 //! * **The coverage list** (`common::coverage`): each named world
 //!   contains the case the list names it for.
 
 mod common;
 
-use common::coverage::{self, clean, dirty, star};
+use common::coverage::{self, clean, dirty, raw_clean, raw_dirty, star};
 use common::spec::Spec;
-use minoan::blocking::ErMode;
+use common::{assert_collections_identical, cleaning};
+use minoan::blocking::{filter, purge, BlockCollection, ErMode};
 use minoan::common::hash::fx_hash_bytes;
 use minoan::metablocking::{blast, PrunedComparisons, Pruning, Session, WeightingScheme};
 
@@ -277,7 +282,12 @@ fn golden_digests_pin_every_family() {
             }
         }
     }
-    let pinned: Vec<(String, u64)> = GOLDEN.iter().map(|&(l, d)| (l.to_string(), d)).collect();
+    assert_golden(&got, GOLDEN);
+}
+
+/// Panics with the whole current table unless `got` is `pinned`.
+fn assert_golden(got: &[(String, u64)], pinned: &[(&str, u64)]) {
+    let pinned: Vec<(String, u64)> = pinned.iter().map(|&(l, d)| (l.to_string(), d)).collect();
     if got != pinned {
         let table: String = got
             .iter()
@@ -285,6 +295,69 @@ fn golden_digests_pin_every_family() {
             .collect();
         panic!("golden digests moved; the current table:\n{table}");
     }
+}
+
+/// `fx_hash_bytes` of every block's key string (length first), members
+/// and comparison count, little-endian.
+fn blocks_digest(blocks: &BlockCollection) -> u64 {
+    let mut bytes = Vec::new();
+    for b in blocks.blocks() {
+        let key = blocks.key_str(b.id);
+        bytes.extend((key.len() as u64).to_le_bytes());
+        bytes.extend(key.as_bytes());
+        bytes.extend(b.entities.iter().flat_map(|e| e.0.to_le_bytes()));
+        bytes.extend(b.comparisons.to_le_bytes());
+    }
+    fx_hash_bytes(&bytes)
+}
+
+/// Pinned like [`GOLDEN`]: the `clean` and `dirty` worlds before
+/// cleaning, purged at three smoothing factors, and filtered at three
+/// ratios after the default purge.
+const GOLDEN_CLEANING: &[(&str, u64)] = &[
+    ("clean/7 blocks", 0x63278087652f98e0),
+    ("clean/7 purge(1.01)", 0xb3f31719458b14d1),
+    ("clean/7 purge(1.025)", 0x83f0ef4c525e83c4),
+    ("clean/7 purge(2)", 0x63278087652f98e0),
+    ("clean/7 filter(0.3)", 0xc50748613a41de95),
+    ("clean/7 filter(0.8)", 0xf363040e6c34d583),
+    ("clean/7 filter(1)", 0x83f0ef4c525e83c4),
+    ("dirty/7 blocks", 0xcd79ea0460ac95df),
+    ("dirty/7 purge(1.01)", 0x1fd02ac18d260acd),
+    ("dirty/7 purge(1.025)", 0x1fd02ac18d260acd),
+    ("dirty/7 purge(2)", 0xcd79ea0460ac95df),
+    ("dirty/7 filter(0.3)", 0xbc0de0fa6359f16c),
+    ("dirty/7 filter(0.8)", 0xae6d3f87b99290af),
+    ("dirty/7 filter(1)", 0x1fd02ac18d260acd),
+];
+
+#[test]
+fn golden_digests_pin_purge_and_filter() {
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (name, (world, blocks)) in [("clean", raw_clean(7)), ("dirty", raw_dirty(7))] {
+        let build = |groups: cleaning::Groups| {
+            BlockCollection::from_groups(&world.dataset, blocks.mode(), groups)
+        };
+        got.push((format!("{name}/7 blocks"), blocks_digest(&blocks)));
+        for smoothing in [1.01, purge::DEFAULT_SMOOTHING, 2.0] {
+            let spec = build(cleaning::purge(&blocks, smoothing).1);
+            let label = format!("{name}/7 purge({smoothing})");
+            assert_collections_identical(
+                &purge::purge_with(&blocks, smoothing).collection,
+                &spec,
+                &label,
+            );
+            got.push((label, blocks_digest(&spec)));
+        }
+        let purged = purge::purge(&blocks).collection;
+        for ratio in [0.3, 0.8, 1.0] {
+            let spec = build(cleaning::filter(&purged, ratio));
+            let label = format!("{name}/7 filter({ratio})");
+            assert_collections_identical(&filter::filter_with(&purged, ratio), &spec, &label);
+            got.push((label, blocks_digest(&spec)));
+        }
+    }
+    assert_golden(&got, GOLDEN_CLEANING);
 }
 
 /// Per entity, its edges' weights from an unpruned run, descending.

@@ -9,7 +9,7 @@
 //! streaming sweeps never build it.
 
 use minoan::blocking::{builders, BlockCollection, ErMode};
-use minoan::metablocking::{BlockingGraph, ExecutionBackend, Pruning};
+use minoan::metablocking::{ExecutionBackend, Perceptron, Pruning, TrainingSet};
 use minoan::prelude::*;
 use proptest::prelude::*;
 
@@ -124,22 +124,29 @@ proptest! {
         let arcs = WeightingScheme::Arcs;
         assert_streams_like_the_spec("dense", (&blocks, &spec), arcs, blast, &[1, 4]);
     }
+}
 
-    /// The CSR graph build itself is thread-count invariant on random
-    /// worlds (offsets, adjacency and edge stats all bitwise equal).
-    #[test]
-    fn graph_build_is_thread_invariant(seed in 0u64..500, n in 40usize..120) {
-        let world = generate(&profiles::lod_cloud(n, seed));
-        let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let serial = BlockingGraph::build_with_threads(&blocks, 1);
-        let par = BlockingGraph::build_with_threads(&blocks, 4);
-        prop_assert_eq!(serial.num_edges(), par.num_edges());
-        for (s, p) in serial.edges().iter().zip(par.edges()) {
-            prop_assert_eq!((s.a, s.b, s.common_blocks), (p.a, p.b, p.common_blocks));
-            prop_assert_eq!(s.arcs.to_bits(), p.arcs.to_bits());
-        }
-        for v in 0..serial.num_nodes() as u32 {
-            prop_assert_eq!(serial.incident(EntityId(v)), par.incident(EntityId(v)));
+/// The supervised trainer samples through streaming sweeps: its features,
+/// labels and trained perceptron are the same bits at every session
+/// worker count, on the clean–clean and the dirty named world.
+#[test]
+fn training_sample_is_worker_invariant() {
+    for (name, (blocks, truth)) in [("clean", coverage::clean(7)), ("dirty", coverage::dirty(7))] {
+        let is_match = |a, b| truth.is_match(a, b);
+        let sample = |w| TrainingSet::sample(Session::new(&blocks).workers(w), is_match, 40, 7);
+        let bits = |set: &TrainingSet| {
+            let model = Perceptron::train(set, 12);
+            let features: Vec<_> = set.features.iter().map(|f| f.0.map(f64::to_bits)).collect();
+            let model = (model.weights.map(f64::to_bits), model.bias.to_bits());
+            (features, set.labels.clone(), model)
+        };
+        let serial = bits(&sample(1));
+        assert!(serial.1.len() > 40, "{name}: both classes sampled");
+        for workers in [2, 3, 8] {
+            assert!(
+                bits(&sample(workers)) == serial,
+                "{name}: {workers} workers"
+            );
         }
     }
 }
