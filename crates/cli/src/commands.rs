@@ -232,18 +232,15 @@ fn inputs(args: &Args) -> Result<&[String], CliError> {
 }
 
 fn blocking_by_name(name: &str) -> Result<BlockingMethod, CliError> {
-    use minoan_blocking::Method;
     Ok(match name {
         "token" => BlockingMethod::Token,
         "uri-infix" => BlockingMethod::UriInfix,
         "token+uri" => BlockingMethod::TokenAndUri,
-        "attr-clustering" => BlockingMethod::AttributeClustering {
-            link_threshold: 0.3,
-        },
-        "qgrams" => BlockingMethod::Custom(Method::QGrams(3)),
-        "sorted-neighborhood" => BlockingMethod::Custom(Method::SortedNeighborhood(6)),
-        "minhash-lsh" => BlockingMethod::Custom(Method::MinHashLsh(LshConfig::default())),
-        "canopy" => BlockingMethod::Custom(Method::Canopy(CanopyConfig::default())),
+        "attr-clustering" => BlockingMethod::AttributeClustering(0.3),
+        "qgrams" => BlockingMethod::QGrams(3),
+        "sorted-neighborhood" => BlockingMethod::SortedNeighborhood(6),
+        "minhash-lsh" => BlockingMethod::MinHashLsh(LshConfig::default()),
+        "canopy" => BlockingMethod::Canopy(CanopyConfig::default()),
         other => return Err(CliError(format!("unknown blocking method {other:?}"))),
     })
 }
@@ -657,11 +654,11 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         std::fs::write(path, format!("{addr}\n"))?;
     }
     server.run()?;
-    let stats = server.service().service_stats();
+    let stats = server.service().stats().map_err(|e| CliError(e.into()))?;
     let _ = writeln!(
         report,
-        "served {} resolves ({} coalesced, {} cache hits, {} misses), {} ingests",
-        stats.resolves, stats.coalesced, stats.cache_hits, stats.cache_misses, stats.ingests
+        "served {} resolves ({} cache hits, {} misses), {} ingests",
+        stats.resolves, stats.cache_hits, stats.cache_misses, stats.ingests
     );
     Ok(report)
 }
@@ -720,14 +717,8 @@ fn cmd_query(args: &Args) -> Result<String, CliError> {
         let s = client.stats()?;
         let _ = writeln!(
             report,
-            "version {} arrived {} | resolves {} coalesced {} hits {} misses {} ingests {}",
-            s.version,
-            s.num_arrived,
-            s.resolves,
-            s.coalesced,
-            s.cache_hits,
-            s.cache_misses,
-            s.ingests
+            "version {} arrived {} | resolves {} hits {} misses {} ingests {}",
+            s.version, s.num_arrived, s.resolves, s.cache_hits, s.cache_misses, s.ingests
         );
     }
     if args.flag("shutdown") {

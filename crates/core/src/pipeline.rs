@@ -12,24 +12,11 @@ use minoan_blocking::{filter, purge, BlockCollection, ErMode};
 use minoan_metablocking::{ExecutionBackend, Session, WeightingScheme};
 use minoan_rdf::{Dataset, EntityId};
 
-/// Which blocking-key extractor to use.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum BlockingMethod {
-    /// Tokens of attribute values (and resource-URI infixes).
-    Token,
-    /// Tokens of the subject-URI infix only.
-    UriInfix,
-    /// Union of the two (the paper's "descriptions or URIs" criterion).
-    TokenAndUri,
-    /// Attribute-clustering blocking with the given link threshold.
-    AttributeClustering {
-        /// Minimum attribute-vocabulary Jaccard to link two attributes.
-        link_threshold: f64,
-    },
-    /// Any blocker from the full method catalogue (q-grams, sorted
-    /// neighborhood, MinHash-LSH, canopy, …).
-    Custom(minoan_blocking::Method),
-}
+/// Which blocking-key extractor to use — re-exported from
+/// [`minoan_blocking::Method`], the full method catalogue (token, URI
+/// infix, attribute clustering, q-grams, sorted neighborhood, MinHash-LSH,
+/// canopy, …).
+pub use minoan_blocking::Method as BlockingMethod;
 
 /// Which meta-blocking pruning algorithm to run — re-exported from
 /// [`minoan_metablocking::Pruning`], so the pipeline config speaks the
@@ -137,10 +124,7 @@ impl Pipeline {
             BlockingMethod::Token => tokens(TokenKeys::Values),
             BlockingMethod::UriInfix => tokens(TokenKeys::Uris),
             BlockingMethod::TokenAndUri => tokens(TokenKeys::Both),
-            BlockingMethod::Custom(method) => method.run(dataset, mode),
-            BlockingMethod::AttributeClustering { link_threshold } => {
-                builders::attribute_clustering_blocking(dataset, mode, link_threshold)
-            }
+            method => method.run(dataset, mode),
         }
     }
 
@@ -315,9 +299,7 @@ mod tests {
             BlockingMethod::Token,
             BlockingMethod::UriInfix,
             BlockingMethod::TokenAndUri,
-            BlockingMethod::AttributeClustering {
-                link_threshold: 0.2,
-            },
+            BlockingMethod::AttributeClustering(0.2),
         ] {
             let cfg = PipelineConfig {
                 blocking,

@@ -5,18 +5,18 @@
 //! that answers `RESOLVE <entity>` requests — each one a single
 //! neighbourhood sweep, bit-identical to the incident slice of a full
 //! run — while `INGEST` batches keep arriving on the same corpus.
-//! No async runtime: a [`TcpListener`](std::net::TcpListener) accept
-//! loop hands connections to a scoped-thread worker pool, and all
-//! synchronisation is `std::sync` (the vendored shims have no Condvar).
+//! No async runtime: scoped worker threads accept on one
+//! [`TcpListener`](std::net::TcpListener), and the only synchronisation
+//! is one `std::sync::Mutex` over the service state plus the server's
+//! stop flag.
 //!
 //! * [`protocol`] — the length-prefixed binary wire format (`RESOLVE`,
 //!   `INGEST`, `STATS`, `SHUTDOWN`; f64 weights travel as raw bits so
 //!   bit-identity survives the wire).
-//! * [`service`] — [`ResolveService`]: the shared state machine. One
-//!   mutex owns the [`IncrementalSession`] and the
-//!   [`NeighbourhoodCache`]; concurrent resolves go through *batched
-//!   admission* (a leader drains the waiting queue, coalesces duplicate
-//!   entities, and answers the whole batch at one corpus version).
+//! * [`service`] — [`ResolveService`]: one mutex owns the
+//!   [`IncrementalSession`], the [`NeighbourhoodCache`] and the request
+//!   counters; each answer is stamped with the corpus version read
+//!   under it.
 //! * [`server`] — [`Server`]: listener + worker pool + clean shutdown.
 //! * [`client`] — [`Client`]: a small blocking client used by the CLI,
 //!   the bench harness and the consistency suites.
@@ -40,4 +40,4 @@ pub mod service;
 pub use client::Client;
 pub use protocol::{IngestReply, Request, ResolveReply, Response, StatsReply};
 pub use server::Server;
-pub use service::{IngestError, ResolveService, ServiceStats};
+pub use service::{IngestError, ResolveService};

@@ -1,21 +1,19 @@
-//! The TCP front-end: an accept loop feeding a scoped-thread worker
-//! pool, with a clean in-band shutdown.
+//! The TCP front-end: a scoped-thread worker pool over one listener,
+//! with a clean in-band shutdown.
 //!
-//! No async runtime: [`Server::run`] accepts on a plain
-//! [`TcpListener`] and hands each connection to one of `workers`
-//! scoped threads over an `mpsc` channel (the receiver shared behind a
-//! mutex). Each worker speaks the [`crate::protocol`] frame
-//! loop until the peer disconnects. `SHUTDOWN` answers `BYE`, raises
-//! the stop flag, and nudges the accept loop awake with a throwaway
-//! self-connection; dropping the channel sender then drains the pool,
-//! and `run` returns once every in-flight connection has finished.
+//! No async runtime: each of [`Server::run`]'s `workers` scoped threads
+//! accepts on the shared [`TcpListener`] and speaks the
+//! [`crate::protocol`] frame loop with its peer until the peer
+//! disconnects. Connections waiting for a free worker sit in the
+//! listener's kernel backlog. `SHUTDOWN` answers `BYE`, raises the stop
+//! flag, and wakes every worker blocked in `accept` with one throwaway
+//! connection each; `run` returns once every worker has seen the flag.
 
 use crate::protocol::{self, Request, Response};
 use crate::service::ResolveService;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
 
 /// A bound-but-not-yet-running resolution server. See the
 /// [module docs](self).
@@ -52,59 +50,44 @@ impl<'d> Server<'d> {
         &self.service
     }
 
-    /// Stops the accept loop: raises the flag, then nudges `accept`
-    /// with a throwaway connection so it observes the flag without
-    /// needing a timeout.
+    /// Stops the workers: raises the flag, then opens one throwaway
+    /// connection per worker, so each one's next `accept` returns and it
+    /// observes the flag without needing a timeout.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Ok(addr) = self.listener.local_addr() {
-            drop(TcpStream::connect(addr));
+            for _ in 0..self.workers {
+                drop(TcpStream::connect(addr));
+            }
         }
     }
 
     /// Serves until [`Server::shutdown`] is called (usually via the
-    /// `SHUTDOWN` request). Returns once the worker pool has drained.
+    /// `SHUTDOWN` request). Returns once every worker has finished its
+    /// connection and stopped accepting.
     pub fn run(&self) -> io::Result<()> {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Mutex::new(rx);
         std::thread::scope(|scope| {
             for _ in 0..self.workers {
-                scope.spawn(|| loop {
-                    // Hold the queue lock only for the dequeue itself.
-                    let next = {
-                        let queue = rx.lock().expect("connection queue mutex poisoned");
-                        queue.recv()
-                    };
-                    match next {
-                        Ok(stream) => self.handle(stream),
-                        // Sender dropped: the accept loop is done.
-                        Err(_) => break,
+                scope.spawn(|| {
+                    for incoming in self.listener.incoming() {
+                        if self.stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        // A failed accept is transient; keep serving.
+                        if let Ok(stream) = incoming {
+                            self.handle(stream);
+                        }
                     }
                 });
             }
-            for incoming in self.listener.incoming() {
-                if self.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                match incoming {
-                    Ok(stream) => {
-                        if tx.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    // Transient accept failure; keep serving.
-                    Err(_) => continue,
-                }
-            }
-            drop(tx);
         });
         Ok(())
     }
 
     /// One connection's frame loop. Service-level rejections (bad
-    /// entity id, invalid ingest batch) answer `ERR` and keep the
-    /// connection; protocol-level decode errors answer `ERR` and drop
-    /// it (framing is no longer trustworthy).
+    /// entity id, invalid ingest batch, a poisoned service) answer `ERR`
+    /// and keep the connection; protocol-level decode errors answer
+    /// `ERR` and drop it (framing is no longer trustworthy).
     fn handle(&self, stream: TcpStream) {
         let mut reader = BufReader::new(&stream);
         let mut writer = BufWriter::new(&stream);
@@ -130,7 +113,10 @@ impl<'d> Server<'d> {
                     Ok(reply) => Response::Ingested(reply),
                     Err(err) => Response::Err(err.message().into()),
                 },
-                Request::Stats => Response::Stats(self.service.stats()),
+                Request::Stats => match self.service.stats() {
+                    Ok(reply) => Response::Stats(reply),
+                    Err(msg) => Response::Err(msg.into()),
+                },
                 Request::Shutdown => {
                     drop(protocol::write_response(&mut writer, &Response::Bye));
                     self.shutdown();
@@ -160,7 +146,8 @@ mod tests {
     fn end_to_end_resolve_ingest_stats_shutdown() {
         let g = generate(&profiles::center_dense(60, 3));
         let service = ResolveService::new(&g.dataset, ErMode::CleanClean, SCHEME, PRUNING, 64);
-        let server = Server::bind("127.0.0.1:0", service, 2).expect("bind ephemeral port");
+        // Three of the four workers sit idle in `accept` until SHUTDOWN.
+        let server = Server::bind("127.0.0.1:0", service, 4).expect("bind ephemeral port");
         let addr = server.local_addr().expect("bound address");
         std::thread::scope(|s| {
             let running = s.spawn(|| server.run());

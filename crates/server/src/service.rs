@@ -1,25 +1,25 @@
-//! The shared resolution state machine: one incremental session + one
-//! hot-neighbourhood cache behind a mutex, with **batched admission**
-//! for concurrent resolves.
+//! The shared resolution state: one incremental session, one
+//! hot-neighbourhood cache and the request counters, behind one mutex.
 //!
-//! Every connection worker calls into one [`ResolveService`]. Resolves
-//! do not each take the session lock: a requester enqueues its entity
-//! on the admission queue and the first enqueuer becomes the *leader* —
-//! it drains the queue, takes the session lock once, and answers the
-//! whole batch at a single corpus version (the **admission point**:
-//! the version read under the session lock stamps every answer).
-//! Requests for an entity already pending piggyback on the in-flight
-//! slot and are counted as *coalesced* — under a Zipf query mix the hot
-//! entities are resolved once per batch, not once per request.
+//! Every connection worker calls into one [`ResolveService`]. A resolve
+//! takes the lock, answers from the cache or sweeps on a miss, and
+//! stamps its answer with the corpus version read under the same lock
+//! (the **admission point**): ingests take that lock too, so the version
+//! cannot move between the sweep and the stamp.
 //!
 //! Ingests validate the whole batch *before* mutating anything, so a
 //! rejected batch leaves the corpus untouched; only the already-arrived
-//! check needs the session, so the rest runs before the session lock is
-//! taken. After a successful
-//! ingest the cache is invalidated through the session's dirty-entity
-//! report when [`locally_invalidatable`] holds for the configured
-//! scheme × pruning, and fully cleared otherwise (global criteria can
-//! re-decide edges between clean entities with no dirty-set trace).
+//! check needs the session, so the rest runs before the lock is taken.
+//! After a successful ingest the cache is invalidated through the
+//! session's dirty-entity report when [`locally_invalidatable`] holds for
+//! the configured scheme × pruning, and fully cleared otherwise (global
+//! criteria can re-decide edges between clean entities with no dirty-set
+//! trace).
+//!
+//! A thread that panics while holding the lock poisons it. From then on
+//! every call answers "service unavailable": a mutation cut short can
+//! leave the session and cache disagreeing, so nothing is answered from
+//! them.
 
 use crate::protocol::{IngestReply, ResolveReply, StatsReply};
 use minoan_blocking::ErMode;
@@ -28,8 +28,10 @@ use minoan_metablocking::{
     WeightingScheme,
 };
 use minoan_rdf::{Dataset, EntityId};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Mutex, MutexGuard};
+
+/// The error every call returns once the state lock is poisoned.
+const UNAVAILABLE: &str = "service unavailable: a request panicked holding the state lock";
 
 /// Why an `INGEST` batch was rejected. Validation runs before any
 /// mutation, so a rejected batch has no effect at all.
@@ -41,6 +43,9 @@ pub enum IngestError {
     AlreadyArrived,
     /// The batch names the same entity twice.
     Duplicate,
+    /// A panic poisoned the state lock; the service answers nothing
+    /// more.
+    Unavailable,
 }
 
 impl IngestError {
@@ -50,64 +55,27 @@ impl IngestError {
             IngestError::OutOfRange => "ingest: entity id out of range",
             IngestError::AlreadyArrived => "ingest: entity already ingested",
             IngestError::Duplicate => "ingest: duplicate entity in batch",
+            IngestError::Unavailable => UNAVAILABLE,
         }
     }
 }
 
-/// Snapshot of the service-side request counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// RESOLVE requests answered.
-    pub resolves: u64,
-    /// Resolves that piggybacked on an in-flight resolve of the same
-    /// entity.
-    pub coalesced: u64,
-    /// Resolves answered from the hot-neighbourhood cache.
-    pub cache_hits: u64,
-    /// Resolves that ran a sweep.
-    pub cache_misses: u64,
-    /// INGEST batches applied.
-    pub ingests: u64,
-}
-
-/// The session + cache owned state (one lock).
-struct Inner<'d> {
+/// Everything a request reads or writes, behind the one lock.
+struct State<'d> {
     session: IncrementalSession<'d>,
     cache: NeighbourhoodCache,
-}
-
-/// One in-flight resolve: followers sleep on `cv` until the leader
-/// fills `done`.
-struct Slot {
-    done: Mutex<Option<ResolveReply>>,
-    cv: Condvar,
-}
-
-struct Pending {
-    entity: u32,
-    slot: Arc<Slot>,
-}
-
-/// The admission queue. `leader_active` is cleared only while the queue
-/// is observed empty under this lock, so every enqueuer either becomes
-/// the leader or is guaranteed an active leader will drain it.
-struct Admission {
-    pending: Vec<Pending>,
-    leader_active: bool,
+    resolves: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    ingests: u64,
 }
 
 /// The shared resolution service one [`Server`](crate::Server) (or an
 /// in-process harness) drives. See the [module docs](self).
 pub struct ResolveService<'d> {
-    inner: Mutex<Inner<'d>>,
-    admission: Mutex<Admission>,
+    state: Mutex<State<'d>>,
     local_invalidation: bool,
     num_entities: usize,
-    resolves: AtomicU64,
-    coalesced: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    ingests: AtomicU64,
 }
 
 fn reply_of(version: u64, resolved: &ResolvedEntity) -> ResolveReply {
@@ -136,117 +104,53 @@ impl<'d> ResolveService<'d> {
         let mut session = IncrementalSession::new(dataset, mode);
         session.scheme(scheme).pruning(pruning);
         Self {
-            inner: Mutex::new(Inner {
+            state: Mutex::new(State {
                 session,
                 cache: NeighbourhoodCache::new(cache_capacity),
-            }),
-            admission: Mutex::new(Admission {
-                pending: Vec::new(),
-                leader_active: false,
+                resolves: 0,
+                cache_hits: 0,
+                cache_misses: 0,
+                ingests: 0,
             }),
             local_invalidation: locally_invalidatable(scheme, pruning),
             num_entities: dataset.len(),
-            resolves: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            ingests: AtomicU64::new(0),
         }
     }
 
+    /// The state, or [`UNAVAILABLE`] once a panic has poisoned it: no
+    /// request is answered from a state a panic may have cut short.
+    fn state(&self) -> Result<MutexGuard<'_, State<'d>>, &'static str> {
+        self.state.lock().map_err(|_| UNAVAILABLE)
+    }
+
     /// Pins the session's sweep worker count (results never depend on
-    /// it).
+    /// it). A poisoned service answers nothing more, so there it does
+    /// nothing.
     pub fn sweep_workers(&self, workers: usize) {
-        let mut inner = self.inner.lock().expect("service mutex poisoned");
-        inner.session.workers(workers);
+        if let Ok(mut state) = self.state() {
+            state.session.workers(workers);
+        }
     }
 
-    /// Entities in the dataset's id space.
-    pub fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    /// Whether ingests invalidate cached entries via dirty sets (vs.
-    /// clearing the whole cache).
-    pub fn uses_local_invalidation(&self) -> bool {
-        self.local_invalidation
-    }
-
-    /// Resolves one entity through batched admission. The answer is
-    /// stamped with the corpus version it was computed at; concurrent
-    /// requests for the same entity share one computation.
+    /// Resolves one entity, from the cache or by a sweep, stamped with
+    /// the corpus version it was computed at.
     pub fn resolve(&self, entity: u32) -> Result<ResolveReply, &'static str> {
         if (entity as usize) >= self.num_entities {
             return Err("resolve: entity id out of range");
         }
-        self.resolves.fetch_add(1, Ordering::Relaxed);
-        let (slot, lead) = {
-            let mut adm = self.admission.lock().expect("admission mutex poisoned");
-            if let Some(p) = adm.pending.iter().find(|p| p.entity == entity) {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                (Arc::clone(&p.slot), false)
-            } else {
-                let slot = Arc::new(Slot {
-                    done: Mutex::new(None),
-                    cv: Condvar::new(),
-                });
-                adm.pending.push(Pending {
-                    entity,
-                    slot: Arc::clone(&slot),
-                });
-                let lead = !adm.leader_active;
-                if lead {
-                    adm.leader_active = true;
-                }
-                (slot, lead)
-            }
-        };
-        if lead {
-            self.drain();
+        let mut guard = self.state()?;
+        let state = &mut *guard;
+        state.resolves += 1;
+        let version = state.session.version();
+        if let Some(hit) = state.cache.get(EntityId(entity)) {
+            state.cache_hits += 1;
+            return Ok(reply_of(version, hit));
         }
-        let mut done = slot.done.lock().expect("slot mutex poisoned");
-        while done.is_none() {
-            done = slot.cv.wait(done).expect("slot mutex poisoned");
-        }
-        Ok(done.as_ref().expect("slot filled before wake").clone())
-    }
-
-    /// Leader body: repeatedly drain the admission queue and answer each
-    /// batch under one session lock, until the queue is observed empty.
-    fn drain(&self) {
-        loop {
-            let batch = {
-                let mut adm = self.admission.lock().expect("admission mutex poisoned");
-                if adm.pending.is_empty() {
-                    adm.leader_active = false;
-                    return;
-                }
-                std::mem::take(&mut adm.pending)
-            };
-            let mut guard = self.inner.lock().expect("service mutex poisoned");
-            let inner = &mut *guard;
-            // The admission point: one version stamps the whole batch
-            // (ingests also take this lock, so it cannot move mid-batch).
-            let version = inner.session.version();
-            for p in &batch {
-                let reply = match inner.cache.get(EntityId(p.entity)) {
-                    Some(hit) => {
-                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        reply_of(version, hit)
-                    }
-                    None => {
-                        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                        let resolved = inner.session.resolve_entity(EntityId(p.entity));
-                        let reply = reply_of(version, &resolved);
-                        inner.cache.insert(resolved);
-                        reply
-                    }
-                };
-                let mut done = p.slot.done.lock().expect("slot mutex poisoned");
-                *done = Some(reply);
-                p.slot.cv.notify_all();
-            }
-        }
+        state.cache_misses += 1;
+        let resolved = state.session.resolve_entity(EntityId(entity));
+        let reply = reply_of(version, &resolved);
+        state.cache.insert(resolved);
+        Ok(reply)
     }
 
     /// Ingests a batch. The whole batch is validated first; on success
@@ -267,22 +171,22 @@ impl<'d> ResolveService<'d> {
             return Err(IngestError::OutOfRange);
         }
         let batch: Vec<EntityId> = ids.iter().map(|&e| EntityId(e)).collect();
-        let mut guard = self.inner.lock().expect("service mutex poisoned");
-        let inner = &mut *guard;
-        if batch.iter().any(|&e| inner.session.has_arrived(e)) {
+        let mut guard = self.state().map_err(|_| IngestError::Unavailable)?;
+        let state = &mut *guard;
+        if batch.iter().any(|&e| state.session.has_arrived(e)) {
             return Err(IngestError::AlreadyArrived);
         }
-        let report = inner.session.ingest(&batch);
+        let report = state.session.ingest(&batch);
         let invalidated = if self.local_invalidation {
-            inner.cache.invalidate(inner.session.last_dirty())
+            state.cache.invalidate(state.session.last_dirty())
         } else {
-            let n = inner.cache.len();
-            inner.cache.clear();
+            let n = state.cache.len();
+            state.cache.clear();
             n
         };
-        self.ingests.fetch_add(1, Ordering::Relaxed);
+        state.ingests += 1;
         Ok(IngestReply {
-            version: inner.session.version(),
+            version: state.session.version(),
             arrived: report.arrived as u32,
             swept: report.swept_entities as u32,
             invalidated: invalidated as u32,
@@ -290,30 +194,19 @@ impl<'d> ResolveService<'d> {
         })
     }
 
-    /// The service-side counters.
-    pub fn service_stats(&self) -> ServiceStats {
-        ServiceStats {
-            resolves: self.resolves.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            ingests: self.ingests.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The full STATS answer (counters + corpus state).
-    pub fn stats(&self) -> StatsReply {
-        let inner = self.inner.lock().expect("service mutex poisoned");
-        let s = self.service_stats();
-        StatsReply {
-            resolves: s.resolves,
-            coalesced: s.coalesced,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            ingests: s.ingests,
-            num_arrived: inner.session.num_arrived() as u64,
-            version: inner.session.version(),
-        }
+    /// The STATS answer: request counters and corpus state, read under
+    /// one lock.
+    pub fn stats(&self) -> Result<StatsReply, &'static str> {
+        let state = self.state()?;
+        Ok(StatsReply {
+            resolves: state.resolves,
+            coalesced: 0,
+            cache_hits: state.cache_hits,
+            cache_misses: state.cache_misses,
+            ingests: state.ingests,
+            num_arrived: state.session.num_arrived() as u64,
+            version: state.session.version(),
+        })
     }
 }
 
@@ -344,7 +237,7 @@ mod tests {
         // A repeat is a cache hit with the identical answer.
         let again = svc.resolve(5).expect("in range");
         assert_eq!(again, reply);
-        let stats = svc.service_stats();
+        let stats = svc.stats().expect("healthy service");
         assert_eq!(stats.resolves, 2);
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
@@ -360,7 +253,7 @@ mod tests {
         svc.ingest(&[0, 1]).expect("valid batch");
         assert_eq!(svc.ingest(&[1, 2]), Err(IngestError::AlreadyArrived));
         // Only the valid batch counted or mutated anything.
-        let stats = svc.stats();
+        let stats = svc.stats().expect("healthy service");
         assert_eq!(stats.ingests, 1);
         assert_eq!(stats.num_arrived, 2);
         assert_eq!(stats.version, 1);
@@ -374,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_resolves_of_one_entity_agree_and_may_coalesce() {
+    fn concurrent_resolves_of_one_entity_agree() {
         let g = generate(&profiles::center_dense(80, 9));
         let svc = ResolveService::new(&g.dataset, ErMode::CleanClean, SCHEME, PRUNING, 0);
         let ids: Vec<u32> = (0..g.dataset.len() as u32).collect();
@@ -388,14 +281,45 @@ mod tests {
                 assert_eq!(h.join().expect("no panic"), first);
             }
         });
-        let stats = svc.service_stats();
+        let stats = svc.stats().expect("healthy service");
         assert_eq!(stats.resolves, 9);
-        // Capacity 0: every non-coalesced resolve swept.
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(
-            stats.cache_misses + stats.coalesced,
-            stats.resolves,
-            "every resolve either swept or piggybacked"
-        );
+        // Capacity 0: every resolve swept, and none is ever coalesced.
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 9));
+        assert_eq!(stats.coalesced, 0);
+    }
+
+    #[test]
+    fn a_poisoned_lock_answers_unavailable_and_the_server_still_stops() {
+        let g = generate(&profiles::center_dense(30, 13));
+        let svc = ResolveService::new(&g.dataset, ErMode::CleanClean, SCHEME, PRUNING, 8);
+        svc.ingest(&[0, 1]).expect("valid batch");
+        std::thread::scope(|s| {
+            let panicked = s.spawn(|| {
+                let _held = svc.state.lock();
+                panic!("poisoning the state lock on purpose");
+            });
+            assert!(panicked.join().is_err());
+        });
+        assert_eq!(svc.resolve(0), Err(UNAVAILABLE));
+        assert_eq!(svc.ingest(&[2]), Err(IngestError::Unavailable));
+        assert_eq!(svc.stats(), Err(UNAVAILABLE));
+
+        let server = crate::Server::bind("127.0.0.1:0", svc, 2).expect("bind ephemeral port");
+        let addr = server.local_addr().expect("bound address");
+        std::thread::scope(|s| {
+            let running = s.spawn(|| server.run());
+            let mut client = crate::Client::connect(addr).expect("connect to server");
+            for _ in 0..2 {
+                let err = client.resolve(0).expect_err("ERR, not a hang");
+                assert_eq!(err.to_string(), UNAVAILABLE);
+                assert!(client.ingest(&[2]).is_err());
+                assert!(client.stats().is_err());
+            }
+            client.shutdown().expect("the connection stayed open");
+            running
+                .join()
+                .expect("server thread exits")
+                .expect("run returns ok");
+        });
     }
 }

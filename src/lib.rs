@@ -9,7 +9,7 @@
 //! | [`datagen`] | `minoan-datagen` | synthetic LOD worlds + ground truth |
 //! | [`mapreduce`] | `minoan-mapreduce` | the in-process MapReduce engine |
 //! | [`blocking`] | `minoan-blocking` | token/URI/attribute-clustering blocking, purging, filtering |
-//! | [`metablocking`] | `minoan-metablocking` | the meta-blocking `Session` (scheme × pruning × backend), blocking graph, weighting |
+//! | [`metablocking`] | `minoan-metablocking` | the meta-blocking `Session` (scheme × pruning × backend), weighting, incremental session |
 //! | [`similarity`] | `minoan-similarity` | token and string similarity measures |
 //! | [`er`] | `minoan-er` | **the progressive ER engine and pipeline** |
 //! | [`eval`] | `minoan-eval` | PC/PQ/RR, precision/recall, progressive curves, bootstrap CIs, ASCII plots |

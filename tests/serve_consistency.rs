@@ -158,7 +158,7 @@ fn interleaved_resolves_match_from_scratch_at_the_admission_point() {
                 let reply = service.resolve(cold).expect("in range");
                 check_reply(&mut reference, cold, reply.version, &reply.pairs, &tag);
             }
-            let stats = service.service_stats();
+            let stats = service.stats().expect("healthy service");
             if cache > 0 {
                 assert!(stats.cache_hits > 0, "{tag}: hot probes must hit the cache");
             } else {
@@ -272,7 +272,7 @@ fn concurrent_resolves_under_ingest_stay_version_consistent() {
                 })
                 .collect()
         });
-        let stats = service.service_stats();
+        let stats = service.stats().expect("healthy service");
         assert_eq!(
             stats.resolves,
             (CLIENTS * RESOLVES_PER_CLIENT) as u64,
@@ -346,7 +346,7 @@ fn a_corpus_sized_cache_answers_what_no_cache_answers() {
             resolve_all(i + 1);
         }
         assert!(
-            cached.service_stats().cache_hits > 0,
+            cached.stats().expect("healthy service").cache_hits > 0,
             "the cache must serve"
         );
     }

@@ -13,7 +13,7 @@
 //!    both ER modes and for every worker count.
 
 use minoan::blocking::builders::{token_pass, TokenKeys};
-use minoan::blocking::{KeyAssignments, Method};
+use minoan::blocking::KeyAssignments;
 use minoan::er::pipeline::BlockingMethod;
 use minoan::prelude::*;
 use minoan::rdf::tokenize::{self, TokenBuffers};
@@ -119,10 +119,8 @@ const METHODS: [BlockingMethod; 5] = [
     BlockingMethod::Token,
     BlockingMethod::UriInfix,
     BlockingMethod::TokenAndUri,
-    BlockingMethod::AttributeClustering {
-        link_threshold: 0.2,
-    },
-    BlockingMethod::Custom(Method::QGrams(3)),
+    BlockingMethod::AttributeClustering(0.2),
+    BlockingMethod::QGrams(3),
 ];
 
 #[test]
