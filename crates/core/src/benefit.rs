@@ -111,7 +111,6 @@ pub struct ResolutionState<'d> {
     /// Per description, the span of `attr_sets` holding the set of the
     /// cluster it is the root of: its own until a match merges it.
     cluster_attrs: Vec<(usize, usize)>,
-    matches: usize,
 }
 
 /// Cap on neighbourhood cross-products examined per benefit evaluation —
@@ -138,13 +137,7 @@ impl<'d> ResolutionState<'d> {
             resolved: vec![false; dataset.len()],
             attr_sets,
             cluster_attrs,
-            matches: 0,
         }
-    }
-
-    /// Number of recorded matches.
-    pub fn matches(&self) -> usize {
-        self.matches
     }
 
     /// Whether `e` participates in at least one match.
@@ -231,7 +224,6 @@ impl<'d> ResolutionState<'d> {
         }
         self.resolved[a.index()] = true;
         self.resolved[b.index()] = true;
-        self.matches += 1;
     }
 }
 
@@ -352,7 +344,6 @@ mod tests {
                     assert_eq!(got.to_bits(), want.to_bits(), "round {round} step {step}");
                 }
             }
-            assert_eq!(state.matches(), 60);
         }
     }
 
@@ -402,7 +393,6 @@ mod tests {
         state.record_match(EntityId(0), EntityId(3));
         assert!(state.resolved(EntityId(0)) && state.resolved(EntityId(3)));
         assert!(state.same_cluster(EntityId(0), EntityId(3)));
-        assert_eq!(state.matches(), 1);
         // Transitive merge keeps attribute union coherent.
         state.record_match(EntityId(3), EntityId(1));
         assert!(state.same_cluster(EntityId(0), EntityId(1)));

@@ -23,12 +23,14 @@
 //! `n` descriptions and return the non-singleton clusters, sorted, so the
 //! outputs are directly comparable in tests and experiments.
 
-use minoan_common::{FxHashMap, FxHashSet, UnionFind};
-use minoan_rdf::EntityId;
+use minoan_common::{FxHashSet, UnionFind};
+use minoan_rdf::{Dataset, EntityId};
 
 /// Sorts edges by descending weight (ties: ascending pair) — the canonical
-/// processing order of the center-based algorithms.
-fn by_weight_desc(matches: &[(EntityId, EntityId, f64)]) -> Vec<(EntityId, EntityId, f64)> {
+/// processing order of the center-based algorithms, and static best-first.
+pub(crate) fn by_weight_desc(
+    matches: &[(EntityId, EntityId, f64)],
+) -> Vec<(EntityId, EntityId, f64)> {
     let mut edges = matches.to_vec();
     edges.sort_by(|x, y| {
         y.2.partial_cmp(&x.2)
@@ -38,27 +40,13 @@ fn by_weight_desc(matches: &[(EntityId, EntityId, f64)]) -> Vec<(EntityId, Entit
     edges
 }
 
-/// Extracts sorted non-singleton clusters from a union-find.
-fn clusters_of(uf: &mut UnionFind, n: usize) -> Vec<Vec<u32>> {
-    let mut by_root: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    for i in 0..n as u32 {
-        by_root.entry(uf.find(i)).or_default().push(i);
-    }
-    let mut out: Vec<Vec<u32>> = by_root.into_values().filter(|c| c.len() >= 2).collect();
-    for c in &mut out {
-        c.sort_unstable();
-    }
-    out.sort();
-    out
-}
-
 /// Transitive closure over all matches.
 pub fn connected_components(n: usize, matches: &[(EntityId, EntityId, f64)]) -> Vec<Vec<u32>> {
     let mut uf = UnionFind::new(n);
     for &(a, b, _) in matches {
         uf.union(a.0, b.0);
     }
-    clusters_of(&mut uf, n)
+    uf.clusters(2)
 }
 
 /// Center clustering (Haveliwala et al.): by descending weight, an edge
@@ -67,39 +55,18 @@ pub fn connected_components(n: usize, matches: &[(EntityId, EntityId, f64)]) -> 
 /// a *center* joins it as a satellite; satellite–satellite and
 /// satellite–center edges are ignored.
 pub fn center_clustering(n: usize, matches: &[(EntityId, EntityId, f64)]) -> Vec<Vec<u32>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Role {
-        Free,
-        Center,
-        Satellite,
-    }
-    let mut role = vec![Role::Free; n];
-    let mut uf = UnionFind::new(n);
-    for (a, b, _) in by_weight_desc(matches) {
-        let (ia, ib) = (a.index(), b.index());
-        match (role[ia], role[ib]) {
-            (Role::Free, Role::Free) => {
-                role[ia] = Role::Center;
-                role[ib] = Role::Satellite;
-                uf.union(a.0, b.0);
-            }
-            (Role::Free, Role::Center) => {
-                role[ia] = Role::Satellite;
-                uf.union(a.0, b.0);
-            }
-            (Role::Center, Role::Free) => {
-                role[ib] = Role::Satellite;
-                uf.union(a.0, b.0);
-            }
-            _ => {} // satellite involved, or two centers: skip
-        }
-    }
-    clusters_of(&mut uf, n)
+    centers(n, matches, false)
 }
 
 /// Merge-center clustering: center clustering, except an edge between two
 /// *centers* merges their clusters.
 pub fn merge_center_clustering(n: usize, matches: &[(EntityId, EntityId, f64)]) -> Vec<Vec<u32>> {
+    centers(n, matches, true)
+}
+
+/// Center clustering; with `merge`, an edge of two centers merges their
+/// clusters.
+fn centers(n: usize, matches: &[(EntityId, EntityId, f64)], merge: bool) -> Vec<Vec<u32>> {
     #[derive(Clone, Copy, PartialEq)]
     enum Role {
         Free,
@@ -114,23 +81,49 @@ pub fn merge_center_clustering(n: usize, matches: &[(EntityId, EntityId, f64)]) 
             (Role::Free, Role::Free) => {
                 role[ia] = Role::Center;
                 role[ib] = Role::Satellite;
-                uf.union(a.0, b.0);
             }
-            (Role::Free, Role::Center) => {
-                role[ia] = Role::Satellite;
-                uf.union(a.0, b.0);
-            }
-            (Role::Center, Role::Free) => {
-                role[ib] = Role::Satellite;
-                uf.union(a.0, b.0);
-            }
-            (Role::Center, Role::Center) => {
-                uf.union(a.0, b.0);
-            }
-            _ => {}
+            (Role::Free, Role::Center) => role[ia] = Role::Satellite,
+            (Role::Center, Role::Free) => role[ib] = Role::Satellite,
+            (Role::Center, Role::Center) if merge => {}
+            _ => continue, // a satellite involved, or two centers unmerged
+        }
+        uf.union(a.0, b.0);
+    }
+    uf.clusters(2)
+}
+
+/// Unique mapping for clean–clean ER: the KB each description has matched
+/// into, so that it matches at most one description per other KB. When
+/// off it refuses and records nothing.
+pub(crate) struct UniqueMapping {
+    on: bool,
+    mapped: FxHashSet<(u32, u16)>,
+}
+
+impl UniqueMapping {
+    pub(crate) fn new(on: bool) -> Self {
+        let mapped = FxHashSet::default();
+        Self { on, mapped }
+    }
+
+    /// Whether `a` (of KB `ka`) or `b` (of KB `kb`) has already matched
+    /// into the other's KB.
+    pub(crate) fn refuses(&self, a: EntityId, b: EntityId, [ka, kb]: [u16; 2]) -> bool {
+        self.on && (self.mapped.contains(&(a.0, kb)) || self.mapped.contains(&(b.0, ka)))
+    }
+
+    /// Records a match of `a` (of KB `ka`) and `b` (of KB `kb`).
+    pub(crate) fn map(&mut self, a: EntityId, b: EntityId, [ka, kb]: [u16; 2]) {
+        if self.on {
+            self.mapped.insert((a.0, kb));
+            self.mapped.insert((b.0, ka));
         }
     }
-    clusters_of(&mut uf, n)
+}
+
+/// The KBs of `a` and `b`, as [`UniqueMapping`] reads them.
+pub(crate) fn kbs(dataset: &Dataset, a: EntityId, b: EntityId) -> [u16; 2] {
+    [dataset.kb_of(a).0, dataset.kb_of(b).0]
 }
 
 /// Unique-mapping clustering for clean–clean ER: edges by descending
@@ -142,20 +135,17 @@ pub fn unique_mapping_clustering(
     mut kb_of: impl FnMut(EntityId) -> u16,
 ) -> Vec<Vec<u32>> {
     let mut uf = UnionFind::new(n);
-    let mut mapped: FxHashSet<(u32, u16)> = FxHashSet::default();
+    let mut mapping = UniqueMapping::new(true);
     for (a, b, _) in by_weight_desc(matches) {
-        let (ka, kb) = (kb_of(a), kb_of(b));
-        if ka == kb {
-            continue; // intra-KB pairs are never accepted in clean–clean
-        }
-        if mapped.contains(&(a.0, kb)) || mapped.contains(&(b.0, ka)) {
+        let kbs = [kb_of(a), kb_of(b)];
+        // Intra-KB pairs are never accepted in clean–clean.
+        if kbs[0] == kbs[1] || mapping.refuses(a, b, kbs) {
             continue;
         }
-        mapped.insert((a.0, kb));
-        mapped.insert((b.0, ka));
+        mapping.map(a, b, kbs);
         uf.union(a.0, b.0);
     }
-    clusters_of(&mut uf, n)
+    uf.clusters(2)
 }
 
 /// Which clustering algorithm to run (for experiment sweeps and the CLI).

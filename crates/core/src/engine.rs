@@ -19,10 +19,10 @@
 
 use crate::benefit::{BenefitModel, ResolutionState};
 use crate::candidates::{CandidateId, CandidatePool};
+use crate::clustering::{by_weight_desc, kbs, UniqueMapping};
 use crate::matcher::Matcher;
 use crate::scheduler::Scheduler;
 use crate::trace::{Trace, TraceStep};
-use minoan_common::FxHashSet;
 use minoan_rdf::{Dataset, EntityId};
 use minoan_similarity::JaroScratch;
 use rand::rngs::StdRng;
@@ -159,15 +159,7 @@ impl<'d> ProgressiveResolver<'d> {
         match self.config.strategy {
             Strategy::Progressive(model) => self.run_progressive(pairs, model),
             Strategy::Batch => self.run_fixed_order(pairs.to_vec()),
-            Strategy::StaticBestFirst => {
-                let mut sorted = pairs.to_vec();
-                sorted.sort_by(|x, y| {
-                    y.2.partial_cmp(&x.2)
-                        .expect("finite weights")
-                        .then_with(|| (x.0, x.1).cmp(&(y.0, y.1)))
-                });
-                self.run_fixed_order(sorted)
-            }
+            Strategy::StaticBestFirst => self.run_fixed_order(by_weight_desc(pairs)),
             Strategy::Random { seed } => {
                 let mut shuffled = pairs.to_vec();
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -182,14 +174,14 @@ impl<'d> ProgressiveResolver<'d> {
         let mut state = ResolutionState::new(self.dataset);
         let mut trace = self.trace_for(pairs.len());
         let mut matches = Vec::new();
-        let mut consumed: FxHashSet<(u32, u16)> = FxHashSet::default();
+        let mut mapping = UniqueMapping::new(self.config.unique_mapping);
         let mut jaro = JaroScratch::default();
         let mut comparisons = 0u64;
         for (a, b, w) in pairs {
             if comparisons >= self.config.budget {
                 break;
             }
-            if state.same_cluster(a, b) || self.consumed(&consumed, a, b) {
+            if state.same_cluster(a, b) || mapping.refuses(a, b, kbs(self.dataset, a, b)) {
                 continue;
             }
             comparisons += 1;
@@ -208,7 +200,7 @@ impl<'d> ProgressiveResolver<'d> {
             if matched {
                 state.record_match(a, b);
                 matches.push((a, b, value_sim));
-                self.consume(&mut consumed, a, b);
+                mapping.map(a, b, kbs(self.dataset, a, b));
             }
         }
         Resolution {
@@ -250,7 +242,7 @@ impl<'d> ProgressiveResolver<'d> {
                 lookahead: &lookahead,
                 workers,
             };
-            let mut consumed: FxHashSet<(u32, u16)> = FxHashSet::default();
+            let mut mapping = UniqueMapping::new(self.config.unique_mapping);
             let mut jaro = JaroScratch::default();
 
             let mut trace = self.trace_for(pairs.len());
@@ -273,7 +265,7 @@ impl<'d> ProgressiveResolver<'d> {
                     };
                     let eligible = worth_recomparing
                         && !state.same_cluster(c.a, c.b)
-                        && !self.consumed(&consumed, c.a, c.b);
+                        && !mapping.refuses(c.a, c.b, kbs(self.dataset, c.a, c.b));
                     if eligible {
                         model.score(&state, c)
                     } else {
@@ -312,7 +304,7 @@ impl<'d> ProgressiveResolver<'d> {
                 if matched {
                     state.record_match(a, b);
                     matches.push((a, b, score));
-                    self.consume(&mut consumed, a, b);
+                    mapping.map(a, b, kbs(self.dataset, a, b));
                     if self.config.alpha > 0.0 {
                         let known = pool.len();
                         discovered +=
@@ -387,21 +379,6 @@ impl<'d> ProgressiveResolver<'d> {
     fn trace_for(&self, pairs: usize) -> Trace {
         let budget = usize::try_from(self.config.budget).unwrap_or(usize::MAX);
         Trace::with_capacity(pairs.min(budget))
-    }
-
-    fn consumed(&self, consumed: &FxHashSet<(u32, u16)>, a: EntityId, b: EntityId) -> bool {
-        if !self.config.unique_mapping {
-            return false;
-        }
-        consumed.contains(&(a.0, self.dataset.kb_of(b).0))
-            || consumed.contains(&(b.0, self.dataset.kb_of(a).0))
-    }
-
-    fn consume(&self, consumed: &mut FxHashSet<(u32, u16)>, a: EntityId, b: EntityId) {
-        if self.config.unique_mapping {
-            consumed.insert((a.0, self.dataset.kb_of(b).0));
-            consumed.insert((b.0, self.dataset.kb_of(a).0));
-        }
     }
 }
 

@@ -26,6 +26,13 @@
 //! * [`scheduler`] — the lazy priority queue driving the schedule phase.
 //! * [`engine`] — the schedule → match → update loop under a budget.
 //! * [`trace`] — the per-comparison resolution trace evaluation consumes.
+//! * [`clustering`] — from matches to entities: connected components,
+//!   center, merge-center and unique-mapping clustering.
+//! * [`oracle`] — ground-truth schedules: upper bounds for scheduling.
+//! * [`incremental`] — clean–clean resolution of descriptions as they
+//!   arrive, under a per-arrival budget.
+//! * [`rules`] — the non-iterative composite rules (name and value
+//!   reciprocity, rank aggregation).
 //! * [`pipeline`] — the end-to-end MinoanER platform API (Figure 1 of the
 //!   paper): dataset in, resolution out.
 //!

@@ -19,23 +19,17 @@ use minoan_rdf::EntityId;
 
 /// Replays `pairs` in the given order, deciding each with `is_match`;
 /// stops at `budget` comparisons.
-#[allow(clippy::explicit_counter_loop)] // the counter is budget-gated, not an index
 pub fn oracle_trace(
     pairs: &[(EntityId, EntityId, f64)],
     mut is_match: impl FnMut(EntityId, EntityId) -> bool,
     budget: u64,
 ) -> Trace {
     let mut trace = Trace::new();
-    let mut comparisons = 0u64;
-    for &(a, b, w) in pairs {
-        if comparisons >= budget {
-            break;
-        }
-        comparisons += 1;
+    for (&(a, b, w), comparison) in pairs.iter().zip(1..=budget) {
         let matched = is_match(a, b);
         let sim = if matched { 1.0 } else { 0.0 };
         trace.push(TraceStep {
-            comparison: comparisons,
+            comparison,
             a: a.0,
             b: b.0,
             value_similarity: sim,
@@ -48,39 +42,16 @@ pub fn oracle_trace(
     trace
 }
 
-/// The perfect schedule: all true matches first (in input order), then the
-/// non-matches — the recall-at-budget ceiling for this candidate set.
-#[allow(clippy::explicit_counter_loop)] // the counter is budget-gated, not an index
+/// The perfect schedule: all true matches first, then the non-matches,
+/// each part by pair — the recall-at-budget ceiling for this candidate set.
 pub fn perfect_trace(
     pairs: &[(EntityId, EntityId, f64)],
     mut is_match: impl FnMut(EntityId, EntityId) -> bool,
     budget: u64,
 ) -> Trace {
-    let mut ordered: Vec<(EntityId, EntityId, f64, bool)> = pairs
-        .iter()
-        .map(|&(a, b, w)| (a, b, w, is_match(a, b)))
-        .collect();
-    ordered.sort_by(|x, y| y.3.cmp(&x.3).then((x.0, x.1).cmp(&(y.0, y.1))));
-    let mut trace = Trace::new();
-    let mut comparisons = 0u64;
-    for (a, b, w, matched) in ordered {
-        if comparisons >= budget {
-            break;
-        }
-        comparisons += 1;
-        let sim = if matched { 1.0 } else { 0.0 };
-        trace.push(TraceStep {
-            comparison: comparisons,
-            a: a.0,
-            b: b.0,
-            value_similarity: sim,
-            score: sim,
-            benefit: w,
-            matched,
-            discovered: false,
-        });
-    }
-    trace
+    let mut ordered = pairs.to_vec();
+    ordered.sort_by_cached_key(|&(a, b, _)| (!is_match(a, b), a, b));
+    oracle_trace(&ordered, is_match, budget)
 }
 
 /// Scheduling efficiency of a trace against the perfect ceiling: the ratio

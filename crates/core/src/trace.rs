@@ -79,18 +79,6 @@ impl Trace {
     pub fn matches(&self) -> usize {
         self.steps.iter().filter(|s| s.matched).count()
     }
-
-    /// Steps that were matches, in order.
-    pub fn match_steps(&self) -> impl Iterator<Item = &TraceStep> {
-        self.steps.iter().filter(|s| s.matched)
-    }
-
-    /// Comparison index at which the `n`-th match (1-based) was found.
-    pub fn budget_for_nth_match(&self, n: usize) -> Option<u64> {
-        self.match_steps()
-            .nth(n.saturating_sub(1))
-            .map(|s| s.comparison)
-    }
 }
 
 #[cfg(test)]
@@ -118,9 +106,6 @@ mod tests {
         t.push(step(3, true));
         assert_eq!(t.comparisons(), 3);
         assert_eq!(t.matches(), 2);
-        assert_eq!(t.budget_for_nth_match(1), Some(1));
-        assert_eq!(t.budget_for_nth_match(2), Some(3));
-        assert_eq!(t.budget_for_nth_match(3), None);
     }
 
     #[test]
@@ -128,7 +113,6 @@ mod tests {
         let t = Trace::new();
         assert_eq!(t.comparisons(), 0);
         assert_eq!(t.matches(), 0);
-        assert!(t.budget_for_nth_match(1).is_none());
     }
 
     #[test]

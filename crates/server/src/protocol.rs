@@ -20,7 +20,8 @@
 //!
 //! Frames above [`MAX_FRAME`] bytes (and zero-length payloads) are
 //! rejected as malformed before any allocation happens — a garbage
-//! length prefix must not become a multi-gigabyte `Vec`. Likewise an
+//! length prefix must not become a multi-gigabyte `Vec`, and a body is
+//! read only as far as its bytes arrive, 64 KiB at first. Likewise an
 //! element count is checked against the bytes left in its frame before
 //! it sizes a `Vec`, so a decoder allocates only what the frame holds.
 
@@ -31,6 +32,9 @@ use std::io::{self, Read, Write};
 /// Upper bound on one frame's payload (16 MiB). Generous: the largest
 /// real payload is a `RESOLVED` body at 16 bytes per kept pair.
 pub const MAX_FRAME: usize = 16 << 20;
+
+/// What a frame body's buffer holds before any of it has arrived.
+const READ_CHUNK: usize = 64 << 10;
 
 const OP_RESOLVE: u8 = 0x01;
 const OP_INGEST: u8 = 0x02;
@@ -240,8 +244,14 @@ fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     if len == 0 || len > MAX_FRAME {
         return Err(bad("frame length out of bounds"));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "truncated frame body",
+        ));
+    }
     Ok(Some(payload))
 }
 

@@ -15,10 +15,23 @@
 //! | dirty blocks of ≥ 3 members: comparison counts above 1, ARCS ≠ CBS | `dirty` |
 //! | a split sweep: threads 1 vs 4 over ≥ 4 placed entities | `clean`, `dirty` |
 //!
+//! The resolution suites run on [`resolution_worlds`]:
+//!
+//! | case | world |
+//! |---|---|
+//! | a schedule tie decided by candidate id | `clean` |
+//! | a re-comparison that flips to a match | `sparse` |
+//! | a re-comparison `recompare_margin` defers (margin 0 resolves otherwise) | `periphery` |
+//! | a discovered candidate that matches | `clean` |
+//! | a budget cut inside the run (10 % of the candidates) | every world |
+//! | a unique-mapping refusal | `clean` |
+//! | an edge of two centres (merge-center parts from center) | `dirty`'s candidates |
+//!
 //! `tests/spec_anchors.rs::coverage_list_holds` asserts every row, so the
 //! list cannot go stale.
 
 use super::cep_cardinalities;
+use super::resolve_spec::Pair;
 use minoan::blocking::{builders, filter, BlockCollection, ErMode};
 use minoan::datagen::{generate, profiles, GeneratedWorld, GroundTruth};
 use minoan::metablocking::{Perceptron, Pruning, Session, TrainingSet};
@@ -95,6 +108,33 @@ pub fn named() -> Vec<(&'static str, BlockCollection)> {
         ("dirty", dirty(7).0),
         ("star", star()),
         ("empty", empty()),
+    ]
+}
+
+/// The candidates the session defaults (ARCS × WNP) keep on `blocks`.
+fn candidates(blocks: &BlockCollection) -> Vec<Pair> {
+    Session::new(blocks).run().into_candidates()
+}
+
+/// The worlds the resolution suites run every resolver on, at `seed`,
+/// each with its candidates: `clean` and `dirty` cleaned as above; then,
+/// purged and filtered, `sparse`, two periphery KBs whose matches lean on
+/// the update phase, and `periphery`, a center KB beside a periphery one.
+pub fn resolution_worlds(seed: u64) -> Vec<(&'static str, GeneratedWorld, Vec<Pair>)> {
+    let (clean, clean_blocks) = raw_clean(seed);
+    let (dirty, dirty_blocks) = raw_dirty(seed);
+    let clean_clean = |world: GeneratedWorld| {
+        let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
+        let pairs = candidates(&filter::clean(&blocks));
+        (world, pairs)
+    };
+    let (sparse, sparse_pairs) = clean_clean(generate(&profiles::periphery_sparse(80, seed)));
+    let (periphery, periphery_pairs) = clean_clean(generate(&profiles::center_periphery(80, seed)));
+    vec![
+        ("clean", clean, candidates(&filter::clean(&clean_blocks))),
+        ("dirty", dirty, candidates(&filter::filter(&dirty_blocks))),
+        ("sparse", sparse, sparse_pairs),
+        ("periphery", periphery, periphery_pairs),
     ]
 }
 

@@ -5,10 +5,14 @@ pub mod cleaning;
 #[allow(dead_code)]
 pub mod coverage;
 #[allow(dead_code)]
+pub mod resolve_spec;
+#[allow(dead_code)]
 pub mod spec;
 
 use minoan::blocking::{BlockCollection, ErMode};
+use minoan::common::hash::fx_hash_bytes;
 use minoan::common::FxHashMap;
+use minoan::er::{Resolution, Trace};
 use minoan::metablocking::{
     ExecutionBackend, PruneOutcome, PrunedComparisons, Pruning, Session, WeightedPair,
     WeightingScheme,
@@ -154,6 +158,92 @@ pub fn assert_collections_identical(a: &BlockCollection, b: &BlockCollection, wh
             "{what}: entity_blocks({e})"
         );
     }
+}
+
+/// Every bit of a trace step.
+pub type StepBits = (u64, u32, u32, [u64; 3], bool, bool);
+
+/// Every bit of a resolution: trace steps, matches, clusters, counts.
+#[allow(dead_code)]
+pub type ResolutionBits = (
+    Vec<StepBits>,
+    Vec<(EntityId, EntityId, u64)>,
+    Vec<Vec<u32>>,
+    u64,
+    usize,
+);
+
+#[allow(dead_code)]
+pub fn trace_bits(trace: &Trace) -> Vec<StepBits> {
+    let steps = trace.steps().iter().map(|s| {
+        let floats = [s.value_similarity, s.score, s.benefit].map(f64::to_bits);
+        (s.comparison, s.a, s.b, floats, s.matched, s.discovered)
+    });
+    steps.collect()
+}
+
+#[allow(dead_code)]
+pub fn resolution_bits(r: &Resolution) -> ResolutionBits {
+    let matches = r.matches.iter().map(|&(a, b, s)| (a, b, s.to_bits()));
+    (
+        trace_bits(&r.trace),
+        matches.collect(),
+        r.clusters.clone(),
+        r.comparisons,
+        r.discovered_candidates,
+    )
+}
+
+/// `fx_hash_bytes` of [`resolution_bits`], little-endian: the counts,
+/// every trace step, every match, then every cluster (length first).
+#[allow(dead_code)]
+pub fn resolution_digest(r: &Resolution) -> u64 {
+    let (steps, matches, clusters, comparisons, discovered) = resolution_bits(r);
+    let mut bytes = comparisons.to_le_bytes().to_vec();
+    bytes.extend((discovered as u64).to_le_bytes());
+    for (_, a, b, floats, matched, discovered) in steps {
+        bytes.extend(a.to_le_bytes());
+        bytes.extend(b.to_le_bytes());
+        bytes.extend(floats.iter().flat_map(|f| f.to_le_bytes()));
+        bytes.extend([u8::from(matched), u8::from(discovered)]);
+    }
+    for (a, b, score) in matches {
+        bytes.extend(a.0.to_le_bytes());
+        bytes.extend(b.0.to_le_bytes());
+        bytes.extend(score.to_le_bytes());
+    }
+    bytes.extend(clusters_bytes(&clusters));
+    fx_hash_bytes(&bytes)
+}
+
+/// Every cluster, its length first, little-endian.
+#[allow(dead_code)]
+pub fn clusters_bytes(clusters: &[Vec<u32>]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for c in clusters {
+        bytes.extend((c.len() as u64).to_le_bytes());
+        bytes.extend(c.iter().flat_map(|m| m.to_le_bytes()));
+    }
+    bytes
+}
+
+/// Panics at the first step where `got` and `want` part, unless every
+/// bit of the two resolutions is the same.
+#[allow(dead_code)]
+pub fn assert_same_resolution(got: &Resolution, want: &Resolution, label: &str) {
+    let (g, w) = (resolution_bits(got), resolution_bits(want));
+    if g == w {
+        return;
+    }
+    let first = g.0.iter().zip(&w.0).position(|(x, y)| x != y);
+    let at = first.unwrap_or(g.0.len().min(w.0.len()));
+    panic!(
+        "{label}: resolutions part at step {at} of {} / {}: {:?} vs {:?}",
+        g.0.len(),
+        w.0.len(),
+        got.trace.steps().get(at),
+        want.trace.steps().get(at),
+    );
 }
 
 /// SplitMix64: test inputs that depend on a seed alone.

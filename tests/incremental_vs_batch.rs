@@ -1,5 +1,9 @@
 //! Integration: the incremental resolver against the batch pipeline, and
 //! the composite rules against the threshold matcher, on shared worlds.
+//! Neither is meant to give the batch answer: these tests bound how far
+//! each falls from it, and `tests/spec_anchors.rs` pins what each answers
+//! as golden digests. The incremental resolver is clean–clean only (a
+//! candidate must come from another KB).
 
 use minoan::datagen::ArrivalOrder;
 use minoan::er::{CompositeConfig, CompositeResolver, IncrementalConfig, IncrementalResolver};
@@ -46,6 +50,28 @@ fn incremental_work_is_spread_across_arrivals() {
     }
     assert!(max_arrival_comparisons <= 5, "an arrival burst the budget");
     assert!(inc.comparisons() > 0);
+}
+
+/// Every comparison an arrival runs is in its report, the immediate
+/// re-checks of pairs its matches linked included: the reports sum to
+/// `comparisons()`, one arrival at a time and in batches.
+#[test]
+fn arrival_reports_count_every_comparison() {
+    let world = generate(&profiles::center_dense(200, 37));
+    let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
+    let config = IncrementalConfig {
+        budget_per_arrival: 5,
+        ..Default::default()
+    };
+    let ids: Vec<EntityId> = world.dataset.entities().collect();
+    for batch in [1, 8] {
+        let mut inc = IncrementalResolver::new(&world.dataset, &matcher, config);
+        let reported: u64 = ids
+            .chunks(batch)
+            .map(|b| inc.arrive_batch(b).comparisons)
+            .sum();
+        assert_eq!(reported, inc.comparisons(), "batches of {batch}");
+    }
 }
 
 #[test]

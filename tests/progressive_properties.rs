@@ -1,6 +1,9 @@
 //! Property-based tests of the progressive engine's invariants over
 //! randomised world configurations.
 
+mod common;
+
+use common::resolution_bits;
 use minoan::prelude::*;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _; // the minoan prelude also exports a `Strategy` enum
@@ -97,30 +100,6 @@ proptest! {
             }
         }
     }
-}
-
-/// Every bit of a resolution: trace steps, matches, clusters, counts.
-type ResolutionBits = (
-    Vec<(u64, u32, u32, [u64; 3], bool, bool)>,
-    Vec<(EntityId, EntityId, u64)>,
-    Vec<Vec<u32>>,
-    u64,
-    usize,
-);
-
-fn resolution_bits(r: &Resolution) -> ResolutionBits {
-    let steps = r.trace.steps().iter().map(|s| {
-        let floats = [s.value_similarity, s.score, s.benefit].map(f64::to_bits);
-        (s.comparison, s.a, s.b, floats, s.matched, s.discovered)
-    });
-    let matches = r.matches.iter().map(|&(a, b, s)| (a, b, s.to_bits()));
-    (
-        steps.collect(),
-        matches.collect(),
-        r.clusters.clone(),
-        r.comparisons,
-        r.discovered_candidates,
-    )
 }
 
 /// The comparison workers beside the progressive loop change no bit of

@@ -10,6 +10,13 @@
 //!   block's key, members and comparison count, for purge and filter on
 //!   both worlds before cleaning — for the cleaning specification, which
 //!   the product's passes must equal.
+//! * **Golden digests of resolution.** For every strategy × budget on the
+//!   four resolution worlds at two seeds, and each clustering of their
+//!   matches, `fx_hash_bytes` of every bit of the answer — for the
+//!   resolution specification (`common::resolve_spec`), which the
+//!   product's resolvers at one and four workers, its clusterings and
+//!   its oracle traces must equal. The composite and incremental
+//!   resolvers are pinned beside them, with no specification.
 //! * **The coverage list** (`common::coverage`): each named world
 //!   contains the case the list names it for.
 
@@ -17,9 +24,16 @@ mod common;
 
 use common::coverage::{self, clean, dirty, raw_clean, raw_dirty, star};
 use common::spec::Spec;
-use common::{assert_collections_identical, cleaning};
+use common::{assert_collections_identical, cleaning, resolve_spec};
+use common::{assert_same_resolution, clusters_bytes, resolution_digest, trace_bits};
 use minoan::blocking::{filter, purge, BlockCollection, ErMode};
 use minoan::common::hash::fx_hash_bytes;
+use minoan::datagen::ArrivalOrder;
+use minoan::er::{
+    oracle_trace, perfect_trace, BenefitModel, ClusteringAlgorithm, CompositeConfig,
+    CompositeResolution, CompositeResolver, IncrementalConfig, IncrementalResolver, Matcher,
+    MatcherConfig, Pipeline, PipelineConfig, ResolverConfig, Strategy,
+};
 use minoan::metablocking::{blast, PrunedComparisons, Pruning, Session, WeightingScheme};
 
 /// `fx_hash_bytes` of `input_edges` then every kept `(a, b, weight bits)`,
@@ -458,4 +472,481 @@ fn coverage_list_holds() {
     );
     let named: Vec<&str> = coverage::named().iter().map(|(n, _)| *n).collect();
     assert_eq!(named, ["clean", "dirty", "star", "empty"]);
+    resolution_rows_hold();
+}
+
+/// The coverage list's resolution rows, on the specification's runs.
+fn resolution_rows_hold() {
+    let worlds = coverage::resolution_worlds(7);
+    let named: Vec<&str> = worlds.iter().map(|(n, _, _)| *n).collect();
+    assert_eq!(named, ["clean", "dirty", "sparse", "periphery"]);
+    let pq = ResolverConfig::default();
+    for (world, g, pairs) in &worlds {
+        let matcher = Matcher::new(&g.dataset, MatcherConfig::default());
+        let run = |c: &ResolverConfig| resolve_spec::resolve(&g.dataset, &matcher, pairs, c);
+        let tenth = pairs.len() as u64 / 10;
+        let cut = run(&ResolverConfig {
+            budget: tenth,
+            ..Default::default()
+        });
+        assert!(
+            cut.comparisons == tenth && run(&pq).comparisons > tenth,
+            "{world}: a budget cut inside the run"
+        );
+    }
+    let world = |i: usize| (&worlds[i].1, worlds[i].2.as_slice());
+    let ((clean, clean_pairs), (dirty, dirty_pairs)) = (world(0), world(1));
+    let ((sparse, sparse_pairs), (periphery, periphery_pairs)) = (world(2), world(3));
+    let matcher = Matcher::new(&clean.dataset, MatcherConfig::default());
+    let model = BenefitModel::PairQuantity;
+    let (all, ties) = resolve_spec::progressive(&clean.dataset, &matcher, clean_pairs, &pq, model);
+    assert!(ties > 0, "clean: a schedule tie decided by candidate id");
+    assert!(
+        all.trace.steps().iter().any(|s| s.discovered && s.matched),
+        "clean: a discovered candidate that matches"
+    );
+    let unique = ResolverConfig {
+        unique_mapping: true,
+        ..Default::default()
+    };
+    let unique = resolve_spec::resolve(&clean.dataset, &matcher, clean_pairs, &unique);
+    let compared: Vec<(u32, u32)> = unique.trace.steps().iter().map(|s| (s.a, s.b)).collect();
+    let together = |a: u32, b: u32| {
+        unique
+            .clusters
+            .iter()
+            .any(|c| c.contains(&a) && c.contains(&b))
+    };
+    assert!(
+        clean_pairs
+            .iter()
+            .any(|&(a, b, _)| !compared.contains(&(a.0, b.0)) && !together(a.0, b.0)),
+        "clean: a unique-mapping refusal (an unbounded run left a pair apart, uncompared)"
+    );
+
+    let matcher = Matcher::new(&sparse.dataset, MatcherConfig::default());
+    let steps = resolve_spec::resolve(&sparse.dataset, &matcher, sparse_pairs, &pq).trace;
+    let steps = steps.steps();
+    let again = |i: usize| {
+        steps[..i]
+            .iter()
+            .any(|t| (t.a, t.b) == (steps[i].a, steps[i].b))
+    };
+    assert!(
+        (0..steps.len()).any(|i| steps[i].matched && again(i)),
+        "sparse: a re-comparison that flips to a match"
+    );
+
+    let matcher = Matcher::new(&periphery.dataset, MatcherConfig::default());
+    let run = |c: &ResolverConfig| {
+        let out = resolve_spec::resolve(&periphery.dataset, &matcher, periphery_pairs, c);
+        common::resolution_bits(&out)
+    };
+    let margin = ResolverConfig {
+        recompare_margin: 0.0,
+        ..Default::default()
+    };
+    assert_ne!(
+        run(&pq),
+        run(&margin),
+        "periphery: a re-comparison recompare_margin defers"
+    );
+
+    let centre = |alg| resolve_spec::cluster(alg, &dirty.dataset, dirty_pairs);
+    assert_ne!(
+        centre(ClusteringAlgorithm::Center),
+        centre(ClusteringAlgorithm::MergeCenter),
+        "dirty: an edge of two centres among the candidates"
+    );
+}
+
+/// The resolution cases of one world with `pairs` candidates: every
+/// strategy × budget of 10 %, 50 % and ∞, then pair-quantity under
+/// unique mapping on `clean`.
+fn resolution_cases(world: &str, pairs: usize) -> Vec<(String, ResolverConfig)> {
+    let mut strategies = vec![
+        Strategy::Batch,
+        Strategy::Random { seed: 5 },
+        Strategy::StaticBestFirst,
+    ];
+    strategies.extend(BenefitModel::ALL.map(Strategy::Progressive));
+    let budgets = [
+        ("10%", pairs as u64 / 10),
+        ("50%", pairs as u64 / 2),
+        ("all", u64::MAX),
+    ];
+    let mut cases = Vec::new();
+    for strategy in strategies {
+        for (label, budget) in budgets {
+            let config = ResolverConfig {
+                strategy,
+                budget,
+                ..Default::default()
+            };
+            let name = match strategy {
+                Strategy::Progressive(model) => model.name().to_string(),
+                fixed => fixed.name(),
+            };
+            cases.push((format!("{name} {label}"), config));
+        }
+    }
+    if world == "clean" {
+        for (label, budget) in budgets {
+            let config = ResolverConfig {
+                budget,
+                unique_mapping: true,
+                ..Default::default()
+            };
+            cases.push((format!("unique {label}"), config));
+        }
+    }
+    cases
+}
+
+/// `fx_hash_bytes` of an incremental run: comparisons, every match
+/// `(a, b, score bits)`, then the clusters.
+fn incremental_digest(inc: &mut IncrementalResolver) -> u64 {
+    let mut bytes = inc.comparisons().to_le_bytes().to_vec();
+    for &(a, b, score) in inc.matches() {
+        bytes.extend(a.0.to_le_bytes());
+        bytes.extend(b.0.to_le_bytes());
+        bytes.extend(score.to_bits().to_le_bytes());
+    }
+    bytes.extend(clusters_bytes(&inc.clusters()));
+    fx_hash_bytes(&bytes)
+}
+
+/// `fx_hash_bytes` of a composite run: comparisons, then every match
+/// `(a, b, score bits, rule name)`.
+fn composite_digest(out: &CompositeResolution) -> u64 {
+    let mut bytes = out.comparisons.to_le_bytes().to_vec();
+    for m in &out.matches {
+        bytes.extend(m.a.0.to_le_bytes());
+        bytes.extend(m.b.0.to_le_bytes());
+        bytes.extend(m.score.to_bits().to_le_bytes());
+        bytes.extend(m.rule.name().as_bytes());
+    }
+    fx_hash_bytes(&bytes)
+}
+
+/// Pinned like [`GOLDEN`]: every case of [`resolution_cases`] and each
+/// clustering of the unbounded pair-quantity matches, on which every plan
+/// must equal the specification (`common::resolve_spec`); then the
+/// composite and incremental resolvers, pinned only.
+const GOLDEN_RESOLUTION: &[(&str, u64)] = &[
+    ("clean/7 batch 10%", 0x6b7a97d1d88e95a1),
+    ("clean/7 batch 50%", 0x09851b491f045558),
+    ("clean/7 batch all", 0x87cff42e7a162a2c),
+    ("clean/7 random 10%", 0xba4495c8e3f01361),
+    ("clean/7 random 50%", 0xc649eed4ac56ae2f),
+    ("clean/7 random all", 0x7ffe9bdd27c70cfe),
+    ("clean/7 static-best-first 10%", 0x6b7a97d1d88e95a1),
+    ("clean/7 static-best-first 50%", 0x09851b491f045558),
+    ("clean/7 static-best-first all", 0x87cff42e7a162a2c),
+    ("clean/7 pair-quantity 10%", 0x26f117aa8b90fe1e),
+    ("clean/7 pair-quantity 50%", 0x28ae968f9ec43990),
+    ("clean/7 pair-quantity all", 0x31ce16e6e0a858ed),
+    ("clean/7 attr-completeness 10%", 0x6260ffe7382d925b),
+    ("clean/7 attr-completeness 50%", 0x97cd6052957f4f07),
+    ("clean/7 attr-completeness all", 0x737caf7b443e103c),
+    ("clean/7 entity-coverage 10%", 0x26f117aa8b90fe1e),
+    ("clean/7 entity-coverage 50%", 0x287e541744552a34),
+    ("clean/7 entity-coverage all", 0x575df23a10ce3a19),
+    ("clean/7 rel-completeness 10%", 0xcd9fcda942c97d90),
+    ("clean/7 rel-completeness 50%", 0xa50c5bd98f3067a7),
+    ("clean/7 rel-completeness all", 0x74c6cdc43441ba34),
+    ("clean/7 unique 10%", 0x26f117aa8b90fe1e),
+    ("clean/7 unique 50%", 0x38dd3ef80b7a25b9),
+    ("clean/7 unique all", 0x38dd3ef80b7a25b9),
+    ("clean/7 connected-components", 0xac1ab1982fbc61c8),
+    ("clean/7 center", 0xa104f2babee2f390),
+    ("clean/7 merge-center", 0xa104f2babee2f390),
+    ("clean/7 unique-mapping", 0xb5601636d417c66a),
+    ("clean/7 composite", 0x8752b2ba16f658c9),
+    ("clean/7 stream kb-sequential ×1", 0x4de9659990a1612d),
+    ("clean/7 stream kb-sequential ×8", 0x838c4e2ab1453948),
+    ("clean/7 stream round-robin ×1", 0x2bf84da8e7995fb6),
+    ("clean/7 stream round-robin ×8", 0x96d04481ebdb01d3),
+    ("clean/7 stream shuffled ×1", 0x7bd4174ba605e770),
+    ("clean/7 stream shuffled ×8", 0xf8d308ec5f5cfff0),
+    ("clean/7 stream clustered-bursts ×1", 0xfde560027d235615),
+    ("clean/7 stream clustered-bursts ×8", 0xe25a71c9f742d800),
+    ("dirty/7 batch 10%", 0x2b39969198cb9c9a),
+    ("dirty/7 batch 50%", 0x2f8373a135316d99),
+    ("dirty/7 batch all", 0x4ea980988848cbc0),
+    ("dirty/7 random 10%", 0x7cc17fd83cb258e5),
+    ("dirty/7 random 50%", 0x74dc119948c0069c),
+    ("dirty/7 random all", 0x1f5d391ad4dc9d33),
+    ("dirty/7 static-best-first 10%", 0x2b39969198cb9c9a),
+    ("dirty/7 static-best-first 50%", 0x2f8373a135316d99),
+    ("dirty/7 static-best-first all", 0x4ea980988848cbc0),
+    ("dirty/7 pair-quantity 10%", 0x75790e1e346d706c),
+    ("dirty/7 pair-quantity 50%", 0x9d8c2bf4d0aa6245),
+    ("dirty/7 pair-quantity all", 0x18532713be7435a2),
+    ("dirty/7 attr-completeness 10%", 0x173597b1dc3e9c5e),
+    ("dirty/7 attr-completeness 50%", 0x6c99cd16efcb0cd7),
+    ("dirty/7 attr-completeness all", 0x3095666a4f6625e5),
+    ("dirty/7 entity-coverage 10%", 0x4d83468938c6776e),
+    ("dirty/7 entity-coverage 50%", 0x6ca12c5702f31061),
+    ("dirty/7 entity-coverage all", 0x8a54fa2769869789),
+    ("dirty/7 rel-completeness 10%", 0x9cfbf015fc7bcc9d),
+    ("dirty/7 rel-completeness 50%", 0x305304bb5a1df384),
+    ("dirty/7 rel-completeness all", 0x1ca3c4ef5a102640),
+    ("dirty/7 connected-components", 0x3ec854f3cd619430),
+    ("dirty/7 center", 0x3ec854f3cd619430),
+    ("dirty/7 merge-center", 0x3ec854f3cd619430),
+    ("dirty/7 unique-mapping", 0x0000000000000000),
+    ("sparse/7 batch 10%", 0x53c978135b631c1f),
+    ("sparse/7 batch 50%", 0xfc547ac4acdf1472),
+    ("sparse/7 batch all", 0xb317536f50726ff0),
+    ("sparse/7 random 10%", 0x6f63d95cab9490ef),
+    ("sparse/7 random 50%", 0xa859a010b63da9a4),
+    ("sparse/7 random all", 0x135819b4d4e89f85),
+    ("sparse/7 static-best-first 10%", 0x53c978135b631c1f),
+    ("sparse/7 static-best-first 50%", 0xfc547ac4acdf1472),
+    ("sparse/7 static-best-first all", 0xb317536f50726ff0),
+    ("sparse/7 pair-quantity 10%", 0xbe0ec32624b22183),
+    ("sparse/7 pair-quantity 50%", 0x9ff8b37208620a0f),
+    ("sparse/7 pair-quantity all", 0x564a8883997d4d09),
+    ("sparse/7 attr-completeness 10%", 0x50b68438403af773),
+    ("sparse/7 attr-completeness 50%", 0x684f6a3c9802845a),
+    ("sparse/7 attr-completeness all", 0x5b9b2a00cecf4943),
+    ("sparse/7 entity-coverage 10%", 0x055599c7f236b8d9),
+    ("sparse/7 entity-coverage 50%", 0xa137829c53715a6c),
+    ("sparse/7 entity-coverage all", 0xdd7f008bd861aff2),
+    ("sparse/7 rel-completeness 10%", 0x2150d73f51d5e1ed),
+    ("sparse/7 rel-completeness 50%", 0xf89d9c96bbef2f5e),
+    ("sparse/7 rel-completeness all", 0x16dfe4f6ae26373f),
+    ("sparse/7 connected-components", 0xb2f2c297352504eb),
+    ("sparse/7 center", 0xb2f2c297352504eb),
+    ("sparse/7 merge-center", 0xb2f2c297352504eb),
+    ("sparse/7 unique-mapping", 0xb2f2c297352504eb),
+    ("sparse/7 composite", 0x2d914590c3255eba),
+    ("periphery/7 batch 10%", 0x86edd0c344cd9d37),
+    ("periphery/7 batch 50%", 0xe1cd4d3cc80dd7e1),
+    ("periphery/7 batch all", 0x4f0d98fc38b0ca94),
+    ("periphery/7 random 10%", 0x70fa81db8c239203),
+    ("periphery/7 random 50%", 0x4da22b0c5ccd598a),
+    ("periphery/7 random all", 0x038b7b3d1508f9cb),
+    ("periphery/7 static-best-first 10%", 0x86edd0c344cd9d37),
+    ("periphery/7 static-best-first 50%", 0xe1cd4d3cc80dd7e1),
+    ("periphery/7 static-best-first all", 0x4f0d98fc38b0ca94),
+    ("periphery/7 pair-quantity 10%", 0xd9557a6fdc38fa98),
+    ("periphery/7 pair-quantity 50%", 0x8842a075a983aa34),
+    ("periphery/7 pair-quantity all", 0xbfa7b5cc533b9d18),
+    ("periphery/7 attr-completeness 10%", 0x6e75ec8fc3d42cfc),
+    ("periphery/7 attr-completeness 50%", 0x4bdccbdc0223faaf),
+    ("periphery/7 attr-completeness all", 0xc6693cc24ca114d5),
+    ("periphery/7 entity-coverage 10%", 0xd9557a6fdc38fa98),
+    ("periphery/7 entity-coverage 50%", 0x6b17a58fdb46b4ee),
+    ("periphery/7 entity-coverage all", 0xec529ff39e0156a9),
+    ("periphery/7 rel-completeness 10%", 0x6882be336a756643),
+    ("periphery/7 rel-completeness 50%", 0x9ada8938c7f16669),
+    ("periphery/7 rel-completeness all", 0x1e452228013f6319),
+    ("periphery/7 connected-components", 0x21bd558229389868),
+    ("periphery/7 center", 0x21bd558229389868),
+    ("periphery/7 merge-center", 0x21bd558229389868),
+    ("periphery/7 unique-mapping", 0x21bd558229389868),
+    ("periphery/7 composite", 0x92e9309c7028e585),
+    ("clean/19 batch 10%", 0xcc1f49df0febd01c),
+    ("clean/19 batch 50%", 0xe4613cec3ddd4636),
+    ("clean/19 batch all", 0xd55564e763107f71),
+    ("clean/19 random 10%", 0x0e20ee1d1c7e44ac),
+    ("clean/19 random 50%", 0x73c98d54a3a7415d),
+    ("clean/19 random all", 0x296bc3b6f71ac878),
+    ("clean/19 static-best-first 10%", 0xcc1f49df0febd01c),
+    ("clean/19 static-best-first 50%", 0xe4613cec3ddd4636),
+    ("clean/19 static-best-first all", 0xd55564e763107f71),
+    ("clean/19 pair-quantity 10%", 0x7aded7ce843c2342),
+    ("clean/19 pair-quantity 50%", 0xd4c13f0fdcfaa3ef),
+    ("clean/19 pair-quantity all", 0xac43870361c67cba),
+    ("clean/19 attr-completeness 10%", 0xe198e9ae7bae8648),
+    ("clean/19 attr-completeness 50%", 0xfb04768778bcba17),
+    ("clean/19 attr-completeness all", 0xd15dc99f79f96799),
+    ("clean/19 entity-coverage 10%", 0x7aded7ce843c2342),
+    ("clean/19 entity-coverage 50%", 0x97811c5ca395f853),
+    ("clean/19 entity-coverage all", 0xa3dc225997a10043),
+    ("clean/19 rel-completeness 10%", 0xc74099ab247b32a8),
+    ("clean/19 rel-completeness 50%", 0x879a192aca5ecfbd),
+    ("clean/19 rel-completeness all", 0xf6180c28c9ca43d1),
+    ("clean/19 unique 10%", 0x7aded7ce843c2342),
+    ("clean/19 unique 50%", 0xdd9540614bda6ee7),
+    ("clean/19 unique all", 0xdd9540614bda6ee7),
+    ("clean/19 connected-components", 0xe810286adf820d44),
+    ("clean/19 center", 0x37eecb2eb0860189),
+    ("clean/19 merge-center", 0x37eecb2eb0860189),
+    ("clean/19 unique-mapping", 0x37eecb2eb0860189),
+    ("clean/19 composite", 0x0305e7de8548db8d),
+    ("clean/19 stream kb-sequential ×1", 0x874ef79397bad112),
+    ("clean/19 stream kb-sequential ×8", 0x00cbbeebc59f3f2f),
+    ("clean/19 stream round-robin ×1", 0xa52f55b1000724cc),
+    ("clean/19 stream round-robin ×8", 0xa34f317a90b6c77a),
+    ("clean/19 stream shuffled ×1", 0xce1b34705e0d94eb),
+    ("clean/19 stream shuffled ×8", 0xebf9b3942d4015e0),
+    ("clean/19 stream clustered-bursts ×1", 0x846561099bd99028),
+    ("clean/19 stream clustered-bursts ×8", 0x57ecb27e47c6d53c),
+    ("dirty/19 batch 10%", 0x09686b021b85e033),
+    ("dirty/19 batch 50%", 0x0eb3c03df7f0fab3),
+    ("dirty/19 batch all", 0x3ea4057534b0abf9),
+    ("dirty/19 random 10%", 0xa6691ca906a18cfa),
+    ("dirty/19 random 50%", 0x5da707a2850b67c1),
+    ("dirty/19 random all", 0x20a1dbe2ac48f0db),
+    ("dirty/19 static-best-first 10%", 0x09686b021b85e033),
+    ("dirty/19 static-best-first 50%", 0x0eb3c03df7f0fab3),
+    ("dirty/19 static-best-first all", 0x3ea4057534b0abf9),
+    ("dirty/19 pair-quantity 10%", 0x6c2175c1161d4aa0),
+    ("dirty/19 pair-quantity 50%", 0xa71b168f172eb500),
+    ("dirty/19 pair-quantity all", 0x0a7191fa216ba70d),
+    ("dirty/19 attr-completeness 10%", 0x30c1e31e230cd409),
+    ("dirty/19 attr-completeness 50%", 0xeaabab0595adc8e4),
+    ("dirty/19 attr-completeness all", 0x6bd8f0e9a443b9ed),
+    ("dirty/19 entity-coverage 10%", 0xba3aeef5e6d1b7ec),
+    ("dirty/19 entity-coverage 50%", 0xcdf57c2fc927e2c2),
+    ("dirty/19 entity-coverage all", 0x6c289e9f10d17df9),
+    ("dirty/19 rel-completeness 10%", 0x9d1d99c1fe12e90d),
+    ("dirty/19 rel-completeness 50%", 0x20cab1525b370a3c),
+    ("dirty/19 rel-completeness all", 0x9afa5f79b9b99073),
+    ("dirty/19 connected-components", 0xa63597216011ab03),
+    ("dirty/19 center", 0xa63597216011ab03),
+    ("dirty/19 merge-center", 0xa63597216011ab03),
+    ("dirty/19 unique-mapping", 0x0000000000000000),
+    ("sparse/19 batch 10%", 0x5cf2dac19a8a9a92),
+    ("sparse/19 batch 50%", 0x69253d36f023747d),
+    ("sparse/19 batch all", 0x5c889daeae8d0049),
+    ("sparse/19 random 10%", 0xf41d95b3a2416196),
+    ("sparse/19 random 50%", 0x8af0494e39060633),
+    ("sparse/19 random all", 0xf75155345b127401),
+    ("sparse/19 static-best-first 10%", 0x5cf2dac19a8a9a92),
+    ("sparse/19 static-best-first 50%", 0x69253d36f023747d),
+    ("sparse/19 static-best-first all", 0x5c889daeae8d0049),
+    ("sparse/19 pair-quantity 10%", 0xb4a799052e3ff026),
+    ("sparse/19 pair-quantity 50%", 0x0a9c591f0e225211),
+    ("sparse/19 pair-quantity all", 0x7a52282851b9aa2c),
+    ("sparse/19 attr-completeness 10%", 0xf25ae012138f368d),
+    ("sparse/19 attr-completeness 50%", 0x33ccd0cb6caeb0c8),
+    ("sparse/19 attr-completeness all", 0x34c0ce434b6c82a2),
+    ("sparse/19 entity-coverage 10%", 0xb4a799052e3ff026),
+    ("sparse/19 entity-coverage 50%", 0x5a604b1e76bdb703),
+    ("sparse/19 entity-coverage all", 0x2e3d05dd698b8bd3),
+    ("sparse/19 rel-completeness 10%", 0x4d665afc0cdba406),
+    ("sparse/19 rel-completeness 50%", 0xd7954a746c560994),
+    ("sparse/19 rel-completeness all", 0x90b67617b56aef33),
+    ("sparse/19 connected-components", 0x66fb516787ee1e7e),
+    ("sparse/19 center", 0x66fb516787ee1e7e),
+    ("sparse/19 merge-center", 0x66fb516787ee1e7e),
+    ("sparse/19 unique-mapping", 0x66fb516787ee1e7e),
+    ("sparse/19 composite", 0xcd49c65d7861aece),
+    ("periphery/19 batch 10%", 0xa17015a26ef42916),
+    ("periphery/19 batch 50%", 0x8f953801cd98b216),
+    ("periphery/19 batch all", 0x8429acdc5862b569),
+    ("periphery/19 random 10%", 0xcfe15c51e14cf22b),
+    ("periphery/19 random 50%", 0x5ee0b163b4956048),
+    ("periphery/19 random all", 0xf79ebd06ed4272f7),
+    ("periphery/19 static-best-first 10%", 0xa17015a26ef42916),
+    ("periphery/19 static-best-first 50%", 0x8f953801cd98b216),
+    ("periphery/19 static-best-first all", 0x8429acdc5862b569),
+    ("periphery/19 pair-quantity 10%", 0x949d4d63826c42f1),
+    ("periphery/19 pair-quantity 50%", 0x9c3f6f9310df92e6),
+    ("periphery/19 pair-quantity all", 0x0df509e4dc29e78c),
+    ("periphery/19 attr-completeness 10%", 0x8fcd8b5f3119a632),
+    ("periphery/19 attr-completeness 50%", 0x4571306b518b02c5),
+    ("periphery/19 attr-completeness all", 0x194a02b62d130bfa),
+    ("periphery/19 entity-coverage 10%", 0x1c781b900faa79fe),
+    ("periphery/19 entity-coverage 50%", 0xf6e22b0e8644f29f),
+    ("periphery/19 entity-coverage all", 0x80c4b51eb368c6eb),
+    ("periphery/19 rel-completeness 10%", 0x22dcbaa1f3c1953b),
+    ("periphery/19 rel-completeness 50%", 0xb7b8081d4024f2ad),
+    ("periphery/19 rel-completeness all", 0x39ab56c856fa5d8c),
+    ("periphery/19 connected-components", 0xe6bb637b8dca086e),
+    ("periphery/19 center", 0xe6bb637b8dca086e),
+    ("periphery/19 merge-center", 0xe6bb637b8dca086e),
+    ("periphery/19 unique-mapping", 0xe6bb637b8dca086e),
+    ("periphery/19 composite", 0x7a03882aca9994ef),
+];
+
+#[test]
+fn golden_digests_pin_every_resolution() {
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for seed in [7u64, 19] {
+        for (world, g, pairs) in coverage::resolution_worlds(seed) {
+            let dataset = &g.dataset;
+            let matcher = Matcher::new(dataset, MatcherConfig::default());
+            for (case, resolver) in resolution_cases(world, pairs.len()) {
+                let label = format!("{world}/{seed} {case}");
+                let want = resolve_spec::resolve(dataset, &matcher, &pairs, &resolver);
+                for workers in [1, 4] {
+                    let config = PipelineConfig {
+                        workers: Some(workers),
+                        resolver: resolver.clone(),
+                        ..Default::default()
+                    };
+                    let matcher = Matcher::new(dataset, MatcherConfig::default());
+                    let out = Pipeline::new(config).resolve(dataset, matcher, &pairs);
+                    assert_same_resolution(&out, &want, &format!("{label}, {workers} workers"));
+                }
+                got.push((label, resolution_digest(&want)));
+            }
+            let pq = ResolverConfig::default();
+            let matches = resolve_spec::resolve(dataset, &matcher, &pairs, &pq).matches;
+            for alg in ClusteringAlgorithm::ALL {
+                let run = |edges: &[_]| alg.run(dataset.len(), edges, |e| dataset.kb_of(e).0);
+                let label = format!("{world}/{seed} {}", alg.name());
+                let want = resolve_spec::cluster(alg, dataset, &pairs);
+                assert_eq!(run(&pairs), want, "{label} over the candidates");
+                let want = resolve_spec::cluster(alg, dataset, &matches);
+                assert_eq!(run(&matches), want, "{label}");
+                got.push((label, fx_hash_bytes(&clusters_bytes(&want))));
+            }
+            if world != "dirty" {
+                let composite =
+                    CompositeResolver::new(dataset, &matcher, CompositeConfig::default());
+                let label = format!("{world}/{seed} composite");
+                got.push((label, composite_digest(&composite.run(&pairs))));
+            }
+            if world != "clean" {
+                continue;
+            }
+            let orders = [
+                ArrivalOrder::KbSequential,
+                ArrivalOrder::RoundRobin,
+                ArrivalOrder::Shuffled { seed },
+                ArrivalOrder::ClusteredBursts,
+            ];
+            for order in orders {
+                let arrivals = order.order(dataset, &g.truth);
+                for batch in [1, 8] {
+                    let config = IncrementalConfig::default();
+                    let mut inc = IncrementalResolver::new(dataset, &matcher, config);
+                    for arrival in arrivals.chunks(batch) {
+                        inc.arrive_batch(arrival);
+                    }
+                    let label = format!("{world}/{seed} stream {} ×{batch}", order.name());
+                    got.push((label, incremental_digest(&mut inc)));
+                }
+            }
+        }
+    }
+    assert_golden(&got, GOLDEN_RESOLUTION);
+}
+
+/// Both oracle traces, in input order and with the true matches first,
+/// equal the specification's on every resolution world and budget.
+#[test]
+fn oracle_traces_follow_the_spec() {
+    for seed in [7u64, 19] {
+        for (world, g, pairs) in coverage::resolution_worlds(seed) {
+            let is_match = |a, b| g.truth.is_match(a, b);
+            let truth: resolve_spec::Truth = &is_match;
+            for (_, resolver) in resolution_cases(world, pairs.len()).into_iter().take(3) {
+                let budget = resolver.budget;
+                let label = format!("{world}/{seed} budget {budget}");
+                let got = oracle_trace(&pairs, is_match, budget);
+                let want = resolve_spec::oracle_trace(&pairs, truth, budget);
+                assert_eq!(trace_bits(&got), trace_bits(&want), "{label}: oracle");
+                let got = perfect_trace(&pairs, is_match, budget);
+                let want = resolve_spec::perfect_trace(&pairs, truth, budget);
+                assert_eq!(trace_bits(&got), trace_bits(&want), "{label}: perfect");
+            }
+        }
+    }
 }

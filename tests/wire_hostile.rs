@@ -18,7 +18,7 @@ use minoan_server::{
     Client, IngestReply, Request, ResolveReply, ResolveService, Response, Server, StatsReply,
 };
 use proptest::prelude::*;
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 
 /// What the decoders answer when a count cannot fit in its frame.
@@ -147,6 +147,40 @@ fn frame_lengths_out_of_bounds_are_errors() {
         assert_eq!(request_error(&wire), "frame length out of bounds");
         assert_eq!(response_error(&wire), "frame length out of bounds");
     }
+}
+
+/// Serves its bytes, then end of stream, and keeps the largest buffer it
+/// was asked to fill.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    largest: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.largest = self.largest.max(buf.len());
+        self.bytes.read(buf)
+    }
+}
+
+/// A header announcing `MAX_FRAME` bytes, then 10 of them: both decoders
+/// fail, and neither hands the reader a buffer past 64 KiB.
+#[test]
+fn a_frame_body_is_read_only_as_far_as_it_arrives() {
+    let mut wire = (MAX_FRAME as u32).to_le_bytes().to_vec();
+    wire.extend([OP_INGEST; 10]);
+    let mut reader = Trickle {
+        bytes: &wire,
+        largest: 0,
+    };
+    assert!(protocol::read_request(&mut reader).is_err());
+    assert!(reader.largest <= 64 << 10, "{} bytes", reader.largest);
+    let mut reader = Trickle {
+        bytes: &wire,
+        largest: 0,
+    };
+    assert!(protocol::read_response(&mut reader).is_err());
+    assert!(reader.largest <= 64 << 10, "{} bytes", reader.largest);
 }
 
 #[test]
