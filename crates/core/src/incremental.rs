@@ -270,13 +270,16 @@ impl<'d> IncrementalResolver<'d> {
             candidates: candidates.len(),
             ..Default::default()
         };
+        // Re-checks are reported but do not count against the budget.
+        let mut budgeted = 0;
         for &(other, _) in &candidates {
-            if report.comparisons >= self.config.budget_per_arrival {
+            if budgeted >= self.config.budget_per_arrival {
                 break;
             }
             if self.state.same_cluster(e, other) || self.refuses(e, other) {
                 continue;
             }
+            budgeted += 1;
             report.comparisons += 1;
             self.total_comparisons += 1;
             let value = self.matcher.value_similarity(e, other, &mut self.jaro);
@@ -487,18 +490,23 @@ mod tests {
     fn budget_per_arrival_is_respected() {
         let g = world();
         let matcher = Matcher::new(&g.dataset, MatcherConfig::default());
-        let config = IncrementalConfig {
+        let mut config = IncrementalConfig {
             budget_per_arrival: 3,
             ..Default::default()
         };
-        let mut inc = IncrementalResolver::new(&g.dataset, &matcher, config);
-        for e in g.dataset.entities() {
-            // The budget, plus at most 8 re-checks per match it made.
-            let r = inc.arrive(e);
-            assert!(
-                r.comparisons <= 3 + 8 * r.matches.len() as u64,
-                "arrival exceeded budget: {r:?}"
-            );
+        // Each match may re-check 8 linked pairs beyond the budget; with
+        // no update phase (alpha 0) there are no re-checks.
+        for (alpha, per_match) in [(0.4, 8), (0.0, 0)] {
+            config.alpha = alpha;
+            let mut inc = IncrementalResolver::new(&g.dataset, &matcher, config);
+            let mut at_budget = false;
+            for e in g.dataset.entities() {
+                let r = inc.arrive(e);
+                let bound = 3 + per_match * r.matches.len() as u64;
+                assert!(r.comparisons <= bound, "arrival exceeded budget: {r:?}");
+                at_budget |= r.comparisons == 3;
+            }
+            assert!(at_budget, "no arrival reached the budget");
         }
     }
 

@@ -24,9 +24,29 @@ pub fn oracle_trace(
     mut is_match: impl FnMut(EntityId, EntityId) -> bool,
     budget: u64,
 ) -> Trace {
+    let decided = pairs.iter().map(|&(a, b, w)| (a, b, w, is_match(a, b)));
+    replay(decided, budget)
+}
+
+/// The perfect schedule: all true matches first, then the non-matches,
+/// each part by pair — the recall-at-budget ceiling for this candidate set.
+/// `is_match` decides each pair once.
+pub fn perfect_trace(
+    pairs: &[(EntityId, EntityId, f64)],
+    mut is_match: impl FnMut(EntityId, EntityId) -> bool,
+    budget: u64,
+) -> Trace {
+    let decide = |&(a, b, w): &(EntityId, EntityId, f64)| (a, b, w, is_match(a, b));
+    let mut decided: Vec<_> = pairs.iter().map(decide).collect();
+    decided.sort_by_key(|&(a, b, _, matched)| (!matched, a, b));
+    replay(decided.into_iter(), budget)
+}
+
+/// The trace of pairs already decided, in order, cut at `budget`
+/// comparisons (a pair past the budget is never pulled, so never decided).
+fn replay(decided: impl Iterator<Item = (EntityId, EntityId, f64, bool)>, budget: u64) -> Trace {
     let mut trace = Trace::new();
-    for (&(a, b, w), comparison) in pairs.iter().zip(1..=budget) {
-        let matched = is_match(a, b);
+    for (comparison, (a, b, w, matched)) in (1..=budget).zip(decided) {
         let sim = if matched { 1.0 } else { 0.0 };
         trace.push(TraceStep {
             comparison,
@@ -40,18 +60,6 @@ pub fn oracle_trace(
         });
     }
     trace
-}
-
-/// The perfect schedule: all true matches first, then the non-matches,
-/// each part by pair — the recall-at-budget ceiling for this candidate set.
-pub fn perfect_trace(
-    pairs: &[(EntityId, EntityId, f64)],
-    mut is_match: impl FnMut(EntityId, EntityId) -> bool,
-    budget: u64,
-) -> Trace {
-    let mut ordered = pairs.to_vec();
-    ordered.sort_by_cached_key(|&(a, b, _)| (!is_match(a, b), a, b));
-    oracle_trace(&ordered, is_match, budget)
 }
 
 /// Scheduling efficiency of a trace against the perfect ceiling: the ratio
@@ -95,33 +103,23 @@ mod tests {
         matches!((a.0, b.0), (0, 1) | (2, 3))
     }
 
-    #[test]
-    fn oracle_trace_follows_input_order() {
-        let t = oracle_trace(&pairs(), oracle, u64::MAX);
-        assert_eq!(t.comparisons(), 5);
-        assert_eq!(t.matches(), 2);
-        let matched: Vec<bool> = t.steps().iter().map(|s| s.matched).collect();
-        assert_eq!(matched, vec![false, true, false, true, false]);
+    fn matched(t: &Trace) -> Vec<bool> {
+        t.steps().iter().map(|s| s.matched).collect()
     }
 
     #[test]
-    fn oracle_trace_respects_budget() {
-        let t = oracle_trace(&pairs(), oracle, 2);
-        assert_eq!(t.comparisons(), 2);
-        assert_eq!(t.matches(), 1);
-    }
-
-    #[test]
-    fn perfect_trace_front_loads_matches() {
-        let t = perfect_trace(&pairs(), oracle, u64::MAX);
-        let matched: Vec<bool> = t.steps().iter().map(|s| s.matched).collect();
-        assert_eq!(matched, vec![true, true, false, false, false]);
-    }
-
-    #[test]
-    fn perfect_trace_with_budget_two_finds_both() {
-        let t = perfect_trace(&pairs(), oracle, 2);
-        assert_eq!(t.matches(), 2);
+    fn traces_follow_their_order_and_decide_each_pair_once() {
+        let (f, t) = (false, true);
+        let input = oracle_trace(&pairs(), oracle, 9);
+        assert_eq!(matched(&input), [f, t, f, t, f]);
+        let perfect = perfect_trace(&pairs(), oracle, 9);
+        assert_eq!(matched(&perfect), [t, t, f, f, f]);
+        let calls = std::cell::Cell::new(0);
+        let counted = |a, b| (calls.set(calls.get() + 1), oracle(a, b)).1;
+        let cut = oracle_trace(&pairs(), &counted, 2);
+        assert_eq!((matched(&cut), calls.take()), (vec![f, t], 2));
+        let cut = perfect_trace(&pairs(), &counted, 2);
+        assert_eq!((matched(&cut), calls.take()), (vec![t, t], 5));
     }
 
     #[test]

@@ -665,12 +665,16 @@ const GOLDEN_RESOLUTION: &[(&str, u64)] = &[
     ("clean/7 composite", 0x8752b2ba16f658c9),
     ("clean/7 stream kb-sequential ×1", 0x4de9659990a1612d),
     ("clean/7 stream kb-sequential ×8", 0x838c4e2ab1453948),
+    ("clean/7 stream kb-sequential ×1 m:n", 0x71c05a194af2c684),
     ("clean/7 stream round-robin ×1", 0x2bf84da8e7995fb6),
     ("clean/7 stream round-robin ×8", 0x96d04481ebdb01d3),
+    ("clean/7 stream round-robin ×1 m:n", 0x1537e3c65d60db94),
     ("clean/7 stream shuffled ×1", 0x7bd4174ba605e770),
     ("clean/7 stream shuffled ×8", 0xf8d308ec5f5cfff0),
+    ("clean/7 stream shuffled ×1 m:n", 0xd2f9c80d29e0a81d),
     ("clean/7 stream clustered-bursts ×1", 0xfde560027d235615),
     ("clean/7 stream clustered-bursts ×8", 0xe25a71c9f742d800),
+    ("clean/7 stream clustered-bursts ×1 m:n", 0x6df39376f0279206),
     ("dirty/7 batch 10%", 0x2b39969198cb9c9a),
     ("dirty/7 batch 50%", 0x2f8373a135316d99),
     ("dirty/7 batch all", 0x4ea980988848cbc0),
@@ -779,12 +783,19 @@ const GOLDEN_RESOLUTION: &[(&str, u64)] = &[
     ("clean/19 composite", 0x0305e7de8548db8d),
     ("clean/19 stream kb-sequential ×1", 0x874ef79397bad112),
     ("clean/19 stream kb-sequential ×8", 0x00cbbeebc59f3f2f),
+    ("clean/19 stream kb-sequential ×1 m:n", 0x6f197ac490b61c68),
     ("clean/19 stream round-robin ×1", 0xa52f55b1000724cc),
     ("clean/19 stream round-robin ×8", 0xa34f317a90b6c77a),
+    ("clean/19 stream round-robin ×1 m:n", 0x2a7d05c03326ef21),
     ("clean/19 stream shuffled ×1", 0xce1b34705e0d94eb),
     ("clean/19 stream shuffled ×8", 0xebf9b3942d4015e0),
+    ("clean/19 stream shuffled ×1 m:n", 0x5712afe3aa86a045),
     ("clean/19 stream clustered-bursts ×1", 0x846561099bd99028),
     ("clean/19 stream clustered-bursts ×8", 0x57ecb27e47c6d53c),
+    (
+        "clean/19 stream clustered-bursts ×1 m:n",
+        0x78dea069fd0d0d12,
+    ),
     ("dirty/19 batch 10%", 0x09686b021b85e033),
     ("dirty/19 batch 50%", 0x0eb3c03df7f0fab3),
     ("dirty/19 batch all", 0x3ea4057534b0abf9),
@@ -914,13 +925,21 @@ fn golden_digests_pin_every_resolution() {
             ];
             for order in orders {
                 let arrivals = order.order(dataset, &g.truth);
-                for batch in [1, 8] {
-                    let config = IncrementalConfig::default();
+                // On two KBs unique mapping refuses an arrival's other
+                // candidates once it matches; without it (`m:n`) only the
+                // budget stops the scan.
+                for (batch, unique_mapping) in [(1, true), (8, true), (1, false)] {
+                    let config = IncrementalConfig {
+                        unique_mapping,
+                        ..Default::default()
+                    };
                     let mut inc = IncrementalResolver::new(dataset, &matcher, config);
                     for arrival in arrivals.chunks(batch) {
                         inc.arrive_batch(arrival);
                     }
-                    let label = format!("{world}/{seed} stream {} ×{batch}", order.name());
+                    let mapping = if unique_mapping { "" } else { " m:n" };
+                    let name = order.name();
+                    let label = format!("{world}/{seed} stream {name} ×{batch}{mapping}");
                     got.push((label, incremental_digest(&mut inc)));
                 }
             }
