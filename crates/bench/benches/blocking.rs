@@ -5,6 +5,7 @@ use minoan_blocking::builders::{token_pass, TokenKeys};
 use minoan_blocking::{
     builders, filter, purge, BlockCollection, CanopyConfig, ErMode, LshConfig, Method,
 };
+use minoan_common::default_threads;
 use minoan_datagen::{generate, profiles};
 use minoan_er::{Matcher, MatcherConfig};
 use std::hint::black_box;
@@ -31,6 +32,7 @@ fn bench_blocking(c: &mut Criterion) {
                     &w.dataset,
                     ErMode::CleanClean,
                     0.2,
+                    default_threads(),
                 ))
             });
         });
@@ -57,7 +59,7 @@ fn bench_blocker_families(c: &mut Criterion) {
     ];
     for (name, method) in methods {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(method.run(&world.dataset, ErMode::CleanClean)));
+            b.iter(|| black_box(method.run(&world.dataset, ErMode::CleanClean, default_threads())));
         });
     }
     group.finish();

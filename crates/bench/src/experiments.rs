@@ -5,6 +5,7 @@
 //! what factor, and where crossovers fall.
 
 use minoan_blocking::{builders, filter, purge, BlockCollection, ErMode};
+use minoan_common::default_threads;
 use minoan_datagen::{generate, profiles, GeneratedWorld};
 use minoan_er::{
     BenefitModel, Matcher, MatcherConfig, Pipeline, PipelineConfig, ProgressiveResolver,
@@ -84,7 +85,12 @@ pub fn exp2_blocking(scale: usize, seed: u64) -> String {
             ),
             (
                 "attr-clust",
-                builders::attribute_clustering_blocking(&world.dataset, mode, 0.2),
+                builders::attribute_clustering_blocking(
+                    &world.dataset,
+                    mode,
+                    0.2,
+                    default_threads(),
+                ),
             ),
             (
                 "token+clean",

@@ -6,6 +6,7 @@
 //! matching rules.
 
 use minoan_blocking::{CanopyConfig, ErMode, LshConfig, Method};
+use minoan_common::default_threads;
 use minoan_datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan_er::{
     oracle, BenefitModel, CompositeConfig, CompositeResolver, IncrementalConfig,
@@ -39,6 +40,7 @@ fn pair_quality(world: &GeneratedWorld, pairs: &[(EntityId, EntityId)]) -> (f64,
 /// matches on noisy periphery data, at higher comparison cost — the
 /// trade-off meta-blocking and progressive scheduling then manage.
 pub fn exp9_blocking_methods(scale: usize, seed: u64) -> String {
+    let threads = default_threads();
     let mut out = String::new();
     let methods: Vec<(&str, Method)> = vec![
         ("token", Method::Token),
@@ -63,7 +65,7 @@ pub fn exp9_blocking_methods(scale: usize, seed: u64) -> String {
         // cleaning, where the key spaces actually differ.
         let mut table = Table::new(vec!["method", "blocks", "comparisons", "PC", "PQ"]);
         for (name, method) in &methods {
-            let raw = method.run(&world.dataset, ErMode::CleanClean);
+            let raw = method.run(&world.dataset, ErMode::CleanClean, threads);
             let blocks =
                 minoan_blocking::filter::filter(&minoan_blocking::purge::purge(&raw).collection);
             let pairs = blocks.distinct_pairs();
@@ -558,6 +560,7 @@ pub fn exp16_variance(scale: usize, seed: u64) -> String {
 /// hurts exact token keys.
 pub fn exp17_corruption(scale: usize, seed: u64) -> String {
     use minoan_datagen::CorruptionModel;
+    let threads = default_threads();
     let methods: Vec<(&str, Method)> = vec![
         ("token", Method::Token),
         ("qgrams(3)", Method::QGrams(3)),
@@ -573,7 +576,7 @@ pub fn exp17_corruption(scale: usize, seed: u64) -> String {
         let world = generate(&profiles::typo_noisy_with(scale, seed, model));
         let mut row = vec![model.name().to_string()];
         for (_, method) in &methods {
-            let raw = method.run(&world.dataset, ErMode::CleanClean);
+            let raw = method.run(&world.dataset, ErMode::CleanClean, threads);
             let blocks =
                 minoan_blocking::filter::filter(&minoan_blocking::purge::purge(&raw).collection);
             let (pc, _) = pair_quality(&world, &blocks.distinct_pairs());

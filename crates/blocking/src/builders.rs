@@ -1,4 +1,5 @@
-//! Blocking-key extractors.
+//! Blocking-key extractors, and [`Method`]: the catalogue of every
+//! blocking method and the one place a method is mapped to its builder.
 //!
 //! All builders are schema-agnostic per the paper: keys are tokens of
 //! attribute values and URIs, with no assumptions about the schema.
@@ -19,8 +20,12 @@
 //! value-token runs of the same [`KeyAssignments`] — so a pipeline that
 //! blocks by tokens tokenises and interns every description once.
 
+use crate::canopy::{canopy_blocking, CanopyConfig};
 use crate::collection::{BlockCollection, ErMode, KeyAssignments};
 use crate::layout::split_rows;
+use crate::lsh::{minhash_lsh_blocking, LshConfig};
+use crate::qgrams::{extended_qgram_blocking, qgram_blocking};
+use crate::sorted_neighborhood::{adaptive_sorted_neighborhood, sorted_neighborhood};
 use minoan_common::{default_threads, FxHashMap, FxHashSet, UnionFind};
 use minoan_rdf::tokenize::{self, TokenBuffers};
 use minoan_rdf::{Dataset, EntityId, Value};
@@ -28,6 +33,56 @@ use std::ops::Range;
 
 /// Namespace prefix keeping URI-infix keys disjoint from value-token keys.
 const URI_PREFIX: &str = "uri:";
+
+/// A blocking method and its parameters.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Method {
+    /// Token blocking over values + resource URIs.
+    Token,
+    /// Prefix-Infix(-Suffix) URI blocking.
+    UriInfix,
+    /// Token ∪ URI blocking (the paper's default criterion).
+    TokenAndUri,
+    /// Attribute-clustering blocking with the given link threshold.
+    AttributeClustering(f64),
+    /// Character q-grams of the tokens.
+    QGrams(usize),
+    /// Extended q-grams: `(q, threshold)`.
+    ExtendedQGrams(usize, f64),
+    /// Fixed-window sorted neighborhood.
+    SortedNeighborhood(usize),
+    /// Adaptive sorted neighborhood: `(prefix_len, max_block)`.
+    AdaptiveSortedNeighborhood(usize, usize),
+    /// MinHash-LSH banding.
+    MinHashLsh(LshConfig),
+    /// Canopy clustering.
+    Canopy(CanopyConfig),
+}
+
+impl Method {
+    /// Runs the method. The builders that key each entity through
+    /// [`KeyAssignments`] tokenise and build on `threads` workers; the
+    /// blocks do not depend on `threads`.
+    pub fn run(&self, dataset: &Dataset, mode: ErMode, threads: usize) -> BlockCollection {
+        let tokens = |keys| token_blocking_with_threads(dataset, mode, keys, threads);
+        match *self {
+            Method::Token => tokens(TokenKeys::Values),
+            Method::UriInfix => tokens(TokenKeys::Uris),
+            Method::TokenAndUri => tokens(TokenKeys::Both),
+            Method::AttributeClustering(t) => {
+                attribute_clustering_blocking(dataset, mode, t, threads)
+            }
+            Method::QGrams(q) => qgram_blocking(dataset, mode, q, threads),
+            Method::ExtendedQGrams(q, t) => extended_qgram_blocking(dataset, mode, q, t, threads),
+            Method::SortedNeighborhood(w) => sorted_neighborhood(dataset, mode, w),
+            Method::AdaptiveSortedNeighborhood(p, m) => {
+                adaptive_sorted_neighborhood(dataset, mode, p, m)
+            }
+            Method::MinHashLsh(c) => minhash_lsh_blocking(dataset, mode, c, threads),
+            Method::Canopy(c) => canopy_blocking(dataset, mode, c),
+        }
+    }
+}
 
 /// Which tokens of a description [`token_pass`] turns into keys.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,10 +205,13 @@ pub fn token_and_uri_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollectio
 /// singleton clusters; a shared "glue" cluster is NOT used — unmatched
 /// attributes keep their own key space, which is what prunes the false
 /// conflicts.
+///
+/// The blocks are built on `threads` workers and do not depend on it.
 pub fn attribute_clustering_blocking(
     dataset: &Dataset,
     mode: ErMode,
     link_threshold: f64,
+    threads: usize,
 ) -> BlockCollection {
     // 1. Aggregate value-token vocabulary per (kb, attribute symbol).
     //    Attribute identity must be KB-scoped: the same predicate IRI in two
@@ -226,7 +284,7 @@ pub fn attribute_clustering_blocking(
         }
         asg.seal_entity();
     }
-    BlockCollection::from_assignments(dataset, mode, asg)
+    BlockCollection::from_assignments_with_threads(dataset, mode, asg, threads)
 }
 
 fn set_jaccard(a: &FxHashSet<String>, b: &FxHashSet<String>) -> f64 {
@@ -300,42 +358,6 @@ mod tests {
         assert!(both.distinct_pairs().len() >= t.distinct_pairs().len());
     }
 
-    /// The string-free builders must reproduce the legacy string-grouped
-    /// path exactly (same keys, members, comparisons, inverted index).
-    #[test]
-    fn symbol_path_matches_string_grouped_reference() {
-        let g = generate(&profiles::center_dense(120, 17));
-        let ds = &g.dataset;
-        // Reference: the pre-flat builder shape — owned token strings
-        // grouped through a hash map, then `from_groups`.
-        let mut groups: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
-        for e in ds.entities() {
-            let mut tokens: Vec<String> = ds.blocking_tokens(e);
-            tokens.sort_unstable();
-            tokens.dedup();
-            for t in tokens {
-                groups.entry(t).or_default().push(e);
-            }
-            let mut utoks = tokenize::uri_infix_tokens(ds.uri(e));
-            utoks.sort_unstable();
-            utoks.dedup();
-            for t in utoks {
-                groups.entry(format!("uri:{t}")).or_default().push(e);
-            }
-        }
-        let reference = BlockCollection::from_groups(ds, ErMode::CleanClean, groups);
-        let c = token_and_uri_blocking(ds, ErMode::CleanClean);
-        assert_eq!(c.len(), reference.len());
-        for (a, b) in c.blocks().zip(reference.blocks()) {
-            assert_eq!(c.key_str(a.id), reference.key_str(b.id));
-            assert_eq!(a.entities, b.entities);
-            assert_eq!(a.comparisons, b.comparisons);
-        }
-        for e in ds.entities() {
-            assert_eq!(c.entity_blocks(e), reference.entity_blocks(e));
-        }
-    }
-
     /// The fold reproduces the serial numbering whatever the cut: one
     /// range per entity (runs of one, empty runs, ranges that bring no new
     /// string) and a few uneven cuts.
@@ -394,7 +416,7 @@ mod tests {
     fn attribute_clustering_reduces_comparisons_vs_token_blocking() {
         let g = generate(&profiles::center_dense(200, 5));
         let tb = token_blocking(&g.dataset, ErMode::CleanClean);
-        let ac = attribute_clustering_blocking(&g.dataset, ErMode::CleanClean, 0.2);
+        let ac = attribute_clustering_blocking(&g.dataset, ErMode::CleanClean, 0.2, 1);
         assert!(
             ac.total_comparisons() < tb.total_comparisons(),
             "clustering {} should cut comparisons vs token {}",

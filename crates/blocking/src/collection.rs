@@ -434,11 +434,13 @@ pub struct BlockCollection {
 impl BlockCollection {
     /// Builds a collection from raw `key → entities` groups.
     ///
-    /// This is the string-keyed compatibility path (used by the union
-    /// combinator and the window/cluster blockers whose keys are composed
-    /// strings); the token builders go through the string-free
-    /// [`Self::from_assignments`] instead. Both produce identical
-    /// collections for the same logical groups.
+    /// The builders whose output is a set of groups by nature call it:
+    /// sorted-neighbourhood windows, canopy clusters and the MapReduce
+    /// token job's reduced blocks. Every blocker that keys each entity on
+    /// its own goes through the string-free [`Self::from_assignments`]
+    /// instead. Both produce identical collections for the same logical
+    /// groups, so this is also the reference build the specification
+    /// tests and unit fixtures state their expected blocks in.
     ///
     /// `dataset` supplies the KB partition (for clean–clean comparison
     /// counting) and the entity-id universe.
@@ -779,12 +781,6 @@ impl BlockCollection {
         self.inv_cardinality[b.index()]
     }
 
-    /// Interned key of block `b`.
-    #[inline]
-    pub fn block_key(&self, b: BlockId) -> Symbol {
-        self.block_keys[b.index()]
-    }
-
     /// Resolves a block's key to its string.
     pub fn key_str(&self, b: BlockId) -> &str {
         self.keys.resolve(self.block_keys[b.index()])
@@ -850,32 +846,6 @@ impl BlockCollection {
         let mut v: Vec<_> = set.into_iter().collect();
         v.sort_unstable();
         v
-    }
-
-    /// Iterates `(block, pair)` occurrences *with* repetitions — the raw
-    /// comparison stream meta-blocking analyses.
-    pub fn pair_occurrences(&self) -> impl Iterator<Item = (BlockId, EntityId, EntityId)> + '_ {
-        self.blocks().flat_map(move |b| {
-            let id = b.id;
-            b.entities.iter().enumerate().flat_map(move |(i, &x)| {
-                b.entities[i + 1..]
-                    .iter()
-                    .filter(move |&&y| self.comparable(x, y))
-                    .map(move |&y| (id, x.min(y), x.max(y)))
-            })
-        })
-    }
-
-    /// Distribution summary: (min, median, max) block sizes.
-    pub fn size_summary(&self) -> (usize, usize, usize) {
-        if self.is_empty() {
-            return (0, 0, 0);
-        }
-        let mut sizes: Vec<usize> = (0..self.len() as u32)
-            .map(|i| self.block_len(BlockId(i)))
-            .collect();
-        sizes.sort_unstable();
-        (sizes[0], sizes[sizes.len() / 2], sizes[sizes.len() - 1])
     }
 }
 
@@ -1076,7 +1046,6 @@ mod tests {
         assert_eq!(c.total_comparisons(), 3);
         let pairs = c.distinct_pairs();
         assert_eq!(pairs, vec![(e(0), e(3)), (e(0), e(4))]);
-        assert_eq!(c.pair_occurrences().count(), 3);
     }
 
     #[test]
@@ -1089,18 +1058,6 @@ mod tests {
         let c = BlockCollection::from_groups(&ds, ErMode::CleanClean, groups);
         assert_eq!(c.key_str(BlockId(0)), "aa");
         assert_eq!(c.key_str(BlockId(1)), "zz");
-    }
-
-    #[test]
-    fn size_summary_handles_empty() {
-        let ds = dataset();
-        let c = BlockCollection::from_groups(
-            &ds,
-            ErMode::CleanClean,
-            Vec::<(String, Vec<EntityId>)>::new(),
-        );
-        assert_eq!(c.size_summary(), (0, 0, 0));
-        assert!(c.is_empty());
     }
 
     #[test]

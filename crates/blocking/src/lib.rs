@@ -35,15 +35,23 @@
 //!   assignments are counting-sorted into the successor's slabs and
 //!   blocks left without comparisons are dropped by the same id remap.
 //!
-//! The string-keyed [`BlockCollection::from_groups`] remains as the
-//! compatibility path for blockers whose keys are composed strings
-//! (windows, q-grams, LSH bands, unions); it produces identical
-//! collections for the same logical groups.
+//! Every blocker that keys each entity on its own — token, URI infix,
+//! attribute clustering, q-grams, extended q-grams, MinHash-LSH — pushes
+//! that entity's keys into [`KeyAssignments`] and builds through
+//! `from_assignments`. Only the blockers whose output is a set of groups
+//! by nature — sorted-neighbourhood windows, canopy clusters and the
+//! MapReduce job's reduced blocks — call the string-keyed
+//! [`BlockCollection::from_groups`], which produces the identical
+//! collection for the same logical groups and is the reference build the
+//! specification tests compare against.
 //!
 //! # Modules
 //!
 //! * [`builders`] — token blocking, Prefix-Infix(-Suffix) URI blocking,
-//!   attribute-clustering blocking, and their combination.
+//!   attribute-clustering blocking, and their combination; the token
+//!   pass; [`Method`], the catalogue of every method, whose
+//!   [`Method::run`] is the one place a method is mapped to its builder.
+//! * [`canopy`] — canopy clustering over token-set similarity.
 //! * [`collection`] — the [`BlockCollection`] representation shared with
 //!   meta-blocking (CSR slabs, per-entity block lists, comparison
 //!   counting for dirty and clean–clean ER).
@@ -60,6 +68,11 @@
 //! * [`purge`] — comparison-based block purging (drops oversized blocks).
 //! * [`filter`] — block filtering (each entity keeps its `r`% smallest
 //!   blocks).
+//! * [`lsh`] — MinHash-LSH banding: a block per band bucket.
+//! * [`qgrams`] — q-gram and extended q-gram blocking, for keys that
+//!   survive typos.
+//! * [`sorted_neighborhood`](mod@sorted_neighborhood) — fixed-window and
+//!   adaptive sorted neighbourhood over sorted blocking keys.
 //! * [`schedule`] — block scheduling: the classic pay-as-you-go ordering
 //!   of comparisons by block utility (a progressive baseline).
 //! * [`parallel`] — token blocking as a MapReduce job on
@@ -87,7 +100,6 @@
 pub mod builders;
 pub mod canopy;
 pub mod collection;
-pub mod composite;
 pub mod delta;
 pub mod filter;
 mod layout;
@@ -98,11 +110,11 @@ pub mod qgrams;
 pub mod schedule;
 pub mod sorted_neighborhood;
 
+pub use builders::Method;
 pub use canopy::{canopy_blocking, CanopyConfig};
 pub use collection::{
     BlockCollection, BlockId, BlockRef, BlockView, Direction, ErMode, KeyAssignments,
 };
-pub use composite::{pair_intersection, union, BlockingWorkflow, Method, WorkflowReport};
 pub use delta::{DeltaOutcome, IncrementalCollection};
 pub use lsh::{minhash_lsh_blocking, LshConfig};
 pub use qgrams::{extended_qgram_blocking, qgram_blocking};

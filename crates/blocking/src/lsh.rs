@@ -8,11 +8,12 @@
 //! configuration controls, giving a principled way to target the "somehow
 //! similar" regime (low token overlap) that exact token blocking misses.
 
-use crate::collection::{BlockCollection, ErMode};
+use crate::collection::{BlockCollection, ErMode, KeyAssignments};
 use minoan_common::hash::fx_hash_bytes;
-use minoan_common::{FxHashMap, FxHashSet};
-use minoan_rdf::{Dataset, EntityId};
+use minoan_rdf::tokenize::TokenBuffers;
+use minoan_rdf::Dataset;
 use minoan_similarity::MinHasher;
+use std::fmt::Write as _;
 
 /// Configuration of the LSH blocker.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -44,53 +45,53 @@ impl LshConfig {
 
 /// Hashes each entity's blocking-token set into LSH band buckets; each
 /// non-trivial bucket becomes a block keyed `lsh:{band}:{bucket-hash}`.
+/// A token enters the signature as the low 32 bits of its `fx_hash_bytes`.
+/// The blocks are built on `threads` workers and do not depend on it.
 ///
 /// # Panics
 /// Panics if `bands == 0` or `rows == 0`.
-pub fn minhash_lsh_blocking(dataset: &Dataset, mode: ErMode, config: LshConfig) -> BlockCollection {
+pub fn minhash_lsh_blocking(
+    dataset: &Dataset,
+    mode: ErMode,
+    config: LshConfig,
+    threads: usize,
+) -> BlockCollection {
     assert!(config.bands > 0, "bands must be positive");
     assert!(config.rows > 0, "rows must be positive");
     let hasher = MinHasher::new(config.bands * config.rows, config.seed);
-    let mut groups: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
+    let mut asg = KeyAssignments::with_capacity(dataset.len());
+    let mut buffers = TokenBuffers::default();
+    let mut tokens: Vec<u32> = Vec::new();
+    let mut bytes: Vec<u8> = Vec::with_capacity(config.rows * 8);
+    let mut key = String::new();
     for e in dataset.entities() {
-        let tokens = token_ids(dataset, e);
-        if tokens.is_empty() {
-            continue;
-        }
-        let sig = hasher.signature(&tokens);
-        for band in 0..config.bands {
-            let slice = &sig.0[band * config.rows..(band + 1) * config.rows];
-            let mut bytes = Vec::with_capacity(config.rows * 8);
-            for v in slice {
-                bytes.extend_from_slice(&v.to_le_bytes());
+        tokens.clear();
+        dataset.for_each_blocking_token(e, &mut buffers, |t| {
+            tokens.push((fx_hash_bytes(t.as_bytes()) & 0xffff_ffff) as u32)
+        });
+        tokens.sort_unstable();
+        tokens.dedup();
+        if !tokens.is_empty() {
+            let sig = hasher.signature(&tokens);
+            for (band, rows) in sig.0.chunks_exact(config.rows).enumerate() {
+                bytes.clear();
+                for v in rows {
+                    bytes.extend_from_slice(&v.to_le_bytes());
+                }
+                key.clear();
+                let _ = write!(key, "lsh:{band}:{:016x}", fx_hash_bytes(&bytes));
+                asg.push_key(&key);
             }
-            let bucket = fx_hash_bytes(&bytes);
-            groups
-                .entry(format!("lsh:{band}:{bucket:016x}"))
-                .or_default()
-                .push(e);
         }
+        asg.seal_entity();
     }
-    BlockCollection::from_groups(dataset, mode, groups)
-}
-
-/// Deterministic 32-bit ids of an entity's distinct blocking tokens.
-fn token_ids(dataset: &Dataset, e: EntityId) -> Vec<u32> {
-    let mut tokens = dataset.blocking_tokens(e);
-    tokens.sort_unstable();
-    tokens.dedup();
-    let mut seen: FxHashSet<u32> = FxHashSet::default();
-    tokens
-        .iter()
-        .map(|t| (fx_hash_bytes(t.as_bytes()) & 0xffff_ffff) as u32)
-        .filter(|id| seen.insert(*id))
-        .collect()
+    BlockCollection::from_assignments_with_threads(dataset, mode, asg, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minoan_rdf::DatasetBuilder;
+    use minoan_rdf::{DatasetBuilder, EntityId};
 
     /// Two near-duplicate descriptions (high Jaccard) + two unrelated ones.
     fn dataset() -> Dataset {
@@ -127,7 +128,7 @@ mod tests {
     #[test]
     fn high_jaccard_pair_is_blocked_together() {
         let ds = dataset();
-        let blocks = minhash_lsh_blocking(&ds, ErMode::CleanClean, LshConfig::default());
+        let blocks = minhash_lsh_blocking(&ds, ErMode::CleanClean, LshConfig::default(), 1);
         let pairs = blocks.distinct_pairs();
         assert!(
             pairs.contains(&(EntityId(0), EntityId(1))),
@@ -138,7 +139,7 @@ mod tests {
     #[test]
     fn disjoint_sets_rarely_collide() {
         let ds = dataset();
-        let blocks = minhash_lsh_blocking(&ds, ErMode::CleanClean, LshConfig::default());
+        let blocks = minhash_lsh_blocking(&ds, ErMode::CleanClean, LshConfig::default(), 1);
         let pairs = blocks.distinct_pairs();
         assert!(
             !pairs.contains(&(EntityId(2), EntityId(3))),
@@ -166,8 +167,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let ds = dataset();
-        let a = minhash_lsh_blocking(&ds, ErMode::CleanClean, LshConfig::default());
-        let b = minhash_lsh_blocking(&ds, ErMode::CleanClean, LshConfig::default());
+        let a = minhash_lsh_blocking(&ds, ErMode::CleanClean, LshConfig::default(), 1);
+        let b = minhash_lsh_blocking(&ds, ErMode::CleanClean, LshConfig::default(), 1);
         assert_eq!(a.distinct_pairs(), b.distinct_pairs());
     }
 
@@ -178,7 +179,7 @@ mod tests {
             seed: 1,
             ..LshConfig::default()
         };
-        let blocks = minhash_lsh_blocking(&ds, ErMode::CleanClean, c1);
+        let blocks = minhash_lsh_blocking(&ds, ErMode::CleanClean, c1, 1);
         // The high-similarity pair should survive any seed with b=8, r=4
         // (collision probability ≈ 1 − (1 − s⁴)⁸ ≈ 0.97 for s ≈ 0.71).
         assert!(blocks
@@ -189,7 +190,7 @@ mod tests {
     #[test]
     fn empty_dataset() {
         let ds = DatasetBuilder::new().build();
-        assert!(minhash_lsh_blocking(&ds, ErMode::Dirty, LshConfig::default()).is_empty());
+        assert!(minhash_lsh_blocking(&ds, ErMode::Dirty, LshConfig::default(), 1).is_empty());
     }
 
     #[test]
@@ -203,6 +204,7 @@ mod tests {
                 rows: 4,
                 seed: 0,
             },
+            1,
         );
     }
 }

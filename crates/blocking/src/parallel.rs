@@ -1,16 +1,13 @@
-//! Blocking as MapReduce jobs (reference \[5\]'s substrate).
+//! Token blocking as a MapReduce job (reference \[5\]'s substrate).
 //!
-//! * **map**: entity → `(key, entity)` for every distinct blocking key
-//!   (tokens, or q-grams of tokens);
-//! * **reduce**: key → block (member list), dropping useless blocks.
+//! * **map**: entity → `(token, entity)` for every distinct blocking token;
+//! * **reduce**: token → block (member list), dropping useless blocks.
 //!
-//! The outputs are bit-identical to the serial builders; the point of this
+//! The output is bit-identical to the serial builder; the point of this
 //! module is the E7 scalability experiment and fidelity to the paper's
 //! "parallel processing power of a computer cluster via Hadoop MapReduce".
 
 use crate::collection::{BlockCollection, ErMode};
-use crate::qgrams;
-use minoan_common::FxHashSet;
 use minoan_mapreduce::Engine;
 use minoan_rdf::{Dataset, EntityId};
 
@@ -51,41 +48,6 @@ pub fn parallel_token_blocking_with_stats(
     )
 }
 
-/// Runs q-grams blocking on `engine`. Equivalent to
-/// [`crate::qgrams::qgram_blocking`].
-///
-/// # Panics
-/// Panics if `q == 0`.
-pub fn parallel_qgram_blocking(
-    dataset: &Dataset,
-    mode: ErMode,
-    q: usize,
-    engine: &Engine,
-) -> BlockCollection {
-    assert!(q > 0, "q must be positive");
-    let inputs: Vec<EntityId> = dataset.entities().collect();
-    let result = engine.run(
-        inputs,
-        |&e, emit| {
-            let mut keys: FxHashSet<String> = FxHashSet::default();
-            for token in dataset.blocking_tokens(e) {
-                for g in qgrams::qgrams(&token, q) {
-                    keys.insert(g);
-                }
-            }
-            let mut keys: Vec<String> = keys.into_iter().collect();
-            keys.sort_unstable();
-            for k in keys {
-                emit(k, e);
-            }
-        },
-        |key, members, out| {
-            out.push((key.clone(), members.clone()));
-        },
-    );
-    BlockCollection::from_groups(dataset, mode, result.output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,18 +66,6 @@ mod tests {
             for (a, b) in par.blocks().zip(serial.blocks()) {
                 assert_eq!(a.entities, b.entities);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_qgrams_matches_serial() {
-        let g = generate(&profiles::center_dense(80, 3));
-        let serial = crate::qgrams::qgram_blocking(&g.dataset, ErMode::CleanClean, 3);
-        for workers in [1, 4] {
-            let par =
-                parallel_qgram_blocking(&g.dataset, ErMode::CleanClean, 3, &Engine::new(workers));
-            assert_eq!(par.len(), serial.len());
-            assert_eq!(par.total_comparisons(), serial.total_comparisons());
         }
     }
 

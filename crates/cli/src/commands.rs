@@ -159,32 +159,59 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     command(&Args::parse(argv, &synopsis(name))?)
 }
 
+/// Looks `name` up in `table`, every accepted spelling of one option with
+/// its value; an unknown name is an error that lists them all.
+fn by_name<T: Clone>(what: &str, table: &[(&str, T)], name: &str) -> Result<T, CliError> {
+    match table.iter().find(|(spelling, _)| *spelling == name) {
+        Some((_, value)) => Ok(value.clone()),
+        None => {
+            let valid: Vec<&str> = table.iter().map(|&(spelling, _)| spelling).collect();
+            Err(CliError(format!(
+                "unknown {what} {name:?}; valid spellings: {}",
+                valid.join(" | ")
+            )))
+        }
+    }
+}
+
 fn profile_by_name(name: &str, entities: usize, seed: u64) -> Result<WorldConfig, CliError> {
-    Ok(match name {
-        "center" => profiles::center_dense(entities, seed),
-        "periphery" => profiles::periphery_sparse(entities, seed),
-        "center-periphery" => profiles::center_periphery(entities, seed),
-        "lod" => profiles::lod_cloud(entities, seed),
-        "dirty" => profiles::dirty_single(entities, seed),
-        "restaurants" => profiles::restaurants(seed),
-        "rexa-dblp" => profiles::rexa_dblp(entities, seed),
-        "bbc-dbpedia" => profiles::bbc_music_dbpedia(entities, seed),
-        "yago-imdb" => profiles::yago_imdb(entities, seed),
-        other => return Err(CliError(format!("unknown profile {other:?}"))),
-    })
+    type Profile = fn(usize, u64) -> WorldConfig;
+    let table: [(&str, Profile); 9] = [
+        ("center", profiles::center_dense),
+        ("periphery", profiles::periphery_sparse),
+        ("center-periphery", profiles::center_periphery),
+        ("lod", profiles::lod_cloud),
+        ("dirty", profiles::dirty_single),
+        ("restaurants", |_, seed| profiles::restaurants(seed)),
+        ("rexa-dblp", profiles::rexa_dblp),
+        ("bbc-dbpedia", profiles::bbc_music_dbpedia),
+        ("yago-imdb", profiles::yago_imdb),
+    ];
+    Ok(by_name("profile", &table, name)?(entities, seed))
 }
 
 fn strategy_by_name(name: &str) -> Result<Strategy, CliError> {
-    Ok(match name {
-        "batch" => Strategy::Batch,
-        "random" => Strategy::Random { seed: 0 },
-        "static" => Strategy::StaticBestFirst,
-        "progressive" | "progressive:pairs" => Strategy::Progressive(BenefitModel::PairQuantity),
-        "progressive:attrs" => Strategy::Progressive(BenefitModel::AttributeCompleteness),
-        "progressive:coverage" => Strategy::Progressive(BenefitModel::EntityCoverage),
-        "progressive:links" => Strategy::Progressive(BenefitModel::RelationshipCompleteness),
-        other => return Err(CliError(format!("unknown strategy {other:?}"))),
-    })
+    let progressive = Strategy::Progressive;
+    let table = [
+        ("batch", Strategy::Batch),
+        ("random", Strategy::Random { seed: 0 }),
+        ("static", Strategy::StaticBestFirst),
+        ("progressive", progressive(BenefitModel::PairQuantity)),
+        ("progressive:pairs", progressive(BenefitModel::PairQuantity)),
+        (
+            "progressive:attrs",
+            progressive(BenefitModel::AttributeCompleteness),
+        ),
+        (
+            "progressive:coverage",
+            progressive(BenefitModel::EntityCoverage),
+        ),
+        (
+            "progressive:links",
+            progressive(BenefitModel::RelationshipCompleteness),
+        ),
+    ];
+    by_name("strategy", &table, name)
 }
 
 fn cmd_generate(args: &Args) -> Result<String, CliError> {
@@ -232,59 +259,61 @@ fn inputs(args: &Args) -> Result<&[String], CliError> {
 }
 
 fn blocking_by_name(name: &str) -> Result<BlockingMethod, CliError> {
-    Ok(match name {
-        "token" => BlockingMethod::Token,
-        "uri-infix" => BlockingMethod::UriInfix,
-        "token+uri" => BlockingMethod::TokenAndUri,
-        "attr-clustering" => BlockingMethod::AttributeClustering(0.3),
-        "qgrams" => BlockingMethod::QGrams(3),
-        "sorted-neighborhood" => BlockingMethod::SortedNeighborhood(6),
-        "minhash-lsh" => BlockingMethod::MinHashLsh(LshConfig::default()),
-        "canopy" => BlockingMethod::Canopy(CanopyConfig::default()),
-        other => return Err(CliError(format!("unknown blocking method {other:?}"))),
-    })
+    let table = [
+        ("token", BlockingMethod::Token),
+        ("uri-infix", BlockingMethod::UriInfix),
+        ("token+uri", BlockingMethod::TokenAndUri),
+        ("attr-clustering", BlockingMethod::AttributeClustering(0.3)),
+        ("qgrams", BlockingMethod::QGrams(3)),
+        ("sorted-neighborhood", BlockingMethod::SortedNeighborhood(6)),
+        (
+            "minhash-lsh",
+            BlockingMethod::MinHashLsh(LshConfig::default()),
+        ),
+        ("canopy", BlockingMethod::Canopy(CanopyConfig::default())),
+    ];
+    by_name("blocking method", &table, name)
 }
 
 fn pruning_by_name(name: &str) -> Result<minoan_er::pipeline::PruningMethod, CliError> {
     use minoan_er::pipeline::PruningMethod;
-    Ok(match name {
-        "none" => PruningMethod::None,
-        "wep" => PruningMethod::Wep,
-        "cep" => PruningMethod::Cep(None),
-        "wnp" => PruningMethod::Wnp { reciprocal: false },
-        "wnp-reciprocal" => PruningMethod::Wnp { reciprocal: true },
-        "cnp" => PruningMethod::Cnp {
-            reciprocal: false,
-            k: None,
-        },
-        "cnp-reciprocal" => PruningMethod::Cnp {
-            reciprocal: true,
-            k: None,
-        },
-        "blast" => PruningMethod::blast(),
-        other => {
-            return Err(CliError(format!(
-                "unknown pruning method {other:?}; valid: none | wep | cep | wnp | \
-                 wnp-reciprocal | cnp | cnp-reciprocal | blast"
-            )))
-        }
-    })
+    let cnp = |reciprocal| PruningMethod::Cnp {
+        reciprocal,
+        k: None,
+    };
+    let table = [
+        ("none", PruningMethod::None),
+        ("wep", PruningMethod::Wep),
+        ("cep", PruningMethod::Cep(None)),
+        ("wnp", PruningMethod::Wnp { reciprocal: false }),
+        ("wnp-reciprocal", PruningMethod::Wnp { reciprocal: true }),
+        ("cnp", cnp(false)),
+        ("cnp-reciprocal", cnp(true)),
+        ("blast", PruningMethod::blast()),
+    ];
+    by_name("pruning method", &table, name)
 }
 
 fn weighting_by_name(name: &str) -> Result<minoan_metablocking::WeightingScheme, CliError> {
     use minoan_metablocking::WeightingScheme;
-    Ok(match name {
-        "cbs" => WeightingScheme::Cbs,
-        "ecbs" => WeightingScheme::Ecbs,
-        "js" => WeightingScheme::Js,
-        "ejs" => WeightingScheme::Ejs,
-        "arcs" => WeightingScheme::Arcs,
-        other => {
-            return Err(CliError(format!(
-                "unknown weighting scheme {other:?}; valid: cbs | ecbs | js | ejs | arcs"
-            )))
-        }
-    })
+    let table = [
+        ("cbs", WeightingScheme::Cbs),
+        ("ecbs", WeightingScheme::Ecbs),
+        ("js", WeightingScheme::Js),
+        ("ejs", WeightingScheme::Ejs),
+        ("arcs", WeightingScheme::Arcs),
+    ];
+    by_name("weighting scheme", &table, name)
+}
+
+fn backend_by_name(name: &str) -> Result<minoan_metablocking::ExecutionBackend, CliError> {
+    use minoan_metablocking::ExecutionBackend;
+    let table = [
+        ("streaming", ExecutionBackend::Streaming),
+        ("mapreduce", ExecutionBackend::MapReduce),
+        ("map-reduce", ExecutionBackend::MapReduce),
+    ];
+    by_name("backend", &table, name)
 }
 
 /// Parses `--key` as a count ≥ 1. Zero, negatives and garbage all fail
@@ -328,11 +357,7 @@ fn pipeline_config(args: &Args) -> Result<PipelineConfig, CliError> {
         config.weighting = weighting_by_name(w)?;
     }
     if let Some(b) = args.get("backend") {
-        config.backend = minoan_metablocking::ExecutionBackend::parse(b).ok_or_else(|| {
-            CliError(format!(
-                "unknown backend {b:?}; valid spellings: streaming | mapreduce"
-            ))
-        })?;
+        config.backend = backend_by_name(b)?;
     }
     if let Some(workers) = positive_count(args, "workers")? {
         config.workers = Some(workers);
@@ -504,23 +529,26 @@ fn cmd_eval(args: &Args) -> Result<String, CliError> {
 }
 
 fn clustering_by_name(name: &str) -> Result<ClusteringAlgorithm, CliError> {
-    Ok(match name {
-        "connected-components" => ClusteringAlgorithm::ConnectedComponents,
-        "center" => ClusteringAlgorithm::Center,
-        "merge-center" => ClusteringAlgorithm::MergeCenter,
-        "unique-mapping" => ClusteringAlgorithm::UniqueMapping,
-        other => return Err(CliError(format!("unknown clustering algorithm {other:?}"))),
-    })
+    let table = [
+        (
+            "connected-components",
+            ClusteringAlgorithm::ConnectedComponents,
+        ),
+        ("center", ClusteringAlgorithm::Center),
+        ("merge-center", ClusteringAlgorithm::MergeCenter),
+        ("unique-mapping", ClusteringAlgorithm::UniqueMapping),
+    ];
+    by_name("clustering algorithm", &table, name)
 }
 
 fn arrival_order(name: &str, seed: u64) -> Result<ArrivalOrder, CliError> {
-    Ok(match name {
-        "kb-sequential" => ArrivalOrder::KbSequential,
-        "round-robin" => ArrivalOrder::RoundRobin,
-        "shuffled" => ArrivalOrder::Shuffled { seed },
-        "clustered" => ArrivalOrder::ClusteredBursts,
-        other => return Err(CliError(format!("unknown arrival order {other:?}"))),
-    })
+    let table = [
+        ("kb-sequential", ArrivalOrder::KbSequential),
+        ("round-robin", ArrivalOrder::RoundRobin),
+        ("shuffled", ArrivalOrder::Shuffled { seed }),
+        ("clustered", ArrivalOrder::ClusteredBursts),
+    ];
+    by_name("arrival order", &table, name)
 }
 
 fn cmd_stream(args: &Args) -> Result<String, CliError> {
@@ -905,7 +933,8 @@ mod tests {
         ] {
             let err = run_str(cmd).unwrap_err();
             assert!(
-                err.0.ends_with("valid spellings: streaming | mapreduce"),
+                err.0
+                    .ends_with("valid spellings: streaming | mapreduce | map-reduce"),
                 "error must list the valid spellings, got: {}",
                 err.0
             );
@@ -946,6 +975,57 @@ mod tests {
             "error must list the valid spellings incl. blast, got: {}",
             err.0
         );
+    }
+
+    /// Each name option accepts exactly the spellings listed here, and an
+    /// unknown name's error lists every one of them, in this order.
+    #[test]
+    fn unknown_name_errors_list_every_accepted_spelling() {
+        type Parse = fn(&str) -> Result<(), CliError>;
+        let options: [(&str, Parse); 8] = [
+            (
+                "center | periphery | center-periphery | lod | dirty | restaurants | rexa-dblp \
+                 | bbc-dbpedia | yago-imdb",
+                |n| profile_by_name(n, 10, 1).map(drop),
+            ),
+            (
+                "batch | random | static | progressive | progressive:pairs | progressive:attrs \
+                 | progressive:coverage | progressive:links",
+                |n| strategy_by_name(n).map(drop),
+            ),
+            (
+                "token | uri-infix | token+uri | attr-clustering | qgrams | sorted-neighborhood \
+                 | minhash-lsh | canopy",
+                |n| blocking_by_name(n).map(drop),
+            ),
+            (
+                "none | wep | cep | wnp | wnp-reciprocal | cnp | cnp-reciprocal | blast",
+                |n| pruning_by_name(n).map(drop),
+            ),
+            ("cbs | ecbs | js | ejs | arcs", |n| {
+                weighting_by_name(n).map(drop)
+            }),
+            ("streaming | mapreduce | map-reduce", |n| {
+                backend_by_name(n).map(drop)
+            }),
+            (
+                "connected-components | center | merge-center | unique-mapping",
+                |n| clustering_by_name(n).map(drop),
+            ),
+            ("kb-sequential | round-robin | shuffled | clustered", |n| {
+                arrival_order(n, 1).map(drop)
+            }),
+        ];
+        for (accepted, parse) in options {
+            for name in accepted.split(" | ") {
+                parse(name).unwrap_or_else(|e| panic!("{name}: {}", e.0));
+            }
+            let err = parse("bogus").unwrap_err().0;
+            assert!(
+                err.ends_with(&format!("valid spellings: {accepted}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -21,15 +21,6 @@ pub fn mean_of(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
     xs.sum::<f64>() / n as f64
 }
 
-/// Population standard deviation; `0.0` for fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// `p`-th percentile (0..=100) by nearest-rank on a copy of the data.
 /// Returns `0.0` for an empty slice.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
@@ -119,8 +110,6 @@ mod tests {
         let pairs = [(7u32, 0.1f64), (9, 0.2), (11, 0.3)];
         let picked = mean_of(pairs.iter().map(|&(_, w)| w));
         assert_eq!(picked.to_bits(), mean(&[0.1, 0.2, 0.3]).to_bits());
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(std_dev(&[5.0]), 0.0);
     }
 
     #[test]

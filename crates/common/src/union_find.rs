@@ -81,12 +81,6 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
-    }
-
     /// Groups all elements by representative, returning clusters with ≥ `min`
     /// members, each sorted ascending. Cluster order is by smallest member.
     pub fn clusters(&mut self, min: usize) -> Vec<Vec<u32>> {
@@ -108,12 +102,18 @@ impl UnionFind {
 mod tests {
     use super::*;
 
+    /// Size of the set containing `x`.
+    fn set_size(uf: &mut UnionFind, x: u32) -> u32 {
+        let r = uf.find(x);
+        uf.size[r as usize]
+    }
+
     #[test]
     fn singletons_are_disjoint() {
         let mut uf = UnionFind::new(4);
         assert_eq!(uf.components(), 4);
         assert!(!uf.connected(0, 1));
-        assert_eq!(uf.set_size(2), 1);
+        assert_eq!(set_size(&mut uf, 2), 1);
     }
 
     #[test]
@@ -124,7 +124,7 @@ mod tests {
         assert!(!uf.union(0, 2), "already merged");
         assert_eq!(uf.components(), 3);
         assert!(uf.connected(0, 2));
-        assert_eq!(uf.set_size(1), 3);
+        assert_eq!(set_size(&mut uf, 1), 3);
     }
 
     #[test]
@@ -156,6 +156,6 @@ mod tests {
             uf.union(i, i + 1);
         }
         assert_eq!(uf.components(), 1);
-        assert_eq!(uf.set_size(50), 100);
+        assert_eq!(set_size(&mut uf, 50), 100);
     }
 }

@@ -150,11 +150,6 @@ impl CandidatePool {
         }
     }
 
-    /// Looks a candidate up by pair.
-    pub fn get_by_pair(&self, a: EntityId, b: EntityId) -> Option<CandidateId> {
-        self.by_pair.get(&(a.min(b), a.max(b))).copied()
-    }
-
     /// Immutable candidate access.
     pub fn get(&self, id: CandidateId) -> &Candidate {
         &self.candidates[id.index()]
@@ -211,6 +206,11 @@ mod tests {
         EntityId(i)
     }
 
+    /// The candidate of pair `(a, b)`, `a < b`, found through `ids` and `get`.
+    fn find(p: &CandidatePool, a: EntityId, b: EntityId) -> Option<CandidateId> {
+        p.ids().find(|&id| (p.get(id).a, p.get(id).b) == (a, b))
+    }
+
     #[test]
     fn insert_normalises_pair_order() {
         let mut p = CandidatePool::new();
@@ -227,16 +227,16 @@ mod tests {
     fn from_weighted_pairs_normalises_to_unit() {
         let pairs = vec![(e(0), e(1), 2.0), (e(0), e(2), 4.0), (e(1), e(2), 1.0)];
         let p = CandidatePool::from_weighted_pairs(&pairs);
-        let best = p.get_by_pair(e(0), e(2)).unwrap();
+        let best = find(&p, e(0), e(2)).unwrap();
         assert_eq!(p.get(best).prior, 1.0);
-        let worst = p.get_by_pair(e(1), e(2)).unwrap();
+        let worst = find(&p, e(1), e(2)).unwrap();
         assert_eq!(p.get(worst).prior, 0.25);
     }
 
     #[test]
     fn evidence_accumulates_and_discovers() {
         let mut p = CandidatePool::new();
-        assert!(p.get_by_pair(e(1), e(9)).is_none());
+        assert!(find(&p, e(1), e(9)).is_none());
         let (id, existed) = p.add_evidence(e(9), e(1), 0.2, 0.0).unwrap();
         assert!(!existed);
         assert_eq!(p.get(id).prior, 0.0, "discovered pair has no prior");
@@ -251,7 +251,7 @@ mod tests {
         let mut p = CandidatePool::new();
         let id = p.insert(e(0), e(1), 0.5);
         assert_eq!(p.add_evidence(e(2), e(3), 0.04, 0.05), None);
-        assert!(p.get_by_pair(e(2), e(3)).is_none());
+        assert!(find(&p, e(2), e(3)).is_none());
         assert_eq!(p.len(), 1);
         assert_eq!(p.add_evidence(e(1), e(0), 0.04, 0.05), Some((id, true)));
         assert_eq!(p.get(id).evidence, 0.04);

@@ -7,7 +7,7 @@
 
 use crate::engine::{ProgressiveResolver, Resolution, ResolverConfig};
 use crate::matcher::{Matcher, MatcherConfig, TokenRows};
-use minoan_blocking::builders::{self, token_pass, TokenKeys};
+use minoan_blocking::builders::{token_pass, TokenKeys};
 use minoan_blocking::{filter, purge, BlockCollection, ErMode};
 use minoan_metablocking::{ExecutionBackend, Session, WeightingScheme};
 use minoan_rdf::{Dataset, EntityId};
@@ -114,18 +114,13 @@ impl Pipeline {
             .unwrap_or_else(minoan_common::default_threads)
     }
 
-    /// Runs blocking only (exposed for experiments). The token methods
-    /// obey the `workers` knob like [`Self::clean_blocks`] does.
+    /// Runs blocking only (exposed for experiments): [`BlockingMethod::run`]
+    /// on the `workers` knob, which bounds its token pass and block build
+    /// like it bounds [`Self::clean_blocks`].
     pub fn block(&self, dataset: &Dataset) -> BlockCollection {
-        let mode = self.config.mode;
-        let tokens =
-            |keys| builders::token_blocking_with_threads(dataset, mode, keys, self.threads());
-        match self.config.blocking {
-            BlockingMethod::Token => tokens(TokenKeys::Values),
-            BlockingMethod::UriInfix => tokens(TokenKeys::Uris),
-            BlockingMethod::TokenAndUri => tokens(TokenKeys::Both),
-            method => method.run(dataset, mode),
-        }
+        self.config
+            .blocking
+            .run(dataset, self.config.mode, self.threads())
     }
 
     /// Runs block cleaning (purge + filter) per the configuration. The

@@ -20,13 +20,6 @@ pub struct BlockingQuality {
     pub brute_force: u64,
 }
 
-impl BlockingQuality {
-    /// Harmonic mean of PC and RR (the usual blocking summary).
-    pub fn cc_f1(&self) -> f64 {
-        minoan_common::stats::harmonic_mean(self.pc, self.rr)
-    }
-}
-
 /// Brute-force comparison count of a dataset: all cross-KB pairs for
 /// clean–clean data (`kb_count > 1`), otherwise all pairs.
 pub fn brute_force_comparisons(dataset: &Dataset) -> u64 {
@@ -153,7 +146,6 @@ mod tests {
         assert_eq!(q.pc, 1.0);
         assert_eq!(q.pq, 1.0);
         assert!(q.rr > 0.9);
-        assert!(q.cc_f1() > 0.9);
     }
 
     #[test]

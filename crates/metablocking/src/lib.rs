@@ -156,23 +156,6 @@ impl ExecutionBackend {
     /// All backends, for equivalence sweeps.
     pub const ALL: [ExecutionBackend; 2] =
         [ExecutionBackend::Streaming, ExecutionBackend::MapReduce];
-
-    /// Parses the CLI/config spelling (`streaming` | `mapreduce`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "streaming" => Some(Self::Streaming),
-            "mapreduce" | "map-reduce" => Some(Self::MapReduce),
-            _ => None,
-        }
-    }
-
-    /// The config spelling of this backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Streaming => "streaming",
-            Self::MapReduce => "mapreduce",
-        }
-    }
 }
 
 /// The one definition of "bit-identical pruning output" the in-crate
@@ -195,22 +178,5 @@ pub(crate) fn assert_bit_identical(a: &PrunedComparisons, b: &PrunedComparisons,
             x.weight,
             y.weight
         );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backend_parsing_round_trips() {
-        for b in ExecutionBackend::ALL {
-            assert_eq!(ExecutionBackend::parse(b.name()), Some(b));
-        }
-        assert_eq!(
-            ExecutionBackend::parse("map-reduce"),
-            Some(ExecutionBackend::MapReduce)
-        );
-        assert_eq!(ExecutionBackend::parse("nonsense"), None);
     }
 }

@@ -173,15 +173,6 @@ impl TrainingSet {
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
-
-    /// Fraction of positive labels.
-    pub fn positive_ratio(&self) -> f64 {
-        if self.labels.is_empty() {
-            0.0
-        } else {
-            self.labels.iter().filter(|&&l| l).count() as f64 / self.labels.len() as f64
-        }
-    }
 }
 
 fn gcd(a: usize, b: usize) -> usize {
@@ -250,25 +241,6 @@ impl Perceptron {
             .sum::<f64>()
             + self.bias
     }
-
-    /// Binary prediction.
-    pub fn predict(&self, x: &EdgeFeatures) -> bool {
-        self.score(x) > 0.0
-    }
-
-    /// Accuracy over a labelled set.
-    pub fn accuracy(&self, set: &TrainingSet) -> f64 {
-        if set.is_empty() {
-            return 0.0;
-        }
-        let correct = set
-            .features
-            .iter()
-            .zip(&set.labels)
-            .filter(|(x, &l)| self.predict(x) == l)
-            .count();
-        correct as f64 / set.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -334,7 +306,7 @@ mod tests {
         let mut session = Session::new(&blocks);
         let set = TrainingSet::sample(&mut session, |a, b| truth.is_match(a, b), 30, 42);
         assert!(!set.is_empty());
-        let ratio = set.positive_ratio();
+        let ratio = set.labels.iter().filter(|&&l| l).count() as f64 / set.len() as f64;
         assert!(ratio > 0.2 && ratio < 0.8, "imbalanced sample: {ratio}");
     }
 
@@ -350,11 +322,14 @@ mod tests {
             set.labels.push(pos);
         }
         let model = Perceptron::train(&set, 20);
-        assert!(
-            model.accuracy(&set) > 0.95,
-            "accuracy {}",
-            model.accuracy(&set)
-        );
+        let correct = set
+            .features
+            .iter()
+            .zip(&set.labels)
+            .filter(|(x, &l)| (model.score(x) > 0.0) == l)
+            .count();
+        let accuracy = correct as f64 / set.len() as f64;
+        assert!(accuracy > 0.95, "accuracy {accuracy}");
     }
 
     #[test]

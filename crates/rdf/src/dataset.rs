@@ -378,24 +378,6 @@ impl Dataset {
             .map(|a| a.text(&self.text))
     }
 
-    /// Number of distinct attribute names used across the dataset.
-    pub fn vocabulary_size(&self) -> usize {
-        self.predicates.len()
-    }
-
-    /// Mean number of attribute–value pairs per description.
-    pub fn avg_attributes(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.attrs.len() as f64 / self.len() as f64
-    }
-
-    /// Total number of neighbour links (each undirected link counted once).
-    pub fn link_count(&self) -> usize {
-        self.neighbors.len() / 2
-    }
-
     /// Serialises KB `kb` as an N-Triples document, written straight from
     /// the slabs: byte for byte what [`crate::ntriples::write_document`]
     /// makes of the KB's attributes as triples.
@@ -685,7 +667,6 @@ mod tests {
         let c = ds.entity_by_uri("http://db.org/r/Crete").unwrap();
         assert_eq!(ds.neighbors(h), &[c]);
         assert_eq!(ds.neighbors(c), &[h]);
-        assert_eq!(ds.link_count(), 1);
     }
 
     #[test]
@@ -780,12 +761,5 @@ mod tests {
             "same blank label in different KBs stays distinct"
         );
         assert_eq!(ds.kb(kb2).entity_count, 1);
-    }
-
-    #[test]
-    fn stats_helpers() {
-        let ds = small();
-        assert_eq!(ds.vocabulary_size(), 3);
-        assert!((ds.avg_attributes() - 4.0 / 3.0).abs() < 1e-12);
     }
 }

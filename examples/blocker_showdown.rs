@@ -3,15 +3,18 @@
 //! Exact token blocking is the paper's workhorse for the highly-similar
 //! centre of the LOD cloud; this example shows where the fuzzy families
 //! (q-grams, LSH, sorted neighborhood, canopy) earn their extra
-//! comparisons — the noisy, "somehow similar" periphery — and how a
-//! composite workflow (union → purge → filter) combines them.
+//! comparisons — the noisy, "somehow similar" periphery — and what block
+//! cleaning (purge → filter) leaves of the paper's default method.
 //!
 //! Run with: `cargo run --release --example blocker_showdown`
 
-use minoan::blocking::{BlockingWorkflow, CanopyConfig, LshConfig, Method};
+use minoan::blocking::{CanopyConfig, LshConfig, Method};
+use minoan::common::default_threads;
 use minoan::prelude::*;
 
-fn pair_quality(world: &minoan::datagen::GeneratedWorld, blocks: &BlockCollection) -> (f64, f64) {
+/// Prints one table row: block count, comparisons, and the pair
+/// completeness (PC) and quality (PQ) of the blocks' distinct pairs.
+fn row(name: &str, world: &minoan::datagen::GeneratedWorld, blocks: &BlockCollection) {
     let pairs = blocks.distinct_pairs();
     let found = pairs
         .iter()
@@ -23,10 +26,18 @@ fn pair_quality(world: &minoan::datagen::GeneratedWorld, blocks: &BlockCollectio
     } else {
         found as f64 / pairs.len() as f64
     };
-    (pc, pq)
+    println!(
+        "{:<24} {:>8} {:>12} {:>7.3} {:>7.3}",
+        name,
+        blocks.len(),
+        blocks.total_comparisons(),
+        pc,
+        pq
+    );
 }
 
 fn main() {
+    let threads = default_threads();
     let methods: Vec<(&str, Method)> = vec![
         ("token", Method::Token),
         ("token+uri", Method::TokenAndUri),
@@ -50,36 +61,22 @@ fn main() {
             "method", "blocks", "comparisons", "PC", "PQ"
         );
         for (name, method) in &methods {
-            let blocks = method.run(&world.dataset, ErMode::CleanClean);
-            let (pc, pq) = pair_quality(&world, &blocks);
-            println!(
-                "{:<24} {:>8} {:>12} {:>7.3} {:>7.3}",
+            row(
                 name,
-                blocks.len(),
-                blocks.total_comparisons(),
-                pc,
-                pq
+                &world,
+                &method.run(&world.dataset, ErMode::CleanClean, threads),
             );
         }
 
-        // Composite workflow: exact + fuzzy evidence, then purge + filter.
-        let (blocks, report) = BlockingWorkflow::new(Method::TokenAndUri)
-            .also(Method::MinHashLsh(LshConfig::default()))
-            .with_purging()
-            .with_filtering(0.8)
-            .run(&world.dataset, ErMode::CleanClean);
-        let (pc, pq) = pair_quality(&world, &blocks);
-        println!(
-            "{:<24} {:>8} {:>12} {:>7.3} {:>7.3}",
-            "workflow(union+p+f)",
-            blocks.len(),
-            blocks.total_comparisons(),
-            pc,
-            pq
+        // Block cleaning of the default method: purge, then filter.
+        let raw = Method::TokenAndUri.run(&world.dataset, ErMode::CleanClean, threads);
+        let purged = purge::purge(&raw).collection;
+        row("token+uri → purge", &world, &purged);
+        row(
+            "  → filter(0.8)",
+            &world,
+            &filter::filter_with(&purged, 0.8),
         );
-        for (stage, nblocks, comparisons) in &report.stages {
-            println!("    stage {stage:<22} blocks {nblocks:>8} comparisons {comparisons:>12}");
-        }
         println!();
     }
 }

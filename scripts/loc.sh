@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Line counts the ROADMAP tracks (aim 2): one table, one row per crate —
-# `src/` lines, in-crate `tests/` + `benches/` lines — plus the root
-# facade and the workspace-level integration tests, then the offline
-# shims under `vendor/` on a row of their own, outside `total` so totals
-# stay comparable across changes. Plain `wc -l` over tracked-or-not *.rs
+# `src/` lines, in-crate `tests/` + `benches/` lines, and `in-src`: how
+# many of the `src/` lines are unit tests, counted from each file's first
+# top-level `#[cfg(test)]` to its end — plus the root facade and the
+# workspace-level integration tests, then the offline shims under
+# `vendor/` on a row of their own, outside `total` so totals stay
+# comparable across changes. Plain `wc -l` over tracked-or-not *.rs
 # files; no arguments.
 set -euo pipefail
 
@@ -20,18 +22,38 @@ lines() {
     echo "$total"
 }
 
-printf '%-16s %8s %8s\n' crate src tests
+# Lines of the *.rs files under the given directories from each file's
+# first top-level `#[cfg(test)]` to its end (0 if none).
+test_lines() {
+    local total=0 dir n
+    for dir in "$@"; do
+        [ -d "$dir" ] || continue
+        n="$(find "$dir" -name '*.rs' -type f -exec awk '
+            FNR == 1 { seen = 0 }
+            /^#\[cfg\(test\)\]/ { seen = 1 }
+            seen { n++ }
+            END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')"
+        total=$((total + n))
+    done
+    echo "$total"
+}
+
+printf '%-16s %8s %8s %8s\n' crate src tests in-src
 src_total=0
 tests_total=0
+in_src_total=0
 row() {
-    printf '%-16s %8d %8d\n' "$1" "$2" "$3"
+    printf '%-16s %8d %8d %8d\n' "$1" "$2" "$3" "$4"
     src_total=$((src_total + $2))
     tests_total=$((tests_total + $3))
+    in_src_total=$((in_src_total + $4))
 }
 for crate in crates/*/; do
     crate="${crate%/}"
-    row "$(basename "$crate")" "$(lines "$crate/src")" "$(lines "$crate/tests" "$crate/benches")"
+    row "$(basename "$crate")" "$(lines "$crate/src")" \
+        "$(lines "$crate/tests" "$crate/benches")" "$(test_lines "$crate/src")"
 done
-row "minoan (root)" "$(lines src)" "$(lines tests examples)"
-printf '%-16s %8d %8d\n' total "$src_total" "$tests_total"
-printf '%-16s %8d %8d\n' "vendor (shims)" "$(lines vendor/*/src)" "$(lines vendor/*/tests vendor/*/benches)"
+row "minoan (root)" "$(lines src)" "$(lines tests examples)" "$(test_lines src)"
+printf '%-16s %8d %8d %8d\n' total "$src_total" "$tests_total" "$in_src_total"
+printf '%-16s %8d %8d %8d\n' "vendor (shims)" "$(lines vendor/*/src)" \
+    "$(lines vendor/*/tests vendor/*/benches)" "$(test_lines vendor/*/src)"

@@ -1,8 +1,7 @@
-//! Integration: the advanced blocker families feed the standard
-//! meta-blocking + progressive-matching stack unchanged, and the fuzzy
-//! families recover matches that exact token blocking misses.
+//! Integration: the advanced blocker families, and block cleaning, feed
+//! the standard meta-blocking + progressive-matching stack unchanged.
 
-use minoan::blocking::{pair_intersection, union, BlockingWorkflow, LshConfig, Method};
+use minoan::blocking::{LshConfig, Method};
 use minoan::metablocking::{blast, Perceptron, TrainingSet};
 use minoan::prelude::*;
 
@@ -16,7 +15,7 @@ fn every_method_composes_with_metablocking_and_matching() {
         Method::MinHashLsh(LshConfig::default()),
     ];
     for method in methods {
-        let blocks = method.run(&world.dataset, ErMode::CleanClean);
+        let blocks = method.run(&world.dataset, ErMode::CleanClean, 2);
         // ARCS × WNP candidates, the session defaults.
         let pairs = Session::new(&blocks).run().into_candidates();
         let res = ProgressiveResolver::new(
@@ -28,65 +27,21 @@ fn every_method_composes_with_metablocking_and_matching() {
         let q = metrics::resolution_quality(&world.truth, &res);
         assert!(
             q.precision > 0.85,
-            "{}: precision {} too low",
-            method.name(),
+            "{method:?}: precision {} too low",
             q.precision
         );
     }
 }
 
 #[test]
-fn union_workflow_dominates_single_methods_on_recall() {
-    let world = generate(&profiles::periphery_sparse(250, 53));
-    let token = Method::Token.run(&world.dataset, ErMode::CleanClean);
-    let lsh = Method::MinHashLsh(LshConfig::default()).run(&world.dataset, ErMode::CleanClean);
-    let both = union(&world.dataset, ErMode::CleanClean, &[&token, &lsh]);
-
-    let pc = |blocks: &BlockCollection| {
-        let pairs = blocks.distinct_pairs();
-        let found = pairs
-            .iter()
-            .filter(|&&(a, b)| world.truth.is_match(a, b))
-            .count();
-        found as f64 / world.truth.matching_pairs() as f64
-    };
-    assert!(pc(&both) >= pc(&token) - 1e-12);
-    assert!(pc(&both) >= pc(&lsh) - 1e-12);
-}
-
-#[test]
-fn intersection_raises_precision() {
-    let world = generate(&profiles::center_dense(200, 57));
-    let token = Method::Token.run(&world.dataset, ErMode::CleanClean);
-    let qg = Method::QGrams(3).run(&world.dataset, ErMode::CleanClean);
-    let inter = pair_intersection(&[&token, &qg]);
-    let token_pairs = token.distinct_pairs();
-    let density = |pairs: &[(EntityId, EntityId)]| {
-        if pairs.is_empty() {
-            return 0.0;
-        }
-        pairs
-            .iter()
-            .filter(|&&(a, b)| world.truth.is_match(a, b))
-            .count() as f64
-            / pairs.len() as f64
-    };
-    assert!(
-        density(&inter) >= density(&token_pairs),
-        "intersection should concentrate matches: {} vs {}",
-        density(&inter),
-        density(&token_pairs)
-    );
-}
-
-#[test]
 fn workflow_feeds_supervised_metablocking_end_to_end() {
     let world = generate(&profiles::center_periphery(200, 59));
-    let (blocks, report) = BlockingWorkflow::new(Method::TokenAndUri)
-        .with_purging()
-        .with_filtering(0.8)
-        .run(&world.dataset, ErMode::CleanClean);
-    assert!(report.final_comparisons() > 0);
+    let raw = Method::TokenAndUri.run(&world.dataset, ErMode::CleanClean, 2);
+    let purged = purge::purge(&raw).collection;
+    let blocks = filter::filter_with(&purged, 0.8);
+    assert!(blocks.total_comparisons() > 0);
+    assert!(blocks.total_comparisons() <= purged.total_comparisons());
+    assert!(purged.total_comparisons() <= raw.total_comparisons());
 
     // Supervised pruning trained on a 40/class sample.
     let mut session = Session::new(&blocks);

@@ -65,7 +65,7 @@ proptest! {
         use minoan::blocking::{LshConfig, Method};
         let world = generate(&profiles::center_dense(40, seed));
         for method in [Method::Token, Method::QGrams(3), Method::MinHashLsh(LshConfig::default())] {
-            let c = method.run(&world.dataset, ErMode::CleanClean);
+            let c = method.run(&world.dataset, ErMode::CleanClean, 2);
             let pairs = c.distinct_pairs();
             for &(a, b) in &pairs {
                 prop_assert!(a < b);

@@ -10,6 +10,8 @@
 //!   block's key, members and comparison count, for purge and filter on
 //!   both worlds before cleaning — for the cleaning specification, which
 //!   the product's passes must equal.
+//! * **Golden digests of block building.** The same block digest for
+//!   every blocking method, built at one and four workers.
 //! * **Golden digests of resolution.** For every strategy × budget on the
 //!   four resolution worlds at two seeds, and each clustering of their
 //!   matches, `fx_hash_bytes` of every bit of the answer — for the
@@ -26,7 +28,8 @@ use common::coverage::{self, clean, dirty, raw_clean, raw_dirty, star};
 use common::spec::Spec;
 use common::{assert_collections_identical, cleaning, resolve_spec};
 use common::{assert_same_resolution, clusters_bytes, resolution_digest, trace_bits};
-use minoan::blocking::{filter, purge, BlockCollection, ErMode};
+use minoan::blocking::parallel::parallel_token_blocking;
+use minoan::blocking::{filter, purge, BlockCollection, CanopyConfig, ErMode, LshConfig, Method};
 use minoan::common::hash::fx_hash_bytes;
 use minoan::datagen::ArrivalOrder;
 use minoan::er::{
@@ -34,6 +37,7 @@ use minoan::er::{
     CompositeResolution, CompositeResolver, IncrementalConfig, IncrementalResolver, Matcher,
     MatcherConfig, Pipeline, PipelineConfig, ResolverConfig, Strategy,
 };
+use minoan::mapreduce::Engine;
 use minoan::metablocking::{blast, PrunedComparisons, Pruning, Session, WeightingScheme};
 
 /// `fx_hash_bytes` of `input_edges` then every kept `(a, b, weight bits)`,
@@ -372,6 +376,90 @@ fn golden_digests_pin_purge_and_filter() {
         }
     }
     assert_golden(&got, GOLDEN_CLEANING);
+}
+
+/// Pinned like [`GOLDEN`]: every blocking method at the parameters the
+/// `reproduce` E9 table runs, and the MapReduce token blocker, on the
+/// worlds of the `clean` and `dirty` collections: `clean`'s under both ER
+/// modes, `dirty`'s (one KB) under dirty ER.
+const GOLDEN_BLOCKERS: &[(&str, u64)] = &[
+    ("clean/7 CleanClean token", 0x63278087652f98e0),
+    ("clean/7 CleanClean uri-infix", 0x21a0ff17f401a261),
+    ("clean/7 CleanClean token+uri", 0x22b3239eb9f95eeb),
+    ("clean/7 CleanClean attr-cluster", 0xa19c69d118885ecb),
+    ("clean/7 CleanClean qgrams(3)", 0x6440d23c19b41c6c),
+    ("clean/7 CleanClean ext-qgrams(3,.8)", 0x1594d9688352f6f1),
+    ("clean/7 CleanClean snm(6)", 0xb87c9e510ba309d0),
+    ("clean/7 CleanClean adaptive-snm", 0x4766dd5aa5d13778),
+    ("clean/7 CleanClean minhash-lsh", 0x9c551e90045f9fc4),
+    ("clean/7 CleanClean canopy", 0x97b961457aa6fe8c),
+    ("clean/7 CleanClean mapreduce token", 0x63278087652f98e0),
+    ("clean/7 Dirty token", 0x302e4c14ce936ff5),
+    ("clean/7 Dirty uri-infix", 0xc2508882fe0769d6),
+    ("clean/7 Dirty token+uri", 0x687debf65cfe9d9d),
+    ("clean/7 Dirty attr-cluster", 0x769cba94f5f4f55b),
+    ("clean/7 Dirty qgrams(3)", 0xc559dca302f3bc73),
+    ("clean/7 Dirty ext-qgrams(3,.8)", 0xe8d0f8b295de0123),
+    ("clean/7 Dirty snm(6)", 0xa5d06d6e983133f8),
+    ("clean/7 Dirty adaptive-snm", 0x33866659082c3612),
+    ("clean/7 Dirty minhash-lsh", 0xf2e87a2883f1690c),
+    ("clean/7 Dirty canopy", 0xfb0ceb81cbe8196d),
+    ("clean/7 Dirty mapreduce token", 0x302e4c14ce936ff5),
+    ("dirty/7 Dirty token", 0xcd79ea0460ac95df),
+    ("dirty/7 Dirty uri-infix", 0x11a3100cee661eaf),
+    ("dirty/7 Dirty token+uri", 0xd802fe23e7959a20),
+    ("dirty/7 Dirty attr-cluster", 0x33ee19579ee32057),
+    ("dirty/7 Dirty qgrams(3)", 0x912bb5d29237a470),
+    ("dirty/7 Dirty ext-qgrams(3,.8)", 0x307766784c3408b4),
+    ("dirty/7 Dirty snm(6)", 0x138c27c2f1fac95c),
+    ("dirty/7 Dirty adaptive-snm", 0x128c70165f3a47f1),
+    ("dirty/7 Dirty minhash-lsh", 0x63ec8b012c09a62b),
+    ("dirty/7 Dirty canopy", 0x373ed306469aa30e),
+    ("dirty/7 Dirty mapreduce token", 0xcd79ea0460ac95df),
+];
+
+#[test]
+fn golden_digests_pin_every_blocker() {
+    let methods = [
+        ("token", Method::Token),
+        ("uri-infix", Method::UriInfix),
+        ("token+uri", Method::TokenAndUri),
+        ("attr-cluster", Method::AttributeClustering(0.3)),
+        ("qgrams(3)", Method::QGrams(3)),
+        ("ext-qgrams(3,.8)", Method::ExtendedQGrams(3, 0.8)),
+        ("snm(6)", Method::SortedNeighborhood(6)),
+        ("adaptive-snm", Method::AdaptiveSortedNeighborhood(4, 32)),
+        ("minhash-lsh", Method::MinHashLsh(LshConfig::default())),
+        ("canopy", Method::Canopy(CanopyConfig::default())),
+    ];
+    let mut got: Vec<(String, u64)> = Vec::new();
+    let worlds = [
+        (
+            "clean",
+            raw_clean(7).0,
+            &[ErMode::CleanClean, ErMode::Dirty][..],
+        ),
+        ("dirty", raw_dirty(7).0, &[ErMode::Dirty][..]),
+    ];
+    for (name, world, modes) in worlds {
+        let ds = &world.dataset;
+        for &mode in modes {
+            let mut case = |label: String, at: &dyn Fn(usize) -> BlockCollection| {
+                let want = blocks_digest(&at(1));
+                assert_eq!(blocks_digest(&at(4)), want, "{label}: 1 vs 4 workers");
+                got.push((label, want));
+            };
+            for (method_name, method) in methods {
+                case(format!("{name}/7 {mode:?} {method_name}"), &|threads| {
+                    method.run(ds, mode, threads)
+                });
+            }
+            case(format!("{name}/7 {mode:?} mapreduce token"), &|workers| {
+                parallel_token_blocking(ds, mode, &Engine::new(workers))
+            });
+        }
+    }
+    assert_golden(&got, GOLDEN_BLOCKERS);
 }
 
 /// Per entity, its edges' weights from an unpruned run, descending.
