@@ -1,10 +1,10 @@
 //! Property suite for the updatable meta-blocking session: after every
 //! ingest, a delta-swept [`IncrementalSession`] must be *bit-identical* to
 //! a from-scratch [`Session`] over the merged corpus — same input-edge
-//! count, same pair order, same f64 weight bits — across arrival orders,
-//! batch sizes, ER modes and thread counts. Which path ran, and how much
-//! it swept, is read off each ingest's [`IngestReport`] and the session's
-//! snapshot count.
+//! count, same pair order, same f64 weight bits — across every weighting
+//! scheme and pruning family, arrival orders, batch sizes, ER modes and
+//! thread counts. How much an ingest swept is read off its
+//! [`IngestReport`].
 
 mod common;
 
@@ -18,13 +18,9 @@ use minoan::metablocking::{
 };
 use minoan::rdf::{DatasetBuilder, EntityId};
 
-/// Scheme × pruning combinations with a true delta-sweep path.
-const DELTA_SCHEMES: [WeightingScheme; 3] = [
-    WeightingScheme::Cbs,
-    WeightingScheme::Js,
-    WeightingScheme::Arcs,
-];
-const DELTA_FAMILIES: [Pruning; 5] = [
+/// Every pruning family: the global criteria, both vote rules with the
+/// default and an explicit `k`, BLAST and a fixed supervised model.
+const FAMILIES: [Pruning; 9] = [
     Pruning::None,
     Pruning::Wep,
     Pruning::Cep(None),
@@ -33,6 +29,16 @@ const DELTA_FAMILIES: [Pruning; 5] = [
         reciprocal: true,
         k: None,
     },
+    Pruning::Wnp { reciprocal: true },
+    Pruning::Cnp {
+        reciprocal: false,
+        k: Some(3),
+    },
+    Pruning::Blast { ratio: 0.35 },
+    Pruning::Supervised(Perceptron {
+        weights: [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5],
+        bias: -0.5,
+    }),
 ];
 
 fn world(mode: ErMode) -> GeneratedWorld {
@@ -44,7 +50,6 @@ fn world(mode: ErMode) -> GeneratedWorld {
 
 /// Ingest `batches` one by one and assert per-batch bit-identity against a
 /// from-scratch streaming [`Session`] on the merged corpus.
-#[allow(clippy::too_many_arguments)]
 fn check_stream(
     g: &GeneratedWorld,
     mode: ErMode,
@@ -52,22 +57,14 @@ fn check_stream(
     pruning: Pruning,
     batches: &[Vec<EntityId>],
     workers: usize,
-    expect_delta: bool,
     label: &str,
 ) {
     let mut inc = IncrementalSession::new(&g.dataset, mode);
     inc.scheme(scheme).pruning(pruning).workers(workers);
     for (i, batch) in batches.iter().enumerate() {
-        let report = inc.ingest(batch);
-        if i > 0 || !batch.is_empty() {
-            assert_eq!(
-                report.delta, expect_delta,
-                "{label}: batch {i} delta flag (report {report:?})"
-            );
-        }
+        inc.ingest(batch);
         let got = inc.outcome();
-        let snap = inc.snapshot();
-        let want = Session::new(snap)
+        let want = Session::new(&inc.snapshot())
             .scheme(scheme)
             .pruning(pruning)
             .backend(ExecutionBackend::Streaming)
@@ -77,24 +74,20 @@ fn check_stream(
     }
 }
 
+/// Every scheme × every family, in both ER modes. The worker count
+/// rotates through one, two and four, so that each scheme and each family
+/// meets all three.
 #[test]
 fn delta_sweeps_are_bit_identical_to_from_scratch_sessions() {
-    for mode in [ErMode::CleanClean, ErMode::Dirty] {
+    for (m, mode) in [ErMode::CleanClean, ErMode::Dirty].into_iter().enumerate() {
         let g = world(mode);
         let order = ArrivalOrder::Shuffled { seed: 7 };
         let batches = order.batches(&g.dataset, &g.truth, 37);
-        for scheme in DELTA_SCHEMES {
-            for pruning in DELTA_FAMILIES {
-                check_stream(
-                    &g,
-                    mode,
-                    scheme,
-                    pruning,
-                    &batches,
-                    2,
-                    true,
-                    &format!("{mode:?}/{scheme:?}/{pruning:?}"),
-                );
+        for (s, scheme) in WeightingScheme::ALL.into_iter().enumerate() {
+            for (f, pruning) in FAMILIES.into_iter().enumerate() {
+                let workers = [1, 2, 4][(m + s + f) % 3];
+                let label = format!("{mode:?}/{scheme:?}/{pruning:?}/w={workers}");
+                check_stream(&g, mode, scheme, pruning, &batches, workers, &label);
             }
         }
     }
@@ -113,7 +106,6 @@ fn every_arrival_order_converges_bit_identically() {
             Pruning::Wnp { reciprocal: false },
             &batches,
             2,
-            true,
             &format!("order {}", order.name()),
         );
     }
@@ -136,7 +128,6 @@ fn batch_size_does_not_change_a_bit() {
             },
             &batches,
             2,
-            true,
             &format!("batch size {batch_size}"),
         );
     }
@@ -155,31 +146,7 @@ fn thread_counts_do_not_change_a_bit() {
             Pruning::Wep,
             &batches,
             workers,
-            true,
             &format!("workers {workers}"),
-        );
-    }
-}
-
-#[test]
-fn unsupported_combinations_fall_back_bit_identically() {
-    let mode = ErMode::CleanClean;
-    let g = world(mode);
-    let batches = ArrivalOrder::Shuffled { seed: 3 }.batches(&g.dataset, &g.truth, 61);
-    for (scheme, pruning) in [
-        (WeightingScheme::Ecbs, Pruning::Wnp { reciprocal: false }),
-        (WeightingScheme::Ejs, Pruning::Wep),
-        (WeightingScheme::Cbs, Pruning::blast()),
-    ] {
-        check_stream(
-            &g,
-            mode,
-            scheme,
-            pruning,
-            &batches,
-            2,
-            false,
-            &format!("fallback {scheme:?}/{pruning:?}"),
         );
     }
 }
@@ -214,8 +181,9 @@ fn delta_combinations_never_build_a_snapshot() {
         let size = g.dataset.len() / 32;
         let batches = ArrivalOrder::Shuffled { seed: 11 }.batches(&g.dataset, &g.truth, size);
         assert!(batches.len() >= 30, "the guard wants ≥ 30 rounds");
-        for scheme in DELTA_SCHEMES {
-            for pruning in DELTA_FAMILIES {
+        for scheme in [WeightingScheme::Cbs, WeightingScheme::Js, WeightingScheme::Arcs] {
+            for pruning in &FAMILIES[..5] {
+                let pruning = *pruning;
                 let label = format!("{mode:?}/{scheme:?}/{pruning:?}");
                 let mut inc = IncrementalSession::new(&g.dataset, mode);
                 inc.scheme(scheme).pruning(pruning).workers(2);
@@ -266,15 +234,15 @@ fn reads_between_ingests_are_bit_identical() {
     let g = generate(&profiles::periphery_sparse(240, 41));
     let batches = ArrivalOrder::Shuffled { seed: 23 }.batches(&g.dataset, &g.truth, 47);
     for mode in [ErMode::CleanClean, ErMode::Dirty] {
-        for scheme in DELTA_SCHEMES {
-            for pruning in DELTA_FAMILIES {
+        for scheme in WeightingScheme::ALL {
+            for pruning in FAMILIES {
                 let label = format!("{mode:?}/{scheme:?}/{pruning:?}");
                 let mut inc = IncrementalSession::new(&g.dataset, mode);
                 inc.scheme(scheme).pruning(pruning).workers(2);
                 let mut draws = SplitMix(26);
                 let mut arrived = Vec::new();
                 for (i, batch) in batches.iter().enumerate() {
-                    assert!(inc.ingest(batch).delta, "{label}");
+                    inc.ingest(batch);
                     arrived.extend_from_slice(batch);
                     let reads: Vec<EntityId> = (0..arrived.len().div_ceil(8))
                         .map(|_| draws.pick(&arrived))
@@ -282,7 +250,7 @@ fn reads_between_ingests_are_bit_identical() {
                     let got: Vec<_> = reads.iter().map(|&e| inc.resolve_entity(e)).collect();
                     // A resolve keeps exactly the full run's pairs incident
                     // to the entity, in the run's order.
-                    let fresh = Session::new(inc.snapshot())
+                    let fresh = Session::new(&inc.snapshot())
                         .scheme(scheme)
                         .pruning(pruning)
                         .workers(2)
@@ -299,7 +267,7 @@ fn reads_between_ingests_are_bit_identical() {
                     }
                 }
                 let got = inc.outcome();
-                let want = Session::new(inc.snapshot())
+                let want = Session::new(&inc.snapshot())
                     .scheme(scheme)
                     .pruning(pruning)
                     .run();
@@ -392,20 +360,8 @@ fn delta_locality_is_decided_once_for_sessions_and_caches() {
     let g = generate(&profiles::center_dense(80, 29));
     let ids: Vec<EntityId> = g.dataset.entities().collect();
     let (first, second) = ids.split_at(ids.len() / 2);
-    let extra = [
-        Pruning::Wnp { reciprocal: true },
-        Pruning::Cnp {
-            reciprocal: false,
-            k: Some(3),
-        },
-        Pruning::blast(),
-        Pruning::Supervised(Perceptron {
-            weights: [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5],
-            bias: -0.5,
-        }),
-    ];
     for scheme in WeightingScheme::ALL {
-        for pruning in DELTA_FAMILIES.into_iter().chain(extra) {
+        for pruning in FAMILIES {
             let label = format!("{scheme:?}/{pruning:?}");
             let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
             inc.scheme(scheme).pruning(pruning).workers(2);
@@ -417,7 +373,7 @@ fn delta_locality_is_decided_once_for_sessions_and_caches() {
                 "{label}: invalidated entry by entry but not delta-swept"
             );
             let got = inc.outcome();
-            let want = Session::new(inc.snapshot())
+            let want = Session::new(&inc.snapshot())
                 .scheme(scheme)
                 .pruning(pruning)
                 .run();

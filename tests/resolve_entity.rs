@@ -172,13 +172,30 @@ fn incremental_resolves_match_from_scratch_sessions_after_every_batch() {
                 k: None,
             },
         ),
-        // Fallback paths: no delta rows for the scheme or the family.
+        // Rows re-weighed on read: |B|, the degrees and |V| move.
         (
             "ecbs/wnp",
             WeightingScheme::Ecbs,
             Pruning::Wnp { reciprocal: true },
         ),
+        (
+            "ejs/cnp",
+            WeightingScheme::Ejs,
+            Pruning::Cnp {
+                reciprocal: false,
+                k: None,
+            },
+        ),
         ("js/blast", WeightingScheme::Js, Pruning::blast()),
+        // ARCS rows, features computed on read.
+        (
+            "supervised",
+            WeightingScheme::Cbs,
+            Pruning::Supervised(Perceptron {
+                weights: [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5],
+                bias: -0.5,
+            }),
+        ),
     ];
     for (label, scheme, pruning) in combos {
         for workers in [1usize, 2, 4] {
@@ -186,12 +203,10 @@ fn incremental_resolves_match_from_scratch_sessions_after_every_batch() {
             inc.scheme(scheme).pruning(pruning).workers(workers);
             for (i, batch) in batches.iter().enumerate() {
                 inc.ingest(batch);
-                // Answer first, then compare: the reference session
-                // borrows the snapshot the incremental session owns.
                 let sample = probes(g.dataset.len(), 17);
                 let got: Vec<_> = sample.iter().map(|&e| inc.resolve_entity(e)).collect();
                 let snap = inc.snapshot();
-                let mut reference = Session::new(snap);
+                let mut reference = Session::new(&snap);
                 reference
                     .scheme(scheme)
                     .pruning(pruning)
