@@ -41,7 +41,8 @@
 //! the merged corpus as a [`BlockCollection`] (logically identical to
 //! `token_blocking` over the arrived entities — the equivalence is
 //! property-tested) for consumers that need block ids or the flat slabs:
-//! the meta-blocking fallback combinations, tests, exports. It is
+//! the equivalence suites and exports — the incremental meta-blocking
+//! session sweeps the live slabs under every combination. It is
 //! `O(corpus)` — every member slab copied, the interner cloned, the
 //! entity→block CSR transposed — and the caller that asks pays it. The
 //! block order it needs (present keys by key string) is kept lazily:

@@ -10,8 +10,7 @@ use minoan_datagen::{generate, profiles, ArrivalOrder, WorldConfig};
 use minoan_er::clustering::ClusteringAlgorithm;
 use minoan_er::pipeline::{BlockingMethod, Pipeline, PipelineConfig};
 use minoan_er::{
-    BenefitModel, IncrementalConfig, IncrementalResolver, Matcher, MatcherConfig, ResolverConfig,
-    Strategy,
+    BenefitModel, IncrementalConfig, IncrementalResolver, Matcher, MatcherConfig, Strategy,
 };
 use minoan_eval::{metrics, progressive_curves, recall_auc};
 use minoan_rdf::{Dataset, DatasetBuilder, KbId};
@@ -761,11 +760,6 @@ fn cmd_query(args: &Args) -> Result<String, CliError> {
     Ok(report)
 }
 
-// Referenced so the unused-import lint stays honest even when the resolver
-// strategies below are driven only from tests.
-#[allow(dead_code)]
-fn _assert_types(_: ResolverConfig) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,16 +871,18 @@ mod tests {
     }
 
     #[test]
-    fn incremental_command_falls_back_for_unsupported_combos() {
-        let out = run_str(
-            "incremental --profile center --entities 80 --seed 3 \
-             --batch-size 40 --weighting ecbs",
-        )
-        .unwrap();
-        // ECBS has no delta path: every batch must be a full re-sweep.
-        assert!(out.contains("0/"), "{out}");
-        assert!(out.contains("full\n"), "{out}");
-        assert!(!out.contains("delta\n"), "{out}");
+    fn incremental_command_delta_sweeps_every_scheme_and_family() {
+        for options in ["--weighting ecbs", "--weighting ejs", "--pruning blast"] {
+            let out = run_str(&format!(
+                "incremental --profile center --entities 80 --seed 3 --batch-size 40 {options}"
+            ))
+            .unwrap();
+            let batches = out.matches("batch +").count();
+            assert!(batches > 1, "{options}: {out}");
+            let summary = format!("{batches}/{batches} delta batches");
+            assert!(out.contains(&summary), "{options}: {out}");
+            assert!(!out.contains("full\n"), "{options}: {out}");
+        }
     }
 
     #[test]

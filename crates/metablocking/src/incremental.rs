@@ -15,80 +15,70 @@
 //! 3. runs a **delta-sweep** directly on those live slabs (through
 //!    [`BlockView`]; no [`BlockCollection`] is materialised): only the
 //!    entities whose co-occurrences can have changed are re-swept, and
-//!    the cached weight rows — theirs, and their neighbours' through
-//!    appended *mirror tails* — are patched in place; rows whose weights
-//!    only a block-count change moved are marked *stale* instead.
+//!    the cached rows — theirs, and their neighbours' through appended
+//!    *mirror tails* — are patched in place.
 //!
 //! [`IncrementalSession::outcome`] then runs the pruning family's rules
 //! (the crate-internal `rule` module — the same definitions every backend
 //! executes) over the cached rows, serially in entity order, and the
 //! [`PruneOutcome`] is **bit-identical** to a from-scratch
 //! [`Session`](crate::Session) run on the merged corpus — same pair
-//! order, same f64 weight bits, for every arrival order, batch size and
-//! thread count (enforced by `tests/incremental_delta.rs`).
+//! order, same f64 weight bits, for every weighting scheme and pruning
+//! family, arrival order, batch size and thread count (enforced by
+//! `tests/incremental_delta.rs`).
 //!
-//! # What is maintained on touch, and who pays for the rest
+//! # What a row keeps, and what is recomputed on read
 //!
-//! An ingest is `O(batch × neighbourhood)`: the collection refreshes
-//! comparison counts, ARCS reciprocals and per-entity block counts for
-//! the touched keys and grown entities only, the sweep reads the block
-//! counts straight from it, and a mirror append is one push per new
-//! edge. A cached entry keeps the pair's shared-block count beside its
-//! weight, so a weight only a block count moved is re-weighed, not
-//! re-swept. A row's buffer never shrinks: re-swept rows are copied into
-//! the buffer they had, and every fold merges through one session-owned
-//! scratch and copies the result back, so reads between ingests leave
-//! the next ingest's appends nothing to reallocate. Everything
-//! `O(corpus)` is deferred to the reader that needs it:
+//! The row of entity `a` holds an entry per comparable neighbour `y`: the
+//! pair's shared-block count `|B_ay|` and the statistic the pruning
+//! family decides on. What an ingest re-sweeps follows from what that
+//! statistic reads:
+//!
+//! * **ARCS sums** (ARCS, and the supervised pruner, whose features are
+//!   built on them): a touched block reweights *every* pair inside it, so
+//!   the whole dirty set is re-swept, which covers both endpoints of
+//!   every changed edge with no mirror pass. The live slabs list an
+//!   entity's blocks in key-string order — a snapshot's block-id order —
+//!   so the sums accumulate in the order a from-scratch sweep uses.
+//! * **Everything else** is a function of `|B_ay|` and global counts. No
+//!   pre-batch pair's shared-block count moves in an ingest (a block that
+//!   was not present held no comparable pre-batch pair; a present block
+//!   keeps its old pairs' counts), so the **batch alone** is re-swept and
+//!   each new edge mirrored into the neighbour's row.
+//!
+//! The counts a weight reads besides `|B_ay|` are recomputed when the row
+//! is read:
+//!
+//! * **JS** reads the endpoints' block counts. The ingest walks each
+//!   grown pre-batch `z`'s row once, marks it and every neighbour's row
+//!   stale, and adds those neighbours to
+//!   [`IncrementalSession::last_dirty`].
+//! * **ECBS** and BLAST's **χ²** read `|B|`, and **EJS** the node degrees
+//!   and `|V|`, which nearly every arrival moves: such a row is re-weighed
+//!   on its first read at each version. A degree is the length of the
+//!   entity's row (a mirror tail holds only new edges), and `|V|` is half
+//!   their sum, kept as rows grow.
+//! * The **supervised** features are computed from the count, the ARCS
+//!   sum and those globals on every read, in `(lo, hi)` order.
+//!
+//! # Who pays for the rest
+//!
+//! An ingest costs what its re-swept rows and mirror appends cost; the
+//! collection refreshes its counts for the touched keys and grown
+//! entities only. Everything `O(corpus)` is deferred to the reader that
+//! needs it:
 //!
 //! * a mirror tail is folded into its row's sorted prefix, and a stale
-//!   row re-weighed in place through [`weight_from_stats`], when the row
-//!   is next *read* — a single [`IncrementalSession::resolve_entity`]
-//!   does that for the neighbourhood it loads, nothing else;
+//!   row re-weighed in place, when the row is next *read* — a single
+//!   [`IncrementalSession::resolve_entity`] does that for the
+//!   neighbourhood it loads, nothing else;
 //! * the global criteria (WEP's threshold, CEP's top-k, CNP's default
-//!   `k`) and [`IncrementalSession::outcome`] walk every row, so they
-//!   fold every tail and re-weigh every stale row, once per version, on
-//!   first use;
-//! * a **snapshot** — the merged corpus as a [`BlockCollection`] — is
-//!   built only by [`IncrementalSession::snapshot`] or by a fallback
-//!   combination (below), at most once per version, and dropped by the
-//!   next ingest. The delta-supported combinations ingest, resolve and
-//!   assemble without one; [`IncrementalSession::snapshots_built`]
-//!   counts them per session, and the delta suite pins it at zero.
+//!   `k`, the supervised feature maxima) and
+//!   [`IncrementalSession::outcome`] walk every row, once per version, on
+//!   first use.
 //!
-//! # Which combinations delta-sweep
-//!
-//! The cached row of entity `a` holds the weights of `a`'s incident
-//! edges. A scheme is delta-sweepable when it is *delta-local* — a batch
-//! changes weights only on edges with a dirty endpoint; the crate-internal
-//! `WeightingScheme::is_delta_local` (`weights.rs`) decides which schemes
-//! are, and says why. What each one re-sweeps:
-//!
-//! * **CBS / JS** — no pre-batch pair's shared-block count moves in an
-//!   ingest (a block that was not present held no comparable pre-batch
-//!   pair; a present block keeps its old pairs' counts), so the **batch
-//!   alone** is re-swept and each new edge mirrored into the neighbour's
-//!   row. A grown pre-batch `z` changes only through `|B_z|`, which only
-//!   JS reads: the ingest walks `z`'s row once, marks it and every
-//!   neighbour's row stale, and adds those neighbours to
-//!   [`IncrementalSession::last_dirty`].
-//! * **ARCS** — every touched block reweights *all* pairs inside it, so
-//!   the whole dirty set is re-swept, which covers both directions with
-//!   no mirror pass. The live slabs list an entity's blocks in
-//!   key-string order — a snapshot's block-id order — so the sums
-//!   accumulate in the order a from-scratch sweep uses.
-//! * **ECBS / EJS** are not delta-local, and BLAST (χ² over global
-//!   aggregates) and the supervised pruner (features normalised by global
-//!   maxima) read global state under any scheme. These combinations
-//!   transparently fall back to a full streaming re-sweep of the
-//!   version's snapshot — same results, no stale answers; their ingest is
-//!   as cheap as any other, the first resolve or outcome of the version
-//!   builds the snapshot, and [`IngestReport::delta`] and
-//!   [`IncrementalSession::snapshots_built`] say which path ran.
-//!
-//! The pruning families `None`/`WEP`/`CEP`/`WNP`/`CNP` all run off the
-//! rows; with a delta-sweepable scheme they never re-sweep untouched
-//! entities.
+//! No path builds a [`BlockCollection`]; [`IncrementalSession::snapshot`]
+//! builds one when asked.
 //!
 //! ```
 //! use minoan_blocking::ErMode;
@@ -99,31 +89,34 @@
 //! let g = generate(&profiles::center_dense(60, 3));
 //! let mut session = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
 //! session
-//!     .scheme(WeightingScheme::Cbs)
+//!     .scheme(WeightingScheme::Ecbs)
 //!     .pruning(Pruning::Wnp { reciprocal: false });
 //!
 //! let ids: Vec<EntityId> = (0..g.dataset.len() as u32).map(EntityId).collect();
 //! for batch in ids.chunks(16) {
 //!     let report = session.ingest(batch);
-//!     assert!(report.delta, "CBS × WNP delta-sweeps");
+//!     assert!(report.delta, "ECBS × WNP delta-sweeps");
 //!     assert_eq!(report.swept_entities, batch.len(), "the batch alone");
 //!     session.resolve_entity(batch[0]);
 //! }
 //! let outcome = session.outcome();
 //! assert!(outcome.pairs().len() <= outcome.input_edges());
-//! // All of that ran on the live slabs.
-//! assert_eq!(session.snapshots_built(), 0);
 //!
-//! // Asking for the merged corpus builds it, once for this version.
-//! let from_scratch = Session::new(session.snapshot())
-//!     .scheme(WeightingScheme::Cbs)
+//! // A resolve answers the outcome's pairs incident to the entity.
+//! let e = EntityId(7);
+//! let incident = outcome.pairs().iter().filter(|p| p.a == e || p.b == e);
+//! let incident: Vec<_> = incident.copied().collect();
+//! assert_eq!(session.resolve_entity(e).matches, incident);
+//!
+//! // The merged corpus, built on request, prunes the same.
+//! let from_scratch = Session::new(&session.snapshot())
+//!     .scheme(WeightingScheme::Ecbs)
 //!     .pruning(Pruning::Wnp { reciprocal: false })
 //!     .run();
 //! assert_eq!(from_scratch.pairs(), outcome.pairs());
-//! assert_eq!(session.snapshots_built(), 1);
 //! ```
 
-use crate::kernel::{weight_from_stats, EdgeGlobals, WeightGlobals};
+use crate::kernel::EdgeGlobals;
 use crate::parallel::JobReport;
 use crate::prune::WeightedPair;
 use crate::query::{self, ResolvedEntity};
@@ -132,8 +125,8 @@ use crate::rule::{
     Weigher,
 };
 use crate::session::{PruneOutcome, Pruning};
-use crate::streaming::Streaming;
-use crate::sweep::{for_each_range, partition_by_cost, ScratchPool, SweepState};
+use crate::supervised::{self, NUM_FEATURES};
+use crate::sweep::{for_each_range, partition_by_cost, ScratchPool};
 use crate::weights::WeightingScheme;
 use minoan_blocking::{BlockCollection, BlockView, Direction, ErMode, IncrementalCollection};
 use minoan_common::default_threads;
@@ -151,53 +144,37 @@ pub struct IngestReport {
     pub newly_present_blocks: usize,
     /// Members of touched blocks — the core dirty set.
     pub dirty_entities: usize,
-    /// Entities actually re-swept (the batch for CBS/JS, the dirty set
-    /// for ARCS; 0 when the combination fell back). JS rows that only a
-    /// block-count change moved are marked stale, not re-swept.
+    /// Entities actually re-swept: the dirty set when the rows hold ARCS
+    /// sums (ARCS, supervised), the batch otherwise, every entity on a
+    /// re-seed. Rows whose weights only a block-count change moved are
+    /// re-weighed on read, not re-swept.
     pub swept_entities: usize,
     /// Total entities arrived so far, this batch included.
     pub num_arrived: usize,
-    /// Whether the delta-sweep ran (`false` = full re-sweep fallback or
-    /// a row-cache rebuild was pending).
+    /// Whether the rows were patched by a delta-sweep; `false` only for
+    /// the full sweep that re-seeds them after a switch of the statistic
+    /// they hold (a scheme switch, or one to or from BLAST or the
+    /// supervised pruner).
     pub delta: bool,
 }
 
 /// An updatable meta-blocking session: ingest description batches,
 /// delta-sweep only the affected entities, and read a [`PruneOutcome`]
 /// bit-identical to a from-scratch run at any point. See the
-/// [module docs](self) for the supported-combination matrix and an
-/// example.
+/// [module docs](self) for what each ingest re-sweeps and an example.
 pub struct IncrementalSession<'d> {
     collection: IncrementalCollection<'d>,
     scheme: WeightingScheme,
     pruning: Pruning,
     workers: Option<usize>,
-    /// The merged corpus materialised at the current version — built on
-    /// first use by [`Self::snapshot`] or a fallback combination, dropped
-    /// by the next ingest.
-    snapshot: Option<BlockCollection>,
-    /// How many snapshots this session has materialised.
-    snapshots_built: u64,
-    /// Per-entity incident-edge cache: `rows[a]` holds the [`Entry`] a
-    /// streaming sweep of `a` would produce on the current corpus for
-    /// every comparable neighbour `y` of `a` — the entry type every rule
-    /// reads — with weights that are current unless `stale[a]` is set.
-    /// The first `sorted_len[a]` entries are ascending by `y` and
-    /// duplicate-free; anything beyond is an unsorted *mirror tail* of new
-    /// edges in arrival order, folded in by [`fold_tail`] before any read.
-    /// A row keeps its buffer for the session's life: folds and re-sweeps
-    /// write into it and never shrink it.
-    rows: Vec<Vec<Entry>>,
-    /// Length of each row's sorted duplicate-free prefix.
-    sorted_len: Vec<u32>,
-    /// Rows whose weights predate an endpoint's block-count change (JS
-    /// only): re-weighed from their counts by the next read.
-    stale: Vec<bool>,
+    rows: Rows,
     /// Every fold merges through this buffer and copies the result back
     /// into the row's own.
     fold_scratch: Vec<Entry>,
-    /// Whether `rows` matches the current corpus under the current
-    /// scheme. Starts `true`: an empty corpus has all-empty rows.
+    /// The supervised features of the row being read.
+    features: Vec<[f64; NUM_FEATURES]>,
+    /// Whether `rows` hold the current statistic for the current corpus.
+    /// Starts `true`: an empty corpus has all-empty rows.
     rows_valid: bool,
     /// Reusable entity mask for [`mirror_append`] and [`Self::mark_stale`];
     /// all-false between ingests.
@@ -208,22 +185,66 @@ pub struct IncrementalSession<'d> {
     /// Entities whose rows the last ingest changed (the invalidation set
     /// a layered [`NeighbourhoodCache`](crate::NeighbourhoodCache) reads).
     last_dirty: Vec<EntityId>,
-    /// Query-time criterion (and fallback globals) of the current
-    /// `(version, scheme, pruning)` triple: dropped by every ingest and by
-    /// every scheme or pruning switch, rebuilt by the next resolve.
-    resolve_cache: Option<ResolveCache>,
+    /// Query-time criterion of the current `(version, scheme, pruning)`
+    /// triple: dropped by every ingest and by every scheme or pruning
+    /// switch, rebuilt by the next resolve.
+    criterion: Option<Criterion>,
 }
 
-/// Query-time state cached per corpus version by
-/// [`IncrementalSession::resolve_entity`]: the pruning criterion and —
-/// for the sweep-fallback combinations — a snapshot of the weight
-/// globals (cloned out so the transient sweep state that computed them
-/// can be dropped).
-struct ResolveCache {
-    /// `Some` on the fallback path (per-request sweeps need them);
-    /// `None` when the row cache serves the rows directly.
-    globals: Option<WeightGlobals>,
-    criterion: Criterion,
+/// The per-entity incident-edge cache: `entries[a]` holds the [`Entry`]
+/// a sweep of `a` would produce on the current corpus for every comparable
+/// neighbour `y` of `a` — the entry type every rule reads — with the
+/// statistic current unless [`stale`] says otherwise.
+struct Rows {
+    /// The first `sorted_len[a]` entries are ascending by `y` and
+    /// duplicate-free; anything beyond is an unsorted *mirror tail* of new
+    /// edges in arrival order, folded in by [`fold_tail`] before any read.
+    /// A row keeps its buffer for the session's life: folds and re-sweeps
+    /// write into it and never shrink it.
+    entries: Vec<Vec<Entry>>,
+    /// Length of each row's sorted duplicate-free prefix.
+    sorted_len: Vec<u32>,
+    /// The version each row was last weighed at; 0 for a JS row a
+    /// block-count change marked, and for a row swept under a statistic
+    /// that is re-weighed at every version.
+    weighed: Vec<u64>,
+    /// Σ row lengths: every edge counted at both endpoints, 2·|V|.
+    degree_sum: u64,
+}
+
+impl Rows {
+    /// `n` empty rows.
+    fn new(n: usize) -> Self {
+        Self {
+            entries: vec![Vec::new(); n],
+            sorted_len: vec![0; n],
+            weighed: vec![0; n],
+            degree_sum: 0,
+        }
+    }
+}
+
+/// Whether every ingest makes rows of `weigher` stale: ECBS and χ² read
+/// `|B|`, EJS the degrees and `|V|` — the schemes that are not delta-local
+/// (`weights.rs`), and BLAST's statistic. Their rows are weighed on read
+/// only.
+fn versioned(weigher: Weigher) -> bool {
+    match weigher {
+        Weigher::Scheme(scheme) => !scheme.is_delta_local(),
+        Weigher::Chi2 => true,
+        Weigher::Features => false,
+    }
+}
+
+/// Whether a row of `weigher` statistics last weighed at `weighed` must
+/// be re-weighed before it is read at `version`: a JS row a block-count
+/// change marked, or a row of a statistic every ingest moves not yet
+/// weighed at this version. ARCS sums and CBS weights are final as swept.
+fn stale(weigher: Weigher, weighed: u64, version: u64) -> bool {
+    match weigher {
+        Weigher::Scheme(WeightingScheme::Js) => weighed == 0,
+        weigher => versioned(weigher) && weighed != version,
+    }
 }
 
 impl<'d> IncrementalSession<'d> {
@@ -236,40 +257,41 @@ impl<'d> IncrementalSession<'d> {
             scheme: WeightingScheme::Arcs,
             pruning: Pruning::Wnp { reciprocal: false },
             workers: None,
-            snapshot: None,
-            snapshots_built: 0,
-            rows: vec![Vec::new(); n],
-            sorted_len: vec![0; n],
-            stale: vec![false; n],
+            rows: Rows::new(n),
             fold_scratch: Vec::new(),
+            features: Vec::new(),
             rows_valid: true,
             mask: vec![false; n],
             pool: ScratchPool::new(n),
             version: 0,
             last_dirty: Vec::new(),
-            resolve_cache: None,
+            criterion: None,
         }
     }
 
-    /// Sets the weighting scheme. Changing it invalidates the row cache;
-    /// the next ingest or outcome rebuilds it with one full sweep.
+    /// Sets the weighting scheme. When that changes the statistic the
+    /// rows hold, the next ingest, resolve or outcome re-seeds them with
+    /// one full sweep.
     pub fn scheme(&mut self, scheme: WeightingScheme) -> &mut Self {
-        if scheme != self.scheme {
-            self.scheme = scheme;
-            // An empty corpus has all-empty rows under every scheme, so
-            // only a switch after arrivals dirties the cache.
-            self.rows_valid = self.collection.num_arrived() == 0;
-            self.resolve_cache = None;
-        }
-        self
+        self.configure(scheme, self.pruning)
     }
 
-    /// Sets the pruning family (rows are scheme-scoped, so this never
-    /// invalidates them).
+    /// Sets the pruning family. Rows hold the statistic the family
+    /// decides on, so only a switch to or from BLAST or the supervised
+    /// pruner re-seeds them, like a scheme switch.
     pub fn pruning(&mut self, pruning: Pruning) -> &mut Self {
-        if pruning != self.pruning {
-            self.pruning = pruning;
-            self.resolve_cache = None;
+        self.configure(self.scheme, pruning)
+    }
+
+    fn configure(&mut self, scheme: WeightingScheme, pruning: Pruning) -> &mut Self {
+        if (scheme, pruning) != (self.scheme, self.pruning) {
+            // An empty corpus has all-empty rows under every statistic, so
+            // only a switch after arrivals dirties them.
+            if Weigher::of(scheme, &pruning) != self.weigher() {
+                self.rows_valid = self.collection.num_arrived() == 0;
+            }
+            (self.scheme, self.pruning) = (scheme, pruning);
+            self.criterion = None;
         }
         self
     }
@@ -281,24 +303,12 @@ impl<'d> IncrementalSession<'d> {
         self
     }
 
-    /// The merged corpus as a [`BlockCollection`], materialised on first
-    /// use per version (`O(corpus)`) and cached until the next ingest.
-    /// The delta-supported combinations never need it; it exists for the
-    /// fallback combinations, exports and the equivalence suites.
-    pub fn snapshot(&mut self) -> &BlockCollection {
-        if self.snapshot.is_none() {
-            self.snapshots_built += 1;
-        }
+    /// The merged corpus as a [`BlockCollection`], built anew on every
+    /// call (`O(corpus)`) — for exports and the equivalence suites; no
+    /// path of the session needs it.
+    pub fn snapshot(&mut self) -> BlockCollection {
         let threads = self.threads();
-        self.snapshot
-            .get_or_insert_with(|| self.collection.snapshot(threads))
-    }
-
-    /// How many snapshots this session has materialised so far — 0 for
-    /// as long as only delta-supported combinations ingest, resolve and
-    /// assemble; at most one per version otherwise.
-    pub fn snapshots_built(&self) -> u64 {
-        self.snapshots_built
+        self.collection.snapshot(threads)
     }
 
     /// Entities ingested so far.
@@ -333,32 +343,24 @@ impl<'d> IncrementalSession<'d> {
         self.workers.unwrap_or_else(default_threads).max(1)
     }
 
-    /// Whether the current scheme × pruning combination is maintained by
-    /// delta-sweeps: a delta-local scheme (see the [module docs](self))
-    /// under a family that runs off the rows.
-    pub fn supports_delta(&self) -> bool {
-        self.scheme.is_delta_local()
-            && matches!(
-                self.pruning,
-                Pruning::None
-                    | Pruning::Wep
-                    | Pruning::Cep(_)
-                    | Pruning::Wnp { .. }
-                    | Pruning::Cnp { .. }
-            )
+    /// The statistic the current family decides on.
+    fn weigher(&self) -> Weigher {
+        Weigher::of(self.scheme, &self.pruning)
     }
 
     /// Ingests a batch of not-yet-arrived descriptions: tokenise,
     /// delta-append the block slabs, and patch the row cache by
     /// re-sweeping — on the live slabs, no snapshot — only the entities
-    /// whose incident weights can have changed (see the
-    /// [module docs](self) for the per-scheme sets).
+    /// whose incident statistics can have changed (see the
+    /// [module docs](self) for the sets).
     ///
     /// # Panics
     /// Panics if any batch entity was already ingested.
     pub fn ingest(&mut self, batch: &[EntityId]) -> IngestReport {
         let threads = self.threads();
         let mut delta = self.collection.ingest(batch, threads);
+        self.version += 1;
+        self.criterion = None;
         let mut report = IngestReport {
             arrived: batch.len(),
             touched_blocks: delta.touched_blocks.len(),
@@ -366,84 +368,62 @@ impl<'d> IncrementalSession<'d> {
             dirty_entities: delta.dirty.len(),
             swept_entities: 0,
             num_arrived: self.collection.num_arrived(),
-            delta: false,
+            delta: self.rows_valid,
         };
-        if !self.supports_delta() {
-            // Rows are not maintained for this combination; a later
-            // switch back to a supported one must rebuild them.
-            self.rows_valid = false;
-        } else if self.rows_valid {
-            // CBS/JS: no pre-batch pair's shared-block count moves, so
-            // the batch alone is re-swept and `mirror_append` carries each
-            // new edge into the neighbour's row; under JS the rows a
-            // block-count change re-weighed go stale. ARCS reweights every
-            // pair of a touched block, so it takes the full dirty set
-            // (both endpoints of every changed edge are in it — no mirror).
-            let arcs = self.scheme == WeightingScheme::Arcs;
-            let targets = if arcs { &delta.dirty[..] } else { batch };
-            resweep_rows(
-                self.scheme,
-                &self.pool,
-                &mut self.rows,
-                &mut self.sorted_len,
-                &self.collection,
-                targets,
-                threads,
-            );
-            if !arcs {
-                mirror_append(
-                    &mut self.rows,
-                    &mut self.sorted_len,
-                    targets,
-                    &mut self.mask,
-                    &mut self.fold_scratch,
-                );
-            }
-            report.swept_entities = targets.len();
-            report.delta = true;
-            if self.scheme == WeightingScheme::Js {
-                self.mark_stale(batch, &delta.grown, &mut delta.dirty);
-            }
-        } else {
-            // Cold cache (scheme switch or an unsupported interlude):
-            // one full sweep re-seeds it, then deltas resume.
+        let (weigher, version) = (self.weigher(), self.version);
+        report.swept_entities = if !self.rows_valid {
+            // A switch of statistic left the rows cold: one full sweep
+            // re-seeds them, then deltas resume.
             self.reseed_rows(threads);
-            report.swept_entities = self.rows.len();
-        }
-        self.version += 1;
+            self.rows.entries.len()
+        } else if matches!(
+            weigher,
+            Weigher::Scheme(WeightingScheme::Arcs) | Weigher::Features
+        ) {
+            // Every pair of a touched block is reweighed, and both
+            // endpoints of every changed edge are members of it.
+            let (pool, rows, view) = (&self.pool, &mut self.rows, &self.collection);
+            resweep_rows(weigher, pool, rows, view, &delta.dirty, threads, version);
+            delta.dirty.len()
+        } else {
+            // No pre-batch pair's count moves: the batch alone is
+            // re-swept and `mirror_append` carries each new edge into the
+            // neighbour's row. Under JS the rows a block-count change
+            // moved go stale first.
+            if weigher == Weigher::Scheme(WeightingScheme::Js) {
+                self.mark_stale(&delta.grown, &mut delta.dirty);
+            }
+            let (pool, rows, view) = (&self.pool, &mut self.rows, &self.collection);
+            resweep_rows(weigher, pool, rows, view, batch, threads, version);
+            mirror_append(rows, batch, &mut self.mask, &mut self.fold_scratch);
+            batch.len()
+        };
         self.last_dirty = delta.dirty;
-        self.resolve_cache = None;
-        self.snapshot = None;
         report
     }
 
     /// Under JS, marks stale the rows whose weights a block-count change
     /// moved: each grown pre-batch entity `z`'s (every weight in it reads
-    /// `|B_z|`) and each of its neighbours' (their edge to `z`). The
-    /// batch's rows were just swept on the final counts and stay fresh,
-    /// so a preload marks nothing. `dirty` gains the marked entities
-    /// outside it and stays ascending: it names every row the ingest
-    /// changed.
-    fn mark_stale(&mut self, batch: &[EntityId], grown: &[EntityId], dirty: &mut Vec<EntityId>) {
-        let (stale, mask) = (&mut self.stale, &mut self.mask);
-        let mut swept = batch.to_vec();
-        swept.sort_unstable();
+    /// `|B_z|`) and each of its neighbours' (their edge to `z`). It runs
+    /// before the batch is swept, so it walks pre-batch rows only — a
+    /// batch entity's is still empty, and its edges, swept on the final
+    /// counts, stay fresh. `dirty` gains the marked entities outside it
+    /// and stays ascending: it names every row the ingest changed.
+    fn mark_stale(&mut self, grown: &[EntityId], dirty: &mut Vec<EntityId>) {
+        let (rows, mask) = (&mut self.rows, &mut self.mask);
         for &d in dirty.iter() {
             mask[d.index()] = true;
         }
         let listed = dirty.len();
-        for &z in grown.iter().filter(|z| swept.binary_search(z).is_err()) {
-            stale[z.index()] = true;
-            for entry in &self.rows[z.index()] {
+        for &z in grown {
+            rows.weighed[z.index()] = 0;
+            for entry in &rows.entries[z.index()] {
                 let y = entry.y as usize;
-                stale[y] = true;
+                rows.weighed[y] = 0;
                 if !std::mem::replace(&mut mask[y], true) {
                     dirty.push(EntityId(entry.y));
                 }
             }
-        }
-        for &t in batch {
-            stale[t.index()] = false;
         }
         for &d in dirty.iter() {
             mask[d.index()] = false;
@@ -454,54 +434,39 @@ impl<'d> IncrementalSession<'d> {
     }
 
     /// Re-seeds the whole row cache with one full sweep of the live
-    /// slabs under the current scheme.
+    /// slabs under the current statistic.
     fn reseed_rows(&mut self, threads: usize) {
-        let all: Vec<EntityId> = (0..self.rows.len() as u32).map(EntityId).collect();
-        resweep_rows(
-            self.scheme,
-            &self.pool,
-            &mut self.rows,
-            &mut self.sorted_len,
-            &self.collection,
-            &all,
-            threads,
-        );
-        self.stale.fill(false);
+        let all: Vec<EntityId> = (0..self.rows.entries.len() as u32).map(EntityId).collect();
+        let (weigher, version) = (self.weigher(), self.version);
+        let (pool, rows, view) = (&self.pool, &mut self.rows, &self.collection);
+        resweep_rows(weigher, pool, rows, view, &all, threads, version);
         self.rows_valid = true;
     }
 
-    /// The row cache as a [`RowDriver`] (valid rows required).
+    /// The row cache as a [`RowDriver`], re-seeded first if a switch
+    /// left it cold.
     fn row_cache(&mut self) -> RowCache<'_> {
+        if !self.rows_valid {
+            self.reseed_rows(self.threads());
+        }
         RowCache {
             rows: &mut self.rows,
-            sorted_len: &mut self.sorted_len,
-            stale: &mut self.stale,
             scratch: &mut self.fold_scratch,
-            scheme: self.scheme,
+            features: &mut self.features,
+            weigher: Weigher::of(self.scheme, &self.pruning),
+            version: self.version,
             view: &self.collection,
         }
     }
 
     /// Assembles the pruned comparisons of the current merged corpus —
     /// bit-identical to a from-scratch [`Session`](crate::Session) run on
-    /// the same collection. Delta-supported combinations run the family's
-    /// rule over the row cache and nothing else; the rest materialise
-    /// this version's snapshot (once) and re-sweep it in full on the
-    /// streaming driver.
+    /// the same collection — by running the family's rule over the row
+    /// cache and nothing else.
     pub fn outcome(&mut self) -> PruneOutcome {
-        let threads = self.threads();
         let (scheme, pruning) = (self.scheme, self.pruning);
-        let pruned = if self.supports_delta() {
-            if !self.rows_valid {
-                self.reseed_rows(threads);
-            }
-            rule::run(&mut self.row_cache(), scheme, &pruning)
-        } else {
-            let mut st = SweepState::new(self.snapshot());
-            rule::run(&mut Streaming::new(&mut st, threads), scheme, &pruning)
-        };
         PruneOutcome {
-            pruned,
+            pruned: rule::run(&mut self.row_cache(), scheme, &pruning),
             report: JobReport::default(),
         }
     }
@@ -509,97 +474,29 @@ impl<'d> IncrementalSession<'d> {
     /// Resolves one entity against the current merged corpus: the
     /// comparisons [`Self::outcome`] would keep for it — same pairs,
     /// same order, same f64 weight bits — without assembling (or
-    /// re-sweeping) the whole outcome.
-    ///
-    /// Delta-supported combinations answer from the patched row cache
-    /// and never touch a snapshot. The fallback combinations (ECBS/EJS,
-    /// BLAST, supervised) sweep the queried neighbourhood on this
-    /// version's snapshot, which the first such resolve after an ingest
-    /// materialises. Either way the pruning family's *global* inputs
-    /// (WEP's threshold, CEP's top-k, CNP's default `k`, the supervised
-    /// extractor) are built once per ingested version and reused by
-    /// every resolve against it.
-    ///
-    /// ```
-    /// use minoan_blocking::ErMode;
-    /// use minoan_datagen::{generate, profiles};
-    /// use minoan_metablocking::{IncrementalSession, Pruning, WeightingScheme};
-    /// use minoan_rdf::EntityId;
-    ///
-    /// let g = generate(&profiles::center_dense(60, 3));
-    /// let mut session = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
-    /// session
-    ///     .scheme(WeightingScheme::Js)
-    ///     .pruning(Pruning::Wnp { reciprocal: false });
-    /// let ids: Vec<EntityId> = (0..g.dataset.len() as u32).map(EntityId).collect();
-    /// session.ingest(&ids);
-    ///
-    /// let e = EntityId(7);
-    /// let resolved = session.resolve_entity(e);
-    /// let incident: Vec<_> = session
-    ///     .outcome()
-    ///     .pairs()
-    ///     .iter()
-    ///     .filter(|p| p.a == e || p.b == e)
-    ///     .copied()
-    ///     .collect();
-    /// assert_eq!(resolved.matches, incident);
-    /// ```
+    /// re-sweeping) the whole outcome. The answer comes from the row
+    /// cache; the pruning family's *global* inputs (WEP's threshold,
+    /// CEP's top-k, CNP's default `k`, the supervised extractor) are
+    /// reduced over it once per ingested version and reused by every
+    /// resolve against it. The [module docs](self) show one.
     pub fn resolve_entity(&mut self, entity: EntityId) -> ResolvedEntity {
         assert!(
-            (entity.0 as usize) < self.rows.len(),
+            entity.index() < self.rows.entries.len(),
             "resolve_entity: entity id out of range"
         );
-        if self.resolve_cache.is_none() {
-            self.rebuild_resolve_cache();
-        }
-        let cache = self.resolve_cache.as_ref().expect("cache just ensured");
-        let (pruning, criterion) = (&self.pruning, &cache.criterion);
-        let rule = Rule { pruning, criterion };
-        if self.supports_delta() {
-            // Field by field: `rule` borrows the criterion cache.
-            let mut rows = RowCache {
-                rows: &mut self.rows,
-                sorted_len: &mut self.sorted_len,
-                stale: &mut self.stale,
-                scratch: &mut self.fold_scratch,
-                scheme: self.scheme,
-                view: &self.collection,
-            };
-            return query::resolve_rows(&mut |e, out| rows.load_row(e, out), entity, rule);
-        }
-        let snapshot = self.snapshot.as_ref().expect("fallback rebuild snapshots");
-        let globals = cache.globals.as_ref().expect("fallback stores globals");
-        let weigher = Weigher::of(self.scheme, &self.pruning);
-        let mut load =
-            |e, out: &mut RowBuf| query::sweep_row(snapshot, globals, &self.pool, weigher, e, out);
-        query::resolve_rows(&mut load, entity, rule)
-    }
-
-    /// Rebuilds the per-version query-time state. Delta-supported
-    /// combinations re-seed the row cache if a scheme switch left it cold
-    /// and reduce the criterion over the rows — the same fold a full
-    /// outcome runs, so the thresholds carry the same f64 bits; the rest
-    /// materialise this version's snapshot, reduce the criterion with the
-    /// streaming driver on a transient sweep state over it and keep a
-    /// clone of its globals for per-request sweeps.
-    fn rebuild_resolve_cache(&mut self) {
-        let threads = self.threads();
         let (scheme, pruning) = (self.scheme, self.pruning);
-        let (criterion, globals) = if self.supports_delta() {
-            if !self.rows_valid {
-                self.reseed_rows(threads);
-            }
-            let criterion = rule::resolve_criterion(&mut self.row_cache(), scheme, &pruning);
-            (criterion, None)
-        } else {
-            let mut st = SweepState::new(self.snapshot());
-            let mut driver = Streaming::new(&mut st, threads);
-            let criterion = rule::resolve_criterion(&mut driver, scheme, &pruning);
-            st.ensure(Weigher::of(scheme, &pruning).needs_counts(), threads);
-            (criterion, Some(st.globals().clone()))
+        let criterion = match self.criterion.take() {
+            Some(criterion) => criterion,
+            None => rule::resolve_criterion(&mut self.row_cache(), scheme, &pruning),
         };
-        self.resolve_cache = Some(ResolveCache { globals, criterion });
+        let rule = Rule {
+            pruning: &pruning,
+            criterion: &criterion,
+        };
+        let mut rows = self.row_cache();
+        let resolved = query::resolve_rows(&mut |e, out| rows.load_row(e, out), entity, rule);
+        self.criterion = Some(criterion);
+        resolved
     }
 }
 
@@ -614,56 +511,124 @@ impl<'d> IncrementalSession<'d> {
 ///
 /// As a [`RowDriver`] it visits every cached row serially in entity
 /// order, exactly as a one-range sweep would, and lends each one to the
-/// rule where it lies: the rows already hold what a sweep under the
-/// session's scheme would produce. Both passes walk the whole cache and
-/// are `O(corpus)` anyway, so they bring every row up to date on the way.
-/// A resolve ([`Self::load_row`]) copies the rows it reads.
+/// rule where it lies. Both passes walk the whole cache and are
+/// `O(corpus)` anyway, so they bring every row up to date on the way. A
+/// resolve ([`Self::load_row`]) copies the rows it reads.
 struct RowCache<'a> {
-    rows: &'a mut [Vec<Entry>],
-    sorted_len: &'a mut [u32],
-    stale: &'a mut [bool],
+    rows: &'a mut Rows,
     scratch: &'a mut Vec<Entry>,
-    scheme: WeightingScheme,
+    features: &'a mut Vec<[f64; NUM_FEATURES]>,
+    weigher: Weigher,
+    version: u64,
     view: &'a IncrementalCollection<'a>,
 }
 
+/// What a cached row is weighed from on read: the live block counts, each
+/// entity's degree — the length of its row — and `|V|`.
+struct Live<'a> {
+    view: &'a IncrementalCollection<'a>,
+    rows: &'a Rows,
+    /// The row being read, lifted out of `rows`: its entity and length.
+    lifted: (u32, usize),
+}
+
+impl EdgeGlobals for Live<'_> {
+    fn blocks_of(&self, e: u32) -> u32 {
+        self.view.entity_block_count(EntityId(e))
+    }
+
+    fn num_blocks(&self) -> usize {
+        BlockView::num_blocks(self.view)
+    }
+
+    fn degrees_of(&self, lo: u32, hi: u32) -> (usize, usize) {
+        let degree = |e: u32| match self.lifted {
+            (lifted, len) if lifted == e => len,
+            _ => self.rows.entries[e as usize].len(),
+        };
+        (degree(lo), degree(hi))
+    }
+
+    fn num_edges(&self) -> usize {
+        (self.rows.degree_sum / 2) as usize
+    }
+}
+
 impl RowCache<'_> {
-    /// `e`'s row, brought up to date in place: its mirror tail folded and,
-    /// if stale, its weights re-weighed.
-    fn current(&mut self, e: u32) -> &[Entry] {
-        let row = &mut self.rows[e as usize];
-        fold_tail(row, &mut self.sorted_len[e as usize], self.scratch);
-        if std::mem::take(&mut self.stale[e as usize]) {
-            reweigh(self.scheme, e, row, self.view);
+    /// `e`'s row, brought up to date in place — its mirror tail folded
+    /// and, if [`stale`], its statistic re-weighed from the counts its
+    /// entries carry — and lent with its supervised features when the
+    /// family reads them.
+    fn current(&mut self, e: u32) -> Row<'_> {
+        let Self {
+            rows,
+            scratch,
+            features,
+            weigher,
+            version,
+            view,
+        } = self;
+        let a = e as usize;
+        fold_tail(&mut rows.entries[a], &mut rows.sorted_len[a], scratch);
+        features.clear();
+        let stale = stale(*weigher, rows.weighed[a], *version);
+        if stale || *weigher == Weigher::Features {
+            // Lifted out, so that `Live` can read the other rows' degrees.
+            let mut row = std::mem::take(&mut rows.entries[a]);
+            let live = Live {
+                view,
+                rows,
+                lifted: (e, row.len()),
+            };
+            if stale {
+                for entry in row.iter_mut() {
+                    let (lo, hi) = (e.min(entry.y), e.max(entry.y));
+                    entry.w = weigher.weigh(entry.cbs, 0.0, lo, hi, &live);
+                }
+            }
+            if *weigher == Weigher::Features {
+                features.extend(row.iter().map(|&Entry { y, cbs, w }| {
+                    supervised::raw_features(cbs, w, e.min(y), e.max(y), &live)
+                }));
+            }
+            rows.entries[a] = row;
+            if stale {
+                rows.weighed[a] = *version;
+            }
         }
-        row
+        Row {
+            a: e,
+            entries: &rows.entries[a],
+            features,
+        }
     }
 
     /// Copies `e`'s up-to-date row into `out`.
     fn load_row(&mut self, e: u32, out: &mut RowBuf) {
         out.clear();
-        out.entries.extend_from_slice(self.current(e));
+        let row = self.current(e);
+        out.entries.extend_from_slice(row.entries);
+        out.features.extend_from_slice(row.features);
     }
 
     /// Puts every non-empty row through `f`, in entity order, brought up
-    /// to date and lent where it lies.
-    fn for_each_row(&mut self, mut f: impl FnMut(Row<'_>)) {
-        for a in 0..self.rows.len() as u32 {
-            let entries = self.current(a);
-            if !entries.is_empty() {
-                f(Row {
-                    a,
-                    entries,
-                    features: &[],
-                });
+    /// to date and lent where it lies; returns the forward-edge count.
+    fn for_each_row(&mut self, mut f: impl FnMut(Row<'_>)) -> u64 {
+        let mut forward = 0;
+        for a in 0..self.rows.entries.len() as u32 {
+            let row = self.current(a);
+            if !row.entries.is_empty() {
+                forward += forward_len(a, row.entries, |e| e.y);
+                f(row);
             }
         }
+        forward
     }
 }
 
 impl RowDriver for RowCache<'_> {
     fn num_entities(&self) -> usize {
-        self.rows.len()
+        self.rows.entries.len()
     }
 
     fn total_assignments(&self) -> u64 {
@@ -673,77 +638,59 @@ impl RowDriver for RowCache<'_> {
     fn active_nodes(&mut self) -> usize {
         // A mirror tail only ever holds real edges, so emptiness needs no
         // folding.
-        self.rows.iter().filter(|r| !r.is_empty()).count()
+        self.rows.entries.iter().filter(|r| !r.is_empty()).count()
     }
 
     fn num_edges(&mut self) -> usize {
-        let mut edges = 0u64;
-        self.for_each_row(|row| edges += forward_len(row.a, row.entries, |e| e.y));
-        edges as usize
+        (self.rows.degree_sum / 2) as usize
     }
 
     fn reduce(&mut self, _weigher: Weigher, fold: &CriterionFold) -> (Partial, u64) {
         let mut share = fold.init();
-        let mut forward = 0u64;
-        self.for_each_row(|row| {
-            forward += forward_len(row.a, row.entries, |e| e.y);
-            fold.fold(&mut share, row);
-        });
+        let forward = self.for_each_row(|row| fold.fold(&mut share, row));
         (share, forward)
     }
 
     fn keep(&mut self, _weigher: Weigher, rule: Rule<'_>) -> (Vec<WeightedPair>, u64) {
         let mut kept = Vec::new();
-        let mut forward = 0u64;
-        self.for_each_row(|row| {
-            forward += forward_len(row.a, row.entries, |e| e.y);
-            rule.contribute(row, &mut kept);
-        });
+        let forward = self.for_each_row(|row| rule.contribute(row, &mut kept));
         (kept, forward)
     }
 }
 
-/// Re-weighs `a`'s row from the shared-block counts its entries carry
-/// and `globals`' block counts: the kernel call a sweep of `a` makes,
-/// endpoints in normalised order, so every weight carries a fresh
-/// sweep's bits — under any scheme that reads no more than those counts
-/// (CBS, JS, ECBS; the session re-weighs JS rows only).
-fn reweigh<G: EdgeGlobals>(scheme: WeightingScheme, a: u32, row: &mut [Entry], globals: &G) {
-    let num_blocks = globals.num_blocks();
-    for entry in row {
-        let (lo, hi) = (a.min(entry.y), a.max(entry.y));
-        let (blocks_lo, blocks_hi) = (globals.blocks_of(lo), globals.blocks_of(hi));
-        entry.w = weight_from_stats(
-            scheme, entry.cbs, 0.0, blocks_lo, blocks_hi, num_blocks, 0, 0, 0,
-        );
-    }
-}
-
-/// Re-sweeps `targets` on `view` and installs their fresh rows —
-/// cost-balanced over the shared scoped-thread driver when `threads > 1`
-/// (one inline range otherwise, with no cost pass), scratches from
-/// `pool`. Each range copies its rows, as the weigher filled them, into
-/// one flat slab, and every row is copied from it into its existing
-/// buffer, which it reuses whenever the new row fits. Row contents never
-/// depend on the partitioning: each row is one entity's serial sweep.
-/// The view's own block counts serve as the weight globals — the delta
-/// schemes read nothing beyond them.
+/// Re-sweeps `targets` on `view` and installs their fresh rows of
+/// `weigher` statistics, stamped as weighed at `version` unless the
+/// statistic is [`versioned`] (its swept weights are never trusted: EJS
+/// reads degrees and `|V|` only the whole batch settles) — cost-balanced
+/// over the
+/// shared scoped-thread driver when `threads > 1` (one inline range
+/// otherwise, with no cost pass), scratches from `pool`. Feature rows
+/// hold the ARCS sums the features are built on. Each range copies its
+/// rows, as the weigher filled them, into one flat slab, and every row is
+/// copied from it into its existing buffer, which it reuses whenever the
+/// new row fits. Row contents never depend on the partitioning: each row
+/// is one entity's serial sweep. The view's own block counts serve as the
+/// weight globals; the statistics that read more are re-weighed on read.
 fn resweep_rows<V: BlockView + Sync>(
-    scheme: WeightingScheme,
+    weigher: Weigher,
     pool: &ScratchPool,
-    rows: &mut [Vec<Entry>],
-    sorted_len: &mut [u32],
+    rows: &mut Rows,
     view: &V,
     targets: &[EntityId],
     threads: usize,
+    version: u64,
 ) {
+    let stamp = if versioned(weigher) { 0 } else { version };
     let ranges = if threads > 1 {
         let costs: Vec<u64> = targets.iter().map(|&e| view.sweep_cost(e)).collect();
         partition_by_cost(&costs, threads)
     } else {
         std::iter::once(0..targets.len()).collect()
     };
-    let weigher = Weigher::Scheme(scheme);
+    let weigher = match weigher {
+        Weigher::Features => Weigher::Scheme(WeightingScheme::Arcs),
+        weigher => weigher,
+    };
     // Per range: the rows back to back, and where each one ends.
     let slabs = for_each_range(&ranges, pool, |range, scratch| {
         let mut buf = RowBuf::default();
@@ -758,64 +705,69 @@ fn resweep_rows<V: BlockView + Sync>(
         (entries, ends)
     });
     let mut targets = targets.iter();
+    let (mut removed, mut installed) = (0, 0);
     for (entries, ends) in &slabs {
         let mut start = 0;
         for (&end, &e) in ends.iter().zip(&mut targets) {
-            let row = &mut rows[e.index()];
+            let row = &mut rows.entries[e.index()];
+            removed += row.len() as u64;
             row.clear();
             row.extend_from_slice(&entries[start..end]);
-            sorted_len[e.index()] = row.len() as u32;
+            installed += row.len() as u64;
+            rows.sorted_len[e.index()] = row.len() as u32;
+            rows.weighed[e.index()] = stamp;
             start = end;
         }
     }
+    rows.degree_sum = rows.degree_sum - removed + installed;
 }
 
 /// Carries the freshly swept `(target, neighbour)` edges into the rows
 /// of neighbours that were *not* re-swept themselves: every entry
 /// `(y, |B_ty|, w)` of a target's fresh row with `y` outside the target
 /// set is **appended** to `rows[y]`'s mirror tail as `(t, |B_ty|, w)` —
-/// one push per new edge, into a buffer that never shrinks, so a row that
-/// was read and folded still has room for the next ingest's tail. Nothing
-/// sorted is rebuilt here: tails fold into the sorted prefix lazily at the
-/// next read ([`fold_tail`]), or eagerly once a tail outgrows its prefix
-/// (and 64 entries), which amortises the folds to O(1) per append. Every
-/// fold goes through the session's `scratch`. (Both eager alternatives
-/// are quadratic per stream on dense neighbourhoods: per-edge
-/// `Vec::insert` memmoves the tail once per new edge, and a per-batch
-/// sorted merge rebuilds every mirror-receiving row once per batch.)
+/// one push per new edge, into a buffer that never shrinks. Tails fold
+/// into the sorted prefix lazily at the next read ([`fold_tail`]), or
+/// eagerly once a tail outgrows its prefix (and 64 entries), which
+/// amortises the folds to O(1) per append. (Per-edge `Vec::insert`, or a
+/// sorted merge per batch, would be quadratic per stream on dense
+/// neighbourhoods.)
 ///
 /// The targets are the batch, which had no edge before this ingest, so
 /// a tail never repeats an edge of its own or of the prefix. The count
-/// and the weight bits are endpoint-symmetric by construction: JS
-/// normalises the endpoint block counts lo/hi before the one division,
-/// so `y`'s own sweep would produce the identical f64.
-/// `mask` is a reusable all-false scratch; it is restored before return.
+/// and the weight bits are endpoint-symmetric: every statistic is weighed
+/// in normalised `(lo, hi)` endpoint order, so `y`'s own sweep would
+/// produce the identical f64. `mask` is a reusable all-false scratch,
+/// restored before return.
 fn mirror_append(
-    rows: &mut [Vec<Entry>],
-    sorted_len: &mut [u32],
+    rows: &mut Rows,
     targets: &[EntityId],
     mask: &mut [bool],
     scratch: &mut Vec<Entry>,
 ) {
+    let (entries, sorted_len) = (&mut rows.entries[..], &mut rows.sorted_len[..]);
     for &t in targets {
         mask[t.index()] = true;
     }
+    let mut pushed = 0;
     for &t in targets {
-        let row = std::mem::take(&mut rows[t.index()]);
+        let row = std::mem::take(&mut entries[t.index()]);
         for entry in &row {
             let y = entry.y as usize;
             if mask[y] {
                 continue;
             }
-            let mirror = &mut rows[y];
+            let mirror = &mut entries[y];
             mirror.push(Entry { y: t.0, ..*entry });
+            pushed += 1;
             let sorted = &mut sorted_len[y];
             if mirror.len() - *sorted as usize >= (*sorted as usize).max(64) {
                 fold_tail(mirror, sorted, scratch);
             }
         }
-        rows[t.index()] = row;
+        entries[t.index()] = row;
     }
+    rows.degree_sum += pushed;
     for &t in targets {
         mask[t.index()] = false;
     }
@@ -855,6 +807,7 @@ fn fold_tail(row: &mut Vec<Entry>, sorted: &mut u32, scratch: &mut Vec<Entry>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepState;
     use crate::{ExecutionBackend, Session};
     use minoan_blocking::builders::token_blocking;
     use minoan_datagen::{generate, profiles, ArrivalOrder};
@@ -867,13 +820,7 @@ mod tests {
         (0..n as u32).map(EntityId).collect()
     }
 
-    const DELTA_SCHEMES: [WeightingScheme; 3] = [
-        WeightingScheme::Cbs,
-        WeightingScheme::Js,
-        WeightingScheme::Arcs,
-    ];
-
-    const DELTA_FAMILIES: [Pruning; 5] = [
+    const FAMILIES: [Pruning; 5] = [
         Pruning::None,
         Pruning::Wep,
         Pruning::Cep(None),
@@ -889,19 +836,18 @@ mod tests {
         let world = generate(&profiles::center_dense(90, 13));
         let all = ids(world.dataset.len());
         for mode in [ErMode::CleanClean, ErMode::Dirty] {
-            for scheme in DELTA_SCHEMES {
-                for pruning in DELTA_FAMILIES {
+            for scheme in WeightingScheme::ALL {
+                for pruning in FAMILIES {
                     let mut inc = IncrementalSession::new(&world.dataset, mode);
                     inc.scheme(scheme).pruning(pruning).workers(2);
                     for batch in all.chunks(23) {
                         let report = inc.ingest(batch);
-                        assert!(report.delta, "supported combo must delta-sweep");
+                        assert!(report.delta, "every combination delta-sweeps");
                         if scheme != WeightingScheme::Arcs {
                             assert_eq!(report.swept_entities, batch.len(), "the batch alone");
                         }
                         let got = inc.outcome();
-                        let snap = inc.snapshot();
-                        let want = Session::new(snap)
+                        let want = Session::new(&inc.snapshot())
                             .scheme(scheme)
                             .pruning(pruning)
                             .backend(ExecutionBackend::Streaming)
@@ -914,31 +860,37 @@ mod tests {
         }
     }
 
+    /// BLAST's χ² and the supervised features under every scheme: χ² rows
+    /// are swept from the batch, feature rows (ARCS sums) from the dirty
+    /// set, and both stay bit-identical.
     #[test]
-    fn unsupported_combinations_fall_back_bit_identically() {
+    fn blast_and_supervised_rows_delta_sweep_bit_identically() {
         let world = generate(&profiles::center_dense(70, 5));
         let all = ids(world.dataset.len());
-        let combos = [
-            (WeightingScheme::Ecbs, Pruning::Wnp { reciprocal: false }),
-            (WeightingScheme::Ejs, Pruning::Wep),
-            (WeightingScheme::Cbs, Pruning::blast()),
-        ];
-        for (scheme, pruning) in combos {
-            let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
-            inc.scheme(scheme).pruning(pruning);
-            assert!(!inc.supports_delta());
-            for batch in all.chunks(31) {
-                let report = inc.ingest(batch);
-                assert!(!report.delta, "unsupported combo must not claim a delta");
-                assert_eq!(report.swept_entities, 0);
-                let got = inc.outcome();
-                let snap = inc.snapshot();
-                let want = Session::new(snap)
-                    .scheme(scheme)
-                    .pruning(pruning)
-                    .backend(ExecutionBackend::Streaming)
-                    .run();
-                assert_same(&got, &want, &format!("{scheme:?}/{pruning:?}"));
+        let model = crate::Perceptron {
+            weights: [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5],
+            bias: -0.5,
+        };
+        for scheme in WeightingScheme::ALL {
+            for pruning in [Pruning::blast(), Pruning::Supervised(model)] {
+                let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
+                inc.scheme(scheme).pruning(pruning);
+                for batch in all.chunks(31) {
+                    let report = inc.ingest(batch);
+                    assert!(report.delta);
+                    let swept = match pruning {
+                        Pruning::Blast { .. } => report.arrived,
+                        _ => report.dirty_entities,
+                    };
+                    assert_eq!(report.swept_entities, swept, "{scheme:?}/{pruning:?}");
+                    let got = inc.outcome();
+                    let want = Session::new(&inc.snapshot())
+                        .scheme(scheme)
+                        .pruning(pruning)
+                        .backend(ExecutionBackend::Streaming)
+                        .run();
+                    assert_same(&got, &want, &format!("{scheme:?}/{pruning:?}"));
+                }
             }
         }
     }
@@ -977,8 +929,7 @@ mod tests {
         let report = inc.ingest(&[]);
         assert!(report.delta, "deltas resume after the re-seed");
         let got = inc.outcome();
-        let snap = inc.snapshot();
-        let want = Session::new(snap)
+        let want = Session::new(&inc.snapshot())
             .scheme(WeightingScheme::Js)
             .backend(ExecutionBackend::Streaming)
             .run();
@@ -1013,19 +964,24 @@ mod tests {
     /// `a`'s row as a sweep of the live slabs builds it now, under
     /// `scheme`.
     fn fresh_row(inc: &IncrementalSession, scheme: WeightingScheme, a: usize) -> Vec<Entry> {
-        let n = inc.rows.len();
-        let (mut rows, mut sorted_len) = (vec![Vec::new(); n], vec![0; n]);
+        let mut rows = Rows::new(inc.rows.entries.len());
         let target = [EntityId(a as u32)];
+        let weigher = Weigher::Scheme(scheme);
         resweep_rows(
-            scheme,
+            weigher,
             &inc.pool,
             &mut rows,
-            &mut sorted_len,
             &inc.collection,
             &target,
             1,
+            0,
         );
-        std::mem::take(&mut rows[a])
+        std::mem::take(&mut rows.entries[a])
+    }
+
+    /// Whether row `a` must be re-weighed before it is read.
+    fn is_stale(inc: &IncrementalSession, a: usize) -> bool {
+        stale(inc.weigher(), inc.rows.weighed[a], inc.version)
     }
 
     /// A JS stream in small batches with no read between ingests, so
@@ -1045,15 +1001,23 @@ mod tests {
         let mut checked = 0;
         for batch in stream {
             inc.ingest(batch);
-            for a in 0..inc.rows.len() {
-                if !inc.stale[a] {
+            for a in 0..inc.rows.entries.len() {
+                if !inc.has_arrived(EntityId(a as u32)) || !is_stale(&inc, a) {
                     continue;
                 }
-                let mut row = inc.rows[a].clone();
-                let mut sorted = inc.sorted_len[a];
+                let mut row = inc.rows.entries[a].clone();
+                let mut sorted = inc.rows.sorted_len[a];
                 fold_tail(&mut row, &mut sorted, &mut Vec::new());
+                let live = Live {
+                    view: &inc.collection,
+                    rows: &inc.rows,
+                    lifted: (u32::MAX, 0),
+                };
                 for scheme in [WeightingScheme::Js, WeightingScheme::Ecbs] {
-                    reweigh(scheme, a as u32, &mut row, &inc.collection);
+                    for entry in row.iter_mut() {
+                        let (lo, hi) = (entry.y.min(a as u32), entry.y.max(a as u32));
+                        entry.w = Weigher::Scheme(scheme).weigh(entry.cbs, 0.0, lo, hi, &live);
+                    }
                     let want = fresh_row(&inc, scheme, a);
                     assert_eq!(bits(&row), bits(&want), "{scheme:?} row {a}");
                 }
@@ -1063,44 +1027,63 @@ mod tests {
         assert!(checked > 100, "only {checked} stale rows seen");
     }
 
-    /// Around every ingest of a stream (all rows read in between), a row
-    /// is stale exactly when it was not re-swept and an endpoint of one
-    /// of its pre-batch edges — the row's own entity or a neighbour —
-    /// gained a block. Under CBS and ARCS no row ever goes stale.
+    /// Around every ingest of a stream (all rows read in between), an
+    /// arrived entity's row is stale exactly when it was not re-swept and
+    /// an endpoint of one of its pre-batch edges — the row's own entity
+    /// or a neighbour — gained a block. Under CBS and ARCS no row ever
+    /// goes stale; under ECBS every row does, until it is read.
     #[test]
     fn a_row_goes_stale_exactly_when_an_endpoint_count_moved() {
         let world = generate(&profiles::periphery_sparse(240, 31));
         let batches = ArrivalOrder::Shuffled { seed: 9 }.batches(&world.dataset, &world.truth, 7);
-        for scheme in DELTA_SCHEMES {
+        for scheme in [
+            WeightingScheme::Cbs,
+            WeightingScheme::Js,
+            WeightingScheme::Arcs,
+        ] {
             let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
             inc.scheme(scheme).pruning(Pruning::None);
             let mut marked = 0;
             for batch in &batches {
                 inc.outcome();
-                let counts: Vec<u32> = (0..inc.rows.len() as u32)
+                let counts: Vec<u32> = (0..inc.rows.entries.len() as u32)
                     .map(|e| inc.collection.entity_block_count(EntityId(e)))
                     .collect();
-                let before: Vec<bool> = (0..inc.rows.len())
+                let before: Vec<bool> = (0..inc.rows.entries.len())
                     .map(|e| inc.has_arrived(EntityId(e as u32)))
                     .collect();
                 inc.ingest(batch);
                 let moved =
                     |e: u32| inc.collection.entity_block_count(EntityId(e)) != counts[e as usize];
-                for a in 0..inc.rows.len() {
+                for a in 0..inc.rows.entries.len() {
+                    if !inc.has_arrived(EntityId(a as u32)) {
+                        continue;
+                    }
                     let reswept = batch.contains(&EntityId(a as u32));
                     let want = scheme == WeightingScheme::Js
                         && !reswept
                         && (moved(a as u32)
-                            || inc.rows[a]
+                            || inc.rows.entries[a]
                                 .iter()
                                 .any(|e| before[e.y as usize] && moved(e.y)));
-                    assert_eq!(inc.stale[a], want, "{scheme:?}: row {a}");
+                    assert_eq!(is_stale(&inc, a), want, "{scheme:?}: row {a}");
                     marked += usize::from(want);
                 }
             }
             if scheme == WeightingScheme::Js {
                 assert!(marked > 100, "only {marked} rows went stale");
             }
+        }
+        let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
+        inc.scheme(WeightingScheme::Ecbs).pruning(Pruning::None);
+        for batch in &batches {
+            inc.ingest(batch);
+            let arrived: Vec<usize> = (0..inc.rows.entries.len())
+                .filter(|&a| inc.has_arrived(EntityId(a as u32)))
+                .collect();
+            assert!(arrived.iter().all(|&a| is_stale(&inc, a)), "ingested");
+            inc.outcome();
+            assert!(!arrived.iter().any(|&a| is_stale(&inc, a)), "read");
         }
     }
 
@@ -1132,20 +1115,20 @@ mod tests {
     /// count, as the snapshot's blocks count it: a sweep's row filled by
     /// every weigher in both directions, a query-time load, and every
     /// cached row of a session — mirror tails and stale rows included —
-    /// after each batched CBS, JS and ARCS ingest.
+    /// after each batched ingest under every scheme.
     #[test]
     fn every_drivers_entry_carries_the_edges_true_count() {
         let world = generate(&profiles::periphery_sparse(240, 37));
         let batches = ArrivalOrder::Shuffled { seed: 13 }.batches(&world.dataset, &world.truth, 19);
-        for scheme in DELTA_SCHEMES {
+        for scheme in WeightingScheme::ALL {
             let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
             inc.scheme(scheme).pruning(Pruning::None);
             for (i, batch) in batches.iter().enumerate() {
                 inc.ingest(batch);
                 let snapshot = inc.snapshot();
-                let want = |a: usize| true_counts(snapshot, a as u32, Direction::Both);
+                let want = |a: usize| true_counts(&snapshot, a as u32, Direction::Both);
                 let wants: Vec<_> = (0..snapshot.num_entities()).map(want).collect();
-                for (a, row) in inc.rows.iter().enumerate() {
+                for (a, row) in inc.rows.entries.iter().enumerate() {
                     assert_eq!(counts(row), wants[a], "{scheme:?}, ingest {i}: row {a}");
                 }
             }
@@ -1154,7 +1137,11 @@ mod tests {
         let mut st = SweepState::new(&blocks);
         st.ensure(true, 1);
         let (globals, pool) = (st.globals(), &st.pool);
-        let weighers = [Weigher::Scheme(WeightingScheme::Js), Weigher::Chi2];
+        let weighers = [
+            Weigher::Scheme(WeightingScheme::Js),
+            Weigher::Chi2,
+            Weigher::Features,
+        ];
         let mut buf = RowBuf::default();
         for a in 0..blocks.num_entities() as u32 {
             let want = |direction| true_counts(&blocks, a, direction);
@@ -1166,12 +1153,8 @@ mod tests {
                         assert_eq!(counts(&buf.entries), want(direction), "fill, row {a}");
                     }
                 }
-                // Feature rows come from forward sweeps only.
-                scratch.sweep(&blocks, EntityId(a), Direction::Forward);
-                Weigher::Features.fill(scratch, a, globals, &mut buf);
-                assert_eq!(counts(&buf.entries), want(Direction::Forward), "row {a}");
             });
-            for weigher in weighers.into_iter().chain([Weigher::Features]) {
+            for weigher in weighers {
                 query::sweep_row(&blocks, globals, pool, weigher, a, &mut buf);
                 assert_eq!(counts(&buf.entries), want(Direction::Both), "load, row {a}");
             }
@@ -1185,13 +1168,7 @@ mod tests {
         let out = inc.outcome();
         assert!(out.pairs().is_empty());
         assert_eq!(out.input_edges(), 0);
-        assert_eq!(
-            inc.snapshots_built(),
-            0,
-            "a delta outcome needs no snapshot"
-        );
         assert!(inc.snapshot().is_empty());
-        assert_eq!(inc.snapshots_built(), 1);
     }
 
     #[test]
@@ -1289,7 +1266,8 @@ mod tests {
         inc.ingest(&batches[0]);
         inc.ingest(&batches[1]);
         let tailed = |inc: &IncrementalSession| -> Vec<usize> {
-            let rows = inc.rows.iter().zip(&inc.sorted_len).enumerate();
+            let rows = inc.rows.entries.iter().zip(&inc.rows.sorted_len);
+            let rows = rows.enumerate();
             rows.filter(|(_, (row, &sorted))| (sorted as usize) < row.len())
                 .map(|(e, _)| e)
                 .collect()
@@ -1341,23 +1319,22 @@ mod tests {
         let pool = ScratchPool::new(n);
         let mut base: Option<Vec<Vec<(u32, u32, u64)>>> = None;
         for threads in [1, 3] {
-            let mut rows: Vec<Vec<Entry>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-            let mut sorted_len = vec![0; n];
-            let before: Vec<_> = rows.iter().map(|r| (r.as_ptr(), r.capacity())).collect();
-            resweep_rows(
-                WeightingScheme::Js,
-                &pool,
-                &mut rows,
-                &mut sorted_len,
-                &blocks,
-                &ids(n),
-                threads,
-            );
-            for (e, row) in rows.iter().enumerate() {
+            let mut rows = Rows::new(n);
+            rows.entries = (0..n).map(|_| Vec::with_capacity(n)).collect();
+            let before: Vec<_> = rows
+                .entries
+                .iter()
+                .map(|r| (r.as_ptr(), r.capacity()))
+                .collect();
+            let weigher = Weigher::Scheme(WeightingScheme::Js);
+            resweep_rows(weigher, &pool, &mut rows, &blocks, &ids(n), threads, 1);
+            for (e, row) in rows.entries.iter().enumerate() {
                 assert_eq!((row.as_ptr(), row.capacity()), before[e], "row {e}");
-                assert_eq!(sorted_len[e] as usize, row.len());
+                assert_eq!(rows.sorted_len[e] as usize, row.len());
             }
-            let rows: Vec<_> = rows.iter().map(|r| bits(r)).collect();
+            let sum: usize = rows.entries.iter().map(Vec::len).sum();
+            assert_eq!(rows.degree_sum, sum as u64, "threads={threads}");
+            let rows: Vec<_> = rows.entries.iter().map(|r| bits(r)).collect();
             assert!(rows.iter().any(|r| !r.is_empty()));
             match &base {
                 None => base = Some(rows),
@@ -1426,11 +1403,10 @@ mod tests {
         let mut scratch = Vec::new();
         let mut mask = vec![false; n];
         for prefix_len in [0u32, 20, 100] {
-            let mut rows = vec![Vec::new(); n];
-            let mut sorted_len = vec![0u32; n];
-            rows[0] = (1..=prefix_len).map(|i| entry(2 * i, i)).collect();
-            sorted_len[0] = prefix_len;
-            let mut log = rows[0].clone();
+            let mut rows = Rows::new(n);
+            rows.entries[0] = (1..=prefix_len).map(|i| entry(2 * i, i)).collect();
+            rows.sorted_len[0] = prefix_len;
+            let mut log = rows.entries[0].clone();
             // Every target is a new edge of row 0; the odd ones fall
             // between the prefix's (even) ids. Without repeats a tail
             // only ever grows, so the folds come at geometric intervals:
@@ -1442,28 +1418,28 @@ mod tests {
             let mut folds = 0;
             for (i, &t) in targets[..1_000].iter().enumerate() {
                 let appended = entry(t, 10_000 + i as u32);
-                rows[t as usize] = vec![Entry { y: 0, ..appended }];
+                rows.entries[t as usize] = vec![Entry { y: 0, ..appended }];
                 log.push(appended);
-                let (sorted, tail) = (sorted_len[0], rows[0].len() as u32 - sorted_len[0]);
-                mirror_append(
-                    &mut rows,
-                    &mut sorted_len,
-                    &[EntityId(t)],
-                    &mut mask,
-                    &mut scratch,
-                );
+                let sorted = rows.sorted_len[0];
+                let tail = rows.entries[0].len() as u32 - sorted;
+                mirror_append(&mut rows, &[EntityId(t)], &mut mask, &mut scratch);
                 if tail + 1 >= sorted.max(64) {
-                    assert_eq!(sorted_len[0] as usize, rows[0].len(), "append {i}");
+                    assert_eq!(
+                        rows.sorted_len[0] as usize,
+                        rows.entries[0].len(),
+                        "append {i}"
+                    );
                     folds += 1;
                 } else {
-                    assert_eq!(sorted_len[0], sorted, "append {i} folded early");
+                    assert_eq!(rows.sorted_len[0], sorted, "append {i} folded early");
                 }
             }
             assert!(folds >= 3, "prefix {prefix_len}: {folds} eager folds");
-            let mut sorted = sorted_len[0];
-            fold_tail(&mut rows[0], &mut sorted, &mut scratch);
+            assert_eq!(rows.degree_sum, 1_000, "one edge per append");
+            let mut sorted = rows.sorted_len[0];
+            fold_tail(&mut rows.entries[0], &mut sorted, &mut scratch);
             normalize_row(&mut log, prefix_len as usize);
-            assert_eq!(bits(&rows[0]), bits(&log), "prefix {prefix_len}");
+            assert_eq!(bits(&rows.entries[0]), bits(&log), "prefix {prefix_len}");
             assert!(mask.iter().all(|&m| !m), "mask restored");
         }
     }

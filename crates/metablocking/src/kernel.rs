@@ -18,12 +18,11 @@
 //!   `|B|`, and — for EJS — node degrees and `|V|`). Owned and cached
 //!   across runs by [`Session`](crate::Session)'s sweep state, so a
 //!   scheme sweep computes them once.
-//! * `edge_weight` (crate-internal) — the single kernel call site of the
-//!   sweep-based paths, which reconstruct a node's incident statistics
-//!   with the epoch-reset `SweepScratch`; `rule::Weigher` builds every
-//!   neighbourhood row through it.
+//! * `edge_weight` (crate-internal) — the single kernel call site: the
+//!   sweeps reconstruct a node's incident statistics with the epoch-reset
+//!   `SweepScratch` and `rule::Weigher` builds every neighbourhood row
+//!   through it; the incremental row cache re-weighs its rows through it.
 
-use crate::sweep::SweepScratch;
 use crate::weights::WeightingScheme;
 use minoan_blocking::{BlockCollection, BlockView};
 use minoan_common::stats::log_weight;
@@ -85,11 +84,6 @@ pub fn weight_from_stats(
 }
 
 /// Global aggregates a sweep pass may need before weighting.
-///
-/// `Clone` because the incremental resolve path snapshots these alongside
-/// a criterion (the globals are per-corpus-version; a cached copy avoids
-/// holding a borrow of the transient sweep state that computed them).
-#[derive(Clone)]
 pub(crate) struct WeightGlobals {
     /// Per-entity |B_i| (straight from the collection).
     pub(crate) blocks_of: Vec<u32>,
@@ -120,9 +114,10 @@ impl WeightGlobals {
 /// The per-endpoint and global aggregates [`edge_weight`] reads. The
 /// owned [`WeightGlobals`] tiers implement it, and so does every
 /// [`BlockView`] directly — its block counts are the basic tier, which
-/// is all CBS/JS/ARCS read — so a delta-sweep over the live incremental
-/// slabs borrows the maintained counts instead of collecting a
-/// [`WeightGlobals::basic`] per batch.
+/// is all CBS/JS/ECBS/ARCS and χ² read — so a delta-sweep over the live
+/// incremental slabs borrows the maintained counts instead of collecting
+/// a [`WeightGlobals::basic`] per batch. The incremental row cache adds
+/// the counted tier from its own rows.
 pub(crate) trait EdgeGlobals {
     /// |B_e|.
     fn blocks_of(&self, e: u32) -> u32;
@@ -188,31 +183,40 @@ pub(crate) fn blocks_of(collection: &BlockCollection) -> Vec<u32> {
         .collect()
 }
 
-/// Weight of the current sweep's edge to neighbour `y`, with `(lo, hi)`
-/// the pair's endpoints in normalised (smaller, larger) order. The single
-/// kernel call site for every sweep-based backend: both endpoints of an
-/// edge weigh it in that order, so bit-identity depends on this one body
-/// staying the only place the order is decided.
+/// Weight of the edge `(lo, hi)` — endpoints in normalised (smaller,
+/// larger) order — from its shared-block count and ARCS sum. The single
+/// kernel call site of every driver: a sweep, a query-time load and the
+/// incremental row cache's re-weighing all weigh an edge here, in that
+/// order, so bit-identity depends on this one body staying the only
+/// place the order is decided.
 pub(crate) fn edge_weight<G: EdgeGlobals>(
     scheme: WeightingScheme,
-    scratch: &SweepScratch,
-    globals: &G,
-    y: u32,
+    cbs: u32,
+    arcs: f64,
     lo: u32,
     hi: u32,
+    globals: &G,
 ) -> f64 {
     debug_assert!(lo < hi);
-    let (dlo, dhi) = globals.degrees_of(lo, hi);
+    // Only EJS reads the degrees and |V|; the other schemes skip the
+    // lookups.
+    let (dlo, dhi, num_edges) = match scheme {
+        WeightingScheme::Ejs => {
+            let (dlo, dhi) = globals.degrees_of(lo, hi);
+            (dlo, dhi, globals.num_edges())
+        }
+        _ => (0, 0, 0),
+    };
     weight_from_stats(
         scheme,
-        scratch.cbs_of(y),
-        scratch.arcs_of(y),
+        cbs,
+        arcs,
         globals.blocks_of(lo),
         globals.blocks_of(hi),
         globals.num_blocks(),
         dlo,
         dhi,
-        globals.num_edges(),
+        num_edges,
     )
 }
 

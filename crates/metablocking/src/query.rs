@@ -36,7 +36,6 @@ use crate::kernel::WeightGlobals;
 use crate::prune::{self, WeightedPair};
 use crate::rule::{normalised, Criterion, Entry, RowBuf, Rule, Weigher};
 use crate::session::Pruning;
-use crate::supervised;
 use crate::sweep::ScratchPool;
 use crate::weights::WeightingScheme;
 use minoan_blocking::{BlockCollection, Direction};
@@ -70,33 +69,9 @@ pub(crate) fn sweep_row(
     e: u32,
     out: &mut RowBuf,
 ) {
-    pool.with(|se| {
-        se.sweep(collection, EntityId(e), Direction::Both);
-        if weigher != Weigher::Features {
-            weigher.fill(se, e, globals, out);
-            return;
-        }
-        // Supervised features are orientation-dependent (the raw vector
-        // reads the endpoints in forward `(a, y)`, `a < y` order), so a
-        // backward entry is computed at the *smaller* endpoint's sweep —
-        // exactly where the full pass computes it.
-        out.clear();
-        pool.with(|sy| {
-            for &y in se.neighbours() {
-                let raw = if y > e {
-                    supervised::raw_forward_features(se, e, y, globals)
-                } else {
-                    sy.sweep(collection, EntityId(y), Direction::Forward);
-                    supervised::raw_forward_features(sy, y, e, globals)
-                };
-                out.entries.push(Entry {
-                    y,
-                    cbs: se.cbs_of(y),
-                    w: 0.0,
-                });
-                out.features.push(raw);
-            }
-        });
+    pool.with(|scratch| {
+        scratch.sweep(collection, EntityId(e), Direction::Both);
+        weigher.fill(scratch, e, globals, out);
     });
 }
 
@@ -188,11 +163,8 @@ pub(crate) fn resolve_rows(
 ///   arrival may move them and silently re-decide edges between clean
 ///   entities.
 ///
-/// Every such combination also delta-sweeps
-/// ([`IncrementalSession::supports_delta`](crate::IncrementalSession::supports_delta)):
-/// entries are never invalidated one by one over a session that re-sweeps
-/// in full. For every other combination, clear the cache on ingest —
-/// still correct, just colder.
+/// For every other combination, clear the cache on ingest — still
+/// correct, just colder.
 pub fn locally_invalidatable(scheme: WeightingScheme, pruning: Pruning) -> bool {
     scheme.is_delta_local()
         && matches!(

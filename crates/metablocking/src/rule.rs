@@ -118,8 +118,8 @@ pub(crate) enum Weigher {
     /// BLAST's Pearson χ².
     Chi2,
     /// The supervised pruner's raw 7-feature vectors (the weight slot is
-    /// unused). Features read the endpoints in forward `(a, y)`, `a < y`
-    /// order, so these rows hold forward entries only.
+    /// unused). Features read the endpoints in normalised `(lo, hi)`
+    /// order, like every weight.
     Features,
 }
 
@@ -141,6 +141,30 @@ impl Weigher {
         matches!(self, Self::Scheme(WeightingScheme::Ejs) | Self::Features)
     }
 
+    /// The statistic of the edge `(lo, hi)` (normalised endpoint order)
+    /// from its shared-block count and ARCS sum. Feature rows carry their
+    /// vectors beside the entries instead, and leave the weight slot at 0.
+    #[inline]
+    pub(crate) fn weigh<G: EdgeGlobals>(
+        self,
+        cbs: u32,
+        arcs: f64,
+        lo: u32,
+        hi: u32,
+        globals: &G,
+    ) -> f64 {
+        match self {
+            Self::Scheme(scheme) => edge_weight(scheme, cbs, arcs, lo, hi, globals),
+            Self::Chi2 => chi_square_from_stats(
+                cbs,
+                globals.blocks_of(lo),
+                globals.blocks_of(hi),
+                globals.num_blocks(),
+            ),
+            Self::Features => 0.0,
+        }
+    }
+
     /// Fills `out` with `a`'s row from the sweep `scratch` just ran for
     /// it — the neighbours that sweep's direction reported, all of them,
     /// each with the shared-block count the sweep accumulated — every
@@ -158,22 +182,12 @@ impl Weigher {
         out.entries.reserve(neighbours.len());
         for &y in neighbours {
             let (lo, hi) = if a < y { (a, y) } else { (y, a) };
-            let cbs = scratch.cbs_of(y);
-            let w = match self {
-                Self::Scheme(scheme) => edge_weight(scheme, scratch, globals, y, lo, hi),
-                Self::Chi2 => chi_square_from_stats(
-                    cbs,
-                    globals.blocks_of(lo),
-                    globals.blocks_of(hi),
-                    globals.num_blocks(),
-                ),
-                Self::Features => {
-                    debug_assert!(a < y, "feature rows come from forward sweeps");
-                    out.features
-                        .push(supervised::raw_forward_features(scratch, a, y, globals));
-                    0.0
-                }
-            };
+            let (cbs, arcs) = (scratch.cbs_of(y), scratch.arcs_of(y));
+            if self == Self::Features {
+                let raw = supervised::raw_features(cbs, arcs, lo, hi, globals);
+                out.features.push(raw);
+            }
+            let w = self.weigh(cbs, arcs, lo, hi, globals);
             out.entries.push(Entry { y, cbs, w });
         }
     }

@@ -340,7 +340,8 @@ impl<'c> Session<'c> {
         let st = &self.sweep;
         st.pool.with(|scratch| {
             scratch.sweep(st.collection, a, Direction::Forward);
-            supervised::raw_forward_features(scratch, a.0, b.0, st.globals())
+            let (cbs, arcs) = (scratch.cbs_of(b.0), scratch.arcs_of(b.0));
+            supervised::raw_features(cbs, arcs, a.0, b.0, st.globals())
         })
     }
 

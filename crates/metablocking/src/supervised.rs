@@ -26,7 +26,6 @@
 
 use crate::kernel::{self, EdgeGlobals};
 use crate::session::Session;
-use crate::sweep::SweepScratch;
 use crate::weights::WeightingScheme;
 use minoan_rdf::EntityId;
 
@@ -63,27 +62,29 @@ impl FeatureExtractor {
     }
 }
 
-/// Raw features of the forward edge `(a, y)` (`a < y`) from the current
-/// sweep's statistics. Every entry goes through the shared kernel
-/// ([`kernel::weight_from_stats`] per scheme, counted degrees for the
-/// last two slots), so the f64 bits agree across drivers. `globals`
-/// must carry the counted tier (degrees + |V|).
-pub(crate) fn raw_forward_features<G: EdgeGlobals>(
-    scratch: &SweepScratch,
-    a: u32,
-    y: u32,
+/// Raw features of the edge `(lo, hi)` (`lo < hi`) from its shared-block
+/// count and ARCS sum — both endpoint-symmetric, so either endpoint's
+/// sweep yields the same vector. Every entry goes through the shared
+/// kernel ([`kernel::edge_weight`] per scheme, counted degrees for the
+/// last two slots), so the f64 bits agree across drivers. `globals` must
+/// carry the counted tier (degrees + |V|).
+pub(crate) fn raw_features<G: EdgeGlobals>(
+    cbs: u32,
+    arcs: f64,
+    lo: u32,
+    hi: u32,
     globals: &G,
 ) -> [f64; NUM_FEATURES] {
-    let weight = |scheme| kernel::edge_weight(scheme, scratch, globals, y, a, y);
-    let (deg_a, deg_y) = globals.degrees_of(a, y);
+    let weight = |scheme| kernel::edge_weight(scheme, cbs, arcs, lo, hi, globals);
+    let (deg_lo, deg_hi) = globals.degrees_of(lo, hi);
     [
         weight(WeightingScheme::Cbs),
         weight(WeightingScheme::Ecbs),
         weight(WeightingScheme::Js),
         weight(WeightingScheme::Ejs),
         weight(WeightingScheme::Arcs),
-        deg_a as f64,
-        deg_y as f64,
+        deg_lo as f64,
+        deg_hi as f64,
     ]
 }
 

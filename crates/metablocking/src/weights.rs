@@ -44,8 +44,9 @@ impl WeightingScheme {
     /// Whether an arriving batch can change this scheme's weights only on
     /// edges with a *dirty* endpoint — a member of a block the batch
     /// touched. The one place delta-locality is decided: the incremental
-    /// session delta-sweeps exactly these schemes, and a neighbourhood
-    /// cache may invalidate entry by entry only under them.
+    /// session re-weighs the rows of the other schemes on their first read
+    /// at every version, and a neighbourhood cache may invalidate entry by
+    /// entry only under these.
     ///
     /// * **CBS / JS** read `|B_ij|` (JS adds `|B_i|`, `|B_j|`). A pair's
     ///   shared-block count grows only through a touched block both sit

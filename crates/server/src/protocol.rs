@@ -98,7 +98,9 @@ pub struct IngestReply {
     pub swept: u32,
     /// Hot-neighbourhood cache entries this ingest dropped.
     pub invalidated: u32,
-    /// Whether the delta path ran (vs. a full re-sweep fallback).
+    /// Whether the ingest patched the row cache by a delta-sweep: false
+    /// only for the full sweep that re-seeds it after a switch of the
+    /// statistic it holds.
     pub delta: bool,
 }
 

@@ -170,54 +170,42 @@ fn final_state_matches_batch_token_blocking() {
     }
 }
 
-/// The structural guard behind the O(batch) ingest: a delta-supported
-/// combination ingests, resolves and assembles without ever
-/// materialising a snapshot, and whoever does ask for one pays for
-/// exactly one per version.
+/// The structural guard behind the O(batch) ingest: under every scheme ×
+/// family each ingest delta-sweeps, and re-sweeps the batch alone when
+/// the rows hold count statistics, or the dirty set when they hold ARCS
+/// sums (ARCS, and the supervised features built on them) — whatever was
+/// resolved in between.
 #[test]
-fn delta_combinations_never_build_a_snapshot() {
+fn every_ingest_sweeps_the_batch_or_the_dirty_set() {
     for mode in [ErMode::CleanClean, ErMode::Dirty] {
         let g = world(mode);
         let size = g.dataset.len() / 32;
         let batches = ArrivalOrder::Shuffled { seed: 11 }.batches(&g.dataset, &g.truth, size);
         assert!(batches.len() >= 30, "the guard wants ≥ 30 rounds");
-        for scheme in [WeightingScheme::Cbs, WeightingScheme::Js, WeightingScheme::Arcs] {
-            for pruning in &FAMILIES[..5] {
-                let pruning = *pruning;
+        for scheme in WeightingScheme::ALL {
+            for pruning in FAMILIES {
                 let label = format!("{mode:?}/{scheme:?}/{pruning:?}");
+                let arcs_sums = match pruning {
+                    Pruning::Blast { .. } => false,
+                    Pruning::Supervised(_) => true,
+                    _ => scheme == WeightingScheme::Arcs,
+                };
                 let mut inc = IncrementalSession::new(&g.dataset, mode);
                 inc.scheme(scheme).pruning(pruning).workers(2);
                 for batch in &batches {
-                    assert!(inc.ingest(batch).delta, "{label}");
+                    let report = inc.ingest(batch);
+                    assert!(report.delta, "{label}: {report:?}");
+                    let swept = if arcs_sums {
+                        report.dirty_entities
+                    } else {
+                        batch.len()
+                    };
+                    assert_eq!(report.swept_entities, swept, "{label}: {report:?}");
                     inc.resolve_entity(batch[0]);
                     inc.resolve_entity(EntityId(0));
                 }
-                inc.outcome();
-                assert_eq!(inc.snapshots_built(), 0, "{label}: delta path");
-                inc.snapshot();
-                inc.snapshot();
-                assert_eq!(inc.snapshots_built(), 1, "{label}: cached per version");
-                inc.ingest(&[]);
-                inc.resolve_entity(EntityId(0));
-                assert_eq!(inc.snapshots_built(), 1, "{label}: dropped, not rebuilt");
-                inc.snapshot();
-                assert_eq!(inc.snapshots_built(), 2, "{label}: one per version");
             }
         }
-    }
-    // A fallback combination builds its snapshot on first use per
-    // version — never in the ingest itself.
-    let g = world(ErMode::CleanClean);
-    let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
-    inc.scheme(WeightingScheme::Ecbs);
-    let batches = ArrivalOrder::Shuffled { seed: 11 }.batches(&g.dataset, &g.truth, 80);
-    for (i, batch) in batches.iter().enumerate() {
-        inc.ingest(batch);
-        assert_eq!(inc.snapshots_built(), i as u64, "ingest builds nothing");
-        inc.resolve_entity(batch[0]);
-        inc.resolve_entity(EntityId(0));
-        inc.outcome();
-        assert_eq!(inc.snapshots_built(), i as u64 + 1, "one per version");
     }
 }
 
@@ -314,7 +302,6 @@ fn live_view_accumulates_arcs_in_key_string_order() {
     }
     let got = inc.outcome();
     let resolved = inc.resolve_entity(EntityId(0));
-    assert_eq!(inc.snapshots_built(), 0);
     for pairs in [got.pairs(), &resolved.matches[..]] {
         let top = pairs
             .iter()
@@ -349,12 +336,10 @@ fn a_small_arcs_tail_batch_re_sweeps_a_strict_subset() {
     );
 }
 
-/// Every scheme × every family (the delta families plus reciprocal WNP,
-/// CNP with `k = 3`, BLAST and a fixed supervised model): the second
-/// ingest delta-sweeps exactly when the session says it supports deltas,
-/// the outcome stays bit-identical either way, and a combination the
-/// server invalidates entry by entry (`locally_invalidatable`) is always
-/// one that delta-sweeps.
+/// Every scheme × every family: the second ingest delta-sweeps and the
+/// outcome stays bit-identical, and where the server invalidates cached
+/// answers entry by entry (`locally_invalidatable`), every answer whose
+/// dependency set misses the ingest's `last_dirty` report is unchanged.
 #[test]
 fn delta_locality_is_decided_once_for_sessions_and_caches() {
     let g = generate(&profiles::center_dense(80, 29));
@@ -366,12 +351,21 @@ fn delta_locality_is_decided_once_for_sessions_and_caches() {
             let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
             inc.scheme(scheme).pruning(pruning).workers(2);
             inc.ingest(first);
+            let before: Vec<_> = ids.iter().map(|&e| inc.resolve_entity(e)).collect();
             let report = inc.ingest(second);
-            assert_eq!(report.delta, inc.supports_delta(), "{label}: {report:?}");
-            assert!(
-                !locally_invalidatable(scheme, pruning) || inc.supports_delta(),
-                "{label}: invalidated entry by entry but not delta-swept"
-            );
+            assert!(report.delta, "{label}: {report:?}");
+            if locally_invalidatable(scheme, pruning) {
+                let dirty = inc.last_dirty().to_vec();
+                for old in &before {
+                    let e = old.entity;
+                    let deps = old.neighbours.iter().map(|&y| EntityId(y));
+                    if deps.chain([e]).all(|d| dirty.binary_search(&d).is_err()) {
+                        let at = format!("{label}: clean entity {}", e.0);
+                        let now = inc.resolve_entity(e);
+                        assert_pairs_bit_identical(&now.matches, &old.matches, &at);
+                    }
+                }
+            }
             let got = inc.outcome();
             let want = Session::new(&inc.snapshot())
                 .scheme(scheme)

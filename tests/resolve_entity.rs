@@ -2,8 +2,8 @@
 //! *bit-identical* to the incident slice of a full run — the pairs that
 //! mention `e` in the full pruned outcome, in the same order, with the
 //! same f64 weight bits — for every scheme × pruning family, on both the
-//! batch [`Session`] and the updatable [`IncrementalSession`] (delta and
-//! fallback paths alike); per-worker identity is asserted in-process.
+//! batch [`Session`] and the updatable [`IncrementalSession`]; per-worker
+//! identity is asserted in-process.
 
 mod common;
 
@@ -147,8 +147,8 @@ fn world() -> GeneratedWorld {
 }
 
 /// After every ingest, the incremental session's answer equals a
-/// from-scratch batch [`Session`] over the merged snapshot — on the
-/// delta row-cache path and the per-request fallback path alike.
+/// from-scratch batch [`Session`] over the merged snapshot — whatever
+/// the rows hold and however they are brought up to date.
 #[test]
 fn incremental_resolves_match_from_scratch_sessions_after_every_batch() {
     use minoan::metablocking::WeightingScheme;

@@ -8,7 +8,7 @@
 mod common;
 
 use common::assert_pairs_bit_identical;
-use minoan::blocking::ErMode;
+use minoan::blocking::{BlockCollection, ErMode};
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
     ExecutionBackend, IncrementalSession, Pruning, Session, WeightedPair, WeightingScheme,
@@ -32,15 +32,15 @@ fn id_batches(g: &GeneratedWorld, batch: usize) -> Vec<Vec<u32>> {
 }
 
 /// The from-scratch reference at one version: a fresh incremental
-/// session fed the first `version` batches in one go, snapshotted, and
-/// answered by a batch [`Session`] (`version` counts ingests, so version
-/// v = the first v batches).
+/// session fed the first `version` batches in one go, snapshotted once,
+/// and answered by a batch [`Session`] over the snapshot (`version`
+/// counts ingests, so version v = the first v batches).
 struct Reference<'d> {
     g: &'d GeneratedWorld,
     batches: &'d [Vec<u32>],
     scheme: WeightingScheme,
     pruning: Pruning,
-    sessions: BTreeMap<u64, IncrementalSession<'d>>,
+    snapshots: BTreeMap<u64, BlockCollection>,
 }
 
 impl<'d> Reference<'d> {
@@ -55,27 +55,25 @@ impl<'d> Reference<'d> {
             batches,
             scheme,
             pruning,
-            sessions: BTreeMap::new(),
+            snapshots: BTreeMap::new(),
         }
     }
 
     fn resolve(&mut self, version: u64, entity: u32) -> Vec<WeightedPair> {
         let (g, batches, scheme, pruning) = (self.g, self.batches, self.scheme, self.pruning);
-        let inc = self.sessions.entry(version).or_insert_with(|| {
+        if version == 0 {
+            return Vec::new();
+        }
+        let snap = self.snapshots.entry(version).or_insert_with(|| {
             let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
-            inc.scheme(scheme).pruning(pruning);
             let merged: Vec<EntityId> = batches
                 .iter()
                 .take(version as usize)
                 .flat_map(|b| b.iter().map(|&e| EntityId(e)))
                 .collect();
             inc.ingest(&merged);
-            inc
+            inc.snapshot()
         });
-        if version == 0 {
-            return Vec::new();
-        }
-        let snap = inc.snapshot();
         Session::new(snap)
             .scheme(scheme)
             .pruning(pruning)
@@ -107,8 +105,8 @@ fn check_reply(
 /// One recorded answer: `(entity, stamped version, pairs as raw bits)`.
 type RecordedAnswer = (u32, u64, Vec<(u32, u32, u64)>);
 
-/// Scheme × pruning mix covering the delta row-cache path, the global
-/// criteria (whole-cache clears) and the per-request fallback path.
+/// Scheme × pruning mix covering locally invalidated answers, the global
+/// criteria (whole-cache clears) and rows re-weighed on read (ECBS).
 fn combos() -> Vec<(&'static str, WeightingScheme, Pruning)> {
     vec![
         (
