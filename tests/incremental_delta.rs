@@ -151,6 +151,39 @@ fn thread_counts_do_not_change_a_bit() {
     }
 }
 
+/// The combinations that once fell back to a from-scratch recompute on
+/// every ingest — block-count-normalised ECBS and EJS, and BLAST's
+/// per-node thresholds — on a stream of their own: each ingest now
+/// delta-sweeps, and the outcome after it is bit-identical to a
+/// from-scratch session's.
+#[test]
+fn unsupported_combinations_fall_back_bit_identically() {
+    let mode = ErMode::CleanClean;
+    let g = world(mode);
+    let batches = ArrivalOrder::Shuffled { seed: 3 }.batches(&g.dataset, &g.truth, 61);
+    for (scheme, pruning) in [
+        (WeightingScheme::Ecbs, Pruning::Wnp { reciprocal: false }),
+        (WeightingScheme::Ejs, Pruning::Wep),
+        (WeightingScheme::Cbs, Pruning::blast()),
+    ] {
+        let label = format!("{scheme:?}/{pruning:?}");
+        let mut inc = IncrementalSession::new(&g.dataset, mode);
+        inc.scheme(scheme).pruning(pruning).workers(2);
+        for (i, batch) in batches.iter().enumerate() {
+            let report = inc.ingest(batch);
+            assert!(report.delta, "{label}: batch {i} ({report:?})");
+            let got = inc.outcome();
+            let want = Session::new(&inc.snapshot())
+                .scheme(scheme)
+                .pruning(pruning)
+                .backend(ExecutionBackend::Streaming)
+                .workers(2)
+                .run();
+            assert_bit_identical(&got.pruned, &want.pruned, &format!("{label}: batch {i}"));
+        }
+    }
+}
+
 #[test]
 fn final_state_matches_batch_token_blocking() {
     for mode in [ErMode::CleanClean, ErMode::Dirty] {
