@@ -369,42 +369,56 @@ fn a_small_arcs_tail_batch_re_sweeps_a_strict_subset() {
     );
 }
 
-/// Every scheme × every family: the second ingest delta-sweeps and the
-/// outcome stays bit-identical, and where the server invalidates cached
-/// answers entry by entry (`locally_invalidatable`), every answer whose
-/// dependency set misses the ingest's `last_dirty` report is unchanged.
+/// Every scheme × every family: each ingest after the first delta-sweeps
+/// and the outcome stays bit-identical, and where the server invalidates
+/// cached answers entry by entry (`locally_invalidatable`), every answer
+/// whose dependency set misses the ingest's `last_dirty` report is
+/// unchanged. A center world's one big batch dirties nearly everyone. The
+/// serve workloads' periphery world, in batches of 5, leaves clean
+/// entities whose answer reads a clean neighbour `y`'s row, which a JS
+/// block-count change of `y`'s neighbour can still move — so the report
+/// must name `y`.
 #[test]
 fn delta_locality_is_decided_once_for_sessions_and_caches() {
-    let g = generate(&profiles::center_dense(80, 29));
-    let ids: Vec<EntityId> = g.dataset.entities().collect();
-    let (first, second) = ids.split_at(ids.len() / 2);
-    for scheme in WeightingScheme::ALL {
-        for pruning in FAMILIES {
-            let label = format!("{scheme:?}/{pruning:?}");
-            let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
-            inc.scheme(scheme).pruning(pruning).workers(2);
-            inc.ingest(first);
-            let before: Vec<_> = ids.iter().map(|&e| inc.resolve_entity(e)).collect();
-            let report = inc.ingest(second);
-            assert!(report.delta, "{label}: {report:?}");
-            if locally_invalidatable(scheme, pruning) {
-                let dirty = inc.last_dirty().to_vec();
-                for old in &before {
-                    let e = old.entity;
-                    let deps = old.neighbours.iter().map(|&y| EntityId(y));
-                    if deps.chain([e]).all(|d| dirty.binary_search(&d).is_err()) {
-                        let at = format!("{label}: clean entity {}", e.0);
-                        let now = inc.resolve_entity(e);
-                        assert_pairs_bit_identical(&now.matches, &old.matches, &at);
+    let dense = generate(&profiles::center_dense(80, 29));
+    let mut config = profiles::periphery_sparse(150, 5);
+    config.vocab_tokens = 2_000;
+    config.zipf_exponent = 0.5;
+    let sparse = generate(&config);
+    for (g, preload, batch) in [(&dense, 40, 40), (&sparse, 100, 5)] {
+        let ids: Vec<EntityId> = g.dataset.entities().collect();
+        let (first, rest) = ids.split_at(preload);
+        for scheme in WeightingScheme::ALL {
+            for pruning in FAMILIES {
+                let label = format!("{scheme:?}/{pruning:?}");
+                let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
+                inc.scheme(scheme).pruning(pruning).workers(2);
+                inc.ingest(first);
+                for (i, batch) in rest.chunks(batch).enumerate() {
+                    let label = format!("{label}, batch {i}");
+                    let before: Vec<_> = ids.iter().map(|&e| inc.resolve_entity(e)).collect();
+                    let report = inc.ingest(batch);
+                    assert!(report.delta, "{label}: {report:?}");
+                    if locally_invalidatable(scheme, pruning) {
+                        let dirty = inc.last_dirty().to_vec();
+                        for old in &before {
+                            let e = old.entity;
+                            let deps = old.neighbours.iter().map(|&y| EntityId(y));
+                            if deps.chain([e]).all(|d| dirty.binary_search(&d).is_err()) {
+                                let at = format!("{label}: clean entity {}", e.0);
+                                let now = inc.resolve_entity(e);
+                                assert_pairs_bit_identical(&now.matches, &old.matches, &at);
+                            }
+                        }
                     }
                 }
+                let got = inc.outcome();
+                let want = Session::new(&inc.snapshot())
+                    .scheme(scheme)
+                    .pruning(pruning)
+                    .run();
+                assert_bit_identical(&got.pruned, &want.pruned, &label);
             }
-            let got = inc.outcome();
-            let want = Session::new(&inc.snapshot())
-                .scheme(scheme)
-                .pruning(pruning)
-                .run();
-            assert_bit_identical(&got.pruned, &want.pruned, &label);
         }
     }
 }
