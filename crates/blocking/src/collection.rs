@@ -121,22 +121,60 @@ impl KeyAssignments {
         }
     }
 
-    /// An accumulator seeded with an existing interner — the incremental
-    /// path ([`crate::delta`]) tokenises every batch through the same
-    /// persistent symbol space, so a key's [`Symbol`] is stable across
-    /// ingests and the per-key member lists can be delta-appended.
-    pub(crate) fn with_keys(keys: Interner) -> Self {
-        Self {
-            keys,
-            ..Self::default()
+    /// The sealed runs restricted to the keys at least two runs share —
+    /// the only keys that can form a block — numbered as *slots* in
+    /// key-string order. Returns `(keys, order, offsets, slots)`:
+    /// `order[slot]` is the slot's symbol in `keys`, and entity `e`'s
+    /// slots are `slots[offsets[e]..offsets[e + 1]]`, in its run's symbol
+    /// order.
+    /// Counting is entity-range parallel with an additive merge, so
+    /// thread-count independent. A key's first eight bytes ride along as
+    /// a big-endian integer: they order most pairs without a look at the
+    /// arena, and a tie falls back to the strings themselves.
+    pub(crate) fn into_slots(
+        self,
+        threads: usize,
+    ) -> (Interner, Vec<Symbol>, Vec<u32>, Vec<Symbol>) {
+        let Self {
+            keys, syms, ends, ..
+        } = self;
+        let k = keys.len();
+        let counts = merge_counts(
+            &count_cols_per_range(&ends, &syms, k, &split_rows(&ends, threads)),
+            k,
+        );
+        let mut order: Vec<(u64, Symbol)> = (0..k as u32)
+            .map(Symbol)
+            .filter(|s| counts[s.index()] >= 2)
+            .map(|s| {
+                let key = keys.resolve(s).as_bytes();
+                let mut head = [0u8; 8];
+                let len = key.len().min(8);
+                head[..len].copy_from_slice(&key[..len]);
+                (u64::from_be_bytes(head), s)
+            })
+            .collect();
+        order.sort_unstable_by(|&(head_a, a), &(head_b, b)| {
+            head_a
+                .cmp(&head_b)
+                .then_with(|| keys.resolve(a).cmp(keys.resolve(b)))
+        });
+        let mut slot_of = vec![Symbol(u32::MAX); k];
+        for (slot, &(_, s)) in order.iter().enumerate() {
+            slot_of[s.index()] = Symbol(slot as u32);
         }
-    }
-
-    /// Decomposes into `(interner, symbol slab, per-entity run ends)` —
-    /// the incremental path takes the sealed batch runs back out to merge
-    /// them into its per-symbol slabs.
-    pub(crate) fn into_parts(self) -> (Interner, Vec<Symbol>, Vec<u32>) {
-        (self.keys, self.syms, self.ends)
+        let mut slots = Vec::with_capacity(syms.len());
+        let mut offsets = Vec::with_capacity(ends.len() + 1);
+        offsets.push(0u32);
+        let mut start = 0usize;
+        for &end in &ends {
+            let run = syms[start..end as usize].iter().map(|s| slot_of[s.index()]);
+            slots.extend(run.filter(|&slot| slot.0 != u32::MAX));
+            offsets.push(slots.len() as u32);
+            start = end as usize;
+        }
+        let order = order.into_iter().map(|(_, s)| s).collect();
+        (keys, order, offsets, slots)
     }
 
     /// Interns `key` and assigns it to the current entity.
@@ -508,12 +546,9 @@ impl BlockCollection {
         assignments: KeyAssignments,
         threads: usize,
     ) -> Self {
-        let KeyAssignments {
-            keys, syms, ends, ..
-        } = assignments;
         let n = dataset.len();
         assert_eq!(
-            ends.len(),
+            assignments.num_entities(),
             n,
             "assignments must seal every entity exactly once"
         );
@@ -521,56 +556,16 @@ impl BlockCollection {
             .map(|e| dataset.kb_of(EntityId(e)).0)
             .collect();
         let num_kbs = dataset.kbs().len();
-        let k = keys.len();
         let threads = threads.max(1);
 
-        // Pass 1 — occurrence count per symbol (entity-range parallel).
-        let counts = count_symbols(&ends, &syms, k, threads);
-
-        // Blocks need ≥ 2 members to induce any comparison; survivors are
-        // ordered by key string, exactly like the `from_groups` path.
-        // A key's first eight bytes ride along as a big-endian integer:
-        // they order most pairs without a look at the arena, and a tie
-        // falls back to the strings themselves, so the order is theirs.
-        let mut order: Vec<(u64, u32)> = (0..k as u32)
-            .filter(|&s| counts[s as usize] >= 2)
-            .map(|s| {
-                let key = keys.resolve(Symbol(s)).as_bytes();
-                let mut head = [0u8; 8];
-                let len = key.len().min(8);
-                head[..len].copy_from_slice(&key[..len]);
-                (u64::from_be_bytes(head), s)
-            })
-            .collect();
-        order.sort_unstable_by(|&(head_a, a), &(head_b, b)| {
-            head_a
-                .cmp(&head_b)
-                .then_with(|| keys.resolve(Symbol(a)).cmp(keys.resolve(Symbol(b))))
-        });
-        let order: Vec<u32> = order.into_iter().map(|(_, s)| s).collect();
-        let mut slot_of = vec![u32::MAX; k];
-        for (slot, &sym) in order.iter().enumerate() {
-            slot_of[sym as usize] = slot as u32;
-        }
-
-        // Map assignments to provisional slots, dropping singleton keys.
-        let mut cols = Vec::with_capacity(syms.len());
-        let mut kept_ends = Vec::with_capacity(n);
-        let mut start = 0usize;
-        for &end in &ends {
-            for &sym in &syms[start..end as usize] {
-                let slot = slot_of[sym.index()];
-                if slot != u32::MAX {
-                    cols.push(slot);
-                }
-            }
-            kept_ends.push(cols.len() as u32);
-            start = end as usize;
-        }
+        // Pass 1 — blocks need ≥ 2 members to induce any comparison, so
+        // only the keys two runs share get a provisional block, ordered
+        // by key string exactly like the `from_groups` path.
+        let (keys, order, offsets, cols) = assignments.into_slots(threads);
 
         // Pass 2 — counting-sort transpose into the provisional block
         // slab (members ascending: rows are scanned in entity order).
-        let (prov_offsets, rows) = transpose_csr(&kept_ends, &cols, order.len(), threads);
+        let (prov_offsets, rows) = transpose_csr(&offsets[1..], &cols, order.len(), threads);
         let prov_entities: Vec<EntityId> = rows.into_iter().map(EntityId).collect();
 
         // Comparisons per provisional block; drop blocks inducing none
@@ -585,7 +580,7 @@ impl BlockCollection {
         );
         let (block_keys, block_offsets, block_entities, comparisons) =
             compact_blocks(&prov_offsets, &prov_entities, &prov_comparisons, |i| {
-                Symbol(order[i])
+                order[i]
             });
         Self::finish(
             mode,
@@ -862,14 +857,6 @@ impl fmt::Debug for BlockCollection {
 /// Current slab length as a checked `u32` CSR offset.
 fn slab_len(slab: &[EntityId]) -> u32 {
     u32::try_from(slab.len()).expect("block slab exceeds u32::MAX entries")
-}
-
-/// Occurrence count per symbol over the (sealed) assignment runs —
-/// pass 1 of the shared layout counting sort, entity-range parallel with
-/// an additive merge, so thread-count independent.
-fn count_symbols(ends: &[u32], syms: &[Symbol], k: usize, threads: usize) -> Vec<u32> {
-    let ranges = split_rows(ends, threads);
-    merge_counts(&count_cols_per_range(ends, syms, k, &ranges), k)
 }
 
 /// Comparisons per CSR block, block-range parallel (each worker owns a

@@ -1,71 +1,61 @@
 //! Incremental maintenance of a token-blocking collection under batched
 //! entity arrivals — the blocking half of the delta-sweep pipeline.
 //!
-//! The batch builders ([`crate::builders`]) tokenise a whole corpus and
-//! counting-sort it into the flat CSR slabs in one shot. Under the
-//! paper's pay-as-you-go arrival model that is the wrong shape: every
-//! batch of new descriptions would re-tokenise and re-sort everything
-//! already ingested. [`IncrementalCollection`] keeps the blocking state
-//! *updatable* and **sweepable in place** instead, so that an ingest
+//! The batch builders ([`crate::builders`]) build the flat CSR slabs of
+//! a whole corpus in one shot; under the paper's pay-as-you-go arrival
+//! model every batch would redo that. [`IncrementalCollection`] keeps the
+//! blocks *updatable* and **sweepable in place** instead, so an ingest
 //! costs `O(batch × neighbourhood)` and nothing in it is `O(corpus)`.
 //!
-//! # Maintained on touch
+//! # Tokenised once
 //!
-//! * one persistent [`Interner`], so a token's [`Symbol`] is stable
-//!   across every batch (batches are tokenised through the same
-//!   string-free [`KeyAssignments`] path as the batch builders);
-//! * per key: the sorted member list, grown by a backward sorted merge
-//!   (`layout::merge_sorted_into`) — a delta-append, never a rebuild —
-//!   with the comparison count and the ARCS reciprocal `1/‖b‖`,
-//!   recomputed **only for the keys the batch touched**. A key *forms a
-//!   block* once it induces ≥ 1 comparison; members are only ever added,
-//!   so that is monotone;
-//! * per entity: its keys **in key-string order** (fixed at arrival) and
-//!   its live block count `|B_e|`, bumped only for *grown* entities;
+//! Arrivals are drawn from one fixed [`Dataset`], so
+//! [`IncrementalCollection::new`] runs [`token_pass`] over all of it
+//! once. Every key two descriptions share gets a *slot*, numbered in
+//! key-string order as `BlockCollection::from_assignments` numbers its
+//! blocks; no other key can form a block. Each entity's slots are one
+//! ascending CSR run, so an ingest tokenises, interns and string-sorts
+//! nothing. Maintained on touch, for the touched slots and grown
+//! entities only:
+//!
+//! * per slot: the sorted member list, delta-appended by a backward
+//!   merge (`layout::merge_sorted_into`), its comparison count and the
+//!   ARCS reciprocal `1/‖b‖`. A slot *forms a block* once it induces
+//!   ≥ 1 comparison; members are only added, so that is monotone;
+//! * per entity: its live block count `|B_e|`;
 //! * the live block count `|B|` and assignment total.
 //!
-//! That is everything a node-centric sweep reads, which is what the
-//! [`BlockView`] implementation exposes: an entity's present blocks are
-//! visited in key-string order — ascending block id in a materialised
-//! collection — so f64 ARCS sums accumulate in the order a from-scratch
-//! [`BlockCollection`] sweep would use and carry the same bits.
-//!
-//! Each [`IncrementalCollection::ingest`] returns a [`DeltaOutcome`]:
-//! the *dirty sets* the meta-blocking delta-sweep needs — which blocks
-//! changed, which entities' block lists grew, and which entities'
-//! co-occurrence neighbourhoods are stale.
+//! That is everything a node-centric sweep reads through [`BlockView`]:
+//! an entity's present blocks are visited in slot (key-string) order —
+//! ascending block id in a materialised collection — so f64 ARCS sums
+//! carry the bits of a from-scratch [`BlockCollection`] sweep. Each
+//! [`IncrementalCollection::ingest`] returns the *dirty sets* the
+//! meta-blocking delta-sweep needs as a [`DeltaOutcome`].
 //!
 //! # When a snapshot is built, and who pays
 //!
 //! Never by an ingest. [`IncrementalCollection::snapshot`] materialises
-//! the merged corpus as a [`BlockCollection`] (logically identical to
-//! `token_blocking` over the arrived entities — the equivalence is
-//! property-tested) for consumers that need block ids or the flat slabs:
-//! the equivalence suites and exports — the incremental meta-blocking
-//! session sweeps the live slabs under every combination. It is
-//! `O(corpus)` — every member slab copied, the interner cloned, the
-//! entity→block CSR transposed — and the caller that asks pays it. The
-//! block order it needs (present keys by key string) is kept lazily:
-//! keys that become present are queued and merged in at the next
-//! snapshot, so an ingest never touches an `O(keys)` table.
+//! the arrived entities' blocks as a [`BlockCollection`] — the present
+//! slots in ascending order, logically identical to `token_blocking`
+//! over them (property-tested) — for the equivalence suites and exports;
+//! the incremental meta-blocking session sweeps the live slabs. It is
+//! `O(corpus)`, and the caller that asks pays it.
 
-use crate::collection::{
-    count_comparisons, for_each_co_member, BlockView, Direction, KbScratch, KeyAssignments,
-};
-use crate::layout::{merge_sorted_by_into, merge_sorted_into};
+use crate::builders::{token_pass, TokenKeys};
+use crate::collection::{count_comparisons, for_each_co_member, BlockView, Direction, KbScratch};
+use crate::layout::merge_sorted_into;
 use crate::{BlockCollection, ErMode};
-use minoan_common::{Interner, Symbol};
-use minoan_rdf::tokenize::TokenBuffers;
+use minoan_common::{default_threads, Interner, Symbol};
 use minoan_rdf::{Dataset, EntityId};
 use std::sync::Arc;
 
 /// What one [`IncrementalCollection::ingest`] changed. Blocks are named
-/// by their key [`Symbol`], which is stable across ingests (the block
-/// ids of a [`snapshot`](IncrementalCollection::snapshot) are not).
+/// by their key's slot [`Symbol`], fixed at construction (the block ids
+/// of a [`snapshot`](IncrementalCollection::snapshot) are not stable).
 #[derive(Debug)]
 pub struct DeltaOutcome {
-    /// Blocks (ascending symbol) whose member list changed in this
-    /// ingest, including the newly present ones.
+    /// Blocks whose member list changed in this ingest, including the
+    /// newly present ones — ascending, which is key-string order.
     pub touched_blocks: Vec<Symbol>,
     /// Subset of [`Self::touched_blocks`]: blocks that crossed the
     /// presence threshold (≥ 2 members, ≥ 1 comparison) in this ingest.
@@ -84,78 +74,80 @@ pub struct DeltaOutcome {
     pub dirty: Vec<EntityId>,
 }
 
-/// One key's live slab.
+/// One slot's live slab.
 #[derive(Default)]
 struct KeyBlock {
     /// Arrived member entities, sorted ascending.
     members: Vec<EntityId>,
     /// Comparisons under the collection's mode; recomputed only on
-    /// touch. The key forms a block iff this is non-zero.
+    /// touch. The slot forms a block iff this is non-zero.
     comparisons: u64,
     /// `1 / max(‖b‖, 1)`, refreshed with `comparisons`.
     inv_cardinality: f64,
 }
 
-/// An updatable token-blocking index over a fixed entity universe.
-///
-/// Entities of `dataset` arrive in batches via [`Self::ingest`]; the
-/// collection maintains exactly the blocks `builders::token_blocking`
-/// would build over the arrived subset, without ever re-tokenising or
-/// re-sorting what already arrived, and is swept in place through
+/// An updatable token-blocking index over a fixed entity universe: the
+/// blocks `builders::token_blocking` would build over the entities
+/// arrived so far through [`Self::ingest`], swept in place through
 /// [`BlockView`].
 pub struct IncrementalCollection<'d> {
     dataset: &'d Dataset,
     mode: ErMode,
-    /// Persistent token interner — symbols are stable across batches.
-    keys: Interner,
-    /// Per symbol: its live slab.
+    /// The universe token pass's interner.
+    keys: Arc<Interner>,
+    /// Per slot: its key's symbol in `keys`.
+    slot_keys: Vec<Symbol>,
+    /// Per slot: its live slab.
     blocks: Vec<KeyBlock>,
-    /// Present symbols in key-string order, as of the last snapshot.
-    order: Vec<Symbol>,
-    /// Symbols that became present since, not yet merged into `order`.
-    unordered: Vec<Symbol>,
-    /// Per entity: its distinct key symbols in key-string order (empty
-    /// until arrival).
-    keys_of: Vec<Vec<Symbol>>,
-    /// Per entity: how many of its keys currently form a block (|B_e|).
+    /// Entity `e`'s slots are `slots[offsets[e]..offsets[e + 1]]`,
+    /// ascending.
+    offsets: Vec<u32>,
+    slots: Vec<Symbol>,
+    /// Number of slots that currently form a block.
+    present: usize,
+    /// Per entity: how many of its slots currently form a block (|B_e|).
     block_counts: Vec<u32>,
     /// Σ member counts over the present blocks.
     total_assignments: u64,
     arrived: Vec<bool>,
     num_arrived: usize,
     kb_of: Vec<u16>,
-    num_kbs: usize,
 }
 
 impl<'d> IncrementalCollection<'d> {
-    /// An empty collection over `dataset`'s entity universe; no entity
-    /// has arrived yet.
+    /// An empty collection over `dataset`'s entity universe, after its
+    /// token pass on [`default_threads`] workers (their number changes
+    /// nothing); no entity has arrived yet.
     pub fn new(dataset: &'d Dataset, mode: ErMode) -> Self {
+        let threads = default_threads();
+        let pass = token_pass(dataset, TokenKeys::Values, threads);
+        let (keys, slot_keys, offsets, mut slots) = pass.into_slots(threads);
+        for run in offsets.windows(2) {
+            slots[run[0] as usize..run[1] as usize].sort_unstable();
+        }
         let kb_of: Vec<u16> = (0..dataset.len() as u32)
             .map(|e| dataset.kb_of(EntityId(e)).0)
             .collect();
-        let num_kbs = dataset.kbs().len();
         Self {
             dataset,
             mode,
-            keys: Interner::new(),
-            blocks: Vec::new(),
-            order: Vec::new(),
-            unordered: Vec::new(),
-            keys_of: vec![Vec::new(); dataset.len()],
+            keys: Arc::new(keys),
+            blocks: slot_keys.iter().map(|_| KeyBlock::default()).collect(),
+            slot_keys,
+            offsets,
+            slots,
+            present: 0,
             block_counts: vec![0; dataset.len()],
             total_assignments: 0,
             arrived: vec![false; dataset.len()],
             num_arrived: 0,
             kb_of,
-            num_kbs,
         }
     }
 
-    /// Ingests a batch of newly-arrived entities: tokenises them through
-    /// the string-free [`KeyAssignments`] path, delta-appends their
-    /// assignments into the per-key slabs, refreshes comparisons,
-    /// reciprocals and block counts for the touched keys and grown
+    /// Ingests a batch of newly-arrived entities: delta-appends their
+    /// slot runs into the per-slot slabs, refreshes comparisons,
+    /// reciprocals and block counts for the touched slots and grown
     /// entities only, and returns the dirty sets. Serial and
     /// `O(batch × neighbourhood)`; `_threads` is accepted so callers can
     /// pass one worker count to every stage of an ingest.
@@ -191,57 +183,32 @@ impl<'d> IncrementalCollection<'d> {
         self.merge_batch(batch);
     }
 
-    /// Tokenises `batch` and merges its assignments into the per-key
-    /// slabs; returns `(touched, newly_present, grown)` — `touched`
-    /// ascending by symbol, `grown` unsorted with duplicates.
+    /// Merges the slot runs of `batch` into the per-slot slabs; returns
+    /// `(touched, newly_present, grown)` — `touched` ascending, `grown`
+    /// unsorted with duplicates.
     fn merge_batch(&mut self, batch: &[EntityId]) -> (Vec<Symbol>, Vec<Symbol>, Vec<EntityId>) {
-        // 1. Tokenise the batch through the persistent interner.
-        let mut asg = KeyAssignments::with_keys(std::mem::take(&mut self.keys));
-        let mut buffers = TokenBuffers::default();
+        // Group the batch's slots (a sort, not a hash map — deterministic
+        // and slab-friendly) and merge each run into its member list.
+        let mut additions: Vec<(Symbol, EntityId)> = Vec::new();
         for &e in batch {
             assert!(
-                !self.arrived[e.index()],
+                !std::mem::replace(&mut self.arrived[e.index()], true),
                 "entity {e:?} ingested twice into the incremental collection"
             );
-            self.arrived[e.index()] = true;
-            self.dataset
-                .for_each_blocking_token(e, &mut buffers, |tok| asg.push_key(tok));
-            asg.seal_entity();
+            additions.extend(self.slots_of(e).iter().map(|&s| (s, e)));
         }
         self.num_arrived += batch.len();
-        let (keys, syms, ends) = asg.into_parts();
-        self.keys = keys;
-        self.blocks.resize_with(self.keys.len(), KeyBlock::default);
-
-        // 2. Group the batch assignments by symbol (a sort, not a hash
-        //    map — deterministic and slab-friendly) and merge each run
-        //    into its sorted member list. Each entity keeps its own keys
-        //    in key-string order: the order its sweeps visit them in.
-        let mut additions: Vec<(Symbol, EntityId)> = Vec::with_capacity(syms.len());
-        let mut start = 0usize;
-        for (&e, &end) in batch.iter().zip(&ends) {
-            let run = &syms[start..end as usize];
-            additions.extend(run.iter().map(|&s| (s, e)));
-            let mut own = run.to_vec();
-            own.sort_unstable_by(|&a, &b| self.keys.resolve(a).cmp(self.keys.resolve(b)));
-            self.keys_of[e.index()] = own;
-            start = end as usize;
-        }
         additions.sort_unstable();
 
         let mut touched: Vec<Symbol> = Vec::new();
         let mut newly_present: Vec<Symbol> = Vec::new();
         let mut grown: Vec<EntityId> = Vec::new();
-        let mut scratch = KbScratch::new(self.num_kbs);
+        let mut scratch = KbScratch::new(self.dataset.kbs().len());
         let mut run: Vec<EntityId> = Vec::new();
-        let mut i = 0usize;
-        while i < additions.len() {
-            let sym = additions[i].0;
+        for group in additions.chunk_by(|a, b| a.0 == b.0) {
+            let sym = group[0].0;
             run.clear();
-            while i < additions.len() && additions[i].0 == sym {
-                run.push(additions[i].1);
-                i += 1;
-            }
+            run.extend(group.iter().map(|&(_, e)| e));
             let block = &mut self.blocks[sym.index()];
             let was_present = block.comparisons > 0;
             merge_sorted_into(&mut block.members, &run);
@@ -269,30 +236,25 @@ impl<'d> IncrementalCollection<'d> {
             self.total_assignments += joined.len() as u64;
             grown.extend_from_slice(joined);
         }
-        self.unordered.extend_from_slice(&newly_present);
+        self.present += newly_present.len();
         (touched, newly_present, grown)
     }
 
-    /// Builds the merged-corpus [`BlockCollection`] from the per-key
-    /// slabs: the present symbols in key-string order, sharing a clone of
-    /// the persistent interner. Logically identical to running
-    /// `builders::token_blocking` over the arrived entities (key
-    /// strings, members, comparisons — symbols may differ because the
-    /// interners assign them in arrival order). `O(corpus)`; see the
-    /// [module docs](self) for who should call it.
-    pub fn snapshot(&mut self, threads: usize) -> BlockCollection {
-        let keys = &self.keys;
-        let by_key = |a: &Symbol, b: &Symbol| keys.resolve(*a).cmp(keys.resolve(*b));
-        self.unordered.sort_unstable_by(by_key);
-        merge_sorted_by_into(&mut self.order, &self.unordered, by_key);
-        self.unordered.clear();
-
-        let mut block_offsets = Vec::with_capacity(self.order.len() + 1);
+    /// Builds the merged-corpus [`BlockCollection`]: the present slots in
+    /// ascending (key-string) order over the universe interner, logically
+    /// identical to `builders::token_blocking` over the arrived entities
+    /// (symbols aside). `O(corpus)`; see the [module docs](self).
+    pub fn snapshot(&self, threads: usize) -> BlockCollection {
+        let mut block_keys = Vec::with_capacity(self.present);
+        let mut block_offsets = Vec::with_capacity(self.present + 1);
         block_offsets.push(0u32);
         let mut block_entities: Vec<EntityId> = Vec::with_capacity(self.total_assignments as usize);
-        let mut comparisons = Vec::with_capacity(self.order.len());
-        for &s in &self.order {
-            let block = &self.blocks[s.index()];
+        let mut comparisons = Vec::with_capacity(self.present);
+        for (block, &key) in self.blocks.iter().zip(&self.slot_keys) {
+            if block.comparisons == 0 {
+                continue;
+            }
+            block_keys.push(key);
             block_entities.extend_from_slice(&block.members);
             block_offsets.push(
                 u32::try_from(block_entities.len()).expect("block slab exceeds u32::MAX entries"),
@@ -301,13 +263,13 @@ impl<'d> IncrementalCollection<'d> {
         }
         BlockCollection::finish(
             self.mode,
-            Arc::new(self.keys.clone()),
-            self.order.clone(),
+            Arc::clone(&self.keys),
+            block_keys,
             block_offsets,
             block_entities,
             comparisons,
             self.kb_of.clone(),
-            self.num_kbs,
+            self.dataset.kbs().len(),
             threads,
         )
     }
@@ -334,7 +296,7 @@ impl<'d> IncrementalCollection<'d> {
 
     /// Number of currently-present blocks.
     pub fn num_blocks(&self) -> usize {
-        self.order.len() + self.unordered.len()
+        self.present
     }
 
     /// Σ member counts over the present blocks (the "block assignments"
@@ -343,20 +305,24 @@ impl<'d> IncrementalCollection<'d> {
         self.total_assignments
     }
 
-    /// The string of key `s`.
+    /// The string of slot `s`'s key.
     pub fn key_str(&self, s: Symbol) -> &str {
-        self.keys.resolve(s)
+        self.keys.resolve(self.slot_keys[s.index()])
     }
 
-    /// The distinct blocking-key symbols of an arrived entity, in
-    /// key-string order (empty until `e` arrives). Symbols are stable
-    /// across batches, so this slice never changes after arrival.
+    /// The slots of an arrived entity's keys, ascending (key-string order)
+    /// — only the keys another description shares have one; empty until
+    /// `e` arrives, and never changed after.
     pub fn entity_keys(&self, e: EntityId) -> &[Symbol] {
-        &self.keys_of[e.index()]
+        if self.arrived[e.index()] {
+            self.slots_of(e)
+        } else {
+            &[]
+        }
     }
 
-    /// The arrived members of key `s`'s block, sorted ascending — empty
-    /// unless the key currently forms a block (≥ 1 comparison under the
+    /// The arrived members of slot `s`'s block, sorted ascending — empty
+    /// unless the slot currently forms a block (≥ 1 comparison under the
     /// ER mode), exactly the blocks a snapshot would contain.
     pub fn key_members(&self, s: Symbol) -> &[EntityId] {
         match self.blocks.get(s.index()) {
@@ -365,10 +331,17 @@ impl<'d> IncrementalCollection<'d> {
         }
     }
 
+    /// Entity `e`'s slot run, arrived or not.
+    #[inline]
+    fn slots_of(&self, e: EntityId) -> &[Symbol] {
+        let i = e.index();
+        &self.slots[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
     /// The present blocks containing `e`, in key-string order.
     #[inline]
     fn present_blocks(&self, e: EntityId) -> impl Iterator<Item = &KeyBlock> + '_ {
-        self.keys_of[e.index()]
+        self.entity_keys(e)
             .iter()
             .map(move |s| &self.blocks[s.index()])
             .filter(|block| block.comparisons > 0)
@@ -418,7 +391,20 @@ impl BlockView for IncrementalCollection<'_> {
 mod tests {
     use super::*;
     use crate::builders::token_blocking;
+    use crate::KeyAssignments;
     use minoan_datagen::{generate, profiles};
+    use minoan_rdf::tokenize::TokenBuffers;
+    use minoan_rdf::DatasetBuilder;
+
+    /// One KB, one description per value, each a `label` literal.
+    fn corpus(values: &[&str]) -> Dataset {
+        let mut b = DatasetBuilder::new();
+        let kb = b.add_kb("kb", "http://kb/");
+        for (i, value) in values.iter().enumerate() {
+            b.add_literal(kb, &format!("http://kb/{i}"), "http://p/label", value);
+        }
+        b.build()
+    }
 
     /// `token_blocking` restricted to the arrived subset: same dataset
     /// (same entity ids and KB partition), empty key runs for entities
@@ -572,7 +558,7 @@ mod tests {
     #[test]
     fn empty_collection_snapshots_empty() {
         let g = generate(&profiles::center_dense(30, 2));
-        let mut inc = IncrementalCollection::new(&g.dataset, ErMode::CleanClean);
+        let inc = IncrementalCollection::new(&g.dataset, ErMode::CleanClean);
         let snap = inc.snapshot(1);
         assert!(snap.is_empty());
         assert_eq!(snap.num_entities(), g.dataset.len());
@@ -675,5 +661,52 @@ mod tests {
         inc.ingest(&all, 4);
         let expect = token_blocking(ds, ErMode::CleanClean);
         assert_same(&inc.snapshot(4), &expect, "single batch");
+    }
+
+    #[test]
+    fn slots_are_fixed_at_construction_in_key_string_order() {
+        // Tokens first seen zulu, mike, alpha; `solo` is unshared: no slot.
+        let ds = corpus(&[
+            "zulu mike alpha solo",
+            "zulu mike alpha",
+            "zulu mike",
+            "zulu",
+        ]);
+        let mut inc = IncrementalCollection::new(&ds, ErMode::Dirty);
+        let space = |inc: &IncrementalCollection<'_>| {
+            let slots = 0..inc.slot_keys.len() as u32;
+            let strs: Vec<String> = slots.map(|s| inc.key_str(Symbol(s)).into()).collect();
+            (inc.keys.len(), strs)
+        };
+        let before = space(&inc);
+        assert_eq!(before.1, ["alpha", "mike", "zulu"]);
+        assert!(inc.entity_keys(EntityId(0)).is_empty(), "not arrived yet");
+        for batch in [&[2, 0][..], &[3], &[1]] {
+            let batch: Vec<EntityId> = batch.iter().map(|&e| EntityId(e)).collect();
+            let touched = inc.ingest(&batch, 1).touched_blocks;
+            assert!(touched.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(space(&inc), before, "an ingest interns or renames nothing");
+        }
+        // Ascending slots, so ascending key strings too.
+        assert_eq!(
+            inc.entity_keys(EntityId(0)),
+            [Symbol(0), Symbol(1), Symbol(2)]
+        );
+        assert_eq!(inc.key_members(Symbol(2)).len(), 4);
+    }
+
+    #[test]
+    fn empty_and_unshared_universes_build_and_ingest() {
+        for values in [&[][..], &["alpha beta", "gamma", "delta epsilon"]] {
+            let ds = corpus(values);
+            let mut inc = IncrementalCollection::new(&ds, ErMode::Dirty);
+            let all: Vec<EntityId> = ds.entities().collect();
+            assert!(inc.slot_keys.is_empty() && inc.ingest(&all, 1).dirty.is_empty());
+            assert_same(
+                &inc.snapshot(1),
+                &token_blocking(&ds, ErMode::Dirty),
+                "unshared",
+            );
+        }
     }
 }

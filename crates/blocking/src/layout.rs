@@ -238,18 +238,6 @@ pub(crate) fn merge_counts(per_range: &[Vec<u32>], num_cols: usize) -> Vec<u32> 
 /// two runs are kept (the incremental path never produces any — an
 /// entity arrives exactly once).
 pub(crate) fn merge_sorted_into<T: Ord + Copy>(dst: &mut Vec<T>, add: &[T]) {
-    merge_sorted_by_into(dst, add, T::cmp);
-}
-
-/// [`merge_sorted_into`] under an explicit total order — used by the
-/// incremental collection to merge newly-present blocks into the
-/// key-string block order, where the sort key (the resolved string) is
-/// not the element itself.
-pub(crate) fn merge_sorted_by_into<T: Copy>(
-    dst: &mut Vec<T>,
-    add: &[T],
-    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
-) {
     if add.is_empty() {
         return;
     }
@@ -257,7 +245,7 @@ pub(crate) fn merge_sorted_by_into<T: Copy>(
     dst.extend_from_slice(add);
     // Pure append (everything new sorts after everything old): the
     // extend already produced the merged order.
-    if old == 0 || cmp(&dst[old - 1], &add[0]) != std::cmp::Ordering::Greater {
+    if old == 0 || dst[old - 1] <= add[0] {
         return;
     }
     // Backward merge: read the old run in place, the added run from the
@@ -267,7 +255,7 @@ pub(crate) fn merge_sorted_by_into<T: Copy>(
     let mut j = add.len();
     let mut k = dst.len();
     while i > 0 && j > 0 {
-        if cmp(&dst[i - 1], &add[j - 1]) == std::cmp::Ordering::Greater {
+        if dst[i - 1] > add[j - 1] {
             dst[k - 1] = dst[i - 1];
             i -= 1;
         } else {
@@ -403,14 +391,6 @@ mod tests {
             expect.sort_unstable();
             assert_eq!(dst, expect, "dst={dst0:?} add={add:?}");
         }
-    }
-
-    #[test]
-    fn merge_sorted_by_into_uses_the_comparator() {
-        // Descending order via a flipped comparator.
-        let mut dst = vec![9u32, 5, 1];
-        merge_sorted_by_into(&mut dst, &[8, 4, 0], |a, b| b.cmp(a));
-        assert_eq!(dst, vec![9, 8, 5, 4, 1, 0]);
     }
 
     #[test]

@@ -55,13 +55,10 @@
 //! * [`collection`] — the [`BlockCollection`] representation shared with
 //!   meta-blocking (CSR slabs, per-entity block lists, comparison
 //!   counting for dirty and clean–clean ER).
-//! * [`delta`] — the updatable arm: [`delta::IncrementalCollection`]
-//!   maintains the token-blocking state under batched arrivals by
-//!   delta-appending sorted member runs per interned key (comparisons,
-//!   reciprocals and block counts refreshed only for touched keys),
-//!   reports the dirty block/entity sets the meta-blocking delta-sweep
-//!   consumes, and is swept in place through [`BlockView`] — no
-//!   collection is materialised per ingest.
+//! * [`delta`] — the updatable arm: [`delta::IncrementalCollection`],
+//!   token blocking over one universe token pass, delta-appended per
+//!   arrival batch, reporting the dirty sets the meta-blocking
+//!   delta-sweep consumes and swept in place through [`BlockView`].
 //! * `layout` *(crate-internal)* — the counting-sort CSR transpose every
 //!   construction path is built on, plus the backward sorted-merge
 //!   delta-append primitive.

@@ -9,10 +9,11 @@
 //! index shared with `minoan_metablocking::IncrementalSession`, the
 //! delta-sweep meta-blocking session). Each arrival
 //!
-//! 1. is absorbed into the incremental collection — tokenised through
-//!    the same string-free `KeyAssignments` path as the batch builders
-//!    and delta-merged into the per-key sorted member slabs (no private
-//!    inverted index, no re-tokenisation of what already arrived),
+//! 1. is absorbed into the incremental collection — its key run, fixed
+//!    by the one universe token pass the collection takes when the
+//!    resolver is built, is delta-merged into the per-key sorted member
+//!    slabs (no private inverted index, and no tokenising or interning
+//!    per arrival),
 //! 2. generates candidates among the *already arrived* descriptions by
 //!    counting block co-occurrences (incremental CBS weighting) — the
 //!    co-occurrence list is collected from the sorted member slabs and

@@ -7,9 +7,10 @@
 //! comparison set must stay current at a cost that follows the batch,
 //! not the corpus. Each [`IncrementalSession::ingest`] call
 //!
-//! 1. tokenises the batch through the same string-free
-//!    `KeyAssignments` path the batch builders use and delta-appends the
-//!    new member runs into the [`IncrementalCollection`] slabs,
+//! 1. delta-appends the batch's key runs into the
+//!    [`IncrementalCollection`] slabs — runs the collection took from one
+//!    token pass over the whole universe when the session was built, so
+//!    an ingest tokenises, interns and string-sorts nothing,
 //! 2. takes the resulting *dirty sets* — the touched blocks, their
 //!    members, and the entities whose block lists grew,
 //! 3. runs a **delta-sweep** directly on those live slabs (through
@@ -249,7 +250,9 @@ fn stale(weigher: Weigher, weighed: u64, version: u64) -> bool {
 
 impl<'d> IncrementalSession<'d> {
     /// An empty session over `dataset` (no entity has arrived yet) with
-    /// the [`Session`](crate::Session) defaults: ARCS-weighted WNP.
+    /// the [`Session`](crate::Session) defaults: ARCS-weighted WNP. The
+    /// whole universe is tokenised here, once
+    /// ([`IncrementalCollection::new`]).
     pub fn new(dataset: &'d Dataset, mode: ErMode) -> Self {
         let n = dataset.len();
         Self {
@@ -306,7 +309,7 @@ impl<'d> IncrementalSession<'d> {
     /// The merged corpus as a [`BlockCollection`], built anew on every
     /// call (`O(corpus)`) — for exports and the equivalence suites; no
     /// path of the session needs it.
-    pub fn snapshot(&mut self) -> BlockCollection {
+    pub fn snapshot(&self) -> BlockCollection {
         let threads = self.threads();
         self.collection.snapshot(threads)
     }
@@ -348,8 +351,8 @@ impl<'d> IncrementalSession<'d> {
         Weigher::of(self.scheme, &self.pruning)
     }
 
-    /// Ingests a batch of not-yet-arrived descriptions: tokenise,
-    /// delta-append the block slabs, and patch the row cache by
+    /// Ingests a batch of not-yet-arrived descriptions: delta-append
+    /// their key runs into the block slabs, and patch the row cache by
     /// re-sweeping — on the live slabs, no snapshot — only the entities
     /// whose incident statistics can have changed (see the
     /// [module docs](self) for the sets).
