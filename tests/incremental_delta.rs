@@ -328,7 +328,8 @@ fn live_view_accumulates_arcs_in_key_string_order() {
     let (scheme, pruning) = (WeightingScheme::Arcs, Pruning::Wnp { reciprocal: false });
     let mut inc = IncrementalSession::new(&ds, ErMode::Dirty);
     inc.scheme(scheme).pruning(pruning);
-    // Entity 0 arrives alone, so its token order fixes the symbols.
+    // The token pass meets zulu, mike, alpha in that order; entity 0
+    // arrives alone, and its blocks must still be visited alpha first.
     for batch in [&[0u32][..], &[1, 2], &[3, 4]] {
         let batch: Vec<EntityId> = batch.iter().map(|&e| EntityId(e)).collect();
         assert!(inc.ingest(&batch).delta);
