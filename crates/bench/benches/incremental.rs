@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the incremental resolver: per-arrival
 //! cost across arrival orders (E11's latency companion), the
-//! `serve_churn` writer's ingest with and without reads between ingests,
-//! and the reads that follow an ingest.
+//! `serve_churn` session's setup, its writer's ingest with and without
+//! reads between ingests, and the reads that follow an ingest.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use minoan_blocking::ErMode;
@@ -81,6 +81,8 @@ impl<'d> Feed<'d> {
 ///   ingest. The second row first resolves 250 uniformly drawn arrived
 ///   entities, untimed: the reads one 250 ms writer interval at
 ///   1000 req/s puts between two ingests, which leave rows folded.
+/// * `setup/preload` times `Feed::new`: the session's construction — the
+///   universe token pass — plus the two-thirds preload ingest.
 /// * `resolve-64/after-ingest` times the readers: each iteration ingests
 ///   the next batch, untimed, then resolves 64 uniformly drawn arrived
 ///   entities — the first reads of a version, which fold the mirror tails
@@ -93,6 +95,13 @@ fn bench_serve_churn(c: &mut Criterion) {
     let world = generate(&config);
     let mut order: Vec<EntityId> = world.dataset.entities().collect();
     order.shuffle(&mut StdRng::seed_from_u64(11));
+
+    let mut group = c.benchmark_group("setup");
+    group.sample_size(10);
+    group.bench_function("preload", |b| {
+        b.iter(|| Feed::new(&world.dataset, &order).arrived)
+    });
+    group.finish();
 
     let mut group = c.benchmark_group("ingest-64");
     group.sample_size(10);

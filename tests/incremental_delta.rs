@@ -392,15 +392,20 @@ fn delta_locality_is_decided_once_for_sessions_and_caches() {
         for scheme in WeightingScheme::ALL {
             for pruning in FAMILIES {
                 let label = format!("{scheme:?}/{pruning:?}");
+                let local = locally_invalidatable(scheme, pruning);
                 let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
                 inc.scheme(scheme).pruning(pruning).workers(2);
                 inc.ingest(first);
                 for (i, batch) in rest.chunks(batch).enumerate() {
                     let label = format!("{label}, batch {i}");
-                    let before: Vec<_> = ids.iter().map(|&e| inc.resolve_entity(e)).collect();
+                    let before: Vec<_> = if local {
+                        ids.iter().map(|&e| inc.resolve_entity(e)).collect()
+                    } else {
+                        Vec::new()
+                    };
                     let report = inc.ingest(batch);
                     assert!(report.delta, "{label}: {report:?}");
-                    if locally_invalidatable(scheme, pruning) {
+                    if local {
                         let dirty = inc.last_dirty().to_vec();
                         for old in &before {
                             let e = old.entity;
