@@ -126,8 +126,7 @@ impl KeyAssignments {
     /// key-string order. Returns `(keys, order, offsets, slots)`:
     /// `order[slot]` is the slot's symbol in `keys`, and entity `e`'s
     /// slots are `slots[offsets[e]..offsets[e + 1]]`, in its run's symbol
-    /// order.
-    /// Counting is entity-range parallel with an additive merge, so
+    /// order. Counting is entity-range parallel with an additive merge, so
     /// thread-count independent. A key's first eight bytes ride along as
     /// a big-endian integer: they order most pairs without a look at the
     /// arena, and a tie falls back to the strings themselves.
