@@ -1,9 +1,9 @@
 //! Criterion benches for the blocking layer (supports E2).
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use minoan_blocking::builders::{token_pass, TokenKeys};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use minoan_blocking::builders::TokenKeys;
 use minoan_blocking::{
-    builders, filter, purge, BlockCollection, CanopyConfig, ErMode, LshConfig, Method,
+    builders, filter, purge, BlockCollection, CanopyConfig, Corpus, ErMode, LshConfig, Method,
 };
 use minoan_common::default_threads;
 use minoan_datagen::{generate, profiles};
@@ -65,11 +65,12 @@ fn bench_blocker_families(c: &mut Criterion) {
     group.finish();
 }
 
-/// The one token pass and what each of its two readers adds to it, on the
-/// `batch_lod` world (`lod_cloud(5000, 101)`: 16 439 descriptions, 290 525
-/// value tokens). `Pipeline::run` pays `token-pass` once, then
-/// `from-assignments` beside `matcher-build/from-pass`; the staged
-/// composition pays `token-pass` inside the block build and again inside
+/// The one corpus and what each of its two batch readers adds to it, on
+/// the `batch_lod` world (`lod_cloud(5000, 101)`: 16 439 descriptions,
+/// 290 525 value tokens). `Pipeline::run` builds the corpus once
+/// (`token-pass`: the pass and its slot numbering), then builds
+/// `from-corpus` beside `matcher-build/from-corpus`; the staged
+/// composition builds a corpus inside the block build and another inside
 /// `matcher-build/standalone`.
 fn bench_token_pass(c: &mut Criterion) {
     let world = generate(&profiles::lod_cloud(5000, 101));
@@ -78,22 +79,12 @@ fn bench_token_pass(c: &mut Criterion) {
     group.sample_size(10);
     for threads in [1usize, 2] {
         group.bench_function(format!("lod-5k/threads-{threads}"), |b| {
-            b.iter(|| black_box(token_pass(ds, TokenKeys::Both, threads)));
+            b.iter(|| black_box(Corpus::new(ds, TokenKeys::Both, threads)));
         });
     }
-    group.bench_function("lod-5k/from-assignments", |b| {
-        b.iter_batched(
-            || token_pass(ds, TokenKeys::Both, 1),
-            |pass| {
-                black_box(BlockCollection::from_assignments_with_threads(
-                    ds,
-                    ErMode::CleanClean,
-                    pass,
-                    1,
-                ))
-            },
-            BatchSize::LargeInput,
-        );
+    let corpus = Corpus::new(ds, TokenKeys::Both, 1);
+    group.bench_function("lod-5k/from-corpus", |b| {
+        b.iter(|| black_box(BlockCollection::from_corpus(&corpus, ErMode::CleanClean, 1)));
     });
     group.finish();
 
@@ -102,15 +93,8 @@ fn bench_token_pass(c: &mut Criterion) {
     group.bench_function("lod-5k/standalone", |b| {
         b.iter(|| black_box(Matcher::new(ds, MatcherConfig::default())));
     });
-    let pass = token_pass(ds, TokenKeys::Both, 1);
-    group.bench_function("lod-5k/from-pass", |b| {
-        b.iter(|| {
-            black_box(Matcher::from_token_pass(
-                ds,
-                &pass,
-                MatcherConfig::default(),
-            ))
-        });
+    group.bench_function("lod-5k/from-corpus", |b| {
+        b.iter(|| black_box(Matcher::from_corpus(&corpus, MatcherConfig::default())));
     });
     group.finish();
 }

@@ -4,7 +4,8 @@
 //! reads between ingests, and the reads that follow an ingest.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use minoan_blocking::ErMode;
+use minoan_blocking::builders::TokenKeys;
+use minoan_blocking::{Corpus, ErMode};
 use minoan_datagen::{generate, profiles, ArrivalOrder};
 use minoan_er::{IncrementalConfig, IncrementalResolver, Matcher, MatcherConfig};
 use minoan_metablocking::{IncrementalSession, Pruning, WeightingScheme};
@@ -13,10 +14,12 @@ use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::cell::RefCell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_arrivals(c: &mut Criterion) {
     let world = generate(&profiles::center_dense(300, 42));
-    let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
+    let corpus = Arc::new(Corpus::new(&world.dataset, TokenKeys::Values, 1));
+    let matcher = Matcher::from_corpus(&corpus, MatcherConfig::default());
     for order in [
         ArrivalOrder::Shuffled { seed: 7 },
         ArrivalOrder::KbSequential,
@@ -24,7 +27,10 @@ fn bench_arrivals(c: &mut Criterion) {
         let stream = order.order(&world.dataset, &world.truth);
         c.bench_function(format!("incremental/full stream ({})", order.name()), |b| {
             b.iter_batched(
-                || IncrementalResolver::new(&world.dataset, &matcher, IncrementalConfig::default()),
+                || {
+                    let config = IncrementalConfig::default();
+                    IncrementalResolver::from_corpus(Arc::clone(&corpus), &matcher, config)
+                },
                 |mut resolver| {
                     resolver.arrive_all(stream.iter().copied());
                     resolver.comparisons()
@@ -62,7 +68,8 @@ struct Feed<'d> {
 impl<'d> Feed<'d> {
     fn new(dataset: &'d Dataset, order: &[EntityId]) -> Self {
         let arrived = order.len() * 667 / 1000;
-        let mut session = IncrementalSession::new(dataset, ErMode::CleanClean);
+        let corpus = Arc::new(Corpus::new(dataset, TokenKeys::Values, 1));
+        let mut session = IncrementalSession::from_corpus(corpus, ErMode::CleanClean);
         session
             .scheme(WeightingScheme::Js)
             .pruning(Pruning::Wnp { reciprocal: false })
@@ -82,7 +89,8 @@ impl<'d> Feed<'d> {
 ///   entities, untimed: the reads one 250 ms writer interval at
 ///   1000 req/s puts between two ingests, which leave rows folded.
 /// * `setup/preload` times `Feed::new`: the session's construction — the
-///   universe token pass — plus the two-thirds preload ingest.
+///   universe corpus, its token pass on the one worker — plus the
+///   two-thirds preload ingest.
 /// * `resolve-64/after-ingest` times the readers: each iteration ingests
 ///   the next batch, untimed, then resolves 64 uniformly drawn arrived
 ///   entities — the first reads of a version, which fold the mirror tails

@@ -5,7 +5,8 @@
 //! incremental resolver, the oracle scheduling bounds, and the composite
 //! matching rules.
 
-use minoan_blocking::{CanopyConfig, ErMode, LshConfig, Method};
+use minoan_blocking::builders::TokenKeys;
+use minoan_blocking::{CanopyConfig, Corpus, ErMode, LshConfig, Method};
 use minoan_common::default_threads;
 use minoan_datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan_er::{
@@ -18,6 +19,7 @@ use minoan_eval::{metrics, plot, Table};
 use minoan_metablocking::{blast, Perceptron, Pruning, Session, TrainingSet, WeightingScheme};
 use minoan_rdf::EntityId;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 fn pair_quality(world: &GeneratedWorld, pairs: &[(EntityId, EntityId)]) -> (f64, f64) {
     let found = pairs
@@ -155,7 +157,13 @@ pub fn exp10_metablocking_extensions(scale: usize, seed: u64) -> String {
 /// work, across realistic arrival shapes.
 pub fn exp11_incremental(scale: usize, seed: u64) -> String {
     let world = generate(&profiles::center_dense(scale, seed));
-    let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
+    // One value-token corpus for the matchers and every resolver.
+    let corpus = Arc::new(Corpus::new(
+        &world.dataset,
+        TokenKeys::Values,
+        default_threads(),
+    ));
+    let matcher = Matcher::from_corpus(&corpus, MatcherConfig::default());
     let mut table = Table::new(vec![
         "arrival order",
         "comparisons",
@@ -164,8 +172,9 @@ pub fn exp11_incremental(scale: usize, seed: u64) -> String {
         "clusters",
     ]);
     for order in ArrivalOrder::all(seed) {
+        let corpus = Arc::clone(&corpus);
         let mut resolver =
-            IncrementalResolver::new(&world.dataset, &matcher, IncrementalConfig::default());
+            IncrementalResolver::from_corpus(corpus, &matcher, IncrementalConfig::default());
         resolver.arrive_all(order.order(&world.dataset, &world.truth));
         let pairs: Vec<_> = resolver.matches().iter().map(|&(a, b, _)| (a, b)).collect();
         let q = metrics::match_quality(&world.truth, &pairs);
@@ -181,7 +190,7 @@ pub fn exp11_incremental(scale: usize, seed: u64) -> String {
     let pairs = super::experiments::candidate_pairs_public(&world, ErMode::CleanClean);
     let res = ProgressiveResolver::new(
         &world.dataset,
-        Matcher::new(&world.dataset, MatcherConfig::default()),
+        Matcher::from_corpus(&corpus, MatcherConfig::default()),
         ResolverConfig::default(),
     )
     .run(&pairs);

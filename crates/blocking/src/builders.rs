@@ -9,19 +9,20 @@
 //! (through [`KeyAssignments`]) instead of accumulating a
 //! `HashMap<String, Vec<EntityId>>` of owned groups, and the collection is
 //! assembled by the counting-sort CSR build
-//! ([`BlockCollection::from_assignments`]). URI keys live in a disjoint
+//! ([`BlockCollection::from_corpus`]). URI keys live in a disjoint
 //! `uri:` symbol namespace composed without a `format!` per token.
 //!
 //! # One token pass
 //!
-//! [`token_pass`] is the only place a description is reduced to tokens:
-//! the three token builders are that pass under a [`TokenKeys`] selection
-//! fed to `from_assignments`, and the matcher of `minoan_er` reads the
-//! value-token runs of the same [`KeyAssignments`] — so a pipeline that
-//! blocks by tokens tokenises and interns every description once.
+//! [`token_pass`] is the only place a description is reduced to tokens,
+//! and [`Corpus::new`] its one product caller: the three token builders
+//! are a corpus under a [`TokenKeys`] selection fed to
+//! [`BlockCollection::from_corpus`]. The matcher and the incremental
+//! collection read a corpus too ([`crate::corpus`]).
 
 use crate::canopy::{canopy_blocking, CanopyConfig};
 use crate::collection::{BlockCollection, ErMode, KeyAssignments};
+use crate::corpus::Corpus;
 use crate::layout::split_rows;
 use crate::lsh::{minhash_lsh_blocking, LshConfig};
 use crate::qgrams::{extended_qgram_blocking, qgram_blocking};
@@ -161,7 +162,7 @@ pub fn token_pass(dataset: &Dataset, keys: TokenKeys, threads: usize) -> KeyAssi
     token_pass_over(dataset, keys, &split_rows(&cost_ends, threads))
 }
 
-/// The blocks of the token pass under `keys`, pass and CSR build both on
+/// The blocks of a [`Corpus`] under `keys`, pass and CSR build both on
 /// `threads` workers; the result does not depend on `threads`.
 /// [`token_blocking`], [`uri_infix_blocking`] and
 /// [`token_and_uri_blocking`] are this on [`default_threads`].
@@ -171,8 +172,7 @@ pub fn token_blocking_with_threads(
     keys: TokenKeys,
     threads: usize,
 ) -> BlockCollection {
-    let pass = token_pass(dataset, keys, threads);
-    BlockCollection::from_assignments_with_threads(dataset, mode, pass, threads)
+    BlockCollection::from_corpus(&Corpus::new(dataset, keys, threads), mode, threads)
 }
 
 /// Token blocking: one block per distinct token appearing in any attribute

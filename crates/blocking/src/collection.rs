@@ -17,7 +17,9 @@
 //! purging/filtering share the interner (`Arc`) and remap ids instead of
 //! rebuilding — see [`crate::purge`] and [`crate::filter`].
 
-use crate::layout::{count_cols_per_range, merge_counts, split_rows, transpose_csr};
+use crate::corpus::Corpus;
+pub use crate::corpus::KeyAssignments;
+use crate::layout::{split_rows, transpose_csr};
 use minoan_common::{FxHashSet, Interner, Symbol};
 use minoan_rdf::{Dataset, EntityId};
 use std::fmt;
@@ -79,200 +81,6 @@ impl BlockRef<'_> {
     /// Whether the block has no members (never true after construction).
     pub fn is_empty(&self) -> bool {
         self.entities.is_empty()
-    }
-}
-
-/// Per-entity interned blocking keys — the string-free input of
-/// [`BlockCollection::from_assignments`], and what the token pass
-/// ([`crate::builders::token_pass`]) returns.
-///
-/// Builders visit entities in ascending id order, push one interned
-/// [`Symbol`] per raw token (interning happens *during* tokenisation, so
-/// no `String` per token occurrence is ever accumulated), and call
-/// [`Self::seal_entity`] once per entity; sealing sorts and dedups the
-/// entity's run in place.
-///
-/// A key pushed through [`Self::push_key_prefixed`] is recorded as
-/// *namespaced* (`uri:…`, `c3:…`); one pushed through [`Self::push_key`]
-/// is a plain value token. A reader that wants the value tokens only —
-/// the matcher — skips the namespaced symbols of a run.
-#[derive(Default)]
-pub struct KeyAssignments {
-    keys: Interner,
-    syms: Vec<Symbol>,
-    /// `ends[e]` = end of entity `e`'s (sealed) run in `syms`.
-    ends: Vec<u32>,
-    /// `namespaced[s]`: symbol `s` was pushed with a prefix. Grown on
-    /// demand, so a symbol past its end is plain.
-    namespaced: Vec<bool>,
-}
-
-impl KeyAssignments {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-sizes the per-entity run table for `entities` entities.
-    pub fn with_capacity(entities: usize) -> Self {
-        Self {
-            ends: Vec::with_capacity(entities),
-            ..Self::default()
-        }
-    }
-
-    /// The sealed runs restricted to the keys at least two runs share —
-    /// the only keys that can form a block — numbered as *slots* in
-    /// key-string order. Returns `(keys, order, offsets, slots)`:
-    /// `order[slot]` is the slot's symbol in `keys`, and entity `e`'s
-    /// slots are `slots[offsets[e]..offsets[e + 1]]`, in its run's symbol
-    /// order. Counting is entity-range parallel with an additive merge, so
-    /// thread-count independent. A key's first eight bytes ride along as
-    /// a big-endian integer: they order most pairs without a look at the
-    /// arena, and a tie falls back to the strings themselves.
-    pub(crate) fn into_slots(
-        self,
-        threads: usize,
-    ) -> (Interner, Vec<Symbol>, Vec<u32>, Vec<Symbol>) {
-        let Self {
-            keys, syms, ends, ..
-        } = self;
-        let k = keys.len();
-        let counts = merge_counts(
-            &count_cols_per_range(&ends, &syms, k, &split_rows(&ends, threads)),
-            k,
-        );
-        let mut order: Vec<(u64, Symbol)> = (0..k as u32)
-            .map(Symbol)
-            .filter(|s| counts[s.index()] >= 2)
-            .map(|s| {
-                let key = keys.resolve(s).as_bytes();
-                let mut head = [0u8; 8];
-                let len = key.len().min(8);
-                head[..len].copy_from_slice(&key[..len]);
-                (u64::from_be_bytes(head), s)
-            })
-            .collect();
-        order.sort_unstable_by(|&(head_a, a), &(head_b, b)| {
-            head_a
-                .cmp(&head_b)
-                .then_with(|| keys.resolve(a).cmp(keys.resolve(b)))
-        });
-        let mut slot_of = vec![Symbol(u32::MAX); k];
-        for (slot, &(_, s)) in order.iter().enumerate() {
-            slot_of[s.index()] = Symbol(slot as u32);
-        }
-        let mut slots = Vec::with_capacity(syms.len());
-        let mut offsets = Vec::with_capacity(ends.len() + 1);
-        offsets.push(0u32);
-        let mut start = 0usize;
-        for &end in &ends {
-            let run = syms[start..end as usize].iter().map(|s| slot_of[s.index()]);
-            slots.extend(run.filter(|&slot| slot.0 != u32::MAX));
-            offsets.push(slots.len() as u32);
-            start = end as usize;
-        }
-        let order = order.into_iter().map(|(_, s)| s).collect();
-        (keys, order, offsets, slots)
-    }
-
-    /// Interns `key` and assigns it to the current entity.
-    #[inline]
-    pub fn push_key(&mut self, key: &str) {
-        let sym = self.keys.intern(key);
-        self.syms.push(sym);
-    }
-
-    /// Interns `{prefix}{key}` (namespaced key space, no `format!`
-    /// allocation) and assigns it to the current entity.
-    #[inline]
-    pub fn push_key_prefixed(&mut self, prefix: &str, key: &str) {
-        let sym = self.keys.intern_prefixed(prefix, key);
-        self.mark_namespaced(sym);
-        self.syms.push(sym);
-    }
-
-    fn mark_namespaced(&mut self, sym: Symbol) {
-        if self.namespaced.len() <= sym.index() {
-            self.namespaced.resize(sym.index() + 1, false);
-        }
-        self.namespaced[sym.index()] = true;
-    }
-
-    /// Seals the current entity: sorts and dedups its run. Must be called
-    /// exactly once per entity, in ascending entity-id order.
-    pub fn seal_entity(&mut self) {
-        let start = self.ends.last().copied().unwrap_or(0) as usize;
-        self.syms[start..].sort_unstable();
-        let mut w = start;
-        for r in start..self.syms.len() {
-            if w == start || self.syms[r] != self.syms[w - 1] {
-                self.syms[w] = self.syms[r];
-                w += 1;
-            }
-        }
-        self.syms.truncate(w);
-        self.push_end();
-    }
-
-    fn push_end(&mut self) {
-        self.ends
-            .push(u32::try_from(self.syms.len()).expect("more than u32::MAX assignments"));
-    }
-
-    /// Appends `tail` — the sealed runs of the entities that follow this
-    /// accumulator's, built over an interner of its own — as if they had
-    /// been pushed and sealed here: `tail`'s strings are interned in its
-    /// symbol order, i.e. in the order a continued serial pass would have
-    /// met them first, so every symbol gets the number that pass would
-    /// have given it; the runs are renumbered and sorted again.
-    pub(crate) fn append(&mut self, tail: KeyAssignments) {
-        let mut renumbered = Vec::with_capacity(tail.keys.len());
-        for (local, key) in tail.keys.iter() {
-            let sym = self.keys.intern(key);
-            if tail.is_namespaced(local) {
-                self.mark_namespaced(sym);
-            }
-            renumbered.push(sym);
-        }
-        self.syms.reserve(tail.syms.len());
-        self.ends.reserve(tail.ends.len());
-        for run in tail.runs() {
-            let start = self.syms.len();
-            self.syms.extend(run.iter().map(|s| renumbered[s.index()]));
-            self.syms[start..].sort_unstable();
-            self.push_end();
-        }
-    }
-
-    /// Number of sealed entities so far.
-    pub fn num_entities(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Number of (deduplicated) key assignments so far.
-    pub fn num_assignments(&self) -> usize {
-        self.syms.len()
-    }
-
-    /// The key strings, by symbol.
-    pub fn keys(&self) -> &Interner {
-        &self.keys
-    }
-
-    /// The sealed runs, one per sealed entity in entity order: each
-    /// ascending by symbol, without duplicates.
-    pub fn runs(&self) -> impl Iterator<Item = &[Symbol]> + '_ {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts
-            .zip(&self.ends)
-            .map(|(start, &end)| &self.syms[start as usize..end as usize])
-    }
-
-    /// Whether `sym` was pushed with a prefix (a `uri:` key, say) rather
-    /// than as a plain value token.
-    pub fn is_namespaced(&self, sym: Symbol) -> bool {
-        self.namespaced.get(sym.index()).copied().unwrap_or(false)
     }
 }
 
@@ -474,8 +282,8 @@ impl BlockCollection {
     /// The builders whose output is a set of groups by nature call it:
     /// sorted-neighbourhood windows, canopy clusters and the MapReduce
     /// token job's reduced blocks. Every blocker that keys each entity on
-    /// its own goes through the string-free [`Self::from_assignments`]
-    /// instead. Both produce identical collections for the same logical
+    /// its own goes through the string-free
+    /// [`Self::from_assignments_with_threads`] instead. Both produce identical collections for the same logical
     /// groups, so this is also the reference build the specification
     /// tests and unit fixtures state their expected blocks in.
     ///
@@ -524,47 +332,45 @@ impl BlockCollection {
         )
     }
 
-    /// Builds a collection from per-entity interned key assignments using
-    /// all available cores.
-    pub fn from_assignments(dataset: &Dataset, mode: ErMode, assignments: KeyAssignments) -> Self {
-        Self::from_assignments_with_threads(
-            dataset,
-            mode,
-            assignments,
-            minoan_common::default_threads(),
-        )
-    }
-
-    /// As [`Self::from_assignments`] with an explicit worker count. The
-    /// result is identical for every `threads` value (including 1): the
-    /// grouping is a two-pass counting sort over entity ranges in which
-    /// every slab position is precomputed from per-thread counts.
+    /// Builds a collection from per-entity interned key assignments on
+    /// `threads` workers, through a [`Corpus`] of them. The result is
+    /// identical for every `threads` value (including 1): the grouping is
+    /// a two-pass counting sort over entity ranges in which every slab
+    /// position is precomputed from per-thread counts.
     pub fn from_assignments_with_threads(
         dataset: &Dataset,
         mode: ErMode,
         assignments: KeyAssignments,
         threads: usize,
     ) -> Self {
+        let corpus = Corpus::from_assignments(dataset, assignments, threads.max(1));
+        Self::from_corpus(&corpus, mode, threads)
+    }
+
+    /// The blocks of `corpus`'s keys, built on `threads` workers; the
+    /// result does not depend on `threads`. Nothing is tokenised or
+    /// interned: the collection shares the corpus's interner.
+    pub fn from_corpus(corpus: &Corpus<'_>, mode: ErMode, threads: usize) -> Self {
+        let dataset = corpus.dataset();
         let n = dataset.len();
-        assert_eq!(
-            assignments.num_entities(),
-            n,
-            "assignments must seal every entity exactly once"
-        );
         let kb_of: Vec<u16> = (0..n as u32)
             .map(|e| dataset.kb_of(EntityId(e)).0)
             .collect();
         let num_kbs = dataset.kbs().len();
         let threads = threads.max(1);
 
-        // Pass 1 — blocks need ≥ 2 members to induce any comparison, so
-        // only the keys two runs share get a provisional block, ordered
-        // by key string exactly like the `from_groups` path.
-        let (keys, order, offsets, cols) = assignments.into_slots(threads);
-
-        // Pass 2 — counting-sort transpose into the provisional block
-        // slab (members ascending: rows are scanned in entity order).
-        let (prov_offsets, rows) = transpose_csr(&offsets[1..], &cols, order.len(), threads);
+        // Blocks need ≥ 2 members to induce any comparison, so each slot
+        // of the corpus — a key two runs share — is a provisional block,
+        // in key-string order exactly like the `from_groups` path. A
+        // counting-sort transpose lays them out (members ascending: rows
+        // are scanned in entity order).
+        let order = &corpus.slot_keys;
+        let (prov_offsets, rows) = transpose_csr(
+            &corpus.slot_offsets[1..],
+            &corpus.slots,
+            order.len(),
+            threads,
+        );
         let prov_entities: Vec<EntityId> = rows.into_iter().map(EntityId).collect();
 
         // Comparisons per provisional block; drop blocks inducing none
@@ -583,7 +389,7 @@ impl BlockCollection {
             });
         Self::finish(
             mode,
-            Arc::new(keys),
+            Arc::clone(&corpus.keys),
             block_keys,
             block_offsets,
             block_entities,

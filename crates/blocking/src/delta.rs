@@ -9,14 +9,17 @@
 //!
 //! # Tokenised once
 //!
-//! Arrivals are drawn from one fixed [`Dataset`], so
-//! [`IncrementalCollection::new`] runs [`token_pass`] over all of it
-//! once. Every key two descriptions share gets a *slot*, numbered in
-//! key-string order as `BlockCollection::from_assignments` numbers its
-//! blocks; no other key can form a block. Each entity's slots are one
-//! ascending CSR run, so an ingest tokenises, interns and string-sorts
-//! nothing. Maintained on touch, for the touched slots and grown
-//! entities only:
+//! Arrivals are drawn from one fixed [`Dataset`], so the collection is
+//! built from a value-token [`Corpus`] of all of it
+//! ([`IncrementalCollection::from_corpus`]; [`IncrementalCollection::new`]
+//! builds that corpus itself). The collection tokenises nothing: the
+//! corpus gave every key two descriptions share a *slot*, numbered in
+//! key-string order as [`BlockCollection::from_corpus`] numbers its
+//! blocks — no other key can form a block — and each entity its slots as
+//! one ascending run, so an ingest tokenises, interns and string-sorts
+//! nothing either. A caller that also builds a matcher, or several
+//! collections, over the same universe hands each the same corpus.
+//! Maintained on touch, for the touched slots and grown entities only:
 //!
 //! * per slot: the sorted member list, delta-appended by a backward
 //!   merge (`layout::merge_sorted_into`), its comparison count and the
@@ -41,11 +44,11 @@
 //! the incremental meta-blocking session sweeps the live slabs. It is
 //! `O(corpus)`, and the caller that asks pays it.
 
-use crate::builders::{token_pass, TokenKeys};
+use crate::builders::TokenKeys;
 use crate::collection::{count_comparisons, for_each_co_member, BlockView, Direction, KbScratch};
 use crate::layout::merge_sorted_into;
-use crate::{BlockCollection, ErMode};
-use minoan_common::{default_threads, Interner, Symbol};
+use crate::{BlockCollection, Corpus, ErMode};
+use minoan_common::{default_threads, Symbol};
 use minoan_rdf::{Dataset, EntityId};
 use std::sync::Arc;
 
@@ -91,18 +94,12 @@ struct KeyBlock {
 /// arrived so far through [`Self::ingest`], swept in place through
 /// [`BlockView`].
 pub struct IncrementalCollection<'d> {
-    dataset: &'d Dataset,
     mode: ErMode,
-    /// The universe token pass's interner.
-    keys: Arc<Interner>,
-    /// Per slot: its key's symbol in `keys`.
-    slot_keys: Vec<Symbol>,
+    /// The universe's value-token corpus: the slots and each entity's
+    /// ascending run of them.
+    corpus: Arc<Corpus<'d>>,
     /// Per slot: its live slab.
     blocks: Vec<KeyBlock>,
-    /// Entity `e`'s slots are `slots[offsets[e]..offsets[e + 1]]`,
-    /// ascending.
-    offsets: Vec<u32>,
-    slots: Vec<Symbol>,
     /// Number of slots that currently form a block.
     present: usize,
     /// Per entity: how many of its slots currently form a block (|B_e|).
@@ -115,33 +112,43 @@ pub struct IncrementalCollection<'d> {
 }
 
 impl<'d> IncrementalCollection<'d> {
-    /// An empty collection over `dataset`'s entity universe, after its
-    /// token pass on [`default_threads`] workers (their number changes
-    /// nothing); no entity has arrived yet.
+    /// [`Self::from_corpus`] over a value-token corpus of `dataset` built
+    /// on [`default_threads`] workers.
     pub fn new(dataset: &'d Dataset, mode: ErMode) -> Self {
-        let threads = default_threads();
-        let pass = token_pass(dataset, TokenKeys::Values, threads);
-        let (keys, slot_keys, offsets, mut slots) = pass.into_slots(threads);
-        for run in offsets.windows(2) {
-            slots[run[0] as usize..run[1] as usize].sort_unstable();
-        }
+        let corpus = Corpus::new(dataset, TokenKeys::Values, default_threads());
+        Self::from_corpus(Arc::new(corpus), mode)
+    }
+
+    /// An empty collection over the entity universe of `corpus`, read off
+    /// it; no entity has arrived yet.
+    ///
+    /// # Panics
+    /// Panics unless `corpus` is a [`TokenKeys::Values`] corpus: the
+    /// collection maintains token blocking, whose keys are value tokens.
+    pub fn from_corpus(corpus: Arc<Corpus<'d>>, mode: ErMode) -> Self {
+        assert_eq!(
+            corpus.token_keys(),
+            Some(TokenKeys::Values),
+            "an incremental collection blocks on value tokens: build its corpus with TokenKeys::Values"
+        );
+        let dataset = corpus.dataset();
         let kb_of: Vec<u16> = (0..dataset.len() as u32)
             .map(|e| dataset.kb_of(EntityId(e)).0)
             .collect();
         Self {
-            dataset,
             mode,
-            keys: Arc::new(keys),
-            blocks: slot_keys.iter().map(|_| KeyBlock::default()).collect(),
-            slot_keys,
-            offsets,
-            slots,
+            blocks: corpus
+                .slot_keys
+                .iter()
+                .map(|_| KeyBlock::default())
+                .collect(),
             present: 0,
             block_counts: vec![0; dataset.len()],
             total_assignments: 0,
             arrived: vec![false; dataset.len()],
             num_arrived: 0,
             kb_of,
+            corpus,
         }
     }
 
@@ -195,7 +202,7 @@ impl<'d> IncrementalCollection<'d> {
                 !std::mem::replace(&mut self.arrived[e.index()], true),
                 "entity {e:?} ingested twice into the incremental collection"
             );
-            additions.extend(self.slots_of(e).iter().map(|&s| (s, e)));
+            additions.extend(self.corpus.slots_of(e).iter().map(|&s| (s, e)));
         }
         self.num_arrived += batch.len();
         additions.sort_unstable();
@@ -203,7 +210,7 @@ impl<'d> IncrementalCollection<'d> {
         let mut touched: Vec<Symbol> = Vec::new();
         let mut newly_present: Vec<Symbol> = Vec::new();
         let mut grown: Vec<EntityId> = Vec::new();
-        let mut scratch = KbScratch::new(self.dataset.kbs().len());
+        let mut scratch = KbScratch::new(self.corpus.dataset().kbs().len());
         let mut run: Vec<EntityId> = Vec::new();
         for group in additions.chunk_by(|a, b| a.0 == b.0) {
             let sym = group[0].0;
@@ -250,7 +257,7 @@ impl<'d> IncrementalCollection<'d> {
         block_offsets.push(0u32);
         let mut block_entities: Vec<EntityId> = Vec::with_capacity(self.total_assignments as usize);
         let mut comparisons = Vec::with_capacity(self.present);
-        for (block, &key) in self.blocks.iter().zip(&self.slot_keys) {
+        for (block, &key) in self.blocks.iter().zip(&self.corpus.slot_keys) {
             if block.comparisons == 0 {
                 continue;
             }
@@ -263,13 +270,13 @@ impl<'d> IncrementalCollection<'d> {
         }
         BlockCollection::finish(
             self.mode,
-            Arc::clone(&self.keys),
+            Arc::clone(&self.corpus.keys),
             block_keys,
             block_offsets,
             block_entities,
             comparisons,
             self.kb_of.clone(),
-            self.dataset.kbs().len(),
+            self.corpus.dataset().kbs().len(),
             threads,
         )
     }
@@ -277,11 +284,6 @@ impl<'d> IncrementalCollection<'d> {
     /// ER mode the collection maintains its comparison counts under.
     pub fn mode(&self) -> ErMode {
         self.mode
-    }
-
-    /// The fixed entity universe the arrivals are drawn from.
-    pub fn dataset(&self) -> &'d Dataset {
-        self.dataset
     }
 
     /// Whether entity `e` has arrived.
@@ -307,7 +309,7 @@ impl<'d> IncrementalCollection<'d> {
 
     /// The string of slot `s`'s key.
     pub fn key_str(&self, s: Symbol) -> &str {
-        self.keys.resolve(self.slot_keys[s.index()])
+        self.corpus.keys.resolve(self.corpus.slot_keys[s.index()])
     }
 
     /// The slots of an arrived entity's keys, ascending (key-string order)
@@ -315,7 +317,7 @@ impl<'d> IncrementalCollection<'d> {
     /// `e` arrives, and never changed after.
     pub fn entity_keys(&self, e: EntityId) -> &[Symbol] {
         if self.arrived[e.index()] {
-            self.slots_of(e)
+            self.corpus.slots_of(e)
         } else {
             &[]
         }
@@ -329,13 +331,6 @@ impl<'d> IncrementalCollection<'d> {
             Some(block) if block.comparisons > 0 => &block.members,
             _ => &[],
         }
-    }
-
-    /// Entity `e`'s slot run, arrived or not.
-    #[inline]
-    fn slots_of(&self, e: EntityId) -> &[Symbol] {
-        let i = e.index();
-        &self.slots[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// The present blocks containing `e`, in key-string order.
@@ -418,7 +413,7 @@ mod tests {
             }
             asg.seal_entity();
         }
-        BlockCollection::from_assignments(dataset, mode, asg)
+        BlockCollection::from_assignments_with_threads(dataset, mode, asg, 2)
     }
 
     fn assert_same(a: &BlockCollection, b: &BlockCollection, label: &str) {
@@ -674,9 +669,9 @@ mod tests {
         ]);
         let mut inc = IncrementalCollection::new(&ds, ErMode::Dirty);
         let space = |inc: &IncrementalCollection<'_>| {
-            let slots = 0..inc.slot_keys.len() as u32;
+            let slots = 0..inc.corpus.slot_keys.len() as u32;
             let strs: Vec<String> = slots.map(|s| inc.key_str(Symbol(s)).into()).collect();
-            (inc.keys.len(), strs)
+            (inc.corpus.keys.len(), strs)
         };
         let before = space(&inc);
         assert_eq!(before.1, ["alpha", "mike", "zulu"]);
@@ -701,12 +696,20 @@ mod tests {
             let ds = corpus(values);
             let mut inc = IncrementalCollection::new(&ds, ErMode::Dirty);
             let all: Vec<EntityId> = ds.entities().collect();
-            assert!(inc.slot_keys.is_empty() && inc.ingest(&all, 1).dirty.is_empty());
+            assert!(inc.corpus.slot_keys.is_empty() && inc.ingest(&all, 1).dirty.is_empty());
             assert_same(
                 &inc.snapshot(1),
                 &token_blocking(&ds, ErMode::Dirty),
                 "unshared",
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "an incremental collection blocks on value tokens")]
+    fn a_corpus_of_other_keys_is_refused() {
+        let g = generate(&profiles::center_dense(20, 3));
+        let corpus = Corpus::new(&g.dataset, TokenKeys::Both, 1);
+        IncrementalCollection::from_corpus(Arc::new(corpus), ErMode::CleanClean);
     }
 }

@@ -16,9 +16,9 @@
 //!
 //! * **Build** — the token/URI builders intern each token into a
 //!   [`Symbol`](minoan_common::Symbol) *during* tokenisation
-//!   ([`collection::KeyAssignments`]); no owned key string is ever
+//!   ([`corpus::KeyAssignments`]); no owned key string is ever
 //!   accumulated per token occurrence. The collection is assembled by a
-//!   two-pass counting sort ([`BlockCollection::from_assignments`]) into
+//!   two-pass counting sort ([`BlockCollection::from_corpus`]) into
 //!   two CSR slab pairs — `block_offsets`/`block_entities` (block →
 //!   sorted members) and `entity_offsets`/`entity_block_ids` (entity →
 //!   sorted block ids) — plus per-block comparison counts and the
@@ -38,7 +38,7 @@
 //! Every blocker that keys each entity on its own — token, URI infix,
 //! attribute clustering, q-grams, extended q-grams, MinHash-LSH — pushes
 //! that entity's keys into [`KeyAssignments`] and builds through
-//! `from_assignments`. Only the blockers whose output is a set of groups
+//! `from_assignments_with_threads`. Only the blockers whose output is a set of groups
 //! by nature — sorted-neighbourhood windows, canopy clusters and the
 //! MapReduce job's reduced blocks — call the string-keyed
 //! [`BlockCollection::from_groups`], which produces the identical
@@ -55,8 +55,10 @@
 //! * [`collection`] — the [`BlockCollection`] representation shared with
 //!   meta-blocking (CSR slabs, per-entity block lists, comparison
 //!   counting for dirty and clean–clean ER).
+//! * [`corpus`] — per-entity key runs, and [`Corpus`]: one token pass,
+//!   numbered once, that every token-keyed reader is built from.
 //! * [`delta`] — the updatable arm: [`delta::IncrementalCollection`],
-//!   token blocking over one universe token pass, delta-appended per
+//!   token blocking over one universe corpus, delta-appended per
 //!   arrival batch, reporting the dirty sets the meta-blocking
 //!   delta-sweep consumes and swept in place through [`BlockView`].
 //! * `layout` *(crate-internal)* — the counting-sort CSR transpose every
@@ -97,6 +99,7 @@
 pub mod builders;
 pub mod canopy;
 pub mod collection;
+pub mod corpus;
 pub mod delta;
 pub mod filter;
 mod layout;
@@ -112,6 +115,7 @@ pub use canopy::{canopy_blocking, CanopyConfig};
 pub use collection::{
     BlockCollection, BlockId, BlockRef, BlockView, Direction, ErMode, KeyAssignments,
 };
+pub use corpus::Corpus;
 pub use delta::{DeltaOutcome, IncrementalCollection};
 pub use lsh::{minhash_lsh_blocking, LshConfig};
 pub use qgrams::{extended_qgram_blocking, qgram_blocking};

@@ -5,7 +5,8 @@
 //! forwards to [`run`] and prints.
 
 use crate::args::{ArgError, Args};
-use minoan_blocking::{CanopyConfig, ErMode, LshConfig};
+use minoan_blocking::builders::TokenKeys;
+use minoan_blocking::{CanopyConfig, Corpus, ErMode, LshConfig};
 use minoan_datagen::{generate, profiles, ArrivalOrder, WorldConfig};
 use minoan_er::clustering::ClusteringAlgorithm;
 use minoan_er::pipeline::{BlockingMethod, Pipeline, PipelineConfig};
@@ -17,6 +18,7 @@ use minoan_rdf::{Dataset, DatasetBuilder, KbId};
 use minoan_server::{Client, ResolveService, Server};
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug)]
@@ -379,6 +381,13 @@ fn all_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// The value-token corpus of `dataset` the incremental commands read,
+/// its token pass on `workers` threads (all cores by default).
+fn value_corpus(dataset: &Dataset, workers: Option<usize>) -> Arc<Corpus<'_>> {
+    let threads = workers.unwrap_or_else(all_cores);
+    Arc::new(Corpus::new(dataset, TokenKeys::Values, threads))
+}
+
 /// Files → [`Dataset`] in one pass, one KB per `--input` in the order
 /// given: each file is read whole and parsed in place, its pieces (whole
 /// files, or line-aligned pieces of a large N-Triples file) up to `threads`
@@ -560,8 +569,9 @@ fn cmd_stream(args: &Args) -> Result<String, CliError> {
         budget_per_arrival: args.get_parsed("arrival-budget", 10u64)?,
         ..Default::default()
     };
-    let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
-    let mut resolver = IncrementalResolver::new(&world.dataset, &matcher, config);
+    let corpus = value_corpus(&world.dataset, None);
+    let matcher = Matcher::from_corpus(&corpus, MatcherConfig::default());
+    let mut resolver = IncrementalResolver::from_corpus(corpus, &matcher, config);
     resolver.arrive_all(order.order(&world.dataset, &world.truth));
     let pairs: Vec<_> = resolver.matches().iter().map(|&(a, b, _)| (a, b)).collect();
     let quality = metrics::match_quality(&world.truth, &pairs);
@@ -587,14 +597,16 @@ fn cmd_incremental(args: &Args) -> Result<String, CliError> {
     } else {
         ErMode::CleanClean
     };
-    let mut session = minoan_metablocking::IncrementalSession::new(&world.dataset, mode);
+    let workers = positive_count(args, "workers")?;
+    let corpus = value_corpus(&world.dataset, workers);
+    let mut session = minoan_metablocking::IncrementalSession::from_corpus(corpus, mode);
     if let Some(w) = args.get("weighting") {
         session.scheme(weighting_by_name(w)?);
     }
     if let Some(p) = args.get("pruning") {
         session.pruning(pruning_by_name(p)?);
     }
-    if let Some(workers) = positive_count(args, "workers")? {
+    if let Some(workers) = workers {
         session.workers(workers);
     }
     let mut report = String::new();
@@ -658,8 +670,10 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let preload = args.get_parsed("preload", 0usize)?;
     let workers = positive_count(args, "workers")?.unwrap_or(2);
     let port = args.get_parsed("port", 0u16)?;
-    let service = ResolveService::new(&world.dataset, mode, scheme, pruning, cache);
-    if let Some(sweep) = positive_count(args, "sweep-workers")? {
+    let sweep = positive_count(args, "sweep-workers")?;
+    let corpus = value_corpus(&world.dataset, sweep);
+    let service = ResolveService::from_corpus(corpus, mode, scheme, pruning, cache);
+    if let Some(sweep) = sweep {
         service.sweep_workers(sweep);
     }
     if preload > 0 {

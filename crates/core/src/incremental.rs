@@ -9,11 +9,11 @@
 //! index shared with `minoan_metablocking::IncrementalSession`, the
 //! delta-sweep meta-blocking session). Each arrival
 //!
-//! 1. is absorbed into the incremental collection — its key run, fixed
-//!    by the one universe token pass the collection takes when the
-//!    resolver is built, is delta-merged into the per-key sorted member
-//!    slabs (no private inverted index, and no tokenising or interning
-//!    per arrival),
+//! 1. is absorbed into the incremental collection — its key run, read off
+//!    the universe's value-token [`Corpus`] (the one the matcher can be
+//!    built from too, see [`IncrementalResolver::from_corpus`]), is
+//!    delta-merged into the per-key sorted member slabs (no private
+//!    inverted index, and no tokenising or interning per arrival),
 //! 2. generates candidates among the *already arrived* descriptions by
 //!    counting block co-occurrences (incremental CBS weighting) — the
 //!    co-occurrence list is collected from the sorted member slabs and
@@ -51,11 +51,13 @@
 use crate::benefit::ResolutionState;
 use crate::clustering::{kbs, UniqueMapping};
 use crate::matcher::Matcher;
-use minoan_blocking::{ErMode, IncrementalCollection};
+use minoan_blocking::builders::TokenKeys;
+use minoan_blocking::{Corpus, ErMode, IncrementalCollection};
 use minoan_common::stats::pairwise_sum;
 use minoan_common::{FxHashMap, FxHashSet};
 use minoan_rdf::{Dataset, EntityId};
 use minoan_similarity::JaroScratch;
+use std::sync::Arc;
 
 /// Configuration of the incremental resolver.
 ///
@@ -141,8 +143,22 @@ pub struct IncrementalResolver<'d> {
 }
 
 impl<'d> IncrementalResolver<'d> {
-    /// Creates an empty resolver over a dataset and its matcher.
+    /// [`Self::from_corpus`] over a value-token corpus of `dataset` built
+    /// on all available workers.
     pub fn new(dataset: &'d Dataset, matcher: &'d Matcher, config: IncrementalConfig) -> Self {
+        let corpus = Corpus::new(dataset, TokenKeys::Values, minoan_common::default_threads());
+        Self::from_corpus(Arc::new(corpus), matcher, config)
+    }
+
+    /// Creates an empty resolver over the dataset of `corpus`, a
+    /// [`TokenKeys::Values`] corpus — the one `matcher` was built from,
+    /// say ([`Matcher::from_corpus`](crate::Matcher::from_corpus)).
+    pub fn from_corpus(
+        corpus: Arc<Corpus<'d>>,
+        matcher: &'d Matcher,
+        config: IncrementalConfig,
+    ) -> Self {
+        let dataset = corpus.dataset();
         assert!(config.alpha >= 0.0, "alpha must be non-negative");
         assert!(
             config.max_candidates > 0,
@@ -153,7 +169,7 @@ impl<'d> IncrementalResolver<'d> {
             matcher,
             config,
             state: ResolutionState::new(dataset),
-            blocks: IncrementalCollection::new(dataset, ErMode::CleanClean),
+            blocks: IncrementalCollection::from_corpus(corpus, ErMode::CleanClean),
             mapping: UniqueMapping::new(config.unique_mapping),
             matches: Vec::new(),
             total_comparisons: 0,
@@ -408,6 +424,33 @@ mod tests {
         assert!(precision > 0.9, "precision {precision}");
         assert!(recall > 0.6, "recall {recall}");
         assert!(!inc.clusters().is_empty());
+    }
+
+    /// One corpus, read by the matcher and two resolvers at a worker
+    /// count of its own, changes no bit of what each resolver finds.
+    #[test]
+    fn a_shared_corpus_gives_the_standalone_resolvers_matches() {
+        let g = world();
+        let config = IncrementalConfig::default();
+        let own = Matcher::new(&g.dataset, MatcherConfig::default());
+        let mut alone = IncrementalResolver::new(&g.dataset, &own, config);
+        alone.arrive_all(g.dataset.entities());
+        let corpus = Arc::new(Corpus::new(&g.dataset, TokenKeys::Values, 3));
+        let matcher = Matcher::from_corpus(&corpus, MatcherConfig::default());
+        let bits = |r: &IncrementalResolver<'_>| -> Vec<(EntityId, EntityId, u64)> {
+            r.matches()
+                .iter()
+                .map(|&(a, b, s)| (a, b, s.to_bits()))
+                .collect()
+        };
+        for _ in 0..2 {
+            let mut shared =
+                IncrementalResolver::from_corpus(Arc::clone(&corpus), &matcher, config);
+            shared.arrive_all(g.dataset.entities());
+            assert!(!shared.matches().is_empty());
+            assert_eq!(bits(&shared), bits(&alone));
+            assert_eq!(shared.comparisons(), alone.comparisons());
+        }
     }
 
     #[test]

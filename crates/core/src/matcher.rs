@@ -21,15 +21,15 @@
 //!   to two chars exactly as a per-pair `to_lowercase` would).
 //!
 //! The matcher tokenises nothing itself. The token ids are the value-token
-//! symbols of a token pass (`minoan_blocking::builders::token_pass`), the
-//! one that block building reads too: [`Matcher::from_token_pass`] copies
-//! the plain symbols of each sealed run and skips the `uri:` keys;
-//! [`Matcher::new`] is that after a value-token pass of its own. Ids
-//! therefore depend on which pass they came from — a `uri:` key interned
-//! between two value tokens leaves a gap — but no result does: value tokens
-//! keep their relative first-interning order whatever is interned between
-//! them, so every run lists the same tokens in the same order, and IDF
-//! reads only document frequencies and the entity count.
+//! symbols of a [`Corpus`], the one block building and the incremental
+//! collection read too: [`Matcher::from_corpus`] copies each entity's
+//! value tokens and skips the `uri:` keys; [`Matcher::new`] is that over a
+//! value-token corpus of its own. Ids therefore depend on which corpus
+//! they came from — a `uri:` key interned between two value tokens leaves
+//! a gap — but no result does: value tokens keep their relative
+//! first-interning order whatever is interned between them, so every run
+//! lists the same tokens in the same order, and IDF reads only document
+//! frequencies and the entity count.
 //!
 //! [`Matcher::value_similarity`] is then one merge over two contiguous
 //! token runs plus a Jaro–Winkler over two borrowed `&[char]`, with the
@@ -46,8 +46,8 @@
 //! with `jaro_winkler` of the lower-cased names —
 //! `tests::value_similarity_matches_the_written_out_formula` pins that.
 
-use minoan_blocking::builders::{token_pass, TokenKeys};
-use minoan_blocking::KeyAssignments;
+use minoan_blocking::builders::TokenKeys;
+use minoan_blocking::Corpus;
 use minoan_rdf::{Dataset, EntityId};
 use minoan_similarity::tfidf::cosine_prepared;
 use minoan_similarity::{jaro_winkler_chars, JaroScratch, TfIdfWeights};
@@ -118,70 +118,20 @@ fn slab_offset(len: usize) -> u32 {
     u32::try_from(len).expect("matcher slab exceeds u32 offsets")
 }
 
-/// The value-token ids of every entity, copied out of a token pass: all a
-/// matcher build reads of one, so the pass itself can go on to become the
-/// block collection meanwhile.
-pub(crate) struct TokenRows {
-    /// `ids[offsets[e]..offsets[e + 1]]`: ascending, without duplicates.
-    offsets: Vec<u32>,
-    ids: Vec<u32>,
-    /// One past the largest id a row may hold.
-    vocabulary: usize,
-}
-
-impl TokenRows {
-    /// The plain (value-token) symbols of each sealed run of `pass`.
-    pub(crate) fn value_tokens(pass: &KeyAssignments) -> Self {
-        let mut offsets = Vec::with_capacity(pass.num_entities() + 1);
-        let mut ids = Vec::with_capacity(pass.num_assignments());
-        offsets.push(0);
-        for run in pass.runs() {
-            ids.extend(
-                run.iter()
-                    .filter(|&&sym| !pass.is_namespaced(sym))
-                    .map(|sym| sym.0),
-            );
-            offsets.push(slab_offset(ids.len()));
-        }
-        Self {
-            offsets,
-            ids,
-            vocabulary: pass.keys().len(),
-        }
-    }
-}
-
 impl Matcher {
-    /// Builds the matcher for `dataset` under `config`, after a token pass
-    /// of its own over the attribute values.
+    /// [`Self::from_corpus`] over a value-token corpus of `dataset` built
+    /// on all available workers.
     pub fn new(dataset: &Dataset, config: MatcherConfig) -> Self {
-        Self::with_threads(dataset, config, minoan_common::default_threads())
+        let corpus = Corpus::new(dataset, TokenKeys::Values, minoan_common::default_threads());
+        Self::from_corpus(&corpus, config)
     }
 
-    /// [`Self::new`] with the token pass on `threads` workers; the matcher
-    /// does not depend on `threads`.
-    pub(crate) fn with_threads(dataset: &Dataset, config: MatcherConfig, threads: usize) -> Self {
-        // The pass is a temporary: its strings are freed before the weight
-        // slabs go up.
-        let tokens = TokenRows::value_tokens(&token_pass(dataset, TokenKeys::Values, threads));
-        Self::from_rows(dataset, tokens, config)
-    }
-
-    /// Builds the matcher from the value-token runs of `pass`, a token pass
-    /// over `dataset` that kept the value tokens ([`TokenKeys::Values`] or
-    /// [`TokenKeys::Both`]) — typically the one the blocks are built from.
-    /// Every similarity has the bits [`Self::new`] gives it.
-    pub fn from_token_pass(
-        dataset: &Dataset,
-        pass: &KeyAssignments,
-        config: MatcherConfig,
-    ) -> Self {
-        Self::from_rows(dataset, TokenRows::value_tokens(pass), config)
-    }
-
-    /// What is left of the build once the token ids exist: IDF, aligned
-    /// weights, norms and lowered names.
-    pub(crate) fn from_rows(dataset: &Dataset, tokens: TokenRows, config: MatcherConfig) -> Self {
+    /// Builds the matcher for the dataset of `corpus` under `config` from
+    /// its value tokens — the corpus must have kept them
+    /// ([`TokenKeys::Values`] or [`TokenKeys::Both`]); typically it is the
+    /// one the blocks are built from. Every similarity has the bits
+    /// [`Self::new`] gives it.
+    pub fn from_corpus(corpus: &Corpus<'_>, config: MatcherConfig) -> Self {
         assert!(
             (0.0..=1.0).contains(&config.name_weight)
                 && (0.0..=1.0).contains(&config.evidence_weight)
@@ -189,22 +139,23 @@ impl Matcher {
                 && (0.0..=1.0).contains(&config.value_floor),
             "matcher weights must be in [0,1]"
         );
-        let TokenRows {
-            offsets: token_offsets,
-            ids: token_ids,
-            vocabulary,
-        } = tokens;
-        let n = dataset.len();
-        assert_eq!(
-            token_offsets.len(),
-            n + 1,
-            "the token pass must cover every entity of the dataset"
+        assert_ne!(
+            corpus.token_keys(),
+            Some(TokenKeys::Uris),
+            "the matcher reads value tokens: build its corpus with TokenKeys::Values or Both"
         );
+        let dataset = corpus.dataset();
+        let n = dataset.len();
+        let mut token_offsets = Vec::with_capacity(n + 1);
+        let mut token_ids = Vec::new();
+        token_offsets.push(0);
         let mut name_offsets = Vec::with_capacity(n + 1);
         let mut name_chars: Vec<char> = Vec::new();
         let mut has_name = Vec::with_capacity(n);
         name_offsets.push(0);
-        for e in dataset.entities() {
+        for (e, tokens) in dataset.entities().zip(corpus.value_tokens()) {
+            token_ids.extend(tokens.map(|sym| sym.0));
+            token_offsets.push(slab_offset(token_ids.len()));
             let name = dataset.first_name_value(e);
             if let Some(name) = name {
                 push_lowered(name, &mut name_chars);
@@ -217,7 +168,7 @@ impl Matcher {
                 .windows(2)
                 .map(|w| w[0] as usize..w[1] as usize)
         };
-        let idf = TfIdfWeights::build(vocabulary, rows().map(|r| &token_ids[r]));
+        let idf = TfIdfWeights::build(corpus.keys().len(), rows().map(|r| &token_ids[r]));
         let idf_sq = token_ids.iter().map(|&t| idf.idf_squared(t)).collect();
         let norms = rows().map(|r| idf.norm(&token_ids[r])).collect();
         Self {
@@ -494,9 +445,9 @@ mod tests {
         }
     }
 
-    /// A matcher read off the pass the blocks are built from numbers its
+    /// A matcher read off the corpus the blocks are built from numbers its
     /// tokens differently (the `uri:` keys sit between them) and scores
-    /// every candidate the same.
+    /// every candidate the same, whatever the corpus's worker count.
     #[test]
     fn a_shared_pass_gives_the_standalone_matchers_bits() {
         use crate::pipeline::{Pipeline, PipelineConfig};
@@ -506,9 +457,9 @@ mod tests {
         let candidates = pipeline.meta_block(&pipeline.clean_blocks(pipeline.block(ds)));
         assert!(candidates.len() > 1000);
         for threads in [1, 3] {
-            let pass = token_pass(ds, TokenKeys::Both, threads);
+            let corpus = Corpus::new(ds, TokenKeys::Both, threads);
             let mut scratch = JaroScratch::default();
-            let shared = Matcher::from_token_pass(ds, &pass, MatcherConfig::default());
+            let shared = Matcher::from_corpus(&corpus, MatcherConfig::default());
             let standalone = Matcher::new(ds, MatcherConfig::default());
             let renumbered = ds
                 .entities()

@@ -6,9 +6,9 @@
 //! with sensible defaults.
 
 use crate::engine::{ProgressiveResolver, Resolution, ResolverConfig};
-use crate::matcher::{Matcher, MatcherConfig, TokenRows};
-use minoan_blocking::builders::{token_pass, TokenKeys};
-use minoan_blocking::{filter, purge, BlockCollection, ErMode};
+use crate::matcher::{Matcher, MatcherConfig};
+use minoan_blocking::builders::TokenKeys;
+use minoan_blocking::{filter, purge, BlockCollection, Corpus, ErMode};
 use minoan_metablocking::{ExecutionBackend, Session, WeightingScheme};
 use minoan_rdf::{Dataset, EntityId};
 
@@ -179,57 +179,43 @@ impl Pipeline {
 
     /// Runs the full pipeline on `dataset`.
     ///
-    /// **Shared.** Under [`BlockingMethod::Token`] and
-    /// [`BlockingMethod::TokenAndUri`] the blocking keys and the matcher's
-    /// tokens are the same interned runs, so one token pass (split over
-    /// `workers` entity ranges) serves both: the matcher copies its
-    /// value-token ids out of it, then the pass becomes the block
-    /// collection. The other methods share nothing with the matcher
-    /// ([`BlockingMethod::UriInfix`] keys are subject-URI tokens only), and
-    /// it runs a value-token pass of its own.
+    /// **Shared.** One [`Corpus`], its token pass split over `workers`
+    /// entity ranges, serves the matcher (its value tokens) and, under
+    /// [`BlockingMethod::Token`] and [`BlockingMethod::TokenAndUri`], the
+    /// block build (its slots). The other methods' keys are not the
+    /// matcher's tokens: [`Self::block`] builds their blocks, and the
+    /// corpus is a value-token one.
     ///
-    /// **Overlapped.** What is left of the matcher build — the whole of it
-    /// for those other methods — and the block → purge → filter →
-    /// meta-block chain are both pure functions of `dataset` and the pass,
-    /// so the matcher is finished on a scoped thread while the chain runs
-    /// on the calling one. With one worker (`workers: Some(1)`, or a
-    /// single-core host under `None`) nothing is spawned here and the
-    /// matcher is built after the chain. The output depends on neither.
+    /// **Overlapped.** The matcher build and the block → purge → filter →
+    /// meta-block chain both only read `dataset` and the corpus, so the
+    /// matcher is built on a scoped thread while the chain runs on the
+    /// calling one. With one worker (`workers: Some(1)`, or a single-core
+    /// host under `None`) nothing is spawned here and the matcher is built
+    /// after the chain. The output depends on neither.
     pub fn run(&self, dataset: &Dataset) -> PipelineOutput {
         let threads = self.threads();
         let mode = self.config.mode;
-        let matcher_config = self.config.matcher.clone();
-        let chain = |raw: BlockCollection| {
+        let keys = match self.config.blocking {
+            BlockingMethod::TokenAndUri => TokenKeys::Both,
+            _ => TokenKeys::Values,
+        };
+        let corpus = Corpus::new(dataset, keys, threads);
+        let chain = || {
+            let raw = match self.config.blocking {
+                BlockingMethod::Token | BlockingMethod::TokenAndUri => {
+                    BlockCollection::from_corpus(&corpus, mode, threads)
+                }
+                _ => self.block(dataset),
+            };
             let blocks_raw = (raw.len(), raw.total_comparisons());
             let clean = self.clean_blocks(raw);
             let blocks_clean = (clean.len(), clean.total_comparisons());
             (blocks_raw, blocks_clean, self.meta_block(&clean))
         };
-        let shared = match self.config.blocking {
-            BlockingMethod::Token => Some(TokenKeys::Values),
-            BlockingMethod::TokenAndUri => Some(TokenKeys::Both),
-            _ => None,
-        };
-        let ((blocks_raw, blocks_clean, candidates), matcher) = match shared {
-            Some(keys) => {
-                let pass = token_pass(dataset, keys, threads);
-                let tokens = TokenRows::value_tokens(&pass);
-                overlapped(
-                    threads,
-                    || {
-                        chain(BlockCollection::from_assignments_with_threads(
-                            dataset, mode, pass, threads,
-                        ))
-                    },
-                    || Matcher::from_rows(dataset, tokens, matcher_config),
-                )
-            }
-            None => overlapped(
-                threads,
-                || chain(self.block(dataset)),
-                || Matcher::with_threads(dataset, matcher_config, threads),
-            ),
-        };
+        let matcher_config = self.config.matcher.clone();
+        let ((blocks_raw, blocks_clean, candidates), matcher) = overlapped(threads, chain, || {
+            Matcher::from_corpus(&corpus, matcher_config)
+        });
         let resolution = self.resolve(dataset, matcher, &candidates);
         PipelineOutput {
             blocks_raw,

@@ -8,9 +8,9 @@
 //! not the corpus. Each [`IncrementalSession::ingest`] call
 //!
 //! 1. delta-appends the batch's key runs into the
-//!    [`IncrementalCollection`] slabs — runs the collection took from one
-//!    token pass over the whole universe when the session was built, so
-//!    an ingest tokenises, interns and string-sorts nothing,
+//!    [`IncrementalCollection`] slabs — runs read off the universe's
+//!    value-token [`Corpus`] the session was built from, so an ingest
+//!    tokenises, interns and string-sorts nothing,
 //! 2. takes the resulting *dirty sets* — the touched blocks, their
 //!    members, and the entities whose block lists grew,
 //! 3. runs a **delta-sweep** directly on those live slabs (through
@@ -129,9 +129,13 @@ use crate::session::{PruneOutcome, Pruning};
 use crate::supervised::{self, NUM_FEATURES};
 use crate::sweep::{for_each_range, partition_by_cost, ScratchPool};
 use crate::weights::WeightingScheme;
-use minoan_blocking::{BlockCollection, BlockView, Direction, ErMode, IncrementalCollection};
+use minoan_blocking::builders::TokenKeys;
+use minoan_blocking::{
+    BlockCollection, BlockView, Corpus, Direction, ErMode, IncrementalCollection,
+};
 use minoan_common::default_threads;
 use minoan_rdf::{Dataset, EntityId};
+use std::sync::Arc;
 
 /// What one [`IncrementalSession::ingest`] call did — the per-batch
 /// bookkeeping the bench harness and the subset assertions read.
@@ -251,12 +255,19 @@ fn stale(weigher: Weigher, weighed: u64, version: u64) -> bool {
 impl<'d> IncrementalSession<'d> {
     /// An empty session over `dataset` (no entity has arrived yet) with
     /// the [`Session`](crate::Session) defaults: ARCS-weighted WNP. The
-    /// whole universe is tokenised here, once
-    /// ([`IncrementalCollection::new`]).
+    /// whole universe is tokenised here, once, on all available workers.
     pub fn new(dataset: &'d Dataset, mode: ErMode) -> Self {
-        let n = dataset.len();
+        let corpus = Corpus::new(dataset, TokenKeys::Values, default_threads());
+        Self::from_corpus(Arc::new(corpus), mode)
+    }
+
+    /// [`Self::new`] over `corpus`, a value-token corpus
+    /// ([`IncrementalCollection::from_corpus`]): the caller picked its
+    /// worker count, and may hand the same corpus to other readers.
+    pub fn from_corpus(corpus: Arc<Corpus<'d>>, mode: ErMode) -> Self {
+        let n = corpus.dataset().len();
         Self {
-            collection: IncrementalCollection::new(dataset, mode),
+            collection: IncrementalCollection::from_corpus(corpus, mode),
             scheme: WeightingScheme::Arcs,
             pruning: Pruning::Wnp { reciprocal: false },
             workers: None,
@@ -1180,7 +1191,8 @@ mod tests {
         let all = ids(world.dataset.len());
         let mut base: Option<PruneOutcome> = None;
         for workers in [1usize, 2, 4, 8] {
-            let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
+            let corpus = Corpus::new(&world.dataset, TokenKeys::Values, workers);
+            let mut inc = IncrementalSession::from_corpus(Arc::new(corpus), ErMode::CleanClean);
             inc.scheme(WeightingScheme::Js).workers(workers);
             for batch in all.chunks(17) {
                 inc.ingest(batch);

@@ -22,13 +22,15 @@
 //! them.
 
 use crate::protocol::{IngestReply, ResolveReply, StatsReply};
-use minoan_blocking::ErMode;
+use minoan_blocking::builders::TokenKeys;
+use minoan_blocking::{Corpus, ErMode};
+use minoan_common::default_threads;
 use minoan_metablocking::{
     locally_invalidatable, IncrementalSession, NeighbourhoodCache, Pruning, ResolvedEntity,
     WeightingScheme,
 };
 use minoan_rdf::{Dataset, EntityId};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The error every call returns once the state lock is poisoned.
 const UNAVAILABLE: &str = "service unavailable: a request panicked holding the state lock";
@@ -91,9 +93,8 @@ fn reply_of(version: u64, resolved: &ResolvedEntity) -> ResolveReply {
 }
 
 impl<'d> ResolveService<'d> {
-    /// A service over `dataset` with an empty corpus. `cache_capacity`
-    /// is the hot-neighbourhood cache size in entries (0 disables it —
-    /// every resolve sweeps).
+    /// [`Self::from_corpus`] over a value-token corpus of `dataset` built
+    /// on all available workers.
     pub fn new(
         dataset: &'d Dataset,
         mode: ErMode,
@@ -101,7 +102,23 @@ impl<'d> ResolveService<'d> {
         pruning: Pruning,
         cache_capacity: usize,
     ) -> Self {
-        let mut session = IncrementalSession::new(dataset, mode);
+        let corpus = Corpus::new(dataset, TokenKeys::Values, default_threads());
+        Self::from_corpus(Arc::new(corpus), mode, scheme, pruning, cache_capacity)
+    }
+
+    /// A service over the dataset of `corpus`, a value-token corpus
+    /// ([`IncrementalSession::from_corpus`]), with no entity arrived yet.
+    /// `cache_capacity` is the hot-neighbourhood cache size in entries (0
+    /// disables it — every resolve sweeps).
+    pub fn from_corpus(
+        corpus: Arc<Corpus<'d>>,
+        mode: ErMode,
+        scheme: WeightingScheme,
+        pruning: Pruning,
+        cache_capacity: usize,
+    ) -> Self {
+        let num_entities = corpus.dataset().len();
+        let mut session = IncrementalSession::from_corpus(corpus, mode);
         session.scheme(scheme).pruning(pruning);
         Self {
             state: Mutex::new(State {
@@ -113,7 +130,7 @@ impl<'d> ResolveService<'d> {
                 ingests: 0,
             }),
             local_invalidation: locally_invalidatable(scheme, pruning),
-            num_entities: dataset.len(),
+            num_entities,
         }
     }
 

@@ -6,13 +6,20 @@
 //!
 //! Run with: `cargo run --release --example incremental_stream`
 
+use minoan::blocking::builders::TokenKeys;
+use minoan::blocking::Corpus;
 use minoan::datagen::ArrivalOrder;
 use minoan::er::{IncrementalConfig, IncrementalResolver};
 use minoan::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let world = generate(&profiles::center_dense(600, 7));
-    let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
+    // One token pass over the universe, read by the matcher and by every
+    // resolver below.
+    let threads = minoan::common::default_threads();
+    let corpus = Arc::new(Corpus::new(&world.dataset, TokenKeys::Values, threads));
+    let matcher = Matcher::from_corpus(&corpus, MatcherConfig::default());
     println!(
         "{} descriptions streaming in, {} ground-truth pairs\n",
         world.dataset.len(),
@@ -24,8 +31,8 @@ fn main() {
         "arrival order", "comparisons", "precision", "recall", "clusters"
     );
     for order in ArrivalOrder::all(7) {
-        let mut resolver = IncrementalResolver::new(
-            &world.dataset,
+        let mut resolver = IncrementalResolver::from_corpus(
+            Arc::clone(&corpus),
             &matcher,
             IncrementalConfig {
                 budget_per_arrival: 10,

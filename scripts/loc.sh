@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Line counts the ROADMAP tracks (aim 2): one table, one row per crate —
-# `src/` lines, in-crate `tests/` + `benches/` lines, and `in-src`: how
-# many of the `src/` lines are unit tests, counted from each file's first
-# top-level `#[cfg(test)]` to its end — plus the root facade and the
+# `src/` lines, in-crate `tests/` + `benches/` lines, `in-src`: how many
+# of the `src/` lines are unit tests, counted from each file's first
+# top-level `#[cfg(test)]` to its end, and `product`: the `src/` lines
+# that are not (`src` − `in-src`) — plus the root facade and the
 # workspace-level integration tests, then the offline shims under
 # `vendor/` on a row of their own, outside `total` so totals stay
 # comparable across changes. Plain `wc -l` over tracked-or-not *.rs
@@ -38,12 +39,12 @@ test_lines() {
     echo "$total"
 }
 
-printf '%-16s %8s %8s %8s\n' crate src tests in-src
+printf '%-16s %8s %8s %8s %8s\n' crate src tests in-src product
 src_total=0
 tests_total=0
 in_src_total=0
 row() {
-    printf '%-16s %8d %8d %8d\n' "$1" "$2" "$3" "$4"
+    printf '%-16s %8d %8d %8d %8d\n' "$1" "$2" "$3" "$4" $(($2 - $4))
     src_total=$((src_total + $2))
     tests_total=$((tests_total + $3))
     in_src_total=$((in_src_total + $4))
@@ -54,6 +55,9 @@ for crate in crates/*/; do
         "$(lines "$crate/tests" "$crate/benches")" "$(test_lines "$crate/src")"
 done
 row "minoan (root)" "$(lines src)" "$(lines tests examples)" "$(test_lines src)"
-printf '%-16s %8d %8d %8d\n' total "$src_total" "$tests_total" "$in_src_total"
-printf '%-16s %8d %8d %8d\n' "vendor (shims)" "$(lines vendor/*/src)" \
-    "$(lines vendor/*/tests vendor/*/benches)" "$(test_lines vendor/*/src)"
+printf '%-16s %8d %8d %8d %8d\n' total "$src_total" "$tests_total" "$in_src_total" \
+    $((src_total - in_src_total))
+vendor_src="$(lines vendor/*/src)"
+vendor_in_src="$(test_lines vendor/*/src)"
+printf '%-16s %8d %8d %8d %8d\n' "vendor (shims)" "$vendor_src" \
+    "$(lines vendor/*/tests vendor/*/benches)" "$vendor_in_src" $((vendor_src - vendor_in_src))

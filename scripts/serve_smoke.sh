@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end lifecycle smoke for the resolution server, driven entirely
-# through the CLI: start `minoan serve` on an ephemeral port, discover
+# through the CLI: start `minoan serve` on an ephemeral port (one sweep
+# worker, which also runs the universe token pass), discover
 # the address via --addr-file, fire a mixed burst of RESOLVE / INGEST /
 # STATS through `minoan query`, and shut the server down cleanly. Fails
 # if any query errors, if STATS comes back empty, or if the server does
@@ -19,7 +20,8 @@ serve_log="$workdir/serve.log"
 
 "$MINOAN" serve --profile center --entities 400 --seed 9 \
   --weighting js --pruning wnp --cache 256 --preload 300 \
-  --workers 2 --port 0 --addr-file "$addr_file" >"$serve_log" 2>&1 &
+  --workers 2 --sweep-workers 1 --port 0 --addr-file "$addr_file" \
+  >"$serve_log" 2>&1 &
 serve_pid=$!
 
 # The server writes its ephemeral address (newline-terminated) before
