@@ -120,7 +120,7 @@ fn tokenize_range(dataset: &Dataset, keys: TokenKeys, range: Range<usize>) -> Ke
 /// in order) side by side and folds them left into one accumulator.
 fn token_pass_over(dataset: &Dataset, keys: TokenKeys, ranges: &[Range<usize>]) -> KeyAssignments {
     let Some((first, rest)) = ranges.split_first() else {
-        return KeyAssignments::new();
+        return KeyAssignments::default();
     };
     std::thread::scope(|s| {
         let tails: Vec<_> = rest

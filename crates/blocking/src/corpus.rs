@@ -5,21 +5,19 @@
 //!
 //! The paper blocks two descriptions on a common token and weighs the
 //! same tokens in their value similarity. [`Corpus::new`], the one product
-//! caller of [`token_pass`], tokenises every description once, on the
-//! caller's worker count, and gives each key two descriptions share a
-//! *slot*, numbered in key-string order. Token blocking
-//! ([`BlockCollection::from_corpus`](crate::BlockCollection::from_corpus):
-//! a slot is a provisional block), the incremental collection
-//! ([`IncrementalCollection::from_corpus`](crate::IncrementalCollection::from_corpus):
-//! a slot is an updatable block) and the matcher of `minoan_er` (which
-//! copies [`Corpus::value_tokens`]) are built from a corpus; none
-//! tokenises again. An entity's slots ascend, i.e. in key-string order,
-//! the order the incremental collection adds ARCS terms in.
+//! caller of [`token_pass`], tokenises every description once and gives
+//! each key two descriptions share a *slot*, in key-string order: token
+//! blocking (a slot is a provisional block), the incremental collection
+//! (a slot is an updatable block) and the matcher of `minoan_er`
+//! ([`Corpus::value_tokens`]) are built from a corpus, and none tokenises
+//! again. An entity's slots keep its run's symbol order: the block build
+//! needs no other, and the incremental collection sorts its own copy
+//! (sorting here cost the batch build more than the copy costs there).
 
 use crate::builders::{token_pass, TokenKeys};
 use crate::layout::{count_cols_per_range, merge_counts, split_rows};
 use minoan_common::{Interner, Symbol};
-use minoan_rdf::{Dataset, EntityId};
+use minoan_rdf::Dataset;
 use std::sync::Arc;
 
 /// Per-entity interned blocking keys — what the token pass
@@ -48,11 +46,6 @@ pub struct KeyAssignments {
 }
 
 impl KeyAssignments {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Pre-sizes the per-entity run table for `entities` entities.
     pub fn with_capacity(entities: usize) -> Self {
         Self {
@@ -175,7 +168,7 @@ pub struct Corpus<'d> {
     pass: KeyAssignments,
     /// Per slot: its key's symbol in `keys`.
     pub(crate) slot_keys: Vec<Symbol>,
-    /// Entity `e`'s slots, ascending:
+    /// Entity `e`'s slots, in its run's symbol order:
     /// `slots[slot_offsets[e]..slot_offsets[e + 1]]`.
     pub(crate) slot_offsets: Vec<u32>,
     pub(crate) slots: Vec<Symbol>,
@@ -194,7 +187,7 @@ impl<'d> Corpus<'d> {
 
     /// Numbers the sealed runs of `assignments`: each key at least two
     /// runs share — the only keys that can form a block — gets a slot, in
-    /// key-string order, and each run's slots are sorted. Counting is
+    /// key-string order, and each run keeps its symbol order. Counting is
     /// entity-range parallel with an additive merge, so thread-count
     /// independent. A key's first eight bytes ride along as a big-endian
     /// integer: they order most pairs without a look at the arena, and a
@@ -240,10 +233,8 @@ impl<'d> Corpus<'d> {
         let mut slot_offsets = Vec::with_capacity(ends.len() + 1);
         slot_offsets.push(0u32);
         for run in assignments.runs() {
-            let first = slots.len();
             let run = run.iter().map(|s| slot_of[s.index()]);
             slots.extend(run.filter(|&slot| slot.0 != u32::MAX));
-            slots[first..].sort_unstable();
             slot_offsets.push(slots.len() as u32);
         }
         Self {
@@ -279,12 +270,5 @@ impl<'d> Corpus<'d> {
         self.pass
             .runs()
             .map(move |run| run.iter().copied().filter(plain))
-    }
-
-    /// Entity `e`'s slots, ascending.
-    #[inline]
-    pub(crate) fn slots_of(&self, e: EntityId) -> &[Symbol] {
-        let i = e.index();
-        &self.slots[self.slot_offsets[i] as usize..self.slot_offsets[i + 1] as usize]
     }
 }

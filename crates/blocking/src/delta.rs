@@ -15,10 +15,11 @@
 //! builds that corpus itself). The collection tokenises nothing: the
 //! corpus gave every key two descriptions share a *slot*, numbered in
 //! key-string order as [`BlockCollection::from_corpus`] numbers its
-//! blocks — no other key can form a block — and each entity its slots as
-//! one ascending run, so an ingest tokenises, interns and string-sorts
-//! nothing either. A caller that also builds a matcher, or several
-//! collections, over the same universe hands each the same corpus.
+//! blocks — no other key can form a block — and the collection sorts a
+//! copy of each entity's slots once, into one ascending run, so an ingest
+//! tokenises, interns and string-sorts nothing either. A caller that also
+//! builds a matcher, or several collections, over the same universe hands
+//! each the same corpus.
 //! Maintained on touch, for the touched slots and grown entities only:
 //!
 //! * per slot: the sorted member list, delta-appended by a backward
@@ -95,9 +96,12 @@ struct KeyBlock {
 /// [`BlockView`].
 pub struct IncrementalCollection<'d> {
     mode: ErMode,
-    /// The universe's value-token corpus: the slots and each entity's
-    /// ascending run of them.
+    /// The universe's value-token corpus: the slots and each entity's run
+    /// of them.
     corpus: Arc<Corpus<'d>>,
+    /// The corpus's slot runs, each sorted: entity `e`'s slots ascend in
+    /// `slots[corpus.slot_offsets[e]..corpus.slot_offsets[e + 1]]`.
+    slots: Vec<Symbol>,
     /// Per slot: its live slab.
     blocks: Vec<KeyBlock>,
     /// Number of slots that currently form a block.
@@ -135,7 +139,12 @@ impl<'d> IncrementalCollection<'d> {
         let kb_of: Vec<u16> = (0..dataset.len() as u32)
             .map(|e| dataset.kb_of(EntityId(e)).0)
             .collect();
+        let mut slots = corpus.slots.clone();
+        for run in corpus.slot_offsets.windows(2) {
+            slots[run[0] as usize..run[1] as usize].sort_unstable();
+        }
         Self {
+            slots,
             mode,
             blocks: corpus
                 .slot_keys
@@ -202,7 +211,7 @@ impl<'d> IncrementalCollection<'d> {
                 !std::mem::replace(&mut self.arrived[e.index()], true),
                 "entity {e:?} ingested twice into the incremental collection"
             );
-            additions.extend(self.corpus.slots_of(e).iter().map(|&s| (s, e)));
+            additions.extend(self.slots_of(e).iter().map(|&s| (s, e)));
         }
         self.num_arrived += batch.len();
         additions.sort_unstable();
@@ -317,7 +326,7 @@ impl<'d> IncrementalCollection<'d> {
     /// `e` arrives, and never changed after.
     pub fn entity_keys(&self, e: EntityId) -> &[Symbol] {
         if self.arrived[e.index()] {
-            self.corpus.slots_of(e)
+            self.slots_of(e)
         } else {
             &[]
         }
@@ -331,6 +340,13 @@ impl<'d> IncrementalCollection<'d> {
             Some(block) if block.comparisons > 0 => &block.members,
             _ => &[],
         }
+    }
+
+    /// Entity `e`'s slots, ascending, arrived or not.
+    #[inline]
+    fn slots_of(&self, e: EntityId) -> &[Symbol] {
+        let offsets = &self.corpus.slot_offsets;
+        &self.slots[offsets[e.index()] as usize..offsets[e.index() + 1] as usize]
     }
 
     /// The present blocks containing `e`, in key-string order.
