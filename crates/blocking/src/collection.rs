@@ -364,13 +364,10 @@ impl BlockCollection {
         // in key-string order exactly like the `from_groups` path. A
         // counting-sort transpose lays them out (members ascending: rows
         // are scanned in entity order).
-        let order = &corpus.slot_keys;
-        let (prov_offsets, rows) = transpose_csr(
-            &corpus.slot_offsets[1..],
-            &corpus.slots,
-            order.len(),
-            threads,
-        );
+        let slots = corpus.slots();
+        let order = &slots.keys;
+        let (prov_offsets, rows) =
+            transpose_csr(&slots.offsets[1..], &slots.runs, order.len(), threads);
         let prov_entities: Vec<EntityId> = rows.into_iter().map(EntityId).collect();
 
         // Comparisons per provisional block; drop blocks inducing none

@@ -5,20 +5,22 @@
 //!
 //! The paper blocks two descriptions on a common token and weighs the
 //! same tokens in their value similarity. [`Corpus::new`], the one product
-//! caller of [`token_pass`], tokenises every description once and gives
-//! each key two descriptions share a *slot*, in key-string order: token
-//! blocking (a slot is a provisional block), the incremental collection
-//! (a slot is an updatable block) and the matcher of `minoan_er`
-//! ([`Corpus::value_tokens`]) are built from a corpus, and none tokenises
-//! again. An entity's slots keep its run's symbol order: the block build
-//! needs no other, and the incremental collection sorts its own copy
-//! (sorting here cost the batch build more than the copy costs there).
+//! caller of [`token_pass`], tokenises every description once; the first
+//! reader that needs them has each key two descriptions share numbered
+//! as a *slot*, in key-string order. Token blocking (a slot is a
+//! provisional block), the incremental collection (a slot is an
+//! updatable block) and the matcher of `minoan_er`
+//! ([`Corpus::value_tokens`], no slots) are built from a corpus, and none
+//! tokenises again. An entity's slots keep its run's symbol order: the
+//! block build needs no other, and the incremental collection sorts its
+//! own copy (sorting here cost the batch build more than the copy costs
+//! there).
 
 use crate::builders::{token_pass, TokenKeys};
 use crate::layout::{count_cols_per_range, merge_counts, split_rows};
 use minoan_common::{Interner, Symbol};
 use minoan_rdf::Dataset;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-entity interned blocking keys — what the token pass
 /// ([`token_pass`]) and every other per-entity builder accumulate, and
@@ -166,17 +168,28 @@ pub struct Corpus<'d> {
     pub(crate) keys: Arc<Interner>,
     /// The pass's sealed runs; its interner moved to `keys`.
     pass: KeyAssignments,
-    /// Per slot: its key's symbol in `keys`.
-    pub(crate) slot_keys: Vec<Symbol>,
+    /// The pass's worker count, which the numbering reuses.
+    threads: usize,
+    /// The slots, numbered by the first reader that needs them — a
+    /// matcher needs none, and it can be built while a block build
+    /// numbers them.
+    slots: OnceLock<Slots>,
+}
+
+/// The keys at least two runs of a corpus share — the only keys that can
+/// form a block — numbered as slots in key-string order.
+pub(crate) struct Slots {
+    /// Per slot: its key's symbol in the corpus's interner.
+    pub(crate) keys: Vec<Symbol>,
     /// Entity `e`'s slots, in its run's symbol order:
-    /// `slots[slot_offsets[e]..slot_offsets[e + 1]]`.
-    pub(crate) slot_offsets: Vec<u32>,
-    pub(crate) slots: Vec<Symbol>,
+    /// `runs[offsets[e]..offsets[e + 1]]`.
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) runs: Vec<Symbol>,
 }
 
 impl<'d> Corpus<'d> {
-    /// The token pass over `dataset` under `keys` on `threads` workers,
-    /// numbered. Nothing in it depends on `threads`.
+    /// The token pass over `dataset` under `keys` on `threads` workers.
+    /// Nothing in the corpus depends on `threads`.
     pub fn new(dataset: &'d Dataset, keys: TokenKeys, threads: usize) -> Self {
         let pass = token_pass(dataset, keys, threads);
         Self {
@@ -185,13 +198,7 @@ impl<'d> Corpus<'d> {
         }
     }
 
-    /// Numbers the sealed runs of `assignments`: each key at least two
-    /// runs share — the only keys that can form a block — gets a slot, in
-    /// key-string order, and each run keeps its symbol order. Counting is
-    /// entity-range parallel with an additive merge, so thread-count
-    /// independent. A key's first eight bytes ride along as a big-endian
-    /// integer: they order most pairs without a look at the arena, and a
-    /// tie falls back to the strings themselves.
+    /// The corpus of another builder's sealed `assignments`.
     pub(crate) fn from_assignments(
         dataset: &'d Dataset,
         mut assignments: KeyAssignments,
@@ -202,50 +209,65 @@ impl<'d> Corpus<'d> {
             dataset.len(),
             "assignments must seal every entity exactly once"
         );
-        let keys = std::mem::take(&mut assignments.keys);
-        let (syms, ends) = (&assignments.syms, &assignments.ends);
-        let k = keys.len();
-        let counts = merge_counts(
-            &count_cols_per_range(ends, syms, k, &split_rows(ends, threads)),
-            k,
-        );
-        let mut order: Vec<(u64, Symbol)> = (0..k as u32)
-            .map(Symbol)
-            .filter(|s| counts[s.index()] >= 2)
-            .map(|s| {
-                let key = keys.resolve(s).as_bytes();
-                let mut head = [0u8; 8];
-                let len = key.len().min(8);
-                head[..len].copy_from_slice(&key[..len]);
-                (u64::from_be_bytes(head), s)
-            })
-            .collect();
-        order.sort_unstable_by(|&(head_a, a), &(head_b, b)| {
-            head_a
-                .cmp(&head_b)
-                .then_with(|| keys.resolve(a).cmp(keys.resolve(b)))
-        });
-        let mut slot_of = vec![Symbol(u32::MAX); k];
-        for (slot, &(_, s)) in order.iter().enumerate() {
-            slot_of[s.index()] = Symbol(slot as u32);
-        }
-        let mut slots = Vec::with_capacity(syms.len());
-        let mut slot_offsets = Vec::with_capacity(ends.len() + 1);
-        slot_offsets.push(0u32);
-        for run in assignments.runs() {
-            let run = run.iter().map(|s| slot_of[s.index()]);
-            slots.extend(run.filter(|&slot| slot.0 != u32::MAX));
-            slot_offsets.push(slots.len() as u32);
-        }
         Self {
             dataset,
             token_keys: None,
-            keys: Arc::new(keys),
+            keys: Arc::new(std::mem::take(&mut assignments.keys)),
             pass: assignments,
-            slot_keys: order.into_iter().map(|(_, s)| s).collect(),
-            slot_offsets,
-            slots,
+            threads: threads.max(1),
+            slots: OnceLock::new(),
         }
+    }
+
+    /// The slot numbering, made on the first call: each key at least two
+    /// runs share gets a slot, in key-string order, and each run keeps
+    /// its symbol order. Counting is entity-range parallel with an
+    /// additive merge, so thread-count independent. A key's first eight
+    /// bytes ride along as a big-endian integer: they order most pairs
+    /// without a look at the arena, and a tie falls back to the strings
+    /// themselves.
+    pub(crate) fn slots(&self) -> &Slots {
+        self.slots.get_or_init(|| {
+            let (keys, KeyAssignments { syms, ends, .. }) = (&self.keys, &self.pass);
+            let k = keys.len();
+            let counts = merge_counts(
+                &count_cols_per_range(ends, syms, k, &split_rows(ends, self.threads)),
+                k,
+            );
+            let mut order: Vec<(u64, Symbol)> = (0..k as u32)
+                .map(Symbol)
+                .filter(|s| counts[s.index()] >= 2)
+                .map(|s| {
+                    let key = keys.resolve(s).as_bytes();
+                    let mut head = [0u8; 8];
+                    let len = key.len().min(8);
+                    head[..len].copy_from_slice(&key[..len]);
+                    (u64::from_be_bytes(head), s)
+                })
+                .collect();
+            order.sort_unstable_by(|&(head_a, a), &(head_b, b)| {
+                head_a
+                    .cmp(&head_b)
+                    .then_with(|| keys.resolve(a).cmp(keys.resolve(b)))
+            });
+            let mut slot_of = vec![Symbol(u32::MAX); k];
+            for (slot, &(_, s)) in order.iter().enumerate() {
+                slot_of[s.index()] = Symbol(slot as u32);
+            }
+            let mut runs = Vec::with_capacity(syms.len());
+            let mut offsets = Vec::with_capacity(ends.len() + 1);
+            offsets.push(0u32);
+            for run in self.pass.runs() {
+                let run = run.iter().map(|s| slot_of[s.index()]);
+                runs.extend(run.filter(|&slot| slot.0 != u32::MAX));
+                offsets.push(runs.len() as u32);
+            }
+            Slots {
+                keys: order.into_iter().map(|(_, s)| s).collect(),
+                offsets,
+                runs,
+            }
+        })
     }
 
     /// Which keys the pass kept.

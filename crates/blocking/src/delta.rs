@@ -100,7 +100,8 @@ pub struct IncrementalCollection<'d> {
     /// of them.
     corpus: Arc<Corpus<'d>>,
     /// The corpus's slot runs, each sorted: entity `e`'s slots ascend in
-    /// `slots[corpus.slot_offsets[e]..corpus.slot_offsets[e + 1]]`.
+    /// `slots[offsets[e]..offsets[e + 1]]`.
+    offsets: Vec<u32>,
     slots: Vec<Symbol>,
     /// Per slot: its live slab.
     blocks: Vec<KeyBlock>,
@@ -139,18 +140,16 @@ impl<'d> IncrementalCollection<'d> {
         let kb_of: Vec<u16> = (0..dataset.len() as u32)
             .map(|e| dataset.kb_of(EntityId(e)).0)
             .collect();
-        let mut slots = corpus.slots.clone();
-        for run in corpus.slot_offsets.windows(2) {
+        let numbered = corpus.slots();
+        let mut slots = numbered.runs.clone();
+        for run in numbered.offsets.windows(2) {
             slots[run[0] as usize..run[1] as usize].sort_unstable();
         }
         Self {
+            blocks: numbered.keys.iter().map(|_| KeyBlock::default()).collect(),
+            offsets: numbered.offsets.clone(),
             slots,
             mode,
-            blocks: corpus
-                .slot_keys
-                .iter()
-                .map(|_| KeyBlock::default())
-                .collect(),
             present: 0,
             block_counts: vec![0; dataset.len()],
             total_assignments: 0,
@@ -266,7 +265,7 @@ impl<'d> IncrementalCollection<'d> {
         block_offsets.push(0u32);
         let mut block_entities: Vec<EntityId> = Vec::with_capacity(self.total_assignments as usize);
         let mut comparisons = Vec::with_capacity(self.present);
-        for (block, &key) in self.blocks.iter().zip(&self.corpus.slot_keys) {
+        for (block, &key) in self.blocks.iter().zip(&self.corpus.slots().keys) {
             if block.comparisons == 0 {
                 continue;
             }
@@ -318,7 +317,9 @@ impl<'d> IncrementalCollection<'d> {
 
     /// The string of slot `s`'s key.
     pub fn key_str(&self, s: Symbol) -> &str {
-        self.corpus.keys.resolve(self.corpus.slot_keys[s.index()])
+        self.corpus
+            .keys
+            .resolve(self.corpus.slots().keys[s.index()])
     }
 
     /// The slots of an arrived entity's keys, ascending (key-string order)
@@ -345,8 +346,8 @@ impl<'d> IncrementalCollection<'d> {
     /// Entity `e`'s slots, ascending, arrived or not.
     #[inline]
     fn slots_of(&self, e: EntityId) -> &[Symbol] {
-        let offsets = &self.corpus.slot_offsets;
-        &self.slots[offsets[e.index()] as usize..offsets[e.index() + 1] as usize]
+        let (start, end) = (self.offsets[e.index()], self.offsets[e.index() + 1]);
+        &self.slots[start as usize..end as usize]
     }
 
     /// The present blocks containing `e`, in key-string order.
@@ -685,7 +686,7 @@ mod tests {
         ]);
         let mut inc = IncrementalCollection::new(&ds, ErMode::Dirty);
         let space = |inc: &IncrementalCollection<'_>| {
-            let slots = 0..inc.corpus.slot_keys.len() as u32;
+            let slots = 0..inc.blocks.len() as u32;
             let strs: Vec<String> = slots.map(|s| inc.key_str(Symbol(s)).into()).collect();
             (inc.corpus.keys.len(), strs)
         };
@@ -712,7 +713,7 @@ mod tests {
             let ds = corpus(values);
             let mut inc = IncrementalCollection::new(&ds, ErMode::Dirty);
             let all: Vec<EntityId> = ds.entities().collect();
-            assert!(inc.corpus.slot_keys.is_empty() && inc.ingest(&all, 1).dirty.is_empty());
+            assert!(inc.blocks.is_empty() && inc.ingest(&all, 1).dirty.is_empty());
             assert_same(
                 &inc.snapshot(1),
                 &token_blocking(&ds, ErMode::Dirty),

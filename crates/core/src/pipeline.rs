@@ -187,9 +187,9 @@ impl Pipeline {
     /// corpus is a value-token one.
     ///
     /// **Overlapped.** The matcher build and the block → purge → filter →
-    /// meta-block chain both only read `dataset` and the corpus, so the
-    /// matcher is built on a scoped thread while the chain runs on the
-    /// calling one. With one worker (`workers: Some(1)`, or a single-core
+    /// meta-block chain (which numbers the corpus's slots) both only read
+    /// `dataset` and the corpus, so the matcher is built on a scoped
+    /// thread while the chain runs on the calling one. With one worker (`workers: Some(1)`, or a single-core
     /// host under `None`) nothing is spawned here and the matcher is built
     /// after the chain. The output depends on neither.
     pub fn run(&self, dataset: &Dataset) -> PipelineOutput {
