@@ -63,9 +63,12 @@ pub enum Method {
 impl Method {
     /// Runs the method. The builders that key each entity through
     /// [`KeyAssignments`] tokenise and build on `threads` workers; the
-    /// blocks do not depend on `threads`.
+    /// blocks do not depend on `threads`. The token methods build the
+    /// blocks of a [`Corpus`] under their [`TokenKeys`].
     pub fn run(&self, dataset: &Dataset, mode: ErMode, threads: usize) -> BlockCollection {
-        let tokens = |keys| token_blocking_with_threads(dataset, mode, keys, threads);
+        let tokens = |keys| {
+            BlockCollection::from_corpus(&Corpus::new(dataset, keys, threads), mode, threads)
+        };
         match *self {
             Method::Token => tokens(TokenKeys::Values),
             Method::UriInfix => tokens(TokenKeys::Uris),
@@ -162,36 +165,24 @@ pub fn token_pass(dataset: &Dataset, keys: TokenKeys, threads: usize) -> KeyAssi
     token_pass_over(dataset, keys, &split_rows(&cost_ends, threads))
 }
 
-/// The blocks of a [`Corpus`] under `keys`, pass and CSR build both on
-/// `threads` workers; the result does not depend on `threads`.
-/// [`token_blocking`], [`uri_infix_blocking`] and
-/// [`token_and_uri_blocking`] are this on [`default_threads`].
-pub fn token_blocking_with_threads(
-    dataset: &Dataset,
-    mode: ErMode,
-    keys: TokenKeys,
-    threads: usize,
-) -> BlockCollection {
-    BlockCollection::from_corpus(&Corpus::new(dataset, keys, threads), mode, threads)
-}
-
 /// Token blocking: one block per distinct token appearing in any attribute
 /// value (literal tokens + resource-URI infix tokens) of a description.
+/// This and the next two are [`Method::run`] on [`default_threads`].
 pub fn token_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollection {
-    token_blocking_with_threads(dataset, mode, TokenKeys::Values, default_threads())
+    Method::Token.run(dataset, mode, default_threads())
 }
 
 /// Prefix-Infix(-Suffix) URI blocking: one block per token of the subject
 /// URI's *infix* — naming evidence independent of attribute values.
 pub fn uri_infix_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollection {
-    token_blocking_with_threads(dataset, mode, TokenKeys::Uris, default_threads())
+    Method::UriInfix.run(dataset, mode, default_threads())
 }
 
 /// Token blocking ∪ URI-infix blocking — the paper's "common token in their
 /// descriptions *or URIs*" criterion in one collection. Key spaces are kept
 /// disjoint by the `uri:` prefix.
 pub fn token_and_uri_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollection {
-    token_blocking_with_threads(dataset, mode, TokenKeys::Both, default_threads())
+    Method::TokenAndUri.run(dataset, mode, default_threads())
 }
 
 /// Attribute-clustering blocking (Papadakis et al. style): attribute names
