@@ -1,6 +1,6 @@
 //! Criterion benches for the blocking layer (supports E2).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use minoan_blocking::builders::TokenKeys;
 use minoan_blocking::{
     builders, filter, purge, BlockCollection, CanopyConfig, Corpus, ErMode, LshConfig, Method,
@@ -68,10 +68,10 @@ fn bench_blocker_families(c: &mut Criterion) {
 /// The one corpus and what each of its two batch readers adds to it, on
 /// the `batch_lod` world (`lod_cloud(5000, 101)`: 16 439 descriptions,
 /// 290 525 value tokens). `Pipeline::run` builds the corpus once
-/// (`token-pass`: the pass and its slot numbering), then builds
-/// `from-corpus` beside `matcher-build/from-corpus`; the staged
-/// composition builds a corpus inside the block build and another inside
-/// `matcher-build/standalone`.
+/// (`token-pass`: the pass), then `from-corpus` (the slot numbering and
+/// the block build, on a fresh corpus each time) beside
+/// `matcher-build/from-corpus`; the staged composition builds a corpus
+/// inside the block build and another inside `matcher-build/standalone`.
 fn bench_token_pass(c: &mut Criterion) {
     let world = generate(&profiles::lod_cloud(5000, 101));
     let ds = &world.dataset;
@@ -82,9 +82,12 @@ fn bench_token_pass(c: &mut Criterion) {
             b.iter(|| black_box(Corpus::new(ds, TokenKeys::Both, threads)));
         });
     }
-    let corpus = Corpus::new(ds, TokenKeys::Both, 1);
     group.bench_function("lod-5k/from-corpus", |b| {
-        b.iter(|| black_box(BlockCollection::from_corpus(&corpus, ErMode::CleanClean, 1)));
+        b.iter_batched(
+            || Corpus::new(ds, TokenKeys::Both, 1),
+            |corpus| black_box(BlockCollection::from_corpus(&corpus, ErMode::CleanClean, 1)),
+            BatchSize::LargeInput,
+        );
     });
     group.finish();
 
@@ -93,6 +96,7 @@ fn bench_token_pass(c: &mut Criterion) {
     group.bench_function("lod-5k/standalone", |b| {
         b.iter(|| black_box(Matcher::new(ds, MatcherConfig::default())));
     });
+    let corpus = Corpus::new(ds, TokenKeys::Both, 1);
     group.bench_function("lod-5k/from-corpus", |b| {
         b.iter(|| black_box(Matcher::from_corpus(&corpus, MatcherConfig::default())));
     });
