@@ -2,9 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use minoan_blocking::builders::TokenKeys;
-use minoan_blocking::{
-    builders, filter, purge, BlockCollection, CanopyConfig, Corpus, ErMode, LshConfig, Method,
-};
+use minoan_blocking::{builders, filter, purge, BlockCollection, Corpus, ErMode, Method};
 use minoan_common::default_threads;
 use minoan_datagen::{generate, profiles};
 use minoan_er::{Matcher, MatcherConfig};
@@ -50,12 +48,12 @@ fn bench_blocker_families(c: &mut Criterion) {
     group.sample_size(10);
     let world = generate(&profiles::center_dense(300, 7));
     let methods: Vec<(&str, Method)> = vec![
-        ("qgrams3", Method::QGrams(3)),
-        ("ext-qgrams", Method::ExtendedQGrams(3, 0.8)),
-        ("snm6", Method::SortedNeighborhood(6)),
-        ("adaptive-snm", Method::AdaptiveSortedNeighborhood(4, 32)),
-        ("minhash-lsh", Method::MinHashLsh(LshConfig::default())),
-        ("canopy", Method::Canopy(CanopyConfig::default())),
+        ("qgrams3", Method::QGrams),
+        ("ext-qgrams", Method::ExtendedQGrams),
+        ("snm6", Method::SortedNeighborhood),
+        ("adaptive-snm", Method::AdaptiveSortedNeighborhood),
+        ("minhash-lsh", Method::MinHashLsh),
+        ("canopy", Method::Canopy),
     ];
     for (name, method) in methods {
         group.bench_function(name, |b| {

@@ -43,13 +43,13 @@ fn bench_arrivals(c: &mut Criterion) {
 
 fn bench_composite_rules(c: &mut Criterion) {
     use minoan_blocking::ErMode;
-    use minoan_er::{CompositeConfig, CompositeResolver};
+    use minoan_er::CompositeResolver;
     let world = generate(&profiles::center_dense(300, 42));
     let pairs = minoan_bench::candidate_pairs_public(&world, ErMode::CleanClean);
     let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
     c.bench_function("rules/composite resolver 300 entities", |b| {
         b.iter(|| {
-            CompositeResolver::new(&world.dataset, &matcher, CompositeConfig::default())
+            CompositeResolver::new(&world.dataset, &matcher)
                 .run(&pairs)
                 .matches
                 .len()

@@ -6,13 +6,12 @@
 //! matching rules.
 
 use minoan_blocking::builders::TokenKeys;
-use minoan_blocking::{CanopyConfig, Corpus, ErMode, LshConfig, Method};
+use minoan_blocking::{Corpus, ErMode, Method};
 use minoan_common::default_threads;
 use minoan_datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan_er::{
-    oracle, BenefitModel, CompositeConfig, CompositeResolver, IncrementalConfig,
-    IncrementalResolver, Matcher, MatcherConfig, ProgressiveResolver, ResolverConfig, Rule,
-    Strategy,
+    oracle, BenefitModel, CompositeResolver, IncrementalConfig, IncrementalResolver, Matcher,
+    MatcherConfig, ProgressiveResolver, ResolverConfig, Rule, Strategy,
 };
 use minoan_eval::report::fmt3;
 use minoan_eval::{metrics, plot, Table};
@@ -47,13 +46,13 @@ pub fn exp9_blocking_methods(scale: usize, seed: u64) -> String {
     let methods: Vec<(&str, Method)> = vec![
         ("token", Method::Token),
         ("token+uri", Method::TokenAndUri),
-        ("attr-cluster", Method::AttributeClustering(0.3)),
-        ("qgrams(3)", Method::QGrams(3)),
-        ("ext-qgrams(3,.8)", Method::ExtendedQGrams(3, 0.8)),
-        ("snm(6)", Method::SortedNeighborhood(6)),
-        ("adaptive-snm", Method::AdaptiveSortedNeighborhood(4, 32)),
-        ("minhash-lsh", Method::MinHashLsh(LshConfig::default())),
-        ("canopy", Method::Canopy(CanopyConfig::default())),
+        ("attr-cluster", Method::AttributeClustering),
+        ("qgrams(3)", Method::QGrams),
+        ("ext-qgrams(3,.8)", Method::ExtendedQGrams),
+        ("snm(6)", Method::SortedNeighborhood),
+        ("adaptive-snm", Method::AdaptiveSortedNeighborhood),
+        ("minhash-lsh", Method::MinHashLsh),
+        ("canopy", Method::Canopy),
     ];
     for profile in ["center", "periphery", "typo-noisy"] {
         let cfg = match profile {
@@ -302,8 +301,7 @@ pub fn exp13_composite_rules(scale: usize, seed: u64) -> String {
         let world = generate(&cfg);
         let pairs = super::experiments::candidate_pairs_public(&world, ErMode::CleanClean);
         let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
-        let res = CompositeResolver::new(&world.dataset, &matcher, CompositeConfig::default())
-            .run(&pairs);
+        let res = CompositeResolver::new(&world.dataset, &matcher).run(&pairs);
         let mut table = Table::new(vec!["rule", "matches", "precision"]);
         for rule in [
             Rule::NameReciprocity,
@@ -572,8 +570,8 @@ pub fn exp17_corruption(scale: usize, seed: u64) -> String {
     let threads = default_threads();
     let methods: Vec<(&str, Method)> = vec![
         ("token", Method::Token),
-        ("qgrams(3)", Method::QGrams(3)),
-        ("adaptive-snm", Method::AdaptiveSortedNeighborhood(4, 32)),
+        ("qgrams(3)", Method::QGrams),
+        ("adaptive-snm", Method::AdaptiveSortedNeighborhood),
     ];
     let mut table = Table::new(vec![
         "corruption",

@@ -20,11 +20,11 @@
 //! [`BlockCollection::from_corpus`]. The matcher and the incremental
 //! collection read a corpus too ([`crate::corpus`]).
 
-use crate::canopy::{canopy_blocking, CanopyConfig};
+use crate::canopy::canopy_blocking;
 use crate::collection::{BlockCollection, ErMode, KeyAssignments};
 use crate::corpus::Corpus;
 use crate::layout::split_rows;
-use crate::lsh::{minhash_lsh_blocking, LshConfig};
+use crate::lsh::minhash_lsh_blocking;
 use crate::qgrams::{extended_qgram_blocking, qgram_blocking};
 use crate::sorted_neighborhood::{adaptive_sorted_neighborhood, sorted_neighborhood};
 use minoan_common::{default_threads, FxHashMap, FxHashSet, UnionFind};
@@ -35,7 +35,11 @@ use std::ops::Range;
 /// Namespace prefix keeping URI-infix keys disjoint from value-token keys.
 const URI_PREFIX: &str = "uri:";
 
-/// A blocking method and its parameters.
+/// The attribute-link threshold [`Method::AttributeClustering`] runs
+/// [`attribute_clustering_blocking`] at.
+pub const ATTRIBUTE_LINK_THRESHOLD: f64 = 0.3;
+
+/// A blocking method. Each runs at the parameters its module fixes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Method {
     /// Token blocking over values + resource URIs.
@@ -44,20 +48,25 @@ pub enum Method {
     UriInfix,
     /// Token ∪ URI blocking (the paper's default criterion).
     TokenAndUri,
-    /// Attribute-clustering blocking with the given link threshold.
-    AttributeClustering(f64),
-    /// Character q-grams of the tokens.
-    QGrams(usize),
-    /// Extended q-grams: `(q, threshold)`.
-    ExtendedQGrams(usize, f64),
-    /// Fixed-window sorted neighborhood.
-    SortedNeighborhood(usize),
-    /// Adaptive sorted neighborhood: `(prefix_len, max_block)`.
-    AdaptiveSortedNeighborhood(usize, usize),
-    /// MinHash-LSH banding.
-    MinHashLsh(LshConfig),
-    /// Canopy clustering.
-    Canopy(CanopyConfig),
+    /// Attribute-clustering blocking at [`ATTRIBUTE_LINK_THRESHOLD`].
+    AttributeClustering,
+    /// Character q-grams of the tokens ([`qgrams::Q`](crate::qgrams::Q)).
+    QGrams,
+    /// Extended q-grams ([`qgrams::EXTENDED_THRESHOLD`](crate::qgrams::EXTENDED_THRESHOLD)).
+    ExtendedQGrams,
+    /// Fixed-window sorted neighborhood
+    /// ([`sorted_neighborhood::WINDOW`](crate::sorted_neighborhood::WINDOW)).
+    SortedNeighborhood,
+    /// Adaptive sorted neighborhood
+    /// ([`sorted_neighborhood::PREFIX_LEN`](crate::sorted_neighborhood::PREFIX_LEN),
+    /// [`sorted_neighborhood::MAX_BLOCK`](crate::sorted_neighborhood::MAX_BLOCK)).
+    AdaptiveSortedNeighborhood,
+    /// MinHash-LSH banding ([`lsh::BANDS`](crate::lsh::BANDS) ×
+    /// [`lsh::ROWS`](crate::lsh::ROWS)).
+    MinHashLsh,
+    /// Canopy clustering ([`canopy::T1`](crate::canopy::T1),
+    /// [`canopy::T2`](crate::canopy::T2)).
+    Canopy,
 }
 
 impl Method {
@@ -73,17 +82,15 @@ impl Method {
             Method::Token => tokens(TokenKeys::Values),
             Method::UriInfix => tokens(TokenKeys::Uris),
             Method::TokenAndUri => tokens(TokenKeys::Both),
-            Method::AttributeClustering(t) => {
-                attribute_clustering_blocking(dataset, mode, t, threads)
+            Method::AttributeClustering => {
+                attribute_clustering_blocking(dataset, mode, ATTRIBUTE_LINK_THRESHOLD, threads)
             }
-            Method::QGrams(q) => qgram_blocking(dataset, mode, q, threads),
-            Method::ExtendedQGrams(q, t) => extended_qgram_blocking(dataset, mode, q, t, threads),
-            Method::SortedNeighborhood(w) => sorted_neighborhood(dataset, mode, w),
-            Method::AdaptiveSortedNeighborhood(p, m) => {
-                adaptive_sorted_neighborhood(dataset, mode, p, m)
-            }
-            Method::MinHashLsh(c) => minhash_lsh_blocking(dataset, mode, c, threads),
-            Method::Canopy(c) => canopy_blocking(dataset, mode, c),
+            Method::QGrams => qgram_blocking(dataset, mode, threads),
+            Method::ExtendedQGrams => extended_qgram_blocking(dataset, mode, threads),
+            Method::SortedNeighborhood => sorted_neighborhood(dataset, mode),
+            Method::AdaptiveSortedNeighborhood => adaptive_sorted_neighborhood(dataset, mode),
+            Method::MinHashLsh => minhash_lsh_blocking(dataset, mode, threads),
+            Method::Canopy => canopy_blocking(dataset, mode),
         }
     }
 }
@@ -167,15 +174,10 @@ pub fn token_pass(dataset: &Dataset, keys: TokenKeys, threads: usize) -> KeyAssi
 
 /// Token blocking: one block per distinct token appearing in any attribute
 /// value (literal tokens + resource-URI infix tokens) of a description.
-/// This and the next two are [`Method::run`] on [`default_threads`].
+/// This and [`token_and_uri_blocking`] are [`Method::run`] on
+/// [`default_threads`].
 pub fn token_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollection {
     Method::Token.run(dataset, mode, default_threads())
-}
-
-/// Prefix-Infix(-Suffix) URI blocking: one block per token of the subject
-/// URI's *infix* — naming evidence independent of attribute values.
-pub fn uri_infix_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollection {
-    Method::UriInfix.run(dataset, mode, default_threads())
 }
 
 /// Token blocking ∪ URI-infix blocking — the paper's "common token in their
@@ -332,7 +334,7 @@ mod tests {
     #[test]
     fn uri_blocking_uses_infixes_only() {
         let ds = toy();
-        let c = uri_infix_blocking(&ds, ErMode::CleanClean);
+        let c = Method::UriInfix.run(&ds, ErMode::CleanClean, 1);
         let keys: Vec<&str> = (0..c.len())
             .map(|i| c.key_str(crate::BlockId(i as u32)))
             .collect();
@@ -343,7 +345,7 @@ mod tests {
     fn combined_blocking_is_superset() {
         let ds = toy();
         let t = token_blocking(&ds, ErMode::CleanClean);
-        let u = uri_infix_blocking(&ds, ErMode::CleanClean);
+        let u = Method::UriInfix.run(&ds, ErMode::CleanClean, 1);
         let both = token_and_uri_blocking(&ds, ErMode::CleanClean);
         assert_eq!(both.len(), t.len() + u.len());
         assert!(both.distinct_pairs().len() >= t.distinct_pairs().len());

@@ -1,9 +1,9 @@
 //! Canopy-clustering blocking.
 //!
 //! McCallum, Nigam & Ungar's canopy method: pick a seed description, gather
-//! every description within a *loose* cheap-similarity threshold `t1` into
+//! every description within a *loose* cheap-similarity threshold `T1` into
 //! its canopy, and remove from the seed pool those within the *tight*
-//! threshold `t2 ≥ t1` (they are represented well enough by this canopy).
+//! threshold `T2 ≥ T1` (they are represented well enough by this canopy).
 //! Canopies overlap, so borderline descriptions get multiple chances — a
 //! good fit for the heterogeneous Web-of-Data descriptions the paper
 //! targets.
@@ -19,38 +19,17 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Configuration of the canopy blocker.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CanopyConfig {
-    /// Loose threshold: Jaccard ≥ `t1` joins the canopy.
-    pub t1: f64,
-    /// Tight threshold: Jaccard ≥ `t2` also removes the description from
-    /// the seed pool. Must satisfy `t2 ≥ t1`.
-    pub t2: f64,
-    /// Seed-order shuffle seed (canopy output depends on seed order).
-    pub seed: u64,
-}
-
-impl Default for CanopyConfig {
-    fn default() -> Self {
-        Self {
-            t1: 0.15,
-            t2: 0.5,
-            seed: 0xca40,
-        }
-    }
-}
+/// Loose threshold: token-set Jaccard ≥ `T1` joins the canopy.
+pub const T1: f64 = 0.15;
+/// Tight threshold (≥ [`T1`]): Jaccard ≥ `T2` also removes the
+/// description from the seed pool.
+pub const T2: f64 = 0.5;
+/// Seed-order shuffle seed (canopy output depends on seed order).
+pub const SEED: u64 = 0xca40;
 
 /// Runs canopy clustering over the blocking-token sets; each canopy with at
 /// least two members becomes a block keyed `canopy:{seed-entity}`.
-///
-/// # Panics
-/// Panics unless `0 < t1 ≤ t2 ≤ 1`.
-pub fn canopy_blocking(dataset: &Dataset, mode: ErMode, config: CanopyConfig) -> BlockCollection {
-    assert!(
-        config.t1 > 0.0 && config.t1 <= config.t2 && config.t2 <= 1.0,
-        "need 0 < t1 ≤ t2 ≤ 1"
-    );
+pub fn canopy_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollection {
     let n = dataset.len();
     // Token sets + inverted index (token → entities), tokens as dense ids.
     let mut token_ids: FxHashMap<String, u32> = FxHashMap::default();
@@ -77,7 +56,7 @@ pub fn canopy_blocking(dataset: &Dataset, mode: ErMode, config: CanopyConfig) ->
     }
 
     let mut order: Vec<EntityId> = dataset.entities().collect();
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
     order.shuffle(&mut rng);
 
     let mut available: Vec<bool> = vec![true; n];
@@ -107,12 +86,12 @@ pub fn canopy_blocking(dataset: &Dataset, mode: ErMode, config: CanopyConfig) ->
                 let union = seed_set.len() + sets[other.index()].len() - common as usize;
                 (other, common as f64 / union as f64)
             })
-            .filter(|&(_, j)| j >= config.t1)
+            .filter(|&(_, j)| j >= T1)
             .collect();
         members.sort_unstable_by_key(|a| a.0);
         for &(other, j) in &members {
             canopy.push(other);
-            if j >= config.t2 {
+            if j >= T2 {
                 available[other.index()] = false;
             }
         }
@@ -158,7 +137,7 @@ mod tests {
     #[test]
     fn similar_pairs_share_a_canopy() {
         let ds = dataset();
-        let blocks = canopy_blocking(&ds, ErMode::CleanClean, CanopyConfig::default());
+        let blocks = canopy_blocking(&ds, ErMode::CleanClean);
         let pairs = blocks.distinct_pairs();
         assert!(
             pairs.contains(&(EntityId(0), EntityId(1))),
@@ -173,7 +152,7 @@ mod tests {
     #[test]
     fn dissimilar_pairs_are_separated() {
         let ds = dataset();
-        let blocks = canopy_blocking(&ds, ErMode::CleanClean, CanopyConfig::default());
+        let blocks = canopy_blocking(&ds, ErMode::CleanClean);
         let pairs = blocks.distinct_pairs();
         assert!(
             !pairs.contains(&(EntityId(0), EntityId(3))),
@@ -182,57 +161,16 @@ mod tests {
     }
 
     #[test]
-    fn tight_threshold_shrinks_seed_pool() {
-        let ds = dataset();
-        // With t2 = t1 every canopy member is removed from the pool → few,
-        // disjoint-seeded canopies.
-        let tight = canopy_blocking(
-            &ds,
-            ErMode::Dirty,
-            CanopyConfig {
-                t1: 0.2,
-                t2: 0.2,
-                seed: 7,
-            },
-        );
-        // With t2 = 1.0 nothing is removed → every entity seeds a canopy.
-        let loose = canopy_blocking(
-            &ds,
-            ErMode::Dirty,
-            CanopyConfig {
-                t1: 0.2,
-                t2: 1.0,
-                seed: 7,
-            },
-        );
-        assert!(tight.len() <= loose.len());
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let ds = dataset();
-        let a = canopy_blocking(&ds, ErMode::CleanClean, CanopyConfig::default());
-        let b = canopy_blocking(&ds, ErMode::CleanClean, CanopyConfig::default());
+        let a = canopy_blocking(&ds, ErMode::CleanClean);
+        let b = canopy_blocking(&ds, ErMode::CleanClean);
         assert_eq!(a.distinct_pairs(), b.distinct_pairs());
-    }
-
-    #[test]
-    #[should_panic(expected = "t1")]
-    fn inverted_thresholds_rejected() {
-        canopy_blocking(
-            &dataset(),
-            ErMode::Dirty,
-            CanopyConfig {
-                t1: 0.9,
-                t2: 0.2,
-                seed: 0,
-            },
-        );
     }
 
     #[test]
     fn empty_dataset() {
         let ds = DatasetBuilder::new().build();
-        assert!(canopy_blocking(&ds, ErMode::Dirty, CanopyConfig::default()).is_empty());
+        assert!(canopy_blocking(&ds, ErMode::Dirty).is_empty());
     }
 }

@@ -51,6 +51,9 @@
 //!   attribute-clustering blocking, and their combination; the token
 //!   pass; [`Method`], the catalogue of every method, whose
 //!   [`Method::run`] is the one place a method is mapped to its builder.
+//!   A method carries no parameters: each module fixes its own as named
+//!   constants (window, q, bands and rows, canopy thresholds), and
+//!   attribute clustering runs at [`builders::ATTRIBUTE_LINK_THRESHOLD`].
 //! * [`canopy`] — canopy clustering over token-set similarity.
 //! * [`collection`] — the [`BlockCollection`] representation shared with
 //!   meta-blocking (CSR slabs, per-entity block lists, comparison
@@ -72,8 +75,6 @@
 //!   survive typos.
 //! * [`sorted_neighborhood`](mod@sorted_neighborhood) — fixed-window and
 //!   adaptive sorted neighbourhood over sorted blocking keys.
-//! * [`schedule`] — block scheduling: the classic pay-as-you-go ordering
-//!   of comparisons by block utility (a progressive baseline).
 //! * [`parallel`] — token blocking as a MapReduce job on
 //!   [`minoan_mapreduce::Engine`], the substrate of reference \[5\].
 //!
@@ -107,16 +108,15 @@ pub mod lsh;
 pub mod parallel;
 pub mod purge;
 pub mod qgrams;
-pub mod schedule;
 pub mod sorted_neighborhood;
 
 pub use builders::Method;
-pub use canopy::{canopy_blocking, CanopyConfig};
+pub use canopy::canopy_blocking;
 pub use collection::{
     BlockCollection, BlockId, BlockRef, BlockView, Direction, ErMode, KeyAssignments,
 };
 pub use corpus::Corpus;
 pub use delta::{DeltaOutcome, IncrementalCollection};
-pub use lsh::{minhash_lsh_blocking, LshConfig};
+pub use lsh::minhash_lsh_blocking;
 pub use qgrams::{extended_qgram_blocking, qgram_blocking};
 pub use sorted_neighborhood::{adaptive_sorted_neighborhood, sorted_neighborhood};

@@ -11,31 +11,30 @@ use crate::collection::{BlockCollection, ErMode, KeyAssignments};
 use minoan_rdf::tokenize::TokenBuffers;
 use minoan_rdf::Dataset;
 
-/// Byte spans of the character q-grams of `token`, in order. A token
-/// shorter than `q` characters has no window: it is its own only q-gram.
-fn qgram_spans(token: &str, q: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+/// The q-gram length, in characters.
+pub const Q: usize = 3;
+
+/// The share of a token's distinct q-grams an extended q-gram key
+/// combines (see [`extended_qgram_blocking`]).
+pub const EXTENDED_THRESHOLD: f64 = 0.8;
+
+/// Byte spans of the character [`Q`]-grams of `token`, in order. A token
+/// shorter than `Q` characters has no window: it is its own only q-gram.
+fn qgram_spans(token: &str) -> impl Iterator<Item = (usize, usize)> + '_ {
     let bounds = move || token.char_indices().map(|(i, _)| i).chain([token.len()]);
-    let whole = bounds().nth(q).is_none().then_some((0, token.len()));
-    whole.into_iter().chain(bounds().zip(bounds().skip(q)))
+    let whole = bounds().nth(Q).is_none().then_some((0, token.len()));
+    whole.into_iter().chain(bounds().zip(bounds().skip(Q)))
 }
 
-/// Q-grams blocking: one block per distinct q-gram of any blocking token.
-/// The blocks are built on `threads` workers and do not depend on it.
-///
-/// # Panics
-/// Panics if `q == 0`.
-pub fn qgram_blocking(
-    dataset: &Dataset,
-    mode: ErMode,
-    q: usize,
-    threads: usize,
-) -> BlockCollection {
-    assert!(q > 0, "q must be positive");
+/// Q-grams blocking: one block per distinct [`Q`]-gram of any blocking
+/// token. The blocks are built on `threads` workers and do not depend on
+/// it.
+pub fn qgram_blocking(dataset: &Dataset, mode: ErMode, threads: usize) -> BlockCollection {
     let mut asg = KeyAssignments::with_capacity(dataset.len());
     let mut buffers = TokenBuffers::default();
     for e in dataset.entities() {
         dataset.for_each_blocking_token(e, &mut buffers, |token| {
-            for (start, end) in qgram_spans(token, q) {
+            for (start, end) in qgram_spans(token) {
                 asg.push_key(&token[start..end]);
             }
         });
@@ -49,28 +48,12 @@ pub fn qgram_blocking(
 /// it fall back to plain q-gram keys.
 pub const MAX_COMBINATIONS: usize = 64;
 
-/// Extended q-grams blocking: for each token with `k` distinct q-grams,
-/// keys are all `~`-joined combinations, in sorted q-gram order, of
-/// `l = max(1, ⌊k·threshold⌋)` of them, so two descriptions must share at
-/// least `l` q-grams of a token to co-occur. The blocks are built on
-/// `threads` workers and do not depend on it.
-///
-/// `threshold ∈ (0, 1]`; `threshold == 1` degenerates to whole-token keys.
-///
-/// # Panics
-/// Panics if `q == 0` or `threshold` is outside `(0, 1]`.
-pub fn extended_qgram_blocking(
-    dataset: &Dataset,
-    mode: ErMode,
-    q: usize,
-    threshold: f64,
-    threads: usize,
-) -> BlockCollection {
-    assert!(q > 0, "q must be positive");
-    assert!(
-        threshold > 0.0 && threshold <= 1.0,
-        "threshold must be in (0, 1]"
-    );
+/// Extended q-grams blocking: for each token with `k` distinct
+/// [`Q`]-grams, keys are all `~`-joined combinations, in sorted q-gram
+/// order, of `l = max(1, ⌊k·EXTENDED_THRESHOLD⌋)` of them, so two
+/// descriptions must share at least `l` q-grams of a token to co-occur.
+/// The blocks are built on `threads` workers and do not depend on it.
+pub fn extended_qgram_blocking(dataset: &Dataset, mode: ErMode, threads: usize) -> BlockCollection {
     let mut asg = KeyAssignments::with_capacity(dataset.len());
     let mut buffers = TokenBuffers::default();
     let mut grams: Vec<(usize, usize)> = Vec::new();
@@ -79,11 +62,11 @@ pub fn extended_qgram_blocking(
         dataset.for_each_blocking_token(e, &mut buffers, |token| {
             let gram = |&(start, end): &(usize, usize)| &token[start..end];
             grams.clear();
-            grams.extend(qgram_spans(token, q));
+            grams.extend(qgram_spans(token));
             grams.sort_unstable_by(|a, b| gram(a).cmp(gram(b)));
             grams.dedup_by(|a, b| gram(a) == gram(b));
             let k = grams.len();
-            let l = ((k as f64 * threshold).floor() as usize).max(1);
+            let l = ((k as f64 * EXTENDED_THRESHOLD).floor() as usize).max(1);
             if combination_count(k, l) > MAX_COMBINATIONS {
                 // Exponential blow-up guard: plain q-grams for this token.
                 for g in &grams {
@@ -163,7 +146,7 @@ mod tests {
     #[test]
     fn qgrams_basic() {
         let qgrams = |token: &'static str| -> Vec<&str> {
-            qgram_spans(token, 3).map(|(s, e)| &token[s..e]).collect()
+            qgram_spans(token).map(|(s, e)| &token[s..e]).collect()
         };
         assert_eq!(qgrams("abcd"), vec!["abc", "bcd"]);
         assert_eq!(qgrams("ab"), vec!["ab"], "short tokens kept whole");
@@ -177,7 +160,7 @@ mod tests {
     #[test]
     fn qgram_blocking_recovers_typo_pairs() {
         let ds = dataset();
-        let blocks = qgram_blocking(&ds, ErMode::CleanClean, 3, 1);
+        let blocks = qgram_blocking(&ds, ErMode::CleanClean, 1);
         let pairs = blocks.distinct_pairs();
         assert!(
             pairs.contains(&(EntityId(0), EntityId(1))),
@@ -192,8 +175,8 @@ mod tests {
     #[test]
     fn extended_requires_more_shared_evidence() {
         let ds = dataset();
-        let plain = qgram_blocking(&ds, ErMode::CleanClean, 3, 1);
-        let extended = extended_qgram_blocking(&ds, ErMode::CleanClean, 3, 0.9, 1);
+        let plain = qgram_blocking(&ds, ErMode::CleanClean, 1);
+        let extended = extended_qgram_blocking(&ds, ErMode::CleanClean, 1);
         assert!(
             extended.total_comparisons() <= plain.total_comparisons(),
             "extended ({}) must not exceed plain ({})",
@@ -202,17 +185,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn extended_threshold_one_is_whole_token() {
-        let ds = dataset();
-        let extended = extended_qgram_blocking(&ds, ErMode::CleanClean, 3, 1.0, 1);
-        // l = k → single combination = all q-grams of the token joined;
-        // only exactly-equal tokens co-occur, so no pair here.
-        assert_eq!(extended.distinct_pairs().len(), 0);
-    }
-
     /// Tokens of 13 and 15 characters have more than `MAX_COMBINATIONS`
-    /// combinations at threshold 0.8, so they key on plain q-grams and
+    /// combinations at `EXTENDED_THRESHOLD` 0.8, so they key on plain q-grams and
     /// meet on the four they share.
     #[test]
     fn long_tokens_fall_back_to_plain_qgrams() {
@@ -222,7 +196,7 @@ mod tests {
         b.add_literal(k0, "http://a/0", "http://p/label", "heraklionpalace");
         b.add_literal(k1, "http://b/1", "http://p/label", "knossospalace");
         let ds = b.build();
-        let blocks = extended_qgram_blocking(&ds, ErMode::CleanClean, 3, 0.8, 1);
+        let blocks = extended_qgram_blocking(&ds, ErMode::CleanClean, 1);
         assert_eq!(blocks.distinct_pairs(), vec![(EntityId(0), EntityId(1))]);
         assert_eq!(blocks.len(), 4, "pal, ala, lac, ace");
     }
@@ -245,17 +219,5 @@ mod tests {
         assert_eq!(combinations(2), vec![vec![0, 1], vec![0, 2], vec![1, 2]]);
         assert!(combinations(0).is_empty());
         assert!(combinations(4).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "q must be positive")]
-    fn zero_q_rejected() {
-        qgram_blocking(&dataset(), ErMode::Dirty, 0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn bad_threshold_rejected() {
-        extended_qgram_blocking(&dataset(), ErMode::Dirty, 3, 1.5, 1);
     }
 }

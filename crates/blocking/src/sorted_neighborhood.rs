@@ -34,20 +34,25 @@ pub fn sorted_token_entities(dataset: &Dataset) -> Vec<(String, EntityId)> {
     pairs
 }
 
-/// Fixed-window sorted neighborhood: one block per window of `window`
+/// Entries per window of [`sorted_neighborhood`].
+pub const WINDOW: usize = 6;
+/// Characters of the sort key that must agree for [`adaptive_sorted_neighborhood`]
+/// to keep two entries in one run.
+pub const PREFIX_LEN: usize = 4;
+/// The largest run [`adaptive_sorted_neighborhood`] keeps as one block
+/// (guards against degenerate all-same-prefix data).
+pub const MAX_BLOCK: usize = 32;
+
+/// Fixed-window sorted neighborhood: one block per window of [`WINDOW`]
 /// consecutive entries in the sorted token–entity array.
 ///
 /// Consecutive duplicate entities inside a window are deduplicated by the
 /// collection; windows that induce no comparison are dropped.
-///
-/// # Panics
-/// Panics if `window < 2` (a window of one entity induces no comparison).
-pub fn sorted_neighborhood(dataset: &Dataset, mode: ErMode, window: usize) -> BlockCollection {
-    assert!(window >= 2, "window must hold at least two entries");
+pub fn sorted_neighborhood(dataset: &Dataset, mode: ErMode) -> BlockCollection {
     let pairs = sorted_token_entities(dataset);
     let mut groups: Vec<(String, Vec<EntityId>)> = Vec::new();
-    if pairs.len() >= window {
-        for (i, w) in pairs.windows(window).enumerate() {
+    if pairs.len() >= WINDOW {
+        for (i, w) in pairs.windows(WINDOW).enumerate() {
             let members: Vec<EntityId> = w.iter().map(|(_, e)| *e).collect();
             groups.push((format!("snw:{i:08}"), members));
         }
@@ -62,22 +67,11 @@ pub fn sorted_neighborhood(dataset: &Dataset, mode: ErMode, window: usize) -> Bl
 
 /// Adaptive sorted neighborhood: instead of a fixed window, the entity
 /// sequence is cut wherever the sort key changes by more than a shared
-/// prefix of `prefix_len` characters — runs of near-identical keys form one
-/// block each, so dense key regions get wide windows and sparse regions
-/// narrow ones (the "incrementally adaptive SNM" idea of Yan et al.).
-///
-/// `max_block` caps a run (guards against degenerate all-same-prefix data).
-///
-/// # Panics
-/// Panics if `prefix_len == 0` or `max_block < 2`.
-pub fn adaptive_sorted_neighborhood(
-    dataset: &Dataset,
-    mode: ErMode,
-    prefix_len: usize,
-    max_block: usize,
-) -> BlockCollection {
-    assert!(prefix_len > 0, "prefix length must be positive");
-    assert!(max_block >= 2, "maximum block size must hold a pair");
+/// prefix of [`PREFIX_LEN`] characters — runs of near-identical keys form
+/// one block each, so dense key regions get wide windows and sparse
+/// regions narrow ones (the "incrementally adaptive SNM" idea of Yan et
+/// al.). A run is cut at [`MAX_BLOCK`] entries.
+pub fn adaptive_sorted_neighborhood(dataset: &Dataset, mode: ErMode) -> BlockCollection {
     let pairs = sorted_token_entities(dataset);
     let mut groups: Vec<(String, Vec<EntityId>)> = Vec::new();
     let mut run: Vec<EntityId> = Vec::new();
@@ -93,9 +87,9 @@ pub fn adaptive_sorted_neighborhood(
             }
         };
     for (token, e) in &pairs {
-        let prefix: String = token.chars().take(prefix_len).collect();
+        let prefix: String = token.chars().take(PREFIX_LEN).collect();
         let same = run_prefix.as_deref() == Some(prefix.as_str());
-        if !same || run.len() >= max_block {
+        if !same || run.len() >= MAX_BLOCK {
             flush(&mut run, &mut run_id, &mut groups);
             run_prefix = Some(prefix);
         }
@@ -136,7 +130,7 @@ mod tests {
     #[test]
     fn window_blocks_pair_adjacent_rare_tokens() {
         let ds = dataset();
-        let blocks = sorted_neighborhood(&ds, ErMode::CleanClean, 2);
+        let blocks = sorted_neighborhood(&ds, ErMode::CleanClean);
         // "zyzzyva" entries from e0 and e2 are adjacent in the sort → some
         // window holds both, hence a cross-KB comparison of (0, 2).
         let pairs = blocks.distinct_pairs();
@@ -147,26 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn wider_window_yields_superset_of_pairs() {
-        let ds = dataset();
-        let narrow = sorted_neighborhood(&ds, ErMode::CleanClean, 2).distinct_pairs();
-        let wide = sorted_neighborhood(&ds, ErMode::CleanClean, 4).distinct_pairs();
-        for p in &narrow {
-            assert!(wide.contains(p), "wide window lost pair {p:?}");
-        }
-        assert!(wide.len() >= narrow.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn window_of_one_rejected() {
-        sorted_neighborhood(&dataset(), ErMode::CleanClean, 1);
-    }
-
-    #[test]
     fn adaptive_groups_shared_prefixes() {
         let ds = dataset();
-        let blocks = adaptive_sorted_neighborhood(&ds, ErMode::CleanClean, 4, 64);
+        let blocks = adaptive_sorted_neighborhood(&ds, ErMode::CleanClean);
         let pairs = blocks.distinct_pairs();
         assert!(
             pairs.contains(&(EntityId(0), EntityId(2))),
@@ -174,13 +151,19 @@ mod tests {
         );
     }
 
+    /// Forty descriptions with one shared token form one run, cut at
+    /// `MAX_BLOCK`.
     #[test]
     fn adaptive_respects_max_block() {
-        let ds = dataset();
-        let blocks = adaptive_sorted_neighborhood(&ds, ErMode::Dirty, 1, 2);
-        for b in blocks.blocks() {
-            assert!(b.len() <= 2, "block exceeds cap: {}", b.len());
+        let mut b = DatasetBuilder::new();
+        let k0 = b.add_kb("a", "http://a/");
+        for i in 0..40 {
+            b.add_literal(k0, &format!("http://a/{i}"), "http://p/label", "zyzzyva");
         }
+        let ds = b.build();
+        let blocks = adaptive_sorted_neighborhood(&ds, ErMode::Dirty);
+        let sizes: Vec<usize> = blocks.blocks().map(|b| b.len()).collect();
+        assert_eq!(sizes, vec![MAX_BLOCK, 40 - MAX_BLOCK]);
     }
 
     #[test]
@@ -191,8 +174,8 @@ mod tests {
         b.add_literal(k0, "http://a/0", "http://p/x", "quince");
         b.add_literal(k1, "http://b/1", "http://p/x", "rhubarb");
         let ds = b.build();
-        // Window larger than the token array → one catch-all block.
-        let blocks = sorted_neighborhood(&ds, ErMode::CleanClean, 10);
+        // `WINDOW` larger than the token array → one catch-all block.
+        let blocks = sorted_neighborhood(&ds, ErMode::CleanClean);
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks.total_comparisons(), 1);
     }
@@ -200,7 +183,7 @@ mod tests {
     #[test]
     fn empty_dataset_yields_no_blocks() {
         let ds = DatasetBuilder::new().build();
-        assert!(sorted_neighborhood(&ds, ErMode::Dirty, 2).is_empty());
-        assert!(adaptive_sorted_neighborhood(&ds, ErMode::Dirty, 3, 8).is_empty());
+        assert!(sorted_neighborhood(&ds, ErMode::Dirty).is_empty());
+        assert!(adaptive_sorted_neighborhood(&ds, ErMode::Dirty).is_empty());
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::args::{ArgError, Args};
 use minoan_blocking::builders::TokenKeys;
-use minoan_blocking::{CanopyConfig, Corpus, ErMode, LshConfig};
+use minoan_blocking::{Corpus, ErMode};
 use minoan_datagen::{generate, profiles, ArrivalOrder, WorldConfig};
 use minoan_er::clustering::ClusteringAlgorithm;
 use minoan_er::pipeline::{BlockingMethod, Pipeline, PipelineConfig};
@@ -217,7 +217,7 @@ fn strategy_by_name(name: &str) -> Result<Strategy, CliError> {
 
 fn cmd_generate(args: &Args) -> Result<String, CliError> {
     let profile = args.require("profile")?;
-    let entities = args.get_parsed("entities", 500usize)?;
+    let entities = positive_count(args, "entities")?.unwrap_or(500);
     let seed = args.get_parsed("seed", 42u64)?;
     let out_dir = Path::new(args.require("out")?).to_path_buf();
     let config = profile_by_name(profile, entities, seed)?;
@@ -264,14 +264,11 @@ fn blocking_by_name(name: &str) -> Result<BlockingMethod, CliError> {
         ("token", BlockingMethod::Token),
         ("uri-infix", BlockingMethod::UriInfix),
         ("token+uri", BlockingMethod::TokenAndUri),
-        ("attr-clustering", BlockingMethod::AttributeClustering(0.3)),
-        ("qgrams", BlockingMethod::QGrams(3)),
-        ("sorted-neighborhood", BlockingMethod::SortedNeighborhood(6)),
-        (
-            "minhash-lsh",
-            BlockingMethod::MinHashLsh(LshConfig::default()),
-        ),
-        ("canopy", BlockingMethod::Canopy(CanopyConfig::default())),
+        ("attr-clustering", BlockingMethod::AttributeClustering),
+        ("qgrams", BlockingMethod::QGrams),
+        ("sorted-neighborhood", BlockingMethod::SortedNeighborhood),
+        ("minhash-lsh", BlockingMethod::MinHashLsh),
+        ("canopy", BlockingMethod::Canopy),
     ];
     by_name("blocking method", &table, name)
 }
@@ -489,7 +486,7 @@ fn cmd_resolve(args: &Args) -> Result<String, CliError> {
 
 fn cmd_eval(args: &Args) -> Result<String, CliError> {
     let profile = args.require("profile")?;
-    let entities = args.get_parsed("entities", 300usize)?;
+    let entities = positive_count(args, "entities")?.unwrap_or(300);
     let seed = args.get_parsed("seed", 42u64)?;
     let world = generate(&profile_by_name(profile, entities, seed)?);
     let mut config = pipeline_config(args)?;
@@ -561,7 +558,7 @@ fn arrival_order(name: &str, seed: u64) -> Result<ArrivalOrder, CliError> {
 
 fn cmd_stream(args: &Args) -> Result<String, CliError> {
     let profile = args.require("profile")?;
-    let entities = args.get_parsed("entities", 300usize)?;
+    let entities = positive_count(args, "entities")?.unwrap_or(300);
     let seed = args.get_parsed("seed", 42u64)?;
     let world = generate(&profile_by_name(profile, entities, seed)?);
     let order = arrival_order(args.get("order").unwrap_or("shuffled"), seed)?;
@@ -587,7 +584,7 @@ fn cmd_stream(args: &Args) -> Result<String, CliError> {
 
 fn cmd_incremental(args: &Args) -> Result<String, CliError> {
     let profile = args.require("profile")?;
-    let entities = args.get_parsed("entities", 300usize)?;
+    let entities = positive_count(args, "entities")?.unwrap_or(300);
     let seed = args.get_parsed("seed", 42u64)?;
     let batch_size = positive_count(args, "batch-size")?.unwrap_or(50);
     let world = generate(&profile_by_name(profile, entities, seed)?);
@@ -649,7 +646,7 @@ fn cmd_incremental(args: &Args) -> Result<String, CliError> {
 
 fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let profile = args.require("profile")?;
-    let entities = args.get_parsed("entities", 300usize)?;
+    let entities = positive_count(args, "entities")?.unwrap_or(300);
     let seed = args.get_parsed("seed", 42u64)?;
     let world = generate(&profile_by_name(profile, entities, seed)?);
     let mode = if args.flag("dirty") || profile == "dirty" {
@@ -800,6 +797,26 @@ mod tests {
         );
         assert!(synopsis("serve").ends_with("[--addr-file PATH] [--dirty]"));
         assert_eq!(synopsis("help"), "");
+    }
+
+    /// A world of no entities is refused as a user error by every command
+    /// that generates one, not by a panic inside the generator.
+    #[test]
+    fn zero_entities_is_an_error_in_every_generating_command() {
+        let out = tmp_dir("zero_entities");
+        for cmd in [
+            format!(
+                "generate --profile center --entities 0 --out {}",
+                out.display()
+            ),
+            "eval --profile center --entities 0".to_string(),
+            "stream --profile center --entities 0".to_string(),
+            "incremental --profile center --entities 0".to_string(),
+            "serve --profile center --entities 0".to_string(),
+        ] {
+            let err = run_str(&cmd).expect_err(&cmd);
+            assert!(err.0.contains("--entities"), "{cmd}: {}", err.0);
+        }
     }
 
     #[test]

@@ -80,9 +80,10 @@ pub struct ResolverConfig {
     /// In clean–clean data, consume matched endpoints so an entity matches
     /// at most one description per other KB.
     pub unique_mapping: bool,
-    /// Cap on neighbours examined per endpoint during the update phase.
-    pub max_neighbors: usize,
 }
+
+/// Cap on neighbours examined per endpoint during the update phase.
+pub const MAX_NEIGHBORS: usize = 16;
 
 impl Default for ResolverConfig {
     fn default() -> Self {
@@ -92,7 +93,6 @@ impl Default for ResolverConfig {
             alpha: 0.5,
             recompare_margin: 0.15,
             unique_mapping: false,
-            max_neighbors: 16,
         }
     }
 }
@@ -337,7 +337,7 @@ impl<'d> ProgressiveResolver<'d> {
         state: &ResolutionState<'_>,
         model: BenefitModel,
     ) -> usize {
-        let cap = self.config.max_neighbors;
+        let cap = MAX_NEIGHBORS;
         let mut discovered = 0usize;
         let na = self.dataset.neighbors(a);
         let nb = self.dataset.neighbors(b);

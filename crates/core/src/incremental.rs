@@ -15,16 +15,19 @@
 //!    delta-merged into the per-key sorted member slabs (no private
 //!    inverted index, and no tokenising or interning per arrival),
 //! 2. generates candidates among the *already arrived* descriptions by
-//!    counting block co-occurrences (incremental CBS weighting) — the
-//!    co-occurrence list is collected from the sorted member slabs and
-//!    reduced by run-length counting, so candidate order never depends
-//!    on hash-map iteration,
-//! 3. compares the top candidates best-first under a per-arrival budget,
+//!    counting block co-occurrences (incremental CBS weighting), skipping
+//!    blocks of more than [`MAX_TOKEN_FREQUENCY`] other arrivals and
+//!    keeping the top [`MAX_CANDIDATES`] — the co-occurrence list is
+//!    collected from the sorted member slabs and reduced by run-length
+//!    counting, so candidate order never depends on hash-map iteration,
+//! 3. compares the top candidates best-first under a per-arrival budget
+//!    ([`IncrementalConfig`], the one thing a caller sets besides unique
+//!    mapping),
 //! 4. records matches into the shared cluster state and propagates
-//!    neighbour evidence exactly like the batch update phase; each
-//!    pair's accumulated evidence is kept as its contribution list and
-//!    reduced with a fixed-shape pairwise sum, so a pair's boost does
-//!    not depend on the order matches were found in.
+//!    neighbour evidence at strength [`ALPHA`] like the batch update
+//!    phase; each pair's accumulated evidence is kept as its contribution
+//!    list and reduced with a fixed-shape pairwise sum, so a pair's boost
+//!    does not depend on the order matches were found in.
 //!
 //! The resolver is clean–clean only: a candidate must come from another
 //! KB, so on a single dirty KB it finds nothing. Its answer is its own,
@@ -59,27 +62,32 @@ use minoan_rdf::{Dataset, EntityId};
 use minoan_similarity::JaroScratch;
 use std::sync::Arc;
 
-/// Configuration of the incremental resolver.
+/// Maximum candidates generated per arrival (top by common blocks).
 ///
-/// The budget defaults come from a 50k-entity calibration sweep recorded
-/// when the resolver was added (center-profile world, default matcher) —
-/// numbers on record, not the output of a harness one can run:
-/// per-arrival comparison budgets above ~8 and candidate pools above ~24
-/// stopped improving recall (< 0.5 % per doubling) while comparisons grew
-/// linearly, so the defaults sit at the knee with one notch of headroom.
+/// This pool and [`IncrementalConfig`]'s default budget come from a
+/// 50k-entity calibration sweep recorded when the resolver was added
+/// (center-profile world, default matcher) — numbers on record, not the
+/// output of a harness one can run: per-arrival comparison budgets above
+/// ~8 and candidate pools above ~24 stopped improving recall (< 0.5 % per
+/// doubling) while comparisons grew linearly, so both sit at the knee
+/// with one notch of headroom.
+pub const MAX_CANDIDATES: usize = 32;
+
+/// Blocks holding more than this many *other* arrived descriptions are
+/// skipped (stop-token guard, the incremental analogue of block purging).
+pub const MAX_TOKEN_FREQUENCY: usize = 64;
+
+/// Neighbour-propagation strength: a match with score `s` adds
+/// `ALPHA·s`, damped, to each linked pair's evidence.
+pub const ALPHA: f64 = 0.4;
+
+/// Configuration of the incremental resolver (see the calibration note
+/// on [`MAX_CANDIDATES`] for where the default budget comes from).
 #[derive(Clone, Copy, Debug)]
 pub struct IncrementalConfig {
     /// Maximum candidates compared best-first per arrival. Each match
     /// they make may re-check up to 8 linked pairs beyond it.
     pub budget_per_arrival: u64,
-    /// Maximum candidates generated per arrival (top by common blocks).
-    pub max_candidates: usize,
-    /// Skip blocks holding more than this many *other* arrived
-    /// descriptions (stop-token guard, the incremental analogue of block
-    /// purging).
-    pub max_token_frequency: usize,
-    /// Neighbour-propagation strength (0 disables the update phase).
-    pub alpha: f64,
     /// In clean–clean data, an arrived entity matches at most one
     /// description per other KB.
     pub unique_mapping: bool,
@@ -89,9 +97,6 @@ impl Default for IncrementalConfig {
     fn default() -> Self {
         Self {
             budget_per_arrival: 10,
-            max_candidates: 32,
-            max_token_frequency: 64,
-            alpha: 0.4,
             unique_mapping: true,
         }
     }
@@ -159,11 +164,6 @@ impl<'d> IncrementalResolver<'d> {
         config: IncrementalConfig,
     ) -> Self {
         let dataset = corpus.dataset();
-        assert!(config.alpha >= 0.0, "alpha must be non-negative");
-        assert!(
-            config.max_candidates > 0,
-            "need at least one candidate slot"
-        );
         Self {
             dataset,
             matcher,
@@ -250,7 +250,7 @@ impl<'d> IncrementalResolver<'d> {
         occs.clear();
         for &s in self.blocks.entity_keys(e) {
             let members = self.blocks.key_members(s);
-            if members.is_empty() || members.len() - 1 > self.config.max_token_frequency {
+            if members.is_empty() || members.len() - 1 > MAX_TOKEN_FREQUENCY {
                 continue; // unblocked or stop token
             }
             occs.extend(
@@ -280,7 +280,7 @@ impl<'d> IncrementalResolver<'d> {
                 .expect("candidate scores are finite: cbs counts plus bounded boost")
                 .then(x.0.cmp(&y.0))
         });
-        candidates.truncate(self.config.max_candidates);
+        candidates.truncate(MAX_CANDIDATES);
 
         // --- Budgeted best-first matching --------------------------------
         let mut report = ArrivalReport {
@@ -307,9 +307,7 @@ impl<'d> IncrementalResolver<'d> {
                 self.matches.push((e.min(other), e.max(other), score));
                 report.matches.push((other, score));
                 self.mapping.map(e, other, kbs(self.dataset, e, other));
-                if self.config.alpha > 0.0 {
-                    report.comparisons += self.propagate(e, other, score);
-                }
+                report.comparisons += self.propagate(e, other, score);
                 if self.config.unique_mapping {
                     // The newcomer may still match entities of *other* KBs;
                     // keep scanning.
@@ -339,7 +337,7 @@ impl<'d> IncrementalResolver<'d> {
         let na = self.dataset.neighbors(a);
         let nb = self.dataset.neighbors(b);
         let damp = (((na.len().min(CAP) * nb.len().min(CAP)) as f64).sqrt() / 2.0).max(1.0);
-        let delta = self.config.alpha * score / damp;
+        let delta = ALPHA * score / damp;
         if delta < 0.02 {
             return 0;
         }
@@ -395,6 +393,7 @@ mod tests {
     use super::*;
     use crate::matcher::MatcherConfig;
     use minoan_datagen::{generate, profiles, GeneratedWorld};
+    use minoan_rdf::DatasetBuilder;
 
     fn world() -> GeneratedWorld {
         generate(&profiles::center_dense(200, 71))
@@ -534,24 +533,20 @@ mod tests {
     fn budget_per_arrival_is_respected() {
         let g = world();
         let matcher = Matcher::new(&g.dataset, MatcherConfig::default());
-        let mut config = IncrementalConfig {
+        let config = IncrementalConfig {
             budget_per_arrival: 3,
             ..Default::default()
         };
-        // Each match may re-check 8 linked pairs beyond the budget; with
-        // no update phase (alpha 0) there are no re-checks.
-        for (alpha, per_match) in [(0.4, 8), (0.0, 0)] {
-            config.alpha = alpha;
-            let mut inc = IncrementalResolver::new(&g.dataset, &matcher, config);
-            let mut at_budget = false;
-            for e in g.dataset.entities() {
-                let r = inc.arrive(e);
-                let bound = 3 + per_match * r.matches.len() as u64;
-                assert!(r.comparisons <= bound, "arrival exceeded budget: {r:?}");
-                at_budget |= r.comparisons == 3;
-            }
-            assert!(at_budget, "no arrival reached the budget");
+        // Each match may re-check 8 linked pairs beyond the budget.
+        let mut inc = IncrementalResolver::new(&g.dataset, &matcher, config);
+        let mut at_budget = false;
+        for e in g.dataset.entities() {
+            let r = inc.arrive(e);
+            let bound = 3 + 8 * r.matches.len() as u64;
+            assert!(r.comparisons <= bound, "arrival exceeded budget: {r:?}");
+            at_budget |= r.comparisons == 3;
         }
+        assert!(at_budget, "no arrival reached the budget");
     }
 
     #[test]
@@ -573,22 +568,33 @@ mod tests {
         }
     }
 
+    /// A block is skipped once more than `MAX_TOKEN_FREQUENCY` *other*
+    /// arrived descriptions carry its key: a newcomer sharing one key with
+    /// exactly 64 of them gets candidates, one sharing a key with 65 gets
+    /// none.
     #[test]
     fn stop_tokens_are_skipped() {
-        let g = world();
-        let matcher = Matcher::new(&g.dataset, MatcherConfig::default());
-        // Frequency cap of 1: every shared block becomes a stop block after
-        // its second carrier, so candidate counts collapse.
-        let strict = IncrementalConfig {
-            max_token_frequency: 1,
-            ..Default::default()
-        };
-        let mut inc_strict = IncrementalResolver::new(&g.dataset, &matcher, strict);
-        let mut inc_default =
-            IncrementalResolver::new(&g.dataset, &matcher, IncrementalConfig::default());
-        let strict_report = inc_strict.arrive_all(g.dataset.entities());
-        let default_report = inc_default.arrive_all(g.dataset.entities());
-        assert!(strict_report.candidates < default_report.candidates);
+        let mut b = DatasetBuilder::new();
+        let ka = b.add_kb("a", "http://a/");
+        let kb = b.add_kb("b", "http://b/");
+        for (token, carriers) in [
+            ("alpha", MAX_TOKEN_FREQUENCY),
+            ("omega", MAX_TOKEN_FREQUENCY + 1),
+        ] {
+            for i in 0..carriers {
+                b.add_literal(kb, &format!("http://b/{token}{i}"), "http://p/label", token);
+            }
+            b.add_literal(ka, &format!("http://a/{token}"), "http://p/label", token);
+        }
+        let ds = b.build();
+        let matcher = Matcher::new(&ds, MatcherConfig::default());
+        let mut inc = IncrementalResolver::new(&ds, &matcher, IncrementalConfig::default());
+        inc.arrive_all(ds.entities().filter(|&e| ds.kb_of(e) == kb));
+        let newcomer = |uri| ds.entity_by_uri(uri).expect("added above");
+        let below = inc.arrive(newcomer("http://a/alpha"));
+        assert_eq!(below.candidates, MAX_CANDIDATES);
+        let above = inc.arrive(newcomer("http://a/omega"));
+        assert_eq!(above.candidates, 0);
     }
 
     #[test]

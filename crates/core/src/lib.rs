@@ -69,5 +69,5 @@ pub use incremental::{ArrivalReport, IncrementalConfig, IncrementalResolver};
 pub use matcher::{Matcher, MatcherConfig};
 pub use oracle::{oracle_trace, perfect_trace, schedule_efficiency};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineOutput};
-pub use rules::{CompositeConfig, CompositeResolution, CompositeResolver, Rule, RuleMatch};
+pub use rules::{CompositeResolution, CompositeResolver, Rule, RuleMatch};
 pub use trace::{Trace, TraceStep};

@@ -2,10 +2,13 @@
 //!
 //! Schema-agnostic value similarity is the primary signal: IDF-weighted
 //! token overlap over all blocking tokens of the two descriptions. Where
-//! name-like attributes exist, a Jaro–Winkler component on their values is
-//! blended in. The engine further combines this *value* similarity with
-//! accumulated *neighbour* evidence (see [`Matcher::composite`]) — the
-//! paper's "similarity evidence of entity neighbors".
+//! both descriptions have a name-like attribute, a Jaro–Winkler component
+//! on their values is blended in at the fixed weight [`NAME_WEIGHT`]
+//! (0.25). The engine further combines this *value* similarity with
+//! accumulated *neighbour* evidence at the fixed weight
+//! [`EVIDENCE_WEIGHT`] (0.3, see [`Matcher::composite`]) — the paper's
+//! "similarity evidence of entity neighbors". What a caller sets is only
+//! when a score is a match ([`MatcherConfig`]).
 //!
 //! # What is computed once per entity
 //!
@@ -53,18 +56,21 @@ use minoan_similarity::tfidf::cosine_prepared;
 use minoan_similarity::{jaro_winkler_chars, JaroScratch, TfIdfWeights};
 use std::ops::Range;
 
-/// Matcher configuration. The token component is always the TF-IDF
-/// cosine of the two descriptions' value tokens.
+/// Weight of the name-string component: the token component gets
+/// `1 − NAME_WEIGHT` when both descriptions have a name.
+pub const NAME_WEIGHT: f64 = 0.25;
+
+/// Weight `β` of neighbour evidence in the composite score (see
+/// [`Matcher::composite`]).
+pub const EVIDENCE_WEIGHT: f64 = 0.3;
+
+/// Matcher configuration: when a scored pair is a match. The token
+/// component is always the TF-IDF cosine of the two descriptions' value
+/// tokens, blended with the names at [`NAME_WEIGHT`].
 #[derive(Clone, Debug)]
 pub struct MatcherConfig {
-    /// Weight of the name-string component (0 disables it). The token
-    /// component gets `1 − name_weight` when names are present.
-    pub name_weight: f64,
     /// Similarity threshold at or above which a pair is declared a match.
     pub threshold: f64,
-    /// Weight of neighbour evidence in the composite score (`β`); the value
-    /// similarity gets `1 − β` when evidence is present.
-    pub evidence_weight: f64,
     /// Minimum *value* similarity any match must have, regardless of
     /// neighbour evidence — evidence corroborates weak token overlap, it
     /// never substitutes for zero overlap.
@@ -74,9 +80,7 @@ pub struct MatcherConfig {
 impl Default for MatcherConfig {
     fn default() -> Self {
         Self {
-            name_weight: 0.25,
             threshold: 0.4,
-            evidence_weight: 0.3,
             value_floor: 0.3,
         }
     }
@@ -133,10 +137,7 @@ impl Matcher {
     /// [`Self::new`] gives it.
     pub fn from_corpus(corpus: &Corpus<'_>, config: MatcherConfig) -> Self {
         assert!(
-            (0.0..=1.0).contains(&config.name_weight)
-                && (0.0..=1.0).contains(&config.evidence_weight)
-                && (0.0..=1.0).contains(&config.threshold)
-                && (0.0..=1.0).contains(&config.value_floor),
+            (0.0..=1.0).contains(&config.threshold) && (0.0..=1.0).contains(&config.value_floor),
             "matcher weights must be in [0,1]"
         );
         assert_ne!(
@@ -223,24 +224,22 @@ impl Matcher {
         let (ta, tb) = (&self.token_ids[ra.clone()], &self.token_ids[rb]);
         let (na, nb) = (self.norms[a.index()], self.norms[b.index()]);
         let tok_sim = cosine_prepared(ta, &self.idf_sq[ra], na, tb, nb);
-        if self.config.name_weight > 0.0 {
-            if let Some(ns) = self.name_similarity(a, b, scratch) {
-                return (1.0 - self.config.name_weight) * tok_sim + self.config.name_weight * ns;
-            }
+        match self.name_similarity(a, b, scratch) {
+            Some(ns) => (1.0 - NAME_WEIGHT) * tok_sim + NAME_WEIGHT * ns,
+            None => tok_sim,
         }
-        tok_sim
     }
 
     /// Composite score folding neighbour `evidence` into the value
-    /// similarity as an *additive boost*: with evidence `ε` and weight `β`,
-    /// `score = min(1, value + β·min(1, ε))`. Evidence can only help — a
+    /// similarity as an *additive boost*: with evidence `ε` and
+    /// `β` = [`EVIDENCE_WEIGHT`], `score = min(1, value + β·min(1, ε))`. Evidence can only help — a
     /// pair never scores below its value similarity (matched neighbours are
     /// positive evidence, per the paper's update phase).
     pub fn composite(&self, value_sim: f64, evidence: f64) -> f64 {
         if evidence <= 0.0 {
             return value_sim;
         }
-        (value_sim + self.config.evidence_weight * evidence.min(1.0)).min(1.0)
+        (value_sim + EVIDENCE_WEIGHT * evidence.min(1.0)).min(1.0)
     }
 
     /// Whether a pair is a match: composite score at or above the
@@ -344,7 +343,7 @@ mod tests {
         let m = Matcher::new(&ds, MatcherConfig::default());
         assert_eq!(m.composite(0.3, 0.0), 0.3, "no evidence → value only");
         let boosted = m.composite(0.3, 1.0);
-        assert!((boosted - (0.3 + m.config().evidence_weight)).abs() < 1e-12);
+        assert!((boosted - (0.3 + EVIDENCE_WEIGHT)).abs() < 1e-12);
         assert!(m.composite(0.9, 10.0) <= 1.0, "evidence clamped");
         // Evidence never hurts.
         assert!(m.composite(0.3, 0.2) >= 0.3);
@@ -395,11 +394,10 @@ mod tests {
     /// functions over `tokens_of`, the names lowered per call.
     fn written_out(ds: &Dataset, m: &Matcher, idf: &TfIdfWeights, a: EntityId, b: EntityId) -> f64 {
         let tok_sim = idf.cosine(m.tokens_of(a), m.tokens_of(b));
-        let w = m.config().name_weight;
         match (ds.name_values(a).first(), ds.name_values(b).first()) {
-            (Some(x), Some(y)) if w > 0.0 => {
+            (Some(x), Some(y)) => {
                 let ns = minoan_similarity::jaro_winkler(&x.to_lowercase(), &y.to_lowercase());
-                (1.0 - w) * tok_sim + w * ns
+                (1.0 - NAME_WEIGHT) * tok_sim + NAME_WEIGHT * ns
             }
             _ => tok_sim,
         }

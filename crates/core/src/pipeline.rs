@@ -280,7 +280,7 @@ mod tests {
             BlockingMethod::Token,
             BlockingMethod::UriInfix,
             BlockingMethod::TokenAndUri,
-            BlockingMethod::AttributeClustering(0.2),
+            BlockingMethod::AttributeClustering,
         ] {
             let cfg = PipelineConfig {
                 blocking,

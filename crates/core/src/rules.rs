@@ -44,31 +44,16 @@ impl Rule {
     }
 }
 
-/// Configuration of the composite-rule resolver.
-#[derive(Clone, Copy, Debug)]
-pub struct CompositeConfig {
-    /// Minimum Jaro–Winkler between names for R1.
-    pub name_threshold: f64,
-    /// Minimum value similarity for R2 (a loose floor, not a tuned
-    /// threshold — reciprocity does the real filtering).
-    pub value_floor: f64,
-    /// Weight of the neighbour-agreement component in R3 (the rest goes to
-    /// value similarity).
-    pub neighbor_weight: f64,
-    /// Minimum aggregated score for R3.
-    pub aggregate_floor: f64,
-}
-
-impl Default for CompositeConfig {
-    fn default() -> Self {
-        Self {
-            name_threshold: 0.92,
-            value_floor: 0.4,
-            neighbor_weight: 0.4,
-            aggregate_floor: 0.2,
-        }
-    }
-}
+/// Minimum Jaro–Winkler between names for R1.
+pub const R1_NAME_THRESHOLD: f64 = 0.92;
+/// Minimum value similarity for R2 (a loose floor, not a tuned
+/// threshold — reciprocity does the real filtering).
+pub const R2_VALUE_FLOOR: f64 = 0.4;
+/// Weight of the neighbour-agreement component in R3 (the rest goes to
+/// value similarity).
+pub const R3_NEIGHBOR_WEIGHT: f64 = 0.4;
+/// Minimum aggregated score for R3.
+pub const R3_AGGREGATE_FLOOR: f64 = 0.2;
 
 /// One accepted match with its provenance.
 #[derive(Clone, Copy, Debug)]
@@ -104,21 +89,12 @@ impl CompositeResolution {
 pub struct CompositeResolver<'d> {
     dataset: &'d Dataset,
     matcher: &'d Matcher,
-    config: CompositeConfig,
 }
 
 impl<'d> CompositeResolver<'d> {
     /// Creates a resolver over a dataset and its pre-built matcher.
-    pub fn new(dataset: &'d Dataset, matcher: &'d Matcher, config: CompositeConfig) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&config.neighbor_weight),
-            "neighbor weight must be in [0,1]"
-        );
-        Self {
-            dataset,
-            matcher,
-            config,
-        }
+    pub fn new(dataset: &'d Dataset, matcher: &'d Matcher) -> Self {
+        Self { dataset, matcher }
     }
 
     /// Runs all rules over the candidate pairs.
@@ -168,8 +144,7 @@ impl<'d> CompositeResolver<'d> {
             if consumed.contains(&e) || consumed.contains(&best) || e >= best {
                 continue;
             }
-            if sim >= self.config.name_threshold && name_best.get(&best).map(|&(x, _)| x) == Some(e)
-            {
+            if sim >= R1_NAME_THRESHOLD && name_best.get(&best).map(|&(x, _)| x) == Some(e) {
                 accept(e, best, sim, Rule::NameReciprocity, &mut out, &mut consumed);
             }
         }
@@ -208,7 +183,7 @@ impl<'d> CompositeResolver<'d> {
         let mut r2: Vec<(EntityId, EntityId, f64)> = Vec::new();
         for (&e, &(best, sim)) in value_best.iter() {
             if e < best
-                && sim >= self.config.value_floor
+                && sim >= R2_VALUE_FLOOR
                 && value_best.get(&best).map(|&(x, _)| x) == Some(e)
             {
                 r2.push((e, best, sim));
@@ -232,12 +207,12 @@ impl<'d> CompositeResolver<'d> {
             }
             let v = value_of(a, b, &mut out.comparisons);
             let n = self.neighbor_agreement(a, b);
-            (1.0 - self.config.neighbor_weight) * v + self.config.neighbor_weight * n
+            (1.0 - R3_NEIGHBOR_WEIGHT) * v + R3_NEIGHBOR_WEIGHT * n
         });
         let mut r3: Vec<(EntityId, EntityId, f64)> = Vec::new();
         for (&e, &(best, score)) in agg_best.iter() {
             if e < best
-                && score >= self.config.aggregate_floor
+                && score >= R3_AGGREGATE_FLOOR
                 && agg_best.get(&best).map(|&(x, _)| x) == Some(e)
             {
                 r3.push((e, best, score));
@@ -328,16 +303,16 @@ mod tests {
         Session::new(&blocks).run().into_candidates()
     }
 
-    fn run(g: &GeneratedWorld, config: CompositeConfig) -> CompositeResolution {
+    fn run(g: &GeneratedWorld) -> CompositeResolution {
         let matcher = Matcher::new(&g.dataset, MatcherConfig::default());
         let pairs = candidates(g);
-        CompositeResolver::new(&g.dataset, &matcher, config).run(&pairs)
+        CompositeResolver::new(&g.dataset, &matcher).run(&pairs)
     }
 
     #[test]
     fn rules_achieve_high_precision_without_tuned_threshold() {
         let g = generate(&profiles::center_dense(200, 41));
-        let res = run(&g, CompositeConfig::default());
+        let res = run(&g);
         assert!(!res.matches.is_empty());
         let tp = res
             .matches
@@ -353,7 +328,7 @@ mod tests {
     #[test]
     fn unique_mapping_holds() {
         let g = generate(&profiles::center_dense(150, 43));
-        let res = run(&g, CompositeConfig::default());
+        let res = run(&g);
         let mut seen: FxHashSet<EntityId> = FxHashSet::default();
         for m in &res.matches {
             assert!(seen.insert(m.a), "{:?} matched twice", m.a);
@@ -364,7 +339,7 @@ mod tests {
     #[test]
     fn name_rule_fires_on_clean_names() {
         let g = generate(&profiles::center_dense(150, 47));
-        let res = run(&g, CompositeConfig::default());
+        let res = run(&g);
         let r1 = res.by_rule(Rule::NameReciprocity).count();
         assert!(r1 > 0, "R1 should fire on centre data with shared labels");
         // R1 matches must be near-perfect.
@@ -378,7 +353,7 @@ mod tests {
     #[test]
     fn later_rules_add_recall_over_r1_alone() {
         let g = generate(&profiles::periphery_sparse(200, 53));
-        let res = run(&g, CompositeConfig::default());
+        let res = run(&g);
         let total = res.matches.len();
         let r1 = res.by_rule(Rule::NameReciprocity).count();
         assert!(total >= r1, "rules must compose");
@@ -394,8 +369,7 @@ mod tests {
         let g = generate(&profiles::center_dense(120, 59));
         let pairs = candidates(&g);
         let matcher = Matcher::new(&g.dataset, MatcherConfig::default());
-        let res =
-            CompositeResolver::new(&g.dataset, &matcher, CompositeConfig::default()).run(&pairs);
+        let res = CompositeResolver::new(&g.dataset, &matcher).run(&pairs);
         // Value similarities are cached per pair: at most one comparison
         // per distinct candidate pair.
         assert!(res.comparisons <= pairs.len() as u64);
@@ -405,7 +379,7 @@ mod tests {
     fn empty_candidates_empty_output() {
         let g = generate(&profiles::center_dense(50, 61));
         let matcher = Matcher::new(&g.dataset, MatcherConfig::default());
-        let res = CompositeResolver::new(&g.dataset, &matcher, CompositeConfig::default()).run(&[]);
+        let res = CompositeResolver::new(&g.dataset, &matcher).run(&[]);
         assert!(res.matches.is_empty());
         assert_eq!(res.comparisons, 0);
     }
@@ -420,8 +394,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = generate(&profiles::lod_cloud(120, 67));
-        let a = run(&g, CompositeConfig::default());
-        let b = run(&g, CompositeConfig::default());
+        let a = run(&g);
+        let b = run(&g);
         assert_eq!(a.matches.len(), b.matches.len());
         for (x, y) in a.matches.iter().zip(&b.matches) {
             assert_eq!((x.a, x.b, x.rule), (y.a, y.b, y.rule));

@@ -1,7 +1,7 @@
 //! Workspace walking, allowlist application, and the public entry points.
 
 use crate::config::{glob_match, Config};
-use crate::rules::{check_manifest, check_rust, Diagnostic};
+use crate::rules::{check_manifest, check_rust, diag, rule_by_name, Diagnostic};
 use crate::source::scan;
 use std::fs;
 use std::io;
@@ -38,18 +38,22 @@ pub fn lint_rust_source(rel: &str, source: &str, config: &Config) -> Outcome {
         files: 1,
         ..Outcome::default()
     };
+    // `(escape index, rule)` of every inline escape that suppressed a
+    // diagnostic.
+    let mut used: Vec<(usize, &str)> = Vec::new();
     for d in raw {
         // ML000 (allow hygiene) is never suppressable.
         if d.code == "ML000" {
             outcome.fired.push(d);
             continue;
         }
-        let inline = scanned.allows.iter().any(|a| {
+        let inline = scanned.allows.iter().position(|a| {
             a.has_reason
                 && a.rules.iter().any(|r| r == d.rule)
                 && ((!a.own_line && a.line == d.line) || (a.own_line && a.line + 1 == d.line))
         });
-        if inline {
+        if let Some(i) = inline {
+            used.push((i, d.rule));
             outcome.allowed.push(AllowedDiagnostic {
                 diag: d,
                 via: "inline",
@@ -64,6 +68,22 @@ pub fn lint_rust_source(rel: &str, source: &str, config: &Config) -> Outcome {
             continue;
         }
         outcome.fired.push(d);
+    }
+    // An escape that suppresses nothing outlived the code it excused. A
+    // reason-less escape or an unknown rule is already ML000 above.
+    for (i, a) in scanned.allows.iter().enumerate() {
+        let stale = a.rules.iter().filter(|r| {
+            a.has_reason && rule_by_name(r).is_some() && !used.contains(&(i, r.as_str()))
+        });
+        for r in stale {
+            outcome.fired.push(diag(
+                rel,
+                a.line,
+                1,
+                "allow-missing-reason",
+                format!("lint:allow({r}) suppresses nothing here: remove the escape"),
+            ));
+        }
     }
     outcome
 }

@@ -13,6 +13,7 @@
 //!
 //! | code  | rule                  | invariant |
 //! |-------|-----------------------|-----------|
+//! | ML000 | `allow-missing-reason` | an inline escape gives a reason, names a known rule and suppresses something (unsuppressable) |
 //! | ML001 | `hot-path-alloc`      | no per-token `String`/`format!` in hot-path modules |
 //! | ML002 | `hash-order-leak`     | hash iteration order never decides output order |
 //! | ML003 | `float-accumulation`  | float reductions go through `stats::pairwise_sum` |

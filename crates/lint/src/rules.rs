@@ -38,7 +38,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         code: "ML000",
         name: "allow-missing-reason",
-        summary: "a lint:allow escape without a written justification (unsuppressable)",
+        summary: "a lint:allow escape without a written justification, naming no rule, or suppressing nothing (unsuppressable)",
     },
     RuleInfo {
         code: "ML001",
@@ -271,7 +271,13 @@ pub fn check_rust(rel: &str, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
     out.dedup_by(|a, b| a.rule == b.rule && a.line == b.line);
 }
 
-fn diag(rel: &str, line: u32, col: u32, rule: &'static str, message: String) -> Diagnostic {
+pub(crate) fn diag(
+    rel: &str,
+    line: u32,
+    col: u32,
+    rule: &'static str,
+    message: String,
+) -> Diagnostic {
     let info = rule_by_name(rule).expect("rule names are static and known");
     Diagnostic {
         path: rel.to_string(),

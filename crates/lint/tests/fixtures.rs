@@ -40,6 +40,24 @@ fn ml000_clean_allow_suppresses() {
 }
 
 #[test]
+fn ml000_escape_that_suppresses_nothing_fires() {
+    let src = include_str!("lint_fixtures/ml000_stale_fire.rs");
+    // Above a line that no longer fires, and trailing one that never did.
+    assert_eq!(
+        fired("crates/common/src/fixture.rs", src),
+        vec![("ML000", 2), ("ML000", 7)]
+    );
+}
+
+#[test]
+fn ml000_escape_that_suppresses_is_clean() {
+    let src = include_str!("lint_fixtures/ml000_stale_clean.rs");
+    let out = lint_rust_source("crates/common/src/fixture.rs", src, &Config::default());
+    assert!(out.fired.is_empty(), "{:?}", out.fired);
+    assert_eq!(out.allowed.len(), 1);
+}
+
+#[test]
 fn ml001_hot_path_alloc_fires() {
     let src = include_str!("lint_fixtures/ml001_fire.rs");
     assert_eq!(

@@ -1127,8 +1127,8 @@ mod tests {
 
     /// Every entry any driver produces carries its edge's shared-block
     /// count, as the snapshot's blocks count it: a sweep's row filled by
-    /// every weigher in both directions, a query-time load, and every
-    /// cached row of a session — mirror tails and stale rows included —
+    /// every weigher in both directions, and every cached row of a
+    /// session — mirror tails and stale rows included —
     /// after each batched ingest under every scheme.
     #[test]
     fn every_drivers_entry_carries_the_edges_true_count() {
@@ -1168,10 +1168,6 @@ mod tests {
                     }
                 }
             });
-            for weigher in weighers {
-                query::sweep_row(&blocks, globals, pool, weigher, a, &mut buf);
-                assert_eq!(counts(&buf.entries), want(Direction::Both), "load, row {a}");
-            }
         }
     }
 

@@ -100,10 +100,9 @@
 //!   the dirty entities; its outcome is the same rules driven over the
 //!   cached rows, bit-identical to a from-scratch run.
 //! * [`query`] — query-time resolution: the single-neighbourhood driver
-//!   behind [`Session::resolve_entity`] and
-//!   [`IncrementalSession::resolve_entity`], bit-identical to the
-//!   incident slice of a full run, plus the [`NeighbourhoodCache`]
-//!   backing the resolution server.
+//!   behind [`IncrementalSession::resolve_entity`], bit-identical to the
+//!   incident slice of a full run over the arrived descriptions, plus the
+//!   [`NeighbourhoodCache`] backing the resolution server.
 //! * [`kernel`] — the shared neighbourhood-stats → weight kernel all
 //!   backends compute through.
 //! * [`weights`] — the five standard edge-weighting schemes (CBS, ECBS,

@@ -11,10 +11,9 @@
 //!   queried entity's row, asks the family's rule (the crate-internal
 //!   `rule` module) what that row decides, and — for the node-centric
 //!   families — loads a neighbour's row only when the entity's own vote
-//!   does not already decide the edge. Rows come from a fresh
-//!   single-entity sweep (`sweep_row`, used by
-//!   [`Session::resolve_entity`](crate::Session::resolve_entity)) or from
-//!   the incremental session's patched row cache.
+//!   does not already decide the edge. Rows come from the incremental
+//!   session's patched row cache
+//!   ([`IncrementalSession::resolve_entity`](crate::IncrementalSession::resolve_entity)).
 //! * The *global* inputs a family needs — WEP's mean threshold, CEP's
 //!   global top-k, CNP's default `k`, the supervised extractor's
 //!   normalisation maxima — are reduced once per corpus version into the
@@ -29,16 +28,16 @@
 //!
 //! Bit-identity is the contract, not an aspiration: for every scheme ×
 //! pruning family × worker count, `resolve_entity(e).matches` equals the
-//! pairs incident to `e` in the full-corpus outcome, same order, same
-//! f64 bits (`tests/resolve_entity.rs`).
+//! pairs incident to `e` in the outcome of a batch [`Session::run`]
+//! over the same arrived descriptions, same order, same f64 bits
+//! (`tests/resolve_entity.rs`).
+//!
+//! [`Session::run`]: crate::Session::run
 
-use crate::kernel::WeightGlobals;
 use crate::prune::{self, WeightedPair};
-use crate::rule::{normalised, Criterion, Entry, RowBuf, Rule, Weigher};
+use crate::rule::{normalised, Criterion, Entry, RowBuf, Rule};
 use crate::session::Pruning;
-use crate::sweep::ScratchPool;
 use crate::weights::WeightingScheme;
-use minoan_blocking::{BlockCollection, Direction};
 use minoan_rdf::EntityId;
 use std::collections::BTreeMap;
 
@@ -57,30 +56,11 @@ pub struct ResolvedEntity {
     pub neighbours: Vec<u32>,
 }
 
-/// Loads `e`'s *full* `weigher` row by sweeping its blocks on demand —
-/// one pooled epoch-reset scratch per load, `O(neighbourhood)` per row,
-/// every entry's shared-block count read off that sweep. `globals` must
-/// hold the tier `weigher` reads.
-pub(crate) fn sweep_row(
-    collection: &BlockCollection,
-    globals: &WeightGlobals,
-    pool: &ScratchPool,
-    weigher: Weigher,
-    e: u32,
-    out: &mut RowBuf,
-) {
-    pool.with(|scratch| {
-        scratch.sweep(collection, EntityId(e), Direction::Both);
-        weigher.fill(scratch, e, globals, out);
-    });
-}
-
 /// Resolves one entity under a prebuilt criterion: the edges incident to
 /// `entity` that a full run would keep. `load` produces an entity's full
-/// row (cleared first, ascending by neighbour id) — a fresh sweep
-/// ([`sweep_row`]) or the incremental session's patched row cache. The
-/// entity's own row decides what a full run's sweep of `entity` would
-/// decide; for the node-centric families the rule is then asked whether
+/// row (cleared first, ascending by neighbour id) — the incremental
+/// session's patched row cache. The entity's own row decides what a full
+/// run's sweep of `entity` would decide; for the node-centric families the rule is then asked whether
 /// the *other* endpoint votes for the edge, and that neighbour's row is
 /// loaded only when its vote can still change the outcome (union: the
 /// entity voted no; reciprocal: it voted yes). Edge weights are bitwise

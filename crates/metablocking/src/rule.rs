@@ -461,7 +461,6 @@ impl CriterionFold {
                 let (mut sum, mut positive) = (0.0f64, 0u64);
                 for &Entry { y, w, .. } in row.entries {
                     if y > a && w > 0.0 {
-                        // lint:allow(float-accumulation): per-entity serial sum over sorted neighbours
                         sum += w;
                         positive += 1;
                     }

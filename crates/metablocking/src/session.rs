@@ -23,8 +23,7 @@
 use crate::blast;
 use crate::parallel::{JobReport, MapReduce};
 use crate::prune::{PrunedComparisons, WeightedPair};
-use crate::query::{self, ResolvedEntity};
-use crate::rule::{self, Criterion, RowBuf, Rule, Weigher};
+use crate::rule;
 use crate::streaming::Streaming;
 use crate::supervised::{self, FeatureExtractor, Perceptron, NUM_FEATURES};
 use crate::sweep::SweepState;
@@ -187,9 +186,6 @@ pub struct Session<'c> {
     workers: Option<usize>,
     // Cached shared state, built lazily and reused across runs.
     sweep: SweepState<'c>,
-    // Query-time pruning criterion, keyed by the scheme × pruning it was
-    // built for (resolve_entity rebuilds it on a config switch).
-    criterion: Option<((WeightingScheme, Pruning), Criterion)>,
 }
 
 impl<'c> Session<'c> {
@@ -203,7 +199,6 @@ impl<'c> Session<'c> {
             backend: ExecutionBackend::Streaming,
             workers: None,
             sweep: SweepState::new(collection),
-            criterion: None,
         }
     }
 
@@ -250,72 +245,6 @@ impl<'c> Session<'c> {
             ExecutionBackend::Streaming => self.run_streaming(),
             ExecutionBackend::MapReduce => self.run_mapreduce(),
         }
-    }
-
-    /// Resolves one entity at query time: the comparisons a full
-    /// [`Session::run`] of the current scheme × pruning would keep for
-    /// it — same pairs, same order, same f64 weight bits — from a
-    /// single neighbourhood sweep instead of a corpus pass.
-    ///
-    /// The pruning family's *global* inputs (WEP's mean threshold,
-    /// CEP's top-k, CNP's default `k`, the supervised feature maxima)
-    /// are computed once per scheme × pruning configuration and cached
-    /// on the session, so repeated resolves cost one entity sweep each,
-    /// plus lazy neighbour-row sweeps where the node-centric vote needs
-    /// the other endpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entity` is out of range of the collection.
-    ///
-    /// ```
-    /// use minoan_datagen::{generate, profiles};
-    /// use minoan_blocking::{builders, ErMode};
-    /// use minoan_metablocking::{Pruning, Session, WeightingScheme};
-    /// use minoan_rdf::EntityId;
-    ///
-    /// let g = generate(&profiles::center_dense(80, 3));
-    /// let blocks = builders::token_blocking(&g.dataset, ErMode::CleanClean);
-    /// let mut session = Session::new(&blocks);
-    /// session
-    ///     .scheme(WeightingScheme::Js)
-    ///     .pruning(Pruning::Wnp { reciprocal: false });
-    ///
-    /// // One entity's matches, from a single neighbourhood sweep …
-    /// let e = EntityId(3);
-    /// let resolved = session.resolve_entity(e);
-    ///
-    /// // … are exactly the incident slice of the full-corpus outcome.
-    /// let full = session.run();
-    /// let incident: Vec<_> = full
-    ///     .pairs()
-    ///     .iter()
-    ///     .filter(|p| p.a == e || p.b == e)
-    ///     .copied()
-    ///     .collect();
-    /// assert_eq!(resolved.matches, incident);
-    /// ```
-    pub fn resolve_entity(&mut self, entity: EntityId) -> ResolvedEntity {
-        assert!(
-            (entity.0 as usize) < self.collection.num_entities(),
-            "resolve_entity: entity id out of range"
-        );
-        let threads = self.threads();
-        let (scheme, pruning) = (self.scheme, &self.pruning);
-        let cached = matches!(&self.criterion, Some((key, _)) if *key == (scheme, *pruning));
-        if !cached {
-            let mut driver = Streaming::new(&mut self.sweep, threads);
-            let crit = rule::resolve_criterion(&mut driver, scheme, pruning);
-            self.criterion = Some(((scheme, *pruning), crit));
-        }
-        let (_, criterion) = self.criterion.as_ref().expect("criterion just ensured");
-        let weigher = Weigher::of(scheme, pruning);
-        self.sweep.ensure(weigher.needs_counts(), threads);
-        let st = &self.sweep;
-        let mut load = |e, out: &mut RowBuf| {
-            query::sweep_row(st.collection, st.globals(), &st.pool, weigher, e, out)
-        };
-        query::resolve_rows(&mut load, entity, Rule { pruning, criterion })
     }
 
     /// What [`TrainingSet::sample`](crate::TrainingSet::sample) walks, on

@@ -24,11 +24,14 @@
 //! The correctness contract is the session's: every answer equals what
 //! [`IncrementalSession::resolve_entity`] returns at the answer's
 //! stamped version, cache hit or miss, under any interleaving of
-//! resolves and ingests (`tests/serve_consistency.rs`).
+//! resolves and ingests — the slice incident to the entity of a batch
+//! [`Session::run`] over the descriptions admitted by that version
+//! (`tests/serve_consistency.rs`).
 //!
 //! [`IncrementalSession`]: minoan_metablocking::IncrementalSession
 //! [`IncrementalSession::resolve_entity`]: minoan_metablocking::IncrementalSession::resolve_entity
 //! [`NeighbourhoodCache`]: minoan_metablocking::NeighbourhoodCache
+//! [`Session::run`]: minoan_metablocking::Session::run
 
 #![forbid(unsafe_code)]
 

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example blocker_showdown`
 
-use minoan::blocking::{CanopyConfig, LshConfig, Method};
+use minoan::blocking::Method;
 use minoan::common::default_threads;
 use minoan::prelude::*;
 
@@ -41,10 +41,10 @@ fn main() {
     let methods: Vec<(&str, Method)> = vec![
         ("token", Method::Token),
         ("token+uri", Method::TokenAndUri),
-        ("qgrams(3)", Method::QGrams(3)),
-        ("sorted-neighborhood(6)", Method::SortedNeighborhood(6)),
-        ("minhash-lsh", Method::MinHashLsh(LshConfig::default())),
-        ("canopy", Method::Canopy(CanopyConfig::default())),
+        ("qgrams(3)", Method::QGrams),
+        ("sorted-neighborhood(6)", Method::SortedNeighborhood),
+        ("minhash-lsh", Method::MinHashLsh),
+        ("canopy", Method::Canopy),
     ];
 
     for (profile_name, config) in [

@@ -1,7 +1,7 @@
 //! Integration: the advanced blocker families, and block cleaning, feed
 //! the standard meta-blocking + progressive-matching stack unchanged.
 
-use minoan::blocking::{LshConfig, Method};
+use minoan::blocking::Method;
 use minoan::metablocking::{blast, Perceptron, TrainingSet};
 use minoan::prelude::*;
 
@@ -10,9 +10,9 @@ fn every_method_composes_with_metablocking_and_matching() {
     let world = generate(&profiles::center_dense(150, 51));
     let methods = [
         Method::Token,
-        Method::QGrams(3),
-        Method::SortedNeighborhood(4),
-        Method::MinHashLsh(LshConfig::default()),
+        Method::QGrams,
+        Method::SortedNeighborhood,
+        Method::MinHashLsh,
     ];
     for method in methods {
         let blocks = method.run(&world.dataset, ErMode::CleanClean, 2);

@@ -67,6 +67,17 @@ pub fn assert_pairs_bit_identical(a: &[WeightedPair], b: &[WeightedPair], label:
     }
 }
 
+/// The pairs of a full pruned outcome that mention `e`, in outcome order:
+/// what a query-time resolve of `e` must answer.
+#[allow(dead_code)]
+pub fn incident(pairs: &[WeightedPair], e: EntityId) -> Vec<WeightedPair> {
+    pairs
+        .iter()
+        .filter(|p| p.a == e || p.b == e)
+        .copied()
+        .collect()
+}
+
 /// The one definition of "bit-identical pruning output" the equivalence
 /// suites assert: same input-edge count, same pair order, same f64
 /// weight bits.

@@ -296,7 +296,7 @@ pub fn progressive(
         // The update phase: `α·score / damping` to each neighbour pair,
         // except an intra-KB pair in clean–clean ER.
         let (na, nb) = (dataset.neighbors(a), dataset.neighbors(b));
-        let cap = c.max_neighbors;
+        let cap = 16; // the first 16 neighbours of each endpoint
         let (na, nb) = (&na[..na.len().min(cap)], &nb[..nb.len().min(cap)]);
         let damping = (((na.len() * nb.len()) as f64).sqrt() / 2.0).max(1.0);
         let delta = c.alpha * score / damping;

@@ -62,9 +62,9 @@ proptest! {
     /// distinct pairs are comparable and counted consistently.
     #[test]
     fn blocking_collection_invariants(seed in 0u64..200) {
-        use minoan::blocking::{LshConfig, Method};
+        use minoan::blocking::Method;
         let world = generate(&profiles::center_dense(40, seed));
-        for method in [Method::Token, Method::QGrams(3), Method::MinHashLsh(LshConfig::default())] {
+        for method in [Method::Token, Method::QGrams, Method::MinHashLsh] {
             let c = method.run(&world.dataset, ErMode::CleanClean, 2);
             let pairs = c.distinct_pairs();
             for &(a, b) in &pairs {

@@ -6,7 +6,7 @@
 //! candidate must come from another KB).
 
 use minoan::datagen::ArrivalOrder;
-use minoan::er::{CompositeConfig, CompositeResolver, IncrementalConfig, IncrementalResolver};
+use minoan::er::{CompositeResolver, IncrementalConfig, IncrementalResolver};
 use minoan::prelude::*;
 
 #[test]
@@ -86,8 +86,7 @@ fn composite_rules_and_threshold_matcher_agree_on_centers() {
     let pairs = Session::new(&cleaned).run().into_candidates();
 
     let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
-    let rules =
-        CompositeResolver::new(&world.dataset, &matcher, CompositeConfig::default()).run(&pairs);
+    let rules = CompositeResolver::new(&world.dataset, &matcher).run(&pairs);
     let rule_pairs: Vec<_> = rules.matches.iter().map(|m| (m.a, m.b)).collect();
     let rules_q = metrics::match_quality(&world.truth, &rule_pairs);
 

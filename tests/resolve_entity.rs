@@ -1,17 +1,19 @@
-//! Property suite for query-time resolution: `resolve_entity(e)` must be
-//! *bit-identical* to the incident slice of a full run — the pairs that
-//! mention `e` in the full pruned outcome, in the same order, with the
-//! same f64 weight bits — for every scheme × pruning family, on both the
-//! batch [`Session`] and the updatable [`IncrementalSession`]; per-worker
-//! identity is asserted in-process.
+//! Property suite for query-time resolution: `resolve_entity(e)` on the
+//! updatable [`IncrementalSession`] must be *bit-identical* to the
+//! incident slice of a full run — the pairs that mention `e` in the
+//! outcome of a batch [`Session::run`] over the same arrived
+//! descriptions, in the same order, with the same f64 weight bits — for
+//! every scheme × pruning family; per-worker identity is asserted
+//! in-process.
 
 mod common;
 
-use common::assert_pairs_bit_identical;
+use common::{assert_pairs_bit_identical, incident, session_run};
 use minoan::blocking::{builders, ErMode};
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
-    ExecutionBackend, IncrementalSession, Perceptron, Pruning, Session, TrainingSet, WeightedPair,
+    ExecutionBackend, IncrementalSession, Perceptron, Pruning, Session, TrainingSet,
+    WeightingScheme,
 };
 use minoan::rdf::EntityId;
 
@@ -42,38 +44,39 @@ fn family_variants() -> Vec<(&'static str, Pruning)> {
     ]
 }
 
-/// The full outcome's pairs that mention `e`, in full-outcome order.
-fn incident(pairs: &[WeightedPair], e: EntityId) -> Vec<WeightedPair> {
-    pairs
-        .iter()
-        .filter(|p| p.a == e || p.b == e)
-        .copied()
-        .collect()
-}
-
 /// A spread of probe entities: every stride-th id, so the sample hits
 /// hubs, leaves and isolated entities across both KBs.
 fn probes(n: usize, stride: usize) -> Vec<EntityId> {
     (0..n as u32).step_by(stride.max(1)).map(EntityId).collect()
 }
 
+/// A session over `world` that has ingested every description in one
+/// batch, under `scheme` × `pruning` at `workers`.
+fn ingested(
+    world: &GeneratedWorld,
+    scheme: WeightingScheme,
+    pruning: Pruning,
+    workers: usize,
+) -> IncrementalSession<'_> {
+    let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
+    inc.scheme(scheme).pruning(pruning).workers(workers);
+    let all: Vec<EntityId> = world.dataset.entities().collect();
+    inc.ingest(&all);
+    inc
+}
+
 #[test]
-fn batch_session_resolves_every_family_bit_identically() {
+fn every_family_resolves_bit_identically() {
     let world = generate(&profiles::center_dense(120, 13));
-    let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
     let n = world.dataset.len();
     for workers in [1usize, 3] {
-        for scheme in minoan::metablocking::WeightingScheme::ALL {
+        for scheme in WeightingScheme::ALL {
             for (fname, family) in family_variants() {
-                let mut session = Session::new(&blocks);
-                session
-                    .scheme(scheme)
-                    .pruning(family)
-                    .backend(ExecutionBackend::Streaming)
-                    .workers(workers);
-                let full = session.run();
+                let mut inc = ingested(&world, scheme, family, workers);
+                let snap = inc.snapshot();
+                let full = session_run(&snap, scheme, family, ExecutionBackend::Streaming, workers);
                 for e in probes(n, 7) {
-                    let resolved = session.resolve_entity(e);
+                    let resolved = inc.resolve_entity(e);
                     assert_eq!(resolved.entity, e);
                     assert_pairs_bit_identical(
                         &resolved.matches,
@@ -87,20 +90,24 @@ fn batch_session_resolves_every_family_bit_identically() {
 }
 
 #[test]
-fn batch_session_resolves_supervised_bit_identically() {
+fn supervised_resolves_bit_identically() {
     let world = generate(&profiles::center_dense(140, 23));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-    let mut session = Session::new(&blocks);
-    let set = TrainingSet::sample(&mut session, |a, b| world.truth.is_match(a, b), 40, 7);
-    let model = Perceptron::train(&set, 12);
-    session.pruning(Pruning::Supervised(model));
-    let full = session.run();
+    let set = TrainingSet::sample(
+        &mut Session::new(&blocks),
+        |a, b| world.truth.is_match(a, b),
+        40,
+        7,
+    );
+    let pruning = Pruning::Supervised(Perceptron::train(&set, 12));
+    let mut inc = ingested(&world, WeightingScheme::Arcs, pruning, 2);
+    let full = Session::new(&inc.snapshot()).pruning(pruning).run();
     assert!(
         !full.pairs().is_empty(),
         "fixture model must keep something"
     );
     for e in probes(world.dataset.len(), 5) {
-        let resolved = session.resolve_entity(e);
+        let resolved = inc.resolve_entity(e);
         assert_pairs_bit_identical(
             &resolved.matches,
             &incident(full.pairs(), e),
@@ -110,13 +117,12 @@ fn batch_session_resolves_supervised_bit_identically() {
 }
 
 /// Scheme switches on one session rebuild the criterion; answers after a
-/// switch must match a fresh session's.
+/// switch must match a fresh batch run's.
 #[test]
 fn scheme_and_pruning_switches_on_one_session_stay_exact() {
-    use minoan::metablocking::WeightingScheme;
     let world = generate(&profiles::center_dense(100, 31));
-    let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-    let mut session = Session::new(&blocks);
+    let mut inc = ingested(&world, WeightingScheme::Arcs, Pruning::None, 2);
+    let snap = inc.snapshot();
     for (scheme, pruning) in [
         (WeightingScheme::Js, Pruning::Wep),
         (WeightingScheme::Js, Pruning::Cep(None)),
@@ -129,10 +135,10 @@ fn scheme_and_pruning_switches_on_one_session_stay_exact() {
             },
         ),
     ] {
-        session.scheme(scheme).pruning(pruning);
-        let full = session.run();
+        inc.scheme(scheme).pruning(pruning);
+        let full = session_run(&snap, scheme, pruning, ExecutionBackend::Streaming, 2);
         for e in probes(world.dataset.len(), 11) {
-            let resolved = session.resolve_entity(e);
+            let resolved = inc.resolve_entity(e);
             assert_pairs_bit_identical(
                 &resolved.matches,
                 &incident(full.pairs(), e),
@@ -146,12 +152,12 @@ fn world() -> GeneratedWorld {
     generate(&profiles::center_dense(130, 41))
 }
 
-/// After every ingest, the incremental session's answer equals a
-/// from-scratch batch [`Session`] over the merged snapshot — whatever
-/// the rows hold and however they are brought up to date.
+/// After every ingest, the incremental session's answer equals the
+/// incident slice of a from-scratch batch [`Session`] run over the merged
+/// snapshot — whatever the rows hold and however they are brought up to
+/// date.
 #[test]
 fn incremental_resolves_match_from_scratch_sessions_after_every_batch() {
-    use minoan::metablocking::WeightingScheme;
     let g = world();
     let batches = ArrivalOrder::Shuffled { seed: 7 }.batches(&g.dataset, &g.truth, 33);
     let combos = [
@@ -206,17 +212,12 @@ fn incremental_resolves_match_from_scratch_sessions_after_every_batch() {
                 let sample = probes(g.dataset.len(), 17);
                 let got: Vec<_> = sample.iter().map(|&e| inc.resolve_entity(e)).collect();
                 let snap = inc.snapshot();
-                let mut reference = Session::new(&snap);
-                reference
-                    .scheme(scheme)
-                    .pruning(pruning)
-                    .backend(ExecutionBackend::Streaming)
-                    .workers(workers);
-                for (e, got) in sample.iter().zip(&got) {
-                    let want = reference.resolve_entity(*e);
+                let full =
+                    session_run(&snap, scheme, pruning, ExecutionBackend::Streaming, workers);
+                for (&e, got) in sample.iter().zip(&got) {
                     assert_pairs_bit_identical(
                         &got.matches,
-                        &want.matches,
+                        &incident(full.pairs(), e),
                         &format!("{label}/w={workers}/batch={i}/e={}", e.0),
                     );
                 }

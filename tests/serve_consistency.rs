@@ -7,11 +7,11 @@
 
 mod common;
 
-use common::assert_pairs_bit_identical;
-use minoan::blocking::{BlockCollection, ErMode};
+use common::{assert_pairs_bit_identical, incident, session_run};
+use minoan::blocking::ErMode;
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
 use minoan::metablocking::{
-    ExecutionBackend, IncrementalSession, Pruning, Session, WeightedPair, WeightingScheme,
+    ExecutionBackend, IncrementalSession, Pruning, WeightedPair, WeightingScheme,
 };
 use minoan::rdf::EntityId;
 use minoan_server::{Client, ResolveService, Server};
@@ -33,14 +33,15 @@ fn id_batches(g: &GeneratedWorld, batch: usize) -> Vec<Vec<u32>> {
 
 /// The from-scratch reference at one version: a fresh incremental
 /// session fed the first `version` batches in one go, snapshotted once,
-/// and answered by a batch [`Session`] over the snapshot (`version`
-/// counts ingests, so version v = the first v batches).
+/// and run once by a batch [`Session`] over the snapshot; an entity's
+/// answer is the run's slice incident to it (`version` counts ingests, so
+/// version v = the first v batches).
 struct Reference<'d> {
     g: &'d GeneratedWorld,
     batches: &'d [Vec<u32>],
     scheme: WeightingScheme,
     pruning: Pruning,
-    snapshots: BTreeMap<u64, BlockCollection>,
+    runs: BTreeMap<u64, Vec<WeightedPair>>,
 }
 
 impl<'d> Reference<'d> {
@@ -55,7 +56,7 @@ impl<'d> Reference<'d> {
             batches,
             scheme,
             pruning,
-            snapshots: BTreeMap::new(),
+            runs: BTreeMap::new(),
         }
     }
 
@@ -64,7 +65,7 @@ impl<'d> Reference<'d> {
         if version == 0 {
             return Vec::new();
         }
-        let snap = self.snapshots.entry(version).or_insert_with(|| {
+        let run = self.runs.entry(version).or_insert_with(|| {
             let mut inc = IncrementalSession::new(&g.dataset, ErMode::CleanClean);
             let merged: Vec<EntityId> = batches
                 .iter()
@@ -72,14 +73,12 @@ impl<'d> Reference<'d> {
                 .flat_map(|b| b.iter().map(|&e| EntityId(e)))
                 .collect();
             inc.ingest(&merged);
-            inc.snapshot()
+            let snap = inc.snapshot();
+            session_run(&snap, scheme, pruning, ExecutionBackend::Streaming, 1)
+                .pruned
+                .pairs
         });
-        Session::new(snap)
-            .scheme(scheme)
-            .pruning(pruning)
-            .backend(ExecutionBackend::Streaming)
-            .resolve_entity(EntityId(entity))
-            .matches
+        incident(run, EntityId(entity))
     }
 }
 

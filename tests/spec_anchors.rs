@@ -29,13 +29,13 @@ use common::spec::Spec;
 use common::{assert_collections_identical, cleaning, resolve_spec};
 use common::{assert_same_resolution, clusters_bytes, resolution_digest, trace_bits};
 use minoan::blocking::parallel::parallel_token_blocking;
-use minoan::blocking::{filter, purge, BlockCollection, CanopyConfig, ErMode, LshConfig, Method};
+use minoan::blocking::{filter, purge, BlockCollection, ErMode, Method};
 use minoan::common::hash::fx_hash_bytes;
 use minoan::datagen::ArrivalOrder;
 use minoan::er::{
-    oracle_trace, perfect_trace, BenefitModel, ClusteringAlgorithm, CompositeConfig,
-    CompositeResolution, CompositeResolver, IncrementalConfig, IncrementalResolver, Matcher,
-    MatcherConfig, Pipeline, PipelineConfig, ResolverConfig, Strategy,
+    oracle_trace, perfect_trace, BenefitModel, ClusteringAlgorithm, CompositeResolution,
+    CompositeResolver, IncrementalConfig, IncrementalResolver, Matcher, MatcherConfig, Pipeline,
+    PipelineConfig, ResolverConfig, Strategy,
 };
 use minoan::mapreduce::Engine;
 use minoan::metablocking::{blast, PrunedComparisons, Pruning, Session, WeightingScheme};
@@ -424,13 +424,13 @@ fn golden_digests_pin_every_blocker() {
         ("token", Method::Token),
         ("uri-infix", Method::UriInfix),
         ("token+uri", Method::TokenAndUri),
-        ("attr-cluster", Method::AttributeClustering(0.3)),
-        ("qgrams(3)", Method::QGrams(3)),
-        ("ext-qgrams(3,.8)", Method::ExtendedQGrams(3, 0.8)),
-        ("snm(6)", Method::SortedNeighborhood(6)),
-        ("adaptive-snm", Method::AdaptiveSortedNeighborhood(4, 32)),
-        ("minhash-lsh", Method::MinHashLsh(LshConfig::default())),
-        ("canopy", Method::Canopy(CanopyConfig::default())),
+        ("attr-cluster", Method::AttributeClustering),
+        ("qgrams(3)", Method::QGrams),
+        ("ext-qgrams(3,.8)", Method::ExtendedQGrams),
+        ("snm(6)", Method::SortedNeighborhood),
+        ("adaptive-snm", Method::AdaptiveSortedNeighborhood),
+        ("minhash-lsh", Method::MinHashLsh),
+        ("canopy", Method::Canopy),
     ];
     let mut got: Vec<(String, u64)> = Vec::new();
     let worlds = [
@@ -997,8 +997,7 @@ fn golden_digests_pin_every_resolution() {
                 got.push((label, fx_hash_bytes(&clusters_bytes(&want))));
             }
             if world != "dirty" {
-                let composite =
-                    CompositeResolver::new(dataset, &matcher, CompositeConfig::default());
+                let composite = CompositeResolver::new(dataset, &matcher);
                 let label = format!("{world}/{seed} composite");
                 got.push((label, composite_digest(&composite.run(&pairs))));
             }

@@ -119,8 +119,8 @@ const METHODS: [BlockingMethod; 5] = [
     BlockingMethod::Token,
     BlockingMethod::UriInfix,
     BlockingMethod::TokenAndUri,
-    BlockingMethod::AttributeClustering(0.2),
-    BlockingMethod::QGrams(3),
+    BlockingMethod::AttributeClustering,
+    BlockingMethod::QGrams,
 ];
 
 #[test]
