@@ -29,7 +29,6 @@ fn bench_blocking(c: &mut Criterion) {
                 black_box(builders::attribute_clustering_blocking(
                     &w.dataset,
                     ErMode::CleanClean,
-                    0.2,
                     default_threads(),
                 ))
             });

@@ -4,7 +4,7 @@
 //! laptop while preserving the paper-claim *shapes*: who wins, by roughly
 //! what factor, and where crossovers fall.
 
-use minoan_blocking::{builders, filter, purge, BlockCollection, ErMode};
+use minoan_blocking::{builders, filter, purge, BlockCollection, ErMode, Method};
 use minoan_common::default_threads;
 use minoan_datagen::{generate, profiles, GeneratedWorld};
 use minoan_er::{
@@ -85,12 +85,7 @@ pub fn exp2_blocking(scale: usize, seed: u64) -> String {
             ),
             (
                 "attr-clust",
-                builders::attribute_clustering_blocking(
-                    &world.dataset,
-                    mode,
-                    0.2,
-                    default_threads(),
-                ),
+                Method::AttributeClustering.run(&world.dataset, mode, default_threads()),
             ),
             (
                 "token+clean",

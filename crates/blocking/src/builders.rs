@@ -82,9 +82,7 @@ impl Method {
             Method::Token => tokens(TokenKeys::Values),
             Method::UriInfix => tokens(TokenKeys::Uris),
             Method::TokenAndUri => tokens(TokenKeys::Both),
-            Method::AttributeClustering => {
-                attribute_clustering_blocking(dataset, mode, ATTRIBUTE_LINK_THRESHOLD, threads)
-            }
+            Method::AttributeClustering => attribute_clustering_blocking(dataset, mode, threads),
             Method::QGrams => qgram_blocking(dataset, mode, threads),
             Method::ExtendedQGrams => extended_qgram_blocking(dataset, mode, threads),
             Method::SortedNeighborhood => sorted_neighborhood(dataset, mode),
@@ -192,8 +190,8 @@ pub fn token_and_uri_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollectio
 /// token sets; token keys are then qualified by cluster id, so the same
 /// token in *unrelated* attributes no longer collides.
 ///
-/// `link_threshold` is the minimum token-Jaccard between two attributes'
-/// value vocabularies for them to be linked (clusters = connected
+/// [`ATTRIBUTE_LINK_THRESHOLD`] is the minimum token-Jaccard between two
+/// attributes' value vocabularies for them to be linked (clusters = connected
 /// components of best-match links). Attributes that match nothing form
 /// singleton clusters; a shared "glue" cluster is NOT used — unmatched
 /// attributes keep their own key space, which is what prunes the false
@@ -203,7 +201,6 @@ pub fn token_and_uri_blocking(dataset: &Dataset, mode: ErMode) -> BlockCollectio
 pub fn attribute_clustering_blocking(
     dataset: &Dataset,
     mode: ErMode,
-    link_threshold: f64,
     threads: usize,
 ) -> BlockCollection {
     // 1. Aggregate value-token vocabulary per (kb, attribute symbol).
@@ -236,7 +233,7 @@ pub fn attribute_clustering_blocking(
                 continue; // same KB
             }
             let sim = set_jaccard(&attrs[i].1, &attrs[j].1);
-            if sim >= link_threshold && best.map(|(_, s)| sim > s).unwrap_or(true) {
+            if sim >= ATTRIBUTE_LINK_THRESHOLD && best.map(|(_, s)| sim > s).unwrap_or(true) {
                 best = Some((j, sim));
             }
         }
@@ -409,7 +406,7 @@ mod tests {
     fn attribute_clustering_reduces_comparisons_vs_token_blocking() {
         let g = generate(&profiles::center_dense(200, 5));
         let tb = token_blocking(&g.dataset, ErMode::CleanClean);
-        let ac = attribute_clustering_blocking(&g.dataset, ErMode::CleanClean, 0.2, 1);
+        let ac = attribute_clustering_blocking(&g.dataset, ErMode::CleanClean, 1);
         assert!(
             ac.total_comparisons() < tb.total_comparisons(),
             "clustering {} should cut comparisons vs token {}",
