@@ -834,97 +834,6 @@ mod tests {
         (0..n as u32).map(EntityId).collect()
     }
 
-    const FAMILIES: [Pruning; 5] = [
-        Pruning::None,
-        Pruning::Wep,
-        Pruning::Cep(None),
-        Pruning::Wnp { reciprocal: false },
-        Pruning::Cnp {
-            reciprocal: true,
-            k: None,
-        },
-    ];
-
-    #[test]
-    fn delta_outcomes_match_streaming_sessions_per_batch() {
-        let world = generate(&profiles::center_dense(90, 13));
-        let all = ids(world.dataset.len());
-        for mode in [ErMode::CleanClean, ErMode::Dirty] {
-            for scheme in WeightingScheme::ALL {
-                for pruning in FAMILIES {
-                    let mut inc = IncrementalSession::new(&world.dataset, mode);
-                    inc.scheme(scheme).pruning(pruning).workers(2);
-                    for batch in all.chunks(23) {
-                        let report = inc.ingest(batch);
-                        assert!(report.delta, "every combination delta-sweeps");
-                        if scheme != WeightingScheme::Arcs {
-                            assert_eq!(report.swept_entities, batch.len(), "the batch alone");
-                        }
-                        let got = inc.outcome();
-                        let want = Session::new(&inc.snapshot())
-                            .scheme(scheme)
-                            .pruning(pruning)
-                            .backend(ExecutionBackend::Streaming)
-                            .workers(2)
-                            .run();
-                        assert_same(&got, &want, &format!("{mode:?}/{scheme:?}/{pruning:?}"));
-                    }
-                }
-            }
-        }
-    }
-
-    /// BLAST's χ² and the supervised features under every scheme: χ² rows
-    /// are swept from the batch, feature rows (ARCS sums) from the dirty
-    /// set, and both stay bit-identical.
-    #[test]
-    fn blast_and_supervised_rows_delta_sweep_bit_identically() {
-        let world = generate(&profiles::center_dense(70, 5));
-        let all = ids(world.dataset.len());
-        let model = crate::Perceptron {
-            weights: [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5],
-            bias: -0.5,
-        };
-        for scheme in WeightingScheme::ALL {
-            for pruning in [Pruning::blast(), Pruning::Supervised(model)] {
-                let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
-                inc.scheme(scheme).pruning(pruning);
-                for batch in all.chunks(31) {
-                    let report = inc.ingest(batch);
-                    assert!(report.delta);
-                    let swept = match pruning {
-                        Pruning::Blast { .. } => report.arrived,
-                        _ => report.dirty_entities,
-                    };
-                    assert_eq!(report.swept_entities, swept, "{scheme:?}/{pruning:?}");
-                    let got = inc.outcome();
-                    let want = Session::new(&inc.snapshot())
-                        .scheme(scheme)
-                        .pruning(pruning)
-                        .backend(ExecutionBackend::Streaming)
-                        .run();
-                    assert_same(&got, &want, &format!("{scheme:?}/{pruning:?}"));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fully_ingested_matches_batch_token_blocking() {
-        let world = generate(&profiles::center_dense(80, 5));
-        let all = ids(world.dataset.len());
-        for mode in [ErMode::CleanClean, ErMode::Dirty] {
-            let mut inc = IncrementalSession::new(&world.dataset, mode);
-            for batch in all.chunks(16) {
-                inc.ingest(batch);
-            }
-            let got = inc.outcome();
-            let blocks = token_blocking(&world.dataset, mode);
-            let want = Session::new(&blocks).run();
-            assert_same(&got, &want, &format!("{mode:?}: merged vs batch"));
-        }
-    }
-
     #[test]
     fn scheme_switches_rebuild_the_row_cache_and_stay_correct() {
         let world = generate(&profiles::center_dense(60, 9));
@@ -948,31 +857,6 @@ mod tests {
             .backend(ExecutionBackend::Streaming)
             .run();
         assert_same(&got, &want, "post-switch JS");
-    }
-
-    #[test]
-    fn small_batches_sweep_a_strict_subset() {
-        // The periphery regime has few hot tokens, so a small batch's
-        // touched blocks cover only part of the corpus (a center-style
-        // world with universal tokens would legitimately dirty everyone).
-        let world = generate(&profiles::periphery_sparse(200, 17));
-        let all = ids(world.dataset.len());
-        let (bulk, tail) = all.split_at(all.len() - 6);
-        for scheme in [WeightingScheme::Cbs, WeightingScheme::Js] {
-            let mut inc = IncrementalSession::new(&world.dataset, ErMode::CleanClean);
-            inc.scheme(scheme);
-            inc.ingest(bulk);
-            let report = inc.ingest(tail);
-            assert!(report.delta);
-            assert_eq!(report.swept_entities, tail.len(), "{scheme:?}");
-            assert!(
-                report.swept_entities < report.num_arrived,
-                "{scheme:?}: a small batch must re-sweep strictly fewer entities ({} of {}) \
-                 than have arrived",
-                report.swept_entities,
-                report.num_arrived
-            );
-        }
     }
 
     /// `a`'s row as a sweep of the live slabs builds it now, under
@@ -1179,26 +1063,6 @@ mod tests {
         assert!(out.pairs().is_empty());
         assert_eq!(out.input_edges(), 0);
         assert!(inc.snapshot().is_empty());
-    }
-
-    #[test]
-    fn thread_counts_do_not_change_a_bit() {
-        let world = generate(&profiles::center_dense(80, 21));
-        let all = ids(world.dataset.len());
-        let mut base: Option<PruneOutcome> = None;
-        for workers in [1usize, 2, 4, 8] {
-            let corpus = Corpus::new(&world.dataset, TokenKeys::Values, workers);
-            let mut inc = IncrementalSession::from_corpus(Arc::new(corpus), ErMode::CleanClean);
-            inc.scheme(WeightingScheme::Js).workers(workers);
-            for batch in all.chunks(17) {
-                inc.ingest(batch);
-            }
-            let got = inc.outcome();
-            match &base {
-                None => base = Some(got),
-                Some(b) => assert_same(&got, b, &format!("workers={workers}")),
-            }
-        }
     }
 
     /// The fold's definition, as it stood before folds kept the row's

@@ -14,27 +14,200 @@ use minoan::common::hash::fx_hash_bytes;
 use minoan::common::FxHashMap;
 use minoan::er::{Resolution, Trace};
 use minoan::metablocking::{
-    ExecutionBackend, PruneOutcome, PrunedComparisons, Pruning, Session, WeightedPair,
-    WeightingScheme,
+    ExecutionBackend, IncrementalSession, Perceptron, PrunedComparisons, Pruning, Session,
+    WeightedPair, WeightingScheme,
 };
 use minoan::rdf::{tokenize, Dataset, EntityId};
+use spec::Spec;
 
-/// One fresh single-shot session run of `scheme` × `pruning` on `backend`
-/// at `workers` — the way every equivalence suite reaches a backend.
+/// One way to reach the meta-blocking rules, holding the session it
+/// drives at its scheme × pruning, backend and workers.
 #[allow(dead_code)]
-pub fn session_run(
+pub enum Driver<'s, 'd> {
+    /// [`Session::run`].
+    Session(&'s mut Session<'d>),
+    /// [`IncrementalSession::outcome`].
+    Outcome(&'s mut IncrementalSession<'d>),
+    /// [`IncrementalSession::resolve_entity`] of each probe in turn.
+    Resolve(&'s mut IncrementalSession<'d>, &'s [EntityId]),
+}
+
+impl Driver<'_, '_> {
+    /// What the driver keeps now.
+    pub fn keeps(self) -> PrunedComparisons {
+        match self {
+            Driver::Session(session) => session.run().pruned,
+            Driver::Outcome(inc) => inc.outcome().pruned,
+            Driver::Resolve(inc, probes) => slices(probes, |e| {
+                let answer = inc.resolve_entity(e);
+                assert_eq!(answer.entity, e);
+                answer.matches
+            }),
+        }
+    }
+}
+
+/// Each probe's pairs in turn, concatenated, with no input-edge count.
+fn slices(probes: &[EntityId], of: impl FnMut(EntityId) -> Vec<WeightedPair>) -> PrunedComparisons {
+    let pairs = probes.iter().copied().flat_map(of).collect();
+    let input_edges = 0;
+    PrunedComparisons { pairs, input_edges }
+}
+
+/// The one property every driver is checked by: `driver` keeps what the
+/// full outcome `want` keeps — the specification's, or a from-scratch
+/// session's — as the driver reads it: all of it, or each probe's
+/// incident slice. Returns the [`digest`] of what it kept.
+#[allow(dead_code)]
+pub fn assert_driver_keeps(driver: Driver, want: &PrunedComparisons, label: &str) -> u64 {
+    let read = match &driver {
+        Driver::Resolve(_, probes) => Some(slices(probes, |e| incident(&want.pairs, e))),
+        _ => None,
+    };
+    let got = driver.keeps();
+    assert_bit_identical(&got, read.as_ref().unwrap_or(want), label);
+    digest(&got)
+}
+
+/// A weighting scheme and a pruning family.
+pub type Rule = (WeightingScheme, Pruning);
+
+/// A supervised pruner with fixed weights, for the streams that need no
+/// trained model.
+#[allow(dead_code)]
+pub const FIXED_MODEL: Pruning = Pruning::Supervised(Perceptron {
+    weights: [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5],
+    bias: -0.5,
+});
+
+/// CNP with reciprocal or union votes, at cardinality `k` (`None`: the
+/// default).
+#[allow(dead_code)]
+pub const fn cnp(reciprocal: bool, k: Option<usize>) -> Pruning {
+    Pruning::Cnp { reciprocal, k }
+}
+
+/// The family variants of [`coverage::families`] on `spec`'s world.
+#[allow(dead_code)]
+pub fn every_family(spec: &Spec) -> Vec<Pruning> {
+    let families = coverage::families(spec.num_edges()).into_iter();
+    families.map(|(_, pruning)| pruning).collect()
+}
+
+/// Every scheme × each of `families`, labelled, with what the
+/// specification keeps.
+#[allow(dead_code)]
+pub fn spec_cases(spec: &Spec, families: &[Pruning]) -> Vec<(String, Rule, PrunedComparisons)> {
+    let mut cases = Vec::new();
+    for scheme in WeightingScheme::ALL {
+        for &p in families {
+            let label = format!("{scheme:?}/{p:?}");
+            cases.push((label, (scheme, p), spec.run(scheme, p)));
+        }
+    }
+    cases
+}
+
+/// One session per backend × worker count on `blocks`, swept over every
+/// scheme × each of the `families` chosen on the blocks' specification:
+/// each run keeps what the specification keeps.
+#[allow(dead_code)]
+pub fn assert_sweeps_keep_the_spec(
+    what: &str,
     blocks: &BlockCollection,
-    scheme: WeightingScheme,
-    pruning: Pruning,
-    backend: ExecutionBackend,
-    workers: usize,
-) -> PruneOutcome {
-    Session::new(blocks)
-        .scheme(scheme)
-        .pruning(pruning)
-        .backend(backend)
-        .workers(workers)
-        .run()
+    families: impl FnOnce(&Spec) -> Vec<Pruning>,
+    backends: &[ExecutionBackend],
+    workers: &[usize],
+) {
+    let spec = Spec::of(blocks);
+    let cases = spec_cases(&spec, &families(&spec));
+    for &backend in backends {
+        for &w in workers {
+            let mut session = Session::new(blocks);
+            session.backend(backend).workers(w);
+            for (label, (scheme, family), want) in &cases {
+                let driver = Driver::Session(session.scheme(*scheme).pruning(*family));
+                assert_driver_keeps(driver, want, &format!("{what}/{backend:?}/{label}/w={w}"));
+            }
+        }
+    }
+}
+
+/// What a from-scratch streaming [`Session`] keeps under `rule` on the
+/// descriptions `inc` has ingested.
+#[allow(dead_code)]
+pub fn from_scratch(inc: &IncrementalSession, (scheme, pruning): Rule) -> PrunedComparisons {
+    let blocks = inc.snapshot();
+    let run = Session::new(&blocks).scheme(scheme).pruning(pruning).run();
+    run.pruned
+}
+
+/// `fx_hash_bytes` of `input_edges` then every kept `(a, b, weight bits)`,
+/// little-endian.
+pub fn digest(out: &PrunedComparisons) -> u64 {
+    let mut bytes = (out.input_edges as u64).to_le_bytes().to_vec();
+    for p in &out.pairs {
+        bytes.extend(p.a.0.to_le_bytes());
+        bytes.extend(p.b.0.to_le_bytes());
+        bytes.extend(p.weight.to_bits().to_le_bytes());
+    }
+    fx_hash_bytes(&bytes)
+}
+
+/// A stream's digest chain, one batch on: `chain` (0 before the first)
+/// and the [`digest`] of what `inc` keeps under `rule` — its outcome, or
+/// its answers for `probes` — hashed together. With `live`, what it keeps
+/// is first asserted equal to what [`from_scratch`] keeps.
+#[allow(dead_code)]
+pub fn fold(
+    chain: u64,
+    inc: &mut IncrementalSession,
+    rule: Rule,
+    probes: Option<&[EntityId]>,
+    (live, label): (bool, &str),
+) -> u64 {
+    let want = live.then(|| from_scratch(inc, rule));
+    let driver = match probes {
+        Some(probes) => Driver::Resolve(inc, probes),
+        None => Driver::Outcome(inc),
+    };
+    let link = match want {
+        Some(want) => assert_driver_keeps(driver, &want, label),
+        None => digest(&driver.keeps()),
+    };
+    fx_hash_bytes(&[chain.to_le_bytes(), link.to_le_bytes()].concat())
+}
+
+/// Panics unless the chain of every case is the one pinned in `table`,
+/// whose chains are written in hex, five to a line. `chain(case, live)`
+/// drives a case's stream through [`fold`]. A chain that misses its pin
+/// is driven again live, which panics at the first batch and pair that
+/// differ from a from-scratch session; if none does, the reference itself
+/// moved (or a case has no pin yet), and the current table is printed.
+/// With `live`, every case is driven live: how the pins are recorded.
+#[allow(dead_code)]
+pub fn assert_chains<C>(
+    name: &str,
+    cases: &[C],
+    table: &str,
+    live: bool,
+    chain: impl Fn(&C, bool) -> u64,
+) {
+    let pinned: Vec<String> = table.split_whitespace().map(String::from).collect();
+    let got: Vec<String> = cases
+        .iter()
+        .enumerate()
+        .map(|(k, case)| match format!("{:016x}", chain(case, live)) {
+            c if live || pinned.get(k) == Some(&c) => c,
+            _ => format!("{:016x}", chain(case, true)),
+        })
+        .collect();
+    if got != pinned {
+        let row = |r: &[String]| format!("    {}\n", r.join(" "));
+        let rows: String = got.chunks(5).map(row).collect();
+        let why = "every batch agrees with a from-scratch session, not every chain with its pin";
+        panic!("{name}: {why}; the current table:\n{rows}");
+    }
 }
 
 /// CEP at the cardinalities where a selection can go wrong: one and two
@@ -52,9 +225,8 @@ pub fn cep_cardinalities(num_edges: usize) -> [Pruning; 6] {
 /// the same f64 weight bits.
 #[allow(dead_code)]
 pub fn assert_pairs_bit_identical(a: &[WeightedPair], b: &[WeightedPair], label: &str) {
-    assert_eq!(a.len(), b.len(), "{label}: kept count");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!((x.a, x.b), (y.a, y.b), "{label}: pair order");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!((x.a, x.b), (y.a, y.b), "{label}: pair {i}");
         assert_eq!(
             x.weight.to_bits(),
             y.weight.to_bits(),
@@ -65,6 +237,7 @@ pub fn assert_pairs_bit_identical(a: &[WeightedPair], b: &[WeightedPair], label:
             y.weight
         );
     }
+    assert_eq!(a.len(), b.len(), "{label}: kept count");
 }
 
 /// The pairs of a full pruned outcome that mention `e`, in outcome order:
@@ -85,13 +258,6 @@ pub fn incident(pairs: &[WeightedPair], e: EntityId) -> Vec<WeightedPair> {
 pub fn assert_bit_identical(a: &PrunedComparisons, b: &PrunedComparisons, label: &str) {
     assert_eq!(a.input_edges, b.input_edges, "{label}: input_edges");
     assert_pairs_bit_identical(&a.pairs, &b.pairs, label);
-}
-
-/// As [`assert_bit_identical`], comparing a session [`PruneOutcome`]
-/// against what the specification ([`spec::Spec::run`]) keeps.
-#[allow(dead_code)]
-pub fn assert_outcome_bit_identical(a: &PruneOutcome, b: &PrunedComparisons, label: &str) {
-    assert_bit_identical(&a.pruned, b, label);
 }
 
 /// The reference (legacy) build the string-free path is pinned against:

@@ -18,7 +18,9 @@ use minoan::prelude::*;
 
 mod common;
 use common::spec::Spec;
-use common::{assert_outcome_bit_identical, coverage, session_run};
+use common::{assert_sweeps_keep_the_spec, coverage, every_family};
+
+const MAPREDUCE: ExecutionBackend = ExecutionBackend::MapReduce;
 
 #[test]
 fn parallel_blocking_identical_for_all_worker_counts() {
@@ -39,22 +41,7 @@ fn parallel_blocking_identical_for_all_worker_counts() {
 #[test]
 fn entity_partitioned_matrix_is_bit_identical_to_materialised() {
     for (name, blocks) in coverage::named() {
-        let spec = Spec::of(&blocks);
-        for workers in [1usize, 3, 8] {
-            let mut session = Session::new(&blocks);
-            session
-                .backend(ExecutionBackend::MapReduce)
-                .workers(workers);
-            for scheme in WeightingScheme::ALL {
-                for (label, pruning) in coverage::families(spec.num_edges()) {
-                    assert_outcome_bit_identical(
-                        &session.scheme(scheme).pruning(pruning).run(),
-                        &spec.run(scheme, pruning),
-                        &format!("{name}/{label}/{scheme:?}/w={workers}"),
-                    );
-                }
-            }
-        }
+        assert_sweeps_keep_the_spec(name, &blocks, every_family, &[MAPREDUCE], &[1, 3, 8]);
     }
 }
 
@@ -64,22 +51,8 @@ fn entity_partitioned_matrix_is_bit_identical_to_materialised() {
 fn entity_partitioned_weighted_edges_match_the_slab() {
     let world = generate(&profiles::center_dense(120, 29));
     let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-    let spec = Spec::of(&blocks);
-    for workers in [1, 3, 8] {
-        for scheme in WeightingScheme::ALL {
-            assert_outcome_bit_identical(
-                &session_run(
-                    &blocks,
-                    scheme,
-                    Pruning::None,
-                    ExecutionBackend::MapReduce,
-                    workers,
-                ),
-                &spec.run(scheme, Pruning::None),
-                &format!("{scheme:?}/w={workers}"),
-            );
-        }
-    }
+    let none = |_: &Spec| vec![Pruning::None];
+    assert_sweeps_keep_the_spec("unpruned", &blocks, none, &[MAPREDUCE], &[1, 3, 8]);
 }
 
 /// The entity-partitioned strategy's whole point: its shuffle volume is
@@ -95,14 +68,13 @@ fn entity_based_shuffle_volume_is_per_entity_not_per_occurrence() {
         ("wep", Pruning::Wep),
         ("cep", Pruning::Cep(Some(50))),
     ] {
-        let report = session_run(
-            &blocks,
-            WeightingScheme::Arcs,
-            pruning,
-            ExecutionBackend::MapReduce,
-            4,
-        )
-        .report;
+        let mut session = Session::new(&blocks);
+        session.scheme(WeightingScheme::Arcs).pruning(pruning);
+        let report = session
+            .backend(ExecutionBackend::MapReduce)
+            .workers(4)
+            .run()
+            .report;
         assert!(
             !report.jobs.is_empty(),
             "{label}: MapReduce runs report jobs"

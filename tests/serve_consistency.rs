@@ -7,12 +7,10 @@
 
 mod common;
 
-use common::{assert_pairs_bit_identical, incident, session_run};
+use common::{assert_pairs_bit_identical, from_scratch, incident};
 use minoan::blocking::ErMode;
 use minoan::datagen::{generate, profiles, ArrivalOrder, GeneratedWorld};
-use minoan::metablocking::{
-    ExecutionBackend, IncrementalSession, Pruning, WeightedPair, WeightingScheme,
-};
+use minoan::metablocking::{IncrementalSession, Pruning, WeightedPair, WeightingScheme};
 use minoan::rdf::EntityId;
 use minoan_server::{Client, ResolveService, Server};
 use std::collections::BTreeMap;
@@ -73,10 +71,7 @@ impl<'d> Reference<'d> {
                 .flat_map(|b| b.iter().map(|&e| EntityId(e)))
                 .collect();
             inc.ingest(&merged);
-            let snap = inc.snapshot();
-            session_run(&snap, scheme, pruning, ExecutionBackend::Streaming, 1)
-                .pruned
-                .pairs
+            from_scratch(&inc, (scheme, pruning)).pairs
         });
         incident(run, EntityId(entity))
     }

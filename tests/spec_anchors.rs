@@ -26,7 +26,7 @@ mod common;
 
 use common::coverage::{self, clean, dirty, raw_clean, raw_dirty, star};
 use common::spec::Spec;
-use common::{assert_collections_identical, cleaning, resolve_spec};
+use common::{assert_collections_identical, assert_driver_keeps, cleaning, resolve_spec, Driver};
 use common::{assert_same_resolution, clusters_bytes, resolution_digest, trace_bits};
 use minoan::blocking::parallel::parallel_token_blocking;
 use minoan::blocking::{filter, purge, BlockCollection, ErMode, Method};
@@ -39,18 +39,6 @@ use minoan::er::{
 };
 use minoan::mapreduce::Engine;
 use minoan::metablocking::{blast, PrunedComparisons, Pruning, Session, WeightingScheme};
-
-/// `fx_hash_bytes` of `input_edges` then every kept `(a, b, weight bits)`,
-/// little-endian.
-fn digest(out: &PrunedComparisons) -> u64 {
-    let mut bytes = (out.input_edges as u64).to_le_bytes().to_vec();
-    for p in &out.pairs {
-        bytes.extend(p.a.0.to_le_bytes());
-        bytes.extend(p.b.0.to_le_bytes());
-        bytes.extend(p.weight.to_bits().to_le_bytes());
-    }
-    fx_hash_bytes(&bytes)
-}
 
 /// The families the table pins per scheme, by their
 /// [`coverage::families`] label.
@@ -292,11 +280,10 @@ fn golden_digests_pin_every_family() {
             let mut session = Session::new(&blocks);
             session.workers(2);
             for (case, scheme, pruning) in cases(spec.num_edges(), model) {
-                let want = digest(&spec.run(scheme, pruning));
-                let out = session.scheme(scheme).pruning(pruning).run();
+                let driver = Driver::Session(session.scheme(scheme).pruning(pruning));
                 let label = format!("{world}/{seed} {case}");
-                assert_eq!(digest(&out.pruned), want, "{label}: session vs spec");
-                got.push((label, want));
+                let kept = assert_driver_keeps(driver, &spec.run(scheme, pruning), &label);
+                got.push((label, kept));
             }
         }
     }

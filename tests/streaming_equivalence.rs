@@ -8,45 +8,24 @@
 //! specification materialises the whole edge set before it prunes; the
 //! streaming sweeps never build it.
 
-use minoan::blocking::{builders, BlockCollection, ErMode};
+use minoan::blocking::{builders, ErMode};
 use minoan::metablocking::{ExecutionBackend, Perceptron, Pruning, TrainingSet};
 use minoan::prelude::*;
 use proptest::prelude::*;
 
 mod common;
 use common::spec::Spec;
-use common::{assert_outcome_bit_identical, cep_cardinalities, coverage, session_run};
+use common::{assert_driver_keeps, assert_sweeps_keep_the_spec, cep_cardinalities, cnp};
+use common::{coverage, every_family, Driver};
 
-/// Asserts streaming session runs on `what`, one per thread count,
-/// against the specification.
-fn assert_streams_like_the_spec(
-    what: &str,
-    (blocks, spec): (&BlockCollection, &Spec),
-    scheme: WeightingScheme,
-    pruning: Pruning,
-    threads: &[usize],
-) {
-    let expect = spec.run(scheme, pruning);
-    for &t in threads {
-        assert_outcome_bit_identical(
-            &session_run(blocks, scheme, pruning, ExecutionBackend::Streaming, t),
-            &expect,
-            &format!("{what}/{pruning:?}/{}/t={t}", scheme.name()),
-        );
-    }
-}
+const STREAMING: ExecutionBackend = ExecutionBackend::Streaming;
 
 /// Every named world of the coverage list, every family and scheme, one
 /// thread and a sweep split four ways.
 #[test]
 fn every_named_world_streams_like_the_spec() {
     for (name, blocks) in coverage::named() {
-        let spec = Spec::of(&blocks);
-        for scheme in WeightingScheme::ALL {
-            for (_, pruning) in coverage::families(spec.num_edges()) {
-                assert_streams_like_the_spec(name, (&blocks, &spec), scheme, pruning, &[1, 4]);
-            }
-        }
+        assert_sweeps_keep_the_spec(name, &blocks, every_family, &[STREAMING], &[1, 4]);
     }
 }
 
@@ -59,19 +38,9 @@ proptest! {
     fn streaming_equals_materialised(seed in 0u64..500, n in 40usize..120, threads in 1usize..5) {
         let world = generate(&profiles::center_periphery(n, seed));
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let spec = Spec::of(&blocks);
-        for scheme in WeightingScheme::ALL {
-            for reciprocal in [false, true] {
-                for pruning in [
-                    Pruning::Wnp { reciprocal },
-                    Pruning::Cnp { reciprocal, k: None },
-                    Pruning::Cnp { reciprocal, k: Some(2) },
-                ] {
-                    let world = (&blocks, &spec);
-                    assert_streams_like_the_spec("clean", world, scheme, pruning, &[threads]);
-                }
-            }
-        }
+        let vote = |r| [Pruning::Wnp { reciprocal: r }, cnp(r, None), cnp(r, Some(2))];
+        let families = |_: &Spec| [vote(false), vote(true)].concat();
+        assert_sweeps_keep_the_spec("clean", &blocks, families, &[STREAMING], &[threads]);
     }
 
     /// Edge-centric WEP and CEP agree bitwise with the specification for
@@ -89,15 +58,13 @@ proptest! {
         ] {
             let world = generate(&config);
             let blocks = builders::token_blocking(&world.dataset, mode);
-            let spec = Spec::of(&blocks);
-            let mut families = vec![Pruning::Wep, Pruning::Cep(Some(7))];
-            families.extend(cep_cardinalities(spec.num_edges()));
-            for scheme in WeightingScheme::ALL {
-                for &pruning in &families {
-                    let (what, world) = (format!("{mode:?}"), (&blocks, &spec));
-                    assert_streams_like_the_spec(&what, world, scheme, pruning, &[1, 2, 4, 8]);
-                }
-            }
+            let families = |spec: &Spec| {
+                let mut families = vec![Pruning::Wep, Pruning::Cep(Some(7))];
+                families.extend(cep_cardinalities(spec.num_edges()));
+                families
+            };
+            let what = format!("{mode:?}");
+            assert_sweeps_keep_the_spec(&what, &blocks, families, &[STREAMING], &[1, 2, 4, 8]);
         }
     }
 
@@ -108,10 +75,8 @@ proptest! {
     fn streaming_weighted_edges_equal_the_slab(seed in 0u64..500, n in 40usize..100) {
         let world = generate(&profiles::lod_cloud(n, seed));
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let spec = Spec::of(&blocks);
-        for scheme in WeightingScheme::ALL {
-            assert_streams_like_the_spec("lod", (&blocks, &spec), scheme, Pruning::None, &[1, 4]);
-        }
+        let none = |_: &Spec| vec![Pruning::None];
+        assert_sweeps_keep_the_spec("lod", &blocks, none, &[STREAMING], &[1, 4]);
     }
 
     /// BLAST agrees bitwise with the specification across keep ratios.
@@ -119,10 +84,13 @@ proptest! {
     fn streaming_blast_equals_materialised(seed in 0u64..500, ratio in 0.1f64..1.0) {
         let world = generate(&profiles::center_dense(80, seed));
         let blocks = builders::token_blocking(&world.dataset, ErMode::CleanClean);
-        let spec = Spec::of(&blocks);
         let blast = Pruning::Blast { ratio };
-        let arcs = WeightingScheme::Arcs;
-        assert_streams_like_the_spec("dense", (&blocks, &spec), arcs, blast, &[1, 4]);
+        let want = Spec::of(&blocks).run(WeightingScheme::Arcs, blast);
+        for t in [1, 4] {
+            let mut session = Session::new(&blocks);
+            let driver = Driver::Session(session.pruning(blast).workers(t));
+            assert_driver_keeps(driver, &want, &format!("dense/{blast:?}/t={t}"));
+        }
     }
 }
 
