@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the incremental resolver: per-arrival
 //! cost across arrival orders (E11's latency companion), the
 //! `serve_churn` session's setup, its writer's ingest with and without
-//! reads between ingests, and the reads that follow an ingest.
+//! reads between ingests, the reads that follow an ingest, and every
+//! arrived entity resolved once after the preload.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use minoan_blocking::builders::TokenKeys;
@@ -95,6 +96,10 @@ impl<'d> Feed<'d> {
 ///   the next batch, untimed, then resolves 64 uniformly drawn arrived
 ///   entities — the first reads of a version, which fold the mirror tails
 ///   and re-weigh the stale rows they load.
+/// * `resolve-all/after-preload` resolves every preloaded entity once, in
+///   id order, on a fresh session (built untimed): all of one version's
+///   cold resolves, as `serve_hot`'s cache warm-up runs them, without the
+///   socket.
 fn bench_serve_churn(c: &mut Criterion) {
     let mut config = profiles::periphery_sparse(20_000, 11);
     config.num_types = 400;
@@ -159,6 +164,32 @@ fn bench_serve_churn(c: &mut Criterion) {
                 let mut feed = feed.borrow_mut();
                 for e in draws {
                     black_box(feed.session.resolve_entity(e));
+                }
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("resolve-all");
+    group.sample_size(10);
+    group.bench_function("after-preload", |b| {
+        // Holds the session between setup and routine, so that dropping
+        // it is not timed.
+        let feed = RefCell::new(None);
+        b.iter_batched(
+            || {
+                let fresh = Feed::new(&world.dataset, &order);
+                let mut arrived = order[..fresh.arrived].to_vec();
+                arrived.sort_unstable();
+                *feed.borrow_mut() = Some(fresh);
+                arrived
+            },
+            |arrived| {
+                let mut feed = feed.borrow_mut();
+                let session = &mut feed.as_mut().expect("set up").session;
+                for e in arrived {
+                    black_box(session.resolve_entity(e));
                 }
             },
             BatchSize::PerIteration,

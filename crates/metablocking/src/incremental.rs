@@ -72,7 +72,14 @@
 //! * a mirror tail is folded into its row's sorted prefix, and a stale
 //!   row re-weighed in place, when the row is next *read* — a single
 //!   [`IncrementalSession::resolve_entity`] does that for the
-//!   neighbourhood it loads, nothing else;
+//!   neighbourhood it reads, nothing else;
+//! * a node-centric family's vote (WNP's mean, BLAST's bar, CNP's top-k)
+//!   is drawn from a row, where it lies, by the first resolve that needs
+//!   it after an ingest or a scheme or pruning switch, and memoised for
+//!   every later resolve until the next one: a cold resolve copies its own
+//!   row and reads its neighbours' votes, not their rows. The memo is
+//!   dropped whole, also for rows the ingest did not touch (CNP's
+//!   default `k` is global);
 //! * the global criteria (WEP's threshold, CEP's top-k, CNP's default
 //!   `k`, the supervised feature maxima) and
 //!   [`IncrementalSession::outcome`] walk every row, once per version, on
@@ -122,8 +129,8 @@ use crate::parallel::JobReport;
 use crate::prune::WeightedPair;
 use crate::query::{self, ResolvedEntity};
 use crate::rule::{
-    self, forward_len, Criterion, CriterionFold, Entry, Partial, Row, RowBuf, RowDriver, Rule,
-    Weigher,
+    self, forward_len, Ballot, Criterion, CriterionFold, Entry, Partial, Row, RowBuf, RowDriver,
+    Rule, Weigher,
 };
 use crate::session::{PruneOutcome, Pruning};
 use crate::supervised::{self, NUM_FEATURES};
@@ -176,6 +183,11 @@ pub struct IncrementalSession<'d> {
     /// Every fold merges through this buffer and copies the result back
     /// into the row's own.
     fold_scratch: Vec<Entry>,
+    /// The resolved entity's row, copied out of the cache so that its
+    /// neighbours' votes can be drawn while it is read.
+    own_row: RowBuf,
+    /// Each row's node-centric vote, memoised for one generation.
+    votes: Votes,
     /// The supervised features of the row being read.
     features: Vec<[f64; NUM_FEATURES]>,
     /// Whether `rows` hold the current statistic for the current corpus.
@@ -194,6 +206,27 @@ pub struct IncrementalSession<'d> {
     /// triple: dropped by every ingest and by every scheme or pruning
     /// switch, rebuilt by the next resolve.
     criterion: Option<Criterion>,
+}
+
+/// The rows' node-centric votes. At one generation a row's [`Ballot`] is
+/// a function of that row alone, so a resolve draws it once and every
+/// later resolve that reaches the row as a neighbour reads it here.
+struct Votes {
+    /// Bumped by every ingest and every scheme or pruning switch — the
+    /// points where the criterion is dropped.
+    generation: u64,
+    /// `memo[a]`: the generation `a`'s ballot was drawn at, and the
+    /// ballot. Generation 0 is never current.
+    memo: Vec<(u64, Ballot)>,
+}
+
+impl Votes {
+    fn new(n: usize) -> Self {
+        Self {
+            generation: 1,
+            memo: vec![(0, Ballot::AtLeast(0.0)); n],
+        }
+    }
 }
 
 /// The per-entity incident-edge cache: `entries[a]` holds the [`Entry`]
@@ -273,6 +306,8 @@ impl<'d> IncrementalSession<'d> {
             workers: None,
             rows: Rows::new(n),
             fold_scratch: Vec::new(),
+            own_row: RowBuf::default(),
+            votes: Votes::new(n),
             features: Vec::new(),
             rows_valid: true,
             mask: vec![false; n],
@@ -306,6 +341,7 @@ impl<'d> IncrementalSession<'d> {
             }
             (self.scheme, self.pruning) = (scheme, pruning);
             self.criterion = None;
+            self.votes.generation += 1;
         }
         self
     }
@@ -375,6 +411,7 @@ impl<'d> IncrementalSession<'d> {
         let mut delta = self.collection.ingest(batch, threads);
         self.version += 1;
         self.criterion = None;
+        self.votes.generation += 1;
         let mut report = IngestReport {
             arrived: batch.len(),
             touched_blocks: delta.touched_blocks.len(),
@@ -467,6 +504,7 @@ impl<'d> IncrementalSession<'d> {
             rows: &mut self.rows,
             scratch: &mut self.fold_scratch,
             features: &mut self.features,
+            votes: &mut self.votes,
             weigher: Weigher::of(self.scheme, &self.pruning),
             version: self.version,
             view: &self.collection,
@@ -491,8 +529,9 @@ impl<'d> IncrementalSession<'d> {
     /// re-sweeping) the whole outcome. The answer comes from the row
     /// cache; the pruning family's *global* inputs (WEP's threshold,
     /// CEP's top-k, CNP's default `k`, the supervised extractor) are
-    /// reduced over it once per ingested version and reused by every
-    /// resolve against it. The [module docs](self) show one.
+    /// reduced over it once per ingested version, and a node-centric
+    /// family's votes drawn once per row, and reused by every resolve
+    /// against it. The [module docs](self) show one.
     pub fn resolve_entity(&mut self, entity: EntityId) -> ResolvedEntity {
         assert!(
             entity.index() < self.rows.entries.len(),
@@ -507,9 +546,9 @@ impl<'d> IncrementalSession<'d> {
             pruning: &pruning,
             criterion: &criterion,
         };
-        let mut rows = self.row_cache();
-        let resolved = query::resolve_rows(&mut |e, out| rows.load_row(e, out), entity, rule);
-        self.criterion = Some(criterion);
+        let mut own = std::mem::take(&mut self.own_row);
+        let resolved = query::resolve_rows(&mut self.row_cache(), &mut own, entity, rule);
+        (self.own_row, self.criterion) = (own, Some(criterion));
         resolved
     }
 }
@@ -527,11 +566,13 @@ impl<'d> IncrementalSession<'d> {
 /// order, exactly as a one-range sweep would, and lends each one to the
 /// rule where it lies. Both passes walk the whole cache and are
 /// `O(corpus)` anyway, so they bring every row up to date on the way. A
-/// resolve ([`Self::load_row`]) copies the rows it reads.
-struct RowCache<'a> {
+/// resolve copies the resolved entity's row ([`Self::load_row`]) and
+/// reads each neighbour's memoised vote ([`Self::vote`]).
+pub(crate) struct RowCache<'a> {
     rows: &'a mut Rows,
     scratch: &'a mut Vec<Entry>,
     features: &'a mut Vec<[f64; NUM_FEATURES]>,
+    votes: &'a mut Votes,
     weigher: Weigher,
     version: u64,
     view: &'a IncrementalCollection<'a>,
@@ -579,6 +620,7 @@ impl RowCache<'_> {
             scratch,
             features,
             weigher,
+            votes: _,
             version,
             view,
         } = self;
@@ -618,11 +660,24 @@ impl RowCache<'_> {
     }
 
     /// Copies `e`'s up-to-date row into `out`.
-    fn load_row(&mut self, e: u32, out: &mut RowBuf) {
+    pub(crate) fn load_row(&mut self, e: u32, out: &mut RowBuf) {
         out.clear();
         let row = self.current(e);
         out.entries.extend_from_slice(row.entries);
         out.features.extend_from_slice(row.features);
+    }
+
+    /// The vote `y` casts under `rule` over its up-to-date row, drawn from
+    /// the row where it lies on the first call of a generation and read
+    /// from the memo after that. `rule` must be the session's current
+    /// family under its current criterion.
+    pub(crate) fn vote(&mut self, y: u32, rule: Rule<'_>) -> &Ballot {
+        let (a, generation) = (y as usize, self.votes.generation);
+        if self.votes.memo[a].0 != generation {
+            let ballot = rule.ballot(self.current(y));
+            self.votes.memo[a] = (generation, ballot);
+        }
+        &self.votes.memo[a].1
     }
 
     /// Puts every non-empty row through `f`, in entity order, brought up

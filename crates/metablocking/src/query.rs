@@ -7,19 +7,21 @@
 //! the same corpus. Re-running a full sweep per request would make every
 //! query `O(corpus)`; this module makes it `O(neighbourhood)`:
 //!
-//! * `resolve_rows` is the single-neighbourhood row driver: it loads the
-//!   queried entity's row, asks the family's rule (the crate-internal
-//!   `rule` module) what that row decides, and — for the node-centric
-//!   families — loads a neighbour's row only when the entity's own vote
-//!   does not already decide the edge. Rows come from the incremental
-//!   session's patched row cache
-//!   ([`IncrementalSession::resolve_entity`](crate::IncrementalSession::resolve_entity)).
+//! * `resolve_rows` is the single-neighbourhood row driver: it copies the
+//!   queried entity's row into the session's scratch, asks the family's
+//!   rule (the crate-internal `rule` module) what that row decides, and —
+//!   for the node-centric families — asks for a neighbour's vote only when
+//!   the entity's own does not already decide the edge. Rows and votes
+//!   come from the incremental session's patched row cache
+//!   ([`IncrementalSession::resolve_entity`](crate::IncrementalSession::resolve_entity)),
+//!   which draws a row's vote from the row where it lies at most once per
+//!   corpus version and family, and copies no neighbour's row.
 //! * The *global* inputs a family needs — WEP's mean threshold, CEP's
 //!   global top-k, CNP's default `k`, the supervised extractor's
 //!   normalisation maxima — are reduced once per corpus version into the
 //!   rule's criterion and reused by every resolve, which is what keeps a
-//!   query sub-linear: the criterion amortises across requests exactly
-//!   like the session's CSR/scratch state does across runs.
+//!   query sub-linear: the criterion, like the neighbours' votes,
+//!   amortises across the requests of one version.
 //! * [`NeighbourhoodCache`] memoises whole [`ResolvedEntity`] answers
 //!   for the hot entities of a skewed query mix, with invalidation
 //!   driven by the dirty-entity sets
@@ -34,8 +36,9 @@
 //!
 //! [`Session::run`]: crate::Session::run
 
+use crate::incremental::RowCache;
 use crate::prune::{self, WeightedPair};
-use crate::rule::{normalised, Criterion, Entry, RowBuf, Rule};
+use crate::rule::{elects, normalised, Criterion, Entry, RowBuf, Rule};
 use crate::session::Pruning;
 use crate::weights::WeightingScheme;
 use minoan_rdf::EntityId;
@@ -57,23 +60,25 @@ pub struct ResolvedEntity {
 }
 
 /// Resolves one entity under a prebuilt criterion: the edges incident to
-/// `entity` that a full run would keep. `load` produces an entity's full
-/// row (cleared first, ascending by neighbour id) — the incremental
-/// session's patched row cache. The entity's own row decides what a full
-/// run's sweep of `entity` would decide; for the node-centric families the rule is then asked whether
-/// the *other* endpoint votes for the edge, and that neighbour's row is
-/// loaded only when its vote can still change the outcome (union: the
-/// entity voted no; reciprocal: it voted yes). Edge weights are bitwise
-/// endpoint-symmetric — both endpoints' sweeps produce the identical f64
-/// — so the entity's copy of the weight is the one reported.
+/// `entity` that a full run would keep. `own` receives the entity's full
+/// row from `rows` (the session's reusable scratch). The entity's own row
+/// decides what a full run's sweep of `entity` would decide; for the
+/// node-centric families the rule's vote combiner then asks for the
+/// *other* endpoint's vote only when it can still change the outcome
+/// (union: the entity voted no; reciprocal: it voted yes), and
+/// [`RowCache::vote`] answers it from the neighbour's row where it lies,
+/// drawn at most once per generation. Edge weights are bitwise
+/// endpoint-symmetric — both endpoints' sweeps produce the identical
+/// f64 — so the entity's copy of the weight is the one the neighbour's
+/// ballot is asked about, and the one reported.
 pub(crate) fn resolve_rows(
-    load: &mut dyn FnMut(u32, &mut RowBuf),
+    rows: &mut RowCache<'_>,
+    own: &mut RowBuf,
     entity: EntityId,
     rule: Rule<'_>,
 ) -> ResolvedEntity {
     let e = entity.0;
-    let mut own = RowBuf::default();
-    load(e, &mut own);
+    rows.load_row(e, own);
     let row = own.row(e);
     let neighbours: Vec<u32> = row.entries.iter().map(|entry| entry.y).collect();
     let mut matches = Vec::new();
@@ -81,18 +86,13 @@ pub(crate) fn resolve_rows(
         // The criterion is the outcome, already in presentation order.
         matches.extend(pairs.iter().filter(|p| p.a == entity || p.b == entity));
     } else if let Some(reciprocal) = rule.votes() {
-        let mut other = RowBuf::default();
         let ballot = rule.ballot(row);
         for &Entry { y, w, .. } in row.entries {
             if w <= 0.0 {
                 continue;
             }
-            let mut keep = ballot.admits(e, y, w);
-            if keep == reciprocal {
-                load(y, &mut other);
-                keep = rule.votes_for(other.row(y), e, w);
-            }
-            if keep {
+            let other = || rows.vote(y, rule).admits(y, e, w);
+            if elects(reciprocal, ballot.admits(e, y, w), other) {
                 matches.push(normalised(e, y, w));
             }
         }

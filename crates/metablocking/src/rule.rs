@@ -27,8 +27,9 @@
 //!    visits a backward co-occurrence for them
 //!    ([`Rule::sweep_direction`]); the full row for the node-centric
 //!    votes — and the same decision asked of one endpoint at query time
-//!    ([`Rule::ballot`], [`Rule::votes_for`], [`Rule::edge_keep`]).
-//! 3. a **vote combiner** ([`combine_votes`]): union or reciprocal.
+//!    ([`Rule::ballot`], [`Rule::edge_keep`]).
+//! 3. a **vote combiner**: union or reciprocal — [`combine_votes`] over
+//!    a pass's emitted votes, [`elects`] over one edge's two ballots.
 //!
 //! [`run`] and [`criterion`] chain those steps over a [`RowDriver`]. The
 //! drivers — scoped threads (`streaming`), MapReduce jobs (`parallel`),
@@ -523,8 +524,25 @@ impl CriterionFold {
     }
 }
 
+/// Whether an edge is kept, given one endpoint's vote and — asked only
+/// when it can still change the outcome — the other's: under union
+/// semantics either vote keeps it, under reciprocal both must.
+#[inline]
+pub(crate) fn elects(reciprocal: bool, first: bool, second: impl FnOnce() -> bool) -> bool {
+    if first == reciprocal {
+        second()
+    } else {
+        first
+    }
+}
+
+/// BLAST is loose: either endpoint's bar admits an edge.
+const BLAST_RECIPROCAL: bool = false;
+
 /// One endpoint's local decision over its own row, for the node-centric
-/// families.
+/// families: a function of that row alone (and the criterion), so a
+/// resolve draws each neighbour's once per corpus version and family.
+#[derive(Clone)]
 pub(crate) enum Ballot {
     /// Keep positive entries at or above the bar: WNP's neighbourhood
     /// mean, BLAST's `ratio ·` local maximum.
@@ -543,6 +561,12 @@ impl Ballot {
                 Self::AtLeast(bar) => w >= *bar,
                 Self::Top(keys) => keys.contains(&edge_key(a, y, w)),
             }
+    }
+
+    /// BLAST's bar for an endpoint whose largest χ² is `max`.
+    #[inline]
+    fn blast(ratio: f64, max: f64) -> Self {
+        Self::AtLeast(ratio * max)
     }
 }
 
@@ -566,8 +590,7 @@ impl Rule<'_> {
             (Pruning::Wnp { reciprocal }, _) | (Pruning::Cnp { reciprocal, .. }, _) => {
                 Some(*reciprocal)
             }
-            // BLAST is loose: either endpoint's bar admits the edge.
-            (Pruning::Blast { .. }, Criterion::Local) => Some(false),
+            (Pruning::Blast { .. }, Criterion::Local) => Some(BLAST_RECIPROCAL),
             _ => None,
         }
     }
@@ -591,9 +614,13 @@ impl Rule<'_> {
         match (self.pruning, self.criterion) {
             (Pruning::None, _) => Some(w),
             (Pruning::Wep, Criterion::Wep(bar)) => (w >= *bar && w > 0.0).then_some(w),
-            (Pruning::Blast { ratio }, Criterion::BlastMax(max)) => (w > 0.0
-                && (w >= ratio * max[row.a as usize] || w >= ratio * max[y as usize]))
-                .then_some(w),
+            // Both endpoints' bars, read off the slab instead of their
+            // rows, combined as a resolve combines the votes it draws.
+            (Pruning::Blast { ratio }, Criterion::BlastMax(max)) => {
+                let (a, bar) = (row.a, |x: u32| Ballot::blast(*ratio, max[x as usize]));
+                let (first, second) = (bar(a).admits(a, y, w), || bar(y).admits(y, a, w));
+                elects(BLAST_RECIPROCAL, first, second).then_some(w)
+            }
             (Pruning::Supervised(model), Criterion::Supervised(extractor)) => {
                 let score = model.score(&extractor.normalise(row.features[i]));
                 (score > 0.0).then(|| supervised::sigmoid(score))
@@ -602,32 +629,20 @@ impl Rule<'_> {
         }
     }
 
-    /// The vote `row`'s entity casts over its *full* row. WNP's bar is
-    /// `stats::mean_of` — `stats::mean` without the copy — over the row's
-    /// weights in ascending neighbour order.
-    // `always`: this is the per-neighbour step of every query-time
-    // resolve, and the cardinality arm's selection code makes LLVM leave it
-    // out of line there — a measured fifth of a WNP resolve.
-    #[inline(always)]
+    /// The vote `row`'s entity casts over its *full* row: whether it
+    /// votes for its edge to `y` of weight `w` is exactly membership of
+    /// the pair in what [`Self::contribute`] emits for the row. WNP's bar
+    /// is `stats::mean_of` — `stats::mean` without the copy — over the
+    /// row's weights in ascending neighbour order.
     pub(crate) fn ballot(&self, row: Row<'_>) -> Ballot {
         match (self.pruning, self.criterion) {
             (Pruning::Wnp { .. }, _) => Ballot::AtLeast(mean_of(row.entries.iter().map(|e| e.w))),
             (Pruning::Cnp { .. }, Criterion::CnpK(k)) => Ballot::Top(top_k(row, *k)),
             (Pruning::Blast { ratio }, Criterion::Local) => {
-                Ballot::AtLeast(ratio * local_max(row.entries))
+                Ballot::blast(*ratio, local_max(row.entries))
             }
             (p, _) => unreachable!("{p:?} is not decided by endpoint votes here"),
         }
-    }
-
-    /// Whether `y` — whose full row is `row_y` — votes for its edge to
-    /// `e`: exactly membership of the pair in what [`Self::contribute`]
-    /// emits for `row_y`. `w` is the edge's weight; it is bitwise
-    /// endpoint-symmetric (both endpoints weigh the pair in normalised
-    /// order), so the caller's copy saves the lookup in `row_y`.
-    #[inline(always)]
-    pub(crate) fn votes_for(&self, row_y: Row<'_>, e: u32, w: f64) -> bool {
-        self.ballot(row_y).admits(row_y.a, e, w)
     }
 
     /// Appends what `row` contributes to the kept list: its admitted
@@ -970,8 +985,11 @@ mod tests {
         );
         let (pruning, criterion) = (&blast, &Criterion::Local);
         let local = Rule { pruning, criterion };
-        assert!(!local.votes_for(rows[0], 1, 2.0), "0 alone rejects (0, 1)");
-        assert!(local.votes_for(rows[1], 0, 2.0), "1 admits it");
+        assert!(
+            !local.ballot(rows[0]).admits(0, 1, 2.0),
+            "0 alone rejects (0, 1)"
+        );
+        assert!(local.ballot(rows[1]).admits(1, 0, 2.0), "1 admits it");
         // With 0's bar raised past every weight of 1's, nobody admits it.
         let strict = Pruning::Blast { ratio: 1.0 };
         let (r1, r3) = (entries([(0, 2.0), (3, 4.0)]), entries([(1, 4.0)]));
@@ -981,7 +999,7 @@ mod tests {
     }
 
     #[test]
-    fn votes_for_is_membership_in_the_voters_contribution() {
+    fn ballot_admits_is_membership_in_the_voters_contribution() {
         let entries = entries([(0, 3.0), (2, 0.0), (5, 1.0), (6, 2.0), (8, 2.0)]);
         let y = row(4, &entries);
         let (cnp, k) = cnp(2);
@@ -990,11 +1008,11 @@ mod tests {
         for (pruning, criterion) in &cases {
             let emitted = kept(pruning, criterion, y);
             assert!(!emitted.is_empty() && emitted.len() < entries.len());
-            let rule = Rule { pruning, criterion };
+            let ballot = Rule { pruning, criterion }.ballot(y);
             for &Entry { y: e, w, .. } in &entries {
                 let pair = (e.min(4), e.max(4));
                 assert_eq!(
-                    rule.votes_for(y, e, w),
+                    ballot.admits(4, e, w),
                     emitted.iter().any(|&(a, b, _)| (a, b) == pair),
                     "{pruning:?}: vote of 4 on {e}"
                 );

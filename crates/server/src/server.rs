@@ -62,6 +62,15 @@ impl<'d> Server<'d> {
         }
     }
 
+    /// A guard that calls [`Server::shutdown`] when it is dropped, also
+    /// while a panic unwinds. Taken in the scope whose thread runs
+    /// [`Server::run`], it lets the scope join the server whatever
+    /// happens to the caller's side — a failed assertion fails instead of
+    /// waiting on a server nobody stops.
+    pub fn stop_on_drop(&self) -> StopOnDrop<'_, 'd> {
+        StopOnDrop(self)
+    }
+
     /// Serves until [`Server::shutdown`] is called (usually via the
     /// `SHUTDOWN` request). Returns once every worker has finished its
     /// connection and stopped accepting.
@@ -130,6 +139,16 @@ impl<'d> Server<'d> {
     }
 }
 
+/// Stops its [`Server`] when dropped: see [`Server::stop_on_drop`].
+#[must_use = "the server stops when the guard is dropped"]
+pub struct StopOnDrop<'s, 'd>(&'s Server<'d>);
+
+impl Drop for StopOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +170,7 @@ mod tests {
         let addr = server.local_addr().expect("bound address");
         std::thread::scope(|s| {
             let running = s.spawn(|| server.run());
+            let _stop = server.stop_on_drop();
             let mut client = Client::connect(addr).expect("connect to server");
             let ids: Vec<u32> = (0..g.dataset.len() as u32).collect();
 
@@ -194,6 +214,7 @@ mod tests {
         let addr = server.local_addr().expect("bound address");
         std::thread::scope(|s| {
             let running = s.spawn(|| server.run());
+            let _stop = server.stop_on_drop();
             let mut client = Client::connect(addr).expect("connect to server");
             let out_of_range = g.dataset.len() as u32;
             assert!(client.resolve(out_of_range).is_err());

@@ -325,6 +325,7 @@ mod tests {
         let addr = server.local_addr().expect("bound address");
         std::thread::scope(|s| {
             let running = s.spawn(|| server.run());
+            let _stop = server.stop_on_drop();
             let mut client = crate::Client::connect(addr).expect("connect to server");
             for _ in 0..2 {
                 let err = client.resolve(0).expect_err("ERR, not a hang");

@@ -93,6 +93,32 @@ fn scheme_and_pruning_switches_on_one_session_stay_exact() {
     }
 }
 
+/// At one version, every switch must redraw the neighbours' votes the
+/// previous family's resolves left behind: resolve, switch, resolve
+/// again — WNP → BLAST → default-`k` CNP → WNP under JS, then JS → ECBS
+/// under WNP — each answer against the specification's incident slice.
+#[test]
+fn switches_at_one_version_redraw_every_vote() {
+    let world = generate(&profiles::center_dense(100, 37));
+    let wnp = Pruning::Wnp { reciprocal: false };
+    let mut inc = ingested(&world, (WeightingScheme::Js, wnp), 1);
+    let spec = Spec::of(&inc.snapshot());
+    let probes = probes(world.dataset.len(), 2);
+    for (scheme, pruning) in [
+        (WeightingScheme::Js, wnp),
+        (WeightingScheme::Js, Pruning::blast()),
+        (WeightingScheme::Js, cnp(false, None)),
+        (WeightingScheme::Js, wnp),
+        (WeightingScheme::Ecbs, wnp),
+    ] {
+        inc.scheme(scheme).pruning(pruning);
+        let label = format!("at one version/{scheme:?}/{pruning:?}");
+        let want = spec.run(scheme, pruning);
+        assert_driver_keeps(Driver::Resolve(&mut inc, &probes), &want, &label);
+        assert_eq!(inc.version(), 1, "{label}");
+    }
+}
+
 fn world() -> GeneratedWorld {
     generate(&profiles::center_dense(130, 41))
 }

@@ -357,6 +357,7 @@ fn over_the_wire_answers_are_bit_identical_too() {
     let mut reference = Reference::new(&g, &batches, scheme, pruning);
     std::thread::scope(|s| {
         let running = s.spawn(|| server.run());
+        let _stop = server.stop_on_drop();
         let mut client = Client::connect(addr).expect("connect");
         for (i, batch) in batches.iter().enumerate() {
             client.ingest(batch).expect("valid batch");

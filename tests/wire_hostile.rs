@@ -264,6 +264,7 @@ fn a_live_server_answers_err_and_keeps_serving() {
     ];
     std::thread::scope(|s| {
         let running = s.spawn(|| server.run());
+        let _stop = server.stop_on_drop();
         for wire in &hostile {
             let mut stream = TcpStream::connect(addr).expect("connect");
             stream.write_all(wire).expect("send");
