@@ -4,8 +4,8 @@
 //! (dirty mode, JS × CEP, streaming, two workers) at 400 entities, so the
 //! path that workload's claims rest on has a micro-level twin that keeps
 //! compiling. Nothing here writes a results file — build-vs-stream at
-//! scale is the ledger's `metablocking.run_s` (`BENCHMARK.json`), and the
-//! rows in `BENCH_metablocking.json` are history.
+//! scale is the ledger's `metablocking.run_s` (`BENCHMARK.json`); the
+//! older one-off measurements are recorded in CHANGES.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use minoan_blocking::{builders, filter, purge, BlockCollection, ErMode};

@@ -69,8 +69,7 @@ pub struct DeltaOutcome {
     /// block. Sorted, deduplicated. A pre-batch member's co-occurrences
     /// are unchanged — only its block count `|B_e|` moved — so
     /// meta-blocking re-sweeps none of them: under JS it reads this list
-    /// to mark the grown entities' rows and their neighbours' stale, and
-    /// to add those neighbours to the cache-invalidation set.
+    /// to mark the grown entities' rows and their neighbours' stale.
     pub grown: Vec<EntityId>,
     /// Members of the touched blocks — every entity whose co-occurrence
     /// statistics (CBS / ARCS contributions) may have changed. Sorted,

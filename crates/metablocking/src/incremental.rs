@@ -51,9 +51,8 @@
 //! is read:
 //!
 //! * **JS** reads the endpoints' block counts. The ingest walks each
-//!   grown pre-batch `z`'s row once, marks it and every neighbour's row
-//!   stale, and adds those neighbours to
-//!   [`IncrementalSession::last_dirty`].
+//!   grown pre-batch `z`'s row once and marks it and every neighbour's
+//!   row stale.
 //! * **ECBS** and BLAST's **χ²** read `|B|`, and **EJS** the node degrees
 //!   and `|V|`, which nearly every arrival moves: such a row is re-weighed
 //!   on its first read at each version. A degree is the length of the
@@ -186,6 +185,9 @@ pub struct IncrementalSession<'d> {
     /// The resolved entity's row, copied out of the cache so that its
     /// neighbours' votes can be drawn while it is read.
     own_row: RowBuf,
+    /// The answer being collected and ordered; a resolve hands out a copy
+    /// at its final length.
+    kept: Vec<WeightedPair>,
     /// Each row's node-centric vote, memoised for one generation.
     votes: Votes,
     /// The supervised features of the row being read.
@@ -193,15 +195,12 @@ pub struct IncrementalSession<'d> {
     /// Whether `rows` hold the current statistic for the current corpus.
     /// Starts `true`: an empty corpus has all-empty rows.
     rows_valid: bool,
-    /// Reusable entity mask for [`mirror_append`] and [`Self::mark_stale`];
-    /// all-false between ingests.
+    /// Reusable entity mask for [`mirror_append`]; all-false between
+    /// ingests.
     mask: Vec<bool>,
     pool: ScratchPool,
     /// Monotone corpus version: bumped by every ingest.
     version: u64,
-    /// Entities whose rows the last ingest changed (the invalidation set
-    /// a layered [`NeighbourhoodCache`](crate::NeighbourhoodCache) reads).
-    last_dirty: Vec<EntityId>,
     /// Query-time criterion of the current `(version, scheme, pruning)`
     /// triple: dropped by every ingest and by every scheme or pruning
     /// switch, rebuilt by the next resolve.
@@ -307,13 +306,13 @@ impl<'d> IncrementalSession<'d> {
             rows: Rows::new(n),
             fold_scratch: Vec::new(),
             own_row: RowBuf::default(),
+            kept: Vec::new(),
             votes: Votes::new(n),
             features: Vec::new(),
             rows_valid: true,
             mask: vec![false; n],
             pool: ScratchPool::new(n),
             version: 0,
-            last_dirty: Vec::new(),
             criterion: None,
         }
     }
@@ -378,17 +377,6 @@ impl<'d> IncrementalSession<'d> {
         self.version
     }
 
-    /// The entities whose rows the last ingest changed, ascending: its
-    /// dirty entities (members of its touched blocks) and, under JS, the
-    /// neighbours of each grown pre-batch entity. The invalidation set
-    /// for a [`NeighbourhoodCache`](crate::NeighbourhoodCache) layered
-    /// over this session (sound only when
-    /// [`locally_invalidatable`](crate::locally_invalidatable) holds for
-    /// the configured combination). Empty before the first ingest.
-    pub fn last_dirty(&self) -> &[EntityId] {
-        &self.last_dirty
-    }
-
     fn threads(&self) -> usize {
         self.workers.unwrap_or_else(default_threads).max(1)
     }
@@ -408,7 +396,7 @@ impl<'d> IncrementalSession<'d> {
     /// Panics if any batch entity was already ingested.
     pub fn ingest(&mut self, batch: &[EntityId]) -> IngestReport {
         let threads = self.threads();
-        let mut delta = self.collection.ingest(batch, threads);
+        let delta = self.collection.ingest(batch, threads);
         self.version += 1;
         self.criterion = None;
         self.votes.generation += 1;
@@ -442,14 +430,13 @@ impl<'d> IncrementalSession<'d> {
             // neighbour's row. Under JS the rows a block-count change
             // moved go stale first.
             if weigher == Weigher::Scheme(WeightingScheme::Js) {
-                self.mark_stale(&delta.grown, &mut delta.dirty);
+                self.mark_stale(&delta.grown);
             }
             let (pool, rows, view) = (&self.pool, &mut self.rows, &self.collection);
             resweep_rows(weigher, pool, rows, view, batch, threads, version);
             mirror_append(rows, batch, &mut self.mask, &mut self.fold_scratch);
             batch.len()
         };
-        self.last_dirty = delta.dirty;
         report
     }
 
@@ -458,30 +445,15 @@ impl<'d> IncrementalSession<'d> {
     /// `|B_z|`) and each of its neighbours' (their edge to `z`). It runs
     /// before the batch is swept, so it walks pre-batch rows only — a
     /// batch entity's is still empty, and its edges, swept on the final
-    /// counts, stay fresh. `dirty` gains the marked entities outside it
-    /// and stays ascending: it names every row the ingest changed.
-    fn mark_stale(&mut self, grown: &[EntityId], dirty: &mut Vec<EntityId>) {
-        let (rows, mask) = (&mut self.rows, &mut self.mask);
-        for &d in dirty.iter() {
-            mask[d.index()] = true;
-        }
-        let listed = dirty.len();
+    /// counts, stay fresh.
+    fn mark_stale(&mut self, grown: &[EntityId]) {
+        let rows = &mut self.rows;
         for &z in grown {
             rows.weighed[z.index()] = 0;
             for entry in &rows.entries[z.index()] {
-                let y = entry.y as usize;
-                rows.weighed[y] = 0;
-                if !std::mem::replace(&mut mask[y], true) {
-                    dirty.push(EntityId(entry.y));
-                }
+                rows.weighed[entry.y as usize] = 0;
             }
         }
-        for &d in dirty.iter() {
-            mask[d.index()] = false;
-        }
-        // Two ascending runs: the stable sort merges them in one pass.
-        dirty[listed..].sort_unstable();
-        dirty.sort();
     }
 
     /// Re-seeds the whole row cache with one full sweep of the live
@@ -546,9 +518,13 @@ impl<'d> IncrementalSession<'d> {
             pruning: &pruning,
             criterion: &criterion,
         };
-        let mut own = std::mem::take(&mut self.own_row);
-        let resolved = query::resolve_rows(&mut self.row_cache(), &mut own, entity, rule);
-        (self.own_row, self.criterion) = (own, Some(criterion));
+        let (mut own, mut kept) = (
+            std::mem::take(&mut self.own_row),
+            std::mem::take(&mut self.kept),
+        );
+        let resolved =
+            query::resolve_rows(&mut self.row_cache(), &mut own, &mut kept, entity, rule);
+        (self.own_row, self.kept, self.criterion) = (own, kept, Some(criterion));
         resolved
     }
 }

@@ -132,7 +132,7 @@ pub mod weights;
 pub use incremental::{IncrementalSession, IngestReport};
 pub use parallel::JobReport;
 pub use prune::{PrunedComparisons, WeightedPair};
-pub use query::{locally_invalidatable, NeighbourhoodCache, ResolvedEntity};
+pub use query::{NeighbourhoodCache, ResolvedEntity};
 pub use session::{PruneOutcome, Pruning, Session};
 pub use supervised::{EdgeFeatures, Perceptron, TrainingSet};
 pub use weights::WeightingScheme;

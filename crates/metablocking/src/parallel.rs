@@ -46,9 +46,8 @@
 //! asserts the full scheme × family × worker matrix — and each run
 //! returns its per-job [`JobStats`] (via [`JobReport`], surfaced on
 //! [`PruneOutcome::report`](crate::PruneOutcome)), so the shuffle volume
-//! can be read against the edge-based strategy's `Σ_b ‖b‖` (the
-//! historical `mapreduce_results` rows of `BENCH_metablocking.json`
-//! recorded the gap).
+//! can be read against the edge-based strategy's `Σ_b ‖b‖` (CHANGES.md
+//! records the measured gap).
 
 use crate::prune::WeightedPair;
 use crate::rule::{

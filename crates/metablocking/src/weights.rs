@@ -45,16 +45,14 @@ impl WeightingScheme {
     /// edges with a *dirty* endpoint — a member of a block the batch
     /// touched. The one place delta-locality is decided: the incremental
     /// session re-weighs the rows of the other schemes on their first read
-    /// at every version, and a neighbourhood cache may invalidate entry by
-    /// entry only under these.
+    /// at every version.
     ///
     /// * **CBS / JS** read `|B_ij|` (JS adds `|B_i|`, `|B_j|`). A pair's
     ///   shared-block count grows only through a touched block both sit
     ///   in, and `|B_i|` only for an entity whose block list grew — a
     ///   member of a touched block. Under JS that one dirty endpoint
     ///   re-weighs its edges to clean neighbours as well, so the rows a
-    ///   batch changes are the dirty entities' *and* those neighbours':
-    ///   the incremental session reports both for cache invalidation.
+    ///   batch changes are the dirty entities' *and* those neighbours'.
     /// * **ARCS** sums `1/‖b‖` over shared blocks: a touched block
     ///   reweights every pair inside it, and both endpoints of each such
     ///   pair are its members.

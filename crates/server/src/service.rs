@@ -10,11 +10,8 @@
 //! Ingests validate the whole batch *before* mutating anything, so a
 //! rejected batch leaves the corpus untouched; only the already-arrived
 //! check needs the session, so the rest runs before the lock is taken.
-//! After a successful ingest the cache is invalidated through the
-//! session's dirty-entity report when [`locally_invalidatable`] holds for
-//! the configured scheme × pruning, and fully cleared otherwise (global
-//! criteria can re-decide edges between clean entities with no dirty-set
-//! trace).
+//! A successful ingest clears the cache: it holds answers of one corpus
+//! version, the one a resolve stamps.
 //!
 //! A thread that panics while holding the lock poisons it. From then on
 //! every call answers "service unavailable": a mutation cut short can
@@ -26,8 +23,7 @@ use minoan_blocking::builders::TokenKeys;
 use minoan_blocking::{Corpus, ErMode};
 use minoan_common::default_threads;
 use minoan_metablocking::{
-    locally_invalidatable, IncrementalSession, NeighbourhoodCache, Pruning, ResolvedEntity,
-    WeightingScheme,
+    IncrementalSession, NeighbourhoodCache, Pruning, ResolvedEntity, WeightingScheme,
 };
 use minoan_rdf::{Dataset, EntityId};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -76,7 +72,6 @@ struct State<'d> {
 /// in-process harness) drives. See the [module docs](self).
 pub struct ResolveService<'d> {
     state: Mutex<State<'d>>,
-    local_invalidation: bool,
     num_entities: usize,
 }
 
@@ -129,7 +124,6 @@ impl<'d> ResolveService<'d> {
                 cache_misses: 0,
                 ingests: 0,
             }),
-            local_invalidation: locally_invalidatable(scheme, pruning),
             num_entities,
         }
     }
@@ -171,8 +165,8 @@ impl<'d> ResolveService<'d> {
     }
 
     /// Ingests a batch. The whole batch is validated first; on success
-    /// the corpus version bumps by one and cached answers that the
-    /// batch could have changed are dropped.
+    /// the corpus version bumps by one and every cached answer is
+    /// dropped.
     pub fn ingest(&self, ids: &[u32]) -> Result<IngestReply, IngestError> {
         // What needs no session state is checked before the lock that
         // every resolve waits on.
@@ -194,13 +188,8 @@ impl<'d> ResolveService<'d> {
             return Err(IngestError::AlreadyArrived);
         }
         let report = state.session.ingest(&batch);
-        let invalidated = if self.local_invalidation {
-            state.cache.invalidate(state.session.last_dirty())
-        } else {
-            let n = state.cache.len();
-            state.cache.clear();
-            n
-        };
+        let invalidated = state.cache.len();
+        state.cache.clear();
         state.ingests += 1;
         Ok(IngestReply {
             version: state.session.version(),

@@ -4,8 +4,9 @@
 # worker, which also runs the universe token pass), discover
 # the address via --addr-file, fire a mixed burst of RESOLVE / INGEST /
 # STATS through `minoan query`, and shut the server down cleanly. Fails
-# if any query errors, if STATS comes back empty, or if the server does
-# not exit after SHUTDOWN.
+# if any query errors, if the cache counters or the ingest's cleared
+# count break the one-version rule, or if the server does not exit after
+# SHUTDOWN.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -43,18 +44,28 @@ echo "serve listening on $addr"
 
 # Mixed burst: resolves on hot + cold entities, an ingest that bumps the
 # corpus version, resolves again (now at the new version), then stats.
+# The cache holds one corpus version: the repeat of 7 hits, the ingest
+# clears both cached answers, and 7 misses again after it. The --preload
+# is the first ingest STATS counts.
+expect() { # what, want, got
+  case "$3" in
+    *"$2"*) ;;
+    *) echo "$1: expected '$2' in: $3" >&2; exit 1 ;;
+  esac
+}
 "$MINOAN" query --addr "$addr" --entity 7 --show 3
 "$MINOAN" query --addr "$addr" --entity 7 --show 3
 "$MINOAN" query --addr "$addr" --entity 42
-"$MINOAN" query --addr "$addr" --ingest 300,301,302,303
+stats="$("$MINOAN" query --addr "$addr" --stats)"
+echo "$stats"
+expect "a repeat within one version" "resolves 3 hits 1 misses 2 ingests 1" "$stats"
+ingested="$("$MINOAN" query --addr "$addr" --ingest 300,301,302,303)"
+echo "$ingested"
+expect "the ingest clears the cache" "invalidated 2" "$ingested"
 "$MINOAN" query --addr "$addr" --entity 7 --show 3
 stats="$("$MINOAN" query --addr "$addr" --stats)"
 echo "$stats"
-case "$stats" in
-  *"resolves 0"*) echo "stats recorded no resolves" >&2; exit 1 ;;
-  *"resolves "*) ;;
-  *) echo "stats output missing resolve counter: $stats" >&2; exit 1 ;;
-esac
+expect "the first read after an ingest" "resolves 4 hits 1 misses 3 ingests 2" "$stats"
 
 # A rejected ingest (already-arrived entity) must not kill the server.
 if "$MINOAN" query --addr "$addr" --ingest 300 2>/dev/null; then

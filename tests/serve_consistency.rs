@@ -99,8 +99,8 @@ fn check_reply(
 /// One recorded answer: `(entity, stamped version, pairs as raw bits)`.
 type RecordedAnswer = (u32, u64, Vec<(u32, u32, u64)>);
 
-/// Scheme × pruning mix covering locally invalidated answers, the global
-/// criteria (whole-cache clears) and rows re-weighed on read (ECBS).
+/// Scheme × pruning mix covering a row-local criterion, the global
+/// criteria and rows re-weighed on read (ECBS).
 fn combos() -> Vec<(&'static str, WeightingScheme, Pruning)> {
     vec![
         (
@@ -137,9 +137,8 @@ fn interleaved_resolves_match_from_scratch_at_the_admission_point() {
                 let r = service.ingest(batch).expect("valid batch");
                 assert_eq!(r.version, i as u64 + 1, "{tag}: version counts ingests");
                 // Twice per round: the second pass answers from the
-                // cache at the same version (global criteria clear the
-                // whole cache on every ingest, so only the intra-version
-                // repeat is a guaranteed hit).
+                // cache at the same version (every ingest clears the
+                // cache, so only the intra-version repeat can hit).
                 for _ in 0..2 {
                     for &e in &hot {
                         let reply = service.resolve(e).expect("in range");
@@ -291,7 +290,9 @@ fn concurrent_resolves_under_ingest_stay_version_consistent() {
 }
 
 /// A corpus-sized cache answers every resolve exactly as a service with
-/// no cache does, around every ingest of a stream of small batches. JS
+/// no cache does, around every ingest of a stream of small batches, and
+/// holds one version: each entity is resolved twice per version, so the
+/// hits are the repeats, and every ingest drops every cached answer. JS
 /// reads both endpoints' block counts, so a batch that grows a pre-batch
 /// `z`'s block list moves the weight `(y, z)` in every neighbour `y`'s
 /// row — and with it `y`'s WNP bar — whether or not `y` sits in a block
@@ -310,37 +311,50 @@ fn a_corpus_sized_cache_answers_what_no_cache_answers() {
     for reciprocal in [false, true] {
         let pruning = Pruning::Wnp { reciprocal };
         let [cached, uncached] = [usize::MAX, 0].map(|capacity| {
-            let service = ResolveService::new(
+            ResolveService::new(
                 &g.dataset,
                 ErMode::CleanClean,
                 WeightingScheme::Js,
                 pruning,
                 capacity,
-            );
-            service.ingest(preload).expect("valid batch");
-            service
+            )
         });
+        let ingest = |batch: &[u32], held: u32| {
+            let r = cached.ingest(batch).expect("valid batch");
+            uncached.ingest(batch).expect("valid batch");
+            assert_eq!(
+                r.invalidated, held,
+                "reciprocal {reciprocal}: v={}",
+                r.version
+            );
+        };
         let resolve_all = |round: usize| {
-            for e in 0..n {
-                let got = cached.resolve(e).expect("in range");
-                let want = uncached.resolve(e).expect("in range");
-                assert_eq!(got.version, want.version);
-                assert_eq!(
-                    got.pairs, want.pairs,
-                    "reciprocal {reciprocal}, after ingest {round}, entity {e}"
-                );
+            for _ in 0..2 {
+                for e in 0..n {
+                    let got = cached.resolve(e).expect("in range");
+                    let want = uncached.resolve(e).expect("in range");
+                    assert_eq!(got.version, want.version);
+                    assert_eq!(
+                        got.pairs, want.pairs,
+                        "reciprocal {reciprocal}, after ingest {round}, entity {e}"
+                    );
+                }
             }
         };
+        ingest(preload, 0);
         resolve_all(0);
         for (i, batch) in stream.chunks(3).enumerate() {
-            cached.ingest(batch).expect("valid batch");
-            uncached.ingest(batch).expect("valid batch");
+            ingest(batch, n);
             resolve_all(i + 1);
         }
-        assert!(
-            cached.stats().expect("healthy service").cache_hits > 0,
-            "the cache must serve"
+        let stats = cached.stats().expect("healthy service");
+        let versions = stats.version;
+        assert_eq!(
+            stats.cache_misses,
+            u64::from(n) * versions,
+            "one miss per version"
         );
+        assert_eq!(stats.cache_hits, u64::from(n) * versions, "the repeats hit");
     }
 }
 
