@@ -15,7 +15,9 @@ cargo build --release -p minoan-cli
 MINOAN=target/release/minoan
 
 workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
+serve_pid=""
+# A failed check exits early: stop the server it would leave behind.
+trap '[ -z "$serve_pid" ] || kill "$serve_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 addr_file="$workdir/addr.txt"
 serve_log="$workdir/serve.log"
 
