@@ -54,18 +54,17 @@ pub struct ResolvedEntity {
 
 /// Resolves one entity under a prebuilt criterion: the edges incident to
 /// `entity` that a full run would keep. `own` receives the entity's full
-/// row from `rows`, and `kept` collects and orders the answer, which
-/// leaves as one copy at its final length (both the session's reusable
-/// scratch). The entity's own row
-/// decides what a full run's sweep of `entity` would decide; for the
-/// node-centric families the rule's vote combiner then asks for the
-/// *other* endpoint's vote only when it can still change the outcome
-/// (union: the entity voted no; reciprocal: it voted yes), and
-/// [`RowCache::vote`] answers it from the neighbour's row where it lies,
-/// drawn at most once per generation. Edge weights are bitwise
-/// endpoint-symmetric — both endpoints' sweeps produce the identical
-/// f64 — so the entity's copy of the weight is the one the neighbour's
-/// ballot is asked about, and the one reported.
+/// row from `rows`; `kept` collects and orders the answer, which leaves
+/// as one copy at its final length (both are the session's reusable
+/// scratch). The entity's own row decides what a full run's sweep of
+/// `entity` would decide; for the node-centric families the rule's vote
+/// combiner then asks for the *other* endpoint's vote only when it can
+/// still change the outcome (union: the entity voted no; reciprocal: it
+/// voted yes), and [`RowCache::vote`] answers it from the neighbour's row
+/// where it lies, drawn at most once per generation. Edge weights are
+/// bitwise endpoint-symmetric — both endpoints' sweeps produce the
+/// identical f64 — so the entity's copy of the weight is the one the
+/// neighbour's ballot is asked about, and the one reported.
 pub(crate) fn resolve_rows(
     rows: &mut RowCache<'_>,
     own: &mut RowBuf,
