@@ -6,8 +6,6 @@
 //! file: end-to-end timings are the ledger's (`BENCHMARK.json` +
 //! `benchmark/`, which time `minoan_cli::run` and the server).
 
-#![forbid(unsafe_code)]
-
 pub mod experiments;
 pub mod experiments2;
 

@@ -281,6 +281,7 @@ fn set_jaccard(a: &FxHashSet<String>, b: &FxHashSet<String>) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
+    #[expect(clippy::disallowed_methods, reason = "only counts")]
     let inter = a.intersection(b).count();
     let union = a.len() + b.len() - inter;
     inter as f64 / union as f64

@@ -483,7 +483,10 @@ impl BlockCollection {
     /// do): blocks ordered by key string, member lists sorted ascending,
     /// every block's comparison count non-zero, `block_offsets` starting
     /// at 0 with `len == blocks + 1`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the nine slabs and counts every builder path hands over in one move"
+    )]
     pub(crate) fn finish(
         mode: ErMode,
         keys: Arc<Interner>,

@@ -6,6 +6,8 @@
 //! discriminative evidence — and rebuilds the collection from the retained
 //! (entity, block) assignments.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::collection::BlockCollection;
 use minoan_common::default_threads;
 use minoan_rdf::EntityId;
@@ -121,7 +123,7 @@ mod tests {
         let g = generate(&profiles::center_dense(200, 10));
         let c = token_blocking(&g.dataset, ErMode::CleanClean);
         let f = filter(&c);
-        let pairs: std::collections::HashSet<_> = f.distinct_pairs().into_iter().collect();
+        let pairs: std::collections::BTreeSet<_> = f.distinct_pairs().into_iter().collect();
         let found = g
             .truth
             .matching_pair_iter()

@@ -13,6 +13,8 @@
 //! per-thread counts, and gathers into disjoint column-range chunks — so
 //! the result is **bit-identical for every thread count**, including 1.
 
+#![deny(clippy::disallowed_types)]
+
 /// Exclusive prefix sum with a trailing total — the CSR offsets of
 /// per-group `counts`.
 pub(crate) fn prefix_sum(counts: &[u32]) -> Vec<u32> {

@@ -95,8 +95,6 @@
 //! assert_eq!(b.entities, cleaned.block_entities(b.id));
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod builders;
 pub mod canopy;
 pub mod collection;

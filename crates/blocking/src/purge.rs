@@ -14,6 +14,8 @@
 //! by more than the smoothing factor; the scan stops at the first level
 //! whose removal no longer pays.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::collection::{BlockCollection, BlockId};
 use minoan_common::default_threads;
 
@@ -146,7 +148,7 @@ mod tests {
         let g = generate(&profiles::center_dense(250, 8));
         let c = token_blocking(&g.dataset, ErMode::CleanClean);
         let out = purge(&c);
-        let pairs: std::collections::HashSet<_> =
+        let pairs: std::collections::BTreeSet<_> =
             out.collection.distinct_pairs().into_iter().collect();
         let found = g
             .truth

@@ -11,8 +11,6 @@
 //! minoan eval     --profile lod --entities 400 --seed 7 --strategy progressive:coverage
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod args;
 pub mod commands;
 

@@ -1,7 +1,5 @@
 //! `minoan` binary entry point.
 
-#![forbid(unsafe_code)]
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match minoan_cli::run(&argv) {

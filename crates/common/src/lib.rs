@@ -15,8 +15,6 @@
 //! * [`stats`] — tiny numeric helpers (mean, percentile, AUC of a step
 //!   curve) shared by evaluation and pruning code.
 
-#![forbid(unsafe_code)]
-
 pub mod hash;
 pub mod interner;
 pub mod ordf64;

@@ -89,6 +89,10 @@ impl UnionFind {
         for x in 0..n as u32 {
             by_root.entry(self.find(x)).or_default().push(x);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each cluster and the list are sorted below"
+        )]
         let mut out: Vec<Vec<u32>> = by_root.into_values().filter(|c| c.len() >= min).collect();
         for c in &mut out {
             c.sort_unstable();

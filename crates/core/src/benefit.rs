@@ -328,6 +328,7 @@ mod tests {
             for step in 0..60 {
                 let (x, y) = (EntityId(rng.gen_range(0..N)), EntityId(rng.gen_range(0..N)));
                 state.record_match(x, y);
+                #[expect(clippy::disallowed_methods, reason = "collects into a set")]
                 let set_of = |e: EntityId| -> HashSet<u32> {
                     ds.entities()
                         .filter(|&o| state.same_cluster(e, o))
@@ -337,6 +338,7 @@ mod tests {
                 for _ in 0..8 {
                     let (p, q) = (EntityId(rng.gen_range(0..N)), EntityId(rng.gen_range(0..N)));
                     let (sp, sq) = (set_of(p), set_of(q));
+                    #[expect(clippy::disallowed_methods, reason = "only counts")]
                     let inter = sp.intersection(&sq).count();
                     let union = sp.len() + sq.len() - inter;
                     let want = (union - inter) as f64 / union as f64;

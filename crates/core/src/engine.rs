@@ -326,7 +326,10 @@ impl<'d> ProgressiveResolver<'d> {
 
     /// Propagates a match `(a, b, score)` to the cross product of their
     /// neighbourhoods; returns the number of newly *discovered* candidates.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the resolution loop's disjoint borrows, passed apart so each stays narrow"
+    )]
     fn propagate(
         &self,
         a: EntityId,

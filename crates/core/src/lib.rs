@@ -47,8 +47,6 @@
 //! assert!(!out.resolution.matches.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod benefit;
 pub mod candidates;
 pub mod clustering;

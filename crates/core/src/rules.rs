@@ -110,6 +110,11 @@ impl<'d> CompositeResolver<'d> {
                 partners.entry(key.1).or_default().push(key.0);
             }
         }
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "sorts each list in place and emits nothing"
+        )]
         for list in partners.values_mut() {
             list.sort_unstable();
         }
@@ -140,6 +145,12 @@ impl<'d> CompositeResolver<'d> {
                 .name_similarity(a, b, &mut jaro)
                 .unwrap_or(-1.0)
         });
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "mutual best pairs are disjoint, so no acceptance blocks another, and \
+                      `out.matches` is sorted at the end"
+        )]
         for (&e, &(best, sim)) in name_best.iter() {
             if consumed.contains(&e) || consumed.contains(&best) || e >= best {
                 continue;
@@ -161,7 +172,11 @@ impl<'d> CompositeResolver<'d> {
 
         // --- R2: reciprocal value match --------------------------------
         let mut value_best: FxHashMap<EntityId, (EntityId, f64)> = FxHashMap::default();
-        // lint:allow(hash-order-leak): independent per-key best-match fill; no emission order here
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "each key's best partner depends on no other key's, and nothing is emitted"
+        )]
         for (&e, list) in partners.iter() {
             if consumed.contains(&e) {
                 continue;
@@ -181,6 +196,11 @@ impl<'d> CompositeResolver<'d> {
             }
         }
         let mut r2: Vec<(EntityId, EntityId, f64)> = Vec::new();
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "`r2` is sorted right after"
+        )]
         for (&e, &(best, sim)) in value_best.iter() {
             if e < best
                 && sim >= R2_VALUE_FLOOR
@@ -210,6 +230,11 @@ impl<'d> CompositeResolver<'d> {
             (1.0 - R3_NEIGHBOR_WEIGHT) * v + R3_NEIGHBOR_WEIGHT * n
         });
         let mut r3: Vec<(EntityId, EntityId, f64)> = Vec::new();
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "`r3` is sorted right after"
+        )]
         for (&e, &(best, score)) in agg_best.iter() {
             if e < best
                 && score >= R3_AGGREGATE_FLOOR
@@ -240,6 +265,7 @@ impl<'d> CompositeResolver<'d> {
         mut score: impl FnMut(EntityId, EntityId) -> f64,
     ) -> FxHashMap<EntityId, (EntityId, f64)> {
         let mut out: FxHashMap<EntityId, (EntityId, f64)> = FxHashMap::default();
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut keys: Vec<&EntityId> = partners.keys().collect();
         keys.sort_unstable();
         for &e in keys {

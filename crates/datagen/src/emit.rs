@@ -332,7 +332,9 @@ mod tests {
                     g.dataset.literal_tokens(a).into_iter().collect();
                 let tb: std::collections::HashSet<String> =
                     g.dataset.literal_tokens(b).into_iter().collect();
+                #[expect(clippy::disallowed_methods, reason = "only counts")]
                 let inter = ta.intersection(&tb).count();
+                #[expect(clippy::disallowed_methods, reason = "only counts")]
                 let union = ta.union(&tb).count();
                 if union > 0 {
                     total += inter as f64 / union as f64;

@@ -32,8 +32,6 @@
 //! assert!(world.truth.matching_pairs() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod config;
 pub mod corruption;
 pub mod emit;

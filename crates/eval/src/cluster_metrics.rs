@@ -115,8 +115,11 @@ fn contingency(pa: &[u32], ta: &[u32]) -> FxHashMap<(u32, u32), u64> {
 pub fn pairwise(pa: &[u32], ta: &[u32]) -> Prf {
     assert_eq!(pa.len(), ta.len(), "partitions over different universes");
     let c2 = |x: u64| x * x.saturating_sub(1) / 2;
+    #[expect(clippy::disallowed_methods, reason = "an integer sum is order-free")]
     let predicted_pairs: u64 = cluster_sizes(pa).values().map(|&s| c2(s)).sum();
+    #[expect(clippy::disallowed_methods, reason = "an integer sum is order-free")]
     let truth_pairs: u64 = cluster_sizes(ta).values().map(|&s| c2(s)).sum();
+    #[expect(clippy::disallowed_methods, reason = "an integer sum is order-free")]
     let common_pairs: u64 = contingency(pa, ta).values().map(|&s| c2(s)).sum();
     let p = if predicted_pairs == 0 {
         1.0
@@ -144,6 +147,7 @@ pub fn bcubed(pa: &[u32], ta: &[u32]) -> Prf {
     // For each description i: precision_i = |P(i) ∩ T(i)| / |P(i)|,
     // recall_i = |P(i) ∩ T(i)| / |T(i)|. Summing per joint cell:
     // Σ_i precision_i = Σ_cells |cell|² / |P|.
+    #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
     let mut cells: Vec<((u32, u32), u64)> = joint.iter().map(|(&k, &c)| (k, c)).collect();
     cells.sort_unstable_by_key(|&(k, _)| k);
     let mut psum = 0.0f64;
@@ -157,33 +161,46 @@ pub fn bcubed(pa: &[u32], ta: &[u32]) -> Prf {
 }
 
 /// Variation of information `VI = H(P) + H(T) − 2·I(P; T)`, in nats.
+///
+/// Each entropy and the mutual information is a sum over hash-map cells;
+/// `sorted_sum` adds each set of terms in one fixed order, so the bits
+/// depend only on the partitions, not on their argument order or their
+/// cluster ids.
 pub fn variation_of_information(pa: &[u32], ta: &[u32]) -> f64 {
     assert_eq!(pa.len(), ta.len(), "partitions over different universes");
     let n = pa.len() as f64;
     if n == 0.0 {
         return 0.0;
     }
-    let entropy = |sizes: &FxHashMap<u32, u64>| -> f64 {
-        sizes
-            .values()
-            .map(|&s| {
-                let p = s as f64 / n;
-                -p * p.ln()
-            })
-            .sum()
-    };
-    let hp = entropy(&cluster_sizes(pa));
-    let ht = entropy(&cluster_sizes(ta));
     let p_sizes = cluster_sizes(pa);
     let t_sizes = cluster_sizes(ta);
-    let mut mi = 0.0f64;
-    for (&(p, t), &c) in contingency(pa, ta).iter() {
+    let entropy = |sizes: &FxHashMap<u32, u64>| -> f64 {
+        #[expect(clippy::disallowed_methods, reason = "`sorted_sum` orders the terms")]
+        let terms = sizes.values().map(|&s| {
+            let p = s as f64 / n;
+            -p * p.ln()
+        });
+        sorted_sum(terms.collect())
+    };
+    let hp = entropy(&p_sizes);
+    let ht = entropy(&t_sizes);
+    let joint = contingency(pa, ta);
+    #[expect(clippy::disallowed_methods, reason = "`sorted_sum` orders the terms")]
+    let mi_terms = joint.iter().map(|(&(p, t), &c)| {
         let pxy = c as f64 / n;
         let px = p_sizes[&p] as f64 / n;
         let py = t_sizes[&t] as f64 / n;
-        mi += pxy * (pxy / (px * py)).ln();
-    }
+        pxy * (pxy / (px * py)).ln()
+    });
+    let mi = sorted_sum(mi_terms.collect());
     (hp + ht - 2.0 * mi).max(0.0)
+}
+
+/// The sum of `terms` in `f64::total_cmp` order: a function of the
+/// multiset of terms alone.
+fn sorted_sum(mut terms: Vec<f64>) -> f64 {
+    terms.sort_unstable_by(f64::total_cmp);
+    terms.into_iter().sum()
 }
 
 #[cfg(test)]
@@ -247,8 +264,41 @@ mod tests {
         let pb = assignment(5, &b);
         let v1 = variation_of_information(&pa, &pb);
         let v2 = variation_of_information(&pb, &pa);
-        assert!((v1 - v2).abs() < 1e-12);
+        assert_eq!(v1.to_bits(), v2.to_bits());
         assert!(v1 > 0.0);
+    }
+
+    /// VI is a function of the two partitions: swapping the arguments or
+    /// renumbering the cluster ids must not move a bit.
+    #[test]
+    fn vi_bits_ignore_argument_order_and_cluster_ids() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for round in 0..200 {
+            let n = rng.gen_range(2..60usize);
+            let k = rng.gen_range(1..=n as u32);
+            let pa: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+            let ta: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+            let vi = variation_of_information(&pa, &ta).to_bits();
+            assert_eq!(
+                variation_of_information(&ta, &pa).to_bits(),
+                vi,
+                "round {round}: swapped arguments"
+            );
+            // A bijective relabelling of both partitions' cluster ids.
+            let salt = rng.gen_range(0..u32::MAX);
+            let renumber = |a: &[u32]| -> Vec<u32> {
+                a.iter()
+                    .map(|&c| c.wrapping_mul(0x9e37_79b1) ^ salt)
+                    .collect()
+            };
+            assert_eq!(
+                variation_of_information(&renumber(&pa), &renumber(&ta)).to_bits(),
+                vi,
+                "round {round}: renumbered cluster ids"
+            );
+        }
     }
 
     #[test]

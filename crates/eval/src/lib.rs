@@ -11,8 +11,6 @@
 //!
 //! [`Trace`]: minoan_er::Trace
 
-#![forbid(unsafe_code)]
-
 pub mod bootstrap;
 pub mod cluster_metrics;
 pub mod metrics;

@@ -120,7 +120,10 @@ pub fn progressive_curves(
     points
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the curve loop's running state, read once per checkpoint"
+)]
 fn checkpoint(
     comparisons: u64,
     truth: &GroundTruth,
@@ -151,7 +154,11 @@ fn checkpoint(
                 any_pair = true;
             }
         }
-        // lint:allow(hash-order-leak): max over group sizes is order-insensitive
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "a max is order-free"
+        )]
         for g in groups.values() {
             best_cov = best_cov.max(g.len());
         }

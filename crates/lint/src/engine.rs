@@ -1,28 +1,19 @@
-//! Workspace walking, allowlist application, and the public entry points.
+//! Workspace walking, inline-escape application, and the public entry
+//! points.
 
-use crate::config::{glob_match, Config};
-use crate::rules::{check_manifest, check_rust, diag, rule_by_name, Diagnostic};
+use crate::rules::{check_rust, diag, rule_by_name, Diagnostic};
 use crate::source::scan;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// A diagnostic that an allowlist entry suppressed, with its provenance.
-#[derive(Clone, Debug)]
-pub struct AllowedDiagnostic {
-    /// The suppressed diagnostic.
-    pub diag: Diagnostic,
-    /// Where the suppression came from (`inline` or `lint.toml`).
-    pub via: &'static str,
-}
-
 /// Lint results for one file or one workspace run.
 #[derive(Debug, Default)]
 pub struct Outcome {
-    /// Diagnostics that survived the allowlists, in stable order.
+    /// Diagnostics that no escape suppressed, in stable order.
     pub fired: Vec<Diagnostic>,
-    /// Diagnostics suppressed by an allowlist entry.
-    pub allowed: Vec<AllowedDiagnostic>,
+    /// Diagnostics suppressed by a `lint:allow` escape.
+    pub allowed: Vec<Diagnostic>,
     /// Number of files scanned.
     pub files: usize,
 }
@@ -30,7 +21,7 @@ pub struct Outcome {
 /// Lints one Rust source with a workspace-relative `rel` path deciding
 /// which rules apply. Public so fixtures can exercise rules against
 /// virtual paths.
-pub fn lint_rust_source(rel: &str, source: &str, config: &Config) -> Outcome {
+pub fn lint_rust_source(rel: &str, source: &str) -> Outcome {
     let scanned = scan(source);
     let mut raw = Vec::new();
     check_rust(rel, &scanned, &mut raw);
@@ -54,20 +45,10 @@ pub fn lint_rust_source(rel: &str, source: &str, config: &Config) -> Outcome {
         });
         if let Some(i) = inline {
             used.push((i, d.rule));
-            outcome.allowed.push(AllowedDiagnostic {
-                diag: d,
-                via: "inline",
-            });
-            continue;
+            outcome.allowed.push(d);
+        } else {
+            outcome.fired.push(d);
         }
-        if config_allows(config, &d) {
-            outcome.allowed.push(AllowedDiagnostic {
-                diag: d,
-                via: "lint.toml",
-            });
-            continue;
-        }
-        outcome.fired.push(d);
     }
     // An escape that suppresses nothing outlived the code it excused. A
     // reason-less escape or an unknown rule is already ML000 above.
@@ -88,45 +69,12 @@ pub fn lint_rust_source(rel: &str, source: &str, config: &Config) -> Outcome {
     outcome
 }
 
-/// Lints one `Cargo.toml` with a workspace-relative `rel` path.
-pub fn lint_manifest_source(rel: &str, text: &str, config: &Config) -> Outcome {
-    let mut raw = Vec::new();
-    check_manifest(rel, text, &mut raw);
-    let mut outcome = Outcome {
-        files: 1,
-        ..Outcome::default()
-    };
-    for d in raw {
-        if config_allows(config, &d) {
-            outcome.allowed.push(AllowedDiagnostic {
-                diag: d,
-                via: "lint.toml",
-            });
-        } else {
-            outcome.fired.push(d);
-        }
-    }
-    outcome
-}
-
-fn config_allows(config: &Config, d: &Diagnostic) -> bool {
-    config.allows.iter().any(|a| {
-        a.rule == d.rule
-            && glob_match(&a.path, &d.path)
-            && a.line.map(|l| l == d.line).unwrap_or(true)
-    })
-}
-
 /// Lints the whole workspace rooted at `root`.
-pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<Outcome> {
+pub fn lint_workspace(root: &Path) -> io::Result<Outcome> {
     let mut outcome = Outcome::default();
     for rel in collect_files(root)? {
         let text = fs::read_to_string(root.join(&rel))?;
-        let mut one = if rel.ends_with("Cargo.toml") {
-            lint_manifest_source(&rel, &text, config)
-        } else {
-            lint_rust_source(&rel, &text, config)
-        };
+        let mut one = lint_rust_source(&rel, &text);
         outcome.fired.append(&mut one.fired);
         outcome.allowed.append(&mut one.allowed);
         outcome.files += 1;
@@ -137,10 +85,9 @@ pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<Outcome> {
     Ok(outcome)
 }
 
-/// Workspace-relative paths of everything the lint scans, sorted.
+/// Workspace-relative paths of every Rust file the lint scans, sorted.
 pub fn collect_files(root: &Path) -> io::Result<Vec<String>> {
     let mut files: Vec<String> = Vec::new();
-    files.push("Cargo.toml".to_string());
     // Facade sources and workspace-level test/example trees.
     for dir in ["src", "tests", "examples", "benches"] {
         walk_rs(&root.join(dir), root, &mut files)?;
@@ -154,10 +101,6 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<String>> {
             .collect();
         crate_dirs.sort();
         for c in crate_dirs {
-            let manifest = c.join("Cargo.toml");
-            if manifest.is_file() {
-                files.push(rel_of(&manifest, root));
-            }
             for dir in ["src", "tests", "examples", "benches"] {
                 walk_rs(&c.join(dir), root, &mut files)?;
             }
@@ -220,56 +163,30 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Loads `lint.toml` from the workspace root (missing file = empty config).
-pub fn load_config(root: &Path) -> Result<Config, String> {
-    let path = root.join("lint.toml");
-    if !path.is_file() {
-        return Ok(Config::default());
-    }
-    let text = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Config::parse(&text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn inline_allow_suppresses_same_and_next_line() {
-        let cfg = Config::default();
         let src = "\
 fn f(o: Option<u32>) -> u32 {
-    // lint:allow(unwrap-in-lib): checked by caller, fixture for engine test
-    o.unwrap()
+    // lint:allow(expect-message): checked by caller, fixture for engine test
+    o.expect(\"no\")
 }
 ";
-        let out = lint_rust_source("crates/common/src/x.rs", src, &cfg);
+        let out = lint_rust_source("crates/common/src/x.rs", src);
         assert!(out.fired.is_empty(), "{:?}", out.fired);
         assert_eq!(out.allowed.len(), 1);
-        assert_eq!(out.allowed[0].via, "inline");
     }
 
     #[test]
     fn allow_without_reason_fires_ml000_and_original() {
-        let cfg = Config::default();
-        let src = "fn f(o: Option<u32>) -> u32 {\n    o.unwrap() // lint:allow(unwrap-in-lib)\n}\n";
-        let out = lint_rust_source("crates/common/src/x.rs", src, &cfg);
+        let src =
+            "fn f(o: Option<u32>) -> u32 {\n    o.expect(\"no\") // lint:allow(expect-message)\n}\n";
+        let out = lint_rust_source("crates/common/src/x.rs", src);
         let codes: Vec<&str> = out.fired.iter().map(|d| d.code).collect();
         assert!(codes.contains(&"ML000"), "{codes:?}");
         assert!(codes.contains(&"ML005"), "{codes:?}");
-    }
-
-    #[test]
-    fn config_allow_suppresses() {
-        let cfg = Config::parse(
-            "[[allow]]\nrule = \"unwrap-in-lib\"\npath = \"crates/common/src/*.rs\"\n\
-             reason = \"engine test fixture entry\"\n",
-        )
-        .unwrap();
-        let src = "fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        let out = lint_rust_source("crates/common/src/x.rs", src, &cfg);
-        assert!(out.fired.is_empty());
-        assert_eq!(out.allowed.len(), 1);
-        assert_eq!(out.allowed[0].via, "lint.toml");
     }
 }

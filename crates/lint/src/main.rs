@@ -1,147 +1,54 @@
 //! The `minoan-lint` binary.
 //!
 //! ```text
-//! minoan-lint [--root DIR] [--config FILE] [--deny] [--show-allowed]
-//!             [--rule NAME]... [--list-rules]
+//! minoan-lint [--deny]
 //! ```
 //!
-//! Without `--deny` the run always exits 0 (report mode); with `--deny` any
-//! surviving diagnostic exits 1 — that is the CI gate. Config or usage
-//! errors exit 2.
+//! Lints the workspace that contains the current directory. Without
+//! `--deny` the run always exits 0 (report mode); with `--deny` any
+//! surviving diagnostic exits 1 — that is the CI gate. Usage errors and an
+//! unreadable tree exit 2.
 
-#![forbid(unsafe_code)]
-
-use minoan_lint::{find_root, lint_workspace, Config, RULES};
-use std::path::PathBuf;
+use minoan_lint::{find_root, lint_workspace};
 use std::process::ExitCode;
 
-struct Args {
-    root: Option<PathBuf>,
-    config: Option<PathBuf>,
-    deny: bool,
-    show_allowed: bool,
-    rules: Vec<String>,
-    list_rules: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        config: None,
-        deny: false,
-        show_allowed: false,
-        rules: Vec::new(),
-        list_rules: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => args.root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
-            "--config" => {
-                args.config = Some(PathBuf::from(it.next().ok_or("--config needs a value")?))
-            }
-            "--deny" => args.deny = true,
-            "--show-allowed" => args.show_allowed = true,
-            "--list-rules" => args.list_rules = true,
-            "--rule" => {
-                let name = it.next().ok_or("--rule needs a value")?;
-                if minoan_lint::rule_by_name(&name).is_none() {
-                    return Err(format!("unknown rule `{name}` (see --list-rules)"));
-                }
-                args.rules.push(name);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "minoan-lint: workspace static analysis\n\
-                     usage: minoan-lint [--root DIR] [--config FILE] [--deny] \
-                     [--show-allowed] [--rule NAME]... [--list-rules]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("minoan-lint: {e}");
-            return ExitCode::from(2);
+    let mut deny = false;
+    for a in std::env::args().skip(1) {
+        match a.as_str() {
+            "--deny" => deny = true,
+            other => {
+                eprintln!("minoan-lint: unknown argument `{other}` (usage: minoan-lint [--deny])");
+                return ExitCode::from(2);
+            }
         }
-    };
-    if args.list_rules {
-        for r in RULES {
-            println!("{}  {:<22}  {}", r.code, r.name, r.summary);
-        }
-        return ExitCode::SUCCESS;
     }
     let cwd = std::env::current_dir().expect("current directory must be readable");
-    let root = match args.root.or_else(|| find_root(&cwd)) {
-        Some(r) => r,
-        None => {
-            eprintln!("minoan-lint: no workspace root found (run inside the repo or pass --root)");
-            return ExitCode::from(2);
-        }
+    let Some(root) = find_root(&cwd) else {
+        eprintln!("minoan-lint: no workspace root found (run inside the repo)");
+        return ExitCode::from(2);
     };
-    let config = match args.config {
-        Some(path) => match std::fs::read_to_string(&path) {
-            Ok(text) => match Config::parse(&text) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("minoan-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("minoan-lint: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => match minoan_lint::load_config(&root) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("minoan-lint: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let outcome = match lint_workspace(&root, &config) {
+    let outcome = match lint_workspace(&root) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("minoan-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    let fired: Vec<_> = outcome
-        .fired
-        .iter()
-        .filter(|d| args.rules.is_empty() || args.rules.iter().any(|r| r == d.rule))
-        .collect();
-    for d in &fired {
+    for d in &outcome.fired {
         println!(
             "{}:{}:{}: {} [{}] {}",
             d.path, d.line, d.col, d.code, d.rule, d.message
         );
     }
-    if args.show_allowed {
-        for a in &outcome.allowed {
-            println!(
-                "allowed ({}): {}:{}:{}: {} [{}]",
-                a.via, a.diag.path, a.diag.line, a.diag.col, a.diag.code, a.diag.rule
-            );
-        }
-    }
+    let fired = outcome.fired.len();
     println!(
-        "minoan-lint: {} diagnostic{} ({} allowed) across {} files",
-        fired.len(),
-        if fired.len() == 1 { "" } else { "s" },
+        "minoan-lint: {fired} diagnostic{} ({} allowed) across {} files",
+        if fired == 1 { "" } else { "s" },
         outcome.allowed.len(),
         outcome.files
     );
-    if args.deny && !fired.is_empty() {
+    if deny && fired > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -422,17 +422,17 @@ mod tests {
 
     #[test]
     fn allow_directive_parsed() {
-        let src = "let m = 1; // lint:allow(hash-order-leak): sorted two lines below\n";
+        let src = "let m = 1; // lint:allow(float-accumulation): serial sum in slab order\n";
         let s = scan(src);
         assert_eq!(s.allows.len(), 1);
-        assert_eq!(s.allows[0].rules, vec!["hash-order-leak"]);
+        assert_eq!(s.allows[0].rules, vec!["float-accumulation"]);
         assert!(s.allows[0].has_reason);
         assert!(!s.allows[0].own_line);
     }
 
     #[test]
     fn allow_without_reason_detected() {
-        let src = "// lint:allow(unwrap-in-lib)\nlet y = x.unwrap();\n";
+        let src = "// lint:allow(expect-message)\nlet y = x.expect(\"no\");\n";
         let s = scan(src);
         assert_eq!(s.allows.len(), 1);
         assert!(!s.allows[0].has_reason);

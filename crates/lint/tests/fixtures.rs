@@ -1,19 +1,19 @@
 //! Fixture suite: every rule has one firing and one clean fixture under
 //! `lint_fixtures/` (a directory the workspace walker deliberately skips).
 //! Firing fixtures assert exact rule codes *and* line numbers so the rules
-//! cannot silently drift; clean fixtures pin the sanctioned idiom.
+//! cannot silently drift; clean fixtures pin the sanctioned idiom. The
+//! fixtures of the rules stock lints replaced (`ml002*`, `ml006*`,
+//! `ml007*`, and `ml005*`'s `unwrap`) are run by `scripts/lint_stock.sh`.
 //!
 //! Fixtures are linted against *virtual* workspace-relative paths — the
 //! path decides which scope lists apply, so e.g. the hot-path fixture is
 //! presented as `crates/metablocking/src/kernel.rs`.
 
-#![forbid(unsafe_code)]
-
-use minoan_lint::{lint_manifest_source, lint_rust_source, Config};
+use minoan_lint::lint_rust_source;
 
 /// `(code, line)` pairs of surviving diagnostics, in report order.
 fn fired(rel: &str, src: &str) -> Vec<(&'static str, u32)> {
-    lint_rust_source(rel, src, &Config::default())
+    lint_rust_source(rel, src)
         .fired
         .iter()
         .map(|d| (d.code, d.line))
@@ -33,10 +33,9 @@ fn ml000_allow_missing_reason_fires() {
 #[test]
 fn ml000_clean_allow_suppresses() {
     let src = include_str!("lint_fixtures/ml000_clean.rs");
-    let out = lint_rust_source("crates/common/src/fixture.rs", src, &Config::default());
+    let out = lint_rust_source("crates/common/src/fixture.rs", src);
     assert!(out.fired.is_empty(), "{:?}", out.fired);
     assert_eq!(out.allowed.len(), 1);
-    assert_eq!(out.allowed[0].via, "inline");
 }
 
 #[test]
@@ -52,7 +51,7 @@ fn ml000_escape_that_suppresses_nothing_fires() {
 #[test]
 fn ml000_escape_that_suppresses_is_clean() {
     let src = include_str!("lint_fixtures/ml000_stale_clean.rs");
-    let out = lint_rust_source("crates/common/src/fixture.rs", src, &Config::default());
+    let out = lint_rust_source("crates/common/src/fixture.rs", src);
     assert!(out.fired.is_empty(), "{:?}", out.fired);
     assert_eq!(out.allowed.len(), 1);
 }
@@ -150,33 +149,6 @@ fn ml001_arena_interner_clean() {
 }
 
 #[test]
-fn ml002_tier_a_hash_type_fires_in_flat_core() {
-    let src = include_str!("lint_fixtures/ml002a_fire.rs");
-    assert_eq!(
-        fired("crates/metablocking/src/sweep.rs", src),
-        vec![("ML002", 1), ("ML002", 3)]
-    );
-}
-
-#[test]
-fn ml002_tier_a_clean() {
-    let src = include_str!("lint_fixtures/ml002a_clean.rs");
-    assert_eq!(fired("crates/metablocking/src/sweep.rs", src), vec![]);
-}
-
-#[test]
-fn ml002_tier_b_unsorted_iteration_fires() {
-    let src = include_str!("lint_fixtures/ml002b_fire.rs");
-    assert_eq!(fired("crates/eval/src/fixture.rs", src), vec![("ML002", 3)]);
-}
-
-#[test]
-fn ml002_tier_b_sorted_is_clean() {
-    let src = include_str!("lint_fixtures/ml002b_clean.rs");
-    assert_eq!(fired("crates/eval/src/fixture.rs", src), vec![]);
-}
-
-#[test]
 fn ml003_float_accumulation_fires() {
     let src = include_str!("lint_fixtures/ml003_fire.rs");
     assert_eq!(
@@ -191,21 +163,13 @@ fn ml003_pairwise_sum_is_clean() {
     assert_eq!(fired("crates/metablocking/src/streaming.rs", src), vec![]);
 }
 
-/// A `lint.toml` allow naming a rule the engine does not know — say, one
-/// a retired rule left behind — is a config error, not a silent no-op.
 #[test]
-fn config_allow_naming_no_rule_is_an_error() {
-    let toml = include_str!("lint_fixtures/config_unknown_rule.toml");
-    let err = Config::parse(toml).expect_err("an unknown rule must not parse");
-    assert!(err.contains("names no rule: `retired-rule`"), "{err}");
-}
-
-#[test]
-fn ml005_unwrap_and_weak_expect_fire() {
+fn ml005_weak_expect_fires() {
+    // The `unwrap` on line 2 is `clippy::unwrap_used`'s.
     let src = include_str!("lint_fixtures/ml005_fire.rs");
     assert_eq!(
         fired("crates/common/src/fixture.rs", src),
-        vec![("ML005", 2), ("ML005", 6)]
+        vec![("ML005", 6)]
     );
 }
 
@@ -216,43 +180,13 @@ fn ml005_descriptive_expect_is_clean() {
 }
 
 #[test]
-fn ml006_dep_drift_fires() {
-    let src = include_str!("lint_fixtures/ml006_fire.toml");
-    let out = lint_manifest_source("crates/fixture/Cargo.toml", src, &Config::default());
-    let got: Vec<(&str, u32)> = out.fired.iter().map(|d| (d.code, d.line)).collect();
-    // Registry version, git dep, and the long-form table header.
-    assert_eq!(got, vec![("ML006", 5), ("ML006", 6), ("ML006", 9)]);
-}
-
-#[test]
-fn ml006_workspace_and_path_deps_are_clean() {
-    let src = include_str!("lint_fixtures/ml006_clean.toml");
-    let out = lint_manifest_source("crates/fixture/Cargo.toml", src, &Config::default());
-    assert!(out.fired.is_empty(), "{:?}", out.fired);
-}
-
-#[test]
-fn ml007_missing_forbid_fires_on_crate_root() {
-    let src = include_str!("lint_fixtures/ml007_fire.rs");
-    assert_eq!(fired("crates/fixture/src/lib.rs", src), vec![("ML007", 1)]);
-    // The same file at a non-root path is out of scope.
-    assert_eq!(fired("crates/fixture/src/util.rs", src), vec![]);
-}
-
-#[test]
-fn ml007_present_forbid_is_clean() {
-    let src = include_str!("lint_fixtures/ml007_clean.rs");
-    assert_eq!(fired("crates/fixture/src/lib.rs", src), vec![]);
-}
-
-#[test]
 fn ml008_global_mutable_state_fires_in_library_code() {
     let src = include_str!("lint_fixtures/ml008_fire.rs");
-    // An atomic, a lock, a `static mut`, a `thread_local!` and the `Cell`
-    // it declares, a `OnceLock` inside a function.
+    // An atomic, a lock, a `thread_local!` and the `Cell` it declares, a
+    // `OnceLock` inside a function.
     assert_eq!(
         fired("crates/fixture/src/state.rs", src),
-        [2, 3, 4, 5, 6, 10].map(|line| ("ML008", line))
+        [2, 3, 4, 5, 9].map(|line| ("ML008", line))
     );
     // Tests, benches and examples may keep process-global state.
     for exempt in [

@@ -1,4 +1,4 @@
 pub fn f(o: Option<u32>) -> u32 {
-    // lint:allow(unwrap-in-lib): caller guarantees presence in this fixture
-    o.unwrap()
+    // lint:allow(expect-message): caller guarantees presence in this fixture
+    o.expect("no")
 }

@@ -1,3 +1,3 @@
 pub fn f(o: Option<u32>) -> u32 {
-    o.unwrap() // lint:allow(unwrap-in-lib)
+    o.expect("no") // lint:allow(expect-message)
 }

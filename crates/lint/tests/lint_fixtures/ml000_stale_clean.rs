@@ -3,5 +3,5 @@ pub fn f(o: Option<u32>) -> u32 {
 }
 
 pub fn g(o: Option<u32>) -> u32 {
-    o.unwrap() // lint:allow(unwrap-in-lib): the trailing form excuses its own line
+    o.expect("no") // lint:allow(expect-message): the trailing form excuses its own line
 }

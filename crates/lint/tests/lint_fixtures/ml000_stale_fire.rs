@@ -1,8 +1,8 @@
 pub fn f(o: Option<u32>) -> u32 {
-    // lint:allow(unwrap-in-lib): the unwrap this excused is gone
+    // lint:allow(expect-message): the weak expect this excused is gone
     o.unwrap_or(0)
 }
 
 pub fn g(o: Option<u32>) -> u32 {
-    o.expect("callers pass Some") // lint:allow(unwrap-in-lib): a descriptive expect never fires
+    o.expect("callers pass Some") // lint:allow(expect-message): a descriptive expect never fires
 }

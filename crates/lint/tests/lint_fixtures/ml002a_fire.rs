@@ -1,5 +1,6 @@
-use minoan_common::FxHashMap;
+#![deny(clippy::disallowed_types)]
+use std::collections::HashMap;
 pub fn f() {
-    let m: FxHashMap<u32, u32> = FxHashMap::default();
+    let m: HashMap<u32, u32> = HashMap::default();
     drop(m);
 }

@@ -1,5 +1,5 @@
-//! Fixture crate root carrying the attribute.
+//! Fixture file without `unsafe` code.
 
-#![forbid(unsafe_code)]
-
-pub fn f() {}
+pub fn f(x: &u32) -> u32 {
+    *x
+}

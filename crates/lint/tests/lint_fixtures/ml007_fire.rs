@@ -1,3 +1,6 @@
-//! Fixture crate root missing the attribute.
+//! Fixture file with an `unsafe` block.
 
-pub fn f() {}
+pub fn f(x: &u32) -> u32 {
+    let p: *const u32 = x;
+    unsafe { *p }
+}

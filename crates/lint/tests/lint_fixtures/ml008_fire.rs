@@ -1,7 +1,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 pub(crate) static REGISTRY: std::sync::Mutex<Vec<u32>> = std::sync::Mutex::new(Vec::new());
-static mut SCRATCH: [u8; 4] = [0; 4];
 thread_local! {
     static DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }

@@ -1,17 +1,14 @@
 //! Self-check: the real workspace must stay clean under `--deny` semantics.
-//! This is the same walk + config the CI gate runs, so a violation anywhere
-//! in the tree fails this test with the full diagnostic list.
+//! This is the same walk the CI gate runs, so a violation anywhere in the
+//! tree fails this test with the full diagnostic list.
 
-#![forbid(unsafe_code)]
-
-use minoan_lint::{lint_workspace, load_config};
+use minoan_lint::lint_workspace;
 use std::path::Path;
 
 #[test]
 fn real_workspace_is_clean_under_deny() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let config = load_config(&root).expect("workspace lint.toml must parse");
-    let out = lint_workspace(&root, &config).expect("workspace sources must be readable");
+    let out = lint_workspace(&root).expect("workspace sources must be readable");
     assert!(
         out.fired.is_empty(),
         "workspace is not lint-clean:\n{}",
@@ -24,9 +21,7 @@ fn real_workspace_is_clean_under_deny() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    // Sanity: the walk actually covered the tree and the allowlists carry
-    // written justifications rather than being empty.
+    // Sanity: the walk actually covered the tree and met the escapes.
     assert!(out.files > 100, "walked only {} files", out.files);
     assert!(!out.allowed.is_empty());
-    assert!(config.allows.iter().all(|a| a.reason.trim().len() >= 10));
 }

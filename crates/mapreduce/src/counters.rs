@@ -36,6 +36,7 @@ impl Counters {
 
     /// Snapshot of all counters, sorted by name.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut v: Vec<_> = self.inner.lock().iter().map(|(&k, &c)| (k, c)).collect();
         v.sort_unstable();
         v

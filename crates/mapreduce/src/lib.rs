@@ -39,8 +39,6 @@
 //! assert!(freq.contains(&("be".to_string(), 3)));
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod counters;
 mod engine;
 pub mod faults;

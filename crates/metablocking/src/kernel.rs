@@ -23,6 +23,8 @@
 //!   `SweepScratch` and `rule::Weigher` builds every neighbourhood row
 //!   through it; the incremental row cache re-weighs its rows through it.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::weights::WeightingScheme;
 use minoan_blocking::{BlockCollection, BlockView};
 use minoan_common::stats::log_weight;
@@ -36,7 +38,10 @@ use minoan_rdf::EntityId;
 /// them swapped changes the f64 rounding of the ECBS/EJS factor products
 /// and breaks cross-backend bit-identity. `deg_lo`/`deg_hi`/`num_edges`
 /// are only read by [`WeightingScheme::Ejs`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the scalar kernel takes every statistic by value so no caller builds a struct per edge"
+)]
 #[inline]
 pub fn weight_from_stats(
     scheme: WeightingScheme,

@@ -114,8 +114,6 @@
 //! * [`supervised`] — perceptron-based supervised meta-blocking
 //!   (features, training sample, averaged perceptron).
 
-#![forbid(unsafe_code)]
-
 pub mod blast;
 pub mod incremental;
 pub mod kernel;

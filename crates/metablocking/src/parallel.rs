@@ -49,6 +49,8 @@
 //! can be read against the edge-based strategy's `Σ_b ‖b‖` (CHANGES.md
 //! records the measured gap).
 
+#![deny(clippy::disallowed_types)]
+
 use crate::prune::WeightedPair;
 use crate::rule::{
     forward_len, votes_needed, CriterionFold, Partial, RowBuf, RowDriver, Rule, Weigher,

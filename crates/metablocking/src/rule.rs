@@ -43,6 +43,8 @@
 //! specification (`tests/common/spec.rs`) written from the definitions
 //! alone.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::blast::chi_square_from_stats;
 use crate::kernel::{edge_weight, EdgeGlobals};
 use crate::prune::{self, PrunedComparisons, WeightedPair};

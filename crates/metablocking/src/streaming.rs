@@ -38,6 +38,8 @@
 //! cell of the streaming column bit-identical to the test-only
 //! specification (`tests/common/spec.rs`).
 
+#![deny(clippy::disallowed_types)]
+
 use crate::prune::WeightedPair;
 use crate::rule::{forward_len, CriterionFold, Partial, Row, RowBuf, RowDriver, Rule, Weigher};
 use crate::sweep::{for_each_range, SweepState};

@@ -27,6 +27,8 @@
 //! cost slab per direction and balances each pass's entity ranges by the
 //! cost that pass will pay.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::kernel::WeightGlobals;
 use minoan_blocking::{BlockCollection, BlockView, Direction};
 use minoan_rdf::EntityId;

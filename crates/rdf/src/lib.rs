@@ -62,8 +62,6 @@
 //! assert_eq!(ds.neighbors(heraklion).len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod dataset;
 pub mod ntriples;
 pub mod term;

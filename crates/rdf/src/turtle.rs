@@ -512,7 +512,6 @@ impl<'a> Parser<'a, '_> {
 pub fn write_turtle(triples: &[Triple], prefixes: &[(&str, &str)]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    // lint:allow(hash-order-leak): `prefixes` is the caller-ordered slice argument
     for (label, ns) in prefixes {
         let _ = writeln!(out, "@prefix {label}: <{ns}> .");
     }
@@ -521,7 +520,6 @@ pub fn write_turtle(triples: &[Triple], prefixes: &[(&str, &str)]) -> String {
     }
 
     let shorten = |iri: &str| -> String {
-        // lint:allow(hash-order-leak): `prefixes` is the caller-ordered slice argument
         for (label, ns) in prefixes {
             if let Some(local) = iri.strip_prefix(ns) {
                 let simple = !local.is_empty()

@@ -33,8 +33,6 @@
 //! [`NeighbourhoodCache`]: minoan_metablocking::NeighbourhoodCache
 //! [`Session::run`]: minoan_metablocking::Session::run
 
-#![forbid(unsafe_code)]
-
 pub mod client;
 pub mod protocol;
 pub mod server;

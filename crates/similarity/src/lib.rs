@@ -13,8 +13,6 @@
 //!
 //! All similarities are in `[0, 1]`, higher = more similar.
 
-#![forbid(unsafe_code)]
-
 pub mod minhash;
 pub mod string;
 pub mod tfidf;

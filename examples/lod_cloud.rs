@@ -52,7 +52,10 @@ fn main() {
             &out.resolution.trace,
             10,
         );
-        let last = pts.last().copied().unwrap();
+        let last = pts
+            .last()
+            .copied()
+            .expect("a progressive curve has a final point");
         table.row(vec![
             model.name().into(),
             format!("{:.3}", last.recall),

@@ -17,8 +17,6 @@
 //! See `examples/quickstart.rs` for the end-to-end workflow of the paper's
 //! Figure 1.
 
-#![forbid(unsafe_code)]
-
 pub use minoan_blocking as blocking;
 pub use minoan_common as common;
 pub use minoan_datagen as datagen;

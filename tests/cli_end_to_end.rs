@@ -11,7 +11,7 @@ fn cli(cmd: &str) -> Result<String, minoan_cli::CliError> {
 
 fn workdir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("minoan_cli_e2e");
-    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::create_dir_all(&dir).expect("the temp dir is writable");
     dir
 }
 

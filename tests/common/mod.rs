@@ -1,12 +1,10 @@
 //! Helpers shared by the integration suites.
 
-#[allow(dead_code)]
+#![expect(dead_code, reason = "each test binary uses a subset")]
+
 pub mod cleaning;
-#[allow(dead_code)]
 pub mod coverage;
-#[allow(dead_code)]
 pub mod resolve_spec;
-#[allow(dead_code)]
 pub mod spec;
 
 use minoan::blocking::{BlockCollection, ErMode};
@@ -22,7 +20,6 @@ use spec::Spec;
 
 /// One way to reach the meta-blocking rules, holding the session it
 /// drives at its scheme × pruning, backend and workers.
-#[allow(dead_code)]
 pub enum Driver<'s, 'd> {
     /// [`Session::run`].
     Session(&'s mut Session<'d>),
@@ -58,7 +55,6 @@ fn slices(probes: &[EntityId], of: impl FnMut(EntityId) -> Vec<WeightedPair>) ->
 /// full outcome `want` keeps — the specification's, or a from-scratch
 /// session's — as the driver reads it: all of it, or each probe's
 /// incident slice. Returns the [`digest`] of what it kept.
-#[allow(dead_code)]
 pub fn assert_driver_keeps(driver: Driver, want: &PrunedComparisons, label: &str) -> u64 {
     let read = match &driver {
         Driver::Resolve(_, probes) => Some(slices(probes, |e| incident(&want.pairs, e))),
@@ -74,7 +70,6 @@ pub type Rule = (WeightingScheme, Pruning);
 
 /// A supervised pruner with fixed weights, for the streams that need no
 /// trained model.
-#[allow(dead_code)]
 pub const FIXED_MODEL: Pruning = Pruning::Supervised(Perceptron {
     weights: [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5],
     bias: -0.5,
@@ -82,13 +77,11 @@ pub const FIXED_MODEL: Pruning = Pruning::Supervised(Perceptron {
 
 /// CNP with reciprocal or union votes, at cardinality `k` (`None`: the
 /// default).
-#[allow(dead_code)]
 pub const fn cnp(reciprocal: bool, k: Option<usize>) -> Pruning {
     Pruning::Cnp { reciprocal, k }
 }
 
 /// The family variants of [`coverage::families`] on `spec`'s world.
-#[allow(dead_code)]
 pub fn every_family(spec: &Spec) -> Vec<Pruning> {
     let families = coverage::families(spec.num_edges()).into_iter();
     families.map(|(_, pruning)| pruning).collect()
@@ -96,7 +89,6 @@ pub fn every_family(spec: &Spec) -> Vec<Pruning> {
 
 /// Every scheme × each of `families`, labelled, with what the
 /// specification keeps.
-#[allow(dead_code)]
 pub fn spec_cases(spec: &Spec, families: &[Pruning]) -> Vec<(String, Rule, PrunedComparisons)> {
     let mut cases = Vec::new();
     for scheme in WeightingScheme::ALL {
@@ -111,7 +103,6 @@ pub fn spec_cases(spec: &Spec, families: &[Pruning]) -> Vec<(String, Rule, Prune
 /// One session per backend × worker count on `blocks`, swept over every
 /// scheme × each of the `families` chosen on the blocks' specification:
 /// each run keeps what the specification keeps.
-#[allow(dead_code)]
 pub fn assert_sweeps_keep_the_spec(
     what: &str,
     blocks: &BlockCollection,
@@ -135,7 +126,6 @@ pub fn assert_sweeps_keep_the_spec(
 
 /// What a from-scratch streaming [`Session`] keeps under `rule` on the
 /// descriptions `inc` has ingested.
-#[allow(dead_code)]
 pub fn from_scratch(inc: &IncrementalSession, (scheme, pruning): Rule) -> PrunedComparisons {
     let blocks = inc.snapshot();
     let run = Session::new(&blocks).scheme(scheme).pruning(pruning).run();
@@ -158,7 +148,6 @@ pub fn digest(out: &PrunedComparisons) -> u64 {
 /// and the [`digest`] of what `inc` keeps under `rule` — its outcome, or
 /// its answers for `probes` — hashed together. With `live`, what it keeps
 /// is first asserted equal to what [`from_scratch`] keeps.
-#[allow(dead_code)]
 pub fn fold(
     chain: u64,
     inc: &mut IncrementalSession,
@@ -185,7 +174,6 @@ pub fn fold(
 /// differ from a from-scratch session; if none does, the reference itself
 /// moved (or a case has no pin yet), and the current table is printed.
 /// With `live`, every case is driven live: how the pins are recorded.
-#[allow(dead_code)]
 pub fn assert_chains<C>(
     name: &str,
     cases: &[C],
@@ -215,7 +203,6 @@ pub fn assert_chains<C>(
 /// there are, and the default budget. Under an integer-valued scheme
 /// (CBS) the small ones cut inside a class of equal weights, where only
 /// the pair tie-break decides what is kept.
-#[allow(dead_code)]
 pub fn cep_cardinalities(num_edges: usize) -> [Pruning; 6] {
     let v = num_edges;
     [Some(1), Some(2), Some(v - 1), Some(v), Some(v + 1), None].map(Pruning::Cep)
@@ -223,7 +210,6 @@ pub fn cep_cardinalities(num_edges: usize) -> [Pruning; 6] {
 
 /// Bit-identity over bare pair lists: same pairs in the same order with
 /// the same f64 weight bits.
-#[allow(dead_code)]
 pub fn assert_pairs_bit_identical(a: &[WeightedPair], b: &[WeightedPair], label: &str) {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!((x.a, x.b), (y.a, y.b), "{label}: pair {i}");
@@ -242,7 +228,6 @@ pub fn assert_pairs_bit_identical(a: &[WeightedPair], b: &[WeightedPair], label:
 
 /// The pairs of a full pruned outcome that mention `e`, in outcome order:
 /// what a query-time resolve of `e` must answer.
-#[allow(dead_code)]
 pub fn incident(pairs: &[WeightedPair], e: EntityId) -> Vec<WeightedPair> {
     pairs
         .iter()
@@ -254,7 +239,6 @@ pub fn incident(pairs: &[WeightedPair], e: EntityId) -> Vec<WeightedPair> {
 /// The one definition of "bit-identical pruning output" the equivalence
 /// suites assert: same input-edge count, same pair order, same f64
 /// weight bits.
-#[allow(dead_code)]
 pub fn assert_bit_identical(a: &PrunedComparisons, b: &PrunedComparisons, label: &str) {
     assert_eq!(a.input_edges, b.input_edges, "{label}: input_edges");
     assert_pairs_bit_identical(&a.pairs, &b.pairs, label);
@@ -265,7 +249,6 @@ pub fn assert_bit_identical(a: &PrunedComparisons, b: &PrunedComparisons, label:
 /// then the string-keyed `from_groups` — with `with_uri`, the paper's
 /// token ∪ URI-infix criterion (`uri:`-prefixed key space, like
 /// `token_and_uri_blocking`), otherwise value tokens only.
-#[allow(dead_code)]
 pub fn reference_token_blocking(
     dataset: &Dataset,
     mode: ErMode,
@@ -294,7 +277,6 @@ pub fn reference_token_blocking(
 /// The one observable-identity oracle for block collections (blocks, key
 /// strings, member slices, comparison counts, reciprocal bits, inverted
 /// index): panics unless `a` and `b` are observably identical.
-#[allow(dead_code)]
 pub fn assert_collections_identical(a: &BlockCollection, b: &BlockCollection, what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: block count");
     assert_eq!(
@@ -341,7 +323,6 @@ pub fn assert_collections_identical(a: &BlockCollection, b: &BlockCollection, wh
 pub type StepBits = (u64, u32, u32, [u64; 3], bool, bool);
 
 /// Every bit of a resolution: trace steps, matches, clusters, counts.
-#[allow(dead_code)]
 pub type ResolutionBits = (
     Vec<StepBits>,
     Vec<(EntityId, EntityId, u64)>,
@@ -350,7 +331,6 @@ pub type ResolutionBits = (
     usize,
 );
 
-#[allow(dead_code)]
 pub fn trace_bits(trace: &Trace) -> Vec<StepBits> {
     let steps = trace.steps().iter().map(|s| {
         let floats = [s.value_similarity, s.score, s.benefit].map(f64::to_bits);
@@ -359,7 +339,6 @@ pub fn trace_bits(trace: &Trace) -> Vec<StepBits> {
     steps.collect()
 }
 
-#[allow(dead_code)]
 pub fn resolution_bits(r: &Resolution) -> ResolutionBits {
     let matches = r.matches.iter().map(|&(a, b, s)| (a, b, s.to_bits()));
     (
@@ -373,7 +352,6 @@ pub fn resolution_bits(r: &Resolution) -> ResolutionBits {
 
 /// `fx_hash_bytes` of [`resolution_bits`], little-endian: the counts,
 /// every trace step, every match, then every cluster (length first).
-#[allow(dead_code)]
 pub fn resolution_digest(r: &Resolution) -> u64 {
     let (steps, matches, clusters, comparisons, discovered) = resolution_bits(r);
     let mut bytes = comparisons.to_le_bytes().to_vec();
@@ -394,7 +372,6 @@ pub fn resolution_digest(r: &Resolution) -> u64 {
 }
 
 /// Every cluster, its length first, little-endian.
-#[allow(dead_code)]
 pub fn clusters_bytes(clusters: &[Vec<u32>]) -> Vec<u8> {
     let mut bytes = Vec::new();
     for c in clusters {
@@ -406,7 +383,6 @@ pub fn clusters_bytes(clusters: &[Vec<u32>]) -> Vec<u8> {
 
 /// Panics at the first step where `got` and `want` part, unless every
 /// bit of the two resolutions is the same.
-#[allow(dead_code)]
 pub fn assert_same_resolution(got: &Resolution, want: &Resolution, label: &str) {
     let (g, w) = (resolution_bits(got), resolution_bits(want));
     if g == w {
@@ -424,10 +400,8 @@ pub fn assert_same_resolution(got: &Resolution, want: &Resolution, label: &str) 
 }
 
 /// SplitMix64: test inputs that depend on a seed alone.
-#[allow(dead_code)]
 pub struct SplitMix(pub u64);
 
-#[allow(dead_code)]
 impl SplitMix {
     pub fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);

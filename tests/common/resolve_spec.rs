@@ -270,7 +270,11 @@ pub fn progressive(
         let eligible = x.compared.is_none_or(grown) && !s.same(a, b) && !s.refused(a, b);
         let now = benefit(model, &s, x);
         let now = if eligible { now } else { -1.0 };
-        let rival = greatest(&cands).map_or(f64::MIN, |r| cands[r].key.unwrap());
+        let rival = greatest(&cands).map_or(f64::MIN, |r| {
+            cands[r]
+                .key
+                .expect("`greatest` picks only keyed candidates")
+        });
         if now + 1e-9 < rival {
             cands[id].key = Some(now);
             continue;

@@ -8,6 +8,11 @@
 //! request made while a guard is up, which is how "never an allocation
 //! beyond the input" is observed rather than argued.
 
+#![expect(
+    unsafe_code,
+    reason = "a counting global allocator forwarding to `System`"
+)]
+
 use minoan::rdf::ntriples::{self, StatementReader};
 use minoan::rdf::tokenize::{self, TokenBuffers, UriDecomposition};
 use minoan::rdf::{turtle, DatasetBuilder, LoadError, Object};

@@ -305,7 +305,7 @@ fn generated_worlds_read_the_same_through_every_front_end() {
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("minoan_rdf_loader_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::create_dir_all(&dir).expect("the temp dir is writable");
     dir
 }
 
@@ -460,7 +460,7 @@ fn descriptions(dataset: &Dataset) -> Vec<(String, u16, Vec<Attribute>)> {
 fn load(files: &[PathBuf]) -> Dataset {
     let mut builder = DatasetBuilder::new();
     for f in files {
-        builder.load_file(f).unwrap();
+        builder.load_file(f).expect("a written world file loads");
     }
     builder.build()
 }
