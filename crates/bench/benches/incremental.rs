@@ -34,7 +34,7 @@ fn bench_arrivals(c: &mut Criterion) {
                 },
                 |mut resolver| {
                     resolver.arrive_all(stream.iter().copied());
-                    resolver.comparisons()
+                    resolver.arrived_count()
                 },
                 BatchSize::SmallInput,
             )

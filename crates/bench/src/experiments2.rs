@@ -175,14 +175,15 @@ pub fn exp11_incremental(scale: usize, seed: u64) -> String {
         let mut resolver =
             IncrementalResolver::from_corpus(corpus, &matcher, IncrementalConfig::default());
         resolver.arrive_all(order.order(&world.dataset, &world.truth));
-        let pairs: Vec<_> = resolver.matches().iter().map(|&(a, b, _)| (a, b)).collect();
+        let res = resolver.resolution();
+        let pairs: Vec<_> = res.matches.iter().map(|&(a, b, _)| (a, b)).collect();
         let q = metrics::match_quality(&world.truth, &pairs);
         table.row(vec![
             order.name().to_string(),
-            resolver.comparisons().to_string(),
+            res.comparisons.to_string(),
             fmt3(q.precision),
             fmt3(q.recall),
-            resolver.clusters().len().to_string(),
+            res.clusters.len().to_string(),
         ]);
     }
     // Batch reference: full progressive pipeline over the same data.

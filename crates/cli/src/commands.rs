@@ -73,7 +73,10 @@ COMMANDS
             Generate a world, resolve it, and score against ground truth;
             with --clustering also report cluster-level quality.
   stream    --profile P --entities N --seed S [--order O] [--arrival-budget N]
-            Run the incremental resolver over a synthetic arrival stream.
+            Run the incremental resolver over a synthetic arrival stream
+            of a world of two or more KBs: each arrival runs the
+            resolution loop for a hard slice of N comparisons (default
+            10); pairs left queued wait for later slices.
   incremental
             --profile P --entities N --seed S [--batch-size N] [--order O]
             [--weighting W] [--pruning P] [--workers N] [--dirty]
@@ -560,25 +563,32 @@ fn cmd_stream(args: &Args) -> Result<String, CliError> {
     let profile = args.require("profile")?;
     let entities = positive_count(args, "entities")?.unwrap_or(300);
     let seed = args.get_parsed("seed", 42u64)?;
+    let mut config = IncrementalConfig::default();
+    if let Some(budget) = positive_count(args, "arrival-budget")? {
+        config.budget_per_arrival = budget as u64;
+    }
     let world = generate(&profile_by_name(profile, entities, seed)?);
+    if world.dataset.kb_count() < 2 {
+        return Err(CliError(format!(
+            "stream resolves clean–clean only (a match joins two KBs), and profile \
+             {profile} has one KB; resolve it with `minoan eval --profile {profile} --dirty`"
+        )));
+    }
     let order = arrival_order(args.get("order").unwrap_or("shuffled"), seed)?;
-    let config = IncrementalConfig {
-        budget_per_arrival: args.get_parsed("arrival-budget", 10u64)?,
-        ..Default::default()
-    };
     let corpus = value_corpus(&world.dataset, None);
     let matcher = Matcher::from_corpus(&corpus, MatcherConfig::default());
     let mut resolver = IncrementalResolver::from_corpus(corpus, &matcher, config);
     resolver.arrive_all(order.order(&world.dataset, &world.truth));
-    let pairs: Vec<_> = resolver.matches().iter().map(|&(a, b, _)| (a, b)).collect();
+    let res = resolver.resolution();
+    let pairs: Vec<_> = res.matches.iter().map(|&(a, b, _)| (a, b)).collect();
     let quality = metrics::match_quality(&world.truth, &pairs);
     Ok(format!(
         "stream {} over {profile}/{entities}: precision {:.3} recall {:.3} comparisons {} clusters {}\n",
         order.name(),
         quality.precision,
         quality.recall,
-        resolver.comparisons(),
-        resolver.clusters().len()
+        res.comparisons,
+        res.clusters.len()
     ))
 }
 

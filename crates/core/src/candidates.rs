@@ -66,27 +66,25 @@ impl CandidatePool {
         Self::default()
     }
 
-    /// Builds a pool from weighted pairs, normalising priors by the maximum
-    /// weight (so the best blocking evidence maps to prior 1.0).
-    pub fn from_weighted_pairs(pairs: &[(EntityId, EntityId, f64)]) -> Self {
+    /// One seeding event: each of `pairs` at a prior of its weight divided
+    /// by their greatest (clamped to `[0, 1]`; 0 when none is positive), a
+    /// repeated pair keeping its highest.
+    pub fn seed(&mut self, pairs: &[(EntityId, EntityId, f64)]) {
         let max_w = pairs.iter().map(|p| p.2).fold(0.0f64, f64::max);
-        // Sized once, for the blocking pairs and as many discoveries (a
-        // linked cloud discovers two for every three): growing the pool
-        // mid-loop rehashes its pair map.
+        // Room for the pairs and as many discoveries (a linked cloud
+        // discovers two for every three): growing the pool mid-loop
+        // rehashes its pair map.
         let room = pairs.len().saturating_mul(2);
-        let mut pool = Self {
-            candidates: Vec::with_capacity(room),
-            by_pair: FxHashMap::with_capacity_and_hasher(room, Default::default()),
-        };
+        self.candidates.reserve(room);
+        self.by_pair.reserve(room);
         for &(a, b, w) in pairs {
             let prior = if max_w > 0.0 {
                 (w / max_w).clamp(0.0, 1.0)
             } else {
                 0.0
             };
-            pool.insert(a, b, prior);
+            self.insert(a, b, prior);
         }
-        pool
     }
 
     /// Number of candidates (compared or not).
@@ -224,9 +222,10 @@ mod tests {
     }
 
     #[test]
-    fn from_weighted_pairs_normalises_to_unit() {
+    fn seeding_normalises_to_unit() {
         let pairs = vec![(e(0), e(1), 2.0), (e(0), e(2), 4.0), (e(1), e(2), 1.0)];
-        let p = CandidatePool::from_weighted_pairs(&pairs);
+        let mut p = CandidatePool::new();
+        p.seed(&pairs);
         let best = find(&p, e(0), e(2)).unwrap();
         assert_eq!(p.get(best).prior, 1.0);
         let worst = find(&p, e(1), e(2)).unwrap();

@@ -1,6 +1,10 @@
 //! The progressive resolution engine: schedule → match → update, under a
 //! cost budget.
 //!
+//! The loop's state (`Progress`) can be resumed: [`ProgressiveResolver`]
+//! seeds and runs it once; the arrival driver ([`crate::incremental`])
+//! seeds and runs it once per batch, among the entities that have arrived.
+//!
 //! # Comparison workers
 //!
 //! A value similarity is a pure function of the pair that the schedule
@@ -82,6 +86,9 @@ pub struct ResolverConfig {
     pub unique_mapping: bool,
 }
 
+/// A weighted pair: a candidate `(a, b, weight)` or a match `(a, b, score)`.
+type Pair = (EntityId, EntityId, f64);
+
 /// Cap on neighbours examined per endpoint during the update phase.
 pub const MAX_NEIGHBORS: usize = 16;
 
@@ -98,7 +105,7 @@ impl Default for ResolverConfig {
 }
 
 /// Output of a resolution run.
-#[derive(Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Resolution {
     /// Per-comparison trace in execution order.
     pub trace: Trace,
@@ -149,15 +156,10 @@ impl<'d> ProgressiveResolver<'d> {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ResolverConfig {
-        &self.config
-    }
-
     /// Resolves the candidate pairs (meta-blocking output: `(a, b, weight)`).
     pub fn run(&self, pairs: &[(EntityId, EntityId, f64)]) -> Resolution {
         match self.config.strategy {
-            Strategy::Progressive(model) => self.run_progressive(pairs, model),
+            Strategy::Progressive(_) => self.run_progressive(pairs),
             Strategy::Batch => self.run_fixed_order(pairs.to_vec()),
             Strategy::StaticBestFirst => self.run_fixed_order(by_weight_desc(pairs)),
             Strategy::Random { seed } => {
@@ -214,22 +216,18 @@ impl<'d> ProgressiveResolver<'d> {
 
     /// The full progressive loop, with `threads − 1` comparison workers
     /// beside it: a value they delivered is taken, any other computed.
-    fn run_progressive(
-        &self,
-        pairs: &[(EntityId, EntityId, f64)],
-        model: BenefitModel,
-    ) -> Resolution {
-        let mut pool = CandidatePool::from_weighted_pairs(pairs);
-        let mut state = ResolutionState::new(self.dataset);
-        let mut scheduler = Scheduler::seeded(&pool, |id| model.score(&state, pool.get(id)));
+    fn run_progressive(&self, pairs: &[Pair]) -> Resolution {
+        let mut progress = Progress::new(self.dataset, &self.matcher, &self.config);
+        progress.out.trace = self.trace_for(pairs.len());
+        progress.seed(pairs, |_| true);
         let lookahead = if self.threads > 1 {
             let budget = usize::try_from(self.config.budget).unwrap_or(usize::MAX);
-            let best = scheduler.seeded_best_first().take(budget);
+            let best = progress.scheduler.seeded_best_first().take(budget);
             Lookahead {
-                slots: (0..pool.capacity())
+                slots: (0..progress.pool.capacity())
                     .map(|_| AtomicU64::new(EMPTY))
                     .collect(),
-                seeded: best.map(|id| pending(&pool, id)).collect(),
+                seeded: best.map(|id| pending(&progress.pool, id)).collect(),
                 ..Lookahead::default()
             }
         } else {
@@ -242,106 +240,149 @@ impl<'d> ProgressiveResolver<'d> {
                 lookahead: &lookahead,
                 workers,
             };
-            let mut mapping = UniqueMapping::new(self.config.unique_mapping);
-            let mut jaro = JaroScratch::default();
+            progress.run(self.config.budget, |_| true, Some(&feed));
+        });
+        progress.out.clusters = progress.state.final_clusters(2);
+        progress.out
+    }
 
-            let mut trace = self.trace_for(pairs.len());
-            let mut matches = Vec::new();
-            let mut comparisons = 0u64;
-            let mut discovered = 0usize;
+    /// An empty trace with room for one step per candidate pair, or for
+    /// the whole budget when that is less.
+    fn trace_for(&self, pairs: usize) -> Trace {
+        let budget = usize::try_from(self.config.budget).unwrap_or(usize::MAX);
+        Trace::with_capacity(pairs.min(budget))
+    }
+}
 
-            while comparisons < self.config.budget {
-                // --- Schedule phase -------------------------------------------
-                let popped = scheduler.pop_best(&pool, |id| {
-                    let c = pool.get(id);
-                    // A re-comparison is scheduled only when evidence grew AND
-                    // the cached value similarity says the decision could flip.
-                    let worth_recomparing = match c.last_value {
-                        None => true,
-                        Some(v) => {
-                            pool.comparable(id, self.config.recompare_margin)
-                                && self.matcher.could_rematch(v, c.evidence)
-                        }
-                    };
-                    let eligible = worth_recomparing
-                        && !state.same_cluster(c.a, c.b)
-                        && !mapping.refuses(c.a, c.b, kbs(self.dataset, c.a, c.b));
-                    if eligible {
-                        model.score(&state, c)
-                    } else {
-                        -1.0
+/// The progressive loop's state (see the module docs).
+pub(crate) struct Progress<'a> {
+    pub(crate) dataset: &'a Dataset,
+    matcher: &'a Matcher,
+    config: ResolverConfig,
+    model: BenefitModel,
+    pool: CandidatePool,
+    scheduler: Scheduler,
+    pub(crate) state: ResolutionState<'a>,
+    mapping: UniqueMapping,
+    /// The trace, matches and counts so far; its clusters are left empty.
+    pub(crate) out: Resolution,
+    /// Pairs given evidence while an endpoint had not arrived, unqueued.
+    waiting: Vec<CandidateId>,
+}
+
+impl<'a> Progress<'a> {
+    /// A loop under `config`, whose strategy must be progressive.
+    pub(crate) fn new(dataset: &'a Dataset, matcher: &'a Matcher, config: &ResolverConfig) -> Self {
+        let Strategy::Progressive(model) = config.strategy else {
+            unreachable!("only the progressive strategy runs the loop")
+        };
+        Self {
+            dataset,
+            matcher,
+            config: config.clone(),
+            model,
+            pool: CandidatePool::new(),
+            scheduler: Scheduler::new(),
+            state: ResolutionState::new(dataset),
+            mapping: UniqueMapping::new(config.unique_mapping),
+            out: Resolution::default(),
+            waiting: Vec::new(),
+        }
+    }
+
+    /// One seeding event ([`CandidatePool::seed`]): queues the new pairs and
+    /// the waiting ones whose ends have both arrived — every seeded old one.
+    pub(crate) fn seed(&mut self, pairs: &[Pair], arrived: impl Fn(EntityId) -> bool) {
+        let known = self.pool.len();
+        self.pool.seed(pairs);
+        let pool = &self.pool;
+        let ready = |id: &&CandidateId| arrived(pool.get(**id).a) && arrived(pool.get(**id).b);
+        let (ready, waiting): (Vec<_>, _) = self.waiting.iter().partition(ready);
+        self.waiting = waiting;
+        let fresh = (known..pool.len()).map(|i| CandidateId(i as u32));
+        let score = |id| self.model.score(&self.state, pool.get(id));
+        let ids = ready.into_iter().chain(fresh);
+        self.scheduler.seed(pool, ids, score);
+    }
+
+    /// Runs schedule → match → update until `until` comparisons in all,
+    /// or until nothing eligible is queued.
+    pub(crate) fn run(
+        &mut self,
+        until: u64,
+        arrived: impl Fn(EntityId) -> bool,
+        feed: Option<&Feed<'_>>,
+    ) {
+        let mut jaro = JaroScratch::default();
+        while self.out.comparisons < until {
+            // --- Schedule phase -----------------------------------------------
+            let popped = self.scheduler.pop_best(&self.pool, |id| {
+                let c = self.pool.get(id);
+                // A re-comparison is scheduled only when evidence grew AND
+                // the cached value similarity says the decision could flip.
+                let worth_recomparing = match c.last_value {
+                    None => true,
+                    Some(v) => {
+                        self.pool.comparable(id, self.config.recompare_margin)
+                            && self.matcher.could_rematch(v, c.evidence)
                     }
-                });
-                let Some((id, benefit)) = popped else { break };
-                if benefit < 0.0 {
-                    continue; // ineligible entry drained without budget cost
-                }
-                let (a, b, evidence, was_discovered, last_value) = {
-                    let c = pool.get(id);
-                    (c.a, c.b, c.evidence, c.prior == 0.0, c.last_value)
                 };
+                let eligible = worth_recomparing
+                    && !self.state.same_cluster(c.a, c.b)
+                    && !self.mapping.refuses(c.a, c.b, kbs(self.dataset, c.a, c.b));
+                if eligible {
+                    self.model.score(&self.state, c)
+                } else {
+                    -1.0
+                }
+            });
+            let Some((id, benefit)) = popped else { break };
+            if benefit < 0.0 {
+                continue; // ineligible entry drained without budget cost
+            }
+            let c = self.pool.get(id);
+            let (a, b, prior, evidence, last_value) = (c.a, c.b, c.prior, c.evidence, c.last_value);
 
-                // --- Match phase ----------------------------------------------
-                comparisons += 1;
-                let value_sim = last_value
-                    .or_else(|| feed.lookahead.take(id))
-                    .unwrap_or_else(|| self.matcher.value_similarity(a, b, &mut jaro));
-                pool.mark_compared(id, value_sim);
-                let score = self.matcher.composite(value_sim, evidence);
-                let matched = self.matcher.is_match(value_sim, score);
-                trace.push(TraceStep {
-                    comparison: comparisons,
-                    a: a.0,
-                    b: b.0,
-                    value_similarity: value_sim,
-                    score,
-                    benefit,
-                    matched,
-                    discovered: was_discovered,
-                });
+            // --- Match phase --------------------------------------------------
+            self.out.comparisons += 1;
+            let value_sim = last_value
+                .or_else(|| feed.and_then(|f| f.lookahead.take(id)))
+                .unwrap_or_else(|| self.matcher.value_similarity(a, b, &mut jaro));
+            self.pool.mark_compared(id, value_sim);
+            let score = self.matcher.composite(value_sim, evidence);
+            let matched = self.matcher.is_match(value_sim, score);
+            self.out.trace.push(TraceStep {
+                comparison: self.out.comparisons,
+                a: a.0,
+                b: b.0,
+                value_similarity: value_sim,
+                score,
+                benefit,
+                matched,
+                discovered: prior == 0.0,
+            });
 
-                // --- Update phase ---------------------------------------------
-                if matched {
-                    state.record_match(a, b);
-                    matches.push((a, b, score));
-                    mapping.map(a, b, kbs(self.dataset, a, b));
-                    if self.config.alpha > 0.0 {
-                        let known = pool.len();
-                        discovered +=
-                            self.propagate(a, b, score, &mut pool, &mut scheduler, &state, model);
-                        feed.send(&pool, known);
+            // --- Update phase -------------------------------------------------
+            if matched {
+                self.state.record_match(a, b);
+                self.out.matches.push((a, b, score));
+                self.mapping.map(a, b, kbs(self.dataset, a, b));
+                if self.config.alpha > 0.0 {
+                    let known = self.pool.len();
+                    self.propagate((a, b, score), &arrived);
+                    if let Some(feed) = feed {
+                        feed.send(&self.pool, known);
                     }
                 }
             }
-
-            Resolution {
-                clusters: state.final_clusters(2),
-                trace,
-                matches,
-                comparisons,
-                discovered_candidates: discovered,
-            }
-        })
+        }
     }
 
     /// Propagates a match `(a, b, score)` to the cross product of their
-    /// neighbourhoods; returns the number of newly *discovered* candidates.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the resolution loop's disjoint borrows, passed apart so each stays narrow"
-    )]
-    fn propagate(
-        &self,
-        a: EntityId,
-        b: EntityId,
-        score: f64,
-        pool: &mut CandidatePool,
-        scheduler: &mut Scheduler,
-        state: &ResolutionState<'_>,
-        model: BenefitModel,
-    ) -> usize {
+    /// neighbourhoods, counting the *discovered* candidates. A pair with an
+    /// endpoint that has not arrived gains evidence but waits unqueued.
+    fn propagate(&mut self, (a, b, score): Pair, arrived: impl Fn(EntityId) -> bool) {
         let cap = MAX_NEIGHBORS;
-        let mut discovered = 0usize;
         let na = self.dataset.neighbors(a);
         let nb = self.dataset.neighbors(b);
         // Hub damping: one matched pair among *large* neighbourhoods is
@@ -355,7 +396,7 @@ impl<'d> ProgressiveResolver<'d> {
         const MIN_DISCOVERY_DELTA: f64 = 0.05;
         for &x in na.iter().take(cap) {
             for &y in nb.iter().take(cap) {
-                if x == y || state.same_cluster(x, y) {
+                if x == y || self.state.same_cluster(x, y) {
                     continue;
                 }
                 // Respect the ER mode: in clean KBs an intra-KB pair can
@@ -365,23 +406,19 @@ impl<'d> ProgressiveResolver<'d> {
                 {
                     continue;
                 }
-                let Some((id, existed)) = pool.add_evidence(x, y, delta, MIN_DISCOVERY_DELTA)
+                let Some((id, existed)) = self.pool.add_evidence(x, y, delta, MIN_DISCOVERY_DELTA)
                 else {
                     continue;
                 };
-                discovered += usize::from(!existed);
-                let benefit = model.score(state, pool.get(id));
-                scheduler.push(pool, id, benefit);
+                self.out.discovered_candidates += usize::from(!existed);
+                if arrived(x) && arrived(y) {
+                    let benefit = self.model.score(&self.state, self.pool.get(id));
+                    self.scheduler.push(&self.pool, id, benefit);
+                } else if !existed {
+                    self.waiting.push(id); // a pool pair not yet arrived is waiting
+                }
             }
         }
-        discovered
-    }
-
-    /// An empty trace with room for one step per candidate pair, or for
-    /// the whole budget when that is less.
-    fn trace_for(&self, pairs: usize) -> Trace {
-        let budget = usize::try_from(self.config.budget).unwrap_or(usize::MAX);
-        Trace::with_capacity(pairs.min(budget))
     }
 }
 
@@ -458,7 +495,7 @@ impl Lookahead {
 
 /// The loop's end of the comparison workers. Dropping it stops them — on
 /// unwinding too, so the scope that joins them never waits on a parked one.
-struct Feed<'l> {
+pub(crate) struct Feed<'l> {
     lookahead: &'l Lookahead,
     workers: Vec<Thread>,
 }

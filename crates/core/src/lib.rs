@@ -24,13 +24,15 @@
 //!   neighbour evidence.
 //! * [`benefit`] — the four benefit models over the live resolution state.
 //! * [`scheduler`] — the lazy priority queue driving the schedule phase.
-//! * [`engine`] — the schedule → match → update loop under a budget.
+//! * [`engine`] — the schedule → match → update loop under a budget, with
+//!   resumable state that both the batch and the arrival driver run.
 //! * [`trace`] — the per-comparison resolution trace evaluation consumes.
 //! * [`clustering`] — from matches to entities: connected components,
 //!   center, merge-center and unique-mapping clustering.
 //! * [`oracle`] — ground-truth schedules: upper bounds for scheduling.
-//! * [`incremental`] — clean–clean resolution of descriptions as they
-//!   arrive, under a per-arrival budget.
+//! * [`incremental`] — the arrival driver: clean–clean resolution of
+//!   descriptions as they arrive, the engine's loop run for a hard slice
+//!   of comparisons per arrival.
 //! * [`rules`] — the non-iterative composite rules (name and value
 //!   reciprocity, rank aggregation).
 //! * [`pipeline`] — the end-to-end MinoanER platform API (Figure 1 of the

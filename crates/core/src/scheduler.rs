@@ -12,7 +12,7 @@
 //!   priority. Priorities only need to be correct at pop time.
 //!
 //! The initial schedule — one entry per blocking candidate, by far the
-//! bulk of all entries — is not pushed through the heap: [`Scheduler::seeded`]
+//! bulk of all entries — is not pushed through the heap: [`Scheduler::seed`]
 //! sorts it once into a run that is consumed from its end, merged on pop
 //! with the heap of later pushes. The entry order is total, so the merge
 //! pops exactly what one heap holding every entry would.
@@ -75,18 +75,21 @@ impl Scheduler {
         Self::default()
     }
 
-    /// A scheduler holding every candidate of `pool` at `priority(id)`,
-    /// each with its current epoch — the state `pool.len()` pushes would
-    /// leave, built with one sort.
-    pub fn seeded(pool: &CandidatePool, mut priority: impl FnMut(CandidateId) -> f64) -> Self {
-        let mut run: Vec<Entry> = pool
-            .ids()
-            .map(|id| Entry::new(pool, id, priority(id)))
-            .collect();
-        run.sort_unstable();
-        Self {
-            run,
-            heap: BinaryHeap::new(),
+    /// Queues each of `ids` at `priority(id)` with its current epoch — the
+    /// state as many pushes would leave. Seeding an empty run makes the
+    /// entries the run, with one sort; a later seeding joins the heap.
+    pub fn seed(
+        &mut self,
+        pool: &CandidatePool,
+        ids: impl Iterator<Item = CandidateId>,
+        mut priority: impl FnMut(CandidateId) -> f64,
+    ) {
+        let entries = ids.map(|id| Entry::new(pool, id, priority(id)));
+        if self.run.is_empty() {
+            self.run = entries.collect();
+            self.run.sort_unstable();
+        } else {
+            self.heap.extend(entries);
         }
     }
 
@@ -261,7 +264,8 @@ mod tests {
             // What `rescore` answers; drifts away from the stored entries.
             let mut current: Vec<f64> = (0..n).map(|_| priority(&mut rng)).collect();
 
-            let mut seeded = Scheduler::seeded(&pool, |id| current[id.index()]);
+            let mut seeded = Scheduler::new();
+            seeded.seed(&pool, pool.ids(), |id| current[id.index()]);
             let mut pushed = Scheduler::new();
             for id in pool.ids() {
                 pushed.push(&pool, id, current[id.index()]);

@@ -40,15 +40,16 @@ fn main() {
             },
         );
         resolver.arrive_all(order.order(&world.dataset, &world.truth));
-        let pairs: Vec<_> = resolver.matches().iter().map(|&(a, b, _)| (a, b)).collect();
+        let res = resolver.resolution();
+        let pairs: Vec<_> = res.matches.iter().map(|&(a, b, _)| (a, b)).collect();
         let q = metrics::match_quality(&world.truth, &pairs);
         println!(
             "{:<18} {:>12} {:>10.3} {:>8.3} {:>8}",
             order.name(),
-            resolver.comparisons(),
+            res.comparisons,
             q.precision,
             q.recall,
-            resolver.clusters().len()
+            res.clusters.len()
         );
     }
 

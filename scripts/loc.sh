@@ -7,7 +7,12 @@
 # workspace-level integration tests, then the offline shims under
 # `vendor/` on a row of their own, outside `total` so totals stay
 # comparable across changes. Plain `wc -l` over tracked-or-not *.rs
-# files; no arguments.
+# files. Each PATH argument (a file, relative to the repository root)
+# adds a row after the table with its `src` lines and its `product`
+# lines, those before its first top-level `#[cfg(test)]` — the measure
+# per-file line targets are set in.
+#
+# Usage: scripts/loc.sh [PATH...]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -61,3 +66,9 @@ vendor_src="$(lines vendor/*/src)"
 vendor_in_src="$(test_lines vendor/*/src)"
 printf '%-16s %8d %8d %8d %8d\n' "vendor (shims)" "$vendor_src" \
     "$(lines vendor/*/tests vendor/*/benches)" "$vendor_in_src" $((vendor_src - vendor_in_src))
+[ "$#" -eq 0 ] && exit 0
+printf '\n%-44s %8s %8s\n' file src product
+for file in "$@"; do
+    printf '%-44s %8d %8d\n' "$file" "$(wc -l < "$file")" \
+        "$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")"
+done

@@ -304,6 +304,17 @@ fn cli_errors_are_user_facing() {
         let line = format!("eval --profile lod --entities 60 --threshold {threshold}");
         cli(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
     }
+    // `stream` cannot resolve one dirty KB, nor resolve anything without
+    // a comparison per arrival: both are refused with the reason, not
+    // answered with zeros.
+    let err = cli("stream --profile dirty --entities 300 --seed 3").unwrap_err();
+    assert!(err.to_string().contains("has one KB"), "{err}");
+    let err = cli("stream --profile center --entities 300 --seed 3 --arrival-budget 0");
+    let err = err.unwrap_err().to_string();
+    assert!(
+        err.starts_with("option --arrival-budget: expected a count ≥ 1"),
+        "{err}"
+    );
 }
 
 /// A misspelled option and another command's flag are both errors, raised

@@ -7,7 +7,8 @@ pub mod coverage;
 pub mod resolve_spec;
 pub mod spec;
 
-use minoan::blocking::{BlockCollection, ErMode};
+use minoan::blocking::builders::TokenKeys;
+use minoan::blocking::{BlockCollection, Corpus, ErMode};
 use minoan::common::hash::fx_hash_bytes;
 use minoan::common::FxHashMap;
 use minoan::er::{Resolution, Trace};
@@ -17,6 +18,7 @@ use minoan::metablocking::{
 };
 use minoan::rdf::{tokenize, Dataset, EntityId};
 use spec::Spec;
+use std::collections::BTreeSet;
 
 /// One way to reach the meta-blocking rules, holding the session it
 /// drives at its scheme × pruning, backend and workers.
@@ -317,6 +319,14 @@ pub fn assert_collections_identical(a: &BlockCollection, b: &BlockCollection, wh
             "{what}: entity_blocks({e})"
         );
     }
+}
+
+/// Each entity's value tokens — the keys of the arrival driver's blocks,
+/// as `resolve_spec::candidates` reads them.
+pub fn value_keys(dataset: &Dataset) -> Vec<BTreeSet<u32>> {
+    let corpus = Corpus::new(dataset, TokenKeys::Values, 1);
+    let runs = corpus.value_tokens();
+    runs.map(|run| run.map(|s| s.0).collect()).collect()
 }
 
 /// Every bit of a trace step.

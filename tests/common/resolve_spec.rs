@@ -27,10 +27,29 @@
 //! 5. In the trace, `discovered` means the prior is 0.
 //! 6. A fixed order records the raw weight as `benefit` and the value as
 //!    `score`.
+//!
+//! The arrival driver (`minoan_er::incremental`) seeds and runs the same
+//! loop per batch of arrivals, and makes four more choices, in the same
+//! sentences as its module doc:
+//! 7. A fresh arrival's candidates are its co-members from other KBs in
+//!    its blocks among the arrived descriptions, skipping blocks with more
+//!    than `MAX_TOKEN_FREQUENCY` other arrivals, weighted by their count
+//!    of common blocks, ranked by that count and then by id, and cut to
+//!    the top `MAX_CANDIDATES`.
+//! 8. Priors are normalised per seeding event.
+//! 9. A batch of `k` fresh arrivals runs the loop for `k ×
+//!    budget_per_arrival` more comparisons, and pairs left queued stay
+//!    queued for later slices.
+//! 10. A pair with an endpoint that has not arrived still gains evidence
+//!     but is not queued; the seeding event of its later endpoint's
+//!     arrival queues it.
+//!
+//! A block here is a value token (the token pass's keys, given as each
+//! entity's set), `MAX_TOKEN_FREQUENCY` is 64 and `MAX_CANDIDATES` 32.
 
 use minoan::er::{
-    BenefitModel, ClusteringAlgorithm, Matcher, Resolution, ResolverConfig, Strategy, Trace,
-    TraceStep,
+    BenefitModel, ClusteringAlgorithm, IncrementalConfig, Matcher, Resolution, ResolverConfig,
+    Strategy, Trace, TraceStep,
 };
 use minoan::rdf::{Dataset, EntityId};
 use minoan::similarity::JaroScratch;
@@ -202,6 +221,8 @@ struct Candidate {
     compared: Option<(f64, f64)>,
     /// Scheduling key (choice 2); `None` when not queued.
     key: Option<f64>,
+    /// Given evidence while an end had not arrived (choice 10).
+    waiting: bool,
 }
 
 /// The benefit of candidate `c`: its likelihood times the model's factor.
@@ -232,6 +253,139 @@ fn benefit(model: BenefitModel, s: &Clusters, c: &Candidate) -> f64 {
     likelihood * factor
 }
 
+/// Whether an entity has arrived; in batch every entity has.
+type Arrived<'a> = &'a dyn Fn(EntityId) -> bool;
+
+/// The progressive loop between its seeding events and its runs.
+struct Loop<'d> {
+    s: Clusters<'d>,
+    cands: Vec<Candidate>,
+    trace: Trace,
+    model: BenefitModel,
+    /// Candidates the update phase created, and ties choice 1 decided.
+    discovered: usize,
+    ties: usize,
+}
+
+impl<'d> Loop<'d> {
+    fn new(dataset: &'d Dataset, c: &ResolverConfig, model: BenefitModel) -> Self {
+        let s = Clusters::new(dataset, c.unique_mapping);
+        let (cands, trace) = (Vec::new(), Trace::new());
+        let (discovered, ties) = (0, 0);
+        Self {
+            s,
+            cands,
+            trace,
+            model,
+            discovered,
+            ties,
+        }
+    }
+
+    /// A seeding event: priors `w / max w` over its pairs (choice 8),
+    /// clamped; a repeated pair keeps its max (choice 1: first id). Every
+    /// seeded pair is queued, and every waiting one whose ends have both
+    /// arrived (choice 10).
+    fn seed(&mut self, pairs: &[Pair], arrived: Arrived) {
+        let max_w = pairs.iter().map(|p| p.2).fold(0.0, f64::max);
+        let mut seeded = Vec::new();
+        for &(a, b, w) in pairs {
+            let prior = (w / max_w).clamp(0.0, 1.0);
+            let prior = if max_w > 0.0 { prior } else { 0.0 };
+            let i = find(&self.cands, a, b).unwrap_or(self.cands.len());
+            if i == self.cands.len() {
+                self.cands.push(candidate(a, b, prior));
+            }
+            self.cands[i].prior = self.cands[i].prior.max(prior);
+            seeded.push(i);
+        }
+        for (i, c) in self.cands.iter_mut().enumerate() {
+            if c.waiting && arrived(c.pair.0) && arrived(c.pair.1) {
+                c.waiting = false;
+                seeded.push(i);
+            }
+        }
+        for i in seeded {
+            self.cands[i].key = Some(benefit(self.model, &self.s, &self.cands[i]));
+        }
+    }
+
+    /// Schedule → match → update until `until` comparisons in all.
+    fn run(&mut self, matcher: &Matcher, c: &ResolverConfig, until: u64, arrived: Arrived) {
+        let (dataset, model, cands) = (self.s.dataset, self.model, &mut self.cands);
+        let (s, trace, mut jaro) = (&mut self.s, &mut self.trace, JaroScratch::default());
+        while trace.comparisons() < until {
+            // Choice 2: the greatest key, ties to the lower id (choice 1).
+            let Some(id) = greatest(cands) else { break };
+            let key = cands[id].key.take();
+            let x = &cands[id];
+            // Ineligible (benefit −1, dropped when taken): clustered, refused or stale (choice 3).
+            let (a, b, evidence) = (x.pair.0, x.pair.1, x.evidence);
+            let grown =
+                |(at, v)| evidence > at + c.recompare_margin && matcher.could_rematch(v, evidence);
+            let eligible = x.compared.is_none_or(grown) && !s.same(a, b) && !s.refused(a, b);
+            let now = benefit(model, s, x);
+            let now = if eligible { now } else { -1.0 };
+            let rival = greatest(cands).map_or(f64::MIN, |r| {
+                cands[r]
+                    .key
+                    .expect("`greatest` picks only keyed candidates")
+            });
+            if now + 1e-9 < rival {
+                cands[id].key = Some(now);
+                continue;
+            }
+            if now < 0.0 {
+                continue;
+            }
+            self.ties += usize::from(key == Some(rival));
+            let measure = || matcher.value_similarity(a, b, &mut jaro);
+            let value = x.compared.map_or_else(measure, |(_, v)| v); // choice 3
+            cands[id].compared = Some((evidence, value));
+            let score = matcher.composite(value, evidence);
+            let matched = matcher.is_match(value, score);
+            let flags = [matched, cands[id].prior == 0.0]; // choice 5
+            push(trace, (a, b), [value, score, now], flags);
+            if !matched {
+                continue;
+            }
+            s.merge((a, b, score));
+            if c.alpha <= 0.0 {
+                continue;
+            }
+            // The update phase: `α·score / damping` to each neighbour pair,
+            // except an intra-KB pair in clean–clean ER.
+            let (na, nb) = (dataset.neighbors(a), dataset.neighbors(b));
+            let cap = 16; // the first 16 neighbours of each endpoint
+            let (na, nb) = (&na[..na.len().min(cap)], &nb[..nb.len().min(cap)]);
+            let damping = (((na.len() * nb.len()) as f64).sqrt() / 2.0).max(1.0);
+            let delta = c.alpha * score / damping;
+            let intra = |x, y| dataset.kb_of(x) == dataset.kb_of(y);
+            for &x in na {
+                for &y in nb {
+                    if x == y || s.same(x, y) || (intra(x, y) && !intra(a, b)) {
+                        continue;
+                    }
+                    // The discovery floor: too little evidence creates no candidate.
+                    if find(cands, x, y).is_none() && delta >= 0.05 {
+                        self.discovered += 1;
+                        cands.push(candidate(x, y, 0.0));
+                    }
+                    let Some(i) = find(cands, x, y) else {
+                        continue;
+                    };
+                    cands[i].evidence += delta; // choice 4
+                    if arrived(x) && arrived(y) {
+                        cands[i].key = Some(benefit(model, s, &cands[i]));
+                    } else {
+                        cands[i].waiting = true; // choice 10
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The progressive loop under `model`, and how many of its comparisons
 /// took a candidate whose key a later one shared: the ties choice 1 decided.
 pub fn progressive(
@@ -241,89 +395,75 @@ pub fn progressive(
     c: &ResolverConfig,
     model: BenefitModel,
 ) -> (Resolution, usize) {
-    // Priors: `w / max w`, clamped; a repeated pair keeps its max (choice 1: first id).
-    let max_w = pairs.iter().map(|p| p.2).fold(0.0, f64::max);
-    let mut cands: Vec<Candidate> = Vec::new();
-    for &(a, b, w) in pairs {
-        let prior = (w / max_w).clamp(0.0, 1.0);
-        let prior = if max_w > 0.0 { prior } else { 0.0 };
-        match find(&cands, a, b) {
-            Some(i) => cands[i].prior = cands[i].prior.max(prior),
-            None => cands.push(candidate(a, b, prior)),
+    let mut l = Loop::new(dataset, c, model);
+    l.seed(pairs, &|_| true);
+    l.run(matcher, c, c.budget, &|_| true);
+    (finish(l.trace, l.s, l.discovered), l.ties)
+}
+
+/// Choice 7: the candidates of the fresh arrival `e`, weighted by common
+/// blocks, where `keys[i]` are entity `i`'s value tokens.
+pub fn candidates(
+    dataset: &Dataset,
+    keys: &[BTreeSet<u32>],
+    arrived: &[bool],
+    e: EntityId,
+) -> Vec<Pair> {
+    let mut common = vec![0usize; dataset.len()];
+    for k in &keys[e.index()] {
+        let others = (0..dataset.len()).filter(|&o| arrived[o] && o != e.index());
+        let others: Vec<usize> = others.filter(|&o| keys[o].contains(k)).collect();
+        if others.len() > 64 {
+            continue;
+        }
+        for o in others {
+            common[o] += usize::from(dataset.kb_of(EntityId(o as u32)) != dataset.kb_of(e));
         }
     }
-    let mut s = Clusters::new(dataset, c.unique_mapping);
-    for c in &mut cands {
-        c.key = Some(benefit(model, &s, c));
-    }
-    let (mut trace, mut jaro) = (Trace::new(), JaroScratch::default());
-    let (mut discovered, mut ties) = (0, 0);
-    while trace.comparisons() < c.budget {
-        // Choice 2: the greatest key, ties to the lower id (choice 1).
-        let Some(id) = greatest(&cands) else { break };
-        let key = cands[id].key.take();
-        let x = &cands[id];
-        // Ineligible (benefit −1, dropped when taken): clustered, refused or stale (choice 3).
-        let (a, b, evidence) = (x.pair.0, x.pair.1, x.evidence);
-        let grown =
-            |(at, v)| evidence > at + c.recompare_margin && matcher.could_rematch(v, evidence);
-        let eligible = x.compared.is_none_or(grown) && !s.same(a, b) && !s.refused(a, b);
-        let now = benefit(model, &s, x);
-        let now = if eligible { now } else { -1.0 };
-        let rival = greatest(&cands).map_or(f64::MIN, |r| {
-            cands[r]
-                .key
-                .expect("`greatest` picks only keyed candidates")
-        });
-        if now + 1e-9 < rival {
-            cands[id].key = Some(now);
-            continue;
-        }
-        if now < 0.0 {
-            continue;
-        }
-        ties += usize::from(key == Some(rival));
-        let measure = || matcher.value_similarity(a, b, &mut jaro);
-        let value = x.compared.map_or_else(measure, |(_, v)| v); // choice 3
-        cands[id].compared = Some((evidence, value));
-        let score = matcher.composite(value, evidence);
-        let matched = matcher.is_match(value, score);
-        let flags = [matched, cands[id].prior == 0.0]; // choice 5
-        push(&mut trace, (a, b), [value, score, now], flags);
-        if !matched {
-            continue;
-        }
-        s.merge((a, b, score));
-        if c.alpha <= 0.0 {
-            continue;
-        }
-        // The update phase: `α·score / damping` to each neighbour pair,
-        // except an intra-KB pair in clean–clean ER.
-        let (na, nb) = (dataset.neighbors(a), dataset.neighbors(b));
-        let cap = 16; // the first 16 neighbours of each endpoint
-        let (na, nb) = (&na[..na.len().min(cap)], &nb[..nb.len().min(cap)]);
-        let damping = (((na.len() * nb.len()) as f64).sqrt() / 2.0).max(1.0);
-        let delta = c.alpha * score / damping;
-        let intra = |x, y| dataset.kb_of(x) == dataset.kb_of(y);
-        for &x in na {
-            for &y in nb {
-                if x == y || s.same(x, y) || (intra(x, y) && !intra(a, b)) {
-                    continue;
-                }
-                // The discovery floor: too little evidence creates no candidate.
-                if find(&cands, x, y).is_none() && delta >= 0.05 {
-                    discovered += 1;
-                    cands.push(candidate(x, y, 0.0));
-                }
-                let Some(i) = find(&cands, x, y) else {
-                    continue;
-                };
-                cands[i].evidence += delta; // choice 4
-                cands[i].key = Some(benefit(model, &s, &cands[i]));
+    let all = (0..dataset.len()).filter(|&o| common[o] > 0);
+    let mut ranked: Vec<Pair> = all
+        .map(|o| (e, EntityId(o as u32), common[o] as f64))
+        .collect();
+    ranked.sort_by(|x, y| y.2.total_cmp(&x.2).then(x.1.cmp(&y.1)));
+    ranked.truncate(32);
+    ranked
+}
+
+/// The arrival driver over `batches`: per batch, its fresh members (first
+/// occurrences of entities not yet arrived) arrive, their candidates are
+/// one seeding event, and the loop runs for the slice (choice 9).
+pub fn arrivals(
+    dataset: &Dataset,
+    matcher: &Matcher,
+    keys: &[BTreeSet<u32>],
+    batches: &[&[EntityId]],
+    inc: &IncrementalConfig,
+) -> Resolution {
+    let c = ResolverConfig {
+        unique_mapping: inc.unique_mapping,
+        ..Default::default()
+    };
+    let mut l = Loop::new(dataset, &c, BenefitModel::PairQuantity);
+    let mut arrived = vec![false; dataset.len()];
+    for batch in batches {
+        let mut fresh: Vec<EntityId> = Vec::new();
+        for &e in *batch {
+            if !arrived[e.index()] && !fresh.contains(&e) {
+                fresh.push(e);
             }
         }
+        fresh.iter().for_each(|e| arrived[e.index()] = true);
+        let seeds = fresh
+            .iter()
+            .flat_map(|&e| candidates(dataset, keys, &arrived, e));
+        let seeds: Vec<Pair> = seeds.collect();
+        let has = |e: EntityId| arrived[e.index()];
+        l.seed(&seeds, &has);
+        let slice = (fresh.len() as u64).saturating_mul(inc.budget_per_arrival);
+        let until = l.trace.comparisons().saturating_add(slice);
+        l.run(matcher, &c, until, &has);
     }
-    (finish(trace, s, discovered), ties)
+    finish(l.trace, l.s, l.discovered)
 }
 
 fn candidate(x: EntityId, y: EntityId, prior: f64) -> Candidate {
@@ -333,6 +473,7 @@ fn candidate(x: EntityId, y: EntityId, prior: f64) -> Candidate {
         evidence: 0.0,
         compared: None,
         key: None,
+        waiting: false,
     }
 }
 

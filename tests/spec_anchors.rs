@@ -16,9 +16,10 @@
 //!   four resolution worlds at two seeds, and each clustering of their
 //!   matches, `fx_hash_bytes` of every bit of the answer — for the
 //!   resolution specification (`common::resolve_spec`), which the
-//!   product's resolvers at one and four workers, its clusterings and
-//!   its oracle traces must equal. The composite and incremental
-//!   resolvers are pinned beside them, with no specification.
+//!   product's resolvers at one and four workers, its clusterings, its
+//!   oracle traces and its arrival driver, per arrival order and batch
+//!   size, must equal. The composite resolver is pinned beside them,
+//!   with no specification.
 //! * **The coverage list** (`common::coverage`): each named world
 //!   contains the case the list names it for.
 
@@ -27,7 +28,7 @@ mod common;
 use common::coverage::{self, clean, dirty, raw_clean, raw_dirty, star};
 use common::spec::Spec;
 use common::{assert_collections_identical, assert_driver_keeps, cleaning, resolve_spec, Driver};
-use common::{assert_same_resolution, clusters_bytes, resolution_digest, trace_bits};
+use common::{assert_same_resolution, clusters_bytes, resolution_digest, trace_bits, value_keys};
 use minoan::blocking::parallel::parallel_token_blocking;
 use minoan::blocking::{filter, purge, BlockCollection, ErMode, Method};
 use minoan::common::hash::fx_hash_bytes;
@@ -678,19 +679,6 @@ fn resolution_cases(world: &str, pairs: usize) -> Vec<(String, ResolverConfig)> 
     cases
 }
 
-/// `fx_hash_bytes` of an incremental run: comparisons, every match
-/// `(a, b, score bits)`, then the clusters.
-fn incremental_digest(inc: &mut IncrementalResolver) -> u64 {
-    let mut bytes = inc.comparisons().to_le_bytes().to_vec();
-    for &(a, b, score) in inc.matches() {
-        bytes.extend(a.0.to_le_bytes());
-        bytes.extend(b.0.to_le_bytes());
-        bytes.extend(score.to_bits().to_le_bytes());
-    }
-    bytes.extend(clusters_bytes(&inc.clusters()));
-    fx_hash_bytes(&bytes)
-}
-
 /// `fx_hash_bytes` of a composite run: comparisons, then every match
 /// `(a, b, score bits, rule name)`.
 fn composite_digest(out: &CompositeResolution) -> u64 {
@@ -706,8 +694,9 @@ fn composite_digest(out: &CompositeResolution) -> u64 {
 
 /// Pinned like [`GOLDEN`]: every case of [`resolution_cases`] and each
 /// clustering of the unbounded pair-quantity matches, on which every plan
-/// must equal the specification (`common::resolve_spec`); then the
-/// composite and incremental resolvers, pinned only.
+/// must equal the specification (`common::resolve_spec`); the composite
+/// resolver, pinned only; then the arrival driver's streams, which must
+/// equal the specification's `arrivals`.
 const GOLDEN_RESOLUTION: &[(&str, u64)] = &[
     ("clean/7 batch 10%", 0x6b7a97d1d88e95a1),
     ("clean/7 batch 50%", 0x09851b491f045558),
@@ -738,18 +727,18 @@ const GOLDEN_RESOLUTION: &[(&str, u64)] = &[
     ("clean/7 merge-center", 0xa104f2babee2f390),
     ("clean/7 unique-mapping", 0xb5601636d417c66a),
     ("clean/7 composite", 0x8752b2ba16f658c9),
-    ("clean/7 stream kb-sequential ×1", 0x4de9659990a1612d),
-    ("clean/7 stream kb-sequential ×8", 0x838c4e2ab1453948),
-    ("clean/7 stream kb-sequential ×1 m:n", 0x71c05a194af2c684),
-    ("clean/7 stream round-robin ×1", 0x2bf84da8e7995fb6),
-    ("clean/7 stream round-robin ×8", 0x96d04481ebdb01d3),
-    ("clean/7 stream round-robin ×1 m:n", 0x1537e3c65d60db94),
-    ("clean/7 stream shuffled ×1", 0x7bd4174ba605e770),
-    ("clean/7 stream shuffled ×8", 0xf8d308ec5f5cfff0),
-    ("clean/7 stream shuffled ×1 m:n", 0xd2f9c80d29e0a81d),
-    ("clean/7 stream clustered-bursts ×1", 0xfde560027d235615),
-    ("clean/7 stream clustered-bursts ×8", 0xe25a71c9f742d800),
-    ("clean/7 stream clustered-bursts ×1 m:n", 0x6df39376f0279206),
+    ("clean/7 stream kb-sequential ×1", 0x02c65ea3176bd96f),
+    ("clean/7 stream kb-sequential ×8", 0x59907a19dab9f99f),
+    ("clean/7 stream kb-sequential ×1 m:n", 0x43644e1db09b7550),
+    ("clean/7 stream round-robin ×1", 0x3c7a53abf074a1f9),
+    ("clean/7 stream round-robin ×8", 0xc6fa54c296fdc731),
+    ("clean/7 stream round-robin ×1 m:n", 0x67dba4cfd86da908),
+    ("clean/7 stream shuffled ×1", 0x23b68775efa2743c),
+    ("clean/7 stream shuffled ×8", 0xa451433cabb4f13c),
+    ("clean/7 stream shuffled ×1 m:n", 0xb5656f9a726362f0),
+    ("clean/7 stream clustered-bursts ×1", 0x180194ed0e5f509f),
+    ("clean/7 stream clustered-bursts ×8", 0xf056a40af9b47306),
+    ("clean/7 stream clustered-bursts ×1 m:n", 0x428275633bd75c7d),
     ("dirty/7 batch 10%", 0x2b39969198cb9c9a),
     ("dirty/7 batch 50%", 0x2f8373a135316d99),
     ("dirty/7 batch all", 0x4ea980988848cbc0),
@@ -856,20 +845,20 @@ const GOLDEN_RESOLUTION: &[(&str, u64)] = &[
     ("clean/19 merge-center", 0x37eecb2eb0860189),
     ("clean/19 unique-mapping", 0x37eecb2eb0860189),
     ("clean/19 composite", 0x0305e7de8548db8d),
-    ("clean/19 stream kb-sequential ×1", 0x874ef79397bad112),
-    ("clean/19 stream kb-sequential ×8", 0x00cbbeebc59f3f2f),
-    ("clean/19 stream kb-sequential ×1 m:n", 0x6f197ac490b61c68),
-    ("clean/19 stream round-robin ×1", 0xa52f55b1000724cc),
-    ("clean/19 stream round-robin ×8", 0xa34f317a90b6c77a),
-    ("clean/19 stream round-robin ×1 m:n", 0x2a7d05c03326ef21),
-    ("clean/19 stream shuffled ×1", 0xce1b34705e0d94eb),
-    ("clean/19 stream shuffled ×8", 0xebf9b3942d4015e0),
-    ("clean/19 stream shuffled ×1 m:n", 0x5712afe3aa86a045),
-    ("clean/19 stream clustered-bursts ×1", 0x846561099bd99028),
-    ("clean/19 stream clustered-bursts ×8", 0x57ecb27e47c6d53c),
+    ("clean/19 stream kb-sequential ×1", 0xf6606263a82eb7d7),
+    ("clean/19 stream kb-sequential ×8", 0xb6a6de9f85e5a425),
+    ("clean/19 stream kb-sequential ×1 m:n", 0xb10949439f88d0bd),
+    ("clean/19 stream round-robin ×1", 0x188130227b2e8cc6),
+    ("clean/19 stream round-robin ×8", 0xfff43864d747e69d),
+    ("clean/19 stream round-robin ×1 m:n", 0x1866735914572f98),
+    ("clean/19 stream shuffled ×1", 0x29a25d63faa66d8a),
+    ("clean/19 stream shuffled ×8", 0x780ee103cd726729),
+    ("clean/19 stream shuffled ×1 m:n", 0x082ddd8beb242cef),
+    ("clean/19 stream clustered-bursts ×1", 0xeb6d6bec5b0b5e1a),
+    ("clean/19 stream clustered-bursts ×8", 0x36a1acdca9e6d2c5),
     (
         "clean/19 stream clustered-bursts ×1 m:n",
-        0x78dea069fd0d0d12,
+        0x1a76d23b675113ff,
     ),
     ("dirty/19 batch 10%", 0x09686b021b85e033),
     ("dirty/19 batch 50%", 0x0eb3c03df7f0fab3),
@@ -991,6 +980,7 @@ fn golden_digests_pin_every_resolution() {
             if world != "clean" {
                 continue;
             }
+            let keys = value_keys(dataset);
             let orders = [
                 ArrivalOrder::KbSequential,
                 ArrivalOrder::RoundRobin,
@@ -1007,14 +997,17 @@ fn golden_digests_pin_every_resolution() {
                         unique_mapping,
                         ..Default::default()
                     };
+                    let batches: Vec<_> = arrivals.chunks(batch).collect();
+                    let want = resolve_spec::arrivals(dataset, &matcher, &keys, &batches, &config);
                     let mut inc = IncrementalResolver::new(dataset, &matcher, config);
-                    for arrival in arrivals.chunks(batch) {
+                    for arrival in &batches {
                         inc.arrive_batch(arrival);
                     }
                     let mapping = if unique_mapping { "" } else { " m:n" };
                     let name = order.name();
                     let label = format!("{world}/{seed} stream {name} ×{batch}{mapping}");
-                    got.push((label, incremental_digest(&mut inc)));
+                    assert_same_resolution(&inc.resolution(), &want, &label);
+                    got.push((label, resolution_digest(&want)));
                 }
             }
         }
