@@ -3,13 +3,13 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use minoan_blocking::{builders, filter, purge, ErMode};
 use minoan_datagen::{generate, profiles};
+use minoan_er::similarity::JaroScratch;
 use minoan_er::{
     BenefitModel, Matcher, MatcherConfig, Pipeline, PipelineConfig, ProgressiveResolver,
     ResolverConfig, Strategy,
 };
 use minoan_metablocking::Session;
 use minoan_rdf::EntityId;
-use minoan_similarity::JaroScratch;
 use std::hint::black_box;
 
 fn candidates(world: &minoan_datagen::GeneratedWorld) -> Vec<(EntityId, EntityId, f64)> {

@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use minoan_common::Interner;
 use minoan_datagen::{generate, profiles};
+use minoan_er::similarity::{jaccard, jaro_winkler, jaro_winkler_chars, JaroScratch, TfIdfWeights};
 use minoan_rdf::tokenize::TokenBuffers;
-use minoan_similarity::{jaro_winkler, jaro_winkler_chars, token, JaroScratch, TfIdfWeights};
 use std::hint::black_box;
 
 fn bench_similarity(c: &mut Criterion) {
@@ -16,7 +16,7 @@ fn bench_similarity(c: &mut Criterion) {
     let a: Vec<u32> = (0..25).map(|i| i * 3).collect();
     let b: Vec<u32> = (0..25).map(|i| i * 4).collect();
     group.bench_function("jaccard/25", |bch| {
-        bch.iter(|| black_box(token::jaccard(&a, &b)));
+        bch.iter(|| black_box(jaccard(&a, &b)));
     });
     let idf = TfIdfWeights::build(200, (0..100).map(|i| vec![i, i % 50, i % 25]));
     group.bench_function("tfidf-cosine/25", |bch| {

@@ -30,6 +30,7 @@ use crate::sorted_neighborhood::{adaptive_sorted_neighborhood, sorted_neighborho
 use minoan_common::{default_threads, FxHashMap, FxHashSet, UnionFind};
 use minoan_rdf::tokenize::{self, TokenBuffers};
 use minoan_rdf::{Dataset, EntityId, Value};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Namespace prefix keeping URI-infix keys disjoint from value-token keys.
@@ -206,7 +207,7 @@ pub fn attribute_clustering_blocking(
     // 1. Aggregate value-token vocabulary per (kb, attribute symbol).
     //    Attribute identity must be KB-scoped: the same predicate IRI in two
     //    KBs is still clustered (its token sets will be near-identical).
-    let mut vocab: FxHashMap<(u16, u32), FxHashSet<String>> = FxHashMap::default();
+    let mut vocab: BTreeMap<(u16, u32), FxHashSet<String>> = BTreeMap::new();
     for e in dataset.entities() {
         let kb = dataset.kb_of(e).0;
         for (p, v) in dataset.description(e).attributes() {
@@ -220,8 +221,7 @@ pub fn attribute_clustering_blocking(
             }
         }
     }
-    let mut attrs: Vec<((u16, u32), FxHashSet<String>)> = vocab.into_iter().collect();
-    attrs.sort_unstable_by_key(|(k, _)| *k);
+    let attrs: Vec<((u16, u32), FxHashSet<String>)> = vocab.into_iter().collect();
 
     // 2. Best-match links across KBs, kept when above the threshold.
     let n = attrs.len();

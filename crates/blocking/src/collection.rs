@@ -20,7 +20,7 @@
 use crate::corpus::Corpus;
 pub use crate::corpus::KeyAssignments;
 use crate::layout::{split_rows, transpose_csr};
-use minoan_common::{FxHashSet, Interner, Symbol};
+use minoan_common::{Interner, Symbol};
 use minoan_rdf::{Dataset, EntityId};
 use std::fmt;
 use std::sync::Arc;
@@ -633,19 +633,19 @@ impl BlockCollection {
     /// This materialises the deduplicated comparison set — use only at
     /// experiment scale (it is exactly what meta-blocking exists to avoid).
     pub fn distinct_pairs(&self) -> Vec<(EntityId, EntityId)> {
-        let mut set: FxHashSet<(EntityId, EntityId)> = FxHashSet::default();
+        let mut pairs = Vec::new();
         for b in self.blocks() {
             for (i, &x) in b.entities.iter().enumerate() {
                 for &y in &b.entities[i + 1..] {
                     if self.comparable(x, y) {
-                        set.insert((x.min(y), x.max(y)));
+                        pairs.push((x.min(y), x.max(y)));
                     }
                 }
             }
         }
-        let mut v: Vec<_> = set.into_iter().collect();
-        v.sort_unstable();
-        v
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
     }
 }
 

@@ -7,12 +7,17 @@
 //! Jaccard similarity `s` — an S-curve whose threshold `(1/b)^(1/r)` the
 //! two constants below fix, a principled way to target the "somehow
 //! similar" regime (low token overlap) that exact token blocking misses.
+//!
+//! The signature is MinHash: `b·r` affine hash permutations of the token
+//! ids, each position keeping the set's minimum, so two sets agree on a
+//! position with probability equal to their Jaccard similarity.
 
 use crate::collection::{BlockCollection, ErMode, KeyAssignments};
 use minoan_common::hash::fx_hash_bytes;
 use minoan_rdf::tokenize::TokenBuffers;
 use minoan_rdf::Dataset;
-use minoan_similarity::MinHasher;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
 /// Number of bands `b`.
@@ -56,6 +61,53 @@ pub fn minhash_lsh_blocking(dataset: &Dataset, mode: ErMode, threads: usize) -> 
         asg.seal_entity();
     }
     BlockCollection::from_assignments_with_threads(dataset, mode, asg, threads)
+}
+
+/// A family of `k` hash permutations over `u32` token ids.
+#[derive(Clone, Debug)]
+struct MinHasher {
+    /// (multiplier, addend) pairs of the affine universal hash family.
+    params: Vec<(u64, u64)>,
+}
+
+/// Large Mersenne prime for the universal hash family.
+const PRIME: u64 = (1 << 61) - 1;
+
+/// A fixed-length MinHash signature.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Signature(Box<[u64]>);
+
+impl MinHasher {
+    /// Creates a hasher with `k` permutations (signature length `k`),
+    /// seeded deterministically.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    fn new(k: usize, seed: u64) -> Self {
+        assert!(k > 0, "signature length must be positive");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x4d69_6e48);
+        let params = (0..k)
+            .map(|_| (rng.gen_range(1..PRIME), rng.gen_range(0..PRIME)))
+            .collect();
+        Self { params }
+    }
+
+    /// Computes the signature of a token set (order/duplicates irrelevant).
+    /// An empty set yields the all-`u64::MAX` signature.
+    fn signature(&self, tokens: &[u32]) -> Signature {
+        let mut sig = vec![u64::MAX; self.params.len()];
+        for &t in tokens {
+            let x = t as u64 + 1; // avoid the fixed point at 0
+            for (i, &(a, b)) in self.params.iter().enumerate() {
+                // (a*x + b) mod p via u128 to avoid overflow.
+                let h = ((a as u128 * x as u128 + b as u128) % PRIME as u128) as u64;
+                if h < sig[i] {
+                    sig[i] = h;
+                }
+            }
+        }
+        Signature(sig.into_boxed_slice())
+    }
 }
 
 #[cfg(test)]
@@ -129,5 +181,93 @@ mod tests {
     fn empty_dataset() {
         let ds = DatasetBuilder::new().build();
         assert!(minhash_lsh_blocking(&ds, ErMode::Dirty, 1).is_empty());
+    }
+
+    fn set(lo: u32, hi: u32) -> Vec<u32> {
+        (lo..hi).collect()
+    }
+
+    /// The MinHash estimate: the share of positions two signatures agree on.
+    fn agreement(a: &Signature, b: &Signature) -> f64 {
+        let agree = a.0.iter().zip(b.0.iter()).filter(|(x, y)| x == y).count();
+        agree as f64 / a.0.len() as f64
+    }
+
+    /// Exact Jaccard similarity of two sorted, deduplicated token slices.
+    fn jaccard(a: &[u32], b: &[u32]) -> f64 {
+        let shared = a.iter().filter(|t| b.binary_search(t).is_ok()).count();
+        shared as f64 / (a.len() + b.len() - shared) as f64
+    }
+
+    #[test]
+    fn disjoint_sets_estimate_near_zero() {
+        let mh = MinHasher::new(128, 2);
+        let a = mh.signature(&set(0, 50));
+        let b = mh.signature(&set(1_000, 1_050));
+        assert!(agreement(&a, &b) < 0.08);
+    }
+
+    #[test]
+    fn estimate_tracks_exact_jaccard() {
+        let mh = MinHasher::new(256, 3);
+        // 50% overlap: J = 50 / 150 = 1/3.
+        let a = set(0, 100);
+        let b = set(50, 150);
+        let exact = jaccard(&a, &b);
+        let est = agreement(&mh.signature(&a), &mh.signature(&b));
+        assert!(
+            (est - exact).abs() < 0.1,
+            "estimate {est:.3} too far from exact {exact:.3}"
+        );
+    }
+
+    #[test]
+    fn duplicates_and_order_do_not_matter() {
+        let mh = MinHasher::new(32, 4);
+        let s1 = mh.signature(&[5, 1, 9, 1, 5]);
+        let s2 = mh.signature(&[1, 5, 9]);
+        assert_eq!(s1, s2);
+    }
+
+    #[test]
+    fn empty_sets() {
+        let mh = MinHasher::new(16, 5);
+        let e = mh.signature(&[]);
+        assert!(e.0.iter().all(|&v| v == u64::MAX));
+    }
+
+    #[test]
+    fn deterministic_across_instances() {
+        let a = MinHasher::new(64, 7).signature(&set(0, 20));
+        let b = MinHasher::new(64, 7).signature(&set(0, 20));
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_k_panics() {
+        let _ = MinHasher::new(0, 1);
+    }
+
+    /// Random pairs of 10–80-token sets over 400 ids: 256 permutations
+    /// keep the estimate within 0.2 of the exact Jaccard with overwhelming
+    /// probability.
+    #[test]
+    fn estimator_within_chernoff_band() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mh = MinHasher::new(256, 11);
+        let mut random_set = || {
+            let len = rng.gen_range(10..80);
+            let mut v: Vec<u32> = (0..len).map(|_| rng.gen_range(0..400)).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        for _ in 0..64 {
+            let (a, b) = (random_set(), random_set());
+            let exact = jaccard(&a, &b);
+            let est = agreement(&mh.signature(&a), &mh.signature(&b));
+            assert!((est - exact).abs() < 0.2, "est {est} vs exact {exact}");
+        }
     }
 }

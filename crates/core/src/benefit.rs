@@ -10,9 +10,9 @@
 //! the *current* resolution state.
 
 use crate::candidates::Candidate;
+use crate::similarity::intersection_size;
 use minoan_common::UnionFind;
 use minoan_rdf::{Dataset, EntityId};
-use minoan_similarity::token;
 
 /// The benefit a scheduled comparison is expected to contribute.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -171,7 +171,7 @@ impl<'d> ResolutionState<'d> {
     pub fn attribute_gain(&self, a: EntityId, b: EntityId) -> f64 {
         let sa = self.attrs_of_cluster(a);
         let sb = self.attrs_of_cluster(b);
-        let inter = token::intersection_size(sa, sb);
+        let inter = intersection_size(sa, sb);
         let union = sa.len() + sb.len() - inter;
         if union == 0 {
             return 0.0;

@@ -26,9 +26,9 @@ use crate::candidates::{CandidateId, CandidatePool};
 use crate::clustering::{by_weight_desc, kbs, UniqueMapping};
 use crate::matcher::Matcher;
 use crate::scheduler::Scheduler;
+use crate::similarity::JaroScratch;
 use crate::trace::{Trace, TraceStep};
 use minoan_rdf::{Dataset, EntityId};
-use minoan_similarity::JaroScratch;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

@@ -22,6 +22,8 @@
 //! * [`matcher`] — value similarity (IDF-weighted token overlap + string
 //!   similarity on name attributes) and the composite score that folds in
 //!   neighbour evidence.
+//! * [`similarity`] — the measures the matcher scores with: TF-IDF
+//!   cosine, Jaro–Winkler, Jaccard.
 //! * [`benefit`] — the four benefit models over the live resolution state.
 //! * [`scheduler`] — the lazy priority queue driving the schedule phase.
 //! * [`engine`] — the schedule → match → update loop under a budget, with
@@ -59,6 +61,7 @@ pub mod oracle;
 pub mod pipeline;
 pub mod rules;
 pub mod scheduler;
+pub mod similarity;
 pub mod trace;
 
 pub use benefit::BenefitModel;

@@ -49,11 +49,10 @@
 //! with `jaro_winkler` of the lower-cased names —
 //! `tests::value_similarity_matches_the_written_out_formula` pins that.
 
+use crate::similarity::{cosine_prepared, jaro_winkler_chars, JaroScratch, TfIdfWeights};
 use minoan_blocking::builders::TokenKeys;
 use minoan_blocking::Corpus;
 use minoan_rdf::{Dataset, EntityId};
-use minoan_similarity::tfidf::cosine_prepared;
-use minoan_similarity::{jaro_winkler_chars, JaroScratch, TfIdfWeights};
 use std::ops::Range;
 
 /// Weight of the name-string component: the token component gets
@@ -396,7 +395,7 @@ mod tests {
         let tok_sim = idf.cosine(m.tokens_of(a), m.tokens_of(b));
         match (ds.name_values(a).first(), ds.name_values(b).first()) {
             (Some(x), Some(y)) => {
-                let ns = minoan_similarity::jaro_winkler(&x.to_lowercase(), &y.to_lowercase());
+                let ns = crate::similarity::jaro_winkler(&x.to_lowercase(), &y.to_lowercase());
                 (1.0 - NAME_WEIGHT) * tok_sim + NAME_WEIGHT * ns
             }
             _ => tok_sim,

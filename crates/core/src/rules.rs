@@ -18,9 +18,9 @@
 //! higher-precision rules left behind.
 
 use crate::matcher::Matcher;
+use crate::similarity::{jaccard, JaroScratch};
 use minoan_common::{FxHashMap, FxHashSet};
 use minoan_rdf::{Dataset, EntityId};
-use minoan_similarity::JaroScratch;
 
 /// Which rule accepted a match (provenance for evaluation).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -305,7 +305,7 @@ impl<'d> CompositeResolver<'d> {
                 continue;
             }
             for &y in nb.iter().take(cap) {
-                if minoan_similarity::jaccard(tx, self.matcher.tokens_of(y)) >= 0.35 {
+                if jaccard(tx, self.matcher.tokens_of(y)) >= 0.35 {
                     agreeing += 1;
                     break;
                 }

@@ -1,8 +1,17 @@
-//! Character-level string similarity.
+//! The similarity measures the matcher scores a pair with.
 //!
-//! Used on name-like attribute values ("Mikis Theodorakis" vs
-//! "M. Theodorakis") where token overlap is too coarse. All functions are
-//! Unicode-aware (operate on `char`s) and return values in `[0, 1]`.
+//! Token-set evidence is the primary signal in the Web of Data (it needs
+//! no schema); character-level similarity on name-like values ("Mikis
+//! Theodorakis" vs "M. Theodorakis") is blended in where token overlap is
+//! too coarse. Every measure is in `[0, 1]`, higher = more similar:
+//!
+//! * [`jaro`], [`jaro_winkler`] and [`jaro_winkler_chars`] — Jaro and
+//!   Jaro–Winkler over `char`s (Unicode-aware);
+//! * [`TfIdfWeights`] — the IDF of every token of a corpus and the TF-IDF
+//!   cosine the matcher scores value tokens with;
+//! * [`jaccard`] — overlap of two sorted, deduplicated token-id slices,
+//!   counted by a linear merge without hashing (debug builds assert the
+//!   order).
 //!
 //! # The Jaro kernel
 //!
@@ -21,6 +30,14 @@
 //! hand those integers to one shared floating-point expression. Which
 //! kernel runs depends on the input lengths alone, and the unit tests hold
 //! the pair to `f64::to_bits` equality across the 64-character switch.
+//!
+//! # TF-IDF
+//!
+//! The cosine needs to know how *informative* each token is.
+//! [`TfIdfWeights`] is built once over all entity descriptions (each
+//! description = one document) and then shared by the matcher. The squared
+//! IDF of every token is tabulated at build time, so a similarity call is
+//! table reads and a merge — no `ln` per token.
 
 /// Longest input, in `char`s, the bit-parallel Jaro kernel takes: one
 /// `u64` holds a position set of either string.
@@ -206,6 +223,154 @@ pub fn jaro_winkler_chars(a: &[char], b: &[char], scratch: &mut JaroScratch) -> 
     (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
 }
 
+/// Inverse-document-frequency weights over an interned token vocabulary.
+#[derive(Clone, Debug)]
+pub struct TfIdfWeights {
+    /// Number of documents observed.
+    num_docs: u32,
+    /// `smoothed_idf(df, N).powi(2)` per token id — what the cosine sums.
+    idf_sq: Vec<f64>,
+}
+
+/// The smoothed IDF expression; the tables and the out-of-range fallback
+/// both evaluate exactly this, so every reader sees the same bits.
+fn smoothed_idf(df: u32, num_docs: u32) -> f64 {
+    (1.0 + num_docs as f64 / (1.0 + df as f64)).ln()
+}
+
+impl TfIdfWeights {
+    /// Builds weights from an iterator of documents, each a (possibly
+    /// unsorted, possibly duplicated) token-id list. `vocab_size` must be at
+    /// least `max(token id) + 1`.
+    pub fn build<I, D>(vocab_size: usize, docs: I) -> Self
+    where
+        I: IntoIterator<Item = D>,
+        D: AsRef<[u32]>,
+    {
+        let mut doc_freq = vec![0u32; vocab_size];
+        let mut num_docs = 0u32;
+        // Last document (1-based) each token was counted in.
+        let mut last_doc = vec![0u32; vocab_size];
+        for doc in docs {
+            num_docs += 1;
+            for &t in doc.as_ref() {
+                let seen = &mut last_doc[t as usize];
+                if *seen != num_docs {
+                    *seen = num_docs;
+                    doc_freq[t as usize] += 1;
+                }
+            }
+        }
+        let idf_sq = doc_freq
+            .iter()
+            .map(|&df| smoothed_idf(df, num_docs).powi(2))
+            .collect();
+        Self { num_docs, idf_sq }
+    }
+
+    /// The squared smoothed IDF `ln(1 + N / (1 + df))²` of token `t` (`df`
+    /// 0 for an id past the vocabulary) — the weight of `t` in a binary-TF
+    /// document vector.
+    pub fn idf_squared(&self, t: u32) -> f64 {
+        match self.idf_sq.get(t as usize) {
+            Some(&w) => w,
+            None => smoothed_idf(0, self.num_docs).powi(2),
+        }
+    }
+
+    /// Euclidean norm of a canonical token slice as a binary-TF document
+    /// vector: `sqrt` of the in-order sum of the squared IDFs.
+    pub fn norm(&self, xs: &[u32]) -> f64 {
+        xs.iter().map(|&t| self.idf_squared(t)).sum::<f64>().sqrt()
+    }
+
+    /// TF-IDF cosine similarity between two canonical (sorted+deduped)
+    /// token slices, treating each as a binary-TF document vector.
+    pub fn cosine(&self, a: &[u32], b: &[u32]) -> f64 {
+        cosine_from(
+            self.norm(a),
+            self.norm(b),
+            shared_weight(a, b, |i| self.idf_squared(a[i])),
+        )
+    }
+}
+
+/// Sum, in merge order, of `weight_at(i)` over the positions `i` of `a`
+/// whose token also occurs in `b` (both canonical).
+fn shared_weight(a: &[u32], b: &[u32], weight_at: impl Fn(usize) -> f64) -> f64 {
+    let (mut i, mut j, mut dot) = (0usize, 0usize, 0.0f64);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                dot += weight_at(i);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    dot
+}
+
+fn cosine_from(norm_a: f64, norm_b: f64, dot: f64) -> f64 {
+    if norm_a == 0.0 || norm_b == 0.0 {
+        return 0.0;
+    }
+    dot / (norm_a * norm_b)
+}
+
+/// [`TfIdfWeights::cosine`] over facts computed once per document: `a`'s
+/// tokens with their aligned squared IDFs and norm, `b`'s tokens and norm.
+/// Same expressions in the same order, hence the same bits.
+pub(crate) fn cosine_prepared(
+    a: &[u32],
+    a_idf_sq: &[f64],
+    a_norm: f64,
+    b: &[u32],
+    b_norm: f64,
+) -> f64 {
+    debug_assert_eq!(a.len(), a_idf_sq.len());
+    cosine_from(a_norm, b_norm, shared_weight(a, b, |i| a_idf_sq[i]))
+}
+
+fn assert_canonical(xs: &[u32]) {
+    debug_assert!(
+        xs.windows(2).all(|w| w[0] < w[1]),
+        "tokens must be sorted+deduped"
+    );
+}
+
+/// Size of the intersection of two canonical token slices (linear merge).
+pub(crate) fn intersection_size(a: &[u32], b: &[u32]) -> usize {
+    assert_canonical(a);
+    assert_canonical(b);
+    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    n
+}
+
+/// Jaccard coefficient `|A∩B| / |A∪B|`. Empty∪empty ⇒ 0.
+pub fn jaccard(a: &[u32], b: &[u32]) -> f64 {
+    let inter = intersection_size(a, b);
+    let union = a.len() + b.len() - inter;
+    if union == 0 {
+        0.0
+    } else {
+        inter as f64 / union as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,6 +536,112 @@ mod tests {
             }
             if !a.is_empty() {
                 proptest::prop_assert_eq!(jaro(&a, &a), 1.0);
+            }
+        }
+    }
+
+    fn weights() -> TfIdfWeights {
+        // Token 0 appears in every doc, token 1 in one, token 2 in two.
+        TfIdfWeights::build(4, [vec![0, 1], vec![0, 2], vec![0, 2, 2], vec![0]])
+    }
+
+    #[test]
+    fn cosine_identity_and_disjoint() {
+        let w = weights();
+        assert!((w.cosine(&[0, 1], &[0, 1]) - 1.0).abs() < 1e-12);
+        assert_eq!(w.cosine(&[1], &[2]), 0.0);
+        assert_eq!(w.cosine(&[], &[1]), 0.0);
+    }
+
+    #[test]
+    fn rare_shared_token_scores_higher() {
+        let w = weights();
+        // Sharing rare token 1 vs sharing ubiquitous token 0, same set sizes.
+        let rare = w.cosine(&[1, 2], &[0, 1]);
+        let common = w.cosine(&[0, 2], &[0, 1]);
+        assert!(rare > common, "rare {rare} vs common {common}");
+    }
+
+    /// The smoothed IDF of `t` from the documents themselves.
+    fn untabulated_idf(docs: &[Vec<u32>], t: u32) -> f64 {
+        let df = docs.iter().filter(|d| d.contains(&t)).count();
+        (1.0 + docs.len() as f64 / (1.0 + df as f64)).ln()
+    }
+
+    /// The cosine as it was before the IDF tables: every weight from
+    /// `ln`, per call.
+    fn untabulated_cosine(docs: &[Vec<u32>], a: &[u32], b: &[u32]) -> f64 {
+        let idf = |t: u32| untabulated_idf(docs, t);
+        let norm = |xs: &[u32]| xs.iter().map(|&t| idf(t).powi(2)).sum::<f64>().sqrt();
+        let (na, nb) = (norm(a), norm(b));
+        if na == 0.0 || nb == 0.0 {
+            return 0.0;
+        }
+        let shared = a.iter().filter(|t| b.contains(t));
+        let mut dot = 0.0f64;
+        for &t in shared {
+            dot += idf(t).powi(2);
+        }
+        dot / (na * nb)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tabulated_weights_keep_every_bit(
+            docs in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..12), 1..30),
+            mut a in proptest::collection::vec(0u32..48, 0..14),
+            mut b in proptest::collection::vec(0u32..48, 0..14),
+        ) {
+            // Vocabulary 40, queries up to 47: out-of-range ids included.
+            let w = TfIdfWeights::build(40, &docs);
+            for xs in [&mut a, &mut b] {
+                xs.sort_unstable();
+                xs.dedup();
+            }
+            for &t in a.iter().chain(&b) {
+                let idf = untabulated_idf(&docs, t);
+                proptest::prop_assert_eq!(w.idf_squared(t).to_bits(), idf.powi(2).to_bits());
+            }
+            let want = untabulated_cosine(&docs, &a, &b);
+            proptest::prop_assert_eq!(w.cosine(&a, &b).to_bits(), want.to_bits());
+            let a_idf_sq: Vec<f64> = a.iter().map(|&t| w.idf_squared(t)).collect();
+            let prepared = cosine_prepared(&a, &a_idf_sq, w.norm(&a), &b, w.norm(&b));
+            proptest::prop_assert_eq!(prepared.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn empty_corpus_is_safe() {
+        let w = TfIdfWeights::build(0, Vec::<Vec<u32>>::new());
+        assert_eq!(w.cosine(&[], &[]), 0.0);
+        assert!(w.idf_squared(5) >= 0.0);
+    }
+
+    #[test]
+    fn jaccard_basics() {
+        assert_eq!(jaccard(&[1, 2, 3], &[2, 3, 4]), 0.5);
+        assert_eq!(jaccard(&[1, 2], &[1, 2]), 1.0);
+        assert_eq!(jaccard(&[1], &[2]), 0.0);
+        assert_eq!(jaccard(&[], &[]), 0.0);
+        assert_eq!(jaccard(&[], &[1]), 0.0);
+    }
+
+    #[test]
+    fn jaccard_is_symmetric() {
+        let (a, b) = (&[1u32, 4, 9, 11][..], &[2u32, 4, 11, 30, 31][..]);
+        assert_eq!(jaccard(a, b), jaccard(b, a));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn jaccard_bounds_and_identity(mut a in proptest::collection::vec(0u32..200, 0..40),
+                                       mut b in proptest::collection::vec(0u32..200, 0..40)) {
+            a.sort_unstable(); a.dedup();
+            b.sort_unstable(); b.dedup();
+            let j = jaccard(&a, &b);
+            proptest::prop_assert!((0.0..=1.0).contains(&j));
+            if !a.is_empty() {
+                proptest::prop_assert_eq!(jaccard(&a, &a), 1.0);
             }
         }
     }

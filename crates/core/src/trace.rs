@@ -5,10 +5,9 @@
 //! engine records every comparison in execution order.
 
 use minoan_rdf::EntityId;
-use serde::Serialize;
 
 /// One executed comparison.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TraceStep {
     /// 1-based comparison counter (the consumed budget after this step).
     pub comparison: u64,
@@ -37,7 +36,7 @@ impl TraceStep {
 }
 
 /// The full trace of a resolution run.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     steps: Vec<TraceStep>,
 }

@@ -1,10 +1,9 @@
 //! Generator configuration.
 
 use crate::corruption::CorruptionModel;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one synthetic knowledge base.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KbConfig {
     /// KB name; also used in its URI namespace `http://{name}.example.org/resource/`.
     pub name: String,
@@ -21,7 +20,6 @@ pub struct KbConfig {
     /// Probability of a character-level typo on a surviving token.
     pub typo_rate: f64,
     /// Which corruption model typo'd tokens go through.
-    #[serde(default)]
     pub corruption: CorruptionModel,
     /// Probability that each canonical attribute of the entity appears in
     /// this KB's description at all.
@@ -79,7 +77,7 @@ impl KbConfig {
 }
 
 /// Configuration of a whole synthetic world.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorldConfig {
     /// RNG seed; everything downstream is deterministic in it.
     pub seed: u64,
@@ -200,10 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn config_round_trips_through_serde() {
-        // serde_json is not among the approved offline crates, so round-trip
-        // through the serde data model is validated structurally instead:
-        // Clone + Debug equality is enough to catch field drift.
+    fn a_cloned_config_prints_the_same_debug() {
         let c = WorldConfig::small(7);
         let c2 = c.clone();
         assert_eq!(format!("{c:?}"), format!("{c2:?}"));

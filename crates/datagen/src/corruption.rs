@@ -10,10 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which corruption a KB applies to noisy tokens.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CorruptionModel {
     /// Swap two adjacent characters (keyboard-style typo) — the default.
     #[default]

@@ -65,8 +65,9 @@ pub fn rule_by_name(name: &str) -> Option<&'static RuleInfo> {
 /// flat-pipeline stages PR 5 made string-free plus the sweep kernels, and
 /// the per-request paths of the resolution service (a query must not
 /// allocate strings any more than a sweep row may), and the comparison
-/// kernel with the progressive loop around it (a comparison recomputes
-/// nothing that is a fact of one description), and the text front end (a
+/// kernel — the matcher and the Jaro/TF-IDF measures it calls — with the
+/// progressive loop around it (a comparison recomputes nothing that is a
+/// fact of one description), and the text front end (a
 /// parsed term is a slice of its line; the loader copies an attribute
 /// value once, into the arena of the dataset that keeps it — `dataset.rs`
 /// holds the builder's per-attribute entries and that arena), and the
@@ -88,6 +89,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/server/src/service.rs",
     "crates/server/src/server.rs",
     "crates/core/src/matcher.rs",
+    "crates/core/src/similarity.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/scheduler.rs",
     "crates/core/src/candidates.rs",
@@ -117,7 +119,6 @@ const EXPECT_CRATES: &[&str] = &[
     "server",
     "core",
     "eval",
-    "similarity",
 ];
 
 /// Interior-mutable types a library `static` may not hold (ML008), beside

@@ -1,7 +1,7 @@
 //! Job counters, mirroring Hadoop's named counters.
 
-use minoan_common::FxHashMap;
-use parking_lot::Mutex;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Thread-safe named `u64` counters.
 ///
@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 /// granularity, so a single mutex-protected map keeps things simple.
 #[derive(Default, Debug)]
 pub struct Counters {
-    inner: Mutex<FxHashMap<&'static str, u64>>,
+    inner: Mutex<BTreeMap<&'static str, u64>>,
 }
 
 impl Counters {
@@ -19,9 +19,16 @@ impl Counters {
         Self::default()
     }
 
+    /// The counters, locked. A task that panicked under the lock left
+    /// every count whole (an update is one `+=`), so a poisoned lock is
+    /// read as it stands.
+    fn counts(&self) -> MutexGuard<'_, BTreeMap<&'static str, u64>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Adds `delta` to counter `name` (creating it at 0).
     pub fn add(&self, name: &'static str, delta: u64) {
-        *self.inner.lock().entry(name).or_insert(0) += delta;
+        *self.counts().entry(name).or_insert(0) += delta;
     }
 
     /// Increments counter `name` by one.
@@ -31,15 +38,12 @@ impl Counters {
 
     /// Current value of counter `name` (0 if never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.inner.lock().get(name).copied().unwrap_or(0)
+        self.counts().get(name).copied().unwrap_or(0)
     }
 
     /// Snapshot of all counters, sorted by name.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
-        let mut v: Vec<_> = self.inner.lock().iter().map(|(&k, &c)| (k, c)).collect();
-        v.sort_unstable();
-        v
+        self.counts().iter().map(|(&k, &c)| (k, c)).collect()
     }
 }
 

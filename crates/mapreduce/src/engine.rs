@@ -2,7 +2,6 @@
 
 use crate::counters::Counters;
 use minoan_common::FxHashMap;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -190,130 +189,108 @@ impl Engine {
             (self.workers * 4).min(inputs.len())
         };
         stats.map_tasks = num_chunks;
-        let map_task_nanos: Vec<std::sync::atomic::AtomicU64> = (0..num_chunks)
-            .map(|_| std::sync::atomic::AtomicU64::new(0))
-            .collect();
-        // chunk_outputs[chunk][partition] = that chunk's spill for the partition.
-        // Per chunk, per partition: that chunk's spilled (key, value) pairs.
-        type Spills<K, V> = Vec<Vec<Mutex<Vec<(K, V)>>>>;
-        let chunk_outputs: Spills<K, V> = (0..num_chunks)
-            .map(|_| (0..partitions).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
+        // Per map task: its index, its spilled (key, value) pairs per
+        // partition, and its duration.
+        type MapTask<K, V> = (usize, Vec<Vec<(K, V)>>, u64);
+        let mut spills: Vec<MapTask<K, V>> = Vec::with_capacity(num_chunks);
         if num_chunks > 0 {
             let chunk_size = inputs.len().div_ceil(num_chunks);
             let next = AtomicUsize::new(0);
-            let inputs = &inputs;
-            let map_fn = &map_fn;
-            let counters_ref = &counters;
-            let chunk_outputs = &chunk_outputs;
-            let next = &next;
-            let part_of = &part_of;
-            let map_task_nanos = &map_task_nanos;
+            let (inputs, map_fn, counters, next, part_of) =
+                (&inputs, &map_fn, &counters, &next, &part_of);
             std::thread::scope(|scope| {
-                for _ in 0..self.workers.min(num_chunks) {
-                    scope.spawn(move || loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= num_chunks {
-                            break;
-                        }
-                        // Ceil-divided chunks can overshoot: clamp both
-                        // ends (trailing chunks may be empty).
-                        let lo = (c * chunk_size).min(inputs.len());
-                        let hi = ((c + 1) * chunk_size).min(inputs.len());
-                        let task_start = Instant::now();
-                        let mut local: Vec<(K, V)> = Vec::new();
-                        for input in &inputs[lo..hi] {
-                            map_fn(input, &mut |k, v| local.push((k, v)), counters_ref);
-                        }
-                        // Spill into per-partition buffers.
-                        let mut parts: Vec<Vec<(K, V)>> =
-                            (0..partitions).map(|_| Vec::new()).collect();
-                        for (k, v) in local {
-                            parts[part_of(&k)].push((k, v));
-                        }
-                        for (p, buf) in parts.into_iter().enumerate() {
-                            *chunk_outputs[c][p].lock() = buf;
-                        }
-                        map_task_nanos[c]
-                            .store(task_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    });
-                }
+                let workers: Vec<_> = (0..self.workers.min(num_chunks))
+                    .map(|_| {
+                        scope.spawn(move || {
+                            let mut done = Vec::new();
+                            loop {
+                                let c = next.fetch_add(1, Ordering::Relaxed);
+                                if c >= num_chunks {
+                                    break done;
+                                }
+                                // Ceil-divided chunks can overshoot: clamp
+                                // both ends (trailing chunks may be empty).
+                                let lo = (c * chunk_size).min(inputs.len());
+                                let hi = ((c + 1) * chunk_size).min(inputs.len());
+                                let task_start = Instant::now();
+                                let mut local: Vec<(K, V)> = Vec::new();
+                                for input in &inputs[lo..hi] {
+                                    map_fn(input, &mut |k, v| local.push((k, v)), counters);
+                                }
+                                // Spill into per-partition buffers.
+                                let mut parts: Vec<Vec<(K, V)>> =
+                                    (0..partitions).map(|_| Vec::new()).collect();
+                                for (k, v) in local {
+                                    parts[part_of(&k)].push((k, v));
+                                }
+                                done.push((c, parts, task_start.elapsed().as_nanos() as u64));
+                            }
+                        })
+                    })
+                    .collect();
+                spills.extend(workers.into_iter().flat_map(joined));
             });
         }
+        spills.sort_unstable_by_key(|&(c, ..)| c);
         stats.map_nanos = t0.elapsed().as_nanos() as u64;
-        stats.map_task_nanos = map_task_nanos
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
+        stats.map_task_nanos = spills.iter().map(|&(.., nanos)| nanos).collect();
 
         // ---- Shuffle + reduce, parallel per partition ------------------------
         let t1 = Instant::now();
         // Each partition groups its keys (chunk order preserved within each
         // key group), sorts them, and reduces sequentially in key order.
-        type PartResults<K, O> = Vec<Mutex<Vec<(K, Vec<O>)>>>;
-        let part_results: PartResults<K, O> =
-            (0..partitions).map(|_| Mutex::new(Vec::new())).collect();
-        let partition_nanos: Vec<std::sync::atomic::AtomicU64> = (0..partitions)
-            .map(|_| std::sync::atomic::AtomicU64::new(0))
+        let mut by_partition: Vec<Vec<Vec<(K, V)>>> = (0..partitions)
+            .map(|_| Vec::with_capacity(num_chunks))
             .collect();
-        let pairs_total = AtomicUsize::new(0);
-        let groups_total = AtomicUsize::new(0);
+        for (_, parts, _) in spills {
+            for (p, spill) in parts.into_iter().enumerate() {
+                by_partition[p].push(spill);
+            }
+        }
+        // Per partition: its reduce output, intermediate pairs and duration.
+        type ReduceTask<K, O> = (Vec<(K, Vec<O>)>, usize, u64);
+        let mut reduced: Vec<ReduceTask<K, O>> = Vec::with_capacity(partitions);
         if num_chunks > 0 {
-            let next = AtomicUsize::new(0);
-            let reduce_fn = &reduce_fn;
-            let counters_ref = &counters;
-            let chunk_outputs = &chunk_outputs;
-            let part_results = &part_results;
-            let pairs_total = &pairs_total;
-            let groups_total = &groups_total;
-            let next = &next;
-            let partition_nanos = &partition_nanos;
+            let (reduce_fn, counters) = (&reduce_fn, &counters);
             std::thread::scope(|scope| {
-                for _ in 0..self.workers.min(partitions) {
-                    scope.spawn(move || loop {
-                        let p = next.fetch_add(1, Ordering::Relaxed);
-                        if p >= partitions {
-                            break;
-                        }
-                        let task_start = Instant::now();
-                        let mut groups: FxHashMap<K, Vec<V>> = FxHashMap::default();
-                        let mut pairs = 0usize;
-                        for chunk in chunk_outputs {
-                            for (k, v) in std::mem::take(&mut *chunk[p].lock()) {
+                let workers: Vec<_> = by_partition
+                    .into_iter()
+                    .map(|spills| {
+                        scope.spawn(move || {
+                            let task_start = Instant::now();
+                            let mut groups: FxHashMap<K, Vec<V>> = FxHashMap::default();
+                            let mut pairs = 0usize;
+                            for (k, v) in spills.into_iter().flatten() {
                                 pairs += 1;
                                 groups.entry(k).or_default().push(v);
                             }
-                        }
-                        pairs_total.fetch_add(pairs, Ordering::Relaxed);
-                        let mut grouped: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-                        grouped.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                        groups_total.fetch_add(grouped.len(), Ordering::Relaxed);
-                        let mut results: Vec<(K, Vec<O>)> = Vec::with_capacity(grouped.len());
-                        for (key, mut vals) in grouped {
-                            let mut out = Vec::new();
-                            reduce_fn(&key, &mut vals, &mut out, counters_ref);
-                            results.push((key, out));
-                        }
-                        *part_results[p].lock() = results;
-                        partition_nanos[p]
-                            .store(task_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    });
-                }
+                            let mut grouped: Vec<(K, Vec<V>)> = groups.into_iter().collect();
+                            grouped.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                            let mut results: Vec<(K, Vec<O>)> = Vec::with_capacity(grouped.len());
+                            for (key, mut vals) in grouped {
+                                let mut out = Vec::new();
+                                reduce_fn(&key, &mut vals, &mut out, counters);
+                                results.push((key, out));
+                            }
+                            (results, pairs, task_start.elapsed().as_nanos() as u64)
+                        })
+                    })
+                    .collect();
+                reduced.extend(workers.into_iter().map(joined));
             });
         }
-        stats.intermediate_pairs = pairs_total.load(Ordering::Relaxed);
-        stats.reduce_groups = groups_total.load(Ordering::Relaxed);
+        stats.intermediate_pairs = reduced.iter().map(|&(_, pairs, _)| pairs).sum();
+        stats.reduce_groups = reduced.iter().map(|(results, ..)| results.len()).sum();
         stats.shuffle_nanos = t1.elapsed().as_nanos() as u64;
-        stats.partition_nanos = partition_nanos
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
+        stats.partition_nanos = reduced.iter().map(|&(.., nanos)| nanos).collect();
+        // An empty job ran no partition: each reads 0.
+        stats.partition_nanos.resize(partitions, 0);
 
         // ---- Gather: merge partitions back into global key order ------------
         let t2 = Instant::now();
         let mut all: Vec<(K, Vec<O>)> = Vec::with_capacity(stats.reduce_groups);
-        for slot in part_results {
-            all.append(&mut slot.into_inner());
+        for (mut results, ..) in reduced {
+            all.append(&mut results);
         }
         all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut output = Vec::new();
@@ -328,6 +305,13 @@ impl Engine {
             stats,
         }
     }
+}
+
+/// What a scoped worker returned; a worker's panic resumes on the caller.
+fn joined<T>(worker: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    worker
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 #[cfg(test)]

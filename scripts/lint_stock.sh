@@ -11,9 +11,11 @@
 #    workspace.
 # 2. The manifest checks, on the tree: every dependency of every
 #    workspace package resolves to a path (`cargo metadata`, offline, no
-#    resolution), every `crates/*/Cargo.toml` and the root package take
-#    `[lints] workspace = true`, and no `unsafe_code` escape stands
-#    outside the root `tests/`.
+#    resolution), no `vendor/` member is left that no package depends on
+#    and no `[workspace.dependencies]` key that no member uses, every
+#    `crates/*/Cargo.toml` and the root package take `[lints] workspace =
+#    true`, and no `unsafe_code` escape stands outside the root `tests/`.
+#    The orphan check fires first on a scratch workspace of its own.
 #
 # Needs clippy-driver, cargo and jq; no network. No arguments; exits 1 on
 # the first failing check and prints what failed.
@@ -97,6 +99,24 @@ unpathed_deps() {
                | select(.path == null) | "\($p): \(.name) \(.source)"'
 }
 
+# The orphans of the workspace whose manifest is `$1`, one line each: a
+# member under its `vendor/` that no package depends on (normal, dev or
+# build), and a `[workspace.dependencies]` key that no member names.
+orphans() {
+    local meta used
+    meta="$(cargo metadata --no-deps --offline --format-version 1 --manifest-path "$1")"
+    used="$(jq -r '.packages[].dependencies[] | .rename // .name' <<<"$meta" | sort -u)"
+    jq -r '.workspace_root as $root | .packages[]
+           | select(.manifest_path | startswith($root + "/vendor/")) | .name' <<<"$meta" |
+        while read -r name; do
+            grep -qxF "$name" <<<"$used" || echo "vendor member $name: no package depends on it"
+        done
+    awk '/^\[/ { on = ($0 == "[workspace.dependencies]") } on && /^[A-Za-z0-9_-]+ *=/ { print $1 }' "$1" |
+        while read -r key; do
+            grep -qxF "$key" <<<"$used" || echo "workspace dependency $key: no member uses it"
+        done
+}
+
 # ML006's fixtures as the one member of a scratch workspace that has the
 # root's `[workspace.dependencies]`, paths made absolute, and a sibling
 # package `local` for the clean fixture's relative path.
@@ -119,9 +139,34 @@ got="$(unpathed_deps "$ws/Cargo.toml")"
 [ -z "$got" ] || fail "ml006_clean.toml: dependencies without a path: $got"
 echo "clean ml006_clean.toml"
 
+# The orphan check's fire case: a scratch workspace whose `vendor/orphan`
+# member and `orphan` key nothing uses, beside a `used` shim that `app`
+# depends on.
+ws="$tmp/orphans"
+for member in crates/app vendor/used vendor/orphan; do
+    mkdir -p "$ws/$member/src"
+    touch "$ws/$member/src/lib.rs"
+    printf '[package]\nname = "%s"\n' "$(basename "$member")" >"$ws/$member/Cargo.toml"
+done
+printf '\n[dependencies]\nused.workspace = true\n' >>"$ws/crates/app/Cargo.toml"
+cat >"$ws/Cargo.toml" <<'TOML'
+[workspace]
+members = ["crates/app", "vendor/used", "vendor/orphan"]
+
+[workspace.dependencies]
+used = { path = "vendor/used" }
+orphan = { path = "vendor/orphan" }
+TOML
+got="$(orphans "$ws/Cargo.toml" | wc -l)"
+[ "$got" -eq 2 ] || fail "orphans fixture: want 2 orphans (member and key), got $got"
+echo "fire  orphans: $got (vendor/orphan unused, key orphan unused)"
+
 # The tree.
 got="$(unpathed_deps Cargo.toml)"
 [ -z "$got" ] || fail "dependencies outside the workspace and vendor/ (vendor a shim instead):
+$got"
+got="$(orphans Cargo.toml)"
+[ -z "$got" ] || fail "orphaned shims or workspace dependencies (delete them):
 $got"
 for manifest in Cargo.toml crates/*/Cargo.toml; do
     awk '/^\[/ { on = ($0 == "[lints]") } on && /^workspace *= *true/ { found = 1 }
@@ -131,5 +176,5 @@ done
 if grep -rnE '(allow|expect|warn)\(([^)]*, *)?unsafe_code' crates src examples; then
     fail "an unsafe_code escape outside the root tests/"
 fi
-echo "manifests: every dependency a path, every member on the workspace lints"
+echo "manifests: every dependency a path, no orphan, every member on the workspace lints"
 echo "lint_stock: ok in $((SECONDS - start)) s"

@@ -10,8 +10,7 @@
 //! | [`mapreduce`] | `minoan-mapreduce` | the in-process MapReduce engine |
 //! | [`blocking`] | `minoan-blocking` | token/URI/attribute-clustering blocking, purging, filtering |
 //! | [`metablocking`] | `minoan-metablocking` | the meta-blocking `Session` (scheme × pruning × backend), weighting, incremental session |
-//! | [`similarity`] | `minoan-similarity` | token and string similarity measures |
-//! | [`er`] | `minoan-er` | **the progressive ER engine and pipeline** |
+//! | [`er`] | `minoan-er` | **the progressive ER engine and pipeline**; the matcher's similarity measures (`er::similarity`) |
 //! | [`eval`] | `minoan-eval` | PC/PQ/RR, precision/recall, progressive curves, bootstrap CIs, ASCII plots |
 //!
 //! See `examples/quickstart.rs` for the end-to-end workflow of the paper's
@@ -25,7 +24,6 @@ pub use minoan_eval as eval;
 pub use minoan_mapreduce as mapreduce;
 pub use minoan_metablocking as metablocking;
 pub use minoan_rdf as rdf;
-pub use minoan_similarity as similarity;
 
 /// Convenience prelude with the names almost every user needs.
 pub mod prelude {

@@ -47,12 +47,12 @@
 //! A block here is a value token (the token pass's keys, given as each
 //! entity's set), `MAX_TOKEN_FREQUENCY` is 64 and `MAX_CANDIDATES` 32.
 
+use minoan::er::similarity::JaroScratch;
 use minoan::er::{
     BenefitModel, ClusteringAlgorithm, IncrementalConfig, Matcher, Resolution, ResolverConfig,
     Strategy, Trace, TraceStep,
 };
 use minoan::rdf::{Dataset, EntityId};
-use minoan::similarity::JaroScratch;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
