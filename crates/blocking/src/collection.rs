@@ -292,15 +292,14 @@ impl BlockCollection {
     pub fn from_groups(
         dataset: &Dataset,
         mode: ErMode,
-        groups: impl IntoIterator<Item = (String, Vec<EntityId>)>,
+        mut groups: Vec<(String, Vec<EntityId>)>,
     ) -> Self {
         let kb_of: Vec<u16> = (0..dataset.len() as u32)
             .map(|e| dataset.kb_of(EntityId(e)).0)
             .collect();
         let num_kbs = dataset.kbs().len();
         let mut keys = Interner::new();
-        // Sort groups by key for full determinism independent of map order.
-        let mut groups: Vec<(String, Vec<EntityId>)> = groups.into_iter().collect();
+        // Sort groups by key for full determinism independent of their order.
         groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut scratch = KbScratch::new(num_kbs);
         let mut block_keys = Vec::with_capacity(groups.len());

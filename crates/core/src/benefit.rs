@@ -106,7 +106,9 @@ pub struct ResolutionState<'d> {
     resolved: Vec<bool>,
     /// Attribute-name sets (predicate symbol ids), each sorted and
     /// deduplicated, back to back: one per description, then one appended
-    /// per merge. A merged-away set stays where it is, unreferenced.
+    /// per merge. A merged-away set stays where it is, unreferenced. Only
+    /// [`BenefitModel::AttributeCompleteness`] reads them, so under any
+    /// other model both fields stay empty.
     attr_sets: Vec<u32>,
     /// Per description, the span of `attr_sets` holding the set of the
     /// cluster it is the root of: its own until a match merges it.
@@ -118,18 +120,21 @@ pub struct ResolutionState<'d> {
 const NEIGHBOR_CAP: usize = 8;
 
 impl<'d> ResolutionState<'d> {
-    /// Fresh state: every description is its own singleton cluster.
-    pub fn new(dataset: &'d Dataset) -> Self {
-        let mut attr_sets = Vec::new();
-        let mut cluster_attrs = Vec::with_capacity(dataset.len());
-        let mut names: Vec<u32> = Vec::new();
-        for e in dataset.entities() {
-            names.clear();
-            names.extend(dataset.description(e).attributes().map(|(p, _)| p.0));
-            names.sort_unstable();
-            names.dedup();
-            cluster_attrs.push((attr_sets.len(), attr_sets.len() + names.len()));
-            attr_sets.extend_from_slice(&names);
+    /// Fresh state for scoring under `model`: every description is its own
+    /// singleton cluster.
+    pub fn new(dataset: &'d Dataset, model: BenefitModel) -> Self {
+        let (mut attr_sets, mut cluster_attrs) = (Vec::new(), Vec::new());
+        if model == BenefitModel::AttributeCompleteness {
+            cluster_attrs.reserve(dataset.len());
+            let mut names: Vec<u32> = Vec::new();
+            for e in dataset.entities() {
+                names.clear();
+                names.extend(dataset.description(e).attributes().map(|(p, _)| p.0));
+                names.sort_unstable();
+                names.dedup();
+                cluster_attrs.push((attr_sets.len(), attr_sets.len() + names.len()));
+                attr_sets.extend_from_slice(&names);
+            }
         }
         Self {
             dataset,
@@ -162,6 +167,11 @@ impl<'d> ResolutionState<'d> {
 
     /// Attribute names of the cluster holding `e`, ascending.
     fn attrs_of_cluster(&self, e: EntityId) -> &[u32] {
+        debug_assert_eq!(
+            self.cluster_attrs.len(),
+            self.resolved.len(),
+            "attribute sets read from a state built without them"
+        );
         let (start, end) = self.cluster_attrs[self.clusters.find_immutable(e.0) as usize];
         &self.attr_sets[start..end]
     }
@@ -202,25 +212,27 @@ impl<'d> ResolutionState<'d> {
     }
 
     /// Records an accepted match: unions the clusters, merges attribute
-    /// sets, marks both endpoints resolved.
+    /// sets (when the state has them), marks both endpoints resolved.
     pub fn record_match(&mut self, a: EntityId, b: EntityId) {
         let (root_a, root_b) = (self.clusters.find(a.0), self.clusters.find(b.0));
         if root_a != root_b {
-            // Linear union of the two sets, appended to the slab they sit in.
-            let (mut i, end_a) = self.cluster_attrs[root_a as usize];
-            let (mut j, end_b) = self.cluster_attrs[root_b as usize];
-            let start = self.attr_sets.len();
-            while i < end_a && j < end_b {
-                let (x, y) = (self.attr_sets[i], self.attr_sets[j]);
-                self.attr_sets.push(x.min(y));
-                i += usize::from(x <= y);
-                j += usize::from(y <= x);
-            }
-            self.attr_sets.extend_from_within(i..end_a);
-            self.attr_sets.extend_from_within(j..end_b);
             self.clusters.union(a.0, b.0);
-            let root = self.clusters.find(a.0);
-            self.cluster_attrs[root as usize] = (start, self.attr_sets.len());
+            if !self.cluster_attrs.is_empty() {
+                // Linear union of the two sets, appended to the slab they sit in.
+                let (mut i, end_a) = self.cluster_attrs[root_a as usize];
+                let (mut j, end_b) = self.cluster_attrs[root_b as usize];
+                let start = self.attr_sets.len();
+                while i < end_a && j < end_b {
+                    let (x, y) = (self.attr_sets[i], self.attr_sets[j]);
+                    self.attr_sets.push(x.min(y));
+                    i += usize::from(x <= y);
+                    j += usize::from(y <= x);
+                }
+                self.attr_sets.extend_from_within(i..end_a);
+                self.attr_sets.extend_from_within(j..end_b);
+                let root = self.clusters.find(a.0);
+                self.cluster_attrs[root as usize] = (start, self.attr_sets.len());
+            }
         }
         self.resolved[a.index()] = true;
         self.resolved[b.index()] = true;
@@ -260,7 +272,7 @@ mod tests {
     #[test]
     fn pair_quantity_equals_likelihood() {
         let ds = dataset();
-        let state = ResolutionState::new(&ds);
+        let state = ResolutionState::new(&ds, BenefitModel::PairQuantity);
         let mut pool = CandidatePool::new();
         let c = cand(&mut pool, 0, 3, 0.8);
         assert_eq!(BenefitModel::PairQuantity.score(&state, &c), 0.8);
@@ -269,7 +281,7 @@ mod tests {
     #[test]
     fn entity_coverage_prefers_fresh_entities() {
         let ds = dataset();
-        let mut state = ResolutionState::new(&ds);
+        let mut state = ResolutionState::new(&ds, BenefitModel::EntityCoverage);
         let mut pool = CandidatePool::new();
         let fresh = cand(&mut pool, 1, 4, 0.5);
         let before = BenefitModel::EntityCoverage.score(&state, &fresh);
@@ -284,7 +296,7 @@ mod tests {
     #[test]
     fn attribute_gain_tracks_cluster_merges() {
         let ds = dataset();
-        let mut state = ResolutionState::new(&ds);
+        let mut state = ResolutionState::new(&ds, BenefitModel::AttributeCompleteness);
         // a/0 has {p0, rel}, b/0 has {p0', rel'} — all predicate names are
         // KB-qualified here, so gain is 1.0 (fully disjoint sets).
         assert!((state.attribute_gain(EntityId(0), EntityId(3)) - 1.0).abs() < 1e-12);
@@ -324,7 +336,7 @@ mod tests {
             .map(|e| ds.description(e).attributes().map(|(p, _)| p.0).collect())
             .collect();
         for round in 0..20 {
-            let mut state = ResolutionState::new(&ds);
+            let mut state = ResolutionState::new(&ds, BenefitModel::AttributeCompleteness);
             for step in 0..60 {
                 let (x, y) = (EntityId(rng.gen_range(0..N)), EntityId(rng.gen_range(0..N)));
                 state.record_match(x, y);
@@ -352,7 +364,7 @@ mod tests {
     #[test]
     fn relationship_completeness_rises_with_resolved_neighbors() {
         let ds = dataset();
-        let mut state = ResolutionState::new(&ds);
+        let mut state = ResolutionState::new(&ds, BenefitModel::RelationshipCompleteness);
         let mut pool = CandidatePool::new();
         // Pair (0, 3): neighbours are 1 (of 0) and 4 (of 3).
         let c = cand(&mut pool, 0, 3, 1.0);
@@ -369,7 +381,7 @@ mod tests {
     #[test]
     fn no_neighbors_means_zero_fraction() {
         let ds = dataset();
-        let state = ResolutionState::new(&ds);
+        let state = ResolutionState::new(&ds, BenefitModel::PairQuantity);
         assert_eq!(
             state.resolved_neighbor_fraction(EntityId(2), EntityId(5)),
             0.0
@@ -379,7 +391,7 @@ mod tests {
     #[test]
     fn zero_likelihood_scores_zero_under_all_models() {
         let ds = dataset();
-        let state = ResolutionState::new(&ds);
+        let state = ResolutionState::new(&ds, BenefitModel::AttributeCompleteness);
         let mut pool = CandidatePool::new();
         let c = cand(&mut pool, 2, 5, 0.0);
         for m in BenefitModel::ALL {
@@ -390,17 +402,30 @@ mod tests {
     #[test]
     fn record_match_updates_all_bookkeeping() {
         let ds = dataset();
-        let mut state = ResolutionState::new(&ds);
-        assert!(!state.resolved(EntityId(0)));
+        for model in BenefitModel::ALL {
+            let mut state = ResolutionState::new(&ds, model);
+            assert!(!state.resolved(EntityId(0)));
+            state.record_match(EntityId(0), EntityId(3));
+            assert!(state.resolved(EntityId(0)) && state.resolved(EntityId(3)));
+            assert!(state.same_cluster(EntityId(0), EntityId(3)));
+            // Transitive merge keeps attribute union coherent.
+            state.record_match(EntityId(3), EntityId(1));
+            assert!(state.same_cluster(EntityId(0), EntityId(1)));
+            let clusters = state.final_clusters(2);
+            assert_eq!(clusters, vec![vec![0, 1, 3]], "{model:?}");
+        }
+    }
+
+    /// Only attribute completeness builds the attribute sets; a state built
+    /// for another model that reads them fails loudly in a debug build.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "attribute sets read from a state built without them")]
+    fn attribute_sets_are_not_read_where_not_built() {
+        let ds = dataset();
+        let mut state = ResolutionState::new(&ds, BenefitModel::EntityCoverage);
         state.record_match(EntityId(0), EntityId(3));
-        assert!(state.resolved(EntityId(0)) && state.resolved(EntityId(3)));
-        assert!(state.same_cluster(EntityId(0), EntityId(3)));
-        // Transitive merge keeps attribute union coherent.
-        state.record_match(EntityId(3), EntityId(1));
-        assert!(state.same_cluster(EntityId(0), EntityId(1)));
-        let clusters = state.final_clusters(2);
-        assert_eq!(clusters.len(), 1);
-        assert_eq!(clusters[0], vec![0, 1, 3]);
+        state.attribute_gain(EntityId(0), EntityId(4));
     }
 
     #[test]

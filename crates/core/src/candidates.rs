@@ -71,10 +71,7 @@ impl CandidatePool {
     /// repeated pair keeping its highest.
     pub fn seed(&mut self, pairs: &[(EntityId, EntityId, f64)]) {
         let max_w = pairs.iter().map(|p| p.2).fold(0.0f64, f64::max);
-        // Room for the pairs and as many discoveries (a linked cloud
-        // discovers two for every three): growing the pool mid-loop
-        // rehashes its pair map.
-        let room = pairs.len().saturating_mul(2);
+        let room = Self::room(pairs.len());
         self.candidates.reserve(room);
         self.by_pair.reserve(room);
         for &(a, b, w) in pairs {
@@ -97,9 +94,16 @@ impl CandidatePool {
         self.candidates.is_empty()
     }
 
-    /// Candidates the pool holds before it has to grow.
-    pub(crate) fn capacity(&self) -> usize {
-        self.candidates.capacity()
+    /// The room a seeding event of `pairs` pairs reserves: the pairs and as
+    /// many discoveries (a linked cloud discovers two for every three), so
+    /// that growing the pool mid-loop does not rehash its pair map.
+    pub(crate) fn room(pairs: usize) -> usize {
+        pairs.saturating_mul(2)
+    }
+
+    /// The id of the pair `(a, b)`, in either order, if it is a candidate.
+    pub(crate) fn id_of(&self, a: EntityId, b: EntityId) -> Option<CandidateId> {
+        self.by_pair.get(&(a.min(b), a.max(b))).copied()
     }
 
     /// Inserts a candidate with the given prior (normalising `a`,`b`

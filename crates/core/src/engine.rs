@@ -9,12 +9,27 @@
 //!
 //! A value similarity is a pure function of the pair that the schedule
 //! never reads before the pair is compared. So with `threads > 1`,
-//! `threads − 1` workers beside the progressive loop fill one slot per
-//! candidate: first for the candidates the update phase just discovered,
-//! then for the best `min(budget, len)` seeded ones, best first. The loop
-//! never waits: it takes a candidate's slot before comparing it and
-//! computes the value itself if none is there (a taken slot is skipped).
-//! The workers stop when the loop does.
+//! `threads − 1` workers fill one slot per candidate beside the loop, from
+//! the moment the run starts:
+//! - while the calling thread builds the pool and the schedule, they
+//!   compare the first `min(budget, len)` input pairs in input order —
+//!   the schedule's own order under pair quantity when the input comes
+//!   best first, as meta-blocking's does;
+//! - once the schedule exists, the candidates the update phase discovers
+//!   first, then the best `min(budget, len)` seeded ones, best first,
+//!   passing over every slot already filled.
+//!
+//! Until seeding a slot is keyed by input position, so it must be the slot
+//! the loop reads for that candidate: ids are positions when no pair
+//! repeats; when one does, a seeded candidate reads the slot of its first
+//! position and a discovered one a slot past every position.
+//!
+//! A worker claims a slot before computing its value. The loop takes a
+//! candidate's slot before comparing it: it uses a delivered value, waits
+//! up to [`CLAIM_WAIT`] for a claimed one, and computes the value itself if
+//! there is none. Having waited, it has caught up with the workers, so the
+//! next worker to deliver leaves it the next seeded pair and compares the
+//! one after. The workers stop when the loop does.
 //!
 //! **Why no bit can move.** A value has the same bits whoever computes it,
 //! and nothing reads when or where it was computed, so trace, matches and
@@ -32,9 +47,11 @@ use minoan_rdf::{Dataset, EntityId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// Comparison-ordering strategy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -173,7 +190,8 @@ impl<'d> ProgressiveResolver<'d> {
 
     /// Fixed-order strategies: no scheduling, no update phase.
     fn run_fixed_order(&self, pairs: Vec<(EntityId, EntityId, f64)>) -> Resolution {
-        let mut state = ResolutionState::new(self.dataset);
+        // Nothing scores a fixed order: the state needs no attribute sets.
+        let mut state = ResolutionState::new(self.dataset, BenefitModel::PairQuantity);
         let mut trace = self.trace_for(pairs.len());
         let mut matches = Vec::new();
         let mut mapping = UniqueMapping::new(self.config.unique_mapping);
@@ -215,42 +233,30 @@ impl<'d> ProgressiveResolver<'d> {
     }
 
     /// The full progressive loop, with `threads − 1` comparison workers
-    /// beside it: a value they delivered is taken, any other computed.
+    /// beside it from the start: a value they delivered is taken, any other
+    /// computed.
     fn run_progressive(&self, pairs: &[Pair]) -> Resolution {
-        let mut progress = Progress::new(self.dataset, &self.matcher, &self.config);
-        progress.out.trace = self.trace_for(pairs.len());
-        progress.seed(pairs, |_| true);
-        let lookahead = if self.threads > 1 {
-            let budget = usize::try_from(self.config.budget).unwrap_or(usize::MAX);
-            let best = progress.scheduler.seeded_best_first().take(budget);
-            Lookahead {
-                slots: (0..progress.pool.capacity())
-                    .map(|_| AtomicU64::new(EMPTY))
-                    .collect(),
-                seeded: best.map(|id| pending(&progress.pool, id)).collect(),
-                ..Lookahead::default()
-            }
-        } else {
-            Lookahead::default()
-        };
+        let budget = usize::try_from(self.config.budget).unwrap_or(usize::MAX);
+        let lookahead = Lookahead::new(pairs, budget, self.threads);
         std::thread::scope(|s| {
             let spawn = |_| s.spawn(|| lookahead.work(&self.matcher)).thread().clone();
-            let workers = (1..self.threads).map(spawn).collect();
-            let feed = Feed {
-                lookahead: &lookahead,
-                workers,
-            };
+            let mut feed = Feed::new(&lookahead, (1..self.threads).map(spawn).collect());
+            let mut progress = Progress::new(self.dataset, &self.matcher, &self.config);
+            progress.out.trace = self.trace_for(CandidatePool::room(pairs.len()));
+            progress.seed(pairs, |_| true);
+            feed.follow_schedule(pairs, &progress, budget);
             progress.run(self.config.budget, |_| true, Some(&feed));
-        });
-        progress.out.clusters = progress.state.final_clusters(2);
-        progress.out
+            drop(feed);
+            progress.out.clusters = progress.state.final_clusters(2);
+            progress.out
+        })
     }
 
-    /// An empty trace with room for one step per candidate pair, or for
-    /// the whole budget when that is less.
-    fn trace_for(&self, pairs: usize) -> Trace {
+    /// An empty trace with room for one step per candidate the run may
+    /// compare, or for the whole budget when that is less.
+    fn trace_for(&self, candidates: usize) -> Trace {
         let budget = usize::try_from(self.config.budget).unwrap_or(usize::MAX);
-        Trace::with_capacity(pairs.min(budget))
+        Trace::with_capacity(candidates.min(budget))
     }
 }
 
@@ -283,7 +289,7 @@ impl<'a> Progress<'a> {
             model,
             pool: CandidatePool::new(),
             scheduler: Scheduler::new(),
-            state: ResolutionState::new(dataset),
+            state: ResolutionState::new(dataset, model),
             mapping: UniqueMapping::new(config.unique_mapping),
             out: Resolution::default(),
             waiting: Vec::new(),
@@ -311,7 +317,7 @@ impl<'a> Progress<'a> {
         &mut self,
         until: u64,
         arrived: impl Fn(EntityId) -> bool,
-        feed: Option<&Feed<'_>>,
+        feed: Option<&Feed<'_, '_>>,
     ) {
         let mut jaro = JaroScratch::default();
         while self.out.comparisons < until {
@@ -346,7 +352,7 @@ impl<'a> Progress<'a> {
             // --- Match phase --------------------------------------------------
             self.out.comparisons += 1;
             let value_sim = last_value
-                .or_else(|| feed.and_then(|f| f.lookahead.take(id)))
+                .or_else(|| feed.and_then(|f| f.take(id)))
                 .unwrap_or_else(|| self.matcher.value_similarity(a, b, &mut jaro));
             self.pool.mark_compared(id, value_sim);
             let score = self.matcher.composite(value_sim, evidence);
@@ -422,64 +428,125 @@ impl<'a> Progress<'a> {
     }
 }
 
-/// A slot no value has reached yet, and one the loop has taken: the two
-/// greatest bit patterns, both NaNs, so above those of every similarity.
+/// A slot no value has reached yet, one a worker is computing and one the
+/// loop has taken: the three greatest bit patterns, all NaNs, so above
+/// those of every similarity.
 const EMPTY: u64 = u64::MAX;
 const TAKEN: u64 = u64::MAX - 1;
+const CLAIMED: u64 = u64::MAX - 2;
 
-/// A candidate a worker may compare: its id and its endpoints.
-type Pending = (CandidateId, EntityId, EntityId);
+/// How long the loop waits for a value a worker is computing before it
+/// computes the value itself: many comparisons' worth, so it gives up only
+/// on a worker the host has descheduled.
+const CLAIM_WAIT: Duration = Duration::from_micros(50);
 
-fn pending(pool: &CandidatePool, id: CandidateId) -> Pending {
-    let c = pool.get(id);
-    (id, c.a, c.b)
-}
+/// A pair a worker may compare: its slot and its endpoints, `a < b`.
+type Pending = (usize, EntityId, EntityId);
 
 /// What the comparison workers share with the loop (see the module docs).
 #[derive(Default)]
-struct Lookahead {
-    /// Per candidate id the pool has room for: [`EMPTY`], [`TAKEN`] or the
-    /// bits of its value similarity. A slot publishes nothing but its own
-    /// bits, so every access is `Relaxed`.
+struct Lookahead<'p> {
+    /// Per slot: [`EMPTY`], [`CLAIMED`], [`TAKEN`] or the bits of a value
+    /// similarity. A slot publishes nothing but its own bits, so every
+    /// access is `Relaxed`.
     slots: Vec<AtomicU64>,
-    /// Seeded candidates, best first; `cursor` is the first unclaimed one.
-    seeded: Vec<Pending>,
+    /// The pairs compared before the schedule exists, slot = position.
+    input: &'p [Pair],
+    /// The first of `input` no worker took yet.
+    input_cursor: AtomicUsize,
+    /// The seeded candidates best first, once the schedule exists.
+    seeded: OnceLock<Vec<Pending>>,
+    /// The first of `seeded` no worker took yet.
     cursor: AtomicUsize,
     /// Candidates the update phase discovered that no worker took yet.
     discovered: Mutex<Vec<Pending>>,
+    /// Set when the loop waits for a claimed slot: it has caught up.
+    caught_up: AtomicBool,
     stop: AtomicBool,
 }
 
-impl Lookahead {
-    /// The value a worker delivered for `id`, if any; no worker computes
-    /// it after this.
-    fn take(&self, id: CandidateId) -> Option<f64> {
-        let bits = self.slots.get(id.index())?.swap(TAKEN, Ordering::Relaxed);
-        (bits < TAKEN).then(|| f64::from_bits(bits))
+impl<'p> Lookahead<'p> {
+    /// Slots for `threads − 1` workers over `pairs`, as many as the pool
+    /// reserves for them, and the first `budget` of them to compare; with
+    /// one thread, nothing.
+    fn new(pairs: &'p [Pair], budget: usize, threads: usize) -> Self {
+        if threads < 2 {
+            return Self::default();
+        }
+        Self {
+            slots: (0..CandidatePool::room(pairs.len()))
+                .map(|_| AtomicU64::new(EMPTY))
+                .collect(),
+            input: &pairs[..budget.min(pairs.len())],
+            ..Self::default()
+        }
     }
 
-    /// One worker: all discoveries first, else the next seeded candidate,
-    /// else park; returns once the loop has stopped.
+    /// The value in `slot`, if a worker delivered it, or delivers it within
+    /// [`CLAIM_WAIT`] of this call; no worker computes it after this.
+    fn take(&self, slot: usize) -> Option<f64> {
+        let slot = self.slots.get(slot)?;
+        let mut bits = match slot.compare_exchange(EMPTY, TAKEN, Relaxed, Relaxed) {
+            Ok(_) => return None,
+            Err(bits) => bits,
+        };
+        if bits == CLAIMED {
+            self.caught_up.store(true, Relaxed);
+            let since = Instant::now();
+            while bits == CLAIMED && since.elapsed() < CLAIM_WAIT {
+                std::hint::spin_loop();
+                bits = slot.load(Relaxed);
+            }
+            // Given up: the worker's value, when it comes, is dropped.
+            if bits == CLAIMED {
+                bits = slot.swap(TAKEN, Relaxed);
+            }
+        }
+        (bits < CLAIMED).then(|| f64::from_bits(bits))
+    }
+
+    /// The next pair for a worker: the next input pair until the schedule
+    /// exists, then the next seeded candidate.
+    fn next(&self) -> Option<Pending> {
+        match self.seeded.get() {
+            Some(seeded) => seeded.get(self.cursor.fetch_add(1, Relaxed)).copied(),
+            None => {
+                let at = self.input_cursor.fetch_add(1, Relaxed);
+                let &(a, b, _) = self.input.get(at)?;
+                Some((at, a.min(b), a.max(b)))
+            }
+        }
+    }
+
+    /// One worker: all discoveries first, else the next pair, else park;
+    /// returns once the loop has stopped.
     fn work(&self, matcher: &Matcher) {
         let mut jaro = JaroScratch::default();
         let mut batch = Vec::new();
-        while !self.stop.load(Ordering::Acquire) {
+        while !self.stop.load(Acquire) {
             std::mem::swap(&mut batch, &mut *self.queue());
             if batch.is_empty() {
-                match self.seeded.get(self.cursor.fetch_add(1, Ordering::Relaxed)) {
-                    Some(&next) => batch.push(next),
+                match self.next() {
+                    Some(next) => batch.push(next),
                     None => std::thread::park(),
                 }
             }
-            for &(id, a, b) in &batch {
-                let slot = &self.slots[id.index()];
-                if self.stop.load(Ordering::Relaxed) {
+            for &(slot, a, b) in &batch {
+                if self.stop.load(Relaxed) {
                     break;
-                } else if slot.load(Ordering::Relaxed) == EMPTY {
+                }
+                let slot = &self.slots[slot];
+                if slot.load(Relaxed) == EMPTY
+                    && slot
+                        .compare_exchange(EMPTY, CLAIMED, Relaxed, Relaxed)
+                        .is_ok()
+                {
                     let bits = matcher.value_similarity(a, b, &mut jaro).to_bits();
-                    // Lost if the loop took the slot meanwhile.
-                    let _ =
-                        slot.compare_exchange(EMPTY, bits, Ordering::Relaxed, Ordering::Relaxed);
+                    // Lost if the loop gave up waiting meanwhile.
+                    _ = slot.compare_exchange(CLAIMED, bits, Relaxed, Relaxed);
+                    if self.caught_up.swap(false, Relaxed) {
+                        self.cursor.fetch_add(1, Relaxed); // left to the loop
+                    }
                 }
             }
             batch.clear();
@@ -495,27 +562,84 @@ impl Lookahead {
 
 /// The loop's end of the comparison workers. Dropping it stops them — on
 /// unwinding too, so the scope that joins them never waits on a parked one.
-pub(crate) struct Feed<'l> {
-    lookahead: &'l Lookahead,
+pub(crate) struct Feed<'l, 'p> {
+    lookahead: &'l Lookahead<'p>,
     workers: Vec<Thread>,
+    /// Per seeded candidate, its first input position, when a pair
+    /// repeats; empty when none does, as then the two are equal.
+    positions: Vec<u32>,
+    /// What a discovered candidate's slot adds to its id: the number of
+    /// repeated input pairs, so that its slot follows every position.
+    shift: usize,
 }
 
-impl Feed<'_> {
+impl<'l, 'p> Feed<'l, 'p> {
+    fn new(lookahead: &'l Lookahead<'p>, workers: Vec<Thread>) -> Self {
+        Self {
+            lookahead,
+            workers,
+            positions: Vec::new(),
+            shift: 0,
+        }
+    }
+
+    /// The slot of candidate `id`.
+    fn slot(&self, id: CandidateId) -> usize {
+        match self.positions.get(id.index()) {
+            Some(&position) => position as usize,
+            None => id.index() + self.shift,
+        }
+    }
+
+    /// The value a worker delivered for `id`, if any (see [`Lookahead::take`]).
+    fn take(&self, id: CandidateId) -> Option<f64> {
+        self.lookahead.take(self.slot(id))
+    }
+
+    /// Switches the workers from the input pairs to the best `budget`
+    /// seeded candidates, once `progress` has seeded `pairs` into its
+    /// empty pool.
+    fn follow_schedule(&mut self, pairs: &[Pair], progress: &Progress<'_>, budget: usize) {
+        if self.workers.is_empty() {
+            return;
+        }
+        let pool = &progress.pool;
+        if pool.len() < pairs.len() {
+            let mut positions = vec![0; pool.len()];
+            for (at, &(a, b, _)) in pairs.iter().enumerate().rev() {
+                let id = pool.id_of(a, b).expect("every input pair is seeded");
+                positions[id.index()] = at as u32;
+            }
+            self.positions = positions;
+            self.shift = pairs.len() - pool.len();
+        }
+        let best = progress.scheduler.seeded_best_first().take(budget);
+        let seeded = best.map(|id| self.pending(pool, id)).collect();
+        _ = self.lookahead.seeded.set(seeded);
+        self.workers.iter().for_each(Thread::unpark);
+    }
+
     /// Hands the workers the candidates discovered since the pool held
     /// `known` of them, as far as there are slots for them.
     fn send(&self, pool: &CandidatePool, known: usize) {
-        let fresh = known..pool.len().min(self.lookahead.slots.len());
+        let room = self.lookahead.slots.len().saturating_sub(self.shift);
+        let fresh = known..pool.len().min(room);
         if !self.workers.is_empty() && !fresh.is_empty() {
-            let fresh = fresh.map(|i| pending(pool, CandidateId(i as u32)));
+            let fresh = fresh.map(|i| self.pending(pool, CandidateId(i as u32)));
             self.lookahead.queue().extend(fresh);
             self.workers.iter().for_each(Thread::unpark);
         }
     }
+
+    fn pending(&self, pool: &CandidatePool, id: CandidateId) -> Pending {
+        let c = pool.get(id);
+        (self.slot(id), c.a, c.b)
+    }
 }
 
-impl Drop for Feed<'_> {
+impl Drop for Feed<'_, '_> {
     fn drop(&mut self) {
-        self.lookahead.stop.store(true, Ordering::Release);
+        self.lookahead.stop.store(true, Release);
         self.workers.iter().for_each(Thread::unpark);
     }
 }

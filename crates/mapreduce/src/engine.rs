@@ -1,7 +1,6 @@
 //! The execution engine: parallel map, shuffle, parallel reduce.
 
 use crate::counters::Counters;
-use minoan_common::FxHashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -165,7 +164,7 @@ impl Engine {
     ) -> JobResult<O>
     where
         I: Send + Sync,
-        K: Ord + std::hash::Hash + Clone + Send,
+        K: Ord + Clone + Send,
         V: Send,
         O: Send,
         P: Fn(&K, usize) -> usize + Sync,
@@ -237,8 +236,9 @@ impl Engine {
 
         // ---- Shuffle + reduce, parallel per partition ------------------------
         let t1 = Instant::now();
-        // Each partition groups its keys (chunk order preserved within each
-        // key group), sorts them, and reduces sequentially in key order.
+        // Each partition sorts its pairs by key — stably, so each key's
+        // values keep their spill order — and reduces each key's run in key
+        // order.
         let mut by_partition: Vec<Vec<Vec<(K, V)>>> = (0..partitions)
             .map(|_| Vec::with_capacity(num_chunks))
             .collect();
@@ -258,16 +258,16 @@ impl Engine {
                     .map(|spills| {
                         scope.spawn(move || {
                             let task_start = Instant::now();
-                            let mut groups: FxHashMap<K, Vec<V>> = FxHashMap::default();
-                            let mut pairs = 0usize;
-                            for (k, v) in spills.into_iter().flatten() {
-                                pairs += 1;
-                                groups.entry(k).or_default().push(v);
-                            }
-                            let mut grouped: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-                            grouped.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                            let mut results: Vec<(K, Vec<O>)> = Vec::with_capacity(grouped.len());
-                            for (key, mut vals) in grouped {
+                            let mut sorted: Vec<(K, V)> = spills.into_iter().flatten().collect();
+                            let pairs = sorted.len();
+                            sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                            let mut sorted = sorted.into_iter().peekable();
+                            let mut results: Vec<(K, Vec<O>)> = Vec::new();
+                            while let Some((key, first)) = sorted.next() {
+                                let mut vals = vec![first];
+                                while let Some((_, v)) = sorted.next_if(|(k, _)| *k == key) {
+                                    vals.push(v);
+                                }
                                 let mut out = Vec::new();
                                 reduce_fn(&key, &mut vals, &mut out, counters);
                                 results.push((key, out));

@@ -4,6 +4,7 @@
 # ROADMAP's standing constraints ask of every performance claim.
 #
 #   bash scripts/ab.sh --parent <rev> --workload W [--pairs 10] [--seconds S] [--seed N]
+#                      [--claim METRIC] [--gate]
 #
 # A two-thread scaling probe — a fixed spin run once, then twice side by
 # side — runs before every pair and is printed on the pair's line, so every
@@ -21,12 +22,20 @@
 # parent's own quartile distance — over all pairs, and again for the pairs
 # whose probe read under and over 1.5 cores when the host offered both.
 #
+# --claim METRIC prints whether the pairs bear out a gain on METRIC by the
+# rule of the choosing-metrics guide: the change is better in at least nine
+# tenths of the pairs (ties count for neither side) and its median is
+# better than the parent's by more than the parent's quartile distance.
+# --gate exits 1 when some end-to-end metric of BENCHMARK.json is worse in
+# at least eight tenths of the pairs with its median pair ratio (change /
+# parent) past the metric's bound — the regression rule of ROADMAP item S.
+#
 # Reads and writes nothing outside target/ab. `--parent HEAD` on a clean
 # tree is an A/A run (CI does one pair of it so the script cannot rot).
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-parent="" workload="" pairs=10 seconds=5 seed=501
+parent="" workload="" pairs=10 seconds=5 seed=501 claim="" gate=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --parent) parent="$2"; shift 2 ;;
@@ -34,11 +43,18 @@ while [ $# -gt 0 ]; do
         --pairs) pairs="$2"; shift 2 ;;
         --seconds) seconds="$2"; shift 2 ;;
         --seed) seed="$2"; shift 2 ;;
+        --claim) claim="$2"; shift 2 ;;
+        --gate) gate=1; shift ;;
         *) echo "ab.sh: unknown argument $1" >&2; exit 2 ;;
     esac
 done
 if [ -z "$parent" ] || [ -z "$workload" ]; then
-    sed -n '2,8p' "${BASH_SOURCE[0]}" >&2
+    sed -n '2,9p' "${BASH_SOURCE[0]}" >&2
+    exit 2
+fi
+end_to_end() { python3 -c 'import json, sys; print(*(m["name"] for m in json.load(open(sys.argv[1]))["end_to_end"]))' "$root/BENCHMARK.json"; }
+if [ -n "$claim" ] && ! [[ " $(end_to_end) " == *" $claim "* ]]; then
+    echo "ab.sh: --claim $claim: not an end-to-end metric of BENCHMARK.json ($(end_to_end))" >&2
     exit 2
 fi
 
@@ -87,10 +103,11 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 # ---- the summary ----------------------------------------------------------------
-python3 - "$root/BENCHMARK.json" "$out/runs" "$pairs" <<'EOF'
+python3 - "$root/BENCHMARK.json" "$out/runs" "$pairs" "$claim" "$gate" <<'EOF'
 import json, statistics, sys
 
 contract, runs, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+claim, gate = sys.argv[4], sys.argv[5] == "1"
 with open(contract) as f:
     metrics = json.load(f)["end_to_end"]
 
@@ -109,13 +126,18 @@ def quartiles(values):
         return values[0], values[0], values[0]
     return tuple(statistics.quantiles(values, n=4))
 
-def report(name, lower, which, label):
+def compare(name, lower, which):
+    """Wins, losses, both sides' quartiles and the median pair ratio."""
     p = [sides["parent"][i]["metrics"][name]["value"] for i in which]
     c = [sides["change"][i]["metrics"][name]["value"] for i in which]
     wins = sum((y < x) if lower else (y > x) for x, y in zip(p, c))
     losses = sum((y > x) if lower else (y < x) for x, y in zip(p, c))
-    (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
-    ratio = statistics.median(y / x for x, y in zip(p, c) if x)
+    ratios = [y / x for x, y in zip(p, c) if x]
+    ratio = statistics.median(ratios) if ratios else 1.0
+    return wins, losses, quartiles(p), quartiles(c), ratio
+
+def report(name, lower, which, label):
+    wins, losses, (p1, pm, p3), (c1, cm, c3), ratio = compare(name, lower, which)
     print(f"  {label}")
     print(f"    parent q1/median/q3  {p1:.6g} / {pm:.6g} / {p3:.6g}")
     print(f"    change q1/median/q3  {c1:.6g} / {cm:.6g} / {c3:.6g}")
@@ -139,4 +161,28 @@ for side, records in sides.items():
     attempted = sum(r["attempted"] for r in records)
     wrong = sum(not r["correct"] for r in records)
     print(f"{side}: {failed} of {attempted} operations failed, {wrong} runs incorrect")
+
+if claim:
+    lower = next(m["better"] == "lower" for m in metrics if m["name"] == claim)
+    wins, _, (p1, pm, p3), (_, cm, _), _ = compare(claim, lower, everything)
+    gap = (pm - cm) if lower else (cm - pm)
+    holds = wins * 10 >= 9 * pairs and gap > p3 - p1
+    print(f"claim {claim}: {'holds' if holds else 'does not hold'} — change better in "
+          f"{wins}/{pairs} pairs (needs nine tenths), median gap {gap:.6g} in its favour "
+          f"vs parent IQR {p3 - p1:.6g}")
+if gate:
+    failing = []
+    for m in metrics:
+        if "bound" not in m:
+            continue
+        name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
+        _, losses, _, _, ratio = compare(name, lower, everything)
+        past = ratio > 1 + bound if lower else ratio < 1 - bound
+        verdict = "FAILS" if losses * 10 >= 8 * pairs and past else "passes"
+        print(f"gate {name}: {verdict} — change worse in {losses}/{pairs} pairs, "
+              f"median pair ratio {ratio:.3f} (bound {bound})")
+        if verdict == "FAILS":
+            failing.append(name)
+    if failing:
+        sys.exit(f"gate: {', '.join(failing)} regressed")
 EOF

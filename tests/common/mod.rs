@@ -10,7 +10,6 @@ pub mod spec;
 use minoan::blocking::builders::TokenKeys;
 use minoan::blocking::{BlockCollection, Corpus, ErMode};
 use minoan::common::hash::fx_hash_bytes;
-use minoan::common::FxHashMap;
 use minoan::er::{Resolution, Trace};
 use minoan::metablocking::{
     ExecutionBackend, IncrementalSession, Perceptron, PrunedComparisons, Pruning, Session,
@@ -18,7 +17,7 @@ use minoan::metablocking::{
 };
 use minoan::rdf::{tokenize, Dataset, EntityId};
 use spec::Spec;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One way to reach the meta-blocking rules, holding the session it
 /// drives at its scheme × pruning, backend and workers.
@@ -247,7 +246,7 @@ pub fn assert_bit_identical(a: &PrunedComparisons, b: &PrunedComparisons, label:
 }
 
 /// The reference (legacy) build the string-free path is pinned against:
-/// one owned `String` per token occurrence, grouped through a hash map,
+/// one owned `String` per token occurrence, grouped through an ordered map,
 /// then the string-keyed `from_groups` — with `with_uri`, the paper's
 /// token ∪ URI-infix criterion (`uri:`-prefixed key space, like
 /// `token_and_uri_blocking`), otherwise value tokens only.
@@ -256,7 +255,7 @@ pub fn reference_token_blocking(
     mode: ErMode,
     with_uri: bool,
 ) -> BlockCollection {
-    let mut groups: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
+    let mut groups: BTreeMap<String, Vec<EntityId>> = BTreeMap::new();
     for e in dataset.entities() {
         let mut tokens: Vec<String> = dataset.blocking_tokens(e);
         tokens.sort_unstable();
@@ -273,7 +272,7 @@ pub fn reference_token_blocking(
             }
         }
     }
-    BlockCollection::from_groups(dataset, mode, groups)
+    BlockCollection::from_groups(dataset, mode, groups.into_iter().collect())
 }
 
 /// The one observable-identity oracle for block collections (blocks, key

@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::resolution_bits;
+use common::{assert_same_resolution, resolution_bits, resolve_spec};
 use minoan::prelude::*;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _; // the minoan prelude also exports a `Strategy` enum
@@ -145,6 +145,45 @@ fn one_resolution_at_every_worker_count() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Until seeding, the comparison workers key their slots by input position,
+/// which is the candidate id only while no pair repeats. A pair given twice
+/// and one given in both orientations, both near the front so that every
+/// later id is off its position, must resolve as the specification does at
+/// 1 and 4 workers, whatever the model and budget.
+#[test]
+fn repeated_and_reversed_pairs_resolve_as_the_spec() {
+    let world = generate(&profiles::center_dense(250, 5));
+    let base = Pipeline::new(PipelineConfig::default());
+    let mut pairs = base.meta_block(&base.clean_blocks(base.block(&world.dataset)));
+    let (a, b, w) = pairs[0];
+    pairs.insert(2, (a, b, w / 2.0));
+    let (a, b, w) = pairs[1];
+    pairs.insert(4, (b, a, w));
+    let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
+    let len = pairs.len() as u64;
+    for model in BenefitModel::ALL {
+        for budget in [len / 5, u64::MAX] {
+            let resolver = ResolverConfig {
+                strategy: minoan::prelude::Strategy::Progressive(model),
+                budget,
+                ..Default::default()
+            };
+            let want = resolve_spec::resolve(&world.dataset, &matcher, &pairs, &resolver);
+            for workers in [1, 4] {
+                let config = PipelineConfig {
+                    workers: Some(workers),
+                    resolver: resolver.clone(),
+                    ..Default::default()
+                };
+                let matcher = Matcher::new(&world.dataset, MatcherConfig::default());
+                let got = Pipeline::new(config).resolve(&world.dataset, matcher, &pairs);
+                let label = format!("{model:?}, budget {budget}, {workers} workers");
+                assert_same_resolution(&got, &want, &label);
             }
         }
     }
