@@ -1,4 +1,4 @@
-//! Regenerates every experiment table and figure from EXPERIMENTS.md.
+//! Prints the reports of the experiments E2–E17 (`experiments::EXPERIMENTS`).
 //!
 //! Usage:
 //! ```text
@@ -20,6 +20,7 @@ fn main() {
                 scale = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| die("--scale needs a positive integer"));
             }
             "--seed" => {

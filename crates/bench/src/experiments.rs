@@ -1,4 +1,4 @@
-//! The E2–E8 experiment implementations (see EXPERIMENTS.md).
+//! The E2–E8 experiments, and the [`EXPERIMENTS`] table `reproduce` runs.
 //!
 //! Sizes are chosen so `reproduce all` finishes in a couple of minutes on a
 //! laptop while preserving the paper-claim *shapes*: who wins, by roughly

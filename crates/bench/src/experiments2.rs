@@ -1,9 +1,9 @@
-//! The E9–E13 extension experiments (see EXPERIMENTS.md).
+//! The E9–E17 extension experiments (see [`crate::experiments::EXPERIMENTS`]).
 //!
-//! These cover the subsystems added on top of the original E2–E8 set: the
-//! advanced blocker families, BLAST and supervised meta-blocking, the
-//! incremental resolver, the oracle scheduling bounds, and the composite
-//! matching rules.
+//! These cover the subsystems added on top of the original E2–E8 set:
+//! blocker families, BLAST and supervised meta-blocking, incremental
+//! resolution, oracle bounds, composite rules, clustering, fault
+//! tolerance, variance across seeds and value corruption.
 
 use minoan_blocking::builders::TokenKeys;
 use minoan_blocking::{Corpus, ErMode, Method};

@@ -1,10 +1,10 @@
 //! Experiment harness for the MinoanER reproduction.
 //!
-//! Each `expN` function regenerates one experiment from EXPERIMENTS.md and
-//! returns its report as plain text; the `reproduce` binary prints them.
-//! Criterion micro-benchmarks live in `benches/`. Neither writes a results
-//! file: end-to-end timings are the ledger's (`BENCHMARK.json` +
-//! `benchmark/`, which time `minoan_cli::run` and the server).
+//! Each `expN` function regenerates one experiment of the
+//! [`EXPERIMENTS`] table and returns its report as plain text; the
+//! `reproduce` binary prints them and writes no results file. Timings
+//! are the ledger's (`BENCHMARK.json` + `benchmark/`, which time
+//! `minoan_cli::run` and the server, per layer under `--trace 1`).
 
 pub mod experiments;
 pub mod experiments2;

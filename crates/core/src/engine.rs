@@ -26,7 +26,7 @@
 //!
 //! A worker claims a slot before computing its value. The loop takes a
 //! candidate's slot before comparing it: it uses a delivered value, waits
-//! up to [`CLAIM_WAIT`] for a claimed one, and computes the value itself if
+//! up to `CLAIM_WAIT` for a claimed one, and computes the value itself if
 //! there is none. Having waited, it has caught up with the workers, so the
 //! next worker to deliver leaves it the next seeded pair and compares the
 //! one after. The workers stop when the loop does.

@@ -60,9 +60,9 @@ pub struct PipelineConfig {
 }
 
 impl Default for PipelineConfig {
-    /// The defaults used throughout EXPERIMENTS.md: token+URI blocking,
-    /// purge + filter(0.8), ARCS-weighted WNP on the streaming backend,
-    /// progressive pair-quantity.
+    /// The defaults used throughout the `reproduce` experiments: token+URI
+    /// blocking, purge + filter(0.8), ARCS-weighted WNP on the streaming
+    /// backend, progressive pair-quantity.
     fn default() -> Self {
         Self {
             mode: ErMode::CleanClean,

@@ -15,7 +15,7 @@
 //! Executions are *deterministic*: map tasks own contiguous input chunks,
 //! shuffle preserves (chunk, emission) order within each key group, reduce
 //! output is ordered by key. Running with 1 or N workers yields the same
-//! result, so parallel speedup experiments (EXPERIMENTS.md E7) compare
+//! result, so parallel speedup experiments (`reproduce exp7`) compare
 //! identical work.
 //!
 //! # Example

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Line counts the ROADMAP tracks (aim 2): one table, one row per crate —
-# `src/` lines, in-crate `tests/` + `benches/` lines, `in-src`: how many
+# `src/` lines, in-crate `tests/` lines, `in-src`: how many
 # of the `src/` lines are unit tests, counted from each file's first
 # top-level `#[cfg(test)]` to its end, and `product`: the `src/` lines
 # that are not (`src` − `in-src`) — plus the root facade and the
@@ -57,7 +57,7 @@ row() {
 for crate in crates/*/; do
     crate="${crate%/}"
     row "$(basename "$crate")" "$(lines "$crate/src")" \
-        "$(lines "$crate/tests" "$crate/benches")" "$(test_lines "$crate/src")"
+        "$(lines "$crate/tests")" "$(test_lines "$crate/src")"
 done
 row "minoan (root)" "$(lines src)" "$(lines tests examples)" "$(test_lines src)"
 printf '%-16s %8d %8d %8d %8d\n' total "$src_total" "$tests_total" "$in_src_total" \
@@ -65,7 +65,7 @@ printf '%-16s %8d %8d %8d %8d\n' total "$src_total" "$tests_total" "$in_src_tota
 vendor_src="$(lines vendor/*/src)"
 vendor_in_src="$(test_lines vendor/*/src)"
 printf '%-16s %8d %8d %8d %8d\n' "vendor (shims)" "$vendor_src" \
-    "$(lines vendor/*/tests vendor/*/benches)" "$vendor_in_src" $((vendor_src - vendor_in_src))
+    "$(lines vendor/*/tests)" "$vendor_in_src" $((vendor_src - vendor_in_src))
 [ "$#" -eq 0 ] && exit 0
 printf '\n%-44s %8s %8s\n' file src product
 for file in "$@"; do
